@@ -43,17 +43,7 @@
 //!   [`Campaign`]s over the same session, so the per-prefix hot path, the
 //!   streaming-sink driver, and the *marginal* cost of an additional
 //!   prefix on a reused per-worker scratch are all gated at the paper's
-//!   measurement scale. `run-internet-1px-mt/4` reruns the single-episode
-//!   phase with `threads = min(4, hardware parallelism)`, which a
-//!   one-prefix schedule spends on **intra-flood** sharding
-//!   (range-partitioned export sweeps with a serial node-order merge —
-//!   see `routesim::sweep`); `bench_check` derives
-//!   `engine/intra-flood-speedup` = `run-internet-1px ÷
-//!   run-internet-1px-mt` in basis points (10 000 = parity,
-//!   `higher_is_better`), gating the win on multi-core hardware; on a
-//!   single-core box the clamp makes the phase measure the serial path,
-//!   so the ratio sits at parity instead of gating scheduler thrash.
-//!   These campaigns run with flood memoization
+//!   measurement scale. These campaigns run with flood memoization
 //!   **off** (`.memoize(false)`): they exist to measure the cost of real
 //!   floods, and the allocation's leading prefixes can share an origin —
 //!   letting the memo fold them would silently change what the phase
@@ -257,40 +247,6 @@ fn bench_engine(c: &mut Criterion) {
             res.events
         })
     });
-
-    // The same single-prefix flood with the worker budget spent *inside*
-    // the flood: a one-prefix schedule sends `threads` down the
-    // intra-flood path (range-sharded export sweeps, serial node-order
-    // merge). `bench_check` derives `engine/intra-flood-speedup` —
-    // `run-internet-1px ÷ run-internet-1px-mt` in basis points,
-    // direction-reversed — so losing the intra-flood win fails CI.
-    //
-    // The requested worker count (the `/4` in the phase name) is clamped
-    // to the hardware: worker count is a wall-clock knob only (results
-    // are property-locked identical at any count), and on a single-core
-    // box an oversubscribed per-round `thread::scope` measures scheduler
-    // thrash (observed 182–846 ms run-to-run on 1 vCPU), which would make
-    // the gated ratio flap. Clamped, a 1-core box measures the serial
-    // path (ratio ≈ parity, noise correlated with the phase above) and
-    // multi-core CI measures the real speedup.
-    let mt_threads = std::thread::available_parallelism().map_or(1, |n| n.get().min(4));
-    let mut internet_sim_mt = internet_sim.clone();
-    internet_sim_mt.set_threads(mt_threads);
-    group.bench_with_input(
-        BenchmarkId::new("run-internet-1px-mt", 4),
-        &4usize,
-        |b, _| {
-            // Same unmeasured warm-up as the phase above, so the derived
-            // ratio compares two equally-warm measurements.
-            let warm = internet_sim_mt.run(&one_ep);
-            assert!(warm.converged);
-            b.iter(|| {
-                let res = internet_sim_mt.run(&one_ep);
-                assert!(res.converged);
-                res.events
-            })
-        },
-    );
 
     struct EventCount(u64);
     impl CampaignSink for EventCount {

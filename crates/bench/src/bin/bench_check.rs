@@ -47,13 +47,7 @@
 //!   when the attack replays as a delta re-convergence on the baseline's
 //!   snapshot instead of a second full run. Its baseline entry is marked
 //!   `higher_is_better`, so the delta path losing its advantage fails
-//!   the gate like a time regression;
-//! * `engine/intra-flood-speedup` — `run-internet-1px ÷
-//!   run-internet-1px-mt` in basis points (10 000 = parity): how much a
-//!   *single* internet-scale flood gains from intra-flood sweep sharding
-//!   at `threads = 4`. Also `higher_is_better`; its committed value is
-//!   hardware-dependent (a single-vCPU container records ~parity — see
-//!   the baseline's hardware note).
+//!   the gate like a time regression.
 //!
 //! Derived entries are compared against same-named baseline entries like
 //! any directly measured benchmark.
@@ -242,13 +236,6 @@ const DERIVED_METRICS: &[DerivedMetric] = &[
         name: "engine/delta-speedup",
         minuend: "engine/ab-pair/compile-once",
         subtrahend: Some("engine/ab-pair-delta"),
-        divisor: 10_000.0,
-        op: DerivedOp::RatioScaled,
-    },
-    DerivedMetric {
-        name: "engine/intra-flood-speedup",
-        minuend: "engine/run-internet-1px/1",
-        subtrahend: Some("engine/run-internet-1px-mt/4"),
         divisor: 10_000.0,
         op: DerivedOp::RatioScaled,
     },
@@ -693,21 +680,6 @@ mod tests {
             !broken.iter().any(|(n, _)| n == "engine/delta-speedup"),
             "non-positive denominator must not derive"
         );
-    }
-
-    #[test]
-    fn intra_flood_speedup_is_a_scaled_ratio() {
-        // 80 ms single-thread vs 40 ms sharded → 2.0× → 20 000 bp.
-        let mut fresh = vec![
-            ("engine/run-internet-1px/1".to_string(), 80_000_000.0),
-            ("engine/run-internet-1px-mt/4".to_string(), 40_000_000.0),
-        ];
-        add_derived_metrics(&mut fresh);
-        let derived = fresh
-            .iter()
-            .find(|(n, _)| n == "engine/intra-flood-speedup")
-            .expect("derived metric appended");
-        assert!((derived.1 - 20_000.0).abs() < 1e-6);
     }
 
     #[test]

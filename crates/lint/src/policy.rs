@@ -87,7 +87,6 @@ pub const POLICIES: &[CratePolicy] = &[
         hot_path: &[
             "engine.rs",
             "scratch.rs",
-            "sweep.rs",
             "campaign.rs",
             "classify.rs",
             "route.rs",

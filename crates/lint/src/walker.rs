@@ -103,4 +103,24 @@ mod tests {
         assert!(!is_crate_root(src, &src.join("engine.rs")));
         assert!(!is_crate_root(src, &src.join("nested/lib.rs")));
     }
+
+    /// `hot_path` entries match by basename, so one naming a deleted or
+    /// renamed file would silently match nothing and drop its coverage.
+    #[test]
+    fn every_hot_path_entry_names_an_existing_file() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        for policy in POLICIES {
+            let files = rust_files(&root.join(policy.src)).expect("policy src tree is walkable");
+            for name in policy.hot_path {
+                assert!(
+                    files
+                        .iter()
+                        .any(|f| f.file_name().is_some_and(|b| b == *name)),
+                    "policy `{}` lists hot-path file `{name}` but no such file exists under {}",
+                    policy.name,
+                    policy.src
+                );
+            }
+        }
+    }
 }

@@ -56,24 +56,6 @@
 //! class (in ascending prefix order) counts as the simulation and the
 //! rest as hits.
 //!
-//! # Nested-parallelism policy
-//!
-//! Two layers can spend the session's worker budget: the campaign's
-//! prefix-level chunk sharding (this module) and the engine's intra-flood
-//! export-sweep sharding (`sweep`, via the `intra` argument threaded into
-//! `CompiledSim::run_prefix`). They never nest — nesting would
-//! oversubscribe the pool with `threads²` runnable workers for zero extra
-//! coverage. `advance` places the budget once per call: a schedule wide
-//! enough to occupy every worker with whole chunks keeps prefix-level
-//! sharding and runs each flood serially (`intra = 1`); when the chunk
-//! list collapses to a single lane (one chunk in the advance, so only one
-//! prefix-level worker could ever run), the whole budget moves *inside*
-//! each flood instead. Results are identical either way
-//! (the determinism suite pins `threads = 1 ≡ threads = N` for both
-//! layers), so the placement is purely a wall-clock choice and can differ
-//! between resumed advances of the same campaign without affecting the
-//! checkpoint stream.
-//!
 //! # Campaigns vs. delta re-convergence
 //!
 //! The other O(aggregate) tool is the snapshot/delta layer
@@ -724,14 +706,6 @@ impl<'s, 't> Campaign<'s, 't> {
         let memo = memo.as_ref();
 
         let threads = self.sim.threads().min(todo.len()).max(1);
-        // Nested-parallelism policy: when the chunk list is wide enough to
-        // occupy every worker with whole chunks, floods run serially inside
-        // each worker (intra = 1); when it collapses to a single lane —
-        // few chunks, or threads == 1 with a multi-threaded session — the
-        // worker budget moves *inside* each flood instead. Either way the
-        // results are identical (determinism suite), so this is purely a
-        // wall-clock placement choice.
-        let intra = if threads == 1 { self.sim.threads() } else { 1 };
         if threads == 1 {
             // One scratch for the whole advance: every prefix of every
             // chunk recycles the same arrays.
@@ -749,7 +723,6 @@ impl<'s, 't> Campaign<'s, 't> {
                     &classes,
                     memo,
                     new_sink,
-                    intra,
                 );
                 absorb(&mut cp, out, self.faults);
             }
@@ -801,7 +774,6 @@ impl<'s, 't> Campaign<'s, 't> {
                                     classes,
                                     memo,
                                     new_sink,
-                                    intra,
                                 )
                             }));
                             if outcome.is_err() {
@@ -862,7 +834,6 @@ impl<'s, 't> Campaign<'s, 't> {
         classes: &ClassTable,
         memo: Option<&ClassMemo>,
         new_sink: &F,
-        intra: usize,
     ) -> ChunkOutcome<S>
     where
         S: CampaignSink,
@@ -886,17 +857,16 @@ impl<'s, 't> Campaign<'s, 't> {
             } else {
                 out.class_hits += 1;
             }
-            let outcome =
-                match self.supervised(scratch, prefix, gi, by_prefix, classes, memo, intra) {
-                    Ok(outcome) => outcome,
-                    Err(failure) => {
-                        // Quarantined: no fold for this prefix. Its class
-                        // counters above stand — they are schedule
-                        // statistics, not execution statistics.
-                        out.failures.push(failure);
-                        continue;
-                    }
-                };
+            let outcome = match self.supervised(scratch, prefix, gi, by_prefix, classes, memo) {
+                Ok(outcome) => outcome,
+                Err(failure) => {
+                    // Quarantined: no fold for this prefix. Its class
+                    // counters above stand — they are schedule
+                    // statistics, not execution statistics.
+                    out.failures.push(failure);
+                    continue;
+                }
+            };
             if let Some(plan) = self.faults {
                 // The fold site sits *outside* supervision: sink state
                 // cannot be rolled back, so a fold fault aborts (and is
@@ -923,7 +893,6 @@ impl<'s, 't> Campaign<'s, 't> {
     /// simulated crash models process death, and swallowing it in-process
     /// would fake robustness the durable-checkpoint layer is supposed to
     /// provide.
-    #[allow(clippy::too_many_arguments)]
     fn supervised(
         &self,
         scratch: &mut crate::scratch::SimScratch,
@@ -932,11 +901,10 @@ impl<'s, 't> Campaign<'s, 't> {
         by_prefix: &BTreeMap<Prefix, Vec<&Origination>>,
         classes: &ClassTable,
         memo: Option<&ClassMemo>,
-        intra: usize,
     ) -> Result<PrefixOutcome, PrefixFailure> {
         let attempts = match self.policy {
             FaultPolicy::Abort => {
-                return Ok(self.prefix_outcome(scratch, prefix, gi, by_prefix, classes, memo, intra))
+                return Ok(self.prefix_outcome(scratch, prefix, gi, by_prefix, classes, memo))
             }
             FaultPolicy::Retry { attempts } | FaultPolicy::Quarantine { attempts } => {
                 attempts.max(1)
@@ -945,7 +913,7 @@ impl<'s, 't> Campaign<'s, 't> {
         let mut last = String::new();
         for _ in 0..attempts {
             match std::panic::catch_unwind(AssertUnwindSafe(|| {
-                self.prefix_outcome(scratch, prefix, gi, by_prefix, classes, memo, intra)
+                self.prefix_outcome(scratch, prefix, gi, by_prefix, classes, memo)
             })) {
                 Ok(outcome) => return Ok(outcome),
                 Err(payload) => {
@@ -979,7 +947,6 @@ impl<'s, 't> Campaign<'s, 't> {
     /// the fault to exactly the targeted prefixes, keeping
     /// memoized ≡ unmemoized property-true with engine faults in play
     /// (locked in by `tests/faults.rs`).
-    #[allow(clippy::too_many_arguments)]
     fn prefix_outcome(
         &self,
         scratch: &mut crate::scratch::SimScratch,
@@ -988,7 +955,6 @@ impl<'s, 't> Campaign<'s, 't> {
         by_prefix: &BTreeMap<Prefix, Vec<&Origination>>,
         classes: &ClassTable,
         memo: Option<&ClassMemo>,
-        intra: usize,
     ) -> PrefixOutcome {
         if let Some(plan) = self.faults {
             // Consulted once per *member* (before any memo lookup), so the
@@ -998,9 +964,7 @@ impl<'s, 't> Campaign<'s, 't> {
         }
         let memo = memo.filter(|_| !self.engine_fault_targeted(prefix));
         match memo {
-            None => self
-                .sim
-                .run_prefix(scratch, prefix, &by_prefix[&prefix], intra),
+            None => self.sim.run_prefix(scratch, prefix, &by_prefix[&prefix]),
             Some(memo) => {
                 // A poisoned slot is still consistent: a panicking
                 // simulation never half-fills `outcome`, so we can
@@ -1009,11 +973,7 @@ impl<'s, 't> Campaign<'s, 't> {
                     .lock()
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
                 if slot.outcome.is_none() {
-                    slot.outcome =
-                        Some(
-                            self.sim
-                                .run_prefix(scratch, prefix, &by_prefix[&prefix], intra),
-                        );
+                    slot.outcome = Some(self.sim.run_prefix(scratch, prefix, &by_prefix[&prefix]));
                 }
                 slot.remaining -= 1;
                 let stored = if slot.remaining == 0 {

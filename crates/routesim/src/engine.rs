@@ -83,7 +83,6 @@ use crate::policy::{CommunityPropagationPolicy, IrrDatabase, RouterConfig};
 use crate::route::{Route, RouteArena, RouteId};
 use crate::router::{self, NodeState, RibEntry, ValidationCtx};
 use crate::scratch::{EventQueue, SimScratch, SimSnapshot};
-use crate::sweep;
 use bgpworms_failpoint::FaultPlan;
 use bgpworms_topology::{NodeId, Role, Tier, Topology};
 use bgpworms_types::{AsPath, Asn, Community, Origin, Prefix};
@@ -209,7 +208,6 @@ pub struct SimSpec<'a> {
     rpki: Cow<'a, IrrDatabase>,
     retain: RetainRoutes,
     threads: usize,
-    intra_floor: usize,
     faults: Option<&'a FaultPlan>,
 }
 
@@ -225,7 +223,6 @@ impl<'a> SimSpec<'a> {
             rpki: Cow::Owned(IrrDatabase::new()),
             retain: RetainRoutes::None,
             threads: 1,
-            intra_floor: DEFAULT_INTRA_FLOOR,
             faults: None,
         }
     }
@@ -286,23 +283,12 @@ impl<'a> SimSpec<'a> {
         self
     }
 
-    /// Sets the worker-thread count for per-prefix sharding (1 =
-    /// sequential; results are identical either way). Single-prefix (and
-    /// few-prefix) schedules spend the same worker count *inside* each
-    /// flood instead — see [`SimSpec::intra_floor`].
+    /// Sets the worker-thread count (1 = sequential; results are identical
+    /// either way). `threads` shards prefixes only — across workers in
+    /// [`CompiledSim::run`], across chunks in a campaign — and each flood
+    /// is always the serial export sweep.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Sets the minimum dirty-round width (nodes recomputing exports in
-    /// one round) below which the intra-flood sharded sweep falls back to
-    /// the serial sweep. Small rounds are dominated by thread hand-off, so
-    /// the default keeps them serial; determinism tests set the floor to 1
-    /// to force sharding onto tiny worlds. Results are independent of the
-    /// floor (property-locked).
-    pub fn intra_floor(mut self, floor: usize) -> Self {
-        self.intra_floor = floor;
         self
     }
 
@@ -368,20 +354,12 @@ impl<'a> SimSpec<'a> {
             rpki: self.rpki,
             retain: self.retain,
             threads: self.threads,
-            intra_floor: self.intra_floor,
             event_budget: (adjacency_entries * 64).max(10_000),
             classifier,
             faults: self.faults,
         }
     }
 }
-
-/// Default [`SimSpec::intra_floor`]: dirty rounds narrower than this run
-/// the serial export sweep even when intra-flood workers are available.
-/// Internet-scale floods spend their time in rounds thousands of nodes
-/// wide, so the floor only trims the convergence tail and flood edges
-/// where per-round thread hand-off would dominate.
-const DEFAULT_INTRA_FLOOR: usize = 64;
 
 /// A compiled simulation session: everything the per-event hot path
 /// touches, resolved once by [`SimSpec::compile`] and reusable across any
@@ -409,9 +387,6 @@ pub struct CompiledSim<'a> {
     rpki: Cow<'a, IrrDatabase>,
     retain: RetainRoutes,
     threads: usize,
-    /// Minimum dirty-round width for the intra-flood sharded sweep — see
-    /// [`SimSpec::intra_floor`].
-    intra_floor: usize,
     /// Event budget per prefix (hoisted out of the prefix loop: the edge
     /// sum is one CSR length read).
     event_budget: u64,
@@ -438,12 +413,6 @@ impl<'a> CompiledSim<'a> {
     /// independent of it).
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads;
-    }
-
-    /// Re-targets the intra-flood sharding floor without recompiling
-    /// (results are independent of it) — see [`SimSpec::intra_floor`].
-    pub fn set_intra_floor(&mut self, floor: usize) {
-        self.intra_floor = floor;
     }
 
     /// Collector names in spec order — the index space of
@@ -536,14 +505,11 @@ impl<'a> CompiledSim<'a> {
         }
         scratch.restore(self.topo.slot_offsets(), snapshot);
         let mut outcome = snapshot.baseline_outcome().clone();
-        // A delta replay is a single-prefix run, so the whole worker budget
-        // goes intra-flood (same policy as `run_grouped`'s serial branch).
         self.continue_prefix(
             &mut scratch,
             snapshot.prefix(),
             &episodes,
             &mut outcome,
-            self.threads,
             budget,
         );
         outcome
@@ -621,15 +587,11 @@ impl<'a> CompiledSim<'a> {
         let results: Vec<PrefixOutcome> = if self.threads > 1 && prefixes.len() > 1 {
             run_parallel(self, by_prefix, &prefixes, snap_prefix, &snap_slot)
         } else {
-            // Serial branch: one prefix at a time, so the worker budget is
-            // spent *inside* each flood (intra = self.threads) instead of
-            // across prefixes. Reached when threads == 1 (intra is then 1
-            // too — fully sequential) or when the schedule has ≤ 1 prefix.
             let mut scratch = self.new_scratch();
             prefixes
                 .iter()
                 .map(|p| {
-                    let outcome = self.run_prefix(&mut scratch, *p, &by_prefix[p], self.threads);
+                    let outcome = self.run_prefix(&mut scratch, *p, &by_prefix[p]);
                     maybe_capture(
                         self,
                         &scratch,
@@ -737,15 +699,13 @@ fn run_parallel(
                 loop {
                     // ordering: pure claim ticket — only the RMW atomicity
                     // matters (each index is handed out exactly once);
-                    // results are published via the slot Mutexes and the
-                    // scope join, not through this counter
+                    // results are published by `OnceLock::set` on the
+                    // claimed slot and read after the scope join, not
+                    // through this counter
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     let Some(prefix) = prefixes.get(i) else { break };
-                    // Workers already shard by prefix; nesting intra-flood
-                    // workers under them would oversubscribe the pool, so
-                    // each flood runs serially here (intra = 1).
                     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        sim.run_prefix(&mut scratch, *prefix, &by_prefix[prefix], 1)
+                        sim.run_prefix(&mut scratch, *prefix, &by_prefix[prefix])
                     }));
                     if let Ok(outcome) = &outcome {
                         // Capture before the scratch is recycled for the
@@ -773,8 +733,10 @@ fn run_parallel(
         .into_iter()
         .zip(prefixes)
         .map(|(slot, prefix)| {
-            // lint: infallible the lock is only taken inside the worker
-            // loop, outside the catch_unwind — no panic can poison it
+            // lint: infallible the ticket counter hands each index to
+            // exactly one worker, which writes its slot once via
+            // `OnceLock::set` (a caught panic is stored as `Err`, not
+            // skipped); slots are read only after the scope join
             match slot
                 .into_inner()
                 .expect("every prefix slot is written by exactly one worker")
@@ -926,7 +888,7 @@ impl Routers<'_> {
 }
 
 /// Maps a neighbor role to its index in the export sweep's per-role memo.
-pub(crate) fn role_ix(role: Role) -> usize {
+fn role_ix(role: Role) -> usize {
     match role {
         Role::Customer => 0,
         Role::Provider => 1,
@@ -947,15 +909,12 @@ impl CompiledSim<'_> {
     }
 
     /// Runs the episodes of a single prefix to convergence, on the calling
-    /// worker's reusable `scratch` (recycled via `begin_prefix`). `intra`
-    /// is the worker count for the intra-flood sharded export sweep (1 =
-    /// serial sweep; results are identical either way).
+    /// worker's reusable `scratch` (recycled via `begin_prefix`).
     pub(crate) fn run_prefix(
         &self,
         scratch: &mut SimScratch,
         prefix: Prefix,
         episodes: &[&Origination],
-        intra: usize,
     ) -> PrefixOutcome {
         let budget = self.prefix_budget(prefix);
         scratch.begin_prefix();
@@ -965,7 +924,7 @@ impl CompiledSim<'_> {
             events: 0,
             converged: true,
         };
-        self.continue_prefix(scratch, prefix, episodes, &mut outcome, intra, budget);
+        self.continue_prefix(scratch, prefix, episodes, &mut outcome, budget);
         outcome
     }
 
@@ -1025,23 +984,12 @@ impl CompiledSim<'_> {
     /// updates in one round therefore diffs its adjacency once instead of
     /// once per update, and a node whose best route did not change skips
     /// the recompute entirely (`NodeState::begin_export_pass`).
-    ///
-    /// One further hot-path structure rides on the round batching:
-    ///
-    /// * **Sharded export sweeps** — when `intra > 1` and a round's dirty
-    ///   set is at least `intra_floor` wide, the round's export
-    ///   recomputation is partitioned across `intra` scoped workers by
-    ///   contiguous node ranges (see [`sweep`]); the serial merge interns
-    ///   and enqueues in exactly the order the serial sweep would, so
-    ///   results are bit-identical (property-locked by
-    ///   `tests/determinism.rs`).
     fn continue_prefix(
         &self,
         scratch: &mut SimScratch,
         prefix: Prefix,
         episodes: &[&Origination],
         outcome: &mut PrefixOutcome,
-        intra: usize,
         budget: u64,
     ) {
         let vctx = ValidationCtx {
@@ -1172,18 +1120,8 @@ impl CompiledSim<'_> {
                 if dirty.is_empty() {
                     break;
                 }
-                let order = dirty.sorted();
-                if intra > 1 && order.len() >= self.intra_floor.max(1) {
-                    self.sharded_round(order, intra, &mut routers, arena, queue);
-                } else {
-                    for &i in order {
-                        self.emit_exports(
-                            NodeId::from_index(i as usize),
-                            &mut routers,
-                            arena,
-                            queue,
-                        );
-                    }
+                for &i in dirty.sorted() {
+                    self.emit_exports(NodeId::from_index(i as usize), &mut routers, arena, queue);
                 }
                 dirty.clear();
             }
@@ -1332,85 +1270,6 @@ impl CompiledSim<'_> {
                     sender_role: inverse_role(role),
                     route: update,
                 });
-            }
-        }
-    }
-
-    /// One dirty round's export recomputation, sharded across `intra`
-    /// scoped workers. The compute phase (see [`sweep`]) partitions the
-    /// round's dirty nodes into contiguous ranges and runs the per-node
-    /// policy work read-only against the pre-round arena, each worker
-    /// owning only its range's `last_emit_best` lane; this serial merge
-    /// then walks the plans in ascending node order, interning each
-    /// computed route at its first use and diffing/enqueuing exactly as
-    /// [`CompiledSim::emit_exports`] would — so arena id-mint order, the
-    /// `exported` cache, and the event sequence are bit-identical to the
-    /// serial sweep's (property-locked by `tests/determinism.rs`).
-    fn sharded_round(
-        &self,
-        order: &[u32],
-        intra: usize,
-        routers: &mut Routers<'_>,
-        arena: &mut RouteArena,
-        queue: &mut EventQueue,
-    ) {
-        let plans = {
-            let world = sweep::SweepWorld {
-                topo: self.topo,
-                configs: &self.configs,
-                asns: &self.asns,
-                is_rs: &self.is_rs,
-                offsets: routers.offsets,
-                rib_in: routers.rib_in,
-                local: routers.local,
-            };
-            sweep::compute_plans_sharded(&world, order, intra, routers.last_emit_best, arena)
-        };
-        for mut plan in plans {
-            let i = plan.node as usize;
-            let id = NodeId::from_index(i);
-            let mut node = routers.node(i);
-            // Mirrors the serial sweep's per-role memo: the plan carries
-            // each role's computed route once; the first neighbor of that
-            // role interns it, later ones reuse the id.
-            let mut ids: [Option<Option<RouteId>>; 3] = [None; 3];
-            for (slot, (nb, role, _nb_is_rs), rev_slot) in self.topo.adjacency_with_reverse_ix(id) {
-                let new = if !plan.has_best {
-                    None
-                } else if plan.uniform {
-                    if plan.learned_from == Some(self.asns[nb.index()]) {
-                        None
-                    } else {
-                        match ids[role_ix(role)] {
-                            Some(cached) => cached,
-                            None => {
-                                // lint: infallible the compute phase fills
-                                // a role's value whenever the node has a
-                                // non-learned-from neighbor of that role —
-                                // exactly the condition to reach this arm
-                                let value = plan.role_values[role_ix(role)]
-                                    .take()
-                                    .expect("compute phase filled every role the merge reads");
-                                let value = value.map(|route| arena.intern(route));
-                                ids[role_ix(role)] = Some(value);
-                                value
-                            }
-                        }
-                    }
-                } else {
-                    plan.per_neighbor[slot]
-                        .take()
-                        .map(|route| arena.intern(route))
-                };
-                if let Some(update) = node.diff_export(slot, new) {
-                    queue.push_back(Event {
-                        from: id,
-                        to: nb,
-                        to_slot: rev_slot,
-                        sender_role: inverse_role(role),
-                        route: update,
-                    });
-                }
             }
         }
     }
@@ -2007,7 +1866,7 @@ mod tests {
 
         let mut dirty = sim.new_scratch();
         let wide = Origination::announce(Asn::new(4), p("20.0.0.0/16"), vec![]);
-        sim.run_prefix(&mut dirty, p("20.0.0.0/16"), &[&wide], 1);
+        sim.run_prefix(&mut dirty, p("20.0.0.0/16"), &[&wide]);
         dirty.restore(topo.slot_offsets(), &snap);
         let recaptured = dirty.capture(
             topo.slot_offsets(),
@@ -2031,14 +1890,14 @@ mod tests {
         let topo = line_topo();
         let sim = observed_sim(&topo);
         let ep = Origination::announce(Asn::new(4), p("10.0.0.0/16"), vec![]);
-        let reference = sim.run_prefix(&mut sim.new_scratch(), p("10.0.0.0/16"), &[&ep], 1);
+        let reference = sim.run_prefix(&mut sim.new_scratch(), p("10.0.0.0/16"), &[&ep]);
 
         // Age a used scratch to the brink: translate its stamps so the
         // next `begin_prefix` lands exactly on `u32::MAX` and the one
         // after takes the wrap branch. Stale stamps map to 0 (they only
         // need to stay != every future epoch).
         let mut worn = sim.new_scratch();
-        let warmup = sim.run_prefix(&mut worn, p("20.0.0.0/16"), &[&ep], 1);
+        let warmup = sim.run_prefix(&mut worn, p("20.0.0.0/16"), &[&ep]);
         assert!(warmup.converged);
         let live = worn.epoch;
         worn.epoch = u32::MAX - 1;
@@ -2046,11 +1905,11 @@ mod tests {
             *stamp = if *stamp == live { u32::MAX - 1 } else { 0 };
         }
 
-        let at_max = sim.run_prefix(&mut worn, p("10.0.0.0/16"), &[&ep], 1);
+        let at_max = sim.run_prefix(&mut worn, p("10.0.0.0/16"), &[&ep]);
         assert_eq!(worn.epoch, u32::MAX, "the run before the wrap sits at MAX");
         assert_eq!(at_max, reference, "outcome at epoch u32::MAX drifted");
 
-        let wrapped = sim.run_prefix(&mut worn, p("10.0.0.0/16"), &[&ep], 1);
+        let wrapped = sim.run_prefix(&mut worn, p("10.0.0.0/16"), &[&ep]);
         assert_eq!(worn.epoch, 1, "the wrap restarts the stamp counter");
         assert_eq!(wrapped, reference, "outcome across the wrap drifted");
         assert!(

@@ -294,7 +294,6 @@ pub mod policy;
 pub mod route;
 pub mod router;
 mod scratch;
-mod sweep;
 pub mod workload;
 
 pub use bgpworms_failpoint::{FaultKind, FaultPayload, FaultPlan};

@@ -594,9 +594,7 @@ pub(crate) fn admit_route(
 /// Best candidate of a RIB slice plus the role it was learned under (None
 /// for local routes). Every comparison in [`Route::prefer`] bottoms out in
 /// a strict tie-break, so the winner is independent of iteration order.
-/// Crate-visible so the engine's sharded export sweep can scan a node's
-/// RIB slice without materializing a [`NodeState`] view.
-pub(crate) fn best_entry(
+fn best_entry(
     rib_in: &[Option<RibEntry>],
     local: Option<RouteId>,
     arena: &RouteArena,
@@ -643,35 +641,6 @@ pub(crate) fn export_from_best(
     neighbor_role: Role,
     arena: &mut RouteArena,
 ) -> Option<RouteId> {
-    let out = export_route_from_best(
-        asn,
-        is_route_server,
-        best_id,
-        learned_role,
-        cfg,
-        neighbor,
-        neighbor_role,
-        arena,
-    )?;
-    Some(arena.intern(out))
-}
-
-/// The compute half of [`export_from_best`]: produces the owned outgoing
-/// route **without interning it**, over a shared `&RouteArena`. This is
-/// what lets the sharded export sweep run the expensive policy work on
-/// worker threads against an immutable arena, deferring the (id-minting,
-/// order-sensitive) intern to the serial merge.
-#[allow(clippy::too_many_arguments)] // hot path: flat args, no wrapper struct
-pub(crate) fn export_route_from_best(
-    asn: Asn,
-    is_route_server: bool,
-    best_id: RouteId,
-    learned_role: Option<Role>,
-    cfg: &RouterConfig,
-    neighbor: Asn,
-    neighbor_role: Role,
-    arena: &RouteArena,
-) -> Option<Route> {
     let best = arena.get(best_id);
 
     // Never send a route back to the neighbor we learned it from.
@@ -680,7 +649,7 @@ pub(crate) fn export_route_from_best(
     }
 
     if is_route_server {
-        return route_server_export_route(asn, cfg, best_id, neighbor, arena);
+        return route_server_export(asn, cfg, best_id, neighbor, arena);
     }
 
     // Well-known scope-limiting communities.
@@ -794,19 +763,18 @@ pub(crate) fn export_route_from_best(
     out.large_communities.sort_unstable();
     out.large_communities.dedup();
 
-    Some(out)
+    Some(arena.intern(out))
 }
 
 /// Route-server redistribution: transparent path, control communities,
-/// configurable evaluation order. Compute-only — see
-/// [`export_route_from_best`] for why interning is the caller's job.
-fn route_server_export_route(
+/// configurable evaluation order.
+fn route_server_export(
     rs_asn: Asn,
     cfg: &RouterConfig,
     best_id: RouteId,
     member: Asn,
-    arena: &RouteArena,
-) -> Option<Route> {
+    arena: &mut RouteArena,
+) -> Option<RouteId> {
     let best = arena.get(best_id);
     if best.has_community(Community::NO_ADVERTISE) || best.has_community(Community::NO_EXPORT) {
         return None;
@@ -856,7 +824,7 @@ fn route_server_export_route(
     let own_tags = std::mem::take(&mut out.own_tags);
     out.communities.extend(own_tags);
     community::normalize(&mut out.communities);
-    Some(out)
+    Some(arena.intern(out))
 }
 
 /// Heuristic: control-community low values that address members. Our

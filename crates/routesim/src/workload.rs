@@ -203,7 +203,8 @@ impl Workload {
     /// The spec defaults to one worker thread per available core: the
     /// engine's determinism guarantee (`threads = 1` ≡ `threads = N`,
     /// locked in by `tests/determinism.rs`) makes parallelism purely a
-    /// throughput knob, and single-prefix runs stay sequential anyway.
+    /// throughput knob. `threads` shards prefixes only, so a single-prefix
+    /// run is the serial flood at any thread count.
     ///
     /// The generated episode stream is churn-heavy by design (re-
     /// announcements, RTBH on/off pairs), which is exactly the shape the

@@ -807,7 +807,7 @@ proptest! {
     /// schedule from scratch — for the single-prefix `run_delta` fold, the
     /// multi-prefix `run_delta_on` patch, and across `threads = 1/N` on
     /// the capturing side (parallel and sequential captures must also be
-    /// identical snapshots).
+    /// identical snapshots), including the single-prefix capture + replay.
     #[test]
     fn delta_reconvergence_equals_fresh_run(
         raw in arb_world(),
@@ -865,7 +865,8 @@ proptest! {
             .filter(|o| o.prefix == target)
             .cloned()
             .collect();
-        let (_, solo_snap) = sim.run_snapshot(&target_eps, target);
+        let (solo_base, solo_snap) = sim.run_snapshot(&target_eps, target);
+        let solo_delta = sim.run_delta_prefix(&solo_snap, &delta);
         let mut solo_combined = target_eps.clone();
         solo_combined.extend(delta.iter().cloned());
         prop_assert_eq!(
@@ -881,104 +882,17 @@ proptest! {
         prop_assert_eq!(&par_base, &base, "sharded baseline diverged");
         prop_assert_eq!(&par_snap, &snap, "sharded capture diverged");
         prop_assert_eq!(&sim.run_delta_on(&par_base, &par_snap, &delta), &fresh);
-    }
 
-    /// Intra-flood sharding: a *single*-prefix schedule spends its worker
-    /// budget inside the flood (range-sharded export sweeps merged in
-    /// ascending node order), and the result — including the captured
-    /// snapshot, whose arena pins id-mint order itself — must be
-    /// bit-identical to the fully sequential run. The sharding floor is
-    /// forced to 1 so even tiny proptest worlds shard every round.
-    #[test]
-    fn intra_flood_sharding_never_changes_single_prefix_results(
-        raw in arb_world(),
-        threads in 2usize..6,
-    ) {
-        let (topo, configs, collectors, originations) = build_world(&raw);
-        let target = originations[0].prefix;
-        let solo: Vec<Origination> = originations
-            .iter()
-            .filter(|o| o.prefix == target)
-            .cloned()
-            .collect();
-        let mut sim = spec_for(&topo, configs, collectors).compile();
-
-        let (seq, seq_snap) = sim.run_snapshot(&solo, target);
-        sim.set_threads(threads);
-        sim.set_intra_floor(1);
-        let (mt, mt_snap) = sim.run_snapshot(&solo, target);
-        prop_assert_eq!(&seq, &mt, "intra-flood sharded run diverged");
+        // Thread count never changes a single-prefix result: `threads`
+        // shards prefixes only, so the solo capture and its delta replay
+        // at `threads = N` are the `threads = 1` ones.
+        let (par_solo_base, par_solo_snap) = sim.run_snapshot(&target_eps, target);
+        prop_assert_eq!(&par_solo_base, &solo_base, "single-prefix run diverged");
+        prop_assert_eq!(&par_solo_snap, &solo_snap, "single-prefix capture diverged");
         prop_assert_eq!(
-            &seq_snap,
-            &mt_snap,
-            "sharded capture (arena id-mint order) diverged"
-        );
-    }
-
-    /// Intra-flood sharding on the snapshot/delta path: `run_delta_prefix`
-    /// under sharded sweeps ≡ the serial delta replay ≡ the fresh combined
-    /// run, whether the snapshot itself was captured serially or under
-    /// sharding — the restored-arena interning contract survives the
-    /// sharded merge.
-    #[test]
-    fn intra_flood_sharding_matches_serial_on_delta_path(
-        raw in arb_world(),
-        threads in 2usize..6,
-        perturbations in proptest::collection::vec(
-            (0usize..16, 0u16..1000, any::<bool>()),
-            1..4,
-        ),
-    ) {
-        let (topo, configs, collectors, originations) = build_world(&raw);
-        let target = originations[0].prefix;
-        let solo: Vec<Origination> = originations
-            .iter()
-            .filter(|o| o.prefix == target)
-            .cloned()
-            .collect();
-        let last_time = solo.iter().map(|o| o.time).max().expect("non-empty");
-        let delta: Vec<Origination> = perturbations
-            .iter()
-            .enumerate()
-            .map(|(k, &(origin, community, withdraw))| {
-                let origin = Asn::new((origin % raw.n_nodes) as u32 + 1);
-                let time = last_time + 100 * (k as u32 + 1);
-                if withdraw {
-                    Origination::withdrawal(origin, target, time)
-                } else {
-                    Origination::announce(
-                        origin,
-                        target,
-                        vec![Community::new(community % 16, community)],
-                    )
-                    .at(time)
-                }
-            })
-            .collect();
-        let mut combined = solo.clone();
-        combined.extend(delta.iter().cloned());
-
-        let mut sim = spec_for(&topo, configs, collectors).compile();
-        let fresh = sim.run(&combined);
-        let (_, snap) = sim.run_snapshot(&solo, target);
-        let serial_delta = sim.run_delta_prefix(&snap, &delta);
-
-        sim.set_threads(threads);
-        sim.set_intra_floor(1);
-        let sharded_delta = sim.run_delta_prefix(&snap, &delta);
-        prop_assert_eq!(&serial_delta, &sharded_delta, "sharded delta replay diverged");
-        prop_assert_eq!(
-            &sim.run_delta(&snap, &delta),
-            &fresh,
-            "sharded delta result diverged from the fresh combined run"
-        );
-
-        // A snapshot captured *under* sharding feeds the same replay.
-        let (_, mt_snap) = sim.run_snapshot(&solo, target);
-        prop_assert_eq!(
-            &sim.run_delta(&mt_snap, &delta),
-            &fresh,
-            "sharded capture + sharded replay diverged"
+            &sim.run_delta_prefix(&par_solo_snap, &delta),
+            &solo_delta,
+            "single-prefix delta replay diverged"
         );
     }
 

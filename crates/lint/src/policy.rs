@@ -87,6 +87,7 @@ pub const POLICIES: &[CratePolicy] = &[
         hot_path: &[
             "engine.rs",
             "scratch.rs",
+            "shard.rs",
             "campaign.rs",
             "classify.rs",
             "route.rs",

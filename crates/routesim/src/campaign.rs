@@ -141,11 +141,11 @@
 use crate::classify::ClassKey;
 use crate::engine::{group_by_prefix, panic_message, CompiledSim, Origination, PrefixOutcome};
 use crate::fault::{fault_site, fnv1a_extend, prefix_fault_key};
+use crate::shard;
 use bgpworms_failpoint::FaultPlan;
 use bgpworms_types::Prefix;
 use std::collections::{BTreeMap, HashMap};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// A streaming fold over per-prefix outcomes.
@@ -492,10 +492,6 @@ impl ClassMemo {
     }
 }
 
-/// A parallel worker's publication slot: written once by the claiming
-/// worker (result or captured panic text), read once by the in-order merge.
-type ChunkSlot<S> = Mutex<Option<Result<ChunkOutcome<S>, String>>>;
-
 impl<'s, 't> Campaign<'s, 't> {
     /// A campaign over `sim` with the [`DEFAULT_CHUNK_SIZE`] and flood
     /// memoization enabled.
@@ -638,12 +634,11 @@ impl<'s, 't> Campaign<'s, 't> {
         self.advance(originations, checkpoint, &new_sink, Some(max_chunks))
     }
 
-    /// The core loop: shards the not-yet-done chunk range over the
-    /// session's worker threads (workers claim chunks from an atomic
-    /// counter and publish into per-chunk `Mutex<Option<…>>` slots — the
-    /// engine's sharding scheme one level up, with `Mutex` in place of
-    /// `OnceLock` so sinks only need `Send`), then merges finished chunk
-    /// sinks into the aggregate in chunk order.
+    /// The core loop: runs the not-yet-done chunk range on the crate's
+    /// worker pool (`shard.rs` — the engine's sharding one level up: item =
+    /// chunk, one scratch per worker recycled across every prefix of every
+    /// chunk it claims) and merges finished chunk sinks into the aggregate
+    /// in chunk order.
     fn advance<S, F>(
         &self,
         originations: &[Origination],
@@ -690,7 +685,7 @@ impl<'s, 't> Campaign<'s, 't> {
             let finished = cp.chunks_done >= n_chunks;
             return (cp, finished);
         }
-        let todo: Vec<usize> = (cp.chunks_done..end).collect();
+        let first = cp.chunks_done;
 
         // The schedule's class structure — cheap (no simulation), computed
         // on both paths so the class-hit counters are schedule statistics:
@@ -699,116 +694,29 @@ impl<'s, 't> Campaign<'s, 't> {
         let memo = self.memoize.then(|| {
             ClassMemo::for_range(
                 &classes,
-                cp.chunks_done * chunk_size,
+                first * chunk_size,
                 (end * chunk_size).min(prefixes.len()),
             )
         });
         let memo = memo.as_ref();
 
-        let threads = self.sim.threads().min(todo.len()).max(1);
-        if threads == 1 {
-            // One scratch for the whole advance: every prefix of every
-            // chunk recycles the same arrays.
-            let mut scratch = self.sim.new_scratch();
-            for &ci in &todo {
+        let ran = shard::for_each_ordered(
+            self.sim.threads(),
+            end - first,
+            || self.sim.new_scratch(),
+            |scratch, k| {
+                let ci = first + k;
                 if let Some(plan) = self.faults {
                     let _ = plan.trip(fault_site::CHUNK_CLAIM, ci as u64);
                 }
-                let out = self.run_chunk(
-                    &mut scratch,
-                    ci,
-                    chunk_size,
-                    &prefixes,
-                    &by_prefix,
-                    &classes,
-                    memo,
-                    new_sink,
-                );
-                absorb(&mut cp, out, self.faults);
-            }
-        } else {
-            // Per-chunk result slots; `Mutex<Option<…>>` rather than
-            // `OnceLock` so sinks only need `Send`, never `Sync` (each
-            // slot is written once by its claiming worker, read once by
-            // the merge below — the lock is never contended).
-            let slots: Vec<ChunkSlot<S>> = (0..todo.len()).map(|_| Mutex::new(None)).collect();
-            let next = AtomicUsize::new(0);
-            // Set on the first captured panic: workers stop claiming new
-            // chunks, so a sink blowing up in chunk 0 of a multi-hour
-            // full-table campaign doesn't let the fleet grind through
-            // every remaining chunk before the error surfaces.
-            let abort = std::sync::atomic::AtomicBool::new(false);
-            std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    let (slots, next, abort, prefixes, by_prefix, todo, classes) = (
-                        &slots, &next, &abort, &prefixes, &by_prefix, &todo, &classes,
-                    );
-                    scope.spawn(move || {
-                        // One scratch per worker, reused across every chunk
-                        // it claims (a panic aborts the campaign, so a
-                        // poisoned scratch never contributes observed work).
-                        let mut scratch = self.sim.new_scratch();
-                        loop {
-                            // ordering: advisory one-way latch — a stale
-                            // read only costs one extra chunk of work; the
-                            // merge loop below never reads it
-                            if abort.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            // ordering: pure claim ticket — only the RMW
-                            // atomicity matters (each chunk is claimed
-                            // once); results are published via the slot
-                            // Mutexes and the scope join, not this counter
-                            let k = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(&ci) = todo.get(k) else { break };
-                            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                                if let Some(plan) = self.faults {
-                                    let _ = plan.trip(fault_site::CHUNK_CLAIM, ci as u64);
-                                }
-                                self.run_chunk(
-                                    &mut scratch,
-                                    ci,
-                                    chunk_size,
-                                    prefixes,
-                                    by_prefix,
-                                    classes,
-                                    memo,
-                                    new_sink,
-                                )
-                            }));
-                            if outcome.is_err() {
-                                // ordering: idempotent true-only store; any
-                                // visibility delay just lets peers claim a
-                                // few more chunks before stopping
-                                abort.store(true, Ordering::Relaxed);
-                            }
-                            // lint: infallible the lock is taken outside
-                            // the catch_unwind above — no panic can poison
-                            // it (the one long-held lock in run_chunk uses
-                            // PoisonError::into_inner instead)
-                            let previous = slots[k]
-                                .lock()
-                                .expect("slot lock never poisoned")
-                                .replace(outcome.map_err(|payload| panic_message(&payload)));
-                            debug_assert!(previous.is_none(), "chunk slot {k} claimed twice");
-                        }
-                    });
-                }
-            });
-            // Merge in chunk order — the slots vector *is* that order.
-            // Claims are handed out in ascending order and every claimed
-            // slot is written before its worker exits, so the written
-            // slots form a prefix of `todo`; a panicked (Err) slot is
-            // always reached before any unclaimed (None) one.
-            for (slot, &ci) in slots.into_iter().zip(&todo) {
-                // lint: infallible slot locks are only held outside
-                // catch_unwind, so no worker panic can poison them
-                match slot.into_inner().expect("slot lock never poisoned") {
-                    Some(Ok(out)) => absorb(&mut cp, out, self.faults),
-                    Some(Err(msg)) => panic!("campaign worker panicked in chunk {ci}: {msg}"),
-                    None => unreachable!("unclaimed slot implies an earlier panicked slot"),
-                }
-            }
+                self.run_chunk(
+                    scratch, ci, chunk_size, &prefixes, &by_prefix, &classes, memo, new_sink,
+                )
+            },
+            |_, out| absorb(&mut cp, out, self.faults),
+        );
+        if let Err((k, msg)) = ran {
+            panic!("campaign worker panicked in chunk {}: {msg}", first + k);
         }
         (cp, end >= n_chunks)
     }

@@ -22,7 +22,7 @@
 //!
 //! # Flat adjacency-slot RIBs over a RouteId arena
 //!
-//! Per-neighbor router state ([`crate::router::PrefixRouter`]) is dense and
+//! Per-neighbor router state ([`crate::router::NodeState`]) is dense and
 //! **slot-indexed**: each node's Adj-RIB-In and last-exported cache are
 //! arrays addressed by the neighbor's position in the node's CSR slice.
 //! Events carry the receiver-side slot (precompiled reverse-slot array), so
@@ -64,17 +64,15 @@
 //! # Parallelism & determinism
 //!
 //! Distinct prefixes never interact (no aggregation, no per-table limits),
-//! so the engine shards the prefix set across `std::thread::scope` workers.
-//! Workers claim prefixes dynamically from an atomic counter — each reusing
-//! its own scratch across every prefix it claims — and publish into
-//! per-prefix `OnceLock` slots (disjoint writes, no locks, balanced load);
-//! results are merged in prefix order and observations are sorted by
-//! `(time, peer, prefix)`, which makes `threads = 1` and `threads = N`
-//! produce identical [`SimResult`]s — and repeated [`CompiledSim::run`]
-//! calls bit-identical (`run` never mutates the session). Scratch reuse is
-//! semantically invisible (`tests/determinism.rs` pins reuse ≡ fresh state
-//! per prefix). A panic inside one worker is caught per prefix and
-//! re-raised with the failing prefix named.
+//! so [`CompiledSim::run`] shards the prefix set over the crate's worker
+//! pool (`shard.rs` — claiming, publishing, ordered merge and panic
+//! handling are described there, once): one scratch per worker, outcomes
+//! folded in prefix order, observations sorted by `(time, peer, prefix)`.
+//! `threads = 1` and `threads = N` therefore produce identical
+//! [`SimResult`]s, and repeated [`CompiledSim::run`] calls are bit-identical
+//! (`run` never mutates the session). Scratch reuse is semantically
+//! invisible (`tests/determinism.rs` pins reuse ≡ fresh state per prefix).
+//! A panic on a worker is re-raised with the failing prefix named.
 
 use crate::classify::{ClassKey, PrefixClassifier};
 use crate::collector::{CollectorObservation, CollectorSpec, FeedKind};
@@ -83,14 +81,12 @@ use crate::policy::{CommunityPropagationPolicy, IrrDatabase, RouterConfig};
 use crate::route::{Route, RouteArena, RouteId};
 use crate::router::{self, NodeState, RibEntry, ValidationCtx};
 use crate::scratch::{EventQueue, SimScratch, SimSnapshot};
+use crate::shard;
 use bgpworms_failpoint::FaultPlan;
 use bgpworms_topology::{NodeId, Role, Tier, Topology};
 use bgpworms_types::{AsPath, Asn, Community, Origin, Prefix};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
-use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
 /// One announcement (or withdrawal) episode injected at an origin AS.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -575,37 +571,41 @@ impl<'a> CompiledSim<'a> {
     }
 
     /// Shared execution path of `run`/`run_snapshot`: simulates every
-    /// prefix (serially or sharded), capturing `snap_prefix`'s converged
-    /// worker scratch when requested, then folds the per-prefix outcomes.
+    /// prefix on the worker pool (one scratch per worker), capturing
+    /// `snap_prefix`'s converged scratch on the worker that simulated it —
+    /// before the scratch is recycled, with no second convergence pass —
+    /// then folds the per-prefix outcomes in prefix order.
     fn run_grouped(
         &self,
         by_prefix: &BTreeMap<Prefix, Vec<&Origination>>,
         snap_prefix: Option<Prefix>,
     ) -> (SimResult, Option<SimSnapshot>) {
         let prefixes: Vec<Prefix> = by_prefix.keys().copied().collect();
-        let snap_slot: OnceLock<SimSnapshot> = OnceLock::new();
-        let results: Vec<PrefixOutcome> = if self.threads > 1 && prefixes.len() > 1 {
-            run_parallel(self, by_prefix, &prefixes, snap_prefix, &snap_slot)
-        } else {
-            let mut scratch = self.new_scratch();
-            prefixes
-                .iter()
-                .map(|p| {
-                    let outcome = self.run_prefix(&mut scratch, *p, &by_prefix[p]);
-                    maybe_capture(
-                        self,
-                        &scratch,
-                        snap_prefix,
-                        *p,
-                        &by_prefix[p],
-                        &outcome,
-                        &snap_slot,
-                    );
-                    outcome
-                })
-                .collect()
-        };
-        (self.collect(prefixes, results), snap_slot.into_inner())
+        let mut results = Vec::with_capacity(prefixes.len());
+        let mut snapshot = None;
+        let ran = shard::for_each_ordered(
+            self.threads,
+            prefixes.len(),
+            || self.new_scratch(),
+            |scratch, i| {
+                let (prefix, episodes) = (prefixes[i], &by_prefix[&prefixes[i]]);
+                let outcome = self.run_prefix(scratch, prefix, episodes);
+                let snap = (snap_prefix == Some(prefix))
+                    .then(|| self.snapshot(scratch, prefix, episodes, outcome.clone()));
+                (outcome, snap)
+            },
+            |_, (outcome, snap)| {
+                results.push(outcome);
+                if snap.is_some() {
+                    snapshot = snap;
+                }
+            },
+        );
+        if let Err((i, msg)) = ran {
+            let prefix = prefixes[i];
+            panic!("worker panicked while simulating prefix {prefix}: {msg}");
+        }
+        (self.collect(prefixes, results), snapshot)
     }
 
     /// Folds per-prefix outcomes (in prefix order) into a [`SimResult`]:
@@ -666,107 +666,6 @@ pub(crate) fn inverse_role(role: Role) -> Role {
         Role::Provider => Role::Customer,
         Role::Peer => Role::Peer,
     }
-}
-
-/// Shards `prefixes` over scoped worker threads with dynamic load
-/// balancing: workers claim prefixes from a shared atomic counter (per-
-/// prefix convergence cost varies wildly, so static chunking would let one
-/// unlucky worker run the whole wall-clock) and publish each outcome into
-/// that prefix's own [`OnceLock`] slot — per-slot disjoint writes, no
-/// locks. Each worker allocates one [`SimScratch`] at spawn and recycles it
-/// across every prefix it claims. A panic while simulating one prefix is
-/// caught and re-raised naming the prefix (work a poisoned scratch might
-/// contribute afterwards is discarded: outcomes are merged in prefix order,
-/// claims are handed out in ascending order, and the merge re-raises at the
-/// failed prefix before reading anything the same worker produced later).
-fn run_parallel(
-    sim: &CompiledSim<'_>,
-    by_prefix: &BTreeMap<Prefix, Vec<&Origination>>,
-    prefixes: &[Prefix],
-    snap_prefix: Option<Prefix>,
-    snap_slot: &OnceLock<SimSnapshot>,
-) -> Vec<PrefixOutcome> {
-    let n = prefixes.len();
-    let results: Vec<OnceLock<Result<PrefixOutcome, String>>> =
-        (0..n).map(|_| OnceLock::new()).collect();
-    let next = AtomicUsize::new(0);
-
-    std::thread::scope(|scope| {
-        for _ in 0..sim.threads.min(n) {
-            let (results, next) = (&results, &next);
-            scope.spawn(move || {
-                let mut scratch = sim.new_scratch();
-                loop {
-                    // ordering: pure claim ticket — only the RMW atomicity
-                    // matters (each index is handed out exactly once);
-                    // results are published by `OnceLock::set` on the
-                    // claimed slot and read after the scope join, not
-                    // through this counter
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(prefix) = prefixes.get(i) else { break };
-                    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        sim.run_prefix(&mut scratch, *prefix, &by_prefix[prefix])
-                    }));
-                    if let Ok(outcome) = &outcome {
-                        // Capture before the scratch is recycled for the
-                        // worker's next claim.
-                        maybe_capture(
-                            sim,
-                            &scratch,
-                            snap_prefix,
-                            *prefix,
-                            &by_prefix[prefix],
-                            outcome,
-                            snap_slot,
-                        );
-                    }
-                    let published = results[i]
-                        .set(outcome.map_err(|payload| panic_message(&payload)))
-                        .is_ok();
-                    debug_assert!(published, "slot {i} claimed twice");
-                }
-            });
-        }
-    });
-
-    results
-        .into_iter()
-        .zip(prefixes)
-        .map(|(slot, prefix)| {
-            // lint: infallible the ticket counter hands each index to
-            // exactly one worker, which writes its slot once via
-            // `OnceLock::set` (a caught panic is stored as `Err`, not
-            // skipped); slots are read only after the scope join
-            match slot
-                .into_inner()
-                .expect("every prefix slot is written by exactly one worker")
-            {
-                Ok(outcome) => outcome,
-                Err(msg) => panic!("worker panicked while simulating prefix {prefix}: {msg}"),
-            }
-        })
-        .collect()
-}
-
-/// Publishes `prefix`'s converged scratch into `slot` when it is the
-/// requested snapshot prefix. Runs on the worker that just converged the
-/// prefix — the capture is in-flight; no second convergence pass exists.
-fn maybe_capture(
-    sim: &CompiledSim<'_>,
-    scratch: &SimScratch,
-    snap_prefix: Option<Prefix>,
-    prefix: Prefix,
-    episodes: &[&Origination],
-    outcome: &PrefixOutcome,
-    slot: &OnceLock<SimSnapshot>,
-) {
-    if snap_prefix != Some(prefix) {
-        return;
-    }
-    let published = slot
-        .set(sim.snapshot(scratch, prefix, episodes, outcome.clone()))
-        .is_ok();
-    debug_assert!(published, "snapshot prefix simulated twice");
 }
 
 /// Groups episodes by prefix, preserving time order within each prefix
@@ -951,7 +850,7 @@ impl CompiledSim<'_> {
     /// [`SimSnapshot`] — the flat slot arrays, per-node scalars, touched
     /// list, arena, and collector dedup state, restricted to the flood's
     /// footprint. See `SimScratch::capture`.
-    pub(crate) fn snapshot(
+    fn snapshot(
         &self,
         scratch: &SimScratch,
         prefix: Prefix,
@@ -1076,45 +975,15 @@ impl CompiledSim<'_> {
                         break 'converge;
                     }
                     let to = ev.to.index();
-                    let cfg = &self.configs[to];
-                    match ev.route {
-                        // Withdrawal: nothing to admit, just clear the slot.
-                        None => routers.node(to).clear_rib_in(ev.to_slot as usize),
-                        Some(rid) => {
-                            // Admission runs fresh per event. A (receiver,
-                            // sender role, route id) memo was tried here and
-                            // measured a net loss (~11% on the 62 K-AS
-                            // flood): export diffing already suppresses
-                            // repeat identical deliveries at the sender, so
-                            // the memo's hit rate is ~0 and every event pays
-                            // the hash probe + insert. The pure
-                            // `admit_route` / `finalize_import` split it
-                            // motivated stays — it keeps policy evaluation
-                            // free of RIB borrows.
-                            let admission = router::admit_route(
-                                self.asns[to],
-                                self.is_rs[to],
-                                cfg,
-                                ev.sender_role,
-                                arena.get(rid),
-                                vctx,
-                            );
-                            match admission {
-                                router::Admission::Reject(_) => {
-                                    routers.node(to).clear_rib_in(ev.to_slot as usize)
-                                }
-                                router::Admission::Accept(fx) => routers.node(to).finalize_import(
-                                    cfg,
-                                    self.asns[ev.from.index()],
-                                    ev.to_slot as usize,
-                                    ev.sender_role,
-                                    rid,
-                                    fx,
-                                    arena,
-                                ),
-                            }
-                        }
-                    }
+                    routers.node(to).import(
+                        &self.configs[to],
+                        self.asns[ev.from.index()],
+                        ev.to_slot as usize,
+                        ev.sender_role,
+                        ev.route,
+                        arena,
+                        vctx,
+                    );
                     dirty.insert(to);
                 }
                 if dirty.is_empty() {
@@ -1220,7 +1089,7 @@ impl CompiledSim<'_> {
     ) {
         let cfg = &self.configs[id.index()];
         let mut node = routers.node(id.index());
-        let Some(best) = node.begin_export_pass_entry(arena) else {
+        let Some(best) = node.begin_export_pass(arena) else {
             return;
         };
         let learned_from = best.and_then(|(best_id, _)| arena.get(best_id).source.neighbor());
@@ -1345,6 +1214,7 @@ mod tests {
     use super::*;
     use crate::collector::CollectorSpec;
     use bgpworms_topology::{EdgeKind, TopologyParams};
+    use std::panic::AssertUnwindSafe;
 
     fn line_topo() -> Topology {
         // 1 — 2 — 3 — 4 as a provider chain: 1 is 2's provider, etc.
@@ -1877,6 +1747,52 @@ mod tests {
         assert_eq!(
             recaptured, snap,
             "a previous wide flood leaked into the restored state"
+        );
+    }
+
+    #[test]
+    fn restore_rejects_a_same_size_topology_with_other_edges() {
+        // Same four ASes, one extra peering: node and collector-session
+        // counts agree, the slot spaces do not. Both directions must be
+        // refused by name — the narrower snapshot would overrun its slot
+        // arrays, the wider one would be silently half-consumed.
+        let line = line_topo();
+        let mut ring = line_topo();
+        ring.add_edge(Asn::new(1), Asn::new(4), EdgeKind::PeerToPeer);
+        let (line_sim, ring_sim) = (observed_sim(&line), observed_sim(&ring));
+        let eps = [Origination::announce(Asn::new(4), p("10.0.0.0/16"), vec![])];
+        let (_, line_snap) = line_sim.run_snapshot(&eps, p("10.0.0.0/16"));
+        let (_, ring_snap) = ring_sim.run_snapshot(&eps, p("10.0.0.0/16"));
+        for (sim, snap) in [(&ring_sim, &line_snap), (&line_sim, &ring_snap)] {
+            let err = std::panic::catch_unwind(AssertUnwindSafe(|| sim.run_delta(snap, &[])))
+                .expect_err("a foreign snapshot must be refused");
+            let msg = panic_message(&*err);
+            assert!(msg.contains("different session's topology"), "got: {msg}");
+        }
+    }
+
+    #[test]
+    fn parallel_worker_panic_names_the_prefix() {
+        let topo = line_topo();
+        let victim = p("20.0.0.0/16");
+        let plan = FaultPlan::new().fail(
+            fault_site::ENGINE_FLOOD,
+            prefix_fault_key(victim),
+            bgpworms_failpoint::FaultKind::Panic,
+            1,
+        );
+        let sim = SimSpec::new(&topo).threads(2).faults(&plan).compile();
+        let eps: Vec<Origination> = ["10.0.0.0/16", "20.0.0.0/16", "30.0.0.0/16"]
+            .iter()
+            .map(|s| Origination::announce(Asn::new(4), p(s), vec![]))
+            .collect();
+        let err = std::panic::catch_unwind(AssertUnwindSafe(|| sim.run(&eps)))
+            .expect_err("the injected panic must propagate");
+        let msg = panic_message(&*err);
+        assert!(
+            msg.starts_with("worker panicked while simulating prefix 20.0.0.0/16: injected ")
+                && msg.contains("`engine::flood`"),
+            "the prefix and the worker's own panic text must both survive, got: {msg}"
         );
     }
 

@@ -225,16 +225,13 @@
 //! that batching never changes the converged routes.
 //!
 //! Distinct prefixes are independent, which the engine exploits for
-//! parallelism: prefixes are claimed dynamically from an atomic counter by
-//! scoped worker threads — each recycling its own scratch across every
-//! prefix it claims — publishing into that prefix's own `OnceLock` result
-//! slot (disjoint writes, no locks, balanced load).
-//! Results are merged in prefix order and observations sorted by
-//! `(time, peer, prefix)`, so `threads = 1` and `threads = N` produce
-//! identical results, and repeated `run` calls on one session are
-//! bit-identical — guarantees locked in by property tests over random
-//! topologies (`tests/determinism.rs`). A worker panic is caught per
-//! prefix and re-raised naming the failing prefix.
+//! parallelism: `threads` workers — each recycling its own scratch — claim
+//! prefixes (or, in a campaign, chunks) from the crate's one worker pool,
+//! and results are folded in index order, so `threads = 1` and
+//! `threads = N` produce identical results and repeated `run` calls on one
+//! session are bit-identical (property-locked in `tests/determinism.rs`).
+//! The scheme, and what happens when a worker panics, is described once,
+//! in `shard.rs`.
 //!
 //! Route collectors observe sessions exactly like RIS/RouteViews peers and
 //! emit RFC 6396 MRT archives via `bgpworms-mrt`.
@@ -252,12 +249,9 @@
 //!   Each such site carries `// lint: order-independent <why>`; anything
 //!   whose order matters uses `BTreeMap`/`Vec`/dense indices instead.
 //! * **Justified atomics.** Every atomic `Ordering::*` choice carries an
-//!   adjacent `// ordering: <why>` comment. The two patterns in this
-//!   crate: *claim tickets* (`fetch_add(1, Relaxed)` — only RMW
-//!   atomicity matters because results are published through per-slot
-//!   locks/`OnceLock`s and the `thread::scope` join) and the *advisory
-//!   abort latch* (an idempotent true-only flag where staleness only
-//!   costs wasted work, never wrong results).
+//!   adjacent `// ordering: <why>` comment. All atomics in this crate live
+//!   in `shard.rs` (a claim ticket and an advisory abort latch), with
+//!   their arguments.
 //! * **No wall clocks, no environment.** `Instant::now`/`SystemTime`
 //!   live only in the bench harness; `std::env`/`thread::current` never
 //!   feed results — a run is a pure function of (topology, configs,
@@ -294,6 +288,7 @@ pub mod policy;
 pub mod route;
 pub mod router;
 mod scratch;
+mod shard;
 pub mod workload;
 
 pub use bgpworms_failpoint::{FaultKind, FaultPayload, FaultPlan};

@@ -375,7 +375,7 @@ mod tests {
     fn prefer_is_total_over_distinct_candidates() {
         // The decision process bottoms out in a strict neighbor-ASN
         // tie-break, so distinct candidates never compare Equal — the
-        // property PrefixRouter::best_entry's fold relies on.
+        // property `NodeState::best_entry`'s fold relies on.
         let routes = [
             route(100, &[2, 1], 2),
             route(100, &[3, 1], 3),

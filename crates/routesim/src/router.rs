@@ -7,7 +7,7 @@ use crate::policy::{
 };
 use crate::route::{Route, RouteArena, RouteId, RouteSource};
 use bgpworms_topology::Role;
-use bgpworms_types::{community, Asn, Community, Prefix, WellKnown};
+use bgpworms_types::{community, Asn, Community, Prefix};
 use std::cmp::Ordering;
 
 /// Validation context shared by all routers in a run.
@@ -35,30 +35,33 @@ pub enum ImportVerdict {
 }
 
 /// One accepted Adj-RIB-In candidate: the interned route plus the business
-/// role the sending neighbor plays for this AS.
+/// role the sending neighbor plays for this AS. Opaque — callers only
+/// allocate storage for it (`vec![None; degree]`) and hand [`NodeState`]
+/// views over that storage.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct RibEntry {
+pub struct RibEntry {
     route: RouteId,
     role: Role,
 }
 
-/// Per-prefix state of one router.
+/// One node's per-prefix router state, as mutable views over externally
+/// owned storage — the crate's only router type.
 ///
 /// All per-neighbor state is **adjacency-slot indexed**: the engine compiles
 /// each node's CSR neighbor slice once, and both the Adj-RIB-In and the
-/// last-exported cache are dense arrays addressed by a neighbor's position
-/// in that slice. Both arrays hold [`RouteId`]s into the prefix-worker's
+/// last-exported cache are dense slices addressed by a neighbor's position
+/// in that slice. Both hold [`RouteId`]s into the prefix-worker's
 /// [`RouteArena`] rather than owned routes, so the per-event import/export
-/// path is pure `Vec` indexing plus u32 compares — no `BTreeMap<Asn, …>`,
+/// path is pure slice indexing plus u32 compares — no `BTreeMap<Asn, …>`,
 /// no owned `Route` storage, and export diffing never clones.
 ///
-/// This owned form backs stand-alone use (unit tests, reference engines).
-/// The engine's hot path does not allocate one of these per node: it runs
-/// the same policy code through crate-internal `NodeState` views over a
-/// per-worker `SimScratch`'s flat slot arrays, so the per-prefix state
-/// costs no allocation at all.
-#[derive(Debug, Clone)]
-pub struct PrefixRouter {
+/// The engine never allocates per-node state: a node's `rib_in`/`exported`
+/// slices are sub-ranges of two flat arrays in the worker's `SimScratch`
+/// that span the whole network's directed-edge slots. Stand-alone users
+/// (unit tests, the reference loop in `tests/determinism.rs`) own plain
+/// `Vec`s and build views over them with [`NodeState::new`].
+#[derive(Debug)]
+pub struct NodeState<'s> {
     /// This router's AS.
     pub asn: Asn,
     /// True when the node is an IXP route server (transparent path,
@@ -66,166 +69,24 @@ pub struct PrefixRouter {
     pub is_route_server: bool,
     /// Accepted candidate per sending neighbor, indexed by the sender's
     /// slot in this node's adjacency slice.
-    rib_in: Vec<Option<RibEntry>>,
+    rib_in: &'s mut [Option<RibEntry>],
     /// Locally originated route, if any.
-    local: Option<RouteId>,
+    local: &'s mut Option<RouteId>,
     /// Last advertisement sent per neighbor slot (None = withdrawn/never).
-    exported: Vec<Option<RouteId>>,
+    exported: &'s mut [Option<RouteId>],
     /// Best-route id at the end of the last export pass (`None` = no pass
     /// yet). Exports are a pure function of the best route — configs and
     /// neighbor roles are fixed per run, and a route's content pins the
     /// neighbor (and therefore the slot and role) it was learned from — so
     /// an unchanged best id proves every export is unchanged and the whole
     /// per-neighbor recompute can be skipped.
-    last_emit_best: Option<Option<RouteId>>,
-}
-
-impl PrefixRouter {
-    /// Fresh state for a router with `degree` adjacency slots.
-    pub fn new(asn: Asn, is_route_server: bool, degree: usize) -> Self {
-        PrefixRouter {
-            asn,
-            is_route_server,
-            rib_in: vec![None; degree],
-            local: None,
-            exported: vec![None; degree],
-            last_emit_best: None,
-        }
-    }
-
-    /// The mutable [`NodeState`] view over this router's own storage — the
-    /// single implementation every mutating method below delegates to.
-    fn state(&mut self) -> NodeState<'_> {
-        NodeState {
-            asn: self.asn,
-            is_route_server: self.is_route_server,
-            rib_in: &mut self.rib_in,
-            local: &mut self.local,
-            exported: &mut self.exported,
-            last_emit_best: &mut self.last_emit_best,
-        }
-    }
-
-    /// Originates (or re-originates) a local route.
-    pub fn originate(&mut self, route: Route, arena: &mut RouteArena) {
-        self.state().originate(route, arena);
-    }
-
-    /// Withdraws the local origination.
-    pub fn withdraw_local(&mut self) {
-        self.local = None;
-    }
-
-    /// The current best route.
-    pub fn best<'a>(&self, arena: &'a RouteArena) -> Option<&'a Route> {
-        self.best_id(arena).map(|id| arena.get(id))
-    }
-
-    /// The current best route's arena id.
-    pub fn best_id(&self, arena: &RouteArena) -> Option<RouteId> {
-        best_entry(&self.rib_in, self.local, arena).map(|(id, _)| id)
-    }
-
-    /// Role of the neighbor the current best was learned from (None for
-    /// local routes).
-    pub fn best_learned_role(&self, arena: &RouteArena) -> Option<Role> {
-        best_entry(&self.rib_in, self.local, arena).and_then(|(_, role)| role)
-    }
-
-    /// Reports whether an export pass is needed — i.e. whether the best
-    /// route changed since the last pass — and records the current best as
-    /// emitted. Exports depend only on the best route (see
-    /// `last_emit_best`), so a `false` return proves a full
-    /// [`PrefixRouter::export_for`]/[`PrefixRouter::diff_export`] sweep
-    /// would produce no updates, letting the engine skip it entirely: the
-    /// steady-state path performs one best-route scan and zero clones.
-    pub fn begin_export_pass(&mut self, arena: &RouteArena) -> bool {
-        self.state().begin_export_pass(arena)
-    }
-
-    /// Processes an incoming update (Some = announce, None = withdraw) from
-    /// `sender`, which occupies adjacency slot `sender_slot` of this node
-    /// and plays `sender_role` for this AS.
-    ///
-    /// The route arrives as an id into the shared arena; every rejection
-    /// check runs against the arena route by reference, so refused updates
-    /// cost zero clones. Only an accepted route is cloned (once) to apply
-    /// import policy, and the result is re-interned for the RIB slot.
-    #[allow(clippy::too_many_arguments)] // hot path: flat args, no wrapper struct
-    pub fn import(
-        &mut self,
-        cfg: &RouterConfig,
-        sender: Asn,
-        sender_slot: usize,
-        sender_role: Role,
-        route: Option<RouteId>,
-        arena: &mut RouteArena,
-        ctx: ValidationCtx<'_>,
-    ) -> ImportVerdict {
-        self.state()
-            .import(cfg, sender, sender_slot, sender_role, route, arena, ctx)
-    }
-
-    /// Computes the advertisement this router should currently send to
-    /// `neighbor` (playing `neighbor_role` for us), interned into `arena`,
-    /// or `None` when nothing may be exported.
-    pub fn export_for(
-        &self,
-        cfg: &RouterConfig,
-        neighbor: Asn,
-        neighbor_role: Role,
-        neighbor_is_route_server: bool,
-        arena: &mut RouteArena,
-    ) -> Option<RouteId> {
-        let _ = neighbor_is_route_server; // same egress processing either way
-        let (best_id, learned_role) = best_entry(&self.rib_in, self.local, arena)?;
-        export_from_best(
-            self.asn,
-            self.is_route_server,
-            best_id,
-            learned_role,
-            cfg,
-            neighbor,
-            neighbor_role,
-            arena,
-        )
-    }
-
-    /// Records what was last advertised to the neighbor at `slot` and
-    /// reports whether a new message is needed. Returns `Some(update)` when
-    /// the advertisement changed (including transitions to/from
-    /// withdrawal).
-    ///
-    /// Routes are interned, so the change predicate is a u32 compare and
-    /// updating the last-exported cache is a u32 store — the double clone
-    /// of the owned-`Route` era (once into the cache, once into the event)
-    /// is gone entirely.
-    pub fn diff_export(&mut self, slot: usize, new: Option<RouteId>) -> Option<Option<RouteId>> {
-        self.state().diff_export(slot, new)
-    }
-}
-
-/// One node's per-prefix router state as mutable views over externally
-/// owned storage — the policy implementation shared by the owned
-/// [`PrefixRouter`] and the engine's per-worker scratch arrays (where a
-/// node's `rib_in`/`exported` slices are sub-ranges of two flat arrays over
-/// the whole network's directed-edge slots).
-#[derive(Debug)]
-pub(crate) struct NodeState<'s> {
-    /// This router's AS.
-    pub(crate) asn: Asn,
-    /// True when the node is an IXP route server.
-    pub(crate) is_route_server: bool,
-    rib_in: &'s mut [Option<RibEntry>],
-    local: &'s mut Option<RouteId>,
-    exported: &'s mut [Option<RouteId>],
     last_emit_best: &'s mut Option<Option<RouteId>>,
 }
 
 impl<'s> NodeState<'s> {
     /// Assembles a view from its parts. The two slices must both span
-    /// exactly the node's adjacency degree.
-    pub(crate) fn new(
+    /// exactly the node's adjacency degree; fresh state is all-`None`.
+    pub fn new(
         asn: Asn,
         is_route_server: bool,
         rib_in: &'s mut [Option<RibEntry>],
@@ -244,34 +105,56 @@ impl<'s> NodeState<'s> {
         }
     }
 
-    /// Originates (or re-originates) a local route.
-    pub(crate) fn originate(&mut self, route: Route, arena: &mut RouteArena) {
-        debug_assert_eq!(route.source, RouteSource::Local);
-        *self.local = Some(arena.intern(route));
-    }
-
-    /// Sets the local origination directly to an already-interned id
-    /// (`None` withdraws) — the engine's episode-memo path, which skips
+    /// Sets the local origination to an already-interned id (`None`
+    /// withdraws). Taking an id lets the engine's episode memo skip
     /// rebuilding an identical origination route.
-    pub(crate) fn set_local(&mut self, id: Option<RouteId>) {
+    pub fn set_local(&mut self, id: Option<RouteId>) {
         *self.local = id;
     }
 
-    /// Best candidate plus the role it was learned under (None for local).
+    /// Best candidate plus the role it was learned under (None for local
+    /// routes). Every comparison in [`Route::prefer`] bottoms out in a
+    /// strict tie-break, so the winner is independent of iteration order.
     pub(crate) fn best_entry(&self, arena: &RouteArena) -> Option<(RouteId, Option<Role>)> {
-        best_entry(self.rib_in, *self.local, arena)
+        let mut best: Option<(RouteId, Option<Role>)> = None;
+        for entry in self.rib_in.iter().flatten() {
+            best = match best {
+                None => Some((entry.route, Some(entry.role))),
+                Some((b, _))
+                    if arena.get(entry.route).prefer(arena.get(b)) == Ordering::Greater =>
+                {
+                    Some((entry.route, Some(entry.role)))
+                }
+                keep => keep,
+            };
+        }
+        if let Some(local) = *self.local {
+            best = match best {
+                None => Some((local, None)),
+                Some((b, _)) if arena.get(local).prefer(arena.get(b)) == Ordering::Greater => {
+                    Some((local, None))
+                }
+                keep => keep,
+            };
+        }
+        best
     }
 
     /// The current best route.
-    pub(crate) fn best<'a>(&self, arena: &'a RouteArena) -> Option<&'a Route> {
+    pub fn best<'a>(&self, arena: &'a RouteArena) -> Option<&'a Route> {
         self.best_entry(arena).map(|(id, _)| arena.get(id))
     }
 
-    /// See [`PrefixRouter::begin_export_pass`] — but instead of a bool this
-    /// returns the best entry it had to scan anyway: `None` when the pass
-    /// can be skipped, `Some(best_entry)` when it must run, so the engine's
-    /// export sweep pays exactly one O(degree) best scan per pass.
-    pub(crate) fn begin_export_pass_entry(
+    /// Reports whether an export pass is needed — i.e. whether the best
+    /// route changed since the last pass — and records the current best as
+    /// emitted. Exports depend only on the best route (see
+    /// `last_emit_best`), so `None` proves a full
+    /// [`NodeState::export_for`]/[`NodeState::diff_export`] sweep would
+    /// produce no updates, letting the engine skip it entirely: the
+    /// steady-state path performs one best-route scan and zero clones.
+    /// `Some` carries the best entry the scan found, so a pass that must
+    /// run pays exactly one O(degree) scan.
+    pub(crate) fn begin_export_pass(
         &mut self,
         arena: &RouteArena,
     ) -> Option<Option<(RouteId, Option<Role>)>> {
@@ -284,16 +167,18 @@ impl<'s> NodeState<'s> {
         Some(entry)
     }
 
-    /// See [`PrefixRouter::begin_export_pass`].
-    pub(crate) fn begin_export_pass(&mut self, arena: &RouteArena) -> bool {
-        self.begin_export_pass_entry(arena).is_some()
-    }
-
-    /// See [`PrefixRouter::import`]. Composes [`admit_route`] (the pure
-    /// policy decision, memoizable per (receiver, sender role, route id))
-    /// with [`NodeState::finalize_import`] (the RIB write).
+    /// Processes an incoming update (Some = announce, None = withdraw) from
+    /// `sender`, which occupies adjacency slot `sender_slot` of this node
+    /// and plays `sender_role` for this AS — the one composition of
+    /// `admit_route` (the pure policy decision) and `finalize_import` (the
+    /// RIB write), and the only import entry point.
+    ///
+    /// The route arrives as an id into the shared arena; every rejection
+    /// check runs against the arena route by reference, so refused updates
+    /// cost zero clones. Only an accepted route is cloned (once) to apply
+    /// import policy, and the result is re-interned for the RIB slot.
     #[allow(clippy::too_many_arguments)] // hot path: flat args, no wrapper struct
-    pub(crate) fn import(
+    pub fn import(
         &mut self,
         cfg: &RouterConfig,
         sender: Asn,
@@ -315,11 +200,11 @@ impl<'s> NodeState<'s> {
             arena.get(incoming_id),
             ctx,
         ) {
-            Admission::Reject(verdict) => {
+            Err(verdict) => {
                 self.rib_in[sender_slot] = None;
                 verdict
             }
-            Admission::Accept(effects) => {
+            Ok(effects) => {
                 self.finalize_import(
                     cfg,
                     sender,
@@ -335,12 +220,11 @@ impl<'s> NodeState<'s> {
     }
 
     /// Applies an accepted admission: clones the incoming route out of the
-    /// arena (the import path's single clone), applies the memoized scalar
-    /// [`AdmitEffects`], performs the sender-dependent ingress tagging that
-    /// cannot be memoized per route id alone, and installs the re-interned
-    /// result in the sender's Adj-RIB-In slot.
+    /// arena (the import path's single clone), applies the scalar
+    /// [`AdmitEffects`], performs the sender-dependent ingress tagging, and
+    /// installs the re-interned result in the sender's Adj-RIB-In slot.
     #[allow(clippy::too_many_arguments)] // hot path: flat args, no wrapper struct
-    pub(crate) fn finalize_import(
+    fn finalize_import(
         &mut self,
         cfg: &RouterConfig,
         sender: Asn,
@@ -398,10 +282,11 @@ impl<'s> NodeState<'s> {
     }
 
     /// Computes the advertisement this node should currently send to
-    /// `neighbor`. Scans for the best entry first; the engine's export
-    /// sweep calls [`export_from_best`] directly so one scan serves the
-    /// whole adjacency.
-    pub(crate) fn export_for(
+    /// `neighbor` (playing `neighbor_role` for us), interned into `arena`,
+    /// or `None` when nothing may be exported. Scans for the best entry
+    /// first; the engine's export sweep calls `export_from_best` directly so
+    /// one scan serves the whole adjacency.
+    pub fn export_for(
         &self,
         cfg: &RouterConfig,
         neighbor: Asn,
@@ -421,19 +306,12 @@ impl<'s> NodeState<'s> {
         )
     }
 
-    /// Clears the Adj-RIB-In slot at `sender_slot` — the withdrawal /
-    /// rejection path, exposed so the engine can apply an
-    /// [`Admission::Reject`] without going through the full import.
-    pub(crate) fn clear_rib_in(&mut self, sender_slot: usize) {
-        self.rib_in[sender_slot] = None;
-    }
-
-    /// See [`PrefixRouter::diff_export`].
-    pub(crate) fn diff_export(
-        &mut self,
-        slot: usize,
-        new: Option<RouteId>,
-    ) -> Option<Option<RouteId>> {
+    /// Records what was last advertised to the neighbor at `slot` and
+    /// reports whether a new message is needed. Returns `Some(update)` when
+    /// the advertisement changed (including transitions to/from
+    /// withdrawal). Routes are interned, so the change predicate is a u32
+    /// compare and updating the last-exported cache is a u32 store.
+    pub fn diff_export(&mut self, slot: usize, new: Option<RouteId>) -> Option<Option<RouteId>> {
         if self.exported[slot] == new {
             return None;
         }
@@ -442,54 +320,47 @@ impl<'s> NodeState<'s> {
     }
 }
 
-/// The outcome of the pure half of import: either a rejection verdict or
-/// the scalar effects to apply on acceptance. `Copy`, so the engine can
-/// memoize it per (receiver, sender role, incoming route id) — interned
-/// route content pins the sender, so that key determines the whole
-/// decision — without cloning anything on a memo hit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Admission {
-    /// Rejected; the RIB slot must be cleared.
-    Reject(ImportVerdict),
-    /// Accepted; apply these effects via [`NodeState::finalize_import`].
-    Accept(AdmitEffects),
-}
-
 /// The scalar residue of import policy on an accepted route: everything
 /// admission decides that is not derivable from the incoming route content
 /// alone. Tagging is *not* here — it depends on the sender ASN directly
 /// (ingress buckets), so it stays in the finalize step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct AdmitEffects {
+struct AdmitEffects {
     /// Import local-pref after role base, RTBH override, and steering.
-    pub(crate) local_pref: u32,
+    local_pref: u32,
     /// True when the RTBH service accepted this as a blackhole route.
-    pub(crate) blackholed: bool,
+    blackholed: bool,
     /// Prepend count requested by steering communities.
-    pub(crate) pending_prepend: u8,
+    pending_prepend: u8,
     /// True when RTBH policy adds NO_EXPORT (already checked absent).
-    pub(crate) add_no_export: bool,
+    add_no_export: bool,
 }
 
-/// The pure policy half of import: decides admission and computes the
-/// [`AdmitEffects`] without touching any RIB state or cloning the route.
-/// A pure function of (receiver identity, config, sender role, route
-/// content, validation registries) — the engine can evaluate it before
-/// borrowing any RIB state for the apply step. (A memo over that key was
-/// measured a net loss — see the engine's drain loop — but the purity
-/// boundary stands on its own.)
-pub(crate) fn admit_route(
+/// The pure policy half of import: decides admission (`Err` = the rejection
+/// verdict; the caller clears the RIB slot) and computes the
+/// [`AdmitEffects`], as a pure function of (receiver identity, config,
+/// sender role, route content, validation registries) — so rejections cost
+/// no clone and no RIB borrow.
+///
+/// Interned route content pins the sender, so (receiver, sender role,
+/// incoming route id) determines the whole decision. A memo over that key
+/// was tried (PR 9) and measured a net loss, ~11 % on the 62 K-AS flood:
+/// export diffing already suppresses repeat identical deliveries at the
+/// sender, so the hit rate is ~0 and every event pays the hash probe and
+/// insert. Do not re-add it without a flap-heavy workload that makes it
+/// hit.
+fn admit_route(
     asn: Asn,
     is_route_server: bool,
     cfg: &RouterConfig,
     sender_role: Role,
     incoming: &Route,
     ctx: ValidationCtx<'_>,
-) -> Admission {
+) -> Result<AdmitEffects, ImportVerdict> {
     // Loop protection. Route servers are transparent and never appear
     // in the path, so only regular routers check.
     if !is_route_server && incoming.path.contains(asn) {
-        return Admission::Reject(ImportVerdict::LoopRejected);
+        return Err(ImportVerdict::LoopRejected);
     }
 
     // --- RTBH applicability (checked before everything else because
@@ -529,7 +400,7 @@ pub(crate) fn admit_route(
             },
         };
         if !valid {
-            return Admission::Reject(ImportVerdict::ValidationRejected);
+            return Err(ImportVerdict::ValidationRejected);
         }
     }
 
@@ -540,7 +411,7 @@ pub(crate) fn admit_route(
             Prefix::V6(p) => p.len() > 48,
         };
         if too_long {
-            return Admission::Reject(ImportVerdict::TooSpecific);
+            return Err(ImportVerdict::TooSpecific);
         }
     }
 
@@ -583,42 +454,12 @@ pub(crate) fn admit_route(
         }
     }
 
-    Admission::Accept(AdmitEffects {
+    Ok(AdmitEffects {
         local_pref,
         blackholed,
         pending_prepend,
         add_no_export,
     })
-}
-
-/// Best candidate of a RIB slice plus the role it was learned under (None
-/// for local routes). Every comparison in [`Route::prefer`] bottoms out in
-/// a strict tie-break, so the winner is independent of iteration order.
-fn best_entry(
-    rib_in: &[Option<RibEntry>],
-    local: Option<RouteId>,
-    arena: &RouteArena,
-) -> Option<(RouteId, Option<Role>)> {
-    let mut best: Option<(RouteId, Option<Role>)> = None;
-    for entry in rib_in.iter().flatten() {
-        best = match best {
-            None => Some((entry.route, Some(entry.role))),
-            Some((b, _)) if arena.get(entry.route).prefer(arena.get(b)) == Ordering::Greater => {
-                Some((entry.route, Some(entry.role)))
-            }
-            keep => keep,
-        };
-    }
-    if let Some(local) = local {
-        best = match best {
-            None => Some((local, None)),
-            Some((b, _)) if arena.get(local).prefer(arena.get(b)) == Ordering::Greater => {
-                Some((local, None))
-            }
-            keep => keep,
-        };
-    }
-    best
 }
 
 /// Computes the advertisement a node whose best route is `best_id` (learned
@@ -853,24 +694,6 @@ pub fn blackhole_community_of(target: Asn) -> Option<Community> {
     target.as_u16().map(|hi| Community::new(hi, 666))
 }
 
-/// True if the route carries a blackhole-valued community for any AS or the
-/// RFC 7999 well-known value.
-pub fn carries_blackhole(route: &Route) -> bool {
-    route.communities.iter().any(|c| c.has_blackhole_value())
-}
-
-/// Returns the well-known set for quick membership tests.
-pub fn well_known_all() -> [Community; 6] {
-    [
-        WellKnown::GracefulShutdown.community(),
-        WellKnown::Blackhole.community(),
-        WellKnown::NoExport.community(),
-        WellKnown::NoAdvertise.community(),
-        WellKnown::NoExportSubconfed.community(),
-        WellKnown::NoPeer.community(),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -901,21 +724,44 @@ mod tests {
         }
     }
 
-    /// A [`PrefixRouter`] bundled with its own [`RouteArena`], exposing the
-    /// pre-arena owned-`Route` call shapes so the policy tests read as
-    /// before: incoming routes are interned on the way in, export results
-    /// cloned out of the arena for inspection.
+    /// One node's owned storage bundled with its own [`RouteArena`],
+    /// exposing the pre-arena owned-`Route` call shapes so the policy tests
+    /// read as before: incoming routes are interned on the way in, export
+    /// results cloned out of the arena for inspection.
     struct TestRouter {
-        r: PrefixRouter,
+        asn: Asn,
+        is_route_server: bool,
+        rib_in: Vec<Option<RibEntry>>,
+        local: Option<RouteId>,
+        exported: Vec<Option<RouteId>>,
+        last_emit_best: Option<Option<RouteId>>,
         arena: RouteArena,
     }
 
     impl TestRouter {
         fn new(asn: Asn, is_route_server: bool, degree: usize) -> Self {
             TestRouter {
-                r: PrefixRouter::new(asn, is_route_server, degree),
+                asn,
+                is_route_server,
+                rib_in: vec![None; degree],
+                local: None,
+                exported: vec![None; degree],
+                last_emit_best: None,
                 arena: RouteArena::new(),
             }
+        }
+
+        /// The view under test plus the arena it interns into.
+        fn state(&mut self) -> (NodeState<'_>, &mut RouteArena) {
+            let node = NodeState::new(
+                self.asn,
+                self.is_route_server,
+                &mut self.rib_in,
+                &mut self.local,
+                &mut self.exported,
+                &mut self.last_emit_best,
+            );
+            (node, &mut self.arena)
         }
 
         fn import(
@@ -927,24 +773,14 @@ mod tests {
             route: Option<Route>,
             ctx: ValidationCtx<'_>,
         ) -> ImportVerdict {
-            let id = route.map(|r| self.arena.intern(r));
-            self.r.import(
-                cfg,
-                sender,
-                sender_slot,
-                sender_role,
-                id,
-                &mut self.arena,
-                ctx,
-            )
+            let (mut node, arena) = self.state();
+            let id = route.map(|r| arena.intern(r));
+            node.import(cfg, sender, sender_slot, sender_role, id, arena, ctx)
         }
 
-        fn best(&self) -> Option<&Route> {
-            self.r.best(&self.arena)
-        }
-
-        fn best_learned_role(&self) -> Option<Role> {
-            self.r.best_learned_role(&self.arena)
+        fn best(&mut self) -> Option<&Route> {
+            let (node, arena) = self.state();
+            node.best(arena)
         }
 
         fn export_for(
@@ -952,24 +788,10 @@ mod tests {
             cfg: &RouterConfig,
             neighbor: Asn,
             neighbor_role: Role,
-            neighbor_is_route_server: bool,
         ) -> Option<Route> {
-            self.r
-                .export_for(
-                    cfg,
-                    neighbor,
-                    neighbor_role,
-                    neighbor_is_route_server,
-                    &mut self.arena,
-                )
-                .map(|id| self.arena.get(id).clone())
-        }
-
-        fn diff_export(&mut self, slot: usize, new: Option<Route>) -> Option<Option<Route>> {
-            let id = new.map(|r| self.arena.intern(r));
-            self.r
-                .diff_export(slot, id)
-                .map(|u| u.map(|id| self.arena.get(id).clone()))
+            let (node, arena) = self.state();
+            node.export_for(cfg, neighbor, neighbor_role, arena)
+                .map(|id| arena.get(id).clone())
         }
     }
 
@@ -1021,7 +843,9 @@ mod tests {
         );
         let best = r.best().unwrap();
         assert_eq!(best.source, RouteSource::Ebgp(Asn::new(2)));
-        assert_eq!(r.best_learned_role(), Some(Role::Customer));
+        let (node, arena) = r.state();
+        let learned_role = node.best_entry(arena).and_then(|(_, role)| role);
+        assert_eq!(learned_role, Some(Role::Customer));
     }
 
     #[test]
@@ -1236,9 +1060,7 @@ mod tests {
             Some(incoming(2, &[2, 1], &[Community::new(5, 423)])),
             ctx,
         );
-        let out = r
-            .export_for(&cfg, Asn::new(6), Role::Provider, false)
-            .unwrap();
+        let out = r.export_for(&cfg, Asn::new(6), Role::Provider).unwrap();
         assert_eq!(
             out.path.to_vec(),
             vec![5, 5, 5, 5, 2, 1]
@@ -1270,14 +1092,10 @@ mod tests {
             ctx,
         );
         // …goes to customers…
-        assert!(r
-            .export_for(&cfg, Asn::new(7), Role::Customer, false)
-            .is_some());
+        assert!(r.export_for(&cfg, Asn::new(7), Role::Customer).is_some());
         // …but not to peers or providers.
-        assert!(r.export_for(&cfg, Asn::new(8), Role::Peer, false).is_none());
-        assert!(r
-            .export_for(&cfg, Asn::new(9), Role::Provider, false)
-            .is_none());
+        assert!(r.export_for(&cfg, Asn::new(8), Role::Peer).is_none());
+        assert!(r.export_for(&cfg, Asn::new(9), Role::Provider).is_none());
         // Customer routes go everywhere.
         let mut r2 = TestRouter::new(Asn::new(5), false, 8);
         r2.import(
@@ -1288,12 +1106,8 @@ mod tests {
             Some(incoming(3, &[3, 1], &[])),
             ctx,
         );
-        assert!(r2
-            .export_for(&cfg, Asn::new(8), Role::Peer, false)
-            .is_some());
-        assert!(r2
-            .export_for(&cfg, Asn::new(9), Role::Provider, false)
-            .is_some());
+        assert!(r2.export_for(&cfg, Asn::new(8), Role::Peer).is_some());
+        assert!(r2.export_for(&cfg, Asn::new(9), Role::Provider).is_some());
     }
 
     #[test]
@@ -1313,9 +1127,7 @@ mod tests {
             Some(incoming(2, &[2, 1], &[])),
             ctx,
         );
-        assert!(r
-            .export_for(&cfg, Asn::new(2), Role::Customer, false)
-            .is_none());
+        assert!(r.export_for(&cfg, Asn::new(2), Role::Customer).is_none());
     }
 
     #[test]
@@ -1335,9 +1147,7 @@ mod tests {
             Some(incoming(2, &[2, 1], &[Community::NO_EXPORT])),
             ctx,
         );
-        assert!(r
-            .export_for(&cfg, Asn::new(7), Role::Customer, false)
-            .is_none());
+        assert!(r.export_for(&cfg, Asn::new(7), Role::Customer).is_none());
         let mut r2 = TestRouter::new(Asn::new(5), false, 8);
         r2.import(
             &cfg,
@@ -1347,12 +1157,8 @@ mod tests {
             Some(incoming(2, &[2, 1], &[Community::NO_PEER])),
             ctx,
         );
-        assert!(r2
-            .export_for(&cfg, Asn::new(8), Role::Peer, false)
-            .is_none());
-        assert!(r2
-            .export_for(&cfg, Asn::new(7), Role::Customer, false)
-            .is_some());
+        assert!(r2.export_for(&cfg, Asn::new(8), Role::Peer).is_none());
+        assert!(r2.export_for(&cfg, Asn::new(7), Role::Customer).is_some());
     }
 
     #[test]
@@ -1381,8 +1187,7 @@ mod tests {
                 Some(incoming(2, &[2, 1], &[foreign, wk, Community::new(5, 77)])),
                 ctx,
             );
-            r.export_for(&cfg, Asn::new(7), Role::Customer, false)
-                .unwrap()
+            r.export_for(&cfg, Asn::new(7), Role::Customer).unwrap()
         };
 
         let out = make(CommunityPropagationPolicy::ForwardAll);
@@ -1436,11 +1241,9 @@ mod tests {
             Some(incoming(2, &[2, 1], &[foreign])),
             ctx,
         );
-        let to_cust = r
-            .export_for(&cfg, Asn::new(7), Role::Customer, false)
-            .unwrap();
+        let to_cust = r.export_for(&cfg, Asn::new(7), Role::Customer).unwrap();
         assert!(to_cust.has_community(foreign));
-        let to_peer = r.export_for(&cfg, Asn::new(8), Role::Peer, false).unwrap();
+        let to_peer = r.export_for(&cfg, Asn::new(8), Role::Peer).unwrap();
         assert!(!to_peer.has_community(foreign), "stripped toward peers");
     }
 
@@ -1463,9 +1266,7 @@ mod tests {
             Some(incoming(2, &[2, 1], &[Community::new(9, 42)])),
             ctx,
         );
-        let out = r
-            .export_for(&cfg, Asn::new(7), Role::Customer, false)
-            .unwrap();
+        let out = r.export_for(&cfg, Asn::new(7), Role::Customer).unwrap();
         assert!(out.communities.is_empty());
     }
 
@@ -1491,17 +1292,17 @@ mod tests {
         );
 
         // AS2: no suppress, default announce.
-        let out = r.export_for(&cfg, Asn::new(2), Role::Peer, false).unwrap();
+        let out = r.export_for(&cfg, Asn::new(2), Role::Peer).unwrap();
         assert_eq!(out.path.to_vec(), vec![Asn::new(1)], "RS transparent");
         assert_eq!(out.source, RouteSource::RouteServer(rs));
         // control communities stripped:
         assert!(!out.has_community(Community::new(0, 3)));
 
         // AS3: suppressed.
-        assert!(r.export_for(&cfg, Asn::new(3), Role::Peer, false).is_none());
+        assert!(r.export_for(&cfg, Asn::new(3), Role::Peer).is_none());
 
         // Never back to announcer.
-        assert!(r.export_for(&cfg, Asn::new(1), Role::Peer, false).is_none());
+        assert!(r.export_for(&cfg, Asn::new(1), Role::Peer).is_none());
     }
 
     #[test]
@@ -1526,12 +1327,12 @@ mod tests {
             ctx,
         );
         assert!(
-            r.export_for(&cfg, Asn::new(4), Role::Peer, false).is_none(),
+            r.export_for(&cfg, Asn::new(4), Role::Peer).is_none(),
             "suppress-first: conflict resolves to suppression"
         );
         cfg.route_server.eval_order = RsEvalOrder::AnnounceFirst;
         assert!(
-            r.export_for(&cfg, Asn::new(4), Role::Peer, false).is_some(),
+            r.export_for(&cfg, Asn::new(4), Role::Peer).is_some(),
             "announce-first: conflict resolves to announcement"
         );
     }
@@ -1556,9 +1357,7 @@ mod tests {
             Some(incoming(2, &[2, 1], &[])),
             ctx,
         );
-        let out = r
-            .export_for(&cfg, Asn::new(7), Role::Provider, false)
-            .unwrap();
+        let out = r.export_for(&cfg, Asn::new(7), Role::Provider).unwrap();
         assert!(out.has_community(Community::new(9, 666)));
     }
 
@@ -1582,9 +1381,7 @@ mod tests {
             Some(incoming(2, &[2, 1], &[])),
             ctx,
         );
-        let out = r
-            .export_for(&cfg, Asn::new(7), Role::Provider, false)
-            .unwrap();
+        let out = r.export_for(&cfg, Asn::new(7), Role::Provider).unwrap();
         assert!(out.has_community(Community::new(9, 666)));
 
         // a different prefix through the same router stays clean
@@ -1600,9 +1397,7 @@ mod tests {
             Some(incoming(2, &[2, 1], &[])),
             ctx,
         );
-        let out2 = r2
-            .export_for(&cfg2, Asn::new(7), Role::Provider, false)
-            .unwrap();
+        let out2 = r2.export_for(&cfg2, Asn::new(7), Role::Provider).unwrap();
         assert!(!out2.has_community(Community::new(9, 666)));
     }
 
@@ -1626,9 +1421,7 @@ mod tests {
             Some(incoming(2, &[2, 1], &[])),
             ctx,
         );
-        let out = r
-            .export_for(&cfg, Asn::new(7), Role::Customer, false)
-            .unwrap();
+        let out = r.export_for(&cfg, Asn::new(7), Role::Customer).unwrap();
         assert_eq!(out.communities.len(), 32, "Cisco adds at most 32");
     }
 
@@ -1656,20 +1449,22 @@ mod tests {
             ctx,
         );
 
+        let pass_needed = |t: &mut TestRouter| {
+            let (mut node, arena) = t.state();
+            node.begin_export_pass(arena).is_some()
+        };
+
         // First pass: the best route is new, so the sweep runs and clones.
-        assert!(t.r.begin_export_pass(&t.arena));
-        let first =
-            t.r.export_for(&cfg, Asn::new(7), Role::Customer, false, &mut t.arena);
-        assert!(t.r.diff_export(6, first).is_some());
+        assert!(pass_needed(&mut t));
+        let (mut node, arena) = t.state();
+        let first = node.export_for(&cfg, Asn::new(7), Role::Customer, arena);
+        assert!(node.diff_export(6, first).is_some());
 
         // Steady state: nothing changed since the pass above.
         let before = crate::route::route_clones();
+        assert!(!pass_needed(&mut t), "unchanged best ⇒ export pass skipped");
         assert!(
-            !t.r.begin_export_pass(&t.arena),
-            "unchanged best ⇒ export pass skipped"
-        );
-        assert!(
-            t.r.diff_export(6, first).is_none(),
+            t.state().0.diff_export(6, first).is_none(),
             "same id ⇒ no update, no cache write"
         );
         assert_eq!(
@@ -1687,12 +1482,9 @@ mod tests {
             Some(incoming(3, &[3, 9, 1], &[Community::new(9, 42)])),
             ctx,
         );
-        assert!(
-            !t.r.begin_export_pass(&t.arena),
-            "worse candidate: best id unchanged"
-        );
+        assert!(!pass_needed(&mut t), "worse candidate: best id unchanged");
         t.import(&cfg, Asn::new(2), 1, Role::Customer, None, ctx);
-        assert!(t.r.begin_export_pass(&t.arena), "withdrawal changed best");
+        assert!(pass_needed(&mut t), "withdrawal changed best");
     }
 
     #[test]
@@ -1712,14 +1504,15 @@ mod tests {
             Some(incoming(2, &[2, 1], &[])),
             ctx,
         );
-        let exp = r.export_for(&cfg, Asn::new(7), Role::Customer, false);
+        let (mut node, arena) = r.state();
+        let exp = node.export_for(&cfg, Asn::new(7), Role::Customer, arena);
         // first export: change
-        assert!(r.diff_export(6, exp.clone()).is_some());
+        assert!(node.diff_export(6, exp).is_some());
         // same again: no change
-        assert!(r.diff_export(6, exp).is_none());
+        assert!(node.diff_export(6, exp).is_none());
         // withdraw: change
-        assert!(r.diff_export(6, None).is_some());
+        assert!(node.diff_export(6, None).is_some());
         // withdraw again: no change
-        assert!(r.diff_export(6, None).is_none());
+        assert!(node.diff_export(6, None).is_none());
     }
 }

@@ -371,11 +371,8 @@ impl SimScratch {
     /// a previous (possibly larger) flood left behind is invalidated first
     /// — restoring into a dirtier scratch is clean by construction.
     pub(crate) fn restore(&mut self, offsets: &[u32], snap: &SimSnapshot) {
-        assert_eq!(
-            self.local.len(),
-            offsets.len() - 1,
-            "snapshot restored under a different session's topology"
-        );
+        const FOREIGN_TOPOLOGY: &str = "snapshot restored under a different session's topology";
+        assert_eq!(self.local.len(), offsets.len() - 1, "{FOREIGN_TOPOLOGY}");
         assert_eq!(
             self.monitor_state.len(),
             snap.monitor_state.len(),
@@ -384,19 +381,24 @@ impl SimScratch {
         self.begin_prefix();
         self.arena.clone_from(&snap.arena);
         self.monitor_state.copy_from_slice(&snap.monitor_state);
+        // Equal node counts do not make two slot spaces equal: the touched
+        // nodes' degrees here must consume the snapshot's concatenated slot
+        // arrays exactly, or the snapshot came from another adjacency.
         let mut pos = 0;
         for (k, &i) in snap.touched.iter().enumerate() {
             let i = i as usize;
             self.node_epoch[i] = self.epoch;
             self.touched.push(i as u32);
             let (lo, hi) = (offsets[i] as usize, offsets[i + 1] as usize);
-            let w = hi - lo;
-            self.rib_in[lo..hi].copy_from_slice(&snap.rib_in[pos..pos + w]);
-            self.exported[lo..hi].copy_from_slice(&snap.exported[pos..pos + w]);
+            let end = pos + (hi - lo);
+            assert!(end <= snap.rib_in.len(), "{FOREIGN_TOPOLOGY}");
+            self.rib_in[lo..hi].copy_from_slice(&snap.rib_in[pos..end]);
+            self.exported[lo..hi].copy_from_slice(&snap.exported[pos..end]);
             self.local[i] = snap.local[k];
             self.last_emit_best[i] = snap.last_emit_best[k];
-            pos += w;
+            pos = end;
         }
+        assert_eq!(pos, snap.rib_in.len(), "{FOREIGN_TOPOLOGY}");
     }
 }
 

@@ -14,7 +14,7 @@
 //! * **Batching transparency** — the interned-arena engine converges each
 //!   episode with dirty-set batched export recomputes; a PR 2-shaped
 //!   reference loop (per-import immediate re-export, no dirty set, no
-//!   best-id skip) built from the same `PrefixRouter` policy code must
+//!   best-id skip) built from the same `NodeState` policy code must
 //!   reach the **same fixed point** on arbitrary worlds. Batching and
 //!   interning are throughput levers, never semantic ones.
 //! * **Scratch-reuse transparency** — a multi-prefix schedule runs every
@@ -34,11 +34,11 @@
 //!   alike. Snapshots are a replay shortcut, never a semantic one.
 
 use bgpworms_routesim::route::RouteArena;
-use bgpworms_routesim::router::{PrefixRouter, ValidationCtx};
+use bgpworms_routesim::router::{NodeState, RibEntry, ValidationCtx};
 use bgpworms_routesim::{
     BlackholeService, Campaign, CampaignSink, CollectorSpec, CommunityPropagationPolicy,
     CompiledSim, FeedKind, IrrDatabase, OriginValidation, Origination, PrefixOutcome, RetainRoutes,
-    Route, RouterConfig, SimResult, SimSpec,
+    Route, RouteId, RouterConfig, SimResult, SimSpec,
 };
 use bgpworms_topology::{EdgeKind, NodeId, Role, Tier, Topology, TopologyParams};
 use bgpworms_types::{Asn, Community, Prefix};
@@ -216,7 +216,43 @@ fn spec_for<'a>(
     spec
 }
 
-/// A PR 2-shaped reference engine over the *same* `PrefixRouter` policy
+/// Per-prefix router storage of the reference engine: four plain `Vec`s
+/// indexed by node (no flat slot arrays, no stamps), viewed one node at a
+/// time through the engine's [`NodeState`] policy code.
+struct RefRouters<'t> {
+    topo: &'t Topology,
+    rib_in: Vec<Vec<Option<RibEntry>>>,
+    local: Vec<Option<RouteId>>,
+    exported: Vec<Vec<Option<RouteId>>>,
+    last_emit_best: Vec<Option<Option<RouteId>>>,
+}
+
+impl<'t> RefRouters<'t> {
+    fn new(topo: &'t Topology) -> Self {
+        let degrees = || topo.node_ids().map(|id| topo.neighbors_ix(id).len());
+        RefRouters {
+            topo,
+            rib_in: degrees().map(|d| vec![None; d]).collect(),
+            local: vec![None; topo.len()],
+            exported: degrees().map(|d| vec![None; d]).collect(),
+            last_emit_best: vec![None; topo.len()],
+        }
+    }
+
+    fn node(&mut self, id: NodeId) -> NodeState<'_> {
+        let (i, node) = (id.index(), self.topo.node_by_id(id));
+        NodeState::new(
+            node.asn,
+            node.tier == Tier::RouteServer,
+            &mut self.rib_in[i],
+            &mut self.local[i],
+            &mut self.exported[i],
+            &mut self.last_emit_best[i],
+        )
+    }
+}
+
+/// A PR 2-shaped reference engine over the *same* `NodeState` policy
 /// code: FIFO event queue, and every import immediately recomputes the
 /// receiver's exports (no dirty set, no best-id skip). Returns the final
 /// best route per (prefix, AS), or `None` when the event budget blows
@@ -268,36 +304,26 @@ fn reference_final_routes(
         to: NodeId,
         to_slot: usize,
         sender_role: Role,
-        route: Option<bgpworms_routesim::RouteId>,
+        route: Option<RouteId>,
     }
 
     let mut out = BTreeMap::new();
     for (prefix, episodes) in by_prefix {
         let mut arena = RouteArena::new();
-        let mut routers: Vec<PrefixRouter> = topo
-            .node_ids()
-            .map(|id| {
-                let node = topo.node_by_id(id);
-                PrefixRouter::new(
-                    node.asn,
-                    node.tier == Tier::RouteServer,
-                    topo.neighbors_ix(id).len(),
-                )
-            })
-            .collect();
+        let mut routers = RefRouters::new(topo);
         let mut queue: VecDeque<Ev> = VecDeque::new();
         let mut events = 0u64;
 
         // Per-import immediate re-export, exactly the pre-batching shape.
         let emit = |id: NodeId,
-                    routers: &mut Vec<PrefixRouter>,
+                    routers: &mut RefRouters<'_>,
                     arena: &mut RouteArena,
                     queue: &mut VecDeque<Ev>,
                     dense_cfgs: &[RouterConfig]| {
             let cfg = &dense_cfgs[id.index()];
-            let router = &mut routers[id.index()];
-            for (slot, (nb, role, nb_is_rs), rev) in topo.adjacency_with_reverse_ix(id) {
-                let new = router.export_for(cfg, topo.asn_of(nb), role, nb_is_rs, arena);
+            let mut router = routers.node(id);
+            for (slot, (nb, role, _), rev) in topo.adjacency_with_reverse_ix(id) {
+                let new = router.export_for(cfg, topo.asn_of(nb), role, arena);
                 if let Some(update) = router.diff_export(slot, new) {
                     queue.push_back(Ev {
                         from: id,
@@ -315,16 +341,13 @@ fn reference_final_routes(
                 continue;
             };
             assert!(ep.forged_origin.is_none(), "reference skips forged paths");
-            let router = &mut routers[origin.index()];
-            if ep.withdraw {
-                router.withdraw_local();
-            } else {
-                router.originate(
+            let local = (!ep.withdraw).then(|| {
+                arena.intern(
                     Route::originate(prefix, ep.communities.clone())
                         .with_large_communities(ep.large_communities.clone()),
-                    &mut arena,
-                );
-            }
+                )
+            });
+            routers.node(origin).set_local(local);
             emit(origin, &mut routers, &mut arena, &mut queue, &dense_cfgs);
             while let Some(ev) = queue.pop_front() {
                 events += 1;
@@ -332,7 +355,7 @@ fn reference_final_routes(
                     return None;
                 }
                 let cfg = &dense_cfgs[ev.to.index()];
-                routers[ev.to.index()].import(
+                routers.node(ev.to).import(
                     cfg,
                     topo.asn_of(ev.from),
                     ev.to_slot,
@@ -346,9 +369,9 @@ fn reference_final_routes(
         }
 
         let mut finals = BTreeMap::new();
-        for (i, router) in routers.iter().enumerate() {
-            if let Some(best) = router.best(&arena) {
-                finals.insert(topo.asn_of(NodeId::from_index(i)), best.clone());
+        for id in topo.node_ids() {
+            if let Some(best) = routers.node(id).best(&arena) {
+                finals.insert(topo.asn_of(id), best.clone());
             }
         }
         out.insert(prefix, finals);

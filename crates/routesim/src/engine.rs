@@ -1751,6 +1751,49 @@ mod tests {
     }
 
     #[test]
+    fn restore_replaces_the_derivation_cache() {
+        // The arena's import-derivation cache is keyed by route ids, which
+        // only mean something inside the arena that minted them: a restore
+        // must leave the scratch with the snapshot's cache and nothing of
+        // the flood it ran before, and a delta continued from there must
+        // equal both the delta on a factory-fresh scratch and the fresh
+        // combined run.
+        let topo = line_topo();
+        let sim = observed_sim(&topo);
+        let prefix = p("10.0.0.0/16");
+        let baseline = Origination::announce(Asn::new(4), prefix, vec![]);
+        let (_, snap) = sim.run_snapshot(std::slice::from_ref(&baseline), prefix);
+        assert_eq!(snap.arena.derivations(), 3, "one import per hop uphill");
+
+        let mut used = sim.new_scratch();
+        let other = p("20.0.0.0/16");
+        let wide = [
+            Origination::announce(Asn::new(4), other, vec![]),
+            Origination::announce(Asn::new(4), other, vec![Community::new(3, 7)]).at(50),
+        ];
+        sim.run_prefix(&mut used, other, &[&wide[0], &wide[1]]);
+        assert_eq!(used.arena.derivations(), 6, "two floods' worth of entries");
+        used.restore(topo.slot_offsets(), &snap);
+        assert_eq!(used.arena.derivations(), 3, "stale entries survived");
+
+        let attack =
+            Origination::announce(Asn::new(4), prefix, vec![Community::new(3, 666)]).at(600);
+        let mut outcome = snap.baseline_outcome().clone();
+        let budget = sim.prefix_budget(prefix);
+        sim.continue_prefix(&mut used, prefix, &[&attack], &mut outcome, budget);
+        assert_eq!(
+            outcome,
+            sim.run_delta_prefix(&snap, std::slice::from_ref(&attack))
+        );
+        assert_eq!(
+            outcome,
+            sim.run_prefix(&mut sim.new_scratch(), prefix, &[&baseline, &attack]),
+            "delta on a restored cache diverged from the uninterrupted run"
+        );
+        assert_eq!(used.arena.derivations(), 6);
+    }
+
+    #[test]
     fn restore_rejects_a_same_size_topology_with_other_edges() {
         // Same four ASes, one extra peering: node and collector-session
         // counts agree, the slot spaces do not. Both directions must be

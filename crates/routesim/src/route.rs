@@ -7,12 +7,18 @@
 //! (u32). Adj-RIB-In slots, last-exported caches, and in-flight events all
 //! carry ids, so route equality (the export-diffing predicate) is a u32
 //! compare and identical routes are allocated exactly once per prefix.
+//!
+//! The arena also remembers every import derivation it has performed
+//! (`RouteArena::intern_derived`): a transit's one export fans out to
+//! hundreds of receivers that apply the same `ImportDelta` to it, and all
+//! but the first of them get the stored id back without cloning or hashing
+//! a route.
 
 use bgpworms_types::{AsPath, Asn, Community, LargeCommunity, Origin, Prefix};
 use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Where a route entered the local RIB.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -174,6 +180,101 @@ impl Clone for Route {
     }
 }
 
+/// The arena's hasher: one rotate, xor and multiply per word (the FxHash
+/// recurrence), with a closing rotate that moves the well-mixed high bits
+/// down to where the table takes its bucket index. No per-process state, so
+/// a run's hashes repeat; both arena maps are probed, never iterated, and
+/// resolve every probe by full key equality, so its quality moves speed
+/// only. The keys are routes the simulator made itself — nothing crafted
+/// outside the program reaches them — so SipHash's flooding resistance
+/// bought nothing here.
+#[derive(Default)]
+struct ArenaHasher(u64);
+
+type ArenaBuildHasher = BuildHasherDefault<ArenaHasher>;
+
+impl ArenaHasher {
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for ArenaHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            self.mix(chunk.iter().rev().fold(0, |w, &b| (w << 8) | u64::from(b)));
+        }
+    }
+    fn write_u8(&mut self, i: u8) {
+        self.mix(u64::from(i));
+    }
+    fn write_u32(&mut self, i: u32) {
+        self.mix(u64::from(i));
+    }
+    fn write_u64(&mut self, i: u64) {
+        self.mix(i);
+    }
+    fn write_usize(&mut self, i: usize) {
+        self.mix(i as u64);
+    }
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// The scalar residue of import policy on an accepted route: everything
+/// admission decides that is not derivable from the incoming route content
+/// alone. Tagging is *not* here — it depends on the sender ASN directly
+/// (ingress buckets), so the finalize step adds it to complete the
+/// [`ImportDelta`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct AdmitEffects {
+    /// Import local-pref after role base, RTBH override, and steering.
+    pub(crate) local_pref: u32,
+    /// True when the RTBH service accepted this as a blackhole route.
+    pub(crate) blackholed: bool,
+    /// Prepend count requested by steering communities.
+    pub(crate) pending_prepend: u8,
+    /// True when RTBH policy adds NO_EXPORT (already checked absent).
+    pub(crate) add_no_export: bool,
+}
+
+/// Everything an accepted import changes on the route it received.
+/// Together with the incoming [`RouteId`] this determines the Adj-RIB-In
+/// route completely — the receiver appears only through what its policy
+/// decided — which is what lets [`RouteArena::intern_derived`] share one
+/// derivation among all receivers with the same policy outcome.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct ImportDelta {
+    /// The neighbor the route was learned from.
+    pub(crate) sender: Asn,
+    /// What admission decided.
+    pub(crate) effects: AdmitEffects,
+    /// The receiver's ingress tags after the vendor cap, packed to the
+    /// front: no router configures more than two (one route-server member
+    /// tag, or an origin-class plus an ingress-location tag).
+    pub(crate) own_tags: [Option<Community>; 2],
+}
+
+impl ImportDelta {
+    /// The Adj-RIB-In route this import makes of `incoming`: the import
+    /// path's single clone.
+    fn apply(&self, incoming: &Route) -> Route {
+        let mut route = incoming.clone();
+        route.local_pref = self.effects.local_pref;
+        route.blackholed = self.effects.blackholed;
+        route.pending_prepend = self.effects.pending_prepend;
+        if self.effects.add_no_export {
+            route.communities.push(Community::NO_EXPORT);
+        }
+        route.own_tags.clear();
+        route.own_tags.extend(self.own_tags.iter().flatten());
+        route.source = RouteSource::Ebgp(self.sender);
+        route.med = 0;
+        route
+    }
+}
+
 /// Dense handle of a route interned in a [`RouteArena`].
 ///
 /// Ids are assigned in first-intern order within one arena, so for a fixed
@@ -204,21 +305,36 @@ impl RouteId {
 /// allocation on the ordinary intern path (and [`RouteArena::reset`] has
 /// essentially nothing to free besides the routes themselves).
 ///
-/// `Clone` copies the route vector and the hash index verbatim, so a clone
-/// resolves every existing [`RouteId`] to the same route *and* keeps
-/// interning deterministic: ids minted after the copy continue from the
-/// same arrival order on both sides. That is what makes a converged
-/// snapshot (`SimSnapshot`) restorable — a delta run on the restored arena
-/// interns exactly the ids the uninterrupted run would have. (Cloning
-/// counts one [`route_clones`] tick per stored route; snapshots are taken
-/// per baseline, not per event, so the steady-state zero-clone invariant is
-/// untouched.)
-#[derive(Debug, Default, Clone, PartialEq)]
+/// `Clone` copies the route vector, the hash index and the derivation cache
+/// verbatim, so a clone resolves every existing [`RouteId`] to the same
+/// route *and* keeps interning deterministic: ids minted after the copy
+/// continue from the same arrival order on both sides. That is what makes a
+/// converged snapshot (`SimSnapshot`) restorable — a delta run on the
+/// restored arena interns exactly the ids the uninterrupted run would have.
+/// (Cloning counts one [`route_clones`] tick per stored route; snapshots
+/// are taken per baseline, not per event, so the steady-state zero-clone
+/// invariant is untouched.)
+///
+/// Equality is equality of the stored routes in id order. The index is a
+/// function of them, and the derivation cache is invisible by
+/// construction — a hit returns exactly the id the clone-and-intern it
+/// skipped would have — so two arenas that answer every lookup alike
+/// compare equal however warm their caches are.
+#[derive(Debug, Default, Clone)]
 pub struct RouteArena {
     routes: Vec<Route>,
     // lint: order-independent probed per intern by 64-bit route hash,
     // never iterated — ids come from arrival order in `routes`
-    index: HashMap<u64, Bucket>,
+    index: HashMap<u64, Bucket, ArenaBuildHasher>,
+    // lint: order-independent probed per import by (incoming id, delta),
+    // never iterated — a hit is the id `intern` would return anyway
+    derived: HashMap<(RouteId, ImportDelta), RouteId, ArenaBuildHasher>,
+}
+
+impl PartialEq for RouteArena {
+    fn eq(&self, other: &Self) -> bool {
+        self.routes == other.routes
+    }
 }
 
 /// One hash bucket: the first interned id inline, plus (rarely) overflow
@@ -253,7 +369,7 @@ impl RouteArena {
     }
 
     /// Empties the arena for reuse by the next prefix run, keeping the
-    /// route vector's capacity and the hash index's bucket table. Bucket
+    /// route vector's capacity and both maps' bucket tables. Bucket
     /// ids live inline (overflow `Vec`s exist only for genuine hash
     /// collisions), so after the first prefix a worker interning a similar
     /// route volume stops growing either allocation. Ids minted after a
@@ -262,14 +378,21 @@ impl RouteArena {
     pub fn reset(&mut self) {
         self.routes.clear();
         self.index.clear();
+        self.derived.clear();
     }
 
     /// Interns `route`, returning the id of the already-stored identical
     /// route when one exists (dropping `route` without copying it anywhere)
     /// and storing `route` under a fresh id otherwise.
     pub fn intern(&mut self, route: Route) -> RouteId {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
+        let mut hasher = ArenaHasher::default();
         route.hash(&mut hasher);
+        self.intern_hashed(hasher.finish(), route)
+    }
+
+    /// [`RouteArena::intern`] with the route's hash supplied, so a test can
+    /// force two unequal routes into one bucket.
+    fn intern_hashed(&mut self, hash: u64, route: Route) -> RouteId {
         let mint = |routes: &mut Vec<Route>, route: Route| {
             // lint: infallible distinct routes are bounded by the event
             // budget, orders of magnitude below u32::MAX
@@ -277,7 +400,7 @@ impl RouteArena {
             routes.push(route);
             id
         };
-        match self.index.entry(hasher.finish()) {
+        match self.index.entry(hash) {
             std::collections::hash_map::Entry::Vacant(slot) => {
                 let id = mint(&mut self.routes, route);
                 slot.insert(Bucket {
@@ -301,6 +424,29 @@ impl RouteArena {
                 id
             }
         }
+    }
+
+    /// The id of the route that importing `incoming` under `delta` yields —
+    /// `intern(delta.apply(get(incoming)))`, remembered per `(incoming,
+    /// delta)`. The key names no receiver, so every receiver whose policy
+    /// reaches the same delta on the same advertisement shares the entry:
+    /// the first pays the clone, the route hash and the intern, the rest
+    /// one probe of a few words. Routes are never removed between resets, so
+    /// a remembered id stays the id `intern` would return.
+    pub(crate) fn intern_derived(&mut self, incoming: RouteId, delta: ImportDelta) -> RouteId {
+        if let Some(&id) = self.derived.get(&(incoming, delta)) {
+            return id;
+        }
+        let id = self.intern(delta.apply(self.get(incoming)));
+        self.derived.insert((incoming, delta), id);
+        id
+    }
+
+    /// Number of remembered derivations (tests observe the cache through
+    /// this; nothing else can tell it is there).
+    #[cfg(test)]
+    pub(crate) fn derivations(&self) -> usize {
+        self.derived.len()
     }
 }
 
@@ -437,6 +583,146 @@ mod tests {
         assert_eq!(ids, again, "re-interning reproduces the same ids");
         assert!(ids.windows(2).all(|w| w[0] < w[1]), "dense, ordered ids");
         assert_eq!(arena.len(), 20);
+    }
+
+    #[test]
+    fn colliding_hashes_resolve_by_route_equality() {
+        // A weaker hasher makes a 64-bit collision more than theoretical:
+        // force two unequal routes into one bucket and check the overflow
+        // list keeps them apart, in both directions, without disturbing a
+        // neighbor bucket.
+        let (a, b, c) = (
+            route(100, &[2, 1], 2),
+            route(100, &[3, 1], 3),
+            route(100, &[4, 1], 4),
+        );
+        let mut arena = RouteArena::new();
+        let ia = arena.intern_hashed(7, a.clone());
+        let ib = arena.intern_hashed(7, b.clone());
+        let ic = arena.intern_hashed(7, c.clone());
+        let other = arena.intern_hashed(8, a.clone());
+        assert!(
+            ia != ib && ib != ic && ia != ic,
+            "unequal routes share no id"
+        );
+        assert_eq!(arena.index[&7].first, ia);
+        assert_eq!(arena.index[&7].overflow, [ib, ic], "collisions overflow");
+        assert_eq!(arena.len(), 4);
+        for (id, r) in [(ia, &a), (ib, &b), (ic, &c)] {
+            assert_eq!(
+                arena.intern_hashed(7, r.clone()),
+                id,
+                "re-intern finds its own id"
+            );
+            assert_eq!(arena.get(id), r);
+        }
+        assert_eq!(arena.intern_hashed(8, a), other);
+        assert_eq!(arena.len(), 4, "re-interning minted nothing");
+    }
+
+    #[test]
+    fn arena_hasher_is_fixed_and_spreads_small_keys() {
+        let hash = |words: &[u32]| {
+            let mut h = ArenaHasher::default();
+            words.hash(&mut h);
+            h.finish()
+        };
+        // No per-process state: a second hasher gives the same input the
+        // same hash, and the empty input a value known in advance.
+        assert_eq!(hash(&[1, 2, 3]), hash(&[1, 2, 3]));
+        assert_eq!(hash(&[]), 0, "only the length prefix 0 was mixed");
+        let mut bytes = ArenaHasher::default();
+        bytes.write(&[1, 0, 0, 0, 0, 0, 0, 0, 2]);
+        let mut words = ArenaHasher::default();
+        words.write_u64(1);
+        words.write_u64(2);
+        assert_eq!(bytes.finish(), words.finish(), "bytes fold little-endian");
+        // Dense small keys (route ids, ASNs) land in distinct buckets of a
+        // small table and carry distinct control bytes more often than not.
+        let low: std::collections::BTreeSet<u64> = (0..256).map(|i| hash(&[i]) & 0xff).collect();
+        let top: std::collections::BTreeSet<u64> = (0..256).map(|i| hash(&[i]) >> 57).collect();
+        assert!(low.len() > 128, "low bits spread: {}", low.len());
+        assert!(top.len() > 64, "top bits spread: {}", top.len());
+    }
+
+    fn delta(sender: u32, local_pref: u32, tags: &[Community]) -> ImportDelta {
+        ImportDelta {
+            sender: Asn::new(sender),
+            effects: AdmitEffects {
+                local_pref,
+                blackholed: false,
+                pending_prepend: 0,
+                add_no_export: false,
+            },
+            own_tags: [tags.first().copied(), tags.get(1).copied()],
+        }
+    }
+
+    #[test]
+    fn derived_interning_equals_apply_then_intern_and_is_remembered() {
+        let (t1, t2) = (Community::new(5, 100), Community::new(5, 201));
+        let mut arena = RouteArena::new();
+        let mut twin = RouteArena::new();
+        let base = arena.intern(route(0, &[2, 1], 9));
+        assert_eq!(twin.intern(route(0, &[2, 1], 9)), base);
+        let deltas = [
+            delta(2, 100, &[]),
+            delta(2, 90, &[]),
+            delta(3, 100, &[]),
+            delta(2, 100, &[t1, t2]),
+            delta(2, 100, &[t1]),
+            ImportDelta {
+                effects: AdmitEffects {
+                    add_no_export: true,
+                    blackholed: true,
+                    ..delta(2, 100, &[]).effects
+                },
+                ..delta(2, 100, &[])
+            },
+            ImportDelta {
+                effects: AdmitEffects {
+                    pending_prepend: 2,
+                    ..delta(2, 100, &[]).effects
+                },
+                ..delta(2, 100, &[])
+            },
+        ];
+        let mut ids = Vec::new();
+        for d in deltas {
+            let id = arena.intern_derived(base, d);
+            assert_eq!(twin.intern(d.apply(twin.get(base))), id, "{d:?}");
+            let before = route_clones();
+            assert_eq!(
+                arena.intern_derived(base, d),
+                id,
+                "a hit returns the stored id"
+            );
+            assert_eq!(route_clones() - before, 0, "a hit clones nothing");
+            ids.push(id);
+        }
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(
+            ids.len(),
+            deltas.len(),
+            "every distinct delta is a distinct route"
+        );
+        assert_eq!(arena.derivations(), deltas.len());
+        assert_eq!(arena, twin, "the cache is invisible to arena equality");
+        assert_eq!(twin.derivations(), 0);
+
+        let tagged = arena.intern_derived(base, deltas[3]);
+        let imported = arena.get(tagged);
+        assert_eq!(imported.own_tags, [t1, t2]);
+        assert_eq!(imported.source, RouteSource::Ebgp(Asn::new(2)));
+        assert_eq!(imported.path, route(0, &[2, 1], 9).path, "the path is kept");
+
+        // A reset forgets the derivations along with the routes they name.
+        arena.reset();
+        assert_eq!(arena.derivations(), 0);
+        let base = arena.intern(route(0, &[7, 1], 7));
+        let id = arena.intern_derived(base, deltas[0]);
+        assert_eq!(arena.get(id).path, route(0, &[7, 1], 7).path);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use crate::policy::{
     ActScope, CommunityPropagationPolicy, IrrDatabase, OriginValidation, RouterConfig, RsEvalOrder,
 };
-use crate::route::{Route, RouteArena, RouteId, RouteSource};
+use crate::route::{AdmitEffects, ImportDelta, Route, RouteArena, RouteId, RouteSource};
 use bgpworms_topology::Role;
 use bgpworms_types::{community, Asn, Community, Prefix};
 use std::cmp::Ordering;
@@ -175,8 +175,10 @@ impl<'s> NodeState<'s> {
     ///
     /// The route arrives as an id into the shared arena; every rejection
     /// check runs against the arena route by reference, so refused updates
-    /// cost zero clones. Only an accepted route is cloned (once) to apply
-    /// import policy, and the result is re-interned for the RIB slot.
+    /// cost zero clones. An accepted route costs one clone and one intern
+    /// the first time the arena sees its derivation, and a single cache
+    /// probe on every later delivery that derives the same route — at this
+    /// or any other receiver (see `RouteArena::intern_derived`).
     #[allow(clippy::too_many_arguments)] // hot path: flat args, no wrapper struct
     pub fn import(
         &mut self,
@@ -219,10 +221,12 @@ impl<'s> NodeState<'s> {
         }
     }
 
-    /// Applies an accepted admission: clones the incoming route out of the
-    /// arena (the import path's single clone), applies the scalar
-    /// [`AdmitEffects`], performs the sender-dependent ingress tagging, and
-    /// installs the re-interned result in the sender's Adj-RIB-In slot.
+    /// Applies an accepted admission: computes the sender-dependent ingress
+    /// tags (recorded apart from the received communities so the
+    /// propagation policy can tell them from those), hands the arena the
+    /// complete [`ImportDelta`], and installs the id it returns in the
+    /// sender's Adj-RIB-In slot. The incoming route itself is not touched
+    /// here, so a derivation the arena has seen before costs no clone.
     #[allow(clippy::too_many_arguments)] // hot path: flat args, no wrapper struct
     fn finalize_import(
         &mut self,
@@ -234,49 +238,35 @@ impl<'s> NodeState<'s> {
         effects: AdmitEffects,
         arena: &mut RouteArena,
     ) {
-        let mut route = arena.get(incoming_id).clone();
-
-        route.local_pref = effects.local_pref;
-        route.blackholed = effects.blackholed;
-        route.pending_prepend = effects.pending_prepend;
-        if effects.add_no_export {
-            route.communities.push(Community::NO_EXPORT);
-        }
-
-        // --- Ingress informational tagging (recorded separately so the
-        //     propagation policy can distinguish own tags from received
-        //     communities). ---
-        route.own_tags.clear();
-        if let Some(hi) = self.asn.as_u16() {
-            if self.is_route_server {
-                if cfg.route_server.tag_member_routes {
-                    let bucket = (sender.get() % 5) as u16;
-                    route.own_tags.push(Community::new(hi, 100 + bucket));
-                }
-            } else {
-                if cfg.tagging.tag_origin_class {
-                    let class = match sender_role {
-                        Role::Customer => 100,
-                        Role::Peer => 110,
-                        Role::Provider => 120,
-                    };
-                    route.own_tags.push(Community::new(hi, class));
-                }
-                if cfg.tagging.tag_ingress_location {
-                    let bucket = (sender.get() % 4) as u16;
-                    route.own_tags.push(Community::new(hi, 201 + bucket));
-                }
-            }
-            if let Some(limit) = cfg.vendor.added_community_limit() {
-                route.own_tags.truncate(limit);
-            }
-        }
-
-        route.source = RouteSource::Ebgp(sender);
-        route.med = 0;
-
+        // The tags this router is configured to add, in order, then the
+        // vendor's added-community cap, packed to the front of a fixed
+        // array: the cache key is complete before any route is touched.
+        let hi = self.asn.as_u16();
+        let tag = |on: bool, value: u16| hi.filter(|_| on).map(|hi| Community::new(hi, value));
+        let configured = if self.is_route_server {
+            let bucket = (sender.get() % 5) as u16;
+            [tag(cfg.route_server.tag_member_routes, 100 + bucket), None]
+        } else {
+            let class = match sender_role {
+                Role::Customer => 100,
+                Role::Peer => 110,
+                Role::Provider => 120,
+            };
+            let bucket = (sender.get() % 4) as u16;
+            [
+                tag(cfg.tagging.tag_origin_class, class),
+                tag(cfg.tagging.tag_ingress_location, 201 + bucket),
+            ]
+        };
+        let limit = cfg.vendor.added_community_limit().unwrap_or(usize::MAX);
+        let mut kept = configured.into_iter().flatten().take(limit);
+        let delta = ImportDelta {
+            sender,
+            effects,
+            own_tags: [kept.next(), kept.next()],
+        };
         self.rib_in[sender_slot] = Some(RibEntry {
-            route: arena.intern(route),
+            route: arena.intern_derived(incoming_id, delta),
             role: sender_role,
         });
     }
@@ -320,35 +310,25 @@ impl<'s> NodeState<'s> {
     }
 }
 
-/// The scalar residue of import policy on an accepted route: everything
-/// admission decides that is not derivable from the incoming route content
-/// alone. Tagging is *not* here — it depends on the sender ASN directly
-/// (ingress buckets), so it stays in the finalize step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct AdmitEffects {
-    /// Import local-pref after role base, RTBH override, and steering.
-    local_pref: u32,
-    /// True when the RTBH service accepted this as a blackhole route.
-    blackholed: bool,
-    /// Prepend count requested by steering communities.
-    pending_prepend: u8,
-    /// True when RTBH policy adds NO_EXPORT (already checked absent).
-    add_no_export: bool,
-}
-
 /// The pure policy half of import: decides admission (`Err` = the rejection
 /// verdict; the caller clears the RIB slot) and computes the
 /// [`AdmitEffects`], as a pure function of (receiver identity, config,
 /// sender role, route content, validation registries) — so rejections cost
 /// no clone and no RIB borrow.
 ///
-/// Interned route content pins the sender, so (receiver, sender role,
-/// incoming route id) determines the whole decision. A memo over that key
-/// was tried (PR 9) and measured a net loss, ~11 % on the 62 K-AS flood:
-/// export diffing already suppresses repeat identical deliveries at the
-/// sender, so the hit rate is ~0 and every event pays the hash probe and
-/// insert. Do not re-add it without a flap-heavy workload that makes it
-/// hit.
+/// Import is three steps: this admission, run on every delivery; a probe of
+/// the arena's derivation cache under (incoming id, sender, these effects,
+/// the receiver's ingress tags); and, only when that misses, the clone,
+/// apply and intern. The cache key deliberately leaves the receiver out: an
+/// export fans out to many receivers whose policies reach the same effects,
+/// and 90 % of accepted deliveries on the full-table campaign (28.7 M of
+/// 31.7 M) re-derive a route some other receiver already made. Keying on
+/// the receiver instead — a memo of this function over (receiver, sender
+/// role, incoming id) — was tried in PR 9 and measured a net loss, ~11 % on
+/// the 62 K-AS flood: export diffing already suppresses repeat deliveries
+/// to the *same* receiver, so it hit ~0 % and every event paid the probe
+/// and the insert. Do not re-add that one without a flap-heavy workload
+/// that makes it hit.
 fn admit_route(
     asn: Asn,
     is_route_server: bool,
@@ -1485,6 +1465,145 @@ mod tests {
         assert!(!pass_needed(&mut t), "worse candidate: best id unchanged");
         t.import(&cfg, Asn::new(2), 1, Role::Customer, None, ctx);
         assert!(pass_needed(&mut t), "withdrawal changed best");
+    }
+
+    /// Imports `incoming` at a one-neighbor receiver over throwaway RIB
+    /// storage and returns the id installed in its Adj-RIB-In slot — the
+    /// shape of one delivery of a fan-out, with `arena` shared among the
+    /// receivers the way a prefix worker's is.
+    fn deliver(
+        arena: &mut RouteArena,
+        (receiver, is_route_server): (u32, bool),
+        cfg: &RouterConfig,
+        (sender, role): (u32, Role),
+        incoming: RouteId,
+    ) -> RouteId {
+        let (irr, rpki) = ctx_empty();
+        let ctx = ValidationCtx {
+            irr: &irr,
+            rpki: &rpki,
+        };
+        let (mut rib_in, mut local, mut exported, mut last) = ([None], None, [None], None);
+        let mut node = NodeState::new(
+            Asn::new(receiver),
+            is_route_server,
+            &mut rib_in,
+            &mut local,
+            &mut exported,
+            &mut last,
+        );
+        let verdict = node.import(cfg, Asn::new(sender), 0, role, Some(incoming), arena, ctx);
+        assert_eq!(verdict, ImportVerdict::Accepted);
+        rib_in[0].expect("accepted import fills the slot").route
+    }
+
+    #[test]
+    fn second_same_policy_delivery_clones_nothing() {
+        // One export of AS2 reaches two customers-of-nobody with default
+        // policy: both derive the same RIB route, and the second gets it
+        // from the arena's derivation cache — no clone, no new route.
+        let mut arena = RouteArena::new();
+        let advert = arena.intern(incoming(2, &[2, 1], &[Community::new(9, 42)]));
+        let (cfg5, cfg6) = (
+            RouterConfig::defaults(Asn::new(5)),
+            RouterConfig::defaults(Asn::new(6)),
+        );
+        let before = crate::route::route_clones();
+        let first = deliver(&mut arena, (5, false), &cfg5, (2, Role::Provider), advert);
+        assert_eq!(
+            crate::route::route_clones() - before,
+            1,
+            "a miss clones once"
+        );
+        let (len, before) = (arena.len(), crate::route::route_clones());
+        let second = deliver(&mut arena, (6, false), &cfg6, (2, Role::Provider), advert);
+        assert_eq!(second, first, "equal effects ⇒ one shared RIB route");
+        assert_eq!(
+            crate::route::route_clones() - before,
+            0,
+            "a hit clones nothing"
+        );
+        assert_eq!(arena.len(), len);
+        assert_eq!(arena.derivations(), 1);
+        // Vendors differ only in an added-community cap (32 or none) that
+        // at most two ingress tags never reach, so a Cisco receiver shares
+        // the route too.
+        let mut cisco = RouterConfig::defaults(Asn::new(7));
+        cisco.vendor = Vendor::Cisco;
+        assert_eq!(
+            deliver(&mut arena, (7, false), &cisco, (2, Role::Provider), advert),
+            first
+        );
+    }
+
+    #[test]
+    fn receivers_with_different_import_outcomes_get_distinct_routes() {
+        let mut arena = RouteArena::new();
+        let plain = arena.intern(incoming(2, &[2, 1], &[]));
+        let base = RouterConfig::defaults(Asn::new(5));
+        let reference = deliver(&mut arena, (5, false), &base, (2, Role::Customer), plain);
+        let mut seen = vec![reference];
+        let mut distinct = |what: &str, arena: &RouteArena, id: RouteId| {
+            assert!(!seen.contains(&id), "{what} shared a route id");
+            seen.push(id);
+            arena.get(id).clone()
+        };
+
+        // Role local-pref.
+        let id = deliver(&mut arena, (5, false), &base, (2, Role::Provider), plain);
+        let r = distinct("sender role", &arena, id);
+        assert_eq!(r.local_pref, base.local_pref.provider);
+
+        // Configured local-pref at an otherwise identical receiver.
+        let mut cfg = base.clone();
+        cfg.local_pref.customer += 7;
+        let id = deliver(&mut arena, (5, false), &cfg, (2, Role::Customer), plain);
+        distinct("role local-pref", &arena, id);
+
+        // Ingress tagging — which also makes the receiver's ASN part of the
+        // route, so two taggers never share.
+        let mut cfg = base.clone();
+        cfg.tagging.tag_origin_class = true;
+        cfg.tagging.tag_ingress_location = true;
+        let id = deliver(&mut arena, (5, false), &cfg, (2, Role::Customer), plain);
+        let r = distinct("ingress tagging", &arena, id);
+        assert_eq!(
+            r.own_tags,
+            [Community::new(5, 100), Community::new(5, 203)],
+            "origin class, then location bucket 2 % 4"
+        );
+        let id = deliver(&mut arena, (6, false), &cfg, (2, Role::Customer), plain);
+        distinct("the tagging receiver's ASN", &arena, id);
+        cfg.tagging.tag_ingress_location = false;
+        let id = deliver(&mut arena, (5, false), &cfg, (2, Role::Customer), plain);
+        distinct("one tag fewer", &arena, id);
+
+        // Route-server member tagging (on by default).
+        let rs = RouterConfig::defaults(Asn::new(59_000));
+        let tagged = deliver(&mut arena, (59_000, true), &rs, (2, Role::Peer), plain);
+        let mut cfg = rs.clone();
+        cfg.route_server.tag_member_routes = false;
+        let untagged = deliver(&mut arena, (59_000, true), &cfg, (2, Role::Peer), plain);
+        assert_ne!(tagged, untagged, "member tagging shared a route id");
+        assert_eq!(arena.get(tagged).own_tags, [Community::new(59_000, 102)]);
+        assert!(arena.get(untagged).own_tags.is_empty());
+
+        // RTBH `set_no_export`.
+        let mut trigger = incoming(2, &[2, 1], &[Community::BLACKHOLE]);
+        trigger.prefix = "10.0.0.0/24".parse().unwrap();
+        let trigger = arena.intern(trigger);
+        let mut cfg = base.clone();
+        cfg.services.blackhole = Some(BlackholeService::default());
+        let with = deliver(&mut arena, (5, false), &cfg, (2, Role::Customer), trigger);
+        cfg.services.blackhole = Some(BlackholeService {
+            set_no_export: false,
+            ..BlackholeService::default()
+        });
+        let without = deliver(&mut arena, (5, false), &cfg, (2, Role::Customer), trigger);
+        assert_ne!(with, without, "set_no_export shared a route id");
+        assert!(arena.get(with).has_community(Community::NO_EXPORT));
+        assert!(!arena.get(without).has_community(Community::NO_EXPORT));
+        assert!(arena.get(with).blackholed && arena.get(without).blackholed);
     }
 
     #[test]

@@ -32,6 +32,14 @@
 //!   arbitrary worlds, across `threads = 1/N` on both the capturing and
 //!   the fresh side, for withdrawals and community-changing perturbations
 //!   alike. Snapshots are a replay shortcut, never a semantic one.
+//! * **Derivation-cache transparency** — the arena answers a repeated
+//!   import derivation (same advertisement, same policy outcome, any
+//!   receiver) from a cache instead of cloning and re-interning. A stream
+//!   of random deliveries through one long-lived arena must install, id for
+//!   id, the routes that replaying every delivery on a cold arena (always a
+//!   miss: clone → apply effects and tags → intern) and interning the
+//!   results into a twin arena yields, and both arenas must end equally
+//!   long.
 
 use bgpworms_routesim::route::RouteArena;
 use bgpworms_routesim::router::{NodeState, RibEntry, ValidationCtx};
@@ -917,6 +925,94 @@ proptest! {
             &solo_delta,
             "single-prefix delta replay diverged"
         );
+    }
+
+    /// Cache hit ≡ clone + apply + intern. Random receivers (ordinary and
+    /// route-server, with ingress tagging, RTBH with and without
+    /// `set_no_export`, steering services, vendor caps and local-pref
+    /// overrides drawn per delivery) import a small pool of advertisements
+    /// from random senders through **one** arena, so repeats hit its
+    /// derivation cache. Each delivery is replayed on a cold arena — where
+    /// it cannot hit — and the replay's route is interned into a twin; the
+    /// two must agree on verdict, route content, route id and length.
+    #[test]
+    fn import_through_the_derivation_cache_equals_clone_apply_intern(
+        deliveries in proptest::collection::vec(
+            (1u32..5, 0u16..256, 1u32..4, 0u8..3, 0usize..4),
+            1..40,
+        ),
+    ) {
+        let irr = IrrDatabase::new();
+        let rpki = IrrDatabase::new();
+        let vctx = ValidationCtx { irr: &irr, rpki: &rpki };
+        // Every receiver's steering and blackhole communities ride on some
+        // advertisement, so the services below do fire.
+        let steer: Vec<Community> =
+            (1..5).flat_map(|r| [Community::new(r, 70), Community::new(r, 422)]).collect();
+        let pool = [
+            vec![],
+            vec![Community::BLACKHOLE],
+            steer,
+            vec![Community::new(2, 666), Community::NO_EXPORT],
+        ];
+        let advert = |ix: usize, sender: u32| {
+            let mut r = Route::originate("10.0.0.0/24".parse().expect("valid prefix"), pool[ix].clone());
+            r.path = [sender + 100, 200].into_iter().map(Asn::new).collect();
+            r.local_pref = 0;
+            r
+        };
+        // One delivery on `arena`: the verdict and the installed route.
+        let deliver = |arena: &mut RouteArena, recv: u32, bits: u16, sender: u32, role: u8, ix: usize| {
+            let mut cfg = RouterConfig::defaults(Asn::new(recv));
+            cfg.tagging.tag_origin_class = bits & 1 != 0;
+            cfg.tagging.tag_ingress_location = bits & 2 != 0;
+            if bits & 4 != 0 {
+                cfg.services.blackhole = Some(BlackholeService {
+                    set_no_export: bits & 8 != 0,
+                    ..BlackholeService::default()
+                });
+            }
+            if bits & 16 != 0 {
+                cfg.services.local_pref.insert(70, 70);
+                cfg.services.prepend.insert(422, 2);
+            }
+            if bits & 32 != 0 {
+                cfg.vendor = bgpworms_routesim::Vendor::Cisco;
+            }
+            if bits & 64 != 0 {
+                cfg.local_pref.peer += 5;
+            }
+            let is_route_server = bits & 128 != 0;
+            let role = [Role::Customer, Role::Peer, Role::Provider][usize::from(role)];
+            let incoming = arena.intern(advert(ix, sender));
+            let (mut rib_in, mut local, mut exported, mut last) = ([None], None, [None], None);
+            let mut node = NodeState::new(
+                Asn::new(recv), is_route_server, &mut rib_in, &mut local, &mut exported, &mut last,
+            );
+            let verdict = node.import(&cfg, Asn::new(sender + 100), 0, role, Some(incoming), arena, vctx);
+            (verdict, node.best(arena).cloned())
+        };
+
+        let mut warm = RouteArena::new();
+        let mut twin = RouteArena::new();
+        for &(recv, bits, sender, role, ix) in &deliveries {
+            let (verdict, got) = deliver(&mut warm, recv, bits, sender, role, ix);
+            let mut cold = RouteArena::new();
+            let (cold_verdict, want) = deliver(&mut cold, recv, bits, sender, role, ix);
+            prop_assert_eq!(verdict, cold_verdict);
+            prop_assert_eq!(&got, &want, "a cached derivation changed the imported route");
+            twin.intern(advert(ix, sender));
+            if let (Some(got), Some(want)) = (got, want) {
+                // Hash-consing makes `intern` of stored content the lookup
+                // of its id: on `warm` it must find the RIB's route.
+                let len = warm.len();
+                let id = warm.intern(got);
+                prop_assert_eq!(warm.len(), len, "the installed route was not in the arena");
+                prop_assert_eq!(twin.intern(want), id, "ids drifted from arrival order");
+            }
+            prop_assert_eq!(warm.len(), twin.len());
+        }
+        prop_assert_eq!(&warm, &twin);
     }
 
     /// Memoization under prefix-sensitive policy: worlds seasoned with

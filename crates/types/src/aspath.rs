@@ -117,10 +117,10 @@ impl AsPath {
             return;
         }
         match self.segments.first_mut() {
+            // One splice reserves once and shifts the tail once, whatever
+            // `n` is.
             Some(PathSegment::Sequence(v)) => {
-                for _ in 0..n {
-                    v.insert(0, asn);
-                }
+                v.splice(0..0, std::iter::repeat_n(asn, n));
             }
             _ => {
                 self.segments.insert(0, PathSegment::Sequence(vec![asn; n]));
@@ -321,6 +321,53 @@ mod tests {
         p.prepend(Asn::new(7), 2);
         assert_eq!(p.to_vec(), asns(&[7, 7]));
         assert_eq!(p.origin(), Some(Asn::new(7)));
+    }
+
+    #[test]
+    fn prepend_counts_zero_one_three() {
+        for (n, want) in [
+            (0, &[2, 1][..]),
+            (1, &[9, 2, 1][..]),
+            (3, &[9, 9, 9, 2, 1][..]),
+        ] {
+            let mut p = path(&[2, 1]);
+            p.prepend(Asn::new(9), n);
+            assert_eq!(p.to_vec(), asns(want), "n = {n}");
+            assert_eq!(p.segments().len(), 1, "extends the leading sequence");
+            // the empty path gains one sequence of exactly `n` copies
+            let mut e = AsPath::empty();
+            e.prepend(Asn::new(9), n);
+            assert_eq!(e.to_vec(), vec![Asn::new(9); n], "empty path, n = {n}");
+            assert_eq!(e.segments().len(), usize::from(n > 0));
+        }
+    }
+
+    #[test]
+    fn prepend_before_leading_set_opens_a_new_sequence() {
+        let aggregated = || {
+            AsPath::from_segments(vec![
+                PathSegment::Set(asns(&[4, 3])),
+                PathSegment::Sequence(asns(&[2, 1])),
+            ])
+        };
+        let mut p = aggregated();
+        p.prepend(Asn::new(9), 0);
+        assert_eq!(p, aggregated(), "n = 0 leaves the path untouched");
+        p.prepend(Asn::new(9), 3);
+        assert_eq!(
+            p.segments(),
+            &[
+                PathSegment::Sequence(asns(&[9, 9, 9])),
+                PathSegment::Set(asns(&[4, 3])),
+                PathSegment::Sequence(asns(&[2, 1])),
+            ],
+            "the set is never spliced into"
+        );
+        assert_eq!(p.hop_count(), 6);
+        // a second prepend extends the sequence the first one opened
+        p.prepend(Asn::new(8), 1);
+        assert_eq!(p.to_vec(), asns(&[8, 9, 9, 9, 4, 3, 2, 1]));
+        assert_eq!(p.segments().len(), 3);
     }
 
     #[test]

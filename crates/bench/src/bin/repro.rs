@@ -4,41 +4,10 @@
 //! ```text
 //! repro <artefact> [--scale tiny|small|medium|large|internet] [--seed N] [--out DIR]
 //!       [--full-table] [--sample N]
-//!
-//! artefacts:
-//!   table1   dataset overview                    (paper Table 1)
-//!   table2   ASes with observed communities      (paper Table 2)
-//!   fig3     communities use over time           (paper Fig 3)
-//!   fig4a    % updates w/ communities/collector  (paper Fig 4a)
-//!   fig4b    communities & ASes per update       (paper Fig 4b)
-//!   fig5a    propagation distance ECDF           (paper Fig 5a)
-//!   fig5b    relative distance by path length    (paper Fig 5b)
-//!   fig5c    top-10 on-/off-path values          (paper Fig 5c)
-//!   fig6     filter-vs-forward indications       (paper Fig 6b)
-//!   transit  the 14 % transit-forwarder headline (paper §4.3)
-//!   lab      vendor behaviour matrix             (paper §6)
-//!   table3   attack difficulty                   (paper Table 3)
-//!   wild-propagation   §7.2 propagation check
-//!   wild-rtbh          §7.3 RTBH in the wild
-//!   wild-steering      §7.4 steering in the wild
-//!   wild-routeserver   §7.5 route-server manipulation
-//!   blackhole-survey   §7.6 automated survey
-//!   infer    passive attack inference on a labeled run  (§9 future agenda)
-//!   hygiene  community-hygiene report                   (§8 monitoring)
-//!   large-communities  RFC 8092 adoption sweep          (footnote-1 future work)
-//!   filter-relationships  filtering vs business relation (§4.4 future work)
-//!   survey-likely      verified vs "likely" corpora     (§7.6 future work)
-//!   survey-steering    non-RTBH path-change inference   (§7.6 limitations)
-//!   survey-location    fake-location injection          (§7.7)
-//!   ablation-rtbh-preference  is the RTBH local-pref raise load-bearing?
-//!   ablation-forward-prob     headline stats vs the forwarding policy mix
-//!   ablation-vendor-mix       community visibility vs the Cisco fraction
-//!   defense-adoption          the §8 scoped-propagation defense, evaluated
-//!   full-table         flood-memoized full-table campaign (honours --scale
-//!                      internet; --sample N keeps ~N prefixes, whole
-//!                      origins at a time; also runs via --full-table)
-//!   all      everything above except full-table
 //! ```
+//!
+//! The artefacts are the rows of [`ARTEFACTS`]; `repro` with no arguments
+//! lists them, and `all` runs every row except `full-table`.
 
 #![forbid(unsafe_code)]
 
@@ -59,174 +28,185 @@ struct Options {
     scale: Scale,
     seed: u64,
     out: PathBuf,
-    full_table: bool,
     sample: Option<usize>,
 }
 
-fn main() {
-    let mut args = std::env::args().skip(1);
-    let Some(artefact) = args.next() else {
-        eprintln!(
-            "usage: repro <artefact> [--scale S] [--seed N] [--out DIR] [--full-table] [--sample N]"
-        );
-        eprintln!("artefacts: table1 table2 fig3 fig4a fig4b fig5a fig5b fig5c fig6");
-        eprintln!("           transit lab table3 wild-propagation wild-rtbh");
-        eprintln!("           wild-steering wild-routeserver blackhole-survey");
-        eprintln!("           infer hygiene large-communities filter-relationships");
-        eprintln!("           survey-likely survey-steering survey-location");
-        eprintln!("           ablation-rtbh-preference ablation-forward-prob");
-        eprintln!("           ablation-vendor-mix defense-adoption full-table all");
-        std::process::exit(2);
-    };
+/// What one invocation's renderers share.
+struct Run {
+    opts: Options,
+    /// Lazily built snapshot shared by the passive-measurement artefacts.
+    snapshot: Option<Snapshot>,
+    /// Set when any artefact reports graceful degradation (diverged or
+    /// quarantined prefixes): the run still completes and writes every
+    /// artefact, but exits non-zero so automation notices.
+    degraded: bool,
+}
+
+/// One row of the artefact table.
+struct Artefact {
+    name: &'static str,
+    about: &'static str,
+    /// Whether `all` runs it.
+    in_all: bool,
+    render: fn(&mut Run) -> String,
+}
+
+const fn row(
+    name: &'static str,
+    about: &'static str,
+    in_all: bool,
+    render: fn(&mut Run) -> String,
+) -> Artefact {
+    Artefact {
+        name,
+        about,
+        in_all,
+        render,
+    }
+}
+
+/// Every artefact `repro` can regenerate, in `all`'s run order. The usage
+/// text, `all`, dispatch and the unknown-artefact error all read this.
+/// (One row per line: rustfmt would spread each over three to five.)
+#[rustfmt::skip]
+const ARTEFACTS: &[Artefact] = &[
+    row("table1", "dataset overview (paper Table 1)", true, |r| table1(r.snap())),
+    row("table2", "ASes with observed communities (paper Table 2)", true, |r| table2(r.snap())),
+    row("fig3", "communities use over time (paper Fig 3)", true, |r| fig3(&r.opts)),
+    row("fig4a", "% updates w/ communities/collector (paper Fig 4a)", true, |r| fig4a(r.snap())),
+    row("fig4b", "communities & ASes per update (paper Fig 4b)", true, |r| fig4b(r.snap())),
+    row("fig5a", "propagation distance ECDF (paper Fig 5a)", true, |r| fig5a(r.snap())),
+    row("fig5b", "relative distance by path length (paper Fig 5b)", true, |r| fig5b(r.snap())),
+    row("fig5c", "top-10 on-/off-path values (paper Fig 5c)", true, |r| fig5c(r.snap())),
+    row("fig6", "filter-vs-forward indications (paper Fig 6b)", true, |r| fig6(r.snap())),
+    row("transit", "the 14 % transit-forwarder headline (paper §4.3)", true, |r| transit(r.snap())),
+    row("lab", "vendor behaviour matrix (paper §6)", true, |_| lab_matrix()),
+    row("table3", "attack difficulty (paper Table 3)", true, |_| table3()),
+    row("wild-propagation", "§7.2 propagation check", true, |r| wild_propagation(&r.opts)),
+    row("wild-rtbh", "§7.3 RTBH in the wild", true, |r| wild_rtbh(&r.opts)),
+    row("wild-steering", "§7.4 steering in the wild", true, |r| wild_steering(&r.opts)),
+    row("wild-routeserver", "§7.5 route-server manipulation", true, |r| wild_routeserver(&r.opts)),
+    row("blackhole-survey", "§7.6 automated survey", true, |r| blackhole_survey(&r.opts)),
+    row("infer", "passive attack inference on a labeled run (§9 future agenda)", true, |r| infer(&r.opts)),
+    row("hygiene", "community-hygiene report (§8 monitoring)", true, |r| hygiene(r.snap())),
+    row("large-communities", "RFC 8092 adoption sweep (footnote-1 future work)", true, |r| large_communities(&r.opts)),
+    row("filter-relationships", "filtering vs business relation (§4.4 future work)", true, |r| filter_relationships(r.snap())),
+    row("survey-likely", "verified vs \"likely\" corpora (§7.6 future work)", true, |r| survey_likely(&r.opts)),
+    row("survey-steering", "non-RTBH path-change inference (§7.6 limitations)", true, |r| survey_steering(&r.opts)),
+    row("survey-location", "fake-location injection (§7.7)", true, |r| survey_location(&r.opts)),
+    row("ablation-rtbh-preference", "is the RTBH local-pref raise load-bearing?", true, |_| ablation_rtbh_preference()),
+    row("ablation-forward-prob", "headline stats vs the forwarding policy mix", true, |r| ablation_forward_prob(&r.opts)),
+    row("ablation-vendor-mix", "community visibility vs the Cisco fraction", true, |r| ablation_vendor_mix(&r.opts)),
+    row("defense-adoption", "the §8 scoped-propagation defense, evaluated", true, |r| defense_adoption(&r.opts)),
+    row("full-table", "flood-memoized full-table campaign, --sample N prefixes (also via --full-table)", false, |r| full_table_campaign(&r.opts, &mut r.degraded)),
+];
+
+fn usage() -> String {
+    let mut out = String::from(
+        "usage: repro <artefact> [--scale tiny|small|medium|large|internet] [--seed N] \
+         [--out DIR] [--full-table] [--sample N]\n\nartefacts:\n",
+    );
+    for a in ARTEFACTS {
+        let _ = writeln!(out, "  {:<26}{}", a.name, a.about);
+    }
+    let _ = writeln!(out, "  {:<26}everything above except full-table", "all");
+    out
+}
+
+/// The rows `artefact` names (`all` expands to the in-`all` rows), plus
+/// `full-table` when `--full-table` asks for it and it is not there yet.
+fn select(artefact: &str, full_table: bool) -> Result<Vec<&'static Artefact>, String> {
+    let mut rows: Vec<&Artefact> = ARTEFACTS
+        .iter()
+        .filter(|a| a.name == artefact || (artefact == "all" && a.in_all))
+        .collect();
+    if rows.is_empty() {
+        return Err(format!("unknown artefact `{artefact}`"));
+    }
+    if full_table && rows.iter().all(|a| a.name != "full-table") {
+        rows.extend(ARTEFACTS.iter().filter(|a| a.name == "full-table"));
+    }
+    Ok(rows)
+}
+
+fn number<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
+    v.parse()
+        .map_err(|_| format!("{flag} `{v}` is not a number"))
+}
+
+/// Parses the command line; every malformed input is an `Err` naming it.
+fn parse(
+    mut args: impl Iterator<Item = String>,
+) -> Result<(Vec<&'static Artefact>, Options), String> {
+    let artefact = args.next().ok_or("no artefact named")?;
     let mut opts = Options {
         scale: Scale::Medium,
         seed: 2018,
         out: PathBuf::from("results"),
-        full_table: false,
         sample: None,
     };
+    let mut full_table = false;
     while let Some(flag) = args.next() {
+        let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
         match flag.as_str() {
             "--scale" => {
-                let v = args.next().expect("--scale needs a value");
-                opts.scale = Scale::parse(&v).expect("scale: tiny|small|medium|large|internet");
+                let v = value()?;
+                opts.scale = Scale::parse(&v).ok_or_else(|| {
+                    format!("unknown scale `{v}` (tiny|small|medium|large|internet)")
+                })?;
             }
-            "--seed" => {
-                opts.seed = args
-                    .next()
-                    .expect("--seed needs a value")
-                    .parse()
-                    .expect("seed must be a number");
-            }
-            "--out" => {
-                opts.out = PathBuf::from(args.next().expect("--out needs a value"));
-            }
-            "--full-table" => {
-                opts.full_table = true;
-            }
-            "--sample" => {
-                opts.sample = Some(
-                    args.next()
-                        .expect("--sample needs a value")
-                        .parse()
-                        .expect("sample must be a number"),
-                );
-            }
-            other => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
-            }
+            "--seed" => opts.seed = number(&flag, &value()?)?,
+            "--out" => opts.out = PathBuf::from(value()?),
+            "--full-table" => full_table = true,
+            "--sample" => opts.sample = Some(number(&flag, &value()?)?),
+            _ => return Err(format!("unknown flag `{flag}`")),
         }
     }
-    std::fs::create_dir_all(&opts.out).expect("create output directory");
+    Ok((select(&artefact, full_table)?, opts))
+}
 
-    // Lazily built snapshot shared by the passive-measurement artefacts.
-    let mut snapshot: Option<Snapshot> = None;
+/// Exits 2 with one `repro: <what>` line and the usage text.
+fn bad_invocation(what: String) -> ! {
+    eprint!("repro: {what}\n{}", usage());
+    std::process::exit(2)
+}
 
-    // Set when any artefact reports graceful degradation (diverged or
-    // quarantined prefixes): the run still completes and writes every
-    // artefact, but exits non-zero so automation notices.
-    let mut degraded = false;
-
-    let mut artefacts: Vec<&str> = if artefact == "all" {
-        vec![
-            "table1",
-            "table2",
-            "fig3",
-            "fig4a",
-            "fig4b",
-            "fig5a",
-            "fig5b",
-            "fig5c",
-            "fig6",
-            "transit",
-            "lab",
-            "table3",
-            "wild-propagation",
-            "wild-rtbh",
-            "wild-steering",
-            "wild-routeserver",
-            "blackhole-survey",
-            "infer",
-            "hygiene",
-            "large-communities",
-            "filter-relationships",
-            "survey-likely",
-            "survey-steering",
-            "survey-location",
-            "ablation-rtbh-preference",
-            "ablation-forward-prob",
-            "ablation-vendor-mix",
-            "defense-adoption",
-        ]
-    } else {
-        vec![artefact.as_str()]
+fn main() {
+    let (artefacts, opts) =
+        parse(std::env::args().skip(1)).unwrap_or_else(|what| bad_invocation(what));
+    if let Err(e) = std::fs::create_dir_all(&opts.out) {
+        bad_invocation(format!("cannot create --out {}: {e}", opts.out.display()));
+    }
+    let mut run = Run {
+        opts,
+        snapshot: None,
+        degraded: false,
     };
-    if opts.full_table && !artefacts.contains(&"full-table") {
-        artefacts.push("full-table");
+    for a in artefacts {
+        let text = (a.render)(&mut run);
+        println!("=== {} ===\n{text}", a.name);
+        write_out(&run.opts.out, a.name, &text);
     }
-
-    for name in artefacts {
-        let text = match name {
-            "table1" => table1(get_snap(&mut snapshot, &opts)),
-            "table2" => table2(get_snap(&mut snapshot, &opts)),
-            "fig3" => fig3(&opts),
-            "fig4a" => fig4a(get_snap(&mut snapshot, &opts)),
-            "fig4b" => fig4b(get_snap(&mut snapshot, &opts)),
-            "fig5a" => fig5a(get_snap(&mut snapshot, &opts)),
-            "fig5b" => fig5b(get_snap(&mut snapshot, &opts)),
-            "fig5c" => fig5c(get_snap(&mut snapshot, &opts)),
-            "fig6" => fig6(get_snap(&mut snapshot, &opts)),
-            "transit" => transit(get_snap(&mut snapshot, &opts)),
-            "lab" => lab_matrix(),
-            "table3" => table3(),
-            "wild-propagation" => wild_propagation(&opts),
-            "wild-rtbh" => wild_rtbh(&opts),
-            "wild-steering" => wild_steering(&opts),
-            "wild-routeserver" => wild_routeserver(&opts),
-            "blackhole-survey" => blackhole_survey(&opts),
-            "infer" => infer(&opts),
-            "hygiene" => hygiene(get_snap(&mut snapshot, &opts)),
-            "large-communities" => large_communities(&opts),
-            "filter-relationships" => filter_relationships(get_snap(&mut snapshot, &opts)),
-            "survey-likely" => survey_likely(&opts),
-            "survey-steering" => survey_steering(&opts),
-            "survey-location" => survey_location(&opts),
-            "ablation-rtbh-preference" => ablation_rtbh_preference(),
-            "ablation-forward-prob" => ablation_forward_prob(&opts),
-            "ablation-vendor-mix" => ablation_vendor_mix(&opts),
-            "defense-adoption" => defense_adoption(&opts),
-            "full-table" => full_table_campaign(&opts, &mut degraded),
-            other => {
-                eprintln!("unknown artefact {other}");
-                std::process::exit(2);
-            }
-        };
-        println!("=== {name} ===\n{text}");
-        write_out(&opts.out, name, &text);
-    }
-
-    if degraded {
+    if run.degraded {
         eprintln!("[repro] one or more artefacts were degraded (see DEGRADED lines above)");
         std::process::exit(1);
     }
 }
 
-fn get_snap<'a>(cache: &'a mut Option<Snapshot>, opts: &Options) -> &'a Snapshot {
-    if cache.is_none() {
-        eprintln!(
-            "[repro] building snapshot (scale {:?}, seed {}) …",
-            opts.scale, opts.seed
-        );
-        let snap = Snapshot::build(opts.scale, opts.seed);
-        eprintln!(
-            "[repro] snapshot ready: {} observations from {} engine events",
-            snap.observations.observations.len(),
-            snap.events
-        );
-        *cache = Some(snap);
+impl Run {
+    fn snap(&mut self) -> &Snapshot {
+        let Options { scale, seed, .. } = self.opts;
+        self.snapshot.get_or_insert_with(|| {
+            eprintln!("[repro] building snapshot (scale {scale:?}, seed {seed}) …");
+            let snap = Snapshot::build(scale, seed);
+            eprintln!(
+                "[repro] snapshot ready: {} observations from {} engine events",
+                snap.observations.observations.len(),
+                snap.events
+            );
+            snap
+        })
     }
-    cache.as_ref().expect("built above")
 }
 
 fn write_out(dir: &Path, name: &str, text: &str) {
@@ -1143,4 +1123,58 @@ fn blackhole_survey(opts: &Options) -> String {
         let _ = writeln!(out, "  {hops} hops\t{n} community-VP pairs");
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn selected(artefact: &str, full_table: bool) -> Vec<&'static str> {
+        let rows = select(artefact, full_table).expect("known artefact");
+        rows.iter().map(|a| a.name).collect()
+    }
+
+    #[test]
+    fn names_are_unique_and_all_in_the_usage_text() {
+        let usage = usage();
+        for (i, a) in ARTEFACTS.iter().enumerate() {
+            assert!(
+                ARTEFACTS[..i].iter().all(|b| b.name != a.name),
+                "{} is in the table twice",
+                a.name
+            );
+            assert!(
+                usage.contains(&format!("\n  {} ", a.name)),
+                "{} missing from usage",
+                a.name
+            );
+        }
+    }
+
+    #[test]
+    fn all_is_the_in_all_rows_in_table_order_without_full_table() {
+        let in_all: Vec<_> = ARTEFACTS
+            .iter()
+            .filter(|a| a.in_all)
+            .map(|a| a.name)
+            .collect();
+        assert_eq!(selected("all", false), in_all);
+        assert_eq!(in_all.len(), ARTEFACTS.len() - 1);
+        assert!(!in_all.contains(&"full-table"));
+    }
+
+    #[test]
+    fn full_table_flag_appends_it_once() {
+        let mut with_flag = selected("all", true);
+        assert_eq!(with_flag.pop(), Some("full-table"));
+        assert_eq!(with_flag, selected("all", false));
+        assert_eq!(selected("table1", true), ["table1", "full-table"]);
+        assert_eq!(selected("full-table", true), ["full-table"]);
+    }
+
+    #[test]
+    fn unknown_artefact_is_named_in_the_error() {
+        let err = select("tabel1", false).err().expect("not in the table");
+        assert!(err.contains("tabel1"), "{err}");
+    }
 }

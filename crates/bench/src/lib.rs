@@ -1,58 +1,6 @@
-//! Shared harness code for the benchmarks and the `repro` binary: builds
-//! "April 2018"-like snapshots (topology → workload → propagation →
-//! MRT archives → parsed observation set) at several scales.
-//!
-//! # Bench harness contract
-//!
-//! The perf gate is three pieces with a plain-text interface between them
-//! (see `ARCHITECTURE.md` at the repo root for where it sits in the
-//! workspace):
-//!
-//! 1. **The benchmarks** (`benches/engine.rs`) print one line per
-//!    measurement to stdout in the harness's fixed format:
-//!
-//!    ```text
-//!    bench: <group>/<name>[/<param>] median_ns=<n> min_ns=<n> max_ns=<n> iters=<n>
-//!    ```
-//!
-//!    Anything not starting with `bench: ` is ignored by the parser, so
-//!    phases may freely narrate. A phase can also print a *pseudo-
-//!    measurement* in the same format for a non-time quantity (e.g.
-//!    `engine/class-hit-rate`, a rate in basis points) — the format, not
-//!    the unit, is the contract.
-//!
-//! 2. **The committed baseline** (`BENCH_engine.json` at the repo root)
-//!    holds one entry per gated benchmark in its `"results"` array:
-//!    `"benchmark"` (the line's name), `"median_ns"`, and optionally
-//!    `"direction": "higher_is_better"` for entries that regress by
-//!    *dropping* (rates, speedups) rather than rising. Anything outside
-//!    `"results"` (historical `*_baseline` blocks, prose) is never
-//!    parsed. Medians are absolute wall times: they transfer between
-//!    commits on one box, not between boxes — re-measure and re-commit
-//!    the file when the hardware changes.
-//!
-//! 3. **The gate** (`src/bin/bench_check.rs`) re-runs the benchmarks (or
-//!    parses `--bench-output`), appends the *derived metrics* — its
-//!    `DERIVED_METRICS` table synthesizes entries that are functions of
-//!    several medians, either difference quotients
-//!    (`(minuend − subtrahend) / divisor`, e.g.
-//!    `engine/per-prefix-marginal`) or scaled ratios
-//!    (`minuend / subtrahend × divisor`, e.g. `engine/delta-speedup` in
-//!    basis points) — and compares every baseline entry against its
-//!    fresh counterpart. It **hard-fails** (non-zero exit) when:
-//!
-//!    * a baseline entry has **no fresh measurement** — a deleted or
-//!      renamed phase cannot silently lose its gate; the baseline must
-//!      be updated in the same change (this also catches a derived
-//!      metric whose inputs broke, since derivation is then suppressed);
-//!    * any fresh median is more than the tolerance (default 15 %)
-//!      **above** its baseline — or **below** it for
-//!      `higher_is_better` entries;
-//!    * no fresh name matches the baseline at all (rename drift), the
-//!      baseline file is missing/empty, or `cargo bench` itself fails.
-//!
-//! New benchmarks gate from the change that adds them: add the phase and
-//! its measured baseline entry in the same commit.
+//! Shared harness code for the `repro` binary: builds "April 2018"-like
+//! snapshots (topology → workload → propagation → MRT archives → parsed
+//! observation set) at several scales.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -74,8 +22,8 @@ pub enum Scale {
     Medium,
     /// ~8.6 K ASes — the headline scale (slow; several minutes).
     Large,
-    /// ~62 K ASes — the paper's full April-2018 Internet. Only the
-    /// propagation engine is benchmarked at this scale today; a full
+    /// ~62 K ASes — the paper's full April-2018 Internet. Only `repro`'s
+    /// flood-memoized `full-table` campaign runs at this scale; a full
     /// `Snapshot` (workload + MRT + analysis) would take hours.
     Internet,
 }

@@ -9,14 +9,14 @@
 //! wall clocks. The type system cannot enforce that by itself — `HashMap`
 //! iteration order, `Ordering::Relaxed`, and `std::env` reads all
 //! type-check fine and silently break it. `detlint` closes the gap with
-//! six lexical rules, enforced in CI before the benchmarks run:
+//! six lexical rules, enforced by CI's `detlint` job:
 //!
 //! 1. **no-unordered-iteration** — `HashMap`/`HashSet` in a
 //!    result-affecting crate needs `// lint: order-independent <why>`.
 //! 2. **atomic-ordering-justification** — every atomic `Ordering::*`
 //!    needs an adjacent `// ordering: <why>` comment.
-//! 3. **no-wall-clock** — `Instant::now`/`SystemTime` only in
-//!    bench/compat.
+//! 3. **no-wall-clock** — no `Instant::now`/`SystemTime` in any policy
+//!    crate; only the repo benchmark, outside the workspace, times.
 //! 4. **unsafe-free** — no `unsafe`, and every non-compat crate root
 //!    declares `#![forbid(unsafe_code)]`.
 //! 5. **hot-path-panic** — `unwrap()`/`expect(` on engine hot-path files

@@ -1,6 +1,6 @@
 //! `detlint` binary: lint the workspace, print findings, exit nonzero on
-//! any. CI runs this (`cargo run -p bgpworms-lint --release`) before the
-//! benchmarks; locally it takes an optional `--root <dir>`.
+//! any. CI runs this (`cargo run -p bgpworms-lint --release`) as its
+//! `detlint` job; locally it takes an optional `--root <dir>`.
 
 #![forbid(unsafe_code)]
 

@@ -5,8 +5,10 @@
 //! `unwrap()`/`expect(` needs an explicit infallibility argument).
 //!
 //! `crates/compat/*` is deliberately absent: the shims are stand-ins for
-//! third-party crates and the sanctioned home of wall-clock and
-//! environment reads (criterion timers, `PROPTEST_CASES`).
+//! third-party crates and the sanctioned home of environment reads
+//! (`PROPTEST_CASES`). No entry may read a wall clock: the only code that
+//! times anything is the repo benchmark (`benchmark/`), a package outside
+//! the workspace.
 
 /// Lint policy for one workspace crate.
 #[derive(Debug, Clone, Copy)]
@@ -18,51 +20,44 @@ pub struct CratePolicy {
     /// True when the crate's code can affect simulation results: enables
     /// the `no-unordered-iteration` and `no-env-dependence` rules.
     pub result_affecting: bool,
-    /// True when the crate may legitimately read wall clocks (bench
-    /// harness only); everything else gets the `no-wall-clock` rule.
-    pub allow_wall_clock: bool,
     /// File names (within `src`, by basename) on the engine hot path:
     /// `unwrap()`/`expect(` there requires `// lint: infallible <why>`.
     pub hot_path: &'static [&'static str],
 }
 
 /// The workspace policy table. Every non-compat crate appears here — the
-/// `unsafe-free` rule (crate roots must `#![forbid(unsafe_code)]`) and the
-/// `atomic-ordering-justification` rule apply to every entry.
+/// `unsafe-free` rule (crate roots must `#![forbid(unsafe_code)]`), the
+/// `atomic-ordering-justification` rule and the `no-wall-clock` rule apply
+/// to every entry.
 pub const POLICIES: &[CratePolicy] = &[
     CratePolicy {
         name: "bgpworms",
         src: "src",
         result_affecting: true,
-        allow_wall_clock: false,
         hot_path: &[],
     },
     CratePolicy {
         name: "bgpworms-types",
         src: "crates/types/src",
         result_affecting: true,
-        allow_wall_clock: false,
         hot_path: &[],
     },
     CratePolicy {
         name: "bgpworms-wire",
         src: "crates/wire/src",
         result_affecting: true,
-        allow_wall_clock: false,
         hot_path: &[],
     },
     CratePolicy {
         name: "bgpworms-mrt",
         src: "crates/mrt/src",
         result_affecting: true,
-        allow_wall_clock: false,
         hot_path: &[],
     },
     CratePolicy {
         name: "bgpworms-topology",
         src: "crates/topology/src",
         result_affecting: true,
-        allow_wall_clock: false,
         hot_path: &[],
     },
     CratePolicy {
@@ -71,14 +66,12 @@ pub const POLICIES: &[CratePolicy] = &[
         name: "bgpworms-failpoint",
         src: "crates/failpoint/src",
         result_affecting: true,
-        allow_wall_clock: false,
         hot_path: &["lib.rs"],
     },
     CratePolicy {
         name: "bgpworms-routesim",
         src: "crates/routesim/src",
         result_affecting: true,
-        allow_wall_clock: false,
         // The per-event/per-prefix path: a panic here kills a whole
         // campaign worker, so every unwrap must argue its infallibility.
         // `fault.rs` and `durable.rs` ride along — fault-key hashing and
@@ -100,42 +93,36 @@ pub const POLICIES: &[CratePolicy] = &[
         name: "bgpworms-dataplane",
         src: "crates/dataplane/src",
         result_affecting: true,
-        allow_wall_clock: false,
         hot_path: &[],
     },
     CratePolicy {
         name: "bgpworms-core",
         src: "crates/core/src",
         result_affecting: true,
-        allow_wall_clock: false,
         hot_path: &[],
     },
     CratePolicy {
         name: "bgpworms-monitor",
         src: "crates/monitor/src",
         result_affecting: true,
-        allow_wall_clock: false,
         hot_path: &[],
     },
     CratePolicy {
         name: "bgpworms-attacks",
         src: "crates/attacks/src",
         result_affecting: true,
-        allow_wall_clock: false,
         hot_path: &[],
     },
     CratePolicy {
         name: "bgpworms-bench",
         src: "crates/bench/src",
         result_affecting: false,
-        allow_wall_clock: true,
         hot_path: &[],
     },
     CratePolicy {
         name: "bgpworms-lint",
         src: "crates/lint/src",
         result_affecting: false,
-        allow_wall_clock: false,
         hot_path: &[],
     },
 ];

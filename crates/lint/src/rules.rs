@@ -291,28 +291,28 @@ pub fn check_file(
             }
         }
 
-        // no-wall-clock.
-        if !policy.allow_wall_clock {
-            for pos in token_positions(code, "Instant") {
-                if code[pos + "Instant".len()..].starts_with("::now") {
-                    findings.push(finding(
-                        i,
-                        rule::WALL_CLOCK,
-                        "`Instant::now` is banned outside bench/compat — results \
-                         must not depend on wall clocks"
-                            .to_string(),
-                    ));
-                }
-            }
-            if !token_positions(code, "SystemTime").is_empty() {
+        // no-wall-clock: every crate.
+        for pos in token_positions(code, "Instant") {
+            if code[pos + "Instant".len()..].starts_with("::now") {
                 findings.push(finding(
                     i,
                     rule::WALL_CLOCK,
-                    "`SystemTime` is banned outside bench/compat — results must \
-                     not depend on wall clocks"
+                    "`Instant::now` is banned — results must not depend on wall \
+                     clocks; the repo benchmark, a package outside the workspace, \
+                     is the only place that times anything"
                         .to_string(),
                 ));
             }
+        }
+        if !token_positions(code, "SystemTime").is_empty() {
+            findings.push(finding(
+                i,
+                rule::WALL_CLOCK,
+                "`SystemTime` is banned — results must not depend on wall \
+                 clocks; the repo benchmark, a package outside the workspace, \
+                 is the only place that times anything"
+                    .to_string(),
+            ));
         }
 
         if policy.result_affecting {
@@ -403,7 +403,6 @@ mod tests {
             name: "test",
             src: "src",
             result_affecting: true,
-            allow_wall_clock: false,
             hot_path: &["hot.rs"],
         }
     }
@@ -489,10 +488,9 @@ mod tests {
     fn infra_crates_skip_result_affecting_rules() {
         let infra = CratePolicy {
             result_affecting: false,
-            allow_wall_clock: true,
             ..policy_ra()
         };
-        let src = "#![forbid(unsafe_code)]\nlet m: HashMap<u32, u32> = HashMap::new();\nlet t = Instant::now();\nlet a = std::env::args();";
+        let src = "#![forbid(unsafe_code)]\nlet m: HashMap<u32, u32> = HashMap::new();\nlet a = std::env::args();";
         let f = check_file("x/lib.rs", &lex(src), &infra, true);
         assert!(f.is_empty(), "{f:?}");
     }

@@ -1,4 +1,4 @@
-// Fixture: wall-clock reads in a crate without `allow_wall_clock`.
+// Fixture: wall-clock reads, banned under every policy.
 // Expected: two no-wall-clock findings ("Instant" in a string or comment
 // must NOT fire).
 #![forbid(unsafe_code)]

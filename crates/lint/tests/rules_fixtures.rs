@@ -13,7 +13,6 @@ const STRICT: CratePolicy = CratePolicy {
     name: "fixture",
     src: "tests/fixtures",
     result_affecting: true,
-    allow_wall_clock: false,
     hot_path: &[
         "hot_path_bad.rs",
         "hot_path_ok.rs",
@@ -93,19 +92,22 @@ fn wall_clock_fires_outside_bench() {
 }
 
 #[test]
-fn wall_clock_allowed_in_bench_policy() {
-    let bench = CratePolicy {
-        allow_wall_clock: true,
+fn wall_clock_fires_in_infra_crates_too() {
+    let infra = CratePolicy {
         result_affecting: false,
         ..STRICT
     };
     let f = lint_source(
         "wall_clock_bad.rs",
         include_str!("fixtures/wall_clock_bad.rs"),
-        &bench,
+        &infra,
         true,
     );
-    assert!(f.is_empty(), "{f:#?}");
+    assert_eq!(
+        lines_and_rules(&f),
+        vec![(7, rule::WALL_CLOCK), (11, rule::WALL_CLOCK)],
+        "{f:#?}"
+    );
 }
 
 #[test]

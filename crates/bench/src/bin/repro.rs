@@ -354,7 +354,7 @@ fn fig5a(snap: &Snapshot) -> String {
         let lens: Vec<usize> = snap
             .observations
             .announcements()
-            .map(|o| o.path.len())
+            .map(|o| o.path().len())
             .collect();
         lens.iter().sum::<usize>() as f64 / lens.len().max(1) as f64
     };

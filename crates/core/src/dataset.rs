@@ -4,7 +4,7 @@
 
 use crate::observation::ObservationSet;
 use crate::table::{text_table, thousands};
-use bgpworms_types::{Asn, Community};
+use bgpworms_types::Asn;
 use std::collections::BTreeSet;
 
 /// One platform row of Table 1.
@@ -44,64 +44,73 @@ pub struct DatasetOverview {
     pub rows: Vec<PlatformStats>,
 }
 
-fn stats_for(name: &str, set: &ObservationSet) -> PlatformStats {
-    let mut v4: BTreeSet<_> = BTreeSet::new();
-    let mut v6: BTreeSet<_> = BTreeSet::new();
-    let mut communities: BTreeSet<Community> = BTreeSet::new();
-    let mut ases: BTreeSet<Asn> = BTreeSet::new();
-    let mut origin: BTreeSet<Asn> = BTreeSet::new();
-    let mut transit: BTreeSet<Asn> = BTreeSet::new();
-    let mut collectors: BTreeSet<&str> = BTreeSet::new();
-    let mut sessions: BTreeSet<(&str, Asn)> = BTreeSet::new();
-    let mut peer_ases: BTreeSet<Asn> = BTreeSet::new();
+/// One row: over the sessions of `platform`, or over all of them.
+fn stats_for(name: &str, set: &ObservationSet, platform: Option<&str>) -> PlatformStats {
+    let sessions = set.sessions_of(platform);
+    let n_asns = set.asns().len();
+    let mut prefixes = vec![false; set.prefixes().len()];
+    let mut communities = vec![false; set.communities().len()];
+    let mut origin = vec![false; n_asns];
+    let mut transit = vec![false; n_asns];
+    // (session, peer) pairs seen, session-major.
+    let mut peerings = vec![false; sessions.len() * n_asns];
 
-    for obs in &set.observations {
-        collectors.insert(obs.collector.as_str());
-        sessions.insert((obs.collector.as_str(), obs.peer));
-        peer_ases.insert(obs.peer);
-        if obs.is_withdrawal {
-            if obs.prefix.is_v4() {
-                v4.insert(obs.prefix);
-            } else {
-                v6.insert(obs.prefix);
-            }
-            continue;
+    for obs in set.iter().filter(|o| sessions[o.session() as usize]) {
+        peerings[obs.session() as usize * n_asns + obs.peer_id() as usize] = true;
+        prefixes[obs.prefix_id() as usize] = true;
+        for &c in obs.community_ids() {
+            communities[c as usize] = true;
         }
-        if obs.prefix.is_v4() {
-            v4.insert(obs.prefix);
-        } else {
-            v6.insert(obs.prefix);
-        }
-        communities.extend(obs.communities.iter().copied());
-        for (i, &asn) in obs.path.iter().enumerate() {
-            ases.insert(asn);
-            if i == obs.path.len() - 1 {
-                origin.insert(asn);
-            } else {
-                transit.insert(asn);
+        if let Some((&last, rest)) = obs.path_ids().split_last() {
+            origin[last as usize] = true;
+            for &asn in rest {
+                transit[asn as usize] = true;
             }
         }
     }
+
+    // "IP peers" go by collector name, as the collectors themselves do.
+    let ip_peers: BTreeSet<(&str, Asn)> = (peerings.iter().enumerate())
+        .filter(|(_, &seen)| seen)
+        .map(|(k, _)| {
+            (
+                set.sessions()[k / n_asns].1.as_str(),
+                set.asns()[k % n_asns],
+            )
+        })
+        .collect();
+    let as_peers: BTreeSet<Asn> = ip_peers.iter().map(|&(_, peer)| peer).collect();
+    let archives =
+        || (set.messages.iter()).filter(|(p, _, _)| platform.is_none_or(|want| p == want));
     // collectors that saw zero observations still count via messages list
-    for (_, collector, _) in &set.messages {
-        collectors.insert(collector.as_str());
-    }
+    let collectors: BTreeSet<&str> = (ip_peers.iter().map(|&(collector, _)| collector))
+        .chain(archives().map(|(_, collector, _)| collector.as_str()))
+        .collect();
 
-    let messages: u64 = set.messages.iter().map(|(_, _, n)| n).sum();
-    let stub = ases.difference(&transit).count();
+    let count = |flags: &[bool]| flags.iter().filter(|&&f| f).count();
+    let seen_prefixes = || {
+        (set.prefixes().iter().zip(&prefixes))
+            .filter(|(_, &seen)| seen)
+            .map(|(p, _)| p)
+    };
+    let ases = origin
+        .iter()
+        .zip(&transit)
+        .filter(|(&o, &t)| o || t)
+        .count();
     PlatformStats {
         platform: name.to_string(),
-        messages,
-        v4_prefixes: v4.len(),
-        v6_prefixes: v6.len(),
+        messages: archives().map(|(_, _, n)| n).sum(),
+        v4_prefixes: seen_prefixes().filter(|p| p.is_v4()).count(),
+        v6_prefixes: seen_prefixes().filter(|p| !p.is_v4()).count(),
         collectors: collectors.len(),
-        ip_peers: sessions.len(),
-        as_peers: peer_ases.len(),
-        communities: communities.len(),
-        ases: ases.len(),
-        origin: origin.len(),
-        transit: transit.len(),
-        stub,
+        ip_peers: ip_peers.len(),
+        as_peers: as_peers.len(),
+        communities: count(&communities),
+        ases,
+        origin: count(&origin),
+        transit: count(&transit),
+        stub: ases - count(&transit),
     }
 }
 
@@ -110,10 +119,9 @@ impl DatasetOverview {
     pub fn compute(set: &ObservationSet) -> Self {
         let mut rows = Vec::new();
         for platform in set.platforms() {
-            let slice = set.platform_slice(&platform);
-            rows.push(stats_for(&platform, &slice));
+            rows.push(stats_for(&platform, set, Some(&platform)));
         }
-        rows.push(stats_for("Total", set));
+        rows.push(stats_for("Total", set, None));
         DatasetOverview { rows }
     }
 
@@ -166,7 +174,7 @@ impl DatasetOverview {
 mod tests {
     use super::*;
     use crate::observation::UpdateObservation;
-    use bgpworms_types::Prefix;
+    use bgpworms_types::{Community, Prefix};
 
     fn obs(
         platform: &str,
@@ -192,33 +200,39 @@ mod tests {
     }
 
     fn sample_set() -> ObservationSet {
-        ObservationSet {
-            observations: vec![
-                obs("RIS", "rrc00", 3, &[3, 2, 1], &[(2, 100)], "10.0.0.0/16"),
-                obs(
-                    "RIS",
-                    "rrc00",
-                    3,
-                    &[3, 2, 4],
-                    &[(2, 100), (3, 5)],
-                    "20.0.0.0/16",
-                ),
-                obs("RIS", "rrc01", 5, &[5, 1], &[], "10.0.0.0/16"),
-                obs(
-                    "RV",
-                    "route-views2",
-                    6,
-                    &[6, 2, 1],
-                    &[(9, 1)],
-                    "2001:db8::/32",
-                ),
-            ],
-            messages: vec![
+        sample_set_and(vec![])
+    }
+
+    fn sample_set_and(more: Vec<UpdateObservation>) -> ObservationSet {
+        let mut observations = vec![
+            obs("RIS", "rrc00", 3, &[3, 2, 1], &[(2, 100)], "10.0.0.0/16"),
+            obs(
+                "RIS",
+                "rrc00",
+                3,
+                &[3, 2, 4],
+                &[(2, 100), (3, 5)],
+                "20.0.0.0/16",
+            ),
+            obs("RIS", "rrc01", 5, &[5, 1], &[], "10.0.0.0/16"),
+            obs(
+                "RV",
+                "route-views2",
+                6,
+                &[6, 2, 1],
+                &[(9, 1)],
+                "2001:db8::/32",
+            ),
+        ];
+        observations.extend(more);
+        ObservationSet::from_observations(
+            observations,
+            vec![
                 ("RIS".into(), "rrc00".into(), 2),
                 ("RIS".into(), "rrc01".into(), 1),
                 ("RV".into(), "route-views2".into(), 1),
             ],
-        }
+        )
     }
 
     #[test]
@@ -262,8 +276,7 @@ mod tests {
 
     #[test]
     fn withdrawals_count_prefixes_but_not_paths() {
-        let mut set = sample_set();
-        set.observations.push(UpdateObservation {
+        let set = sample_set_and(vec![UpdateObservation {
             platform: "RIS".into(),
             collector: "rrc00".into(),
             time: 1,
@@ -275,7 +288,7 @@ mod tests {
             large_communities: Vec::new(),
             communities: vec![],
             is_withdrawal: true,
-        });
+        }]);
         let overview = DatasetOverview::compute(&set);
         let ris = &overview.rows[0];
         assert_eq!(ris.v4_prefixes, 3, "withdrawn prefix counted");

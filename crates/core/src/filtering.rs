@@ -13,7 +13,7 @@
 
 use crate::observation::ObservationSet;
 use crate::stats::log1p10;
-use bgpworms_types::{Asn, Community, Prefix};
+use bgpworms_types::Asn;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Indication counters for one directed AS edge.
@@ -36,80 +36,108 @@ pub struct FilteringAnalysis {
 }
 
 impl FilteringAnalysis {
-    /// Runs the indication-count heuristic.
+    /// Runs the indication-count heuristic: per prefix, two passes over the
+    /// group's dense ids ([`ObservationSet::groups`]).
     pub fn compute(set: &ObservationSet) -> Self {
-        // Group announcement observations per prefix.
-        let mut by_prefix: BTreeMap<Prefix, Vec<usize>> = BTreeMap::new();
-        let all: Vec<_> = set.announcements().collect();
-        let mut all_edges: BTreeSet<(Asn, Asn)> = BTreeSet::new();
-        for (i, obs) in all.iter().enumerate() {
-            by_prefix.entry(obs.prefix).or_default().push(i);
-            for w in obs.path.windows(2) {
-                // Announcement direction: w[1] exported to w[0].
-                all_edges.insert((w[1], w[0]));
-            }
-        }
+        const NONE: u32 = u32::MAX;
+        let words = set.asns().len().div_ceil(64);
+        let mut counts = vec![EdgeIndications::default(); set.edges().len()];
 
-        let mut edges: BTreeMap<(Asn, Asn), EdgeIndications> = BTreeMap::new();
+        // Scratch of one prefix, emptied after it. `held` lists the
+        // communities with a holder set; `slot[c]` says which `words` words
+        // of `holders` are c's; `held_by[a]` is the run of (sorted) `held`
+        // that AS a owns.
+        let mut held: Vec<u32> = Vec::new();
+        let mut holders: Vec<u64> = Vec::new();
+        let mut slot = vec![NONE; set.communities().len()];
+        let mut held_by = vec![0..0; set.asns().len()];
 
-        for indices in by_prefix.values() {
+        for (_, rows) in set.groups() {
             // Which ASes are known to have held community c (between tagger
             // and peer on some carrying path)?
-            let mut holders: BTreeMap<Community, BTreeSet<Asn>> = BTreeMap::new();
-            for &i in indices {
-                let obs = all[i];
-                for &c in &obs.communities {
-                    let Some(tagger_idx) = obs.position_of(c.owner()) else {
+            for &i in rows {
+                let obs = set.row(i as usize);
+                let path = obs.path_ids();
+                for tag in obs.tags() {
+                    let Some(tagger_idx) = tag.owner_pos else {
                         continue;
                     };
-                    let entry = holders.entry(c).or_default();
-                    for &asn in &obs.path[..=tagger_idx] {
-                        entry.insert(asn);
+                    if slot[tag.id as usize] == NONE {
+                        slot[tag.id as usize] = held.len() as u32;
+                        held.push(tag.id);
+                        holders.resize(holders.len() + words, 0);
+                    }
+                    let holder_set = &mut holders[slot[tag.id as usize] as usize * words..];
+                    for &asn in &path[..=tagger_idx] {
+                        holder_set[asn as usize / 64] |= 1 << (asn % 64);
                     }
                 }
+            }
+            // Community ids ascend owner-major: one run of `held` per owner.
+            held.sort_unstable();
+            for (k, &c) in held.iter().enumerate() {
+                let run = &mut held_by[set.owner_id(c) as usize];
+                if run.start == run.end {
+                    run.start = k;
+                }
+                run.end = k + 1;
             }
 
             // Forward / filter indications per (community, announcement).
-            for (&c, holder_set) in &holders {
-                for &i in indices {
-                    let obs = all[i];
-                    let carries = obs.communities.contains(&c);
-                    let tagger_pos = obs.position_of(c.owner());
-                    if !carries && tagger_pos.is_none() {
-                        // The tagger is not even on this path; the
-                        // community plausibly never travelled here, so its
-                        // absence is not evidence of filtering.
+            // If the tagger is not even on a path, the community plausibly
+            // never travelled there and its absence is no evidence of
+            // filtering — so an announcement visits only the communities
+            // whose owner sits on its path, at the owner's first position.
+            for &i in rows {
+                let obs = set.row(i as usize);
+                let (path, edges) = (obs.path_ids(), obs.edge_ids());
+                for (tagger_pos, &owner) in path.iter().enumerate() {
+                    let run = held_by[owner as usize].clone();
+                    if run.is_empty() || path[..tagger_pos].contains(&owner) {
                         continue;
                     }
-                    // Walk consecutive pairs (X at j+1 exports to Z at j).
-                    for j in 0..obs.path.len().saturating_sub(1) {
-                        let z = obs.path[j];
-                        let x = obs.path[j + 1];
-                        if x == c.owner() {
-                            // The tagger adding its own community is not a
-                            // forwarding decision about foreign communities.
-                            continue;
-                        }
-                        if !holder_set.contains(&x) {
-                            continue;
-                        }
+                    for &c in &held[run] {
+                        let carries = obs.community_ids().contains(&c);
+                        let holder_set = &holders[slot[c as usize] as usize * words..];
                         // Only edges between the tagger and the monitor are
-                        // informative on this path.
-                        if tagger_pos.map(|t| j < t) != Some(true) {
-                            continue;
-                        }
-                        let e = edges.entry((x, z)).or_default();
-                        if carries {
-                            e.forwarded += 1;
-                        } else {
-                            e.filtered += 1;
+                        // informative on this path: walk the consecutive
+                        // pairs (X at j+1 exports to Z at j) below it.
+                        for j in 0..tagger_pos {
+                            let x = path[j + 1];
+                            if x == owner {
+                                // The tagger adding its own community is not a
+                                // forwarding decision about foreign communities.
+                                continue;
+                            }
+                            if holder_set[x as usize / 64] >> (x % 64) & 1 == 0 {
+                                continue;
+                            }
+                            let e = &mut counts[edges[j] as usize];
+                            if carries {
+                                e.forwarded += 1;
+                            } else {
+                                e.filtered += 1;
+                            }
                         }
                     }
                 }
             }
+
+            for &c in &held {
+                slot[c as usize] = NONE;
+                held_by[set.owner_id(c) as usize] = 0..0;
+            }
+            held.clear();
+            holders.clear();
         }
 
-        FilteringAnalysis { edges, all_edges }
+        FilteringAnalysis {
+            edges: (set.edges().iter().zip(&counts))
+                .filter(|(_, e)| e.forwarded + e.filtered > 0)
+                .map(|(&edge, &e)| (edge, e))
+                .collect(),
+            all_edges: set.edges().iter().copied().collect(),
+        }
     }
 
     /// Fraction of *all observed AS edges* with ≥1 forwarding indication
@@ -318,6 +346,7 @@ impl RelationshipCorrelation {
 mod tests {
     use super::*;
     use crate::observation::UpdateObservation;
+    use bgpworms_types::Community;
 
     fn obs(peer: u32, path: &[u32], comms: &[(u16, u16)], prefix: &str) -> UpdateObservation {
         UpdateObservation {
@@ -338,13 +367,13 @@ mod tests {
     /// The paper's Fig 6(a) example: prefix p originated at AS1; A1 via
     /// AS4 carries AS2:x, A2 via AS5 carries nothing.
     fn paper_example() -> ObservationSet {
-        ObservationSet {
-            observations: vec![
+        ObservationSet::from_observations(
+            vec![
                 obs(4, &[4, 3, 2, 1], &[(2, 9)], "10.0.0.0/16"),
                 obs(5, &[5, 3, 2, 1], &[], "10.0.0.0/16"),
             ],
-            messages: vec![],
-        }
+            vec![],
+        )
     }
 
     #[test]
@@ -378,15 +407,15 @@ mod tests {
     #[test]
     fn mixed_edges_detected() {
         // Same edge forwards one community and filters another.
-        let set = ObservationSet {
-            observations: vec![
+        let set = ObservationSet::from_observations(
+            vec![
                 obs(4, &[4, 3, 2, 1], &[(2, 9)], "10.0.0.0/16"),
                 obs(4, &[4, 3, 2, 1], &[(2, 8)], "20.0.0.0/16"),
                 obs(5, &[5, 3, 2, 1], &[(2, 8)], "20.0.0.0/16"),
                 obs(5, &[5, 3, 2, 1], &[], "10.0.0.0/16"),
             ],
-            messages: vec![],
-        };
+            vec![],
+        );
         let analysis = FilteringAnalysis::compute(&set);
         let e35 = analysis.edges[&(Asn::new(3), Asn::new(5))];
         assert!(e35.forwarded > 0 && e35.filtered > 0);

@@ -43,10 +43,10 @@ impl LargeCommunityAnalysis {
         let mut analysis = LargeCommunityAnalysis::default();
         for obs in set.announcements() {
             analysis.announcements += 1;
-            if !obs.large_communities.is_empty() {
+            if !obs.large_communities().is_empty() {
                 analysis.with_large += 1;
             }
-            for &lc in &obs.large_communities {
+            for &lc in obs.large_communities() {
                 analysis.unique.insert(lc);
                 let owner = lc.owner();
                 analysis.owners.insert(owner);
@@ -58,11 +58,11 @@ impl LargeCommunityAnalysis {
                 // contribute the full path length.
                 let d = obs
                     .position_of(owner)
-                    .unwrap_or(obs.path.len().saturating_sub(1));
+                    .unwrap_or(obs.path().len().saturating_sub(1));
                 analysis.distances.push(d as f64);
             }
             let mut private_here = false;
-            for &c in &obs.communities {
+            for &c in obs.communities() {
                 if c.owner_is_private() {
                     private_here = true;
                     analysis.private_bundle_owners.insert(c.owner());
@@ -169,10 +169,7 @@ mod tests {
     }
 
     fn set(observations: Vec<UpdateObservation>) -> ObservationSet {
-        ObservationSet {
-            observations,
-            messages: vec![("RIS".into(), "rrc00".into(), 1)],
-        }
+        ObservationSet::from_observations(observations, vec![("RIS".into(), "rrc00".into(), 1)])
     }
 
     #[test]
@@ -227,7 +224,7 @@ mod tests {
 
     #[test]
     fn empty_set_is_all_zeroes() {
-        let a = LargeCommunityAnalysis::compute(&ObservationSet::default());
+        let a = LargeCommunityAnalysis::compute(&set(vec![]));
         assert_eq!(a.large_fraction(), 0.0);
         assert_eq!(a.private_bundle_fraction(), 0.0);
         assert!(a.distance_ecdf().is_empty());

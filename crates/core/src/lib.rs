@@ -2,13 +2,17 @@
 //! pipeline of §4.
 //!
 //! (`ARCHITECTURE.md` at the repository root shows where this analysis
-//! layer sits in the workspace.)
+//! layer sits in the workspace, and draws its Layer 0 in "The passive
+//! pipeline": archives → tables and columns → the two shared indexes →
+//! the analyses below.)
 //!
 //! Input is MRT — the same bytes RIPE RIS / RouteViews / Isolario / PCH
 //! publish and that `bgpworms-routesim` collectors emit. The pipeline never
-//! sees simulator internals; it parses archives into
-//! [`UpdateObservation`]s and derives every statistic of the paper's
-//! measurement section:
+//! sees simulator internals; it parses archives **once** into an
+//! [`ObservationSet`] — interned ASNs, communities, edges, prefixes and
+//! sessions, flat columns, rows read in place as [`Observation`]s — and
+//! derives every statistic of the paper's measurement section from its
+//! dense ids:
 //!
 //! | Analysis | Paper artefact | Module |
 //! |---|---|---|
@@ -46,7 +50,10 @@ pub use filtering::{
     ClassIndications, EdgeIndications, FilteringAnalysis, RelClass, RelationshipCorrelation,
 };
 pub use large::LargeCommunityAnalysis;
-pub use observation::{ArchiveInput, BlackholeDetector, ObservationSet, UpdateObservation};
+pub use observation::{
+    ArchiveInput, BlackholeDetector, Frozen, Observation, ObservationSet, Row, Tag,
+    UpdateObservation,
+};
 pub use propagation::{PropagationAnalysis, Table2Row};
 pub use stats::{Ecdf, Histogram};
 pub use timeseries::SnapshotStats;

@@ -18,7 +18,7 @@
 use crate::observation::{BlackholeDetector, ObservationSet};
 use crate::stats::Ecdf;
 use bgpworms_types::{Asn, Community};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 /// One distance sample: a (community, prefix, peer)-deduplicated instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,57 +64,80 @@ pub struct PropagationAnalysis {
     pub transit_ases: BTreeSet<Asn>,
 }
 
+/// `true` at the id of every AS peering with a collector in `sessions`.
+fn collector_peers(set: &ObservationSet, sessions: &[bool]) -> Vec<bool> {
+    let mut peers = vec![false; set.asns().len()];
+    for obs in set.iter().filter(|o| sessions[o.session() as usize]) {
+        peers[obs.peer_id() as usize] = true;
+    }
+    peers
+}
+
+/// The ASes flagged in `flags`, which is indexed by ASN id.
+fn flagged<'a>(set: &'a ObservationSet, flags: &'a [bool]) -> impl Iterator<Item = Asn> + 'a {
+    (set.asns().iter().zip(flags))
+        .filter(|(_, &flag)| flag)
+        .map(|(&asn, _)| asn)
+}
+
 impl PropagationAnalysis {
     /// Runs the analysis.
     pub fn compute(set: &ObservationSet, detector: &BlackholeDetector) -> Self {
-        let collector_peers = set.collector_peers();
+        let all_sessions = set.sessions_of(None);
+        let collector_peers = collector_peers(set, &all_sessions);
+        let is_blackhole = set.community_flags(|c| detector.is_blackhole(c));
 
-        let mut seen: BTreeSet<(Community, bgpworms_types::Prefix, Asn)> = BTreeSet::new();
+        // lint: order-independent membership tests only, never iterated
+        let mut seen: HashSet<(u32, u32, u32)> = HashSet::new();
         let mut samples = Vec::new();
-        let mut forwarders: BTreeSet<Asn> = BTreeSet::new();
-        let mut transit_ases: BTreeSet<Asn> = BTreeSet::new();
+        let mut forwarders = vec![false; set.asns().len()];
+        let mut transit_ases = vec![false; set.asns().len()];
 
         for obs in set.announcements() {
-            let path_len = obs.path.len();
-            for (i, &asn) in obs.path.iter().enumerate() {
-                if i != path_len.saturating_sub(1) {
-                    transit_ases.insert(asn);
-                }
+            let path = obs.path_ids();
+            for &asn in &path[..path.len().saturating_sub(1)] {
+                transit_ases[asn as usize] = true;
             }
-            for &c in &obs.communities {
-                let Some(idx) = obs.position_of(c.owner()) else {
+            for tag in obs.tags() {
+                let Some(idx) = tag.owner_pos else {
                     continue; // off-path: no distance defined
                 };
                 // Transit forwarders: ASes strictly between the tagger and
                 // the collector peer relay a foreign community.
-                for j in 1..idx {
-                    forwarders.insert(obs.path[j]);
+                for &asn in path.get(1..idx).unwrap_or_default() {
+                    forwarders[asn as usize] = true;
                 }
-                if !seen.insert((c, obs.prefix, obs.peer)) {
+                if !seen.insert((tag.id, obs.prefix_id(), obs.peer_id())) {
                     continue;
                 }
                 samples.push(DistanceSample {
-                    community: c,
+                    community: tag.community,
                     distance: idx + 1,
-                    path_len,
-                    is_blackhole: detector.is_blackhole(c),
+                    path_len: path.len(),
+                    is_blackhole: is_blackhole[tag.id as usize],
                 });
             }
         }
-        forwarders.retain(|a| !collector_peers.contains(a));
+        for (forwards, &peers) in forwarders.iter_mut().zip(&collector_peers) {
+            *forwards &= !peers;
+        }
 
         // Table 2 per platform + total.
         let mut table2 = Vec::new();
         for platform in set.platforms() {
-            table2.push(table2_row(&platform, &set.platform_slice(&platform)));
+            table2.push(table2_row(
+                &platform,
+                set,
+                &set.sessions_of(Some(&platform)),
+            ));
         }
-        table2.push(table2_row("Total", set));
+        table2.push(table2_row("Total", set, &all_sessions));
 
         PropagationAnalysis {
             samples,
             table2,
-            forwarders,
-            transit_ases,
+            forwarders: flagged(set, &forwarders).collect(),
+            transit_ases: flagged(set, &transit_ases).collect(),
         }
     }
 
@@ -162,34 +185,36 @@ impl PropagationAnalysis {
     }
 }
 
-fn table2_row(platform: &str, set: &ObservationSet) -> Table2Row {
-    let collector_peers = set.collector_peers();
-    let mut owners: BTreeSet<Asn> = BTreeSet::new();
-    let mut on_path: BTreeSet<Asn> = BTreeSet::new();
-    let mut off_path: BTreeSet<Asn> = BTreeSet::new();
+/// One row over the observations of `sessions` (`true` per session id in).
+fn table2_row(platform: &str, set: &ObservationSet, sessions: &[bool]) -> Table2Row {
+    let collector_peers = collector_peers(set, sessions);
+    let mut on_path = vec![false; set.asns().len()];
+    let mut off_path = vec![false; set.asns().len()];
 
     for obs in set.announcements() {
-        for &c in &obs.communities {
-            let owner = c.owner();
-            owners.insert(owner);
-            if obs.position_of(owner).is_some() {
-                on_path.insert(owner);
+        if !sessions[obs.session() as usize] {
+            continue;
+        }
+        for tag in obs.tags() {
+            let owner = set.owner_id(tag.id) as usize;
+            if tag.owner_pos.is_some() {
+                on_path[owner] = true;
             } else {
-                off_path.insert(owner);
+                off_path[owner] = true;
             }
         }
     }
 
+    let owners: Vec<bool> = on_path.iter().zip(&off_path).map(|(a, b)| a | b).collect();
     Table2Row {
         platform: platform.to_string(),
-        total: owners.len(),
-        without_collector_peer: owners
-            .iter()
-            .filter(|a| !collector_peers.contains(a))
+        total: flagged(set, &owners).count(),
+        without_collector_peer: (owners.iter().zip(&collector_peers))
+            .filter(|(&owner, &peer)| owner && !peer)
             .count(),
-        on_path: on_path.len(),
-        off_path: off_path.len(),
-        off_path_without_private: off_path.iter().filter(|a| a.is_public()).count(),
+        on_path: flagged(set, &on_path).count(),
+        off_path: flagged(set, &off_path).count(),
+        off_path_without_private: flagged(set, &off_path).filter(|a| a.is_public()).count(),
     }
 }
 
@@ -242,10 +267,7 @@ mod tests {
     }
 
     fn set(observations: Vec<UpdateObservation>) -> ObservationSet {
-        ObservationSet {
-            observations,
-            messages: vec![],
-        }
+        ObservationSet::from_observations(observations, vec![])
     }
 
     #[test]

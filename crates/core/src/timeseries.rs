@@ -3,8 +3,6 @@
 //! yearly snapshot.
 
 use crate::observation::ObservationSet;
-use bgpworms_types::{Asn, Community};
-use std::collections::BTreeSet;
 
 /// One snapshot's aggregate numbers.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -23,26 +21,22 @@ pub struct SnapshotStats {
 }
 
 impl SnapshotStats {
-    /// Computes the Fig 3 quantities for one snapshot.
+    /// Computes the Fig 3 quantities for one snapshot. The set's tables
+    /// hold exactly what its announcements carry, so the two distinct
+    /// counts are read off them.
     pub fn compute(label: &str, set: &ObservationSet) -> Self {
-        let mut unique: BTreeSet<Community> = BTreeSet::new();
-        let mut owners: BTreeSet<Asn> = BTreeSet::new();
-        let mut absolute = 0u64;
-        let mut entries = 0u64;
-        for obs in set.announcements() {
-            entries += 1;
-            absolute += obs.communities.len() as u64;
-            for &c in &obs.communities {
-                unique.insert(c);
-                owners.insert(c.owner());
-            }
+        let mut owns = vec![false; set.asns().len()];
+        for community in 0..set.communities().len() as u32 {
+            owns[set.owner_id(community) as usize] = true;
         }
         SnapshotStats {
             label: label.to_string(),
-            unique_communities: unique.len(),
-            unique_asns_in_communities: owners.len(),
-            absolute_communities: absolute,
-            table_entries: entries,
+            unique_communities: set.communities().len(),
+            unique_asns_in_communities: owns.iter().filter(|&&o| o).count(),
+            absolute_communities: (set.announcements())
+                .map(|o| o.communities().len() as u64)
+                .sum(),
+            table_entries: set.announcements().count() as u64,
         }
     }
 }
@@ -86,6 +80,7 @@ pub fn is_monotonic_growth(series: &[SnapshotStats]) -> bool {
 mod tests {
     use super::*;
     use crate::observation::UpdateObservation;
+    use bgpworms_types::{Asn, Community};
 
     fn obs(comms: &[(u16, u16)]) -> UpdateObservation {
         UpdateObservation {
@@ -105,10 +100,10 @@ mod tests {
 
     #[test]
     fn snapshot_counts() {
-        let set = ObservationSet {
-            observations: vec![obs(&[(1, 1), (1, 2)]), obs(&[(1, 1), (2, 1)]), obs(&[])],
-            messages: vec![],
-        };
+        let set = ObservationSet::from_observations(
+            vec![obs(&[(1, 1), (1, 2)]), obs(&[(1, 1), (2, 1)]), obs(&[])],
+            vec![],
+        );
         let s = SnapshotStats::compute("2018", &set);
         assert_eq!(s.unique_communities, 3);
         assert_eq!(s.unique_asns_in_communities, 2);

@@ -25,30 +25,38 @@ pub struct UsageAnalysis {
 impl UsageAnalysis {
     /// Computes the usage statistics over all announcements.
     pub fn compute(set: &ObservationSet) -> Self {
-        let mut per_collector: BTreeMap<(String, String), (u64, u64)> = BTreeMap::new();
+        // (with communities, total) announcements per session id.
+        let mut per_session = vec![(0u64, 0u64); set.sessions().len()];
         let mut comm_counts: Vec<f64> = Vec::new();
         let mut asn_counts: Vec<f64> = Vec::new();
         let mut with = 0u64;
         let mut total = 0u64;
+        // Per ASN id, the (1-based) announcement that last carried one of
+        // its communities: counts an update's distinct owners in one walk.
+        let mut last_carried = vec![0u64; set.asns().len()];
 
         for obs in set.announcements() {
-            let entry = per_collector
-                .entry((obs.platform.clone(), obs.collector.clone()))
-                .or_insert((0, 0));
+            let entry = &mut per_session[obs.session() as usize];
             entry.1 += 1;
             total += 1;
             if obs.has_communities() {
                 entry.0 += 1;
                 with += 1;
             }
-            comm_counts.push(obs.communities.len() as f64);
-            asn_counts.push(obs.community_owners().len() as f64);
+            comm_counts.push(obs.communities().len() as f64);
+            let mut owners = 0u32;
+            for &c in obs.community_ids() {
+                let last = &mut last_carried[set.owner_id(c) as usize];
+                owners += u32::from(*last != total);
+                *last = total;
+            }
+            asn_counts.push(f64::from(owners));
         }
 
         UsageAnalysis {
-            per_collector_fraction: per_collector
-                .into_iter()
-                .map(|(k, (w, t))| (k, if t == 0 { 0.0 } else { w as f64 / t as f64 }))
+            per_collector_fraction: (set.sessions().iter().zip(per_session))
+                .filter(|(_, (_, t))| *t > 0)
+                .map(|(session, (w, t))| (session.clone(), w as f64 / t as f64))
                 .collect(),
             communities_per_update: Ecdf::new(comm_counts),
             asns_per_update: Ecdf::new(asn_counts),
@@ -109,15 +117,15 @@ mod tests {
 
     #[test]
     fn fractions_and_ecdfs() {
-        let set = ObservationSet {
-            observations: vec![
+        let set = ObservationSet::from_observations(
+            vec![
                 obs("rrc00", 0, &[]),
                 obs("rrc00", 3, &[1, 2]),
                 obs("rrc01", 1, &[1]),
                 obs("rrc01", 5, &[1, 2, 3]),
             ],
-            messages: vec![],
-        };
+            vec![],
+        );
         let usage = UsageAnalysis::compute(&set);
         assert_eq!(usage.overall_fraction, 0.75);
         assert_eq!(
@@ -138,14 +146,17 @@ mod tests {
 
     #[test]
     fn fig4a_series_sorted_per_platform() {
-        let mut set = ObservationSet {
-            observations: vec![obs("rrc00", 1, &[1]), obs("rrc01", 0, &[])],
-            messages: vec![],
-        };
-        set.observations.push(UpdateObservation {
-            platform: "PCH".into(),
-            ..obs("pch001", 1, &[1])
-        });
+        let set = ObservationSet::from_observations(
+            vec![
+                obs("rrc00", 1, &[1]),
+                obs("rrc01", 0, &[]),
+                UpdateObservation {
+                    platform: "PCH".into(),
+                    ..obs("pch001", 1, &[1])
+                },
+            ],
+            vec![],
+        );
         let usage = UsageAnalysis::compute(&set);
         let series = usage.fig4a_series();
         assert_eq!(series["RIS"], vec![0.0, 1.0]);
@@ -156,10 +167,7 @@ mod tests {
     fn withdrawals_excluded() {
         let mut o = obs("rrc00", 0, &[]);
         o.is_withdrawal = true;
-        let set = ObservationSet {
-            observations: vec![o, obs("rrc00", 1, &[1])],
-            messages: vec![],
-        };
+        let set = ObservationSet::from_observations(vec![o, obs("rrc00", 1, &[1])], vec![]);
         let usage = UsageAnalysis::compute(&set);
         assert_eq!(usage.overall_fraction, 1.0, "only the announcement counts");
     }

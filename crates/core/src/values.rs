@@ -5,6 +5,8 @@
 use crate::observation::ObservationSet;
 use crate::stats::Histogram;
 use crate::table::{pct, text_table};
+use bgpworms_types::Community;
+use std::collections::HashSet;
 
 /// A ranked value list: `(value, count, share)` rows.
 pub type TopList = Vec<(u16, u64, f64)>;
@@ -23,22 +25,36 @@ impl TopValues {
     /// Computes value histograms over deduplicated
     /// (community, prefix, peer) instances.
     pub fn compute(set: &ObservationSet) -> Self {
-        let mut on_path = Histogram::new();
-        let mut off_path = Histogram::new();
-        let mut seen = std::collections::BTreeSet::new();
+        // Instances per community id; the histograms fold them by value.
+        let mut on_path = vec![0u64; set.communities().len()];
+        let mut off_path = vec![0u64; set.communities().len()];
+        // lint: order-independent membership tests only, never iterated
+        let mut seen: HashSet<(u32, u32, u32)> = HashSet::new();
         for obs in set.announcements() {
-            for &c in &obs.communities {
-                if !seen.insert((c, obs.prefix, obs.peer)) {
+            for tag in obs.tags() {
+                if !seen.insert((tag.id, obs.prefix_id(), obs.peer_id())) {
                     continue;
                 }
-                if obs.position_of(c.owner()).is_some() {
-                    on_path.add(c.value_part());
-                } else if c.owner().is_public() {
-                    off_path.add(c.value_part());
+                if tag.owner_pos.is_some() {
+                    on_path[tag.id as usize] += 1;
+                } else {
+                    off_path[tag.id as usize] += 1;
                 }
             }
         }
-        TopValues { on_path, off_path }
+        let fold = |counts: &[u64], keep: fn(Community) -> bool| {
+            let mut histogram = Histogram::new();
+            for (&c, &n) in set.communities().iter().zip(counts) {
+                if n > 0 && keep(c) {
+                    histogram.add_n(c.value_part(), n);
+                }
+            }
+            histogram
+        };
+        TopValues {
+            on_path: fold(&on_path, |_| true),
+            off_path: fold(&off_path, |c| c.owner().is_public()),
+        }
     }
 
     /// The top-`n` values for each class: `(value, count, share)`.
@@ -91,7 +107,7 @@ impl TopValues {
 mod tests {
     use super::*;
     use crate::observation::UpdateObservation;
-    use bgpworms_types::{Asn, Community};
+    use bgpworms_types::Asn;
 
     fn obs(peer: u32, path: &[u32], comms: &[(u16, u16)], prefix: &str) -> UpdateObservation {
         UpdateObservation {
@@ -111,15 +127,15 @@ mod tests {
 
     #[test]
     fn splits_on_and_off_path() {
-        let set = ObservationSet {
-            observations: vec![
+        let set = ObservationSet::from_observations(
+            vec![
                 obs(5, &[5, 3, 1], &[(3, 100), (77, 666)], "10.0.0.0/16"),
                 obs(5, &[5, 3, 1], &[(3, 100)], "20.0.0.0/16"),
                 // private off-path owner excluded entirely:
                 obs(5, &[5, 1], &[(64_600, 666)], "30.0.0.0/16"),
             ],
-            messages: vec![],
-        };
+            vec![],
+        );
         let tv = TopValues::compute(&set);
         assert_eq!(tv.on_path.count(&100), 2);
         assert_eq!(tv.off_path.count(&666), 1);
@@ -130,20 +146,17 @@ mod tests {
     #[test]
     fn dedup_prevents_double_counting() {
         let o = obs(5, &[5, 3, 1], &[(3, 100)], "10.0.0.0/16");
-        let set = ObservationSet {
-            observations: vec![o.clone(), o],
-            messages: vec![],
-        };
+        let set = ObservationSet::from_observations(vec![o.clone(), o], vec![]);
         let tv = TopValues::compute(&set);
         assert_eq!(tv.on_path.count(&100), 1);
     }
 
     #[test]
     fn render_shows_both_columns() {
-        let set = ObservationSet {
-            observations: vec![obs(5, &[5, 3, 1], &[(3, 100), (99, 500)], "10.0.0.0/16")],
-            messages: vec![],
-        };
+        let set = ObservationSet::from_observations(
+            vec![obs(5, &[5, 3, 1], &[(3, 100), (99, 500)], "10.0.0.0/16")],
+            vec![],
+        );
         let tv = TopValues::compute(&set);
         let text = tv.render(5);
         assert!(text.contains("off-path value"));

@@ -1,13 +1,198 @@
 //! Property-based tests for the measurement pipeline: statistical
 //! invariants of the ECDF/histogram toolkit, the MRT→observation parse,
-//! and the large-community accounting.
+//! the large-community accounting, and the dense filtering kernel against
+//! the sparse-map implementation it replaced.
 
-use bgpworms_core::{ArchiveInput, Ecdf, LargeCommunityAnalysis, ObservationSet};
+use bgpworms_core::{
+    ArchiveInput, Ecdf, EdgeIndications, FilteringAnalysis, LargeCommunityAnalysis, ObservationSet,
+    UpdateObservation,
+};
 use bgpworms_mrt::MrtWriter;
 use bgpworms_types::{AsPath, Asn, Community, LargeCommunity, PathAttributes, Prefix, RouteUpdate};
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
+
+type Edges = BTreeMap<(Asn, Asn), EdgeIndications>;
+
+/// The oracle: `FilteringAnalysis::compute` as it stood before the dense-id
+/// store (PR 16), body verbatim, reading the owned records the set is built
+/// from — so it shares neither the kernel nor the store with what it checks.
+fn reference_filtering(records: &[UpdateObservation]) -> (Edges, BTreeSet<(Asn, Asn)>) {
+    fn position_of(obs: &UpdateObservation, asn: Asn) -> Option<usize> {
+        obs.path.iter().position(|&a| a == asn)
+    }
+
+    // Group announcement observations per prefix.
+    let mut by_prefix: BTreeMap<Prefix, Vec<usize>> = BTreeMap::new();
+    let all: Vec<_> = records.iter().filter(|o| !o.is_withdrawal).collect();
+    let mut all_edges: BTreeSet<(Asn, Asn)> = BTreeSet::new();
+    for (i, obs) in all.iter().enumerate() {
+        by_prefix.entry(obs.prefix).or_default().push(i);
+        for w in obs.path.windows(2) {
+            // Announcement direction: w[1] exported to w[0].
+            all_edges.insert((w[1], w[0]));
+        }
+    }
+
+    let mut edges: BTreeMap<(Asn, Asn), EdgeIndications> = BTreeMap::new();
+
+    for indices in by_prefix.values() {
+        // Which ASes are known to have held community c (between tagger
+        // and peer on some carrying path)?
+        let mut holders: BTreeMap<Community, BTreeSet<Asn>> = BTreeMap::new();
+        for &i in indices {
+            let obs = all[i];
+            for &c in &obs.communities {
+                let Some(tagger_idx) = position_of(obs, c.owner()) else {
+                    continue;
+                };
+                let entry = holders.entry(c).or_default();
+                for &asn in &obs.path[..=tagger_idx] {
+                    entry.insert(asn);
+                }
+            }
+        }
+
+        // Forward / filter indications per (community, announcement).
+        for (&c, holder_set) in &holders {
+            for &i in indices {
+                let obs = all[i];
+                let carries = obs.communities.contains(&c);
+                let tagger_pos = position_of(obs, c.owner());
+                if !carries && tagger_pos.is_none() {
+                    // The tagger is not even on this path; the
+                    // community plausibly never travelled here, so its
+                    // absence is not evidence of filtering.
+                    continue;
+                }
+                // Walk consecutive pairs (X at j+1 exports to Z at j).
+                for j in 0..obs.path.len().saturating_sub(1) {
+                    let z = obs.path[j];
+                    let x = obs.path[j + 1];
+                    if x == c.owner() {
+                        // The tagger adding its own community is not a
+                        // forwarding decision about foreign communities.
+                        continue;
+                    }
+                    if !holder_set.contains(&x) {
+                        continue;
+                    }
+                    // Only edges between the tagger and the monitor are
+                    // informative on this path.
+                    if tagger_pos.map(|t| j < t) != Some(true) {
+                        continue;
+                    }
+                    let e = edges.entry((x, z)).or_default();
+                    if carries {
+                        e.forwarded += 1;
+                    } else {
+                        e.filtered += 1;
+                    }
+                }
+            }
+        }
+    }
+
+    (edges, all_edges)
+}
+
+fn record(
+    prefix: u8,
+    path: &[u32],
+    comms: &[(u16, u16)],
+    is_withdrawal: bool,
+) -> UpdateObservation {
+    UpdateObservation {
+        platform: "RIS".into(),
+        collector: "rrc00".into(),
+        time: 0,
+        peer: Asn::new(path.first().copied().unwrap_or(99)),
+        prefix: format!("10.{prefix}.0.0/16").parse().unwrap(),
+        path: path.iter().map(|&n| Asn::new(n)).collect(),
+        raw_hop_count: path.len(),
+        prepends: vec![],
+        communities: comms.iter().map(|&(a, v)| Community::new(a, v)).collect(),
+        large_communities: vec![],
+        is_withdrawal,
+    }
+}
+
+/// One of each shape the dense kernel can get wrong, on prefix 0.
+fn shapes() -> Vec<UpdateObservation> {
+    vec![
+        // AS4 repeated non-consecutively: its first position is the tagger's
+        // (AS3, a holder by the second path, sits below its later one).
+        record(0, &[5, 4, 3, 4, 1], &[(4, 1)], false),
+        record(0, &[3, 4, 1], &[(4, 1)], false),
+        // An owner that is on no path, and one off this path only.
+        record(0, &[6, 3, 1], &[(10, 1), (4, 1)], false),
+        // Owner at position 0 (the peer) and at the origin.
+        record(0, &[2, 1], &[(2, 5)], false),
+        record(0, &[5, 3, 1], &[(1, 7)], false),
+        record(0, &[6, 3, 1], &[], false),
+        // AS7 never held 1:7: no indication on its edge.
+        record(0, &[6, 7, 1], &[], false),
+        // Two communities of one owner with different holder sets.
+        record(0, &[4, 3, 2, 1], &[(2, 8)], false),
+        record(0, &[5, 2, 1], &[(2, 9)], false),
+        // A duplicate observation.
+        record(0, &[5, 2, 1], &[(2, 9)], false),
+        // A withdrawal in between; the attributes it should not have count
+        // for nothing.
+        record(0, &[9, 2, 1], &[(2, 9)], true),
+        // An announcement with an empty path.
+        record(0, &[], &[(2, 8), (1, 7)], false),
+        // A 4-byte path ASN no community can own.
+        record(0, &[400_000, 3, 2, 1], &[(2, 8)], false),
+    ]
+}
+
+#[test]
+fn dense_filtering_equals_the_reference_on_every_special_shape() {
+    let records = shapes();
+    let (edges, all_edges) = reference_filtering(&records);
+    let dense = FilteringAnalysis::compute(&ObservationSet::from_observations(records, vec![]));
+    assert_eq!(dense.edges, edges);
+    assert_eq!(dense.all_edges, all_edges);
+    // The shapes bite: both kinds of indication, and edges with neither.
+    assert!(edges.values().any(|e| e.forwarded > 0));
+    assert!(edges.values().any(|e| e.filtered > 0));
+    assert!(edges.len() < all_edges.len());
+}
+
+/// ASNs random paths draw from: eight that can own a community, one that
+/// cannot. Owners 9 and 10 are on no path.
+const POOL: [u32; 9] = [1, 2, 3, 4, 5, 6, 7, 8, 400_000];
 
 proptest! {
+    #[test]
+    fn dense_filtering_equals_the_reference(
+        random in proptest::collection::vec(
+            (
+                0u8..3,
+                proptest::collection::vec(0usize..POOL.len(), 0..7),
+                proptest::collection::vec((1u16..11, 1u16..3), 0..4),
+                0u8..6,
+            ),
+            0..24,
+        ),
+        with_shapes in any::<bool>(),
+    ) {
+        let mut records = if with_shapes { shapes() } else { Vec::new() };
+        for (prefix, path, comms, kind) in random {
+            let path: Vec<u32> = path.into_iter().map(|i| POOL[i]).collect();
+            let r = record(prefix, &path, &comms, kind == 0);
+            if kind == 1 {
+                records.push(r.clone());
+            }
+            records.push(r);
+        }
+        let (edges, all_edges) = reference_filtering(&records);
+        let dense = FilteringAnalysis::compute(&ObservationSet::from_observations(records, vec![]));
+        prop_assert_eq!(dense.edges, edges);
+        prop_assert_eq!(dense.all_edges, all_edges);
+    }
+
     #[test]
     fn ecdf_is_monotone_and_bounded(
         samples in proptest::collection::vec(-1e6f64..1e6, 0..200),
@@ -85,7 +270,7 @@ proptest! {
         .unwrap();
 
         prop_assert_eq!(set.observations.len(), 1);
-        let obs = &set.observations[0];
+        let obs = set.row(0).to_record();
         prop_assert_eq!(&obs.path, &path);
         // the codec normalizes (sorts) communities; compare as sets
         let mut want = communities;
@@ -112,7 +297,7 @@ proptest! {
             } else {
                 vec![]
             };
-            observations.push(bgpworms_core::UpdateObservation {
+            observations.push(UpdateObservation {
                 platform: "RIS".into(),
                 collector: "rrc00".into(),
                 time: 0,
@@ -126,7 +311,7 @@ proptest! {
                 is_withdrawal: false,
             });
         }
-        let set = ObservationSet { observations, messages: vec![] };
+        let set = ObservationSet::from_observations(observations, vec![]);
         let a = LargeCommunityAnalysis::compute(&set);
         prop_assert_eq!(a.announcements as usize, n_plain + n_large);
         prop_assert_eq!(a.with_large as usize, n_large);

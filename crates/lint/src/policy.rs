@@ -99,7 +99,10 @@ pub const POLICIES: &[CratePolicy] = &[
         name: "bgpworms-core",
         src: "crates/core/src",
         result_affecting: true,
-        hot_path: &[],
+        // The observation store and the Fig 6 kernel are index arithmetic
+        // and table lookups over what external MRT bytes decoded to: a
+        // lookup that "cannot miss" says why.
+        hot_path: &["observation.rs", "filtering.rs"],
     },
     CratePolicy {
         name: "bgpworms-monitor",

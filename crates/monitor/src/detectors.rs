@@ -24,7 +24,7 @@
 
 use crate::dictionary::{CommunityDictionary, CommunityKind};
 use crate::tagger::{attribute_among, TaggerAttribution};
-use bgpworms_core::{FilteringAnalysis, ObservationSet, UpdateObservation};
+use bgpworms_core::{FilteringAnalysis, ObservationSet};
 use bgpworms_topology::Topology;
 use bgpworms_types::{Asn, Community, Prefix};
 use std::collections::{BTreeMap, BTreeSet};
@@ -113,25 +113,16 @@ pub struct Monitor<'a> {
     dict: &'a CommunityDictionary,
     filters: Option<&'a FilteringAnalysis>,
     topo: Option<&'a Topology>,
-    by_prefix: BTreeMap<Prefix, Vec<&'a UpdateObservation>>,
 }
 
 impl<'a> Monitor<'a> {
-    /// Builds the monitor and its per-prefix index.
+    /// Builds the monitor over the set's per-prefix index.
     pub fn new(set: &'a ObservationSet, dict: &'a CommunityDictionary) -> Self {
-        let mut by_prefix: BTreeMap<Prefix, Vec<&UpdateObservation>> = BTreeMap::new();
-        for obs in set.announcements() {
-            if obs.path.is_empty() {
-                continue;
-            }
-            by_prefix.entry(obs.prefix).or_default().push(obs);
-        }
         Monitor {
             set,
             dict,
             filters: None,
             topo: None,
-            by_prefix,
         }
     }
 
@@ -166,30 +157,56 @@ impl<'a> Monitor<'a> {
     }
 
     fn attribution(&self, prefix: Prefix, community: Community) -> TaggerAttribution {
-        let empty: Vec<&UpdateObservation> = Vec::new();
-        let announcements = self.by_prefix.get(&prefix).unwrap_or(&empty);
         // Action communities are tagged by the requester, not the owner —
         // the §4.3 owner prior would pin every blackhole request on the
         // service provider.
         let owner_prior = !self.dict.is_action(community);
-        attribute_among(announcements, prefix, community, self.filters, owner_prior)
+        attribute_among(
+            self.set.group(prefix),
+            prefix,
+            community,
+            self.filters,
+            owner_prior,
+        )
     }
 
     /// Observed origins of a prefix.
     fn origins_of(&self, prefix: Prefix) -> BTreeSet<Asn> {
-        self.by_prefix
-            .get(&prefix)
-            .map(|v| v.iter().filter_map(|o| o.origin()).collect())
-            .unwrap_or_default()
+        self.set.group(prefix).filter_map(|o| o.origin()).collect()
+    }
+
+    /// Observed origins of a prefix on the paths tagged with `community`.
+    fn tagged_origins(&self, prefix: Prefix, community: Community) -> BTreeSet<Asn> {
+        (self.set.group(prefix))
+            .filter(|o| o.communities().contains(&community))
+            .filter_map(|o| o.origin())
+            .collect()
     }
 
     /// The closest observed strictly-covering prefix, if any.
     fn covering_of(&self, prefix: Prefix) -> Option<Prefix> {
-        self.by_prefix
-            .keys()
-            .filter(|p| **p != prefix && p.covers(&prefix))
+        (self.set.groups().map(|(p, _)| p))
+            .filter(|p| *p != prefix && p.covers(&prefix))
             .max_by_key(|p| p.len())
-            .copied()
+    }
+
+    /// The distinct (prefix, community) pairs on any announcement, for the
+    /// communities `wanted` picks — asked once per distinct community.
+    fn pairs(&self, wanted: impl Fn(Community) -> bool) -> BTreeSet<(Prefix, Community)> {
+        let set = self.set;
+        (set.communities().iter().zip(0u32..))
+            .filter(|(&c, _)| wanted(c))
+            .flat_map(|(&c, id)| {
+                (set.prefixes_carrying(id).iter()).map(move |&p| (set.prefixes()[p as usize], c))
+            })
+            .collect()
+    }
+
+    /// `true` at the id of every community `wanted` picks — asked once per
+    /// distinct community; `None` if it picks none of them.
+    fn flags(&self, wanted: impl Fn(Community) -> bool) -> Option<Vec<bool>> {
+        let flags = self.set.community_flags(wanted);
+        flags.contains(&true).then_some(flags)
     }
 
     /// RTBH detectors (hijack + blackhole, novel adjacency, third-party
@@ -197,26 +214,8 @@ impl<'a> Monitor<'a> {
     pub fn rtbh_alerts(&self) -> Vec<Alert> {
         let mut alerts = Vec::new();
         // Distinct (prefix, blackhole community) pairs.
-        let mut pairs: BTreeSet<(Prefix, Community)> = BTreeSet::new();
-        for obs in self.set.announcements() {
-            for &c in &obs.communities {
-                if self.dict.is_blackhole(c) {
-                    pairs.insert((obs.prefix, c));
-                }
-            }
-        }
-
-        for (prefix, community) in pairs {
-            let tagged_origins: BTreeSet<Asn> = self
-                .by_prefix
-                .get(&prefix)
-                .map(|v| {
-                    v.iter()
-                        .filter(|o| o.communities.contains(&community))
-                        .filter_map(|o| o.origin())
-                        .collect()
-                })
-                .unwrap_or_default();
+        for (prefix, community) in self.pairs(|c| self.dict.is_blackhole(c)) {
+            let tagged_origins = self.tagged_origins(prefix, community);
 
             // 1. Hijack by origin contradiction with the covering prefix.
             if let Some(covering) = self.covering_of(prefix) {
@@ -301,16 +300,14 @@ impl<'a> Monitor<'a> {
     /// reaches a collector, yet its community still rides the copies that
     /// escaped via the other upstreams.
     fn plausible_direct_request(&self, prefix: Prefix, community: Community) -> bool {
-        let Some(observations) = self.by_prefix.get(&prefix) else {
-            return false;
-        };
-        observations.iter().any(|o| {
-            if !o.communities.contains(&community) || o.path.len() < 2 {
+        self.set.group(prefix).any(|o| {
+            let path = o.path();
+            if !o.communities().contains(&community) || path.len() < 2 {
                 return false;
             }
-            let adjacent = o.path[o.path.len() - 2];
-            let origin = o.path[o.path.len() - 1];
-            o.communities.iter().any(|c| {
+            let adjacent = path[path.len() - 2];
+            let origin = path[path.len() - 1];
+            o.communities().iter().any(|c| {
                 if !self.dict.is_blackhole(*c) {
                     return false;
                 }
@@ -330,24 +327,23 @@ impl<'a> Monitor<'a> {
     /// carry the covering prefix; a forged-origin hijack fabricates an
     /// origin adjacency the covering baseline has never seen.
     fn forged_origin_edge(&self, prefix: Prefix, community: Community) -> Option<(Asn, Asn)> {
-        let observations = self.by_prefix.get(&prefix)?;
         let covering = self.covering_of(prefix)?;
-        let baseline: BTreeSet<(Asn, Asn)> = self.by_prefix[&covering]
-            .iter()
-            .flat_map(|o| o.path.windows(2).map(|w| (w[1], w[0])))
+        let baseline: BTreeSet<(Asn, Asn)> = (self.set.group(covering))
+            .flat_map(|o| o.path().windows(2).map(|w| (w[1], w[0])))
             .collect();
         if baseline.is_empty() {
             return None;
         }
-        for obs in observations {
-            if !obs.communities.contains(&community) {
+        for obs in self.set.group(prefix) {
+            if !obs.communities().contains(&community) {
                 continue;
             }
-            let n = obs.path.len();
+            let path = obs.path();
+            let n = path.len();
             if n < 2 {
                 continue;
             }
-            let edge = (obs.path[n - 1], obs.path[n - 2]);
+            let edge = (path[n - 1], path[n - 2]);
             if !baseline.contains(&edge) {
                 return Some(edge);
             }
@@ -359,41 +355,19 @@ impl<'a> Monitor<'a> {
     /// origin (or not a customer of the target, with topology knowledge).
     pub fn steering_alerts(&self) -> Vec<Alert> {
         let mut alerts = Vec::new();
-        let prepend_comms: BTreeSet<Community> = self
-            .dict
-            .iter()
-            .filter(|(_, k)| matches!(k, CommunityKind::Prepend(_)))
-            .map(|(c, _)| c)
-            .collect();
-
-        let mut pairs: BTreeSet<(Prefix, Community)> = BTreeSet::new();
-        for obs in self.set.announcements() {
-            for &c in &obs.communities {
-                if prepend_comms.contains(&c) {
-                    pairs.insert((obs.prefix, c));
-                }
-            }
-        }
-
-        for (prefix, community) in pairs {
+        let is_prepend = |c| matches!(self.dict.kind(c), Some(CommunityKind::Prepend(_)));
+        for (prefix, community) in self.pairs(is_prepend) {
             let target = community.owner();
-            let observations = match self.by_prefix.get(&prefix) {
-                Some(v) => v,
-                None => continue,
-            };
             // Require the steering to have had an effect: the target shows
             // up prepended on at least one tagged path.
-            let effect = observations.iter().any(|o| {
-                o.communities.contains(&community) && o.prepends.iter().any(|(a, _)| *a == target)
+            let effect = self.set.group(prefix).any(|o| {
+                o.communities().contains(&community)
+                    && o.prepends().iter().any(|(a, _)| *a == target)
             });
             if !effect {
                 continue;
             }
-            let tagged_origins: BTreeSet<Asn> = observations
-                .iter()
-                .filter(|o| o.communities.contains(&community))
-                .filter_map(|o| o.origin())
-                .collect();
+            let tagged_origins = self.tagged_origins(prefix, community);
             let att = self.attribution(prefix, community);
             if att.candidates.is_empty() {
                 continue;
@@ -454,23 +428,24 @@ impl<'a> Monitor<'a> {
     /// transparent).
     pub fn conflict_alerts(&self) -> Vec<Alert> {
         let mut alerts = Vec::new();
+        let Some(suppresses) = self.flags(|c| c.asn_part() == 0 && c.value_part() != 0) else {
+            return alerts;
+        };
         let mut seen: BTreeSet<(Prefix, Community)> = BTreeSet::new();
         for obs in self.set.announcements() {
-            for &suppress in &obs.communities {
-                if suppress.asn_part() != 0 || suppress.value_part() == 0 {
-                    continue;
-                }
+            for suppress in obs.tags().filter(|t| suppresses[t.id as usize]) {
+                let suppress = suppress.community;
                 let member = suppress.value_part();
                 let conflicting: Vec<Community> = obs
-                    .communities
-                    .iter()
-                    .copied()
-                    .filter(|c| {
+                    .tags()
+                    .filter(|t| {
+                        let c = t.community;
                         c.value_part() == member
                             && c.asn_part() != 0
                             && c.asn_part() != 65_535
-                            && !obs.path.contains(&c.owner())
+                            && t.owner_pos.is_none()
                     })
+                    .map(|t| t.community)
                     .collect();
                 if conflicting.is_empty() {
                     continue;
@@ -502,13 +477,19 @@ impl<'a> Monitor<'a> {
     /// the same owner on one update.
     pub fn location_alerts(&self) -> Vec<Alert> {
         let mut alerts = Vec::new();
+        let is_location = |c| matches!(self.dict.kind(c), Some(CommunityKind::Location));
+        let Some(locations) = self.flags(is_location) else {
+            return alerts;
+        };
         let mut seen: BTreeSet<(Prefix, Asn)> = BTreeSet::new();
         for obs in self.set.announcements() {
+            let located = || obs.tags().filter(|t| locations[t.id as usize]);
+            if located().nth(1).is_none() {
+                continue;
+            }
             let mut per_owner: BTreeMap<Asn, BTreeSet<Community>> = BTreeMap::new();
-            for &c in &obs.communities {
-                if matches!(self.dict.kind(c), Some(CommunityKind::Location)) {
-                    per_owner.entry(c.owner()).or_default().insert(c);
-                }
+            for c in located().map(|t| t.community) {
+                per_owner.entry(c.owner()).or_default().insert(c);
             }
             for (owner, values) in per_owner {
                 if values.len() < 2 || !seen.insert((obs.prefix, owner)) {
@@ -536,21 +517,26 @@ impl<'a> Monitor<'a> {
     /// session.
     pub fn well_known_alerts(&self) -> Vec<Alert> {
         let mut alerts = Vec::new();
+        let Some(confined) =
+            self.flags(|c| c == Community::NO_EXPORT || c == Community::NO_ADVERTISE)
+        else {
+            return alerts;
+        };
         let mut seen: BTreeSet<(Prefix, Community)> = BTreeSet::new();
         for obs in self.set.announcements() {
-            for &c in &obs.communities {
-                if (c == Community::NO_EXPORT || c == Community::NO_ADVERTISE)
-                    && seen.insert((obs.prefix, c))
-                {
+            for c in obs.tags().filter(|t| confined[t.id as usize]) {
+                let c = c.community;
+                if seen.insert((obs.prefix, c)) {
                     alerts.push(Alert {
                         kind: AlertKind::WellKnownLeak,
                         prefix: obs.prefix,
                         community: Some(c),
-                        suspected: obs.path.first().map(|a| vec![*a]).unwrap_or_default(),
+                        suspected: obs.path().first().map(|a| vec![*a]).unwrap_or_default(),
                         evidence: format!(
                             "{} observed on an eBGP collector session at {} — the \
                              scope-confining semantics were ignored upstream",
-                            c, obs.collector
+                            c,
+                            obs.collector()
                         ),
                         severity: Severity::Warning,
                     });
@@ -564,6 +550,7 @@ impl<'a> Monitor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bgpworms_core::UpdateObservation;
 
     fn obs(
         prefix: &str,
@@ -587,10 +574,7 @@ mod tests {
     }
 
     fn set(observations: Vec<UpdateObservation>) -> ObservationSet {
-        ObservationSet {
-            observations,
-            messages: vec![("RIS".into(), "rrc00".into(), 1)],
-        }
+        ObservationSet::from_observations(observations, vec![("RIS".into(), "rrc00".into(), 1)])
     }
 
     #[test]

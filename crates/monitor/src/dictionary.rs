@@ -242,43 +242,60 @@ impl DictionaryInference {
         &self,
         set: &ObservationSet,
     ) -> (CommunityDictionary, BTreeMap<Community, CommunityEvidence>) {
-        let mut evidence: BTreeMap<Community, CommunityEvidence> = BTreeMap::new();
-        let withdrawn: BTreeSet<bgpworms_types::Prefix> = set
-            .observations
-            .iter()
-            .filter(|o| o.is_withdrawal)
-            .map(|o| o.prefix)
-            .collect();
+        let mut withdrawn = vec![false; set.prefixes().len()];
+        for obs in set.iter().filter(|o| o.is_withdrawal) {
+            withdrawn[obs.prefix_id() as usize] = true;
+        }
 
+        // Counters per community id; (community, ingress neighbor) pairs on
+        // the side, repeats of a community's last pair dropped on the way.
+        let mut per_id = vec![CommunityEvidence::default(); set.communities().len()];
+        let mut ingress: Vec<(u32, u32)> = Vec::new();
+        let mut last_ingress = vec![u32::MAX; set.communities().len()];
         for obs in set.announcements() {
-            for &c in &obs.communities {
-                let ev = evidence.entry(c).or_default();
+            let small = obs.prefix.is_v4() && obs.prefix.len() >= 24;
+            for tag in obs.tags() {
+                let ev = &mut per_id[tag.id as usize];
                 ev.observations += 1;
-                ev.prefixes.insert(obs.prefix);
-                if obs.prefix.is_v4() && obs.prefix.len() >= 24 {
-                    ev.small_prefix += 1;
+                ev.small_prefix += u64::from(small);
+                let Some(pos) = tag.owner_pos else { continue };
+                ev.owner_on_path += 1;
+                let owner = tag.community.owner();
+                if obs.prepends().iter().any(|(a, _)| *a == owner) {
+                    ev.owner_prepended += 1;
                 }
-                let owner = c.owner();
-                if let Some(pos) = obs.position_of(owner) {
-                    ev.owner_on_path += 1;
-                    if obs.prepends.iter().any(|(a, _)| *a == owner) {
-                        ev.owner_prepended += 1;
-                    }
-                    // The ingress neighbor is the next AS toward the origin.
-                    if let Some(&ingress) = obs.path.get(pos + 1) {
-                        ev.ingress_values
-                            .entry(ingress)
-                            .or_default()
-                            .insert(c.value_part());
+                // The ingress neighbor is the next AS toward the origin.
+                if let Some(&neighbor) = obs.path_ids().get(pos + 1) {
+                    if std::mem::replace(&mut last_ingress[tag.id as usize], neighbor) != neighbor {
+                        ingress.push((tag.id, neighbor));
                     }
                 }
             }
         }
-        // Second pass: how many of each community's prefixes were withdrawn.
-        for ev in evidence.values_mut() {
-            ev.withdrawn_prefixes =
-                ev.prefixes.iter().filter(|p| withdrawn.contains(p)).count() as u64;
+        ingress.sort_unstable();
+        ingress.dedup();
+        for (c, neighbor) in ingress {
+            let value = set.communities()[c as usize].value_part();
+            (per_id[c as usize].ingress_values)
+                .entry(set.asns()[neighbor as usize])
+                .or_default()
+                .insert(value);
         }
+        // Each community's prefixes, and how many of them were withdrawn.
+        let evidence: BTreeMap<Community, CommunityEvidence> = (set.communities().iter())
+            .zip(per_id)
+            .zip(0u32..)
+            .map(|((&c, mut ev), id)| {
+                let prefixes = set.prefixes_carrying(id);
+                ev.prefixes = prefixes
+                    .iter()
+                    .map(|&p| set.prefixes()[p as usize])
+                    .collect();
+                ev.withdrawn_prefixes =
+                    prefixes.iter().filter(|&&p| withdrawn[p as usize]).count() as u64;
+                (c, ev)
+            })
+            .collect();
 
         let mut dict = CommunityDictionary::new();
         for (&c, ev) in &evidence {
@@ -493,10 +510,7 @@ mod tests {
     }
 
     fn set(observations: Vec<UpdateObservation>) -> ObservationSet {
-        ObservationSet {
-            observations,
-            messages: vec![("RIS".into(), "rrc00".into(), 1)],
-        }
+        ObservationSet::from_observations(observations, vec![("RIS".into(), "rrc00".into(), 1)])
     }
 
     #[test]

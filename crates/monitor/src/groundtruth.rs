@@ -195,10 +195,8 @@ pub fn build(params: &LabeledRunParams) -> LabeledRun {
     let observations = ObservationSet::from_archives(&inputs).expect("simulator MRT parses");
 
     let truth_dict = CommunityDictionary::from_workload(workload.configs.values());
-    let observed_communities: BTreeSet<Community> = observations
-        .announcements()
-        .flat_map(|o| o.communities.iter().copied())
-        .collect();
+    let observed_communities: BTreeSet<Community> =
+        observations.communities().iter().copied().collect();
 
     LabeledRun {
         topo,
@@ -756,7 +754,9 @@ mod debug_tests {
             let tagged_n = run
                 .observations
                 .announcements()
-                .filter(|o| o.prefix == inj.attack_prefix && o.communities.contains(&inj.community))
+                .filter(|o| {
+                    o.prefix == inj.attack_prefix && o.communities().contains(&inj.community)
+                })
                 .count();
             let cover_n = run
                 .observations

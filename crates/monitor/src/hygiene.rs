@@ -93,29 +93,36 @@ impl HygieneReport {
     /// Builds the report. `far` is the hop threshold for the blackhole
     /// tail counter (the paper contrasts ≤ 2 hops with the long tail).
     pub fn compute(set: &ObservationSet, dict: &CommunityDictionary, far: usize) -> Self {
+        // What the dictionary says, once per distinct community.
+        let well_known =
+            set.community_flags(|c| c == Community::NO_EXPORT || c == Community::NO_ADVERTISE);
+        let is_action = set.community_flags(|c| dict.is_action(c));
+        let is_blackhole = set.community_flags(|c| dict.is_blackhole(c));
+        // Reserved (65535) and private owners are not gradeable ASes — the
+        // paper likewise excludes private ASNs from its off-path accounting
+        // (§4.3). Global counters still see their communities below.
+        let gradeable: Vec<bool> = (set.asns().iter())
+            .map(|owner| owner.get() != 65_535 && !owner.is_private())
+            .collect();
+
         let mut report = HygieneReport::default();
-        let mut distinct: BTreeMap<Asn, std::collections::BTreeSet<Community>> = BTreeMap::new();
+        // Per owner (ASN id) and per community id; folded into `per_as` last.
+        let mut per_owner = vec![AsHygiene::default(); set.asns().len()];
+        let mut carried = vec![false; set.communities().len()];
 
         for obs in set.announcements() {
             report.announcements += 1;
-            for &c in &obs.communities {
-                if c == Community::NO_EXPORT || c == Community::NO_ADVERTISE {
-                    report.well_known_leaks += 1;
-                }
-                let owner = c.owner();
-                // Reserved (65535) and private owners are not gradeable
-                // ASes — the paper likewise excludes private ASNs from its
-                // off-path accounting (§4.3). Global counters still see
-                // their communities below.
-                let gradeable = owner.get() != 65_535 && !owner.is_private();
-                let owner_pos = obs.position_of(owner);
-                if gradeable {
-                    let entry = report.per_as.entry(owner).or_default();
+            for tag in obs.tags() {
+                let c = tag.id as usize;
+                report.well_known_leaks += u64::from(well_known[c]);
+                let owner = set.owner_id(tag.id) as usize;
+                if gradeable[owner] {
+                    let entry = &mut per_owner[owner];
                     entry.observations += 1;
-                    distinct.entry(owner).or_default().insert(c);
+                    carried[c] = true;
 
-                    if dict.is_action(c) {
-                        match owner_pos {
+                    if is_action[c] {
+                        match tag.owner_pos {
                             Some(pos) if pos >= 1 => {
                                 entry.action_leaks += 1;
                                 entry.max_action_leak_distance =
@@ -126,21 +133,23 @@ impl HygieneReport {
                         }
                     }
                 }
-                if dict.is_blackhole(c) {
+                if is_blackhole[c] {
                     // Conservative distance: the owner's position if
                     // on-path, else the whole path (unknown tagger).
-                    let travelled = owner_pos.unwrap_or(obs.path.len());
+                    let travelled = tag.owner_pos.unwrap_or(obs.path().len());
                     if travelled >= far {
                         report.far_blackholes += 1;
                     }
                 }
             }
         }
-        for (owner, set) in distinct {
-            if let Some(h) = report.per_as.get_mut(&owner) {
-                h.distinct_communities = set.len();
-            }
+        for (c, _) in carried.iter().enumerate().filter(|(_, &seen)| seen) {
+            per_owner[set.owner_id(c as u32) as usize].distinct_communities += 1;
         }
+        report.per_as = (set.asns().iter().zip(per_owner))
+            .filter(|(_, h)| h.observations > 0)
+            .map(|(&owner, h)| (owner, h))
+            .collect();
         report
     }
 
@@ -191,10 +200,7 @@ mod tests {
     }
 
     fn set(observations: Vec<UpdateObservation>) -> ObservationSet {
-        ObservationSet {
-            observations,
-            messages: vec![("RIS".into(), "rrc00".into(), 1)],
-        }
+        ObservationSet::from_observations(observations, vec![("RIS".into(), "rrc00".into(), 1)])
     }
 
     #[test]

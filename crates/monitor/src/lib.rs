@@ -2,7 +2,9 @@
 //! hygiene monitoring.
 //!
 //! (`ARCHITECTURE.md` at the repository root shows where the monitoring
-//! layer sits in the workspace.)
+//! layer sits in the workspace; its section "The passive pipeline" draws
+//! the observation store every stage here reads — per-prefix groups,
+//! community → prefixes — and who builds it when.)
 //!
 //! The paper closes with two proposals this crate implements:
 //!
@@ -20,7 +22,8 @@
 //!
 //! The pipeline is strictly passive: everything consumes the
 //! [`bgpworms_core::ObservationSet`] parsed from collector MRT, exactly
-//! like the paper's §4 analyses. It has four stages:
+//! like the paper's §4 analyses, and shares its indexes — no stage keeps
+//! a per-prefix map of its own. It has four stages:
 //!
 //! 1. [`dictionary`] — what does each community *mean*? Known semantics
 //!    (RFC 7999, the `ASN:666` convention) plus statistical inference of

@@ -22,7 +22,7 @@
 //! Scores combine the absence penalties with the paper's §4.3 conservative
 //! prior (prefer the community's owner when it is a candidate).
 
-use bgpworms_core::{FilteringAnalysis, ObservationSet, UpdateObservation};
+use bgpworms_core::{FilteringAnalysis, Observation, ObservationSet};
 use bgpworms_types::{Asn, Community, Prefix};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -91,11 +91,7 @@ pub fn attribute(
     community: Community,
     filters: Option<&FilteringAnalysis>,
 ) -> TaggerAttribution {
-    let announcements: Vec<&UpdateObservation> = set
-        .announcements()
-        .filter(|o| o.prefix == prefix && !o.path.is_empty())
-        .collect();
-    attribute_among(&announcements, prefix, community, filters, true)
+    attribute_among(set.group(prefix), prefix, community, filters, true)
 }
 
 /// Attributes every (prefix, community) pair involving `community` in the
@@ -105,42 +101,32 @@ pub fn attribute_all(
     community: Community,
     filters: Option<&FilteringAnalysis>,
 ) -> Vec<TaggerAttribution> {
-    let mut prefixes: BTreeSet<Prefix> = BTreeSet::new();
-    for obs in set.announcements() {
-        if obs.communities.contains(&community) {
-            prefixes.insert(obs.prefix);
-        }
-    }
-    prefixes
-        .into_iter()
-        .map(|p| attribute(set, p, community, filters))
+    let Some(id) = set.community_id(community) else {
+        return Vec::new();
+    };
+    (set.prefixes_carrying(id).iter())
+        .map(|&p| attribute(set, set.prefixes()[p as usize], community, filters))
         .collect()
 }
 
-/// [`attribute`] over a pre-selected announcement slice (all observations
-/// of one prefix) — callers that already hold a per-prefix index avoid the
-/// full-set scan.
+/// [`attribute`] over a pre-selected run of announcements (all
+/// observations of one prefix, as [`ObservationSet::group`] yields them).
 ///
 /// `owner_prior` applies the §4.3 conservative boost to the community's
 /// owner. It is the right prior for *informational* tags (the owner sets
 /// them) and the wrong one for *action* communities, where the tagger is
 /// the service **requester** and the owner merely acts — attack detectors
 /// pass `false`.
-pub fn attribute_among(
-    announcements: &[&UpdateObservation],
+pub fn attribute_among<'a>(
+    announcements: impl IntoIterator<Item = Observation<'a>>,
     prefix: Prefix,
     community: Community,
     filters: Option<&FilteringAnalysis>,
     owner_prior: bool,
 ) -> TaggerAttribution {
-    let tagged: Vec<&&UpdateObservation> = announcements
-        .iter()
-        .filter(|o| o.communities.contains(&community))
-        .collect();
-    let untagged: Vec<&&UpdateObservation> = announcements
-        .iter()
-        .filter(|o| !o.communities.contains(&community))
-        .collect();
+    let (tagged, untagged): (Vec<Observation>, Vec<Observation>) = announcements
+        .into_iter()
+        .partition(|o| o.communities().contains(&community));
 
     let mut result = TaggerAttribution {
         community: Some(community),
@@ -154,17 +140,17 @@ pub fn attribute_among(
     }
 
     // Candidate set: ASes present on every tagged path.
-    let mut candidates: BTreeSet<Asn> = tagged[0].path.iter().copied().collect();
+    let mut candidates: BTreeSet<Asn> = tagged[0].path().iter().copied().collect();
     for obs in tagged.iter().skip(1) {
-        let here: BTreeSet<Asn> = obs.path.iter().copied().collect();
+        let here: BTreeSet<Asn> = obs.path().iter().copied().collect();
         candidates.retain(|a| here.contains(a));
     }
 
     // Minimal distance from the origin over tagged paths.
     let mut dist_from_origin: BTreeMap<Asn, usize> = BTreeMap::new();
     for obs in &tagged {
-        let len = obs.path.len();
-        for (i, &a) in obs.path.iter().enumerate() {
+        let len = obs.path().len();
+        for (i, &a) in obs.path().iter().enumerate() {
             if candidates.contains(&a) {
                 let d = len - 1 - i;
                 dist_from_origin
@@ -179,15 +165,15 @@ pub fn attribute_among(
     // check whether a collector-side edge could have stripped the tag.
     let mut unexplained: BTreeMap<Asn, usize> = BTreeMap::new();
     for obs in &untagged {
-        for (i, &a) in obs.path.iter().enumerate() {
+        for (i, &a) in obs.path().iter().enumerate() {
             if !candidates.contains(&a) {
                 continue;
             }
             // Collector-side edges: path[i] -> path[i-1] -> … -> path[0].
             let explained = match filters {
                 Some(f) => (1..=i).any(|j| {
-                    let from = obs.path[j];
-                    let to = obs.path[j - 1];
+                    let from = obs.path()[j];
+                    let to = obs.path()[j - 1];
                     f.edge(from, to).map(|e| e.filtered > 0).unwrap_or(false)
                 }),
                 None => false,
@@ -231,7 +217,7 @@ pub fn attribute_among(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgpworms_core::EdgeIndications;
+    use bgpworms_core::{EdgeIndications, UpdateObservation};
 
     fn obs(prefix: &str, path: &[u32], comms: &[(u16, u16)]) -> UpdateObservation {
         UpdateObservation {
@@ -250,10 +236,7 @@ mod tests {
     }
 
     fn set(observations: Vec<UpdateObservation>) -> ObservationSet {
-        ObservationSet {
-            observations,
-            messages: vec![("RIS".into(), "rrc00".into(), 1)],
-        }
+        ObservationSet::from_observations(observations, vec![("RIS".into(), "rrc00".into(), 1)])
     }
 
     const P: &str = "10.0.0.0/16";

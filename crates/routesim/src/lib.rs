@@ -253,9 +253,9 @@
 //!   in `shard.rs` (a claim ticket and an advisory abort latch), with
 //!   their arguments.
 //! * **No wall clocks, no environment.** `Instant::now`/`SystemTime`
-//!   live only in the bench harness; `std::env`/`thread::current` never
-//!   feed results — a run is a pure function of (topology, configs,
-//!   schedule).
+//!   live only in the repo benchmark (`benchmark/`, a package outside the
+//!   workspace); `std::env`/`thread::current` never feed results — a run
+//!   is a pure function of (topology, configs, schedule).
 //! * **Panic-audited hot path.** On the per-event/per-prefix files, each
 //!   `unwrap()`/`expect(` carries `// lint: infallible <why>` naming the
 //!   invariant that makes it unreachable.

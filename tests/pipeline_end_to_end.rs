@@ -138,11 +138,11 @@ fn observation_paths_are_valley_free() {
     let (topo, set) = build_set(5);
     let mut checked = 0;
     for obs in set.announcements() {
-        let verdict = bgpworms::topology::check_valley_free(&topo, &obs.path);
+        let verdict = bgpworms::topology::check_valley_free(&topo, obs.path());
         assert!(
             verdict.is_ok(),
             "path {:?} violates valley-freeness: {verdict:?}",
-            obs.path
+            obs.path()
         );
         checked += 1;
     }
@@ -156,7 +156,7 @@ fn snapshot_is_deterministic() {
     assert_eq!(a.observations.len(), b.observations.len());
     assert_eq!(a.messages, b.messages);
     // Spot-check deep equality on a sample.
-    for (x, y) in a.observations.iter().zip(&b.observations).take(200) {
-        assert_eq!(x, y);
+    for (x, y) in a.iter().zip(b.iter()).take(200) {
+        assert_eq!(x.to_record(), y.to_record());
     }
 }

@@ -187,7 +187,9 @@ pub fn run(
     let vp_fib = Campaign::new(&sim).run(&episodes, Fib::default).sink;
     let (_, baseline) = sim.run_snapshot(&[Origination::announce(injector.asn, p, vec![])], p);
     let mut base_fib = vp_fib.clone();
-    base_fib.fold(p, baseline.baseline_outcome().clone());
+    if let Some(finals) = &baseline.baseline_outcome().final_routes {
+        base_fib.insert_routes(p, finals);
+    }
     let before = atlas.ping_campaign(&base_fib, target_addr);
 
     // Try each candidate target until the effect is demonstrable (the

@@ -173,7 +173,6 @@ impl SurveyContext {
         let vp_sim = workload
             .simulation(&topo)
             .retain(RetainRoutes::Prefixes(retained))
-            .threads(4)
             .compile();
         let vp_fib = Campaign::new(&vp_sim).run(&vp_episodes, Fib::default).sink;
 
@@ -234,10 +233,8 @@ impl SurveyContext {
             &session.baseline,
             &[Origination::announce(self.injector.asn, p, communities.to_vec()).at(300)],
         );
-        let mut tagged = Fib::default();
-        tagged.fold(p, outcome);
         let mut fib = self.vp_fib.clone();
-        fib.merge(&tagged);
+        fib.fold(p, outcome);
         fib
     }
 
@@ -375,6 +372,39 @@ mod tests {
         assert!(!report.affected_vps.is_empty());
         assert!(report.affected_vp_fraction() <= 1.0);
         assert_eq!(report.repeatable, Some(true), "deterministic re-run");
+    }
+
+    #[test]
+    fn candidate_fib_equals_fresh_run_merged_over_the_vantage_point_fib() {
+        // A candidate's FIB is the vantage-point columns shared as they are
+        // plus one delta-replayed column. The reference pays full price: a
+        // fresh run of plain ++ tagged, collected, converted and merged. At
+        // every AS, the probe target and every vantage point's source
+        // address (the reverse paths) must resolve alike.
+        let ctx = SurveyContext::build(&quick_params());
+        let session = ctx.session();
+        let p = Prefix::V4(ctx.injector.prefix);
+        let plain = Origination::announce(ctx.injector.asn, p, vec![]);
+        let mut addrs = vec![ctx.target_addr];
+        addrs.extend(ctx.atlas.vantage_points.iter().map(|&(_, src)| src));
+        let mut moved = 0;
+        for c in corpus(&ctx.workload, 12) {
+            let fib = ctx.fib_with(&session, &[c]);
+            let tagged = Origination::announce(ctx.injector.asn, p, vec![c]).at(300);
+            let mut reference = ctx.vp_fib.clone();
+            reference.merge(&Fib::from_sim(&session.sim.run(&[plain.clone(), tagged])));
+            for node in ctx.topo.ases() {
+                for &addr in &addrs {
+                    let got = fib.lookup(node.asn, addr);
+                    assert_eq!(got, reference.lookup(node.asn, addr), "{c} at {}", node.asn);
+                    moved += usize::from(got != ctx.base_fib.lookup(node.asn, addr));
+                }
+            }
+        }
+        assert!(
+            moved > 0,
+            "some candidate must change some forwarding entry"
+        );
     }
 
     #[test]

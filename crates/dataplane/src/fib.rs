@@ -1,9 +1,13 @@
-//! Forwarding tables: per-AS longest-prefix match over the converged
-//! control plane, with null routes for blackholed prefixes.
+//! Forwarding tables: longest-prefix match over the converged control
+//! plane, with null routes for blackholed prefixes — **prefix-major**, one
+//! shared immutable `(AS, action)` column per prefix, the unit campaigns
+//! produce and survey candidates replace (`ARCHITECTURE.md`, "The
+//! forwarding plane").
 
-use bgpworms_routesim::{CampaignSink, PrefixOutcome, Route, RouteSource, SimResult};
+use bgpworms_routesim::{CampaignSink, FinalRoutes, PrefixOutcome, Route, RouteSource, SimResult};
 use bgpworms_types::{Asn, Ipv4Prefix, Prefix};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// What an AS does with traffic matching a prefix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -17,37 +21,17 @@ pub enum FibAction {
     Null,
 }
 
-/// One AS's IPv4 forwarding table.
-#[derive(Debug, Clone, Default)]
-struct AsFib {
-    /// (network, length) → action.
-    entries: BTreeMap<(u32, u8), FibAction>,
-    /// Lengths present, for longest-first probing.
-    lengths: BTreeSet<u8>,
-}
-
-impl AsFib {
-    fn insert(&mut self, prefix: Ipv4Prefix, action: FibAction) {
-        self.entries
-            .insert((prefix.network(), prefix.len()), action);
-        self.lengths.insert(prefix.len());
-    }
-
-    fn lookup(&self, ip: u32) -> Option<(Ipv4Prefix, FibAction)> {
-        for &len in self.lengths.iter().rev() {
-            let p = Ipv4Prefix::new(ip, len).expect("len <= 32");
-            if let Some(action) = self.entries.get(&(p.network(), len)) {
-                return Some((p, *action));
-            }
-        }
-        None
-    }
-}
+/// One prefix's entries: every AS holding one, ascending by ASN. Never
+/// empty and never mutated once built, so FIBs share it by reference count
+/// and a change writes a new column.
+type Column = Arc<[(Asn, FibAction)]>;
 
 /// All ASes' forwarding tables.
 #[derive(Debug, Clone, Default)]
 pub struct Fib {
-    tables: BTreeMap<Asn, AsFib>,
+    columns: BTreeMap<Ipv4Prefix, Column>,
+    /// Bit `len` is set when a stored prefix has that length.
+    lengths: u64,
 }
 
 impl Fib {
@@ -55,72 +39,89 @@ impl Fib {
     /// retained routes for the prefixes of interest).
     pub fn from_sim(result: &SimResult) -> Self {
         let mut fib = Fib::default();
-        for (prefix, per_as) in &result.final_routes {
-            for (asn, route) in per_as {
-                fib.insert_route(*asn, prefix, route);
-            }
+        for (prefix, finals) in &result.final_routes {
+            fib.insert_routes(*prefix, finals);
         }
         fib
     }
 
-    /// Inserts one entry (used by tests and synthetic scenarios).
-    pub fn insert(&mut self, asn: Asn, prefix: Ipv4Prefix, action: FibAction) {
-        self.tables.entry(asn).or_default().insert(prefix, action);
+    /// Inserts the forwarding action of every AS's converged route for
+    /// `prefix` — the one way routes become entries, for [`Fib::from_sim`]
+    /// and the streaming [`CampaignSink`] impl below alike. Non-IPv4
+    /// prefixes are ignored (data-plane probing is IPv4, like §7.6).
+    pub fn insert_routes(&mut self, prefix: Prefix, finals: &FinalRoutes) {
+        if let Prefix::V4(p4) = prefix {
+            // `finals` ascends by ASN: the column is one pass, no sort.
+            let column = finals.iter().map(|(asn, route)| (*asn, action_of(route)));
+            self.merge_column(p4, column.collect());
+        }
     }
 
-    /// Inserts the forwarding action derived from one converged route.
-    /// Non-IPv4 prefixes are ignored (data-plane probing is IPv4, like
-    /// §7.6). This is the single-route form of [`Fib::from_sim`], used by
-    /// the streaming [`CampaignSink`] impl below.
-    pub fn insert_route(&mut self, asn: Asn, prefix: &Prefix, route: &Route) {
-        if let Prefix::V4(p4) = prefix {
-            self.tables
-                .entry(asn)
-                .or_default()
-                .insert(*p4, action_of(route));
-        }
+    /// Inserts one entry (used by tests and synthetic scenarios).
+    pub fn insert(&mut self, asn: Asn, prefix: Ipv4Prefix, action: FibAction) {
+        self.merge_column(prefix, Arc::new([(asn, action)]));
     }
 
     /// Longest-prefix-match lookup at `asn`.
     pub fn lookup(&self, asn: Asn, ip: u32) -> Option<(Ipv4Prefix, FibAction)> {
-        self.tables.get(&asn)?.lookup(ip)
+        let present = (0..=Ipv4Prefix::MAX_LEN).filter(|len| self.lengths >> len & 1 == 1);
+        present.rev().find_map(|len| {
+            // lint: infallible `present` stops at `MAX_LEN`
+            let p = Ipv4Prefix::new(ip, len).expect("len <= 32");
+            let column = self.columns.get(&p)?;
+            let at = column.binary_search_by_key(&asn, |&(a, _)| a).ok()?;
+            Some((p, column[at].1))
+        })
     }
 
     /// Number of ASes with at least one entry.
     pub fn len(&self) -> usize {
-        self.tables.len()
+        let entries = self.columns.values().flat_map(|column| column.iter());
+        entries.map(|e| e.0).collect::<BTreeSet<Asn>>().len()
     }
 
     /// True if no AS has any entry.
     pub fn is_empty(&self) -> bool {
-        self.tables.is_empty()
+        self.columns.is_empty()
     }
 
     /// Merges another FIB into this one (entries from `other` overwrite on
-    /// conflict). Used to combine a baseline FIB (vantage-point prefixes)
-    /// with per-experiment FIBs covering only the test prefix.
+    /// conflict): a baseline FIB (vantage-point prefixes) with an experiment
+    /// FIB. A prefix only `other` holds costs one reference count.
     pub fn merge(&mut self, other: &Fib) {
-        for (asn, table) in &other.tables {
-            let dst = self.tables.entry(*asn).or_default();
-            for (&(net, len), &action) in &table.entries {
-                dst.insert(
-                    Ipv4Prefix::new(net, len).expect("stored prefixes valid"),
-                    action,
-                );
-            }
+        for (prefix, column) in &other.columns {
+            self.merge_column(*prefix, Arc::clone(column));
         }
+    }
+
+    /// Lays `over` on `prefix`'s column: shared as it is when the prefix
+    /// is new here, else a two-way merge in which `over`'s entries win.
+    fn merge_column(&mut self, prefix: Ipv4Prefix, over: Column) {
+        if over.is_empty() {
+            return;
+        }
+        self.lengths |= 1 << prefix.len();
+        let Some(base) = self.columns.get(&prefix) else {
+            self.columns.insert(prefix, over);
+            return;
+        };
+        let mut base = base.iter().copied().peekable();
+        let mut merged = Vec::with_capacity(base.len() + over.len());
+        for &entry in over.iter() {
+            merged.extend(std::iter::from_fn(|| base.next_if(|b| b.0 < entry.0)));
+            base.next_if(|b| b.0 == entry.0);
+            merged.push(entry);
+        }
+        merged.extend(base);
+        self.columns.insert(prefix, merged.into());
     }
 
     /// Naïve reference lookup (linear scan) for differential testing.
     pub fn lookup_naive(&self, asn: Asn, ip: u32) -> Option<(Ipv4Prefix, FibAction)> {
-        let table = self.tables.get(&asn)?;
-        table
-            .entries
+        self.columns
             .iter()
-            .filter_map(|(&(net, len), &action)| {
-                let p = Ipv4Prefix::new(net, len).expect("valid");
-                p.contains(ip).then_some((p, action))
-            })
+            .filter(|(p, _)| p.contains(ip))
+            .filter_map(|(p, column)| Some((*p, column.iter().find(|e| e.0 == asn)?.1)))
             .max_by_key(|(p, _)| p.len())
     }
 }
@@ -132,16 +133,13 @@ impl Fib {
 /// `O(prefixes × ASes)` route collection) ever materializes.
 impl CampaignSink for Fib {
     fn fold(&mut self, prefix: Prefix, outcome: PrefixOutcome) {
-        if let Some(finals) = outcome.final_routes {
-            for (asn, route) in finals {
-                self.insert_route(asn, &prefix, &route);
-            }
+        if let Some(finals) = &outcome.final_routes {
+            self.insert_routes(prefix, finals);
         }
     }
 
     fn merge(&mut self, other: Self) {
-        // Chunks cover disjoint prefixes, so the overwrite-on-conflict
-        // semantics of the inherent `merge` are moot here.
+        // Chunks cover disjoint prefixes, so every column is shared as is.
         Fib::merge(self, &other);
     }
 }

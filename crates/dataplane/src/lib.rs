@@ -3,15 +3,17 @@
 //! naïve IP-to-AS mapping.
 //!
 //! (`ARCHITECTURE.md` at the repository root shows where the data plane
-//! sits in the workspace's layer stack.)
+//! sits in the workspace's layer stack; its section "The forwarding plane"
+//! has the [`Fib`] column layout and why it is prefix-major.)
 //!
 //! The paper validates every attack on the data plane: RIPE Atlas probes
 //! confirm RTBH drops (§7.3, §7.6), traceroutes bound how far blackhole
 //! communities travelled, and looking glasses confirm steering. This crate
 //! reproduces those instruments over `bgpworms-routesim` results:
 //!
-//! * [`Fib`] — per-AS longest-prefix-match forwarding tables, with null
-//!   routes where a blackhole community was accepted;
+//! * [`Fib`] — longest-prefix-match forwarding tables for every AS, one
+//!   shared column per prefix, with null routes where a blackhole
+//!   community was accepted;
 //! * [`trace`]/[`ping`] — AS-level forward-path simulation including the
 //!   reverse path for ping (both directions must deliver);
 //! * [`AtlasPlatform`] — a deterministic set of vantage points running

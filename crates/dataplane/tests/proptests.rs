@@ -3,8 +3,10 @@
 //! adversarial (loopy) forwarding tables.
 
 use bgpworms_dataplane::{trace, Fib, FibAction, TraceOutcome};
-use bgpworms_types::{Asn, Ipv4Prefix};
+use bgpworms_routesim::{FinalRoutes, Route, RouteSource};
+use bgpworms_types::{Asn, Ipv4Prefix, Prefix};
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn arb_prefix() -> impl Strategy<Value = Ipv4Prefix> {
     (any::<u32>(), 0u8..=32).prop_map(|(addr, len)| Ipv4Prefix::new(addr, len).expect("len ok"))
@@ -18,7 +20,125 @@ fn arb_action() -> impl Strategy<Value = FibAction> {
     ]
 }
 
+/// Addresses and prefixes drawn from a pool small enough that columns
+/// collide, nest and get overwritten.
+fn pool_addr() -> impl Strategy<Value = u32> {
+    (10u32..12, 0u32..2, 0u32..2, 0u32..2).prop_map(|(a, b, c, d)| a << 24 | b << 16 | c << 8 | d)
+}
+
+fn pool_prefix() -> impl Strategy<Value = Ipv4Prefix> {
+    let len = prop_oneof![Just(0u8), Just(7), Just(8), Just(16), Just(24), Just(32)];
+    (pool_addr(), len).prop_map(|(addr, len)| Ipv4Prefix::new(addr, len).expect("len ok"))
+}
+
+fn pool_entry() -> impl Strategy<Value = (Asn, FibAction)> {
+    ((1u32..7).prop_map(Asn::new), arb_action())
+}
+
+/// One mutation of a [`Fib`], or a fork of it.
+#[derive(Debug, Clone)]
+enum FibOp {
+    /// `Fib::insert`.
+    Insert(Asn, Ipv4Prefix, FibAction),
+    /// `Fib::insert_routes`: one prefix's converged routes become a column.
+    Fold(Ipv4Prefix, Vec<(Asn, FibAction)>),
+    /// `Fib::merge` of a FIB built from these inserts.
+    Merge(Vec<(Asn, Ipv4Prefix, FibAction)>),
+    /// Clone the FIB, set the original aside, keep mutating the clone.
+    Fork,
+}
+
+fn arb_fib_op() -> impl Strategy<Value = FibOp> {
+    let insert = || (pool_entry(), pool_prefix()).prop_map(|((asn, act), p)| (asn, p, act));
+    prop_oneof![
+        insert().prop_map(|(asn, p, act)| FibOp::Insert(asn, p, act)),
+        (pool_prefix(), proptest::collection::vec(pool_entry(), 0..8))
+            .prop_map(|(p, column)| FibOp::Fold(p, column)),
+        proptest::collection::vec(insert(), 0..8).prop_map(FibOp::Merge),
+        Just(FibOp::Fork),
+    ]
+}
+
+/// The flat model a [`Fib`] must answer like: one action per (AS, network,
+/// length), longest containing prefix wins.
+type FibModel = BTreeMap<(Asn, u32, u8), FibAction>;
+
+fn model_lookup(model: &FibModel, asn: Asn, ip: u32) -> Option<(Ipv4Prefix, FibAction)> {
+    model
+        .iter()
+        .filter(|((a, ..), _)| *a == asn)
+        .map(|(&(_, net, len), &action)| (Ipv4Prefix::new(net, len).expect("stored"), action))
+        .filter(|(p, _)| p.contains(ip))
+        .max_by_key(|(p, _)| p.len())
+}
+
+/// A converged route whose forwarding action is `action`.
+fn route_for(prefix: Ipv4Prefix, action: FibAction) -> Route {
+    let mut route = Route::originate(Prefix::V4(prefix), vec![]);
+    match action {
+        FibAction::Deliver => {}
+        FibAction::Null => route.blackholed = true,
+        FibAction::Forward(next) => route.source = RouteSource::Ebgp(next),
+    }
+    route
+}
+
 proptest! {
+    #[test]
+    fn fib_answers_like_a_flat_model_and_clones_are_isolated(
+        ops in proptest::collection::vec(arb_fib_op(), 0..40),
+        probes in proptest::collection::vec(prop_oneof![pool_addr(), any::<u32>()], 1..12),
+    ) {
+        let check = |fib: &Fib, model: &FibModel| {
+            let ases: BTreeSet<Asn> = model.keys().map(|k| k.0).collect();
+            assert_eq!(fib.len(), ases.len());
+            assert_eq!(fib.is_empty(), model.is_empty());
+            for asn in (0..8).map(Asn::new) {
+                for &ip in &probes {
+                    let want = model_lookup(model, asn, ip);
+                    assert_eq!(fib.lookup(asn, ip), want, "lookup at {asn} for {ip:#x}");
+                    assert_eq!(fib.lookup_naive(asn, ip), want, "naive at {asn} for {ip:#x}");
+                }
+            }
+        };
+        let (mut fib, mut model) = (Fib::default(), FibModel::new());
+        let mut set_aside: Vec<(Fib, FibModel)> = Vec::new();
+        for op in ops {
+            match op {
+                FibOp::Insert(asn, p, action) => {
+                    fib.insert(asn, p, action);
+                    model.insert((asn, p.network(), p.len()), action);
+                }
+                FibOp::Fold(p, column) => {
+                    let finals: FinalRoutes =
+                        column.iter().map(|&(asn, action)| (asn, route_for(p, action))).collect();
+                    fib.insert_routes(Prefix::V4(p), &finals);
+                    for (asn, action) in column {
+                        model.insert((asn, p.network(), p.len()), action);
+                    }
+                }
+                FibOp::Merge(inserts) => {
+                    let mut other = Fib::default();
+                    for (asn, p, action) in inserts {
+                        other.insert(asn, p, action);
+                        model.insert((asn, p.network(), p.len()), action);
+                    }
+                    fib.merge(&other);
+                }
+                FibOp::Fork => {
+                    let clone = fib.clone();
+                    set_aside.push((std::mem::replace(&mut fib, clone), model.clone()));
+                }
+            }
+            check(&fib, &model);
+        }
+        // Copy-on-write isolation: whatever happened to a clone afterwards,
+        // every FIB set aside still answers like its model of that moment.
+        for (original, model) in &set_aside {
+            check(original, model);
+        }
+    }
+
     #[test]
     fn fast_lookup_equals_naive_scan(
         entries in proptest::collection::vec((arb_prefix(), arb_action()), 0..40),

@@ -93,7 +93,9 @@ pub const POLICIES: &[CratePolicy] = &[
         name: "bgpworms-dataplane",
         src: "crates/dataplane/src",
         result_affecting: true,
-        hot_path: &[],
+        // Every hop of every probe of every survey candidate is a
+        // `Fib::lookup`.
+        hot_path: &["fib.rs"],
     },
     CratePolicy {
         name: "bgpworms-core",

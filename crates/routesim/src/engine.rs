@@ -172,7 +172,7 @@ pub struct SimResult {
     /// Per-collector observations, sorted by (time, peer, prefix).
     pub observations: BTreeMap<String, Vec<CollectorObservation>>,
     /// Final best route per (prefix, AS) — only for retained prefixes.
-    pub final_routes: BTreeMap<Prefix, BTreeMap<Asn, Route>>,
+    pub final_routes: BTreeMap<Prefix, FinalRoutes>,
     /// Total update events processed across all prefixes.
     pub events: u64,
     /// True if every prefix converged within the event budget.
@@ -500,7 +500,15 @@ impl<'a> CompiledSim<'a> {
             );
         }
         scratch.restore(self.topo.slot_offsets(), snapshot);
-        let mut outcome = snapshot.baseline_outcome().clone();
+        // The baseline's retained routes are not cloned: `continue_prefix`
+        // rebuilds them from the re-converged RIBs.
+        let base = snapshot.baseline_outcome();
+        let mut outcome = PrefixOutcome {
+            observations: base.observations.clone(),
+            final_routes: None,
+            events: base.events,
+            converged: base.converged,
+        };
         self.continue_prefix(
             &mut scratch,
             snapshot.prefix(),
@@ -1023,16 +1031,16 @@ impl CompiledSim<'_> {
 
         if self.should_retain(&prefix) {
             // Only nodes the flood touched can hold a route, so the sweep
-            // iterates the touched list instead of all ~N nodes (the
-            // BTreeMap orders by ASN regardless of visit order).
-            let mut finals: BTreeMap<Asn, Route> = BTreeMap::new();
+            // iterates the touched list instead of all ~N nodes, and it
+            // collects ids: `FinalRoutes` clones each distinct best once.
+            let mut bests = Vec::with_capacity(routers.touched.len());
             for k in 0..routers.touched.len() {
                 let i = routers.touched[k] as usize;
-                if let Some(best) = routers.node(i).best(arena) {
-                    finals.insert(self.asns[i], best.clone());
+                if let Some((id, _)) = routers.node(i).best_entry(arena) {
+                    bests.push((self.asns[i], id));
                 }
             }
-            outcome.final_routes = Some(finals);
+            outcome.final_routes = Some(FinalRoutes::from_ids(bests, arena));
         }
     }
 
@@ -1176,7 +1184,7 @@ pub struct PrefixOutcome {
     /// compiled spec (resolve names via [`CompiledSim::collector_names`]).
     pub observations: Vec<Vec<CollectorObservation>>,
     /// Final best route per AS, when the prefix is retained.
-    pub final_routes: Option<BTreeMap<Asn, Route>>,
+    pub final_routes: Option<FinalRoutes>,
     /// Update events processed for this prefix.
     pub events: u64,
     /// True if the prefix converged within the event budget.
@@ -1200,12 +1208,104 @@ impl PrefixOutcome {
                 route.prefix = prefix;
             }
         }
-        if let Some(finals) = self.final_routes.as_mut() {
-            for route in finals.values_mut() {
-                route.prefix = prefix;
-            }
+        // One label per distinct route reaches every AS that holds it.
+        for route in self.final_routes.iter_mut().flat_map(|f| &mut f.routes) {
+            route.prefix = prefix;
         }
         self
+    }
+}
+
+/// One prefix's final best route per AS, each **distinct** route stored
+/// once: behind one provider every stub holds the same route (the arena
+/// already gave them one [`RouteId`]), so a table of N ASes owns far fewer
+/// than N routes. Read like a map from ASN to route, in ASN order.
+///
+/// The representation is canonical — `index` ascends by ASN and `routes`
+/// is numbered in order of first use along it — so tables of equal content
+/// are equal field by field, whichever way they were built, and the
+/// derived `PartialEq` is the `delta ≡ fresh` oracle. (See
+/// `ARCHITECTURE.md`, "The forwarding plane".)
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct FinalRoutes {
+    /// The distinct routes, in order of first use by ascending ASN.
+    routes: Vec<Route>,
+    /// `(AS, position in routes)`, ascending by ASN.
+    index: Vec<(Asn, u32)>,
+}
+
+impl FinalRoutes {
+    /// Builds the table from each AS's best-route id, in any order. Ids
+    /// are hash-consed, so deduplicating by id (a slot per arena route)
+    /// deduplicates by content.
+    fn from_ids(mut bests: Vec<(Asn, RouteId)>, arena: &RouteArena) -> Self {
+        const UNUSED: u32 = u32::MAX;
+        bests.sort_unstable_by_key(|&(asn, _)| asn);
+        let mut slots = vec![UNUSED; arena.len()];
+        let mut routes = Vec::new();
+        let index = bests
+            .into_iter()
+            .map(|(asn, id)| {
+                let slot = &mut slots[id.index()];
+                if *slot == UNUSED {
+                    *slot = routes.len() as u32;
+                    routes.push(arena.get(id).clone());
+                }
+                (asn, *slot)
+            })
+            .collect();
+        FinalRoutes { routes, index }
+    }
+
+    /// The route `asn` holds, if any.
+    pub fn get(&self, asn: &Asn) -> Option<&Route> {
+        let at = self.index.binary_search_by_key(asn, |&(a, _)| a).ok()?;
+        Some(&self.routes[self.index[at].1 as usize])
+    }
+
+    /// True when `asn` holds a route.
+    pub fn contains_key(&self, asn: &Asn) -> bool {
+        self.get(asn).is_some()
+    }
+
+    /// Number of ASes holding a route.
+    pub fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    /// True when no AS holds a route.
+    pub fn is_empty(&self) -> bool {
+        self.index.is_empty()
+    }
+
+    /// Every `(AS, route)`, ascending by ASN.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&Asn, &Route)> {
+        self.index
+            .iter()
+            .map(|(asn, at)| (asn, &self.routes[*at as usize]))
+    }
+
+    /// The ASes holding a route, ascending.
+    pub fn keys(&self) -> impl ExactSizeIterator<Item = &Asn> {
+        self.iter().map(|(asn, _)| asn)
+    }
+
+    /// Each AS's route, ascending by ASN (a shared route repeats).
+    pub fn values(&self) -> impl ExactSizeIterator<Item = &Route> {
+        self.iter().map(|(_, route)| route)
+    }
+}
+
+/// Collects like a map — a repeated AS keeps its last route — through a
+/// scratch arena, so hand-built tables get the engine's canonical form.
+impl FromIterator<(Asn, Route)> for FinalRoutes {
+    fn from_iter<I: IntoIterator<Item = (Asn, Route)>>(pairs: I) -> Self {
+        let mut arena = RouteArena::default();
+        let by_asn: BTreeMap<Asn, RouteId> = pairs
+            .into_iter()
+            .map(|(asn, route)| (asn, arena.intern(route)))
+            .collect();
+        FinalRoutes::from_ids(by_asn.into_iter().collect(), &arena)
     }
 }
 
@@ -1900,6 +2000,70 @@ mod tests {
 
         // The empty delta reproduces the baseline result exactly.
         assert_eq!(sim.run_delta(&snap, &[]), base);
+    }
+
+    #[test]
+    fn retention_clones_each_distinct_best_once_and_relabels_every_as() {
+        // A hub with 40 stub customers, one of which announces: the origin,
+        // the hub and the 39 other stubs hold three distinct routes between
+        // them, so keeping the routes costs three clones on top of the
+        // flood's own — not one per AS.
+        const STUBS: u32 = 40;
+        let mut topo = Topology::new();
+        topo.add_simple(Asn::new(1), Tier::Tier1);
+        for stub in 2..2 + STUBS {
+            topo.add_simple(Asn::new(stub), Tier::Stub);
+            topo.add_edge(Asn::new(1), Asn::new(stub), EdgeKind::ProviderToCustomer);
+        }
+        let spec = |retain| {
+            SimSpec::new(&topo)
+                .retain(retain)
+                .collector(CollectorSpec {
+                    name: "rrc00".into(),
+                    platform: "RIS".into(),
+                    collector_id: 1,
+                    peers: vec![(Asn::new(1), FeedKind::Full)],
+                })
+                .compile()
+        };
+        let clones_of = |sim: &CompiledSim<'_>, eps: &[Origination]| {
+            let before = crate::route_clones();
+            let res = sim.run(eps);
+            (res, crate::route_clones() - before)
+        };
+        let prefix = p("10.0.0.0/16");
+        let eps = [Origination::announce(Asn::new(2), prefix, vec![])];
+        let (unretained, flood_clones) = clones_of(&spec(RetainRoutes::None), &eps);
+        assert_eq!(unretained.observations["rrc00"].len(), 1);
+        let sim = spec(RetainRoutes::All);
+        let (res, clones) = clones_of(&sim, &eps);
+        let finals = &res.final_routes[&prefix];
+        assert_eq!(finals.len() as u32, STUBS + 1, "every AS holds a route");
+        let mut distinct: Vec<&Route> = Vec::new();
+        for route in finals.values() {
+            if !distinct.contains(&route) {
+                distinct.push(route);
+            }
+        }
+        assert_eq!(distinct.len(), 3);
+        assert_eq!(clones - flood_clones, 3, "one clone per distinct best");
+
+        // Relabeling rewrites those three routes and reaches all 41 ASes:
+        // the outcome is the one a flood of the other prefix produces.
+        let other = p("10.1.0.0/16");
+        let relabeled = PrefixOutcome {
+            observations: Vec::new(),
+            final_routes: Some(finals.clone()),
+            events: 0,
+            converged: true,
+        }
+        .relabeled(other)
+        .final_routes
+        .expect("kept");
+        assert!(relabeled.values().all(|route| route.prefix == other));
+        assert!(relabeled.keys().eq(finals.keys()));
+        let fresh = sim.run(&[Origination::announce(Asn::new(2), other, vec![])]);
+        assert_eq!(relabeled, fresh.final_routes[&other]);
     }
 
     #[test]

@@ -299,7 +299,8 @@ pub use campaign::{
 pub use collector::{archive_all, CollectorArchive, CollectorObservation, CollectorSpec, FeedKind};
 pub use durable::DurableSink;
 pub use engine::{
-    panic_message, CompiledSim, Origination, PrefixOutcome, RetainRoutes, SimResult, SimSpec,
+    panic_message, CompiledSim, FinalRoutes, Origination, PrefixOutcome, RetainRoutes, SimResult,
+    SimSpec,
 };
 pub use fault::{fault_site, prefix_fault_key};
 pub use policy::{

@@ -296,7 +296,7 @@ pub struct SimSnapshot {
     pub(crate) monitor_state: Vec<Option<RouteId>>,
     /// Everything the baseline run produced for this prefix: observations,
     /// event count, convergence flag, retained routes. A delta run starts
-    /// from a clone of this and appends.
+    /// from a copy of the first three and appends; it rebuilds the routes.
     pub(crate) outcome: PrefixOutcome,
 }
 

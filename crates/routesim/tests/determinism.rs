@@ -45,8 +45,8 @@ use bgpworms_routesim::route::RouteArena;
 use bgpworms_routesim::router::{NodeState, RibEntry, ValidationCtx};
 use bgpworms_routesim::{
     BlackholeService, Campaign, CampaignSink, CollectorSpec, CommunityPropagationPolicy,
-    CompiledSim, FeedKind, IrrDatabase, OriginValidation, Origination, PrefixOutcome, RetainRoutes,
-    Route, RouteId, RouterConfig, SimResult, SimSpec,
+    CompiledSim, FeedKind, FinalRoutes, IrrDatabase, OriginValidation, Origination, PrefixOutcome,
+    RetainRoutes, Route, RouteId, RouterConfig, SimResult, SimSpec,
 };
 use bgpworms_topology::{EdgeKind, NodeId, Role, Tier, Topology, TopologyParams};
 use bgpworms_types::{Asn, Community, Prefix};
@@ -568,12 +568,37 @@ proptest! {
         let mut sim = spec.compile();
         let run = sim.run(&originations);
         prop_assert!(run.converged, "reference converged but batched engine did not");
-        prop_assert_eq!(&run.final_routes, &reference, "batched fixed point diverged");
+        let owned = |model: &BTreeMap<Asn, Route>| -> Vec<(Asn, Route)> {
+            model.iter().map(|(asn, route)| (*asn, route.clone())).collect()
+        };
+        let reference_tables: BTreeMap<Prefix, FinalRoutes> = reference
+            .iter()
+            .map(|(prefix, model)| (*prefix, owned(model).into_iter().collect()))
+            .collect();
+        prop_assert_eq!(&run.final_routes, &reference_tables, "batched fixed point diverged");
+
+        // `FinalRoutes` reads like the map it replaced, and its
+        // representation is canonical: the same pairs collected in the
+        // opposite order are the same value, field by field.
+        for (prefix, model) in &reference {
+            let finals = &run.final_routes[prefix];
+            prop_assert_eq!(finals.len(), model.len());
+            prop_assert_eq!(finals.is_empty(), model.is_empty());
+            prop_assert!(finals.iter().eq(model.iter()));
+            prop_assert!(finals.keys().eq(model.keys()));
+            prop_assert!(finals.values().eq(model.values()));
+            for node in topo.ases() {
+                prop_assert_eq!(finals.get(&node.asn), model.get(&node.asn));
+                prop_assert_eq!(finals.contains_key(&node.asn), model.contains_key(&node.asn));
+            }
+            let reversed: FinalRoutes = owned(model).into_iter().rev().collect();
+            prop_assert_eq!(&reversed, finals, "collection order leaked into the value");
+        }
 
         // The equivalence survives sharding and session reuse.
         sim.set_threads(threads);
         let par = sim.run(&originations);
-        prop_assert_eq!(&par.final_routes, &reference);
+        prop_assert_eq!(&par.final_routes, &reference_tables);
         prop_assert_eq!(&sim.run(&originations), &par, "rerun diverged");
     }
 

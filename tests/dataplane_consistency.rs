@@ -119,7 +119,7 @@ fn control_plane_blackhole_equals_data_plane_drop() {
     for (prefix, per_as) in &result.final_routes {
         let Some(p4) = prefix.as_v4() else { continue };
         let host = PrefixAllocation::host_in(p4);
-        for (asn, route) in per_as {
+        for (asn, route) in per_as.iter() {
             let (matched, action) = fib
                 .lookup(*asn, host)
                 .expect("retained route implies FIB entry");

@@ -21,7 +21,9 @@
 //!   server experiments, the §7.6 automated blackhole-community survey,
 //!   and the future-work surveys of [`wild::extended_survey`] (the
 //!   "likely" corpus, non-RTBH path-change inference, §7.7 fake-location
-//!   injection);
+//!   injection) — each one "generate the [`wild::World`], attach a
+//!   platform, run", the two vantage-point sweeps on the one apparatus of
+//!   [`wild::vantage`];
 //! * [`feasibility`] — sweeps scenario variants over policy grids to
 //!   regenerate Table 3;
 //! * [`ablation`] — proofs that the modelled rules (RTBH preference raise,

@@ -16,6 +16,7 @@
 //!   count the collectors that observe the contradiction.
 
 use crate::wild::survey::{SurveyContext, SurveyParams};
+use crate::wild::World;
 use bgpworms_routesim::{Campaign, CampaignSink, Origination, PrefixOutcome, RetainRoutes};
 use bgpworms_types::{Asn, Community, Prefix};
 use std::collections::{BTreeMap, BTreeSet};
@@ -189,11 +190,14 @@ pub struct LocationInjectionReport {
 /// one AS claiming two ingress locations at once — is covered by the
 /// monitor's `ContradictoryLocation` detector and its integration test.
 pub fn location_injection(params: &SurveyParams) -> Option<LocationInjectionReport> {
-    let ctx = SurveyContext::build(params);
+    // Collectors are the instrument here, not vantage points: the world
+    // and the injector are all this experiment needs.
+    let mut world = World::generate(&params.topo, &params.workload);
+    let injector = world.attach_peering_platform();
 
     // Two distinct transits that tag ingress location: fake "LAX" from one
     // and "FRA" from the other (Fig 1's buckets are 201..=204).
-    let taggers: Vec<Asn> = ctx
+    let taggers: Vec<Asn> = world
         .workload
         .configs
         .values()
@@ -209,12 +213,8 @@ pub fn location_injection(params: &SurveyParams) -> Option<LocationInjectionRepo
         Community::new(b.as_u16().expect("filtered"), 203),
     ];
 
-    let p = Prefix::V4(ctx.injector.prefix);
-    let sim = ctx
-        .workload
-        .simulation(&ctx.topo)
-        .retain(RetainRoutes::None)
-        .compile();
+    let p = Prefix::V4(injector.prefix);
+    let sim = world.simulation().retain(RetainRoutes::None).compile();
 
     // Streaming fold: per collector, did it see the prefix at all / with
     // both contradictory tags? The observation lists themselves never
@@ -256,7 +256,7 @@ pub fn location_injection(params: &SurveyParams) -> Option<LocationInjectionRepo
 
     let n_collectors = sim.collector_names().len();
     let run = Campaign::new(&sim).run(
-        &[Origination::announce(ctx.injector.asn, p, injected.clone())],
+        &[Origination::announce(injector.asn, p, injected.clone())],
         || ContradictionSink {
             prefix: p,
             injected: &injected,
@@ -268,7 +268,7 @@ pub fn location_injection(params: &SurveyParams) -> Option<LocationInjectionRepo
     Some(LocationInjectionReport {
         collectors_observing: run.sink.saw_prefix.iter().filter(|&&b| b).count(),
         collectors_with_contradiction: run.sink.saw_both.iter().filter(|&&b| b).count(),
-        total_collectors: ctx.workload.collectors.len(),
+        total_collectors: world.workload.collectors.len(),
         injected,
     })
 }

@@ -8,11 +8,9 @@
 //! and 112 (of 434 ASes on observed paths) within a day.
 
 use crate::conditions::BENIGN_VALUE;
-use crate::wild::{attach_peering_platform, attach_research_network, InjectionPlatform};
-use bgpworms_routesim::{
-    Campaign, CampaignSink, Origination, PrefixOutcome, Workload, WorkloadParams,
-};
-use bgpworms_topology::{addressing::AddressingParams, PrefixAllocation, TopologyParams};
+use crate::wild::{InjectionPlatform, World};
+use bgpworms_routesim::{Campaign, CampaignSink, Origination, PrefixOutcome, WorkloadParams};
+use bgpworms_topology::TopologyParams;
 use bgpworms_types::{Asn, Community, Prefix};
 use std::collections::BTreeSet;
 
@@ -53,26 +51,13 @@ pub fn run(
     topo_params: &TopologyParams,
     workload_params: &WorkloadParams,
 ) -> PropagationCheckReport {
-    let mut topo = topo_params.build();
-    let alloc = PrefixAllocation::assign(&topo, AddressingParams::default());
-    let mut workload = Workload::generate(&topo, &alloc, workload_params);
-
-    let research = attach_research_network(
-        &mut topo,
-        &mut workload,
-        Asn::new(65_010),
-        "100.64.0.0/24".parse().expect("valid"),
-    );
-    let peering = attach_peering_platform(
-        &mut topo,
-        &mut workload,
-        Asn::new(65_011),
-        "100.64.1.0/24".parse().expect("valid"),
-    );
+    let mut world = World::generate(topo_params, workload_params);
+    let research = world.attach_research_network();
+    let peering = world.attach_peering_platform();
 
     // Both platforms probe over identical configs: one compiled session,
     // one run per platform.
-    let sim = workload.simulation(&topo).compile();
+    let sim = world.simulation().compile();
     let research_result = probe(&sim, research);
     let peering_result = probe(&sim, peering);
 

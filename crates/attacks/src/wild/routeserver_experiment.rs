@@ -3,9 +3,9 @@
 //! community, then adds the conflicting suppress community; the evaluation
 //! order decides, and the attackee member silently loses the route.
 
-use crate::wild::InjectionPlatform;
-use bgpworms_routesim::{Origination, RetainRoutes, Workload, WorkloadParams};
-use bgpworms_topology::{addressing::AddressingParams, PrefixAllocation, Tier, TopologyParams};
+use crate::wild::{InjectionPlatform, World};
+use bgpworms_routesim::{Origination, RetainRoutes, WorkloadParams};
+use bgpworms_topology::{Tier, TopologyParams};
 use bgpworms_types::{Asn, Community, Prefix};
 
 /// Report of the route-server wild experiment.
@@ -36,30 +36,17 @@ pub fn run(
     topo_params: &TopologyParams,
     workload_params: &WorkloadParams,
 ) -> Option<RouteServerWildReport> {
-    let mut topo = topo_params.build();
-    let alloc = PrefixAllocation::assign(&topo, AddressingParams::default());
-    let mut workload = Workload::generate(&topo, &alloc, workload_params);
+    let mut world = World::generate(topo_params, workload_params);
 
     // Pick the first route server, then attach a dedicated injector that
     // announces *only* through the route-server session — mirroring how
     // PEERING scopes an experiment announcement to one PoP.
-    let route_server = topo
-        .ases()
-        .find(|n| n.tier == Tier::RouteServer)
-        .map(|n| n.asn)?;
-    let injector = {
-        let asn = Asn::new(65_011);
-        let prefix: bgpworms_types::Ipv4Prefix = "100.64.1.0/24".parse().expect("valid");
-        topo.add_simple(asn, Tier::Stub);
-        topo.add_edge(route_server, asn, bgpworms_topology::EdgeKind::PeerToPeer);
-        workload
-            .configs
-            .insert(asn, bgpworms_routesim::RouterConfig::defaults(asn));
-        workload.irr.register(Prefix::V4(prefix), asn);
-        workload.rpki.register(Prefix::V4(prefix), asn);
-        InjectionPlatform { asn, prefix }
-    };
-    let attackee = topo.peers_of(route_server).find(|m| *m != injector.asn)?;
+    let route_server = world.tier(Tier::RouteServer).next()?;
+    let injector = world.attach_route_server_member(route_server);
+    let attackee = world
+        .topo
+        .peers_of(route_server)
+        .find(|m| *m != injector.asn)?;
 
     let rs16 = route_server.as_u16().expect("small");
     let attackee16 = attackee.as_u16().expect("small");
@@ -68,8 +55,8 @@ pub fn run(
     let p = Prefix::V4(injector.prefix);
 
     // One compiled session, two episode schedules.
-    let sim = workload
-        .simulation(&topo)
+    let sim = world
+        .simulation()
         .retain(RetainRoutes::Prefixes([p].into_iter().collect()))
         .compile();
 

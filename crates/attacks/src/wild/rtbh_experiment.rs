@@ -9,16 +9,10 @@
 //! candidate where the effect is observable — and validate before/after
 //! with Atlas pings plus the target's looking glass.
 
-use crate::wild::InjectionPlatform;
-use bgpworms_dataplane::{AtlasPlatform, Fib};
-use bgpworms_routesim::{
-    Campaign, CampaignSink, Origination, RetainRoutes, RouterConfig, Workload, WorkloadParams,
-};
-use bgpworms_topology::{
-    addressing::AddressingParams, EdgeKind, PrefixAllocation, Tier, Topology, TopologyParams,
-};
+use crate::wild::{vantage, InjectionPlatform, World};
+use bgpworms_routesim::{Workload, WorkloadParams};
+use bgpworms_topology::{Tier, Topology, TopologyParams};
 use bgpworms_types::{Asn, Community, Prefix};
-use std::collections::BTreeSet;
 
 /// Outcome of one RTBH wild experiment.
 #[derive(Debug, Clone)]
@@ -107,111 +101,51 @@ pub fn run(
     hijack: bool,
     n_vps: usize,
 ) -> Option<RtbhWildReport> {
-    let mut topo = topo_params.build();
-    let alloc = PrefixAllocation::assign(&topo, AddressingParams::default());
-    let mut workload = Workload::generate(&topo, &alloc, workload_params);
+    let mut world = World::generate(topo_params, workload_params);
 
     // Single-homed injector behind a community-propagating transit (the
     // paper's research network announced from one physical location; only
     // the propagating upstream mattered).
-    let upstream = topo
-        .ases()
-        .filter(|n| n.tier == Tier::Transit)
-        .map(|n| n.asn)
-        .find(|a| forwards_foreign_upward(&workload, *a))?;
-    let injector_asn = Asn::new(65_010);
-    let injector_prefix: bgpworms_types::Ipv4Prefix = "100.64.0.0/24".parse().expect("valid");
-    topo.add_simple(injector_asn, Tier::Stub);
-    topo.add_edge(upstream, injector_asn, EdgeKind::ProviderToCustomer);
-    workload
-        .configs
-        .insert(injector_asn, RouterConfig::defaults(injector_asn));
-    workload
-        .irr
-        .register(Prefix::V4(injector_prefix), injector_asn);
-    workload
-        .rpki
-        .register(Prefix::V4(injector_prefix), injector_asn);
-    let injector = InjectionPlatform {
-        asn: injector_asn,
-        prefix: injector_prefix,
-    };
+    let upstream = world
+        .tier(Tier::Transit)
+        .find(|a| forwards_foreign_upward(&world.workload, *a))?;
+    let injector = world.attach_single_homed(upstream);
 
     // The blackholed /24: the injector's own (non-hijack) or a /24 cut from
     // a victim stub's space (hijack).
     let bh_prefix = if hijack {
-        let victim = topo.ases().find(|n| {
-            n.tier == Tier::Stub
-                && n.asn != injector.asn
-                && alloc.prefixes_of(n.asn).iter().any(|p| p.as_v4().is_some())
-        })?;
-        let parent = alloc
-            .prefixes_of(victim.asn)
-            .iter()
-            .find_map(|p| p.as_v4())?;
+        let parent = world
+            .tier(Tier::Stub)
+            .filter(|&stub| stub != injector.asn)
+            .find_map(|stub| world.alloc.prefixes_of(stub).iter().find_map(|p| p.as_v4()))?;
         let sub = parent.subnets(24).ok()?.first().copied()?;
         // §7.3: the hijack "required updating the IRR".
-        workload.irr.register(Prefix::V4(sub), injector.asn);
+        world.workload.irr.register(Prefix::V4(sub), injector.asn);
         sub
     } else {
         injector.prefix
     };
 
-    // Vantage points + their prefixes (for reverse paths).
-    let atlas = AtlasPlatform::sample(&topo, &alloc, n_vps, 7);
-    let mut episodes: Vec<Origination> = Vec::new();
-    let mut retained: BTreeSet<Prefix> = BTreeSet::new();
-    for &(vp, _) in &atlas.vantage_points {
-        for prefix in alloc.prefixes_of(vp) {
-            if prefix.is_v4() {
-                episodes.push(Origination::announce(vp, *prefix, vec![]));
-                retained.insert(*prefix);
-            }
-        }
-    }
-    let p = Prefix::V4(bh_prefix);
-    retained.insert(p);
-    let target_addr = AtlasPlatform::target_in(bh_prefix);
-
-    // One session for the whole experiment: the baseline and every
-    // candidate target replay different episode schedules on it.
-    let sim = workload
-        .simulation(&topo)
-        .retain(RetainRoutes::Prefixes(retained))
-        .compile();
-
-    // Baseline: the vantage points' own prefixes stream straight into
-    // forwarding actions, while the plain announcement of the blackholed
-    // /24 converges once and is captured as a snapshot — every candidate
-    // target below replays against it as a delta re-convergence.
-    let vp_fib = Campaign::new(&sim).run(&episodes, Fib::default).sink;
-    let (_, baseline) = sim.run_snapshot(&[Origination::announce(injector.asn, p, vec![])], p);
-    let mut base_fib = vp_fib.clone();
-    if let Some(finals) = &baseline.baseline_outcome().final_routes {
-        base_fib.insert_routes(p, finals);
-    }
-    let before = atlas.ping_campaign(&base_fib, target_addr);
+    // One session for the whole experiment: the vantage points' reverse
+    // paths, the plain announcement of the blackholed /24 (the baseline)
+    // and every candidate target below replay on it.
+    let (atlas, baseline, session) = vantage::build(&world, injector.asn, bh_prefix, n_vps);
 
     // Try each candidate target until the effect is demonstrable (the
     // paper likewise *selected* a provider where validation was possible).
     // Each candidate is one delta replay on the shared baseline snapshot —
     // it costs the community's blast radius, not a fresh Internet.
     let mut last: Option<RtbhWildReport> = None;
-    for (target, target_distance) in candidate_targets(&topo, &workload, upstream) {
+    for (target, target_distance) in candidate_targets(&world.topo, &world.workload, upstream) {
         let target_bh = Community::new(target.as_u16().expect("small"), 666);
-        let outcome = sim.run_delta_prefix(
-            &baseline,
-            &[Origination::announce(injector.asn, p, vec![target_bh]).at(600)],
-        );
+        let (outcome, attacked_fib) = baseline.candidate(&session, &[target_bh]);
         let target_blackholed = outcome
             .final_routes
             .as_ref()
             .and_then(|finals| finals.get(&target))
             .map(|route| route.blackholed)
             .unwrap_or(false);
-        let mut attacked_fib = vp_fib.clone();
-        attacked_fib.fold(p, outcome);
-        let after = atlas.ping_campaign(&attacked_fib, target_addr);
+        let after = atlas.ping_campaign(&attacked_fib, baseline.target_addr);
 
         let report = RtbhWildReport {
             injector,
@@ -219,9 +153,9 @@ pub fn run(
             target_distance,
             hijack,
             target_blackholed,
-            responsive_before: before.responsive_count(),
+            responsive_before: baseline.responsive.responsive_count(),
             responsive_after: after.responsive_count(),
-            lost_vps: before.lost_vps(&after),
+            lost_vps: baseline.responsive.lost_vps(&after),
             total_vps: atlas.vantage_points.len(),
         };
         if report.succeeded() {

@@ -3,12 +3,12 @@
 //! relationships gate steering services; the paper could only trigger them
 //! along customer chains).
 
-use crate::wild::{attach_peering_platform, InjectionPlatform};
+use crate::wild::{InjectionPlatform, World};
 use bgpworms_dataplane::LookingGlass;
 use bgpworms_routesim::{
     ActScope, Origination, RetainRoutes, RouterConfig, Workload, WorkloadParams,
 };
-use bgpworms_topology::{addressing::AddressingParams, PrefixAllocation, Topology, TopologyParams};
+use bgpworms_topology::{Topology, TopologyParams};
 use bgpworms_types::{Asn, Community, Prefix};
 
 /// Report of the steering wild experiment.
@@ -74,18 +74,10 @@ pub fn run(
     topo_params: &TopologyParams,
     workload_params: &WorkloadParams,
 ) -> Option<SteeringWildReport> {
-    let mut topo = topo_params.build();
-    let alloc = PrefixAllocation::assign(&topo, AddressingParams::default());
-    let mut workload = Workload::generate(&topo, &alloc, workload_params);
+    let mut world = World::generate(topo_params, workload_params);
+    let injector = world.attach_peering_platform();
 
-    let injector = attach_peering_platform(
-        &mut topo,
-        &mut workload,
-        Asn::new(65_011),
-        "100.64.1.0/24".parse().expect("valid"),
-    );
-
-    let candidates = find_steering_paths(&topo, &workload, injector.asn);
+    let candidates = find_steering_paths(&world.topo, &world.workload, injector.asn);
     let p = Prefix::V4(injector.prefix);
 
     // Try every candidate pair until one produces the canonical outcome;
@@ -98,7 +90,8 @@ pub fn run(
         // The override lives only in this candidate's spec (configure
         // copy-on-writes the config map); the shared workload stays
         // untouched.
-        let mut target_cfg = workload
+        let mut target_cfg = world
+            .workload
             .configs
             .get(&target)
             .cloned()
@@ -111,8 +104,8 @@ pub fn run(
 
         // One compiled session per candidate config; all three runs
         // (prepend, local-pref baseline, local-pref tagged) replay on it.
-        let sim = workload
-            .simulation(&topo)
+        let sim = world
+            .simulation()
             .retain(RetainRoutes::Prefixes([p].into_iter().collect()))
             .configure(target_cfg)
             .compile();

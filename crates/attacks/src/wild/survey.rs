@@ -4,14 +4,12 @@
 //! responsiveness. A re-run checks repeatability, and baseline traceroutes
 //! bound how many AS hops each effective community travelled.
 
-use crate::wild::{attach_peering_platform, InjectionPlatform};
+use crate::wild::vantage::{self, Baseline, Session};
+use crate::wild::{InjectionPlatform, World};
 use bgpworms_dataplane::{trace, AtlasPlatform, Fib};
-use bgpworms_routesim::{
-    Campaign, CampaignSink, CompiledSim, Origination, RetainRoutes, SimSnapshot, Workload,
-    WorkloadParams,
-};
-use bgpworms_topology::{addressing::AddressingParams, PrefixAllocation, TopologyParams};
-use bgpworms_types::{Asn, Community, Prefix};
+use bgpworms_routesim::{Workload, WorkloadParams};
+use bgpworms_topology::TopologyParams;
+use bgpworms_types::{Asn, Community};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Survey parameters.
@@ -100,142 +98,63 @@ fn corpus(workload: &Workload, cap: usize) -> Vec<Community> {
     out
 }
 
-/// A compiled candidate-sweep session: the [`CompiledSim`] plus the
-/// converged plain-announce baseline captured as a [`SimSnapshot`]. Every
-/// candidate community replays as a *delta* against the baseline
-/// ([`CompiledSim::run_delta_prefix`]), so a candidate costs its blast
-/// radius, not a full Internet re-convergence.
-pub struct SurveySession<'s> {
-    /// The compiled session (retains only the experiment prefix).
-    sim: CompiledSim<'s>,
-    /// Converged state of the plain (untagged) announcement.
-    baseline: SimSnapshot,
-}
-
 /// Reusable survey apparatus: a generated Internet plus an attached
 /// PEERING-like injector, a fixed Atlas vantage-point set, baseline FIBs,
 /// and baseline responsiveness — everything §7.6-style campaigns share.
 /// The extended experiments ("likely" corpus, non-RTBH path-change
-/// detection, fake-location injection) reuse this context.
+/// detection) reuse this context.
+///
+/// Derefs to the [`World`] it owns: `ctx.topo`, `ctx.alloc` and
+/// `ctx.workload` are the generated Internet with the injector attached.
 pub struct SurveyContext {
-    /// The generated topology (with the injector attached).
-    pub topo: bgpworms_topology::Topology,
-    /// Prefix ground truth.
-    pub alloc: PrefixAllocation,
-    /// The generated workload (with the injector registered).
-    pub workload: Workload,
+    world: World,
     /// The injection platform.
     pub injector: InjectionPlatform,
     /// The fixed Atlas vantage-point set.
     pub atlas: AtlasPlatform,
     /// The probe target inside the injector's prefix.
     pub target_addr: u32,
-    /// FIB covering the vantage points' own prefixes (reverse paths).
-    vp_fib: Fib,
-    /// `vp_fib` plus the plain (untagged) announcement of the experiment
-    /// prefix.
-    base_fib: Fib,
-    /// Baseline responsiveness per VP.
-    before: BTreeMap<Asn, bool>,
+    /// The plain announcement of the injector's prefix, measured.
+    baseline: Baseline,
+}
+
+impl std::ops::Deref for SurveyContext {
+    type Target = World;
+
+    fn deref(&self) -> &World {
+        &self.world
+    }
 }
 
 impl SurveyContext {
     /// Builds the shared apparatus.
     pub fn build(params: &SurveyParams) -> Self {
-        let mut topo = params.topo.build();
-        let alloc = PrefixAllocation::assign(&topo, AddressingParams::default());
-        let mut workload = Workload::generate(&topo, &alloc, &params.workload);
-        let injector = attach_peering_platform(
-            &mut topo,
-            &mut workload,
-            Asn::new(65_011),
-            "100.64.1.0/24".parse().expect("valid"),
-        );
-        let atlas = AtlasPlatform::sample(&topo, &alloc, params.n_vps, 7);
-        let target_addr = AtlasPlatform::target_in(injector.prefix);
-        let p = Prefix::V4(injector.prefix);
-
-        // Baseline FIB for VP prefixes (reverse paths), computed once —
-        // streamed: the campaign folds each prefix's converged routes into
-        // the FIB as forwarding actions and drops them, so the run never
-        // holds a `Vec` of per-prefix route tables (at survey scale that
-        // collection would dwarf the FIB itself).
-        let mut vp_episodes = Vec::new();
-        let mut retained: BTreeSet<Prefix> = BTreeSet::new();
-        for &(vp, _) in &atlas.vantage_points {
-            for prefix in alloc.prefixes_of(vp) {
-                if prefix.is_v4() {
-                    vp_episodes.push(Origination::announce(vp, *prefix, vec![]));
-                    retained.insert(*prefix);
-                }
-            }
-        }
-        let vp_sim = workload
-            .simulation(&topo)
-            .retain(RetainRoutes::Prefixes(retained))
-            .compile();
-        let vp_fib = Campaign::new(&vp_sim).run(&vp_episodes, Fib::default).sink;
-
-        // Baseline responsiveness with the plain /24.
-        let p_sim = workload
-            .simulation(&topo)
-            .retain(RetainRoutes::Prefixes([p].into_iter().collect()))
-            .compile();
-        let base_run = Campaign::new(&p_sim).run(
-            &[Origination::announce(injector.asn, p, vec![])],
-            Fib::default,
-        );
-        drop((vp_sim, p_sim));
-        let mut base_fib = vp_fib.clone();
-        base_fib.merge(&base_run.sink);
-        let before = atlas.ping_campaign(&base_fib, target_addr).responsive;
-
+        let mut world = World::generate(&params.topo, &params.workload);
+        let injector = world.attach_peering_platform();
+        // The session the baseline was measured on borrows the world this
+        // context is about to own; `session()` compiles the campaign's.
+        let (atlas, baseline, _) =
+            vantage::build(&world, injector.asn, injector.prefix, params.n_vps);
         SurveyContext {
-            topo,
-            alloc,
-            workload,
+            world,
             injector,
             atlas,
-            target_addr,
-            vp_fib,
-            base_fib,
-            before,
+            target_addr: baseline.target_addr,
+            baseline,
         }
     }
 
-    /// Compiles the campaign session: a [`CompiledSim`] retaining only the
-    /// experiment prefix, plus a [`SimSnapshot`] of the converged plain
-    /// (untagged) announcement. Compile it **once** per campaign — the
-    /// compile cost (config resolution, CSR, collector interning) *and*
-    /// the baseline convergence are paid once; every candidate community
-    /// then replays as a delta on the shared snapshot.
-    pub fn session(&self) -> SurveySession<'_> {
-        let p = Prefix::V4(self.injector.prefix);
-        let sim = self
-            .workload
-            .simulation(&self.topo)
-            .retain(RetainRoutes::Prefixes([p].into_iter().collect()))
-            .compile();
-        let (_, baseline) =
-            sim.run_snapshot(&[Origination::announce(self.injector.asn, p, vec![])], p);
-        SurveySession { sim, baseline }
+    /// Compiles the campaign session ([`Baseline::session`]): once per
+    /// campaign, every candidate community then replays as a delta on it.
+    pub fn session(&self) -> Session<'_> {
+        self.baseline.session(&self.world)
     }
 
     /// The FIB when the experiment prefix is announced with `communities`
-    /// (plain announce, then tagged re-announce — exactly the paper's
-    /// step-1/step-3 sequence). The plain half is the session's converged
-    /// baseline snapshot; only the tagged re-announce replays, as a delta
-    /// re-convergence, and the perturbed outcome streams straight into
-    /// forwarding actions.
-    pub fn fib_with(&self, session: &SurveySession<'_>, communities: &[Community]) -> Fib {
-        let p = Prefix::V4(self.injector.prefix);
-        let outcome = session.sim.run_delta_prefix(
-            &session.baseline,
-            &[Origination::announce(self.injector.asn, p, communities.to_vec()).at(300)],
-        );
-        let mut fib = self.vp_fib.clone();
-        fib.fold(p, outcome);
-        fib
+    /// ([`Baseline::candidate`]): the vantage-point columns shared as they
+    /// are, plus one delta-replayed column.
+    pub fn fib_with(&self, session: &Session<'_>, communities: &[Community]) -> Fib {
+        self.baseline.candidate(session, communities).1
     }
 
     /// One campaign round: per candidate community, the set of vantage
@@ -247,14 +166,8 @@ impl SurveyContext {
         let mut out = BTreeMap::new();
         for &c in candidates {
             let fib = self.fib_with(&session, &[c]);
-            let campaign = self.atlas.ping_campaign(&fib, self.target_addr);
-            let lost: Vec<Asn> = campaign
-                .responsive
-                .iter()
-                .filter(|(vp, &ok)| !ok && self.before.get(vp).copied().unwrap_or(false))
-                .map(|(&vp, _)| vp)
-                .collect();
-            out.insert(c, lost);
+            let after = self.atlas.ping_campaign(&fib, self.target_addr);
+            out.insert(c, self.baseline.responsive.lost_vps(&after));
         }
         out
     }
@@ -265,28 +178,23 @@ impl SurveyContext {
     /// reachability loss.
     pub fn trace_paths(
         &self,
-        session: &SurveySession<'_>,
+        session: &Session<'_>,
         communities: &[Community],
     ) -> BTreeMap<Asn, Vec<Asn>> {
         let fib = if communities.is_empty() {
-            self.base_fib.clone()
+            self.baseline.fib.clone()
         } else {
             self.fib_with(session, communities)
         };
-        let mut out = BTreeMap::new();
-        for &(vp, _) in &self.atlas.vantage_points {
-            let t = trace(&fib, vp, self.target_addr);
-            if t.delivered() {
-                out.insert(vp, t.path);
-            }
-        }
-        out
+        let traces = self.atlas.traceroute_campaign(&fib, self.target_addr);
+        let delivered = traces.into_iter().filter(|(_, t)| t.delivered());
+        delivered.map(|(vp, t)| (vp, t.path)).collect()
     }
 
     /// Baseline AS-hop distance from `vp`'s forwarding path to `target_as`
     /// (0 = not on the path).
     pub fn baseline_hops_to(&self, vp: Asn, target_as: Asn) -> usize {
-        let t = trace(&self.base_fib, vp, self.target_addr);
+        let t = trace(&self.baseline.fib, vp, self.target_addr);
         t.path
             .iter()
             .position(|&a| a == target_as)
@@ -343,6 +251,8 @@ pub fn run(params: &SurveyParams) -> SurveyReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bgpworms_routesim::Origination;
+    use bgpworms_types::Prefix;
 
     fn quick_params() -> SurveyParams {
         SurveyParams {
@@ -374,36 +284,64 @@ mod tests {
         assert_eq!(report.repeatable, Some(true), "deterministic re-run");
     }
 
+    /// Every address a sweep looks up: the probe target and every vantage
+    /// point's source address (the reverse paths).
+    fn probed_addrs(ctx: &SurveyContext) -> Vec<u32> {
+        let sources = ctx.atlas.vantage_points.iter().map(|&(_, src)| src);
+        std::iter::once(ctx.target_addr).chain(sources).collect()
+    }
+
     #[test]
     fn candidate_fib_equals_fresh_run_merged_over_the_vantage_point_fib() {
         // A candidate's FIB is the vantage-point columns shared as they are
         // plus one delta-replayed column. The reference pays full price: a
         // fresh run of plain ++ tagged, collected, converted and merged. At
-        // every AS, the probe target and every vantage point's source
-        // address (the reverse paths) must resolve alike.
+        // every AS, every probed address must resolve alike.
         let ctx = SurveyContext::build(&quick_params());
         let session = ctx.session();
         let p = Prefix::V4(ctx.injector.prefix);
         let plain = Origination::announce(ctx.injector.asn, p, vec![]);
-        let mut addrs = vec![ctx.target_addr];
-        addrs.extend(ctx.atlas.vantage_points.iter().map(|&(_, src)| src));
+        let addrs = probed_addrs(&ctx);
         let mut moved = 0;
         for c in corpus(&ctx.workload, 12) {
             let fib = ctx.fib_with(&session, &[c]);
             let tagged = Origination::announce(ctx.injector.asn, p, vec![c]).at(300);
-            let mut reference = ctx.vp_fib.clone();
+            let mut reference = ctx.baseline.vp_fib.clone();
             reference.merge(&Fib::from_sim(&session.sim.run(&[plain.clone(), tagged])));
             for node in ctx.topo.ases() {
                 for &addr in &addrs {
                     let got = fib.lookup(node.asn, addr);
                     assert_eq!(got, reference.lookup(node.asn, addr), "{c} at {}", node.asn);
-                    moved += usize::from(got != ctx.base_fib.lookup(node.asn, addr));
+                    moved += usize::from(got != ctx.baseline.fib.lookup(node.asn, addr));
                 }
             }
         }
         assert!(
             moved > 0,
             "some candidate must change some forwarding entry"
+        );
+    }
+
+    #[test]
+    fn no_op_candidate_fib_equals_the_build_time_baseline() {
+        // The baseline column is read off the snapshot of the session
+        // `build` measured on; the no-op candidate replays an unchanged
+        // re-announcement on a session compiled afresh. Same answers at
+        // every AS for every probed address, same responsiveness.
+        let ctx = SurveyContext::build(&quick_params());
+        let session = ctx.session();
+        let fib = ctx.fib_with(&session, &[]);
+        for node in ctx.topo.ases() {
+            for addr in probed_addrs(&ctx) {
+                let built = ctx.baseline.fib.lookup(node.asn, addr);
+                assert_eq!(fib.lookup(node.asn, addr), built, "at {}", node.asn);
+            }
+        }
+        let probed = ctx.atlas.ping_campaign(&fib, ctx.target_addr);
+        assert_eq!(probed.responsive, ctx.baseline.responsive.responsive);
+        assert!(
+            probed.responsive_count() > 0,
+            "the baseline reaches someone"
         );
     }
 

@@ -1090,15 +1090,7 @@ fn full_table_campaign(opts: &Options, degraded: &mut bool) -> String {
 }
 
 fn blackhole_survey(opts: &Options) -> String {
-    let (tp, wp) = wild_params(opts);
-    let params = wild::survey::SurveyParams {
-        topo: tp,
-        workload: wp,
-        n_vps: 200,
-        max_communities: 307,
-        verify_repeatability: true,
-    };
-    let report = wild::survey::run(&params);
+    let report = wild::survey::run(&survey_params(opts));
     let mut out = String::new();
     let _ = writeln!(
         out,

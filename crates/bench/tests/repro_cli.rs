@@ -66,3 +66,31 @@ fn bad_invocations_exit_2_without_panicking() {
         "a rejected command line must not touch --out"
     );
 }
+
+#[test]
+fn wild_artefacts_tiny_match_the_recorded_bytes() {
+    // The §7 renderers end to end, byte for byte: `wild_tiny_2018.txt` is
+    // the concatenated stdout of these eight runs, recorded at 77c08b5
+    // (before the §7 entry points moved onto one `World`).
+    let dir = out_dir("wild");
+    let dir_arg = dir.to_str().expect("utf-8 temp dir");
+    let mut stdout = String::new();
+    for artefact in [
+        "wild-propagation",
+        "wild-rtbh",
+        "wild-steering",
+        "wild-routeserver",
+        "blackhole-survey",
+        "survey-likely",
+        "survey-steering",
+        "survey-location",
+    ] {
+        let out = repro(&[
+            artefact, "--scale", "tiny", "--seed", "2018", "--out", dir_arg,
+        ]);
+        assert!(out.status.success(), "{artefact}: {out:?}");
+        stdout += std::str::from_utf8(&out.stdout).expect("utf-8 stdout");
+    }
+    assert_eq!(stdout, include_str!("wild_tiny_2018.txt"));
+    std::fs::remove_dir_all(&dir).expect("clean up");
+}

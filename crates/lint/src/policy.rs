@@ -1,8 +1,9 @@
 //! The per-crate policy table: which crates are **result-affecting**
 //! (their code can change simulation output, so unordered iteration and
 //! environment reads are banned there), which are infrastructure (bench,
-//! this lint), and which files sit on the engine hot path (where a
-//! `unwrap()`/`expect(` needs an explicit infallibility argument).
+//! this lint), and which files sit on the engine hot path or the
+//! encode/decode rim (where a `unwrap()`/`expect(` needs an explicit
+//! infallibility argument).
 //!
 //! `crates/compat/*` is deliberately absent: the shims are stand-ins for
 //! third-party crates and the sanctioned home of environment reads
@@ -20,8 +21,9 @@ pub struct CratePolicy {
     /// True when the crate's code can affect simulation results: enables
     /// the `no-unordered-iteration` and `no-env-dependence` rules.
     pub result_affecting: bool,
-    /// File names (within `src`, by basename) on the engine hot path:
-    /// `unwrap()`/`expect(` there requires `// lint: infallible <why>`.
+    /// File names (within `src`, by basename) on the engine hot path or
+    /// the codec rim: `unwrap()`/`expect(` there requires
+    /// `// lint: infallible <why>`.
     pub hot_path: &'static [&'static str],
 }
 
@@ -46,13 +48,17 @@ pub const POLICIES: &[CratePolicy] = &[
         name: "bgpworms-wire",
         src: "crates/wire/src",
         result_affecting: true,
-        hot_path: &[],
+        // The rim: the decoders take any byte sequence an archive holds,
+        // the encoders any route a collector observed. Both answer with a
+        // `WireError`, and a call that "cannot fail" says why.
+        hot_path: &["attribute.rs", "message.rs", "nlri.rs"],
     },
     CratePolicy {
         name: "bgpworms-mrt",
         src: "crates/mrt/src",
         result_affecting: true,
-        hot_path: &[],
+        // Same rim, one framing layer out.
+        hot_path: &["read.rs", "write.rs"],
     },
     CratePolicy {
         name: "bgpworms-topology",
@@ -77,7 +83,9 @@ pub const POLICIES: &[CratePolicy] = &[
         // `fault.rs` and `durable.rs` ride along — fault-key hashing and
         // checkpoint parsing both run under campaign supervision, where an
         // unjustified panic is indistinguishable from an injected one.
+        // `collector.rs` turns every observation of a run into MRT bytes.
         hot_path: &[
+            "collector.rs",
             "engine.rs",
             "scratch.rs",
             "shard.rs",

@@ -3,17 +3,28 @@
 //! The simulated collectors use these to produce archives byte-compatible
 //! with what RIS/RouteViews-style collectors publish, which keeps the
 //! analysis pipeline honest: it parses real MRT, never simulator internals.
+//!
+//! **One body per writer.** A [`MrtWriter`] owns the one buffer every
+//! record body is built in: each record clears it, appends its fields and
+//! the embedded BGP bytes straight into it (`bgpworms_wire`'s `*_into`
+//! encoders, variable lengths reserved and patched in place), and hands it
+//! to [`MrtWriter::write_record`]. Nothing reaches the sink until the whole
+//! body encoded, so a record that fails — a field too long for its length
+//! prefix — leaves the archive exactly as it was.
 
 use crate::error::MrtError;
 use crate::record::{bgp4mp_subtype, tdv2_subtype, PeerEntry, RibEntry, BGP4MP, TABLE_DUMP_V2};
 use bgpworms_types::{Asn, Prefix, RouteUpdate};
-use bgpworms_wire::{encode_attributes, encode_update, CodecConfig};
+use bgpworms_wire::{encode_attributes_into, encode_update_into, CodecConfig};
 use std::io::Write;
+use std::iter;
 use std::net::IpAddr;
 
 /// Low-level writer emitting raw MRT records.
 pub struct MrtWriter<W: Write> {
     inner: W,
+    /// The body under construction, reused record after record.
+    body: Vec<u8>,
     /// Records written so far.
     pub records_written: u64,
 }
@@ -23,6 +34,7 @@ impl<W: Write> MrtWriter<W> {
     pub fn new(inner: W) -> Self {
         MrtWriter {
             inner,
+            body: Vec::new(),
             records_written: 0,
         }
     }
@@ -35,15 +47,33 @@ impl<W: Write> MrtWriter<W> {
         subtype: u16,
         body: &[u8],
     ) -> Result<(), MrtError> {
+        let len = u32::try_from(body.len()).map_err(|_| MrtError::FieldTooLong("record body"))?;
         let mut header = [0u8; 12];
         header[0..4].copy_from_slice(&timestamp.to_be_bytes());
         header[4..6].copy_from_slice(&mrt_type.to_be_bytes());
         header[6..8].copy_from_slice(&subtype.to_be_bytes());
-        header[8..12].copy_from_slice(&(body.len() as u32).to_be_bytes());
+        header[8..12].copy_from_slice(&len.to_be_bytes());
         self.inner.write_all(&header)?;
         self.inner.write_all(body)?;
         self.records_written += 1;
         Ok(())
+    }
+
+    /// Builds one record's body in the writer's reusable buffer and writes
+    /// the record — or, when `fill` fails, writes nothing.
+    fn write_built(
+        &mut self,
+        timestamp: u32,
+        mrt_type: u16,
+        subtype: u16,
+        fill: impl FnOnce(&mut Vec<u8>) -> Result<(), MrtError>,
+    ) -> Result<(), MrtError> {
+        let mut body = std::mem::take(&mut self.body);
+        body.clear();
+        let written =
+            fill(&mut body).and_then(|()| self.write_record(timestamp, mrt_type, subtype, &body));
+        self.body = body;
+        written
     }
 
     /// Consumes the writer, returning the sink.
@@ -73,6 +103,24 @@ fn unspecified_like(ip: IpAddr) -> IpAddr {
     }
 }
 
+/// The fields every BGP4MP `*_AS4` body opens with.
+fn push_session(body: &mut Vec<u8>, peer_as: Asn, local_as: Asn, peer_ip: IpAddr) {
+    body.extend_from_slice(&peer_as.get().to_be_bytes());
+    body.extend_from_slice(&local_as.get().to_be_bytes());
+    body.extend_from_slice(&0u16.to_be_bytes()); // ifindex
+    body.extend_from_slice(&afi_of(peer_ip).to_be_bytes());
+    push_ip(body, peer_ip);
+    push_ip(body, unspecified_like(peer_ip));
+}
+
+/// `len` as a two-byte length or count field, or the name of the field it
+/// does not fit.
+fn field_u16(len: usize, what: &'static str) -> Result<[u8; 2], MrtError> {
+    u16::try_from(len)
+        .map(u16::to_be_bytes)
+        .map_err(|_| MrtError::FieldTooLong(what))
+}
+
 /// Writes one `BGP4MP MESSAGE_AS4` record wrapping `update`, as seen from a
 /// collector peering with `peer_as` at `peer_ip`.
 pub fn write_update<W: Write>(
@@ -97,16 +145,10 @@ pub fn write_update_into<W: Write>(
     peer_ip: IpAddr,
     update: &RouteUpdate,
 ) -> Result<(), MrtError> {
-    let mut body = Vec::with_capacity(64);
-    body.extend_from_slice(&peer_as.get().to_be_bytes());
-    body.extend_from_slice(&local_as.get().to_be_bytes());
-    body.extend_from_slice(&0u16.to_be_bytes()); // ifindex
-    body.extend_from_slice(&afi_of(peer_ip).to_be_bytes());
-    push_ip(&mut body, peer_ip);
-    push_ip(&mut body, unspecified_like(peer_ip));
-    let msg = encode_update(update, CodecConfig::modern())?;
-    body.extend_from_slice(&msg);
-    w.write_record(timestamp, BGP4MP, bgp4mp_subtype::MESSAGE_AS4, &body)
+    w.write_built(timestamp, BGP4MP, bgp4mp_subtype::MESSAGE_AS4, |body| {
+        push_session(body, peer_as, local_as, peer_ip);
+        Ok(encode_update_into(body, update, CodecConfig::modern())?)
+    })
 }
 
 /// Writes one `BGP4MP STATE_CHANGE_AS4` record.
@@ -119,16 +161,13 @@ pub fn write_state_change<W: Write>(
     old_state: u16,
     new_state: u16,
 ) -> Result<(), MrtError> {
-    let mut body = Vec::with_capacity(32);
-    body.extend_from_slice(&peer_as.get().to_be_bytes());
-    body.extend_from_slice(&local_as.get().to_be_bytes());
-    body.extend_from_slice(&0u16.to_be_bytes());
-    body.extend_from_slice(&afi_of(peer_ip).to_be_bytes());
-    push_ip(&mut body, peer_ip);
-    push_ip(&mut body, unspecified_like(peer_ip));
-    body.extend_from_slice(&old_state.to_be_bytes());
-    body.extend_from_slice(&new_state.to_be_bytes());
-    w.write_record(timestamp, BGP4MP, bgp4mp_subtype::STATE_CHANGE_AS4, &body)
+    let subtype = bgp4mp_subtype::STATE_CHANGE_AS4;
+    w.write_built(timestamp, BGP4MP, subtype, |body| {
+        push_session(body, peer_as, local_as, peer_ip);
+        body.extend_from_slice(&old_state.to_be_bytes());
+        body.extend_from_slice(&new_state.to_be_bytes());
+        Ok(())
+    })
 }
 
 /// Writer for a TABLE_DUMP_V2 RIB dump: emits the PEER_INDEX_TABLE first,
@@ -150,32 +189,28 @@ impl<W: Write> TableDumpWriter<W> {
         view_name: &str,
         peers: &[PeerEntry],
     ) -> Result<Self, MrtError> {
-        if view_name.len() > u16::MAX as usize {
-            return Err(MrtError::FieldTooLong("view name"));
-        }
-        let mut body = Vec::with_capacity(16 + peers.len() * 12);
-        body.extend_from_slice(&collector_id.to_be_bytes());
-        body.extend_from_slice(&(view_name.len() as u16).to_be_bytes());
-        body.extend_from_slice(view_name.as_bytes());
-        body.extend_from_slice(&(peers.len() as u16).to_be_bytes());
-        for p in peers {
-            // Always use the AS4 encoding; set the v6 bit per address.
-            let ptype: u8 = match p.ip {
-                IpAddr::V4(_) => 0x02,
-                IpAddr::V6(_) => 0x03,
-            };
-            body.push(ptype);
-            body.extend_from_slice(&p.bgp_id.to_be_bytes());
-            push_ip(&mut body, p.ip);
-            body.extend_from_slice(&p.asn.get().to_be_bytes());
-        }
+        let view_len = field_u16(view_name.len(), "view name")?;
+        let peer_count = field_u16(peers.len(), "peer count")?;
         let mut writer = MrtWriter::new(sink);
-        writer.write_record(
-            timestamp,
-            TABLE_DUMP_V2,
-            tdv2_subtype::PEER_INDEX_TABLE,
-            &body,
-        )?;
+        let subtype = tdv2_subtype::PEER_INDEX_TABLE;
+        writer.write_built(timestamp, TABLE_DUMP_V2, subtype, |body| {
+            body.extend_from_slice(&collector_id.to_be_bytes());
+            body.extend_from_slice(&view_len);
+            body.extend_from_slice(view_name.as_bytes());
+            body.extend_from_slice(&peer_count);
+            for p in peers {
+                // Always use the AS4 encoding; set the v6 bit per address.
+                let ptype: u8 = match p.ip {
+                    IpAddr::V4(_) => 0x02,
+                    IpAddr::V6(_) => 0x03,
+                };
+                body.push(ptype);
+                body.extend_from_slice(&p.bgp_id.to_be_bytes());
+                push_ip(body, p.ip);
+                body.extend_from_slice(&p.asn.get().to_be_bytes());
+            }
+            Ok(())
+        })?;
         Ok(TableDumpWriter {
             writer,
             peer_count: peers.len(),
@@ -185,37 +220,44 @@ impl<W: Write> TableDumpWriter<W> {
     }
 
     /// Writes one per-prefix RIB record. Entries must reference valid peer
-    /// indices.
+    /// indices. A record that cannot be encoded — more entries than the
+    /// count field holds, attributes longer than their length field —
+    /// writes nothing and takes no sequence number.
     pub fn write_rib(&mut self, prefix: Prefix, entries: &[RibEntry]) -> Result<(), MrtError> {
         for e in entries {
             if usize::from(e.peer_index) >= self.peer_count {
                 return Err(MrtError::UnknownPeerIndex(e.peer_index));
             }
         }
-        let mut body = Vec::with_capacity(32);
-        body.extend_from_slice(&self.sequence.to_be_bytes());
-        self.sequence = self.sequence.wrapping_add(1);
+        let entry_count = field_u16(entries.len(), "RIB entry count")?;
+        let sequence = self.sequence;
         let subtype = match prefix {
-            Prefix::V4(p) => {
-                bgpworms_wire::nlri::encode_v4(p, &mut body);
-                tdv2_subtype::RIB_IPV4_UNICAST
-            }
-            Prefix::V6(p) => {
-                bgpworms_wire::nlri::encode_v6(p, &mut body);
-                tdv2_subtype::RIB_IPV6_UNICAST
-            }
+            Prefix::V4(_) => tdv2_subtype::RIB_IPV4_UNICAST,
+            Prefix::V6(_) => tdv2_subtype::RIB_IPV6_UNICAST,
         };
-        body.extend_from_slice(&(entries.len() as u16).to_be_bytes());
-        for e in entries {
-            body.extend_from_slice(&e.peer_index.to_be_bytes());
-            body.extend_from_slice(&e.originated_time.to_be_bytes());
-            // RFC 6396 §4.3.4: 4-octet ASNs in RIB attributes.
-            let attrs = encode_attributes(&e.attrs, &[], &[], CodecConfig::modern())?;
-            body.extend_from_slice(&(attrs.len() as u16).to_be_bytes());
-            body.extend_from_slice(&attrs);
-        }
         self.writer
-            .write_record(self.timestamp, TABLE_DUMP_V2, subtype, &body)
+            .write_built(self.timestamp, TABLE_DUMP_V2, subtype, |body| {
+                body.extend_from_slice(&sequence.to_be_bytes());
+                match prefix {
+                    Prefix::V4(p) => bgpworms_wire::nlri::encode_v4(p, body),
+                    Prefix::V6(p) => bgpworms_wire::nlri::encode_v6(p, body),
+                }
+                body.extend_from_slice(&entry_count);
+                for e in entries {
+                    body.extend_from_slice(&e.peer_index.to_be_bytes());
+                    body.extend_from_slice(&e.originated_time.to_be_bytes());
+                    let len_at = body.len();
+                    body.extend_from_slice(&[0, 0]);
+                    // RFC 6396 §4.3.4: 4-octet ASNs in RIB attributes.
+                    let cfg = CodecConfig::modern();
+                    encode_attributes_into(body, &e.attrs, iter::empty(), iter::empty(), cfg)?;
+                    let attrs_len = field_u16(body.len() - len_at - 2, "RIB entry attributes")?;
+                    body[len_at..len_at + 2].copy_from_slice(&attrs_len);
+                }
+                Ok(())
+            })?;
+        self.sequence = sequence.wrapping_add(1);
+        Ok(())
     }
 
     /// Number of RIB records written so far.
@@ -428,6 +470,117 @@ mod tests {
             w.write_rib("10.0.0.0/8".parse().unwrap(), &[entry]),
             Err(MrtError::UnknownPeerIndex(7))
         ));
+    }
+
+    fn one_peer() -> Vec<PeerEntry> {
+        vec![PeerEntry {
+            bgp_id: 1,
+            ip: "10.0.0.2".parse().unwrap(),
+            asn: Asn::new(2),
+        }]
+    }
+
+    #[test]
+    fn rib_entry_attributes_beyond_their_length_field_are_refused() {
+        let mut buf = Vec::new();
+        let mut w = TableDumpWriter::new(&mut buf, 1, 1, "v", &one_peer()).unwrap();
+        let prefix: Prefix = "10.0.0.0/8".parse().unwrap();
+        let entry = |communities: u32, large: u32| RibEntry {
+            peer_index: 0,
+            originated_time: 1,
+            attrs: PathAttributes {
+                communities: (0..communities)
+                    .map(bgpworms_types::Community::from_u32)
+                    .collect(),
+                large_communities: (0..large)
+                    .map(|i| bgpworms_types::LargeCommunity::new(i, 0, 0))
+                    .collect(),
+                ..PathAttributes::default()
+            },
+        };
+        // 16 384 communities are 65 536 bytes: one more than an extended
+        // attribute length holds. A RIB entry has no 4 096-byte cap to
+        // catch that, so the attribute encoder has to.
+        assert!(matches!(
+            w.write_rib(prefix, &[entry(16_384, 0)]),
+            Err(MrtError::Bgp(bgpworms_wire::WireError::TooLong(65_536)))
+        ));
+        // Each attribute fits its own header, their sum not the entry's.
+        assert!(matches!(
+            w.write_rib(prefix, &[entry(10_000, 3_000)]),
+            Err(MrtError::FieldTooLong("RIB entry attributes"))
+        ));
+        assert_eq!(w.rib_records(), 0, "a refused record takes no sequence");
+        // The writer is still good: the next record is sequence 0.
+        w.write_rib(prefix, &[entry(16_000, 0)]).unwrap();
+        assert_eq!(w.rib_records(), 1);
+        drop(w);
+        let mut r = MrtReader::new(buf.as_slice());
+        assert!(matches!(
+            r.next_record().unwrap().unwrap(),
+            MrtRecord::PeerIndexTable(_)
+        ));
+        match r.next_record().unwrap().unwrap() {
+            MrtRecord::Rib(rib) => {
+                assert_eq!(rib.sequence, 0);
+                assert_eq!(rib.entries, vec![entry(16_000, 0)]);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        assert!(
+            r.next_record().unwrap().is_none(),
+            "nothing else reached the sink"
+        );
+    }
+
+    #[test]
+    fn rib_record_with_more_entries_than_its_count_field_is_refused() {
+        let mut buf = Vec::new();
+        let mut w = TableDumpWriter::new(&mut buf, 1, 1, "v", &one_peer()).unwrap();
+        let entry = RibEntry {
+            peer_index: 0,
+            originated_time: 1,
+            attrs: PathAttributes::default(),
+        };
+        let entries = vec![entry; 65_536];
+        assert!(matches!(
+            w.write_rib("10.0.0.0/8".parse().unwrap(), &entries),
+            Err(MrtError::FieldTooLong("RIB entry count"))
+        ));
+        assert_eq!(w.rib_records(), 0);
+        w.write_rib("10.0.0.0/8".parse().unwrap(), &entries[..65_535])
+            .unwrap();
+        drop(w);
+        let records: Vec<_> = MrtReader::new(buf.as_slice()).map(|r| r.unwrap()).collect();
+        assert_eq!(records.len(), 2, "the index table and the record that fit");
+        assert!(matches!(&records[1], MrtRecord::Rib(rib) if rib.entries.len() == 65_535));
+    }
+
+    #[test]
+    fn peer_index_table_with_more_peers_than_its_count_field_is_refused() {
+        let peers: Vec<PeerEntry> = (0..65_536u32)
+            .map(|n| PeerEntry {
+                bgp_id: n,
+                ip: IpAddr::V4(n.into()),
+                asn: Asn::new(n),
+            })
+            .collect();
+        let mut buf = Vec::new();
+        assert!(matches!(
+            TableDumpWriter::new(&mut buf, 1, 1, "v", &peers),
+            Err(MrtError::FieldTooLong("peer count"))
+        ));
+        assert!(buf.is_empty(), "no half-written index table");
+        let w = TableDumpWriter::new(&mut buf, 1, 1, "v", &peers[..65_535]).unwrap();
+        drop(w);
+        match MrtReader::new(buf.as_slice())
+            .next_record()
+            .unwrap()
+            .unwrap()
+        {
+            MrtRecord::PeerIndexTable(t) => assert_eq!(t.peers.len(), 65_535),
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     #[test]

@@ -1,8 +1,10 @@
-//! Property tests: MRT archives round-trip arbitrary update batches, and the
-//! reader survives arbitrary byte soup without panicking.
+//! Property tests: MRT archives round-trip arbitrary update batches, the
+//! reader survives arbitrary byte soup without panicking, and a writer's
+//! reused body buffer never shows in its output.
 
 use bgpworms_mrt::{
-    write_update_into, LossyMrtReader, MrtReader, MrtRecord, MrtWriter, UpdateStream,
+    write_state_change, write_update, write_update_into, LossyMrtReader, MrtReader, MrtRecord,
+    MrtWriter, PeerEntry, RibEntry, TableDumpWriter, UpdateStream,
 };
 use bgpworms_types::{AsPath, Asn, Community, Ipv4Prefix, PathAttributes, Prefix, RouteUpdate};
 use proptest::prelude::*;
@@ -56,6 +58,76 @@ proptest! {
             .map(|r| r.unwrap().update)
             .collect();
         prop_assert_eq!(decoded, updates);
+    }
+
+    /// One writer, one body buffer, many records: whatever a longer record
+    /// left in the buffer, the next (shorter, longer, refused, of another
+    /// kind) is the bytes a brand-new writer produces for it alone.
+    #[test]
+    fn reused_writer_equals_a_fresh_writer_per_record(
+        records in proptest::collection::vec(
+            (arb_update(), prop_oneof![Just(0u32), 1u32..40, 200u32..1100], 0u8..8),
+            1..24,
+        ),
+    ) {
+        let peer = Asn::new(2);
+        let local = Asn::new(64_500);
+        let ip: std::net::IpAddr = "10.0.0.2".parse().unwrap();
+        let mut reused = MrtWriter::new(Vec::new());
+        let mut fresh = Vec::new();
+        for (ts, (mut update, extra, kind)) in records.into_iter().enumerate() {
+            let ts = ts as u32;
+            // Sizes from a few dozen bytes up to past the 4 096-byte cap.
+            update.attrs.communities.extend((0..extra).map(Community::from_u32));
+            if kind == 0 {
+                write_state_change(&mut reused, ts, peer, local, ip, 1, 6).unwrap();
+                let mut one = MrtWriter::new(&mut fresh);
+                write_state_change(&mut one, ts, peer, local, ip, 1, 6).unwrap();
+                continue;
+            }
+            let before = fresh.len();
+            let alone = write_update(&mut fresh, ts, peer, local, ip, &update).map(|_| ());
+            let shared = write_update_into(&mut reused, ts, peer, local, ip, &update);
+            prop_assert_eq!(shared.is_ok(), alone.is_ok());
+            if alone.is_err() {
+                prop_assert_eq!(fresh.len(), before, "a refused record left bytes behind");
+            }
+        }
+        prop_assert_eq!(reused.into_inner(), fresh);
+    }
+
+    /// The same for a RIB dump, whose records share the buffer with the
+    /// peer index table that opened the dump.
+    #[test]
+    fn reused_dump_writer_equals_one_dump_per_record(
+        ribs in proptest::collection::vec(
+            (arb_update(), proptest::collection::vec(0u32..300, 0..5)),
+            1..12,
+        ),
+    ) {
+        let peers = [PeerEntry { bgp_id: 1, ip: "10.0.0.2".parse().unwrap(), asn: Asn::new(2) }];
+        let dump = |sink| TableDumpWriter::new(sink, 9, 1, "view", &peers).unwrap();
+        let index_table_len = dump(Vec::new()).into_inner().len();
+        let mut reused = dump(Vec::new());
+        let mut fresh = dump(Vec::new()).into_inner();
+        for (n, (update, sizes)) in ribs.into_iter().enumerate() {
+            let entries: Vec<RibEntry> = sizes
+                .into_iter()
+                .map(|extra| {
+                    let mut attrs = update.attrs.clone();
+                    attrs.communities.extend((0..extra).map(Community::from_u32));
+                    RibEntry { peer_index: 0, originated_time: extra, attrs }
+                })
+                .collect();
+            reused.write_rib(update.announced[0], &entries).unwrap();
+            // A dump of its own numbers its record 0; patch the sequence.
+            let mut alone = dump(Vec::new());
+            alone.write_rib(update.announced[0], &entries).unwrap();
+            let mut record = alone.into_inner().split_off(index_table_len);
+            record[12..16].copy_from_slice(&(n as u32).to_be_bytes());
+            fresh.extend_from_slice(&record);
+        }
+        prop_assert_eq!(reused.into_inner(), fresh);
     }
 
     #[test]

@@ -1,5 +1,11 @@
 //! Route collectors: RIS/RouteViews/Isolario/PCH-like observation points
 //! that peer with ASes and archive what they receive as MRT.
+//!
+//! Archiving allocates per archive, not per record: an observation's route
+//! is copied into scratch attributes with `clone_from` (path and community
+//! buffers are reused), `bgpworms_mrt` encodes them straight into its
+//! writer's one body buffer, and the RIB dump finds each session's final
+//! state with one sort instead of a map insert per observation.
 
 use crate::route::Route;
 use bgpworms_mrt::{MrtError, MrtWriter, PeerEntry, RibEntry, TableDumpWriter};
@@ -56,16 +62,16 @@ pub fn peer_ip(peer: Asn) -> IpAddr {
     ))
 }
 
-fn attrs_of(route: &Route) -> PathAttributes {
-    let mut attrs = PathAttributes {
-        origin: route.origin,
-        as_path: route.path.clone(),
-        next_hop: Some(peer_ip(route.source.neighbor().unwrap_or(Asn::new(0)))),
-        ..PathAttributes::default()
-    };
-    attrs.communities = route.communities.clone();
-    attrs.large_communities = route.large_communities.clone();
-    attrs
+/// Overwrites `attrs` with what `route` carries on the session to the
+/// monitor, keeping the buffers `attrs` already owns. Only the fields set
+/// here are ever set on a scratch value, so the rest stay at their
+/// defaults.
+fn fill_attrs(attrs: &mut PathAttributes, route: &Route) {
+    attrs.origin = route.origin;
+    attrs.as_path.clone_from(&route.path);
+    attrs.next_hop = Some(peer_ip(route.source.neighbor().unwrap_or(Asn::new(0))));
+    attrs.communities.clone_from(&route.communities);
+    attrs.large_communities.clone_from(&route.large_communities);
 }
 
 /// Serializes a collector's observations into a BGP4MP MESSAGE_AS4 update
@@ -75,10 +81,25 @@ pub fn observations_to_mrt(
     observations: &[CollectorObservation],
 ) -> Result<Vec<u8>, MrtError> {
     let mut w = MrtWriter::new(Vec::new());
+    // One scratch update per kind for the whole archive. The withdrawal's
+    // attributes are never filled: an IPv6 withdrawal encodes them
+    // (MP_UNREACH travels in the attribute section), and they must stay
+    // blank whatever was announced before it.
+    let mut announce = RouteUpdate::default();
+    let mut withdraw = RouteUpdate::default();
     for obs in observations {
         let update = match &obs.route {
-            Some(route) => RouteUpdate::announce(obs.prefix, attrs_of(route)),
-            None => RouteUpdate::withdraw(vec![obs.prefix]),
+            Some(route) => {
+                fill_attrs(&mut announce.attrs, route);
+                announce.announced.clear();
+                announce.announced.push(obs.prefix);
+                &announce
+            }
+            None => {
+                withdraw.withdrawn.clear();
+                withdraw.withdrawn.push(obs.prefix);
+                &withdraw
+            }
         };
         bgpworms_mrt::write_update_into(
             &mut w,
@@ -86,7 +107,7 @@ pub fn observations_to_mrt(
             obs.peer,
             collector_local_as,
             peer_ip(obs.peer),
-            &update,
+            update,
         )?;
     }
     Ok(w.into_inner())
@@ -100,13 +121,8 @@ pub fn observations_to_rib_mrt(
     observations: &[CollectorObservation],
     dump_time: u32,
 ) -> Result<Vec<u8>, MrtError> {
-    // Final state per (peer, prefix).
-    let mut state: BTreeMap<(Asn, Prefix), &CollectorObservation> = BTreeMap::new();
-    for obs in observations {
-        state.insert((obs.peer, obs.prefix), obs);
-    }
-
-    let mut peers: Vec<Asn> = state.keys().map(|(p, _)| *p).collect();
+    // Every peer that said anything is in the index table, withdrawn or not.
+    let mut peers: Vec<Asn> = observations.iter().map(|obs| obs.peer).collect();
     peers.sort_unstable();
     peers.dedup();
     let peer_entries: Vec<PeerEntry> = peers
@@ -117,20 +133,6 @@ pub fn observations_to_rib_mrt(
             asn: *p,
         })
         .collect();
-    let index_of = |asn: Asn| peers.binary_search(&asn).expect("peer present") as u16;
-
-    // Group live routes per prefix.
-    let mut per_prefix: BTreeMap<Prefix, Vec<RibEntry>> = BTreeMap::new();
-    for ((peer, prefix), obs) in &state {
-        if let Some(route) = &obs.route {
-            per_prefix.entry(*prefix).or_default().push(RibEntry {
-                peer_index: index_of(*peer),
-                originated_time: obs.time,
-                attrs: attrs_of(route),
-            });
-        }
-    }
-
     let mut writer = TableDumpWriter::new(
         Vec::new(),
         dump_time,
@@ -138,8 +140,48 @@ pub fn observations_to_rib_mrt(
         view_name,
         &peer_entries,
     )?;
-    for (prefix, entries) in &per_prefix {
-        writer.write_rib(*prefix, entries)?;
+
+    // Dump order is (prefix, peer); within one session's run of a prefix
+    // the position puts the last word last.
+    let mut order: Vec<(Prefix, Asn, usize)> = observations
+        .iter()
+        .enumerate()
+        .map(|(at, obs)| (obs.prefix, obs.peer, at))
+        .collect();
+    order.sort_unstable();
+
+    // One record's entries, reused prefix after prefix (attribute buffers
+    // included); `live` of them belong to the prefix at hand.
+    let mut entries: Vec<RibEntry> = Vec::new();
+    for of_prefix in order.chunk_by(|a, b| a.0 == b.0) {
+        let mut live = 0;
+        for of_session in of_prefix.chunk_by(|a, b| a.1 == b.1) {
+            let [.., (_, peer, last)] = *of_session else {
+                continue; // `chunk_by` yields no empty runs
+            };
+            let obs = &observations[last];
+            let Some(route) = &obs.route else {
+                continue;
+            };
+            if live == entries.len() {
+                entries.push(RibEntry {
+                    peer_index: 0,
+                    originated_time: 0,
+                    attrs: PathAttributes::default(),
+                });
+            }
+            // lint: infallible `peers` holds every observation's peer
+            let index = peers.binary_search(&peer).expect("peer present");
+            let entry = &mut entries[live];
+            entry.peer_index =
+                u16::try_from(index).map_err(|_| MrtError::FieldTooLong("peer index"))?;
+            entry.originated_time = obs.time;
+            fill_attrs(&mut entry.attrs, route);
+            live += 1;
+        }
+        if live > 0 {
+            writer.write_rib(of_prefix[0].0, &entries[..live])?;
+        }
     }
     Ok(writer.into_inner())
 }
@@ -257,6 +299,49 @@ mod tests {
         assert_eq!(rib_prefixes.len(), 1, "only 20/16 survives");
         assert_eq!(rib_prefixes[0], "20.0.0.0/16".parse::<Prefix>().unwrap());
         assert_eq!(entry_counts[0], 2, "both peers advertise it");
+    }
+
+    #[test]
+    fn rib_archive_refuses_more_peers_than_a_peer_index_holds() {
+        // Peer indices are two bytes: the 65 536th peer has none.
+        let mut observations: Vec<CollectorObservation> = (1..=65_536)
+            .map(|peer| obs(1, peer, "10.0.0.0/16", false))
+            .collect();
+        observations.push(obs(2, 65_536, "10.0.0.0/16", true));
+        assert!(matches!(
+            observations_to_rib_mrt(7, "test", &observations, 99),
+            Err(MrtError::FieldTooLong("peer count"))
+        ));
+        observations.remove(0);
+        let mrt = observations_to_rib_mrt(7, "test", &observations, 99).unwrap();
+        let records: Vec<_> = MrtReader::new(mrt.as_slice()).map(|r| r.unwrap()).collect();
+        let [MrtRecord::PeerIndexTable(table), MrtRecord::Rib(rib)] = records.as_slice() else {
+            panic!("expected an index table and one RIB record, got {records:?}")
+        };
+        assert_eq!(table.peers.len(), 65_535);
+        assert_eq!(rib.entries.len(), 1);
+        assert_eq!(rib.entries[0].peer_index, 65_534, "the last peer, by index");
+    }
+
+    #[test]
+    fn v6_withdrawal_after_an_announcement_carries_blank_attributes() {
+        // MP_UNREACH rides in the attribute section, so an IPv6 withdrawal
+        // encodes its update's attributes: the scratch update the archive
+        // is written from must not leak the previous announcement's.
+        let observations = vec![
+            obs(10, 2, "2001:db8::/32", true),
+            obs(20, 2, "2001:db8::/32", false),
+        ];
+        let mrt = observations_to_mrt(Asn::new(64_496), &observations).unwrap();
+        let msgs: Vec<_> = UpdateStream::new(mrt.as_slice())
+            .map(|m| m.unwrap())
+            .collect();
+        assert_eq!(
+            msgs[0].update.attrs.communities,
+            vec![Community::new(2, 100)]
+        );
+        assert_eq!(msgs[1].update.withdrawn, vec![observations[1].prefix]);
+        assert_eq!(msgs[1].update.attrs, PathAttributes::default());
     }
 
     #[test]

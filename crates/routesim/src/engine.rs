@@ -61,6 +61,24 @@
 //! `ScopedToReceiver` defense), so a high-degree transit interns each
 //! changed export once per role instead of once per neighbor.
 //!
+//! # Collector sweep: only sessions whose peer's best route moved
+//!
+//! What a peer advertises to a collector is a pure function of its best
+//! route, and a best route moves exactly when its node runs an export
+//! pass. Each pass of a node that carries collector sessions therefore
+//! leaves the episode a record (`SessionPass`: the best entry and the
+//! export it memoized for the role the monitor plays), and the sweep that
+//! ends a converged episode visits those sessions only, in session order,
+//! reading the memoized export where there is one and deriving it from the
+//! recorded best entry where there is not (route servers,
+//! `ScopedToReceiver`, a role with no neighbor) — no RIB rescan, and no
+//! session visited for an episode that changed nothing. The record is
+//! drained per episode and is not part of a snapshot. A prefix that
+//! diverged (budget cut, `Starve` fault) dropped its dirty set before the
+//! passes ran, so it sweeps every live session through
+//! [`NodeState::export_for`] instead; `tests/determinism.rs` holds the
+//! recorded sweep to that full one on random worlds.
+//!
 //! # Parallelism & determinism
 //!
 //! Distinct prefixes never interact (no aggregation, no per-table limits),
@@ -80,7 +98,7 @@ use crate::fault::{fault_site, prefix_fault_key};
 use crate::policy::{CommunityPropagationPolicy, IrrDatabase, RouterConfig};
 use crate::route::{Route, RouteArena, RouteId};
 use crate::router::{self, NodeState, RibEntry, ValidationCtx};
-use crate::scratch::{EventQueue, SimScratch, SimSnapshot};
+use crate::scratch::{EventQueue, SessionPass, SimScratch, SimSnapshot};
 use crate::shard;
 use bgpworms_failpoint::FaultPlan;
 use bgpworms_topology::{NodeId, Role, Tier, Topology};
@@ -334,6 +352,17 @@ impl<'a> SimSpec<'a> {
                 }
             }
         }
+        // Node → sessions, so an export pass can tell in two loads whether
+        // a collector is listening (stable sort: ascending within a node).
+        let mut node_sessions: Vec<u32> = (0..collector_peers.len() as u32).collect();
+        node_sessions.sort_by_key(|&si| collector_peers[si as usize].1);
+        let mut session_offsets = vec![0u32; n + 1];
+        for &(_, peer, _) in &collector_peers {
+            session_offsets[peer.index() + 1] += 1;
+        }
+        for i in 0..n {
+            session_offsets[i + 1] += session_offsets[i];
+        }
         let collector_names = self.collectors.iter().map(|s| s.name.clone()).collect();
         // The prefix-sensitivity summary the campaign's flood memoization
         // keys classes by — compiled from the *resolved* configs, so
@@ -346,6 +375,8 @@ impl<'a> SimSpec<'a> {
             is_rs,
             collector_names,
             collector_peers,
+            session_offsets,
+            node_sessions,
             irr: self.irr,
             rpki: self.rpki,
             retain: self.retain,
@@ -379,6 +410,11 @@ pub struct CompiledSim<'a> {
     /// Collector sessions resolved to node ids: `(collector index, peer,
     /// feed)`.
     collector_peers: Vec<(usize, NodeId, FeedKind)>,
+    /// CSR index node → sessions: node `i` carries the sessions
+    /// `node_sessions[session_offsets[i]..session_offsets[i + 1]]`
+    /// (ascending indices into `collector_peers`).
+    session_offsets: Vec<u32>,
+    node_sessions: Vec<u32>,
     irr: Cow<'a, IrrDatabase>,
     rpki: Cow<'a, IrrDatabase>,
     retain: RetainRoutes,
@@ -565,7 +601,7 @@ impl<'a> CompiledSim<'a> {
             }
             let obs = out.observations.entry(name.clone()).or_default();
             obs.extend(fresh.iter().cloned());
-            obs.sort_by_key(|o| (o.time, o.peer, o.prefix));
+            sort_feed(obs);
         }
         match outcome.final_routes {
             Some(routes) => {
@@ -645,10 +681,18 @@ impl<'a> CompiledSim<'a> {
             }
         }
         for obs in out.observations.values_mut() {
-            obs.sort_by_key(|o| (o.time, o.peer, o.prefix));
+            sort_feed(obs);
         }
         out
     }
+}
+
+/// Sorts one collector's merged feed by `(time, peer, prefix)`, stably (an
+/// episode pair sharing all three keeps its order). The key is cached and
+/// the ≈ 170-byte rows are permuted once at the end, instead of being
+/// moved by every merge step.
+fn sort_feed(obs: &mut [CollectorObservation]) {
+    obs.sort_by_cached_key(|o| (o.time, o.peer, o.prefix));
 }
 
 /// In-flight update message. The sender's role (what `from` plays for `to`)
@@ -904,8 +948,8 @@ impl CompiledSim<'_> {
             rpki: &self.rpki,
         };
         // Split-borrow the scratch: the router views own the four state
-        // arrays; the arena, queue, dirty set, and collector dedup state
-        // are borrowed independently alongside them.
+        // arrays; the arena, queue, dirty set, collector dedup state, and
+        // export-pass record are borrowed independently alongside them.
         let SimScratch {
             epoch,
             node_epoch,
@@ -918,6 +962,7 @@ impl CompiledSim<'_> {
             queue,
             dirty,
             monitor_state,
+            passes,
         } = scratch;
         let mut routers = Routers {
             epoch: *epoch,
@@ -998,27 +1043,21 @@ impl CompiledSim<'_> {
                     break;
                 }
                 for &i in dirty.sorted() {
-                    self.emit_exports(NodeId::from_index(i as usize), &mut routers, arena, queue);
+                    let id = NodeId::from_index(i as usize);
+                    self.emit_exports(id, &mut routers, arena, queue, passes);
                 }
                 dirty.clear();
             }
 
             // Record collector observations for this episode. Interning
             // makes the changed-predicate an id compare; the owned route is
-            // cloned out of the arena only for actual observations. A peer
-            // the flood never reached holds no state and exports nothing —
-            // skipped by stamp check, so collector sessions at high-degree
-            // hubs don't charge narrow floods an O(degree) touch.
-            for (si, &(ci, peer, feed)) in self.collector_peers.iter().enumerate() {
-                let cfg = &self.configs[peer.index()];
-                let new = if routers.is_live(peer.index()) {
-                    collector_export(&routers.node(peer.index()), cfg, feed, arena)
-                } else {
-                    None
-                };
+            // cloned out of the arena only for actual observations.
+            let converged = outcome.converged;
+            let mut observe = |si: usize, new: Option<RouteId>, arena: &RouteArena| {
                 if monitor_state[si] == new {
-                    continue;
+                    return;
                 }
+                let (ci, peer, _) = self.collector_peers[si];
                 outcome.observations[ci].push(CollectorObservation {
                     time: ep.time,
                     peer: self.asns[peer.index()],
@@ -1026,7 +1065,58 @@ impl CompiledSim<'_> {
                     route: new.map(|id| arena.get(id).clone()),
                 });
                 monitor_state[si] = new;
+            };
+            if converged {
+                // Every node whose best route moved ran an export pass, and
+                // each pass left its sessions a record: visit those, in
+                // session order (the order observations are pushed in), a
+                // node's last pass standing for its earlier ones — the
+                // stable sort keeps a session's records in pass order.
+                passes.sort_by_key(|pass| pass.session);
+                for of_session in passes.chunk_by(|a, b| a.session == b.session) {
+                    let [.., pass] = of_session else {
+                        continue; // `chunk_by` yields no empty runs
+                    };
+                    let (_, peer, feed) = self.collector_peers[pass.session as usize];
+                    let new = match (pass.best, pass.memoized) {
+                        (None, _) => None,
+                        (Some(_), Some(export)) => export,
+                        (Some((best_id, learned_role)), None) => router::export_from_best(
+                            self.asns[peer.index()],
+                            self.is_rs[peer.index()],
+                            best_id,
+                            learned_role,
+                            &self.configs[peer.index()],
+                            crate::MONITOR_ASN,
+                            monitor_role(feed),
+                            arena,
+                        ),
+                    };
+                    observe(pass.session as usize, new, arena);
+                }
+            } else {
+                // A flood cut by its budget dropped its dirty set: nodes
+                // hold routes no export pass ever looked at, now or (the
+                // budget stays spent) in any later episode. Ask every
+                // session what its peer would export. A peer the flood
+                // never reached holds no state and exports nothing —
+                // skipped by stamp check, without the touch's slot clear.
+                for (si, &(_, peer, feed)) in self.collector_peers.iter().enumerate() {
+                    let new = if routers.is_live(peer.index()) {
+                        let cfg = &self.configs[peer.index()];
+                        routers.node(peer.index()).export_for(
+                            cfg,
+                            crate::MONITOR_ASN,
+                            monitor_role(feed),
+                            arena,
+                        )
+                    } else {
+                        None
+                    };
+                    observe(si, new, arena);
+                }
             }
+            passes.clear();
         }
 
         if self.should_retain(&prefix) {
@@ -1088,12 +1178,17 @@ impl CompiledSim<'_> {
     /// per-neighbor computation. A high-degree transit therefore clones and
     /// interns each changed export at most once per role, not once per
     /// neighbor.
+    ///
+    /// A pass that runs also tells the collector sweep so: one
+    /// [`SessionPass`] per collector session of this node goes on `passes`
+    /// (see the module docs).
     fn emit_exports(
         &self,
         id: NodeId,
         routers: &mut Routers<'_>,
         arena: &mut RouteArena,
         queue: &mut EventQueue,
+        passes: &mut Vec<SessionPass>,
     ) {
         let cfg = &self.configs[id.index()];
         let mut node = routers.node(id.index());
@@ -1149,27 +1244,38 @@ impl CompiledSim<'_> {
                 });
             }
         }
+        // Tell the collector sweep this node's best moved, and hand it what
+        // the pass worked out. Nodes without a session (all but a few
+        // hundred) pay the two offset loads.
+        let (lo, hi) = (
+            self.session_offsets[id.index()] as usize,
+            self.session_offsets[id.index() + 1] as usize,
+        );
+        for &session in &self.node_sessions[lo..hi] {
+            let role = monitor_role(self.collector_peers[session as usize].2);
+            passes.push(SessionPass {
+                session,
+                best,
+                memoized: memo[role_ix(role)],
+            });
+        }
     }
 }
 
-/// What a peer session exports toward a collector monitor.
+/// The role the monitor plays on a collector session, which is all a
+/// session's export depends on beyond the peer's best route.
 ///
 /// A full-feed peer shares its entire best-path table (the monitor is
 /// treated like a customer); a partial-feed peer shares only customer and
 /// local routes (monitor treated like a peer). The session still honours
-/// NO_EXPORT/NO_ADVERTISE and the peer's community-sending configuration.
-fn collector_export(
-    node: &NodeState<'_>,
-    cfg: &RouterConfig,
-    feed: FeedKind,
-    arena: &mut RouteArena,
-) -> Option<RouteId> {
-    let role_for_export = match feed {
+/// NO_EXPORT/NO_ADVERTISE and the peer's community-sending configuration,
+/// and the collector's "ASN" never appears in paths (see
+/// [`crate::MONITOR_ASN`]).
+fn monitor_role(feed: FeedKind) -> Role {
+    match feed {
         FeedKind::Full => Role::Customer,
         FeedKind::CustomerRoutesOnly => Role::Peer,
-    };
-    // The collector's "ASN" never appears in paths (see [`crate::MONITOR_ASN`]).
-    node.export_for(cfg, crate::MONITOR_ASN, role_for_export, arena)
+    }
 }
 
 /// Everything one prefix's episode schedule produced, before any merging.
@@ -1798,6 +1904,118 @@ mod tests {
                 peers: vec![(Asn::new(1), FeedKind::Full)],
             })
             .compile()
+    }
+
+    #[test]
+    fn duplicate_episode_clones_and_mints_nothing_sweep_included() {
+        // A re-announcement with unchanged attributes dirties the origin,
+        // whose best id is unchanged: no export pass runs, so the collector
+        // sweep has no session to look at — it neither rescans a RIB nor
+        // re-derives (clone, normalise, intern) an export it already holds.
+        // (`observed_sim` without its retention, whose final-routes clones
+        // are per call, not per episode.)
+        let topo = line_topo();
+        let sim = SimSpec::new(&topo)
+            .collector(CollectorSpec {
+                name: "rrc00".into(),
+                platform: "RIS".into(),
+                collector_id: 1,
+                peers: vec![(Asn::new(1), FeedKind::Full)],
+            })
+            .compile();
+        let prefix = p("10.0.0.0/16");
+        let first = Origination::announce(Asn::new(4), prefix, vec![Community::new(4, 7)]);
+        let again = first.clone().at(500);
+        let mut scratch = sim.new_scratch();
+        let mut outcome = sim.run_prefix(&mut scratch, prefix, &[&first]);
+        assert_eq!(outcome.observations[0].len(), 1);
+
+        let (clones, minted) = (crate::route_clones(), scratch.arena.len());
+        let budget = sim.prefix_budget(prefix);
+        sim.continue_prefix(&mut scratch, prefix, &[&again], &mut outcome, budget);
+        assert_eq!(crate::route_clones() - clones, 0, "a duplicate cloned");
+        assert_eq!(scratch.arena.len(), minted, "a duplicate minted a route");
+        assert_eq!(outcome.observations[0].len(), 1, "and it is no news");
+        assert!(outcome.converged);
+    }
+
+    #[test]
+    fn diverged_prefix_sweeps_every_session_the_long_way() {
+        // 1 — 2 — 3 — 4, AS2 originates, a collector hears 1, 2 and 3. A
+        // flood cut by its budget leaves nodes that imported a route and
+        // never got their export pass: their sessions must still report
+        // what they hold. The expected rows were recorded from the engine
+        // that swept every session after every episode.
+        let topo = line_topo();
+        let prefix = p("10.0.0.0/16");
+        let tag = Community::new(2, 7);
+        let eps = [
+            Origination::announce(Asn::new(2), prefix, vec![]),
+            Origination::announce(Asn::new(2), prefix, vec![tag]).at(100),
+            Origination::withdrawal(Asn::new(2), prefix, 200),
+        ];
+        let spec = SimSpec::new(&topo).collector(CollectorSpec {
+            name: "rrc00".into(),
+            platform: "RIS".into(),
+            collector_id: 1,
+            peers: [1, 2, 3].map(|n| (Asn::new(n), FeedKind::Full)).to_vec(),
+        });
+        type Row = (u32, u32, Option<(Vec<u32>, bool)>);
+        let rows = |obs: &[CollectorObservation]| -> Vec<Row> {
+            obs.iter()
+                .map(|o| {
+                    let route = o.route.as_ref().map(|r| {
+                        let path = r.path.asns().map(|a| a.get()).collect();
+                        (path, r.has_community(tag))
+                    });
+                    (o.time, o.peer.get(), route)
+                })
+                .collect()
+        };
+
+        // Budget 1: the origin's pass queues 2→1 and 2→3; AS1 imports,
+        // then the second event trips the budget before AS1's pass.
+        let sim = spec.clone().compile();
+        let mut scratch = sim.new_scratch();
+        scratch.begin_prefix();
+        let mut outcome = PrefixOutcome {
+            observations: vec![Vec::new()],
+            final_routes: None,
+            events: 0,
+            converged: true,
+        };
+        let refs: Vec<&Origination> = eps.iter().collect();
+        sim.continue_prefix(&mut scratch, prefix, &refs, &mut outcome, 1);
+        assert!(!outcome.converged);
+        assert_eq!(
+            rows(&outcome.observations[0]),
+            [
+                (0, 1, Some((vec![1, 2], false))),
+                (0, 2, Some((vec![2], false))),
+                (100, 2, Some((vec![2], true))),
+                (200, 2, None),
+            ],
+            "AS1 heard the first announcement and nothing after it"
+        );
+
+        // `Starve` zeroes the budget: nothing is ever imported, only the
+        // origin's own session has anything to say.
+        let plan = FaultPlan::new().fail(
+            fault_site::ENGINE_FLOOD,
+            prefix_fault_key(prefix),
+            bgpworms_failpoint::FaultKind::Starve,
+            u32::MAX,
+        );
+        let starved = spec.faults(&plan).compile().run(&eps);
+        assert!(!starved.converged);
+        assert_eq!(
+            rows(&starved.observations["rrc00"]),
+            [
+                (0, 2, Some((vec![2], false))),
+                (100, 2, Some((vec![2], true))),
+                (200, 2, None),
+            ]
+        );
     }
 
     #[test]

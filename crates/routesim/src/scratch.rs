@@ -17,8 +17,9 @@
 //!   router" becomes two offset reads;
 //! * per-node scalars (local origination, last-emitted best) in dense
 //!   `NodeId`-indexed arrays;
-//! * the [`RouteArena`], event queue, dirty set, and collector-session
-//!   dedup state, all cleared and reused with their capacity intact.
+//! * the [`RouteArena`], event queue, dirty set, collector-session dedup
+//!   state, and the current episode's export-pass record for the collector
+//!   sweep, all cleared and reused with their capacity intact.
 //!
 //! # Generation-stamped reset
 //!
@@ -171,6 +172,23 @@ impl DirtySet {
     }
 }
 
+/// What one export pass leaves behind for the collector sweep, once per
+/// collector session of the node that ran it. A collector export is a pure
+/// function of the node's best route, so only sessions with such a record
+/// can have news after an episode — and the record already holds what the
+/// sweep would otherwise rescan the RIB and re-derive an export for.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SessionPass {
+    /// The session, as an index into the compiled session list.
+    pub(crate) session: u32,
+    /// The best entry the pass exported from, with its learned role.
+    pub(crate) best: Option<(RouteId, Option<Role>)>,
+    /// The export the pass memoized for the role the monitor plays on this
+    /// session — `None` when it memoized none (a per-neighbor policy, or no
+    /// neighbor of that role to compute it for).
+    pub(crate) memoized: Option<Option<RouteId>>,
+}
+
 /// One worker's reusable per-prefix state. Built by
 /// `CompiledSim::new_scratch` (sized to the session's topology and
 /// collector set) and threaded through every `run_prefix` call that worker
@@ -207,6 +225,10 @@ pub(crate) struct SimScratch {
     /// monitor, so only changes produce observations. Indexed in step with
     /// the session's `collector_peers`.
     pub(crate) monitor_state: Vec<Option<RouteId>>,
+    /// The export passes of the episode being converged, in pass order;
+    /// drained by the collector sweep that ends the episode, so empty
+    /// between episodes — which is why a snapshot has no such field.
+    pub(crate) passes: Vec<SessionPass>,
 }
 
 impl SimScratch {
@@ -226,6 +248,7 @@ impl SimScratch {
             queue: EventQueue::default(),
             dirty: DirtySet::new(n_nodes),
             monitor_state: vec![None; n_monitor_sessions],
+            passes: Vec::new(),
         }
     }
 
@@ -249,6 +272,7 @@ impl SimScratch {
         self.queue.clear();
         self.dirty.clear();
         self.monitor_state.fill(None);
+        self.passes.clear();
     }
 }
 

@@ -17,6 +17,12 @@
 //!   best-id skip) built from the same `NodeState` policy code must
 //!   reach the **same fixed point** on arbitrary worlds. Batching and
 //!   interning are throughput levers, never semantic ones.
+//! * **Collector-sweep transparency** — the engine asks a collector session
+//!   for news only when its peer's export pass ran, and answers from what
+//!   the pass already worked out. The same reference loop asks **every**
+//!   session after **every** episode, the long way
+//!   (`NodeState::export_for`: rescan the RIB, re-derive the export), and
+//!   must report the same observations, row for row.
 //! * **Scratch-reuse transparency** — a multi-prefix schedule runs every
 //!   prefix on a worker's recycled `SimScratch` (generation-stamped flat
 //!   RIB arrays, reset arena/queue/dirty set), while a schedule of one
@@ -44,9 +50,10 @@
 use bgpworms_routesim::route::RouteArena;
 use bgpworms_routesim::router::{NodeState, RibEntry, ValidationCtx};
 use bgpworms_routesim::{
-    BlackholeService, Campaign, CampaignSink, CollectorSpec, CommunityPropagationPolicy,
-    CompiledSim, FeedKind, FinalRoutes, IrrDatabase, OriginValidation, Origination, PrefixOutcome,
-    RetainRoutes, Route, RouteId, RouterConfig, SimResult, SimSpec,
+    BlackholeService, Campaign, CampaignSink, CollectorObservation, CollectorSpec,
+    CommunityPropagationPolicy, CompiledSim, FeedKind, FinalRoutes, IrrDatabase, OriginValidation,
+    Origination, PrefixOutcome, RetainRoutes, Route, RouteId, RouterConfig, SimResult, SimSpec,
+    MONITOR_ASN,
 };
 use bgpworms_topology::{EdgeKind, NodeId, Role, Tier, Topology, TopologyParams};
 use bgpworms_types::{Asn, Community, Prefix};
@@ -260,16 +267,39 @@ impl<'t> RefRouters<'t> {
     }
 }
 
-/// A PR 2-shaped reference engine over the *same* `NodeState` policy
-/// code: FIFO event queue, and every import immediately recomputes the
-/// receiver's exports (no dirty set, no best-id skip). Returns the final
-/// best route per (prefix, AS), or `None` when the event budget blows
-/// (oscillating worlds are excluded from the comparison by both sides).
+/// The final best route per (prefix, AS) of the reference engine below, or
+/// `None` when the event budget blows (oscillating worlds are excluded from
+/// the comparison by both sides).
 fn reference_final_routes(
     topo: &Topology,
     configs: &[RouterConfig],
     originations: &[Origination],
-) -> Option<BTreeMap<Prefix, BTreeMap<Asn, Route>>> {
+) -> Option<ReferenceRoutes> {
+    reference_run(topo, configs, &[], originations).map(|(finals, _)| finals)
+}
+
+/// The reference engine's final best route per (prefix, AS).
+type ReferenceRoutes = BTreeMap<Prefix, BTreeMap<Asn, Route>>;
+
+/// What the reference engine's collectors recorded, per collector name, in
+/// the engine's merge order.
+type ReferenceFeeds = BTreeMap<String, Vec<CollectorObservation>>;
+
+/// A PR 2-shaped reference engine over the *same* `NodeState` policy
+/// code: FIFO event queue, and every import immediately recomputes the
+/// receiver's exports (no dirty set, no best-id skip). After every episode
+/// it asks every collector session what its peer exports to the monitor —
+/// `NodeState::export_for`, a RIB scan and a fresh derivation each time —
+/// and records an observation when that changed: the full sweep the engine
+/// used to run, kept as the oracle of the one it runs now. Returns the
+/// final best route per (prefix, AS) and the collectors' feeds, or `None`
+/// when the event budget blows.
+fn reference_run(
+    topo: &Topology,
+    configs: &[RouterConfig],
+    collectors: &[CollectorSpec],
+    originations: &[Origination],
+) -> Option<(ReferenceRoutes, ReferenceFeeds)> {
     let inverse = |role: Role| match role {
         Role::Customer => Role::Provider,
         Role::Provider => Role::Customer,
@@ -315,12 +345,34 @@ fn reference_final_routes(
         route: Option<RouteId>,
     }
 
+    // Sessions in spec order; peers outside the topology have none.
+    let sessions: Vec<(&str, NodeId, Role)> = collectors
+        .iter()
+        .flat_map(|spec| {
+            spec.peers
+                .iter()
+                .map(move |peer| (spec.name.as_str(), peer))
+        })
+        .filter_map(|(name, &(peer, feed))| {
+            let monitor_role = match feed {
+                FeedKind::Full => Role::Customer,
+                FeedKind::CustomerRoutesOnly => Role::Peer,
+            };
+            Some((name, topo.node_id(peer)?, monitor_role))
+        })
+        .collect();
+    let mut feeds: ReferenceFeeds = collectors
+        .iter()
+        .map(|spec| (spec.name.clone(), Vec::new()))
+        .collect();
+
     let mut out = BTreeMap::new();
     for (prefix, episodes) in by_prefix {
         let mut arena = RouteArena::new();
         let mut routers = RefRouters::new(topo);
         let mut queue: VecDeque<Ev> = VecDeque::new();
         let mut events = 0u64;
+        let mut advertised: Vec<Option<RouteId>> = vec![None; sessions.len()];
 
         // Per-import immediate re-export, exactly the pre-batching shape.
         let emit = |id: NodeId,
@@ -374,6 +426,24 @@ fn reference_final_routes(
                 );
                 emit(ev.to, &mut routers, &mut arena, &mut queue, &dense_cfgs);
             }
+            for (&(name, peer, monitor_role), was) in sessions.iter().zip(&mut advertised) {
+                let cfg = &dense_cfgs[peer.index()];
+                let now = routers
+                    .node(peer)
+                    .export_for(cfg, MONITOR_ASN, monitor_role, &mut arena);
+                if now != *was {
+                    *was = now;
+                    feeds
+                        .get_mut(name)
+                        .expect("collector registered")
+                        .push(CollectorObservation {
+                            time: ep.time,
+                            peer: topo.asn_of(peer),
+                            prefix,
+                            route: now.map(|id| arena.get(id).clone()),
+                        });
+                }
+            }
         }
 
         let mut finals = BTreeMap::new();
@@ -384,7 +454,10 @@ fn reference_final_routes(
         }
         out.insert(prefix, finals);
     }
-    Some(out)
+    for feed in feeds.values_mut() {
+        feed.sort_by_key(|o| (o.time, o.peer, o.prefix));
+    }
+    Some((out, feeds))
 }
 
 /// The scratch-reuse oracle: runs every prefix of `originations` in its own
@@ -600,6 +673,65 @@ proptest! {
         let par = sim.run(&originations);
         prop_assert_eq!(&par.final_routes, &reference_tables);
         prop_assert_eq!(&sim.run(&originations), &par, "rerun diverged");
+    }
+
+    /// Collector-sweep transparency: on worlds whose first prefix is walked
+    /// through a whole lifecycle (announce, duplicate, community-perturbed
+    /// re-announce, withdraw, re-announce after the withdrawal) on top of
+    /// the random schedule, heard over full and customer-only feeds by
+    /// random peers plus the peers whose exports no per-role memo can
+    /// answer (the route server, every `ScopedToReceiver` AS), the engine's
+    /// feeds equal the reference's full sweep — at `threads = 1/N`, and
+    /// when the lifecycle arrives as a delta on a snapshot of the rest.
+    #[test]
+    fn collector_sweep_matches_the_full_sweep_reference(raw in arb_world(), threads in 2usize..6) {
+        let (topo, configs, mut collectors, baseline) = build_world(&raw);
+        let first = &baseline[0];
+        let (origin, prefix) = (first.origin, first.prefix);
+        let after = baseline.iter().map(|o| o.time).max().expect("episodes drawn");
+        let tags = |v: u16| vec![Community::new(v % 16, v)];
+        let delta = vec![
+            Origination::announce(origin, prefix, tags(7)).at(after + 100),
+            Origination::announce(origin, prefix, tags(7)).at(after + 200),
+            Origination::announce(origin, prefix, tags(8)).at(after + 300),
+            Origination::withdrawal(origin, prefix, after + 400),
+            Origination::announce(origin, prefix, tags(8)).at(after + 500),
+        ];
+        let mut originations = baseline.clone();
+        originations.extend(delta.iter().cloned());
+
+        let scoped = configs
+            .iter()
+            .filter(|c| c.propagation == CommunityPropagationPolicy::ScopedToReceiver)
+            .map(|c| c.asn);
+        let route_server = topo.ases().filter(|n| n.tier == Tier::RouteServer).map(|n| n.asn);
+        let hard: Vec<Asn> = scoped.chain(route_server).collect();
+        collectors.push(CollectorSpec {
+            name: "hard".into(),
+            platform: "RV".into(),
+            collector_id: 2,
+            peers: hard
+                .iter()
+                .flat_map(|&asn| [(asn, FeedKind::Full), (asn, FeedKind::CustomerRoutesOnly)])
+                .collect(),
+        });
+
+        let Some((_, reference)) = reference_run(&topo, &configs, &collectors, &originations)
+        else {
+            return Ok(()); // oscillating world, nothing to compare
+        };
+        let mut sim = spec_for(&topo, configs, collectors).compile();
+        let run = sim.run(&originations);
+        prop_assert!(run.converged, "reference converged but the engine did not");
+        prop_assert_eq!(&run.observations, &reference, "the sweep missed or invented news");
+
+        sim.set_threads(threads);
+        prop_assert_eq!(&sim.run(&originations).observations, &reference, "sharded sweep diverged");
+
+        let (base, snap) = sim.run_snapshot(&baseline, prefix);
+        let patched = sim.run_delta_on(&base, &snap, &delta);
+        prop_assert_eq!(&patched.observations, &reference, "delta sweep diverged");
+        prop_assert_eq!(&patched, &run);
     }
 
     /// Churn-heavy schedules — every episode immediately applied twice —

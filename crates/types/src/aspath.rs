@@ -8,13 +8,33 @@ use crate::asn::Asn;
 use std::fmt;
 
 /// One segment of an AS path (RFC 4271 §4.3 / 5.1.2).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, PartialEq, Eq, Hash)]
 pub enum PathSegment {
     /// An ordered AS_SEQUENCE.
     Sequence(Vec<Asn>),
     /// An unordered AS_SET (the result of aggregation); counts as a single
     /// hop for path-length comparison.
     Set(Vec<Asn>),
+}
+
+/// Hand-written for `clone_from`: the derived one is `*self = source.clone()`,
+/// which frees and reallocates the ASN list, so a scratch path refilled per
+/// record (the collector archiver's) would allocate per record.
+impl Clone for PathSegment {
+    fn clone(&self) -> Self {
+        match self {
+            PathSegment::Sequence(v) => PathSegment::Sequence(v.clone()),
+            PathSegment::Set(v) => PathSegment::Set(v.clone()),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        match (self, source) {
+            (PathSegment::Sequence(v), PathSegment::Sequence(s))
+            | (PathSegment::Set(v), PathSegment::Set(s)) => v.clone_from(s),
+            (this, _) => *this = source.clone(),
+        }
+    }
 }
 
 impl PathSegment {
@@ -36,9 +56,23 @@ impl PathSegment {
 }
 
 /// A full AS path.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, PartialEq, Eq, Hash, Default)]
 pub struct AsPath {
     segments: Vec<PathSegment>,
+}
+
+/// Hand-written so `clone_from` reaches [`PathSegment::clone_from`] and a
+/// reused path keeps its allocations.
+impl Clone for AsPath {
+    fn clone(&self) -> Self {
+        AsPath {
+            segments: self.segments.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.segments.clone_from(&source.segments);
+    }
 }
 
 impl AsPath {
@@ -271,6 +305,29 @@ mod tests {
 
     fn path(v: &[u32]) -> AsPath {
         AsPath::from_asns(asns(v))
+    }
+
+    #[test]
+    fn clone_from_equals_clone_and_keeps_the_allocation() {
+        let mut scratch = path(&[9, 8, 7, 6, 5]);
+        let buffer = scratch.segments()[0].asns().as_ptr();
+        let short = path(&[3, 2]);
+        scratch.clone_from(&short);
+        assert_eq!(scratch, short);
+        assert_eq!(
+            scratch.segments()[0].asns().as_ptr(),
+            buffer,
+            "a path that fits is copied into the buffer already there"
+        );
+        // Another segment kind, more segments, none at all: still a clone.
+        let mixed = AsPath::from_segments(vec![
+            PathSegment::Set(asns(&[2, 1])),
+            PathSegment::Sequence(asns(&[5])),
+        ]);
+        scratch.clone_from(&mixed);
+        assert_eq!(scratch, mixed);
+        scratch.clone_from(&AsPath::empty());
+        assert_eq!(scratch, AsPath::empty());
     }
 
     #[test]

@@ -285,6 +285,14 @@ impl Prefix {
             Prefix::V6(_) => None,
         }
     }
+
+    /// As [`Ipv6Prefix`] if this is IPv6.
+    pub fn as_v6(&self) -> Option<Ipv6Prefix> {
+        match self {
+            Prefix::V4(_) => None,
+            Prefix::V6(p) => Some(*p),
+        }
+    }
 }
 
 impl From<Ipv4Prefix> for Prefix {

@@ -71,44 +71,60 @@ pub struct DecodedAttributes {
     pub mp_next_hop: Option<IpAddr>,
 }
 
-fn push_attr_header(out: &mut Vec<u8>, mut flags: u8, type_code: u8, len: usize) {
-    if len > 255 {
-        flags |= FLAG_EXT_LEN;
+/// Appends the header of an attribute whose value is `len` bytes long,
+/// switching to the two-byte length form past 255. A value no length field
+/// can describe is an error, not a wrapped length.
+fn push_attr_header(
+    out: &mut Vec<u8>,
+    flags: u8,
+    type_code: u8,
+    len: usize,
+) -> Result<(), WireError> {
+    match u8::try_from(len) {
+        Ok(short) => out.extend_from_slice(&[flags, type_code, short]),
+        Err(_) => {
+            let long = u16::try_from(len).map_err(|_| WireError::TooLong(len))?;
+            out.extend_from_slice(&[flags | FLAG_EXT_LEN, type_code]);
+            out.extend_from_slice(&long.to_be_bytes());
+        }
     }
-    out.push(flags);
-    out.push(type_code);
-    if len > 255 {
-        out.extend_from_slice(&(len as u16).to_be_bytes());
-    } else {
-        out.push(len as u8);
-    }
+    Ok(())
 }
 
-fn encode_as_path(path: &AsPath, cfg: CodecConfig) -> Vec<u8> {
-    let mut body = Vec::new();
+/// Segments hold at most 255 ASNs; longer ones (long prepends) are split.
+const MAX_SEGMENT_ASNS: usize = 255;
+
+/// Bytes [`encode_as_path`] appends for `path`.
+fn as_path_len(path: &AsPath, cfg: CodecConfig) -> usize {
+    let width = if cfg.asn4 { 4 } else { 2 };
+    path.segments()
+        .iter()
+        .map(|seg| {
+            let n = seg.asns().len();
+            n.div_ceil(MAX_SEGMENT_ASNS) * 2 + n * width
+        })
+        .sum()
+}
+
+fn encode_as_path(out: &mut Vec<u8>, path: &AsPath, cfg: CodecConfig) {
     for seg in path.segments() {
-        let (seg_type, asns) = match seg {
-            PathSegment::Set(v) => (1u8, v),
-            PathSegment::Sequence(v) => (2u8, v),
+        let seg_type = match seg {
+            PathSegment::Set(_) => 1u8,
+            PathSegment::Sequence(_) => 2u8,
         };
-        if asns.is_empty() {
-            continue;
-        }
-        // Segments hold at most 255 ASNs; long prepends are split.
-        for chunk in asns.chunks(255) {
-            body.push(seg_type);
-            body.push(chunk.len() as u8);
+        for chunk in seg.asns().chunks(MAX_SEGMENT_ASNS) {
+            out.push(seg_type);
+            out.push(chunk.len() as u8);
             for a in chunk {
                 if cfg.asn4 {
-                    body.extend_from_slice(&a.get().to_be_bytes());
+                    out.extend_from_slice(&a.get().to_be_bytes());
                 } else {
                     let v = a.as_u16().unwrap_or(23_456); // AS_TRANS
-                    body.extend_from_slice(&v.to_be_bytes());
+                    out.extend_from_slice(&v.to_be_bytes());
                 }
             }
         }
     }
-    body
 }
 
 fn decode_as_path(data: &[u8], cfg: CodecConfig) -> Result<AsPath, WireError> {
@@ -140,6 +156,9 @@ fn decode_as_path(data: &[u8], cfg: CodecConfig) -> Result<AsPath, WireError> {
 ///
 /// `v6_announced` / `v6_withdrawn` are emitted as MP_REACH / MP_UNREACH;
 /// IPv4 NLRI lives in the UPDATE body and is not passed here.
+///
+/// The `Vec`-returning form of [`encode_attributes_into`], which holds the
+/// one implementation.
 pub fn encode_attributes(
     attrs: &PathAttributes,
     v6_announced: &[Ipv6Prefix],
@@ -147,44 +166,71 @@ pub fn encode_attributes(
     cfg: CodecConfig,
 ) -> Result<Vec<u8>, WireError> {
     let mut out = Vec::new();
+    let (announced, withdrawn) = (v6_announced.iter().copied(), v6_withdrawn.iter().copied());
+    encode_attributes_into(&mut out, attrs, announced, withdrawn, cfg)?;
+    Ok(out)
+}
 
+/// Appends the attributes section to `out`, whatever `out` already holds:
+/// every attribute's length is known before its header is written (AS_PATH
+/// and the two MP attributes are measured first, which is why the IPv6 NLRI
+/// arrive as re-runnable iterators), so nothing is staged in a second
+/// buffer. On `Err`, `out` is left exactly as it was.
+pub fn encode_attributes_into(
+    out: &mut Vec<u8>,
+    attrs: &PathAttributes,
+    v6_announced: impl Iterator<Item = Ipv6Prefix> + Clone,
+    v6_withdrawn: impl Iterator<Item = Ipv6Prefix> + Clone,
+    cfg: CodecConfig,
+) -> Result<(), WireError> {
+    crate::or_rewind(out, |out| {
+        append_attributes(out, attrs, v6_announced, v6_withdrawn, cfg)
+    })
+}
+
+/// [`encode_attributes_into`] without the rewind, for a caller that
+/// rewinds further back itself.
+pub(crate) fn append_attributes(
+    out: &mut Vec<u8>,
+    attrs: &PathAttributes,
+    v6_announced: impl Iterator<Item = Ipv6Prefix> + Clone,
+    v6_withdrawn: impl Iterator<Item = Ipv6Prefix> + Clone,
+    cfg: CodecConfig,
+) -> Result<(), WireError> {
     // ORIGIN — well-known mandatory.
-    push_attr_header(&mut out, FLAG_TRANSITIVE, type_code::ORIGIN, 1);
+    push_attr_header(out, FLAG_TRANSITIVE, type_code::ORIGIN, 1)?;
     out.push(attrs.origin.code());
 
     // AS_PATH — well-known mandatory.
-    let path = encode_as_path(&attrs.as_path, cfg);
-    push_attr_header(&mut out, FLAG_TRANSITIVE, type_code::AS_PATH, path.len());
-    out.extend_from_slice(&path);
+    let path_len = as_path_len(&attrs.as_path, cfg);
+    push_attr_header(out, FLAG_TRANSITIVE, type_code::AS_PATH, path_len)?;
+    encode_as_path(out, &attrs.as_path, cfg);
 
     // NEXT_HOP — mandatory when IPv4 NLRI is present; we emit whenever set.
     if let Some(IpAddr::V4(nh)) = attrs.next_hop {
-        push_attr_header(&mut out, FLAG_TRANSITIVE, type_code::NEXT_HOP, 4);
+        push_attr_header(out, FLAG_TRANSITIVE, type_code::NEXT_HOP, 4)?;
         out.extend_from_slice(&nh.octets());
     }
 
     if let Some(med) = attrs.med {
-        push_attr_header(&mut out, FLAG_OPTIONAL, type_code::MED, 4);
+        push_attr_header(out, FLAG_OPTIONAL, type_code::MED, 4)?;
         out.extend_from_slice(&med.to_be_bytes());
     }
 
     if let Some(lp) = attrs.local_pref {
-        push_attr_header(&mut out, FLAG_TRANSITIVE, type_code::LOCAL_PREF, 4);
+        push_attr_header(out, FLAG_TRANSITIVE, type_code::LOCAL_PREF, 4)?;
         out.extend_from_slice(&lp.to_be_bytes());
     }
 
     if attrs.atomic_aggregate {
-        push_attr_header(&mut out, FLAG_TRANSITIVE, type_code::ATOMIC_AGGREGATE, 0);
+        push_attr_header(out, FLAG_TRANSITIVE, type_code::ATOMIC_AGGREGATE, 0)?;
     }
+
+    const OPTIONAL_TRANSITIVE: u8 = FLAG_OPTIONAL | FLAG_TRANSITIVE;
 
     if let Some(agg) = attrs.aggregator {
         let len = if cfg.asn4 { 8 } else { 6 };
-        push_attr_header(
-            &mut out,
-            FLAG_OPTIONAL | FLAG_TRANSITIVE,
-            type_code::AGGREGATOR,
-            len,
-        );
+        push_attr_header(out, OPTIONAL_TRANSITIVE, type_code::AGGREGATOR, len)?;
         if cfg.asn4 {
             out.extend_from_slice(&agg.asn.get().to_be_bytes());
         } else {
@@ -194,87 +240,74 @@ pub fn encode_attributes(
     }
 
     if !attrs.communities.is_empty() {
-        push_attr_header(
-            &mut out,
-            FLAG_OPTIONAL | FLAG_TRANSITIVE,
-            type_code::COMMUNITIES,
-            attrs.communities.len() * 4,
-        );
+        let len = attrs.communities.len() * 4;
+        push_attr_header(out, OPTIONAL_TRANSITIVE, type_code::COMMUNITIES, len)?;
         for c in &attrs.communities {
             out.extend_from_slice(&c.as_u32().to_be_bytes());
         }
     }
 
     if !attrs.ext_communities.is_empty() {
-        push_attr_header(
-            &mut out,
-            FLAG_OPTIONAL | FLAG_TRANSITIVE,
-            type_code::EXT_COMMUNITIES,
-            attrs.ext_communities.len() * 8,
-        );
+        let len = attrs.ext_communities.len() * 8;
+        push_attr_header(out, OPTIONAL_TRANSITIVE, type_code::EXT_COMMUNITIES, len)?;
         for c in &attrs.ext_communities {
             out.extend_from_slice(&c.to_bytes());
         }
     }
 
     if !attrs.large_communities.is_empty() {
-        push_attr_header(
-            &mut out,
-            FLAG_OPTIONAL | FLAG_TRANSITIVE,
-            type_code::LARGE_COMMUNITIES,
-            attrs.large_communities.len() * 12,
-        );
+        let len = attrs.large_communities.len() * 12;
+        push_attr_header(out, OPTIONAL_TRANSITIVE, type_code::LARGE_COMMUNITIES, len)?;
         for c in &attrs.large_communities {
             out.extend_from_slice(&c.to_bytes());
         }
     }
 
-    if !v6_announced.is_empty() {
-        let mut body = Vec::new();
-        body.extend_from_slice(&AFI_IPV6.to_be_bytes());
-        body.push(SAFI_UNICAST);
+    // A prefix encodes to at least its length byte, so a zero NLRI length
+    // is an empty list.
+    let nlri_len = v6_announced
+        .clone()
+        .map(nlri::encoded_len_v6)
+        .sum::<usize>();
+    if nlri_len > 0 {
+        // AFI, SAFI, next-hop length, next hop, reserved.
+        let len = 2 + 1 + 1 + 16 + 1 + nlri_len;
+        push_attr_header(out, FLAG_OPTIONAL, type_code::MP_REACH_NLRI, len)?;
+        out.extend_from_slice(&AFI_IPV6.to_be_bytes());
+        out.push(SAFI_UNICAST);
         let nh = match attrs.next_hop {
             Some(IpAddr::V6(nh)) => nh,
             _ => Ipv6Addr::UNSPECIFIED,
         };
-        body.push(16);
-        body.extend_from_slice(&nh.octets());
-        body.push(0); // reserved
+        out.push(16);
+        out.extend_from_slice(&nh.octets());
+        out.push(0); // reserved
         for p in v6_announced {
-            nlri::encode_v6(*p, &mut body);
+            nlri::encode_v6(p, out);
         }
-        push_attr_header(
-            &mut out,
-            FLAG_OPTIONAL,
-            type_code::MP_REACH_NLRI,
-            body.len(),
-        );
-        out.extend_from_slice(&body);
     }
 
-    if !v6_withdrawn.is_empty() {
-        let mut body = Vec::new();
-        body.extend_from_slice(&AFI_IPV6.to_be_bytes());
-        body.push(SAFI_UNICAST);
+    let nlri_len = v6_withdrawn
+        .clone()
+        .map(nlri::encoded_len_v6)
+        .sum::<usize>();
+    if nlri_len > 0 {
+        let len = 2 + 1 + nlri_len;
+        push_attr_header(out, FLAG_OPTIONAL, type_code::MP_UNREACH_NLRI, len)?;
+        out.extend_from_slice(&AFI_IPV6.to_be_bytes());
+        out.push(SAFI_UNICAST);
         for p in v6_withdrawn {
-            nlri::encode_v6(*p, &mut body);
+            nlri::encode_v6(p, out);
         }
-        push_attr_header(
-            &mut out,
-            FLAG_OPTIONAL,
-            type_code::MP_UNREACH_NLRI,
-            body.len(),
-        );
-        out.extend_from_slice(&body);
     }
 
     // Unknown attributes are re-emitted verbatim (transitive forwarding).
     for u in &attrs.unknown {
-        push_attr_header(&mut out, u.flags & !FLAG_EXT_LEN, u.type_code, u.data.len());
+        push_attr_header(out, u.flags & !FLAG_EXT_LEN, u.type_code, u.data.len())?;
         out.extend_from_slice(&u.data);
     }
 
-    Ok(out)
+    Ok(())
 }
 
 fn expect_len(type_code: u8, data: &[u8], expected: usize) -> Result<(), WireError> {
@@ -534,6 +567,30 @@ mod tests {
         let dec = decode_attributes(&bytes, CodecConfig::modern()).unwrap();
         assert_eq!(dec.attrs.communities.len(), 1000);
         assert_eq!(dec.attrs.communities, attrs.communities);
+    }
+
+    #[test]
+    fn attribute_beyond_the_extended_length_is_refused_not_wrapped() {
+        // 16 383 communities are the most one attribute carries (65 532
+        // bytes); one more used to wrap the length field to zero.
+        let mut attrs = base_attrs();
+        let communities = |n: u32| (0..n).map(Community::from_u32).collect::<Vec<_>>();
+        attrs.communities = communities(16_383);
+        let dec = roundtrip(&attrs, CodecConfig::modern());
+        assert_eq!(dec.attrs.communities.len(), 16_383);
+
+        attrs.communities = communities(16_384);
+        assert_eq!(
+            encode_attributes(&attrs, &[], &[], CodecConfig::modern()),
+            Err(WireError::TooLong(65_536))
+        );
+        // The appending form gives the buffer back as it found it.
+        let mut out = vec![0xAB; 7];
+        let none = std::iter::empty::<Ipv6Prefix>;
+        let refused =
+            encode_attributes_into(&mut out, &attrs, none(), none(), CodecConfig::modern());
+        assert_eq!(refused, Err(WireError::TooLong(65_536)));
+        assert_eq!(out, [0xAB; 7]);
     }
 
     #[test]

@@ -49,7 +49,9 @@ pub enum WireError {
         /// Subsequent AFI.
         safi: u8,
     },
-    /// A message would exceed the 4096-byte maximum when encoded.
+    /// A message would exceed the 4096-byte maximum when encoded, or a
+    /// section of one (an attribute, the withdrawn routes) the length field
+    /// in front of it.
     TooLong(usize),
     /// A value cannot be represented in the negotiated encoding
     /// (e.g. a 32-bit ASN on a 2-octet session is replaced by AS_TRANS;
@@ -84,7 +86,10 @@ impl fmt::Display for WireError {
             WireError::UnsupportedAfiSafi { afi, safi } => {
                 write!(f, "unsupported AFI/SAFI {afi}/{safi}")
             }
-            WireError::TooLong(l) => write!(f, "encoded message would be {l} bytes (max 4096)"),
+            WireError::TooLong(l) => write!(
+                f,
+                "{l} encoded bytes do not fit (a message holds 4096, an attribute 65535)"
+            ),
             WireError::Unrepresentable(what) => {
                 write!(f, "value not representable on this session: {what}")
             }

@@ -19,6 +19,15 @@
 //! failures are reported as structured [`WireError`]s — the fuzz-ish
 //! property tests feed it arbitrary byte soup.
 //!
+//! Encoding has **one body per encoder**: [`encode_update_into`] and
+//! [`encode_attributes_into`] append to a buffer the caller owns (an MRT
+//! record body, say), writing each length either after measuring what
+//! follows or by patching a reserved field, so nothing is staged in a
+//! second `Vec`; on `Err` the buffer is as it was. [`encode_update`] and
+//! [`encode_attributes`] are those two called on a new `Vec`, not a second
+//! implementation. A length that does not fit its field is
+//! [`WireError::TooLong`], never a wrapped number.
+//!
 //! # Example
 //!
 //! ```
@@ -50,13 +59,28 @@ pub mod message;
 pub mod nlri;
 pub mod open;
 
-pub use attribute::{decode_attributes, encode_attributes};
+pub use attribute::{decode_attributes, encode_attributes, encode_attributes_into};
 pub use error::WireError;
 pub use message::{
-    decode_message, encode_keepalive, encode_notification, encode_update, BgpMessage, Notification,
-    MARKER_LEN, MAX_MESSAGE_LEN, MIN_MESSAGE_LEN,
+    decode_message, encode_keepalive, encode_notification, encode_update, encode_update_into,
+    BgpMessage, Notification, MARKER_LEN, MAX_MESSAGE_LEN, MIN_MESSAGE_LEN,
 };
 pub use open::{Capability, OpenMessage};
+
+/// Runs `append` on `out` and, if it fails, takes back whatever it had
+/// appended by then — the "on `Err` the buffer is as it was" of both
+/// appending encoders.
+fn or_rewind(
+    out: &mut Vec<u8>,
+    append: impl FnOnce(&mut Vec<u8>) -> Result<(), WireError>,
+) -> Result<(), WireError> {
+    let start = out.len();
+    let appended = append(out);
+    if appended.is_err() {
+        out.truncate(start);
+    }
+    appended
+}
 
 /// Session-level codec parameters that change the wire representation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,13 +1,13 @@
 //! BGP message framing (RFC 4271 §4): header marker, length, type, and the
 //! per-type body codecs.
 
-use crate::attribute::{decode_attributes, encode_attributes};
+use crate::attribute::{append_attributes, decode_attributes};
 use crate::cursor::Cursor;
 use crate::error::WireError;
 use crate::nlri;
 use crate::open::OpenMessage;
 use crate::CodecConfig;
-use bgpworms_types::{Ipv6Prefix, Prefix, RouteUpdate};
+use bgpworms_types::{Ipv4Prefix, Ipv6Prefix, Prefix, RouteUpdate};
 
 /// Length of the all-ones marker.
 pub const MARKER_LEN: usize = 16;
@@ -52,94 +52,125 @@ pub enum BgpMessage {
     Keepalive,
 }
 
+/// Appends the 19-byte header with a zero length, returning where the
+/// message starts so [`finish_header`] can patch the length in.
 fn push_header(out: &mut Vec<u8>, msg_type: u8) -> usize {
+    let start = out.len();
     out.extend_from_slice(&[0xFF; MARKER_LEN]);
-    let len_pos = out.len();
     out.extend_from_slice(&[0, 0]);
     out.push(msg_type);
-    len_pos
+    start
 }
 
-fn finish_header(out: &mut [u8], len_pos: usize) -> Result<(), WireError> {
-    let total = out.len();
+/// Patches the length of the message that began at `start` and runs to
+/// the end of `out`.
+fn finish_header(out: &mut [u8], start: usize) -> Result<(), WireError> {
+    let total = out.len() - start;
     if total > MAX_MESSAGE_LEN {
         return Err(WireError::TooLong(total));
     }
-    out[len_pos..len_pos + 2].copy_from_slice(&(total as u16).to_be_bytes());
+    out[start + MARKER_LEN..start + MARKER_LEN + 2].copy_from_slice(&(total as u16).to_be_bytes());
+    Ok(())
+}
+
+/// Reserves a two-byte length field, returning its position for
+/// [`patch_len`].
+fn reserve_len(out: &mut Vec<u8>) -> usize {
+    let at = out.len();
+    out.extend_from_slice(&[0, 0]);
+    at
+}
+
+/// Fills the length field at `at` with the number of bytes appended after
+/// it.
+fn patch_len(out: &mut [u8], at: usize) -> Result<(), WireError> {
+    let len = out.len() - at - 2;
+    let field = u16::try_from(len).map_err(|_| WireError::TooLong(len))?;
+    out[at..at + 2].copy_from_slice(&field.to_be_bytes());
     Ok(())
 }
 
 /// Encodes an UPDATE message. IPv4 prefixes travel in the update body,
 /// IPv6 prefixes via MP_REACH/MP_UNREACH attributes (RFC 4760).
+///
+/// The `Vec`-returning form of [`encode_update_into`], which holds the one
+/// implementation.
 pub fn encode_update(update: &RouteUpdate, cfg: CodecConfig) -> Result<Vec<u8>, WireError> {
     let mut out = Vec::with_capacity(64);
-    let len_pos = push_header(&mut out, msg_type::UPDATE);
+    encode_update_into(&mut out, update, cfg)?;
+    Ok(out)
+}
 
-    let (v4_withdrawn, v6_withdrawn): (Vec<_>, Vec<_>) =
-        update.withdrawn.iter().partition(|p| p.is_v4());
-    let (v4_announced, v6_announced): (Vec<_>, Vec<_>) =
-        update.announced.iter().partition(|p| p.is_v4());
-    let v6_announced: Vec<Ipv6Prefix> = v6_announced
-        .iter()
-        .map(|p| match p {
-            Prefix::V6(p) => *p,
-            Prefix::V4(_) => unreachable!("partitioned"),
-        })
-        .collect();
-    let v6_withdrawn: Vec<Ipv6Prefix> = v6_withdrawn
-        .iter()
-        .map(|p| match p {
-            Prefix::V6(p) => *p,
-            Prefix::V4(_) => unreachable!("partitioned"),
-        })
-        .collect();
+/// Appends one UPDATE message to `out`, whatever `out` already holds (an
+/// MRT record body under construction, say): the withdrawn-routes,
+/// attribute and message lengths are reserved and patched in place, so no
+/// section is staged in a buffer of its own. On `Err`, `out` is left
+/// exactly as it was.
+pub fn encode_update_into(
+    out: &mut Vec<u8>,
+    update: &RouteUpdate,
+    cfg: CodecConfig,
+) -> Result<(), WireError> {
+    crate::or_rewind(out, |out| append_update(out, update, cfg))
+}
+
+/// The IPv4 prefixes of a mixed list, in order.
+fn v4(list: &[Prefix]) -> impl Iterator<Item = Ipv4Prefix> + Clone + '_ {
+    list.iter().filter_map(Prefix::as_v4)
+}
+
+/// The IPv6 prefixes of a mixed list, in order.
+fn v6(list: &[Prefix]) -> impl Iterator<Item = Ipv6Prefix> + Clone + '_ {
+    list.iter().filter_map(Prefix::as_v6)
+}
+
+fn append_update(
+    out: &mut Vec<u8>,
+    update: &RouteUpdate,
+    cfg: CodecConfig,
+) -> Result<(), WireError> {
+    let start = push_header(out, msg_type::UPDATE);
 
     // Withdrawn routes (IPv4).
-    let mut wd = Vec::new();
-    for p in &v4_withdrawn {
-        if let Prefix::V4(p4) = p {
-            nlri::encode_v4(*p4, &mut wd);
-        }
+    let withdrawn_len = reserve_len(out);
+    for p in v4(&update.withdrawn) {
+        nlri::encode_v4(p, out);
     }
-    out.extend_from_slice(&(wd.len() as u16).to_be_bytes());
-    out.extend_from_slice(&wd);
+    patch_len(out, withdrawn_len)?;
 
     // Path attributes. Withdraw-only updates carry none.
-    let attrs = if v4_announced.is_empty() && v6_announced.is_empty() && v6_withdrawn.is_empty() {
-        Vec::new()
-    } else {
-        encode_attributes(&update.attrs, &v6_announced, &v6_withdrawn, cfg)?
-    };
-    out.extend_from_slice(&(attrs.len() as u16).to_be_bytes());
-    out.extend_from_slice(&attrs);
+    let attrs_len = reserve_len(out);
+    if !update.announced.is_empty() || v6(&update.withdrawn).next().is_some() {
+        let (announced, withdrawn) = (v6(&update.announced), v6(&update.withdrawn));
+        append_attributes(out, &update.attrs, announced, withdrawn, cfg)?;
+    }
+    patch_len(out, attrs_len)?;
 
     // IPv4 NLRI.
-    for p in &v4_announced {
-        if let Prefix::V4(p4) = p {
-            nlri::encode_v4(*p4, &mut out);
-        }
+    for p in v4(&update.announced) {
+        nlri::encode_v4(p, out);
     }
 
-    finish_header(&mut out, len_pos)?;
-    Ok(out)
+    finish_header(out, start)
 }
 
 /// Encodes a KEEPALIVE.
 pub fn encode_keepalive() -> Vec<u8> {
     let mut out = Vec::with_capacity(MIN_MESSAGE_LEN);
-    let len_pos = push_header(&mut out, msg_type::KEEPALIVE);
-    finish_header(&mut out, len_pos).expect("keepalive fits");
+    let start = push_header(&mut out, msg_type::KEEPALIVE);
+    // lint: infallible a bare 19-byte header is under the 4096-byte cap
+    finish_header(&mut out, start).expect("keepalive fits");
     out
 }
 
 /// Encodes a NOTIFICATION.
 pub fn encode_notification(n: &Notification) -> Result<Vec<u8>, WireError> {
     let mut out = Vec::with_capacity(MIN_MESSAGE_LEN + 2 + n.data.len());
-    let len_pos = push_header(&mut out, msg_type::NOTIFICATION);
+    let start = push_header(&mut out, msg_type::NOTIFICATION);
     out.push(n.code);
     out.push(n.subcode);
     out.extend_from_slice(&n.data);
-    finish_header(&mut out, len_pos)?;
+    finish_header(&mut out, start)?;
     Ok(out)
 }
 

@@ -19,6 +19,12 @@ pub fn encode_v6(p: Ipv6Prefix, out: &mut Vec<u8>) {
     out.extend_from_slice(&p.network().to_be_bytes()[..nbytes]);
 }
 
+/// Bytes [`encode_v6`] appends for `p` — what lets MP_REACH / MP_UNREACH
+/// write their attribute header before their NLRI.
+pub fn encoded_len_v6(p: Ipv6Prefix) -> usize {
+    1 + usize::from(p.len().div_ceil(8))
+}
+
 /// Decodes one IPv4 prefix.
 pub fn decode_v4(c: &mut Cursor<'_>) -> Result<Ipv4Prefix, WireError> {
     let len = c.u8("nlri length")?;
@@ -111,6 +117,7 @@ mod tests {
             let p: Ipv6Prefix = s.parse().unwrap();
             let mut out = Vec::new();
             encode_v6(p, &mut out);
+            assert_eq!(out.len(), encoded_len_v6(p));
             let mut c = Cursor::new(&out);
             assert_eq!(decode_v6(&mut c).unwrap(), p);
         }

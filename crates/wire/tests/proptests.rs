@@ -1,11 +1,16 @@
 //! Property tests for the wire codec: arbitrary logical updates round-trip
-//! bit-exactly, and arbitrary byte soup never panics the decoder.
+//! bit-exactly, arbitrary byte soup never panics the decoder, and the
+//! appending encoders write exactly the wrappers' bytes behind whatever the
+//! buffer already held.
 
 use bgpworms_types::{
     attr::{Aggregator, Origin, PathAttributes},
     AsPath, Asn, Community, Ipv4Prefix, Ipv6Prefix, LargeCommunity, Prefix, RouteUpdate,
 };
-use bgpworms_wire::{decode_message, encode_update, BgpMessage, CodecConfig};
+use bgpworms_wire::{
+    decode_attributes, decode_message, encode_attributes, encode_attributes_into, encode_update,
+    encode_update_into, BgpMessage, CodecConfig,
+};
 use proptest::prelude::*;
 
 fn arb_v4_prefix() -> impl Strategy<Value = Prefix> {
@@ -51,8 +56,125 @@ fn arb_attrs() -> impl Strategy<Value = PathAttributes> {
         )
 }
 
+/// Attributes that make the encoder take every length decision it has:
+/// a prepend past 255 hops splits the AS_PATH segment (and pushes the
+/// attribute into its extended-length form), more than 63 communities force
+/// the extended length on COMMUNITIES. Both at once overflow the 4 096-byte
+/// message — the refusal path.
+fn arb_stress_attrs() -> impl Strategy<Value = PathAttributes> {
+    (
+        arb_attrs(),
+        prop_oneof![Just(0usize), 256usize..600],
+        prop_oneof![Just(0u32), 64u32..400],
+    )
+        .prop_map(|(mut attrs, prepend, extra)| {
+            attrs.as_path.prepend(Asn::new(64_999), prepend);
+            attrs
+                .communities
+                .extend((0..extra).map(|i| Community::new(64_999, i as u16)));
+            attrs
+        })
+}
+
+/// A mixed-family list, the families interleaved as drawn.
+fn arb_prefixes() -> impl Strategy<Value = Vec<Prefix>> {
+    proptest::collection::vec(prop_oneof![arb_v4_prefix(), arb_v6_prefix()], 0..8)
+}
+
+/// What crossing the wire makes of `attrs`, segment boundaries aside (a
+/// sequence past 255 hops comes back split, so the path is flattened on
+/// both sides of a comparison): nothing on a 4-octet session; on a 2-octet
+/// one wide ASNs become AS_TRANS.
+fn as_sent(mut attrs: PathAttributes, cfg: CodecConfig) -> PathAttributes {
+    let narrow = |asn: Asn| match asn.as_u16() {
+        None if !cfg.asn4 => Asn::TRANS,
+        _ => asn,
+    };
+    attrs.as_path = attrs.as_path.asns().map(narrow).collect();
+    if let Some(agg) = attrs.aggregator.as_mut() {
+        agg.asn = narrow(agg.asn);
+    }
+    attrs
+}
+
+/// The wire carries IPv4 NLRI and MP attributes apart: a decoded list is
+/// the IPv4 prefixes in order, then the IPv6 ones.
+fn v4_then_v6(list: &[Prefix]) -> Vec<Prefix> {
+    let (v4, v6): (Vec<Prefix>, Vec<Prefix>) = list.iter().partition(|p| p.is_v4());
+    [v4, v6].concat()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases_capped(256))]
+
+    #[test]
+    fn appended_update_is_the_wrappers_bytes_behind_an_untouched_prefix(
+        attrs in arb_stress_attrs(),
+        announced in arb_prefixes(),
+        withdrawn in arb_prefixes(),
+        asn4 in any::<bool>(),
+        held in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let u = RouteUpdate { withdrawn, attrs, announced };
+        let cfg = if asn4 { CodecConfig::modern() } else { CodecConfig::legacy() };
+        let mut out = held.clone();
+        let appended = encode_update_into(&mut out, &u, cfg);
+        let bytes = match encode_update(&u, cfg) {
+            Ok(bytes) => bytes,
+            Err(refusal) => {
+                // Refused by both, for the same reason, nothing left behind.
+                prop_assert_eq!(appended, Err(refusal));
+                prop_assert_eq!(out, held);
+                return Ok(());
+            }
+        };
+        prop_assert_eq!(appended, Ok(()));
+        prop_assert_eq!(&out[..held.len()], &held[..], "the bytes already there moved");
+        prop_assert_eq!(&out[held.len()..], &bytes[..], "not the wrapper's bytes");
+
+        let (msg, used) = decode_message(&out[held.len()..], cfg).unwrap();
+        prop_assert_eq!(used, bytes.len());
+        let BgpMessage::Update(dec) = msg else {
+            return Err(TestCaseError::fail(format!("expected update, got {msg:?}")));
+        };
+        prop_assert_eq!(dec.announced, v4_then_v6(&u.announced));
+        prop_assert_eq!(dec.withdrawn, v4_then_v6(&u.withdrawn));
+        // A withdraw-only IPv4 update carries no attribute section at all.
+        let carried = !u.announced.is_empty() || u.withdrawn.iter().any(Prefix::is_v6);
+        let sent = if carried { u.attrs } else { PathAttributes::default() };
+        prop_assert_eq!(as_sent(dec.attrs, CodecConfig::modern()), as_sent(sent, cfg));
+    }
+
+    #[test]
+    fn appended_attributes_are_the_wrappers_bytes_behind_an_untouched_prefix(
+        attrs in arb_stress_attrs(),
+        announced in proptest::collection::vec(arb_v6_prefix(), 0..6),
+        withdrawn in proptest::collection::vec(arb_v6_prefix(), 0..6),
+        asn4 in any::<bool>(),
+        held in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let v6 = |list: &[Prefix]| list.iter().filter_map(Prefix::as_v6).collect::<Vec<_>>();
+        let (v6_announced, v6_withdrawn) = (v6(&announced), v6(&withdrawn));
+        let cfg = if asn4 { CodecConfig::modern() } else { CodecConfig::legacy() };
+        // No 4 096-byte cap at this level: every draw encodes.
+        let bytes = encode_attributes(&attrs, &v6_announced, &v6_withdrawn, cfg).unwrap();
+        let mut out = held.clone();
+        encode_attributes_into(
+            &mut out,
+            &attrs,
+            v6_announced.iter().copied(),
+            v6_withdrawn.iter().copied(),
+            cfg,
+        )
+        .unwrap();
+        prop_assert_eq!(&out[..held.len()], &held[..], "the bytes already there moved");
+        prop_assert_eq!(&out[held.len()..], &bytes[..], "not the wrapper's bytes");
+
+        let dec = decode_attributes(&bytes, cfg).unwrap();
+        prop_assert_eq!(as_sent(dec.attrs, CodecConfig::modern()), as_sent(attrs, cfg));
+        prop_assert_eq!(dec.mp_announced, announced);
+        prop_assert_eq!(dec.mp_withdrawn, withdrawn);
+    }
 
     #[test]
     fn update_roundtrips_modern(

@@ -73,8 +73,8 @@ fn model_lookup(model: &FibModel, asn: Asn, ip: u32) -> Option<(Ipv4Prefix, FibA
 }
 
 /// A converged route whose forwarding action is `action`.
-fn route_for(prefix: Ipv4Prefix, action: FibAction) -> Route {
-    let mut route = Route::originate(Prefix::V4(prefix), vec![]);
+fn route_for(action: FibAction) -> Route {
+    let mut route = Route::originate(vec![]);
     match action {
         FibAction::Deliver => {}
         FibAction::Null => route.blackholed = true,
@@ -111,7 +111,7 @@ proptest! {
                 }
                 FibOp::Fold(p, column) => {
                     let finals: FinalRoutes =
-                        column.iter().map(|&(asn, action)| (asn, route_for(p, action))).collect();
+                        column.iter().map(|&(asn, action)| (asn, route_for(action))).collect();
                     fib.insert_routes(Prefix::V4(p), &finals);
                     for (asn, action) in column {
                         model.insert((asn, p.network(), p.len()), action);

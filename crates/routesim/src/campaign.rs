@@ -1,15 +1,16 @@
-//! Internet-scale campaign driver: stream per-prefix outcomes into a
+//! The schedule driver — the one loop that takes a schedule apart by
+//! prefix and floods it — streaming per-prefix outcomes into a
 //! caller-supplied fold instead of accumulating them.
 //!
-//! [`CompiledSim::run`] returns one [`crate::SimResult`] holding every
-//! retained route and observation — fine for attack scenarios over a
-//! handful of prefixes, but a full-table run over the ~62 K-AS April-2018
-//! Internet would retain `O(prefixes × ASes)` routes. A [`Campaign`] runs
-//! the same per-prefix episodes on the same session while keeping only
-//! `O(aggregate)` state: the per-prefix loop is sharded into bounded **work
-//! chunks**, every [`PrefixOutcome`] is folded into a [`CampaignSink`] the
-//! moment its prefix finishes, and finished chunk sinks are merged into the
-//! running aggregate in chunk order. Nothing per-prefix survives the fold.
+//! A [`Campaign`] shards the per-prefix loop into bounded **work chunks**,
+//! folds every [`PrefixOutcome`] into a [`CampaignSink`] the moment its
+//! prefix finishes, and merges finished chunk sinks into the running
+//! aggregate in chunk order. Nothing per-prefix survives the fold, so a
+//! full-table run over the ~62 K-AS April-2018 Internet keeps
+//! `O(aggregate)` state where holding every retained route would be
+//! `O(prefixes × ASes)`. [`CompiledSim::run`] is the campaign whose sink
+//! does keep everything, finished into one [`crate::SimResult`] — the
+//! right shape for attack scenarios over a handful of prefixes.
 //!
 //! # Determinism contract
 //!
@@ -36,10 +37,10 @@
 //! the retention bit, and a singleton escape for prefixes named by
 //! exact-match policy. The first member of a class to reach a worker is
 //! **simulated**; every other member **replays** the stored
-//! [`PrefixOutcome`] with its labels rewritten
-//! ([`PrefixOutcome::relabeled`]) — microseconds instead of a flood, so a
-//! full table costs its class count (collapsing toward the number of
-//! distinct origins), not its prefix count.
+//! [`PrefixOutcome`] with its observations' labels rewritten
+//! ([`PrefixOutcome::relabeled`]; routes carry none) — microseconds instead
+//! of a flood, so a full table costs its class count (collapsing toward
+//! the number of distinct origins), not its prefix count.
 //!
 //! Memoization changes nothing observable. The fold/merge sequence is
 //! untouched; classifier soundness (any member's simulated outcome,
@@ -48,13 +49,12 @@
 //! `sink(threads = 1) ≡ sink(threads = N)` still holds — and
 //! `memoized ≡ unmemoized` is itself property-locked bit-for-bit in
 //! `tests/determinism.rs`, including worlds whose per-prefix policies
-//! force singleton classes. [`Campaign::memoize`] turns it off (every
-//! prefix simulated individually), [`Campaign::class_stats`] classifies a
+//! force singleton classes. [`Campaign::class_stats`] classifies a
 //! schedule without running it, and every run/checkpoint reports
 //! `class_sims`/`class_hits` counters: *schedule statistics*, counted
-//! identically with memoization on or off, where the first member of each
-//! class (in ascending prefix order) counts as the simulation and the
-//! rest as hits.
+//! identically by the memoized driver and the unmemoized reference, where
+//! the first member of each class (in ascending prefix order) counts as
+//! the simulation and the rest as hits.
 //!
 //! # Campaigns vs. delta re-convergence
 //!
@@ -67,8 +67,8 @@
 //! community — but they deliberately do not nest: a campaign never
 //! captures snapshots internally, because a memoized class *hit* replays a
 //! stored outcome without ever building the scratch state a snapshot
-//! would need. Snapshot capture is therefore a single-run
-//! ([`CompiledSim::run_snapshot`]) API, not a campaign option.
+//! would need. Capture is [`CompiledSim::run_snapshot`], over the one
+//! prefix's schedule, not a campaign option.
 //!
 //! # Checkpointing
 //!
@@ -139,7 +139,7 @@
 //! ```
 
 use crate::classify::ClassKey;
-use crate::engine::{group_by_prefix, panic_message, CompiledSim, Origination, PrefixOutcome};
+use crate::engine::{panic_message, CompiledSim, Origination, PrefixOutcome};
 use crate::fault::{fault_site, fnv1a_extend, prefix_fault_key};
 use crate::shard;
 use bgpworms_failpoint::FaultPlan;
@@ -165,11 +165,9 @@ pub trait CampaignSink: Sized {
     fn merge(&mut self, other: Self);
 }
 
-/// The campaign driver: a chunked, streaming view of one compiled session.
-///
-/// Layered on [`CompiledSim`] — it replays the same per-prefix engine the
-/// session API uses (`threads` comes from the session too); only the result
-/// handling differs.
+/// The campaign driver: a chunked, streaming view of one compiled session,
+/// and the one schedule loop under its API ([`CompiledSim::run`] included).
+/// `threads` comes from the session.
 #[derive(Debug, Clone, Copy)]
 pub struct Campaign<'s, 't> {
     sim: &'s CompiledSim<'t>,
@@ -277,16 +275,15 @@ impl<S> CampaignCheckpoint<S> {
     }
 
     /// Completed prefixes that were the first member of their equivalence
-    /// class — the floods a memoized campaign actually simulates. A
-    /// schedule statistic (see the module docs): identical with
-    /// memoization off, and a resumed campaign reports the same totals as
-    /// an uninterrupted one.
+    /// class — the floods a campaign actually simulates. A schedule
+    /// statistic (see the module docs): a resumed campaign reports the same
+    /// totals as an uninterrupted one.
     pub fn class_sims(&self) -> u64 {
         self.class_sims
     }
 
     /// Completed prefixes folded as later members of an already-counted
-    /// class — served by outcome replay when memoization is on.
+    /// class — served by outcome replay.
     pub fn class_hits(&self) -> u64 {
         self.class_hits
     }
@@ -317,7 +314,7 @@ pub struct CampaignRun<S> {
     /// Work chunks processed (including any from a resumed checkpoint).
     pub chunks: usize,
     /// Prefixes simulated as the first member of their equivalence class
-    /// (a schedule statistic — identical with memoization on or off).
+    /// (a schedule statistic).
     pub class_sims: u64,
     /// Prefixes folded as later members of an already-counted class.
     pub class_hits: u64,
@@ -380,8 +377,8 @@ pub fn failure_summary(diverged: &[Prefix], failures: &[PrefixFailure]) -> Strin
 pub struct ClassStats {
     /// Distinct prefixes in the schedule.
     pub prefixes: usize,
-    /// Equivalence classes they collapse into — the floods a memoized
-    /// campaign simulates.
+    /// Equivalence classes they collapse into — the floods a campaign
+    /// simulates.
     pub classes: usize,
 }
 
@@ -493,8 +490,7 @@ impl ClassMemo {
 }
 
 impl<'s, 't> Campaign<'s, 't> {
-    /// A campaign over `sim` with the [`DEFAULT_CHUNK_SIZE`] and flood
-    /// memoization enabled.
+    /// A campaign over `sim` with the [`DEFAULT_CHUNK_SIZE`].
     pub fn new(sim: &'s CompiledSim<'t>) -> Self {
         Campaign {
             sim,
@@ -523,19 +519,21 @@ impl<'s, 't> Campaign<'s, 't> {
         self
     }
 
-    /// Enables or disables flood memoization (default: on). Off, every
-    /// prefix is simulated individually — bit-identical results (the
-    /// determinism suite pins the two modes against each other), just
-    /// class-hit-count times more flood work on duplicate-heavy schedules.
-    pub fn memoize(mut self, on: bool) -> Self {
-        self.memoize = on;
-        self
+    /// The oracle flood memoization is tested against: [`Campaign::new`]
+    /// with every prefix simulated individually — bit-identical results for
+    /// class-hit count times the flood work, so only tests want it.
+    #[doc(hidden)]
+    pub fn unmemoized_reference(sim: &'s CompiledSim<'t>) -> Self {
+        Campaign {
+            memoize: false,
+            ..Campaign::new(sim)
+        }
     }
 
     /// Classifies a schedule without simulating anything: how many
     /// distinct prefixes it announces and how many equivalence classes
-    /// they collapse into under this session — the flood count a memoized
-    /// run will actually pay.
+    /// they collapse into under this session — the flood count a run will
+    /// actually pay.
     pub fn class_stats(&self, originations: &[Origination]) -> ClassStats {
         let by_prefix = group_by_prefix(originations);
         let prefixes: Vec<Prefix> = by_prefix.keys().copied().collect();
@@ -597,9 +595,7 @@ impl<'s, 't> Campaign<'s, 't> {
         S: CampaignSink + Send,
         F: Fn() -> S + Sync,
     {
-        let start = self.begin(new_sink());
-        let (cp, _) = self.advance(originations, start, &new_sink, None);
-        finish(cp)
+        self.resume(originations, self.begin(new_sink()), new_sink)
     }
 
     /// Continues an interrupted campaign to completion. Equivalent — sink
@@ -635,10 +631,9 @@ impl<'s, 't> Campaign<'s, 't> {
     }
 
     /// The core loop: runs the not-yet-done chunk range on the crate's
-    /// worker pool (`shard.rs` — the engine's sharding one level up: item =
-    /// chunk, one scratch per worker recycled across every prefix of every
-    /// chunk it claims) and merges finished chunk sinks into the aggregate
-    /// in chunk order.
+    /// worker pool (`shard.rs`: item = chunk, one scratch per worker recycled
+    /// across every prefix of every chunk it claims) and merges finished
+    /// chunk sinks into the aggregate in chunk order.
     fn advance<S, F>(
         &self,
         originations: &[Origination],
@@ -657,8 +652,6 @@ impl<'s, 't> Campaign<'s, 't> {
              re-folding prefixes; resume with the checkpoint's chunk size",
             cp.chunk_size, self.chunk_size
         );
-        // Same grouping as `CompiledSim::run` — shared helper, so the two
-        // paths cannot drift apart.
         let by_prefix = group_by_prefix(originations);
         let prefixes: Vec<Prefix> = by_prefix.keys().copied().collect();
 
@@ -688,8 +681,8 @@ impl<'s, 't> Campaign<'s, 't> {
         let first = cp.chunks_done;
 
         // The schedule's class structure — cheap (no simulation), computed
-        // on both paths so the class-hit counters are schedule statistics:
-        // a memoized and an unmemoized run report identical totals.
+        // for the unmemoized reference too, so the class-hit counters are
+        // schedule statistics: both report identical totals.
         let classes = ClassTable::build(self.sim, &prefixes, &by_prefix);
         let memo = self.memoize.then(|| {
             ClassMemo::for_range(
@@ -716,7 +709,13 @@ impl<'s, 't> Campaign<'s, 't> {
             |_, out| absorb(&mut cp, out, self.faults),
         );
         if let Err((k, msg)) = ran {
-            panic!("campaign worker panicked in chunk {}: {msg}", first + k);
+            let ci = first + k;
+            let range = chunk_range(ci, chunk_size, prefixes.len());
+            panic!(
+                "campaign worker panicked in chunk {ci} (prefixes {}..={}): {msg}",
+                prefixes[range.start],
+                prefixes[range.end - 1]
+            );
         }
         (cp, end >= n_chunks)
     }
@@ -747,8 +746,7 @@ impl<'s, 't> Campaign<'s, 't> {
         S: CampaignSink,
         F: Fn() -> S,
     {
-        let lo = ci * chunk_size;
-        let hi = lo.saturating_add(chunk_size).min(prefixes.len());
+        let range = chunk_range(ci, chunk_size, prefixes.len());
         let mut out = ChunkOutcome {
             sink: new_sink(),
             events: 0,
@@ -758,8 +756,8 @@ impl<'s, 't> Campaign<'s, 't> {
             diverged: Vec::new(),
             failures: Vec::new(),
         };
-        for (i, &prefix) in prefixes[lo..hi].iter().enumerate() {
-            let gi = lo + i;
+        for gi in range {
+            let prefix = prefixes[gi];
             if classes.is_first[gi] {
                 out.class_sims += 1;
             } else {
@@ -918,6 +916,25 @@ impl<'s, 't> Campaign<'s, 't> {
         self.faults
             .is_some_and(|plan| plan.targets(fault_site::ENGINE_FLOOD, prefix_fault_key(prefix)))
     }
+}
+
+/// The prefix-index range of chunk `ci`; never empty for a chunk that ran.
+fn chunk_range(ci: usize, chunk_size: usize, n_prefixes: usize) -> std::ops::Range<usize> {
+    let lo = ci * chunk_size;
+    lo..lo.saturating_add(chunk_size).min(n_prefixes)
+}
+
+/// Groups episodes by prefix, preserving time order within each prefix
+/// (stable sort, so same-time duplicates keep schedule order).
+fn group_by_prefix(originations: &[Origination]) -> BTreeMap<Prefix, Vec<&Origination>> {
+    let mut by_prefix: BTreeMap<Prefix, Vec<&Origination>> = BTreeMap::new();
+    for o in originations {
+        by_prefix.entry(o.prefix).or_default().push(o);
+    }
+    for eps in by_prefix.values_mut() {
+        eps.sort_by_key(|o| o.time);
+    }
+    by_prefix
 }
 
 /// Digest of a schedule's sorted prefix list, binding checkpoints to the
@@ -1275,9 +1292,8 @@ mod tests {
         let mut sim = SimSpec::new(&topo).retain(RetainRoutes::All).compile();
         for threads in [1, 4] {
             sim.set_threads(threads);
-            let campaign = Campaign::new(&sim).chunk_size(3);
-            let memoized = campaign.run(&eps, Trace::default);
-            let reference = campaign.memoize(false).run(&eps, Trace::default);
+            let [memoized, reference] = [Campaign::new(&sim), Campaign::unmemoized_reference(&sim)]
+                .map(|driver| driver.chunk_size(3).run(&eps, Trace::default));
             assert_eq!(memoized.sink, reference.sink, "threads = {threads}");
             assert_eq!(memoized.events, reference.events);
             assert_eq!(memoized.converged, reference.converged);
@@ -1287,8 +1303,8 @@ mod tests {
     #[test]
     fn class_counters_are_schedule_statistics() {
         // sims + hits always partitions the prefix set; sims equals the
-        // class count; and the counters are identical with memoization on
-        // or off (they describe the schedule, not the execution strategy).
+        // class count; and the unmemoized reference counts the same (they
+        // describe the schedule, not the execution strategy).
         let (topo, eps) = world();
         let sim = SimSpec::new(&topo).retain(RetainRoutes::All).compile();
         let campaign = Campaign::new(&sim).chunk_size(3);
@@ -1302,7 +1318,9 @@ mod tests {
         assert!(stats.classes >= 1 && stats.classes <= stats.prefixes);
 
         let memoized = campaign.run(&eps, Trace::default);
-        let plain = campaign.memoize(false).run(&eps, Trace::default);
+        let plain = Campaign::unmemoized_reference(&sim)
+            .chunk_size(3)
+            .run(&eps, Trace::default);
         assert_eq!(memoized.class_sims, stats.classes as u64);
         assert_eq!(memoized.class_sims + memoized.class_hits, n_prefixes as u64);
         assert_eq!(memoized.class_sims, plain.class_sims);
@@ -1313,7 +1331,8 @@ mod tests {
     fn replayed_outcomes_are_relabeled() {
         // Two prefixes from the same origin with identical attributes share
         // a class; the replayed member's outcome must carry *its* prefix in
-        // every route and observation the sink sees.
+        // every observation the sink sees, and — routes naming no prefix —
+        // the very routes the simulated member's did.
         use bgpworms_topology::{EdgeKind, Tier, Topology};
         let mut topo = Topology::new();
         topo.add_simple(Asn::new(1), Tier::Tier1);
@@ -1329,25 +1348,26 @@ mod tests {
 
         #[derive(Debug, Default)]
         struct LabelCheck {
-            folded: usize,
+            finals: Vec<crate::FinalRoutes>,
         }
         impl CampaignSink for LabelCheck {
             fn fold(&mut self, prefix: Prefix, outcome: PrefixOutcome) {
-                for route in outcome.final_routes.iter().flat_map(|m| m.values()) {
-                    assert_eq!(route.prefix, prefix, "replayed route kept the donor label");
-                }
                 for obs in outcome.observations.iter().flatten() {
                     assert_eq!(obs.prefix, prefix);
                 }
-                self.folded += 1;
+                self.finals.extend(outcome.final_routes);
             }
             fn merge(&mut self, other: Self) {
-                self.folded += other.folded;
+                self.finals.extend(other.finals);
             }
         }
         let run = campaign.run(&eps, LabelCheck::default);
-        assert_eq!(run.sink.folded, 2);
         assert_eq!(run.class_hits, 1, "second prefix must be a replay");
+        let [simulated, replayed] = run.sink.finals.as_slice() else {
+            panic!("both members retain their routes")
+        };
+        assert_eq!(simulated.len(), 2);
+        assert_eq!(simulated, replayed, "a class's members hold equal routes");
     }
 
     #[test]

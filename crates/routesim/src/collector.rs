@@ -236,7 +236,6 @@ mod tests {
             peer: Asn::new(peer),
             prefix,
             route: announced.then(|| Route {
-                prefix,
                 path: AsPath::from_asns([Asn::new(peer), Asn::new(1)]),
                 origin: Origin::Igp,
                 communities: vec![Community::new(peer as u16, 100)],

@@ -431,7 +431,7 @@ mod tests {
         CampaignCheckpoint {
             sink: Tally {
                 routes: 42,
-                note: "line \"one\"\n\ttab \\ done\u{1}".into(),
+                note: "line \"one\"\n\ttab \\ done\u{1} é".into(),
             },
             chunks_done: 7,
             chunk_size: 3,
@@ -444,7 +444,7 @@ mod tests {
             failures: vec![PrefixFailure {
                 prefix: "10.2.0.0/16".parse().unwrap(),
                 attempts: 3,
-                message: "poisoned: \"bad\"\nrecord".into(),
+                message: "poisoned: \"bad\"\nrecord C:\\tmp\u{7}".into(),
             }],
         }
     }
@@ -514,6 +514,48 @@ mod tests {
                 CampaignCheckpoint::<Tally>::from_json(&mangled).is_err(),
                 "{why} must be rejected"
             );
+        }
+    }
+
+    /// Restores `text`, whatever it is: `Ok` and `Err` are both answers, a
+    /// panic is not, and an error the cursor raised points into the text.
+    fn probe(text: &str) {
+        let verdict = std::panic::catch_unwind(|| CampaignCheckpoint::<Tally>::from_json(text))
+            .unwrap_or_else(|_| panic!("from_json panicked on {text:?}"));
+        let Err(err) = verdict else { return };
+        if let Some(rest) = err.strip_prefix("malformed checkpoint at byte ") {
+            let at = rest.split(':').next().and_then(|n| n.parse::<usize>().ok());
+            assert!(at.is_some_and(|at| at <= text.len()), "{err:?} on {text:?}");
+        }
+    }
+
+    #[test]
+    fn mutated_checkpoint_text_is_an_answer_never_a_panic() {
+        // One real checkpoint — a diverged prefix, a quarantine failure
+        // whose panic text holds quotes, a backslash and control characters,
+        // a sink text with a two-byte character — cut and damaged every way
+        // a file can be, deterministically.
+        let text = sample().to_json();
+        assert!(CampaignCheckpoint::<Tally>::from_json(&text).is_ok());
+        assert!(!text.is_ascii() && text.contains("\\u0007") && text.contains("\\\\"));
+        for (cut, _) in text.char_indices() {
+            probe(&text[..cut]);
+        }
+        let bytes = text.as_bytes();
+        for at in 0..bytes.len() {
+            for with in *b"{\"\\9," {
+                let mut damaged = bytes.to_vec();
+                damaged[at] = with;
+                // Half a two-byte character is not text: no `&str` holds it.
+                if let Ok(damaged) = String::from_utf8(damaged) {
+                    probe(&damaged);
+                }
+            }
+            // Each number one digit longer: past u64 for the digest, past
+            // u32 for an attempt count, past /32 for a prefix length.
+            if bytes[at].is_ascii_digit() && !bytes.get(at + 1).is_some_and(u8::is_ascii_digit) {
+                probe(&format!("{}9{}", &text[..=at], &text[at + 1..]));
+            }
         }
     }
 

@@ -82,16 +82,18 @@
 //! # Parallelism & determinism
 //!
 //! Distinct prefixes never interact (no aggregation, no per-table limits),
-//! so [`CompiledSim::run`] shards the prefix set over the crate's worker
-//! pool (`shard.rs` — claiming, publishing, ordered merge and panic
-//! handling are described there, once): one scratch per worker, outcomes
-//! folded in prefix order, observations sorted by `(time, peer, prefix)`.
+//! so one driver shards a schedule by prefix: [`crate::Campaign`], on the
+//! worker pool of `shard.rs` (which describes claiming, publishing, ordered
+//! merge and panic handling, once). [`CompiledSim::run`] *is* a campaign,
+//! over a sink that keeps every outcome, finished into a [`SimResult`] with
+//! every collector named and each feed sorted by `(time, peer, prefix)`.
 //! `threads = 1` and `threads = N` therefore produce identical
 //! [`SimResult`]s, and repeated [`CompiledSim::run`] calls are bit-identical
 //! (`run` never mutates the session). Scratch reuse is semantically
 //! invisible (`tests/determinism.rs` pins reuse ≡ fresh state per prefix).
-//! A panic on a worker is re-raised with the failing prefix named.
+//! A worker's panic is re-raised naming the failing chunk and its prefixes.
 
+use crate::campaign::{Campaign, CampaignSink};
 use crate::classify::{ClassKey, PrefixClassifier};
 use crate::collector::{CollectorObservation, CollectorSpec, FeedKind};
 use crate::fault::{fault_site, prefix_fault_key};
@@ -99,7 +101,6 @@ use crate::policy::{CommunityPropagationPolicy, IrrDatabase, RouterConfig};
 use crate::route::{Route, RouteArena, RouteId};
 use crate::router::{self, NodeState, RibEntry, ValidationCtx};
 use crate::scratch::{EventQueue, SessionPass, SimScratch, SimSnapshot};
-use crate::shard;
 use bgpworms_failpoint::FaultPlan;
 use bgpworms_topology::{NodeId, Role, Tier, Topology};
 use bgpworms_types::{AsPath, Asn, Community, Origin, Prefix};
@@ -298,8 +299,8 @@ impl<'a> SimSpec<'a> {
     }
 
     /// Sets the worker-thread count (1 = sequential; results are identical
-    /// either way). `threads` shards prefixes only — across workers in
-    /// [`CompiledSim::run`], across chunks in a campaign — and each flood
+    /// either way). `threads` shards prefixes only — workers claim a
+    /// campaign's chunks, [`CompiledSim::run`]'s included — and each flood
     /// is always the serial export sweep.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -309,10 +310,10 @@ impl<'a> SimSpec<'a> {
     /// Attaches a deterministic fault plan, consulted at the engine's
     /// registered fault sites (`engine::flood`, `snapshot::capture`,
     /// `snapshot::restore` — see [`crate::fault_site`]) and inherited by
-    /// campaigns built over the compiled session. Fault injection is never
-    /// configured through the environment; attaching a plan here is the
-    /// only way to arm it. With no plan attached every site is a single
-    /// `None` check.
+    /// campaigns built over the compiled session ([`CompiledSim::run`]'s
+    /// too). Fault injection is never configured through the environment;
+    /// attaching a plan here is the only way to arm it. With no plan
+    /// attached every site is a single `None` check.
     pub fn faults(mut self, plan: &'a FaultPlan) -> Self {
         self.faults = Some(plan);
         self
@@ -459,38 +460,55 @@ impl<'a> CompiledSim<'a> {
         self.faults
     }
 
-    /// Runs all origination episodes to convergence and collects results.
+    /// Runs all origination episodes to convergence and collects results:
+    /// a [`Campaign`] over this session whose sink keeps everything.
     /// Callable any number of times; the session is never mutated.
     pub fn run(&self, originations: &[Origination]) -> SimResult {
-        let by_prefix = group_by_prefix(originations);
-        self.run_grouped(&by_prefix, None).0
+        self.finish(Campaign::new(self).run(originations, Kept::default).sink.0)
     }
 
-    /// Like [`CompiledSim::run`], additionally capturing `prefix`'s
-    /// converged state as a [`SimSnapshot`] — in-flight, on the worker that
-    /// simulated it, with no second convergence pass. The snapshot is the
-    /// baseline input of [`CompiledSim::run_delta`] /
-    /// [`CompiledSim::run_delta_on`].
+    /// Converges `prefix`'s schedule like [`CompiledSim::run`] would and
+    /// additionally captures the converged state as a [`SimSnapshot`] — on
+    /// the scratch that flooded it, with no second convergence pass. The
+    /// snapshot is the baseline input of [`CompiledSim::run_delta`] /
+    /// [`CompiledSim::run_delta_prefix`].
     ///
     /// # Panics
     ///
-    /// Panics when `prefix` has no episode in `originations` (there would
-    /// be no converged state to capture).
+    /// Panics when `originations` holds no episode of `prefix` (there would
+    /// be no converged state to capture) or an episode of any other prefix:
+    /// a snapshot is one prefix's, and the rest of a schedule belongs in a
+    /// [`CompiledSim::run`] or a [`Campaign`] beside it.
     pub fn run_snapshot(
         &self,
         originations: &[Origination],
         prefix: Prefix,
     ) -> (SimResult, SimSnapshot) {
-        let by_prefix = group_by_prefix(originations);
         assert!(
-            by_prefix.contains_key(&prefix),
+            originations.iter().any(|ep| ep.prefix == prefix),
             "snapshot prefix {prefix} does not appear in the schedule"
         );
-        let (result, snap) = self.run_grouped(&by_prefix, Some(prefix));
-        // lint: infallible the assert above pins the prefix into the
-        // schedule, so exactly one worker simulated and captured it (a
-        // worker panic was already re-raised during the merge)
-        (result, snap.expect("snapshot prefix simulated"))
+        for ep in originations {
+            assert_eq!(
+                ep.prefix, prefix,
+                "a snapshot schedule holds one prefix: found an episode of {} beside \
+                 snapshot prefix {prefix}",
+                ep.prefix
+            );
+        }
+        let episodes = time_sorted(originations);
+        let last_time = episodes.last().map_or(0, |ep| ep.time);
+        let mut scratch = self.new_scratch();
+        let outcome = self.run_prefix(&mut scratch, prefix, &episodes);
+        if let Some(plan) = self.faults {
+            // Starvation is a no-op at a site with no budget.
+            let _ = plan.trip(fault_site::SNAPSHOT_CAPTURE, prefix_fault_key(prefix));
+        }
+        // The flat slot arrays, per-node scalars, touched list, arena and
+        // collector dedup state, restricted to the flood's footprint.
+        let offsets = self.topo.slot_offsets();
+        let snapshot = scratch.capture(offsets, prefix, last_time, outcome.clone());
+        (self.finish([(prefix, outcome)]), snapshot)
     }
 
     /// Incrementally re-converges `snapshot`'s prefix after appending the
@@ -521,9 +539,7 @@ impl<'a> CompiledSim<'a> {
                 snapshot.last_time
             );
         }
-        // Same stable time sort as `group_by_prefix` applies per prefix.
-        let mut episodes: Vec<&Origination> = delta.iter().collect();
-        episodes.sort_by_key(|o| o.time);
+        let episodes = time_sorted(delta);
         // A delta replay re-enters the flood, so it consults the same
         // `engine::flood` site as a fresh run (plus `snapshot::restore` for
         // the restore step itself).
@@ -555,136 +571,66 @@ impl<'a> CompiledSim<'a> {
         outcome
     }
 
-    /// Runs `delta` against a converged baseline snapshot and folds the
+    /// Runs `delta` against a converged baseline snapshot and finishes the
     /// outcome into a [`SimResult`] — bit-identical to
-    /// `run(baseline ++ delta)` when the baseline schedule contained only
-    /// the snapshot's prefix (the equivalence `tests/determinism.rs`
-    /// property-locks). For a snapshot taken inside a multi-prefix
-    /// baseline, use [`CompiledSim::run_delta_on`] to patch the full
-    /// baseline result instead.
+    /// `run(baseline ++ delta)` (the equivalence `tests/determinism.rs`
+    /// property-locks).
     pub fn run_delta(&self, snapshot: &SimSnapshot, delta: &[Origination]) -> SimResult {
-        let outcome = self.run_delta_prefix(snapshot, delta);
-        self.collect(vec![snapshot.prefix()], vec![outcome])
+        self.finish([(snapshot.prefix(), self.run_delta_prefix(snapshot, delta))])
     }
 
-    /// Patches a multi-prefix `baseline` result with a delta re-convergence
-    /// of `snapshot`'s prefix: every other prefix's contribution is kept
-    /// verbatim; the snapshot prefix's events, convergence flag, and
-    /// retained routes are replaced by the full-schedule delta outcome; and
-    /// the delta's *new* observations are appended and re-sorted.
-    /// Observation keys `(time, peer, prefix)` are unique, so append +
-    /// re-sort reproduces the fresh merge byte for byte — the whole call is
-    /// bit-identical to rerunning the entire baseline schedule plus
-    /// `delta`, at the cost of one prefix's blast radius.
-    ///
-    /// `baseline` must be the [`SimResult`] of the run that captured
-    /// `snapshot` (see [`CompiledSim::run_snapshot`]); the patch arithmetic
-    /// is meaningless against any other result.
-    pub fn run_delta_on(
-        &self,
-        baseline: &SimResult,
-        snapshot: &SimSnapshot,
-        delta: &[Origination],
-    ) -> SimResult {
-        let outcome = self.run_delta_prefix(snapshot, delta);
-        let base = snapshot.baseline_outcome();
-        let mut out = baseline.clone();
-        // Swap the prefix's baseline event count for its full-schedule one.
-        out.events = out.events - base.events + outcome.events;
-        // `outcome.converged` starts from the baseline flag and can only
-        // drop, so ANDing recovers exactly the fresh run's AND-over-prefixes.
-        out.converged = baseline.converged && outcome.converged;
-        for (ci, name) in self.collector_names.iter().enumerate() {
-            let fresh = &outcome.observations[ci][base.observations[ci].len()..];
-            if fresh.is_empty() {
-                continue;
-            }
-            let obs = out.observations.entry(name.clone()).or_default();
-            obs.extend(fresh.iter().cloned());
-            sort_feed(obs);
-        }
-        match outcome.final_routes {
-            Some(routes) => {
-                out.final_routes.insert(snapshot.prefix(), routes);
-            }
-            None => {
-                out.final_routes.remove(&snapshot.prefix());
-            }
-        }
-        out
-    }
-
-    /// Shared execution path of `run`/`run_snapshot`: simulates every
-    /// prefix on the worker pool (one scratch per worker), capturing
-    /// `snap_prefix`'s converged scratch on the worker that simulated it —
-    /// before the scratch is recycled, with no second convergence pass —
-    /// then folds the per-prefix outcomes in prefix order.
-    fn run_grouped(
-        &self,
-        by_prefix: &BTreeMap<Prefix, Vec<&Origination>>,
-        snap_prefix: Option<Prefix>,
-    ) -> (SimResult, Option<SimSnapshot>) {
-        let prefixes: Vec<Prefix> = by_prefix.keys().copied().collect();
-        let mut results = Vec::with_capacity(prefixes.len());
-        let mut snapshot = None;
-        let ran = shard::for_each_ordered(
-            self.threads,
-            prefixes.len(),
-            || self.new_scratch(),
-            |scratch, i| {
-                let (prefix, episodes) = (prefixes[i], &by_prefix[&prefixes[i]]);
-                let outcome = self.run_prefix(scratch, prefix, episodes);
-                let snap = (snap_prefix == Some(prefix))
-                    .then(|| self.snapshot(scratch, prefix, episodes, outcome.clone()));
-                (outcome, snap)
-            },
-            |_, (outcome, snap)| {
-                results.push(outcome);
-                if snap.is_some() {
-                    snapshot = snap;
-                }
-            },
-        );
-        if let Err((i, msg)) = ran {
-            let prefix = prefixes[i];
-            panic!("worker panicked while simulating prefix {prefix}: {msg}");
-        }
-        (self.collect(prefixes, results), snapshot)
-    }
-
-    /// Folds per-prefix outcomes (in prefix order) into a [`SimResult`]:
-    /// summed events, ANDed convergence, per-prefix retained route maps,
-    /// and collector observations sorted by `(time, peer, prefix)`.
-    fn collect(&self, prefixes: Vec<Prefix>, results: Vec<PrefixOutcome>) -> SimResult {
+    /// The one way a [`SimResult`] is made, from outcomes in ascending
+    /// prefix order: sums and ANDs the totals, keys retained routes by
+    /// prefix, names every collector of the session (one that heard nothing
+    /// keeps its empty feed) and sorts each feed once.
+    fn finish(&self, outcomes: impl IntoIterator<Item = (Prefix, PrefixOutcome)>) -> SimResult {
         let mut out = SimResult {
             converged: true,
             ..SimResult::default()
         };
-        for name in &self.collector_names {
-            out.observations.entry(name.clone()).or_default();
-        }
-        for (prefix, outcome) in prefixes.into_iter().zip(results) {
+        let mut feeds = vec![Vec::new(); self.collector_names.len()];
+        for (prefix, outcome) in outcomes {
             out.events += outcome.events;
             out.converged &= outcome.converged;
-            for (ci, mut obs) in outcome.observations.into_iter().enumerate() {
-                if !obs.is_empty() {
-                    // lint: infallible the observations map is pre-seeded
-                    // with every collector name before any worker runs
-                    out.observations
-                        .get_mut(&self.collector_names[ci])
-                        .expect("collector registered")
-                        .append(&mut obs);
-                }
+            for (feed, mut obs) in feeds.iter_mut().zip(outcome.observations) {
+                feed.append(&mut obs);
             }
             if let Some(routes) = outcome.final_routes {
                 out.final_routes.insert(prefix, routes);
             }
         }
-        for obs in out.observations.values_mut() {
-            sort_feed(obs);
+        for (name, mut feed) in self.collector_names.iter().zip(feeds) {
+            let named = out.observations.entry(name.clone()).or_default();
+            named.append(&mut feed);
+        }
+        for feed in out.observations.values_mut() {
+            sort_feed(feed);
         }
         out
     }
+}
+
+/// The sink behind [`CompiledSim::run`]: keeps every outcome, which fold
+/// and merge order leave in ascending prefix order.
+#[derive(Default)]
+struct Kept(Vec<(Prefix, PrefixOutcome)>);
+
+impl CampaignSink for Kept {
+    fn fold(&mut self, prefix: Prefix, outcome: PrefixOutcome) {
+        self.0.push((prefix, outcome));
+    }
+
+    fn merge(&mut self, mut other: Self) {
+        self.0.append(&mut other.0);
+    }
+}
+
+/// One prefix's episodes in time order, stably — same-time duplicates keep
+/// schedule order, as in a campaign's per-prefix grouping.
+fn time_sorted(episodes: &[Origination]) -> Vec<&Origination> {
+    let mut sorted: Vec<&Origination> = episodes.iter().collect();
+    sorted.sort_by_key(|ep| ep.time);
+    sorted
 }
 
 /// Sorts one collector's merged feed by `(time, peer, prefix)`, stably (an
@@ -718,22 +664,6 @@ pub(crate) fn inverse_role(role: Role) -> Role {
         Role::Provider => Role::Customer,
         Role::Peer => Role::Peer,
     }
-}
-
-/// Groups episodes by prefix, preserving time order within each prefix
-/// (stable sort, so same-time duplicates keep schedule order) — the shared
-/// pre-processing of [`CompiledSim::run`] and the campaign driver. The
-/// campaign ≡ run equivalence pinned by `tests/determinism.rs` depends on
-/// both paths using exactly this grouping.
-pub(crate) fn group_by_prefix(originations: &[Origination]) -> BTreeMap<Prefix, Vec<&Origination>> {
-    let mut by_prefix: BTreeMap<Prefix, Vec<&Origination>> = BTreeMap::new();
-    for o in originations {
-        by_prefix.entry(o.prefix).or_default().push(o);
-    }
-    for eps in by_prefix.values_mut() {
-        eps.sort_by_key(|o| o.time);
-    }
-    by_prefix
 }
 
 /// Total rendering of a caught panic payload: every payload produces a
@@ -784,6 +714,8 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// (generation stamp compare + one slot-range fill), so a prefix pays
 /// per-node setup only for the nodes its flood actually reaches.
 struct Routers<'s> {
+    /// The prefix being flooded, handed to every [`NodeState`] view.
+    prefix: Prefix,
     /// The current prefix's generation stamp.
     epoch: u32,
     /// CSR degree prefix-sum: node `i`'s global slots are
@@ -830,6 +762,7 @@ impl Routers<'_> {
         NodeState::new(
             self.asns[i],
             self.is_rs[i],
+            self.prefix,
             &mut self.rib_in[lo..hi],
             &mut self.local[i],
             &mut self.exported[lo..hi],
@@ -897,28 +830,6 @@ impl CompiledSim<'_> {
         }
     }
 
-    /// Captures a worker scratch that just converged `prefix` (together
-    /// with the run's per-prefix `outcome`) into a standalone
-    /// [`SimSnapshot`] — the flat slot arrays, per-node scalars, touched
-    /// list, arena, and collector dedup state, restricted to the flood's
-    /// footprint. See `SimScratch::capture`.
-    fn snapshot(
-        &self,
-        scratch: &SimScratch,
-        prefix: Prefix,
-        episodes: &[&Origination],
-        outcome: PrefixOutcome,
-    ) -> SimSnapshot {
-        // Episodes arrive time-sorted (`group_by_prefix`), so the last one
-        // carries the baseline's latest timestamp.
-        let last_time = episodes.last().map_or(0, |ep| ep.time);
-        if let Some(plan) = self.faults {
-            // Starvation is a no-op at a site with no budget.
-            let _ = plan.trip(fault_site::SNAPSHOT_CAPTURE, prefix_fault_key(prefix));
-        }
-        scratch.capture(self.topo.slot_offsets(), prefix, last_time, outcome)
-    }
-
     /// Converges `episodes` of `prefix` on top of whatever state `scratch`
     /// already holds, extending `outcome` in place. Callers hand it either
     /// a freshly recycled scratch with a blank outcome
@@ -965,6 +876,7 @@ impl CompiledSim<'_> {
             passes,
         } = scratch;
         let mut routers = Routers {
+            prefix,
             epoch: *epoch,
             offsets: self.topo.slot_offsets(),
             asns: &self.asns,
@@ -1001,7 +913,7 @@ impl CompiledSim<'_> {
                         id
                     }
                     _ => {
-                        let mut route = Route::originate(prefix, ep.communities.clone())
+                        let mut route = Route::originate(ep.communities.clone())
                             .with_large_communities(ep.large_communities.clone());
                         if let Some(victim) = ep.forged_origin {
                             route.path = AsPath::from_asns([victim]);
@@ -1084,6 +996,7 @@ impl CompiledSim<'_> {
                         (Some((best_id, learned_role)), None) => router::export_from_best(
                             self.asns[peer.index()],
                             self.is_rs[peer.index()],
+                            prefix,
                             best_id,
                             learned_role,
                             &self.configs[peer.index()],
@@ -1212,6 +1125,7 @@ impl CompiledSim<'_> {
                         router::export_from_best(
                             node.asn,
                             node.is_route_server,
+                            node.prefix,
                             best_id,
                             learned_role,
                             cfg,
@@ -1280,10 +1194,10 @@ fn monitor_role(feed: FeedKind) -> Role {
 
 /// Everything one prefix's episode schedule produced, before any merging.
 ///
-/// [`CompiledSim::run`] folds these into a [`SimResult`]; a
-/// [`crate::campaign::Campaign`] instead streams each one into a
-/// caller-supplied [`crate::campaign::CampaignSink`], so full-table runs
-/// never hold more than a work chunk of them at a time.
+/// A [`crate::campaign::Campaign`] streams each one into a
+/// [`crate::campaign::CampaignSink`], so full-table runs never hold more
+/// than a work chunk of them at a time; [`CompiledSim::run`] is the
+/// campaign whose sink keeps them all, for a [`SimResult`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PrefixOutcome {
     /// Collector observations, indexed by collector **position** in the
@@ -1298,9 +1212,10 @@ pub struct PrefixOutcome {
 }
 
 impl PrefixOutcome {
-    /// Rewrites every prefix label in the outcome to `prefix`: collector
-    /// observations (and the routes they carry) plus retained final
-    /// routes. `events` and `converged` are label-free and kept as-is.
+    /// Rewrites every prefix label in the outcome to `prefix`. Only the
+    /// collector observations carry one: routes do not name their prefix,
+    /// a sink is told it beside the outcome, and `events` and `converged`
+    /// are label-free.
     ///
     /// This is the replay half of flood memoization: for two prefixes in
     /// the same equivalence class (see `classify`), the engine's
@@ -1310,13 +1225,6 @@ impl PrefixOutcome {
     pub fn relabeled(mut self, prefix: Prefix) -> Self {
         for obs in self.observations.iter_mut().flatten() {
             obs.prefix = prefix;
-            if let Some(route) = obs.route.as_mut() {
-                route.prefix = prefix;
-            }
-        }
-        // One label per distinct route reaches every AS that holds it.
-        for route in self.final_routes.iter_mut().flat_map(|f| &mut f.routes) {
-            route.prefix = prefix;
         }
         self
     }
@@ -2150,10 +2058,14 @@ mod tests {
         let err = std::panic::catch_unwind(AssertUnwindSafe(|| sim.run(&eps)))
             .expect_err("the injected panic must propagate");
         let msg = panic_message(&*err);
+        // Three prefixes make three one-prefix chunks; the victim is chunk 1.
         assert!(
-            msg.starts_with("worker panicked while simulating prefix 20.0.0.0/16: injected ")
-                && msg.contains("`engine::flood`"),
-            "the prefix and the worker's own panic text must both survive, got: {msg}"
+            msg.starts_with(
+                "campaign worker panicked in chunk 1 (prefixes 20.0.0.0/16..=20.0.0.0/16): \
+                 injected "
+            ) && msg.contains("`engine::flood`"),
+            "the chunk, its prefixes and the worker's own panic text must all survive, \
+             got: {msg}"
         );
     }
 
@@ -2266,8 +2178,9 @@ mod tests {
         assert_eq!(distinct.len(), 3);
         assert_eq!(clones - flood_clones, 3, "one clone per distinct best");
 
-        // Relabeling rewrites those three routes and reaches all 41 ASes:
-        // the outcome is the one a flood of the other prefix produces.
+        // Relabeling has no route to rewrite: the retained table is, as
+        // stored, the one a flood of the other prefix produces — alone, or
+        // as the replayed member of this prefix's class.
         let other = p("10.1.0.0/16");
         let relabeled = PrefixOutcome {
             observations: Vec::new(),
@@ -2278,32 +2191,15 @@ mod tests {
         .relabeled(other)
         .final_routes
         .expect("kept");
-        assert!(relabeled.values().all(|route| route.prefix == other));
         assert!(relabeled.keys().eq(finals.keys()));
         let fresh = sim.run(&[Origination::announce(Asn::new(2), other, vec![])]);
         assert_eq!(relabeled, fresh.final_routes[&other]);
-    }
-
-    #[test]
-    fn delta_patch_updates_a_multi_prefix_baseline() {
-        let topo = line_topo();
-        let sim = observed_sim(&topo);
-        let attacked_prefix = p("10.0.0.0/16");
-        let baseline = vec![
-            Origination::announce(Asn::new(4), attacked_prefix, vec![]),
-            Origination::announce(Asn::new(1), p("20.0.0.0/16"), vec![]),
-        ];
-        let (base, snap) = sim.run_snapshot(&baseline, attacked_prefix);
-        let attack =
-            Origination::announce(Asn::new(4), attacked_prefix, vec![Community::new(3, 666)])
-                .at(500);
-        let mut combined = baseline.clone();
-        combined.push(attack.clone());
-        assert_eq!(
-            sim.run_delta_on(&base, &snap, &[attack]),
-            sim.run(&combined),
-            "patched baseline diverged from the fresh combined run"
-        );
+        let both = sim.run(&[
+            eps[0].clone(),
+            Origination::announce(Asn::new(2), other, vec![]),
+        ]);
+        assert_eq!(both.final_routes[&prefix], both.final_routes[&other]);
+        assert_eq!(both.final_routes[&prefix], *finals);
     }
 
     #[test]
@@ -2324,5 +2220,44 @@ mod tests {
         let sim = SimSpec::new(&topo).compile();
         let baseline = vec![Origination::announce(Asn::new(4), p("10.0.0.0/16"), vec![])];
         sim.run_snapshot(&baseline, p("99.0.0.0/16"));
+    }
+
+    #[test]
+    #[should_panic(expected = "an episode of 20.0.0.0/16 beside snapshot prefix 10.0.0.0/16")]
+    fn run_snapshot_refuses_an_episode_of_another_prefix() {
+        let topo = line_topo();
+        let sim = SimSpec::new(&topo).compile();
+        let schedule = [
+            Origination::announce(Asn::new(4), p("10.0.0.0/16"), vec![]),
+            Origination::announce(Asn::new(1), p("20.0.0.0/16"), vec![]),
+        ];
+        sim.run_snapshot(&schedule, p("10.0.0.0/16"));
+    }
+
+    #[test]
+    fn every_collector_is_named_whatever_it_heard() {
+        // AS4's customer-only feed never carries a route AS4 learned from
+        // its provider, so "deaf" hears nothing — and is still listed, as
+        // both are for the empty schedule.
+        let topo = line_topo();
+        let collector = |name: &str, peer, feed| CollectorSpec {
+            name: name.into(),
+            platform: "RIS".into(),
+            collector_id: 1,
+            peers: vec![(Asn::new(peer), feed)],
+        };
+        let sim = SimSpec::new(&topo)
+            .collector(collector("rrc00", 2, FeedKind::Full))
+            .collector(collector("deaf", 4, FeedKind::CustomerRoutesOnly))
+            .compile();
+        let res = sim.run(&[Origination::announce(Asn::new(1), p("20.0.0.0/16"), vec![])]);
+        assert_eq!(res.observations.len(), 2);
+        assert_eq!(res.observations["rrc00"].len(), 1);
+        assert!(res.observations["deaf"].is_empty());
+
+        let idle = sim.run(&[]);
+        assert!(idle.converged && idle.events == 0 && idle.final_routes.is_empty());
+        assert!(idle.observations.keys().eq(["deaf", "rrc00"]));
+        assert!(idle.observations.values().all(Vec::is_empty));
     }
 }

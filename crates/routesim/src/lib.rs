@@ -49,12 +49,12 @@
 //!
 //! ## Full-table runs: `Campaign` + `CampaignSink`
 //!
-//! [`CompiledSim::run`] collects everything it retained into one
-//! [`SimResult`] — the right shape for attack scenarios over a few
-//! prefixes, and `O(prefixes × ASes)` at full-table scale. For
-//! Internet-scale campaigns (the ~62 K-AS April-2018 population of
-//! `TopologyParams::internet()`), layer a [`Campaign`] on the session
-//! instead:
+//! [`CompiledSim::run`] is a [`Campaign`] whose sink keeps everything it
+//! retained, finished into one [`SimResult`] — the right shape for attack
+//! scenarios over a few prefixes, and `O(prefixes × ASes)` at full-table
+//! scale. For Internet-scale campaigns (the ~62 K-AS April-2018 population
+//! of `TopologyParams::internet()`), run the [`Campaign`] on the session
+//! yourself, with a sink that keeps only the aggregate:
 //!
 //! ```text
 //! Campaign::new(&compiled)         // borrows the session; threads come from it
@@ -82,8 +82,8 @@
 //! and without a community, compare who hears what. Re-flooding the whole
 //! Internet for the attacked half is wasteful when the attack perturbs one
 //! origination — real BGP converges incrementally from a standing RIB. The
-//! session API exposes exactly that: [`CompiledSim::run_snapshot`] runs a
-//! schedule and captures one prefix's converged worker state as a
+//! session API exposes exactly that: [`CompiledSim::run_snapshot`] runs one
+//! prefix's schedule and captures its converged worker state as a
 //! [`SimSnapshot`] (flat slot arrays, per-node scalars, touched list, and
 //! [`RouteArena`] — memcpy-class, restricted to the flood's footprint),
 //! and [`CompiledSim::run_delta`] restores it into a fresh scratch and
@@ -138,10 +138,8 @@
 //! assert_eq!(attacked, sim.run(&combined));
 //! ```
 //!
-//! For a snapshot captured inside a *multi-prefix* run (a full-table
-//! baseline, say), [`CompiledSim::run_delta_on`] patches the baseline
-//! [`SimResult`] with the delta outcome — every untouched prefix's
-//! contribution is kept verbatim. The per-prefix building block,
+//! A snapshot is one prefix's: the rest of a schedule runs beside it, in a
+//! [`CompiledSim::run`] or a [`Campaign`]. The per-prefix building block,
 //! [`CompiledSim::run_delta_prefix`], returns the raw [`PrefixOutcome`]
 //! for streaming consumers (e.g. folding into a `CampaignSink` such as the
 //! dataplane's `Fib`).
@@ -226,8 +224,8 @@
 //!
 //! Distinct prefixes are independent, which the engine exploits for
 //! parallelism: `threads` workers — each recycling its own scratch — claim
-//! prefixes (or, in a campaign, chunks) from the crate's one worker pool,
-//! and results are folded in index order, so `threads = 1` and
+//! a campaign's chunks of prefixes from the crate's one worker pool, and
+//! results are folded in index order, so `threads = 1` and
 //! `threads = N` produce identical results and repeated `run` calls on one
 //! session are bit-identical (property-locked in `tests/determinism.rs`).
 //! The scheme, and what happens when a worker panics, is described once,

@@ -14,7 +14,7 @@
 //! but the first of them get the stored id back without cloning or hashing
 //! a route.
 
-use bgpworms_types::{AsPath, Asn, Community, LargeCommunity, Origin, Prefix};
+use bgpworms_types::{AsPath, Asn, Community, LargeCommunity, Origin};
 use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -42,7 +42,9 @@ impl RouteSource {
     }
 }
 
-/// One route as held in a router's Adj-RIB-In / Loc-RIB.
+/// One route as held in a router's Adj-RIB-In / Loc-RIB. It does not name
+/// its destination: an arena serves one prefix's flood, and whatever carries
+/// a route out of it (an observation, a result key) has the prefix beside it.
 ///
 /// `Clone` is implemented by hand so every clone is counted (see
 /// [`route_clones`]): the engine's steady-state invariant — zero `Route`
@@ -50,8 +52,6 @@ impl RouteSource {
 /// counter.
 #[derive(Debug, PartialEq, Eq, Hash)]
 pub struct Route {
-    /// Destination prefix.
-    pub prefix: Prefix,
     /// AS path, collector-first (head = the AS that exported to us; the
     /// sender prepends itself on egress, so a route received from N has N
     /// at the head).
@@ -85,9 +85,8 @@ pub struct Route {
 
 impl Route {
     /// A locally originated route.
-    pub fn originate(prefix: Prefix, communities: Vec<Community>) -> Self {
+    pub fn originate(communities: Vec<Community>) -> Self {
         Route {
-            prefix,
             path: AsPath::empty(),
             origin: Origin::Igp,
             communities,
@@ -165,7 +164,6 @@ impl Clone for Route {
     fn clone(&self) -> Self {
         ROUTE_CLONES.with(|c| c.set(c.get() + 1));
         Route {
-            prefix: self.prefix,
             path: self.path.clone(),
             origin: self.origin,
             communities: self.communities.clone(),
@@ -454,13 +452,8 @@ impl RouteArena {
 mod tests {
     use super::*;
 
-    fn p() -> Prefix {
-        "10.0.0.0/8".parse().unwrap()
-    }
-
     fn route(lp: u32, path: &[u32], from: u32) -> Route {
         Route {
-            prefix: p(),
             path: AsPath::from_asns(path.iter().map(|&n| Asn::new(n))),
             origin: Origin::Igp,
             communities: vec![],
@@ -542,7 +535,7 @@ mod tests {
 
     #[test]
     fn originated_route_properties() {
-        let r = Route::originate(p(), vec![Community::new(1, 100)]);
+        let r = Route::originate(vec![Community::new(1, 100)]);
         assert_eq!(r.source, RouteSource::Local);
         assert_eq!(r.origin_as(Asn::new(7)), Some(Asn::new(7)));
         assert!(r.has_community(Community::new(1, 100)));

@@ -45,7 +45,9 @@ pub struct RibEntry {
 }
 
 /// One node's per-prefix router state, as mutable views over externally
-/// owned storage — the crate's only router type.
+/// owned storage — the crate's only router type. The view names the prefix
+/// being flooded: routes do not carry it, and prefix-sensitive policy (length
+/// floors, origin validation, targeted egress tags) reads it from here.
 ///
 /// All per-neighbor state is **adjacency-slot indexed**: the engine compiles
 /// each node's CSR neighbor slice once, and both the Adj-RIB-In and the
@@ -67,6 +69,8 @@ pub struct NodeState<'s> {
     /// True when the node is an IXP route server (transparent path,
     /// community-controlled redistribution).
     pub is_route_server: bool,
+    /// The prefix whose flood this state belongs to.
+    pub prefix: Prefix,
     /// Accepted candidate per sending neighbor, indexed by the sender's
     /// slot in this node's adjacency slice.
     rib_in: &'s mut [Option<RibEntry>],
@@ -89,6 +93,7 @@ impl<'s> NodeState<'s> {
     pub fn new(
         asn: Asn,
         is_route_server: bool,
+        prefix: Prefix,
         rib_in: &'s mut [Option<RibEntry>],
         local: &'s mut Option<RouteId>,
         exported: &'s mut [Option<RouteId>],
@@ -98,6 +103,7 @@ impl<'s> NodeState<'s> {
         NodeState {
             asn,
             is_route_server,
+            prefix,
             rib_in,
             local,
             exported,
@@ -197,6 +203,7 @@ impl<'s> NodeState<'s> {
         match admit_route(
             self.asn,
             self.is_route_server,
+            self.prefix,
             cfg,
             sender_role,
             arena.get(incoming_id),
@@ -287,6 +294,7 @@ impl<'s> NodeState<'s> {
         export_from_best(
             self.asn,
             self.is_route_server,
+            self.prefix,
             best_id,
             learned_role,
             cfg,
@@ -312,9 +320,9 @@ impl<'s> NodeState<'s> {
 
 /// The pure policy half of import: decides admission (`Err` = the rejection
 /// verdict; the caller clears the RIB slot) and computes the
-/// [`AdmitEffects`], as a pure function of (receiver identity, config,
-/// sender role, route content, validation registries) — so rejections cost
-/// no clone and no RIB borrow.
+/// [`AdmitEffects`], as a pure function of (receiver identity, the flooded
+/// prefix, config, sender role, route content, validation registries) — so
+/// rejections cost no clone and no RIB borrow.
 ///
 /// Import is three steps: this admission, run on every delivery; a probe of
 /// the arena's derivation cache under (incoming id, sender, these effects,
@@ -332,6 +340,7 @@ impl<'s> NodeState<'s> {
 fn admit_route(
     asn: Asn,
     is_route_server: bool,
+    prefix: Prefix,
     cfg: &RouterConfig,
     sender_role: Role,
     incoming: &Route,
@@ -353,7 +362,7 @@ fn admit_route(
             ActScope::Any => true,
             ActScope::CustomersOnly => sender_role == Role::Customer,
         };
-        let len_ok = match incoming.prefix {
+        let len_ok = match prefix {
             Prefix::V4(p) => p.len() >= bh.min_prefix_len,
             Prefix::V6(p) => p.len() >= 96,
         };
@@ -371,11 +380,11 @@ fn admit_route(
         let valid = match cfg.validation {
             OriginValidation::None => true,
             OriginValidation::Irr { .. } => match incoming.path.origin() {
-                Some(origin) => ctx.irr.is_registered(&incoming.prefix, origin),
+                Some(origin) => ctx.irr.is_registered(&prefix, origin),
                 None => false,
             },
             OriginValidation::Strict => match incoming.path.origin() {
-                Some(origin) => ctx.rpki.is_registered(&incoming.prefix, origin),
+                Some(origin) => ctx.rpki.is_registered(&prefix, origin),
                 None => false,
             },
         };
@@ -386,7 +395,7 @@ fn admit_route(
 
     // --- Prefix-length policy: small prefixes only enter as blackholes.
     if rtbh.is_none() {
-        let too_long = match incoming.prefix {
+        let too_long = match prefix {
             Prefix::V4(p) => p.len() > cfg.max_prefix_len_v4,
             Prefix::V6(p) => p.len() > 48,
         };
@@ -442,9 +451,9 @@ fn admit_route(
     })
 }
 
-/// Computes the advertisement a node whose best route is `best_id` (learned
-/// under `learned_role`) should send to `neighbor`, interned into `arena`,
-/// or `None` when nothing may be exported.
+/// Computes the advertisement for `prefix` that a node whose best route is
+/// `best_id` (learned under `learned_role`) should send to `neighbor`,
+/// interned into `arena`, or `None` when nothing may be exported.
 ///
 /// Everything here depends on the neighbor only through its ASN (the
 /// never-send-back check, route-server control communities, the
@@ -455,6 +464,7 @@ fn admit_route(
 pub(crate) fn export_from_best(
     asn: Asn,
     is_route_server: bool,
+    prefix: Prefix,
     best_id: RouteId,
     learned_role: Option<Role>,
     cfg: &RouterConfig,
@@ -568,7 +578,7 @@ pub(crate) fn export_from_best(
         cfg.tagging
             .targeted_egress
             .iter()
-            .filter(|(p, _)| *p == out.prefix)
+            .filter(|(p, _)| *p == prefix)
             .map(|(_, c)| *c),
     );
     if let Some(limit) = cfg.vendor.added_community_limit() {
@@ -690,7 +700,6 @@ mod tests {
 
     fn incoming(from: u32, path: &[u32], comms: &[Community]) -> Route {
         Route {
-            prefix: prefix(),
             path: AsPath::from_asns(path.iter().map(|&n| Asn::new(n))),
             origin: bgpworms_types::Origin::Igp,
             communities: comms.to_vec(),
@@ -711,6 +720,7 @@ mod tests {
     struct TestRouter {
         asn: Asn,
         is_route_server: bool,
+        prefix: Prefix,
         rib_in: Vec<Option<RibEntry>>,
         local: Option<RouteId>,
         exported: Vec<Option<RouteId>>,
@@ -723,6 +733,7 @@ mod tests {
             TestRouter {
                 asn,
                 is_route_server,
+                prefix: prefix(),
                 rib_in: vec![None; degree],
                 local: None,
                 exported: vec![None; degree],
@@ -731,11 +742,18 @@ mod tests {
             }
         }
 
+        /// The same router, flooding `prefix` instead of the default /16.
+        fn flooding(mut self, prefix: &str) -> Self {
+            self.prefix = prefix.parse().unwrap();
+            self
+        }
+
         /// The view under test plus the arena it interns into.
         fn state(&mut self) -> (NodeState<'_>, &mut RouteArena) {
             let node = NodeState::new(
                 self.asn,
                 self.is_route_server,
+                self.prefix,
                 &mut self.rib_in,
                 &mut self.local,
                 &mut self.exported,
@@ -855,14 +873,13 @@ mod tests {
     fn too_specific_rejected_unless_blackhole() {
         let mut cfg = RouterConfig::defaults(Asn::new(5));
         cfg.services.blackhole = Some(BlackholeService::default());
-        let mut r = TestRouter::new(Asn::new(5), false, 8);
+        let mut r = TestRouter::new(Asn::new(5), false, 8).flooding("10.0.0.0/30");
         let (irr, rpki) = ctx_empty();
         let ctx = ValidationCtx {
             irr: &irr,
             rpki: &rpki,
         };
         let mut route = incoming(2, &[2, 1], &[]);
-        route.prefix = "10.0.0.0/30".parse().unwrap();
         let v = r.import(&cfg, Asn::new(2), 1, Role::Peer, Some(route.clone()), ctx);
         assert_eq!(v, ImportVerdict::TooSpecific);
         // Same prefix tagged with the provider's blackhole community passes.
@@ -881,17 +898,15 @@ mod tests {
         // attacking AS path is longer".
         let mut cfg = RouterConfig::defaults(Asn::new(5));
         cfg.services.blackhole = Some(BlackholeService::default());
-        let mut r = TestRouter::new(Asn::new(5), false, 8);
+        let mut r = TestRouter::new(Asn::new(5), false, 8).flooding("10.0.0.0/24");
         let (irr, rpki) = ctx_empty();
         let ctx = ValidationCtx {
             irr: &irr,
             rpki: &rpki,
         };
-        let mut victim = incoming(2, &[2, 1], &[]);
-        victim.prefix = "10.0.0.0/24".parse().unwrap();
+        let victim = incoming(2, &[2, 1], &[]);
         r.import(&cfg, Asn::new(2), 1, Role::Customer, Some(victim), ctx);
-        let mut attack = incoming(3, &[3, 9, 8, 1], &[Community::new(5, 666)]);
-        attack.prefix = "10.0.0.0/24".parse().unwrap();
+        let attack = incoming(3, &[3, 9, 8, 1], &[Community::new(5, 666)]);
         r.import(&cfg, Asn::new(3), 2, Role::Peer, Some(attack), ctx);
         let best = r.best().unwrap();
         assert!(best.blackholed, "blackhole local-pref beats shorter path");
@@ -905,14 +920,13 @@ mod tests {
             scope: ActScope::CustomersOnly,
             ..BlackholeService::default()
         });
-        let mut r = TestRouter::new(Asn::new(5), false, 8);
+        let mut r = TestRouter::new(Asn::new(5), false, 8).flooding("10.0.0.0/24");
         let (irr, rpki) = ctx_empty();
         let ctx = ValidationCtx {
             irr: &irr,
             rpki: &rpki,
         };
-        let mut route = incoming(3, &[3, 1], &[Community::new(5, 666)]);
-        route.prefix = "10.0.0.0/24".parse().unwrap();
+        let route = incoming(3, &[3, 1], &[Community::new(5, 666)]);
         r.import(&cfg, Asn::new(3), 2, Role::Peer, Some(route.clone()), ctx);
         assert!(!r.best().unwrap().blackholed, "peer may not trigger RTBH");
         r.import(&cfg, Asn::new(3), 2, Role::Customer, Some(route), ctx);
@@ -971,9 +985,8 @@ mod tests {
             irr: &irr,
             rpki: &rpki,
         };
-        let mut r = TestRouter::new(Asn::new(5), false, 8);
-        let mut hijack = incoming(3, &[3, 9], &[Community::new(5, 666)]);
-        hijack.prefix = "10.0.0.0/24".parse().unwrap();
+        let mut r = TestRouter::new(Asn::new(5), false, 8).flooding("10.0.0.0/24");
+        let hijack = incoming(3, &[3, 9], &[Community::new(5, 666)]);
         let v = r.import(&cfg, Asn::new(3), 2, Role::Peer, Some(hijack.clone()), ctx);
         assert_eq!(v, ImportVerdict::Accepted, "hijack slips past validation");
         assert!(r.best().unwrap().blackholed);
@@ -981,7 +994,7 @@ mod tests {
         cfg.validation = OriginValidation::Irr {
             validate_after_blackhole: false,
         };
-        let mut r2 = TestRouter::new(Asn::new(5), false, 8);
+        let mut r2 = TestRouter::new(Asn::new(5), false, 8).flooding("10.0.0.0/24");
         let v = r2.import(&cfg, Asn::new(3), 2, Role::Peer, Some(hijack), ctx);
         assert_eq!(v, ImportVerdict::ValidationRejected);
     }
@@ -1469,8 +1482,8 @@ mod tests {
 
     /// Imports `incoming` at a one-neighbor receiver over throwaway RIB
     /// storage and returns the id installed in its Adj-RIB-In slot — the
-    /// shape of one delivery of a fan-out, with `arena` shared among the
-    /// receivers the way a prefix worker's is.
+    /// shape of one delivery of a /24's fan-out (long enough to trigger RTBH),
+    /// with `arena` shared among the receivers the way a prefix worker's is.
     fn deliver(
         arena: &mut RouteArena,
         (receiver, is_route_server): (u32, bool),
@@ -1487,6 +1500,7 @@ mod tests {
         let mut node = NodeState::new(
             Asn::new(receiver),
             is_route_server,
+            "10.0.0.0/24".parse().unwrap(),
             &mut rib_in,
             &mut local,
             &mut exported,
@@ -1589,9 +1603,7 @@ mod tests {
         assert!(arena.get(untagged).own_tags.is_empty());
 
         // RTBH `set_no_export`.
-        let mut trigger = incoming(2, &[2, 1], &[Community::BLACKHOLE]);
-        trigger.prefix = "10.0.0.0/24".parse().unwrap();
-        let trigger = arena.intern(trigger);
+        let trigger = arena.intern(incoming(2, &[2, 1], &[Community::BLACKHOLE]));
         let mut cfg = base.clone();
         cfg.services.blackhole = Some(BlackholeService::default());
         let with = deliver(&mut arena, (5, false), &cfg, (2, Role::Customer), trigger);

@@ -451,10 +451,7 @@ mod tests {
         assert_eq!(s.epoch, 1);
         s.node_epoch[2] = s.epoch;
         s.touched.push(2);
-        let stale = s.arena.intern(crate::route::Route::originate(
-            "10.0.0.0/16".parse().expect("valid prefix"),
-            vec![],
-        ));
+        let stale = s.arena.intern(crate::route::Route::originate(vec![]));
         s.monitor_state[1] = Some(stale);
         s.dirty.insert(2);
         s.begin_prefix();

@@ -2,9 +2,9 @@
 //! `threads` scoped workers and hand the results to a single consumer in
 //! ascending index order.
 //!
-//! Both sharded loops run on it — [`crate::CompiledSim::run`] (item = one
-//! prefix) and the [`crate::Campaign`] driver (item = one work chunk) — and
-//! it is the only place in the crate that spawns threads or touches an
+//! The crate's one sharded loop runs on it — the [`crate::Campaign`] driver
+//! (item = one work chunk), which [`crate::CompiledSim::run`] is a call of —
+//! and it is the only place in the crate that spawns threads or touches an
 //! atomic, so the argument for `threads = 1 ≡ threads = N` is made once:
 //!
 //! * **Claiming.** Workers take indices from a shared ticket counter, in

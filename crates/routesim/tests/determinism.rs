@@ -32,12 +32,20 @@
 //!   narrow flood footprints, so stale stamped state from a big flood can
 //!   never leak into a later prefix.
 //! * **Delta-re-convergence transparency** — restoring a converged
-//!   [`bgpworms_routesim::SimSnapshot`] and converging only appended
-//!   perturbation episodes (`run_delta` / `run_delta_on`) must be
-//!   bit-identical to rerunning the combined schedule from scratch, on
-//!   arbitrary worlds, across `threads = 1/N` on both the capturing and
-//!   the fresh side, for withdrawals and community-changing perturbations
-//!   alike. Snapshots are a replay shortcut, never a semantic one.
+//!   [`bgpworms_routesim::SimSnapshot`] of one prefix's schedule and
+//!   converging only appended perturbation episodes (`run_delta` /
+//!   `run_delta_prefix`) must be bit-identical to rerunning that prefix's
+//!   combined schedule from scratch — alone or inside the whole schedule,
+//!   at `threads = 1/N` — on arbitrary worlds, for withdrawals and
+//!   community-changing perturbations alike. Snapshots are a replay
+//!   shortcut, never a semantic one.
+//! * **An oracle that shares no code with the engine** — every check above
+//!   is the engine agreeing with a variant of itself (the reference loop
+//!   drives the engine's own `NodeState` policy). On policy-free,
+//!   IXP-free generated internets, a three-phase valley-free search over a
+//!   bare edge list must name, per AS, the route `run` converges to: whether
+//!   it holds one, the class of neighbour it came from, its hop count and
+//!   its next hop.
 //! * **Derivation-cache transparency** — the arena answers a repeated
 //!   import derivation (same advertisement, same policy outcome, any
 //!   receiver) from a cache instead of cloning and re-interning. A stream
@@ -52,8 +60,8 @@ use bgpworms_routesim::router::{NodeState, RibEntry, ValidationCtx};
 use bgpworms_routesim::{
     BlackholeService, Campaign, CampaignSink, CollectorObservation, CollectorSpec,
     CommunityPropagationPolicy, CompiledSim, FeedKind, FinalRoutes, IrrDatabase, OriginValidation,
-    Origination, PrefixOutcome, RetainRoutes, Route, RouteId, RouterConfig, SimResult, SimSpec,
-    MONITOR_ASN,
+    Origination, PrefixOutcome, RetainRoutes, Route, RouteId, RouteSource, RouterConfig, SimResult,
+    SimSpec, MONITOR_ASN,
 };
 use bgpworms_topology::{EdgeKind, NodeId, Role, Tier, Topology, TopologyParams};
 use bgpworms_types::{Asn, Community, Prefix};
@@ -236,6 +244,7 @@ fn spec_for<'a>(
 /// time through the engine's [`NodeState`] policy code.
 struct RefRouters<'t> {
     topo: &'t Topology,
+    prefix: Prefix,
     rib_in: Vec<Vec<Option<RibEntry>>>,
     local: Vec<Option<RouteId>>,
     exported: Vec<Vec<Option<RouteId>>>,
@@ -243,10 +252,11 @@ struct RefRouters<'t> {
 }
 
 impl<'t> RefRouters<'t> {
-    fn new(topo: &'t Topology) -> Self {
+    fn new(topo: &'t Topology, prefix: Prefix) -> Self {
         let degrees = || topo.node_ids().map(|id| topo.neighbors_ix(id).len());
         RefRouters {
             topo,
+            prefix,
             rib_in: degrees().map(|d| vec![None; d]).collect(),
             local: vec![None; topo.len()],
             exported: degrees().map(|d| vec![None; d]).collect(),
@@ -259,6 +269,7 @@ impl<'t> RefRouters<'t> {
         NodeState::new(
             node.asn,
             node.tier == Tier::RouteServer,
+            self.prefix,
             &mut self.rib_in[i],
             &mut self.local[i],
             &mut self.exported[i],
@@ -369,7 +380,7 @@ fn reference_run(
     let mut out = BTreeMap::new();
     for (prefix, episodes) in by_prefix {
         let mut arena = RouteArena::new();
-        let mut routers = RefRouters::new(topo);
+        let mut routers = RefRouters::new(topo, prefix);
         let mut queue: VecDeque<Ev> = VecDeque::new();
         let mut events = 0u64;
         let mut advertised: Vec<Option<RouteId>> = vec![None; sessions.len()];
@@ -403,7 +414,7 @@ fn reference_run(
             assert!(ep.forged_origin.is_none(), "reference skips forged paths");
             let local = (!ep.withdraw).then(|| {
                 arena.intern(
-                    Route::originate(prefix, ep.communities.clone())
+                    Route::originate(ep.communities.clone())
                         .with_large_communities(ep.large_communities.clone()),
                 )
             });
@@ -458,6 +469,159 @@ fn reference_run(
         feed.sort_by_key(|o| (o.time, o.peer, o.prefix));
     }
     Some((out, feeds))
+}
+
+/// Where the valley-free oracle says an AS got its route from, best first —
+/// the order of the default local preferences.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum LearnedFrom {
+    Itself,
+    Customer,
+    Peer,
+    Provider,
+}
+
+/// What one AS holds at the fixed point: (class, hop count, next hop).
+type Held = (LearnedFrom, usize, Option<Asn>);
+
+/// Gao–Rexford routing to one origin over a bare edge list, the textbook
+/// way and with none of the engine's code: up the customer cone level by
+/// level, one hop across a peering, then down the provider cone. A node
+/// keeps the first class that reaches it, then the fewest hops, then the
+/// lowest next-hop ASN — `Route::prefer`'s documented order under default
+/// local preferences. (Deliberately naive: maps, whole-graph rescans.)
+fn valley_free_oracle(edges: &[(Asn, Asn, EdgeKind)], origin: Asn) -> BTreeMap<Asn, Held> {
+    let mut providers: BTreeMap<Asn, Vec<Asn>> = BTreeMap::new();
+    let mut peers: BTreeMap<Asn, Vec<Asn>> = BTreeMap::new();
+    for &(a, b, kind) in edges {
+        match kind {
+            EdgeKind::ProviderToCustomer => providers.entry(b).or_default().push(a),
+            EdgeKind::PeerToPeer => {
+                peers.entry(a).or_default().push(b);
+                peers.entry(b).or_default().push(a);
+            }
+        }
+    }
+    let none = Vec::new();
+    // The better of what `at` holds and `(class, hops, via)`.
+    let offer = |held: &mut BTreeMap<Asn, Held>, at: Asn, candidate: Held| {
+        let slot = held.entry(at).or_insert(candidate);
+        *slot = (*slot).min(candidate);
+    };
+
+    let mut held = BTreeMap::from([(origin, (LearnedFrom::Itself, 0, None))]);
+    // Up: an AS tells its providers what its customers (or it) announced.
+    // Level by level, so the first offer to reach a provider is a shortest.
+    let mut level = vec![origin];
+    while !level.is_empty() {
+        let mut next = BTreeMap::new();
+        for &customer in &level {
+            let hops = held[&customer].1 + 1;
+            for &provider in providers.get(&customer).unwrap_or(&none) {
+                if !held.contains_key(&provider) {
+                    offer(
+                        &mut next,
+                        provider,
+                        (LearnedFrom::Customer, hops, Some(customer)),
+                    );
+                }
+            }
+        }
+        level = next.keys().copied().collect();
+        held.extend(next);
+    }
+    // Across: the same routes, and only those, cross one peering.
+    let uphill = held.clone();
+    for (&asn, &(_, hops, _)) in &uphill {
+        for &peer in peers.get(&asn).unwrap_or(&none) {
+            if !uphill.contains_key(&peer) {
+                offer(&mut held, peer, (LearnedFrom::Peer, hops + 1, Some(asn)));
+            }
+        }
+    }
+    // Down: everybody tells their customers whatever they hold; repeat
+    // until a sweep over all customers changes nothing.
+    let upper = held.clone();
+    loop {
+        let before = held.clone();
+        for (&customer, of) in &providers {
+            if upper.contains_key(&customer) {
+                continue;
+            }
+            for &provider in of {
+                if let Some(&(_, hops, _)) = before.get(&provider) {
+                    offer(
+                        &mut held,
+                        customer,
+                        (LearnedFrom::Provider, hops + 1, Some(provider)),
+                    );
+                }
+            }
+        }
+        if held == before {
+            return held;
+        }
+    }
+}
+
+/// The independent oracle against the engine: IXP-free generated internets
+/// (a transparent route server is policy), default configs, a handful of
+/// origins spread over the AS list, one prefix each.
+#[test]
+fn converged_routes_match_a_valley_free_search_that_shares_no_code() {
+    let presets = [TopologyParams::tiny(), TopologyParams::small()];
+    for preset in presets {
+        for seed in 0..64 {
+            let topo = TopologyParams {
+                n_ixp: 0,
+                ..preset.clone()
+            }
+            .seed(seed)
+            .build();
+            let edges: Vec<(Asn, Asn, EdgeKind)> = topo
+                .to_caida_lines()
+                .into_iter()
+                .map(|line| (line.a, line.b, line.kind))
+                .collect();
+            let ases: Vec<Asn> = topo.ases().map(|node| node.asn).collect();
+            let origins = [0, ases.len() / 3, ases.len() / 2, ases.len() - 1].map(|i| ases[i]);
+            let prefix_of =
+                |k: usize| -> Prefix { format!("10.{k}.0.0/16").parse().expect("valid prefix") };
+            let schedule: Vec<Origination> = origins
+                .iter()
+                .enumerate()
+                .map(|(k, &origin)| Origination::announce(origin, prefix_of(k), vec![]))
+                .collect();
+            let run = SimSpec::new(&topo)
+                .retain(RetainRoutes::All)
+                .compile()
+                .run(&schedule);
+            assert!(run.converged);
+
+            for (k, &origin) in origins.iter().enumerate() {
+                let oracle = valley_free_oracle(&edges, origin);
+                for &asn in &ases {
+                    let prefs = RouterConfig::defaults(asn).local_pref;
+                    let engine = run.route_at(asn, &prefix_of(k)).map(|route| {
+                        let class = match route.source {
+                            RouteSource::Local => LearnedFrom::Itself,
+                            _ if route.local_pref == prefs.customer => LearnedFrom::Customer,
+                            _ if route.local_pref == prefs.peer => LearnedFrom::Peer,
+                            _ if route.local_pref == prefs.provider => LearnedFrom::Provider,
+                            _ => panic!("{asn}: local-pref {} is no class's", route.local_pref),
+                        };
+                        (class, route.path.hop_count(), route.source.neighbor())
+                    });
+                    assert_eq!(
+                        engine,
+                        oracle.get(&asn).copied(),
+                        "seed {seed}, {} ASes, origin {origin}: AS {asn} (class, hops, next hop)",
+                        ases.len()
+                    );
+                }
+            }
+        }
+    }
 }
 
 /// The scratch-reuse oracle: runs every prefix of `originations` in its own
@@ -522,8 +686,8 @@ impl CampaignSink for KeyedSink {
 }
 
 /// Rebuilds the [`SimResult`] a plain [`CompiledSim::run`] would have
-/// produced from a [`KeyedSink`] aggregate — the merge logic of `run`,
-/// re-derived independently on top of the streaming API.
+/// produced from a [`KeyedSink`] aggregate — what `run` does to finish its
+/// own sink, re-derived independently on top of the streaming API.
 fn rebuild_sim_result(sim: &CompiledSim<'_>, agg: &KeyedSink) -> SimResult {
     let names = sim.collector_names();
     let mut out = SimResult {
@@ -681,8 +845,9 @@ proptest! {
     /// the random schedule, heard over full and customer-only feeds by
     /// random peers plus the peers whose exports no per-role memo can
     /// answer (the route server, every `ScopedToReceiver` AS), the engine's
-    /// feeds equal the reference's full sweep — at `threads = 1/N`, and
-    /// when the lifecycle arrives as a delta on a snapshot of the rest.
+    /// feeds equal the reference's full sweep — at `threads = 1/N`, and,
+    /// for that prefix's rows, when the lifecycle arrives as a delta on a
+    /// snapshot of the prefix's own earlier episodes.
     #[test]
     fn collector_sweep_matches_the_full_sweep_reference(raw in arb_world(), threads in 2usize..6) {
         let (topo, configs, mut collectors, baseline) = build_world(&raw);
@@ -728,10 +893,19 @@ proptest! {
         sim.set_threads(threads);
         prop_assert_eq!(&sim.run(&originations).observations, &reference, "sharded sweep diverged");
 
-        let (base, snap) = sim.run_snapshot(&baseline, prefix);
-        let patched = sim.run_delta_on(&base, &snap, &delta);
-        prop_assert_eq!(&patched.observations, &reference, "delta sweep diverged");
-        prop_assert_eq!(&patched, &run);
+        let own = |eps: &[Origination]| -> Vec<Origination> {
+            eps.iter().filter(|o| o.prefix == prefix).cloned().collect()
+        };
+        let (_, snap) = sim.run_snapshot(&own(&baseline), prefix);
+        let replayed = sim.run_delta(&snap, &delta);
+        let reference_rows: ReferenceFeeds = reference
+            .iter()
+            .map(|(name, feed)| {
+                (name.clone(), feed.iter().filter(|o| o.prefix == prefix).cloned().collect())
+            })
+            .collect();
+        prop_assert_eq!(&replayed.observations, &reference_rows, "delta sweep diverged");
+        prop_assert_eq!(&replayed, &sim.run(&own(&originations)));
     }
 
     /// Churn-heavy schedules — every episode immediately applied twice —
@@ -798,9 +972,10 @@ proptest! {
     /// threads must equal the collect-then-fold single-threaded reference
     /// (one chunk, one thread, then a plain sequential fold of the
     /// collected outcomes) — and rebuilding a [`SimResult`] from the
-    /// streamed aggregate must be bit-identical to [`CompiledSim::run`].
-    /// Streaming, chunking, and sharding are memory/throughput levers,
-    /// never semantic ones.
+    /// streamed aggregate (`rebuild_sim_result`, the merge written out
+    /// independently here) must be bit-identical to [`CompiledSim::run`],
+    /// the same driver finished by the engine. Streaming, chunking, and
+    /// sharding are memory/throughput levers, never semantic ones.
     #[test]
     fn campaign_streaming_equals_collect_then_fold(
         raw in arb_world(),
@@ -815,9 +990,8 @@ proptest! {
         // worlds this small the driver shrinks every schedule to
         // per-prefix chunks regardless of the configured bound, so the two
         // campaign runs differ in worker count, not chunk shape; the
-        // *independent* oracle is the `CompiledSim::run` cross-check at
-        // the end, whose merge logic lives in the engine, not the
-        // campaign driver.)
+        // *independent* part is the cross-check at the end, which holds
+        // `CompiledSim::run`'s finishing step to this file's own merge.)
         let collected = Campaign::new(&sim)
             .chunk_size(usize::MAX)
             .run(&originations, KeyedSink::default);
@@ -969,9 +1143,12 @@ proptest! {
         let mut sim = spec_for(&topo, configs, collectors).compile();
         for t in [1, threads] {
             sim.set_threads(t);
-            let campaign = Campaign::new(&sim).chunk_size(chunk);
-            let memoized = campaign.run(&originations, KeyedSink::default);
-            let plain = campaign.memoize(false).run(&originations, KeyedSink::default);
+            let memoized = Campaign::new(&sim)
+                .chunk_size(chunk)
+                .run(&originations, KeyedSink::default);
+            let plain = Campaign::unmemoized_reference(&sim)
+                .chunk_size(chunk)
+                .run(&originations, KeyedSink::default);
             prop_assert_eq!(&memoized.sink, &plain.sink, "memoized fold diverged, threads = {}", t);
             prop_assert_eq!(memoized.events, plain.events);
             prop_assert_eq!(memoized.converged, plain.converged);
@@ -988,14 +1165,14 @@ proptest! {
         }
     }
 
-    /// Delta re-convergence ≡ fresh run: snapshot one prefix's converged
-    /// baseline on an arbitrary world, append arbitrary perturbations
-    /// (community-changing announcements and withdrawals), and the
-    /// delta-patched result must be bit-identical to rerunning the combined
-    /// schedule from scratch — for the single-prefix `run_delta` fold, the
-    /// multi-prefix `run_delta_on` patch, and across `threads = 1/N` on
-    /// the capturing side (parallel and sequential captures must also be
-    /// identical snapshots), including the single-prefix capture + replay.
+    /// Delta re-convergence ≡ fresh run: snapshot the converged baseline of
+    /// one prefix's own schedule on an arbitrary world, append arbitrary
+    /// perturbations (community-changing announcements and withdrawals),
+    /// and the replay must be bit-identical to flooding the combined
+    /// schedule from scratch — as the `run_delta` result against a fresh
+    /// `run`, and as the `run_delta_prefix` outcome against what the prefix
+    /// folds to inside the *whole* world's schedule, at `threads = 1/N` on
+    /// the fresh side. Capture and replay never depend on the thread count.
     #[test]
     fn delta_reconvergence_equals_fresh_run(
         raw in arb_world(),
@@ -1010,9 +1187,13 @@ proptest! {
 
         // Perturb the first episode's prefix, strictly after its baseline.
         let target = originations[0].prefix;
-        let last_time = originations
+        let baseline: Vec<Origination> = originations
             .iter()
             .filter(|o| o.prefix == target)
+            .cloned()
+            .collect();
+        let last_time = baseline
+            .iter()
             .map(|o| o.time)
             .max()
             .expect("the target prefix has at least one episode");
@@ -1034,54 +1215,35 @@ proptest! {
                 }
             })
             .collect();
-        let mut combined = originations.clone();
+        let mut combined = baseline.clone();
         combined.extend(delta.iter().cloned());
+        let mut whole = originations.clone();
+        whole.extend(delta.iter().cloned());
 
-        // Multi-prefix: capture inside the full run, patch the result.
-        let (base, snap) = sim.run_snapshot(&originations, target);
-        prop_assert_eq!(&base, &sim.run(&originations), "run_snapshot changed the run");
-        let fresh = sim.run(&combined);
-        prop_assert_eq!(
-            &sim.run_delta_on(&base, &snap, &delta),
-            &fresh,
-            "delta patch diverged from the fresh combined run"
-        );
+        let (base, snap) = sim.run_snapshot(&baseline, target);
+        prop_assert_eq!(&base, &sim.run(&baseline), "run_snapshot changed the run");
+        let replayed = sim.run_delta(&snap, &delta);
+        let outcome = sim.run_delta_prefix(&snap, &delta);
 
-        // Single-prefix: run_delta folds the outcome itself.
-        let target_eps: Vec<Origination> = originations
-            .iter()
-            .filter(|o| o.prefix == target)
-            .cloned()
-            .collect();
-        let (solo_base, solo_snap) = sim.run_snapshot(&target_eps, target);
-        let solo_delta = sim.run_delta_prefix(&solo_snap, &delta);
-        let mut solo_combined = target_eps.clone();
-        solo_combined.extend(delta.iter().cloned());
-        prop_assert_eq!(
-            &sim.run_delta(&solo_snap, &delta),
-            &sim.run(&solo_combined),
-            "single-prefix run_delta diverged"
-        );
+        for t in [1, threads] {
+            sim.set_threads(t);
+            prop_assert_eq!(
+                &sim.run(&combined), &replayed,
+                "delta diverged from the fresh combined run, threads = {}", t
+            );
+            let streamed = Campaign::new(&sim).run(&whole, KeyedSink::default);
+            prop_assert_eq!(
+                &streamed.sink.0[&target], &outcome,
+                "delta diverged from the prefix's fold in the whole schedule, threads = {}", t
+            );
+        }
 
-        // Sharded capture: the parallel snapshot is the sequential one,
-        // and the patched result still matches.
-        sim.set_threads(threads);
-        let (par_base, par_snap) = sim.run_snapshot(&originations, target);
-        prop_assert_eq!(&par_base, &base, "sharded baseline diverged");
-        prop_assert_eq!(&par_snap, &snap, "sharded capture diverged");
-        prop_assert_eq!(&sim.run_delta_on(&par_base, &par_snap, &delta), &fresh);
-
-        // Thread count never changes a single-prefix result: `threads`
-        // shards prefixes only, so the solo capture and its delta replay
-        // at `threads = N` are the `threads = 1` ones.
-        let (par_solo_base, par_solo_snap) = sim.run_snapshot(&target_eps, target);
-        prop_assert_eq!(&par_solo_base, &solo_base, "single-prefix run diverged");
-        prop_assert_eq!(&par_solo_snap, &solo_snap, "single-prefix capture diverged");
-        prop_assert_eq!(
-            &sim.run_delta_prefix(&par_solo_snap, &delta),
-            &solo_delta,
-            "single-prefix delta replay diverged"
-        );
+        // `threads` shards prefixes only: the capture and its replay at
+        // `threads = N` are the `threads = 1` ones.
+        let (par_base, par_snap) = sim.run_snapshot(&baseline, target);
+        prop_assert_eq!(&par_base, &base, "capturing run diverged");
+        prop_assert_eq!(&par_snap, &snap, "capture diverged");
+        prop_assert_eq!(&sim.run_delta_prefix(&par_snap, &delta), &outcome);
     }
 
     /// Cache hit ≡ clone + apply + intern. Random receivers (ordinary and
@@ -1113,7 +1275,7 @@ proptest! {
             vec![Community::new(2, 666), Community::NO_EXPORT],
         ];
         let advert = |ix: usize, sender: u32| {
-            let mut r = Route::originate("10.0.0.0/24".parse().expect("valid prefix"), pool[ix].clone());
+            let mut r = Route::originate(pool[ix].clone());
             r.path = [sender + 100, 200].into_iter().map(Asn::new).collect();
             r.local_pref = 0;
             r
@@ -1143,8 +1305,10 @@ proptest! {
             let role = [Role::Customer, Role::Peer, Role::Provider][usize::from(role)];
             let incoming = arena.intern(advert(ix, sender));
             let (mut rib_in, mut local, mut exported, mut last) = ([None], None, [None], None);
+            let prefix = "10.0.0.0/24".parse().expect("valid prefix");
             let mut node = NodeState::new(
-                Asn::new(recv), is_route_server, &mut rib_in, &mut local, &mut exported, &mut last,
+                Asn::new(recv), is_route_server, prefix,
+                &mut rib_in, &mut local, &mut exported, &mut last,
             );
             let verdict = node.import(&cfg, Asn::new(sender + 100), 0, role, Some(incoming), arena, vctx);
             (verdict, node.best(arena).cloned())
@@ -1216,9 +1380,12 @@ proptest! {
         let mut sim = spec.compile();
         for t in [1, threads] {
             sim.set_threads(t);
-            let campaign = Campaign::new(&sim).chunk_size(2);
-            let memoized = campaign.run(&originations, KeyedSink::default);
-            let plain = campaign.memoize(false).run(&originations, KeyedSink::default);
+            let memoized = Campaign::new(&sim)
+                .chunk_size(2)
+                .run(&originations, KeyedSink::default);
+            let plain = Campaign::unmemoized_reference(&sim)
+                .chunk_size(2)
+                .run(&originations, KeyedSink::default);
             prop_assert_eq!(
                 &memoized.sink, &plain.sink,
                 "memoization corrupted a prefix-sensitive world, threads = {}", t

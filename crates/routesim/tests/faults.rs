@@ -15,14 +15,15 @@
 //!   is reported structurally while the rest of the schedule completes,
 //!   and the report survives checkpoint round trips;
 //! * **budget starvation** degrades gracefully into a structured
-//!   `diverged` tally, identical with memoization on or off;
+//!   `diverged` tally, identical to the unmemoized reference's;
 //! * injected crashes are **never** retried in-process — only the durable
 //!   checkpoint layer survives them.
 
 use bgpworms_failpoint::{crash_payload, FaultKind, FaultPlan};
 use bgpworms_routesim::{
     fault_site, panic_message, prefix_fault_key, Campaign, CampaignCheckpoint, CampaignRun,
-    CampaignSink, DurableSink, FaultPolicy, Origination, PrefixOutcome, RetainRoutes, SimSpec,
+    CampaignSink, CompiledSim, DurableSink, FaultPolicy, Origination, PrefixOutcome, RetainRoutes,
+    SimSpec,
 };
 use bgpworms_topology::{PrefixAllocation, Topology, TopologyParams};
 use bgpworms_types::Prefix;
@@ -253,8 +254,10 @@ fn snapshot_site_crashes_name_their_site_and_clean_reruns_match() {
     let victim = eps[0].prefix;
     let delta = vec![Origination::announce(eps[0].origin, victim, vec![]).at(600)];
 
+    // A snapshot is one prefix's: capture the victim's own schedule.
+    let eps = &eps[..1];
     let reference_sim = SimSpec::new(&topo).retain(RetainRoutes::All).compile();
-    let (ref_result, ref_snap) = reference_sim.run_snapshot(&eps, victim);
+    let (ref_result, ref_snap) = reference_sim.run_snapshot(eps, victim);
     let ref_outcome = reference_sim.run_delta_prefix(&ref_snap, &delta);
 
     // Crash while capturing the snapshot.
@@ -268,7 +271,7 @@ fn snapshot_site_crashes_name_their_site_and_clean_reruns_match() {
         .retain(RetainRoutes::All)
         .faults(&plan)
         .compile();
-    let err = catch_unwind(AssertUnwindSafe(|| sim.run_snapshot(&eps, victim)))
+    let err = catch_unwind(AssertUnwindSafe(|| sim.run_snapshot(eps, victim)))
         .expect_err("capture crash must propagate");
     assert!(
         panic_message(&*err).contains("snapshot::capture"),
@@ -277,7 +280,7 @@ fn snapshot_site_crashes_name_their_site_and_clean_reruns_match() {
     );
     // The firing is consumed: the rerun is clean and matches the
     // fault-free reference exactly.
-    let (result, snap) = sim.run_snapshot(&eps, victim);
+    let (result, snap) = sim.run_snapshot(eps, victim);
     assert_eq!(result, ref_result);
     assert_eq!(sim.run_delta_prefix(&snap, &delta), ref_outcome);
 
@@ -292,7 +295,7 @@ fn snapshot_site_crashes_name_their_site_and_clean_reruns_match() {
         .retain(RetainRoutes::All)
         .faults(&plan)
         .compile();
-    let (_, snap) = sim.run_snapshot(&eps, victim);
+    let (_, snap) = sim.run_snapshot(eps, victim);
     let err = catch_unwind(AssertUnwindSafe(|| sim.run_delta_prefix(&snap, &delta)))
         .expect_err("restore crash must propagate");
     assert!(
@@ -310,8 +313,15 @@ fn transient_faults_under_retry_are_invisible_in_results() {
     assert!(prefixes.len() >= 4, "needs a multi-prefix world");
     let (flaky_a, flaky_b) = (prefixes[1], prefixes[prefixes.len() - 2]);
 
+    fn driver<'s, 't>(sim: &'s CompiledSim<'t>, memoized: bool) -> Campaign<'s, 't> {
+        if memoized {
+            Campaign::new(sim)
+        } else {
+            Campaign::unmemoized_reference(sim)
+        }
+    }
     for threads in [1usize, 4] {
-        for memoize in [true, false] {
+        for memoized in [true, false] {
             // Fresh plan per configuration: counters are part of plan
             // state, and each run must see the same firing schedule.
             let plan = FaultPlan::new()
@@ -332,21 +342,19 @@ fn transient_faults_under_retry_are_invisible_in_results() {
                 .faults(&plan)
                 .compile();
             sim.set_threads(threads);
-            let run = Campaign::new(&sim)
+            let run = driver(&sim, memoized)
                 .chunk_size(2)
-                .memoize(memoize)
                 .fault_policy(FaultPolicy::Retry { attempts: 3 })
                 .run(&eps, Ledger::default);
 
             let mut ref_sim = SimSpec::new(&topo).retain(RetainRoutes::All).compile();
             ref_sim.set_threads(threads);
-            let reference = Campaign::new(&ref_sim)
+            let reference = driver(&ref_sim, memoized)
                 .chunk_size(2)
-                .memoize(memoize)
                 .run(&eps, Ledger::default);
             assert_eq!(
                 run, reference,
-                "threads {threads}, memoize {memoize}: retried faults leaked into results"
+                "threads {threads}, memoized {memoized}: retried faults leaked into results"
             );
         }
     }
@@ -488,7 +496,9 @@ fn starved_prefix_reports_structured_divergence() {
 
     // Starved prefixes bypass the class memo, pinning the fault to the
     // targeted prefix: memoized ≡ unmemoized still holds.
-    let plain = campaign.memoize(false).run(&eps, Ledger::default);
+    let plain = Campaign::unmemoized_reference(&sim)
+        .chunk_size(2)
+        .run(&eps, Ledger::default);
     assert_eq!(run, plain);
 }
 

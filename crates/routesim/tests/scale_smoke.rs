@@ -158,7 +158,7 @@ fn full_table_smoke() {
     );
 
     // Spot-check soundness at scale: the unmemoized fold agrees.
-    let plain = campaign.memoize(false).run(&episodes, RouteCount::default);
+    let plain = Campaign::unmemoized_reference(&sim).run(&episodes, RouteCount::default);
     assert_eq!(
         memoized.sink, plain.sink,
         "memoized fold diverged at Internet scale"

@@ -200,9 +200,12 @@ impl Run {
             eprintln!("[repro] building snapshot (scale {scale:?}, seed {seed}) …");
             let snap = Snapshot::build(scale, seed);
             eprintln!(
-                "[repro] snapshot ready: {} observations from {} engine events",
+                "[repro] snapshot ready: {} observations from {} engine events ({} of {} ASes \
+                 are unread leaves; deliveries to them are counted, not simulated)",
                 snap.observations.observations.len(),
-                snap.events
+                snap.events,
+                snap.unread_ases,
+                snap.topo.len()
             );
             snap
         })

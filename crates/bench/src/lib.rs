@@ -66,8 +66,12 @@ pub struct Snapshot {
     /// Ground-truth blackhole communities (the "verified list" analogue:
     /// `ASN:666` of every AS that actually runs the service).
     pub verified_blackhole: BTreeSet<Community>,
-    /// Update events processed by the propagation engine.
+    /// Update events delivered by the propagation engine.
     pub events: u64,
+    /// ASes whose routes nothing reads (no customer, no collector session,
+    /// not a route server): the engine counts deliveries to them without
+    /// simulating them.
+    pub unread_ases: usize,
 }
 
 impl Snapshot {
@@ -102,10 +106,9 @@ impl Snapshot {
         };
         let workload = Workload::generate(&topo, &alloc, &params);
 
-        let result = workload
-            .simulation(&topo)
-            .compile()
-            .run(&workload.originations);
+        let sim = workload.simulation(&topo).compile();
+        let unread_ases = sim.unread_nodes();
+        let result = sim.run(&workload.originations);
 
         let archives = archive_all(
             &workload.collectors,
@@ -138,6 +141,7 @@ impl Snapshot {
             observations,
             verified_blackhole,
             events: result.events,
+            unread_ases,
         }
     }
 

@@ -139,7 +139,7 @@
 //! ```
 
 use crate::classify::ClassKey;
-use crate::engine::{panic_message, CompiledSim, Origination, PrefixOutcome};
+use crate::engine::{panic_message, CompiledSim, Origination, PrefixOutcome, ScratchReader};
 use crate::fault::{fault_site, fnv1a_extend, prefix_fault_key};
 use crate::shard;
 use bgpworms_failpoint::FaultPlan;
@@ -870,7 +870,10 @@ impl<'s, 't> Campaign<'s, 't> {
         }
         let memo = memo.filter(|_| !self.engine_fault_targeted(prefix));
         match memo {
-            None => self.sim.run_prefix(scratch, prefix, &by_prefix[&prefix]),
+            None => {
+                self.sim
+                    .run_prefix(scratch, prefix, &by_prefix[&prefix], ScratchReader::Nobody)
+            }
             Some(memo) => {
                 // A poisoned slot is still consistent: a panicking
                 // simulation never half-fills `outcome`, so we can
@@ -879,7 +882,12 @@ impl<'s, 't> Campaign<'s, 't> {
                     .lock()
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
                 if slot.outcome.is_none() {
-                    slot.outcome = Some(self.sim.run_prefix(scratch, prefix, &by_prefix[&prefix]));
+                    slot.outcome = Some(self.sim.run_prefix(
+                        scratch,
+                        prefix,
+                        &by_prefix[&prefix],
+                        ScratchReader::Nobody,
+                    ));
                 }
                 slot.remaining -= 1;
                 let stored = if slot.remaining == 0 {

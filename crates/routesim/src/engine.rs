@@ -61,6 +61,24 @@
 //! `ScopedToReceiver` defense), so a high-degree transit interns each
 //! changed export once per role instead of once per neighbor.
 //!
+//! # Unread leaves: a flood costs what is read
+//!
+//! The footprint is the cost of what *changed*; most of it is still work
+//! nobody *reads*. An AS with no customer, no collector session and no
+//! route-server role can never export a route it learned (Gao–Rexford: the
+//! route came from a peer or provider and every neighbor is one), so what
+//! it imports shows only in retained `final_routes`, in a [`SimSnapshot`],
+//! or once it originates itself. `SimSpec::compile` marks those nodes once
+//! (`unread_leaves`, which carries the argument), and a flood with none of
+//! the three readers — an unretained prefix of a campaign — pops a delivery
+//! to such a node, counts it in `events` against the budget like any other,
+//! and drops it: no stamp, no admission, no derivation probe, no dirty
+//! mark, hence no best scan and no adjacency walk. On the generated
+//! internets that is ≈ 87 % of the ASes and ≈ 85 % of the deliveries. A
+//! retained prefix, [`CompiledSim::run_snapshot`] and a delta on a restored
+//! snapshot flood in full, so `RetainRoutes::All` and `run_snapshot(..).0`
+//! are the un-elided oracles `tests/determinism.rs` holds the rest to.
+//!
 //! # Collector sweep: only sessions whose peer's best route moved
 //!
 //! What a peer advertises to a collector is a pure function of its best
@@ -192,7 +210,8 @@ pub struct SimResult {
     pub observations: BTreeMap<String, Vec<CollectorObservation>>,
     /// Final best route per (prefix, AS) — only for retained prefixes.
     pub final_routes: BTreeMap<Prefix, FinalRoutes>,
-    /// Total update events processed across all prefixes.
+    /// Total update events delivered across all prefixes — counted whether
+    /// or not anyone reads the receiver (see [`PrefixOutcome::events`]).
     pub events: u64,
     /// True if every prefix converged within the event budget.
     pub converged: bool,
@@ -364,6 +383,7 @@ impl<'a> SimSpec<'a> {
         for i in 0..n {
             session_offsets[i + 1] += session_offsets[i];
         }
+        let unread = unread_leaves(self.topo, &is_rs, &session_offsets);
         let collector_names = self.collectors.iter().map(|s| s.name.clone()).collect();
         // The prefix-sensitivity summary the campaign's flood memoization
         // keys classes by — compiled from the *resolved* configs, so
@@ -374,6 +394,7 @@ impl<'a> SimSpec<'a> {
             configs,
             asns,
             is_rs,
+            unread,
             collector_names,
             collector_peers,
             session_offsets,
@@ -387,6 +408,38 @@ impl<'a> SimSpec<'a> {
             faults: self.faults,
         }
     }
+}
+
+/// Which nodes no reader of a flood can see into: node *i* is an **unread
+/// leaf** iff it is not a route server, no adjacency entry plays
+/// [`Role::Customer`] for it, and it carries no collector session
+/// (`session_offsets[i] == session_offsets[i + 1]`).
+///
+/// Soundness, from `router::export_from_best`: an ordinary node exports a
+/// learned route only when `learned_role == Customer` — this node has no
+/// customer to learn from — or `neighbor_role == Customer` — it has no
+/// customer to send to, and the one other neighbour that plays `Customer` is
+/// the monitor of a full-feed collector session, which it does not carry. A
+/// route server redistributes among its members and is excluded outright. So
+/// the only non-`None` export such a node ever makes is of its own `local`
+/// route, and what it imports — its Adj-RIB-In, its best route, its
+/// all-`None` export pass — is visible only through three readers: retained
+/// `final_routes`, a [`SimSnapshot`] (a later delta may originate at the node
+/// or retain), and the node's own originations. A flood with none of the
+/// three counts a delivery to an unread leaf and drops it (the guard in
+/// `continue_prefix`); nothing the run returns depends on the difference.
+fn unread_leaves(topo: &Topology, is_rs: &[bool], session_offsets: &[u32]) -> Vec<bool> {
+    topo.node_ids()
+        .map(|id| {
+            let i = id.index();
+            !is_rs[i]
+                && session_offsets[i] == session_offsets[i + 1]
+                && topo
+                    .neighbors_ix(id)
+                    .iter()
+                    .all(|&(_, role, _)| role != Role::Customer)
+        })
+        .collect()
 }
 
 /// A compiled simulation session: everything the per-event hot path
@@ -406,6 +459,9 @@ pub struct CompiledSim<'a> {
     asns: Vec<Asn>,
     /// Per-node route-server flag, indexed by [`NodeId::index`].
     is_rs: Vec<bool>,
+    /// Per-node "nobody reads this node's routes" flag, indexed by
+    /// [`NodeId::index`] — see [`unread_leaves`].
+    unread: Vec<bool>,
     /// Collector names, in spec order (keys of the result map).
     collector_names: Vec<String>,
     /// Collector sessions resolved to node ids: `(collector index, peer,
@@ -460,6 +516,13 @@ impl<'a> CompiledSim<'a> {
         self.faults
     }
 
+    /// How many nodes are unread leaves — no customer, no collector session,
+    /// not a route server. A flood that neither retains its prefix nor feeds
+    /// a snapshot counts deliveries to them without simulating them.
+    pub fn unread_nodes(&self) -> usize {
+        self.unread.iter().filter(|&&unread| unread).count()
+    }
+
     /// Runs all origination episodes to convergence and collects results:
     /// a [`Campaign`] over this session whose sink keeps everything.
     /// Callable any number of times; the session is never mutated.
@@ -499,7 +562,7 @@ impl<'a> CompiledSim<'a> {
         let episodes = time_sorted(originations);
         let last_time = episodes.last().map_or(0, |ep| ep.time);
         let mut scratch = self.new_scratch();
-        let outcome = self.run_prefix(&mut scratch, prefix, &episodes);
+        let outcome = self.run_prefix(&mut scratch, prefix, &episodes, ScratchReader::Snapshot);
         if let Some(plan) = self.faults {
             // Starvation is a no-op at a site with no budget.
             let _ = plan.trip(fault_site::SNAPSHOT_CAPTURE, prefix_fault_key(prefix));
@@ -567,6 +630,7 @@ impl<'a> CompiledSim<'a> {
             &episodes,
             &mut outcome,
             budget,
+            ScratchReader::Snapshot,
         );
         outcome
     }
@@ -780,6 +844,17 @@ fn role_ix(role: Role) -> usize {
     }
 }
 
+/// Who reads the per-node state a flood leaves in its scratch, beyond the
+/// flood itself and the retention sweep that ends it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ScratchReader {
+    /// Nobody: the next prefix recycles the scratch (a campaign's floods).
+    Nobody,
+    /// A [`SimSnapshot`], captured from the scratch after the flood or
+    /// restored into it before.
+    Snapshot,
+}
+
 impl CompiledSim<'_> {
     /// Allocates per-worker scratch sized for this session. One scratch per
     /// worker, reused across every prefix that worker runs — see
@@ -799,6 +874,7 @@ impl CompiledSim<'_> {
         scratch: &mut SimScratch,
         prefix: Prefix,
         episodes: &[&Origination],
+        reader: ScratchReader,
     ) -> PrefixOutcome {
         let budget = self.prefix_budget(prefix);
         scratch.begin_prefix();
@@ -808,7 +884,7 @@ impl CompiledSim<'_> {
             events: 0,
             converged: true,
         };
-        self.continue_prefix(scratch, prefix, episodes, &mut outcome, budget);
+        self.continue_prefix(scratch, prefix, episodes, &mut outcome, budget, reader);
         outcome
     }
 
@@ -853,7 +929,18 @@ impl CompiledSim<'_> {
         episodes: &[&Origination],
         outcome: &mut PrefixOutcome,
         budget: u64,
+        reader: ScratchReader,
     ) {
+        // Nobody reads an unread leaf's routes out of this flood unless the
+        // prefix is retained, the scratch is a snapshot's, or the leaf
+        // originates in this schedule (see `unread_leaves`).
+        let elide = reader == ScratchReader::Nobody && !self.should_retain(&prefix);
+        let mut origins: Vec<usize> = episodes
+            .iter()
+            .filter_map(|ep| self.topo.node_id(ep.origin))
+            .map(NodeId::index)
+            .collect();
+        origins.dedup(); // a churning prefix repeats one origin
         let vctx = ValidationCtx {
             irr: &self.irr,
             rpki: &self.rpki,
@@ -940,6 +1027,9 @@ impl CompiledSim<'_> {
                         break 'converge;
                     }
                     let to = ev.to.index();
+                    if elide && self.unread[to] && !origins.contains(&to) {
+                        continue; // delivered and counted; nobody reads it
+                    }
                     routers.node(to).import(
                         &self.configs[to],
                         self.asns[ev.from.index()],
@@ -1205,7 +1295,9 @@ pub struct PrefixOutcome {
     pub observations: Vec<Vec<CollectorObservation>>,
     /// Final best route per AS, when the prefix is retained.
     pub final_routes: Option<FinalRoutes>,
-    /// Update events processed for this prefix.
+    /// Update events delivered for this prefix: every message popped off
+    /// the in-flight queue, whether the receiver imported it or is an unread
+    /// leaf the flood only counts (see [`CompiledSim::unread_nodes`]).
     pub events: u64,
     /// True if the prefix converged within the event budget.
     pub converged: bool,
@@ -1835,12 +1927,19 @@ mod tests {
         let first = Origination::announce(Asn::new(4), prefix, vec![Community::new(4, 7)]);
         let again = first.clone().at(500);
         let mut scratch = sim.new_scratch();
-        let mut outcome = sim.run_prefix(&mut scratch, prefix, &[&first]);
+        let mut outcome = sim.run_prefix(&mut scratch, prefix, &[&first], ScratchReader::Nobody);
         assert_eq!(outcome.observations[0].len(), 1);
 
         let (clones, minted) = (crate::route_clones(), scratch.arena.len());
         let budget = sim.prefix_budget(prefix);
-        sim.continue_prefix(&mut scratch, prefix, &[&again], &mut outcome, budget);
+        sim.continue_prefix(
+            &mut scratch,
+            prefix,
+            &[&again],
+            &mut outcome,
+            budget,
+            ScratchReader::Nobody,
+        );
         assert_eq!(crate::route_clones() - clones, 0, "a duplicate cloned");
         assert_eq!(scratch.arena.len(), minted, "a duplicate minted a route");
         assert_eq!(outcome.observations[0].len(), 1, "and it is no news");
@@ -1893,7 +1992,14 @@ mod tests {
             converged: true,
         };
         let refs: Vec<&Origination> = eps.iter().collect();
-        sim.continue_prefix(&mut scratch, prefix, &refs, &mut outcome, 1);
+        sim.continue_prefix(
+            &mut scratch,
+            prefix,
+            &refs,
+            &mut outcome,
+            1,
+            ScratchReader::Nobody,
+        );
         assert!(!outcome.converged);
         assert_eq!(
             rows(&outcome.observations[0]),
@@ -1962,7 +2068,12 @@ mod tests {
 
         let mut dirty = sim.new_scratch();
         let wide = Origination::announce(Asn::new(4), p("20.0.0.0/16"), vec![]);
-        sim.run_prefix(&mut dirty, p("20.0.0.0/16"), &[&wide]);
+        sim.run_prefix(
+            &mut dirty,
+            p("20.0.0.0/16"),
+            &[&wide],
+            ScratchReader::Nobody,
+        );
         dirty.restore(topo.slot_offsets(), &snap);
         let recaptured = dirty.capture(
             topo.slot_offsets(),
@@ -1997,7 +2108,12 @@ mod tests {
             Origination::announce(Asn::new(4), other, vec![]),
             Origination::announce(Asn::new(4), other, vec![Community::new(3, 7)]).at(50),
         ];
-        sim.run_prefix(&mut used, other, &[&wide[0], &wide[1]]);
+        sim.run_prefix(
+            &mut used,
+            other,
+            &[&wide[0], &wide[1]],
+            ScratchReader::Nobody,
+        );
         assert_eq!(used.arena.derivations(), 6, "two floods' worth of entries");
         used.restore(topo.slot_offsets(), &snap);
         assert_eq!(used.arena.derivations(), 3, "stale entries survived");
@@ -2006,14 +2122,26 @@ mod tests {
             Origination::announce(Asn::new(4), prefix, vec![Community::new(3, 666)]).at(600);
         let mut outcome = snap.baseline_outcome().clone();
         let budget = sim.prefix_budget(prefix);
-        sim.continue_prefix(&mut used, prefix, &[&attack], &mut outcome, budget);
+        sim.continue_prefix(
+            &mut used,
+            prefix,
+            &[&attack],
+            &mut outcome,
+            budget,
+            ScratchReader::Snapshot,
+        );
         assert_eq!(
             outcome,
             sim.run_delta_prefix(&snap, std::slice::from_ref(&attack))
         );
         assert_eq!(
             outcome,
-            sim.run_prefix(&mut sim.new_scratch(), prefix, &[&baseline, &attack]),
+            sim.run_prefix(
+                &mut sim.new_scratch(),
+                prefix,
+                &[&baseline, &attack],
+                ScratchReader::Nobody
+            ),
             "delta on a restored cache diverged from the uninterrupted run"
         );
         assert_eq!(used.arena.derivations(), 6);
@@ -2079,14 +2207,19 @@ mod tests {
         let topo = line_topo();
         let sim = observed_sim(&topo);
         let ep = Origination::announce(Asn::new(4), p("10.0.0.0/16"), vec![]);
-        let reference = sim.run_prefix(&mut sim.new_scratch(), p("10.0.0.0/16"), &[&ep]);
+        let reference = sim.run_prefix(
+            &mut sim.new_scratch(),
+            p("10.0.0.0/16"),
+            &[&ep],
+            ScratchReader::Nobody,
+        );
 
         // Age a used scratch to the brink: translate its stamps so the
         // next `begin_prefix` lands exactly on `u32::MAX` and the one
         // after takes the wrap branch. Stale stamps map to 0 (they only
         // need to stay != every future epoch).
         let mut worn = sim.new_scratch();
-        let warmup = sim.run_prefix(&mut worn, p("20.0.0.0/16"), &[&ep]);
+        let warmup = sim.run_prefix(&mut worn, p("20.0.0.0/16"), &[&ep], ScratchReader::Nobody);
         assert!(warmup.converged);
         let live = worn.epoch;
         worn.epoch = u32::MAX - 1;
@@ -2094,11 +2227,11 @@ mod tests {
             *stamp = if *stamp == live { u32::MAX - 1 } else { 0 };
         }
 
-        let at_max = sim.run_prefix(&mut worn, p("10.0.0.0/16"), &[&ep]);
+        let at_max = sim.run_prefix(&mut worn, p("10.0.0.0/16"), &[&ep], ScratchReader::Nobody);
         assert_eq!(worn.epoch, u32::MAX, "the run before the wrap sits at MAX");
         assert_eq!(at_max, reference, "outcome at epoch u32::MAX drifted");
 
-        let wrapped = sim.run_prefix(&mut worn, p("10.0.0.0/16"), &[&ep]);
+        let wrapped = sim.run_prefix(&mut worn, p("10.0.0.0/16"), &[&ep], ScratchReader::Nobody);
         assert_eq!(worn.epoch, 1, "the wrap restarts the stamp counter");
         assert_eq!(wrapped, reference, "outcome across the wrap drifted");
         assert!(
@@ -2156,18 +2289,29 @@ mod tests {
                 })
                 .compile()
         };
-        let clones_of = |sim: &CompiledSim<'_>, eps: &[Origination]| {
-            let before = crate::route_clones();
-            let res = sim.run(eps);
-            (res, crate::route_clones() - before)
-        };
+        // One flood on a fresh scratch, and what it cloned. The baseline is
+        // the unretained session flooded in full (`ScratchReader::Snapshot`):
+        // left to itself that session would not simulate the 39 stubs nobody
+        // reads, and "the flood's own clones" would come out short.
         let prefix = p("10.0.0.0/16");
         let eps = [Origination::announce(Asn::new(2), prefix, vec![])];
-        let (unretained, flood_clones) = clones_of(&spec(RetainRoutes::None), &eps);
-        assert_eq!(unretained.observations["rrc00"].len(), 1);
+        let flood = |sim: &CompiledSim<'_>, reader| {
+            let before = crate::route_clones();
+            let outcome = sim.run_prefix(&mut sim.new_scratch(), prefix, &[&eps[0]], reader);
+            (outcome, crate::route_clones() - before)
+        };
+        let unretained = spec(RetainRoutes::None);
+        let (full, flood_clones) = flood(&unretained, ScratchReader::Snapshot);
+        assert_eq!(full.observations[0].len(), 1);
+        assert_eq!(unretained.unread_nodes() as u32, STUBS);
+        let (elided, _) = flood(&unretained, ScratchReader::Nobody);
+        assert_eq!(
+            elided, full,
+            "an unread stub changed what the flood returns"
+        );
         let sim = spec(RetainRoutes::All);
-        let (res, clones) = clones_of(&sim, &eps);
-        let finals = &res.final_routes[&prefix];
+        let (kept, clones) = flood(&sim, ScratchReader::Nobody);
+        let finals = &kept.final_routes.expect("retained");
         assert_eq!(finals.len() as u32, STUBS + 1, "every AS holds a route");
         let mut distinct: Vec<&Route> = Vec::new();
         for route in finals.values() {
@@ -2176,6 +2320,7 @@ mod tests {
             }
         }
         assert_eq!(distinct.len(), 3);
+        assert_eq!(finals.routes.len(), 3, "each distinct best is stored once");
         assert_eq!(clones - flood_clones, 3, "one clone per distinct best");
 
         // Relabeling has no route to rewrite: the retained table is, as
@@ -2259,5 +2404,130 @@ mod tests {
         assert!(idle.converged && idle.events == 0 && idle.final_routes.is_empty());
         assert!(idle.observations.keys().eq(["deaf", "rrc00"]));
         assert!(idle.observations.values().all(Vec::is_empty));
+    }
+
+    #[test]
+    fn unread_leaves_are_exactly_the_nodes_nobody_can_read() {
+        // 1 is the provider of transit 2 and of stubs 3 and 4; 2 has the one
+        // customer 5; stub 6 hangs off route server 50 only; 4 200 000 007
+        // is a 4-byte-ASN stub of 2. A collector hears stub 3.
+        let big = Asn::new(4_200_000_007);
+        let mut topo = Topology::new();
+        topo.add_simple(Asn::new(1), Tier::Tier1);
+        topo.add_simple(Asn::new(2), Tier::Transit);
+        for stub in [3, 4, 5, 6] {
+            topo.add_simple(Asn::new(stub), Tier::Stub);
+        }
+        topo.add_simple(big, Tier::Stub);
+        topo.add_simple(Asn::new(50), Tier::RouteServer);
+        for customer in [2, 3, 4] {
+            topo.add_edge(
+                Asn::new(1),
+                Asn::new(customer),
+                EdgeKind::ProviderToCustomer,
+            );
+        }
+        topo.add_edge(Asn::new(2), Asn::new(5), EdgeKind::ProviderToCustomer);
+        topo.add_edge(Asn::new(2), big, EdgeKind::ProviderToCustomer);
+        topo.add_edge(Asn::new(2), Asn::new(50), EdgeKind::PeerToPeer);
+        topo.add_edge(Asn::new(6), Asn::new(50), EdgeKind::PeerToPeer);
+        let sim = SimSpec::new(&topo)
+            .collector(CollectorSpec {
+                name: "rrc00".into(),
+                platform: "RIS".into(),
+                collector_id: 1,
+                peers: vec![(Asn::new(3), FeedKind::CustomerRoutesOnly)],
+            })
+            .compile();
+        let unread = |asn: Asn| sim.unread[topo.node_id(asn).expect("in the topology").index()];
+        assert!(!unread(Asn::new(1)), "a Tier-1 has customers");
+        assert!(!unread(Asn::new(2)), "one customer is enough to be read");
+        assert!(!unread(Asn::new(3)), "a stub with a session is read");
+        assert!(unread(Asn::new(4)), "a plain stub");
+        assert!(unread(Asn::new(5)));
+        assert!(unread(Asn::new(6)), "a stub behind a route server only");
+        assert!(unread(big), "a 4-byte-ASN stub");
+        assert!(!unread(Asn::new(50)), "a route server redistributes");
+        assert_eq!(sim.unread_nodes(), 4);
+        // The session made the difference, not the tier.
+        assert_eq!(SimSpec::new(&topo).compile().unread_nodes(), 5);
+    }
+
+    #[test]
+    fn elided_flood_equals_the_full_one_at_every_budget() {
+        // 1 over transits 2 and 3 (which peer); stubs 4, 5 under 2 and 6, 7
+        // under 3. Collectors hear 1, 3 and stub 7; stubs 5 and 6 are unread
+        // (4 too, but it originates). The schedule announces at 4, changes
+        // the tag, adds a second origin at unread stub 6 (MOAS), withdraws
+        // the first. Stub 6 prefers what its provider says over its own
+        // origination, so its announcement stays home until the withdrawal
+        // reaches it — which only a flood that imported at 6 from the first
+        // event knows. Wherever the budget cuts it, the flood that drops
+        // deliveries to unread leaves returns what the full one returns.
+        let mut topo = Topology::new();
+        topo.add_simple(Asn::new(1), Tier::Tier1);
+        for (transit, stubs) in [(2, [4, 5]), (3, [6, 7])] {
+            topo.add_simple(Asn::new(transit), Tier::Transit);
+            topo.add_edge(Asn::new(1), Asn::new(transit), EdgeKind::ProviderToCustomer);
+            for stub in stubs {
+                topo.add_simple(Asn::new(stub), Tier::Stub);
+                topo.add_edge(
+                    Asn::new(transit),
+                    Asn::new(stub),
+                    EdgeKind::ProviderToCustomer,
+                );
+            }
+        }
+        topo.add_edge(Asn::new(2), Asn::new(3), EdgeKind::PeerToPeer);
+        let mut obedient = RouterConfig::defaults(Asn::new(6));
+        obedient.local_pref.provider = 251;
+        let sim = SimSpec::new(&topo)
+            .configure(obedient)
+            .collector(CollectorSpec {
+                name: "rrc00".into(),
+                platform: "RIS".into(),
+                collector_id: 1,
+                peers: vec![
+                    (Asn::new(1), FeedKind::Full),
+                    (Asn::new(3), FeedKind::CustomerRoutesOnly),
+                    (Asn::new(7), FeedKind::Full),
+                ],
+            })
+            .compile();
+        assert_eq!(sim.unread_nodes(), 3);
+        let prefix = p("10.0.0.0/16");
+        let eps = [
+            Origination::announce(Asn::new(4), prefix, vec![]),
+            Origination::announce(Asn::new(4), prefix, vec![Community::new(2, 7)]).at(100),
+            Origination::announce(Asn::new(6), prefix, vec![]).at(150),
+            Origination::withdrawal(Asn::new(4), prefix, 200),
+        ];
+        let refs: Vec<&Origination> = eps.iter().collect();
+        let flood = |budget: u64, reader| {
+            let mut scratch = sim.new_scratch();
+            scratch.begin_prefix();
+            let mut outcome = PrefixOutcome {
+                observations: vec![Vec::new()],
+                final_routes: None,
+                events: 0,
+                converged: true,
+            };
+            sim.continue_prefix(&mut scratch, prefix, &refs, &mut outcome, budget, reader);
+            (outcome, scratch.touched.len())
+        };
+        let (whole, touched) = flood(u64::MAX, ScratchReader::Snapshot);
+        assert!(whole.converged);
+        assert_eq!(touched, topo.len(), "the full flood reaches every AS");
+        assert_eq!(
+            flood(u64::MAX, ScratchReader::Nobody).1,
+            topo.len() - 1,
+            "only stub 5 is unread and never originates"
+        );
+        for budget in 0..=whole.events {
+            let (full, _) = flood(budget, ScratchReader::Snapshot);
+            let (elided, _) = flood(budget, ScratchReader::Nobody);
+            assert_eq!(elided, full, "budget {budget}");
+            assert_eq!(full.converged, budget == whole.events, "budget {budget}");
+        }
     }
 }

@@ -39,6 +39,13 @@
 //!   at `threads = 1/N` — on arbitrary worlds, for withdrawals and
 //!   community-changing perturbations alike. Snapshots are a replay
 //!   shortcut, never a semantic one.
+//! * **Elision transparency** — a flood that neither retains its prefix nor
+//!   feeds a snapshot counts deliveries to *unread leaves* (no customer, no
+//!   collector session, not a route server) and drops them. The same spec
+//!   compiled `RetainRoutes::All`, and `run_snapshot`'s capture flood, still
+//!   simulate every delivery; the unretained session must report their
+//!   observations, events and convergence on worlds built to contain every
+//!   shape a leaf can hide behind.
 //! * **An oracle that shares no code with the engine** — every check above
 //!   is the engine agreeing with a variant of itself (the reference loop
 //!   drives the engine's own `NodeState` policy). On policy-free,
@@ -219,6 +226,69 @@ fn build_world(
         })
         .collect();
 
+    (topo, configs, collectors, originations)
+}
+
+/// A raw world plus every shape an unread leaf can hide behind, so that
+/// dropping deliveries to unread leaves has something to get wrong: a
+/// collector session *on* a stub (101, which is therefore read), a stub
+/// reached only through an IXP route server (102 behind 100), a stub that
+/// originates the first prefix *after* another origin did (103, MOAS — and
+/// one that prefers its provider's route to its own, so whether its
+/// announcement leaves it depends on what it imported before), a
+/// forged-origin episode at a stub (104), and withdrawals of all of it.
+fn with_unread_shapes(
+    raw: &RawWorld,
+) -> (
+    Topology,
+    Vec<RouterConfig>,
+    Vec<CollectorSpec>,
+    Vec<Origination>,
+) {
+    let (mut topo, mut configs, mut collectors, mut originations) = build_world(raw);
+    let asn = Asn::new;
+    let (first, last) = (asn(1), asn(raw.n_nodes as u32));
+    let [rs, heard, behind_rs, moas, forger] = [100, 101, 102, 103, 104].map(asn);
+    topo.add_simple(rs, Tier::RouteServer);
+    for stub in [heard, behind_rs, moas, forger] {
+        topo.add_simple(stub, Tier::Stub);
+    }
+    for member in [first, asn(2), behind_rs] {
+        topo.add_edge(member, rs, EdgeKind::PeerToPeer);
+    }
+    topo.add_edge(first, heard, EdgeKind::ProviderToCustomer);
+    topo.add_edge(first, moas, EdgeKind::ProviderToCustomer);
+    topo.add_edge(last, moas, EdgeKind::ProviderToCustomer);
+    topo.add_edge(asn(2), forger, EdgeKind::ProviderToCustomer);
+    let mut obedient = RouterConfig::defaults(moas);
+    obedient.local_pref.provider = 251;
+    configs.push(obedient);
+    collectors.push(CollectorSpec {
+        name: "stubs".into(),
+        platform: "RV".into(),
+        collector_id: 2,
+        peers: vec![(heard, FeedKind::Full), (last, FeedKind::Full)],
+    });
+
+    let prefix = originations[0].prefix;
+    let after = originations.iter().map(|o| o.time).max().unwrap_or(0);
+    let tags = |v: u16| vec![Community::new(v % 16, v)];
+    originations.extend([
+        Origination::announce(first, prefix, tags(1)).at(after + 100),
+        Origination::announce(moas, prefix, tags(2)).at(after + 200),
+        Origination::announce(forger, prefix, tags(3))
+            .at(after + 300)
+            .forging(first),
+        Origination::withdrawal(first, prefix, after + 400),
+        Origination::withdrawal(moas, prefix, after + 500),
+        Origination::withdrawal(forger, prefix, after + 600),
+    ]);
+    let behind: Prefix = "10.200.0.0/16".parse().expect("valid prefix");
+    originations.extend([
+        Origination::announce(behind_rs, behind, tags(4)),
+        Origination::announce(heard, behind, tags(5)).at(100),
+        Origination::withdrawal(behind_rs, behind, 200),
+    ]);
     (topo, configs, collectors, originations)
 }
 
@@ -490,7 +560,16 @@ type Held = (LearnedFrom, usize, Option<Asn>);
 /// keeps the first class that reaches it, then the fewest hops, then the
 /// lowest next-hop ASN — `Route::prefer`'s documented order under default
 /// local preferences. (Deliberately naive: maps, whole-graph rescans.)
-fn valley_free_oracle(edges: &[(Asn, Asn, EdgeKind)], origin: Asn) -> BTreeMap<Asn, Held> {
+///
+/// `tag` is the well-known community the origination carries, if any, read
+/// here straight from RFC 1997 and RFC 3765 with every AS its own
+/// confederation: a `NO_EXPORT` or `NO_ADVERTISE` route never leaves the AS
+/// that holds it, and a `NO_PEER` route crosses no peering.
+fn valley_free_oracle(
+    edges: &[(Asn, Asn, EdgeKind)],
+    origin: Asn,
+    tag: Option<Community>,
+) -> BTreeMap<Asn, Held> {
     let mut providers: BTreeMap<Asn, Vec<Asn>> = BTreeMap::new();
     let mut peers: BTreeMap<Asn, Vec<Asn>> = BTreeMap::new();
     for &(a, b, kind) in edges {
@@ -510,6 +589,9 @@ fn valley_free_oracle(edges: &[(Asn, Asn, EdgeKind)], origin: Asn) -> BTreeMap<A
     };
 
     let mut held = BTreeMap::from([(origin, (LearnedFrom::Itself, 0, None))]);
+    if tag == Some(Community::NO_EXPORT) || tag == Some(Community::NO_ADVERTISE) {
+        return held;
+    }
     // Up: an AS tells its providers what its customers (or it) announced.
     // Level by level, so the first offer to reach a provider is a shortest.
     let mut level = vec![origin];
@@ -533,6 +615,9 @@ fn valley_free_oracle(edges: &[(Asn, Asn, EdgeKind)], origin: Asn) -> BTreeMap<A
     // Across: the same routes, and only those, cross one peering.
     let uphill = held.clone();
     for (&asn, &(_, hops, _)) in &uphill {
+        if tag == Some(Community::NO_PEER) {
+            break;
+        }
         for &peer in peers.get(&asn).unwrap_or(&none) {
             if !uphill.contains_key(&peer) {
                 offer(&mut held, peer, (LearnedFrom::Peer, hops + 1, Some(asn)));
@@ -566,7 +651,11 @@ fn valley_free_oracle(edges: &[(Asn, Asn, EdgeKind)], origin: Asn) -> BTreeMap<A
 
 /// The independent oracle against the engine: IXP-free generated internets
 /// (a transparent route server is policy), default configs, a handful of
-/// origins spread over the AS list, one prefix each.
+/// origins spread over the AS list, each announcing one prefix untagged and
+/// one per scope-limiting well-known community (default configs forward
+/// communities, so the tag rides every hop). It reads retained
+/// `final_routes`, so it also holds retention to mean *every* AS, unread
+/// leaves included.
 #[test]
 fn converged_routes_match_a_valley_free_search_that_shares_no_code() {
     let presets = [TopologyParams::tiny(), TopologyParams::small()];
@@ -585,12 +674,24 @@ fn converged_routes_match_a_valley_free_search_that_shares_no_code() {
                 .collect();
             let ases: Vec<Asn> = topo.ases().map(|node| node.asn).collect();
             let origins = [0, ases.len() / 3, ases.len() / 2, ases.len() - 1].map(|i| ases[i]);
-            let prefix_of =
-                |k: usize| -> Prefix { format!("10.{k}.0.0/16").parse().expect("valid prefix") };
-            let schedule: Vec<Origination> = origins
+            let tags = [
+                None,
+                Some(Community::NO_EXPORT),
+                Some(Community::NO_ADVERTISE),
+                Some(Community::NO_PEER),
+            ];
+            let mut cases: Vec<(Prefix, Asn, Option<Community>)> = Vec::new();
+            for tag in tags {
+                for origin in origins {
+                    let prefix = format!("10.{}.0.0/16", cases.len());
+                    cases.push((prefix.parse().expect("valid prefix"), origin, tag));
+                }
+            }
+            let schedule: Vec<Origination> = cases
                 .iter()
-                .enumerate()
-                .map(|(k, &origin)| Origination::announce(origin, prefix_of(k), vec![]))
+                .map(|&(prefix, origin, tag)| {
+                    Origination::announce(origin, prefix, tag.into_iter().collect())
+                })
                 .collect();
             let run = SimSpec::new(&topo)
                 .retain(RetainRoutes::All)
@@ -598,11 +699,11 @@ fn converged_routes_match_a_valley_free_search_that_shares_no_code() {
                 .run(&schedule);
             assert!(run.converged);
 
-            for (k, &origin) in origins.iter().enumerate() {
-                let oracle = valley_free_oracle(&edges, origin);
+            for &(prefix, origin, tag) in &cases {
+                let oracle = valley_free_oracle(&edges, origin, tag);
                 for &asn in &ases {
                     let prefs = RouterConfig::defaults(asn).local_pref;
-                    let engine = run.route_at(asn, &prefix_of(k)).map(|route| {
+                    let engine = run.route_at(asn, &prefix).map(|route| {
                         let class = match route.source {
                             RouteSource::Local => LearnedFrom::Itself,
                             _ if route.local_pref == prefs.customer => LearnedFrom::Customer,
@@ -615,7 +716,8 @@ fn converged_routes_match_a_valley_free_search_that_shares_no_code() {
                     assert_eq!(
                         engine,
                         oracle.get(&asn).copied(),
-                        "seed {seed}, {} ASes, origin {origin}: AS {asn} (class, hops, next hop)",
+                        "seed {seed}, {} ASes, origin {origin}, tag {tag:?}: AS {asn} (class, hops, \
+                         next hop)",
                         ases.len()
                     );
                 }
@@ -1244,6 +1346,47 @@ proptest! {
         prop_assert_eq!(&par_base, &base, "capturing run diverged");
         prop_assert_eq!(&par_snap, &snap, "capture diverged");
         prop_assert_eq!(&sim.run_delta_prefix(&par_snap, &delta), &outcome);
+    }
+
+    /// Elided ≡ full. An unretained campaign flood counts deliveries to
+    /// unread leaves (no customer, no collector session, not a route server)
+    /// without simulating them; a retained flood and `run_snapshot`'s
+    /// capture flood simulate every delivery. On worlds forced to hold the
+    /// shapes that could tell the two apart (see `with_unread_shapes`), the
+    /// `RetainRoutes::None` session must report the observations, events and
+    /// convergence of the same spec compiled `RetainRoutes::All`, at
+    /// `threads = 1/N`, and per prefix exactly what `run_snapshot` of the
+    /// prefix's own episodes reports.
+    #[test]
+    fn unretained_floods_equal_retained_and_snapshot_floods(
+        raw in arb_world(),
+        threads in 2usize..6,
+    ) {
+        let (topo, configs, collectors, originations) = with_unread_shapes(&raw);
+        let spec = spec_for(&topo, configs, collectors);
+        let mut elided = spec.clone().retain(RetainRoutes::None).compile();
+        let mut full = spec.compile();
+        prop_assert!(elided.unread_nodes() >= 3, "the three added stubs are unread");
+        prop_assert_eq!(elided.unread_nodes(), full.unread_nodes());
+
+        for t in [1, threads] {
+            elided.set_threads(t);
+            full.set_threads(t);
+            let (got, want) = (elided.run(&originations), full.run(&originations));
+            prop_assert!(got.final_routes.is_empty() && !want.final_routes.is_empty());
+            prop_assert_eq!(&got.observations, &want.observations, "threads = {}", t);
+            prop_assert_eq!(got.events, want.events, "threads = {}", t);
+            prop_assert_eq!(got.converged, want.converged, "threads = {}", t);
+        }
+
+        let mut by_prefix: BTreeMap<Prefix, Vec<Origination>> = BTreeMap::new();
+        for o in &originations {
+            by_prefix.entry(o.prefix).or_default().push(o.clone());
+        }
+        for (prefix, own) in by_prefix {
+            let (captured, _) = elided.run_snapshot(&own, prefix);
+            prop_assert_eq!(&elided.run(&own), &captured, "prefix {}", prefix);
+        }
     }
 
     /// Cache hit ≡ clone + apply + intern. Random receivers (ordinary and

@@ -11,7 +11,8 @@
 //! or budget bug that silently drops part of the table cannot pass.
 
 use bgpworms_routesim::{
-    Campaign, CampaignSink, Origination, PrefixOutcome, RetainRoutes, SimSpec,
+    Campaign, CampaignSink, Origination, PrefixOutcome, RetainRoutes, SimSpec, Workload,
+    WorkloadParams,
 };
 use bgpworms_topology::{
     addressing::AddressingParams, FullTableParams, PrefixAllocation, Topology, TopologyParams,
@@ -94,6 +95,52 @@ fn large_scale_smoke() {
         topo.len()
     );
     smoke(&topo, 95);
+    unread_leaves_are_most_of_the_graph_and_change_nothing(&topo);
+}
+
+/// The generated workload's own schedule for a handful of origins spread
+/// over the allocation, on an unretained and on a fully retained compile of
+/// the same world: the first counts deliveries to unread leaves without
+/// simulating them, the second floods every AS, and both must hear the same.
+/// The share of unread nodes is asserted too, so a generator change that
+/// takes the property away (a collector session on every stub, say) fails
+/// here instead of quietly giving the speed-up back.
+fn unread_leaves_are_most_of_the_graph_and_change_nothing(topo: &Topology) {
+    let alloc = PrefixAllocation::assign(topo, AddressingParams::default());
+    let workload = Workload::generate(topo, &alloc, &WorkloadParams::default());
+    let origins: Vec<_> = alloc.iter().map(|(origin, _)| origin).collect();
+    let picked: Vec<_> = (0..6)
+        .map(|k| origins[k * (origins.len() - 1) / 5])
+        .collect();
+    let episodes: Vec<Origination> = workload
+        .originations
+        .iter()
+        .filter(|ep| picked.contains(&ep.origin))
+        .cloned()
+        .collect();
+    assert!(episodes.len() >= picked.len(), "every origin announces");
+
+    let compile = |retain| {
+        workload
+            .simulation(topo)
+            .threads(1)
+            .retain(retain)
+            .compile()
+    };
+    let unretained = compile(RetainRoutes::None);
+    let share = unretained.unread_nodes() * 100 / topo.len();
+    assert!(
+        share > 80,
+        "only {share} % of {} nodes are unread leaves: the elision has nothing to elide",
+        topo.len()
+    );
+    let elided = unretained.run(&episodes);
+    let full = compile(RetainRoutes::All).run(&episodes);
+    assert!(elided.converged && full.converged);
+    assert!(elided.observations.values().any(|feed| !feed.is_empty()));
+    assert_eq!(elided.observations, full.observations);
+    assert_eq!(elided.events, full.events);
+    assert!(elided.final_routes.is_empty() && !full.final_routes.is_empty());
 }
 
 #[test]

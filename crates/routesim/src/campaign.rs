@@ -1005,7 +1005,7 @@ mod tests {
     use crate::engine::{RetainRoutes, SimSpec};
     use crate::Origination;
     use bgpworms_topology::{PrefixAllocation, TopologyParams};
-    use bgpworms_types::Asn;
+    use bgpworms_types::{Asn, Community};
 
     /// Order-sensitive sink: records the exact fold/merge call sequence, so
     /// any thread-count dependence in the driver shows up as a sequence
@@ -1376,6 +1376,50 @@ mod tests {
         };
         assert_eq!(simulated.len(), 2);
         assert_eq!(simulated, replayed, "a class's members hold equal routes");
+    }
+
+    #[test]
+    fn a_replay_copies_no_attributes() {
+        // Five prefixes of one origin with equal attributes are one class:
+        // the campaign floods the first and replays four. A replay is a
+        // label and reference counts — the observation's route and the two
+        // retained finals are handles on what the one flood made — so the
+        // five-member campaign copies exactly the attributes the one-member
+        // campaign does (AS2's export and AS1's to its collector).
+        use crate::collector::{CollectorSpec, FeedKind};
+        use crate::route::copies_during;
+        use bgpworms_topology::{EdgeKind, Tier, Topology};
+        let mut topo = Topology::new();
+        topo.add_simple(Asn::new(1), Tier::Tier1);
+        topo.add_simple(Asn::new(2), Tier::Stub);
+        topo.add_edge(Asn::new(1), Asn::new(2), EdgeKind::ProviderToCustomer);
+        let eps: Vec<Origination> = (0..5)
+            .map(|i| {
+                let prefix = format!("10.0.{i}.0/24").parse().unwrap();
+                Origination::announce(Asn::new(2), prefix, vec![Community::new(2, 7)])
+            })
+            .collect();
+        let sim = SimSpec::new(&topo)
+            .retain(RetainRoutes::All)
+            .collector(CollectorSpec {
+                name: "rrc00".into(),
+                platform: "RIS".into(),
+                collector_id: 1,
+                peers: vec![(Asn::new(1), FeedKind::Full)],
+            })
+            .compile();
+        assert_eq!(sim.threads(), 1, "the counters are this thread's");
+        let campaign = Campaign::new(&sim);
+        let (one, flood) = copies_during(|| campaign.run(&eps[..1], Trace::default));
+        let (five, copies) = copies_during(|| campaign.run(&eps, Trace::default));
+        assert_eq!((one.class_hits, five.class_hits), (0, 4));
+        assert_eq!(
+            five.sink.routes,
+            5 * one.sink.routes,
+            "replays carry routes"
+        );
+        assert_eq!(flood.attrs, 2);
+        assert_eq!(copies.attrs, 2, "a replay copied attributes");
     }
 
     #[test]

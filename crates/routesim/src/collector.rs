@@ -225,7 +225,7 @@ pub fn archive_all(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::route::RouteSource;
+    use crate::route::{RouteAttrs, RouteSource};
     use bgpworms_mrt::{MrtReader, MrtRecord, UpdateStream};
     use bgpworms_types::{AsPath, Community, Origin};
 
@@ -235,17 +235,14 @@ mod tests {
             time,
             peer: Asn::new(peer),
             prefix,
-            route: announced.then(|| Route {
-                path: AsPath::from_asns([Asn::new(peer), Asn::new(1)]),
-                origin: Origin::Igp,
-                communities: vec![Community::new(peer as u16, 100)],
-                large_communities: vec![],
-                source: RouteSource::Ebgp(Asn::new(peer)),
-                local_pref: 0,
-                med: 0,
-                blackholed: false,
-                pending_prepend: 0,
-                own_tags: vec![],
+            route: announced.then(|| {
+                let attrs = RouteAttrs {
+                    path: AsPath::from_asns([Asn::new(peer), Asn::new(1)]),
+                    origin: Origin::Igp,
+                    communities: vec![Community::new(peer as u16, 100)],
+                    large_communities: vec![],
+                };
+                Route::new(attrs, RouteSource::Ebgp(Asn::new(peer)), 0)
             }),
         }
     }

@@ -1419,6 +1419,7 @@ impl FromIterator<(Asn, Route)> for FinalRoutes {
 mod tests {
     use super::*;
     use crate::collector::CollectorSpec;
+    use crate::route::{copies_during, Copies};
     use bgpworms_topology::{EdgeKind, TopologyParams};
     use std::panic::AssertUnwindSafe;
 
@@ -1930,20 +1931,56 @@ mod tests {
         let mut outcome = sim.run_prefix(&mut scratch, prefix, &[&first], ScratchReader::Nobody);
         assert_eq!(outcome.observations[0].len(), 1);
 
-        let (clones, minted) = (crate::route_clones(), scratch.arena.len());
+        let minted = scratch.arena.len();
         let budget = sim.prefix_budget(prefix);
-        sim.continue_prefix(
-            &mut scratch,
-            prefix,
-            &[&again],
-            &mut outcome,
-            budget,
-            ScratchReader::Nobody,
-        );
-        assert_eq!(crate::route_clones() - clones, 0, "a duplicate cloned");
+        let ((), copies) = copies_during(|| {
+            sim.continue_prefix(
+                &mut scratch,
+                prefix,
+                &[&again],
+                &mut outcome,
+                budget,
+                ScratchReader::Nobody,
+            )
+        });
+        assert_eq!(copies, Copies::NONE, "a duplicate copied");
         assert_eq!(scratch.arena.len(), minted, "a duplicate minted a route");
         assert_eq!(outcome.observations[0].len(), 1, "and it is no news");
         assert!(outcome.converged);
+    }
+
+    #[test]
+    fn a_flood_copies_attributes_once_per_export_that_mints_and_nowhere_else() {
+        // 1 — 2 — 3 — 4, AS4 announces: the three exports uphill and AS1's
+        // to its collector each prepend to a copy of their own. The three
+        // imports, the observation, the four retained finals, the snapshot's
+        // capture and a delta's restore share what those four made.
+        let topo = line_topo();
+        let sim = observed_sim(&topo);
+        let prefix = p("10.0.0.0/16");
+        let first = Origination::announce(Asn::new(4), prefix, vec![Community::new(4, 7)]);
+        let (flood, copies) = copies_during(|| {
+            sim.run_prefix(
+                &mut sim.new_scratch(),
+                prefix,
+                &[&first],
+                ScratchReader::Nobody,
+            )
+        });
+        assert_eq!(copies.attrs, 4);
+        assert_eq!(flood.observations[0].len(), 1);
+        assert_eq!(flood.final_routes.expect("retained").len(), 4);
+
+        let baseline = std::slice::from_ref(&first);
+        let ((_, snap), copies) = copies_during(|| sim.run_snapshot(baseline, prefix));
+        assert_eq!(copies.attrs, 4, "capture copied attributes");
+        let (_, copies) = copies_during(|| sim.run_delta_prefix(&snap, &[]));
+        assert_eq!(copies.attrs, 0, "restore copied attributes");
+        // A changed re-announcement floods the chain again, and pays for
+        // exactly its own four exports.
+        let changed = [Origination::announce(Asn::new(4), prefix, vec![]).at(100)];
+        let (_, copies) = copies_during(|| sim.run_delta_prefix(&snap, &changed));
+        assert_eq!(copies.attrs, 4);
     }
 
     #[test]
@@ -2269,8 +2306,8 @@ mod tests {
     fn retention_clones_each_distinct_best_once_and_relabels_every_as() {
         // A hub with 40 stub customers, one of which announces: the origin,
         // the hub and the 39 other stubs hold three distinct routes between
-        // them, so keeping the routes costs three clones on top of the
-        // flood's own — not one per AS.
+        // them, so keeping the routes costs three handle clones on top of
+        // the flood's own — not one per AS — and no attribute copy.
         const STUBS: u32 = 40;
         let mut topo = Topology::new();
         topo.add_simple(Asn::new(1), Tier::Tier1);
@@ -2296,12 +2333,10 @@ mod tests {
         let prefix = p("10.0.0.0/16");
         let eps = [Origination::announce(Asn::new(2), prefix, vec![])];
         let flood = |sim: &CompiledSim<'_>, reader| {
-            let before = crate::route_clones();
-            let outcome = sim.run_prefix(&mut sim.new_scratch(), prefix, &[&eps[0]], reader);
-            (outcome, crate::route_clones() - before)
+            copies_during(|| sim.run_prefix(&mut sim.new_scratch(), prefix, &[&eps[0]], reader))
         };
         let unretained = spec(RetainRoutes::None);
-        let (full, flood_clones) = flood(&unretained, ScratchReader::Snapshot);
+        let (full, flood_copies) = flood(&unretained, ScratchReader::Snapshot);
         assert_eq!(full.observations[0].len(), 1);
         assert_eq!(unretained.unread_nodes() as u32, STUBS);
         let (elided, _) = flood(&unretained, ScratchReader::Nobody);
@@ -2310,7 +2345,7 @@ mod tests {
             "an unread stub changed what the flood returns"
         );
         let sim = spec(RetainRoutes::All);
-        let (kept, clones) = flood(&sim, ScratchReader::Nobody);
+        let (kept, copies) = flood(&sim, ScratchReader::Nobody);
         let finals = &kept.final_routes.expect("retained");
         assert_eq!(finals.len() as u32, STUBS + 1, "every AS holds a route");
         let mut distinct: Vec<&Route> = Vec::new();
@@ -2321,7 +2356,12 @@ mod tests {
         }
         assert_eq!(distinct.len(), 3);
         assert_eq!(finals.routes.len(), 3, "each distinct best is stored once");
-        assert_eq!(clones - flood_clones, 3, "one clone per distinct best");
+        assert_eq!(
+            copies.handles - flood_copies.handles,
+            3,
+            "one clone per distinct best"
+        );
+        assert_eq!(copies.attrs, flood_copies.attrs, "each of a handle only");
 
         // Relabeling has no route to rewrite: the retained table is, as
         // stored, the one a flood of the other prefix produces — alone, or

@@ -215,7 +215,8 @@
 //! once per update — and because exports are a pure function of the best
 //! route, a dirty node whose best id is unchanged skips the sweep
 //! entirely, making the steady state *zero-clone* (asserted by
-//! clone-counting tests against [`route_clones`]). Within a pass, exports
+//! clone-counting tests against [`route_clones`], which counts handles,
+//! and [`attr_copies`], which counts paths). Within a pass, exports
 //! are memoized per neighbor role whenever the node's egress policy is
 //! neighbor-independent, so a changed export is cloned and interned at
 //! most once per role rather than once per neighbor. A PR 2-shaped
@@ -305,6 +306,6 @@ pub use policy::{
     ActScope, BlackholeService, CommunityPropagationPolicy, CommunityServices, IrrDatabase,
     OriginValidation, RouteServerConfig, RouterConfig, RsEvalOrder, TaggingConfig, Vendor,
 };
-pub use route::{route_clones, Route, RouteArena, RouteId, RouteSource};
+pub use route::{attr_copies, route_clones, Route, RouteArena, RouteAttrs, RouteId, RouteSource};
 pub use scratch::{scratch_builds, SimSnapshot};
 pub use workload::{PolicyMix, Workload, WorkloadParams};

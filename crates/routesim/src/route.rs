@@ -19,6 +19,8 @@ use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::ops::{Deref, DerefMut};
+use std::sync::Arc;
 
 /// Where a route entered the local RIB.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -42,16 +44,11 @@ impl RouteSource {
     }
 }
 
-/// One route as held in a router's Adj-RIB-In / Loc-RIB. It does not name
-/// its destination: an arena serves one prefix's flood, and whatever carries
-/// a route out of it (an observation, a result key) has the prefix beside it.
-///
-/// `Clone` is implemented by hand so every clone is counted (see
-/// [`route_clones`]): the engine's steady-state invariant — zero `Route`
-/// clones while nothing changes — is asserted by unit tests against that
-/// counter.
+/// What a BGP UPDATE carries for a route: the transitive attributes an AS
+/// that does not act on them forwards as received. `Clone` is implemented
+/// by hand so every copy is counted (see [`attr_copies`]).
 #[derive(Debug, PartialEq, Eq, Hash)]
-pub struct Route {
+pub struct RouteAttrs {
     /// AS path, collector-first (head = the AS that exported to us; the
     /// sender prepends itself on egress, so a route received from N has N
     /// at the head).
@@ -64,6 +61,27 @@ pub struct Route {
     /// 4-byte-ASN networks need (§2 footnote 1). Transitive like classic
     /// communities, and subject to the same worms.
     pub large_communities: Vec<LargeCommunity>,
+}
+
+/// One route as held in a router's Adj-RIB-In / Loc-RIB: a shared handle on
+/// the [`RouteAttrs`] it was received with, plus what *this* router decided
+/// about it. It does not name its destination: an arena serves one prefix's
+/// flood, and whatever carries a route out of it (an observation, a result
+/// key) has the prefix beside it.
+///
+/// The attributes are read through `Deref` (`route.path`,
+/// `&route.communities`) and edited through `DerefMut`, which is
+/// copy-on-write: the first edit of a shared attribute set copies it, later
+/// edits find it unique. Whoever keeps a route without editing them — an
+/// import that adds no community, an observation, a retained final, a
+/// snapshot, a class replay — copies the handle and the annotation. `==`
+/// and `Hash` read the attributes' content, never the handle's address (a
+/// pointer-equal pair only short-circuits `==`), so [`RouteId`] assignment
+/// cannot tell shared attributes from equal ones built twice. `Clone` is
+/// implemented by hand so every clone is counted (see [`route_clones`]).
+#[derive(Debug, PartialEq, Eq, Hash)]
+pub struct Route {
+    attrs: Arc<RouteAttrs>,
     /// Where the route came from.
     pub source: RouteSource,
     /// Local preference assigned on import (or configured at origination).
@@ -77,27 +95,53 @@ pub struct Route {
     /// by *this* AS; applied on every egress session.
     pub pending_prepend: u8,
     /// Communities added by *this* router at ingress (location / origin-
-    /// class tags). Kept apart from `communities` so egress propagation
-    /// policies can strip received communities without losing the router's
-    /// own signal; merged into the community list on export.
-    pub own_tags: Vec<Community>,
+    /// class tags), packed to the front: no router configures more than
+    /// two. Kept apart from `communities` so egress propagation policies
+    /// can strip received communities without losing the router's own
+    /// signal; merged into the community list on export.
+    pub own_tags: [Option<Community>; 2],
+}
+
+impl Deref for Route {
+    type Target = RouteAttrs;
+    #[inline]
+    fn deref(&self) -> &RouteAttrs {
+        &self.attrs
+    }
+}
+
+impl DerefMut for Route {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut RouteAttrs {
+        Arc::make_mut(&mut self.attrs)
+    }
 }
 
 impl Route {
+    /// A route with the given attributes, learned from `source` at
+    /// `local_pref`; MED 0, not blackholed, no pending prepend, no ingress
+    /// tags.
+    pub fn new(attrs: RouteAttrs, source: RouteSource, local_pref: u32) -> Self {
+        Route {
+            attrs: Arc::new(attrs),
+            source,
+            local_pref,
+            med: 0,
+            blackholed: false,
+            pending_prepend: 0,
+            own_tags: [None; 2],
+        }
+    }
+
     /// A locally originated route.
     pub fn originate(communities: Vec<Community>) -> Self {
-        Route {
+        let attrs = RouteAttrs {
             path: AsPath::empty(),
             origin: Origin::Igp,
             communities,
             large_communities: Vec::new(),
-            source: RouteSource::Local,
-            local_pref: 250, // own routes beat anything learned
-            med: 0,
-            blackholed: false,
-            pending_prepend: 0,
-            own_tags: Vec::new(),
-        }
+        };
+        Route::new(attrs, RouteSource::Local, 250) // own routes beat anything learned
     }
 
     /// Builder: attach RFC 8092 large communities at origination.
@@ -146,34 +190,49 @@ impl Route {
 }
 
 thread_local! {
-    /// Clone-counting test double: every `Route::clone` on this thread
-    /// bumps the counter. Production overhead is one thread-local add per
-    /// clone — and the whole point of the arena is that clones are rare.
+    /// Clone-counting test doubles: every `Route::clone` (a handle copy)
+    /// and every `RouteAttrs::clone` (a path and two community lists) on
+    /// this thread bumps its counter. Production overhead is one
+    /// thread-local add per clone.
     static ROUTE_CLONES: Cell<u64> = const { Cell::new(0) };
+    static ATTR_COPIES: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Total `Route::clone` calls performed on the current thread so far.
+/// Total `Route::clone` calls performed on the current thread so far: each
+/// copies a handle and the annotation, no attribute.
 ///
-/// Tests snapshot this before and after a steady-state operation to assert
-/// the zero-clone invariant; deltas are meaningful, absolute values are not.
+/// Tests snapshot this before and after an operation; deltas are meaningful,
+/// absolute values are not.
 pub fn route_clones() -> u64 {
     ROUTE_CLONES.with(|c| c.get())
+}
+
+/// Total [`RouteAttrs`] copies performed on the current thread so far — the
+/// copy-on-write slow path, where a path and two community lists are
+/// duplicated. The engine's steady-state invariant — zero attribute copies
+/// while nothing changes — is asserted by unit tests against this counter.
+pub fn attr_copies() -> u64 {
+    ATTR_COPIES.with(|c| c.get())
+}
+
+impl Clone for RouteAttrs {
+    fn clone(&self) -> Self {
+        ATTR_COPIES.with(|c| c.set(c.get() + 1));
+        RouteAttrs {
+            path: self.path.clone(),
+            origin: self.origin,
+            communities: self.communities.clone(),
+            large_communities: self.large_communities.clone(),
+        }
+    }
 }
 
 impl Clone for Route {
     fn clone(&self) -> Self {
         ROUTE_CLONES.with(|c| c.set(c.get() + 1));
         Route {
-            path: self.path.clone(),
-            origin: self.origin,
-            communities: self.communities.clone(),
-            large_communities: self.large_communities.clone(),
-            source: self.source,
-            local_pref: self.local_pref,
-            med: self.med,
-            blackholed: self.blackholed,
-            pending_prepend: self.pending_prepend,
-            own_tags: self.own_tags.clone(),
+            attrs: Arc::clone(&self.attrs),
+            ..*self
         }
     }
 }
@@ -255,8 +314,9 @@ pub(crate) struct ImportDelta {
 }
 
 impl ImportDelta {
-    /// The Adj-RIB-In route this import makes of `incoming`: the import
-    /// path's single clone.
+    /// The Adj-RIB-In route this import makes of `incoming`: a second
+    /// handle on its attributes (copied only to add `NO_EXPORT`) under this
+    /// receiver's annotation.
     fn apply(&self, incoming: &Route) -> Route {
         let mut route = incoming.clone();
         route.local_pref = self.effects.local_pref;
@@ -265,8 +325,7 @@ impl ImportDelta {
         if self.effects.add_no_export {
             route.communities.push(Community::NO_EXPORT);
         }
-        route.own_tags.clear();
-        route.own_tags.extend(self.own_tags.iter().flatten());
+        route.own_tags = self.own_tags;
         route.source = RouteSource::Ebgp(self.sender);
         route.med = 0;
         route
@@ -309,9 +368,8 @@ impl RouteId {
 /// continue from the same arrival order on both sides. That is what makes a
 /// converged snapshot (`SimSnapshot`) restorable — a delta run on the
 /// restored arena interns exactly the ids the uninterrupted run would have.
-/// (Cloning counts one [`route_clones`] tick per stored route; snapshots
-/// are taken per baseline, not per event, so the steady-state zero-clone
-/// invariant is untouched.)
+/// (Cloning counts one [`route_clones`] tick per stored route — a handle
+/// each, no attribute copied.)
 ///
 /// Equality is equality of the stored routes in id order. The index is a
 /// function of them, and the derivation cache is invisible by
@@ -428,9 +486,9 @@ impl RouteArena {
     /// `intern(delta.apply(get(incoming)))`, remembered per `(incoming,
     /// delta)`. The key names no receiver, so every receiver whose policy
     /// reaches the same delta on the same advertisement shares the entry:
-    /// the first pays the clone, the route hash and the intern, the rest
-    /// one probe of a few words. Routes are never removed between resets, so
-    /// a remembered id stays the id `intern` would return.
+    /// the first pays the handle clone, the route hash and the intern, the
+    /// rest one probe of a few words. Routes are never removed between
+    /// resets, so a remembered id stays the id `intern` would return.
     pub(crate) fn intern_derived(&mut self, incoming: RouteId, delta: ImportDelta) -> RouteId {
         if let Some(&id) = self.derived.get(&(incoming, delta)) {
             return id;
@@ -448,23 +506,49 @@ impl RouteArena {
     }
 }
 
+/// What an operation copied on this thread, as the tests state it.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Copies {
+    /// [`route_clones`] ticks: a handle and an annotation each.
+    pub(crate) handles: u64,
+    /// [`attr_copies`] ticks: a path and two community lists each.
+    pub(crate) attrs: u64,
+}
+
+#[cfg(test)]
+impl Copies {
+    pub(crate) const NONE: Copies = Copies {
+        handles: 0,
+        attrs: 0,
+    };
+}
+
+/// Runs `f` and reports what it copied.
+#[cfg(test)]
+pub(crate) fn copies_during<T>(f: impl FnOnce() -> T) -> (T, Copies) {
+    let (handles, attrs) = (route_clones(), attr_copies());
+    let out = f();
+    let copies = Copies {
+        handles: route_clones() - handles,
+        attrs: attr_copies() - attrs,
+    };
+    (out, copies)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn route(lp: u32, path: &[u32], from: u32) -> Route {
-        Route {
+        let attrs = RouteAttrs {
             path: AsPath::from_asns(path.iter().map(|&n| Asn::new(n))),
             origin: Origin::Igp,
             communities: vec![],
             large_communities: vec![],
-            source: RouteSource::Ebgp(Asn::new(from)),
-            local_pref: lp,
-            med: 0,
-            blackholed: false,
-            pending_prepend: 0,
-            own_tags: Vec::new(),
-        }
+        };
+        Route::new(attrs, RouteSource::Ebgp(Asn::new(from)), lp)
     }
 
     #[test]
@@ -684,13 +768,9 @@ mod tests {
         for d in deltas {
             let id = arena.intern_derived(base, d);
             assert_eq!(twin.intern(d.apply(twin.get(base))), id, "{d:?}");
-            let before = route_clones();
-            assert_eq!(
-                arena.intern_derived(base, d),
-                id,
-                "a hit returns the stored id"
-            );
-            assert_eq!(route_clones() - before, 0, "a hit clones nothing");
+            let (hit, copies) = copies_during(|| arena.intern_derived(base, d));
+            assert_eq!(hit, id, "a hit returns the stored id");
+            assert_eq!(copies, Copies::NONE, "a hit copies nothing");
             ids.push(id);
         }
         ids.sort_unstable();
@@ -706,7 +786,7 @@ mod tests {
 
         let tagged = arena.intern_derived(base, deltas[3]);
         let imported = arena.get(tagged);
-        assert_eq!(imported.own_tags, [t1, t2]);
+        assert_eq!(imported.own_tags, [Some(t1), Some(t2)]);
         assert_eq!(imported.source, RouteSource::Ebgp(Asn::new(2)));
         assert_eq!(imported.path, route(0, &[2, 1], 9).path, "the path is kept");
 
@@ -718,15 +798,180 @@ mod tests {
         assert_eq!(arena.get(id).path, route(0, &[7, 1], 7).path);
     }
 
+    /// The owned layout `Route` had before its attributes moved behind a
+    /// handle, field for field — the oracle copy-on-write is checked
+    /// against. Its `Clone` is a deep copy, so no two mirrors can alias.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct Mirror {
+        path: AsPath,
+        origin: Origin,
+        communities: Vec<Community>,
+        large_communities: Vec<LargeCommunity>,
+        source: RouteSource,
+        local_pref: u32,
+        med: u32,
+        blackholed: bool,
+        pending_prepend: u8,
+        own_tags: Vec<Community>,
+    }
+
+    impl Mirror {
+        /// The handle-backed route of the same content, built from nothing:
+        /// it shares attributes with no other route.
+        fn build(&self) -> Route {
+            let attrs = RouteAttrs {
+                path: self.path.clone(),
+                origin: self.origin,
+                communities: self.communities.clone(),
+                large_communities: self.large_communities.clone(),
+            };
+            let mut route = Route::new(attrs, self.source, self.local_pref);
+            route.med = self.med;
+            route.blackholed = self.blackholed;
+            route.pending_prepend = self.pending_prepend;
+            route.own_tags = [
+                self.own_tags.first().copied(),
+                self.own_tags.get(1).copied(),
+            ];
+            route
+        }
+
+        fn matches(&self, route: &Route) -> bool {
+            self.path == route.path
+                && self.origin == route.origin
+                && self.communities == route.communities
+                && self.large_communities == route.large_communities
+                && self.source == route.source
+                && self.local_pref == route.local_pref
+                && self.med == route.med
+                && self.blackholed == route.blackholed
+                && self.pending_prepend == route.pending_prepend
+                && self.own_tags == route.own_tags.iter().flatten().copied().collect::<Vec<_>>()
+        }
+
+        /// `ImportDelta::apply` as the owned layout spelled it.
+        fn import(&self, delta: &ImportDelta) -> Mirror {
+            let mut route = self.clone();
+            route.local_pref = delta.effects.local_pref;
+            route.blackholed = delta.effects.blackholed;
+            route.pending_prepend = delta.effects.pending_prepend;
+            if delta.effects.add_no_export {
+                route.communities.push(Community::NO_EXPORT);
+            }
+            route.own_tags = delta.own_tags.iter().flatten().copied().collect();
+            route.source = RouteSource::Ebgp(delta.sender);
+            route.med = 0;
+            route
+        }
+    }
+
+    fn arena_hash(route: &Route) -> u64 {
+        let mut hasher = ArenaHasher::default();
+        route.hash(&mut hasher);
+        hasher.finish()
+    }
+
+    proptest! {
+        /// Clones, attribute edits, scalar edits and imports applied alike
+        /// to handle-backed routes and their owned mirrors: after every
+        /// step each route still equals its mirror field for field (an edit
+        /// through one handle never reaches a sibling), and at the end `==`,
+        /// the arena hash and interning cannot tell shared attributes from
+        /// equal ones built twice.
+        #[test]
+        fn copy_on_write_never_aliases(
+            ops in proptest::collection::vec((0u8..7, 0usize..64, 1u32..5, 0u8..4), 1..48),
+        ) {
+            let seed = Mirror {
+                path: AsPath::from_asns([Asn::new(2), Asn::new(1)]),
+                origin: Origin::Igp,
+                communities: vec![Community::new(1, 100)],
+                large_communities: vec![LargeCommunity::new(1, 2, 3)],
+                source: RouteSource::Ebgp(Asn::new(2)),
+                local_pref: 100,
+                med: 0,
+                blackholed: false,
+                pending_prepend: 0,
+                own_tags: Vec::new(),
+            };
+            // Equal in content, distinct in pointer, from the start.
+            let mut pool = vec![(seed.build(), seed.clone()), (seed.build(), seed)];
+            for (op, target, a, b) in ops {
+                let at = target % pool.len();
+                let (route, mirror) = &mut pool[at];
+                match op {
+                    0 => {
+                        let pair = (route.clone(), mirror.clone());
+                        pool.push(pair);
+                    }
+                    1 => {
+                        route.path.prepend(Asn::new(a), usize::from(b));
+                        mirror.path.prepend(Asn::new(a), usize::from(b));
+                    }
+                    2 => {
+                        route.communities.push(Community::new(a as u16, u16::from(b)));
+                        mirror.communities.push(Community::new(a as u16, u16::from(b)));
+                    }
+                    3 => {
+                        route.large_communities.retain(|c| c.global != a);
+                        mirror.large_communities.retain(|c| c.global != a);
+                    }
+                    4 => {
+                        (route.local_pref, route.med, route.blackholed) = (a, u32::from(b), b > 1);
+                        (mirror.local_pref, mirror.med, mirror.blackholed) =
+                            (a, u32::from(b), b > 1);
+                    }
+                    5 => {
+                        let delta = ImportDelta {
+                            effects: AdmitEffects {
+                                add_no_export: b % 2 == 1,
+                                blackholed: b > 1,
+                                ..delta(a, 100, &[]).effects
+                            },
+                            ..delta(a, 100, &[Community::new(9, 100), Community::new(9, 201)][..usize::from(b) % 3])
+                        };
+                        let pair = (delta.apply(route), mirror.import(&delta));
+                        pool.push(pair);
+                    }
+                    _ => {
+                        let pair = (mirror.build(), mirror.clone());
+                        pool.push(pair);
+                    }
+                }
+                for (i, (route, mirror)) in pool.iter().enumerate() {
+                    prop_assert!(mirror.matches(route), "route {i} after op {op} on {at}");
+                }
+            }
+
+            let mut arena = RouteArena::new();
+            let mut distinct: Vec<&Mirror> = Vec::new();
+            for (route, mirror) in &pool {
+                for (other, other_mirror) in &pool {
+                    prop_assert_eq!(route == other, mirror == other_mirror);
+                    if mirror == other_mirror {
+                        prop_assert_eq!(arena_hash(route), arena_hash(other));
+                    }
+                }
+                // Ids are first-arrival positions among distinct contents.
+                let expected = distinct.iter().position(|m| *m == mirror).unwrap_or_else(|| {
+                    distinct.push(mirror);
+                    distinct.len() - 1
+                });
+                prop_assert_eq!(arena.intern(route.clone()).index(), expected);
+            }
+            prop_assert_eq!(arena.len(), distinct.len());
+        }
+    }
+
     #[test]
     fn re_interning_does_not_clone() {
         let mut arena = RouteArena::new();
         arena.intern(route(100, &[2, 1], 2));
         let template = route(100, &[2, 1], 2);
-        let before = route_clones();
         // Moving an already-known route into the arena drops it; nothing on
-        // the intern path ever calls Route::clone.
-        arena.intern(template);
-        assert_eq!(route_clones() - before, 0);
+        // the intern path ever calls Route::clone, let alone copies
+        // attributes.
+        let (_, copies) = copies_during(|| arena.intern(template));
+        assert_eq!(copies, Copies::NONE);
     }
 }

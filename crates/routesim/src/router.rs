@@ -5,7 +5,9 @@
 use crate::policy::{
     ActScope, CommunityPropagationPolicy, IrrDatabase, OriginValidation, RouterConfig, RsEvalOrder,
 };
-use crate::route::{AdmitEffects, ImportDelta, Route, RouteArena, RouteId, RouteSource};
+use crate::route::{
+    AdmitEffects, ImportDelta, Route, RouteArena, RouteAttrs, RouteId, RouteSource,
+};
 use bgpworms_topology::Role;
 use bgpworms_types::{community, Asn, Community, Prefix};
 use std::cmp::Ordering;
@@ -507,14 +509,18 @@ pub(crate) fn export_from_best(
     }
 
     let mut out = best.clone();
-    // Prepend self (once, plus any community-requested extra).
     let prepends = 1 + usize::from(best.pending_prepend);
-    out.path.prepend(asn, prepends);
     out.pending_prepend = 0;
     out.blackholed = false;
     out.local_pref = 0;
     out.med = 0;
     out.source = RouteSource::Ebgp(asn);
+    let own_tags = std::mem::take(&mut out.own_tags);
+    // The export's one attribute copy: `best` keeps what it received, every
+    // edit below is to `out`'s own.
+    let attrs: &mut RouteAttrs = &mut out;
+    // Prepend self (once, plus any community-requested extra).
+    attrs.path.prepend(asn, prepends);
 
     // Community propagation policy applies to *received* communities;
     // own ingress tags and origination tags ride along unconditionally
@@ -552,7 +558,7 @@ pub(crate) fn export_from_best(
     };
     let own_hi = asn.as_u16();
     let neighbor16 = neighbor.as_u16();
-    out.communities.retain(|c| match forward_received {
+    attrs.communities.retain(|c| match forward_received {
         ForwardSet::All => true,
         ForwardSet::None => false,
         ForwardSet::Foreign => Some(c.asn_part()) != own_hi,
@@ -563,7 +569,7 @@ pub(crate) fn export_from_best(
     // Administrator carries a full 32-bit ASN and no well-known large
     // communities are registered.
     let own32 = asn.get();
-    out.large_communities.retain(|c| match forward_received {
+    attrs.large_communities.retain(|c| match forward_received {
         ForwardSet::All => true,
         ForwardSet::None => false,
         ForwardSet::Foreign => c.global != own32,
@@ -572,7 +578,7 @@ pub(crate) fn export_from_best(
     });
     // Attach own ingress tags plus static egress tags, respecting the
     // vendor's added-community cap (§6.1: Cisco permits adding 32).
-    let mut added: Vec<Community> = std::mem::take(&mut out.own_tags);
+    let mut added: Vec<Community> = own_tags.into_iter().flatten().collect();
     added.extend(cfg.tagging.egress_tags.iter().copied());
     added.extend(
         cfg.tagging
@@ -584,15 +590,15 @@ pub(crate) fn export_from_best(
     if let Some(limit) = cfg.vendor.added_community_limit() {
         added.truncate(limit);
     }
-    out.communities.extend(added);
+    attrs.communities.extend(added);
 
     if !cfg.sends_communities() {
-        out.communities.clear();
-        out.large_communities.clear();
+        attrs.communities.clear();
+        attrs.large_communities.clear();
     }
-    community::normalize(&mut out.communities);
-    out.large_communities.sort_unstable();
-    out.large_communities.dedup();
+    community::normalize(&mut attrs.communities);
+    attrs.large_communities.sort_unstable();
+    attrs.large_communities.dedup();
 
     Some(arena.intern(out))
 }
@@ -646,15 +652,16 @@ fn route_server_export(
     out.blackholed = false;
     out.pending_prepend = 0;
     out.source = RouteSource::RouteServer(rs_asn);
+    let own_tags = std::mem::take(&mut out.own_tags);
+    let communities = &mut out.communities; // the export's one attribute copy
     if cfg.route_server.strip_control_communities {
-        out.communities.retain(|c| {
+        communities.retain(|c| {
             let hi = c.asn_part();
             !(hi == 0 || (hi == rs16 && is_member_value(c.value_part())))
         });
     }
-    let own_tags = std::mem::take(&mut out.own_tags);
-    out.communities.extend(own_tags);
-    community::normalize(&mut out.communities);
+    communities.extend(own_tags.into_iter().flatten());
+    community::normalize(communities);
     Some(arena.intern(out))
 }
 
@@ -688,6 +695,7 @@ pub fn blackhole_community_of(target: Asn) -> Option<Community> {
 mod tests {
     use super::*;
     use crate::policy::{BlackholeService, CommunityServices, TaggingConfig, Vendor};
+    use crate::route::{copies_during, Copies};
     use bgpworms_types::AsPath;
 
     fn ctx_empty() -> (IrrDatabase, IrrDatabase) {
@@ -699,18 +707,13 @@ mod tests {
     }
 
     fn incoming(from: u32, path: &[u32], comms: &[Community]) -> Route {
-        Route {
+        let attrs = RouteAttrs {
             path: AsPath::from_asns(path.iter().map(|&n| Asn::new(n))),
             origin: bgpworms_types::Origin::Igp,
             communities: comms.to_vec(),
             large_communities: vec![],
-            source: RouteSource::Ebgp(Asn::new(from)),
-            local_pref: 0,
-            med: 0,
-            blackholed: false,
-            pending_prepend: 0,
-            own_tags: vec![],
-        }
+        };
+        Route::new(attrs, RouteSource::Ebgp(Asn::new(from)), 0)
     }
 
     /// One node's owned storage bundled with its own [`RouteArena`],
@@ -1454,17 +1457,14 @@ mod tests {
         assert!(node.diff_export(6, first).is_some());
 
         // Steady state: nothing changed since the pass above.
-        let before = crate::route::route_clones();
-        assert!(!pass_needed(&mut t), "unchanged best ⇒ export pass skipped");
-        assert!(
-            t.state().0.diff_export(6, first).is_none(),
-            "same id ⇒ no update, no cache write"
-        );
-        assert_eq!(
-            crate::route::route_clones() - before,
-            0,
-            "steady-state path cloned a Route"
-        );
+        let (_, copies) = copies_during(|| {
+            assert!(!pass_needed(&mut t), "unchanged best ⇒ export pass skipped");
+            assert!(
+                t.state().0.diff_export(6, first).is_none(),
+                "same id ⇒ no update, no cache write"
+            );
+        });
+        assert_eq!(copies, Copies::NONE, "steady-state path copied a Route");
 
         // A genuinely new best re-arms the pass.
         t.import(
@@ -1522,21 +1522,18 @@ mod tests {
             RouterConfig::defaults(Asn::new(5)),
             RouterConfig::defaults(Asn::new(6)),
         );
-        let before = crate::route::route_clones();
-        let first = deliver(&mut arena, (5, false), &cfg5, (2, Role::Provider), advert);
-        assert_eq!(
-            crate::route::route_clones() - before,
-            1,
-            "a miss clones once"
-        );
-        let (len, before) = (arena.len(), crate::route::route_clones());
-        let second = deliver(&mut arena, (6, false), &cfg6, (2, Role::Provider), advert);
+        let (first, copies) =
+            copies_during(|| deliver(&mut arena, (5, false), &cfg5, (2, Role::Provider), advert));
+        let miss = Copies {
+            handles: 1,
+            attrs: 0,
+        };
+        assert_eq!(copies, miss, "a miss shares the advertisement's attributes");
+        let len = arena.len();
+        let (second, copies) =
+            copies_during(|| deliver(&mut arena, (6, false), &cfg6, (2, Role::Provider), advert));
         assert_eq!(second, first, "equal effects ⇒ one shared RIB route");
-        assert_eq!(
-            crate::route::route_clones() - before,
-            0,
-            "a hit clones nothing"
-        );
+        assert_eq!(copies, Copies::NONE, "a hit copies nothing");
         assert_eq!(arena.len(), len);
         assert_eq!(arena.derivations(), 1);
         // Vendors differ only in an added-community cap (32 or none) that
@@ -1583,7 +1580,7 @@ mod tests {
         let r = distinct("ingress tagging", &arena, id);
         assert_eq!(
             r.own_tags,
-            [Community::new(5, 100), Community::new(5, 203)],
+            [Some(Community::new(5, 100)), Some(Community::new(5, 203))],
             "origin class, then location bucket 2 % 4"
         );
         let id = deliver(&mut arena, (6, false), &cfg, (2, Role::Customer), plain);
@@ -1599,8 +1596,11 @@ mod tests {
         cfg.route_server.tag_member_routes = false;
         let untagged = deliver(&mut arena, (59_000, true), &cfg, (2, Role::Peer), plain);
         assert_ne!(tagged, untagged, "member tagging shared a route id");
-        assert_eq!(arena.get(tagged).own_tags, [Community::new(59_000, 102)]);
-        assert!(arena.get(untagged).own_tags.is_empty());
+        assert_eq!(
+            arena.get(tagged).own_tags,
+            [Some(Community::new(59_000, 102)), None]
+        );
+        assert_eq!(arena.get(untagged).own_tags, [None; 2]);
 
         // RTBH `set_no_export`.
         let trigger = arena.intern(incoming(2, &[2, 1], &[Community::BLACKHOLE]));
@@ -1616,6 +1616,67 @@ mod tests {
         assert!(arena.get(with).has_community(Community::NO_EXPORT));
         assert!(!arena.get(without).has_community(Community::NO_EXPORT));
         assert!(arena.get(with).blackholed && arena.get(without).blackholed);
+    }
+
+    #[test]
+    fn attributes_are_copied_to_add_no_export_and_once_per_export_that_mints() {
+        // The copy-on-write counts, one operation at a time (the engine and
+        // campaign tests count whole floods).
+        let shared = Copies {
+            handles: 1,
+            attrs: 0,
+        };
+        let copied = Copies {
+            handles: 1,
+            attrs: 1,
+        };
+        let mut arena = RouteArena::new();
+        let trigger = arena.intern(incoming(2, &[2, 1], &[Community::BLACKHOLE]));
+        let mut cfg = RouterConfig::defaults(Asn::new(5));
+        cfg.services.blackhole = Some(BlackholeService {
+            set_no_export: false,
+            ..BlackholeService::default()
+        });
+        let (plain, copies) =
+            copies_during(|| deliver(&mut arena, (5, false), &cfg, (2, Role::Customer), trigger));
+        assert_eq!(copies, shared, "an import that adds no community");
+        cfg.services.blackhole = Some(BlackholeService::default());
+        let (rtbh, copies) =
+            copies_during(|| deliver(&mut arena, (5, false), &cfg, (2, Role::Customer), trigger));
+        assert_eq!(copies, copied, "NO_EXPORT goes onto the import's own copy");
+        assert!(arena.get(rtbh).has_community(Community::NO_EXPORT));
+        for sibling in [trigger, plain] {
+            assert_eq!(arena.get(sibling).communities, [Community::BLACKHOLE]);
+        }
+
+        let mut export = |best: RouteId| {
+            copies_during(|| {
+                export_from_best(
+                    Asn::new(5),
+                    false,
+                    "10.0.0.0/24".parse().unwrap(),
+                    best,
+                    Some(Role::Customer),
+                    &cfg,
+                    Asn::new(7),
+                    Role::Provider,
+                    &mut arena,
+                )
+            })
+        };
+        let (out, copies) = export(plain);
+        assert!(out.is_some());
+        assert_eq!(copies, copied, "an export edits the path of its own copy");
+        assert_eq!(
+            export(rtbh),
+            (None, Copies::NONE),
+            "refused before the copy"
+        );
+        assert_eq!(
+            arena.get(plain).path.hop_count(),
+            2,
+            "the best keeps its path"
+        );
     }
 
     #[test]

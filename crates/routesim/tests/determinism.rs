@@ -53,6 +53,13 @@
 //!   bare edge list must name, per AS, the route `run` converges to: whether
 //!   it holds one, the class of neighbour it came from, its hop count and
 //!   its next hop.
+//! * **Well-known communities keep their scope** — the paper's §3/§6
+//!   semantics read off the RFCs, not off `router.rs`: in a converged
+//!   arbitrary world no AS's route was learned from a neighbour whose own
+//!   route carries `NO_EXPORT` or `NO_ADVERTISE`, none over a peer link
+//!   from one whose route carries `NO_PEER`, and an RTBH target that
+//!   blackholes a route puts itself under that statement by adding
+//!   `NO_EXPORT`.
 //! * **Derivation-cache transparency** — the arena answers a repeated
 //!   import derivation (same advertisement, same policy outcome, any
 //!   receiver) from a cache instead of cloning and re-interning. A stream
@@ -1534,6 +1541,79 @@ proptest! {
                 "memoization corrupted a prefix-sensitive world, threads = {}", t
             );
             prop_assert_eq!(memoized.events, plain.events);
+        }
+    }
+
+    /// ROADMAP item 3(b), first property — *well-known-community routes
+    /// never appear beyond their scope* — stated from the RFCs over what a
+    /// converged run retains, with no `router.rs` helper: every
+    /// announcement of one drawn origin additionally carries `NO_EXPORT`,
+    /// `NO_ADVERTISE` (RFC 1997: not beyond the receiving AS, not to any
+    /// peer), `NO_PEER` (RFC 3765: not over bilateral peering) or
+    /// `BLACKHOLE`, which a drawn RTBH target answers by adding `NO_EXPORT`
+    /// itself. Then no AS's final route was learned from a neighbour whose
+    /// own final route for the prefix carries `NO_EXPORT` or `NO_ADVERTISE`,
+    /// and none over a peer link from an AS whose route carries `NO_PEER`
+    /// (an IXP route server redistributes multilaterally and is outside
+    /// RFC 3765's wording as an announcer; a member announcing *to* it is
+    /// held to `NO_PEER` like any other peer).
+    #[test]
+    fn well_known_communities_keep_routes_inside_their_scope(
+        raw in arb_world(),
+        (tag, tagged, target) in (0usize..4, 0usize..16, 0usize..16),
+    ) {
+        let (topo, mut configs, collectors, mut originations) = build_world(&raw);
+        let well_known = [
+            Community::NO_EXPORT,
+            Community::NO_ADVERTISE,
+            Community::NO_PEER,
+            Community::BLACKHOLE,
+        ][tag];
+        let origin = originations[tagged % originations.len()].origin;
+        for o in originations.iter_mut().filter(|o| o.origin == origin && !o.withdraw) {
+            o.communities.push(well_known);
+        }
+        let target = Asn::new((target % raw.n_nodes) as u32 + 1);
+        let mut rtbh = RouterConfig::defaults(target);
+        rtbh.services.blackhole = Some(BlackholeService {
+            min_prefix_len: 16, // the schedule's prefixes are /16s
+            set_no_export: true,
+            ..BlackholeService::default()
+        });
+        configs.push(rtbh);
+        let res = spec_for(&topo, configs, collectors).compile().run(&originations);
+        if !res.converged {
+            return Ok(()); // an oscillating world has no converged state to read
+        }
+
+        for (prefix, finals) in &res.final_routes {
+            // What puts a blackholing target under the statement below.
+            if let Some(blackholed) = finals.get(&target).filter(|route| route.blackholed) {
+                prop_assert!(blackholed.communities.contains(&Community::NO_EXPORT));
+            }
+            for (&asn, route) in finals.iter() {
+                let Some(from) = route.source.neighbor() else {
+                    continue; // its own origination
+                };
+                let Some(theirs) = finals.get(&from) else {
+                    panic!("{asn} learned {prefix} from {from}, which holds no route");
+                };
+                for scoped in [Community::NO_EXPORT, Community::NO_ADVERTISE] {
+                    prop_assert!(
+                        !theirs.communities.contains(&scoped),
+                        "{asn} learned {prefix} from {from}, whose route carries {scoped}"
+                    );
+                }
+                let over_peering = topo.role_of(asn, from) == Some(Role::Peer);
+                let from_route_server =
+                    topo.node(from).is_some_and(|n| n.tier == Tier::RouteServer);
+                if over_peering && !from_route_server {
+                    prop_assert!(
+                        !theirs.communities.contains(&Community::NO_PEER),
+                        "{asn} learned {prefix} over peering from {from}, whose route is NO_PEER"
+                    );
+                }
+            }
         }
     }
 }

@@ -10,9 +10,7 @@
 //! carries the class statistics alongside the propagation counts, so the
 //! `repro` front end can print the realized hit rate.
 
-use bgpworms_routesim::{
-    Campaign, CampaignSink, Origination, PrefixFailure, PrefixOutcome, Workload,
-};
+use bgpworms_routesim::{Campaign, CampaignSink, Origination, PrefixOutcome, Workload};
 use bgpworms_topology::{PrefixAllocation, Topology};
 use bgpworms_types::Prefix;
 
@@ -121,9 +119,6 @@ pub struct FullTableReport {
     /// Prefixes whose flood exhausted its event budget and was reported
     /// as a structured divergence instead of a result.
     pub diverged: Vec<Prefix>,
-    /// Prefixes quarantined by the campaign supervisor after exhausting
-    /// their retry budget.
-    pub failures: Vec<PrefixFailure>,
     /// The streamed propagation aggregate.
     pub tags: TagPropagation,
 }
@@ -138,17 +133,17 @@ impl FullTableReport {
         self.class_hits as f64 / total as f64
     }
 
-    /// True when the table is incomplete: at least one prefix diverged or
-    /// was quarantined. Front ends (the `repro` CLI) treat a degraded
-    /// report as a failed artefact.
+    /// True when the table is incomplete: at least one prefix diverged.
+    /// Front ends (the `repro` CLI) treat a degraded report as a failed
+    /// artefact.
     pub fn degraded(&self) -> bool {
-        !self.diverged.is_empty() || !self.failures.is_empty()
+        !self.diverged.is_empty()
     }
 
     /// The campaign's standard degradation summary (one line per diverged
-    /// or quarantined prefix); empty when the report is clean.
+    /// prefix); empty when the report is clean.
     pub fn failure_summary(&self) -> String {
-        bgpworms_routesim::failure_summary(&self.diverged, &self.failures)
+        bgpworms_routesim::failure_summary(&self.diverged)
     }
 }
 
@@ -182,7 +177,6 @@ pub fn run_full_table(
         events: run.events,
         converged: run.converged,
         diverged: run.diverged,
-        failures: run.failures,
         tags: run.sink,
     }
 }
@@ -253,9 +247,9 @@ mod tests {
             "collectors must see the table"
         );
         assert!(report.tags.tagged_observations <= report.tags.observations);
-        // A fault-free campaign is never degraded.
+        // A converged campaign is never degraded.
         assert!(!report.degraded());
-        assert!(report.diverged.is_empty() && report.failures.is_empty());
+        assert!(report.diverged.is_empty());
         assert_eq!(report.failure_summary(), "");
     }
 

@@ -36,9 +36,9 @@ struct Run {
     opts: Options,
     /// Lazily built snapshot shared by the passive-measurement artefacts.
     snapshot: Option<Snapshot>,
-    /// Set when any artefact reports graceful degradation (diverged or
-    /// quarantined prefixes): the run still completes and writes every
-    /// artefact, but exits non-zero so automation notices.
+    /// Set when any artefact reports graceful degradation (diverged
+    /// prefixes): the run still completes and writes every artefact, but
+    /// exits non-zero so automation notices.
     degraded: bool,
 }
 
@@ -1083,9 +1083,8 @@ fn full_table_campaign(opts: &Options, degraded: &mut bool) -> String {
         *degraded = true;
         let _ = writeln!(
             out,
-            "DEGRADED: {} prefix(es) diverged, {} quarantined",
-            report.diverged.len(),
-            report.failures.len()
+            "DEGRADED: {} prefix(es) diverged",
+            report.diverged.len()
         );
         out.push_str(&report.failure_summary());
     }

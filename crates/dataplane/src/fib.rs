@@ -238,7 +238,7 @@ mod tests {
         let sim = SimSpec::new(&topo).retain(RetainRoutes::All).compile();
 
         let collected = Fib::from_sim(&sim.run(&eps));
-        let streamed = Campaign::new(&sim).chunk_size(3).run(&eps, Fib::default);
+        let streamed = Campaign::new(&sim).run(&eps, Fib::default);
         assert!(streamed.converged);
 
         // Identical lookups everywhere (Fib has no Eq; compare behaviour

@@ -67,22 +67,13 @@ pub const POLICIES: &[CratePolicy] = &[
         hot_path: &[],
     },
     CratePolicy {
-        // The fault-injection registry: its firing decisions feed directly
-        // into campaign results, so it gets the full determinism rules.
-        name: "bgpworms-failpoint",
-        src: "crates/failpoint/src",
-        result_affecting: true,
-        hot_path: &["lib.rs"],
-    },
-    CratePolicy {
         name: "bgpworms-routesim",
         src: "crates/routesim/src",
         result_affecting: true,
         // The per-event/per-prefix path: a panic here kills a whole
         // campaign worker, so every unwrap must argue its infallibility.
-        // `fault.rs` and `durable.rs` ride along — fault-key hashing and
-        // checkpoint parsing both run under campaign supervision, where an
-        // unjustified panic is indistinguishable from an injected one.
+        // `durable.rs` rides along — checkpoint parsing reads outside
+        // input, which must come back an error, never a panic.
         // `collector.rs` turns every observation of a run into MRT bytes.
         hot_path: &[
             "collector.rs",
@@ -93,7 +84,6 @@ pub const POLICIES: &[CratePolicy] = &[
             "classify.rs",
             "route.rs",
             "router.rs",
-            "fault.rs",
             "durable.rs",
         ],
     },

@@ -70,7 +70,7 @@
 //! would need. Capture is [`CompiledSim::run_snapshot`], over the one
 //! prefix's schedule, not a campaign option.
 //!
-//! # Checkpointing
+//! # Checkpointing and durable resume
 //!
 //! A campaign can stop after any number of chunks and hand back a
 //! [`CampaignCheckpoint`] — the aggregate sink plus the count of completed
@@ -82,30 +82,21 @@
 //! implements [`crate::DurableSink`] also serialize to (and restore from)
 //! a hand-rolled JSON text ([`CampaignCheckpoint::to_json`] /
 //! [`CampaignCheckpoint::from_json`]), so the safety net survives process
-//! death, not just an in-process pause — the crash-resume property suite
-//! (`tests/faults.rs`) injects a simulated crash at every registered fault
-//! site and proves restore-from-text reproduces the uninterrupted run.
+//! death, not just an in-process pause. A dead process loses its memory
+//! and nothing else, so "resume from the text persisted after chunk `k`"
+//! is the whole recovery contract: `tests/resume.rs` checks it for every
+//! `k`, across thread counts and with memoization on and off.
 //!
-//! # Supervision: fault policies, quarantine, graceful degradation
+//! # Divergence: the one failure a run can meet
 //!
-//! By default a panic anywhere in a chunk aborts the campaign
-//! ([`FaultPolicy::Abort`] — zero supervision overhead, the historical
-//! behavior). A campaign over wild data can instead supervise each prefix:
-//! [`FaultPolicy::Retry`] re-runs a panicking prefix on its worker's
-//! recycled `SimScratch` (`begin_prefix` restores consistency after a
-//! caught panic) up to N attempts before aborting, and
-//! [`FaultPolicy::Quarantine`] retries the same way but, when a prefix
-//! *keeps* failing, records a structured [`PrefixFailure`] (prefix,
-//! attempts, panic text) and lets the rest of the campaign complete. The
-//! fold/merge sequence of the surviving prefixes is unchanged, quarantine
-//! reports flow through checkpoints (resumed ≡ uninterrupted holds with
-//! faults in play), and injected *crash* faults are deliberately never
-//! retried — a simulated crash models process death, survivable only via
-//! a durably persisted checkpoint. Separately, a prefix that exhausts its
-//! event budget is no longer just a global `converged = false` bit: every
-//! such prefix is tallied in [`CampaignRun::diverged`] (and its checkpoint
-//! accessor), so degraded completions are inspectable — see
-//! [`CampaignRun::degraded`] and [`CampaignRun::failure_summary`].
+//! Every result is a pure function of (topology, configs, schedule), so a
+//! prefix that panicked would panic again on every retry; a panic aborts
+//! the campaign, naming its chunk. What a run *can* meet is a policy set
+//! that never converges. The event budget cuts such a flood, the campaign
+//! folds what it reached, and the prefix is tallied in
+//! [`CampaignRun::diverged`] (and its checkpoint accessor), so a degraded
+//! completion is inspectable — see [`CampaignRun::degraded`] and
+//! [`CampaignRun::failure_summary`].
 //!
 //! ```
 //! use bgpworms_routesim::{Campaign, CampaignSink, Origination, PrefixOutcome, SimSpec};
@@ -139,13 +130,10 @@
 //! ```
 
 use crate::classify::ClassKey;
-use crate::engine::{panic_message, CompiledSim, Origination, PrefixOutcome, ScratchReader};
-use crate::fault::{fault_site, fnv1a_extend, prefix_fault_key};
+use crate::engine::{CompiledSim, Origination, PrefixOutcome, ScratchReader};
 use crate::shard;
-use bgpworms_failpoint::FaultPlan;
 use bgpworms_types::Prefix;
 use std::collections::{BTreeMap, HashMap};
-use std::panic::AssertUnwindSafe;
 use std::sync::Mutex;
 
 /// A streaming fold over per-prefix outcomes.
@@ -171,51 +159,13 @@ pub trait CampaignSink: Sized {
 #[derive(Debug, Clone, Copy)]
 pub struct Campaign<'s, 't> {
     sim: &'s CompiledSim<'t>,
-    chunk_size: usize,
     memoize: bool,
-    policy: FaultPolicy,
-    faults: Option<&'t FaultPlan>,
 }
 
-/// What the campaign does when simulating (or folding) one prefix panics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FaultPolicy {
-    /// Abort the whole campaign on the first panic (the default, and the
-    /// zero-overhead path: no per-prefix `catch_unwind` frame exists).
-    #[default]
-    Abort,
-    /// Re-run a panicking prefix on the worker's recycled scratch, up to
-    /// `attempts` total tries (minimum 1); a prefix still failing after
-    /// that aborts the campaign, naming the prefix and attempt count.
-    Retry {
-        /// Total tries per prefix, including the first.
-        attempts: u32,
-    },
-    /// Like [`FaultPolicy::Retry`], but a prefix still failing after
-    /// `attempts` tries is *quarantined*: recorded as a structured
-    /// [`PrefixFailure`] (no fold for that prefix) while the rest of the
-    /// campaign completes.
-    Quarantine {
-        /// Total tries per prefix before quarantining, including the first.
-        attempts: u32,
-    },
-}
-
-/// One quarantined prefix: the structured failure report carried by
-/// [`CampaignRun::failures`] (and through checkpoints).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PrefixFailure {
-    /// The prefix that kept failing.
-    pub prefix: Prefix,
-    /// How many times it was tried before quarantining.
-    pub attempts: u32,
-    /// The panic text of the last attempt.
-    pub message: String,
-}
-
-/// Default prefixes per work chunk: small enough that a checkpoint is never
-/// far away and chunk sinks stay cheap, large enough that per-chunk
-/// bookkeeping vanishes next to per-prefix convergence cost.
+/// The most prefixes a work chunk holds: small enough that a checkpoint is
+/// never far away and chunk sinks stay cheap, large enough that per-chunk
+/// bookkeeping vanishes next to per-prefix convergence cost. A checkpoint
+/// records it, and one taken under another bound is refused.
 pub const DEFAULT_CHUNK_SIZE: usize = 32;
 
 /// Target minimum number of chunks a non-trivial schedule is split into
@@ -248,9 +198,6 @@ pub struct CampaignCheckpoint<S> {
     pub(crate) class_hits: u64,
     /// Prefixes (ascending fold order) that exhausted their event budget.
     pub(crate) diverged: Vec<Prefix>,
-    /// Prefixes quarantined under [`FaultPolicy::Quarantine`], in fold
-    /// order.
-    pub(crate) failures: Vec<PrefixFailure>,
 }
 
 impl<S> CampaignCheckpoint<S> {
@@ -293,13 +240,6 @@ impl<S> CampaignCheckpoint<S> {
     pub fn diverged(&self) -> &[Prefix] {
         &self.diverged
     }
-
-    /// Prefixes quarantined so far under [`FaultPolicy::Quarantine`], in
-    /// fold order. Flows through resume, so a resumed campaign reports the
-    /// same quarantine set as an uninterrupted one.
-    pub fn failures(&self) -> &[PrefixFailure] {
-        &self.failures
-    }
 }
 
 /// A finished campaign.
@@ -322,51 +262,39 @@ pub struct CampaignRun<S> {
     /// — the structured form of `!converged` (graceful degradation, not an
     /// abort).
     pub diverged: Vec<Prefix>,
-    /// Prefixes quarantined under [`FaultPolicy::Quarantine`], in fold
-    /// order, with attempt counts and panic text.
-    pub failures: Vec<PrefixFailure>,
+    /// Always empty — the element type has no values: a deterministic
+    /// engine has no prefix to quarantine. Kept for the repo benchmark,
+    /// which reads its length (ROADMAP item 7 removes it).
+    pub failures: Vec<std::convert::Infallible>,
 }
 
 impl<S> CampaignRun<S> {
     /// True if the campaign completed but not cleanly: some prefix
-    /// diverged or was quarantined. Callers surfacing results (e.g. the
-    /// `repro` CLI) should report [`CampaignRun::failure_summary`] and
-    /// exit non-zero.
+    /// diverged. Callers surfacing results (e.g. the `repro` CLI) should
+    /// report [`CampaignRun::failure_summary`] and exit non-zero.
     pub fn degraded(&self) -> bool {
-        !self.diverged.is_empty() || !self.failures.is_empty()
+        !self.diverged.is_empty()
     }
 
     /// A human-readable summary of the degradation: one line per diverged
-    /// prefix and one per quarantined prefix (with attempts and panic
-    /// text). Empty string when the run is clean.
+    /// prefix. Empty string when the run is clean.
     pub fn failure_summary(&self) -> String {
-        failure_summary(&self.diverged, &self.failures)
+        failure_summary(&self.diverged)
     }
 }
 
 /// Renders the standard degradation summary — one line per diverged
-/// prefix, one per quarantined prefix (with attempt count and panic
-/// text); empty when both lists are. [`CampaignRun::failure_summary`]
-/// delegates here, and downstream reports carrying the same structured
-/// fields (e.g. the full-table harness) reuse it so every front end
-/// prints degradation identically.
-pub fn failure_summary(diverged: &[Prefix], failures: &[PrefixFailure]) -> String {
+/// prefix; empty when there is none. [`CampaignRun::failure_summary`]
+/// delegates here, and downstream reports carrying the same list (e.g. the
+/// full-table harness) reuse it so every front end prints degradation
+/// identically.
+pub fn failure_summary(diverged: &[Prefix]) -> String {
     use std::fmt::Write;
     let mut out = String::new();
     for prefix in diverged {
         // lint: infallible `fmt::Write` for `String` never errors
         writeln!(out, "diverged: {prefix} (event budget exhausted)")
             .expect("String formatting is infallible");
-    }
-    for f in failures {
-        let plural = if f.attempts == 1 { "" } else { "s" };
-        // lint: infallible `fmt::Write` for `String` never errors
-        writeln!(
-            out,
-            "quarantined: {} after {} attempt{plural}: {}",
-            f.prefix, f.attempts, f.message
-        )
-        .expect("String formatting is infallible");
     }
     out
 }
@@ -406,7 +334,6 @@ struct ChunkOutcome<S> {
     class_sims: u64,
     class_hits: u64,
     diverged: Vec<Prefix>,
-    failures: Vec<PrefixFailure>,
 }
 
 /// The schedule's class structure: each prefix's class id, with classes
@@ -490,33 +417,9 @@ impl ClassMemo {
 }
 
 impl<'s, 't> Campaign<'s, 't> {
-    /// A campaign over `sim` with the [`DEFAULT_CHUNK_SIZE`].
+    /// A memoizing campaign over `sim`.
     pub fn new(sim: &'s CompiledSim<'t>) -> Self {
-        Campaign {
-            sim,
-            chunk_size: DEFAULT_CHUNK_SIZE,
-            memoize: true,
-            policy: FaultPolicy::Abort,
-            faults: sim.faults(),
-        }
-    }
-
-    /// Sets the supervision policy for panics while simulating or folding
-    /// one prefix (default: [`FaultPolicy::Abort`], the zero-overhead
-    /// path). See the module docs' supervision section.
-    pub fn fault_policy(mut self, policy: FaultPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Attaches a deterministic fault plan consulted at the campaign's
-    /// fault sites (chunk claim, per-prefix, fold, merge, checkpoint save —
-    /// see [`crate::fault_site`]). Defaults to the plan attached to the
-    /// session via [`crate::SimSpec::faults`], if any; never read from the
-    /// environment.
-    pub fn faults(mut self, plan: &'t FaultPlan) -> Self {
-        self.faults = Some(plan);
-        self
+        Campaign { sim, memoize: true }
     }
 
     /// The oracle flood memoization is tested against: [`Campaign::new`]
@@ -544,28 +447,17 @@ impl<'s, 't> Campaign<'s, 't> {
         }
     }
 
-    /// Sets the prefixes-per-chunk **upper bound** (minimum 1). Small
-    /// schedules get proportionally smaller chunks — see
-    /// [`Campaign::effective_chunk_size`] — so a handful of prefixes still
-    /// spreads across every worker. Checkpoints are only portable between
-    /// campaigns with the same configured chunk size.
-    pub fn chunk_size(mut self, n: usize) -> Self {
-        self.chunk_size = n.max(1);
-        self
-    }
-
-    /// The chunk size actually used for a schedule of `n_prefixes`: the
-    /// configured bound, shrunk so the schedule splits into at least
-    /// [`MIN_SCHEDULABLE_CHUNKS`] chunks. Chunks are the parallel work
-    /// unit, so without this a 24-prefix campaign under the default bound
-    /// of 32 would be one chunk — i.e. fully serial no matter how many
-    /// worker threads the session has. The formula depends only on the
-    /// configured bound and the prefix count, never on the thread count,
+    /// The chunk size used for a schedule of `n_prefixes`: the
+    /// [`DEFAULT_CHUNK_SIZE`] bound, shrunk so the schedule splits into at
+    /// least [`MIN_SCHEDULABLE_CHUNKS`] chunks. Chunks are the parallel work
+    /// unit, so without this a 24-prefix campaign would be one chunk — i.e.
+    /// fully serial no matter how many worker threads the session has. The
+    /// formula depends only on the prefix count, never on the thread count,
     /// which is what keeps chunk boundaries (and hence the sink's
     /// fold/merge sequence and checkpoint grain) identical across
     /// `threads = 1/N`.
     pub fn effective_chunk_size(&self, n_prefixes: usize) -> usize {
-        self.chunk_size
+        DEFAULT_CHUNK_SIZE
             .min(n_prefixes.div_ceil(MIN_SCHEDULABLE_CHUNKS))
             .max(1)
     }
@@ -576,14 +468,13 @@ impl<'s, 't> Campaign<'s, 't> {
         CampaignCheckpoint {
             sink,
             chunks_done: 0,
-            chunk_size: self.chunk_size,
+            chunk_size: DEFAULT_CHUNK_SIZE,
             schedule_digest: None,
             events: 0,
             converged: true,
             class_sims: 0,
             class_hits: 0,
             diverged: Vec::new(),
-            failures: Vec::new(),
         }
     }
 
@@ -646,11 +537,10 @@ impl<'s, 't> Campaign<'s, 't> {
         F: Fn() -> S + Sync,
     {
         assert_eq!(
-            cp.chunk_size, self.chunk_size,
-            "checkpoint was taken with chunk_size {} but the campaign resuming it uses \
-             chunk_size {} — chunk boundaries would not line up, silently skipping or \
-             re-folding prefixes; resume with the checkpoint's chunk size",
-            cp.chunk_size, self.chunk_size
+            cp.chunk_size, DEFAULT_CHUNK_SIZE,
+            "checkpoint was taken with chunk_size {} but this build chunks by {} — chunk \
+             boundaries would not line up, silently skipping or re-folding prefixes",
+            cp.chunk_size, DEFAULT_CHUNK_SIZE
         );
         let by_prefix = group_by_prefix(originations);
         let prefixes: Vec<Prefix> = by_prefix.keys().copied().collect();
@@ -670,6 +560,13 @@ impl<'s, 't> Campaign<'s, 't> {
 
         let chunk_size = self.effective_chunk_size(prefixes.len());
         let n_chunks = prefixes.len().div_ceil(chunk_size);
+        // A checkpoint past the last chunk (a forged or corrupt file) would
+        // otherwise report a finished run that folded nothing.
+        assert!(
+            cp.chunks_done <= n_chunks,
+            "checkpoint claims {} chunks done but this schedule has {n_chunks}",
+            cp.chunks_done
+        );
         let end = match max_chunks {
             Some(m) => n_chunks.min(cp.chunks_done.saturating_add(m)),
             None => n_chunks,
@@ -699,14 +596,11 @@ impl<'s, 't> Campaign<'s, 't> {
             || self.sim.new_scratch(),
             |scratch, k| {
                 let ci = first + k;
-                if let Some(plan) = self.faults {
-                    let _ = plan.trip(fault_site::CHUNK_CLAIM, ci as u64);
-                }
                 self.run_chunk(
                     scratch, ci, chunk_size, &prefixes, &by_prefix, &classes, memo, new_sink,
                 )
             },
-            |_, out| absorb(&mut cp, out, self.faults),
+            |_, out| absorb(&mut cp, out),
         );
         if let Err((k, msg)) = ran {
             let ci = first + k;
@@ -754,7 +648,6 @@ impl<'s, 't> Campaign<'s, 't> {
             class_sims: 0,
             class_hits: 0,
             diverged: Vec::new(),
-            failures: Vec::new(),
         };
         for gi in range {
             let prefix = prefixes[gi];
@@ -763,22 +656,7 @@ impl<'s, 't> Campaign<'s, 't> {
             } else {
                 out.class_hits += 1;
             }
-            let outcome = match self.supervised(scratch, prefix, gi, by_prefix, classes, memo) {
-                Ok(outcome) => outcome,
-                Err(failure) => {
-                    // Quarantined: no fold for this prefix. Its class
-                    // counters above stand — they are schedule
-                    // statistics, not execution statistics.
-                    out.failures.push(failure);
-                    continue;
-                }
-            };
-            if let Some(plan) = self.faults {
-                // The fold site sits *outside* supervision: sink state
-                // cannot be rolled back, so a fold fault aborts (and is
-                // survivable only via durable-checkpoint restore).
-                let _ = plan.trip(fault_site::SINK_FOLD, prefix_fault_key(prefix));
-            }
+            let outcome = self.prefix_outcome(scratch, prefix, gi, by_prefix, classes, memo);
             if !outcome.converged {
                 out.diverged.push(prefix);
             }
@@ -789,70 +667,8 @@ impl<'s, 't> Campaign<'s, 't> {
         out
     }
 
-    /// Produces one prefix's outcome under the campaign's [`FaultPolicy`].
-    /// `Abort` calls straight through — no `catch_unwind` frame, zero
-    /// overhead. `Retry`/`Quarantine` catch a panicking attempt, recycle
-    /// the worker's scratch (the next `run_prefix` begins with
-    /// `begin_prefix`, which restores consistency after a caught panic),
-    /// and try again; what happens when attempts run out is the policies'
-    /// difference. Injected *crash* faults are always re-thrown — a
-    /// simulated crash models process death, and swallowing it in-process
-    /// would fake robustness the durable-checkpoint layer is supposed to
-    /// provide.
-    fn supervised(
-        &self,
-        scratch: &mut crate::scratch::SimScratch,
-        prefix: Prefix,
-        gi: usize,
-        by_prefix: &BTreeMap<Prefix, Vec<&Origination>>,
-        classes: &ClassTable,
-        memo: Option<&ClassMemo>,
-    ) -> Result<PrefixOutcome, PrefixFailure> {
-        let attempts = match self.policy {
-            FaultPolicy::Abort => {
-                return Ok(self.prefix_outcome(scratch, prefix, gi, by_prefix, classes, memo))
-            }
-            FaultPolicy::Retry { attempts } | FaultPolicy::Quarantine { attempts } => {
-                attempts.max(1)
-            }
-        };
-        let mut last = String::new();
-        for _ in 0..attempts {
-            match std::panic::catch_unwind(AssertUnwindSafe(|| {
-                self.prefix_outcome(scratch, prefix, gi, by_prefix, classes, memo)
-            })) {
-                Ok(outcome) => return Ok(outcome),
-                Err(payload) => {
-                    if bgpworms_failpoint::crash_payload(&*payload).is_some() {
-                        std::panic::resume_unwind(payload);
-                    }
-                    last = panic_message(&*payload);
-                }
-            }
-        }
-        match self.policy {
-            FaultPolicy::Quarantine { .. } => Err(PrefixFailure {
-                prefix,
-                attempts,
-                message: last,
-            }),
-            _ => panic!("prefix {prefix} still failing after {attempts} attempts: {last}"),
-        }
-    }
-
-    /// One prefix's outcome: consult the `campaign::prefix` fault site,
-    /// then simulate — through the class memo when it applies. A panic mid
-    /// slot-fill leaves the slot's `outcome` empty and `remaining`
-    /// undecremented, so a supervised retry simply re-locks and
-    /// re-simulates.
-    ///
-    /// Prefixes targeted by an `engine::flood` fault entry bypass the memo
-    /// and simulate directly: an engine-scoped fault fires *inside* the
-    /// flood, so under memoization it would hit whichever class member
-    /// happens to simulate first — scheduling-dependent. The bypass pins
-    /// the fault to exactly the targeted prefixes, keeping
-    /// memoized ≡ unmemoized property-true with engine faults in play
-    /// (locked in by `tests/faults.rs`).
+    /// One prefix's outcome: simulated, through the class memo when it
+    /// applies.
     fn prefix_outcome(
         &self,
         scratch: &mut crate::scratch::SimScratch,
@@ -862,67 +678,35 @@ impl<'s, 't> Campaign<'s, 't> {
         classes: &ClassTable,
         memo: Option<&ClassMemo>,
     ) -> PrefixOutcome {
-        if let Some(plan) = self.faults {
-            // Consulted once per *member* (before any memo lookup), so the
-            // site fires identically with memoization on or off. Starve is
-            // a no-op here — there is no budget at this site.
-            let _ = plan.trip(fault_site::PREFIX, prefix_fault_key(prefix));
+        let episodes = &by_prefix[&prefix];
+        let Some(memo) = memo else {
+            return self
+                .sim
+                .run_prefix(scratch, prefix, episodes, ScratchReader::Nobody);
+        };
+        // A poisoned slot is still consistent (a panicking simulation never
+        // half-fills `outcome`); that panic aborts the campaign under its
+        // own chunk's name.
+        let mut slot = memo.slots[classes.class_of[gi] as usize]
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        if slot.outcome.is_none() {
+            let outcome = self
+                .sim
+                .run_prefix(scratch, prefix, episodes, ScratchReader::Nobody);
+            slot.outcome = Some(outcome);
         }
-        let memo = memo.filter(|_| !self.engine_fault_targeted(prefix));
-        match memo {
-            None => {
-                self.sim
-                    .run_prefix(scratch, prefix, &by_prefix[&prefix], ScratchReader::Nobody)
-            }
-            Some(memo) => {
-                // A poisoned slot is still consistent: a panicking
-                // simulation never half-fills `outcome`, so we can
-                // keep going with whatever state the lock guards.
-                let mut slot = memo.slots[classes.class_of[gi] as usize]
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                if slot.outcome.is_none() {
-                    slot.outcome = Some(self.sim.run_prefix(
-                        scratch,
-                        prefix,
-                        &by_prefix[&prefix],
-                        ScratchReader::Nobody,
-                    ));
-                }
-                slot.remaining -= 1;
-                let stored = if slot.remaining == 0 {
-                    // lint: infallible filled under this same lock
-                    // guard by the is_none branch above
-                    slot.outcome.take().expect("slot filled above")
-                } else {
-                    // lint: infallible same guard, same fill
-                    slot.outcome.as_ref().expect("slot filled above").clone()
-                };
-                drop(slot);
-                stored.relabeled(prefix)
-            }
-        }
-    }
-
-    /// Serializes a checkpoint for durable persistence, consulting the
-    /// `campaign::checkpoint-save` fault site first (key: the checkpoint's
-    /// `chunks_done`) — so the crash-resume suite can kill the campaign at
-    /// the exact moment a save would happen and prove the *previous*
-    /// persisted text still restores correctly. Restore with
-    /// [`CampaignCheckpoint::from_json`].
-    pub fn checkpoint_json<S: crate::DurableSink>(&self, cp: &CampaignCheckpoint<S>) -> String {
-        if let Some(plan) = self.faults {
-            let _ = plan.trip(fault_site::CHECKPOINT_SAVE, cp.chunks_done as u64);
-        }
-        cp.to_json()
-    }
-
-    /// True when the attached plan has an `engine::flood` entry that could
-    /// fire for `prefix` (counters ignored) — such prefixes bypass the
-    /// class memo; see [`Campaign::prefix_outcome`].
-    fn engine_fault_targeted(&self, prefix: Prefix) -> bool {
-        self.faults
-            .is_some_and(|plan| plan.targets(fault_site::ENGINE_FLOOD, prefix_fault_key(prefix)))
+        slot.remaining -= 1;
+        let stored = if slot.remaining == 0 {
+            // lint: infallible filled under this same lock guard by the
+            // is_none branch above
+            slot.outcome.take().expect("slot filled above")
+        } else {
+            // lint: infallible same guard, same fill
+            slot.outcome.as_ref().expect("slot filled above").clone()
+        };
+        drop(slot);
+        stored.relabeled(prefix)
     }
 }
 
@@ -958,31 +742,23 @@ fn schedule_digest(prefixes: &[Prefix]) -> u64 {
         text.clear();
         // lint: infallible `fmt::Write` for `String` never errors
         write!(text, "{prefix}").expect("String formatting is infallible");
-        state = fnv1a_extend(state, text.as_bytes());
-        // Separator byte: never appears in prefix text, so adjacent
+        // Separator byte 0xff: never appears in prefix text, so adjacent
         // prefixes cannot alias across the boundary.
-        state = fnv1a_extend(state, &[0xff]);
+        for &b in text.as_bytes().iter().chain(&[0xff]) {
+            state ^= u64::from(b);
+            state = state.wrapping_mul(0x0000_0100_0000_01b3);
+        }
     }
     state
 }
 
-fn absorb<S: CampaignSink>(
-    cp: &mut CampaignCheckpoint<S>,
-    out: ChunkOutcome<S>,
-    faults: Option<&FaultPlan>,
-) {
-    if let Some(plan) = faults {
-        // Merges happen in ascending chunk order, so `chunks_done` *is*
-        // the global index of the chunk being merged.
-        let _ = plan.trip(fault_site::SINK_MERGE, cp.chunks_done as u64);
-    }
+fn absorb<S: CampaignSink>(cp: &mut CampaignCheckpoint<S>, out: ChunkOutcome<S>) {
     cp.sink.merge(out.sink);
     cp.events += out.events;
     cp.converged &= out.converged;
     cp.class_sims += out.class_sims;
     cp.class_hits += out.class_hits;
     cp.diverged.extend(out.diverged);
-    cp.failures.extend(out.failures);
     cp.chunks_done += 1;
 }
 
@@ -995,17 +771,18 @@ fn finish<S>(cp: CampaignCheckpoint<S>) -> CampaignRun<S> {
         class_sims: cp.class_sims,
         class_hits: cp.class_hits,
         diverged: cp.diverged,
-        failures: cp.failures,
+        failures: Vec::new(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{RetainRoutes, SimSpec};
+    use crate::engine::{panic_message, RetainRoutes, SimSpec};
     use crate::Origination;
     use bgpworms_topology::{PrefixAllocation, TopologyParams};
     use bgpworms_types::{Asn, Community};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     /// Order-sensitive sink: records the exact fold/merge call sequence, so
     /// any thread-count dependence in the driver shows up as a sequence
@@ -1050,7 +827,7 @@ mod tests {
         let (topo, eps) = world();
         let sim = SimSpec::new(&topo).retain(RetainRoutes::All).compile();
         let reference = sim.run(&eps);
-        let run = Campaign::new(&sim).chunk_size(3).run(&eps, Trace::default);
+        let run = Campaign::new(&sim).run(&eps, Trace::default);
         assert_eq!(run.events, reference.events);
         assert_eq!(run.converged, reference.converged);
         let ref_routes: usize = reference.final_routes.values().map(|m| m.len()).sum();
@@ -1098,9 +875,9 @@ mod tests {
     fn sink_call_sequence_is_thread_count_independent() {
         let (topo, eps) = world();
         let mut sim = SimSpec::new(&topo).retain(RetainRoutes::All).compile();
-        let seq = Campaign::new(&sim).chunk_size(2).run(&eps, Trace::default);
+        let seq = Campaign::new(&sim).run(&eps, Trace::default);
         sim.set_threads(4);
-        let par = Campaign::new(&sim).chunk_size(2).run(&eps, Trace::default);
+        let par = Campaign::new(&sim).run(&eps, Trace::default);
         assert_eq!(seq.sink, par.sink, "fold/merge sequence diverged");
         assert_eq!(seq.events, par.events);
     }
@@ -1109,7 +886,7 @@ mod tests {
     fn checkpoint_resume_equals_uninterrupted() {
         let (topo, eps) = world();
         let sim = SimSpec::new(&topo).retain(RetainRoutes::All).compile();
-        let campaign = Campaign::new(&sim).chunk_size(2);
+        let campaign = Campaign::new(&sim);
         let full = campaign.run(&eps, Trace::default);
 
         // Stop-and-go: one chunk per call until done.
@@ -1139,7 +916,7 @@ mod tests {
     fn resume_after_partial_run_completes() {
         let (topo, eps) = world();
         let sim = SimSpec::new(&topo).retain(RetainRoutes::All).compile();
-        let campaign = Campaign::new(&sim).chunk_size(2);
+        let campaign = Campaign::new(&sim);
         let full = campaign.run(&eps, Trace::default);
         let (cp, finished) =
             campaign.run_chunks(&eps, campaign.begin(Trace::default()), Trace::default, 2);
@@ -1165,43 +942,93 @@ mod tests {
         let _ = campaign.resume(&eps, cp, Trace::default);
     }
 
+    /// The panic text of resuming `cp`, which must be refused.
+    fn refusal(
+        campaign: &Campaign<'_, '_>,
+        eps: &[Origination],
+        cp: CampaignCheckpoint<Trace>,
+    ) -> String {
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            campaign.resume(eps, cp, Trace::default)
+        }))
+        .expect_err("the checkpoint must be refused");
+        panic_message(&*err)
+    }
+
     #[test]
     fn checkpoint_rejects_mismatched_chunking_naming_both_sizes() {
-        // Chunk boundaries derive from the chunk size, so a checkpoint
-        // resumed under a different size would silently skip or re-fold
-        // prefixes. The guard must reject — and its message must name
-        // *both* sizes, so the operator of a multi-hour campaign knows
-        // which knob to fix without digging through two configs.
+        // A checkpoint file records the chunk bound it was taken under, and
+        // chunk boundaries derive from it: one taken under another bound
+        // would silently skip or re-fold prefixes. The guard must reject —
+        // and its message must name *both* sizes, so the operator of a
+        // multi-hour campaign knows what the file and the build disagree on.
         let (topo, eps) = world();
         let sim = SimSpec::new(&topo).compile();
-        let cp = Campaign::new(&sim).chunk_size(2).begin(Trace::default());
-        let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            Campaign::new(&sim)
-                .chunk_size(3)
-                .resume(&eps, cp, Trace::default)
-        }))
-        .expect_err("mismatched chunk size must be rejected");
-        let msg = panic_message(&*err);
+        let campaign = Campaign::new(&sim);
+        let mut cp = campaign.begin(Trace::default());
+        cp.chunk_size = 2;
+        let msg = refusal(&campaign, &eps, cp);
         assert!(
-            msg.contains("chunk_size 2") && msg.contains("chunk_size 3"),
-            "message must name the checkpoint's size and the campaign's size, got: {msg}"
+            msg.contains("checkpoint was taken with chunk_size 2 but this build chunks by 32"),
+            "message must name the checkpoint's size and the build's, got: {msg}"
         );
 
         // A partially-run checkpoint (digest already bound) is rejected the
         // same way — the chunk-size guard fires before the digest check.
-        let campaign = Campaign::new(&sim).chunk_size(2);
-        let (cp, _) =
+        let (mut cp, _) =
             campaign.run_chunks(&eps, campaign.begin(Trace::default()), Trace::default, 1);
-        let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            Campaign::new(&sim)
-                .chunk_size(5)
-                .resume(&eps, cp, Trace::default)
-        }))
-        .expect_err("mismatched chunk size must be rejected after partial progress");
-        let msg = panic_message(&*err);
+        cp.chunk_size = 5;
+        let msg = refusal(&campaign, &eps, cp);
         assert!(
-            msg.contains("chunk_size 2") && msg.contains("chunk_size 5"),
+            msg.contains("chunk_size 5") && msg.contains("chunks by 32"),
             "got: {msg}"
+        );
+    }
+
+    #[test]
+    fn checkpoint_past_the_last_chunk_is_refused_naming_both_counts() {
+        // A forged or corrupt checkpoint claiming more chunks than the
+        // schedule has must not resume into a "finished" run that folded
+        // nothing.
+        let (topo, eps) = world();
+        let sim = SimSpec::new(&topo).compile();
+        let campaign = Campaign::new(&sim);
+        let (mut cp, _) =
+            campaign.run_chunks(&eps, campaign.begin(Trace::default()), Trace::default, 1);
+        let n_chunks = campaign.run(&eps, Trace::default).chunks;
+        cp.chunks_done = 999;
+        let msg = refusal(&campaign, &eps, cp);
+        assert!(
+            msg.contains(&format!(
+                "checkpoint claims 999 chunks done but this schedule has {n_chunks}"
+            )),
+            "got: {msg}"
+        );
+    }
+
+    #[test]
+    fn a_flood_cut_by_its_budget_is_folded_and_tallied() {
+        // The one failure a deterministic run can meet is a flood that does
+        // not converge within its event budget. Budget 0 cuts every flood
+        // at its first event: each prefix is still folded — what it reached
+        // is its outcome — and listed in `diverged`, the summary names it,
+        // and memoization changes nothing.
+        let (topo, eps) = world();
+        let mut sim = SimSpec::new(&topo).retain(RetainRoutes::All).compile();
+        sim.event_budget = 0;
+        let run = Campaign::new(&sim).run(&eps, Trace::default);
+        let prefixes: Vec<Prefix> = group_by_prefix(&eps).into_keys().collect();
+        assert!(!run.converged && run.degraded());
+        assert_eq!(run.diverged, prefixes, "every prefix, in fold order");
+        let folds = run.sink.calls.iter().filter(|c| c.starts_with("fold "));
+        assert_eq!(folds.count(), prefixes.len(), "a cut flood is folded");
+        let lines = prefixes
+            .iter()
+            .map(|p| format!("diverged: {p} (event budget exhausted)\n"));
+        assert_eq!(run.failure_summary(), lines.collect::<String>());
+        assert_eq!(
+            run,
+            Campaign::unmemoized_reference(&sim).run(&eps, Trace::default)
         );
     }
 
@@ -1262,10 +1089,9 @@ mod tests {
         let (topo, eps) = world();
         let mut sim = SimSpec::new(&topo).compile();
         sim.set_threads(2);
-        let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            Campaign::new(&sim).chunk_size(2).run(&eps, || Bomb)
-        }))
-        .expect_err("panic must propagate");
+        let err =
+            std::panic::catch_unwind(AssertUnwindSafe(|| Campaign::new(&sim).run(&eps, || Bomb)))
+                .expect_err("panic must propagate");
         let msg = panic_message(&*err);
         assert!(msg.contains("campaign worker panicked"), "got: {msg}");
     }
@@ -1301,7 +1127,7 @@ mod tests {
         for threads in [1, 4] {
             sim.set_threads(threads);
             let [memoized, reference] = [Campaign::new(&sim), Campaign::unmemoized_reference(&sim)]
-                .map(|driver| driver.chunk_size(3).run(&eps, Trace::default));
+                .map(|driver| driver.run(&eps, Trace::default));
             assert_eq!(memoized.sink, reference.sink, "threads = {threads}");
             assert_eq!(memoized.events, reference.events);
             assert_eq!(memoized.converged, reference.converged);
@@ -1315,7 +1141,7 @@ mod tests {
         // describe the schedule, not the execution strategy).
         let (topo, eps) = world();
         let sim = SimSpec::new(&topo).retain(RetainRoutes::All).compile();
-        let campaign = Campaign::new(&sim).chunk_size(3);
+        let campaign = Campaign::new(&sim);
         let stats = campaign.class_stats(&eps);
         let n_prefixes = eps
             .iter()
@@ -1326,9 +1152,7 @@ mod tests {
         assert!(stats.classes >= 1 && stats.classes <= stats.prefixes);
 
         let memoized = campaign.run(&eps, Trace::default);
-        let plain = Campaign::unmemoized_reference(&sim)
-            .chunk_size(3)
-            .run(&eps, Trace::default);
+        let plain = Campaign::unmemoized_reference(&sim).run(&eps, Trace::default);
         assert_eq!(memoized.class_sims, stats.classes as u64);
         assert_eq!(memoized.class_sims + memoized.class_hits, n_prefixes as u64);
         assert_eq!(memoized.class_sims, plain.class_sims);
@@ -1434,7 +1258,7 @@ mod tests {
         ));
         let sim = SimSpec::new(&topo).retain(RetainRoutes::All).compile();
         let reference = sim.run(&eps);
-        let run = Campaign::new(&sim).chunk_size(4).run(&eps, Trace::default);
+        let run = Campaign::new(&sim).run(&eps, Trace::default);
         assert_eq!(run.events, reference.events);
         let ref_routes: usize = reference.final_routes.values().map(|m| m.len()).sum();
         assert_eq!(run.sink.routes, ref_routes);

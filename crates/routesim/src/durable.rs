@@ -18,15 +18,15 @@
 //! best-effort repaired. The format carries a version tag (`"v":1`) so a
 //! future shape change fails loud instead of misreading old files.
 //!
-//! Restore validation is layered: `from_json` checks the version and the
-//! syntax; [`crate::Campaign::resume`] then re-checks the schedule digest
-//! and chunk size against the live campaign, exactly as it does for
-//! in-memory checkpoints. The crash-resume property suite
-//! (`tests/faults.rs`) drives the full loop — simulated crash at every
-//! registered fault site, restore from the persisted text, byte-identical
-//! final result.
+//! Restore validation is layered: `from_json` checks the version, the
+//! syntax, and what no campaign writes (a checkpoint past chunk 0 bound to
+//! no schedule; a non-empty `failures` list, a field kept always `[]`);
+//! [`crate::Campaign::resume`] re-checks schedule digest, chunk size and
+//! chunk count against the live campaign. `tests/resume.rs` drives the full
+//! loop: stop after any chunk, persist, restore in a fresh session, finish
+//! byte-identical to the uninterrupted run.
 
-use crate::campaign::{CampaignCheckpoint, CampaignSink, PrefixFailure};
+use crate::campaign::{CampaignCheckpoint, CampaignSink};
 use bgpworms_types::Prefix;
 
 /// A campaign sink that can round-trip through a durable checkpoint.
@@ -34,7 +34,7 @@ use bgpworms_types::Prefix;
 /// `encode` must be a pure function of the aggregate state and `decode`
 /// its exact inverse (`decode(encode(s)) == s`), so a restored campaign
 /// continues from precisely the folded state the original persisted —
-/// the crash-resume suite holds resumed runs byte-identical to
+/// `tests/resume.rs` holds resumed runs byte-identical to
 /// uninterrupted ones, and any lossy encoding breaks that. The text may
 /// contain anything (it is JSON-escaped on the way out); keep it
 /// self-contained and platform-independent.
@@ -50,7 +50,7 @@ impl<S: DurableSink> CampaignCheckpoint<S> {
     /// Serializes this checkpoint into the versioned JSON text that
     /// [`CampaignCheckpoint::from_json`] restores. Deterministic: fixed
     /// field order, no whitespace, so equal checkpoints produce equal
-    /// bytes (the crash-resume suite compares persisted texts directly).
+    /// bytes (`tests/resume.rs` compares persisted texts directly).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(256);
         out.push_str("{\"v\":1,\"chunks_done\":");
@@ -77,20 +77,7 @@ impl<S: DurableSink> CampaignCheckpoint<S> {
             }
             push_json_string(&mut out, &prefix.to_string());
         }
-        out.push_str("],\"failures\":[");
-        for (i, f) in self.failures.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"prefix\":");
-            push_json_string(&mut out, &f.prefix.to_string());
-            out.push_str(",\"attempts\":");
-            out.push_str(&f.attempts.to_string());
-            out.push_str(",\"message\":");
-            push_json_string(&mut out, &f.message);
-            out.push('}');
-        }
-        out.push_str("],\"sink\":");
+        out.push_str("],\"failures\":[],\"sink\":");
         push_json_string(&mut out, &self.sink.encode());
         out.push('}');
         out
@@ -99,11 +86,12 @@ impl<S: DurableSink> CampaignCheckpoint<S> {
     /// Restores a checkpoint from [`CampaignCheckpoint::to_json`] text.
     ///
     /// Rejects (with a diagnostic) any version other than 1, any field out
-    /// of order or missing, and any malformed value — a durable checkpoint
+    /// of order or missing, any malformed value, a `null` schedule digest
+    /// past chunk 0 and a non-empty `failures` list — a durable checkpoint
     /// is a correctness artifact, so a half-understood one must fail loud.
-    /// Schedule-digest and chunk-size consistency against the resuming
-    /// campaign are checked by [`crate::Campaign::resume`], same as for
-    /// in-memory checkpoints.
+    /// Schedule-digest, chunk-size and chunk-count consistency against the
+    /// resuming campaign are checked by [`crate::Campaign::resume`], same as
+    /// for in-memory checkpoints.
     pub fn from_json(text: &str) -> Result<Self, String> {
         let mut p = Parser::new(text);
         p.token("{")?;
@@ -120,6 +108,11 @@ impl<S: DurableSink> CampaignCheckpoint<S> {
         let chunk_size = p.usize()?;
         p.token(",")?;
         p.key("schedule_digest")?;
+        // The first advance binds the digest, so only a forged or corrupt
+        // text has done chunks and no schedule to check them against.
+        if chunks_done > 0 && p.peek('n') {
+            return Err(p.err("the schedule digest a checkpoint past chunk 0 is bound to"));
+        }
         let schedule_digest = p.opt_u64()?;
         p.token(",")?;
         p.key("events")?;
@@ -149,29 +142,8 @@ impl<S: DurableSink> CampaignCheckpoint<S> {
         p.token(",")?;
         p.key("failures")?;
         p.token("[")?;
-        let mut failures = Vec::new();
         if !p.peek(']') {
-            loop {
-                p.token("{")?;
-                p.key("prefix")?;
-                let prefix = parse_prefix(&p.string()?)?;
-                p.token(",")?;
-                p.key("attempts")?;
-                let attempts =
-                    u32::try_from(p.u64()?).map_err(|_| "attempt count exceeds u32".to_string())?;
-                p.token(",")?;
-                p.key("message")?;
-                let message = p.string()?;
-                p.token("}")?;
-                failures.push(PrefixFailure {
-                    prefix,
-                    attempts,
-                    message,
-                });
-                if !p.try_token(",") {
-                    break;
-                }
-            }
+            return Err(p.err("an empty failures list (no prefix is ever quarantined)"));
         }
         p.token("]")?;
         p.token(",")?;
@@ -189,7 +161,6 @@ impl<S: DurableSink> CampaignCheckpoint<S> {
             class_sims,
             class_hits,
             diverged,
-            failures,
         })
     }
 }
@@ -200,8 +171,8 @@ fn parse_prefix(text: &str) -> Result<Prefix, String> {
 }
 
 /// Appends `text` as a JSON string literal: quotes, backslashes, and every
-/// control character escaped, so arbitrary panic text and sink encodings
-/// survive the round trip.
+/// control character escaped, so arbitrary sink encodings survive the
+/// round trip.
 fn push_json_string(out: &mut String, text: &str) {
     out.push('"');
     for c in text.chars() {
@@ -441,11 +412,6 @@ mod tests {
             class_sims: 9,
             class_hits: 2,
             diverged: vec!["10.1.0.0/16".parse().unwrap()],
-            failures: vec![PrefixFailure {
-                prefix: "10.2.0.0/16".parse().unwrap(),
-                attempts: 3,
-                message: "poisoned: \"bad\"\nrecord C:\\tmp\u{7}".into(),
-            }],
         }
     }
 
@@ -462,15 +428,14 @@ mod tests {
         assert_eq!(back.converged, cp.converged);
         assert_eq!((back.class_sims, back.class_hits), (9, 2));
         assert_eq!(back.diverged, cp.diverged);
-        assert_eq!(back.failures, cp.failures);
         // The writer is deterministic, so restore-then-rewrite is the
         // identity on the persisted bytes.
         assert_eq!(back.to_json(), text);
     }
 
-    #[test]
-    fn fresh_checkpoint_serializes_its_null_digest() {
-        let cp = CampaignCheckpoint {
+    /// What `Campaign::begin` hands out: no chunk done, no schedule bound.
+    fn fresh() -> CampaignCheckpoint<Tally> {
+        CampaignCheckpoint {
             sink: Tally::default(),
             chunks_done: 0,
             chunk_size: 32,
@@ -480,13 +445,54 @@ mod tests {
             class_sims: 0,
             class_hits: 0,
             diverged: Vec::new(),
-            failures: Vec::new(),
-        };
-        let text = cp.to_json();
+        }
+    }
+
+    #[test]
+    fn fresh_checkpoint_serializes_its_null_digest() {
+        let text = fresh().to_json();
         assert!(text.contains("\"schedule_digest\":null"), "got: {text}");
         let back = CampaignCheckpoint::<Tally>::from_json(&text).expect("restores");
         assert_eq!(back.schedule_digest, None);
-        assert!(back.diverged.is_empty() && back.failures.is_empty());
+        assert!(back.diverged.is_empty());
+    }
+
+    #[test]
+    fn a_digestless_checkpoint_past_chunk_zero_is_refused() {
+        // A fresh checkpoint's text edited to claim three chunks done still
+        // has no schedule digest, so nothing could check those chunks
+        // against the schedule: resumed, it would start at chunk 3 and
+        // silently skip every prefix before it.
+        let forged = fresh()
+            .to_json()
+            .replacen("\"chunks_done\":0", "\"chunks_done\":3", 1);
+        let err = CampaignCheckpoint::<Tally>::from_json(&forged).expect_err("must refuse");
+        let at = forged.find("null").expect("the digest is null");
+        assert!(
+            err.starts_with(&format!(
+                "malformed checkpoint at byte {at}: expected the schedule digest"
+            )),
+            "got: {err}"
+        );
+    }
+
+    #[test]
+    fn a_quarantine_list_is_refused() {
+        // No campaign quarantines a prefix, so a checkpoint that lists one
+        // is not one this codec wrote.
+        let forged = sample().to_json().replacen(
+            "\"failures\":[]",
+            "\"failures\":[{\"prefix\":\"10.2.0.0/16\",\"attempts\":3,\"message\":\"x\"}]",
+            1,
+        );
+        let err = CampaignCheckpoint::<Tally>::from_json(&forged).expect_err("must refuse");
+        let at = forged.find("{\"prefix\"").expect("the forged entry");
+        assert!(
+            err.starts_with(&format!(
+                "malformed checkpoint at byte {at}: expected an empty failures list"
+            )),
+            "got: {err}"
+        );
     }
 
     #[test]
@@ -531,13 +537,12 @@ mod tests {
 
     #[test]
     fn mutated_checkpoint_text_is_an_answer_never_a_panic() {
-        // One real checkpoint — a diverged prefix, a quarantine failure
-        // whose panic text holds quotes, a backslash and control characters,
-        // a sink text with a two-byte character — cut and damaged every way
-        // a file can be, deterministically.
+        // One real checkpoint — a diverged prefix, a sink text holding
+        // quotes, a backslash, control characters and a two-byte character
+        // — cut and damaged every way a file can be, deterministically.
         let text = sample().to_json();
         assert!(CampaignCheckpoint::<Tally>::from_json(&text).is_ok());
-        assert!(!text.is_ascii() && text.contains("\\u0007") && text.contains("\\\\"));
+        assert!(!text.is_ascii() && text.contains("\\u0001") && text.contains("\\\\"));
         for (cut, _) in text.char_indices() {
             probe(&text[..cut]);
         }
@@ -552,7 +557,7 @@ mod tests {
                 }
             }
             // Each number one digit longer: past u64 for the digest, past
-            // u32 for an attempt count, past /32 for a prefix length.
+            // /32 for a prefix length.
             if bytes[at].is_ascii_digit() && !bytes.get(at + 1).is_some_and(u8::is_ascii_digit) {
                 probe(&format!("{}9{}", &text[..=at], &text[at + 1..]));
             }

@@ -92,7 +92,7 @@
 //! `ScopedToReceiver`, a role with no neighbor) — no RIB rescan, and no
 //! session visited for an episode that changed nothing. The record is
 //! drained per episode and is not part of a snapshot. A prefix that
-//! diverged (budget cut, `Starve` fault) dropped its dirty set before the
+//! diverged (budget cut) dropped its dirty set before the
 //! passes ran, so it sweeps every live session through
 //! [`NodeState::export_for`] instead; `tests/determinism.rs` holds the
 //! recorded sweep to that full one on random worlds.
@@ -114,12 +114,10 @@
 use crate::campaign::{Campaign, CampaignSink};
 use crate::classify::{ClassKey, PrefixClassifier};
 use crate::collector::{CollectorObservation, CollectorSpec, FeedKind};
-use crate::fault::{fault_site, prefix_fault_key};
 use crate::policy::{CommunityPropagationPolicy, IrrDatabase, RouterConfig};
 use crate::route::{Route, RouteArena, RouteId};
 use crate::router::{self, NodeState, RibEntry, ValidationCtx};
 use crate::scratch::{EventQueue, SessionPass, SimScratch, SimSnapshot};
-use bgpworms_failpoint::FaultPlan;
 use bgpworms_topology::{NodeId, Role, Tier, Topology};
 use bgpworms_types::{AsPath, Asn, Community, Origin, Prefix};
 use std::borrow::Cow;
@@ -242,7 +240,6 @@ pub struct SimSpec<'a> {
     rpki: Cow<'a, IrrDatabase>,
     retain: RetainRoutes,
     threads: usize,
-    faults: Option<&'a FaultPlan>,
 }
 
 impl<'a> SimSpec<'a> {
@@ -257,7 +254,6 @@ impl<'a> SimSpec<'a> {
             rpki: Cow::Owned(IrrDatabase::new()),
             retain: RetainRoutes::None,
             threads: 1,
-            faults: None,
         }
     }
 
@@ -323,18 +319,6 @@ impl<'a> SimSpec<'a> {
     /// is always the serial export sweep.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Attaches a deterministic fault plan, consulted at the engine's
-    /// registered fault sites (`engine::flood`, `snapshot::capture`,
-    /// `snapshot::restore` — see [`crate::fault_site`]) and inherited by
-    /// campaigns built over the compiled session ([`CompiledSim::run`]'s
-    /// too). Fault injection is never configured through the environment;
-    /// attaching a plan here is the only way to arm it. With no plan
-    /// attached every site is a single `None` check.
-    pub fn faults(mut self, plan: &'a FaultPlan) -> Self {
-        self.faults = Some(plan);
         self
     }
 
@@ -405,7 +389,6 @@ impl<'a> SimSpec<'a> {
             threads: self.threads,
             event_budget: (adjacency_entries * 64).max(10_000),
             classifier,
-            faults: self.faults,
         }
     }
 }
@@ -477,14 +460,11 @@ pub struct CompiledSim<'a> {
     retain: RetainRoutes,
     threads: usize,
     /// Event budget per prefix (hoisted out of the prefix loop: the edge
-    /// sum is one CSR length read).
-    event_budget: u64,
+    /// sum is one CSR length read). Crate tests set it directly.
+    pub(crate) event_budget: u64,
     /// Compiled prefix-sensitivity summary for flood memoization — see
     /// `classify`.
     classifier: PrefixClassifier,
-    /// Deterministic fault plan consulted at the engine fault sites; `None`
-    /// (the default) makes every site a single branch.
-    faults: Option<&'a FaultPlan>,
 }
 
 impl<'a> CompiledSim<'a> {
@@ -508,12 +488,6 @@ impl<'a> CompiledSim<'a> {
     /// [`PrefixOutcome::observations`].
     pub fn collector_names(&self) -> &[String] {
         &self.collector_names
-    }
-
-    /// The fault plan attached at [`SimSpec::faults`], if any. Campaigns
-    /// built over this session inherit it.
-    pub fn faults(&self) -> Option<&'a FaultPlan> {
-        self.faults
     }
 
     /// How many nodes are unread leaves — no customer, no collector session,
@@ -563,10 +537,6 @@ impl<'a> CompiledSim<'a> {
         let last_time = episodes.last().map_or(0, |ep| ep.time);
         let mut scratch = self.new_scratch();
         let outcome = self.run_prefix(&mut scratch, prefix, &episodes, ScratchReader::Snapshot);
-        if let Some(plan) = self.faults {
-            // Starvation is a no-op at a site with no budget.
-            let _ = plan.trip(fault_site::SNAPSHOT_CAPTURE, prefix_fault_key(prefix));
-        }
         // The flat slot arrays, per-node scalars, touched list, arena and
         // collector dedup state, restricted to the flood's footprint.
         let offsets = self.topo.slot_offsets();
@@ -603,17 +573,7 @@ impl<'a> CompiledSim<'a> {
             );
         }
         let episodes = time_sorted(delta);
-        // A delta replay re-enters the flood, so it consults the same
-        // `engine::flood` site as a fresh run (plus `snapshot::restore` for
-        // the restore step itself).
-        let budget = self.prefix_budget(snapshot.prefix());
         let mut scratch = self.new_scratch();
-        if let Some(plan) = self.faults {
-            let _ = plan.trip(
-                fault_site::SNAPSHOT_RESTORE,
-                prefix_fault_key(snapshot.prefix()),
-            );
-        }
         scratch.restore(self.topo.slot_offsets(), snapshot);
         // The baseline's retained routes are not cloned: `continue_prefix`
         // rebuilds them from the re-converged RIBs.
@@ -629,7 +589,7 @@ impl<'a> CompiledSim<'a> {
             snapshot.prefix(),
             &episodes,
             &mut outcome,
-            budget,
+            self.event_budget,
             ScratchReader::Snapshot,
         );
         outcome
@@ -733,28 +693,16 @@ pub(crate) fn inverse_role(role: Role) -> Role {
 /// Total rendering of a caught panic payload: every payload produces a
 /// stable, non-empty message.
 ///
-/// String payloads (`panic!` and friends) render verbatim; the workspace's
-/// typed payloads — [`bgpworms_failpoint::FaultPayload`] from injected
-/// faults and [`bgpworms_failpoint::LabeledPayload`] from
-/// [`bgpworms_failpoint::panic_labeled`] (which captures the value's type
-/// name *at the panic site*) — render through their `Display` impls; and
-/// common primitive payloads render with their type name. Anything else is
-/// an opaque `dyn Any` whose type name is unrecoverable after the fact, so
-/// it renders a stable fallback — callers that control their panic sites
-/// get a named type by panicking via `panic_labeled`.
+/// String payloads (`panic!` and friends) render verbatim, and common
+/// primitive payloads render with their type name. Anything else is an
+/// opaque `dyn Any` whose type name is unrecoverable after the fact, so it
+/// renders a stable fallback.
 pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    use bgpworms_failpoint::{FaultPayload, LabeledPayload};
     if let Some(s) = payload.downcast_ref::<&str>() {
         return (*s).to_string();
     }
     if let Some(s) = payload.downcast_ref::<String>() {
         return s.clone();
-    }
-    if let Some(fault) = payload.downcast_ref::<FaultPayload>() {
-        return fault.to_string();
-    }
-    if let Some(labeled) = payload.downcast_ref::<LabeledPayload>() {
-        return labeled.to_string();
     }
     macro_rules! primitive {
         ($($ty:ty),*) => {
@@ -767,9 +715,7 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         };
     }
     primitive!(u8, u16, u32, u64, u128, usize, i8, i16, i32, i64, i128, isize, bool, char);
-    "panic payload of unknown type (not a string; panic via \
-     bgpworms_failpoint::panic_labeled to name it)"
-        .to_string()
+    "panic payload of unknown type (not a string or a primitive)".to_string()
 }
 
 /// The scratch-backed router table of one prefix run: hands out
@@ -876,7 +822,6 @@ impl CompiledSim<'_> {
         episodes: &[&Origination],
         reader: ScratchReader,
     ) -> PrefixOutcome {
-        let budget = self.prefix_budget(prefix);
         scratch.begin_prefix();
         let mut outcome = PrefixOutcome {
             observations: vec![Vec::new(); self.collector_names.len()],
@@ -884,26 +829,15 @@ impl CompiledSim<'_> {
             events: 0,
             converged: true,
         };
-        self.continue_prefix(scratch, prefix, episodes, &mut outcome, budget, reader);
+        self.continue_prefix(
+            scratch,
+            prefix,
+            episodes,
+            &mut outcome,
+            self.event_budget,
+            reader,
+        );
         outcome
-    }
-
-    /// The event budget of one prefix's flood, consulting the
-    /// `engine::flood` fault site when a plan is attached: `Panic`/`Crash`
-    /// faults panic here (the flood's entry point), and a `Starve` fault
-    /// zeroes the budget so the flood gives up on its first event and
-    /// reports divergence — graceful degradation, not a panic.
-    fn prefix_budget(&self, prefix: Prefix) -> u64 {
-        match self.faults {
-            None => self.event_budget,
-            Some(plan) => {
-                if plan.trip(fault_site::ENGINE_FLOOD, prefix_fault_key(prefix)) {
-                    0
-                } else {
-                    self.event_budget
-                }
-            }
-        }
     }
 
     /// Converges `episodes` of `prefix` on top of whatever state `scratch`
@@ -1764,35 +1698,6 @@ mod tests {
     fn panic_message_is_total_over_custom_payload_types() {
         use std::panic::catch_unwind;
 
-        // A custom payload panicked via `panic_labeled` renders its type
-        // name and Debug text (captured at the panic site).
-        #[derive(Debug)]
-        struct CustomFailure {
-            #[allow(dead_code)] // read only through the Debug rendering
-            code: u32,
-        }
-        let payload = catch_unwind(|| bgpworms_failpoint::panic_labeled(CustomFailure { code: 7 }))
-            .unwrap_err();
-        let msg = panic_message(&*payload);
-        assert!(msg.contains("CustomFailure"), "type name missing: {msg}");
-        assert!(msg.contains("code: 7"), "debug rendering missing: {msg}");
-
-        // Injected-fault payloads render through FaultPayload's Display.
-        let plan = bgpworms_failpoint::FaultPlan::new().fail(
-            "engine::flood",
-            3,
-            bgpworms_failpoint::FaultKind::Crash,
-            1,
-        );
-        let payload = catch_unwind(std::panic::AssertUnwindSafe(|| {
-            plan.trip("engine::flood", 3)
-        }))
-        .unwrap_err();
-        assert_eq!(
-            panic_message(&*payload),
-            "injected simulated crash at fault site `engine::flood` (key 3)"
-        );
-
         // A raw panic_any with an unknown type still renders a stable,
         // non-empty fallback (the dyn Any type name is unrecoverable).
         struct Opaque;
@@ -1932,14 +1837,13 @@ mod tests {
         assert_eq!(outcome.observations[0].len(), 1);
 
         let minted = scratch.arena.len();
-        let budget = sim.prefix_budget(prefix);
         let ((), copies) = copies_during(|| {
             sim.continue_prefix(
                 &mut scratch,
                 prefix,
                 &[&again],
                 &mut outcome,
-                budget,
+                sim.event_budget,
                 ScratchReader::Nobody,
             )
         });
@@ -2019,27 +1923,12 @@ mod tests {
 
         // Budget 1: the origin's pass queues 2→1 and 2→3; AS1 imports,
         // then the second event trips the budget before AS1's pass.
-        let sim = spec.clone().compile();
-        let mut scratch = sim.new_scratch();
-        scratch.begin_prefix();
-        let mut outcome = PrefixOutcome {
-            observations: vec![Vec::new()],
-            final_routes: None,
-            events: 0,
-            converged: true,
-        };
-        let refs: Vec<&Origination> = eps.iter().collect();
-        sim.continue_prefix(
-            &mut scratch,
-            prefix,
-            &refs,
-            &mut outcome,
-            1,
-            ScratchReader::Nobody,
-        );
-        assert!(!outcome.converged);
+        let mut sim = spec.compile();
+        sim.event_budget = 1;
+        let cut = sim.run(&eps);
+        assert!(!cut.converged);
         assert_eq!(
-            rows(&outcome.observations[0]),
+            rows(&cut.observations["rrc00"]),
             [
                 (0, 1, Some((vec![1, 2], false))),
                 (0, 2, Some((vec![2], false))),
@@ -2049,15 +1938,10 @@ mod tests {
             "AS1 heard the first announcement and nothing after it"
         );
 
-        // `Starve` zeroes the budget: nothing is ever imported, only the
-        // origin's own session has anything to say.
-        let plan = FaultPlan::new().fail(
-            fault_site::ENGINE_FLOOD,
-            prefix_fault_key(prefix),
-            bgpworms_failpoint::FaultKind::Starve,
-            u32::MAX,
-        );
-        let starved = spec.faults(&plan).compile().run(&eps);
+        // Budget 0: nothing is ever imported, only the origin's own
+        // session has anything to say.
+        sim.event_budget = 0;
+        let starved = sim.run(&eps);
         assert!(!starved.converged);
         assert_eq!(
             rows(&starved.observations["rrc00"]),
@@ -2158,13 +2042,12 @@ mod tests {
         let attack =
             Origination::announce(Asn::new(4), prefix, vec![Community::new(3, 666)]).at(600);
         let mut outcome = snap.baseline_outcome().clone();
-        let budget = sim.prefix_budget(prefix);
         sim.continue_prefix(
             &mut used,
             prefix,
             &[&attack],
             &mut outcome,
-            budget,
+            sim.event_budget,
             ScratchReader::Snapshot,
         );
         assert_eq!(
@@ -2207,28 +2090,31 @@ mod tests {
 
     #[test]
     fn parallel_worker_panic_names_the_prefix() {
+        /// A sink that refuses one prefix.
+        #[derive(Debug)]
+        struct Refuse;
+        impl CampaignSink for Refuse {
+            fn fold(&mut self, prefix: Prefix, _outcome: PrefixOutcome) {
+                assert_ne!(prefix, p("20.0.0.0/16"), "sink refused the prefix");
+            }
+            fn merge(&mut self, _other: Self) {}
+        }
         let topo = line_topo();
-        let victim = p("20.0.0.0/16");
-        let plan = FaultPlan::new().fail(
-            fault_site::ENGINE_FLOOD,
-            prefix_fault_key(victim),
-            bgpworms_failpoint::FaultKind::Panic,
-            1,
-        );
-        let sim = SimSpec::new(&topo).threads(2).faults(&plan).compile();
+        let sim = SimSpec::new(&topo).threads(2).compile();
         let eps: Vec<Origination> = ["10.0.0.0/16", "20.0.0.0/16", "30.0.0.0/16"]
             .iter()
             .map(|s| Origination::announce(Asn::new(4), p(s), vec![]))
             .collect();
-        let err = std::panic::catch_unwind(AssertUnwindSafe(|| sim.run(&eps)))
-            .expect_err("the injected panic must propagate");
+        let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            Campaign::new(&sim).run(&eps, || Refuse)
+        }))
+        .expect_err("the sink's panic must propagate");
         let msg = panic_message(&*err);
         // Three prefixes make three one-prefix chunks; the victim is chunk 1.
         assert!(
             msg.starts_with(
-                "campaign worker panicked in chunk 1 (prefixes 20.0.0.0/16..=20.0.0.0/16): \
-                 injected "
-            ) && msg.contains("`engine::flood`"),
+                "campaign worker panicked in chunk 1 (prefixes 20.0.0.0/16..=20.0.0.0/16): "
+            ) && msg.contains("sink refused the prefix"),
             "the chunk, its prefixes and the worker's own panic text must all survive, \
              got: {msg}"
         );

@@ -58,13 +58,13 @@
 //!
 //! ```text
 //! Campaign::new(&compiled)         // borrows the session; threads come from it
-//!     .chunk_size(32)              // bounded work chunks (also the checkpoint grain)
 //!     .run(&episodes, MySink::default)   // fold(prefix, outcome) per prefix …
 //!     .sink                        // … merge(chunk) per chunk → one aggregate
 //! ```
 //!
-//! The campaign shards the per-prefix loop into bounded chunks and
-//! **streams** each [`PrefixOutcome`] into a caller-supplied
+//! The campaign shards the per-prefix loop into bounded chunks (at most
+//! [`campaign::DEFAULT_CHUNK_SIZE`] prefixes each, also the checkpoint
+//! grain) and **streams** each [`PrefixOutcome`] into a caller-supplied
 //! [`CampaignSink`] — `fold(prefix, outcome)` in ascending prefix order
 //! within a chunk, `merge(chunk_sink)` in ascending chunk order — so a
 //! full-table run holds `O(aggregate)` memory, not `O(prefixes × routes)`.
@@ -74,7 +74,10 @@
 //! [`CampaignCheckpoint`] with a bit-identical result — both locked in by
 //! the determinism property suite. `bgpworms-dataplane`'s `Fib` implements
 //! the sink directly (routes fold straight into forwarding actions), and
-//! the §7 wild-experiment harness aggregates through it end to end.
+//! the §7 wild-experiment harness aggregates through it end to end. A
+//! checkpoint whose sink implements [`DurableSink`] persists as JSON text
+//! and resumes in another process; a flood that exhausts its event budget
+//! is folded and listed in [`CampaignRun::diverged`] (`campaign` docs).
 //!
 //! ## Delta re-convergence: snapshot a baseline, replay perturbations
 //!
@@ -265,9 +268,9 @@
 //! must include the justification text — `detlint` rejects bare markers.
 //!
 //! For the whole-workspace picture — how this crate's NodeId/CSR substrate,
-//! session API, scratch, memoization, and snapshot/delta layers stack up
-//! and which crates sit on top — see `ARCHITECTURE.md` at the repository
-//! root.
+//! session API, scratch, memoization, snapshot/delta and durable-resume
+//! layers stack up and which crates sit on top — see `ARCHITECTURE.md` at
+//! the repository root.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -282,7 +285,6 @@ mod classify;
 pub mod collector;
 mod durable;
 pub mod engine;
-pub mod fault;
 pub mod policy;
 pub mod route;
 pub mod router;
@@ -290,10 +292,8 @@ mod scratch;
 mod shard;
 pub mod workload;
 
-pub use bgpworms_failpoint::{FaultKind, FaultPayload, FaultPlan};
 pub use campaign::{
     failure_summary, Campaign, CampaignCheckpoint, CampaignRun, CampaignSink, ClassStats,
-    FaultPolicy, PrefixFailure,
 };
 pub use collector::{archive_all, CollectorArchive, CollectorObservation, CollectorSpec, FeedKind};
 pub use durable::DurableSink;
@@ -301,7 +301,6 @@ pub use engine::{
     panic_message, CompiledSim, FinalRoutes, Origination, PrefixOutcome, RetainRoutes, SimResult,
     SimSpec,
 };
-pub use fault::{fault_site, prefix_fault_key};
 pub use policy::{
     ActScope, BlackholeService, CommunityPropagationPolicy, CommunityServices, IrrDatabase,
     OriginValidation, RouteServerConfig, RouterConfig, RsEvalOrder, TaggingConfig, Vendor,

@@ -254,11 +254,7 @@ impl SimScratch {
 
     /// Recycles the scratch for the next prefix: bumps the generation
     /// stamp (invalidating every node's state in O(1)) and clears the
-    /// reusable containers without releasing their capacity. Also restores
-    /// a consistent baseline after a caught panic — any queue or dirty
-    /// residue from an aborted prefix is dropped here (such a scratch is
-    /// only ever reused for work that is discarded once the panic is
-    /// re-raised, but the invariant is kept regardless).
+    /// reusable containers without releasing their capacity.
     pub(crate) fn begin_prefix(&mut self) {
         if self.epoch == u32::MAX {
             // Stamp wrap: declare every node stale the slow way once per

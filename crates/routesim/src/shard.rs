@@ -31,9 +31,8 @@
 //!
 //! With one worker (`threads <= 1`, or fewer than two items) nothing is
 //! spawned and nothing is caught: items run inline, `consume` follows each
-//! one directly, and a panic unwinds through with its original payload — so
-//! an injected crash fault reaches the caller downcastable
-//! (`tests/faults.rs`).
+//! one directly, and a panic unwinds through with its original payload,
+//! still downcastable by the caller.
 
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -179,28 +178,29 @@ mod tests {
 
     #[test]
     fn inline_mode_reraises_the_original_payload() {
-        let plan = bgpworms_failpoint::FaultPlan::new().fail(
-            "shard::test",
-            2,
-            bgpworms_failpoint::FaultKind::Crash,
-            1,
-        );
+        #[derive(Debug, PartialEq)]
+        struct Payload(usize);
         let mut seen = Vec::new();
         let payload = catch_unwind(AssertUnwindSafe(|| {
             for_each_ordered(
                 1,
                 4,
                 || (),
-                |(), i| plan.trip("shard::test", i as u64),
-                |i, _| seen.push(i),
+                |(), i| {
+                    if i == 2 {
+                        std::panic::panic_any(Payload(i));
+                    }
+                },
+                |i, ()| seen.push(i),
             )
         }))
-        .expect_err("the crash unwinds through the inline path");
-        assert!(
-            bgpworms_failpoint::crash_payload(&*payload).is_some(),
+        .expect_err("the panic unwinds through the inline path");
+        assert_eq!(
+            payload.downcast_ref::<Payload>(),
+            Some(&Payload(2)),
             "payload must stay downcastable, got: {}",
             crate::panic_message(&*payload)
         );
-        assert_eq!(seen, [0, 1], "items before the crash were consumed");
+        assert_eq!(seen, [0, 1], "items before the panic were consumed");
     }
 }

@@ -60,6 +60,11 @@
 //!   from one whose route carries `NO_PEER`, and an RTBH target that
 //!   blackholes a route puts itself under that statement by adding
 //!   `NO_EXPORT`.
+//! * **Blackholing stays inside its offer** — likewise read off the
+//!   configs, not off `router.rs`: a converged route is blackholed only at
+//!   an AS that offers RTBH, only for a prefix at least the offer's
+//!   `min_prefix_len` long, only when it carries the trigger community, and
+//!   under `CustomersOnly` only when a customer sent it.
 //! * **Derivation-cache transparency** — the arena answers a repeated
 //!   import derivation (same advertisement, same policy outcome, any
 //!   receiver) from a cache instead of cloning and re-interning. A stream
@@ -72,7 +77,7 @@
 use bgpworms_routesim::route::RouteArena;
 use bgpworms_routesim::router::{NodeState, RibEntry, ValidationCtx};
 use bgpworms_routesim::{
-    BlackholeService, Campaign, CampaignSink, CollectorObservation, CollectorSpec,
+    ActScope, BlackholeService, Campaign, CampaignSink, CollectorObservation, CollectorSpec,
     CommunityPropagationPolicy, CompiledSim, FeedKind, FinalRoutes, IrrDatabase, OriginValidation,
     Origination, PrefixOutcome, RetainRoutes, Route, RouteId, RouteSource, RouterConfig, SimResult,
     SimSpec, MONITOR_ASN,
@@ -1079,41 +1084,33 @@ proptest! {
 
     /// Campaign differential: the chunked streaming fold over `N` worker
     /// threads must equal the collect-then-fold single-threaded reference
-    /// (one chunk, one thread, then a plain sequential fold of the
+    /// (one thread, then a plain sequential fold of the
     /// collected outcomes) — and rebuilding a [`SimResult`] from the
     /// streamed aggregate (`rebuild_sim_result`, the merge written out
     /// independently here) must be bit-identical to [`CompiledSim::run`],
     /// the same driver finished by the engine. Streaming, chunking, and
     /// sharding are memory/throughput levers, never semantic ones.
     #[test]
-    fn campaign_streaming_equals_collect_then_fold(
-        raw in arb_world(),
-        threads in 2usize..6,
-        chunk in 1usize..5,
-    ) {
+    fn campaign_streaming_equals_collect_then_fold(raw in arb_world(), threads in 2usize..6) {
         let (topo, configs, collectors, originations) = build_world(&raw);
         let mut sim = spec_for(&topo, configs, collectors).compile();
 
         // Reference: collect every per-prefix outcome single-threaded,
         // then fold the collection sequentially outside the driver. (On
-        // worlds this small the driver shrinks every schedule to
-        // per-prefix chunks regardless of the configured bound, so the two
-        // campaign runs differ in worker count, not chunk shape; the
-        // *independent* part is the cross-check at the end, which holds
-        // `CompiledSim::run`'s finishing step to this file's own merge.)
-        let collected = Campaign::new(&sim)
-            .chunk_size(usize::MAX)
-            .run(&originations, KeyedSink::default);
+        // worlds this small the driver chunks every schedule per prefix,
+        // so the two campaign runs differ in worker count, not chunk
+        // shape; the *independent* part is the cross-check at the end,
+        // which holds `CompiledSim::run`'s finishing step to this file's
+        // own merge.)
+        let collected = Campaign::new(&sim).run(&originations, KeyedSink::default);
         let mut reference = KeyedSink::default();
         for (prefix, outcome) in collected.sink.0 {
             reference.fold(prefix, outcome);
         }
 
-        // Streamed: bounded chunks, parallel workers.
+        // Streamed: parallel workers.
         sim.set_threads(threads);
-        let streamed = Campaign::new(&sim)
-            .chunk_size(chunk)
-            .run(&originations, KeyedSink::default);
+        let streamed = Campaign::new(&sim).run(&originations, KeyedSink::default);
         prop_assert_eq!(&streamed.sink, &reference, "streaming fold diverged");
         prop_assert_eq!(streamed.events, collected.events);
         prop_assert_eq!(streamed.converged, collected.converged);
@@ -1142,9 +1139,7 @@ proptest! {
         sim.set_threads(threads);
         prop_assert_eq!(&sim.run(&originations), &reference, "sharded scratch reuse leaked state");
 
-        let streamed = Campaign::new(&sim)
-            .chunk_size(2)
-            .run(&originations, KeyedSink::default);
+        let streamed = Campaign::new(&sim).run(&originations, KeyedSink::default);
         prop_assert_eq!(
             &rebuild_sim_result(&sim, &streamed.sink),
             &reference,
@@ -1205,16 +1200,13 @@ proptest! {
     fn campaign_checkpoint_resume_equals_uninterrupted(
         raw in arb_world(),
         threads in 2usize..6,
-        chunk in 1usize..4,
         stop_after in 1usize..5,
     ) {
         let (topo, configs, collectors, originations) = build_world(&raw);
         let mut sim = spec_for(&topo, configs, collectors).compile();
-        let full = Campaign::new(&sim)
-            .chunk_size(chunk)
-            .run(&originations, KeyedSink::default);
+        let full = Campaign::new(&sim).run(&originations, KeyedSink::default);
 
-        let campaign = Campaign::new(&sim).chunk_size(chunk);
+        let campaign = Campaign::new(&sim);
         let (cp, _finished) = campaign.run_chunks(
             &originations,
             campaign.begin(KeyedSink::default()),
@@ -1224,9 +1216,7 @@ proptest! {
         // Resume under a different thread count: the checkpoint must not
         // bake any scheduling state in.
         sim.set_threads(threads);
-        let resumed = Campaign::new(&sim)
-            .chunk_size(chunk)
-            .resume(&originations, cp, KeyedSink::default);
+        let resumed = Campaign::new(&sim).resume(&originations, cp, KeyedSink::default);
         prop_assert_eq!(&resumed.sink, &full.sink, "resume diverged");
         prop_assert_eq!(resumed.events, full.events);
         prop_assert_eq!(resumed.chunks, full.chunks);
@@ -1240,24 +1230,16 @@ proptest! {
 
     /// Flood memoization: replaying one class representative's outcome for
     /// every class member must be bit-identical to simulating each member
-    /// individually — on arbitrary worlds, across `threads = 1/N` and chunk
-    /// shapes, with identical class-hit counters on both paths.
+    /// individually — on arbitrary worlds, across `threads = 1/N`, with
+    /// identical class-hit counters on both paths.
     #[test]
-    fn memoization_never_changes_campaign_output(
-        raw in arb_world(),
-        threads in 2usize..6,
-        chunk in 1usize..5,
-    ) {
+    fn memoization_never_changes_campaign_output(raw in arb_world(), threads in 2usize..6) {
         let (topo, configs, collectors, originations) = build_world(&raw);
         let mut sim = spec_for(&topo, configs, collectors).compile();
         for t in [1, threads] {
             sim.set_threads(t);
-            let memoized = Campaign::new(&sim)
-                .chunk_size(chunk)
-                .run(&originations, KeyedSink::default);
-            let plain = Campaign::unmemoized_reference(&sim)
-                .chunk_size(chunk)
-                .run(&originations, KeyedSink::default);
+            let memoized = Campaign::new(&sim).run(&originations, KeyedSink::default);
+            let plain = Campaign::unmemoized_reference(&sim).run(&originations, KeyedSink::default);
             prop_assert_eq!(&memoized.sink, &plain.sink, "memoized fold diverged, threads = {}", t);
             prop_assert_eq!(memoized.events, plain.events);
             prop_assert_eq!(memoized.converged, plain.converged);
@@ -1530,12 +1512,8 @@ proptest! {
         let mut sim = spec.compile();
         for t in [1, threads] {
             sim.set_threads(t);
-            let memoized = Campaign::new(&sim)
-                .chunk_size(2)
-                .run(&originations, KeyedSink::default);
-            let plain = Campaign::unmemoized_reference(&sim)
-                .chunk_size(2)
-                .run(&originations, KeyedSink::default);
+            let memoized = Campaign::new(&sim).run(&originations, KeyedSink::default);
+            let plain = Campaign::unmemoized_reference(&sim).run(&originations, KeyedSink::default);
             prop_assert_eq!(
                 &memoized.sink, &plain.sink,
                 "memoization corrupted a prefix-sensitive world, threads = {}", t
@@ -1611,6 +1589,77 @@ proptest! {
                     prop_assert!(
                         !theirs.communities.contains(&Community::NO_PEER),
                         "{asn} learned {prefix} over peering from {from}, whose route is NO_PEER"
+                    );
+                }
+            }
+        }
+    }
+
+    /// ROADMAP item 3(b), second property — *a blackhole community is
+    /// honoured only by ASes offering the service, only at or beyond the
+    /// service's `min_prefix_len`, and only within its scope* — stated over
+    /// what a converged run retains, the configs and the topology, with no
+    /// `router.rs` helper. One drawn origin tags its announcements with
+    /// `BLACKHOLE` or with one offering AS's own `hi:666`; two or three
+    /// drawn ASes offer RTBH, each with a length floor of 8, 16 or 24 (the
+    /// schedule's prefixes are /16s, so 24 never fires) and a drawn scope.
+    #[test]
+    fn blackholing_is_honoured_only_where_offered_long_enough_and_in_scope(
+        raw in arb_world(),
+        (tagged, own, target) in (0usize..16, any::<bool>(), 0usize..4),
+        offers in proptest::collection::vec((0usize..16, 0usize..3, any::<bool>()), 2..4),
+    ) {
+        let (topo, configs, collectors, mut originations) = build_world(&raw);
+        let asn_of = |i: usize| Asn::new((i % raw.n_nodes) as u32 + 1);
+        let mut resolved: BTreeMap<Asn, RouterConfig> =
+            configs.into_iter().map(|cfg| (cfg.asn, cfg)).collect();
+        for &(at, floor, customers_only) in &offers {
+            let asn = asn_of(at);
+            let cfg = resolved.entry(asn).or_insert_with(|| RouterConfig::defaults(asn));
+            cfg.services.blackhole = Some(BlackholeService {
+                min_prefix_len: [8, 16, 24][floor],
+                scope: if customers_only { ActScope::CustomersOnly } else { ActScope::Any },
+                ..BlackholeService::default()
+            });
+        }
+        let trigger = if own {
+            let target = asn_of(offers[target % offers.len()].0);
+            Community::new(target.as_u16().expect("a 2-byte test ASN"), 666)
+        } else {
+            Community::BLACKHOLE
+        };
+        let origin = originations[tagged % originations.len()].origin;
+        for o in originations.iter_mut().filter(|o| o.origin == origin && !o.withdraw) {
+            o.communities.push(trigger);
+        }
+        let res = spec_for(&topo, resolved.values().cloned().collect(), collectors)
+            .compile()
+            .run(&originations);
+        if !res.converged {
+            return Ok(()); // an oscillating world has no converged state to read
+        }
+
+        for (prefix, finals) in &res.final_routes {
+            for (&asn, route) in finals.iter().filter(|(_, route)| route.blackholed) {
+                let Some(offer) = resolved.get(&asn).and_then(|cfg| cfg.services.blackhole.as_ref())
+                else {
+                    panic!("{asn} blackholed {prefix} without offering RTBH");
+                };
+                prop_assert!(
+                    prefix.len() >= offer.min_prefix_len,
+                    "{asn} blackholed {prefix}, shorter than its floor /{}", offer.min_prefix_len
+                );
+                let own = asn.as_u16().map(|hi| Community::new(hi, offer.value));
+                prop_assert!(
+                    route.communities.contains(&Community::BLACKHOLE)
+                        || own.is_some_and(|own| route.communities.contains(&own)),
+                    "{asn} blackholed {prefix} without a trigger"
+                );
+                if offer.scope == ActScope::CustomersOnly {
+                    let from = route.source.neighbor();
+                    prop_assert!(
+                        from.is_some_and(|from| topo.role_of(asn, from) == Some(Role::Customer)),
+                        "{asn} blackholed {prefix} for {from:?}, which is not its customer"
                     );
                 }
             }

@@ -7,7 +7,7 @@
 //! walking ids. Rows cannot change after construction, so the indexes
 //! cannot go stale.
 
-use bgpworms_mrt::{MrtError, UpdateStream};
+use bgpworms_mrt::{Bgp4mpMessage, MrtError, UpdateStream};
 use bgpworms_types::{Asn, Community, LargeCommunity, Prefix};
 use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
@@ -305,22 +305,22 @@ impl Builder {
         &mut self,
         path: impl Iterator<Item = Asn>,
         raw_hop_count: usize,
-        prepends: &[(Asn, usize)],
+        prepends: impl Iterator<Item = (Asn, usize)>,
         communities: &[Community],
         large: &[LargeCommunity],
     ) -> Attrs {
-        let before = self.path.len();
+        let (path_before, prepends_before) = (self.path.len(), self.prepends.len());
         self.path.extend(path);
-        if self.path.len() > before {
+        if self.path.len() > path_before {
             self.path_ends.push(self.path.len());
         }
         self.comms.extend_from_slice(communities);
-        self.prepends.extend_from_slice(prepends);
+        self.prepends.extend(prepends);
         self.large.extend_from_slice(large);
         Attrs {
-            path: span_of(&self.path, self.path.len() - before),
+            path: span_of(&self.path, self.path.len() - path_before),
             communities: span_of(&self.comms, communities.len()),
-            prepends: span_of(&self.prepends, prepends.len()),
+            prepends: span_of(&self.prepends, self.prepends.len() - prepends_before),
             large: span_of(&self.large, large.len()),
             raw_hop_count,
         }
@@ -469,23 +469,26 @@ impl Builder {
 
 impl ObservationSet {
     /// Parses a batch of archives. Multi-NLRI updates explode into one
-    /// observation per prefix (sharing the update's attributes).
+    /// observation per prefix (sharing the update's attributes). Every
+    /// update is decoded into one scratch message, and its path, prepend
+    /// runs and communities go straight into the columns.
     pub fn from_archives(archives: &[ArchiveInput]) -> Result<Self, MrtError> {
         let mut b = Builder::default();
         let mut messages = Vec::with_capacity(archives.len());
+        let mut msg = Bgp4mpMessage::default();
         for archive in archives {
             let session = b.session(&archive.platform, &archive.collector);
             let mut count = 0u64;
-            for msg in UpdateStream::new(archive.mrt.as_slice()) {
-                let msg = msg?;
+            let mut stream = UpdateStream::new(&archive.mrt);
+            while stream.next_into(&mut msg)? {
                 count += 1;
                 let (time, peer, update) = (msg.header.timestamp, msg.peer_as, &msg.update);
                 if !update.announced.is_empty() {
                     let as_path = &update.attrs.as_path;
                     let attrs = b.attrs(
-                        as_path.deprepended().asns(),
+                        as_path.deprepended_asns(),
                         as_path.hop_count(),
-                        &as_path.prepend_runs(),
+                        as_path.prepend_runs(),
                         &update.attrs.communities,
                         &update.attrs.large_communities,
                     );
@@ -517,7 +520,7 @@ impl ObservationSet {
                 b.attrs(
                     r.path.iter().copied(),
                     r.raw_hop_count,
-                    &r.prepends,
+                    r.prepends.iter().copied(),
                     &r.communities,
                     &r.large_communities,
                 )

@@ -14,8 +14,13 @@
 //! * `TABLE_DUMP_V2` `PEER_INDEX_TABLE` plus `RIB_IPV4_UNICAST` /
 //!   `RIB_IPV6_UNICAST` records (RIB snapshots).
 //!
-//! Reading is streaming: [`MrtReader`] wraps any [`std::io::Read`] and
-//! yields records one at a time without buffering the archive.
+//! Reading borrows the archive: [`MrtReader`], [`LossyMrtReader`] and
+//! [`UpdateStream`] take a byte slice and frame each record as a sub-slice
+//! of it, yielding records one at a time; [`UpdateStream::next_into`]
+//! decodes every update of a feed into one message the caller reuses. A
+//! framing error (a truncated header or body, a bad declared length) ends
+//! the stream: every reader returns it once and is exhausted after it, and
+//! [`MrtReader::offset`] says where the failing record starts.
 //!
 //! # Example
 //!

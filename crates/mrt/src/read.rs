@@ -1,151 +1,142 @@
-//! Streaming MRT reader: wraps any [`Read`] and yields records one at a time.
+//! MRT reading over an archive held in memory: every reader borrows the
+//! archive and frames each record as a sub-slice of it, so reading copies
+//! nothing but what a record decodes to — and [`UpdateStream::next_into`]
+//! decodes each update into one message the caller reuses.
 //!
 //! Two reading modes share one parser:
 //!
 //! * [`MrtReader`] is **strict**: the first malformed record stops the
 //!   stream with an error — right for archives this workspace wrote
-//!   itself, where any damage is a bug.
+//!   itself, where any damage is a bug. A body that runs on past what its
+//!   record decodes to declared the wrong length: a
+//!   [`MrtError::BadRecordLength`]. [`UpdateStream`] reads strictly.
 //! * [`LossyMrtReader`] is for archives from the wild (RIS / RouteViews
 //!   collectors occasionally emit records this decoder cannot interpret):
-//!   a record whose *body was fully read* but failed to parse is skipped
+//!   a record whose *body was fully framed* but failed to parse is skipped
 //!   and tallied per [`MrtErrorKind`] in a [`SkipTally`], and reading
-//!   continues at the next record. Errors that damage the *stream
-//!   framing* itself — truncated header or body, implausible declared
-//!   length, I/O failure — still stop it: past those there is no reliable
-//!   next record boundary to continue from.
+//!   continues at the next record. Bytes past what a record decodes to are
+//!   ignored.
+//!
+//! **A framing error ends the stream, in every mode.** After a truncated
+//! header or body or a bad declared length there is no record boundary to
+//! continue from: the reader returns that error once and is exhausted
+//! (`Ok(None)`, and `None` from the iterators). [`MrtReader::offset`] says
+//! where the failing record starts.
 
 use crate::error::{MrtError, MrtErrorKind};
 use crate::record::{
     bgp4mp_subtype, tdv2_subtype, Bgp4mpMessage, MrtHeader, MrtRecord, PeerEntry, PeerIndexTable,
     RibEntry, RibSnapshot, StateChange, BGP4MP, BGP4MP_ET, TABLE_DUMP_V2,
 };
-use bgpworms_types::{Asn, Prefix};
+use bgpworms_types::{Asn, Prefix, RouteUpdate};
 use bgpworms_wire::cursor::Cursor;
-use bgpworms_wire::{decode_message, BgpMessage, CodecConfig};
-use std::io::Read;
+use bgpworms_wire::{decode_update_into, CodecConfig};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
 /// Upper bound on a single MRT record body; real archives stay far below
-/// this, and it caps memory on corrupt length fields.
+/// this, and a longer declared length is reported as implausible rather
+/// than as a truncated body.
 const MAX_RECORD_LEN: u32 = 16 * 1024 * 1024;
 
-/// A streaming reader over an MRT archive.
-pub struct MrtReader<R: Read> {
-    inner: R,
+/// A strict reader over an MRT archive held in memory.
+pub struct MrtReader<'a> {
+    archive: &'a [u8],
+    /// Where the record last framed, or failing to frame, starts.
+    start: usize,
+    /// Where the next record starts; the archive's length once exhausted.
+    next: usize,
     /// Records read so far (including skipped/unknown ones).
     pub records_read: u64,
 }
 
-impl<R: Read> MrtReader<R> {
-    /// Wraps a byte source.
-    pub fn new(inner: R) -> Self {
+impl<'a> MrtReader<'a> {
+    /// Reads `archive` from its first byte.
+    pub fn new(archive: &'a [u8]) -> Self {
         MrtReader {
-            inner,
+            archive,
+            start: 0,
+            next: 0,
             records_read: 0,
         }
     }
 
-    /// Reads the next record; `Ok(None)` at clean end-of-archive.
-    pub fn next_record(&mut self) -> Result<Option<MrtRecord>, MrtError> {
-        match self.next_raw()? {
-            None => Ok(None),
-            Some(raw) => parse_record(raw).map(Some),
-        }
+    /// The byte offset of the record the reader is on: the one the last
+    /// call returned or failed on (0 before the first call, the archive's
+    /// length at its end).
+    pub fn offset(&self) -> usize {
+        self.start
     }
 
-    /// Reads the next record's common header and full body without
-    /// parsing; `Ok(None)` at clean end-of-archive. Errors here are
-    /// *structural*: the stream framing is damaged (truncated header or
-    /// body, implausible declared length, I/O failure) and there is no
-    /// reliable next-record boundary to continue from — which is exactly
-    /// what separates them from the per-record parse errors
-    /// [`LossyMrtReader`] skips.
-    fn next_raw(&mut self) -> Result<Option<RawRecord>, MrtError> {
-        let mut header_buf = [0u8; 12];
-        match read_exact_or_eof(&mut self.inner, &mut header_buf)? {
-            ReadOutcome::Eof => return Ok(None),
-            ReadOutcome::Partial => {
-                return Err(MrtError::Truncated {
-                    what: "MRT common header",
-                })
-            }
-            ReadOutcome::Full => {}
+    /// Reads the next record; `Ok(None)` at clean end-of-archive.
+    pub fn next_record(&mut self) -> Result<Option<MrtRecord>, MrtError> {
+        let Some((header, mut body)) = self.next_raw()? else {
+            return Ok(None);
+        };
+        let record = parse_record(header, &mut body)?;
+        self.filled(&body)?;
+        Ok(Some(record))
+    }
+
+    /// Frames the next record without parsing it: its common header and a
+    /// cursor over its body, which borrows the archive; `Ok(None)` at clean
+    /// end-of-archive. Once a record is framed, any parse failure is
+    /// confined to it, which is what makes lossy skipping sound. Errors
+    /// here are *structural* (truncated header or body, implausible
+    /// declared length): there is no next-record boundary to continue
+    /// from, so the reader is exhausted after one.
+    fn next_raw(&mut self) -> Result<Option<(MrtHeader, Cursor<'a>)>, MrtError> {
+        self.start = self.next;
+        if self.start == self.archive.len() {
+            return Ok(None);
         }
-
-        let timestamp =
-            u32::from_be_bytes([header_buf[0], header_buf[1], header_buf[2], header_buf[3]]);
-        let mrt_type = u16::from_be_bytes([header_buf[4], header_buf[5]]);
-        let subtype = u16::from_be_bytes([header_buf[6], header_buf[7]]);
-        let length =
-            u32::from_be_bytes([header_buf[8], header_buf[9], header_buf[10], header_buf[11]]);
-
+        self.next = self.archive.len(); // exhausted unless this record frames
+        let mut c = Cursor::new(&self.archive[self.start..]);
+        let header = MrtHeader {
+            timestamp: c.u32("MRT common header")?,
+            // Read by `parse_bgp4mp`: the `*_ET` types carry it in the body.
+            microseconds: None,
+            mrt_type: c.u16("MRT common header")?,
+            subtype: c.u16("MRT common header")?,
+        };
+        let length = c.u32("MRT common header")?;
         if length > MAX_RECORD_LEN {
             return Err(MrtError::BadRecordLength(length));
         }
-
-        let mut body = vec![0u8; length as usize];
-        self.inner
-            .read_exact(&mut body)
-            .map_err(|_| MrtError::Truncated {
-                what: "MRT record body",
-            })?;
-
+        let body = c.take("MRT record body", length as usize)?;
+        self.next = self.start + c.position();
         self.records_read += 1;
+        Ok(Some((header, Cursor::new(body))))
+    }
 
-        Ok(Some(RawRecord {
-            timestamp,
-            mrt_type,
-            subtype,
-            body,
-        }))
+    /// Strict reading's check after a record parsed: bytes of its body left
+    /// unread mean it declared the wrong length, and so the wrong boundary
+    /// of the next record.
+    fn filled(&mut self, rest: &Cursor<'_>) -> Result<(), MrtError> {
+        if rest.is_empty() {
+            return Ok(());
+        }
+        self.next = self.archive.len();
+        let length = rest.position() + rest.remaining();
+        Err(MrtError::BadRecordLength(length as u32))
     }
 }
 
-/// A fully-read but not yet parsed record: common-header fields plus the
-/// complete body. Once one of these exists, the stream is positioned at
-/// the next record boundary — any parse failure below is confined to this
-/// record, which is what makes lossy skipping sound.
-struct RawRecord {
-    timestamp: u32,
-    mrt_type: u16,
-    subtype: u16,
-    body: Vec<u8>,
-}
-
-/// Parses one fully-read record. Errors here never damage the stream
-/// position; strict readers surface them, lossy readers tally and skip.
-fn parse_record(raw: RawRecord) -> Result<MrtRecord, MrtError> {
-    let mut header = MrtHeader {
-        timestamp: raw.timestamp,
-        microseconds: None,
-        mrt_type: raw.mrt_type,
-        subtype: raw.subtype,
-    };
-
-    // The *_ET types carry a microsecond field at the head of the body.
-    let body_slice: &[u8] = if raw.mrt_type == BGP4MP_ET {
-        if raw.body.len() < 4 {
-            return Err(MrtError::Truncated {
-                what: "extended timestamp",
-            });
+/// Parses one framed record, leaving `c` behind what the record decodes
+/// from. Errors here never damage the stream position; strict readers
+/// surface them, lossy readers tally and skip.
+fn parse_record(header: MrtHeader, c: &mut Cursor<'_>) -> Result<MrtRecord, MrtError> {
+    match header.mrt_type {
+        BGP4MP | BGP4MP_ET => {
+            let mut message = Bgp4mpMessage::default();
+            Ok(match parse_bgp4mp(header, c, &mut message)? {
+                None => MrtRecord::Bgp4mp(message),
+                Some(change) => MrtRecord::StateChange(change),
+            })
         }
-        header.microseconds = Some(u32::from_be_bytes([
-            raw.body[0],
-            raw.body[1],
-            raw.body[2],
-            raw.body[3],
-        ]));
-        &raw.body[4..]
-    } else {
-        &raw.body
-    };
-
-    match raw.mrt_type {
-        BGP4MP | BGP4MP_ET => parse_bgp4mp(header, body_slice),
-        TABLE_DUMP_V2 => parse_table_dump_v2(header, body_slice),
+        TABLE_DUMP_V2 => parse_table_dump_v2(header, c),
         _ => Ok(MrtRecord::Unknown {
             header,
-            body: body_slice.to_vec(),
+            body: c.take_rest().to_vec(),
         }),
     }
 }
@@ -192,21 +183,20 @@ impl std::fmt::Display for SkipTally {
     }
 }
 
-/// A lossy streaming reader for archives from the wild: undecodable
-/// records whose bodies were fully read are skipped and tallied per error
-/// kind; structural stream damage (truncated framing, implausible length,
-/// I/O failure) still stops the stream. See the module docs for the
-/// strict/lossy split.
-pub struct LossyMrtReader<R: Read> {
-    reader: MrtReader<R>,
+/// A lossy reader for archives from the wild: undecodable records whose
+/// bodies were fully framed are skipped and tallied per error kind;
+/// structural stream damage (truncated framing, implausible length) still
+/// stops the stream. See the module docs for the strict/lossy split.
+pub struct LossyMrtReader<'a> {
+    reader: MrtReader<'a>,
     skipped: SkipTally,
 }
 
-impl<R: Read> LossyMrtReader<R> {
-    /// Wraps a byte source.
-    pub fn new(inner: R) -> Self {
+impl<'a> LossyMrtReader<'a> {
+    /// Reads `archive` from its first byte.
+    pub fn new(archive: &'a [u8]) -> Self {
         LossyMrtReader {
-            reader: MrtReader::new(inner),
+            reader: MrtReader::new(archive),
             skipped: SkipTally::default(),
         }
     }
@@ -215,15 +205,13 @@ impl<R: Read> LossyMrtReader<R> {
     /// undecodable ones; `Ok(None)` at clean end-of-archive; `Err` only
     /// for structural stream damage.
     pub fn next_record(&mut self) -> Result<Option<MrtRecord>, MrtError> {
-        loop {
-            match self.reader.next_raw()? {
-                None => return Ok(None),
-                Some(raw) => match parse_record(raw) {
-                    Ok(record) => return Ok(Some(record)),
-                    Err(e) => self.skipped.record(e.kind()),
-                },
+        while let Some((header, mut body)) = self.reader.next_raw()? {
+            match parse_record(header, &mut body) {
+                Ok(record) => return Ok(Some(record)),
+                Err(e) => self.skipped.record(e.kind()),
             }
         }
+        Ok(None)
     }
 
     /// Records read so far, including skipped ones.
@@ -237,34 +225,12 @@ impl<R: Read> LossyMrtReader<R> {
     }
 }
 
-impl<R: Read> Iterator for LossyMrtReader<R> {
+impl Iterator for LossyMrtReader<'_> {
     type Item = Result<MrtRecord, MrtError>;
 
     fn next(&mut self) -> Option<Self::Item> {
         self.next_record().transpose()
     }
-}
-
-enum ReadOutcome {
-    Full,
-    Partial,
-    Eof,
-}
-
-fn read_exact_or_eof<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<ReadOutcome, MrtError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        let n = r.read(&mut buf[filled..])?;
-        if n == 0 {
-            return Ok(if filled == 0 {
-                ReadOutcome::Eof
-            } else {
-                ReadOutcome::Partial
-            });
-        }
-        filled += n;
-    }
-    Ok(ReadOutcome::Full)
 }
 
 fn read_ip(c: &mut Cursor<'_>, afi: u16) -> Result<IpAddr, MrtError> {
@@ -275,8 +241,18 @@ fn read_ip(c: &mut Cursor<'_>, afi: u16) -> Result<IpAddr, MrtError> {
     }
 }
 
-fn parse_bgp4mp(header: MrtHeader, body: &[u8]) -> Result<MrtRecord, MrtError> {
-    let mut c = Cursor::new(body);
+/// Parses a BGP4MP record. A MESSAGE is decoded into `message`, its update
+/// refilled in place, and yields `None` (on `Err`, `message` holds no
+/// particular value); a STATE_CHANGE is returned and leaves `message` as it
+/// was.
+fn parse_bgp4mp(
+    mut header: MrtHeader,
+    c: &mut Cursor<'_>,
+    message: &mut Bgp4mpMessage,
+) -> Result<Option<StateChange>, MrtError> {
+    if header.mrt_type == BGP4MP_ET {
+        header.microseconds = Some(c.u32("extended timestamp")?);
+    }
     let as4 = matches!(
         header.subtype,
         bgp4mp_subtype::MESSAGE_AS4 | bgp4mp_subtype::STATE_CHANGE_AS4
@@ -286,43 +262,35 @@ fn parse_bgp4mp(header: MrtHeader, body: &[u8]) -> Result<MrtRecord, MrtError> {
     } else {
         (u32::from(c.u16("peer AS")?), u32::from(c.u16("local AS")?))
     };
+    let (peer_as, local_as) = (Asn::new(peer_as), Asn::new(local_as));
     let ifindex = c.u16("interface index")?;
     let afi = c.u16("address family")?;
-    let peer_ip = read_ip(&mut c, afi)?;
-    let local_ip = read_ip(&mut c, afi)?;
+    let peer_ip = read_ip(c, afi)?;
+    let local_ip = read_ip(c, afi)?;
 
     match header.subtype {
         bgp4mp_subtype::MESSAGE | bgp4mp_subtype::MESSAGE_AS4 => {
-            let cfg = if as4 {
-                CodecConfig::modern()
-            } else {
-                CodecConfig::legacy()
-            };
-            let rest = c.take_rest();
-            let (msg, _) = decode_message(rest, cfg)?;
-            let update = match msg {
-                BgpMessage::Update(u) => u,
+            let cfg = CodecConfig { asn4: as4 };
+            let (other, used) =
+                decode_update_into(c.clone().take_rest(), cfg, &mut message.update)?;
+            c.take("BGP message", used)?;
+            if other.is_some() {
                 // OPENs/KEEPALIVEs inside MESSAGE records are legal but rare;
                 // surface them as empty updates so streaming callers can skip.
-                _ => bgpworms_types::RouteUpdate::default(),
-            };
-            Ok(MrtRecord::Bgp4mp(Bgp4mpMessage {
-                header,
-                peer_as: Asn::new(peer_as),
-                local_as: Asn::new(local_as),
-                ifindex,
-                peer_ip,
-                local_ip,
-                update,
-            }))
+                message.update = RouteUpdate::default();
+            }
+            message.header = header;
+            (message.peer_as, message.local_as, message.ifindex) = (peer_as, local_as, ifindex);
+            (message.peer_ip, message.local_ip) = (peer_ip, local_ip);
+            Ok(None)
         }
         bgp4mp_subtype::STATE_CHANGE | bgp4mp_subtype::STATE_CHANGE_AS4 => {
             let old_state = c.u16("old state")?;
             let new_state = c.u16("new state")?;
-            Ok(MrtRecord::StateChange(StateChange {
+            Ok(Some(StateChange {
                 header,
-                peer_as: Asn::new(peer_as),
-                local_as: Asn::new(local_as),
+                peer_as,
+                local_as,
                 peer_ip,
                 local_ip,
                 old_state,
@@ -336,8 +304,7 @@ fn parse_bgp4mp(header: MrtHeader, body: &[u8]) -> Result<MrtRecord, MrtError> {
     }
 }
 
-fn parse_table_dump_v2(header: MrtHeader, body: &[u8]) -> Result<MrtRecord, MrtError> {
-    let mut c = Cursor::new(body);
+fn parse_table_dump_v2(header: MrtHeader, c: &mut Cursor<'_>) -> Result<MrtRecord, MrtError> {
     match header.subtype {
         tdv2_subtype::PEER_INDEX_TABLE => {
             let collector_id = c.u32("collector id")?;
@@ -374,9 +341,9 @@ fn parse_table_dump_v2(header: MrtHeader, body: &[u8]) -> Result<MrtRecord, MrtE
         tdv2_subtype::RIB_IPV4_UNICAST | tdv2_subtype::RIB_IPV6_UNICAST => {
             let sequence = c.u32("rib sequence")?;
             let prefix = if header.subtype == tdv2_subtype::RIB_IPV4_UNICAST {
-                Prefix::V4(bgpworms_wire::nlri::decode_v4(&mut c)?)
+                Prefix::V4(bgpworms_wire::nlri::decode_v4(c)?)
             } else {
-                Prefix::V6(bgpworms_wire::nlri::decode_v6(&mut c)?)
+                Prefix::V6(bgpworms_wire::nlri::decode_v6(c)?)
             };
             let entry_count = c.u16("rib entry count")? as usize;
             let mut entries = Vec::with_capacity(entry_count);
@@ -407,7 +374,7 @@ fn parse_table_dump_v2(header: MrtHeader, body: &[u8]) -> Result<MrtRecord, MrtE
     }
 }
 
-impl<R: Read> Iterator for MrtReader<R> {
+impl Iterator for MrtReader<'_> {
     type Item = Result<MrtRecord, MrtError>;
 
     fn next(&mut self) -> Option<Self::Item> {
@@ -416,32 +383,48 @@ impl<R: Read> Iterator for MrtReader<R> {
 }
 
 /// Adapter over [`MrtReader`] that yields only BGP4MP update messages,
-/// skipping state changes, RIB records, and unknown record types.
-pub struct UpdateStream<R: Read> {
-    reader: MrtReader<R>,
+/// skipping state changes, RIB records, and unknown record types (each
+/// still parsed, strictly).
+pub struct UpdateStream<'a> {
+    reader: MrtReader<'a>,
 }
 
-impl<R: Read> UpdateStream<R> {
-    /// Wraps a byte source.
-    pub fn new(inner: R) -> Self {
+impl<'a> UpdateStream<'a> {
+    /// Reads `archive` from its first byte.
+    pub fn new(archive: &'a [u8]) -> Self {
         UpdateStream {
-            reader: MrtReader::new(inner),
+            reader: MrtReader::new(archive),
         }
+    }
+
+    /// Reads the next update into `message`, refilling its update's lists
+    /// and attributes in place ([`decode_update_into`]): `Ok(true)` when it
+    /// holds one, `Ok(false)` at clean end-of-archive. On `Err`, `message`
+    /// holds no particular value. The iterator's items are this, called on
+    /// a new message each.
+    pub fn next_into(&mut self, message: &mut Bgp4mpMessage) -> Result<bool, MrtError> {
+        while let Some((header, mut body)) = self.reader.next_raw()? {
+            let update = match header.mrt_type {
+                BGP4MP | BGP4MP_ET => parse_bgp4mp(header, &mut body, message)?.is_none(),
+                _ => parse_record(header, &mut body).map(|_| false)?,
+            };
+            self.reader.filled(&body)?;
+            if update {
+                return Ok(true);
+            }
+        }
+        Ok(false)
     }
 }
 
-impl<R: Read> Iterator for UpdateStream<R> {
+impl Iterator for UpdateStream<'_> {
     type Item = Result<Bgp4mpMessage, MrtError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            match self.reader.next_record() {
-                Ok(Some(MrtRecord::Bgp4mp(m))) => return Some(Ok(m)),
-                Ok(Some(_)) => continue,
-                Ok(None) => return None,
-                Err(e) => return Some(Err(e)),
-            }
-        }
+        let mut message = Bgp4mpMessage::default();
+        (self.next_into(&mut message))
+            .map(|read| read.then_some(message))
+            .transpose()
     }
 }
 
@@ -602,6 +585,56 @@ mod tests {
         let mut clean = LossyMrtReader::new(&[][..]);
         assert!(clean.next_record().unwrap().is_none());
         assert_eq!(clean.skipped().to_string(), "none");
+    }
+
+    #[test]
+    fn a_framing_error_ends_every_reader() {
+        // A good record, a header declaring an implausible length, then
+        // bytes that happen to form a valid record. Past the bad header
+        // there is no record boundary: nothing after it is a record.
+        let good = good_update_record();
+        let mut archive = good.clone();
+        archive.extend_from_slice(&[0, 0, 0, 0, 0, 16, 0, 4, 0xFF, 0xFF, 0xFF, 0xFF]);
+        archive.extend_from_slice(&good);
+        let bad = |e: &MrtError| matches!(e, MrtError::BadRecordLength(u32::MAX));
+
+        let strict: Vec<_> = MrtReader::new(archive.as_slice()).collect();
+        assert!(
+            matches!(&strict[..], [Ok(_), Err(e)] if bad(e)),
+            "{strict:?}"
+        );
+        let lossy: Vec<_> = LossyMrtReader::new(archive.as_slice()).collect();
+        assert!(matches!(&lossy[..], [Ok(_), Err(e)] if bad(e)), "{lossy:?}");
+        let updates: Vec<_> = UpdateStream::new(archive.as_slice()).collect();
+        assert!(
+            matches!(&updates[..], [Ok(_), Err(e)] if bad(e)),
+            "{updates:?}"
+        );
+    }
+
+    #[test]
+    fn a_body_past_its_message_is_a_bad_length_when_strict_and_ignored_when_lossy() {
+        // A good record whose body carries one stray byte after its BGP
+        // message, then a good record.
+        let good = good_update_record();
+        let mut archive = good.clone();
+        archive.push(0xEE);
+        let length = good.len() as u32 - 12 + 1;
+        archive[8..12].copy_from_slice(&length.to_be_bytes());
+        archive.extend_from_slice(&good);
+
+        let mut strict = MrtReader::new(archive.as_slice());
+        assert!(matches!(
+            strict.next_record(),
+            Err(MrtError::BadRecordLength(l)) if l == length
+        ));
+        assert_eq!(strict.offset(), 0, "the failing record starts the archive");
+        assert!(strict.next_record().unwrap().is_none(), "and ends the read");
+        let updates: Vec<_> = UpdateStream::new(archive.as_slice()).collect();
+        assert!(matches!(&updates[..], [Err(MrtError::BadRecordLength(_))]));
+
+        let lossy: Vec<_> = LossyMrtReader::new(archive.as_slice()).collect();
+        assert!(matches!(&lossy[..], [Ok(a), Ok(b)] if a == b), "{lossy:?}");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! and state-change records, and TABLE_DUMP_V2 RIB snapshots.
 
 use bgpworms_types::{Asn, PathAttributes, Prefix, RouteUpdate};
-use std::net::IpAddr;
+use std::net::{IpAddr, Ipv4Addr};
 
 /// MRT type: TABLE_DUMP_V2 (RIB snapshots).
 pub const TABLE_DUMP_V2: u16 = 13;
@@ -65,6 +65,28 @@ pub struct Bgp4mpMessage {
     pub local_ip: IpAddr,
     /// The embedded UPDATE.
     pub update: RouteUpdate,
+}
+
+/// An empty `MESSAGE_AS4` record: the scratch message
+/// [`UpdateStream::next_into`](crate::UpdateStream::next_into) refills.
+impl Default for Bgp4mpMessage {
+    fn default() -> Self {
+        let unspecified = IpAddr::V4(Ipv4Addr::UNSPECIFIED);
+        Bgp4mpMessage {
+            header: MrtHeader {
+                timestamp: 0,
+                microseconds: None,
+                mrt_type: BGP4MP,
+                subtype: bgp4mp_subtype::MESSAGE_AS4,
+            },
+            peer_as: Asn::default(),
+            local_as: Asn::default(),
+            ifindex: 0,
+            peer_ip: unspecified,
+            local_ip: unspecified,
+            update: RouteUpdate::default(),
+        }
+    }
 }
 
 /// A BGP4MP `STATE_CHANGE` record.

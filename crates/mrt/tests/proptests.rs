@@ -1,10 +1,11 @@
 //! Property tests: MRT archives round-trip arbitrary update batches, the
-//! reader survives arbitrary byte soup without panicking, and a writer's
-//! reused body buffer never shows in its output.
+//! reader survives arbitrary byte soup without panicking, a writer's reused
+//! body buffer never shows in its output, and neither does the message an
+//! update stream decodes into again and again.
 
 use bgpworms_mrt::{
-    write_state_change, write_update, write_update_into, LossyMrtReader, MrtReader, MrtRecord,
-    MrtWriter, PeerEntry, RibEntry, TableDumpWriter, UpdateStream,
+    write_state_change, write_update, write_update_into, Bgp4mpMessage, LossyMrtReader, MrtReader,
+    MrtRecord, MrtWriter, PeerEntry, RibEntry, TableDumpWriter, UpdateStream,
 };
 use bgpworms_types::{AsPath, Asn, Community, Ipv4Prefix, PathAttributes, Prefix, RouteUpdate};
 use proptest::prelude::*;
@@ -128,6 +129,57 @@ proptest! {
             fresh.extend_from_slice(&record);
         }
         prop_assert_eq!(reused.into_inner(), fresh);
+    }
+
+    /// One message, refilled record after record — longer updates, shorter
+    /// ones, state changes and unknown records between them, damage
+    /// anywhere — reads exactly what the iterator's fresh message per item
+    /// reads, up to and including the first error.
+    #[test]
+    fn next_into_a_reused_message_equals_the_iterator(
+        records in proptest::collection::vec(
+            (arb_update(), prop_oneof![Just(0u32), 1u32..40], 0u8..6),
+            1..16,
+        ),
+        flips in proptest::collection::vec((any::<usize>(), 0u8..8), 0..3),
+        frac in 0.5f64..=1.0,
+    ) {
+        let (peer, local, ip) = (Asn::new(2), Asn::new(64_500), "10.0.0.2".parse().unwrap());
+        let mut w = MrtWriter::new(Vec::new());
+        for (ts, (mut update, extra, kind)) in records.into_iter().enumerate() {
+            match kind {
+                0 => write_state_change(&mut w, ts as u32, peer, local, ip, 1, 6).unwrap(),
+                1 => w.write_record(ts as u32, 999, 0, &[0xAB; 5]).unwrap(),
+                _ => {
+                    update.attrs.communities.extend((0..extra).map(Community::from_u32));
+                    write_update_into(&mut w, ts as u32, peer, local, ip, &update).unwrap();
+                }
+            }
+        }
+        let mut buf = w.into_inner();
+        buf.truncate((buf.len() as f64 * frac) as usize);
+        for (pos, bit) in flips {
+            if !buf.is_empty() {
+                let i = pos % buf.len();
+                buf[i] ^= 1 << bit;
+            }
+        }
+
+        let mut owned = UpdateStream::new(&buf);
+        let mut reused = UpdateStream::new(&buf);
+        let mut message = Bgp4mpMessage::default();
+        loop {
+            let want = owned.next();
+            let got = match reused.next_into(&mut message) {
+                Ok(true) => Some(Ok(message.clone())),
+                Ok(false) => None,
+                Err(e) => Some(Err(e)),
+            };
+            prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
+            if !matches!(want, Some(Ok(_))) {
+                break;
+            }
+        }
     }
 
     #[test]

@@ -162,26 +162,58 @@ impl AsPath {
         }
     }
 
+    /// Rebuilds the path in place, one segment per call of `segment`: it
+    /// fills the emptied ASN list it is handed and answers with the
+    /// segment's constructor (`PathSegment::Sequence` or `PathSegment::Set`),
+    /// or `None` once the path is complete. Segment `i` is refilled in the
+    /// list the old segment `i` had, so a decoder refilling one scratch
+    /// path per record allocates only when a path outgrows the one before
+    /// (what [`Clone::clone_from`] does for a copy). On `Err` the path holds
+    /// the segments completed before it.
+    pub fn refill<E>(
+        &mut self,
+        mut segment: impl FnMut(&mut Vec<Asn>) -> Result<Option<fn(Vec<Asn>) -> PathSegment>, E>,
+    ) -> Result<(), E> {
+        let mut n = 0;
+        loop {
+            let mut asns = match self.segments.get_mut(n) {
+                Some(PathSegment::Sequence(v) | PathSegment::Set(v)) => std::mem::take(v),
+                None => Vec::new(),
+            };
+            asns.clear();
+            match segment(&mut asns) {
+                Ok(Some(kind)) if n < self.segments.len() => self.segments[n] = kind(asns),
+                Ok(Some(kind)) => self.segments.push(kind(asns)),
+                done => {
+                    self.segments.truncate(n);
+                    return done.map(|_| ());
+                }
+            }
+            n += 1;
+        }
+    }
+
     /// Returns a copy with consecutive duplicate ASes collapsed — the
     /// paper removes AS-path prepending "to not bias the AS path" (§4.1).
     pub fn deprepended(&self) -> AsPath {
         let segments = self
             .segments
             .iter()
-            .map(|s| match s {
-                PathSegment::Sequence(v) => {
-                    let mut out: Vec<Asn> = Vec::with_capacity(v.len());
-                    for &a in v {
-                        if out.last() != Some(&a) {
-                            out.push(a);
-                        }
-                    }
-                    PathSegment::Sequence(out)
+            .map(|s| {
+                let asns = collapsed(s).collect();
+                match s {
+                    PathSegment::Sequence(_) => PathSegment::Sequence(asns),
+                    PathSegment::Set(_) => PathSegment::Set(asns),
                 }
-                PathSegment::Set(v) => PathSegment::Set(v.clone()),
             })
             .collect();
         AsPath { segments }
+    }
+
+    /// The ASes of [`deprepended`](Self::deprepended) in path order,
+    /// without building the copy.
+    pub fn deprepended_asns(&self) -> impl Iterator<Item = Asn> + '_ {
+        self.segments.iter().flat_map(collapsed)
     }
 
     /// Position of the first occurrence of `asn` in the *de-prepended*
@@ -191,7 +223,7 @@ impl AsPath {
     /// community conservatively attributed to the AS at position `i` has
     /// been relayed along `i` AS edges, plus one more to reach the monitor.
     pub fn position(&self, asn: Asn) -> Option<usize> {
-        self.deprepended().asns().position(|a| a == asn)
+        self.deprepended_asns().position(|a| a == asn)
     }
 
     /// True if an AS appears at two non-adjacent positions (a routing loop;
@@ -217,28 +249,32 @@ impl AsPath {
     /// Prepend evidence: every AS that occurs in a consecutive run of
     /// length > 1 inside a SEQUENCE segment, with the run length.
     ///
-    /// `[3 3 3 2 1]` yields `[(3, 3)]`. Passive steering inference (the
+    /// `[3 3 3 2 1]` yields `(3, 3)`. Passive steering inference (the
     /// paper's §9 future agenda) uses this to tell *which* AS was prepended,
     /// which the de-prepended path no longer shows.
-    pub fn prepend_runs(&self) -> Vec<(Asn, usize)> {
-        let mut out = Vec::new();
-        for seg in &self.segments {
-            if let PathSegment::Sequence(v) = seg {
-                let mut i = 0;
-                while i < v.len() {
-                    let mut j = i + 1;
-                    while j < v.len() && v[j] == v[i] {
-                        j += 1;
-                    }
-                    if j - i > 1 {
-                        out.push((v[i], j - i));
-                    }
-                    i = j;
-                }
-            }
-        }
-        out
+    pub fn prepend_runs(&self) -> impl Iterator<Item = (Asn, usize)> + '_ {
+        self.segments
+            .iter()
+            .filter_map(|seg| match seg {
+                PathSegment::Sequence(v) => Some(v.chunk_by(|a, b| a == b)),
+                PathSegment::Set(_) => None,
+            })
+            .flatten()
+            .filter(|run| run.len() > 1)
+            .map(|run| (run[0], run.len()))
     }
+}
+
+/// A segment's ASes with prepending collapsed: a sequence drops each AS
+/// that repeats the one before it; a set is kept whole.
+fn collapsed(segment: &PathSegment) -> impl Iterator<Item = Asn> + '_ {
+    let set = matches!(segment, PathSegment::Set(_));
+    let mut last = None;
+    segment
+        .asns()
+        .iter()
+        .copied()
+        .filter(move |&a| set || last.replace(a) != Some(a))
 }
 
 impl fmt::Display for AsPath {
@@ -293,14 +329,17 @@ mod tests {
     #[test]
     fn prepend_runs_identify_prepended_ases() {
         let p = path(&[3, 3, 3, 2, 1]);
-        assert_eq!(p.prepend_runs(), vec![(Asn::new(3), 3)]);
+        assert_eq!(p.prepend_runs().collect::<Vec<_>>(), [(Asn::new(3), 3)]);
         let p = path(&[4, 3, 3, 2, 2, 2, 1]);
-        assert_eq!(p.prepend_runs(), vec![(Asn::new(3), 2), (Asn::new(2), 3)]);
-        assert!(path(&[3, 2, 1]).prepend_runs().is_empty());
-        assert!(AsPath::empty().prepend_runs().is_empty());
+        assert_eq!(
+            p.prepend_runs().collect::<Vec<_>>(),
+            [(Asn::new(3), 2), (Asn::new(2), 3)]
+        );
+        assert_eq!(path(&[3, 2, 1]).prepend_runs().count(), 0);
+        assert_eq!(AsPath::empty().prepend_runs().count(), 0);
         // non-adjacent repeats (a loop) are not prepend runs
         let p = path(&[3, 2, 3, 1]);
-        assert!(p.prepend_runs().is_empty());
+        assert_eq!(p.prepend_runs().count(), 0);
     }
 
     fn path(v: &[u32]) -> AsPath {
@@ -327,6 +366,52 @@ mod tests {
         scratch.clone_from(&mixed);
         assert_eq!(scratch, mixed);
         scratch.clone_from(&AsPath::empty());
+        assert_eq!(scratch, AsPath::empty());
+    }
+
+    #[test]
+    fn refill_builds_the_segments_it_is_fed_and_keeps_the_allocation() {
+        let mut scratch = path(&[9, 8, 7, 6, 5]);
+        let buffer = scratch.segments()[0].asns().as_ptr();
+        let mut feed = vec![
+            (
+                PathSegment::Set as fn(Vec<Asn>) -> PathSegment,
+                asns(&[2, 1]),
+            ),
+            (PathSegment::Sequence, asns(&[5])),
+        ]
+        .into_iter();
+        let refilled = scratch.refill(|out| {
+            Ok::<_, ()>(feed.next().map(|(kind, list)| {
+                out.extend(list);
+                kind
+            }))
+        });
+        assert_eq!(refilled, Ok(()));
+        let mixed = AsPath::from_segments(vec![
+            PathSegment::Set(asns(&[2, 1])),
+            PathSegment::Sequence(asns(&[5])),
+        ]);
+        assert_eq!(scratch, mixed);
+        assert_eq!(
+            scratch.segments()[0].asns().as_ptr(),
+            buffer,
+            "segment 0 is refilled in the old segment 0's list"
+        );
+        // An error keeps the segments completed before it.
+        let mut calls = 0;
+        let failed = scratch.refill(|out| {
+            calls += 1;
+            out.push(Asn::new(calls));
+            if calls == 2 {
+                Err("bad segment")
+            } else {
+                Ok(Some(PathSegment::Sequence))
+            }
+        });
+        assert_eq!(failed, Err("bad segment"));
+        assert_eq!(scratch, path(&[1]));
+        assert_eq!(scratch.refill(|_| Ok::<_, ()>(None)), Ok(()));
         assert_eq!(scratch, AsPath::empty());
     }
 

@@ -112,7 +112,7 @@ proptest! {
         // Sum over runs of (len - 1) equals the hop count removed by
         // de-prepending, and every run AS is on the path.
         let p = AsPath::from_asns(asns.iter().map(|&n| Asn::new(n)));
-        let runs = p.prepend_runs();
+        let runs: Vec<_> = p.prepend_runs().collect();
         let removed: usize = runs.iter().map(|(_, n)| n - 1).sum();
         prop_assert_eq!(p.hop_count() - p.deprepended().hop_count(), removed);
         for (a, n) in &runs {
@@ -120,13 +120,14 @@ proptest! {
             prop_assert!(*n >= 2);
         }
         // A de-prepended path has no runs left.
-        prop_assert!(p.deprepended().prepend_runs().is_empty());
+        prop_assert_eq!(p.deprepended().prepend_runs().count(), 0);
     }
 
     #[test]
     fn aspath_deprepended_is_idempotent(asns in proptest::collection::vec(1u32..1000, 0..20)) {
         let p = AsPath::from_asns(asns.into_iter().map(Asn::new));
         let once = p.deprepended();
+        prop_assert_eq!(p.deprepended_asns().collect::<Vec<_>>(), once.to_vec());
         let twice = once.deprepended();
         prop_assert_eq!(&once, &twice);
         // de-prepending never lengthens a path

@@ -8,7 +8,7 @@ use crate::CodecConfig;
 use bgpworms_types::{
     aspath::{AsPath, PathSegment},
     attr::{Aggregator, Origin, PathAttributes, UnknownAttribute},
-    Asn, Community, ExtendedCommunity, Ipv6Prefix, LargeCommunity, Prefix,
+    Asn, Community, ExtendedCommunity, Ipv6Prefix, LargeCommunity, Prefix, RouteUpdate,
 };
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
@@ -127,13 +127,16 @@ fn encode_as_path(out: &mut Vec<u8>, path: &AsPath, cfg: CodecConfig) {
     }
 }
 
-fn decode_as_path(data: &[u8], cfg: CodecConfig) -> Result<AsPath, WireError> {
+/// Refills `path` from an AS_PATH attribute's body, keeping its buffers.
+fn refill_as_path(path: &mut AsPath, data: &[u8], cfg: CodecConfig) -> Result<(), WireError> {
     let mut c = Cursor::new(data);
-    let mut segments = Vec::new();
-    while !c.is_empty() {
+    path.refill(|asns| {
+        if c.is_empty() {
+            return Ok(None);
+        }
         let seg_type = c.u8("as_path segment type")?;
-        let count = c.u8("as_path segment count")? as usize;
-        let mut asns = Vec::with_capacity(count);
+        let count = c.u8("as_path segment count")?;
+        asns.reserve(usize::from(count));
         for _ in 0..count {
             let asn = if cfg.asn4 {
                 c.u32("as_path asn")?
@@ -142,14 +145,12 @@ fn decode_as_path(data: &[u8], cfg: CodecConfig) -> Result<AsPath, WireError> {
             };
             asns.push(Asn::new(asn));
         }
-        let seg = match seg_type {
-            1 => PathSegment::Set(asns),
-            2 => PathSegment::Sequence(asns),
-            t => return Err(WireError::BadSegmentType(t)),
-        };
-        segments.push(seg);
-    }
-    Ok(AsPath::from_segments(segments))
+        match seg_type {
+            1 => Ok(Some(PathSegment::Set)),
+            2 => Ok(Some(PathSegment::Sequence)),
+            t => Err(WireError::BadSegmentType(t)),
+        }
+    })
 }
 
 /// Encodes the attributes section (without the leading 2-byte total length).
@@ -310,26 +311,85 @@ pub(crate) fn append_attributes(
     Ok(())
 }
 
-fn expect_len(type_code: u8, data: &[u8], expected: usize) -> Result<(), WireError> {
-    if data.len() != expected {
-        Err(WireError::BadAttributeLength {
-            type_code,
-            len: data.len(),
-        })
-    } else {
-        Ok(())
+/// The error for an attribute whose length its type does not allow.
+fn bad_length(type_code: u8, data: &[u8]) -> WireError {
+    WireError::BadAttributeLength {
+        type_code,
+        len: data.len(),
+    }
+}
+
+/// The value of a fixed-length attribute.
+fn fixed<const N: usize>(type_code: u8, data: &[u8]) -> Result<[u8; N], WireError> {
+    data.try_into().map_err(|_| bad_length(type_code, data))
+}
+
+/// The `N`-byte values of a list attribute, whose length must be a multiple
+/// of `N`.
+fn values<const N: usize>(type_code: u8, data: &[u8]) -> Result<&[[u8; N]], WireError> {
+    match data.as_chunks() {
+        (values, []) => Ok(values),
+        _ => Err(bad_length(type_code, data)),
     }
 }
 
 /// Decodes the attributes section of an UPDATE (after the 2-byte total
 /// attribute length has been consumed; `data` is exactly that section).
+///
+/// The owned form of `decode_attributes_into`, which holds the one
+/// implementation.
 pub fn decode_attributes(data: &[u8], cfg: CodecConfig) -> Result<DecodedAttributes, WireError> {
-    let mut c = Cursor::new(data);
-    let mut out = DecodedAttributes::default();
+    let mut update = RouteUpdate::default();
+    let mp_next_hop = decode_attributes_into(data, cfg, &mut update)?;
+    Ok(DecodedAttributes {
+        attrs: update.attrs,
+        mp_announced: update.announced,
+        mp_withdrawn: update.withdrawn,
+        mp_next_hop,
+    })
+}
 
+/// [`decode_attributes`] into `update`: its `attrs` are overwritten,
+/// keeping the buffers of the path and the lists, the prefixes of
+/// MP_REACH_NLRI and MP_UNREACH_NLRI are appended to its `announced` and
+/// `withdrawn`, and the MP_REACH_NLRI next hop is returned. On `Err`,
+/// `update` holds no particular value.
+///
+/// An attribute that occurs more than once is validated at every
+/// occurrence and kept at the first (RFC 7606 §3(g)). For MP_REACH_NLRI
+/// and MP_UNREACH_NLRI this departs from RFC 7606, which makes a repeat a
+/// malformed attribute list: refusing it would change which records fail
+/// to decode, and with that the lossy reader's skip tally.
+pub(crate) fn decode_attributes_into(
+    data: &[u8],
+    cfg: CodecConfig,
+    update: &mut RouteUpdate,
+) -> Result<Option<IpAddr>, WireError> {
+    // Every attribute but the path goes back to its default; the path is
+    // refilled below whether or not the section carries one.
+    let a = &mut update.attrs;
+    (
+        a.origin,
+        a.next_hop,
+        a.med,
+        a.local_pref,
+        a.atomic_aggregate,
+        a.aggregator,
+    ) = <_>::default();
+    a.communities.clear();
+    a.large_communities.clear();
+    a.ext_communities.clear();
+    a.unknown.clear();
+    let mut mp_next_hop = None;
+    // Repeats are decoded here, which validates them, and then dropped.
+    let mut repeats = None;
+    // One bit per type code, set at its first occurrence.
+    let mut seen = [0u64; 4];
+
+    let mut c = Cursor::new(data);
     while !c.is_empty() {
         let flags = c.u8("attribute flags")?;
-        let type_code_v = c.u8("attribute type")?;
+        let code = c.u8("attribute type")?;
         let len = if flags & FLAG_EXT_LEN != 0 {
             c.u16("attribute extended length")? as usize
         } else {
@@ -337,97 +397,55 @@ pub fn decode_attributes(data: &[u8], cfg: CodecConfig) -> Result<DecodedAttribu
         };
         let body = c.take("attribute body", len)?;
 
-        match type_code_v {
+        let (word, bit) = (usize::from(code / 64), 1 << (code % 64));
+        let first = seen[word] & bit == 0;
+        seen[word] |= bit;
+        let out = if first {
+            &mut *update
+        } else {
+            repeats.get_or_insert_default()
+        };
+        match code {
             type_code::ORIGIN => {
-                expect_len(type_code_v, body, 1)?;
-                out.attrs.origin =
-                    Origin::from_code(body[0]).ok_or(WireError::BadOrigin(body[0]))?;
+                let [origin] = fixed(code, body)?;
+                out.attrs.origin = Origin::from_code(origin).ok_or(WireError::BadOrigin(origin))?;
             }
-            type_code::AS_PATH => {
-                out.attrs.as_path = decode_as_path(body, cfg)?;
-            }
+            type_code::AS_PATH => refill_as_path(&mut out.attrs.as_path, body, cfg)?,
             type_code::NEXT_HOP => {
-                expect_len(type_code_v, body, 4)?;
-                out.attrs.next_hop = Some(IpAddr::V4(Ipv4Addr::new(
-                    body[0], body[1], body[2], body[3],
-                )));
+                out.attrs.next_hop = Some(IpAddr::V4(Ipv4Addr::from(fixed::<4>(code, body)?)));
             }
-            type_code::MED => {
-                expect_len(type_code_v, body, 4)?;
-                out.attrs.med = Some(u32::from_be_bytes([body[0], body[1], body[2], body[3]]));
-            }
+            type_code::MED => out.attrs.med = Some(u32::from_be_bytes(fixed(code, body)?)),
             type_code::LOCAL_PREF => {
-                expect_len(type_code_v, body, 4)?;
-                out.attrs.local_pref =
-                    Some(u32::from_be_bytes([body[0], body[1], body[2], body[3]]));
+                out.attrs.local_pref = Some(u32::from_be_bytes(fixed(code, body)?));
             }
             type_code::ATOMIC_AGGREGATE => {
-                expect_len(type_code_v, body, 0)?;
+                fixed::<0>(code, body)?;
                 out.attrs.atomic_aggregate = true;
             }
             type_code::AGGREGATOR => {
-                let expected = if cfg.asn4 { 8 } else { 6 };
-                expect_len(type_code_v, body, expected)?;
-                let mut bc = Cursor::new(body);
-                let asn = if cfg.asn4 {
-                    bc.u32("aggregator asn")?
+                let (asn, router_id) = if cfg.asn4 {
+                    let [a, b, c, d, router_id @ ..] = fixed::<8>(code, body)?;
+                    (u32::from_be_bytes([a, b, c, d]), router_id)
                 } else {
-                    u32::from(bc.u16("aggregator asn")?)
+                    let [a, b, router_id @ ..] = fixed::<6>(code, body)?;
+                    (u32::from(u16::from_be_bytes([a, b])), router_id)
                 };
-                let rid = bc.u32("aggregator router id")?;
-                out.attrs.aggregator = Some(Aggregator {
-                    asn: Asn::new(asn),
-                    router_id: Ipv4Addr::from(rid),
-                });
+                let (asn, router_id) = (Asn::new(asn), Ipv4Addr::from(router_id));
+                out.attrs.aggregator = Some(Aggregator { asn, router_id });
             }
-            type_code::COMMUNITIES => {
-                if len % 4 != 0 {
-                    return Err(WireError::BadAttributeLength {
-                        type_code: type_code_v,
-                        len,
-                    });
-                }
-                let mut bc = Cursor::new(body);
-                while !bc.is_empty() {
-                    out.attrs
-                        .communities
-                        .push(Community::from_u32(bc.u32("community")?));
-                }
-            }
-            type_code::EXT_COMMUNITIES => {
-                if len % 8 != 0 {
-                    return Err(WireError::BadAttributeLength {
-                        type_code: type_code_v,
-                        len,
-                    });
-                }
-                let mut bc = Cursor::new(body);
-                while !bc.is_empty() {
-                    let raw = bc.take("ext community", 8)?;
-                    let mut b = [0u8; 8];
-                    b.copy_from_slice(raw);
-                    out.attrs
-                        .ext_communities
-                        .push(ExtendedCommunity::from_bytes(b));
-                }
-            }
-            type_code::LARGE_COMMUNITIES => {
-                if len % 12 != 0 {
-                    return Err(WireError::BadAttributeLength {
-                        type_code: type_code_v,
-                        len,
-                    });
-                }
-                let mut bc = Cursor::new(body);
-                while !bc.is_empty() {
-                    let raw = bc.take("large community", 12)?;
-                    let mut b = [0u8; 12];
-                    b.copy_from_slice(raw);
-                    out.attrs
-                        .large_communities
-                        .push(LargeCommunity::from_bytes(b));
-                }
-            }
+            type_code::COMMUNITIES => out.attrs.communities.extend(
+                (values(code, body)?.iter()).map(|&v| Community::from_u32(u32::from_be_bytes(v))),
+            ),
+            type_code::EXT_COMMUNITIES => (out.attrs.ext_communities).extend(
+                values(code, body)?
+                    .iter()
+                    .map(|&v| ExtendedCommunity::from_bytes(v)),
+            ),
+            type_code::LARGE_COMMUNITIES => (out.attrs.large_communities).extend(
+                values(code, body)?
+                    .iter()
+                    .map(|&v| LargeCommunity::from_bytes(v)),
+            ),
             type_code::MP_REACH_NLRI => {
                 let mut bc = Cursor::new(body);
                 let afi = bc.u16("mp_reach afi")?;
@@ -437,13 +455,13 @@ pub fn decode_attributes(data: &[u8], cfg: CodecConfig) -> Result<DecodedAttribu
                 }
                 let nh_len = bc.u8("mp_reach next hop length")? as usize;
                 let nh = bc.take("mp_reach next hop", nh_len)?;
-                if nh_len >= 16 {
+                if nh_len >= 16 && first {
                     let mut b = [0u8; 16];
                     b.copy_from_slice(&nh[..16]);
-                    out.mp_next_hop = Some(IpAddr::V6(Ipv6Addr::from(b)));
+                    mp_next_hop = Some(IpAddr::V6(Ipv6Addr::from(b)));
                 }
                 let _reserved = bc.u8("mp_reach reserved")?;
-                out.mp_announced = nlri::decode_v6_run(&mut bc)?;
+                nlri::decode_v6_run(&mut bc, &mut out.announced)?;
             }
             type_code::MP_UNREACH_NLRI => {
                 let mut bc = Cursor::new(body);
@@ -452,19 +470,19 @@ pub fn decode_attributes(data: &[u8], cfg: CodecConfig) -> Result<DecodedAttribu
                 if afi != AFI_IPV6 || safi != SAFI_UNICAST {
                     return Err(WireError::UnsupportedAfiSafi { afi, safi });
                 }
-                out.mp_withdrawn = nlri::decode_v6_run(&mut bc)?;
+                nlri::decode_v6_run(&mut bc, &mut out.withdrawn)?;
             }
-            _ => {
-                out.attrs.unknown.push(UnknownAttribute {
-                    flags,
-                    type_code: type_code_v,
-                    data: body.to_vec(),
-                });
-            }
+            _ => out.attrs.unknown.push(UnknownAttribute {
+                flags,
+                type_code: code,
+                data: body.to_vec(),
+            }),
         }
     }
-
-    Ok(out)
+    if seen[0] & 1 << type_code::AS_PATH == 0 {
+        refill_as_path(&mut update.attrs.as_path, &[], cfg)?;
+    }
+    Ok(mp_next_hop)
 }
 
 #[cfg(test)]

@@ -28,6 +28,14 @@
 //! implementation. A length that does not fit its field is
 //! [`WireError::TooLong`], never a wrapped number.
 //!
+//! Decoding has **one body too**: [`decode_update_into`] decodes an UPDATE
+//! straight into a [`RouteUpdate`](bgpworms_types::RouteUpdate) the caller
+//! owns, overwriting its lists, path and attributes in place so their
+//! buffers are reused. [`decode_message`] is it called on a new update, and
+//! [`decode_attributes`] its attribute decoder called on one. An attribute
+//! that occurs twice is validated both times and kept the first time (RFC
+//! 7606 §3(g)).
+//!
 //! # Example
 //!
 //! ```
@@ -62,8 +70,8 @@ pub mod open;
 pub use attribute::{decode_attributes, encode_attributes, encode_attributes_into};
 pub use error::WireError;
 pub use message::{
-    decode_message, encode_keepalive, encode_notification, encode_update, encode_update_into,
-    BgpMessage, Notification, MARKER_LEN, MAX_MESSAGE_LEN, MIN_MESSAGE_LEN,
+    decode_message, decode_update_into, encode_keepalive, encode_notification, encode_update,
+    encode_update_into, BgpMessage, Notification, MARKER_LEN, MAX_MESSAGE_LEN, MIN_MESSAGE_LEN,
 };
 pub use open::{Capability, OpenMessage};
 

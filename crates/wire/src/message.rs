@@ -1,7 +1,7 @@
 //! BGP message framing (RFC 4271 §4): header marker, length, type, and the
 //! per-type body codecs.
 
-use crate::attribute::{append_attributes, decode_attributes};
+use crate::attribute::{append_attributes, decode_attributes_into};
 use crate::cursor::Cursor;
 use crate::error::WireError;
 use crate::nlri;
@@ -178,8 +178,24 @@ pub fn encode_notification(n: &Notification) -> Result<Vec<u8>, WireError> {
 ///
 /// Returns the message and the number of bytes consumed, so a caller can
 /// iterate over a concatenated stream (as found inside MRT files and on TCP
-/// sessions).
+/// sessions). The owned form of [`decode_update_into`], which holds the one
+/// implementation.
 pub fn decode_message(data: &[u8], cfg: CodecConfig) -> Result<(BgpMessage, usize), WireError> {
+    let mut update = RouteUpdate::default();
+    let (other, used) = decode_update_into(data, cfg, &mut update)?;
+    Ok((other.unwrap_or(BgpMessage::Update(update)), used))
+}
+
+/// [`decode_message`] with an UPDATE decoded straight into `update`, whose
+/// lists and attributes are overwritten in place and keep their buffers: a
+/// feed decoded through one scratch update allocates only where an update
+/// outgrows the ones before it. A message of another type is returned and
+/// leaves `update` as it was. On `Err`, `update` holds no particular value.
+pub fn decode_update_into(
+    data: &[u8],
+    cfg: CodecConfig,
+    update: &mut RouteUpdate,
+) -> Result<(Option<BgpMessage>, usize), WireError> {
     let mut c = Cursor::new(data);
     let marker = c.take("message marker", MARKER_LEN)?;
     if marker.iter().any(|&b| b != 0xFF) {
@@ -191,61 +207,43 @@ pub fn decode_message(data: &[u8], cfg: CodecConfig) -> Result<(BgpMessage, usiz
         return Err(WireError::BadMessageLength(length));
     }
     let msg_type = c.u8("message type")?;
-    let body = c.take("message body", ltotal - MIN_MESSAGE_LEN)?;
+    let mut body = Cursor::new(c.take("message body", ltotal - MIN_MESSAGE_LEN)?);
 
-    let msg = match msg_type {
-        msg_type::OPEN => BgpMessage::Open(OpenMessage::decode(body)?),
-        msg_type::UPDATE => BgpMessage::Update(decode_update_body(body, cfg)?),
+    let other = match msg_type {
+        msg_type::UPDATE => {
+            let wd_len = body.u16("withdrawn routes length")? as usize;
+            let wd_bytes = body.take("withdrawn routes", wd_len)?;
+            update.withdrawn.clear();
+            nlri::decode_v4_run(&mut Cursor::new(wd_bytes), &mut update.withdrawn)?;
+
+            let attr_len = body.u16("total path attribute length")? as usize;
+            let attr_bytes = body.take("path attributes", attr_len)?;
+            update.announced.clear();
+            let mp_next_hop = decode_attributes_into(attr_bytes, cfg, update)?;
+
+            // The IPv4 NLRI follow the attributes on the wire and lead the
+            // list, as the IPv4 withdrawals lead theirs.
+            let mp_announced = update.announced.len();
+            nlri::decode_v4_run(&mut body, &mut update.announced)?;
+            update.announced.rotate_left(mp_announced);
+            update.attrs.next_hop = update.attrs.next_hop.or(mp_next_hop);
+            None
+        }
+        msg_type::OPEN => Some(BgpMessage::Open(OpenMessage::decode(body.take_rest())?)),
         msg_type::NOTIFICATION => {
-            let mut bc = Cursor::new(body);
-            let code = bc.u8("notification code")?;
-            let subcode = bc.u8("notification subcode")?;
-            BgpMessage::Notification(Notification {
+            let code = body.u8("notification code")?;
+            let subcode = body.u8("notification subcode")?;
+            Some(BgpMessage::Notification(Notification {
                 code,
                 subcode,
-                data: bc.take_rest().to_vec(),
-            })
+                data: body.take_rest().to_vec(),
+            }))
         }
-        msg_type::KEEPALIVE => {
-            if !body.is_empty() {
-                return Err(WireError::BadMessageLength(length));
-            }
-            BgpMessage::Keepalive
-        }
+        msg_type::KEEPALIVE if body.is_empty() => Some(BgpMessage::Keepalive),
+        msg_type::KEEPALIVE => return Err(WireError::BadMessageLength(length)),
         t => return Err(WireError::UnknownMessageType(t)),
     };
-
-    Ok((msg, ltotal))
-}
-
-fn decode_update_body(body: &[u8], cfg: CodecConfig) -> Result<RouteUpdate, WireError> {
-    let mut c = Cursor::new(body);
-
-    let wd_len = c.u16("withdrawn routes length")? as usize;
-    let wd_bytes = c.take("withdrawn routes", wd_len)?;
-    let mut wd_cursor = Cursor::new(wd_bytes);
-    let mut withdrawn = nlri::decode_v4_run(&mut wd_cursor)?;
-
-    let attr_len = c.u16("total path attribute length")? as usize;
-    let attr_bytes = c.take("path attributes", attr_len)?;
-    let decoded = decode_attributes(attr_bytes, cfg)?;
-
-    let mut nlri_cursor = Cursor::new(c.take_rest());
-    let mut announced = nlri::decode_v4_run(&mut nlri_cursor)?;
-
-    announced.extend(decoded.mp_announced);
-    withdrawn.extend(decoded.mp_withdrawn);
-
-    let mut attrs = decoded.attrs;
-    if attrs.next_hop.is_none() {
-        attrs.next_hop = decoded.mp_next_hop;
-    }
-
-    Ok(RouteUpdate {
-        withdrawn,
-        attrs,
-        announced,
-    })
+    Ok((other, ltotal))
 }
 
 #[cfg(test)]
@@ -303,6 +301,33 @@ mod tests {
             }
             other => panic!("expected update, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_repeated_attribute_keeps_its_first_occurrence() {
+        // RFC 7606 §3(g): every occurrence after the first is discarded.
+        // The sample's attributes, then a second AS_PATH and COMMUNITIES,
+        // and a second MP_REACH_NLRI announcing 2001:db8::/32.
+        let mut u = sample_update();
+        let v6: Ipv6Prefix = "2001:db8:1::/48".parse().unwrap();
+        u.announced.push(Prefix::V6(v6));
+        let mut attrs =
+            crate::encode_attributes(&u.attrs, &[v6], &[], CodecConfig::modern()).unwrap();
+        attrs.extend_from_slice(&[0x40, 2, 6, 2, 1, 0, 0, 0, 9]);
+        attrs.extend_from_slice(&[0xC0, 8, 4, 0, 9, 0, 9]);
+        attrs.extend_from_slice(&[0x80, 14, 26, 0, 2, 1, 16]);
+        attrs.extend_from_slice(&[0x20, 0x01, 0x0d, 0xb8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1]);
+        attrs.extend_from_slice(&[0, 32, 0x20, 0x01, 0x0d, 0xb8]);
+        let mut bytes = vec![0xFF; MARKER_LEN];
+        let total = MIN_MESSAGE_LEN + 2 + 2 + attrs.len() + 4;
+        bytes.extend_from_slice(&(total as u16).to_be_bytes());
+        bytes.extend_from_slice(&[msg_type::UPDATE, 0, 0]);
+        bytes.extend_from_slice(&(attrs.len() as u16).to_be_bytes());
+        bytes.extend_from_slice(&attrs);
+        bytes.extend_from_slice(&[24, 192, 0, 2]);
+        let (msg, used) = decode_message(&bytes, CodecConfig::modern()).unwrap();
+        assert_eq!(used, bytes.len());
+        assert_eq!(msg, BgpMessage::Update(u));
     }
 
     #[test]

@@ -52,22 +52,20 @@ pub fn decode_v6(c: &mut Cursor<'_>) -> Result<Ipv6Prefix, WireError> {
     Ipv6Prefix::new(u128::from_be_bytes(addr), len).map_err(|_| WireError::BadPrefixLength(len))
 }
 
-/// Decodes a run of IPv4 prefixes until the cursor is exhausted.
-pub fn decode_v4_run(c: &mut Cursor<'_>) -> Result<Vec<Prefix>, WireError> {
-    let mut out = Vec::new();
+/// Appends to `out` the IPv4 prefixes up to the end of the cursor.
+pub fn decode_v4_run(c: &mut Cursor<'_>, out: &mut Vec<Prefix>) -> Result<(), WireError> {
     while !c.is_empty() {
         out.push(Prefix::V4(decode_v4(c)?));
     }
-    Ok(out)
+    Ok(())
 }
 
-/// Decodes a run of IPv6 prefixes until the cursor is exhausted.
-pub fn decode_v6_run(c: &mut Cursor<'_>) -> Result<Vec<Prefix>, WireError> {
-    let mut out = Vec::new();
+/// Appends to `out` the IPv6 prefixes up to the end of the cursor.
+pub fn decode_v6_run(c: &mut Cursor<'_>, out: &mut Vec<Prefix>) -> Result<(), WireError> {
     while !c.is_empty() {
         out.push(Prefix::V6(decode_v6(c)?));
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -160,10 +158,12 @@ mod tests {
         encode_v4(p4("10.0.0.0/8"), &mut out);
         encode_v4(p4("192.0.2.0/24"), &mut out);
         let mut c = Cursor::new(&out);
-        let run = decode_v4_run(&mut c).unwrap();
+        let mut run = vec![Prefix::V4(p4("0.0.0.0/0"))];
+        decode_v4_run(&mut c, &mut run).unwrap();
         assert_eq!(
             run,
-            vec![Prefix::V4(p4("10.0.0.0/8")), Prefix::V4(p4("192.0.2.0/24"))]
+            [p4("0.0.0.0/0"), p4("10.0.0.0/8"), p4("192.0.2.0/24")].map(Prefix::V4),
+            "appended behind what the list held"
         );
     }
 }

@@ -1,15 +1,16 @@
 //! Property tests for the wire codec: arbitrary logical updates round-trip
-//! bit-exactly, arbitrary byte soup never panics the decoder, and the
-//! appending encoders write exactly the wrappers' bytes behind whatever the
-//! buffer already held.
+//! bit-exactly, arbitrary byte soup never panics the decoder, the appending
+//! encoders write exactly the wrappers' bytes behind whatever the buffer
+//! already held, and the in-place decoder gives exactly the owned one's
+//! result whatever its scratch update held.
 
 use bgpworms_types::{
     attr::{Aggregator, Origin, PathAttributes},
     AsPath, Asn, Community, Ipv4Prefix, Ipv6Prefix, LargeCommunity, Prefix, RouteUpdate,
 };
 use bgpworms_wire::{
-    decode_attributes, decode_message, encode_attributes, encode_attributes_into, encode_update,
-    encode_update_into, BgpMessage, CodecConfig,
+    decode_attributes, decode_message, decode_update_into, encode_attributes,
+    encode_attributes_into, encode_update, encode_update_into, BgpMessage, CodecConfig,
 };
 use proptest::prelude::*;
 
@@ -104,8 +105,75 @@ fn v4_then_v6(list: &[Prefix]) -> Vec<Prefix> {
     [v4, v6].concat()
 }
 
+/// `bytes` with one more IPv4 NLRI byte, a prefix length no prefix has:
+/// the attributes and the NLRI before it decode, then the decode fails.
+fn poisoned(mut bytes: Vec<u8>) -> Vec<u8> {
+    bytes.push(0xFF);
+    let len = u16::from_be_bytes([bytes[16], bytes[17]]) + 1;
+    bytes[16..18].copy_from_slice(&len.to_be_bytes());
+    bytes
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases_capped(256))]
+
+    /// The scratch update holds the default, an earlier update (longer or
+    /// shorter than the one decoded next) or what an earlier decode that
+    /// failed half way left; the message decoded into it is an encoded
+    /// update, perhaps with one bit flipped. Whatever the mix, the in-place
+    /// decode is the owned decode of a fresh update: the same update, the
+    /// same other message (leaving the scratch alone) or the same error.
+    #[test]
+    fn decoding_into_a_used_update_equals_decoding_into_a_fresh_one(
+        earlier in (arb_stress_attrs(), arb_prefixes(), arb_prefixes()),
+        state in 0u8..3,
+        attrs in arb_stress_attrs(),
+        announced in arb_prefixes(),
+        withdrawn in arb_prefixes(),
+        flip in proptest::option::of((any::<usize>(), 0u8..8)),
+        asn4 in any::<bool>(),
+    ) {
+        let cfg = if asn4 { CodecConfig::modern() } else { CodecConfig::legacy() };
+        let (earlier_attrs, earlier_announced, earlier_withdrawn) = earlier;
+        let earlier = RouteUpdate {
+            withdrawn: earlier_withdrawn,
+            attrs: earlier_attrs,
+            announced: earlier_announced,
+        };
+        let mut scratch = RouteUpdate::default();
+        if let (1 | 2, Ok(bytes)) = (state, encode_update(&earlier, cfg)) {
+            let bytes = if state == 2 { poisoned(bytes) } else { bytes };
+            let first = decode_update_into(&bytes, cfg, &mut scratch);
+            prop_assert_eq!(first.is_ok(), state == 1, "{:?}", first);
+        }
+        let before = scratch.clone();
+
+        let u = RouteUpdate { withdrawn, attrs, announced };
+        let Ok(mut bytes) = encode_update(&u, cfg) else {
+            return Ok(());
+        };
+        if let Some((pos, bit)) = flip {
+            let i = pos % bytes.len();
+            bytes[i] ^= 1 << bit;
+        }
+        let fresh = decode_message(&bytes, cfg);
+        let reused = decode_update_into(&bytes, cfg, &mut scratch);
+        match (fresh, reused) {
+            (Ok((BgpMessage::Update(want), n)), Ok((None, m))) => {
+                prop_assert_eq!(n, m);
+                prop_assert_eq!(scratch, want);
+            }
+            (Ok((want, n)), Ok((Some(got), m))) => {
+                prop_assert_eq!(n, m);
+                prop_assert_eq!(got, want);
+                prop_assert_eq!(scratch, before, "another message type left the update alone");
+            }
+            (Err(want), Err(got)) => prop_assert_eq!(got, want),
+            (fresh, reused) => {
+                return Err(TestCaseError::fail(format!("{fresh:?} vs {reused:?}")));
+            }
+        }
+    }
 
     #[test]
     fn appended_update_is_the_wrappers_bytes_behind_an_untouched_prefix(

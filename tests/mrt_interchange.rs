@@ -63,10 +63,9 @@ fn archives_survive_disk_roundtrip() {
         f.write_all(&archive.updates_mrt).expect("write");
         drop(f);
 
-        // Stream it back from disk like any external MRT consumer would.
-        let file = std::fs::File::open(&path).expect("open");
-        let reader = std::io::BufReader::new(file);
-        for msg in UpdateStream::new(reader) {
+        // Read it back from disk like any external MRT consumer would.
+        let bytes = std::fs::read(&path).expect("read");
+        for msg in UpdateStream::new(&bytes) {
             let msg = msg.expect("clean parse from disk");
             assert!(msg.peer_as.get() > 0);
             total_updates += 1;

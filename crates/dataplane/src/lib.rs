@@ -1,6 +1,5 @@
 //! Data-plane substrate: FIBs derived from the simulated control plane,
-//! ping/traceroute, an Atlas-like probing platform, looking glasses, and
-//! naïve IP-to-AS mapping.
+//! ping/traceroute, an Atlas-like probing platform, and looking glasses.
 //!
 //! (`ARCHITECTURE.md` at the repository root shows where the data plane
 //! sits in the workspace's layer stack; its section "The forwarding plane"
@@ -18,8 +17,6 @@
 //!   reverse path for ping (both directions must deliver);
 //! * [`AtlasPlatform`] — a deterministic set of vantage points running
 //!   measurement campaigns;
-//! * [`IpToAsMap`] — longest-match IP-to-origin mapping, as §7.6 builds
-//!   from a RouteViews table;
 //! * [`LookingGlass`] — formatted per-AS RIB queries.
 
 #![forbid(unsafe_code)]
@@ -27,12 +24,10 @@
 
 pub mod atlas;
 pub mod fib;
-pub mod ip2as;
 pub mod looking_glass;
 pub mod probe;
 
 pub use atlas::{AtlasPlatform, CampaignResult};
 pub use fib::{Fib, FibAction};
-pub use ip2as::IpToAsMap;
 pub use looking_glass::LookingGlass;
 pub use probe::{ping, trace, PingResult, TraceOutcome, TraceResult};

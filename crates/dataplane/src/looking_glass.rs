@@ -26,19 +26,6 @@ impl<'a> LookingGlass<'a> {
         self.result.route_at(asn, prefix)
     }
 
-    /// True if the route at `asn` carries the given community — the check
-    /// used to confirm community propagation along the attack path.
-    pub fn sees_community(
-        &self,
-        asn: Asn,
-        prefix: &Prefix,
-        community: bgpworms_types::Community,
-    ) -> bool {
-        self.route(asn, prefix)
-            .map(|r| r.has_community(community))
-            .unwrap_or(false)
-    }
-
     /// `show route` style output for one AS and prefix.
     pub fn show(&self, asn: Asn, prefix: &Prefix) -> String {
         let mut out = String::new();
@@ -107,8 +94,6 @@ mod tests {
         assert!(text.contains("AS path: 2"));
         assert!(text.contains("Communities: 2:100"));
         assert!(text.contains("via AS2"));
-        assert!(lg.sees_community(Asn::new(1), &p, Community::new(2, 100)));
-        assert!(!lg.sees_community(Asn::new(1), &p, Community::new(2, 101)));
     }
 
     #[test]

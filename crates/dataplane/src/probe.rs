@@ -33,15 +33,6 @@ impl TraceResult {
     pub fn delivered(&self) -> bool {
         self.outcome == TraceOutcome::Delivered
     }
-
-    /// The AS where the packet was dropped (for non-delivered traces).
-    pub fn drop_point(&self) -> Option<Asn> {
-        if self.delivered() {
-            None
-        } else {
-            self.path.last().copied()
-        }
-    }
 }
 
 /// Result of a bidirectional ping.
@@ -156,7 +147,6 @@ mod tests {
         assert_eq!(t.outcome, TraceOutcome::Delivered);
         assert_eq!(t.path, vec![Asn::new(1), Asn::new(2), Asn::new(3)]);
         assert!(t.delivered());
-        assert_eq!(t.drop_point(), None);
     }
 
     #[test]
@@ -179,7 +169,7 @@ mod tests {
         fib.insert(Asn::new(2), p4("10.0.0.7/32"), FibAction::Null);
         let t = trace(&fib, Asn::new(1), ip("10.0.0.7"));
         assert_eq!(t.outcome, TraceOutcome::Blackholed);
-        assert_eq!(t.drop_point(), Some(Asn::new(2)));
+        assert_eq!(t.path.last(), Some(&Asn::new(2)), "dropped at AS2");
         // Other addresses in the /16 still deliver (LPM).
         assert!(trace(&fib, Asn::new(1), ip("10.0.0.8")).delivered());
     }
@@ -189,7 +179,7 @@ mod tests {
         let fib = line_fib();
         let t = trace(&fib, Asn::new(1), ip("30.0.0.1"));
         assert_eq!(t.outcome, TraceOutcome::Unreachable);
-        assert_eq!(t.drop_point(), Some(Asn::new(1)));
+        assert_eq!(t.path, [Asn::new(1)], "dropped where it started");
     }
 
     #[test]

@@ -135,14 +135,6 @@ impl CommunityDictionary {
         self.entries.iter().map(|(c, k)| (*c, *k))
     }
 
-    /// Explicit entries of a given kind.
-    pub fn of_kind(&self, want: CommunityKind) -> impl Iterator<Item = Community> + '_ {
-        self.entries
-            .iter()
-            .filter(move |(_, k)| **k == want)
-            .map(|(c, _)| *c)
-    }
-
     /// The ground-truth dictionary of a simulated world: every service
     /// community each router actually honours, plus its informational
     /// tagging values. This is what the statistical inference is scored

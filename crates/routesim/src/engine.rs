@@ -69,15 +69,25 @@
 //! route came from a peer or provider and every neighbor is one), so what
 //! it imports shows only in retained `final_routes`, in a [`SimSnapshot`],
 //! or once it originates itself. `SimSpec::compile` marks those nodes once
-//! (`unread_leaves`, which carries the argument), and a flood with none of
-//! the three readers — an unretained prefix of a campaign — pops a delivery
-//! to such a node, counts it in `events` against the budget like any other,
-//! and drops it: no stamp, no admission, no derivation probe, no dirty
-//! mark, hence no best scan and no adjacency walk. On the generated
-//! internets that is ≈ 87 % of the ASes and ≈ 85 % of the deliveries. A
-//! retained prefix, [`CompiledSim::run_snapshot`] and a delta on a restored
-//! snapshot flood in full, so `RetainRoutes::All` and `run_snapshot(..).0`
-//! are the un-elided oracles `tests/determinism.rs` holds the rest to.
+//! (`unread_leaves`, which carries the argument). The drain loop pops a
+//! delivery to such a node, counts it in `events` against the budget like
+//! any other, and — unless the node originates in this schedule — treats
+//! it by who reads the flood:
+//!
+//! * **drop** (a campaign flood of an unretained prefix): no stamp, no
+//!   admission, no derivation probe, no dirty mark, hence no best scan and
+//!   no adjacency walk;
+//! * **park and resolve** (a campaign flood of a retained prefix): the
+//!   raw route goes into the leaf's slot with no admission and no dirty
+//!   mark, so the leaf runs no export pass; before the retention sweep the
+//!   leaf imports each occupied slot once — what that slot received last,
+//!   which is all an import of every delivery would have left there;
+//! * **in full** ([`CompiledSim::run_snapshot`]'s capture, and a delta on
+//!   a restored snapshot): the state outlives the flood.
+//!
+//! On the generated internets that is ≈ 87 % of the ASes and ≈ 85 % of the
+//! deliveries. `run_snapshot(..).0` is the un-parked, un-elided oracle
+//! `tests/determinism.rs` holds campaign floods to.
 //!
 //! # Collector sweep: only sessions whose peer's best route moved
 //!
@@ -408,9 +418,17 @@ impl<'a> SimSpec<'a> {
 /// route, and what it imports — its Adj-RIB-In, its best route, its
 /// all-`None` export pass — is visible only through three readers: retained
 /// `final_routes`, a [`SimSnapshot`] (a later delta may originate at the node
-/// or retain), and the node's own originations. A flood with none of the
-/// three counts a delivery to an unread leaf and drops it (the guard in
-/// `continue_prefix`); nothing the run returns depends on the difference.
+/// or retain), and the node's own originations.
+///
+/// One rule follows, applied by one guard in `continue_prefix`, at the pop
+/// that counts the delivery, to a leaf that does not originate in the
+/// schedule. A campaign flood of an unretained prefix has none of the
+/// readers, and drops the delivery. A campaign flood of a retained prefix
+/// has only the retention sweep, which reads the leaf's RIB once, at the
+/// end; so the flood parks the delivery (`NodeState::park`) and the leaf
+/// resolves each slot's last delivery once before the sweep
+/// (`NodeState::resolve_parked`). A snapshot's flood has a snapshot, and
+/// runs in full. Nothing the run returns depends on the difference.
 fn unread_leaves(topo: &Topology, is_rs: &[bool], session_offsets: &[u32]) -> Vec<bool> {
     topo.node_ids()
         .map(|id| {
@@ -491,8 +509,9 @@ impl<'a> CompiledSim<'a> {
     }
 
     /// How many nodes are unread leaves — no customer, no collector session,
-    /// not a route server. A flood that neither retains its prefix nor feeds
-    /// a snapshot counts deliveries to them without simulating them.
+    /// not a route server. A campaign flood counts deliveries to them and
+    /// drops them, or parks them when the prefix is retained; a snapshot's
+    /// flood simulates them.
     pub fn unread_nodes(&self) -> usize {
         self.unread.iter().filter(|&&unread| unread).count()
     }
@@ -735,6 +754,7 @@ struct Routers<'s> {
     is_rs: &'s [bool],
     node_epoch: &'s mut [u32],
     touched: &'s mut Vec<u32>,
+    parked: &'s mut Vec<u32>,
     rib_in: &'s mut [Option<RibEntry>],
     exported: &'s mut [Option<RouteId>],
     local: &'s mut [Option<RouteId>],
@@ -763,6 +783,17 @@ impl Routers<'_> {
     /// skip it without paying the touch's slot-range clear.
     fn is_live(&self, i: usize) -> bool {
         self.node_epoch[i] == self.epoch
+    }
+
+    /// Parks a delivery to unread leaf `i` (see [`NodeState::park`]),
+    /// listing the leaf for resolution the first time the prefix reaches
+    /// it.
+    fn park(&mut self, i: usize, ev: &Event) {
+        if !self.is_live(i) {
+            self.parked.push(i as u32);
+        }
+        self.node(i)
+            .park(ev.to_slot as usize, ev.sender_role, ev.route);
     }
 
     /// The router view for node `i` (touching it first).
@@ -795,6 +826,8 @@ fn role_ix(role: Role) -> usize {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ScratchReader {
     /// Nobody: the next prefix recycles the scratch (a campaign's floods).
+    /// A retained one runs once per `begin_prefix`: its end resolves every
+    /// leaf it parked, and a second run would admit those slots again.
     Nobody,
     /// A [`SimSnapshot`], captured from the scratch after the flood or
     /// restored into it before.
@@ -865,10 +898,12 @@ impl CompiledSim<'_> {
         budget: u64,
         reader: ScratchReader,
     ) {
-        // Nobody reads an unread leaf's routes out of this flood unless the
-        // prefix is retained, the scratch is a snapshot's, or the leaf
-        // originates in this schedule (see `unread_leaves`).
-        let elide = reader == ScratchReader::Nobody && !self.should_retain(&prefix);
+        // Out of a campaign flood, only the retention sweep can read an
+        // unread leaf that does not originate in this schedule: a delivery
+        // to one is dropped, or parked when the prefix is retained (see
+        // `unread_leaves`). A snapshot's flood runs every delivery.
+        let retain = self.should_retain(&prefix);
+        let lean = reader == ScratchReader::Nobody;
         let mut origins: Vec<usize> = episodes
             .iter()
             .filter_map(|ep| self.topo.node_id(ep.origin))
@@ -886,6 +921,7 @@ impl CompiledSim<'_> {
             epoch,
             node_epoch,
             touched,
+            parked,
             rib_in,
             exported,
             local,
@@ -904,6 +940,7 @@ impl CompiledSim<'_> {
             is_rs: &self.is_rs,
             node_epoch,
             touched,
+            parked,
             rib_in,
             exported,
             local,
@@ -961,8 +998,13 @@ impl CompiledSim<'_> {
                         break 'converge;
                     }
                     let to = ev.to.index();
-                    if elide && self.unread[to] && !origins.contains(&to) {
-                        continue; // delivered and counted; nobody reads it
+                    if lean && self.unread[to] && !origins.contains(&to) {
+                        // Delivered and counted. Only the retention sweep
+                        // reads it, and only the slot's last delivery.
+                        if retain {
+                            routers.park(to, &ev);
+                        }
+                        continue;
                     }
                     routers.node(to).import(
                         &self.configs[to],
@@ -1056,7 +1098,19 @@ impl CompiledSim<'_> {
             passes.clear();
         }
 
-        if self.should_retain(&prefix) {
+        if retain {
+            // A parked leaf imports what each of its slots received last,
+            // once, before anything reads its RIB.
+            for k in 0..routers.parked.len() {
+                let i = routers.parked[k] as usize;
+                let adjacency = self.topo.neighbors_ix(NodeId::from_index(i));
+                routers.node(i).resolve_parked(
+                    &self.configs[i],
+                    |slot| self.asns[adjacency[slot].0.index()],
+                    arena,
+                    vctx,
+                );
+            }
             // Only nodes the flood touched can hold a route, so the sweep
             // iterates the touched list instead of all ~N nodes, and it
             // collects ids: `FinalRoutes` clones each distinct best once.
@@ -1230,8 +1284,10 @@ pub struct PrefixOutcome {
     /// Final best route per AS, when the prefix is retained.
     pub final_routes: Option<FinalRoutes>,
     /// Update events delivered for this prefix: every message popped off
-    /// the in-flight queue, whether the receiver imported it or is an unread
-    /// leaf the flood only counts (see [`CompiledSim::unread_nodes`]).
+    /// the in-flight queue, counted at the pop whether the receiver imported
+    /// it, or is an unread leaf the flood dropped or parked (see
+    /// [`CompiledSim::unread_nodes`]) — so it is the count of the flood that
+    /// simulates every delivery, and the budget cuts where that one would.
     pub events: u64,
     /// True if the prefix converged within the event budget.
     pub converged: bool,
@@ -2193,7 +2249,10 @@ mod tests {
         // A hub with 40 stub customers, one of which announces: the origin,
         // the hub and the 39 other stubs hold three distinct routes between
         // them, so keeping the routes costs three handle clones on top of
-        // the flood's own — not one per AS — and no attribute copy.
+        // the flood's own — not one per AS — and no attribute copy. The
+        // retained flood parks the 39 unread stubs and resolves each once,
+        // through the one derivation the full flood's imports share: a
+        // second admission of a resolved slot would cost a clone more.
         const STUBS: u32 = 40;
         let mut topo = Topology::new();
         topo.add_simple(Asn::new(1), Tier::Tier1);
@@ -2389,7 +2448,9 @@ mod tests {
         // origination, so its announcement stays home until the withdrawal
         // reaches it — which only a flood that imported at 6 from the first
         // event knows. Wherever the budget cuts it, the flood that drops
-        // deliveries to unread leaves returns what the full one returns.
+        // deliveries to unread leaves returns what the full one returns;
+        // retained, the flood that parks them at stub 5 and resolves them
+        // at the end returns what its snapshot twin returns, routes and all.
         let mut topo = Topology::new();
         topo.add_simple(Asn::new(1), Tier::Tier1);
         for (transit, stubs) in [(2, [4, 5]), (3, [6, 7])] {
@@ -2407,7 +2468,7 @@ mod tests {
         topo.add_edge(Asn::new(2), Asn::new(3), EdgeKind::PeerToPeer);
         let mut obedient = RouterConfig::defaults(Asn::new(6));
         obedient.local_pref.provider = 251;
-        let sim = SimSpec::new(&topo)
+        let spec = SimSpec::new(&topo)
             .configure(obedient)
             .collector(CollectorSpec {
                 name: "rrc00".into(),
@@ -2418,8 +2479,9 @@ mod tests {
                     (Asn::new(3), FeedKind::CustomerRoutesOnly),
                     (Asn::new(7), FeedKind::Full),
                 ],
-            })
-            .compile();
+            });
+        let sim = spec.clone().compile();
+        let kept = spec.retain(RetainRoutes::All).compile();
         assert_eq!(sim.unread_nodes(), 3);
         let prefix = p("10.0.0.0/16");
         let eps = [
@@ -2429,7 +2491,7 @@ mod tests {
             Origination::withdrawal(Asn::new(4), prefix, 200),
         ];
         let refs: Vec<&Origination> = eps.iter().collect();
-        let flood = |budget: u64, reader| {
+        let flood = |sim: &CompiledSim<'_>, budget: u64, reader| {
             let mut scratch = sim.new_scratch();
             scratch.begin_prefix();
             let mut outcome = PrefixOutcome {
@@ -2439,21 +2501,31 @@ mod tests {
                 converged: true,
             };
             sim.continue_prefix(&mut scratch, prefix, &refs, &mut outcome, budget, reader);
-            (outcome, scratch.touched.len())
+            (outcome, scratch.touched.len(), scratch.parked.len())
         };
-        let (whole, touched) = flood(u64::MAX, ScratchReader::Snapshot);
+        let (whole, touched, _) = flood(&sim, u64::MAX, ScratchReader::Snapshot);
         assert!(whole.converged);
         assert_eq!(touched, topo.len(), "the full flood reaches every AS");
         assert_eq!(
-            flood(u64::MAX, ScratchReader::Nobody).1,
+            flood(&sim, u64::MAX, ScratchReader::Nobody).1,
             topo.len() - 1,
             "only stub 5 is unread and never originates"
         );
+        let (parked, touched, leaves) = flood(&kept, u64::MAX, ScratchReader::Nobody);
+        assert_eq!((touched, leaves), (topo.len(), 1), "stub 5 is parked");
+        let at5 = parked
+            .final_routes
+            .as_ref()
+            .and_then(|f| f.get(&Asn::new(5)));
+        assert!(at5.is_some(), "and resolves to what 2 exported last");
         for budget in 0..=whole.events {
-            let (full, _) = flood(budget, ScratchReader::Snapshot);
-            let (elided, _) = flood(budget, ScratchReader::Nobody);
+            let (full, ..) = flood(&sim, budget, ScratchReader::Snapshot);
+            let (elided, ..) = flood(&sim, budget, ScratchReader::Nobody);
             assert_eq!(elided, full, "budget {budget}");
             assert_eq!(full.converged, budget == whole.events, "budget {budget}");
+            let (twin, ..) = flood(&kept, budget, ScratchReader::Snapshot);
+            let (parked, ..) = flood(&kept, budget, ScratchReader::Nobody);
+            assert_eq!(parked, twin, "retained, budget {budget}");
         }
     }
 }

@@ -65,6 +65,20 @@ pub enum CommunityPropagationPolicy {
     /// AS2 is a route collector … AS1 might not filter."* One-hop
     /// signalling (a customer requesting its provider's RTBH) still works;
     /// everything multi-hop — including every attack in §5 — is cut.
+    ///
+    /// Of the communities this AS received (its own originations'
+    /// included), a neighbour is sent only those whose high half is the
+    /// neighbour's ASN. So a route the neighbour holds from this AS carries
+    /// nothing this AS forwarded that the neighbour does not own, except:
+    /// * well-known values, which the filter does not forward either but
+    ///   the neighbour may add itself on import (an RTBH service's
+    ///   `NO_EXPORT`);
+    /// * the neighbour's own ingress tags, which are its own values anyway;
+    /// * what this AS adds itself: its own ingress tags and its egress tags
+    ///   are its signal, not forwarded ones, and ride on every export.
+    ///
+    /// A session to a route collector is not filtered at all. A route
+    /// server redistributes by its own rules and never reads this policy.
     ScopedToReceiver,
 }
 

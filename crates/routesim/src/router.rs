@@ -230,6 +230,37 @@ impl<'s> NodeState<'s> {
         }
     }
 
+    /// Parks a delivery instead of importing it: the raw route (or the
+    /// withdrawal) and the sender's role go into the sender's slot with no
+    /// admission. Only [`NodeState::resolve_parked`] may read the slot
+    /// after this. Admission is pure per slot — a rejection clears the
+    /// slot, and `finalize_import` writes that slot only — so admitting the
+    /// last parked delivery of each slot once leaves the RIB that importing
+    /// every delivery as it came would have left.
+    pub(crate) fn park(&mut self, sender_slot: usize, sender_role: Role, route: Option<RouteId>) {
+        self.rib_in[sender_slot] = route.map(|route| RibEntry {
+            route,
+            role: sender_role,
+        });
+    }
+
+    /// Imports every parked slot once, the sender of slot `k` being
+    /// `sender_of(k)`. Every occupied slot of this node must hold a parked
+    /// delivery: a second admission of an imported route is not an import.
+    pub(crate) fn resolve_parked(
+        &mut self,
+        cfg: &RouterConfig,
+        sender_of: impl Fn(usize) -> Asn,
+        arena: &mut RouteArena,
+        ctx: ValidationCtx<'_>,
+    ) {
+        for slot in 0..self.rib_in.len() {
+            if let Some(RibEntry { route, role }) = self.rib_in[slot] {
+                self.import(cfg, sender_of(slot), slot, role, Some(route), arena, ctx);
+            }
+        }
+    }
+
     /// Applies an accepted admission: computes the sender-dependent ingress
     /// tags (recorded apart from the received communities so the
     /// propagation policy can tell them from those), hands the arena the

@@ -207,6 +207,10 @@ pub(crate) struct SimScratch {
     /// Nodes stamped by the current prefix, in first-touch order — the
     /// engine's final-routes sweep iterates these instead of all nodes.
     pub(crate) touched: Vec<u32>,
+    /// The unread leaves whose deliveries the current prefix parked, in
+    /// first-park order; resolved before the final-routes sweep. Only a
+    /// retained campaign flood parks, so a snapshot never holds any.
+    pub(crate) parked: Vec<u32>,
     /// Adj-RIB-In entries over the global directed-edge slot space.
     pub(crate) rib_in: Vec<Option<RibEntry>>,
     /// Last-exported cache over the global directed-edge slot space.
@@ -240,6 +244,7 @@ impl SimScratch {
             epoch: 0,
             node_epoch: vec![0; n_nodes],
             touched: Vec::new(),
+            parked: Vec::new(),
             rib_in: vec![None; n_slots],
             exported: vec![None; n_slots],
             local: vec![None; n_nodes],
@@ -264,6 +269,7 @@ impl SimScratch {
         }
         self.epoch += 1;
         self.touched.clear();
+        self.parked.clear();
         self.arena.reset();
         self.queue.clear();
         self.dirty.clear();

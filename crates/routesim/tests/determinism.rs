@@ -39,13 +39,16 @@
 //!   at `threads = 1/N` — on arbitrary worlds, for withdrawals and
 //!   community-changing perturbations alike. Snapshots are a replay
 //!   shortcut, never a semantic one.
-//! * **Elision transparency** — a flood that neither retains its prefix nor
-//!   feeds a snapshot counts deliveries to *unread leaves* (no customer, no
-//!   collector session, not a route server) and drops them. The same spec
-//!   compiled `RetainRoutes::All`, and `run_snapshot`'s capture flood, still
-//!   simulate every delivery; the unretained session must report their
-//!   observations, events and convergence on worlds built to contain every
-//!   shape a leaf can hide behind.
+//! * **Elision and parking transparency** — a campaign flood counts
+//!   deliveries to *unread leaves* (no customer, no collector session, not
+//!   a route server): it drops them when the prefix is unretained, and
+//!   parks them when it is retained, each parked leaf importing what each
+//!   of its slots received last, once, before the retention sweep.
+//!   `run_snapshot`'s capture flood simulates every delivery and is the
+//!   oracle: on worlds built to contain every shape a leaf can hide behind,
+//!   the unretained session must report its observations, events and
+//!   convergence, and the retained campaign, memoized or not, its final
+//!   routes as well.
 //! * **An oracle that shares no code with the engine** — every check above
 //!   is the engine agreeing with a variant of itself (the reference loop
 //!   drives the engine's own `NodeState` policy). On policy-free,
@@ -65,6 +68,11 @@
 //!   an AS that offers RTBH, only for a prefix at least the offer's
 //!   `min_prefix_len` long, only when it carries the trigger community, and
 //!   under `CustomersOnly` only when a customer sent it.
+//! * **The §8 defense scopes what it forwards** — read off
+//!   `ScopedToReceiver`'s doc comment: a route learned from a defended AS
+//!   carries no community that AS forwarded unless the receiver owns it,
+//!   with the comment's exemptions (well-known values, the sender's own
+//!   tags; collector sessions are not read).
 //! * **Derivation-cache transparency** — the arena answers a repeated
 //!   import derivation (same advertisement, same policy outcome, any
 //!   receiver) from a cache instead of cloning and re-interning. A stream
@@ -1339,13 +1347,13 @@ proptest! {
 
     /// Elided ≡ full. An unretained campaign flood counts deliveries to
     /// unread leaves (no customer, no collector session, not a route server)
-    /// without simulating them; a retained flood and `run_snapshot`'s
-    /// capture flood simulate every delivery. On worlds forced to hold the
-    /// shapes that could tell the two apart (see `with_unread_shapes`), the
-    /// `RetainRoutes::None` session must report the observations, events and
-    /// convergence of the same spec compiled `RetainRoutes::All`, at
-    /// `threads = 1/N`, and per prefix exactly what `run_snapshot` of the
-    /// prefix's own episodes reports.
+    /// and drops them; a retained one parks them (see the next property);
+    /// `run_snapshot`'s capture flood simulates every delivery. On worlds
+    /// forced to hold the shapes that could tell them apart (see
+    /// `with_unread_shapes`), the `RetainRoutes::None` session must report
+    /// the observations, events and convergence of the same spec compiled
+    /// `RetainRoutes::All`, at `threads = 1/N`, and per prefix exactly what
+    /// `run_snapshot` of the prefix's own episodes reports.
     #[test]
     fn unretained_floods_equal_retained_and_snapshot_floods(
         raw in arb_world(),
@@ -1375,6 +1383,52 @@ proptest! {
         for (prefix, own) in by_prefix {
             let (captured, _) = elided.run_snapshot(&own, prefix);
             prop_assert_eq!(&elided.run(&own), &captured, "prefix {}", prefix);
+        }
+    }
+
+    /// Parked ≡ full. A retained campaign flood parks a delivery to an
+    /// unread leaf that does not originate: the raw route goes into the
+    /// leaf's slot, with no admission and no dirty mark, so the leaf runs no
+    /// export pass. Before the retention sweep each parked leaf imports what
+    /// each of its slots received last, once. `run_snapshot(..).0` floods
+    /// every delivery and is the un-parked oracle: on worlds forced to hold
+    /// every shape a leaf can hide behind (`with_unread_shapes`), a retained
+    /// campaign, memoized and not, at `threads = 1/N`, must fold for each
+    /// prefix the final routes, observations, events and convergence that
+    /// `run_snapshot` of the prefix's own episodes returns.
+    #[test]
+    fn retained_campaign_floods_equal_their_snapshot_twins(
+        raw in arb_world(),
+        threads in 2usize..6,
+    ) {
+        let (topo, configs, collectors, originations) = with_unread_shapes(&raw);
+        let mut sim = spec_for(&topo, configs, collectors).compile();
+        let mut by_prefix: BTreeMap<Prefix, Vec<Origination>> = BTreeMap::new();
+        for o in &originations {
+            by_prefix.entry(o.prefix).or_default().push(o.clone());
+        }
+        let twins: BTreeMap<Prefix, SimResult> = by_prefix
+            .iter()
+            .map(|(&prefix, own)| (prefix, sim.run_snapshot(own, prefix).0))
+            .collect();
+
+        for t in [1, threads] {
+            sim.set_threads(t);
+            for (memoized, campaign) in [
+                (true, Campaign::new(&sim)),
+                (false, Campaign::unmemoized_reference(&sim)),
+            ] {
+                let run = campaign.run(&originations, KeyedSink::default);
+                prop_assert_eq!(run.sink.0.len(), twins.len());
+                for (prefix, outcome) in run.sink.0 {
+                    let one = KeyedSink(BTreeMap::from([(prefix, outcome)]));
+                    let folded = rebuild_sim_result(&sim, &one);
+                    prop_assert_eq!(
+                        &folded, &twins[&prefix],
+                        "prefix {}, threads = {}, memoized = {}", prefix, t, memoized
+                    );
+                }
+            }
         }
     }
 
@@ -1660,6 +1714,76 @@ proptest! {
                     prop_assert!(
                         from.is_some_and(|from| topo.role_of(asn, from) == Some(Role::Customer)),
                         "{asn} blackholed {prefix} for {from:?}, which is not its customer"
+                    );
+                }
+            }
+        }
+    }
+
+    /// ROADMAP item 3(b), third property — *the §8 defense sends a receiver
+    /// only what the receiver owns* — read off `ScopedToReceiver`'s doc
+    /// comment, not off `router.rs`, over what a converged run retains, the
+    /// configs and the topology. One to three drawn ASes run the defense
+    /// (over `build_world`'s own policy draws), each tagging its ingress
+    /// class and adding an egress tag or not. Then every community on a
+    /// route that an AS R learned from a defended, ordinary AS N is R's own,
+    /// well-known, or one N adds itself (its ingress tags, as its own route
+    /// records them, and its egress tags). Collector sessions are exempt
+    /// and not read. The retained run parks deliveries to unread leaves, so
+    /// this also checks what a parked leaf resolves to.
+    #[test]
+    fn a_scoped_to_receiver_as_forwards_each_receiver_only_its_own_communities(
+        raw in arb_world(),
+        defended in proptest::collection::vec((0usize..16, 0u8..4), 1..4),
+    ) {
+        let (topo, mut configs, collectors, originations) = build_world(&raw);
+        let egress_tag = Community::new(15, 4242);
+        for &(at, tags) in &defended {
+            let mut cfg = RouterConfig::defaults(Asn::new((at % raw.n_nodes) as u32 + 1));
+            cfg.propagation = CommunityPropagationPolicy::ScopedToReceiver;
+            cfg.tagging.tag_origin_class = tags & 1 != 0;
+            if tags & 2 != 0 {
+                cfg.tagging.egress_tags.push(egress_tag);
+            }
+            configs.push(cfg);
+        }
+        // The config each AS runs: a later entry for an AS replaces an
+        // earlier one, as `SimSpec::configure` does.
+        let resolved: BTreeMap<Asn, RouterConfig> =
+            configs.iter().map(|cfg| (cfg.asn, cfg.clone())).collect();
+        let res = spec_for(&topo, configs, collectors).compile().run(&originations);
+        if !res.converged {
+            return Ok(()); // an oscillating world has no converged state to read
+        }
+
+        for (prefix, finals) in &res.final_routes {
+            for (&asn, route) in finals.iter() {
+                let Some(from) = route.source.neighbor() else {
+                    continue; // its own origination
+                };
+                let Some(cfg) = resolved.get(&from) else {
+                    continue; // a default config forwards everything
+                };
+                let defended = cfg.propagation == CommunityPropagationPolicy::ScopedToReceiver;
+                if !defended || topo.node(from).is_some_and(|n| n.tier == Tier::RouteServer) {
+                    continue; // a route server never reads its propagation policy
+                }
+                let Some(theirs) = finals.get(&from) else {
+                    panic!("{asn} learned {prefix} from {from}, which holds no route");
+                };
+                let added: Vec<Community> = theirs
+                    .own_tags
+                    .iter()
+                    .flatten()
+                    .chain(&cfg.tagging.egress_tags)
+                    .copied()
+                    .collect();
+                for &c in &route.communities {
+                    prop_assert!(
+                        asn.as_u16() == Some(c.asn_part())
+                            || c.well_known().is_some()
+                            || added.contains(&c),
+                        "{asn} holds {c} on {prefix} from {from}, which runs ScopedToReceiver"
                     );
                 }
             }

@@ -100,11 +100,13 @@ fn large_scale_smoke() {
 
 /// The generated workload's own schedule for a handful of origins spread
 /// over the allocation, on an unretained and on a fully retained compile of
-/// the same world: the first counts deliveries to unread leaves without
-/// simulating them, the second floods every AS, and both must hear the same.
-/// The share of unread nodes is asserted too, so a generator change that
-/// takes the property away (a collector session on every stub, say) fails
-/// here instead of quietly giving the speed-up back.
+/// the same world: the first counts deliveries to unread leaves and drops
+/// them, the second parks them and resolves each leaf once, and both must
+/// hear the same. Each prefix's retained table must equal the one
+/// `run_snapshot` (which floods every delivery) returns. The share of
+/// unread nodes is asserted too, so a generator change that takes the
+/// property away (a collector session on every stub, say) fails here
+/// instead of quietly giving the speed-up back.
 fn unread_leaves_are_most_of_the_graph_and_change_nothing(topo: &Topology) {
     let alloc = PrefixAllocation::assign(topo, AddressingParams::default());
     let workload = Workload::generate(topo, &alloc, &WorkloadParams::default());
@@ -135,12 +137,22 @@ fn unread_leaves_are_most_of_the_graph_and_change_nothing(topo: &Topology) {
         topo.len()
     );
     let elided = unretained.run(&episodes);
-    let full = compile(RetainRoutes::All).run(&episodes);
+    let retained = compile(RetainRoutes::All);
+    let full = retained.run(&episodes);
     assert!(elided.converged && full.converged);
     assert!(elided.observations.values().any(|feed| !feed.is_empty()));
     assert_eq!(elided.observations, full.observations);
     assert_eq!(elided.events, full.events);
     assert!(elided.final_routes.is_empty() && !full.final_routes.is_empty());
+    for (prefix, parked) in &full.final_routes {
+        let own: Vec<Origination> = episodes
+            .iter()
+            .filter(|ep| ep.prefix == *prefix)
+            .cloned()
+            .collect();
+        let (twin, _) = retained.run_snapshot(&own, *prefix);
+        assert_eq!(parked, &twin.final_routes[prefix], "prefix {prefix}");
+    }
 }
 
 #[test]

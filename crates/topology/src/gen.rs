@@ -300,16 +300,20 @@ impl TopologyParams {
             }
         }
 
-        // --- Stubs: multihome to transit providers, preferential. ---
+        // --- Stubs: multihome to transit providers, preferential. The
+        //     weights stay in place, aligned with `transit_asns`: a chosen
+        //     provider's weight and the total grow by one.
         if self.frozen_attachment {
             self.attach_stubs_frozen(&mut topo, &transit_asns, &stub_asns, &cust_degree);
         } else {
+            let mut weights = preferential_weights(&transit_asns, &cust_degree);
+            let mut total: usize = weights.iter().sum();
             for &s in &stub_asns {
                 let n_prov = sample_provider_count(self.max_providers, &mut rng);
-                let chosen = preferential_sample(&transit_asns, &cust_degree, n_prov, &mut rng);
-                for p in chosen {
-                    topo.add_edge(p, s, EdgeKind::ProviderToCustomer);
-                    *cust_degree.entry(p).or_insert(0) += 1;
+                for ix in preferential_pick(&weights, total, n_prov, &mut rng) {
+                    topo.add_edge(transit_asns[ix], s, EdgeKind::ProviderToCustomer);
+                    weights[ix] += 1;
+                    total += 1;
                 }
             }
         }
@@ -459,6 +463,17 @@ fn sample_provider_count(max: usize, rng: &mut StdRng) -> usize {
     n.min(max.max(1))
 }
 
+/// Each pool member's preferential-attachment weight, `1 + customer
+/// degree`, aligned with `pool`.
+fn preferential_weights(
+    pool: &[Asn],
+    cust_degree: &std::collections::BTreeMap<Asn, usize>,
+) -> Vec<usize> {
+    pool.iter()
+        .map(|a| 1 + cust_degree.get(a).copied().unwrap_or(0))
+        .collect()
+}
+
 /// Samples `n` distinct ASes from `pool`, weighting each by
 /// `1 + customer degree` (preferential attachment).
 fn preferential_sample(
@@ -467,23 +482,31 @@ fn preferential_sample(
     n: usize,
     rng: &mut StdRng,
 ) -> Vec<Asn> {
-    if pool.is_empty() {
+    let weights = preferential_weights(pool, cust_degree);
+    let total = weights.iter().sum();
+    preferential_pick(&weights, total, n, rng)
+        .into_iter()
+        .map(|ix| pool[ix])
+        .collect()
+}
+
+/// Draws up to `n` distinct indices of `weights`, each with probability
+/// proportional to its weight; `total` is their sum. Each draw takes the
+/// first index whose running sum exceeds `gen_range(0..total)`; a repeat is
+/// drawn again, at most 100 draws in all. Empty weights draw nothing.
+fn preferential_pick(weights: &[usize], total: usize, n: usize, rng: &mut StdRng) -> Vec<usize> {
+    if weights.is_empty() {
         return Vec::new();
     }
-    let mut chosen: Vec<Asn> = Vec::with_capacity(n);
-    let weights: Vec<(Asn, usize)> = pool
-        .iter()
-        .map(|a| (*a, 1 + cust_degree.get(a).copied().unwrap_or(0)))
-        .collect();
-    let total: usize = weights.iter().map(|(_, w)| w).sum();
+    let mut chosen: Vec<usize> = Vec::with_capacity(n);
     let mut guard = 0;
     while chosen.len() < n && guard < 100 {
         guard += 1;
         let mut pick = rng.gen_range(0..total);
-        let mut selected = weights[0].0;
-        for (a, w) in &weights {
-            if pick < *w {
-                selected = *a;
+        let mut selected = 0;
+        for (ix, &w) in weights.iter().enumerate() {
+            if pick < w {
+                selected = ix;
                 break;
             }
             pick -= w;
@@ -493,8 +516,9 @@ fn preferential_sample(
         }
     }
     if chosen.is_empty() {
-        // Degenerate fall-back: uniform pick.
-        chosen.push(*pool.choose(rng).expect("non-empty pool"));
+        // Degenerate fall-back (`n == 0`): uniform pick.
+        let indices: Vec<usize> = (0..weights.len()).collect();
+        chosen.push(*indices.choose(rng).expect("non-empty weights"));
     }
     chosen
 }

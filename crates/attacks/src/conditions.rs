@@ -54,11 +54,6 @@ impl ConditionReport {
     pub fn sufficient_tagging(&self) -> bool {
         self.necessary() && self.can_advertise_tagged
     }
-
-    /// Sufficient conditions hold for the hijack attack.
-    pub fn sufficient_hijack(&self) -> bool {
-        self.sufficient_tagging() && self.hijack_accepted == Some(true)
-    }
 }
 
 /// Runs the condition checks on a configured topology.
@@ -222,7 +217,6 @@ mod tests {
             Some(victim),
         );
         assert_eq!(report.hijack_accepted, Some(true));
-        assert!(report.sufficient_hijack());
 
         // Turn on validation at the target.
         configs.get_mut(&Asn::new(3)).unwrap().validation = OriginValidation::Irr {
@@ -238,7 +232,6 @@ mod tests {
             Some(victim),
         );
         assert_eq!(report.hijack_accepted, Some(false));
-        assert!(!report.sufficient_hijack());
     }
 
     #[test]

@@ -61,7 +61,7 @@ fn community_visible_at_as3(middle: RouterConfig) -> bool {
 }
 
 /// §6.1 — Juniper propagates communities by default.
-pub fn juniper_propagates_by_default() -> LabFinding {
+fn juniper_propagates_by_default() -> LabFinding {
     let mut cfg = RouterConfig::defaults(Asn::new(2));
     cfg.vendor = Vendor::Juniper;
     cfg.send_community_configured = false;
@@ -73,7 +73,7 @@ pub fn juniper_propagates_by_default() -> LabFinding {
 }
 
 /// §6.1 — Cisco requires explicit per-peer send-community.
-pub fn cisco_requires_send_community() -> LabFinding {
+fn cisco_requires_send_community() -> LabFinding {
     let mut cfg = RouterConfig::defaults(Asn::new(2));
     cfg.vendor = Vendor::Cisco;
     cfg.send_community_configured = false;
@@ -90,7 +90,7 @@ pub fn cisco_requires_send_community() -> LabFinding {
 }
 
 /// §6.1 — Cisco caps added communities at 32; received ones ride along.
-pub fn cisco_add_limit() -> LabFinding {
+fn cisco_add_limit() -> LabFinding {
     let topo = chain();
     let mut middle = RouterConfig::defaults(Asn::new(2));
     middle.vendor = Vendor::Cisco;
@@ -116,7 +116,7 @@ pub fn cisco_add_limit() -> LabFinding {
 
 /// §6.2 — an accepted blackhole route wins best-path selection even against
 /// a shorter path (local-pref raised per the RTBH white paper).
-pub fn rtbh_preference_beats_shorter_path() -> LabFinding {
+fn rtbh_preference_beats_shorter_path() -> LabFinding {
     // AS3 hears p from AS1 directly (short) and a blackhole-tagged copy via
     // AS2 (long).
     let mut topo = Topology::new();
@@ -150,7 +150,7 @@ pub fn rtbh_preference_beats_shorter_path() -> LabFinding {
 
 /// §6.3 — the NANOG-tutorial route-map validates customer prefixes *after*
 /// matching the blackhole community, so a blackhole-tagged hijack passes.
-pub fn misordered_validation_enables_hijack() -> LabFinding {
+fn misordered_validation_enables_hijack() -> LabFinding {
     let run = |misordered: bool| -> bool {
         let mut topo = Topology::new();
         topo.add_simple(Asn::new(1), Tier::Stub);

@@ -35,9 +35,9 @@ pub const ATTACKER: Asn = Asn::new(2);
 /// The prepend-service provider (community target).
 pub const TARGET: Asn = Asn::new(3);
 /// The transit AS between attacker and target (attackee candidate).
-pub const TRANSIT: Asn = Asn::new(4);
+const TRANSIT: Asn = Asn::new(4);
 /// The alternate path (possibly a malicious interceptor).
-pub const INTERCEPTOR: Asn = Asn::new(5);
+const INTERCEPTOR: Asn = Asn::new(5);
 /// The remote traffic source whose routing is flipped.
 pub const SOURCE: Asn = Asn::new(6);
 

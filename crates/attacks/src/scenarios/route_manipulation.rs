@@ -55,11 +55,11 @@ pub const ORIGIN: Asn = Asn::new(21);
 /// The attacker (intermediate provider or hijacking member).
 pub const ATTACKER: Asn = Asn::new(22);
 /// The member that loses the route (attackee 1).
-pub const VICTIM_MEMBER: Asn = Asn::new(24);
+const VICTIM_MEMBER: Asn = Asn::new(24);
 /// The IXP route server (community target).
-pub const ROUTE_SERVER: Asn = Asn::new(29);
+const ROUTE_SERVER: Asn = Asn::new(29);
 /// Another innocent member, to show the route still reaches others.
-pub const OTHER_MEMBER: Asn = Asn::new(25);
+const OTHER_MEMBER: Asn = Asn::new(25);
 
 impl RouteManipulationScenario {
     /// The contested prefix.

@@ -73,7 +73,7 @@ impl Default for RtbhScenario {
 }
 
 /// Fixed cast of the scenario.
-pub const ATTACKEE: Asn = Asn::new(1);
+const ATTACKEE: Asn = Asn::new(1);
 /// The attacker AS.
 pub const ATTACKER: Asn = Asn::new(2);
 /// The community target (blackhole provider).
@@ -81,7 +81,7 @@ pub const TARGET: Asn = Asn::new(3);
 /// The upstream traffic source.
 pub const SOURCE: Asn = Asn::new(4);
 /// Optional intermediate between attacker and target.
-pub const INTERMEDIATE: Asn = Asn::new(5);
+const INTERMEDIATE: Asn = Asn::new(5);
 
 impl RtbhScenario {
     /// The victim prefix.

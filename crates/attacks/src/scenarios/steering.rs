@@ -37,19 +37,19 @@ impl Default for PrependHijackScenario {
 }
 
 /// Victim origin of p.
-pub const VICTIM: Asn = Asn::new(1);
+const VICTIM: Asn = Asn::new(1);
 /// Attacker (customer of the community target).
 pub const ATTACKER: Asn = Asn::new(2);
 /// Community target offering prepend services.
 pub const TARGET: Asn = Asn::new(3);
 /// Intermediate transit on the legitimate path toward the target.
-pub const MIDDLE: Asn = Asn::new(4);
+const MIDDLE: Asn = Asn::new(4);
 /// The "monitor" path the traffic gets steered through.
-pub const MONITOR: Asn = Asn::new(5);
+const MONITOR: Asn = Asn::new(5);
 /// Traffic source whose routing flips.
 pub const SOURCE: Asn = Asn::new(6);
 /// Transit between the monitor and the victim.
-pub const MONITOR_UPSTREAM: Asn = Asn::new(7);
+const MONITOR_UPSTREAM: Asn = Asn::new(7);
 
 impl PrependHijackScenario {
     /// The victim prefix.
@@ -172,14 +172,14 @@ impl Default for LocalPrefScenario {
 }
 
 /// Origin of p (far side).
-pub const LP_ORIGIN: Asn = Asn::new(15);
+const LP_ORIGIN: Asn = Asn::new(15);
 /// The attackee *and* community target (its own local-pref communities are
 /// abused against it).
-pub const LP_ATTACKEE: Asn = Asn::new(11);
+const LP_ATTACKEE: Asn = Asn::new(11);
 /// The attacker: one of the attackee's providers.
-pub const LP_ATTACKER: Asn = Asn::new(12);
+const LP_ATTACKER: Asn = Asn::new(12);
 /// The alternate (expensive) provider the traffic is forced through.
-pub const LP_OTHER: Asn = Asn::new(14);
+const LP_OTHER: Asn = Asn::new(14);
 
 impl LocalPrefScenario {
     /// The steered prefix.

@@ -42,7 +42,7 @@ pub fn full_table_schedule(workload: &Workload, alloc: &PrefixAllocation) -> Vec
 /// origin sequence) rather than a per-prefix stride — a sampled run then
 /// exercises the same class structure (duplicate floods per origin) as the
 /// full table, just over fewer origins.
-pub fn sample_schedule(schedule: &[Origination], target: usize) -> Vec<Origination> {
+fn sample_schedule(schedule: &[Origination], target: usize) -> Vec<Origination> {
     if target == 0 || schedule.len() <= target {
         return schedule.to_vec();
     }

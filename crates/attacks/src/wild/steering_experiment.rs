@@ -33,12 +33,12 @@ pub struct SteeringWildReport {
 
 impl SteeringWildReport {
     /// Prepend experiment succeeded: prepended paths visible at collectors.
-    pub fn prepend_succeeded(&self) -> bool {
+    fn prepend_succeeded(&self) -> bool {
         self.prepended_observations > 0
     }
 
     /// Local-pref experiment succeeded: the target demoted the route.
-    pub fn local_pref_succeeded(&self) -> bool {
+    fn local_pref_succeeded(&self) -> bool {
         self.local_pref_after < self.local_pref_before
     }
 }

@@ -193,7 +193,7 @@ impl SurveyContext {
 
     /// Baseline AS-hop distance from `vp`'s forwarding path to `target_as`
     /// (0 = not on the path).
-    pub fn baseline_hops_to(&self, vp: Asn, target_as: Asn) -> usize {
+    fn baseline_hops_to(&self, vp: Asn, target_as: Asn) -> usize {
         let t = trace(&self.baseline.fib, vp, self.target_addr);
         t.path
             .iter()

@@ -77,12 +77,7 @@ pub struct Snapshot {
 impl Snapshot {
     /// Builds a snapshot at `scale` with the given seed.
     pub fn build(scale: Scale, seed: u64) -> Snapshot {
-        Self::build_with(scale, seed, &WorkloadParams::default())
-    }
-
-    /// Builds a snapshot with explicit workload parameters.
-    pub fn build_with(scale: Scale, seed: u64, base_params: &WorkloadParams) -> Snapshot {
-        Self::build_custom(scale.topology(), seed, base_params)
+        Self::build_custom(scale.topology(), seed, &WorkloadParams::default())
     }
 
     /// Builds a snapshot from explicit topology parameters (e.g. with

@@ -247,7 +247,7 @@ pub struct ClassIndications {
 
 impl ClassIndications {
     /// Fraction of this class's edges with forwarding indications.
-    pub fn forwarding_fraction(&self) -> f64 {
+    fn forwarding_fraction(&self) -> f64 {
         if self.edges == 0 {
             0.0
         } else {
@@ -256,7 +256,7 @@ impl ClassIndications {
     }
 
     /// Fraction with filtering indications.
-    pub fn filtering_fraction(&self) -> f64 {
+    fn filtering_fraction(&self) -> f64 {
         if self.edges == 0 {
             0.0
         } else {
@@ -265,7 +265,7 @@ impl ClassIndications {
     }
 
     /// Fraction with both.
-    pub fn mixed_fraction(&self) -> f64 {
+    fn mixed_fraction(&self) -> f64 {
         if self.edges == 0 {
             0.0
         } else {

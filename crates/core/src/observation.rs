@@ -764,14 +764,6 @@ impl<'a> Observation<'a> {
         self.path().iter().position(|&a| a == asn)
     }
 
-    /// Distinct community-owner ASNs on this update.
-    pub fn community_owners(self) -> Vec<Asn> {
-        let mut owners: Vec<Asn> = self.communities().iter().map(|c| c.owner()).collect();
-        owners.sort_unstable();
-        owners.dedup();
-        owners
-    }
-
     /// The observation as an owned record.
     pub fn to_record(self) -> UpdateObservation {
         UpdateObservation {
@@ -944,7 +936,8 @@ mod tests {
         let set = ObservationSet::from_archives(&[archive_with(&[u])]).unwrap();
         let obs = set.row(0);
         assert!(obs.has_communities());
-        assert_eq!(obs.community_owners(), vec![Asn::new(2), Asn::new(7)]);
+        let owners: Vec<Asn> = obs.communities().iter().map(|c| c.owner()).collect();
+        assert_eq!(owners, vec![Asn::new(2), Asn::new(2), Asn::new(7)]);
     }
 
     #[test]

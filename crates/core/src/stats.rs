@@ -83,12 +83,6 @@ impl<K: Ord + Clone> Histogram<K> {
         }
     }
 
-    /// Adds one sample.
-    pub fn add(&mut self, key: K) {
-        *self.counts.entry(key).or_insert(0) += 1;
-        self.total += 1;
-    }
-
     /// Adds `n` samples of `key`.
     pub fn add_n(&mut self, key: K, n: u64) {
         *self.counts.entry(key).or_insert(0) += n;
@@ -192,13 +186,9 @@ mod tests {
     #[test]
     fn histogram_top_shares() {
         let mut h = Histogram::new();
-        for _ in 0..6 {
-            h.add("a");
-        }
-        for _ in 0..3 {
-            h.add("b");
-        }
-        h.add("c");
+        h.add_n("a", 6);
+        h.add_n("b", 3);
+        h.add_n("c", 1);
         let top = h.top(2);
         assert_eq!(top[0], ("a", 6, 0.6));
         assert_eq!(top[1], ("b", 3, 0.3));

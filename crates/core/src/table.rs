@@ -31,18 +31,6 @@ pub fn text_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Renders rows as tab-separated values (for plotting scripts).
-pub fn tsv(headers: &[&str], rows: &[Vec<String>]) -> String {
-    let mut out = String::new();
-    out.push_str(&headers.join("\t"));
-    out.push('\n');
-    for row in rows {
-        out.push_str(&row.join("\t"));
-        out.push('\n');
-    }
-    out
-}
-
 /// Formats a fraction as a percentage with one decimal.
 pub fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
@@ -89,12 +77,6 @@ mod tests {
         assert_eq!(lines[0].len(), lines[2].len());
         assert_eq!(lines[2].len(), lines[3].len());
         assert!(lines[3].contains("long-name"));
-    }
-
-    #[test]
-    fn tsv_is_tab_separated() {
-        let t = tsv(&["a", "b"], &[vec!["1".into(), "2".into()]]);
-        assert_eq!(t, "a\tb\n1\t2\n");
     }
 
     #[test]

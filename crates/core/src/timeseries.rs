@@ -66,16 +66,6 @@ pub fn render_series(series: &[SnapshotStats]) -> String {
     text_table(&headers, &rows)
 }
 
-/// True when every tracked quantity is non-decreasing across the series —
-/// the growth trend Fig 3 shows from 2010 to 2018.
-pub fn is_monotonic_growth(series: &[SnapshotStats]) -> bool {
-    series.windows(2).all(|w| {
-        w[1].unique_communities >= w[0].unique_communities
-            && w[1].unique_asns_in_communities >= w[0].unique_asns_in_communities
-            && w[1].absolute_communities >= w[0].absolute_communities
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,25 +99,6 @@ mod tests {
         assert_eq!(s.unique_asns_in_communities, 2);
         assert_eq!(s.absolute_communities, 4);
         assert_eq!(s.table_entries, 3);
-    }
-
-    #[test]
-    fn growth_check() {
-        let a = SnapshotStats {
-            label: "2010".into(),
-            unique_communities: 10,
-            unique_asns_in_communities: 5,
-            absolute_communities: 100,
-            table_entries: 50,
-        };
-        let mut b = a.clone();
-        b.label = "2018".into();
-        b.unique_communities = 20;
-        b.absolute_communities = 300;
-        assert!(is_monotonic_growth(&[a.clone(), b.clone()]));
-        let mut c = a.clone();
-        c.unique_communities = 5;
-        assert!(!is_monotonic_growth(&[b, c]));
     }
 
     #[test]

@@ -4,7 +4,7 @@ use crate::fib::{Fib, FibAction};
 use bgpworms_types::Asn;
 
 /// Maximum AS hops before declaring a forwarding loop.
-pub const MAX_HOPS: usize = 64;
+const MAX_HOPS: usize = 64;
 
 /// Why a trace ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -9,7 +9,8 @@
 //! wall clocks. The type system cannot enforce that by itself — `HashMap`
 //! iteration order, `Ordering::Relaxed`, and `std::env` reads all
 //! type-check fine and silently break it. `detlint` closes the gap with
-//! six lexical rules, enforced by CI's `detlint` job:
+//! six lexical rules, enforced by CI's `detlint` job, and a seventh that
+//! keeps the public surface to what is used:
 //!
 //! 1. **no-unordered-iteration** — `HashMap`/`HashSet` in a
 //!    result-affecting crate needs `// lint: order-independent <why>`.
@@ -23,6 +24,9 @@
 //!    needs `// lint: infallible <why>`.
 //! 6. **no-env-dependence** — `std::env`/`thread::current` banned in
 //!    result-affecting code.
+//! 7. **unreferenced-pub** — a `pub` fn/const/static whose name no other
+//!    `.rs` file of the repository mentions (comments and `pub use`
+//!    re-exports do not count) needs `// lint: api <why>`.
 //!
 //! Deliberately hermetic: no `syn`, no `proc-macro2`, no filesystem
 //! crawler crates — a hand-rolled [`lexer`] plus a [`policy`] table and a

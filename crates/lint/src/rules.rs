@@ -14,6 +14,7 @@
 //! | `// lint: order-independent <why>` | `no-unordered-iteration` | the collection is probed/cleared, never iterated — or its iteration order cannot reach results |
 //! | `// lint: infallible <why>` | `hot-path-panic` | the `unwrap()`/`expect(` cannot fire, with the invariant that guarantees it |
 //! | `// ordering: <why>` | `atomic-ordering-justification` | why the chosen atomic `Ordering::*` is sufficient |
+//! | `// lint: api <why>` | `unreferenced-pub` | why a `pub` item nothing outside its file names stays public |
 //!
 //! A marker covers the line it sits on, or — when written on its own
 //! comment line — the statement immediately below it (the coverage walk
@@ -23,6 +24,7 @@
 
 use crate::lexer::Line;
 use crate::policy::CratePolicy;
+use std::collections::BTreeSet;
 
 /// One diagnostic: `file:line: [rule] message`, ready for terminal output
 /// (the `file:line` prefix is what editors and CI annotations latch onto).
@@ -64,6 +66,9 @@ pub mod rule {
     pub const ENV: &str = "no-env-dependence";
     /// An allow-marker with no justification text.
     pub const MARKER: &str = "marker-justification";
+    /// A `pub` fn/const/static whose name no other file of the repository
+    /// mentions.
+    pub const UNREFERENCED_PUB: &str = "unreferenced-pub";
 }
 
 /// The allow-markers present on one line's comment text.
@@ -72,6 +77,7 @@ struct Markers {
     order_independent: bool,
     infallible: bool,
     ordering: bool,
+    api: bool,
     /// A marker keyword whose justification text is missing.
     unjustified: Option<&'static str>,
 }
@@ -81,6 +87,7 @@ impl Markers {
         self.order_independent |= other.order_independent;
         self.infallible |= other.infallible;
         self.ordering |= other.ordering;
+        self.api |= other.api;
     }
 }
 
@@ -101,6 +108,11 @@ fn parse_markers(comment: &str) -> Markers {
             m.infallible = true;
             if why.trim().is_empty() {
                 m.unjustified = Some("lint: infallible");
+            }
+        } else if let Some(why) = rest.strip_prefix("api") {
+            m.api = true;
+            if why.trim().is_empty() {
+                m.unjustified = Some("lint: api");
             }
         }
     } else if let Some(why) = body.strip_prefix("ordering:") {
@@ -213,6 +225,67 @@ fn next_sig_char(code: &str, from: usize) -> Option<char> {
 }
 
 const ATOMIC_ORDERINGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
+
+/// The `pub` functions, constants and statics a file defines outside its
+/// `#[cfg(test)]` code, as `(0-based line, name)`, skipping those a
+/// `// lint: api <why>` marker covers. Types are left out: a type reaches
+/// its callers through the signatures that return it, unnamed.
+pub fn pub_items(lines: &[Line]) -> Vec<(usize, String)> {
+    let tests = test_mask(lines);
+    let mut out = Vec::new();
+    for (i, line) in lines.iter().enumerate() {
+        if tests[i] {
+            continue;
+        }
+        let mut words = line.code.split_whitespace();
+        if words.next() != Some("pub") {
+            continue;
+        }
+        let name = match (words.next(), words.next(), words.next()) {
+            (Some("const"), Some("fn"), Some(name)) => name,
+            (Some("fn" | "const" | "static"), Some(name), _) => name,
+            _ => continue,
+        };
+        let name: String = name.chars().take_while(|&c| is_ident(c)).collect();
+        if !name.is_empty() && !markers_covering(lines, i).api {
+            out.push((i, name));
+        }
+    }
+    out
+}
+
+/// Every identifier in a file's code, comments and literals aside, and
+/// re-exports (`pub use …;`, over as many lines as it takes) aside too: a
+/// re-export names an item without using it.
+pub fn identifiers(lines: &[Line]) -> BTreeSet<String> {
+    let mut out = BTreeSet::new();
+    let mut in_reexport = false;
+    for line in lines {
+        let code = line.code.trim();
+        if !in_reexport {
+            let rest = code.strip_prefix("pub").unwrap_or("");
+            let rest = match rest.strip_prefix('(') {
+                Some(scoped) => scoped.split_once(')').map_or("", |(_, r)| r),
+                None => rest,
+            };
+            in_reexport = rest.trim_start().starts_with("use ");
+        }
+        if in_reexport {
+            in_reexport = !code.contains(';');
+            continue;
+        }
+        out.extend(
+            code.split(|c: char| !is_ident(c))
+                .filter(|w| w.starts_with(|c: char| c.is_alphabetic() || c == '_'))
+                .map(str::to_string),
+        );
+    }
+    out
+}
+
+fn is_ident(c: char) -> bool {
+    c.is_alphanumeric() || c == '_'
+}
 
 /// Runs every applicable rule over one lexed file.
 ///
@@ -440,6 +513,13 @@ mod tests {
         let m = parse_markers("// ordering: Relaxed is a pure claim ticket");
         assert!(m.ordering);
         assert!(m.unjustified.is_none());
+    }
+
+    #[test]
+    fn an_api_marker_needs_its_reason() {
+        assert_eq!(parse_markers("// lint: api").unjustified, Some("lint: api"));
+        let m = parse_markers("// lint: api called from outside the repository");
+        assert!(m.api && m.unjustified.is_none());
     }
 
     #[test]

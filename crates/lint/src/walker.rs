@@ -1,12 +1,18 @@
 //! Deterministic workspace walker: visits every `.rs` file under each
 //! policy's `src` directory in sorted order, lexes it, and feeds it to the
-//! rule engine. Only `src/` trees are walked — `tests/` fixtures (including
+//! rule engine. Only `src/` trees are linted — `tests/` fixtures (including
 //! this crate's own seeded-violation fixtures) and generated output are
 //! out of scope by construction.
+//!
+//! One rule needs the whole repository: `unreferenced-pub` looks for each
+//! `pub` item's name in every other `.rs` file under the root (tests,
+//! examples and the benchmark included; `target` directories and hidden
+//! ones left out).
 
-use crate::lexer::lex;
+use crate::lexer::{lex, Line};
 use crate::policy::{CratePolicy, POLICIES};
-use crate::rules::{check_file, Finding};
+use crate::rules::{check_file, identifiers, pub_items, rule, Finding};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// Lints the whole workspace rooted at `root` (the directory containing
@@ -31,6 +37,7 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
             findings.extend(lint_file(root, &src_dir, &file, policy)?);
         }
     }
+    findings.extend(unreferenced_pub(root)?);
     findings.sort_by(|a, b| (a.file.as_str(), a.line).cmp(&(b.file.as_str(), b.line)));
     Ok(findings)
 }
@@ -57,6 +64,53 @@ fn lint_file(
     ))
 }
 
+/// Runs `unreferenced-pub` over the repository rooted at `root`.
+fn unreferenced_pub(root: &Path) -> std::io::Result<Vec<Finding>> {
+    let linted: Vec<PathBuf> = POLICIES.iter().map(|p| root.join(p.src)).collect();
+    let mut files = Vec::new();
+    for path in rust_files(root)? {
+        let rel = path
+            .strip_prefix(root)
+            .unwrap_or(&path)
+            .to_string_lossy()
+            .replace('\\', "/");
+        let defines = linted.iter().any(|src| path.starts_with(src));
+        files.push((rel, lex(&std::fs::read_to_string(&path)?), defines));
+    }
+    Ok(unreferenced_pub_in(&files))
+}
+
+/// `unreferenced-pub` over `(path, lexed source, is a linted file)`
+/// triples: a `pub` fn/const/static of a linted file whose name no other
+/// file mentions is a finding.
+fn unreferenced_pub_in(files: &[(String, Vec<Line>, bool)]) -> Vec<Finding> {
+    // How many files name each identifier.
+    let mut named: BTreeMap<String, usize> = BTreeMap::new();
+    for (_, lines, _) in files {
+        for word in identifiers(lines) {
+            *named.entry(word).or_default() += 1;
+        }
+    }
+    let mut findings = Vec::new();
+    for (rel, lines, _) in files.iter().filter(|(_, _, defines)| *defines) {
+        for (line, name) in pub_items(lines) {
+            // The definition names it once; a second file is a reference.
+            if named.get(&name).copied().unwrap_or(0) < 2 {
+                findings.push(Finding {
+                    file: rel.clone(),
+                    line: line + 1,
+                    rule: rule::UNREFERENCED_PUB,
+                    message: format!(
+                        "`pub` item `{name}` is named in no other file — delete it, \
+                         make it private, or annotate `// lint: api <why>`"
+                    ),
+                });
+            }
+        }
+    }
+    findings
+}
+
 /// `src/lib.rs`, `src/main.rs`, and `src/bin/*.rs` are crate roots: the
 /// files where `#![forbid(unsafe_code)]` must appear.
 fn is_crate_root(src_dir: &Path, file: &Path) -> bool {
@@ -69,7 +123,8 @@ fn is_crate_root(src_dir: &Path, file: &Path) -> bool {
         || (rel.starts_with("bin/") && rel.matches('/').count() == 1)
 }
 
-/// All `.rs` files under `dir`, recursively, in sorted path order.
+/// All `.rs` files under `dir`, recursively, in sorted path order,
+/// skipping `target` directories and hidden ones.
 fn rust_files(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
     let mut stack = vec![dir.to_path_buf()];
@@ -80,7 +135,10 @@ fn rust_files(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
         entries.sort();
         for path in entries {
             if path.is_dir() {
-                stack.push(path);
+                let name = path.file_name().map(|n| n.to_string_lossy());
+                if !name.is_some_and(|n| n == "target" || n.starts_with('.')) {
+                    stack.push(path);
+                }
             } else if path.extension().is_some_and(|e| e == "rs") {
                 out.push(path);
             }
@@ -102,6 +160,45 @@ mod tests {
         assert!(is_crate_root(src, &src.join("bin/tool.rs")));
         assert!(!is_crate_root(src, &src.join("engine.rs")));
         assert!(!is_crate_root(src, &src.join("nested/lib.rs")));
+    }
+
+    #[test]
+    fn unreferenced_pub_counts_only_code_in_other_files() {
+        let defining = "\
+pub fn used() {}
+pub fn unused() {}
+pub const ONLY_HERE: u8 = 1;
+fn f() -> u8 { ONLY_HERE }
+/// Doc text.
+// lint: api the one caller lives outside the repository
+pub fn kept() {}
+pub(crate) fn internal() {}
+pub struct Unnamed;
+pub const fn also_unused() {}
+#[cfg(test)]
+mod tests {
+    pub fn helper() {}
+}
+";
+        let other = "\
+use a::used;
+pub use a::{
+    unused,
+    also_unused,
+};
+// unused, named in a comment
+fn g() { let s = \"unused\"; }
+";
+        let files = vec![
+            ("a.rs".to_string(), lex(defining), true),
+            ("b.rs".to_string(), lex(other), false),
+        ];
+        let found: Vec<(usize, &str)> = unreferenced_pub_in(&files)
+            .iter()
+            .map(|f| (f.line, f.rule))
+            .collect();
+        let rule = rule::UNREFERENCED_PUB;
+        assert_eq!(found, vec![(2, rule), (3, rule), (10, rule)]);
     }
 
     /// `hot_path` entries match by basename, so one naming a deleted or

@@ -211,7 +211,7 @@ impl<'a> Monitor<'a> {
 
     /// RTBH detectors (hijack + blackhole, novel adjacency, third-party
     /// trigger).
-    pub fn rtbh_alerts(&self) -> Vec<Alert> {
+    fn rtbh_alerts(&self) -> Vec<Alert> {
         let mut alerts = Vec::new();
         // Distinct (prefix, blackhole community) pairs.
         for (prefix, community) in self.pairs(|c| self.dict.is_blackhole(c)) {
@@ -353,7 +353,7 @@ impl<'a> Monitor<'a> {
 
     /// Steering detectors: prepend communities whose tagger is not the
     /// origin (or not a customer of the target, with topology knowledge).
-    pub fn steering_alerts(&self) -> Vec<Alert> {
+    fn steering_alerts(&self) -> Vec<Alert> {
         let mut alerts = Vec::new();
         let is_prepend = |c| matches!(self.dict.kind(c), Some(CommunityKind::Prepend(_)));
         for (prefix, community) in self.pairs(is_prepend) {
@@ -426,7 +426,7 @@ impl<'a> Monitor<'a> {
     /// together with an announce-to (`RS:X`) for the same member, where the
     /// purported route-server AS is off-path (route servers are
     /// transparent).
-    pub fn conflict_alerts(&self) -> Vec<Alert> {
+    fn conflict_alerts(&self) -> Vec<Alert> {
         let mut alerts = Vec::new();
         let Some(suppresses) = self.flags(|c| c.asn_part() == 0 && c.value_part() != 0) else {
             return alerts;
@@ -515,7 +515,7 @@ impl<'a> Monitor<'a> {
 
     /// Well-known communities that should never reach an eBGP collector
     /// session.
-    pub fn well_known_alerts(&self) -> Vec<Alert> {
+    fn well_known_alerts(&self) -> Vec<Alert> {
         let mut alerts = Vec::new();
         let Some(confined) =
             self.flags(|c| c == Community::NO_EXPORT || c == Community::NO_ADVERTISE)

@@ -58,7 +58,7 @@ impl InjectedKind {
     ];
 
     /// Alert kinds that count as detecting this injection.
-    pub fn matching_alerts(self) -> &'static [AlertKind] {
+    fn matching_alerts(self) -> &'static [AlertKind] {
         match self {
             // A hijack-with-blackhole is also a third-party trigger; either
             // alarm brings the right operator attention.

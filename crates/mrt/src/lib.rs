@@ -59,6 +59,4 @@ pub use record::{
     Bgp4mpMessage, MrtHeader, MrtRecord, PeerEntry, PeerIndexTable, RibEntry, RibSnapshot,
     StateChange, BGP4MP, BGP4MP_ET, TABLE_DUMP_V2,
 };
-pub use write::{
-    write_rib_dump, write_state_change, write_update, write_update_into, MrtWriter, TableDumpWriter,
-};
+pub use write::{write_state_change, write_update, write_update_into, MrtWriter, TableDumpWriter};

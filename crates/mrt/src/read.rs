@@ -275,8 +275,9 @@ fn parse_bgp4mp(
                 decode_update_into(c.clone().take_rest(), cfg, &mut message.update)?;
             c.take("BGP message", used)?;
             if other.is_some() {
-                // OPENs/KEEPALIVEs inside MESSAGE records are legal but rare;
-                // surface them as empty updates so streaming callers can skip.
+                // An OPEN (checked, not modelled), KEEPALIVE or NOTIFICATION
+                // inside a MESSAGE record is legal but rare: it reads as an
+                // empty update, which streaming callers skip.
                 message.update = RouteUpdate::default();
             }
             message.header = header;

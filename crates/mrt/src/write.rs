@@ -271,28 +271,28 @@ impl<W: Write> TableDumpWriter<W> {
     }
 }
 
-/// Convenience: writes a complete RIB dump in one call.
-pub fn write_rib_dump<W: Write>(
-    sink: W,
-    timestamp: u32,
-    collector_id: u32,
-    view_name: &str,
-    peers: &[PeerEntry],
-    ribs: &[(Prefix, Vec<RibEntry>)],
-) -> Result<W, MrtError> {
-    let mut w = TableDumpWriter::new(sink, timestamp, collector_id, view_name, peers)?;
-    for (prefix, entries) in ribs {
-        w.write_rib(*prefix, entries)?;
-    }
-    Ok(w.into_inner())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::read::MrtReader;
     use crate::record::MrtRecord;
     use bgpworms_types::{AsPath, PathAttributes};
+
+    /// A complete RIB dump: the peer index table, then one record per
+    /// prefix.
+    fn write_rib_dump(
+        timestamp: u32,
+        collector_id: u32,
+        view_name: &str,
+        peers: &[PeerEntry],
+        ribs: &[(Prefix, Vec<RibEntry>)],
+    ) -> Result<Vec<u8>, MrtError> {
+        let mut w = TableDumpWriter::new(Vec::new(), timestamp, collector_id, view_name, peers)?;
+        for (prefix, entries) in ribs {
+            w.write_rib(*prefix, entries)?;
+        }
+        Ok(w.into_inner())
+    }
 
     fn sample_update() -> RouteUpdate {
         let mut attrs = PathAttributes {
@@ -400,7 +400,7 @@ mod tests {
             "192.0.2.0/24".parse::<Prefix>().unwrap(),
             vec![entry.clone()],
         )];
-        let buf = write_rib_dump(Vec::new(), 50, 0xC0FF_EE00, "repro", &peers, &ribs).unwrap();
+        let buf = write_rib_dump(50, 0xC0FF_EE00, "repro", &peers, &ribs).unwrap();
 
         let mut r = MrtReader::new(buf.as_slice());
         match r.next_record().unwrap().unwrap() {
@@ -441,7 +441,7 @@ mod tests {
             "2001:db8::/32".parse::<Prefix>().unwrap(),
             vec![entry.clone()],
         )];
-        let buf = write_rib_dump(Vec::new(), 1, 1, "", &peers, &ribs).unwrap();
+        let buf = write_rib_dump(1, 1, "", &peers, &ribs).unwrap();
         let mut r = MrtReader::new(buf.as_slice());
         r.next_record().unwrap(); // index table
         match r.next_record().unwrap().unwrap() {

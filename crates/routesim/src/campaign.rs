@@ -166,7 +166,7 @@ pub struct Campaign<'s, 't> {
 /// never far away and chunk sinks stay cheap, large enough that per-chunk
 /// bookkeeping vanishes next to per-prefix convergence cost. A checkpoint
 /// records it, and one taken under another bound is refused.
-pub const DEFAULT_CHUNK_SIZE: usize = 32;
+const DEFAULT_CHUNK_SIZE: usize = 32;
 
 /// Target minimum number of chunks a non-trivial schedule is split into
 /// (schedules with at least this many prefixes yield at least half of it
@@ -174,7 +174,7 @@ pub const DEFAULT_CHUNK_SIZE: usize = 32;
 /// small campaigns parallelizable, since chunks — not prefixes — are what
 /// workers claim. Comfortably above any realistic core count while keeping
 /// per-chunk overhead irrelevant.
-pub const MIN_SCHEDULABLE_CHUNKS: usize = 64;
+const MIN_SCHEDULABLE_CHUNKS: usize = 64;
 
 /// A resumable campaign position: the aggregate sink after some prefix of
 /// the chunk sequence, plus how many chunks it covers.
@@ -448,8 +448,8 @@ impl<'s, 't> Campaign<'s, 't> {
     }
 
     /// The chunk size used for a schedule of `n_prefixes`: the
-    /// [`DEFAULT_CHUNK_SIZE`] bound, shrunk so the schedule splits into at
-    /// least [`MIN_SCHEDULABLE_CHUNKS`] chunks. Chunks are the parallel work
+    /// `DEFAULT_CHUNK_SIZE` (32) bound, shrunk so the schedule splits into at
+    /// least `MIN_SCHEDULABLE_CHUNKS` (64) chunks. Chunks are the parallel work
     /// unit, so without this a 24-prefix campaign would be one chunk — i.e.
     /// fully serial no matter how many worker threads the session has. The
     /// formula depends only on the prefix count, never on the thread count,

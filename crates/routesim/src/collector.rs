@@ -76,7 +76,7 @@ fn fill_attrs(attrs: &mut PathAttributes, route: &Route) {
 
 /// Serializes a collector's observations into a BGP4MP MESSAGE_AS4 update
 /// archive (the format the analysis pipeline reads back).
-pub fn observations_to_mrt(
+fn observations_to_mrt(
     collector_local_as: Asn,
     observations: &[CollectorObservation],
 ) -> Result<Vec<u8>, MrtError> {
@@ -115,7 +115,7 @@ pub fn observations_to_mrt(
 
 /// Builds a TABLE_DUMP_V2 RIB archive out of the *final* state implied by a
 /// collector's observations (last announcement per (peer, prefix) wins).
-pub fn observations_to_rib_mrt(
+fn observations_to_rib_mrt(
     collector_id: u32,
     view_name: &str,
     observations: &[CollectorObservation],

@@ -63,7 +63,7 @@
 //! ```
 //!
 //! The campaign shards the per-prefix loop into bounded chunks (at most
-//! [`campaign::DEFAULT_CHUNK_SIZE`] prefixes each, also the checkpoint
+//! 32 prefixes each, also the checkpoint
 //! grain) and **streams** each [`PrefixOutcome`] into a caller-supplied
 //! [`CampaignSink`] — `fold(prefix, outcome)` in ascending prefix order
 //! within a chunk, `merge(chunk_sink)` in ascending chunk order — so a

@@ -19,7 +19,7 @@ pub enum Vendor {
 impl Vendor {
     /// Whether communities are sent to neighbors without explicit
     /// configuration.
-    pub fn sends_communities_by_default(self) -> bool {
+    fn sends_communities_by_default(self) -> bool {
         matches!(self, Vendor::Juniper)
     }
 

@@ -193,12 +193,6 @@ impl TopologyParams {
         self
     }
 
-    /// Sets the IXP count.
-    pub fn ixps(mut self, n: usize) -> Self {
-        self.n_ixp = n;
-        self
-    }
-
     /// Sets the fraction of stubs given 4-byte ASNs.
     pub fn four_byte_stubs(mut self, fraction: f64) -> Self {
         self.four_byte_stub_fraction = fraction;

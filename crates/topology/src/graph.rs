@@ -32,10 +32,10 @@ pub enum Tier {
 /// A dense, stable index identifying one node of a [`Topology`].
 ///
 /// Ids are assigned in insertion order, cover `0..topology.len()` without
-/// gaps, and never change once assigned (replacing a node via
-/// [`Topology::add_as`] keeps its id). They exist so per-node state can
-/// live in plain `Vec`s indexed by [`NodeId::index`] instead of
-/// `BTreeMap<Asn, …>` — the engine's per-event hot path depends on this.
+/// gaps, and never change once assigned (re-adding an ASN keeps its id).
+/// They exist so per-node state can live in plain `Vec`s indexed by
+/// [`NodeId::index`] instead of `BTreeMap<Asn, …>` — the engine's
+/// per-event hot path depends on this.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(u32);
 
@@ -153,7 +153,7 @@ impl Topology {
 
     /// Adds an AS. Replaces any existing node with the same ASN (keeping
     /// its [`NodeId`]).
-    pub fn add_as(&mut self, node: AsNode) {
+    fn add_as(&mut self, node: AsNode) {
         self.csr = OnceLock::new();
         match self.ids.get(&node.asn) {
             Some(&id) => self.nodes[id.index()] = node,
@@ -235,23 +235,11 @@ impl Topology {
         &csr.edges[csr.offsets[id.index()] as usize..csr.offsets[id.index() + 1] as usize]
     }
 
-    /// For each adjacency entry of `id` (aligned with
-    /// [`Topology::neighbors_ix`]): the slot this node occupies within that
-    /// neighbor's own adjacency slice. Engine hot paths use this to stamp
-    /// events with the receiver-side slot, so per-neighbor router state can
-    /// live in dense slot-indexed arrays instead of `BTreeMap<Asn, …>`.
-    #[inline]
-    pub fn reverse_slots_ix(&self, id: NodeId) -> &[u32] {
-        let csr = self.csr();
-        &csr.reverse_slot[csr.offsets[id.index()] as usize..csr.offsets[id.index() + 1] as usize]
-    }
-
     /// The adjacency slice of `id` zipped with its reverse slots: for each
     /// local slot, the edge `(neighbor, role, neighbor is a route server)`
     /// plus the slot this node occupies in that neighbor's slice. This is
-    /// the engine's export-sweep view — one call replaces the paired
-    /// [`Topology::neighbors_ix`] / [`Topology::reverse_slots_ix`] lookups
-    /// and keeps the two slices' alignment a topology-crate invariant.
+    /// the engine's export-sweep view, and it keeps the alignment of the
+    /// adjacency and the reverse slots a topology-crate invariant.
     #[inline]
     pub fn adjacency_with_reverse_ix(
         &self,
@@ -283,19 +271,11 @@ impl Topology {
     /// instead be a single worker-owned array over this slot space, with a
     /// node's slice recovered by two offset reads — no per-node allocation.
     /// Local adjacency slots (as produced by [`Topology::neighbors_ix`] /
-    /// [`Topology::reverse_slots_ix`]) translate to global slots by adding
-    /// the node's offset.
+    /// [`Topology::adjacency_with_reverse_ix`]) translate to global slots by
+    /// adding the node's offset.
     #[inline]
     pub fn slot_offsets(&self) -> &[u32] {
         &self.csr().offsets
-    }
-
-    /// Node `i`'s directed-edge slots as a range into the global
-    /// `0..adjacency_len()` slot space (see [`Topology::slot_offsets`]).
-    #[inline]
-    pub fn slot_range(&self, id: NodeId) -> std::ops::Range<usize> {
-        let offsets = &self.csr().offsets;
-        offsets[id.index()] as usize..offsets[id.index() + 1] as usize
     }
 
     fn csr(&self) -> &Csr {
@@ -500,24 +480,6 @@ impl Topology {
         }
         out
     }
-
-    /// Builds a topology from CAIDA lines; every AS is created as a stub
-    /// (tiers are not encoded in the format).
-    pub fn from_caida_lines(lines: &[RelLine]) -> Topology {
-        let mut topo = Topology::new();
-        for l in lines {
-            if !topo.contains(l.a) {
-                topo.add_simple(l.a, Tier::Stub);
-            }
-            if !topo.contains(l.b) {
-                topo.add_simple(l.b, Tier::Stub);
-            }
-        }
-        for l in lines {
-            topo.add_edge(l.a, l.b, l.kind);
-        }
-        topo
-    }
 }
 
 #[cfg(test)]
@@ -597,13 +559,12 @@ mod tests {
         let t = triangle();
         let lines = t.to_caida_lines();
         assert_eq!(lines.len(), 3);
-        let rebuilt = Topology::from_caida_lines(&lines);
-        for (a, b) in [(1, 2), (2, 3), (1, 3)] {
-            assert_eq!(
-                rebuilt.role_of(asn(a), asn(b)),
-                t.role_of(asn(a), asn(b)),
-                "edge {a}-{b}"
-            );
+        for l in lines {
+            let role = match l.kind {
+                EdgeKind::ProviderToCustomer => Role::Customer,
+                EdgeKind::PeerToPeer => Role::Peer,
+            };
+            assert_eq!(t.role_of(l.a, l.b), Some(role), "edge {}-{}", l.a, l.b);
         }
     }
 
@@ -651,16 +612,15 @@ mod tests {
         t.add_edge(asn(3), asn(50), EdgeKind::PeerToPeer);
         t.add_edge(asn(2), asn(50), EdgeKind::PeerToPeer);
         for id in t.node_ids() {
-            let edges = t.neighbors_ix(id);
-            let rev = t.reverse_slots_ix(id);
-            assert_eq!(edges.len(), rev.len(), "aligned arrays");
-            for (slot, (&(nb, _, _), &back)) in edges.iter().zip(rev).enumerate() {
+            for (slot, (nb, _, _), back) in t.adjacency_with_reverse_ix(id) {
                 // Entry `back` of the neighbor's slice must point straight
                 // back at `id`…
                 let (nb_of_nb, _, _) = t.neighbors_ix(nb)[back as usize];
                 assert_eq!(nb_of_nb, id, "reverse slot round-trips");
                 // …and its own reverse slot must be this entry.
-                assert_eq!(t.reverse_slots_ix(nb)[back as usize] as usize, slot);
+                let (_, _, back_of_back) =
+                    t.adjacency_with_reverse_ix(nb).nth(back as usize).unwrap();
+                assert_eq!(back_of_back as usize, slot);
             }
         }
     }
@@ -673,11 +633,9 @@ mod tests {
         for id in t.node_ids() {
             let zipped: Vec<(usize, CsrEdge, u32)> = t.adjacency_with_reverse_ix(id).collect();
             let edges = t.neighbors_ix(id);
-            let rev = t.reverse_slots_ix(id);
             assert_eq!(zipped.len(), edges.len());
-            for (slot, edge, back) in zipped {
+            for (slot, edge, _) in zipped {
                 assert_eq!(edge, edges[slot]);
-                assert_eq!(back, rev[slot]);
             }
         }
     }
@@ -692,8 +650,7 @@ mod tests {
         assert_eq!(offsets[0], 0);
         assert_eq!(*offsets.last().unwrap() as usize, t.adjacency_len());
         for id in t.node_ids() {
-            let range = t.slot_range(id);
-            assert_eq!(range.start, offsets[id.index()] as usize);
+            let range = offsets[id.index()]..offsets[id.index() + 1];
             assert_eq!(
                 range.len(),
                 t.neighbors_ix(id).len(),

@@ -75,31 +75,6 @@ pub fn to_caida(lines: &[RelLine]) -> String {
     out
 }
 
-/// Parses CAIDA serial-1 format, ignoring `#` comments and blank lines.
-pub fn from_caida(text: &str) -> Result<Vec<RelLine>, bgpworms_types::TypeError> {
-    let mut out = Vec::new();
-    for raw in text.lines() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split('|');
-        let (a, b, code) = match (parts.next(), parts.next(), parts.next()) {
-            (Some(a), Some(b), Some(c)) => (a, b, c),
-            _ => return Err(bgpworms_types::TypeError::parse("caida line", line)),
-        };
-        let a: Asn = a.parse()?;
-        let b: Asn = b.parse()?;
-        let kind = match code.trim() {
-            "-1" => EdgeKind::ProviderToCustomer,
-            "0" => EdgeKind::PeerToPeer,
-            _ => return Err(bgpworms_types::TypeError::parse("caida code", line)),
-        };
-        out.push(RelLine { a, b, kind });
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,20 +103,5 @@ mod tests {
         let text = to_caida(&lines);
         assert!(text.contains("3356|65010|-1"));
         assert!(text.contains("3356|2914|0"));
-        assert_eq!(from_caida(&text).unwrap(), lines);
-    }
-
-    #[test]
-    fn caida_parse_skips_comments_and_blanks() {
-        let text = "# comment\n\n1|2|-1\n   \n3|4|0\n";
-        let lines = from_caida(text).unwrap();
-        assert_eq!(lines.len(), 2);
-    }
-
-    #[test]
-    fn caida_parse_rejects_malformed() {
-        assert!(from_caida("1|2").is_err());
-        assert!(from_caida("1|2|7").is_err());
-        assert!(from_caida("x|2|0").is_err());
     }
 }

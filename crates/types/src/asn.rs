@@ -14,27 +14,21 @@ use std::str::FromStr;
 pub struct Asn(u32);
 
 /// First ASN of the 16-bit private range (RFC 6996).
-pub const PRIVATE_16_START: u32 = 64_512;
+const PRIVATE_16_START: u32 = 64_512;
 /// Last ASN of the 16-bit private range (RFC 6996).
-pub const PRIVATE_16_END: u32 = 65_534;
+const PRIVATE_16_END: u32 = 65_534;
 /// First ASN of the 32-bit private range (RFC 6996).
-pub const PRIVATE_32_START: u32 = 4_200_000_000;
+const PRIVATE_32_START: u32 = 4_200_000_000;
 /// Last ASN of the 32-bit private range (RFC 6996).
-pub const PRIVATE_32_END: u32 = 4_294_967_294;
+const PRIVATE_32_END: u32 = 4_294_967_294;
 /// First ASN reserved for documentation (RFC 5398).
-pub const DOC_16_START: u32 = 64_496;
+const DOC_16_START: u32 = 64_496;
 /// Last 16-bit ASN reserved for documentation (RFC 5398).
-pub const DOC_16_END: u32 = 64_511;
+const DOC_16_END: u32 = 64_511;
 
 impl Asn {
-    /// The reserved ASN 0 (RFC 7607): must not be used for routing.
-    pub const RESERVED_ZERO: Asn = Asn(0);
     /// AS_TRANS (RFC 6793): stand-in for 32-bit ASNs on 16-bit sessions.
     pub const TRANS: Asn = Asn(23_456);
-    /// The last 16-bit ASN, reserved (RFC 7300).
-    pub const LAST_16: Asn = Asn(65_535);
-    /// The last 32-bit ASN, reserved (RFC 7300).
-    pub const LAST_32: Asn = Asn(4_294_967_295);
 
     /// Creates an ASN from its number.
     #[inline]
@@ -161,9 +155,9 @@ mod tests {
 
     #[test]
     fn reserved_and_public() {
-        assert!(Asn::RESERVED_ZERO.is_reserved());
-        assert!(Asn::LAST_16.is_reserved());
-        assert!(Asn::LAST_32.is_reserved());
+        assert!(Asn::new(0).is_reserved());
+        assert!(Asn::new(65_535).is_reserved());
+        assert!(Asn::new(4_294_967_295).is_reserved());
         assert!(!Asn::TRANS.is_reserved());
         assert!(Asn::new(3356).is_public());
         assert!(!Asn::new(64_500).is_public()); // documentation

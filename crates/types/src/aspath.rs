@@ -226,26 +226,6 @@ impl AsPath {
         self.deprepended_asns().position(|a| a == asn)
     }
 
-    /// True if an AS appears at two non-adjacent positions (a routing loop;
-    /// such updates are rejected on import).
-    pub fn has_loop(&self) -> bool {
-        let flat = self.deprepended().to_vec();
-        for (i, a) in flat.iter().enumerate() {
-            if flat[i + 1..].contains(a) {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Number of unique ASes on the path.
-    pub fn unique_as_count(&self) -> usize {
-        let mut v = self.to_vec();
-        v.sort_unstable();
-        v.dedup();
-        v.len()
-    }
-
     /// Prepend evidence: every AS that occurs in a consecutive run of
     /// length > 1 inside a SEQUENCE segment, with the run length.
     ///
@@ -536,18 +516,10 @@ mod tests {
     }
 
     #[test]
-    fn loop_detection() {
-        assert!(!path(&[3, 2, 1]).has_loop());
-        assert!(!path(&[3, 3, 2, 1]).has_loop(), "prepending is not a loop");
-        assert!(path(&[3, 2, 3, 1]).has_loop());
-    }
-
-    #[test]
     fn contains_and_unique_count() {
         let p = path(&[3, 3, 2, 1]);
         assert!(p.contains(Asn::new(3)));
         assert!(!p.contains(Asn::new(9)));
-        assert_eq!(p.unique_as_count(), 3);
     }
 
     #[test]

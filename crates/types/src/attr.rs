@@ -76,11 +76,6 @@ pub struct UnknownAttribute {
 }
 
 impl UnknownAttribute {
-    /// True if the optional bit is set.
-    pub const fn is_optional(&self) -> bool {
-        self.flags & 0x80 != 0
-    }
-
     /// True if the transitive bit is set.
     pub const fn is_transitive(&self) -> bool {
         self.flags & 0x40 != 0
@@ -119,31 +114,10 @@ pub struct PathAttributes {
 }
 
 impl PathAttributes {
-    /// Attributes for a locally originated route (empty path).
-    pub fn originated(origin_as: Asn) -> Self {
-        let _ = origin_as; // origin AS enters the path on first export
-        PathAttributes::default()
-    }
-
     /// True if at least one classic community is attached — the quantity
     /// behind "75 % of announcements have at least one community set" (§4.2).
     pub fn has_communities(&self) -> bool {
         !self.communities.is_empty()
-    }
-
-    /// True if any attached community carries the blackhole value 666 or is
-    /// the RFC 7999 well-known BLACKHOLE.
-    pub fn has_blackhole_community(&self) -> bool {
-        self.communities.iter().any(|c| c.has_blackhole_value())
-    }
-
-    /// The set of distinct ASNs encoded in the high halves of the attached
-    /// communities (Fig 4(b)'s "associated ASes per update").
-    pub fn community_asns(&self) -> Vec<Asn> {
-        let mut v: Vec<Asn> = self.communities.iter().map(|c| c.owner()).collect();
-        v.sort_unstable();
-        v.dedup();
-        v
     }
 
     /// Adds a community if not already present.
@@ -151,14 +125,6 @@ impl PathAttributes {
         if !self.communities.contains(&c) {
             self.communities.push(c);
         }
-    }
-
-    /// Removes every community for which `pred` returns true; returns how
-    /// many were removed.
-    pub fn strip_communities_if<F: FnMut(&Community) -> bool>(&mut self, mut pred: F) -> usize {
-        let before = self.communities.len();
-        self.communities.retain(|c| !pred(c));
-        before - self.communities.len()
     }
 }
 
@@ -193,14 +159,12 @@ mod tests {
             type_code: 99,
             data: vec![1, 2, 3],
         };
-        assert!(a.is_optional());
         assert!(a.is_transitive());
         let b = UnknownAttribute {
             flags: 0x80,
             type_code: 99,
             data: vec![],
         };
-        assert!(b.is_optional());
         assert!(!b.is_transitive());
     }
 
@@ -213,19 +177,5 @@ mod tests {
         attrs.add_community(Community::new(3320, 666));
         assert!(attrs.has_communities());
         assert_eq!(attrs.communities.len(), 2);
-        assert!(attrs.has_blackhole_community());
-        assert_eq!(attrs.community_asns(), vec![Asn::new(2914), Asn::new(3320)]);
-        let removed = attrs.strip_communities_if(|c| c.owner() == Asn::new(3320));
-        assert_eq!(removed, 1);
-        assert!(!attrs.has_blackhole_community());
-    }
-
-    #[test]
-    fn community_asns_dedups() {
-        let mut attrs = PathAttributes::default();
-        attrs.add_community(Community::new(7, 1));
-        attrs.add_community(Community::new(7, 2));
-        attrs.add_community(Community::new(8, 1));
-        assert_eq!(attrs.community_asns(), vec![Asn::new(7), Asn::new(8)]);
     }
 }

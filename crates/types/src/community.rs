@@ -15,7 +15,7 @@ use std::str::FromStr;
 
 /// The conventional low-order value for blackholing, standardized by
 /// RFC 7999 as `65535:666` and used with provider ASNs as `ASN:666`.
-pub const BLACKHOLE_VALUE: u16 = 666;
+const BLACKHOLE_VALUE: u16 = 666;
 
 /// An RFC 1997 community: an opaque 32-bit value, displayed `high:low`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]

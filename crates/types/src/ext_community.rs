@@ -36,18 +36,13 @@ impl ExtendedCommunity {
         ExtendedCommunity(raw)
     }
 
-    /// The raw 64-bit value.
-    pub const fn as_u64(self) -> u64 {
-        self.0
-    }
-
     /// The high type byte.
-    pub const fn type_byte(self) -> u8 {
+    const fn type_byte(self) -> u8 {
         (self.0 >> 56) as u8
     }
 
     /// The subtype byte (meaningful for most type values).
-    pub const fn subtype_byte(self) -> u8 {
+    const fn subtype_byte(self) -> u8 {
         (self.0 >> 48) as u8
     }
 
@@ -60,11 +55,6 @@ impl ExtendedCommunity {
     /// Builds a two-octet-AS route target.
     pub fn route_target(asn: u16, value: u32) -> Self {
         ExtendedCommunity((0x02u64 << 48) | ((asn as u64) << 32) | value as u64)
-    }
-
-    /// Builds a two-octet-AS route origin.
-    pub fn route_origin(asn: u16, value: u32) -> Self {
-        ExtendedCommunity((0x03u64 << 48) | ((asn as u64) << 32) | value as u64)
     }
 
     /// Classifies into the kinds we understand.
@@ -124,7 +114,7 @@ mod tests {
 
     #[test]
     fn route_origin_roundtrip() {
-        let so = ExtendedCommunity::route_origin(2914, 7);
+        let so = ExtendedCommunity::from_u64(0x0003_0B62_0000_0007);
         assert_eq!(so.to_string(), "soo:2914:7");
         assert_eq!(
             so.kind(),

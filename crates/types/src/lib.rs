@@ -28,7 +28,7 @@
 //! assert_eq!(prepend_once.value_part(), 421);
 //!
 //! let p: Ipv4Prefix = "192.0.2.0/24".parse().unwrap();
-//! assert!(p.contains_addr("192.0.2.77".parse().unwrap()));
+//! assert!(p.covers("192.0.2.64/26".parse().unwrap()));
 //!
 //! let path = AsPath::from_asns([Asn::new(3), Asn::new(2), Asn::new(1)]);
 //! assert_eq!(path.origin(), Some(Asn::new(1)));
@@ -51,7 +51,7 @@ pub mod update;
 pub use asn::Asn;
 pub use aspath::{AsPath, PathSegment};
 pub use attr::{Aggregator, Origin, PathAttributes};
-pub use community::{Community, WellKnown, BLACKHOLE_VALUE};
+pub use community::{Community, WellKnown};
 pub use error::TypeError;
 pub use ext_community::ExtendedCommunity;
 pub use large_community::LargeCommunity;

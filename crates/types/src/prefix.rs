@@ -70,7 +70,7 @@ impl Ipv4Prefix {
     }
 
     /// Creates a prefix from a std [`Ipv4Addr`].
-    pub fn from_addr(addr: Ipv4Addr, len: u8) -> Result<Self, TypeError> {
+    fn from_addr(addr: Ipv4Addr, len: u8) -> Result<Self, TypeError> {
         Self::new(u32::from(addr), len)
     }
 
@@ -87,14 +87,8 @@ impl Ipv4Prefix {
         self.len
     }
 
-    /// True for the zero-length default route `0.0.0.0/0`.
-    #[inline]
-    pub const fn is_default(self) -> bool {
-        self.len == 0
-    }
-
     /// The network address as [`Ipv4Addr`].
-    pub fn network_addr(self) -> Ipv4Addr {
+    fn network_addr(self) -> Ipv4Addr {
         Ipv4Addr::from(self.addr)
     }
 
@@ -102,11 +96,6 @@ impl Ipv4Prefix {
     #[inline]
     pub fn contains(self, ip: u32) -> bool {
         ip & mask_v4(self.len) == self.addr
-    }
-
-    /// True if `ip` falls inside this prefix.
-    pub fn contains_addr(self, ip: Ipv4Addr) -> bool {
-        self.contains(u32::from(ip))
     }
 
     /// True if `other` is equal to or more specific than `self`
@@ -165,19 +154,6 @@ impl Ipv4Prefix {
         Ok(out)
     }
 
-    /// The first more-specific /`len+1` half of this prefix, used when an
-    /// attacker announces a covering sub-prefix.
-    pub fn first_half(self) -> Option<Ipv4Prefix> {
-        if self.len >= Self::MAX_LEN {
-            None
-        } else {
-            Some(Ipv4Prefix {
-                addr: self.addr,
-                len: self.len + 1,
-            })
-        }
-    }
-
     /// Number of addresses covered (saturates at `u64::MAX` for /0 which
     /// has 2^32 addresses — representable, so no saturation in practice).
     pub fn num_addresses(self) -> u64 {
@@ -204,7 +180,7 @@ impl Ipv6Prefix {
     }
 
     /// Creates a prefix from a std [`Ipv6Addr`].
-    pub fn from_addr(addr: Ipv6Addr, len: u8) -> Result<Self, TypeError> {
+    fn from_addr(addr: Ipv6Addr, len: u8) -> Result<Self, TypeError> {
         Self::new(u128::from(addr), len)
     }
 
@@ -221,14 +197,8 @@ impl Ipv6Prefix {
         self.len
     }
 
-    /// True for `::/0`.
-    #[inline]
-    pub const fn is_default(self) -> bool {
-        self.len == 0
-    }
-
     /// The network address as [`Ipv6Addr`].
-    pub fn network_addr(self) -> Ipv6Addr {
+    fn network_addr(self) -> Ipv6Addr {
         Ipv6Addr::from(self.addr)
     }
 
@@ -252,11 +222,6 @@ impl Prefix {
             Prefix::V4(p) => p.len(),
             Prefix::V6(p) => p.len(),
         }
-    }
-
-    /// True for a zero-length default route.
-    pub fn is_default(&self) -> bool {
-        self.len() == 0
     }
 
     /// True if this is an IPv4 prefix.
@@ -452,11 +417,11 @@ mod tests {
     #[test]
     fn containment() {
         let p = p4("192.0.2.0/24");
-        assert!(p.contains_addr(Ipv4Addr::new(192, 0, 2, 0)));
-        assert!(p.contains_addr(Ipv4Addr::new(192, 0, 2, 255)));
-        assert!(!p.contains_addr(Ipv4Addr::new(192, 0, 3, 0)));
+        assert!(p.contains(0xC000_0200));
+        assert!(p.contains(0xC000_02FF));
+        assert!(!p.contains(0xC000_0300));
         let default = p4("0.0.0.0/0");
-        assert!(default.contains_addr(Ipv4Addr::new(8, 8, 8, 8)));
+        assert!(default.contains(0x0808_0808));
     }
 
     #[test]
@@ -500,12 +465,6 @@ mod tests {
         // invalid directions
         assert!(p.subnets(8).is_err());
         assert!(p.subnets(33).is_err());
-    }
-
-    #[test]
-    fn first_half() {
-        assert_eq!(p4("10.0.0.0/8").first_half().unwrap(), p4("10.0.0.0/9"));
-        assert_eq!(p4("1.2.3.4/32").first_half(), None);
     }
 
     #[test]

@@ -46,12 +46,6 @@ impl RouteUpdate {
         }
     }
 
-    /// True if the update neither announces nor withdraws anything
-    /// (an End-of-RIB marker in RFC 4724 terms).
-    pub fn is_end_of_rib(&self) -> bool {
-        self.withdrawn.is_empty() && self.announced.is_empty()
-    }
-
     /// Explodes into per-prefix announcements (cloning the shared attrs).
     pub fn announcements(&self) -> impl Iterator<Item = Announcement> + '_ {
         self.announced.iter().map(move |p| Announcement {
@@ -82,7 +76,6 @@ mod tests {
         let u = RouteUpdate::announce(p("10.0.0.0/8"), attrs.clone());
         assert_eq!(u.announced, vec![p("10.0.0.0/8")]);
         assert!(u.withdrawn.is_empty());
-        assert!(!u.is_end_of_rib());
         let anns: Vec<_> = u.announcements().collect();
         assert_eq!(anns.len(), 1);
         assert_eq!(anns[0].prefix, p("10.0.0.0/8"));
@@ -94,12 +87,6 @@ mod tests {
         let u = RouteUpdate::withdraw(vec![p("10.0.0.0/8"), p("2001:db8::/32")]);
         assert_eq!(u.withdrawn.len(), 2);
         assert!(u.announced.is_empty());
-        assert!(!u.is_end_of_rib());
-    }
-
-    #[test]
-    fn end_of_rib() {
-        assert!(RouteUpdate::default().is_end_of_rib());
     }
 
     #[test]

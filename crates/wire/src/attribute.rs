@@ -13,49 +13,44 @@ use bgpworms_types::{
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
 /// Attribute flag: optional (not well-known).
-pub const FLAG_OPTIONAL: u8 = 0x80;
+const FLAG_OPTIONAL: u8 = 0x80;
 /// Attribute flag: transitive.
-pub const FLAG_TRANSITIVE: u8 = 0x40;
-/// Attribute flag: partial (set when a transitive optional attribute crossed
-/// a router that did not understand it).
-pub const FLAG_PARTIAL: u8 = 0x20;
+const FLAG_TRANSITIVE: u8 = 0x40;
 /// Attribute flag: two-byte length field follows.
-pub const FLAG_EXT_LEN: u8 = 0x10;
+const FLAG_EXT_LEN: u8 = 0x10;
 
 /// Attribute type codes we interpret.
-pub mod type_code {
+mod type_code {
     /// ORIGIN.
-    pub const ORIGIN: u8 = 1;
+    pub(super) const ORIGIN: u8 = 1;
     /// AS_PATH.
-    pub const AS_PATH: u8 = 2;
+    pub(super) const AS_PATH: u8 = 2;
     /// NEXT_HOP.
-    pub const NEXT_HOP: u8 = 3;
+    pub(super) const NEXT_HOP: u8 = 3;
     /// MULTI_EXIT_DISC.
-    pub const MED: u8 = 4;
+    pub(super) const MED: u8 = 4;
     /// LOCAL_PREF.
-    pub const LOCAL_PREF: u8 = 5;
+    pub(super) const LOCAL_PREF: u8 = 5;
     /// ATOMIC_AGGREGATE.
-    pub const ATOMIC_AGGREGATE: u8 = 6;
+    pub(super) const ATOMIC_AGGREGATE: u8 = 6;
     /// AGGREGATOR.
-    pub const AGGREGATOR: u8 = 7;
+    pub(super) const AGGREGATOR: u8 = 7;
     /// COMMUNITIES (RFC 1997).
-    pub const COMMUNITIES: u8 = 8;
+    pub(super) const COMMUNITIES: u8 = 8;
     /// MP_REACH_NLRI (RFC 4760).
-    pub const MP_REACH_NLRI: u8 = 14;
+    pub(super) const MP_REACH_NLRI: u8 = 14;
     /// MP_UNREACH_NLRI (RFC 4760).
-    pub const MP_UNREACH_NLRI: u8 = 15;
+    pub(super) const MP_UNREACH_NLRI: u8 = 15;
     /// EXTENDED COMMUNITIES (RFC 4360).
-    pub const EXT_COMMUNITIES: u8 = 16;
+    pub(super) const EXT_COMMUNITIES: u8 = 16;
     /// LARGE_COMMUNITY (RFC 8092).
-    pub const LARGE_COMMUNITIES: u8 = 32;
+    pub(super) const LARGE_COMMUNITIES: u8 = 32;
 }
 
-/// AFI values (RFC 4760).
-pub const AFI_IPV4: u16 = 1;
-/// IPv6 address family.
-pub const AFI_IPV6: u16 = 2;
+/// The IPv6 address family (RFC 4760).
+const AFI_IPV6: u16 = 2;
 /// Unicast SAFI.
-pub const SAFI_UNICAST: u8 = 1;
+const SAFI_UNICAST: u8 = 1;
 
 /// Everything recovered from the attributes section of one UPDATE,
 /// with multiprotocol NLRI separated back out of the attribute blob.

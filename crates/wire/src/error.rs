@@ -16,8 +16,9 @@ pub enum WireError {
     },
     /// The 16-byte all-ones marker was malformed.
     BadMarker,
-    /// The header length field is outside [19, 4096] or disagrees with the
-    /// message type's minimum.
+    /// The header length field is outside [19, 4096], or disagrees with the
+    /// body it frames: a KEEPALIVE with a body, an OPEN with bytes after its
+    /// optional parameters.
     BadMessageLength(u16),
     /// Unknown message type code.
     UnknownMessageType(u8),

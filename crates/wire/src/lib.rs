@@ -3,9 +3,12 @@
 //! (`ARCHITECTURE.md` at the repository root shows where the wire layer
 //! sits in the workspace.)
 //!
-//! Encodes and decodes the four BGP message types (OPEN, UPDATE,
-//! NOTIFICATION, KEEPALIVE) to and from their on-the-wire representation,
-//! including:
+//! Encodes and decodes BGP UPDATE messages to and from their on-the-wire
+//! representation. The other three message types are framed on decode:
+//! NOTIFICATION keeps its code, subcode and data, KEEPALIVE must be empty,
+//! and OPEN is checked, not modelled — its fixed part and its optional
+//! parameters inside their stated length, with nothing after them — since
+//! the measurement reads UPDATEs only. The UPDATE codec covers:
 //!
 //! * path attributes with full flag handling (optional/transitive/partial/
 //!   extended length), preserving unknown transitive attributes opaquely;
@@ -65,15 +68,12 @@ pub mod cursor;
 pub mod error;
 pub mod message;
 pub mod nlri;
-pub mod open;
 
 pub use attribute::{decode_attributes, encode_attributes, encode_attributes_into};
 pub use error::WireError;
 pub use message::{
-    decode_message, decode_update_into, encode_keepalive, encode_notification, encode_update,
-    encode_update_into, BgpMessage, Notification, MARKER_LEN, MAX_MESSAGE_LEN, MIN_MESSAGE_LEN,
+    decode_message, decode_update_into, encode_update, encode_update_into, BgpMessage, Notification,
 };
-pub use open::{Capability, OpenMessage};
 
 /// Runs `append` on `out` and, if it fails, takes back whatever it had
 /// appended by then — the "on `Err` the buffer is as it was" of both

@@ -1,31 +1,30 @@
 //! BGP message framing (RFC 4271 §4): header marker, length, type, and the
-//! per-type body codecs.
+//! per-type body codecs. UPDATE is modelled; OPEN is framed and checked.
 
 use crate::attribute::{append_attributes, decode_attributes_into};
 use crate::cursor::Cursor;
 use crate::error::WireError;
 use crate::nlri;
-use crate::open::OpenMessage;
 use crate::CodecConfig;
 use bgpworms_types::{Ipv4Prefix, Ipv6Prefix, Prefix, RouteUpdate};
 
 /// Length of the all-ones marker.
-pub const MARKER_LEN: usize = 16;
+const MARKER_LEN: usize = 16;
 /// Minimum BGP message length (bare header).
-pub const MIN_MESSAGE_LEN: usize = 19;
+const MIN_MESSAGE_LEN: usize = 19;
 /// Maximum BGP message length.
-pub const MAX_MESSAGE_LEN: usize = 4096;
+const MAX_MESSAGE_LEN: usize = 4096;
 
 /// Message type codes.
-pub mod msg_type {
+mod msg_type {
     /// OPEN.
-    pub const OPEN: u8 = 1;
+    pub(super) const OPEN: u8 = 1;
     /// UPDATE.
-    pub const UPDATE: u8 = 2;
+    pub(super) const UPDATE: u8 = 2;
     /// NOTIFICATION.
-    pub const NOTIFICATION: u8 = 3;
+    pub(super) const NOTIFICATION: u8 = 3;
     /// KEEPALIVE.
-    pub const KEEPALIVE: u8 = 4;
+    pub(super) const KEEPALIVE: u8 = 4;
 }
 
 /// A NOTIFICATION message: error code, subcode, diagnostic data.
@@ -42,8 +41,9 @@ pub struct Notification {
 /// A decoded BGP message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BgpMessage {
-    /// OPEN.
-    Open(OpenMessage),
+    /// OPEN, checked for structure; its fields are not kept, since the
+    /// measurement reads UPDATEs only.
+    Open,
     /// UPDATE — the workhorse; carries withdrawals, attributes and NLRI.
     Update(RouteUpdate),
     /// NOTIFICATION.
@@ -154,26 +154,6 @@ fn append_update(
     finish_header(out, start)
 }
 
-/// Encodes a KEEPALIVE.
-pub fn encode_keepalive() -> Vec<u8> {
-    let mut out = Vec::with_capacity(MIN_MESSAGE_LEN);
-    let start = push_header(&mut out, msg_type::KEEPALIVE);
-    // lint: infallible a bare 19-byte header is under the 4096-byte cap
-    finish_header(&mut out, start).expect("keepalive fits");
-    out
-}
-
-/// Encodes a NOTIFICATION.
-pub fn encode_notification(n: &Notification) -> Result<Vec<u8>, WireError> {
-    let mut out = Vec::with_capacity(MIN_MESSAGE_LEN + 2 + n.data.len());
-    let start = push_header(&mut out, msg_type::NOTIFICATION);
-    out.push(n.code);
-    out.push(n.subcode);
-    out.extend_from_slice(&n.data);
-    finish_header(&mut out, start)?;
-    Ok(out)
-}
-
 /// Decodes one message from the front of `data`.
 ///
 /// Returns the message and the number of bytes consumed, so a caller can
@@ -229,7 +209,13 @@ pub fn decode_update_into(
             update.attrs.next_hop = update.attrs.next_hop.or(mp_next_hop);
             None
         }
-        msg_type::OPEN => Some(BgpMessage::Open(OpenMessage::decode(body.take_rest())?)),
+        msg_type::OPEN => {
+            check_open(&mut body)?;
+            if !body.is_empty() {
+                return Err(WireError::BadMessageLength(length));
+            }
+            Some(BgpMessage::Open)
+        }
         msg_type::NOTIFICATION => {
             let code = body.u8("notification code")?;
             let subcode = body.u8("notification subcode")?;
@@ -246,6 +232,24 @@ pub fn decode_update_into(
     Ok((other, ltotal))
 }
 
+/// Walks an OPEN body (RFC 4271 §4.2): the 10-byte fixed part, then the
+/// optional-parameter TLVs inside their stated length. A field cut short
+/// is [`WireError::Truncated`] naming it.
+fn check_open(body: &mut Cursor<'_>) -> Result<(), WireError> {
+    body.u8("open version")?;
+    body.u16("open my_as")?;
+    body.u16("open hold time")?;
+    body.u32("open bgp id")?;
+    let params_len = body.u8("open optional parameters length")? as usize;
+    let mut params = Cursor::new(body.take("open optional parameters", params_len)?);
+    while !params.is_empty() {
+        params.u8("optional parameter type")?;
+        let len = params.u8("optional parameter length")? as usize;
+        params.take("optional parameter body", len)?;
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,6 +263,32 @@ mod tests {
         };
         attrs.add_community(Community::new(3, 666));
         RouteUpdate::announce("192.0.2.0/24".parse().unwrap(), attrs)
+    }
+
+    /// A whole message of type `msg_type` around `body`.
+    fn message(msg_type: u8, body: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        let start = push_header(&mut out, msg_type);
+        out.extend_from_slice(body);
+        finish_header(&mut out, start).unwrap();
+        out
+    }
+
+    fn keepalive() -> Vec<u8> {
+        message(msg_type::KEEPALIVE, &[])
+    }
+
+    /// The body of an OPEN from AS 2914 (hold time 180, BGP id 192.0.2.1)
+    /// with one capabilities parameter: multiprotocol IPv4 and IPv6
+    /// unicast, route refresh, 4-octet AS.
+    fn open_body() -> Vec<u8> {
+        let caps = [
+            1, 4, 0, 1, 0, 1, 1, 4, 0, 2, 0, 1, 2, 0, 65, 4, 0, 0, 0x0B, 0x62,
+        ];
+        let mut body = vec![4, 0x0B, 0x62, 0, 180, 192, 0, 2, 1];
+        body.extend_from_slice(&[caps.len() as u8 + 2, 2, caps.len() as u8]);
+        body.extend_from_slice(&caps);
+        body
     }
 
     #[test]
@@ -332,7 +362,7 @@ mod tests {
 
     #[test]
     fn keepalive_roundtrip() {
-        let bytes = encode_keepalive();
+        let bytes = keepalive();
         assert_eq!(bytes.len(), MIN_MESSAGE_LEN);
         let (msg, used) = decode_message(&bytes, CodecConfig::modern()).unwrap();
         assert_eq!(msg, BgpMessage::Keepalive);
@@ -346,14 +376,67 @@ mod tests {
             subcode: 2,
             data: vec![1, 2, 3],
         };
-        let bytes = encode_notification(&n).unwrap();
+        let bytes = message(msg_type::NOTIFICATION, &[6, 2, 1, 2, 3]);
         let (msg, _) = decode_message(&bytes, CodecConfig::modern()).unwrap();
         assert_eq!(msg, BgpMessage::Notification(n));
     }
 
     #[test]
+    fn an_open_is_checked_not_modelled() {
+        let bytes = message(msg_type::OPEN, &open_body());
+        let (msg, used) = decode_message(&bytes, CodecConfig::modern()).unwrap();
+        assert_eq!(msg, BgpMessage::Open);
+        assert_eq!(used, bytes.len());
+        // No optional parameters at all.
+        let bare = message(msg_type::OPEN, &[4, 0xFD, 0xE9, 0, 0, 1, 1, 1, 1, 0]);
+        let (msg, _) = decode_message(&bare, CodecConfig::legacy()).unwrap();
+        assert_eq!(msg, BgpMessage::Open);
+    }
+
+    #[test]
+    fn truncated_open_rejected() {
+        let body = open_body();
+        let cut_params = message(msg_type::OPEN, &body[..body.len() - 2]);
+        assert!(matches!(
+            decode_message(&cut_params, CodecConfig::modern()),
+            Err(WireError::Truncated {
+                what: "open optional parameters",
+                ..
+            })
+        ));
+        let cut_fixed = message(msg_type::OPEN, &[4, 0]);
+        assert!(matches!(
+            decode_message(&cut_fixed, CodecConfig::modern()),
+            Err(WireError::Truncated {
+                what: "open my_as",
+                ..
+            })
+        ));
+        // A parameter running past the parameters' stated length.
+        let overrun = message(msg_type::OPEN, &[4, 0, 1, 0, 0, 1, 1, 1, 1, 3, 2, 4, 1]);
+        assert!(matches!(
+            decode_message(&overrun, CodecConfig::modern()),
+            Err(WireError::Truncated {
+                what: "optional parameter body",
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn open_with_bytes_after_its_optional_parameters_is_refused() {
+        let mut body = open_body();
+        body.push(0);
+        let bytes = message(msg_type::OPEN, &body);
+        assert_eq!(
+            decode_message(&bytes, CodecConfig::modern()).unwrap_err(),
+            WireError::BadMessageLength(bytes.len() as u16)
+        );
+    }
+
+    #[test]
     fn bad_marker_rejected() {
-        let mut bytes = encode_keepalive();
+        let mut bytes = keepalive();
         bytes[3] = 0x00;
         assert_eq!(
             decode_message(&bytes, CodecConfig::modern()).unwrap_err(),
@@ -363,14 +446,14 @@ mod tests {
 
     #[test]
     fn bad_length_rejected() {
-        let mut bytes = encode_keepalive();
+        let mut bytes = keepalive();
         bytes[16] = 0;
         bytes[17] = 5; // < 19
         assert_eq!(
             decode_message(&bytes, CodecConfig::modern()).unwrap_err(),
             WireError::BadMessageLength(5)
         );
-        let mut bytes = encode_keepalive();
+        let mut bytes = keepalive();
         bytes[16] = 0xFF;
         bytes[17] = 0xFF; // > 4096
         assert!(matches!(
@@ -381,7 +464,7 @@ mod tests {
 
     #[test]
     fn keepalive_with_body_rejected() {
-        let mut bytes = encode_keepalive();
+        let mut bytes = keepalive();
         bytes.push(0xAB);
         bytes[17] = 20;
         assert!(matches!(
@@ -392,7 +475,7 @@ mod tests {
 
     #[test]
     fn unknown_type_rejected() {
-        let mut bytes = encode_keepalive();
+        let mut bytes = keepalive();
         bytes[18] = 9;
         assert_eq!(
             decode_message(&bytes, CodecConfig::modern()).unwrap_err(),
@@ -419,7 +502,7 @@ mod tests {
     fn stream_of_messages_decodes_sequentially() {
         let u = sample_update();
         let mut stream = encode_update(&u, CodecConfig::modern()).unwrap();
-        stream.extend_from_slice(&encode_keepalive());
+        stream.extend_from_slice(&keepalive());
         let (m1, used1) = decode_message(&stream, CodecConfig::modern()).unwrap();
         let (m2, used2) = decode_message(&stream[used1..], CodecConfig::modern()).unwrap();
         assert!(matches!(m1, BgpMessage::Update(_)));

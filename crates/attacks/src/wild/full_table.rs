@@ -10,7 +10,9 @@
 //! carries the class statistics alongside the propagation counts, so the
 //! `repro` front end can print the realized hit rate.
 
-use bgpworms_routesim::{Campaign, CampaignSink, Origination, PrefixOutcome, Workload};
+use bgpworms_routesim::{
+    Campaign, CampaignRun, CampaignSink, Origination, PrefixOutcome, Workload,
+};
 use bgpworms_topology::{PrefixAllocation, Topology};
 use bgpworms_types::Prefix;
 
@@ -99,51 +101,34 @@ impl CampaignSink for TagPropagation {
     }
 }
 
-/// Outcome of a full-table campaign: propagation counts plus the class
-/// statistics that explain its cost.
+/// Outcome of a full-table campaign: the campaign's own totals — the
+/// streamed propagation aggregate in `run.sink`, and the class statistics
+/// that explain its cost.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FullTableReport {
-    /// Prefixes in the (possibly sampled) schedule.
-    pub prefixes: usize,
-    /// Distinct flood-equivalence classes — the number of floods actually
-    /// simulated.
-    pub classes: usize,
-    /// Prefixes simulated (first member of each class).
-    pub class_sims: u64,
-    /// Prefixes replayed from a class representative.
-    pub class_hits: u64,
-    /// Total engine events across all simulated floods.
-    pub events: u64,
-    /// Every flood converged.
-    pub converged: bool,
-    /// Prefixes whose flood exhausted its event budget and was reported
-    /// as a structured divergence instead of a result.
-    pub diverged: Vec<Prefix>,
-    /// The streamed propagation aggregate.
-    pub tags: TagPropagation,
+    /// The campaign over the (possibly sampled) schedule.
+    pub run: CampaignRun<TagPropagation>,
 }
 
 impl FullTableReport {
+    /// Prefixes in the schedule: each is either its class's simulated
+    /// first member or a replay.
+    pub fn prefixes(&self) -> usize {
+        (self.run.class_sims + self.run.class_hits) as usize
+    }
+
+    /// Distinct flood-equivalence classes — the number of floods actually
+    /// simulated, one per class.
+    pub fn classes(&self) -> usize {
+        self.run.class_sims as usize
+    }
+
     /// Fraction of prefixes whose flood was replayed instead of simulated.
     pub fn hit_rate(&self) -> f64 {
-        let total = self.class_sims + self.class_hits;
-        if total == 0 {
+        if self.prefixes() == 0 {
             return 0.0;
         }
-        self.class_hits as f64 / total as f64
-    }
-
-    /// True when the table is incomplete: at least one prefix diverged.
-    /// Front ends (the `repro` CLI) treat a degraded report as a failed
-    /// artefact.
-    pub fn degraded(&self) -> bool {
-        !self.diverged.is_empty()
-    }
-
-    /// The campaign's standard degradation summary (one line per diverged
-    /// prefix); empty when the report is clean.
-    pub fn failure_summary(&self) -> String {
-        bgpworms_routesim::failure_summary(&self.diverged)
+        self.run.class_hits as f64 / self.prefixes() as f64
     }
 }
 
@@ -166,18 +151,8 @@ pub fn run_full_table(
         None => schedule,
     };
     let sim = workload.simulation(topo).threads(threads).compile();
-    let campaign = Campaign::new(&sim);
-    let stats = campaign.class_stats(&schedule);
-    let run = campaign.run(&schedule, TagPropagation::default);
     FullTableReport {
-        prefixes: stats.prefixes,
-        classes: stats.classes,
-        class_sims: run.class_sims,
-        class_hits: run.class_hits,
-        events: run.events,
-        converged: run.converged,
-        diverged: run.diverged,
-        tags: run.sink,
+        run: Campaign::new(&sim).run(&schedule, TagPropagation::default),
     }
 }
 
@@ -228,29 +203,30 @@ mod tests {
     fn full_table_collapses_to_fewer_classes_than_prefixes() {
         let (topo, alloc, workload) = world();
         let report = run_full_table(&workload, &topo, &alloc, None, 2);
-        assert!(report.converged);
-        assert_eq!(report.prefixes, alloc.len());
+        let run = &report.run;
+        assert!(run.converged);
+        assert_eq!(report.prefixes(), alloc.len());
+        assert_eq!(run.sink.prefixes, alloc.len(), "every prefix is folded");
         assert!(
-            report.classes < report.prefixes,
+            report.classes() < report.prefixes(),
             "deaggregated table must share classes: {} classes / {} prefixes",
-            report.classes,
-            report.prefixes
+            report.classes(),
+            report.prefixes()
         );
-        assert_eq!(report.class_sims, report.classes as u64);
+        let schedule = full_table_schedule(&workload, &alloc);
+        let sim = workload.simulation(&topo).compile();
+        let stats = Campaign::new(&sim).class_stats(&schedule);
         assert_eq!(
-            report.class_sims + report.class_hits,
-            report.prefixes as u64
+            (report.prefixes(), report.classes()),
+            (stats.prefixes, stats.classes),
+            "the run's counters are the schedule's class statistics"
         );
         assert!(report.hit_rate() > 0.0);
-        assert!(
-            report.tags.observations > 0,
-            "collectors must see the table"
-        );
-        assert!(report.tags.tagged_observations <= report.tags.observations);
+        assert!(run.sink.observations > 0, "collectors must see the table");
+        assert!(run.sink.tagged_observations <= run.sink.observations);
         // A converged campaign is never degraded.
-        assert!(!report.degraded());
-        assert!(report.diverged.is_empty());
-        assert_eq!(report.failure_summary(), "");
+        assert!(!run.degraded());
+        assert_eq!(run.failure_summary(), "");
     }
 
     #[test]
@@ -258,8 +234,8 @@ mod tests {
         let (topo, alloc, workload) = world();
         let full = run_full_table(&workload, &topo, &alloc, None, 2);
         let sampled = run_full_table(&workload, &topo, &alloc, Some(alloc.len() / 2), 1);
-        assert!(sampled.converged);
-        assert!(sampled.prefixes < full.prefixes);
-        assert!(sampled.classes <= full.classes);
+        assert!(sampled.run.converged);
+        assert!(sampled.prefixes() < full.prefixes());
+        assert!(sampled.classes() <= full.classes());
     }
 }

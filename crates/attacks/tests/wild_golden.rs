@@ -238,14 +238,15 @@ fn golden_full_table_sampled() {
         .deaggregate(&topo, FullTableParams::default());
     let workload = Workload::generate(&topo, &alloc, &WorkloadParams::default());
     let report = full_table::run_full_table(&workload, &topo, &alloc, Some(alloc.len() / 2), 1);
+    let run = &report.run;
     let summary = (
-        report.prefixes,
-        report.classes,
-        report.class_sims,
-        report.class_hits,
-        report.converged,
-        report.tags.observations,
-        report.tags.tagged_observations,
+        report.prefixes(),
+        report.classes(),
+        run.class_sims,
+        run.class_hits,
+        run.converged,
+        run.sink.observations,
+        run.sink.tagged_observations,
     );
     println!("GOLDEN full-table: {summary:?}");
     assert_eq!(summary, GOLDEN_FULL_TABLE, "full-table fixture drifted");

@@ -246,14 +246,6 @@ fn fig3(opts: &Options) -> String {
             churn_rounds: 2,
             ..WorkloadParams::default()
         };
-        let alloc = bgpworms_topology::PrefixAllocation::assign(
-            &topo.build(),
-            bgpworms_topology::addressing::AddressingParams {
-                seed: opts.seed,
-                ..Default::default()
-            },
-        );
-        let _ = alloc;
         // Build a full mini-snapshot for the year.
         let topo = topo.build();
         let alloc = bgpworms_topology::PrefixAllocation::assign(
@@ -1041,12 +1033,13 @@ fn full_table_campaign(opts: &Options, degraded: &mut bool) -> String {
         .map(|n| n.get())
         .unwrap_or(4);
     let report = wild::full_table::run_full_table(&workload, topo, &alloc, opts.sample, threads);
+    let run = &report.run;
 
     let mut out = String::new();
     let _ = writeln!(
         out,
         "table: {} prefixes over {} ASes{}",
-        thousands(report.prefixes as u64),
+        thousands(report.prefixes() as u64),
         thousands(topo.len() as u64),
         match opts.sample {
             Some(n) => format!(" (origin-preserving sample, target {n})"),
@@ -1056,37 +1049,33 @@ fn full_table_campaign(opts: &Options, degraded: &mut bool) -> String {
     let _ = writeln!(
         out,
         "flood classes: {} — {} floods simulated, {} replayed",
-        thousands(report.classes as u64),
-        thousands(report.class_sims),
-        thousands(report.class_hits),
+        thousands(report.classes() as u64),
+        thousands(run.class_sims),
+        thousands(run.class_hits),
     );
     let _ = writeln!(
         out,
         "class-hit rate: {}  fold amplification: {} (prefixes folded per flood)",
         pct(report.hit_rate()),
-        ratio(report.prefixes as f64, report.classes as f64),
+        ratio(report.prefixes() as f64, report.classes() as f64),
     );
     let _ = writeln!(
         out,
         "engine events: {}  converged: {}",
-        thousands(report.events),
-        report.converged
+        thousands(run.events),
+        run.converged
     );
     let _ = writeln!(
         out,
         "collector observations: {} ({} still tagged, {})",
-        thousands(report.tags.observations as u64),
-        thousands(report.tags.tagged_observations as u64),
-        pct(report.tags.tagged_observations as f64 / report.tags.observations.max(1) as f64),
+        thousands(run.sink.observations as u64),
+        thousands(run.sink.tagged_observations as u64),
+        pct(run.sink.tagged_observations as f64 / run.sink.observations.max(1) as f64),
     );
-    if report.degraded() {
+    if run.degraded() {
         *degraded = true;
-        let _ = writeln!(
-            out,
-            "DEGRADED: {} prefix(es) diverged",
-            report.diverged.len()
-        );
-        out.push_str(&report.failure_summary());
+        let _ = writeln!(out, "DEGRADED: {} prefix(es) diverged", run.diverged.len());
+        out.push_str(&run.failure_summary());
     }
     out
 }

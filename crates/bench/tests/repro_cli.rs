@@ -94,3 +94,23 @@ fn wild_artefacts_tiny_match_the_recorded_bytes() {
     assert_eq!(stdout, include_str!("wild_tiny_2018.txt"));
     std::fs::remove_dir_all(&dir).expect("clean up");
 }
+
+#[test]
+fn full_table_and_fig3_tiny_match_the_recorded_bytes() {
+    // The campaign's totals as `repro full-table` prints them, and the
+    // yearly snapshots of fig 3, byte for byte: `full_table_fig3_tiny.txt`
+    // is the concatenated stdout of these two runs.
+    let dir = out_dir("full-table-fig3");
+    let dir_arg = dir.to_str().expect("utf-8 temp dir");
+    let mut stdout = String::new();
+    for args in [
+        &["full-table", "--scale", "tiny", "--sample", "64"][..],
+        &["fig3", "--scale", "tiny"],
+    ] {
+        let out = repro(&[args, &["--out", dir_arg]].concat());
+        assert!(out.status.success(), "{args:?}: {out:?}");
+        stdout += std::str::from_utf8(&out.stdout).expect("utf-8 stdout");
+    }
+    assert_eq!(stdout, include_str!("full_table_fig3_tiny.txt"));
+    std::fs::remove_dir_all(&dir).expect("clean up");
+}

@@ -667,7 +667,7 @@ impl Deref for Observation<'_> {
 
 impl<'a> Observation<'a> {
     /// Platform the collector belongs to (RIS / RV / IS / PCH).
-    pub fn platform(self) -> &'a str {
+    fn platform(self) -> &'a str {
         &self.set.sessions[self.row.session as usize].0
     }
 
@@ -710,7 +710,7 @@ impl<'a> Observation<'a> {
     }
 
     /// Hop count of the path *before* de-prepending.
-    pub fn raw_hop_count(self) -> usize {
+    fn raw_hop_count(self) -> usize {
         self.row.attrs.raw_hop_count
     }
 

@@ -59,12 +59,6 @@ impl Ecdf {
         }
         out
     }
-
-    /// Renders a fixed-grid series for terminal plotting/export: fraction
-    /// at each of the given x positions.
-    pub fn series(&self, xs: &[f64]) -> Vec<(f64, f64)> {
-        xs.iter().map(|&x| (x, self.fraction_at(x))).collect()
-    }
 }
 
 /// A counting histogram over ordered keys.
@@ -168,13 +162,6 @@ mod tests {
             assert!(w[0].1 <= w[1].1);
         }
         assert_eq!(pts.last().unwrap().1, 1.0);
-    }
-
-    #[test]
-    fn ecdf_series_on_grid() {
-        let e = Ecdf::new([1.0, 2.0, 3.0, 4.0]);
-        let s = e.series(&[0.0, 2.0, 4.0]);
-        assert_eq!(s, vec![(0.0, 0.0), (2.0, 0.5), (4.0, 1.0)]);
     }
 
     #[test]

@@ -26,7 +26,9 @@
 //!    result-affecting code.
 //! 7. **unreferenced-pub** — a `pub` fn/const/static whose name no other
 //!    `.rs` file of the repository mentions (comments and `pub use`
-//!    re-exports do not count) needs `// lint: api <why>`.
+//!    re-exports do not count), or a `pub` method (a fn taking `self`)
+//!    that no other file calls as `.name(` or reaches as `Type::name`,
+//!    needs `// lint: api <why>`.
 //!
 //! Deliberately hermetic: no `syn`, no `proc-macro2`, no filesystem
 //! crawler crates — a hand-rolled [`lexer`] plus a [`policy`] table and a

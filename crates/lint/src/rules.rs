@@ -67,7 +67,7 @@ pub mod rule {
     /// An allow-marker with no justification text.
     pub const MARKER: &str = "marker-justification";
     /// A `pub` fn/const/static whose name no other file of the repository
-    /// mentions.
+    /// mentions, or a `pub` method no other file calls.
     pub const UNREFERENCED_PUB: &str = "unreferenced-pub";
 }
 
@@ -226,11 +226,23 @@ fn next_sig_char(code: &str, from: usize) -> Option<char> {
 
 const ATOMIC_ORDERINGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
 
+/// A `pub` function, constant or static that `unreferenced-pub` checks.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PubItem {
+    /// 0-based line of the definition.
+    pub line: usize,
+    /// The item's name.
+    pub name: String,
+    /// A function taking `self`: only a `.name(` call or a `Type::name`
+    /// path refers to it, not a field or local that shares its name.
+    pub method: bool,
+}
+
 /// The `pub` functions, constants and statics a file defines outside its
-/// `#[cfg(test)]` code, as `(0-based line, name)`, skipping those a
-/// `// lint: api <why>` marker covers. Types are left out: a type reaches
-/// its callers through the signatures that return it, unnamed.
-pub fn pub_items(lines: &[Line]) -> Vec<(usize, String)> {
+/// `#[cfg(test)]` code, skipping those a `// lint: api <why>` marker
+/// covers. Types are left out: a type reaches its callers through the
+/// signatures that return it, unnamed.
+pub fn pub_items(lines: &[Line]) -> Vec<PubItem> {
     let tests = test_mask(lines);
     let mut out = Vec::new();
     for (i, line) in lines.iter().enumerate() {
@@ -241,14 +253,89 @@ pub fn pub_items(lines: &[Line]) -> Vec<(usize, String)> {
         if words.next() != Some("pub") {
             continue;
         }
-        let name = match (words.next(), words.next(), words.next()) {
-            (Some("const"), Some("fn"), Some(name)) => name,
-            (Some("fn" | "const" | "static"), Some(name), _) => name,
+        let (name, is_fn) = match (words.next(), words.next(), words.next()) {
+            (Some("const"), Some("fn"), Some(name)) => (name, true),
+            (Some("fn"), Some(name), _) => (name, true),
+            (Some("const" | "static"), Some(name), _) => (name, false),
             _ => continue,
         };
         let name: String = name.chars().take_while(|&c| is_ident(c)).collect();
         if !name.is_empty() && !markers_covering(lines, i).api {
-            out.push((i, name));
+            let method = is_fn && takes_self(lines, i, &name);
+            out.push(PubItem {
+                line: i,
+                name,
+                method,
+            });
+        }
+    }
+    out
+}
+
+/// Whether the function `name` defined on line `at` takes `self` first:
+/// its parameter list (after any generics, over as many lines as the
+/// signature takes) opens with `self`, `&self`, `&'a mut self`, `mut
+/// self` or `self: …`.
+fn takes_self(lines: &[Line], at: usize, name: &str) -> bool {
+    let sig: String = lines[at..]
+        .iter()
+        .take(16)
+        .map(|l| l.code.as_str())
+        .collect::<Vec<_>>()
+        .join(" ");
+    let Some(&start) = token_positions(&sig, name).first() else {
+        return false;
+    };
+    // Skip the generics: `->` inside an `Fn() -> T` bound closes nothing.
+    let mut depth = 0usize;
+    let mut prev = ' ';
+    let mut params = None;
+    for (off, c) in sig[start + name.len()..].char_indices() {
+        match c {
+            '<' => depth += 1,
+            '>' if prev != '-' => depth = depth.saturating_sub(1),
+            '(' if depth == 0 => {
+                params = Some(start + name.len() + off + 1);
+                break;
+            }
+            _ => {}
+        }
+        prev = c;
+    }
+    let Some(params) = params else {
+        return false;
+    };
+    let first = sig[params..].split([',', ')']).next().unwrap_or("");
+    let first = first.trim().trim_start_matches('&').trim_start();
+    let first = match first.strip_prefix('\'') {
+        Some(lifetime) => lifetime.trim_start_matches(is_ident).trim_start(),
+        None => first,
+    };
+    let first = first.strip_prefix("mut ").unwrap_or(first).trim_start();
+    first == "self"
+        || first
+            .strip_prefix("self")
+            .is_some_and(|r| r.trim_start().starts_with(':'))
+}
+
+/// The names a file's code calls as methods (`.name(`, `.name::<`) or
+/// reaches by path (`Type::name`), re-exports aside: what refers to a
+/// [`PubItem::method`].
+pub fn method_uses(lines: &[Line]) -> BTreeSet<String> {
+    let mut out = BTreeSet::new();
+    for line in lines {
+        let code = line.code.as_str();
+        if code.split_whitespace().take(2).any(|w| w == "use") {
+            continue; // an import names a module path, not a method
+        }
+        for (pos, sep) in code.match_indices("::").chain(code.match_indices('.')) {
+            let rest = &code[pos + sep.len()..];
+            let name: String = rest.chars().take_while(|&c| is_ident(c)).collect();
+            let after = rest[name.len()..].trim_start();
+            let used = sep == "::" || after.starts_with('(') || after.starts_with("::<");
+            if used && name.starts_with(|c: char| c.is_alphabetic() || c == '_') {
+                out.insert(name);
+            }
         }
     }
     out

@@ -11,7 +11,7 @@
 
 use crate::lexer::{lex, Line};
 use crate::policy::{CratePolicy, POLICIES};
-use crate::rules::{check_file, identifiers, pub_items, rule, Finding};
+use crate::rules::{check_file, identifiers, method_uses, pub_items, rule, Finding};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -82,27 +82,41 @@ fn unreferenced_pub(root: &Path) -> std::io::Result<Vec<Finding>> {
 
 /// `unreferenced-pub` over `(path, lexed source, is a linted file)`
 /// triples: a `pub` fn/const/static of a linted file whose name no other
-/// file mentions is a finding.
+/// file mentions is a finding, and so is a `pub` method no other file
+/// calls (`.name(`) or reaches by path (`Type::name`).
 fn unreferenced_pub_in(files: &[(String, Vec<Line>, bool)]) -> Vec<Finding> {
-    // How many files name each identifier.
+    // How many files name each identifier, and call each method name.
     let mut named: BTreeMap<String, usize> = BTreeMap::new();
-    for (_, lines, _) in files {
+    let mut called: BTreeMap<String, Vec<&str>> = BTreeMap::new();
+    for (rel, lines, _) in files {
         for word in identifiers(lines) {
             *named.entry(word).or_default() += 1;
+        }
+        for word in method_uses(lines) {
+            called.entry(word).or_default().push(rel);
         }
     }
     let mut findings = Vec::new();
     for (rel, lines, _) in files.iter().filter(|(_, _, defines)| *defines) {
-        for (line, name) in pub_items(lines) {
-            // The definition names it once; a second file is a reference.
-            if named.get(&name).copied().unwrap_or(0) < 2 {
+        for item in pub_items(lines) {
+            let used = if item.method {
+                called
+                    .get(&item.name)
+                    .is_some_and(|users| users.iter().any(|user| user != rel))
+            } else {
+                // The definition names it once; a second file is a reference.
+                named.get(&item.name).copied().unwrap_or(0) >= 2
+            };
+            if !used {
+                let name = &item.name;
                 findings.push(Finding {
                     file: rel.clone(),
-                    line: line + 1,
+                    line: item.line + 1,
                     rule: rule::UNREFERENCED_PUB,
                     message: format!(
-                        "`pub` item `{name}` is named in no other file — delete it, \
-                         make it private, or annotate `// lint: api <why>`"
+                        "`pub` item `{name}` is {} in no other file — delete it, \
+                         make it private, or annotate `// lint: api <why>`",
+                        if item.method { "called" } else { "named" }
                     ),
                 });
             }
@@ -199,6 +213,41 @@ fn g() { let s = \"unused\"; }
             .collect();
         let rule = rule::UNREFERENCED_PUB;
         assert_eq!(found, vec![(2, rule), (3, rule), (10, rule)]);
+    }
+
+    #[test]
+    fn unreferenced_pub_methods_count_only_calls_and_paths() {
+        let defining = "\
+impl Run {
+    pub fn events(&self) -> u64 { self.events }
+    pub fn called(&self) {}
+    pub fn by_path<'a, F: Fn() -> u8>(
+        &'a mut self,
+        f: F,
+    ) {}
+    pub fn turbofish(mut self) {}
+    pub fn typed(self: Box<Self>) {}
+    pub fn assoc(x: u8) -> u8 { x }
+    pub fn only_here(&self) { self.only_here() }
+}
+";
+        let other = "\
+fn g(r: Run) -> u64 {
+    r.called();
+    let f = Run::by_path;
+    r.turbofish::<u8>();
+    r.typed ();
+    r.events + Run::assoc(1)
+}
+";
+        let files = vec![
+            ("a.rs".to_string(), lex(defining), true),
+            ("b.rs".to_string(), lex(other), false),
+        ];
+        let found: Vec<usize> = unreferenced_pub_in(&files).iter().map(|f| f.line).collect();
+        // A field read names `events` but calls nothing; a call in the
+        // defining file does not count.
+        assert_eq!(found, vec![2, 11]);
     }
 
     /// `hot_path` entries match by basename, so one naming a deleted or

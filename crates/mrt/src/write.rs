@@ -260,11 +260,6 @@ impl<W: Write> TableDumpWriter<W> {
         Ok(())
     }
 
-    /// Number of RIB records written so far.
-    pub fn rib_records(&self) -> u32 {
-        self.sequence
-    }
-
     /// Finishes the dump, returning the sink.
     pub fn into_inner(self) -> W {
         self.writer.into_inner()
@@ -510,10 +505,10 @@ mod tests {
             w.write_rib(prefix, &[entry(10_000, 3_000)]),
             Err(MrtError::FieldTooLong("RIB entry attributes"))
         ));
-        assert_eq!(w.rib_records(), 0, "a refused record takes no sequence");
+        assert_eq!(w.sequence, 0, "a refused record takes no sequence");
         // The writer is still good: the next record is sequence 0.
         w.write_rib(prefix, &[entry(16_000, 0)]).unwrap();
-        assert_eq!(w.rib_records(), 1);
+        assert_eq!(w.sequence, 1);
         drop(w);
         let mut r = MrtReader::new(buf.as_slice());
         assert!(matches!(
@@ -547,7 +542,7 @@ mod tests {
             w.write_rib("10.0.0.0/8".parse().unwrap(), &entries),
             Err(MrtError::FieldTooLong("RIB entry count"))
         ));
-        assert_eq!(w.rib_records(), 0);
+        assert_eq!(w.sequence, 0);
         w.write_rib("10.0.0.0/8".parse().unwrap(), &entries[..65_535])
             .unwrap();
         drop(w);

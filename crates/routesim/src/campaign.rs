@@ -72,20 +72,27 @@
 //!
 //! # Checkpointing and durable resume
 //!
-//! A campaign can stop after any number of chunks and hand back a
-//! [`CampaignCheckpoint`] — the aggregate sink plus the count of completed
-//! chunks. [`Campaign::resume`] continues from the first incomplete chunk
-//! and produces a result bit-identical to an uninterrupted run (same
-//! fold/merge sequence, just spread over several calls). That is the
-//! full-table safety net: a multi-hour campaign interrupted at chunk `k`
-//! re-runs only chunks `k..`, not the table. Checkpoints whose sink
-//! implements [`crate::DurableSink`] also serialize to (and restore from)
-//! a hand-rolled JSON text ([`CampaignCheckpoint::to_json`] /
-//! [`CampaignCheckpoint::from_json`]), so the safety net survives process
-//! death, not just an in-process pause. A dead process loses its memory
-//! and nothing else, so "resume from the text persisted after chunk `k`"
-//! is the whole recovery contract: `tests/resume.rs` checks it for every
-//! `k`, across thread counts and with memoization on and off.
+//! A campaign's totals — aggregate sink, events, class counters, diverged
+//! prefixes, chunk count — live in one type, [`CampaignRun`]: each chunk
+//! produces one, the aggregate merges them in chunk order, and a
+//! [`CampaignCheckpoint`] is the aggregate of the completed chunks plus the
+//! chunk size and schedule digest that bind it to its schedule. A campaign
+//! can stop after any number of chunks and hand back that checkpoint;
+//! [`Campaign::resume`] continues from the first incomplete chunk and
+//! hands back the checkpoint's run, now covering every chunk —
+//! bit-identical to an uninterrupted run (same fold/merge sequence, just
+//! spread over several calls). That is the full-table safety net: a
+//! multi-hour campaign interrupted at chunk `k` re-runs only chunks `k..`,
+//! not the table. A resume refuses a checkpoint whose chunk size, schedule
+//! digest, chunk count or class counters do not fit the live schedule.
+//! Checkpoints whose sink implements [`crate::DurableSink`] also serialize
+//! to (and restore from) a hand-rolled JSON text
+//! ([`CampaignCheckpoint::to_json`] / [`CampaignCheckpoint::from_json`]),
+//! so the safety net survives process death, not just an in-process
+//! pause. A dead process loses its memory and nothing else, so "resume
+//! from the text persisted after chunk `k`" is the whole recovery
+//! contract: `tests/resume.rs` checks it for every `k`, across thread
+//! counts and with memoization on and off.
 //!
 //! # Divergence: the one failure a run can meet
 //!
@@ -94,9 +101,8 @@
 //! the campaign, naming its chunk. What a run *can* meet is a policy set
 //! that never converges. The event budget cuts such a flood, the campaign
 //! folds what it reached, and the prefix is tallied in
-//! [`CampaignRun::diverged`] (and its checkpoint accessor), so a degraded
-//! completion is inspectable — see [`CampaignRun::degraded`] and
-//! [`CampaignRun::failure_summary`].
+//! [`CampaignRun::diverged`], so a degraded completion is inspectable —
+//! see [`CampaignRun::degraded`] and [`CampaignRun::failure_summary`].
 //!
 //! ```
 //! use bgpworms_routesim::{Campaign, CampaignSink, Origination, PrefixOutcome, SimSpec};
@@ -176,12 +182,13 @@ const DEFAULT_CHUNK_SIZE: usize = 32;
 /// per-chunk overhead irrelevant.
 const MIN_SCHEDULABLE_CHUNKS: usize = 64;
 
-/// A resumable campaign position: the aggregate sink after some prefix of
-/// the chunk sequence, plus how many chunks it covers.
+/// A resumable campaign position: the totals of the chunks completed so
+/// far (`run.chunks` of them), plus what binds them to a schedule.
 #[derive(Debug, Clone)]
 pub struct CampaignCheckpoint<S> {
-    pub(crate) sink: S,
-    pub(crate) chunks_done: usize,
+    /// The completed chunks' aggregate and counters; resuming folds the
+    /// remaining chunks into it, and finishing hands it back as is.
+    pub(crate) run: CampaignRun<S>,
     pub(crate) chunk_size: usize,
     /// Digest of the prefix list this checkpoint was taken against
     /// (`None` until the first [`Campaign::run_chunks`] call touches a
@@ -192,57 +199,17 @@ pub struct CampaignCheckpoint<S> {
     /// [`CampaignCheckpoint::to_json`] means the same thing in another
     /// process.
     pub(crate) schedule_digest: Option<u64>,
-    pub(crate) events: u64,
-    pub(crate) converged: bool,
-    pub(crate) class_sims: u64,
-    pub(crate) class_hits: u64,
-    /// Prefixes (ascending fold order) that exhausted their event budget.
-    pub(crate) diverged: Vec<Prefix>,
 }
 
 impl<S> CampaignCheckpoint<S> {
-    /// The aggregate so far (read-only; resume to continue folding).
-    pub fn sink(&self) -> &S {
-        &self.sink
-    }
-
     /// Completed chunks.
     pub fn chunks_done(&self) -> usize {
-        self.chunks_done
-    }
-
-    /// Events processed by the completed chunks.
-    pub fn events(&self) -> u64 {
-        self.events
-    }
-
-    /// True if every completed prefix converged within budget.
-    pub fn converged(&self) -> bool {
-        self.converged
-    }
-
-    /// Completed prefixes that were the first member of their equivalence
-    /// class — the floods a campaign actually simulates. A schedule
-    /// statistic (see the module docs): a resumed campaign reports the same
-    /// totals as an uninterrupted one.
-    pub fn class_sims(&self) -> u64 {
-        self.class_sims
-    }
-
-    /// Completed prefixes folded as later members of an already-counted
-    /// class — served by outcome replay.
-    pub fn class_hits(&self) -> u64 {
-        self.class_hits
-    }
-
-    /// Completed prefixes that exhausted their event budget (ascending
-    /// fold order) — the structured form of `!converged()`.
-    pub fn diverged(&self) -> &[Prefix] {
-        &self.diverged
+        self.run.chunks
     }
 }
 
-/// A finished campaign.
+/// A campaign's totals: of a finished run, of the chunks a checkpoint has
+/// completed, or of one chunk before it is merged into the aggregate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignRun<S> {
     /// The fully merged aggregate.
@@ -269,6 +236,20 @@ pub struct CampaignRun<S> {
 }
 
 impl<S> CampaignRun<S> {
+    /// The totals of no chunk at all, around `sink`.
+    pub(crate) fn empty(sink: S) -> Self {
+        CampaignRun {
+            sink,
+            events: 0,
+            converged: true,
+            chunks: 0,
+            class_sims: 0,
+            class_hits: 0,
+            diverged: Vec::new(),
+            failures: Vec::new(),
+        }
+    }
+
     /// True if the campaign completed but not cleanly: some prefix
     /// diverged. Callers surfacing results (e.g. the `repro` CLI) should
     /// report [`CampaignRun::failure_summary`] and exit non-zero.
@@ -279,24 +260,28 @@ impl<S> CampaignRun<S> {
     /// A human-readable summary of the degradation: one line per diverged
     /// prefix. Empty string when the run is clean.
     pub fn failure_summary(&self) -> String {
-        failure_summary(&self.diverged)
+        use std::fmt::Write;
+        let mut out = String::new();
+        for prefix in &self.diverged {
+            // lint: infallible `fmt::Write` for `String` never errors
+            writeln!(out, "diverged: {prefix} (event budget exhausted)")
+                .expect("String formatting is infallible");
+        }
+        out
     }
 }
 
-/// Renders the standard degradation summary — one line per diverged
-/// prefix; empty when there is none. [`CampaignRun::failure_summary`]
-/// delegates here, and downstream reports carrying the same list (e.g. the
-/// full-table harness) reuse it so every front end prints degradation
-/// identically.
-pub fn failure_summary(diverged: &[Prefix]) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    for prefix in diverged {
-        // lint: infallible `fmt::Write` for `String` never errors
-        writeln!(out, "diverged: {prefix} (event budget exhausted)")
-            .expect("String formatting is infallible");
+impl<S: CampaignSink> CampaignRun<S> {
+    /// Folds the totals of the chunks that follow these ones in.
+    fn merge(&mut self, later: CampaignRun<S>) {
+        self.sink.merge(later.sink);
+        self.events += later.events;
+        self.converged &= later.converged;
+        self.chunks += later.chunks;
+        self.class_sims += later.class_sims;
+        self.class_hits += later.class_hits;
+        self.diverged.extend(later.diverged);
     }
-    out
 }
 
 /// The classification summary of one schedule under one session — what
@@ -308,32 +293,6 @@ pub struct ClassStats {
     /// Equivalence classes they collapse into — the floods a campaign
     /// simulates.
     pub classes: usize,
-}
-
-impl ClassStats {
-    /// Prefixes served by replaying an already-simulated class member.
-    pub fn hits(&self) -> usize {
-        self.prefixes - self.classes
-    }
-
-    /// Fraction of prefixes served by replay (0.0 for an empty schedule).
-    pub fn hit_rate(&self) -> f64 {
-        if self.prefixes == 0 {
-            0.0
-        } else {
-            self.hits() as f64 / self.prefixes as f64
-        }
-    }
-}
-
-/// One chunk's worth of aggregation, produced by a worker.
-struct ChunkOutcome<S> {
-    sink: S,
-    events: u64,
-    converged: bool,
-    class_sims: u64,
-    class_hits: u64,
-    diverged: Vec<Prefix>,
 }
 
 /// The schedule's class structure: each prefix's class id, with classes
@@ -466,15 +425,9 @@ impl<'s, 't> Campaign<'s, 't> {
     /// to [`Campaign::run_chunks`] to execute incrementally.
     pub fn begin<S: CampaignSink>(&self, sink: S) -> CampaignCheckpoint<S> {
         CampaignCheckpoint {
-            sink,
-            chunks_done: 0,
+            run: CampaignRun::empty(sink),
             chunk_size: DEFAULT_CHUNK_SIZE,
             schedule_digest: None,
-            events: 0,
-            converged: true,
-            class_sims: 0,
-            class_hits: 0,
-            diverged: Vec::new(),
         }
     }
 
@@ -501,8 +454,9 @@ impl<'s, 't> Campaign<'s, 't> {
         S: CampaignSink + Send,
         F: Fn() -> S + Sync,
     {
-        let (cp, _) = self.advance(originations, checkpoint, &new_sink, None);
-        finish(cp)
+        self.advance(originations, checkpoint, &new_sink, None)
+            .0
+            .run
     }
 
     /// Executes at most `max_chunks` further chunks and returns the new
@@ -562,25 +516,35 @@ impl<'s, 't> Campaign<'s, 't> {
         let n_chunks = prefixes.len().div_ceil(chunk_size);
         // A checkpoint past the last chunk (a forged or corrupt file) would
         // otherwise report a finished run that folded nothing.
+        let first = cp.run.chunks;
         assert!(
-            cp.chunks_done <= n_chunks,
-            "checkpoint claims {} chunks done but this schedule has {n_chunks}",
-            cp.chunks_done
+            first <= n_chunks,
+            "checkpoint claims {first} chunks done but this schedule has {n_chunks}"
         );
-        let end = match max_chunks {
-            Some(m) => n_chunks.min(cp.chunks_done.saturating_add(m)),
-            None => n_chunks,
-        };
-        if cp.chunks_done >= end {
-            let finished = cp.chunks_done >= n_chunks;
-            return (cp, finished);
-        }
-        let first = cp.chunks_done;
 
         // The schedule's class structure — cheap (no simulation), computed
         // for the unmemoized reference too, so the class-hit counters are
-        // schedule statistics: both report identical totals.
+        // schedule statistics: both report identical totals, and the done
+        // chunks' share of them is known before anything runs.
         let classes = ClassTable::build(self.sim, &prefixes, &by_prefix);
+        let folded = (first * chunk_size).min(prefixes.len());
+        let sims = classes.is_first[..folded].iter().filter(|&&f| f).count() as u64;
+        let hits = folded as u64 - sims;
+        assert!(
+            (cp.run.class_sims, cp.run.class_hits) == (sims, hits),
+            "checkpoint claims {} class sims and {} class hits but the schedule's first \
+             {first} chunks hold {sims} and {hits}",
+            cp.run.class_sims,
+            cp.run.class_hits
+        );
+
+        let end = match max_chunks {
+            Some(m) => n_chunks.min(first.saturating_add(m)),
+            None => n_chunks,
+        };
+        if first >= end {
+            return (cp, first >= n_chunks);
+        }
         let memo = self.memoize.then(|| {
             ClassMemo::for_range(
                 &classes,
@@ -600,7 +564,7 @@ impl<'s, 't> Campaign<'s, 't> {
                     scratch, ci, chunk_size, &prefixes, &by_prefix, &classes, memo, new_sink,
                 )
             },
-            |_, out| absorb(&mut cp, out),
+            |_, chunk| cp.run.merge(chunk),
         );
         if let Err((k, msg)) = ran {
             let ci = first + k;
@@ -635,19 +599,15 @@ impl<'s, 't> Campaign<'s, 't> {
         classes: &ClassTable,
         memo: Option<&ClassMemo>,
         new_sink: &F,
-    ) -> ChunkOutcome<S>
+    ) -> CampaignRun<S>
     where
         S: CampaignSink,
         F: Fn() -> S,
     {
         let range = chunk_range(ci, chunk_size, prefixes.len());
-        let mut out = ChunkOutcome {
-            sink: new_sink(),
-            events: 0,
-            converged: true,
-            class_sims: 0,
-            class_hits: 0,
-            diverged: Vec::new(),
+        let mut out = CampaignRun {
+            chunks: 1,
+            ..CampaignRun::empty(new_sink())
         };
         for gi in range {
             let prefix = prefixes[gi];
@@ -750,29 +710,6 @@ fn schedule_digest(prefixes: &[Prefix]) -> u64 {
         }
     }
     state
-}
-
-fn absorb<S: CampaignSink>(cp: &mut CampaignCheckpoint<S>, out: ChunkOutcome<S>) {
-    cp.sink.merge(out.sink);
-    cp.events += out.events;
-    cp.converged &= out.converged;
-    cp.class_sims += out.class_sims;
-    cp.class_hits += out.class_hits;
-    cp.diverged.extend(out.diverged);
-    cp.chunks_done += 1;
-}
-
-fn finish<S>(cp: CampaignCheckpoint<S>) -> CampaignRun<S> {
-    CampaignRun {
-        sink: cp.sink,
-        events: cp.events,
-        converged: cp.converged,
-        chunks: cp.chunks_done,
-        class_sims: cp.class_sims,
-        class_hits: cp.class_hits,
-        diverged: cp.diverged,
-        failures: Vec::new(),
-    }
 }
 
 #[cfg(test)]
@@ -901,7 +838,7 @@ mod tests {
                 break;
             }
         }
-        let resumed = finish(cp);
+        let resumed = cp.run;
         assert_eq!(resumed.sink, full.sink);
         assert_eq!(resumed.events, full.events);
         assert_eq!(resumed.chunks, full.chunks);
@@ -996,7 +933,7 @@ mod tests {
         let (mut cp, _) =
             campaign.run_chunks(&eps, campaign.begin(Trace::default()), Trace::default, 1);
         let n_chunks = campaign.run(&eps, Trace::default).chunks;
-        cp.chunks_done = 999;
+        cp.run.chunks = 999;
         let msg = refusal(&campaign, &eps, cp);
         assert!(
             msg.contains(&format!(
@@ -1048,11 +985,11 @@ mod tests {
         assert!(n_prefixes >= 2, "needs a multi-prefix world");
         let sim = SimSpec::new(&topo).retain(RetainRoutes::All).compile();
 
-        let before = crate::scratch_builds();
+        let before = crate::scratch::scratch_builds();
         let run = Campaign::new(&sim).run(&eps, Trace::default);
         assert!(run.converged);
         assert_eq!(
-            crate::scratch_builds() - before,
+            crate::scratch::scratch_builds() - before,
             1,
             "a single-threaded campaign over {n_prefixes} prefixes must build exactly one scratch"
         );
@@ -1061,7 +998,7 @@ mod tests {
         // reuse is per campaign invocation, not a hidden global.
         let run = Campaign::new(&sim).run(&eps, Trace::default);
         assert!(run.converged);
-        assert_eq!(crate::scratch_builds() - before, 2);
+        assert_eq!(crate::scratch::scratch_builds() - before, 2);
     }
 
     #[test]

@@ -18,15 +18,18 @@
 //! best-effort repaired. The format carries a version tag (`"v":1`) so a
 //! future shape change fails loud instead of misreading old files.
 //!
-//! Restore validation is layered: `from_json` checks the version, the
-//! syntax, and what no campaign writes (a checkpoint past chunk 0 bound to
-//! no schedule; a non-empty `failures` list, a field kept always `[]`);
-//! [`crate::Campaign::resume`] re-checks schedule digest, chunk size and
-//! chunk count against the live campaign. `tests/resume.rs` drives the full
+//! The text spells out the checkpoint's [`crate::CampaignRun`] field by
+//! field, beside its chunk size and schedule digest. Restore validation is
+//! layered: `from_json` checks the version, the syntax, and what no
+//! campaign writes (a checkpoint past chunk 0 bound to no schedule; a
+//! `converged` flag that disagrees with the `diverged` list; a non-empty
+//! `failures` list, a field kept always `[]`); [`crate::Campaign::resume`]
+//! re-checks schedule digest, chunk size, chunk count and class counters
+//! against the live campaign. `tests/resume.rs` drives the full
 //! loop: stop after any chunk, persist, restore in a fresh session, finish
 //! byte-identical to the uninterrupted run.
 
-use crate::campaign::{CampaignCheckpoint, CampaignSink};
+use crate::campaign::{CampaignCheckpoint, CampaignRun, CampaignSink};
 use bgpworms_types::Prefix;
 
 /// A campaign sink that can round-trip through a durable checkpoint.
@@ -52,9 +55,10 @@ impl<S: DurableSink> CampaignCheckpoint<S> {
     /// field order, no whitespace, so equal checkpoints produce equal
     /// bytes (`tests/resume.rs` compares persisted texts directly).
     pub fn to_json(&self) -> String {
+        let run = &self.run;
         let mut out = String::with_capacity(256);
         out.push_str("{\"v\":1,\"chunks_done\":");
-        out.push_str(&self.chunks_done.to_string());
+        out.push_str(&run.chunks.to_string());
         out.push_str(",\"chunk_size\":");
         out.push_str(&self.chunk_size.to_string());
         out.push_str(",\"schedule_digest\":");
@@ -63,22 +67,22 @@ impl<S: DurableSink> CampaignCheckpoint<S> {
             None => out.push_str("null"),
         }
         out.push_str(",\"events\":");
-        out.push_str(&self.events.to_string());
+        out.push_str(&run.events.to_string());
         out.push_str(",\"converged\":");
-        out.push_str(if self.converged { "true" } else { "false" });
+        out.push_str(if run.converged { "true" } else { "false" });
         out.push_str(",\"class_sims\":");
-        out.push_str(&self.class_sims.to_string());
+        out.push_str(&run.class_sims.to_string());
         out.push_str(",\"class_hits\":");
-        out.push_str(&self.class_hits.to_string());
+        out.push_str(&run.class_hits.to_string());
         out.push_str(",\"diverged\":[");
-        for (i, prefix) in self.diverged.iter().enumerate() {
+        for (i, prefix) in run.diverged.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             push_json_string(&mut out, &prefix.to_string());
         }
         out.push_str("],\"failures\":[],\"sink\":");
-        push_json_string(&mut out, &self.sink.encode());
+        push_json_string(&mut out, &run.sink.encode());
         out.push('}');
         out
     }
@@ -87,11 +91,12 @@ impl<S: DurableSink> CampaignCheckpoint<S> {
     ///
     /// Rejects (with a diagnostic) any version other than 1, any field out
     /// of order or missing, any malformed value, a `null` schedule digest
-    /// past chunk 0 and a non-empty `failures` list — a durable checkpoint
-    /// is a correctness artifact, so a half-understood one must fail loud.
-    /// Schedule-digest, chunk-size and chunk-count consistency against the
-    /// resuming campaign are checked by [`crate::Campaign::resume`], same as
-    /// for in-memory checkpoints.
+    /// past chunk 0, a `converged` flag that contradicts the `diverged`
+    /// list and a non-empty `failures` list — a durable checkpoint is a
+    /// correctness artifact, so a half-understood one must fail loud.
+    /// Schedule-digest, chunk-size, chunk-count and class-counter
+    /// consistency against the resuming campaign are checked by
+    /// [`crate::Campaign::resume`], same as for in-memory checkpoints.
     pub fn from_json(text: &str) -> Result<Self, String> {
         let mut p = Parser::new(text);
         p.token("{")?;
@@ -119,6 +124,7 @@ impl<S: DurableSink> CampaignCheckpoint<S> {
         let events = p.u64()?;
         p.token(",")?;
         p.key("converged")?;
+        let converged_at = p.pos;
         let converged = p.bool()?;
         p.token(",")?;
         p.key("class_sims")?;
@@ -139,6 +145,15 @@ impl<S: DurableSink> CampaignCheckpoint<S> {
             }
         }
         p.token("]")?;
+        // Every diverged prefix is exactly what made a run unconverged.
+        if converged != diverged.is_empty() {
+            p.pos = converged_at;
+            return Err(p.err(&format!(
+                "converged to be {} beside {} diverged prefixes",
+                diverged.is_empty(),
+                diverged.len()
+            )));
+        }
         p.token(",")?;
         p.key("failures")?;
         p.token("[")?;
@@ -152,15 +167,18 @@ impl<S: DurableSink> CampaignCheckpoint<S> {
         p.token("}")?;
         p.end()?;
         Ok(CampaignCheckpoint {
-            sink,
-            chunks_done,
+            run: CampaignRun {
+                sink,
+                events,
+                converged,
+                chunks: chunks_done,
+                class_sims,
+                class_hits,
+                diverged,
+                failures: Vec::new(),
+            },
             chunk_size,
             schedule_digest,
-            events,
-            converged,
-            class_sims,
-            class_hits,
-            diverged,
         })
     }
 }
@@ -362,6 +380,7 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Campaign, CompiledSim, Origination, RetainRoutes, SimSpec};
 
     /// Minimal durable aggregate: a route tally plus a text field that
     /// exercises string escaping end to end.
@@ -400,18 +419,20 @@ mod tests {
 
     fn sample() -> CampaignCheckpoint<Tally> {
         CampaignCheckpoint {
-            sink: Tally {
-                routes: 42,
-                note: "line \"one\"\n\ttab \\ done\u{1} é".into(),
+            run: CampaignRun {
+                events: 123_456,
+                converged: false,
+                chunks: 7,
+                class_sims: 9,
+                class_hits: 2,
+                diverged: vec!["10.1.0.0/16".parse().unwrap()],
+                ..CampaignRun::empty(Tally {
+                    routes: 42,
+                    note: "line \"one\"\n\ttab \\ done\u{1} é".into(),
+                })
             },
-            chunks_done: 7,
             chunk_size: 3,
             schedule_digest: Some(0xdead_beef_0bad_cafe),
-            events: 123_456,
-            converged: false,
-            class_sims: 9,
-            class_hits: 2,
-            diverged: vec!["10.1.0.0/16".parse().unwrap()],
         }
     }
 
@@ -420,14 +441,9 @@ mod tests {
         let cp = sample();
         let text = cp.to_json();
         let back = CampaignCheckpoint::<Tally>::from_json(&text).expect("restores");
-        assert_eq!(back.sink, cp.sink);
-        assert_eq!(back.chunks_done, cp.chunks_done);
+        assert_eq!(back.run, cp.run);
         assert_eq!(back.chunk_size, cp.chunk_size);
         assert_eq!(back.schedule_digest, cp.schedule_digest);
-        assert_eq!(back.events, cp.events);
-        assert_eq!(back.converged, cp.converged);
-        assert_eq!((back.class_sims, back.class_hits), (9, 2));
-        assert_eq!(back.diverged, cp.diverged);
         // The writer is deterministic, so restore-then-rewrite is the
         // identity on the persisted bytes.
         assert_eq!(back.to_json(), text);
@@ -436,15 +452,9 @@ mod tests {
     /// What `Campaign::begin` hands out: no chunk done, no schedule bound.
     fn fresh() -> CampaignCheckpoint<Tally> {
         CampaignCheckpoint {
-            sink: Tally::default(),
-            chunks_done: 0,
+            run: CampaignRun::empty(Tally::default()),
             chunk_size: 32,
             schedule_digest: None,
-            events: 0,
-            converged: true,
-            class_sims: 0,
-            class_hits: 0,
-            diverged: Vec::new(),
         }
     }
 
@@ -454,7 +464,7 @@ mod tests {
         assert!(text.contains("\"schedule_digest\":null"), "got: {text}");
         let back = CampaignCheckpoint::<Tally>::from_json(&text).expect("restores");
         assert_eq!(back.schedule_digest, None);
-        assert!(back.diverged.is_empty());
+        assert!(back.run.diverged.is_empty());
     }
 
     #[test]
@@ -561,6 +571,95 @@ mod tests {
             if bytes[at].is_ascii_digit() && !bytes.get(at + 1).is_some_and(u8::is_ascii_digit) {
                 probe(&format!("{}9{}", &text[..=at], &text[at + 1..]));
             }
+        }
+    }
+
+    /// The v1 text a real campaign writes after two of its chunks: a tiny
+    /// world, every route retained and tallied.
+    const MID_CAMPAIGN: &str = r#"{"v":1,"chunks_done":2,"chunk_size":32,"schedule_digest":16031944101689692726,"events":276,"converged":true,"class_sims":2,"class_hits":2,"diverged":[],"failures":[],"sink":"164\n"}"#;
+
+    /// The world `MID_CAMPAIGN` was taken in.
+    fn world() -> (bgpworms_topology::Topology, Vec<Origination>) {
+        let topo = bgpworms_topology::TopologyParams::tiny().seed(6).build();
+        let alloc = bgpworms_topology::PrefixAllocation::assign(&topo, Default::default());
+        let eps = alloc
+            .iter()
+            .map(|(asn, prefix)| Origination::announce(asn, prefix, vec![]))
+            .collect();
+        (topo, eps)
+    }
+
+    fn session(topo: &bgpworms_topology::Topology) -> CompiledSim<'_> {
+        SimSpec::new(topo).retain(RetainRoutes::All).compile()
+    }
+
+    #[test]
+    fn a_mid_campaign_checkpoint_keeps_its_v1_bytes() {
+        let (topo, eps) = world();
+        let sim = session(&topo);
+        let campaign = Campaign::new(&sim);
+        let (cp, finished) =
+            campaign.run_chunks(&eps, campaign.begin(Tally::default()), Tally::default, 2);
+        assert!(!finished);
+        assert_eq!(cp.to_json(), MID_CAMPAIGN);
+        let back = CampaignCheckpoint::<Tally>::from_json(MID_CAMPAIGN).expect("restores");
+        assert_eq!(back.to_json(), MID_CAMPAIGN);
+    }
+
+    #[test]
+    fn a_converged_flag_that_contradicts_the_diverged_list_is_refused() {
+        // A run is unconverged exactly when some prefix diverged, so a text
+        // claiming otherwise was not written by a campaign.
+        for forged in [
+            MID_CAMPAIGN.replacen("\"converged\":true", "\"converged\":false", 1),
+            sample()
+                .to_json()
+                .replacen("\"converged\":false", "\"converged\":true", 1),
+        ] {
+            let err = CampaignCheckpoint::<Tally>::from_json(&forged).expect_err("must refuse");
+            let at = forged.find("\"converged\":").expect("the flag") + "\"converged\":".len();
+            assert!(
+                err.starts_with(&format!(
+                    "malformed checkpoint at byte {at}: expected converged to be"
+                )),
+                "got: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn class_counters_the_done_chunks_cannot_hold_are_refused() {
+        // The first two chunks of `MID_CAMPAIGN`'s schedule hold two class
+        // representatives and two replays; a text off by one in either
+        // parses, and the schedule it resumes against refuses it.
+        let (topo, eps) = world();
+        let sim = session(&topo);
+        let campaign = Campaign::new(&sim);
+        for (from, to, claim) in [
+            (
+                "\"class_sims\":2",
+                "\"class_sims\":3",
+                "3 class sims and 2 class hits",
+            ),
+            (
+                "\"class_hits\":2",
+                "\"class_hits\":1",
+                "2 class sims and 1 class hits",
+            ),
+        ] {
+            let forged = MID_CAMPAIGN.replacen(from, to, 1);
+            let cp = CampaignCheckpoint::<Tally>::from_json(&forged).expect("well-formed");
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                campaign.resume(&eps, cp, Tally::default)
+            }))
+            .expect_err("must refuse");
+            let msg = crate::engine::panic_message(&*err);
+            assert!(
+                msg.contains(&format!(
+                    "checkpoint claims {claim} but the schedule's first 2 chunks hold 2 and 2"
+                )),
+                "got: {msg}"
+            );
         }
     }
 

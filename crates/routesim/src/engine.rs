@@ -1795,9 +1795,9 @@ mod tests {
             Origination::announce(Asn::new(1), p("20.0.0.0/16"), vec![]),
             Origination::announce(Asn::new(3), p("30.0.0.0/16"), vec![]),
         ];
-        let before = crate::scratch_builds();
+        let before = crate::scratch::scratch_builds();
         let res = sim.run(&eps);
-        assert_eq!(crate::scratch_builds() - before, 1);
+        assert_eq!(crate::scratch::scratch_builds() - before, 1);
         assert!(res.converged);
         assert_eq!(res.final_routes.len(), 3);
     }

@@ -195,9 +195,9 @@
 //! slot range — so reset is O(1) and a prefix that floods only part of the
 //! graph pays only for the nodes it reaches (the final-routes sweep also
 //! iterates only touched nodes). Reuse is pinned semantically equal to
-//! fresh-per-prefix state by the determinism suite, and an alloc-counting
-//! double ([`scratch_builds`]) locks in that a campaign's second prefix
-//! allocates no RIB arrays.
+//! fresh-per-prefix state by the determinism suite, and a unit test's
+//! alloc-counting double (compiled only into the tests) locks in that a
+//! campaign's second prefix allocates no RIB arrays.
 //!
 //! Every route a prefix run produces is **hash-consed** into that
 //! worker-scratch's [`RouteArena`] (emptied, capacity kept, per prefix):
@@ -217,9 +217,9 @@
 //! absorbing many updates per round diffs its adjacency once instead of
 //! once per update — and because exports are a pure function of the best
 //! route, a dirty node whose best id is unchanged skips the sweep
-//! entirely, making the steady state *zero-clone* (asserted by
-//! clone-counting tests against [`route_clones`], which counts handles,
-//! and [`attr_copies`], which counts paths). Within a pass, exports
+//! entirely, making the steady state *zero-clone* (asserted by unit tests
+//! against test-only counters of route handles and attribute copies).
+//! Within a pass, exports
 //! are memoized per neighbor role whenever the node's egress policy is
 //! neighbor-independent, so a changed export is cloned and interned at
 //! most once per role rather than once per neighbor. A PR 2-shaped
@@ -292,9 +292,7 @@ mod scratch;
 mod shard;
 pub mod workload;
 
-pub use campaign::{
-    failure_summary, Campaign, CampaignCheckpoint, CampaignRun, CampaignSink, ClassStats,
-};
+pub use campaign::{Campaign, CampaignCheckpoint, CampaignRun, CampaignSink, ClassStats};
 pub use collector::{archive_all, CollectorArchive, CollectorObservation, CollectorSpec, FeedKind};
 pub use durable::DurableSink;
 pub use engine::{
@@ -305,6 +303,6 @@ pub use policy::{
     ActScope, BlackholeService, CommunityPropagationPolicy, CommunityServices, IrrDatabase,
     OriginValidation, RouteServerConfig, RouterConfig, RsEvalOrder, TaggingConfig, Vendor,
 };
-pub use route::{attr_copies, route_clones, Route, RouteArena, RouteAttrs, RouteId, RouteSource};
-pub use scratch::{scratch_builds, SimSnapshot};
+pub use route::{Route, RouteArena, RouteAttrs, RouteId, RouteSource};
+pub use scratch::SimSnapshot;
 pub use workload::{PolicyMix, Workload, WorkloadParams};

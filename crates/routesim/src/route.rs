@@ -15,7 +15,6 @@
 //! a route.
 
 use bgpworms_types::{AsPath, Asn, Community, LargeCommunity, Origin};
-use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
@@ -46,7 +45,7 @@ impl RouteSource {
 
 /// What a BGP UPDATE carries for a route: the transitive attributes an AS
 /// that does not act on them forwards as received. `Clone` is implemented
-/// by hand so every copy is counted (see [`attr_copies`]).
+/// by hand so unit tests can count every copy.
 #[derive(Debug, PartialEq, Eq, Hash)]
 pub struct RouteAttrs {
     /// AS path, collector-first (head = the AS that exported to us; the
@@ -78,7 +77,7 @@ pub struct RouteAttrs {
 /// and `Hash` read the attributes' content, never the handle's address (a
 /// pointer-equal pair only short-circuits `==`), so [`RouteId`] assignment
 /// cannot tell shared attributes from equal ones built twice. `Clone` is
-/// implemented by hand so every clone is counted (see [`route_clones`]).
+/// implemented by hand so unit tests can count every clone.
 #[derive(Debug, PartialEq, Eq, Hash)]
 pub struct Route {
     attrs: Arc<RouteAttrs>,
@@ -180,36 +179,9 @@ impl Route {
     }
 }
 
-thread_local! {
-    /// Clone-counting test doubles: every `Route::clone` (a handle copy)
-    /// and every `RouteAttrs::clone` (a path and two community lists) on
-    /// this thread bumps its counter. Production overhead is one
-    /// thread-local add per clone.
-    static ROUTE_CLONES: Cell<u64> = const { Cell::new(0) };
-    static ATTR_COPIES: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Total `Route::clone` calls performed on the current thread so far: each
-/// copies a handle and the annotation, no attribute.
-///
-/// Tests snapshot this before and after an operation; deltas are meaningful,
-/// absolute values are not.
-// lint: api a clone-counting test double; flood telemetry returned as data (ROADMAP item 2) replaces it
-pub fn route_clones() -> u64 {
-    ROUTE_CLONES.with(|c| c.get())
-}
-
-/// Total [`RouteAttrs`] copies performed on the current thread so far — the
-/// copy-on-write slow path, where a path and two community lists are
-/// duplicated. The engine's steady-state invariant — zero attribute copies
-/// while nothing changes — is asserted by unit tests against this counter.
-// lint: api a copy-counting test double; flood telemetry returned as data (ROADMAP item 2) replaces it
-pub fn attr_copies() -> u64 {
-    ATTR_COPIES.with(|c| c.get())
-}
-
 impl Clone for RouteAttrs {
     fn clone(&self) -> Self {
+        #[cfg(test)]
         ATTR_COPIES.with(|c| c.set(c.get() + 1));
         RouteAttrs {
             path: self.path.clone(),
@@ -222,6 +194,7 @@ impl Clone for RouteAttrs {
 
 impl Clone for Route {
     fn clone(&self) -> Self {
+        #[cfg(test)]
         ROUTE_CLONES.with(|c| c.set(c.get() + 1));
         Route {
             attrs: Arc::clone(&self.attrs),
@@ -361,8 +334,7 @@ impl RouteId {
 /// continue from the same arrival order on both sides. That is what makes a
 /// converged snapshot (`SimSnapshot`) restorable — a delta run on the
 /// restored arena interns exactly the ids the uninterrupted run would have.
-/// (Cloning counts one [`route_clones`] tick per stored route — a handle
-/// each, no attribute copied.)
+/// (Cloning copies one handle per stored route, no attribute.)
 ///
 /// Equality is equality of the stored routes in id order. The index is a
 /// function of them, and the derivation cache is invisible by
@@ -497,6 +469,34 @@ impl RouteArena {
     pub(crate) fn derivations(&self) -> usize {
         self.derived.len()
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Clone-counting test doubles: every `Route::clone` (a handle copy)
+    /// and every `RouteAttrs::clone` (a path and two community lists) on
+    /// this thread bumps its counter. Compiled into the unit tests only.
+    static ROUTE_CLONES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    static ATTR_COPIES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Total `Route::clone` calls performed on the current thread so far: each
+/// copies a handle and the annotation, no attribute.
+///
+/// Tests snapshot this before and after an operation; deltas are meaningful,
+/// absolute values are not.
+#[cfg(test)]
+pub(crate) fn route_clones() -> u64 {
+    ROUTE_CLONES.with(|c| c.get())
+}
+
+/// Total [`RouteAttrs`] copies performed on the current thread so far — the
+/// copy-on-write slow path, where a path and two community lists are
+/// duplicated. The engine's steady-state invariant — zero attribute copies
+/// while nothing changes — is asserted by unit tests against this counter.
+#[cfg(test)]
+pub(crate) fn attr_copies() -> u64 {
+    ATTR_COPIES.with(|c| c.get())
 }
 
 /// What an operation copied on this thread, as the tests state it.

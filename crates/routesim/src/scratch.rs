@@ -35,33 +35,15 @@
 //!
 //! Reuse is semantically invisible: `tests/determinism.rs` pins
 //! scratch-reuse ≡ fresh-state-per-prefix on random worlds, and
-//! [`scratch_builds`] is the alloc-counting double (in the style of
-//! [`crate::route_clones`]) that locks in "the second prefix of a campaign
-//! allocates no RIB arrays".
+//! `scratch_builds` is the alloc-counting double (compiled into the unit
+//! tests only, like the route clone counters) that locks in "the second
+//! prefix of a campaign allocates no RIB arrays".
 
 use crate::engine::{Event, PrefixOutcome};
 use crate::route::{RouteArena, RouteId};
 use crate::router::RibEntry;
 use bgpworms_topology::{NodeId, Role};
 use bgpworms_types::Prefix;
-use std::cell::Cell;
-
-thread_local! {
-    /// Alloc-counting test double: every full [`SimScratch`] array
-    /// allocation on this thread bumps the counter. The whole point of the
-    /// scratch is that this happens once per worker, not once per prefix.
-    static SCRATCH_BUILDS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Total scratch-state allocations (one per `SimScratch` built) performed
-/// on the current thread so far.
-///
-/// Tests snapshot this around a multi-prefix campaign to assert that every
-/// prefix after the first reuses the worker's arrays instead of
-/// re-allocating them; deltas are meaningful, absolute values are not.
-pub fn scratch_builds() -> u64 {
-    SCRATCH_BUILDS.with(|c| c.get())
-}
 
 /// The in-flight update events of one convergence round, stored
 /// structure-of-arrays: the drain loop walks five dense parallel vectors
@@ -239,6 +221,7 @@ impl SimScratch {
     /// Allocates scratch for a network of `n_nodes` nodes, `n_slots` total
     /// directed-edge slots, and `n_monitor_sessions` collector sessions.
     pub(crate) fn new(n_nodes: usize, n_slots: usize, n_monitor_sessions: usize) -> Self {
+        #[cfg(test)]
         SCRATCH_BUILDS.with(|c| c.set(c.get() + 1));
         SimScratch {
             epoch: 0,
@@ -426,6 +409,25 @@ impl SimScratch {
         }
         assert_eq!(pos, snap.rib_in.len(), "{FOREIGN_TOPOLOGY}");
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Alloc-counting test double: every full [`SimScratch`] array
+    /// allocation on this thread bumps the counter. The whole point of the
+    /// scratch is that this happens once per worker, not once per prefix.
+    static SCRATCH_BUILDS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Total scratch-state allocations (one per `SimScratch` built) performed
+/// on the current thread so far.
+///
+/// Tests snapshot this around a multi-prefix campaign to assert that every
+/// prefix after the first reuses the worker's arrays instead of
+/// re-allocating them; deltas are meaningful, absolute values are not.
+#[cfg(test)]
+pub(crate) fn scratch_builds() -> u64 {
+    SCRATCH_BUILDS.with(|c| c.get())
 }
 
 #[cfg(test)]

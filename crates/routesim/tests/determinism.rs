@@ -73,6 +73,11 @@
 //!   carries no community that AS forwarded unless the receiver owns it,
 //!   with the comment's exemptions (well-known values, the sender's own
 //!   tags; collector sessions are not read).
+//! * **A stripping AS passes nothing on** — read off `StripAll`'s doc
+//!   comment: a collector that hears a route through a `StripAll` AS
+//!   strictly between the origin and its peer hears none of the
+//!   communities or large communities the origin announced, unless an AS
+//!   nearer the collector adds the value itself.
 //! * **Derivation-cache transparency** — the arena answers a repeated
 //!   import derivation (same advertisement, same policy outcome, any
 //!   receiver) from a cache instead of cloning and re-interning. A stream
@@ -91,7 +96,7 @@ use bgpworms_routesim::{
     SimSpec, MONITOR_ASN,
 };
 use bgpworms_topology::{EdgeKind, NodeId, Role, Tier, Topology, TopologyParams};
-use bgpworms_types::{Asn, Community, Prefix};
+use bgpworms_types::{Asn, Community, LargeCommunity, Prefix};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
@@ -1786,6 +1791,97 @@ proptest! {
                         "{asn} holds {c} on {prefix} from {from}, which runs ScopedToReceiver"
                     );
                 }
+            }
+        }
+    }
+
+    /// ROADMAP item 3(b) — *a community stripped at AS k is never observed
+    /// at a collector on a path that runs through k and continues past it*
+    /// — read off `StripAll`'s doc comment, not off `router.rs`, over what
+    /// the collectors saw, the configs and the topology. One to three
+    /// drawn ASes strip everything they received (over `build_world`'s own
+    /// policy draws), and every announcement also carries a large community
+    /// of its origin's. Then an observation whose AS path runs through a
+    /// stripping AS strictly between the origin and the collector peer
+    /// carries none of the values its origin announced the prefix with,
+    /// unless an AS between the stripper and the collector adds that value
+    /// itself (its egress tags, its prefix-targeted tags, or its own
+    /// ingress tags when it tags; `arb_world()` draws no `TaggingConfig`,
+    /// so no value is exempt yet). Withdrawals carry nothing to check.
+    #[test]
+    fn a_strip_all_as_passes_on_none_of_the_origins_values(
+        raw in arb_world(),
+        stripping in proptest::collection::vec(0usize..16, 1..4),
+    ) {
+        let (topo, mut configs, collectors, mut originations) = build_world(&raw);
+        for o in originations.iter_mut().filter(|o| !o.withdraw) {
+            let local = o.communities.first().map_or(0, |c| u32::from(c.value_part()));
+            o.large_communities.push(LargeCommunity::new(o.origin.get(), 1, local));
+        }
+        for &at in &stripping {
+            let mut cfg = RouterConfig::defaults(Asn::new((at % raw.n_nodes) as u32 + 1));
+            cfg.propagation = CommunityPropagationPolicy::StripAll;
+            configs.push(cfg);
+        }
+        // The config each AS runs: a later entry for an AS replaces an
+        // earlier one, as `SimSpec::configure` does.
+        let resolved: BTreeMap<Asn, RouterConfig> =
+            configs.iter().map(|cfg| (cfg.asn, cfg.clone())).collect();
+        let res = spec_for(&topo, configs, collectors).compile().run(&originations);
+
+        for obs in res.observations.values().flatten() {
+            let Some(route) = &obs.route else {
+                continue; // a withdrawal
+            };
+            let path = route.path.to_vec();
+            let (Some(&peer), Some(&origin)) = (path.first(), path.last()) else {
+                continue;
+            };
+            // The first stripping AS from the collector's side that is
+            // neither the peer nor the origin.
+            let Some(k) = path.iter().position(|&asn| {
+                asn != peer
+                    && asn != origin
+                    && resolved.get(&asn).is_some_and(|cfg| {
+                        cfg.propagation == CommunityPropagationPolicy::StripAll
+                    })
+            }) else {
+                continue;
+            };
+            let announced = originations
+                .iter()
+                .filter(|o| o.origin == origin && o.prefix == obs.prefix && !o.withdraw);
+            let communities: Vec<Community> =
+                announced.clone().flat_map(|o| o.communities.iter().copied()).collect();
+            let large: Vec<LargeCommunity> =
+                announced.flat_map(|o| o.large_communities.iter().copied()).collect();
+            // What the ASes between the stripper and the collector add.
+            let adds = |c: Community| {
+                path[..k].iter().any(|asn| {
+                    resolved.get(asn).is_some_and(|cfg| {
+                        let tags = &cfg.tagging;
+                        tags.egress_tags.contains(&c)
+                            || tags.targeted_egress.contains(&(obs.prefix, c))
+                            || ((tags.tag_ingress_location || tags.tag_origin_class)
+                                && asn.as_u16() == Some(c.asn_part()))
+                    })
+                })
+            };
+            for c in &route.communities {
+                prop_assert!(
+                    !communities.contains(c) || adds(*c),
+                    "{peer} reported {c} on {} past {}, which strips everything",
+                    obs.prefix,
+                    path[k]
+                );
+            }
+            for c in &route.large_communities {
+                prop_assert!(
+                    !large.contains(c),
+                    "{peer} reported {c} on {} past {}, which strips everything",
+                    obs.prefix,
+                    path[k]
+                );
             }
         }
     }

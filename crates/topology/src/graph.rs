@@ -431,6 +431,7 @@ impl Topology {
     }
 
     /// Aggregate counts.
+    // lint: api the crate-level doc example summarises a generated topology with it
     pub fn stats(&self) -> TopologyStats {
         let mut s = TopologyStats::default();
         for n in &self.nodes {

@@ -28,17 +28,6 @@ pub enum Role {
     Provider,
 }
 
-impl Role {
-    /// The role as seen from the other end of the edge.
-    pub fn inverse(self) -> Role {
-        match self {
-            Role::Customer => Role::Provider,
-            Role::Provider => Role::Customer,
-            Role::Peer => Role::Peer,
-        }
-    }
-}
-
 impl fmt::Display for Role {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
@@ -78,13 +67,6 @@ pub fn to_caida(lines: &[RelLine]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn role_inverse() {
-        assert_eq!(Role::Customer.inverse(), Role::Provider);
-        assert_eq!(Role::Provider.inverse(), Role::Customer);
-        assert_eq!(Role::Peer.inverse(), Role::Peer);
-    }
 
     #[test]
     fn caida_roundtrip() {

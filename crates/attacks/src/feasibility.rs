@@ -56,8 +56,6 @@ pub struct FeasibilityRow {
     pub success_rate: f64,
     /// Derived difficulty.
     pub difficulty: Difficulty,
-    /// The paper's insight line for this row.
-    pub insights: &'static str,
 }
 
 fn weighted_rate(outcomes: &[(bool, f64)]) -> f64 {
@@ -135,11 +133,6 @@ fn assess_rtbh(hijack: bool) -> FeasibilityRow {
         hijack,
         success_rate: rate,
         difficulty: Difficulty::from_rate(rate),
-        insights: if hijack {
-            "Allowed prefix length is checked; origin validation was not always checked, thus the attack was easier."
-        } else {
-            "Allowed prefix length is checked; activation of RTBH service is typically required."
-        },
     }
 }
 
@@ -154,7 +147,7 @@ fn assess_local_pref(hijack: bool) -> FeasibilityRow {
             target_scope: scope,
         }
         .run();
-        let mut ok = report.succeeded();
+        let ok = report.succeeded();
         if hijack {
             // The hijack variant additionally needs the forged announcement
             // accepted: reuse the validation grid multiplicatively.
@@ -169,8 +162,6 @@ fn assess_local_pref(hijack: bool) -> FeasibilityRow {
             continue;
         }
         outcomes.push((ok, scope_w));
-        ok = false;
-        let _ = ok;
     }
     let rate = weighted_rate(&outcomes);
     FeasibilityRow {
@@ -178,7 +169,6 @@ fn assess_local_pref(hijack: bool) -> FeasibilityRow {
         hijack,
         success_rate: rate,
         difficulty: Difficulty::from_rate(rate),
-        insights: "Business relationship of the attacker is checked; the flattening of the Internet makes the attack hard (providers only act on communities set by customers).",
     }
 }
 
@@ -189,28 +179,16 @@ fn assess_prepend(hijack: bool) -> FeasibilityRow {
     for (customer_position, pos_w) in [(true, 0.2), (false, 0.8)] {
         if hijack {
             for (validation, registers, val_w) in validation_grid() {
-                let report = PrependHijackScenario {
-                    target_scope: if customer_position {
-                        ActScope::CustomersOnly
-                    } else {
-                        // Attacker not in a customer position and target
-                        // acts only for customers → modelled by a scope the
-                        // attacker cannot satisfy. The scenario's attacker
-                        // *is* a customer, so emulate the mismatch by
-                        // requiring Any-scope availability (15 % of
-                        // targets).
-                        ActScope::CustomersOnly
-                    },
-                    validation,
-                    attacker_registers_irr: registers,
-                }
-                .run();
-                let ok = if customer_position {
-                    report.succeeded()
-                } else {
-                    // Non-customer attackers fail the relationship check.
-                    false
-                };
+                // The scenario's attacker is the target's customer; one in
+                // any other position fails the relationship check.
+                let ok = customer_position
+                    && PrependHijackScenario {
+                        target_scope: ActScope::CustomersOnly,
+                        validation,
+                        attacker_registers_irr: registers,
+                    }
+                    .run()
+                    .succeeded();
                 outcomes.push((ok, pos_w * val_w));
             }
         } else {
@@ -233,7 +211,6 @@ fn assess_prepend(hijack: bool) -> FeasibilityRow {
         hijack,
         success_rate: rate,
         difficulty: Difficulty::from_rate(rate),
-        insights: "Business relationship is typically checked; AS-path prepending has low evaluation order, so the attack may not succeed.",
     }
 }
 
@@ -297,7 +274,6 @@ fn assess_route_manipulation(hijack: bool) -> FeasibilityRow {
         hijack,
         success_rate: rate,
         difficulty: Difficulty::from_rate(rate),
-        insights: "Requires inference of the route server's community evaluation order when not public; IRR origin checks can be circumvented.",
     }
 }
 

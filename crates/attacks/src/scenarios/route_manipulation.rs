@@ -94,7 +94,7 @@ impl RouteManipulationScenario {
 
     fn base_spec<'t>(&self, topo: &'t Topology, p: Prefix) -> SimSpec<'t> {
         let mut rs_cfg = RouterConfig::defaults(ROUTE_SERVER);
-        rs_cfg.route_server.eval_order = self.eval_order;
+        rs_cfg.rs_eval_order = self.eval_order;
         rs_cfg.validation = self.validation;
         let mut spec = SimSpec::new(topo)
             .retain(RetainRoutes::All)

@@ -17,7 +17,9 @@
 
 use crate::wild::survey::{SurveyContext, SurveyParams};
 use crate::wild::World;
-use bgpworms_routesim::{Campaign, CampaignSink, Origination, PrefixOutcome, RetainRoutes};
+use bgpworms_routesim::{
+    Campaign, CampaignSink, Origination, PrefixOutcome, RetainRoutes, BLACKHOLE_VALUE,
+};
 use bgpworms_types::{Asn, Community, Prefix};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -65,13 +67,12 @@ pub fn likely_survey(params: &SurveyParams) -> LikelySurveyReport {
         if !ctx.topo.is_transit_provider(*asn) {
             continue;
         }
-        match &cfg.services.blackhole {
-            Some(bh) => {
-                verified.push(Community::new(hi, bh.value));
-                // Lookalike values on a genuine provider: plausible, wrong.
-                likely.push(Community::new(hi, 999));
-            }
-            None => likely.push(Community::new(hi, 666)),
+        if cfg.services.blackhole.is_some() {
+            verified.push(Community::new(hi, BLACKHOLE_VALUE));
+            // Lookalike values on a genuine provider: plausible, wrong.
+            likely.push(Community::new(hi, 999));
+        } else {
+            likely.push(Community::new(hi, BLACKHOLE_VALUE));
         }
     }
     verified.truncate(params.max_communities);

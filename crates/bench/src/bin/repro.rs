@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! repro <artefact> [--scale tiny|small|medium|large|internet] [--seed N] [--out DIR]
-//!       [--full-table] [--sample N]
+//!       [--sample N]
 //! ```
 //!
 //! The artefacts are the rows of [`ARTEFACTS`]; `repro` with no arguments
@@ -98,13 +98,13 @@ const ARTEFACTS: &[Artefact] = &[
     row("ablation-forward-prob", "headline stats vs the forwarding policy mix", true, |r| ablation_forward_prob(&r.opts)),
     row("ablation-vendor-mix", "community visibility vs the Cisco fraction", true, |r| ablation_vendor_mix(&r.opts)),
     row("defense-adoption", "the §8 scoped-propagation defense, evaluated", true, |r| defense_adoption(&r.opts)),
-    row("full-table", "flood-memoized full-table campaign, --sample N prefixes (also via --full-table)", false, |r| full_table_campaign(&r.opts, &mut r.degraded)),
+    row("full-table", "flood-memoized full-table campaign, --sample N prefixes", false, |r| full_table_campaign(&r.opts, &mut r.degraded)),
 ];
 
 fn usage() -> String {
     let mut out = String::from(
         "usage: repro <artefact> [--scale tiny|small|medium|large|internet] [--seed N] \
-         [--out DIR] [--full-table] [--sample N]\n\nartefacts:\n",
+         [--out DIR] [--sample N]\n\nartefacts:\n",
     );
     for a in ARTEFACTS {
         let _ = writeln!(out, "  {:<26}{}", a.name, a.about);
@@ -113,18 +113,14 @@ fn usage() -> String {
     out
 }
 
-/// The rows `artefact` names (`all` expands to the in-`all` rows), plus
-/// `full-table` when `--full-table` asks for it and it is not there yet.
-fn select(artefact: &str, full_table: bool) -> Result<Vec<&'static Artefact>, String> {
-    let mut rows: Vec<&Artefact> = ARTEFACTS
+/// The rows `artefact` names (`all` expands to the in-`all` rows).
+fn select(artefact: &str) -> Result<Vec<&'static Artefact>, String> {
+    let rows: Vec<&Artefact> = ARTEFACTS
         .iter()
         .filter(|a| a.name == artefact || (artefact == "all" && a.in_all))
         .collect();
     if rows.is_empty() {
         return Err(format!("unknown artefact `{artefact}`"));
-    }
-    if full_table && rows.iter().all(|a| a.name != "full-table") {
-        rows.extend(ARTEFACTS.iter().filter(|a| a.name == "full-table"));
     }
     Ok(rows)
 }
@@ -145,7 +141,6 @@ fn parse(
         out: PathBuf::from("results"),
         sample: None,
     };
-    let mut full_table = false;
     while let Some(flag) = args.next() {
         let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
         match flag.as_str() {
@@ -157,12 +152,11 @@ fn parse(
             }
             "--seed" => opts.seed = number(&flag, &value()?)?,
             "--out" => opts.out = PathBuf::from(value()?),
-            "--full-table" => full_table = true,
             "--sample" => opts.sample = Some(number(&flag, &value()?)?),
             _ => return Err(format!("unknown flag `{flag}`")),
         }
     }
-    Ok((select(&artefact, full_table)?, opts))
+    Ok((select(&artefact)?, opts))
 }
 
 /// Exits 2 with one `repro: <what>` line and the usage text.
@@ -250,10 +244,7 @@ fn fig3(opts: &Options) -> String {
         let topo = topo.build();
         let alloc = bgpworms_topology::PrefixAllocation::assign(
             &topo,
-            bgpworms_topology::addressing::AddressingParams {
-                seed: opts.seed,
-                ..Default::default()
-            },
+            bgpworms_topology::addressing::AddressingParams { seed: opts.seed },
         );
         let workload = bgpworms_routesim::Workload::generate(&topo, &alloc, &params);
         let result = workload
@@ -580,15 +571,10 @@ fn wild_routeserver(opts: &Options) -> String {
 fn infer(opts: &Options) -> String {
     use bgpworms_monitor::{groundtruth, report, DictionaryInference, Monitor};
 
-    let topo = capped_at_medium(opts.scale);
+    let (topo, workload) = wild_params(opts);
     let run = groundtruth::build(&groundtruth::LabeledRunParams {
         topo,
-        workload: WorkloadParams {
-            seed: opts.seed,
-            blackhole_service_prob: 0.7,
-            steering_service_prob: 0.6,
-            ..WorkloadParams::default()
-        },
+        workload,
         seed: opts.seed,
         per_kind: 3,
     });
@@ -605,7 +591,7 @@ fn infer(opts: &Options) -> String {
         let _ = writeln!(out, "  {a}");
     }
 
-    let (inferred, _) = DictionaryInference::default().infer(&run.observations);
+    let (inferred, _) = DictionaryInference.infer(&run.observations);
     let dict_eval = bgpworms_monitor::DictionaryEval::compare(
         &inferred,
         &run.truth_dict,
@@ -663,6 +649,7 @@ fn large_communities(opts: &Options) -> String {
         out,
         "------------------------------------------------------------------------------"
     );
+    let mut analysis = None;
     for adoption in [0.0, 0.5, 1.0] {
         let params = WorkloadParams {
             seed: opts.seed,
@@ -671,7 +658,9 @@ fn large_communities(opts: &Options) -> String {
         };
         let snap =
             Snapshot::build_custom(scale_topo.clone().four_byte_stubs(0.10), opts.seed, &params);
-        let analysis = bgpworms_core::LargeCommunityAnalysis::compute(&snap.observations);
+        let analysis = analysis.insert(bgpworms_core::LargeCommunityAnalysis::compute(
+            &snap.observations,
+        ));
         let _ = writeln!(
             out,
             "{adoption:>8.1}  {:>8}  {:>9.1}%  {:>9}  {:>18.1}%  {:>14}",
@@ -682,14 +671,9 @@ fn large_communities(opts: &Options) -> String {
             analysis.private_bundle_owners.len(),
         );
     }
+    // The sweep ends at full adoption.
     let _ = writeln!(out, "\nfull-adoption detail:");
-    let params = WorkloadParams {
-        seed: opts.seed,
-        large_community_adoption: 1.0,
-        ..WorkloadParams::default()
-    };
-    let snap = Snapshot::build_custom(scale_topo.clone().four_byte_stubs(0.10), opts.seed, &params);
-    out.push_str(&bgpworms_core::LargeCommunityAnalysis::compute(&snap.observations).render());
+    out.push_str(&analysis.expect("the sweep ran").render());
     out
 }
 
@@ -790,11 +774,40 @@ fn ablation_rtbh_preference() -> String {
     out
 }
 
+/// The headline statistics one sweep point averages over `seeds` snapshots
+/// of the small topology, seeded `opts.seed`, `opts.seed + 1`, …: the
+/// transit-forwarder share, the share of updates with communities, and the
+/// mean propagation distance (Fig 5a). The small topology, whatever
+/// `--scale` says, keeps a grid of full snapshot builds tractable.
+fn headline_means(opts: &Options, seeds: u64, params: impl Fn(u64) -> WorkloadParams) -> [f64; 3] {
+    use bgpworms_core::{PropagationAnalysis, UsageAnalysis};
+
+    let mut sums = [0.0; 3];
+    for seed in opts.seed..opts.seed + seeds {
+        let snap = Snapshot::build_custom(TopologyParams::small(), seed, &params(seed));
+        let prop = PropagationAnalysis::compute(&snap.observations, &snap.blackhole_detector());
+        sums[0] += prop.forwarder_fraction();
+        sums[1] += UsageAnalysis::compute(&snap.observations).overall_fraction;
+        let ecdf = prop.fig5a_all();
+        let n = ecdf.len() as f64;
+        if n > 0.0 {
+            // The mean from the step points.
+            let mut prev = 0.0;
+            let mut sum = 0.0;
+            for (x, f) in ecdf.points() {
+                sum += x * (f - prev) * n;
+                prev = f;
+            }
+            sums[2] += sum / n;
+        }
+    }
+    sums.map(|sum| sum / seeds as f64)
+}
+
 /// Ablation: sweep the share of forward-all ASes in the policy mix and
 /// watch the paper's headline statistics move — they are emergent, not
 /// hard-coded.
 fn ablation_forward_prob(opts: &Options) -> String {
-    use bgpworms_core::{PropagationAnalysis, UsageAnalysis};
     use bgpworms_routesim::PolicyMix;
 
     let mut out = String::new();
@@ -821,44 +834,16 @@ fn ablation_forward_prob(opts: &Options) -> String {
         };
         // Average over three seeds: the small topology has only ~24
         // transits, so a single draw of the policy assignment is noisy.
-        let mut fwd = 0.0;
-        let mut usage_frac = 0.0;
-        let mut mean_dist = 0.0;
-        const SEEDS: u64 = 3;
-        for ds in 0..SEEDS {
-            let params = WorkloadParams {
-                seed: opts.seed + ds,
-                mix,
-                ..WorkloadParams::default()
-            };
-            // The sweep uses the small topology regardless of --scale to
-            // keep the grid of full snapshot builds tractable.
-            let snap = Snapshot::build_custom(TopologyParams::small(), opts.seed + ds, &params);
-            let prop = PropagationAnalysis::compute(&snap.observations, &snap.blackhole_detector());
-            let usage = UsageAnalysis::compute(&snap.observations);
-            fwd += prop.forwarder_fraction();
-            usage_frac += usage.overall_fraction;
-            let ecdf = prop.fig5a_all();
-            let points = ecdf.points();
-            let n: f64 = ecdf.len() as f64;
-            if n > 0.0 {
-                // mean from the step points
-                let mut prev = 0.0;
-                let mut sum = 0.0;
-                for (x, f) in points {
-                    sum += x * (f - prev) * n;
-                    prev = f;
-                }
-                mean_dist += sum / n;
-            }
-        }
-        let k = SEEDS as f64;
+        let [fwd, usage, distance] = headline_means(opts, 3, |seed| WorkloadParams {
+            seed,
+            mix,
+            ..WorkloadParams::default()
+        });
         let _ = writeln!(
             out,
-            "{forward_all:>11.2}  {:>17.1}%  {:>20.1}%  {:>13.2}",
-            fwd / k * 100.0,
-            usage_frac / k * 100.0,
-            mean_dist / k,
+            "{forward_all:>11.2}  {:>17.1}%  {:>20.1}%  {distance:>13.2}",
+            fwd * 100.0,
+            usage * 100.0,
         );
     }
     let _ = writeln!(
@@ -876,7 +861,6 @@ fn ablation_forward_prob(opts: &Options) -> String {
 /// paper's headline statistics).
 fn defense_adoption(opts: &Options) -> String {
     use bgpworms_attacks::ablation;
-    use bgpworms_core::{PropagationAnalysis, UsageAnalysis};
 
     let mut out = ablation::render(
         "Scenario level — a 5-AS provider chain, attacker two hops from the victim:",
@@ -895,40 +879,16 @@ fn defense_adoption(opts: &Options) -> String {
         "----------------------------------------------------------------------"
     );
     for adoption in [0.0, 0.25, 0.5, 0.75, 1.0] {
-        let mut fwd = 0.0;
-        let mut usage_frac = 0.0;
-        let mut mean_dist = 0.0;
-        const SEEDS: u64 = 2;
-        for ds in 0..SEEDS {
-            let params = WorkloadParams {
-                seed: opts.seed + ds,
-                scoped_defense_adoption: adoption,
-                ..WorkloadParams::default()
-            };
-            let snap = Snapshot::build_custom(TopologyParams::small(), opts.seed + ds, &params);
-            let prop = PropagationAnalysis::compute(&snap.observations, &snap.blackhole_detector());
-            let usage = UsageAnalysis::compute(&snap.observations);
-            fwd += prop.forwarder_fraction();
-            usage_frac += usage.overall_fraction;
-            let ecdf = prop.fig5a_all();
-            let n = ecdf.len() as f64;
-            if n > 0.0 {
-                let mut prev = 0.0;
-                let mut sum = 0.0;
-                for (x, f) in ecdf.points() {
-                    sum += x * (f - prev) * n;
-                    prev = f;
-                }
-                mean_dist += sum / n;
-            }
-        }
-        let k = SEEDS as f64;
+        let [fwd, usage, distance] = headline_means(opts, 2, |seed| WorkloadParams {
+            seed,
+            scoped_defense_adoption: adoption,
+            ..WorkloadParams::default()
+        });
         let _ = writeln!(
             out,
-            "{adoption:>8.2}  {:>17.1}%  {:>20.1}%  {:>13.2}",
-            fwd / k * 100.0,
-            usage_frac / k * 100.0,
-            mean_dist / k,
+            "{adoption:>8.2}  {:>17.1}%  {:>20.1}%  {distance:>13.2}",
+            fwd * 100.0,
+            usage * 100.0,
         );
     }
     let _ = writeln!(
@@ -1007,20 +967,8 @@ fn full_table_campaign(opts: &Options, degraded: &mut bool) -> String {
         topo.len(),
         opts.scale
     );
-    let alloc = PrefixAllocation::assign(
-        topo,
-        AddressingParams {
-            seed: opts.seed,
-            ..AddressingParams::default()
-        },
-    )
-    .deaggregate(
-        topo,
-        FullTableParams {
-            seed: opts.seed,
-            ..FullTableParams::default()
-        },
-    );
+    let alloc = PrefixAllocation::assign(topo, AddressingParams { seed: opts.seed })
+        .deaggregate(topo, FullTableParams { seed: opts.seed });
     let workload = bgpworms_routesim::Workload::generate(
         topo,
         &alloc,
@@ -1112,8 +1060,8 @@ fn blackhole_survey(opts: &Options) -> String {
 mod tests {
     use super::*;
 
-    fn selected(artefact: &str, full_table: bool) -> Vec<&'static str> {
-        let rows = select(artefact, full_table).expect("known artefact");
+    fn selected(artefact: &str) -> Vec<&'static str> {
+        let rows = select(artefact).expect("known artefact");
         rows.iter().map(|a| a.name).collect()
     }
 
@@ -1141,23 +1089,14 @@ mod tests {
             .filter(|a| a.in_all)
             .map(|a| a.name)
             .collect();
-        assert_eq!(selected("all", false), in_all);
+        assert_eq!(selected("all"), in_all);
         assert_eq!(in_all.len(), ARTEFACTS.len() - 1);
         assert!(!in_all.contains(&"full-table"));
     }
 
     #[test]
-    fn full_table_flag_appends_it_once() {
-        let mut with_flag = selected("all", true);
-        assert_eq!(with_flag.pop(), Some("full-table"));
-        assert_eq!(with_flag, selected("all", false));
-        assert_eq!(selected("table1", true), ["table1", "full-table"]);
-        assert_eq!(selected("full-table", true), ["full-table"]);
-    }
-
-    #[test]
     fn unknown_artefact_is_named_in_the_error() {
-        let err = select("tabel1", false).err().expect("not in the table");
+        let err = select("tabel1").err().expect("not in the table");
         assert!(err.contains("tabel1"), "{err}");
     }
 }

@@ -88,13 +88,7 @@ impl Snapshot {
         base_params: &WorkloadParams,
     ) -> Snapshot {
         let topo = topo_params.seed(seed).build();
-        let alloc = PrefixAllocation::assign(
-            &topo,
-            AddressingParams {
-                seed,
-                ..AddressingParams::default()
-            },
-        );
+        let alloc = PrefixAllocation::assign(&topo, AddressingParams { seed });
         let params = WorkloadParams {
             seed,
             ..base_params.clone()

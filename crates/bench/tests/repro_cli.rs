@@ -96,6 +96,33 @@ fn wild_artefacts_tiny_match_the_recorded_bytes() {
 }
 
 #[test]
+fn lab_inference_and_sweep_artefacts_tiny_match_the_recorded_bytes() {
+    // Table 3, the lab matrix, §9 inference, the large-community sweep and
+    // the three headline sweeps, byte for byte: `repro_tiny_2018.txt` is
+    // the concatenated stdout of these seven runs.
+    let dir = out_dir("sweeps");
+    let dir_arg = dir.to_str().expect("utf-8 temp dir");
+    let mut stdout = String::new();
+    for artefact in [
+        "table3",
+        "lab",
+        "infer",
+        "large-communities",
+        "ablation-forward-prob",
+        "ablation-vendor-mix",
+        "defense-adoption",
+    ] {
+        let out = repro(&[
+            artefact, "--scale", "tiny", "--seed", "2018", "--out", dir_arg,
+        ]);
+        assert!(out.status.success(), "{artefact}: {out:?}");
+        stdout += std::str::from_utf8(&out.stdout).expect("utf-8 stdout");
+    }
+    assert_eq!(stdout, include_str!("repro_tiny_2018.txt"));
+    std::fs::remove_dir_all(&dir).expect("clean up");
+}
+
+#[test]
 fn full_table_and_fig3_tiny_match_the_recorded_bytes() {
     // The campaign's totals as `repro full-table` prints them, and the
     // yearly snapshots of fig 3, byte for byte: `full_table_fig3_tiny.txt`

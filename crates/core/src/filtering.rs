@@ -282,9 +282,9 @@ impl ClassIndications {
 #[derive(Debug, Clone, Default)]
 pub struct RelationshipCorrelation {
     /// Totals per relationship class.
-    pub per_class: BTreeMap<RelClass, ClassIndications>,
+    per_class: BTreeMap<RelClass, ClassIndications>,
     /// Edges whose relationship the lookup could not classify.
-    pub unclassified: usize,
+    unclassified: usize,
 }
 
 impl RelationshipCorrelation {

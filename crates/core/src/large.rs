@@ -22,7 +22,7 @@ pub struct LargeCommunityAnalysis {
     /// Announcements carrying ≥ 1 large community.
     pub with_large: u64,
     /// Distinct large communities.
-    pub unique: BTreeSet<LargeCommunity>,
+    unique: BTreeSet<LargeCommunity>,
     /// Distinct Global Administrator ASNs.
     pub owners: BTreeSet<Asn>,
     /// Of those owners, the ones that genuinely need RFC 8092 (4-byte ASN).
@@ -32,7 +32,7 @@ pub struct LargeCommunityAnalysis {
     distances: Vec<f64>,
     /// Announcements carrying classic communities owned by private ASNs —
     /// the bundling fallback the paper observed (§4.3).
-    pub with_private_bundles: u64,
+    with_private_bundles: u64,
     /// Distinct private 16-bit owner ASNs seen in classic communities.
     pub private_bundle_owners: BTreeSet<Asn>,
 }

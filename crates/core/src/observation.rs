@@ -788,7 +788,7 @@ impl<'a> Observation<'a> {
 #[derive(Debug, Clone, Default)]
 pub struct BlackholeDetector {
     /// Externally supplied known blackhole communities.
-    pub known: BTreeSet<Community>,
+    known: BTreeSet<Community>,
 }
 
 impl BlackholeDetector {

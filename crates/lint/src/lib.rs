@@ -24,7 +24,8 @@
 //!    needs `// lint: infallible <why>`.
 //! 6. **no-env-dependence** — `std::env`/`thread::current` banned in
 //!    result-affecting code.
-//! 7. **unreferenced-pub** — a `pub` fn/const/static whose name no other
+//! 7. **unreferenced-pub** — a `pub` fn/const/static, or a `pub` field of
+//!    a struct that derives or implements `Default`, whose name no other
 //!    `.rs` file of the repository mentions (comments and `pub use`
 //!    re-exports do not count), or a `pub` method (a fn taking `self`)
 //!    that no other file calls as `.name(` or reaches as `Type::name`,
@@ -64,4 +65,15 @@ pub fn lint_source(
     is_crate_root: bool,
 ) -> Vec<Finding> {
     check_file(rel, &lex(src), policy, is_crate_root)
+}
+
+/// Runs `unreferenced-pub` over `(path, source, is a linted file)` triples
+/// — the test entry point for its fixtures. Only a linted file's `pub`
+/// items are checked; every file's code counts as a reference.
+pub fn lint_unreferenced_pub(files: &[(&str, &str, bool)]) -> Vec<Finding> {
+    let lexed: Vec<_> = files
+        .iter()
+        .map(|&(rel, src, linted)| (rel.to_string(), lex(src), linted))
+        .collect();
+    walker::unreferenced_pub_in(&lexed)
 }

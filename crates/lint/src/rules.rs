@@ -66,7 +66,8 @@ pub mod rule {
     pub const ENV: &str = "no-env-dependence";
     /// An allow-marker with no justification text.
     pub const MARKER: &str = "marker-justification";
-    /// A `pub` fn/const/static whose name no other file of the repository
+    /// A `pub` fn/const/static, or a `pub` field of a struct that derives
+    /// or implements `Default`, whose name no other file of the repository
     /// mentions, or a `pub` method no other file calls.
     pub const UNREFERENCED_PUB: &str = "unreferenced-pub";
 }
@@ -226,30 +227,71 @@ fn next_sig_char(code: &str, from: usize) -> Option<char> {
 
 const ATOMIC_ORDERINGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
 
-/// A `pub` function, constant or static that `unreferenced-pub` checks.
+/// What kind of `pub` item `unreferenced-pub` checks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PubKind {
+    /// A function not taking `self`, a constant or a static: any mention of
+    /// its name in another file refers to it.
+    Item,
+    /// A function taking `self`: only a `.name(` call or a `Type::name`
+    /// path refers to it, not a field or local that shares its name.
+    Method,
+    /// A field of a struct that derives or implements `Default` — a
+    /// settable value, which a caller sets or reads by its name.
+    Field,
+}
+
+/// A `pub` item that `unreferenced-pub` checks.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PubItem {
     /// 0-based line of the definition.
     pub line: usize,
     /// The item's name.
     pub name: String,
-    /// A function taking `self`: only a `.name(` call or a `Type::name`
-    /// path refers to it, not a field or local that shares its name.
-    pub method: bool,
+    /// How other files refer to it.
+    pub kind: PubKind,
 }
 
 /// The `pub` functions, constants and statics a file defines outside its
-/// `#[cfg(test)]` code, skipping those a `// lint: api <why>` marker
-/// covers. Types are left out: a type reaches its callers through the
-/// signatures that return it, unnamed.
+/// `#[cfg(test)]` code, and the `pub` fields of its structs that derive or
+/// implement `Default`, skipping those a `// lint: api <why>` marker
+/// covers (one marker at the top of a struct body covers its fields, as it
+/// covers the lines of a multi-line statement). Types are left out: a type
+/// reaches its callers through the signatures that return it, unnamed.
 pub fn pub_items(lines: &[Line]) -> Vec<PubItem> {
     let tests = test_mask(lines);
+    let defaults = default_structs(lines);
     let mut out = Vec::new();
+    // Brace depth inside the body of a struct named in `defaults`.
+    let mut body: Option<i64> = None;
     for (i, line) in lines.iter().enumerate() {
         if tests[i] {
             continue;
         }
-        let mut words = line.code.split_whitespace();
+        let code = line.code.trim();
+        if let Some(depth) = body.as_mut() {
+            if *depth == 1 {
+                if let Some(name) = pub_field(code) {
+                    if !markers_covering(lines, i).api {
+                        out.push(PubItem {
+                            line: i,
+                            name,
+                            kind: PubKind::Field,
+                        });
+                    }
+                }
+            }
+            *depth += brace_delta(code);
+            if *depth <= 0 {
+                body = None;
+            }
+            continue;
+        }
+        if struct_name(code).is_some_and(|name| defaults.contains(&name)) {
+            body = Some(brace_delta(code)).filter(|&depth| depth > 0);
+            continue;
+        }
+        let mut words = code.split_whitespace();
         if words.next() != Some("pub") {
             continue;
         }
@@ -261,15 +303,79 @@ pub fn pub_items(lines: &[Line]) -> Vec<PubItem> {
         };
         let name: String = name.chars().take_while(|&c| is_ident(c)).collect();
         if !name.is_empty() && !markers_covering(lines, i).api {
-            let method = is_fn && takes_self(lines, i, &name);
+            let kind = if is_fn && takes_self(lines, i, &name) {
+                PubKind::Method
+            } else {
+                PubKind::Item
+            };
             out.push(PubItem {
                 line: i,
                 name,
-                method,
+                kind,
             });
         }
     }
     out
+}
+
+/// The structs a file derives `Default` for (`#[derive(…, Default, …)]`,
+/// over as many lines as the attribute takes) or implements it for
+/// (`impl Default for Name`).
+fn default_structs(lines: &[Line]) -> BTreeSet<String> {
+    let mut out = BTreeSet::new();
+    let mut attribute: Option<String> = None;
+    let mut derives_default = false;
+    for line in lines {
+        let code = line.code.trim();
+        if attribute.is_some() || code.starts_with("#[") {
+            let text = attribute.get_or_insert_with(String::new);
+            text.push_str(code);
+            if code.contains(']') {
+                derives_default |=
+                    text.starts_with("#[derive(") && !token_positions(text, "Default").is_empty();
+                attribute = None;
+            }
+            continue;
+        }
+        if let Some(name) = struct_name(code) {
+            if derives_default {
+                out.insert(name);
+            }
+        } else if let Some((_, rest)) = code
+            .split_once("Default for ")
+            .filter(|(head, _)| head.starts_with("impl"))
+        {
+            out.insert(rest.chars().take_while(|&c| is_ident(c)).collect());
+        }
+        if !code.is_empty() {
+            derives_default = false;
+        }
+    }
+    out
+}
+
+/// The name of the struct `code` declares (`struct Name`, behind any
+/// visibility).
+fn struct_name(code: &str) -> Option<String> {
+    let &at = token_positions(code, "struct").first()?;
+    let head = code[..at].trim();
+    if !(head.is_empty() || head.starts_with("pub")) {
+        return None;
+    }
+    let name: String = code[at + "struct".len()..]
+        .trim_start()
+        .chars()
+        .take_while(|&c| is_ident(c))
+        .collect();
+    (!name.is_empty()).then_some(name)
+}
+
+/// The field a struct-body line declares `pub` (`pub name: Type,`).
+fn pub_field(code: &str) -> Option<String> {
+    let rest = code.strip_prefix("pub ")?.trim_start();
+    let name: String = rest.chars().take_while(|&c| is_ident(c)).collect();
+    let after = rest[name.len()..].trim_start();
+    (!name.is_empty() && after.starts_with(':') && !after.starts_with("::")).then_some(name)
 }
 
 /// Whether the function `name` defined on line `at` takes `self` first:
@@ -320,7 +426,7 @@ fn takes_self(lines: &[Line], at: usize, name: &str) -> bool {
 
 /// The names a file's code calls as methods (`.name(`, `.name::<`) or
 /// reaches by path (`Type::name`), re-exports aside: what refers to a
-/// [`PubItem::method`].
+/// [`PubKind::Method`].
 pub fn method_uses(lines: &[Line]) -> BTreeSet<String> {
     let mut out = BTreeSet::new();
     for line in lines {

@@ -11,7 +11,7 @@
 
 use crate::lexer::{lex, Line};
 use crate::policy::{CratePolicy, POLICIES};
-use crate::rules::{check_file, identifiers, method_uses, pub_items, rule, Finding};
+use crate::rules::{check_file, identifiers, method_uses, pub_items, rule, Finding, PubKind};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -81,10 +81,11 @@ fn unreferenced_pub(root: &Path) -> std::io::Result<Vec<Finding>> {
 }
 
 /// `unreferenced-pub` over `(path, lexed source, is a linted file)`
-/// triples: a `pub` fn/const/static of a linted file whose name no other
+/// triples: a `pub` fn/const/static, or a `pub` field of a struct that
+/// derives or implements `Default`, of a linted file whose name no other
 /// file mentions is a finding, and so is a `pub` method no other file
 /// calls (`.name(`) or reaches by path (`Type::name`).
-fn unreferenced_pub_in(files: &[(String, Vec<Line>, bool)]) -> Vec<Finding> {
+pub(crate) fn unreferenced_pub_in(files: &[(String, Vec<Line>, bool)]) -> Vec<Finding> {
     // How many files name each identifier, and call each method name.
     let mut named: BTreeMap<String, usize> = BTreeMap::new();
     let mut called: BTreeMap<String, Vec<&str>> = BTreeMap::new();
@@ -99,7 +100,7 @@ fn unreferenced_pub_in(files: &[(String, Vec<Line>, bool)]) -> Vec<Finding> {
     let mut findings = Vec::new();
     for (rel, lines, _) in files.iter().filter(|(_, _, defines)| *defines) {
         for item in pub_items(lines) {
-            let used = if item.method {
+            let used = if item.kind == PubKind::Method {
                 called
                     .get(&item.name)
                     .is_some_and(|users| users.iter().any(|user| user != rel))
@@ -109,14 +110,18 @@ fn unreferenced_pub_in(files: &[(String, Vec<Line>, bool)]) -> Vec<Finding> {
             };
             if !used {
                 let name = &item.name;
+                let (what, how) = match item.kind {
+                    PubKind::Item => ("item", "named"),
+                    PubKind::Method => ("item", "called"),
+                    PubKind::Field => ("field", "named"),
+                };
                 findings.push(Finding {
                     file: rel.clone(),
                     line: item.line + 1,
                     rule: rule::UNREFERENCED_PUB,
                     message: format!(
-                        "`pub` item `{name}` is {} in no other file — delete it, \
-                         make it private, or annotate `// lint: api <why>`",
-                        if item.method { "called" } else { "named" }
+                        "`pub` {what} `{name}` is {how} in no other file — delete it, \
+                         make it private, or annotate `// lint: api <why>`"
                     ),
                 });
             }

@@ -6,7 +6,7 @@
 
 use bgpworms_lint::policy::CratePolicy;
 use bgpworms_lint::rules::rule;
-use bgpworms_lint::{lint_source, Finding};
+use bgpworms_lint::{lint_source, lint_unreferenced_pub, Finding};
 
 /// The strictest policy: every rule armed, fixture file on the hot path.
 const STRICT: CratePolicy = CratePolicy {
@@ -196,6 +196,51 @@ fn bare_markers_need_justifications_but_still_suppress() {
         vec![(10, rule::MARKER), (15, rule::MARKER), (19, rule::MARKER)],
         "one finding per problem, not marker + base rule: {f:#?}"
     );
+}
+
+#[test]
+fn unnamed_pub_fields_of_default_structs_fire() {
+    let f = lint_unreferenced_pub(&[
+        (
+            "pub_field_bad.rs",
+            include_str!("fixtures/pub_field_bad.rs"),
+            true,
+        ),
+        (
+            "pub_field_user.rs",
+            include_str!("fixtures/pub_field_user.rs"),
+            false,
+        ),
+    ]);
+    let rule = rule::UNREFERENCED_PUB;
+    assert_eq!(
+        lines_and_rules(&f),
+        vec![(12, rule), (26, rule), (33, rule)],
+        "{f:#?}"
+    );
+    assert!(
+        f[0].message
+            .starts_with("`pub` field `fixture_unnamed` is named in no other file"),
+        "{}",
+        f[0].message
+    );
+}
+
+#[test]
+fn pub_fields_pass_when_named_private_or_annotated() {
+    let f = lint_unreferenced_pub(&[
+        (
+            "pub_field_ok.rs",
+            include_str!("fixtures/pub_field_ok.rs"),
+            true,
+        ),
+        (
+            "pub_field_user.rs",
+            include_str!("fixtures/pub_field_user.rs"),
+            false,
+        ),
+    ]);
+    assert!(f.is_empty(), "{f:#?}");
 }
 
 #[test]

@@ -17,7 +17,7 @@
 //! simulator — unlike the Internet — can provide.
 
 use bgpworms_core::ObservationSet;
-use bgpworms_routesim::RouterConfig;
+use bgpworms_routesim::{RouterConfig, BLACKHOLE_VALUE};
 use bgpworms_types::{Asn, Community, WellKnown};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -146,8 +146,11 @@ impl CommunityDictionary {
         let mut dict = CommunityDictionary::new();
         for cfg in configs {
             let Some(hi) = cfg.asn.as_u16() else { continue };
-            if let Some(bh) = &cfg.services.blackhole {
-                dict.insert(Community::new(hi, bh.value), CommunityKind::Blackhole);
+            if cfg.services.blackhole.is_some() {
+                dict.insert(
+                    Community::new(hi, BLACKHOLE_VALUE),
+                    CommunityKind::Blackhole,
+                );
             }
             for (&value, &n) in &cfg.services.prepend {
                 dict.insert(Community::new(hi, value), CommunityKind::Prepend(n));
@@ -183,45 +186,32 @@ pub struct CommunityEvidence {
     pub prefixes: BTreeSet<bgpworms_types::Prefix>,
     /// Of those observations, how many were for a /24-or-longer IPv4
     /// prefix (blackhole-shaped).
-    pub small_prefix: u64,
+    small_prefix: u64,
     /// How many of its prefixes were later withdrawn (blackhole episodes
     /// end; ordinary routes persist).
-    pub withdrawn_prefixes: u64,
+    withdrawn_prefixes: u64,
     /// Tagged observations where the owner appears prepended in the path.
-    pub owner_prepended: u64,
+    owner_prepended: u64,
     /// Tagged observations where the owner is on the path at all.
-    pub owner_on_path: u64,
+    owner_on_path: u64,
     /// For location inference: ingress neighbor of the owner → set of
     /// low-16 values seen with that neighbor.
-    pub ingress_values: BTreeMap<Asn, BTreeSet<u16>>,
+    ingress_values: BTreeMap<Asn, BTreeSet<u16>>,
 }
+
+/// Minimum tagged observations before a rule may fire.
+const MIN_OBSERVATIONS: u64 = 3;
+/// Fraction of small-prefix observations required for the blackhole rule.
+const BLACKHOLE_SMALL_PREFIX_FRACTION: f64 = 0.9;
+/// Fraction of (later-)withdrawn prefixes required for the blackhole rule.
+const BLACKHOLE_WITHDRAWN_FRACTION: f64 = 0.5;
+/// Fraction of on-path-owner observations that must show the owner
+/// prepended for the prepend rule.
+const PREPEND_CORRELATION: f64 = 0.8;
 
 /// Statistical inference of community semantics from passive data.
-#[derive(Debug, Clone)]
-pub struct DictionaryInference {
-    /// Minimum tagged observations before a rule may fire.
-    pub min_observations: u64,
-    /// Fraction of small-prefix observations required for the blackhole
-    /// rule.
-    pub blackhole_small_prefix_fraction: f64,
-    /// Fraction of (later-)withdrawn prefixes required for the blackhole
-    /// rule.
-    pub blackhole_withdrawn_fraction: f64,
-    /// Fraction of on-path-owner observations that must show the owner
-    /// prepended for the prepend rule.
-    pub prepend_correlation: f64,
-}
-
-impl Default for DictionaryInference {
-    fn default() -> Self {
-        DictionaryInference {
-            min_observations: 3,
-            blackhole_small_prefix_fraction: 0.9,
-            blackhole_withdrawn_fraction: 0.5,
-            prepend_correlation: 0.8,
-        }
-    }
-}
+#[derive(Debug, Clone, Default)]
+pub struct DictionaryInference;
 
 impl DictionaryInference {
     /// Runs the inference over a parsed observation set; returns the
@@ -291,63 +281,62 @@ impl DictionaryInference {
 
         let mut dict = CommunityDictionary::new();
         for (&c, ev) in &evidence {
-            if ev.observations < self.min_observations {
+            if ev.observations < MIN_OBSERVATIONS {
                 continue;
             }
             let small_frac = ev.small_prefix as f64 / ev.observations as f64;
             let withdrawn_frac = ev.withdrawn_prefixes as f64 / ev.prefixes.len().max(1) as f64;
-            if small_frac >= self.blackhole_small_prefix_fraction
-                && withdrawn_frac >= self.blackhole_withdrawn_fraction
+            if small_frac >= BLACKHOLE_SMALL_PREFIX_FRACTION
+                && withdrawn_frac >= BLACKHOLE_WITHDRAWN_FRACTION
             {
                 dict.insert(c, CommunityKind::Blackhole);
                 continue;
             }
-            if ev.owner_on_path >= self.min_observations {
+            if ev.owner_on_path >= MIN_OBSERVATIONS {
                 let corr = ev.owner_prepended as f64 / ev.owner_on_path as f64;
-                if corr >= self.prepend_correlation {
+                if corr >= PREPEND_CORRELATION {
                     dict.insert(c, CommunityKind::Prepend(0));
                     continue;
                 }
             }
-            if self.looks_like_location(c, ev, &evidence) {
+            if looks_like_location(c, ev, &evidence) {
                 dict.insert(c, CommunityKind::Location);
             }
         }
         (dict, evidence)
     }
+}
 
-    /// Location heuristic: the owner tags on ingress, so each of the
-    /// owner's ingress neighbors maps to exactly one value of this family,
-    /// and the family has more than one value across neighbors.
-    fn looks_like_location(
-        &self,
-        c: Community,
-        ev: &CommunityEvidence,
-        all: &BTreeMap<Community, CommunityEvidence>,
-    ) -> bool {
-        if ev.owner_on_path < self.min_observations || ev.ingress_values.is_empty() {
-            return false;
-        }
-        // Pool the ingress→value maps of every community of this owner in
-        // the same value neighborhood (a "family").
-        let owner = c.owner();
-        let mut per_ingress: BTreeMap<Asn, BTreeSet<u16>> = BTreeMap::new();
-        let mut family_values: BTreeSet<u16> = BTreeSet::new();
-        for (&oc, oev) in all {
-            if oc.owner() != owner || oc.value_part().abs_diff(c.value_part()) > 8 {
-                continue;
-            }
-            family_values.insert(oc.value_part());
-            for (ingress, values) in &oev.ingress_values {
-                per_ingress.entry(*ingress).or_default().extend(values);
-            }
-        }
-        if family_values.len() < 2 || per_ingress.len() < 2 {
-            return false;
-        }
-        // Purity: each ingress neighbor sees exactly one family value.
-        per_ingress.values().all(|vals| vals.len() == 1)
+/// Location heuristic: the owner tags on ingress, so each of the
+/// owner's ingress neighbors maps to exactly one value of this family,
+/// and the family has more than one value across neighbors.
+fn looks_like_location(
+    c: Community,
+    ev: &CommunityEvidence,
+    all: &BTreeMap<Community, CommunityEvidence>,
+) -> bool {
+    if ev.owner_on_path < MIN_OBSERVATIONS || ev.ingress_values.is_empty() {
+        return false;
     }
+    // Pool the ingress→value maps of every community of this owner in
+    // the same value neighborhood (a "family").
+    let owner = c.owner();
+    let mut per_ingress: BTreeMap<Asn, BTreeSet<u16>> = BTreeMap::new();
+    let mut family_values: BTreeSet<u16> = BTreeSet::new();
+    for (&oc, oev) in all {
+        if oc.owner() != owner || oc.value_part().abs_diff(c.value_part()) > 8 {
+            continue;
+        }
+        family_values.insert(oc.value_part());
+        for (ingress, values) in &oev.ingress_values {
+            per_ingress.entry(*ingress).or_default().extend(values);
+        }
+    }
+    if family_values.len() < 2 || per_ingress.len() < 2 {
+        return false;
+    }
+    // Purity: each ingress neighbor sees exactly one family value.
+    per_ingress.values().all(|vals| vals.len() == 1)
 }
 
 /// Precision / recall of an inferred dictionary against ground truth for
@@ -558,7 +547,7 @@ mod tests {
             obs("30.0.0.0/16", &[4, 2, 6], &[(6, 100)], &[]),
             obs("30.0.0.0/16", &[5, 2, 6], &[(6, 100)], &[]),
         ];
-        let (dict, _) = DictionaryInference::default().infer(&set(observations));
+        let (dict, _) = DictionaryInference.infer(&set(observations));
         assert_eq!(
             dict.kind(Community::new(77, 999)),
             Some(CommunityKind::Blackhole)
@@ -582,7 +571,7 @@ mod tests {
             obs("30.0.0.0/16", &[5, 42, 8], &[(42, 100)], &[]),
             obs("31.0.0.0/16", &[42, 2, 9], &[(42, 100)], &[]),
         ];
-        let (dict, _) = DictionaryInference::default().infer(&set(observations));
+        let (dict, _) = DictionaryInference.infer(&set(observations));
         assert_eq!(
             dict.kind(Community::new(42, 421)),
             Some(CommunityKind::Prepend(0))
@@ -602,7 +591,7 @@ mod tests {
             obs("21.0.0.0/16", &[6, 11, 5], &[(6, 202)], &[]),
             obs("22.0.0.0/16", &[6, 11, 7], &[(6, 202)], &[]),
         ];
-        let (dict, _) = DictionaryInference::default().infer(&set(observations));
+        let (dict, _) = DictionaryInference.infer(&set(observations));
         assert_eq!(
             dict.kind(Community::new(6, 201)),
             Some(CommunityKind::Location)
@@ -624,7 +613,7 @@ mod tests {
             obs("21.0.0.0/16", &[6, 11, 5], &[(6, 201)], &[]),
             obs("22.0.0.0/16", &[6, 11, 7], &[(6, 202)], &[]),
         ];
-        let (dict, _) = DictionaryInference::default().infer(&set(observations));
+        let (dict, _) = DictionaryInference.infer(&set(observations));
         assert_eq!(dict.kind(Community::new(6, 201)), None);
     }
 
@@ -635,7 +624,7 @@ mod tests {
             obs("10.0.0.1/32", &[3, 2, 1], &[c], &[]),
             withdrawal("10.0.0.1/32"),
         ];
-        let (dict, ev) = DictionaryInference::default().infer(&set(observations));
+        let (dict, ev) = DictionaryInference.infer(&set(observations));
         assert!(dict.is_empty(), "one observation is not enough");
         assert_eq!(ev[&Community::new(77, 999)].observations, 1);
     }

@@ -154,13 +154,7 @@ pub struct LabeledRun {
 /// Builds a labeled run: generate, inject, simulate, archive, parse.
 pub fn build(params: &LabeledRunParams) -> LabeledRun {
     let topo = params.topo.clone().seed(params.seed).build();
-    let alloc = PrefixAllocation::assign(
-        &topo,
-        AddressingParams {
-            seed: params.seed,
-            ..AddressingParams::default()
-        },
-    );
+    let alloc = PrefixAllocation::assign(&topo, AddressingParams { seed: params.seed });
     let mut workload = Workload::generate(&topo, &alloc, &params.workload);
     let mut rng = StdRng::seed_from_u64(params.seed ^ 0xA77A_C0DE);
 
@@ -225,19 +219,12 @@ fn plan_attack(
         .collect();
     stubs.shuffle(rng);
 
-    // Transit ASes offering a blackhole service with value 666 and a u16
-    // ASN (community-encodable).
+    // Transit ASes offering a blackhole service and a u16 ASN
+    // (community-encodable).
     let blackhole_targets: Vec<Asn> = workload
         .configs
         .values()
-        .filter(|c| {
-            c.services
-                .blackhole
-                .as_ref()
-                .map(|b| b.value == 666)
-                .unwrap_or(false)
-                && c.asn.as_u16().is_some()
-        })
+        .filter(|c| c.services.blackhole.is_some() && c.asn.as_u16().is_some())
         .map(|c| c.asn)
         .collect();
     let prepend_targets: Vec<Asn> = workload

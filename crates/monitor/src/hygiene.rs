@@ -44,8 +44,6 @@ impl fmt::Display for HygieneGrade {
 pub struct AsHygiene {
     /// Observations carrying any community of this owner.
     pub observations: u64,
-    /// Distinct communities of this owner seen.
-    pub distinct_communities: usize,
     /// Of the *action* communities (per the dictionary): observations where
     /// the owner was on the path, at distance ≥ 1 collector-side of it —
     /// i.e. the action tag escaped the AS that should have consumed it.
@@ -108,7 +106,6 @@ impl HygieneReport {
         let mut report = HygieneReport::default();
         // Per owner (ASN id) and per community id; folded into `per_as` last.
         let mut per_owner = vec![AsHygiene::default(); set.asns().len()];
-        let mut carried = vec![false; set.communities().len()];
 
         for obs in set.announcements() {
             report.announcements += 1;
@@ -119,7 +116,6 @@ impl HygieneReport {
                 if gradeable[owner] {
                     let entry = &mut per_owner[owner];
                     entry.observations += 1;
-                    carried[c] = true;
 
                     if is_action[c] {
                         match tag.owner_pos {
@@ -142,9 +138,6 @@ impl HygieneReport {
                     }
                 }
             }
-        }
-        for (c, _) in carried.iter().enumerate().filter(|(_, &seen)| seen) {
-            per_owner[set.owner_id(c as u32) as usize].distinct_communities += 1;
         }
         report.per_as = (set.asns().iter().zip(per_owner))
             .filter(|(_, h)| h.observations > 0)
@@ -252,7 +245,6 @@ mod tests {
         let r = HygieneReport::compute(&s, &d, 3);
         assert_eq!(r.per_as[&Asn::new(7)].grade(), HygieneGrade::A);
         assert_eq!(r.per_as[&Asn::new(7)].observations, 1);
-        assert_eq!(r.per_as[&Asn::new(7)].distinct_communities, 1);
     }
 
     #[test]

@@ -811,10 +811,9 @@ mod tests {
     #[test]
     fn sink_call_sequence_is_thread_count_independent() {
         let (topo, eps) = world();
-        let mut sim = SimSpec::new(&topo).retain(RetainRoutes::All).compile();
-        let seq = Campaign::new(&sim).run(&eps, Trace::default);
-        sim.set_threads(4);
-        let par = Campaign::new(&sim).run(&eps, Trace::default);
+        let spec = SimSpec::new(&topo).retain(RetainRoutes::All);
+        let seq = Campaign::new(&spec.clone().compile()).run(&eps, Trace::default);
+        let par = Campaign::new(&spec.threads(4).compile()).run(&eps, Trace::default);
         assert_eq!(seq.sink, par.sink, "fold/merge sequence diverged");
         assert_eq!(seq.events, par.events);
     }
@@ -1024,8 +1023,7 @@ mod tests {
             fn merge(&mut self, _other: Self) {}
         }
         let (topo, eps) = world();
-        let mut sim = SimSpec::new(&topo).compile();
-        sim.set_threads(2);
+        let sim = SimSpec::new(&topo).threads(2).compile();
         let err =
             std::panic::catch_unwind(AssertUnwindSafe(|| Campaign::new(&sim).run(&eps, || Bomb)))
                 .expect_err("panic must propagate");
@@ -1060,9 +1058,11 @@ mod tests {
         // class representative's outcome must be indistinguishable from
         // simulating every member, for the exact same fold/merge sequence.
         let (topo, eps) = world();
-        let mut sim = SimSpec::new(&topo).retain(RetainRoutes::All).compile();
         for threads in [1, 4] {
-            sim.set_threads(threads);
+            let sim = SimSpec::new(&topo)
+                .retain(RetainRoutes::All)
+                .threads(threads)
+                .compile();
             let [memoized, reference] = [Campaign::new(&sim), Campaign::unmemoized_reference(&sim)]
                 .map(|driver| driver.run(&eps, Trace::default));
             assert_eq!(memoized.sink, reference.sink, "threads = {threads}");

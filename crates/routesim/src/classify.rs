@@ -20,8 +20,8 @@
 //!   origination communities and large communities, and forged origin —
 //!   everything [`crate::engine::Origination`] carries except the prefix;
 //! * a **prefix-length bucket**: `router::import` compares the prefix
-//!   length against each blackhole service's `min_prefix_len` and each
-//!   config's `max_prefix_len_v4` (v6: the fixed 48/96 thresholds), so
+//!   length against each blackhole service's `min_prefix_len` and the
+//!   fixed `/24` import limit (v6: the fixed 48/96 thresholds), so
 //!   lengths are bucketed by which of the session's compiled thresholds
 //!   they reach — two lengths in one bucket take identical branches at
 //!   every router;
@@ -43,7 +43,7 @@
 //! including worlds with per-prefix policies that force singleton classes.
 
 use crate::engine::Origination;
-use crate::policy::{IrrDatabase, OriginValidation, RouterConfig};
+use crate::policy::{IrrDatabase, OriginValidation, RouterConfig, MAX_PREFIX_LEN_V4};
 use bgpworms_types::{Asn, Community, LargeCommunity, Prefix};
 use std::collections::BTreeSet;
 
@@ -90,8 +90,8 @@ pub(crate) struct ClassKey<'o> {
 #[derive(Debug, Clone)]
 pub(crate) struct PrefixClassifier {
     /// Sorted, deduplicated v4 length thresholds: each blackhole
-    /// service's `min_prefix_len` (branch: `len >= t`) and each config's
-    /// `max_prefix_len_v4 + 1` (branch: `len > max` ≡ `len >= max + 1`).
+    /// service's `min_prefix_len` (branch: `len >= t`) and the import
+    /// limit's `25` (branch: `len > 24` ≡ `len >= 25`).
     v4_thresholds: Vec<u8>,
     /// v6 thresholds: the import filter's fixed `> 48` and the blackhole
     /// applicability's fixed `>= 96`.
@@ -110,12 +110,11 @@ impl PrefixClassifier {
     /// feature. Thresholds that no config can reach never split a class
     /// they shouldn't — extra thresholds only over-split, which is sound.
     pub(crate) fn from_configs<'c>(configs: impl IntoIterator<Item = &'c RouterConfig>) -> Self {
-        let mut v4: BTreeSet<u8> = BTreeSet::new();
+        let mut v4: BTreeSet<u8> = BTreeSet::from([MAX_PREFIX_LEN_V4 + 1]);
         let mut check_irr = false;
         let mut check_rpki = false;
         let mut singleton_prefixes = BTreeSet::new();
         for cfg in configs {
-            v4.insert(cfg.max_prefix_len_v4.saturating_add(1));
             if let Some(bh) = &cfg.services.blackhole {
                 v4.insert(bh.min_prefix_len);
             }
@@ -212,8 +211,8 @@ mod tests {
 
     #[test]
     fn lengths_bucket_by_compiled_thresholds() {
-        // Default config: the only v4 threshold is max_prefix_len_v4 + 1
-        // = 25. Everything up to /24 shares a bucket; /25+ is another.
+        // Default config: the only v4 threshold is the import limit's
+        // 25. Everything up to /24 shares a bucket; /25+ is another.
         let c = classifier_of(&[RouterConfig::defaults(Asn::new(1))]);
         assert_eq!(c.v4_thresholds, vec![25]);
         assert_eq!(

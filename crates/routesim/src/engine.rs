@@ -381,7 +381,7 @@ impl<'a> SimSpec<'a> {
         let collector_names = self.collectors.iter().map(|s| s.name.clone()).collect();
         // The prefix-sensitivity summary the campaign's flood memoization
         // keys classes by — compiled from the *resolved* configs, so
-        // defaulted ASes contribute their thresholds too.
+        // defaulted ASes contribute their features too.
         let classifier = PrefixClassifier::from_configs(configs.iter());
         CompiledSim {
             topo: self.topo,
@@ -494,12 +494,6 @@ impl<'a> CompiledSim<'a> {
     /// Current worker-thread count.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Re-targets the worker-thread count without recompiling (results are
-    /// independent of it).
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads;
     }
 
     /// Collector names in spec order — the index space of
@@ -947,13 +941,6 @@ impl CompiledSim<'_> {
             last_emit_best,
         };
 
-        // Origination memo: schedules replay identical announcements
-        // (duplicate episodes, steady-state re-announcements), and the
-        // stable per-prefix episode sort keeps them adjacent — remember the
-        // last interned origination so a repeat costs an equality check on
-        // borrowed attributes instead of cloning both attribute vectors.
-        let mut last_origination: Option<(&Origination, RouteId)> = None;
-
         for ep in episodes {
             let Some(origin) = self.topo.node_id(ep.origin) else {
                 continue;
@@ -962,26 +949,14 @@ impl CompiledSim<'_> {
             if ep.withdraw {
                 routers.node(origin.index()).set_local(None);
             } else {
-                let id = match last_origination {
-                    Some((prev, id))
-                        if prev.communities == ep.communities
-                            && prev.large_communities == ep.large_communities
-                            && prev.forged_origin == ep.forged_origin =>
-                    {
-                        id
-                    }
-                    _ => {
-                        let mut route = Route::originate(ep.communities.clone())
-                            .with_large_communities(ep.large_communities.clone());
-                        if let Some(victim) = ep.forged_origin {
-                            route.path = AsPath::from_asns([victim]);
-                            route.origin = Origin::Igp;
-                        }
-                        let id = arena.intern(route);
-                        last_origination = Some((ep, id));
-                        id
-                    }
-                };
+                // Hash-consing hands a repeated origination its earlier id.
+                let mut route = Route::originate(ep.communities.clone())
+                    .with_large_communities(ep.large_communities.clone());
+                if let Some(victim) = ep.forged_origin {
+                    route.path = AsPath::from_asns([victim]);
+                    route.origin = Origin::Igp;
+                }
+                let id = arena.intern(route);
                 routers.node(origin.index()).set_local(Some(id));
             }
             dirty.insert(origin.index());
@@ -1689,7 +1664,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_sequential_agree_on_one_session() {
+    fn parallel_and_sequential_sessions_agree() {
         let topo = TopologyParams::tiny().seed(3).build();
         let alloc = bgpworms_topology::PrefixAllocation::assign(
             &topo,
@@ -1699,17 +1674,14 @@ mod tests {
             .iter()
             .map(|(asn, prefix)| Origination::announce(asn, prefix, vec![]))
             .collect();
-        let mut sim = SimSpec::new(&topo)
-            .collector(CollectorSpec {
-                name: "c".into(),
-                platform: "RV".into(),
-                collector_id: 3,
-                peers: vec![(Asn::new(1), FeedKind::Full), (Asn::new(2), FeedKind::Full)],
-            })
-            .compile();
-        let seq = sim.run(&originations);
-        sim.set_threads(4);
-        let par = sim.run(&originations);
+        let spec = SimSpec::new(&topo).collector(CollectorSpec {
+            name: "c".into(),
+            platform: "RV".into(),
+            collector_id: 3,
+            peers: vec![(Asn::new(1), FeedKind::Full), (Asn::new(2), FeedKind::Full)],
+        });
+        let seq = spec.clone().compile().run(&originations);
+        let par = spec.threads(4).compile().run(&originations);
         assert_eq!(seq.events, par.events);
         assert_eq!(seq.observations, par.observations);
     }
@@ -1804,7 +1776,7 @@ mod tests {
 
     #[test]
     fn changing_reannouncements_are_not_memo_collapsed() {
-        // The origination memo only short-circuits *identical* repeats: a
+        // Hash-consing merges only *identical* originations: a
         // re-announcement with different attributes must re-originate, and
         // a later return to the first attributes must win again.
         let topo = line_topo();
@@ -1827,8 +1799,8 @@ mod tests {
 
     #[test]
     fn memoized_reannouncement_survives_a_withdrawal() {
-        // announce → withdraw → identical announce: the memo may reuse the
-        // first episode's interned route (the arena lives for the whole
+        // announce → withdraw → identical announce: the arena hands back
+        // the first episode's interned route (it lives for the whole
         // prefix), and the route must come back everywhere.
         let topo = line_topo();
         let sim = SimSpec::new(&topo).retain(RetainRoutes::All).compile();

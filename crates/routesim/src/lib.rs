@@ -46,6 +46,9 @@
 //! **once per session**. [`CompiledSim::run`] takes `&self`: a session runs
 //! any number of episode schedules (the paper's baseline/attack A/B pairs
 //! compile once and run twice) and is shareable read-only across threads.
+//! Config variants (e.g. an armed attacker) clone the spec, not the world:
+//! `spec.clone().configure(attacker_cfg).compile()` — borrowed inputs stay
+//! borrowed in the clone.
 //!
 //! ## Full-table runs: `Campaign` + `CampaignSink`
 //!
@@ -147,29 +150,6 @@
 //! for streaming consumers (e.g. folding into a `CampaignSink` such as the
 //! dataplane's `Fib`).
 //!
-//! ## Migrating from the old mutable-field `Simulation`
-//!
-//! The pre-session API (`Simulation` with public mutable fields, one
-//! resolve per `run` call) maps onto the builder one-for-one:
-//!
-//! | old `Simulation` usage              | new [`SimSpec`] call                  |
-//! |-------------------------------------|---------------------------------------|
-//! | `Simulation::new(&topo)`            | `SimSpec::new(&topo)`                 |
-//! | `sim.configs = map.clone()`         | `.configs(&map)` (borrows, no clone)  |
-//! | `sim.configure(cfg)`                | `.configure(cfg)`                     |
-//! | `sim.collectors = specs.clone()`    | `.collectors(&specs)` / `.collector(spec)` |
-//! | `sim.irr = irr.clone()`             | `.irr(&irr)`                          |
-//! | `sim.irr.register(p, asn)`          | `.register_irr(p, asn)`               |
-//! | `sim.rpki = rpki.clone()`           | `.rpki(&rpki)` / `.register_rpki(…)`  |
-//! | `sim.retain = RetainRoutes::All`    | `.retain(RetainRoutes::All)`          |
-//! | `sim.threads = n`                   | `.threads(n)` (or [`CompiledSim::set_threads`]) |
-//! | `sim.run(&eps)` (re-resolves)       | `.compile()` once, then [`CompiledSim::run`] many times |
-//! |  —                                  | [`Workload::simulation`] returns a ready-wired `SimSpec` |
-//!
-//! Config variants (e.g. an armed attacker) clone the spec, not the world:
-//! `spec.clone().configure(attacker_cfg).compile()` — borrowed inputs stay
-//! borrowed in the clone.
-//!
 //! # Inside the compiled core
 //!
 //! Propagation is computed per prefix to convergence over the topology's
@@ -207,8 +187,7 @@
 //! allocates nothing, and an identical route is stored once per prefix no
 //! matter how many RIBs hold it. One arena per worker keeps the sharded
 //! path lock-free. Originations are interned once per episode (an
-//! identical re-announcement reuses the previous episode's id without
-//! cloning its attribute vectors).
+//! identical re-announcement hash-conses to the previous episode's id).
 //!
 //! Convergence is **dirty-set batched**: importing an update only marks
 //! the receiving node dirty; when the in-flight queue drains, each dirty
@@ -301,7 +280,7 @@ pub use engine::{
 };
 pub use policy::{
     ActScope, BlackholeService, CommunityPropagationPolicy, CommunityServices, IrrDatabase,
-    OriginValidation, RouteServerConfig, RouterConfig, RsEvalOrder, TaggingConfig, Vendor,
+    OriginValidation, RouterConfig, RsEvalOrder, TaggingConfig, Vendor, BLACKHOLE_VALUE,
 };
 pub use route::{Route, RouteArena, RouteAttrs, RouteId, RouteSource};
 pub use scratch::SimSnapshot;

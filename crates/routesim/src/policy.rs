@@ -94,12 +94,20 @@ pub enum ActScope {
     Any,
 }
 
-/// A remotely-triggered-blackholing service offering.
+/// The low-16 community value that triggers an AS's blackhole service:
+/// `ASN:666`, the convention every offering in §6.2 and §7.3 follows. The
+/// well-known `65535:666` is always honoured too.
+pub const BLACKHOLE_VALUE: u16 = 666;
+
+/// Maximum accepted IPv4 prefix length for ordinary routes (§7.3: providers
+/// limit announcement size to control table growth). Blackhole routes are
+/// bounded by [`BlackholeService::min_prefix_len`] instead.
+pub(crate) const MAX_PREFIX_LEN_V4: u8 = 24;
+
+/// A remotely-triggered-blackholing service offering, triggered by
+/// `ASN:`[`BLACKHOLE_VALUE`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlackholeService {
-    /// The low-16 community value that triggers blackholing (conventionally
-    /// 666; the well-known 65535:666 is always honoured too).
-    pub value: u16,
     /// Minimum prefix length accepted *for blackhole routes* (typically 24
     /// or 32: only small prefixes may be blackholed).
     pub min_prefix_len: u8,
@@ -118,7 +126,6 @@ pub struct BlackholeService {
 impl Default for BlackholeService {
     fn default() -> Self {
         BlackholeService {
-            value: 666,
             min_prefix_len: 24,
             set_no_export: true,
             scope: ActScope::Any,
@@ -256,28 +263,6 @@ pub enum RsEvalOrder {
     AnnounceFirst,
 }
 
-/// Route-server-specific configuration.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RouteServerConfig {
-    /// Evaluation order for conflicting control communities.
-    pub eval_order: RsEvalOrder,
-    /// Strip the control communities (`RS:x`, `0:x`) after applying them.
-    pub strip_control_communities: bool,
-    /// Informational tag added to redistributed routes (`RS:ingress-id`),
-    /// making the route server an *off-path* community tagger (§4.3).
-    pub tag_member_routes: bool,
-}
-
-impl Default for RouteServerConfig {
-    fn default() -> Self {
-        RouteServerConfig {
-            eval_order: RsEvalOrder::SuppressFirst,
-            strip_control_communities: true,
-            tag_member_routes: true,
-        }
-    }
-}
-
 /// Per-role import local preferences (customer > peer > provider, the
 /// Gao–Rexford economic ordering).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -318,14 +303,13 @@ pub struct RouterConfig {
     pub tagging: TaggingConfig,
     /// Origin validation on import.
     pub validation: OriginValidation,
-    /// Maximum accepted IPv4 prefix length for ordinary routes (§7.3:
-    /// providers limit announcement size to control table growth).
-    pub max_prefix_len_v4: u8,
     /// Import local-pref by business role.
     pub local_pref: LocalPrefByRole,
-    /// Route-server semantics (only used when the topology marks this node
-    /// as a route server).
-    pub route_server: RouteServerConfig,
+    /// How a route server orders conflicting control communities (only
+    /// used when the topology marks this node as a route server). A route
+    /// server always strips the control communities it applied and tags
+    /// what it redistributes (`RS:ingress-id`, §4.3).
+    pub rs_eval_order: RsEvalOrder,
 }
 
 impl RouterConfig {
@@ -340,9 +324,8 @@ impl RouterConfig {
             services: CommunityServices::default(),
             tagging: TaggingConfig::default(),
             validation: OriginValidation::None,
-            max_prefix_len_v4: 24,
             local_pref: LocalPrefByRole::default(),
-            route_server: RouteServerConfig::default(),
+            rs_eval_order: RsEvalOrder::SuppressFirst,
         }
     }
 
@@ -380,7 +363,6 @@ mod tests {
     #[test]
     fn blackhole_service_defaults() {
         let bh = BlackholeService::default();
-        assert_eq!(bh.value, 666);
         assert!(bh.set_no_export);
         assert_eq!(bh.local_pref, 200);
         assert!(bh.min_prefix_len >= 24);

@@ -4,6 +4,7 @@
 
 use crate::policy::{
     ActScope, CommunityPropagationPolicy, IrrDatabase, OriginValidation, RouterConfig, RsEvalOrder,
+    BLACKHOLE_VALUE, MAX_PREFIX_LEN_V4,
 };
 use crate::route::{
     AdmitEffects, ImportDelta, Route, RouteArena, RouteAttrs, RouteId, RouteSource,
@@ -285,7 +286,7 @@ impl<'s> NodeState<'s> {
         let tag = |on: bool, value: u16| hi.filter(|_| on).map(|hi| Community::new(hi, value));
         let configured = if self.is_route_server {
             let bucket = (sender.get() % 5) as u16;
-            [tag(cfg.route_server.tag_member_routes, 100 + bucket), None]
+            [tag(true, 100 + bucket), None]
         } else {
             let class = match sender_role {
                 Role::Customer => 100,
@@ -388,7 +389,7 @@ fn admit_route(
     // --- RTBH applicability (checked before everything else because
     //     the misconfigured validation order depends on it). ---
     let rtbh = cfg.services.blackhole.as_ref().and_then(|bh| {
-        let own = asn.as_u16().map(|hi| Community::new(hi, bh.value));
+        let own = asn.as_u16().map(|hi| Community::new(hi, BLACKHOLE_VALUE));
         let triggered = incoming.has_community(Community::BLACKHOLE)
             || own.is_some_and(|c| incoming.has_community(c));
         let scope_ok = match bh.scope {
@@ -429,7 +430,7 @@ fn admit_route(
     // --- Prefix-length policy: small prefixes only enter as blackholes.
     if rtbh.is_none() {
         let too_long = match prefix {
-            Prefix::V4(p) => p.len() > cfg.max_prefix_len_v4,
+            Prefix::V4(p) => p.len() > MAX_PREFIX_LEN_V4,
             Prefix::V6(p) => p.len() > 48,
         };
         if too_long {
@@ -654,7 +655,7 @@ fn route_server_export(
     let announce_member = best.has_community(Community::new(rs16, member16));
     let block_all = best.has_community(Community::new(0, rs16));
 
-    let announce = match cfg.route_server.eval_order {
+    let announce = match cfg.rs_eval_order {
         RsEvalOrder::SuppressFirst => {
             if suppress_member {
                 false
@@ -685,12 +686,10 @@ fn route_server_export(
     out.source = RouteSource::RouteServer(rs_asn);
     let own_tags = std::mem::take(&mut out.own_tags);
     let communities = &mut out.communities; // the export's one attribute copy
-    if cfg.route_server.strip_control_communities {
-        communities.retain(|c| {
-            let hi = c.asn_part();
-            !(hi == 0 || (hi == rs16 && is_member_value(c.value_part())))
-        });
-    }
+    communities.retain(|c| {
+        let hi = c.asn_part();
+        !(hi == 0 || (hi == rs16 && is_member_value(c.value_part())))
+    });
     communities.extend(own_tags.into_iter().flatten());
     community::normalize(communities);
     Some(arena.intern(out))
@@ -719,7 +718,9 @@ enum ForwardSet {
 /// Convenience for tests and scenario code: the well-known blackhole
 /// community of a target AS (`target:666`).
 pub fn blackhole_community_of(target: Asn) -> Option<Community> {
-    target.as_u16().map(|hi| Community::new(hi, 666))
+    target
+        .as_u16()
+        .map(|hi| Community::new(hi, BLACKHOLE_VALUE))
 }
 
 #[cfg(test)]
@@ -1357,7 +1358,7 @@ mod tests {
             r.export_for(&cfg, Asn::new(4), Role::Peer).is_none(),
             "suppress-first: conflict resolves to suppression"
         );
-        cfg.route_server.eval_order = RsEvalOrder::AnnounceFirst;
+        cfg.rs_eval_order = RsEvalOrder::AnnounceFirst;
         assert!(
             r.export_for(&cfg, Asn::new(4), Role::Peer).is_some(),
             "announce-first: conflict resolves to announcement"
@@ -1620,18 +1621,13 @@ mod tests {
         let id = deliver(&mut arena, (5, false), &cfg, (2, Role::Customer), plain);
         distinct("one tag fewer", &arena, id);
 
-        // Route-server member tagging (on by default).
+        // Route-server member tagging.
         let rs = RouterConfig::defaults(Asn::new(59_000));
         let tagged = deliver(&mut arena, (59_000, true), &rs, (2, Role::Peer), plain);
-        let mut cfg = rs.clone();
-        cfg.route_server.tag_member_routes = false;
-        let untagged = deliver(&mut arena, (59_000, true), &cfg, (2, Role::Peer), plain);
-        assert_ne!(tagged, untagged, "member tagging shared a route id");
         assert_eq!(
             arena.get(tagged).own_tags,
             [Some(Community::new(59_000, 102)), None]
         );
-        assert_eq!(arena.get(untagged).own_tags, [None; 2]);
 
         // RTBH `set_no_export`.
         let trigger = arena.intern(incoming(2, &[2, 1], &[Community::BLACKHOLE]));

@@ -42,67 +42,44 @@
 use crate::engine::{Event, PrefixOutcome};
 use crate::route::{RouteArena, RouteId};
 use crate::router::RibEntry;
-use bgpworms_topology::{NodeId, Role};
+use bgpworms_topology::Role;
 use bgpworms_types::Prefix;
 
-/// The in-flight update events of one convergence round, stored
-/// structure-of-arrays: the drain loop walks five dense parallel vectors
-/// instead of an array of structs, so the branchy early fields (receiver,
-/// slot, role) stream through cache without dragging each event's
-/// `Option<RouteId>` payload into the same lines.
+/// The in-flight update events of one convergence round.
 ///
 /// The convergence loop is strictly **write-then-read**: export sweeps push
 /// while the queue is quiescent, then the drain loop pops until empty — the
 /// two phases never interleave — so no ring buffer is needed. A cursor
-/// walks the vectors front to back and [`EventQueue::pop_front`] resets the
+/// walks the vector front to back and [`EventQueue::pop_front`] resets the
 /// storage (capacity kept) the moment the cursor catches up.
 #[derive(Debug, Default)]
 pub(crate) struct EventQueue {
-    /// Read cursor into the parallel vectors below.
+    /// Read cursor into `events`.
     head: usize,
-    from: Vec<NodeId>,
-    to: Vec<NodeId>,
-    to_slot: Vec<u32>,
-    sender_role: Vec<Role>,
-    route: Vec<Option<RouteId>>,
+    events: Vec<Event>,
 }
 
 impl EventQueue {
     pub(crate) fn push_back(&mut self, ev: Event) {
-        self.from.push(ev.from);
-        self.to.push(ev.to);
-        self.to_slot.push(ev.to_slot);
-        self.sender_role.push(ev.sender_role);
-        self.route.push(ev.route);
+        self.events.push(ev);
     }
 
     /// Pops the next event in FIFO order; on exhaustion resets the storage
     /// for the next round's pushes and returns `None`.
     pub(crate) fn pop_front(&mut self) -> Option<Event> {
-        if self.head == self.from.len() {
+        let Some(&ev) = self.events.get(self.head) else {
             self.clear();
             return None;
-        }
-        let k = self.head;
+        };
         self.head += 1;
-        Some(Event {
-            from: self.from[k],
-            to: self.to[k],
-            to_slot: self.to_slot[k],
-            sender_role: self.sender_role[k],
-            route: self.route[k],
-        })
+        Some(ev)
     }
 
     /// Drops all queued events (capacity kept) — the budget-cutoff path and
     /// the per-prefix recycle.
     pub(crate) fn clear(&mut self) {
         self.head = 0;
-        self.from.clear();
-        self.to.clear();
-        self.to_slot.clear();
-        self.sender_role.clear();
-        self.route.clear();
+        self.events.clear();
     }
 }
 

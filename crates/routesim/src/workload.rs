@@ -30,6 +30,16 @@ use std::collections::BTreeMap;
 /// Unix time of 2018-04-01 00:00:00 UTC — the month the paper measures.
 pub const APRIL_2018: u32 = 1_522_540_800;
 
+/// Probability an origin community uses a *private* ASN in its high half
+/// (community bundling — always off-path, §4.3).
+const PRIVATE_COMMUNITY_PROB: f64 = 0.06;
+/// Probability a transit AS validates origins against the IRR.
+const IRR_VALIDATION_PROB: f64 = 0.25;
+/// Of the validators, probability of the §6.3 mis-ordered route-map.
+const MISORDERED_VALIDATION_PROB: f64 = 0.2;
+/// Fraction of prefixes re-announced per churn round.
+const CHURN_FRACTION: f64 = 0.35;
+
 /// Fractions of ASes using each community propagation behaviour (§4.4:
 /// "nearly everyone has a different view on this").
 #[derive(Debug, Clone, Copy)]
@@ -109,21 +119,12 @@ pub struct WorkloadParams {
     pub class_tag_prob: f64,
     /// Probability an origin AS attaches informational communities.
     pub origin_tag_prob: f64,
-    /// Probability an origin community uses a *private* ASN in its high
-    /// half (community bundling — always off-path, §4.3).
-    pub private_community_prob: f64,
     /// Fraction of Cisco-like routers.
     pub cisco_fraction: f64,
     /// Probability a Cisco router has `send-community` configured.
     pub cisco_send_community_prob: f64,
-    /// Probability a transit AS validates origins against the IRR.
-    pub irr_validation_prob: f64,
-    /// Of the validators, probability of the §6.3 mis-ordered route-map.
-    pub misordered_validation_prob: f64,
     /// Number of churn rounds (re-announcements with changed attributes).
     pub churn_rounds: u32,
-    /// Fraction of prefixes re-announced per churn round.
-    pub churn_fraction: f64,
     /// Probability an origin AS runs one RTBH episode during the window.
     pub rtbh_episode_prob: f64,
     /// Probability a 4-byte-ASN origin has adopted RFC 8092 large
@@ -148,13 +149,9 @@ impl Default for WorkloadParams {
             location_tag_prob: 0.40,
             class_tag_prob: 0.50,
             origin_tag_prob: 0.55,
-            private_community_prob: 0.06,
             cisco_fraction: 0.5,
             cisco_send_community_prob: 0.85,
-            irr_validation_prob: 0.25,
-            misordered_validation_prob: 0.2,
             churn_rounds: 3,
-            churn_fraction: 0.35,
             rtbh_episode_prob: 0.15,
             large_community_adoption: 0.5,
             scoped_defense_adoption: 0.0,
@@ -288,9 +285,9 @@ fn assign_configs(
                 egress_tags: Vec::new(),
                 targeted_egress: Vec::new(),
             };
-            if rng.gen_bool(params.irr_validation_prob) {
+            if rng.gen_bool(IRR_VALIDATION_PROB) {
                 cfg.validation = OriginValidation::Irr {
-                    validate_after_blackhole: rng.gen_bool(params.misordered_validation_prob),
+                    validate_after_blackhole: rng.gen_bool(MISORDERED_VALIDATION_PROB),
                 };
             }
         }
@@ -328,7 +325,7 @@ fn assign_configs(
                 let n_tags = rng.gen_range(1..=4);
                 let mut tags = Vec::with_capacity(n_tags);
                 for _ in 0..n_tags {
-                    let hi = if rng.gen_bool(params.private_community_prob) {
+                    let hi = if rng.gen_bool(PRIVATE_COMMUNITY_PROB) {
                         // community bundling with a private ASN (off-path)
                         64_512 + (rng.gen_range(0..1023) as u16)
                     } else {
@@ -516,7 +513,7 @@ fn build_originations(
     // Churn rounds: re-announce a fraction with perturbed communities.
     for round in 1..=params.churn_rounds {
         all.shuffle(rng);
-        let n = ((all.len() as f64) * params.churn_fraction) as usize;
+        let n = ((all.len() as f64) * CHURN_FRACTION) as usize;
         for (origin, prefix) in all.iter().take(n) {
             let mut comms = configs
                 .get(origin)

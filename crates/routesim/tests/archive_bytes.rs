@@ -51,13 +51,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 fn archives() -> Vec<CollectorArchive> {
     let topo = TopologyParams::tiny().seed(SEED).build();
-    let alloc = PrefixAllocation::assign(
-        &topo,
-        AddressingParams {
-            seed: SEED,
-            ..AddressingParams::default()
-        },
-    );
+    let alloc = PrefixAllocation::assign(&topo, AddressingParams { seed: SEED });
     let params = WorkloadParams {
         seed: SEED,
         ..WorkloadParams::default()

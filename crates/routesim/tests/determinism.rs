@@ -93,7 +93,7 @@ use bgpworms_routesim::{
     ActScope, BlackholeService, Campaign, CampaignSink, CollectorObservation, CollectorSpec,
     CommunityPropagationPolicy, CompiledSim, FeedKind, FinalRoutes, IrrDatabase, OriginValidation,
     Origination, PrefixOutcome, RetainRoutes, Route, RouteId, RouteSource, RouterConfig, SimResult,
-    SimSpec, MONITOR_ASN,
+    SimSpec, BLACKHOLE_VALUE, MONITOR_ASN,
 };
 use bgpworms_topology::{EdgeKind, NodeId, Role, Tier, Topology, TopologyParams};
 use bgpworms_types::{Asn, Community, LargeCommunity, Prefix};
@@ -854,11 +854,10 @@ proptest! {
     #[test]
     fn threads_never_change_results_on_random_worlds(raw in arb_world(), threads in 2usize..6) {
         let (topo, configs, collectors, originations) = build_world(&raw);
-        let mut sim = spec_for(&topo, configs, collectors).compile();
+        let spec = spec_for(&topo, configs, collectors);
 
-        let seq = sim.run(&originations);
-        sim.set_threads(threads);
-        let par = sim.run(&originations);
+        let seq = spec.clone().compile().run(&originations);
+        let par = spec.threads(threads).compile().run(&originations);
 
         // Full structural equality: events, convergence, every collector
         // observation, every retained route.
@@ -876,10 +875,9 @@ proptest! {
             .iter()
             .map(|(asn, prefix)| Origination::announce(asn, prefix, vec![]))
             .collect();
-        let mut sim = SimSpec::new(&topo).retain(RetainRoutes::All).compile();
-        let seq = sim.run(&originations);
-        sim.set_threads(threads);
-        let par = sim.run(&originations);
+        let spec = SimSpec::new(&topo).retain(RetainRoutes::All);
+        let seq = spec.clone().compile().run(&originations);
+        let par = spec.threads(threads).compile().run(&originations);
         prop_assert_eq!(&seq, &par);
     }
 
@@ -900,14 +898,11 @@ proptest! {
         prop_assert_eq!(&first, &fresh, "session run diverged from fresh compile");
 
         // The same holds when the reused session runs parallel.
-        let mut par_session = spec.threads(threads).compile();
+        let par_session = spec.threads(threads).compile();
         let par_first = par_session.run(&originations);
         let par_second = par_session.run(&originations);
         prop_assert_eq!(&par_first, &par_second, "parallel rerun diverged");
         prop_assert_eq!(&first, &par_first, "parallel session diverged from sequential");
-        // …and thread count can change mid-session without recompiling.
-        par_session.set_threads(1);
-        prop_assert_eq!(&par_session.run(&originations), &first);
     }
 
     /// Batching transparency: the dirty-set batched, arena-interned engine
@@ -929,8 +924,7 @@ proptest! {
         for cfg in configs {
             spec = spec.configure(cfg);
         }
-        let mut sim = spec.compile();
-        let run = sim.run(&originations);
+        let run = spec.clone().compile().run(&originations);
         prop_assert!(run.converged, "reference converged but batched engine did not");
         let owned = |model: &BTreeMap<Asn, Route>| -> Vec<(Asn, Route)> {
             model.iter().map(|(asn, route)| (*asn, route.clone())).collect()
@@ -960,7 +954,7 @@ proptest! {
         }
 
         // The equivalence survives sharding and session reuse.
-        sim.set_threads(threads);
+        let sim = spec.threads(threads).compile();
         let par = sim.run(&originations);
         prop_assert_eq!(&par.final_routes, &reference_tables);
         prop_assert_eq!(&sim.run(&originations), &par, "rerun diverged");
@@ -1012,12 +1006,13 @@ proptest! {
         else {
             return Ok(()); // oscillating world, nothing to compare
         };
-        let mut sim = spec_for(&topo, configs, collectors).compile();
+        let spec = spec_for(&topo, configs, collectors);
+        let sim = spec.clone().compile();
         let run = sim.run(&originations);
         prop_assert!(run.converged, "reference converged but the engine did not");
         prop_assert_eq!(&run.observations, &reference, "the sweep missed or invented news");
 
-        sim.set_threads(threads);
+        let sim = spec.threads(threads).compile();
         prop_assert_eq!(&sim.run(&originations).observations, &reference, "sharded sweep diverged");
 
         let own = |eps: &[Origination]| -> Vec<Origination> {
@@ -1049,7 +1044,8 @@ proptest! {
             .flat_map(|o| [o.clone(), o.clone()])
             .collect();
 
-        let mut sim = spec_for(&topo, configs, collectors).compile();
+        let spec = spec_for(&topo, configs, collectors);
+        let sim = spec.clone().compile();
         let base = sim.run(&originations);
         let churned = sim.run(&churny);
         prop_assert_eq!(
@@ -1057,7 +1053,7 @@ proptest! {
             "idempotent duplicate episodes must be event-free steady state"
         );
 
-        sim.set_threads(threads);
+        let sim = spec.threads(threads).compile();
         prop_assert_eq!(&sim.run(&churny), &churned, "sharded churny run diverged");
     }
 
@@ -1106,7 +1102,8 @@ proptest! {
     #[test]
     fn campaign_streaming_equals_collect_then_fold(raw in arb_world(), threads in 2usize..6) {
         let (topo, configs, collectors, originations) = build_world(&raw);
-        let mut sim = spec_for(&topo, configs, collectors).compile();
+        let spec = spec_for(&topo, configs, collectors);
+        let sim = spec.clone().compile();
 
         // Reference: collect every per-prefix outcome single-threaded,
         // then fold the collection sequentially outside the driver. (On
@@ -1122,7 +1119,7 @@ proptest! {
         }
 
         // Streamed: parallel workers.
-        sim.set_threads(threads);
+        let sim = spec.threads(threads).compile();
         let streamed = Campaign::new(&sim).run(&originations, KeyedSink::default);
         prop_assert_eq!(&streamed.sink, &reference, "streaming fold diverged");
         prop_assert_eq!(streamed.events, collected.events);
@@ -1143,13 +1140,14 @@ proptest! {
     #[test]
     fn scratch_reuse_equals_fresh_state_per_prefix(raw in arb_world(), threads in 2usize..6) {
         let (topo, configs, collectors, originations) = build_world(&raw);
-        let mut sim = spec_for(&topo, configs, collectors).compile();
+        let spec = spec_for(&topo, configs, collectors);
+        let sim = spec.clone().compile();
 
         let reference = fresh_state_reference(&sim, &originations);
         let combined = sim.run(&originations);
         prop_assert_eq!(&combined, &reference, "sequential scratch reuse leaked state");
 
-        sim.set_threads(threads);
+        let sim = spec.threads(threads).compile();
         prop_assert_eq!(&sim.run(&originations), &reference, "sharded scratch reuse leaked state");
 
         let streamed = Campaign::new(&sim).run(&originations, KeyedSink::default);
@@ -1216,7 +1214,8 @@ proptest! {
         stop_after in 1usize..5,
     ) {
         let (topo, configs, collectors, originations) = build_world(&raw);
-        let mut sim = spec_for(&topo, configs, collectors).compile();
+        let spec = spec_for(&topo, configs, collectors);
+        let sim = spec.clone().compile();
         let full = Campaign::new(&sim).run(&originations, KeyedSink::default);
 
         let campaign = Campaign::new(&sim);
@@ -1228,7 +1227,7 @@ proptest! {
         );
         // Resume under a different thread count: the checkpoint must not
         // bake any scheduling state in.
-        sim.set_threads(threads);
+        let sim = spec.threads(threads).compile();
         let resumed = Campaign::new(&sim).resume(&originations, cp, KeyedSink::default);
         prop_assert_eq!(&resumed.sink, &full.sink, "resume diverged");
         prop_assert_eq!(resumed.events, full.events);
@@ -1248,9 +1247,9 @@ proptest! {
     #[test]
     fn memoization_never_changes_campaign_output(raw in arb_world(), threads in 2usize..6) {
         let (topo, configs, collectors, originations) = build_world(&raw);
-        let mut sim = spec_for(&topo, configs, collectors).compile();
+        let spec = spec_for(&topo, configs, collectors);
         for t in [1, threads] {
-            sim.set_threads(t);
+            let sim = spec.clone().threads(t).compile();
             let memoized = Campaign::new(&sim).run(&originations, KeyedSink::default);
             let plain = Campaign::unmemoized_reference(&sim).run(&originations, KeyedSink::default);
             prop_assert_eq!(&memoized.sink, &plain.sink, "memoized fold diverged, threads = {}", t);
@@ -1287,7 +1286,8 @@ proptest! {
         ),
     ) {
         let (topo, configs, collectors, originations) = build_world(&raw);
-        let mut sim = spec_for(&topo, configs, collectors).compile();
+        let spec = spec_for(&topo, configs, collectors);
+        let sim = spec.clone().compile();
 
         // Perturb the first episode's prefix, strictly after its baseline.
         let target = originations[0].prefix;
@@ -1330,7 +1330,7 @@ proptest! {
         let outcome = sim.run_delta_prefix(&snap, &delta);
 
         for t in [1, threads] {
-            sim.set_threads(t);
+            let sim = spec.clone().threads(t).compile();
             prop_assert_eq!(
                 &sim.run(&combined), &replayed,
                 "delta diverged from the fresh combined run, threads = {}", t
@@ -1344,6 +1344,7 @@ proptest! {
 
         // `threads` shards prefixes only: the capture and its replay at
         // `threads = N` are the `threads = 1` ones.
+        let sim = spec.threads(threads).compile();
         let (par_base, par_snap) = sim.run_snapshot(&baseline, target);
         prop_assert_eq!(&par_base, &base, "capturing run diverged");
         prop_assert_eq!(&par_snap, &snap, "capture diverged");
@@ -1366,14 +1367,14 @@ proptest! {
     ) {
         let (topo, configs, collectors, originations) = with_unread_shapes(&raw);
         let spec = spec_for(&topo, configs, collectors);
-        let mut elided = spec.clone().retain(RetainRoutes::None).compile();
-        let mut full = spec.compile();
+        let elided = spec.clone().retain(RetainRoutes::None).compile();
+        let full = spec.clone().compile();
         prop_assert!(elided.unread_nodes() >= 3, "the three added stubs are unread");
         prop_assert_eq!(elided.unread_nodes(), full.unread_nodes());
 
         for t in [1, threads] {
-            elided.set_threads(t);
-            full.set_threads(t);
+            let spec = spec.clone().threads(t);
+            let (elided, full) = (spec.clone().retain(RetainRoutes::None).compile(), spec.compile());
             let (got, want) = (elided.run(&originations), full.run(&originations));
             prop_assert!(got.final_routes.is_empty() && !want.final_routes.is_empty());
             prop_assert_eq!(&got.observations, &want.observations, "threads = {}", t);
@@ -1407,7 +1408,8 @@ proptest! {
         threads in 2usize..6,
     ) {
         let (topo, configs, collectors, originations) = with_unread_shapes(&raw);
-        let mut sim = spec_for(&topo, configs, collectors).compile();
+        let spec = spec_for(&topo, configs, collectors);
+        let sim = spec.clone().compile();
         let mut by_prefix: BTreeMap<Prefix, Vec<Origination>> = BTreeMap::new();
         for o in &originations {
             by_prefix.entry(o.prefix).or_default().push(o.clone());
@@ -1418,7 +1420,7 @@ proptest! {
             .collect();
 
         for t in [1, threads] {
-            sim.set_threads(t);
+            let sim = spec.clone().threads(t).compile();
             for (memoized, campaign) in [
                 (true, Campaign::new(&sim)),
                 (false, Campaign::unmemoized_reference(&sim)),
@@ -1529,8 +1531,9 @@ proptest! {
 
     /// Memoization under prefix-sensitive policy: worlds seasoned with
     /// origin validation (against *partially* registered IRR/RPKI, so the
-    /// registration bits genuinely split classes), blackhole length floors,
-    /// tight `max_prefix_len_v4`, and exact-prefix targeted-egress tagging
+    /// registration bits genuinely split classes), blackhole length floors
+    /// (one at the schedule's own /16 length), and exact-prefix
+    /// targeted-egress tagging
     /// (which forces singleton classes). The classifier must split — never
     /// merge — across every one of these features, keeping
     /// memoized ≡ unmemoized bit-for-bit.
@@ -1549,8 +1552,11 @@ proptest! {
                 0 => cfg.validation = OriginValidation::Irr { validate_after_blackhole: false },
                 1 => cfg.validation = OriginValidation::Strict,
                 2 => {
-                    cfg.services.blackhole = Some(BlackholeService::default());
-                    cfg.max_prefix_len_v4 = 14; // the /16 schedule is "too specific"
+                    // A /16 floor: the /16 schedule sits on a threshold.
+                    cfg.services.blackhole = Some(BlackholeService {
+                        min_prefix_len: 16,
+                        ..BlackholeService::default()
+                    });
                 }
                 _ => {
                     let target = originations[i % originations.len()].prefix;
@@ -1568,9 +1574,8 @@ proptest! {
                 spec = spec.register_irr(o.prefix, o.origin).register_rpki(o.prefix, o.origin);
             }
         }
-        let mut sim = spec.compile();
         for t in [1, threads] {
-            sim.set_threads(t);
+            let sim = spec.clone().threads(t).compile();
             let memoized = Campaign::new(&sim).run(&originations, KeyedSink::default);
             let plain = Campaign::unmemoized_reference(&sim).run(&originations, KeyedSink::default);
             prop_assert_eq!(
@@ -1708,7 +1713,7 @@ proptest! {
                     prefix.len() >= offer.min_prefix_len,
                     "{asn} blackholed {prefix}, shorter than its floor /{}", offer.min_prefix_len
                 );
-                let own = asn.as_u16().map(|hi| Community::new(hi, offer.value));
+                let own = asn.as_u16().map(|hi| Community::new(hi, BLACKHOLE_VALUE));
                 prop_assert!(
                     route.communities.contains(&Community::BLACKHOLE)
                         || own.is_some_and(|own| route.communities.contains(&own)),
@@ -1881,6 +1886,101 @@ proptest! {
                     "{peer} reported {c} on {} past {}, which strips everything",
                     obs.prefix,
                     path[k]
+                );
+            }
+        }
+    }
+
+    /// ROADMAP item 3(b) — *a forged origin is rejected wherever IRR/RPKI
+    /// validation is configured* — read off `OriginValidation`'s doc
+    /// comments, not off `router.rs`, over what a converged run retains,
+    /// the configs and the registries. `Irr` checks a learned route's
+    /// origin against the IRR, which an attacker can pollute; `Strict`
+    /// checks it against the RPKI-like registry; `Irr {
+    /// validate_after_blackhole: true }` acts on the blackhole community
+    /// first, so a route it blackholes skips validation there (§6.3).
+    ///
+    /// The world is seasoned as `memoization_survives_prefix_sensitive_
+    /// policies` seasons it: every other (prefix, origin) pair goes into
+    /// both registries, and the IRR also holds a route object for the first
+    /// attacker. Each attack announces a drawn prefix from a drawn origin
+    /// (a hijack, unless the draw hits a registered pair) or forges a drawn
+    /// origin (`Origination::forging`), with or without `BLACKHOLE`; the
+    /// mis-ordered validators offer RTBH down to /16, so a tagged /16 is
+    /// blackholed there. Validation reads only the path's last AS, so a
+    /// forged route passes exactly when the origin it claims is registered:
+    /// origin validation cannot see a type-1 hijack (§5).
+    #[test]
+    fn validating_ases_hold_only_routes_from_registered_origins(
+        raw in arb_world(),
+        validators in proptest::collection::vec((0usize..16, 0u8..3), 1..5),
+        attacks in proptest::collection::vec((0usize..16, 0usize..16, 0usize..16, 0u8..4), 1..4),
+    ) {
+        let (topo, mut configs, collectors, mut originations) = build_world(&raw);
+        let asn_of = |i: usize| Asn::new((i % raw.n_nodes) as u32 + 1);
+        let (mut irr, mut rpki) = (IrrDatabase::new(), IrrDatabase::new());
+        for o in originations.iter().step_by(2) {
+            irr.register(o.prefix, o.origin);
+            rpki.register(o.prefix, o.origin);
+        }
+        let after = originations.iter().map(|o| o.time).max().unwrap_or(0);
+        for (i, &(attacker, target, claimed, kind)) in attacks.iter().enumerate() {
+            let attacker = asn_of(attacker);
+            let prefix = originations[target % originations.len()].prefix;
+            if i == 0 {
+                irr.register(prefix, attacker); // §7.3: "easy to circumvent"
+            }
+            let tags = if kind & 1 != 0 { vec![Community::BLACKHOLE] } else { vec![] };
+            let attack = Origination::announce(attacker, prefix, tags).at(after + 100 * (i as u32 + 1));
+            originations.push(if kind & 2 != 0 { attack.forging(asn_of(claimed)) } else { attack });
+        }
+        for &(at, kind) in &validators {
+            let mut cfg = RouterConfig::defaults(asn_of(at));
+            cfg.validation = match kind {
+                0 => OriginValidation::Irr { validate_after_blackhole: false },
+                1 => OriginValidation::Irr { validate_after_blackhole: true },
+                _ => OriginValidation::Strict,
+            };
+            if kind == 1 {
+                cfg.services.blackhole = Some(BlackholeService {
+                    min_prefix_len: 16,
+                    ..BlackholeService::default()
+                });
+            }
+            configs.push(cfg);
+        }
+        // The config each AS runs: a later entry for an AS replaces an
+        // earlier one, as `SimSpec::configure` does.
+        let resolved: BTreeMap<Asn, RouterConfig> =
+            configs.iter().map(|cfg| (cfg.asn, cfg.clone())).collect();
+        let res = spec_for(&topo, configs, collectors)
+            .irr(&irr)
+            .rpki(&rpki)
+            .compile()
+            .run(&originations);
+        if !res.converged {
+            return Ok(()); // an oscillating world has no converged state to read
+        }
+
+        for (prefix, finals) in &res.final_routes {
+            for (&asn, route) in finals.iter() {
+                if route.source.neighbor().is_none() {
+                    continue; // its own origination
+                }
+                let registry = match resolved.get(&asn).map(|cfg| cfg.validation) {
+                    Some(OriginValidation::Irr { validate_after_blackhole }) => {
+                        if validate_after_blackhole && route.blackholed {
+                            continue; // the §6.3 route-map acted before validating
+                        }
+                        &irr
+                    }
+                    Some(OriginValidation::Strict) => &rpki,
+                    _ => continue,
+                };
+                let origin = route.path.origin();
+                prop_assert!(
+                    origin.is_some_and(|origin| registry.is_registered(prefix, origin)),
+                    "{asn} validates but holds {prefix} from unregistered origin {origin:?}"
                 );
             }
         }

@@ -2,8 +2,8 @@
 //!
 //! Mirrors the shape of the paper's dataset (Table 1): IPv4 dominates
 //! (~92 % of prefixes), stubs originate a couple of prefixes each, transit
-//! providers originate a few more, and a configurable share of ASes also
-//! originate one IPv6 prefix.
+//! providers originate a few more, and a quarter of ASes also originate
+//! one IPv6 prefix.
 
 use crate::graph::{Tier, Topology};
 use bgpworms_types::{Asn, Ipv4Prefix, Ipv6Prefix, Prefix};
@@ -11,21 +11,23 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 
+/// Probability an AS also gets one IPv6 prefix.
+const V6_PROBABILITY: f64 = 0.25;
+
+/// Length of the deaggregated more-specifics: a routing table's modal
+/// length.
+const TARGET_LEN: u8 = 24;
+
 /// Allocation parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct AddressingParams {
     /// RNG seed.
     pub seed: u64,
-    /// Probability an AS also gets one IPv6 prefix.
-    pub v6_probability: f64,
 }
 
 impl Default for AddressingParams {
     fn default() -> Self {
-        AddressingParams {
-            seed: 1,
-            v6_probability: 0.25,
-        }
+        AddressingParams { seed: 1 }
     }
 }
 
@@ -36,17 +38,11 @@ impl Default for AddressingParams {
 pub struct FullTableParams {
     /// RNG seed (independent of the base allocation's seed).
     pub seed: u64,
-    /// Length of the deaggregated more-specifics (a routing table's modal
-    /// length, /24, by default).
-    pub target_len: u8,
 }
 
 impl Default for FullTableParams {
     fn default() -> Self {
-        FullTableParams {
-            seed: 1,
-            target_len: 24,
-        }
+        FullTableParams { seed: 1 }
     }
 }
 
@@ -103,7 +99,7 @@ impl PrefixAllocation {
                 next_v4_block = next_v4_block.wrapping_add(1 << 16);
                 prefixes.push(Prefix::V4(p));
             }
-            if rng.gen_bool(params.v6_probability) {
+            if rng.gen_bool(V6_PROBABILITY) {
                 let p = Ipv6Prefix::new(next_v6_block, 32).expect("len <= 128");
                 next_v6_block += 1u128 << 96;
                 prefixes.push(Prefix::V6(p));
@@ -118,7 +114,7 @@ impl PrefixAllocation {
 
     /// Widens this allocation into a full-table-shaped one: on top of each
     /// AS's base allocations, the origin also announces a tier-dependent
-    /// number of **more-specific** `/target_len` subnets carved
+    /// number of **more-specific** `/24` subnets carved
     /// sequentially out of its own IPv4 blocks — the deaggregated
     /// more-specifics that dominate a real routing table. Every extra
     /// prefix shares its origin's covering block, so registries built over
@@ -132,13 +128,12 @@ impl PrefixAllocation {
     pub fn deaggregate(&self, topo: &Topology, params: FullTableParams) -> Self {
         let mut rng = StdRng::seed_from_u64(params.seed ^ 0xF011_7AB1_E000_0000);
         let mut alloc = self.clone();
-        let target = params.target_len.min(32);
         for node in topo.ases() {
             let bases: Vec<Ipv4Prefix> = self
                 .prefixes_of(node.asn)
                 .iter()
                 .filter_map(|p| p.as_v4())
-                .filter(|p| p.len() < target)
+                .filter(|p| p.len() < TARGET_LEN)
                 .collect();
             let extras: usize = match node.tier {
                 Tier::Tier1 => rng.gen_range(16..=48),
@@ -158,15 +153,15 @@ impl PrefixAllocation {
             // Sequential subnet cursor per base block, so extras never
             // repeat within a block no matter how bases interleave.
             let mut next_subnet: BTreeMap<Ipv4Prefix, u32> = BTreeMap::new();
-            let step = 1u32 << (32 - target);
+            let step = 1u32 << (32 - TARGET_LEN);
             for k in 0..extras {
                 let base = bases[k % bases.len()];
                 let ix = next_subnet.entry(base).or_insert(0);
-                if u64::from(*ix) >= 1u64 << (target - base.len()) {
+                if u64::from(*ix) >= 1u64 << (TARGET_LEN - base.len()) {
                     continue; // block exhausted; skip rather than overlap
                 }
-                let sub = Ipv4Prefix::new(base.network().wrapping_add(*ix * step), target)
-                    .expect("target <= 32");
+                let sub = Ipv4Prefix::new(base.network().wrapping_add(*ix * step), TARGET_LEN)
+                    .expect("a /24 fits IPv4");
                 *ix += 1;
                 alloc.origin_of.insert(Prefix::V4(sub), node.asn);
                 alloc
@@ -319,13 +314,7 @@ mod tests {
         for (asn, prefix) in a.iter() {
             assert_eq!(a.origin_of(&prefix), Some(asn));
         }
-        let other = alloc.deaggregate(
-            &topo,
-            FullTableParams {
-                seed: 7,
-                target_len: 24,
-            },
-        );
+        let other = alloc.deaggregate(&topo, FullTableParams { seed: 7 });
         assert_ne!(
             a.iter().collect::<Vec<_>>(),
             other.iter().collect::<Vec<_>>(),

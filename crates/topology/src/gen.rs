@@ -14,6 +14,9 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::sync::OnceLock;
 
+/// Maximum number of providers per multihomed AS.
+const MAX_PROVIDERS: usize = 3;
+
 /// Generator parameters. Construct via the presets and adjust with the
 /// builder methods; `build` is deterministic in all parameters.
 #[derive(Debug, Clone)]
@@ -30,8 +33,6 @@ pub struct TopologyParams {
     pub n_ixp: usize,
     /// Probability that two sibling transit ASes peer laterally.
     pub transit_peer_prob: f64,
-    /// Maximum number of providers per multihomed AS.
-    pub max_providers: usize,
     /// Fraction of eligible ASes joining each IXP.
     pub ixp_member_fraction: f64,
     /// Probability that two members of the same IXP also peer bilaterally.
@@ -71,7 +72,6 @@ impl TopologyParams {
             n_stub: 30,
             n_ixp: 1,
             transit_peer_prob: 0.2,
-            max_providers: 3,
             ixp_member_fraction: 0.3,
             ixp_bilateral_prob: 0.1,
             four_byte_stub_fraction: 0.0,
@@ -89,7 +89,6 @@ impl TopologyParams {
             n_stub: 100,
             n_ixp: 2,
             transit_peer_prob: 0.15,
-            max_providers: 3,
             ixp_member_fraction: 0.25,
             ixp_bilateral_prob: 0.08,
             four_byte_stub_fraction: 0.0,
@@ -107,7 +106,6 @@ impl TopologyParams {
             n_stub: 1500,
             n_ixp: 5,
             transit_peer_prob: 0.06,
-            max_providers: 3,
             ixp_member_fraction: 0.12,
             ixp_bilateral_prob: 0.03,
             four_byte_stub_fraction: 0.0,
@@ -125,7 +123,6 @@ impl TopologyParams {
             n_stub: 8000,
             n_ixp: 12,
             transit_peer_prob: 0.02,
-            max_providers: 3,
             ixp_member_fraction: 0.06,
             ixp_bilateral_prob: 0.02,
             four_byte_stub_fraction: 0.0,
@@ -151,7 +148,6 @@ impl TopologyParams {
             n_stub: 58_000,
             n_ixp: 30,
             transit_peer_prob: 0.001,
-            max_providers: 3,
             ixp_member_fraction: 0.02,
             ixp_bilateral_prob: 0.02,
             four_byte_stub_fraction: 0.12,
@@ -277,7 +273,7 @@ impl TopologyParams {
                 pool.extend_from_slice(&transit_asns[..idx.min(upper_transit_count)]);
                 pool
             };
-            let n_prov = rng.gen_range(1..=self.max_providers.min(provider_pool.len()));
+            let n_prov = rng.gen_range(1..=MAX_PROVIDERS.min(provider_pool.len()));
             let chosen = preferential_sample(&provider_pool, &cust_degree, n_prov, &mut rng);
             for p in chosen {
                 topo.add_edge(p, t, EdgeKind::ProviderToCustomer);
@@ -303,7 +299,7 @@ impl TopologyParams {
             let mut weights = preferential_weights(&transit_asns, &cust_degree);
             let mut total: usize = weights.iter().sum();
             for &s in &stub_asns {
-                let n_prov = sample_provider_count(self.max_providers, &mut rng);
+                let n_prov = sample_provider_count(&mut rng);
                 for ix in preferential_pick(&weights, total, n_prov, &mut rng) {
                     topo.add_edge(transit_asns[ix], s, EdgeKind::ProviderToCustomer);
                     weights[ix] += 1;
@@ -396,7 +392,7 @@ impl TopologyParams {
                     for (j, out) in slice.iter_mut().enumerate() {
                         let stub_ix = ci * chunk + j;
                         let mut rng = StdRng::seed_from_u64(stream_seed(self.seed, stub_ix as u64));
-                        let n_prov = sample_provider_count(self.max_providers, &mut rng);
+                        let n_prov = sample_provider_count(&mut rng);
                         *out = pick_distinct_weighted(cumulative, total, n_prov, &mut rng);
                     }
                 });
@@ -444,17 +440,16 @@ fn pick_distinct_weighted(cumulative: &[u64], total: u64, n: usize, rng: &mut St
     chosen
 }
 
-/// Number of providers for a multihomed stub: mostly 1–2, occasionally 3+.
-fn sample_provider_count(max: usize, rng: &mut StdRng) -> usize {
+/// Number of providers for a multihomed stub: mostly 1–2, occasionally 3.
+fn sample_provider_count(rng: &mut StdRng) -> usize {
     let r: f64 = rng.gen();
-    let n = if r < 0.45 {
+    if r < 0.45 {
         1
     } else if r < 0.85 {
         2
     } else {
-        3
-    };
-    n.min(max.max(1))
+        MAX_PROVIDERS
+    }
 }
 
 /// Each pool member's preferential-attachment weight, `1 + customer

@@ -96,6 +96,7 @@ pub struct Neighbor {
 /// Aggregate structure counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TopologyStats {
+    // lint: api the crate-level doc example summarises a generated topology with these
     /// Number of ASes (excluding route servers).
     pub ases: usize,
     /// Number of route servers.

@@ -52,7 +52,7 @@ fn main() {
     }
 
     println!("\n== Step 1: behavioural dictionary inference (no value conventions) ==\n");
-    let (inferred, _evidence) = DictionaryInference::default().infer(&run.observations);
+    let (inferred, _evidence) = DictionaryInference.infer(&run.observations);
     println!(
         "inferred semantics for {} communities from behaviour alone:",
         inferred.len()

@@ -90,10 +90,7 @@ fn main() {
     let topo = TopologyParams::small().seed(2018).build();
     let alloc = PrefixAllocation::assign(
         &topo,
-        bgpworms::topology::addressing::AddressingParams {
-            seed: 2018,
-            ..Default::default()
-        },
+        bgpworms::topology::addressing::AddressingParams { seed: 2018 },
     );
     let workload = Workload::generate(&topo, &alloc, &WorkloadParams::default());
     let sim = workload.simulation(&topo).threads(4).compile();
@@ -132,10 +129,7 @@ fn main() {
         .build();
     let alloc4 = PrefixAllocation::assign(
         &topo4,
-        bgpworms::topology::addressing::AddressingParams {
-            seed: 2018,
-            ..Default::default()
-        },
+        bgpworms::topology::addressing::AddressingParams { seed: 2018 },
     );
     let params4 = WorkloadParams {
         large_community_adoption: 0.8,

@@ -19,10 +19,7 @@ fn main() {
     let topo = TopologyParams::small().seed(seed).build();
     let alloc = PrefixAllocation::assign(
         &topo,
-        bgpworms::topology::addressing::AddressingParams {
-            seed,
-            ..Default::default()
-        },
+        bgpworms::topology::addressing::AddressingParams { seed },
     );
     let workload = Workload::generate(
         &topo,

@@ -9,10 +9,7 @@ fn converged_world(seed: u64) -> (Topology, PrefixAllocation, bgpworms::routesim
     let topo = TopologyParams::tiny().seed(seed).build();
     let alloc = PrefixAllocation::assign(
         &topo,
-        bgpworms::topology::addressing::AddressingParams {
-            seed,
-            ..Default::default()
-        },
+        bgpworms::topology::addressing::AddressingParams { seed },
     );
     let workload = Workload::generate(
         &topo,
@@ -87,10 +84,7 @@ fn control_plane_blackhole_equals_data_plane_drop() {
     let topo = TopologyParams::tiny().seed(seed).build();
     let alloc = PrefixAllocation::assign(
         &topo,
-        bgpworms::topology::addressing::AddressingParams {
-            seed,
-            ..Default::default()
-        },
+        bgpworms::topology::addressing::AddressingParams { seed },
     );
     let workload = Workload::generate(
         &topo,

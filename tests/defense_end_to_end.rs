@@ -10,10 +10,7 @@ fn build(adoption: f64) -> (ObservationSet, BlackholeDetector) {
     let topo = TopologyParams::small().seed(2018).build();
     let alloc = PrefixAllocation::assign(
         &topo,
-        bgpworms::topology::addressing::AddressingParams {
-            seed: 2018,
-            ..Default::default()
-        },
+        bgpworms::topology::addressing::AddressingParams { seed: 2018 },
     );
     let params = WorkloadParams {
         scoped_defense_adoption: adoption,

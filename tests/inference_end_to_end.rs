@@ -60,7 +60,7 @@ fn attack_inference_full_pipeline() {
 #[test]
 fn dictionary_inference_recovers_blackhole_semantics() {
     let run = labeled_run();
-    let (inferred, evidence) = DictionaryInference::default().infer(&run.observations);
+    let (inferred, evidence) = DictionaryInference.infer(&run.observations);
     assert!(!evidence.is_empty());
 
     let eval = DictionaryEval::compare(&inferred, &run.truth_dict, &run.observed_communities);
@@ -82,10 +82,7 @@ fn hygiene_report_on_a_benign_world() {
     let topo = TopologyParams::small().seed(7).build();
     let alloc = PrefixAllocation::assign(
         &topo,
-        bgpworms::topology::addressing::AddressingParams {
-            seed: 7,
-            ..Default::default()
-        },
+        bgpworms::topology::addressing::AddressingParams { seed: 7 },
     );
     let workload = Workload::generate(&topo, &alloc, &WorkloadParams::default());
     let sim = workload.simulation(&topo).threads(4).compile();
@@ -128,10 +125,7 @@ fn fake_location_injection_is_caught_by_the_monitor() {
     let topo = TopologyParams::small().seed(2018).build();
     let alloc = PrefixAllocation::assign(
         &topo,
-        bgpworms::topology::addressing::AddressingParams {
-            seed: 2018,
-            ..Default::default()
-        },
+        bgpworms::topology::addressing::AddressingParams { seed: 2018 },
     );
     let params = WorkloadParams {
         location_tag_prob: 0.6,
@@ -204,10 +198,7 @@ fn monitor_is_quiet_on_a_benign_world_apart_from_rtbh_lookalikes() {
     let topo = TopologyParams::small().seed(21).build();
     let alloc = PrefixAllocation::assign(
         &topo,
-        bgpworms::topology::addressing::AddressingParams {
-            seed: 21,
-            ..Default::default()
-        },
+        bgpworms::topology::addressing::AddressingParams { seed: 21 },
     );
     let workload = Workload::generate(&topo, &alloc, &WorkloadParams::default());
     let sim = workload.simulation(&topo).threads(4).compile();

@@ -9,10 +9,7 @@ fn archives(seed: u64) -> Vec<bgpworms::routesim::CollectorArchive> {
     let topo = TopologyParams::tiny().seed(seed).build();
     let alloc = PrefixAllocation::assign(
         &topo,
-        bgpworms::topology::addressing::AddressingParams {
-            seed,
-            ..Default::default()
-        },
+        bgpworms::topology::addressing::AddressingParams { seed },
     );
     let workload = Workload::generate(
         &topo,

@@ -88,10 +88,7 @@ fn build_world(params: TopologyParams, seed: u64) -> (Topology, ObservationSet) 
     let topo = params.seed(seed).build();
     let alloc = PrefixAllocation::assign(
         &topo,
-        bgpworms::topology::addressing::AddressingParams {
-            seed,
-            ..Default::default()
-        },
+        bgpworms::topology::addressing::AddressingParams { seed },
     );
     let workload = Workload::generate(
         &topo,

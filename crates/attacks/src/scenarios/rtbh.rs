@@ -25,6 +25,7 @@
 use crate::roles::AttackRoles;
 use crate::scenarios::{ScenarioOutcome, ScenarioReport};
 use bgpworms_dataplane::{trace, Fib, LookingGlass, TraceOutcome};
+use bgpworms_routesim::router::blackhole_community_of;
 use bgpworms_routesim::{
     ActScope, BlackholeService, CommunityPropagationPolicy, OriginValidation, Origination,
     RetainRoutes, RouterConfig, SimSpec,
@@ -154,7 +155,7 @@ impl RtbhScenario {
     }
 
     fn blackhole_community(&self) -> Community {
-        Community::new(TARGET.as_u16().expect("small ASN"), 666)
+        blackhole_community_of(TARGET).expect("small ASN")
     }
 
     /// Runs baseline and attack, returning the report.

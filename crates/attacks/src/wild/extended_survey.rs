@@ -19,6 +19,7 @@ use crate::wild::survey::{SurveyContext, SurveyParams};
 use crate::wild::World;
 use bgpworms_routesim::{
     Campaign, CampaignSink, Origination, PrefixOutcome, RetainRoutes, BLACKHOLE_VALUE,
+    LOCATION_TAG_VALUES,
 };
 use bgpworms_types::{Asn, Community, Prefix};
 use std::collections::{BTreeMap, BTreeSet};
@@ -197,7 +198,7 @@ pub fn location_injection(params: &SurveyParams) -> Option<LocationInjectionRepo
     let injector = world.attach_peering_platform();
 
     // Two distinct transits that tag ingress location: fake "LAX" from one
-    // and "FRA" from the other (Fig 1's buckets are 201..=204).
+    // and "FRA" from the other (Fig 1's four buckets).
     let taggers: Vec<Asn> = world
         .workload
         .configs
@@ -210,8 +211,8 @@ pub fn location_injection(params: &SurveyParams) -> Option<LocationInjectionRepo
         return None;
     };
     let injected = vec![
-        Community::new(a.as_u16().expect("filtered"), 201),
-        Community::new(b.as_u16().expect("filtered"), 203),
+        Community::new(a.as_u16().expect("filtered"), LOCATION_TAG_VALUES[0]),
+        Community::new(b.as_u16().expect("filtered"), LOCATION_TAG_VALUES[2]),
     ];
 
     let p = Prefix::V4(injector.prefix);

@@ -10,9 +10,10 @@
 //! with Atlas pings plus the target's looking glass.
 
 use crate::wild::{vantage, InjectionPlatform, World};
+use bgpworms_routesim::router::blackhole_community_of;
 use bgpworms_routesim::{Workload, WorkloadParams};
 use bgpworms_topology::{Tier, Topology, TopologyParams};
-use bgpworms_types::{Asn, Community, Prefix};
+use bgpworms_types::{Asn, Prefix};
 
 /// Outcome of one RTBH wild experiment.
 #[derive(Debug, Clone)]
@@ -137,7 +138,7 @@ pub fn run(
     // it costs the community's blast radius, not a fresh Internet.
     let mut last: Option<RtbhWildReport> = None;
     for (target, target_distance) in candidate_targets(&world.topo, &world.workload, upstream) {
-        let target_bh = Community::new(target.as_u16().expect("small"), 666);
+        let target_bh = blackhole_community_of(target).expect("small");
         let (outcome, attacked_fib) = baseline.candidate(&session, &[target_bh]);
         let target_blackholed = outcome
             .final_routes

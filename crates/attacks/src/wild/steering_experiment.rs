@@ -6,7 +6,7 @@
 use crate::wild::{InjectionPlatform, World};
 use bgpworms_dataplane::LookingGlass;
 use bgpworms_routesim::{
-    ActScope, Origination, RetainRoutes, RouterConfig, Workload, WorkloadParams,
+    prepend_value, ActScope, Origination, RetainRoutes, RouterConfig, Workload, WorkloadParams,
 };
 use bgpworms_topology::{Topology, TopologyParams};
 use bgpworms_types::{Asn, Community, Prefix};
@@ -99,7 +99,7 @@ pub fn run(
         target_cfg.services.steering_scope = ActScope::CustomersOnly;
 
         let target16 = target.as_u16().expect("small");
-        let prepend2 = Community::new(target16, 422);
+        let prepend2 = Community::new(target16, prepend_value(2));
         let fallback = Community::new(target16, 70);
 
         // One compiled session per candidate config; all three runs
@@ -127,7 +127,7 @@ pub fn run(
         }
 
         // --- Local-pref experiment (baseline, then tagged). The baseline
-        // run captures a converged snapshot, so the tagged announcement is
+        // run keeps its converged scratch as a snapshot, so the tagged announcement is
         // a delta re-convergence instead of a second full run — the A/B
         // pair costs roughly one convergence plus the community's blast
         // radius. ---

@@ -4,10 +4,11 @@
 //! responsiveness. A re-run checks repeatability, and baseline traceroutes
 //! bound how many AS hops each effective community travelled.
 
-use crate::wild::vantage::{self, Baseline, Session};
+use crate::wild::vantage::{self, Baseline};
 use crate::wild::{InjectionPlatform, World};
 use bgpworms_dataplane::{trace, AtlasPlatform, Fib};
-use bgpworms_routesim::{Workload, WorkloadParams};
+use bgpworms_routesim::router::blackhole_community_of;
+use bgpworms_routesim::{CompiledSim, Workload, WorkloadParams};
 use bgpworms_topology::TopologyParams;
 use bgpworms_types::{Asn, Community};
 use std::collections::{BTreeMap, BTreeSet};
@@ -88,10 +89,8 @@ impl SurveyReport {
 fn corpus(workload: &Workload, cap: usize) -> Vec<Community> {
     let mut out = vec![Community::BLACKHOLE];
     for (asn, cfg) in &workload.configs {
-        if let Some(hi) = asn.as_u16() {
-            if cfg.services.any() || cfg.services.blackhole.is_some() {
-                out.push(Community::new(hi, 666));
-            }
+        if cfg.services.any() || cfg.services.blackhole.is_some() {
+            out.extend(blackhole_community_of(*asn));
         }
     }
     out.truncate(cap);
@@ -132,7 +131,8 @@ impl SurveyContext {
         let mut world = World::generate(&params.topo, &params.workload);
         let injector = world.attach_peering_platform();
         // The session the baseline was measured on borrows the world this
-        // context is about to own; `session()` compiles the campaign's.
+        // context is about to own; `session()` compiles the campaign's, and
+        // the baseline's snapshot, which borrows nothing, replays on it.
         let (atlas, baseline, _) =
             vantage::build(&world, injector.asn, injector.prefix, params.n_vps);
         SurveyContext {
@@ -146,21 +146,23 @@ impl SurveyContext {
 
     /// Compiles the campaign session ([`Baseline::session`]): once per
     /// campaign, every candidate community then replays as a delta on it.
-    pub fn session(&self) -> Session<'_> {
+    /// The baseline does not converge again: its snapshot is the one
+    /// [`SurveyContext::build`] measured.
+    pub fn session(&self) -> CompiledSim<'_> {
         self.baseline.session(&self.world)
     }
 
     /// The FIB when the experiment prefix is announced with `communities`
     /// ([`Baseline::candidate`]): the vantage-point columns shared as they
     /// are, plus one delta-replayed column.
-    pub fn fib_with(&self, session: &Session<'_>, communities: &[Community]) -> Fib {
+    pub fn fib_with(&self, session: &CompiledSim<'_>, communities: &[Community]) -> Fib {
         self.baseline.candidate(session, communities).1
     }
 
     /// One campaign round: per candidate community, the set of vantage
     /// points that were responsive at baseline but lost reachability. The
-    /// session compiles (and its baseline converges) once; every candidate
-    /// is one more delta replay.
+    /// session compiles once (its baseline converged once, in
+    /// [`SurveyContext::build`]); every candidate is one more delta replay.
     pub fn blackhole_round(&self, candidates: &[Community]) -> BTreeMap<Community, Vec<Asn>> {
         let session = self.session();
         let mut out = BTreeMap::new();
@@ -178,7 +180,7 @@ impl SurveyContext {
     /// reachability loss.
     pub fn trace_paths(
         &self,
-        session: &Session<'_>,
+        session: &CompiledSim<'_>,
         communities: &[Community],
     ) -> BTreeMap<Asn, Vec<Asn>> {
         let fib = if communities.is_empty() {
@@ -307,7 +309,7 @@ mod tests {
             let fib = ctx.fib_with(&session, &[c]);
             let tagged = Origination::announce(ctx.injector.asn, p, vec![c]).at(300);
             let mut reference = ctx.baseline.vp_fib.clone();
-            reference.merge(&Fib::from_sim(&session.sim.run(&[plain.clone(), tagged])));
+            reference.merge(&Fib::from_sim(&session.run(&[plain.clone(), tagged])));
             for node in ctx.topo.ases() {
                 for &addr in &addrs {
                     let got = fib.lookup(node.asn, addr);
@@ -324,10 +326,10 @@ mod tests {
 
     #[test]
     fn no_op_candidate_fib_equals_the_build_time_baseline() {
-        // The baseline column is read off the snapshot of the session
-        // `build` measured on; the no-op candidate replays an unchanged
-        // re-announcement on a session compiled afresh. Same answers at
-        // every AS for every probed address, same responsiveness.
+        // The baseline column is read off the snapshot `build` converged on
+        // its own session; the no-op candidate replays an unchanged
+        // re-announcement of it on a session compiled afresh. Same answers
+        // at every AS for every probed address, same responsiveness.
         let ctx = SurveyContext::build(&quick_params());
         let session = ctx.session();
         let fib = ctx.fib_with(&session, &[]);

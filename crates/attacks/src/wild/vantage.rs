@@ -3,8 +3,10 @@
 //! plainly, ping it from a fixed Atlas set, then re-announce it once per
 //! candidate and ping again. Between two candidates exactly one column of
 //! the forwarding plane changes, so the vantage points' own prefixes (the
-//! reverse paths) flood once ([`build`]) and every candidate shares those
-//! columns ([`Baseline::candidate`]).
+//! reverse paths) and the plain announcement flood once ([`build`]), and
+//! every candidate shares those columns and continues that announcement's
+//! snapshot ([`Baseline::candidate`]) — its baseline converges once, on
+//! every session of the sweep.
 
 use crate::wild::World;
 use bgpworms_dataplane::{AtlasPlatform, CampaignResult, Fib};
@@ -23,16 +25,6 @@ const ATLAS_SEED: u64 = 7;
 /// the converged routes do not depend on the gap.
 const REANNOUNCE_AT: u32 = 300;
 
-/// A compiled candidate-sweep session: the [`CompiledSim`] plus the
-/// converged plain announcement captured as a [`SimSnapshot`]. Every
-/// candidate replays as a *delta* against it
-/// ([`CompiledSim::run_delta_prefix`]), so a candidate costs its blast
-/// radius, not a full Internet re-convergence.
-pub struct Session<'w> {
-    pub(crate) sim: CompiledSim<'w>,
-    snapshot: SimSnapshot,
-}
-
 /// What every candidate of one sweep is compared against, and built on.
 pub struct Baseline {
     /// The probe target inside the experiment prefix.
@@ -47,6 +39,11 @@ pub struct Baseline {
     plain: Origination,
     /// What a session retains: the vantage points' prefixes and `plain`'s.
     retain: RetainRoutes,
+    /// `plain`, converged once, by [`build`]: every candidate replays as a
+    /// *delta* against it ([`CompiledSim::run_delta_prefix`]), on whichever
+    /// session of this sweep, so a candidate costs its blast radius, not a
+    /// full Internet re-convergence.
+    snapshot: SimSnapshot,
 }
 
 /// Samples `n_vps` vantage points and measures the baseline of a sweep in
@@ -57,7 +54,7 @@ pub fn build(
     origin: Asn,
     prefix: Ipv4Prefix,
     n_vps: usize,
-) -> (AtlasPlatform, Baseline, Session<'_>) {
+) -> (AtlasPlatform, Baseline, CompiledSim<'_>) {
     let atlas = AtlasPlatform::sample(&world.topo, &world.alloc, n_vps, ATLAS_SEED);
     let target_addr = AtlasPlatform::target_in(prefix);
     let plain = Origination::announce(origin, Prefix::V4(prefix), vec![]);
@@ -83,8 +80,8 @@ pub fn build(
     // it: a snapshot taken first sits on top of the campaign's peak
     // (`peak_rss_mb` + 5 % on `attacks-medium`).
     let vp_fib = Campaign::new(&sim).run(&episodes, Fib::default).sink;
-    let session = converge(sim, &plain);
-    let fib = overlay(&vp_fib, plain.prefix, session.snapshot.baseline_outcome());
+    let (_, snapshot) = sim.run_snapshot(std::slice::from_ref(&plain), plain.prefix);
+    let fib = overlay(&vp_fib, plain.prefix, snapshot.baseline_outcome());
     let responsive = atlas.ping_campaign(&fib, target_addr);
     let baseline = Baseline {
         target_addr,
@@ -93,20 +90,15 @@ pub fn build(
         vp_fib,
         plain,
         retain,
+        snapshot,
     };
-    (atlas, baseline, session)
+    (atlas, baseline, sim)
 }
 
 /// The sweep's session: retains the vantage points' prefixes and the
 /// experiment prefix.
 fn compile<'w>(world: &'w World, retain: &RetainRoutes) -> CompiledSim<'w> {
     world.simulation().retain(retain.clone()).compile()
-}
-
-/// Converges the plain announcement on `sim` and keeps the snapshot.
-fn converge<'w>(sim: CompiledSim<'w>, plain: &Origination) -> Session<'w> {
-    let (_, snapshot) = sim.run_snapshot(std::slice::from_ref(plain), plain.prefix);
-    Session { sim, snapshot }
 }
 
 /// The vantage-point columns, shared as they are, under `outcome`'s column
@@ -122,27 +114,27 @@ fn overlay(vp_fib: &Fib, prefix: Prefix, outcome: &PrefixOutcome) -> Fib {
 impl Baseline {
     /// Compiles a session of this sweep on `world` (the one the baseline
     /// was built on). Compile it **once** per campaign — the compile cost
-    /// (config resolution, CSR, collector interning) *and* the baseline
-    /// convergence are paid once; every candidate then replays as a delta
-    /// on the shared snapshot.
-    pub fn session<'w>(&self, world: &'w World) -> Session<'w> {
-        converge(compile(world, &self.retain), &self.plain)
+    /// (config resolution, CSR, collector interning) is paid once; the
+    /// baseline converged once, in [`build`], and every candidate replays
+    /// as a delta on its snapshot.
+    pub fn session<'w>(&self, world: &'w World) -> CompiledSim<'w> {
+        compile(world, &self.retain)
     }
 
     /// One candidate: the experiment prefix announced plainly, then
     /// re-announced with `communities` — the paper's step-1/step-3
-    /// sequence. The plain half is the session's snapshot; only the tagged
-    /// re-announcement replays, as a delta re-convergence. Returns the
-    /// full-schedule outcome (the looking-glass side) and the FIB it
-    /// implies (the probing side).
+    /// sequence. The plain half is the baseline's snapshot; only the
+    /// tagged re-announcement replays, on `session`, as a delta
+    /// re-convergence. Returns the full-schedule outcome (the looking-glass
+    /// side) and the FIB it implies (the probing side).
     pub fn candidate(
         &self,
-        session: &Session<'_>,
+        session: &CompiledSim<'_>,
         communities: &[Community],
     ) -> (PrefixOutcome, Fib) {
         let (origin, prefix) = (self.plain.origin, self.plain.prefix);
         let tagged = Origination::announce(origin, prefix, communities.to_vec()).at(REANNOUNCE_AT);
-        let outcome = session.sim.run_delta_prefix(&session.snapshot, &[tagged]);
+        let outcome = session.run_delta_prefix(&self.snapshot, &[tagged]);
         let fib = overlay(&self.vp_fib, prefix, &outcome);
         (outcome, fib)
     }

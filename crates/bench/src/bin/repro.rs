@@ -17,7 +17,8 @@ use bgpworms_bench::{Scale, Snapshot};
 use bgpworms_core::propagation::render_table2;
 use bgpworms_core::timeseries::{render_series, SnapshotStats};
 use bgpworms_core::{
-    DatasetOverview, FilteringAnalysis, PropagationAnalysis, TopValues, UsageAnalysis,
+    BlackholeDetector, DatasetOverview, FilteringAnalysis, PropagationAnalysis, TopValues,
+    UsageAnalysis,
 };
 use bgpworms_routesim::WorkloadParams;
 use bgpworms_topology::TopologyParams;
@@ -217,7 +218,8 @@ fn table1(snap: &Snapshot) -> String {
 }
 
 fn table2(snap: &Snapshot) -> String {
-    let analysis = PropagationAnalysis::compute(&snap.observations, &snap.blackhole_detector());
+    let analysis =
+        PropagationAnalysis::compute(&snap.observations, &BlackholeDetector::conventional());
     render_table2(&analysis.table2)
 }
 
@@ -318,7 +320,8 @@ fn fig4b(snap: &Snapshot) -> String {
 }
 
 fn fig5a(snap: &Snapshot) -> String {
-    let analysis = PropagationAnalysis::compute(&snap.observations, &snap.blackhole_detector());
+    let analysis =
+        PropagationAnalysis::compute(&snap.observations, &BlackholeDetector::conventional());
     let all = analysis.fig5a_all();
     let bh = analysis.fig5a_blackhole();
     let mut out = String::new();
@@ -365,7 +368,8 @@ fn fig5a(snap: &Snapshot) -> String {
 }
 
 fn fig5b(snap: &Snapshot) -> String {
-    let analysis = PropagationAnalysis::compute(&snap.observations, &snap.blackhole_detector());
+    let analysis =
+        PropagationAnalysis::compute(&snap.observations, &BlackholeDetector::conventional());
     let per_len = analysis.fig5b();
     let mut out = String::new();
     let _ = writeln!(out, "path_len\tn\tF(0.3)\tF(0.5)\tF(0.7)\tF(0.9)");
@@ -430,7 +434,8 @@ fn fig6(snap: &Snapshot) -> String {
 }
 
 fn transit(snap: &Snapshot) -> String {
-    let analysis = PropagationAnalysis::compute(&snap.observations, &snap.blackhole_detector());
+    let analysis =
+        PropagationAnalysis::compute(&snap.observations, &BlackholeDetector::conventional());
     format!(
         "transit ASes forwarding foreign communities: {} of {} ({:.1}%)\n",
         analysis.forwarders.len(),
@@ -785,7 +790,8 @@ fn headline_means(opts: &Options, seeds: u64, params: impl Fn(u64) -> WorkloadPa
     let mut sums = [0.0; 3];
     for seed in opts.seed..opts.seed + seeds {
         let snap = Snapshot::build_custom(TopologyParams::small(), seed, &params(seed));
-        let prop = PropagationAnalysis::compute(&snap.observations, &snap.blackhole_detector());
+        let prop =
+            PropagationAnalysis::compute(&snap.observations, &BlackholeDetector::conventional());
         sums[0] += prop.forwarder_fraction();
         sums[1] += UsageAnalysis::compute(&snap.observations).overall_fraction;
         let ecdf = prop.fig5a_all();

@@ -5,11 +5,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use bgpworms_core::{ArchiveInput, BlackholeDetector, ObservationSet};
+use bgpworms_core::{ArchiveInput, ObservationSet};
 use bgpworms_routesim::{archive_all, Workload, WorkloadParams};
 use bgpworms_topology::{addressing::AddressingParams, PrefixAllocation, Topology, TopologyParams};
-use bgpworms_types::Community;
-use std::collections::BTreeSet;
 
 /// Snapshot scale presets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,9 +61,6 @@ pub struct Snapshot {
     pub workload: Workload,
     /// Parsed observations (the analysis pipeline's input).
     pub observations: ObservationSet,
-    /// Ground-truth blackhole communities (the "verified list" analogue:
-    /// `ASN:666` of every AS that actually runs the service).
-    pub verified_blackhole: BTreeSet<Community>,
     /// Update events delivered by the propagation engine.
     pub events: u64,
     /// ASes whose routes nothing reads (no customer, no collector session,
@@ -116,27 +111,14 @@ impl Snapshot {
         let observations =
             ObservationSet::from_archives(&inputs).expect("simulator-produced MRT parses");
 
-        let verified_blackhole: BTreeSet<Community> = workload
-            .configs
-            .iter()
-            .filter(|(_, c)| c.services.blackhole.is_some())
-            .filter_map(|(asn, _)| asn.as_u16().map(|hi| Community::new(hi, 666)))
-            .collect();
-
         Snapshot {
             topo,
             alloc,
             workload,
             observations,
-            verified_blackhole,
             events: result.events,
             unread_ases,
         }
-    }
-
-    /// Blackhole detector primed with the verified list.
-    pub fn blackhole_detector(&self) -> BlackholeDetector {
-        BlackholeDetector::with_known(self.verified_blackhole.iter().copied())
     }
 }
 
@@ -150,7 +132,6 @@ mod tests {
         assert!(snap.events > 0);
         assert!(!snap.observations.observations.is_empty());
         assert!(snap.observations.platforms().len() >= 3);
-        assert!(!snap.verified_blackhole.is_empty());
     }
 
     #[test]

@@ -806,7 +806,7 @@ impl BlackholeDetector {
 
     /// True if `c` is a blackhole community under this detector.
     pub fn is_blackhole(&self, c: Community) -> bool {
-        c == Community::BLACKHOLE || c.has_blackhole_value() || self.known.contains(&c)
+        c.has_blackhole_value() || self.known.contains(&c)
     }
 }
 

@@ -17,7 +17,7 @@
 //! simulator — unlike the Internet — can provide.
 
 use bgpworms_core::ObservationSet;
-use bgpworms_routesim::{RouterConfig, BLACKHOLE_VALUE};
+use bgpworms_routesim::{RouterConfig, BLACKHOLE_VALUE, LOCATION_TAG_VALUES, ORIGIN_CLASS_VALUES};
 use bgpworms_types::{Asn, Community, WellKnown};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -159,13 +159,12 @@ impl CommunityDictionary {
                 dict.insert(Community::new(hi, value), CommunityKind::LocalPref);
             }
             if cfg.tagging.tag_ingress_location {
-                // Ingress buckets 201..=204 (router.rs uses sender % 4).
-                for v in 201..=204u16 {
+                for v in LOCATION_TAG_VALUES {
                     dict.insert(Community::new(hi, v), CommunityKind::Location);
                 }
             }
             if cfg.tagging.tag_origin_class {
-                for v in [100u16, 110, 120] {
+                for v in ORIGIN_CLASS_VALUES {
                     dict.insert(Community::new(hi, v), CommunityKind::OriginClass);
                 }
             }

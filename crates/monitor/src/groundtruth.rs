@@ -14,9 +14,10 @@
 use crate::detectors::{Alert, AlertKind};
 use crate::dictionary::CommunityDictionary;
 use bgpworms_core::{ArchiveInput, ObservationSet};
+use bgpworms_routesim::router::blackhole_community_of;
 use bgpworms_routesim::{
-    archive_all, CommunityPropagationPolicy, FeedKind, Origination, Vendor, Workload,
-    WorkloadParams,
+    archive_all, prepend_value, CommunityPropagationPolicy, FeedKind, Origination, Vendor,
+    Workload, WorkloadParams,
 };
 use bgpworms_topology::{
     addressing::AddressingParams, PrefixAllocation, Tier, Topology, TopologyParams,
@@ -237,7 +238,7 @@ fn plan_attack(
     match kind {
         InjectedKind::RtbhHijack | InjectedKind::RtbhForgedOrigin => {
             let target = *blackhole_targets.first()?;
-            let t16 = target.as_u16()?;
+            let community = blackhole_community_of(target)?;
             for victim in &stubs {
                 let Some(v4) = alloc.prefixes_of(*victim).iter().find_map(|p| p.as_v4()) else {
                     continue;
@@ -266,7 +267,7 @@ fn plan_attack(
                     victim: *victim,
                     victim_prefix: Prefix::V4(v4),
                     attack_prefix: Prefix::V4(sub),
-                    community: Community::new(t16, 666),
+                    community,
                     target,
                 });
             }
@@ -327,13 +328,13 @@ fn plan_attack(
                         _ => topo.providers_of(attacker).find(usable),
                     };
                     let Some(target) = target else { continue };
-                    let Some(t16) = target.as_u16() else { continue };
-                    let community = if kind == InjectedKind::RtbhOnPath {
-                        Community::new(t16, 666)
-                    } else {
-                        // Prepend ×2 (the workload installs 421/422/423).
-                        Community::new(t16, 422)
+                    let community = match kind {
+                        InjectedKind::RtbhOnPath => blackhole_community_of(target),
+                        _ => target
+                            .as_u16()
+                            .map(|t16| Community::new(t16, prepend_value(2))),
                     };
+                    let Some(community) = community else { continue };
                     used_victims.insert(*victim);
                     return Some(InjectedAttack {
                         kind,

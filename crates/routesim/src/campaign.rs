@@ -64,11 +64,12 @@
 //! at the cost of their blast radius. The two compose — wild-experiment
 //! sweeps run one campaign for the background prefixes, snapshot the
 //! experiment prefix's plain announcement, and delta-replay each candidate
-//! community — but they deliberately do not nest: a campaign never
-//! captures snapshots internally, because a memoized class *hit* replays a
-//! stored outcome without ever building the scratch state a snapshot
-//! would need. Capture is [`CompiledSim::run_snapshot`], over the one
-//! prefix's schedule, not a campaign option.
+//! community — but they deliberately do not nest: a campaign never keeps
+//! a snapshot, because a snapshot is the scratch its flood converged on,
+//! and a memoized class *hit* replays a stored outcome without ever
+//! building one — while a simulated member's scratch is recycled for the
+//! next prefix. A snapshot comes from [`CompiledSim::run_snapshot`], over
+//! the one prefix's schedule, not from a campaign option.
 //!
 //! # Checkpointing and durable resume
 //!

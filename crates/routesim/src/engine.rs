@@ -82,8 +82,8 @@
 //!   mark, so the leaf runs no export pass; before the retention sweep the
 //!   leaf imports each occupied slot once — what that slot received last,
 //!   which is all an import of every delivery would have left there;
-//! * **in full** ([`CompiledSim::run_snapshot`]'s capture, and a delta on
-//!   a restored snapshot): the state outlives the flood.
+//! * **in full** ([`CompiledSim::run_snapshot`]'s flood, and a delta on
+//!   a snapshot's clone): the state outlives the flood.
 //!
 //! On the generated internets that is ≈ 87 % of the ASes and ≈ 85 % of the
 //! deliveries. `run_snapshot(..).0` is the un-parked, un-elided oracle
@@ -101,7 +101,7 @@
 //! recorded best entry where there is not (route servers,
 //! `ScopedToReceiver`, a role with no neighbor) — no RIB rescan, and no
 //! session visited for an episode that changed nothing. The record is
-//! drained per episode and is not part of a snapshot. A prefix that
+//! drained per episode, so a snapshot's is empty. A prefix that
 //! diverged (budget cut) dropped its dirty set before the
 //! passes ran, so it sweeps every live session through
 //! [`NodeState::export_for`] instead; `tests/determinism.rs` holds the
@@ -518,15 +518,15 @@ impl<'a> CompiledSim<'a> {
     }
 
     /// Converges `prefix`'s schedule like [`CompiledSim::run`] would and
-    /// additionally captures the converged state as a [`SimSnapshot`] — on
-    /// the scratch that flooded it, with no second convergence pass. The
-    /// snapshot is the baseline input of [`CompiledSim::run_delta`] /
-    /// [`CompiledSim::run_delta_prefix`].
+    /// additionally keeps the scratch that flooded it, as it stood at
+    /// convergence, as a [`SimSnapshot`] — no second convergence pass and
+    /// no copy. The snapshot is the baseline input of
+    /// [`CompiledSim::run_delta`] / [`CompiledSim::run_delta_prefix`].
     ///
     /// # Panics
     ///
     /// Panics when `originations` holds no episode of `prefix` (there would
-    /// be no converged state to capture) or an episode of any other prefix:
+    /// be no converged state to keep) or an episode of any other prefix:
     /// a snapshot is one prefix's, and the rest of a schedule belongs in a
     /// [`CompiledSim::run`] or a [`Campaign`] beside it.
     pub fn run_snapshot(
@@ -547,31 +547,46 @@ impl<'a> CompiledSim<'a> {
             );
         }
         let episodes = time_sorted(originations);
-        let last_time = episodes.last().map_or(0, |ep| ep.time);
         let mut scratch = self.new_scratch();
         let outcome = self.run_prefix(&mut scratch, prefix, &episodes, ScratchReader::Snapshot);
-        // The flat slot arrays, per-node scalars, touched list, arena and
-        // collector dedup state, restricted to the flood's footprint.
-        let offsets = self.topo.slot_offsets();
-        let snapshot = scratch.capture(offsets, prefix, last_time, outcome.clone());
+        let snapshot = SimSnapshot {
+            prefix,
+            last_time: episodes.last().map_or(0, |ep| ep.time),
+            offsets: self.topo.slot_offsets().to_vec(),
+            scratch,
+            outcome: outcome.clone(),
+        };
         (self.finish([(prefix, outcome)]), snapshot)
     }
 
     /// Incrementally re-converges `snapshot`'s prefix after appending the
     /// `delta` episodes, returning the **full-schedule** [`PrefixOutcome`]
     /// — bit-identical to rerunning baseline + delta from scratch, at
-    /// O(blast radius) cost: the restored RIBs already hold the converged
-    /// baseline, so the delta origination's export diff seeds the queue
-    /// with only the updates that actually change anything, and the
-    /// dirty-set machinery propagates exactly that frontier.
+    /// O(blast radius) cost: a clone of the snapshot's scratch already
+    /// holds the converged baseline, so the delta origination's export diff
+    /// seeds the queue with only the updates that actually change anything,
+    /// and the dirty-set machinery propagates exactly that frontier.
+    ///
+    /// Any session compiled over the snapshot's slot space and collector
+    /// sessions may continue it, not only the one that produced it.
     ///
     /// # Panics
     ///
-    /// Panics when a `delta` episode targets a different prefix, or is
-    /// scheduled before the baseline's last episode (those times are
-    /// already folded into the snapshot's RIBs and cannot be replayed
-    /// incrementally).
+    /// Panics when the snapshot comes from a session with other slot
+    /// offsets or another collector-session count, when a `delta` episode
+    /// targets a different prefix, or is scheduled before the baseline's
+    /// last episode (those times are already folded into the snapshot's
+    /// RIBs and cannot be replayed incrementally).
     pub fn run_delta_prefix(&self, snapshot: &SimSnapshot, delta: &[Origination]) -> PrefixOutcome {
+        assert!(
+            snapshot.offsets == self.topo.slot_offsets(),
+            "snapshot restored under a different session's topology"
+        );
+        assert_eq!(
+            snapshot.scratch.monitor_state.len(),
+            self.collector_peers.len(),
+            "snapshot restored under a different session's collector set"
+        );
         for ep in delta {
             assert_eq!(
                 ep.prefix,
@@ -586,8 +601,7 @@ impl<'a> CompiledSim<'a> {
             );
         }
         let episodes = time_sorted(delta);
-        let mut scratch = self.new_scratch();
-        scratch.restore(self.topo.slot_offsets(), snapshot);
+        let mut scratch = snapshot.scratch.clone();
         // The baseline's retained routes are not cloned: `continue_prefix`
         // rebuilds them from the re-converged RIBs.
         let base = snapshot.baseline_outcome();
@@ -823,8 +837,8 @@ pub(crate) enum ScratchReader {
     /// A retained one runs once per `begin_prefix`: its end resolves every
     /// leaf it parked, and a second run would admit those slots again.
     Nobody,
-    /// A [`SimSnapshot`], captured from the scratch after the flood or
-    /// restored into it before.
+    /// A [`SimSnapshot`]: the scratch is kept as one after the flood, or
+    /// is a clone of one before it.
     Snapshot,
 }
 
@@ -870,8 +884,8 @@ impl CompiledSim<'_> {
     /// Converges `episodes` of `prefix` on top of whatever state `scratch`
     /// already holds, extending `outcome` in place. Callers hand it either
     /// a freshly recycled scratch with a blank outcome
-    /// ([`CompiledSim::run_prefix`]) or a restored snapshot with the
-    /// baseline's outcome ([`CompiledSim::run_delta_prefix`]) — the loop
+    /// ([`CompiledSim::run_prefix`]) or a snapshot's cloned scratch with
+    /// the baseline's outcome ([`CompiledSim::run_delta_prefix`]) — the loop
     /// itself is identical, which is what makes delta re-convergence
     /// bit-identical to an uninterrupted run.
     ///
@@ -1885,8 +1899,8 @@ mod tests {
     fn a_flood_copies_attributes_once_per_export_that_mints_and_nowhere_else() {
         // 1 — 2 — 3 — 4, AS4 announces: the three exports uphill and AS1's
         // to its collector each prepend to a copy of their own. The three
-        // imports, the observation, the four retained finals, the snapshot's
-        // capture and a delta's restore share what those four made.
+        // imports, the observation, the four retained finals, the snapshot
+        // and a delta's clone of it share what those four made.
         let topo = line_topo();
         let sim = observed_sim(&topo);
         let prefix = p("10.0.0.0/16");
@@ -1905,9 +1919,9 @@ mod tests {
 
         let baseline = std::slice::from_ref(&first);
         let ((_, snap), copies) = copies_during(|| sim.run_snapshot(baseline, prefix));
-        assert_eq!(copies.attrs, 4, "capture copied attributes");
+        assert_eq!(copies.attrs, 4, "the snapshot copied attributes");
         let (_, copies) = copies_during(|| sim.run_delta_prefix(&snap, &[]));
-        assert_eq!(copies.attrs, 0, "restore copied attributes");
+        assert_eq!(copies.attrs, 0, "cloning the snapshot copied attributes");
         // A changed re-announcement floods the chain again, and pays for
         // exactly its own four exports.
         let changed = [Origination::announce(Asn::new(4), prefix, vec![]).at(100)];
@@ -1982,138 +1996,36 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_capture_roundtrip_is_bit_identical() {
-        let topo = line_topo();
-        let sim = observed_sim(&topo);
-        let baseline = vec![Origination::announce(Asn::new(4), p("10.0.0.0/16"), vec![]).at(100)];
-        let (_, snap) = sim.run_snapshot(&baseline, p("10.0.0.0/16"));
-        assert!(snap.touched_nodes() > 0, "the flood touched the chain");
-
-        let mut scratch = sim.new_scratch();
-        scratch.restore(topo.slot_offsets(), &snap);
-        let roundtrip = scratch.capture(
-            topo.slot_offsets(),
-            snap.prefix(),
-            100,
-            snap.baseline_outcome().clone(),
-        );
-        assert_eq!(roundtrip, snap, "snapshot → restore → snapshot drifted");
-    }
-
-    #[test]
-    fn restore_into_dirtier_scratch_is_clean() {
-        // Snapshot a narrow flood (NO_ADVERTISE pins it to the origin),
-        // then restore it into a scratch a full-chain flood just dirtied:
-        // the restored capture must still be bit-identical, and a delta on
-        // either scratch must agree.
-        let topo = line_topo();
-        let sim = observed_sim(&topo);
-        let narrow = vec![Origination::announce(
-            Asn::new(4),
-            p("10.0.0.0/16"),
-            vec![Community::NO_ADVERTISE],
-        )];
-        let (_, snap) = sim.run_snapshot(&narrow, p("10.0.0.0/16"));
-
-        let mut dirty = sim.new_scratch();
-        let wide = Origination::announce(Asn::new(4), p("20.0.0.0/16"), vec![]);
-        sim.run_prefix(
-            &mut dirty,
-            p("20.0.0.0/16"),
-            &[&wide],
-            ScratchReader::Nobody,
-        );
-        dirty.restore(topo.slot_offsets(), &snap);
-        let recaptured = dirty.capture(
-            topo.slot_offsets(),
-            snap.prefix(),
-            0,
-            snap.baseline_outcome().clone(),
-        );
-        assert_eq!(
-            recaptured, snap,
-            "a previous wide flood leaked into the restored state"
-        );
-    }
-
-    #[test]
-    fn restore_replaces_the_derivation_cache() {
-        // The arena's import-derivation cache is keyed by route ids, which
-        // only mean something inside the arena that minted them: a restore
-        // must leave the scratch with the snapshot's cache and nothing of
-        // the flood it ran before, and a delta continued from there must
-        // equal both the delta on a factory-fresh scratch and the fresh
-        // combined run.
-        let topo = line_topo();
-        let sim = observed_sim(&topo);
-        let prefix = p("10.0.0.0/16");
-        let baseline = Origination::announce(Asn::new(4), prefix, vec![]);
-        let (_, snap) = sim.run_snapshot(std::slice::from_ref(&baseline), prefix);
-        assert_eq!(snap.arena.derivations(), 3, "one import per hop uphill");
-
-        let mut used = sim.new_scratch();
-        let other = p("20.0.0.0/16");
-        let wide = [
-            Origination::announce(Asn::new(4), other, vec![]),
-            Origination::announce(Asn::new(4), other, vec![Community::new(3, 7)]).at(50),
-        ];
-        sim.run_prefix(
-            &mut used,
-            other,
-            &[&wide[0], &wide[1]],
-            ScratchReader::Nobody,
-        );
-        assert_eq!(used.arena.derivations(), 6, "two floods' worth of entries");
-        used.restore(topo.slot_offsets(), &snap);
-        assert_eq!(used.arena.derivations(), 3, "stale entries survived");
-
-        let attack =
-            Origination::announce(Asn::new(4), prefix, vec![Community::new(3, 666)]).at(600);
-        let mut outcome = snap.baseline_outcome().clone();
-        sim.continue_prefix(
-            &mut used,
-            prefix,
-            &[&attack],
-            &mut outcome,
-            sim.event_budget,
-            ScratchReader::Snapshot,
-        );
-        assert_eq!(
-            outcome,
-            sim.run_delta_prefix(&snap, std::slice::from_ref(&attack))
-        );
-        assert_eq!(
-            outcome,
-            sim.run_prefix(
-                &mut sim.new_scratch(),
-                prefix,
-                &[&baseline, &attack],
-                ScratchReader::Nobody
-            ),
-            "delta on a restored cache diverged from the uninterrupted run"
-        );
-        assert_eq!(used.arena.derivations(), 6);
-    }
-
-    #[test]
-    fn restore_rejects_a_same_size_topology_with_other_edges() {
+    fn delta_rejects_a_snapshot_of_another_session() {
         // Same four ASes, one extra peering: node and collector-session
         // counts agree, the slot spaces do not. Both directions must be
-        // refused by name — the narrower snapshot would overrun its slot
-        // arrays, the wider one would be silently half-consumed.
+        // refused by name — the narrower snapshot would read past its slot
+        // arrays, the wider one would be silently half-read. So must the
+        // same topology with another collector set.
         let line = line_topo();
         let mut ring = line_topo();
         ring.add_edge(Asn::new(1), Asn::new(4), EdgeKind::PeerToPeer);
         let (line_sim, ring_sim) = (observed_sim(&line), observed_sim(&ring));
+        let unobserved = SimSpec::new(&line).compile();
         let eps = [Origination::announce(Asn::new(4), p("10.0.0.0/16"), vec![])];
         let (_, line_snap) = line_sim.run_snapshot(&eps, p("10.0.0.0/16"));
         let (_, ring_snap) = ring_sim.run_snapshot(&eps, p("10.0.0.0/16"));
-        for (sim, snap) in [(&ring_sim, &line_snap), (&line_sim, &ring_snap)] {
+        for (sim, snap, names) in [
+            (&ring_sim, &line_snap, "topology"),
+            (&line_sim, &ring_snap, "topology"),
+            (&unobserved, &line_snap, "collector set"),
+        ] {
             let err = std::panic::catch_unwind(AssertUnwindSafe(|| sim.run_delta(snap, &[])))
                 .expect_err("a foreign snapshot must be refused");
             let msg = panic_message(&*err);
-            assert!(msg.contains("different session's topology"), "got: {msg}");
+            assert!(
+                msg.contains(&format!("different session's {names}")),
+                "got: {msg}"
+            );
         }
+        // A session compiled afresh over the same world continues it.
+        let twin = observed_sim(&line);
+        assert_eq!(twin.run_delta(&line_snap, &[]), line_sim.run(&eps));
     }
 
     #[test]
@@ -2207,7 +2119,7 @@ mod tests {
         assert_eq!(sim.run_delta(&snap, &[attack]), sim.run(&combined));
 
         // Withdrawal perturbation (on the same snapshot: baselines are
-        // immutable, every candidate reuses one capture).
+        // immutable, every candidate continues a clone of one).
         let wd = Origination::withdrawal(Asn::new(4), prefix, 700);
         let combined = vec![baseline[0].clone(), wd.clone()];
         assert_eq!(sim.run_delta(&snap, &[wd]), sim.run(&combined));

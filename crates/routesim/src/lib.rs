@@ -89,11 +89,12 @@
 //! Internet for the attacked half is wasteful when the attack perturbs one
 //! origination — real BGP converges incrementally from a standing RIB. The
 //! session API exposes exactly that: [`CompiledSim::run_snapshot`] runs one
-//! prefix's schedule and captures its converged worker state as a
-//! [`SimSnapshot`] (flat slot arrays, per-node scalars, touched list, and
-//! [`RouteArena`] — memcpy-class, restricted to the flood's footprint),
-//! and [`CompiledSim::run_delta`] restores it into a fresh scratch and
-//! converges only the appended episodes: the perturbed origination's
+//! prefix's schedule and keeps the worker scratch it converged on as a
+//! [`SimSnapshot`] (flat slot arrays, per-node scalars, touched list and
+//! [`RouteArena`], as the flood left them), and [`CompiledSim::run_delta`]
+//! continues a clone of it — on that session or any other compiled over
+//! the same world — and converges only the appended episodes: the perturbed
+//! origination's
 //! export diff seeds the event queue, and the ordinary dirty-set machinery
 //! propagates the frontier. An attack episode costs O(blast radius), not
 //! O(Internet) — and the result is **bit-identical** to re-running the
@@ -125,14 +126,14 @@
 //!     .configure(cfg2)
 //!     .compile();
 //!
-//! // Converge the plain announcement once, capturing the snapshot.
+//! // Converge the plain announcement once, keeping the snapshot.
 //! let victim: Prefix = "10.0.0.0/24".parse().unwrap();
 //! let baseline = vec![Origination::announce(Asn::new(3), victim, vec![])];
 //! let (base, snapshot) = sim.run_snapshot(&baseline, victim);
 //! assert!(!base.route_at(Asn::new(2), &victim).unwrap().blackholed);
 //!
 //! // The attacked half re-announces with the blackhole community — only
-//! // the delta is converged, against the restored baseline RIBs.
+//! // the delta is converged, on a copy of the baseline RIBs.
 //! let attack =
 //!     Origination::announce(Asn::new(3), victim, vec![Community::new(2, 666)]).at(600);
 //! let attacked = sim.run_delta(&snapshot, std::slice::from_ref(&attack));
@@ -279,8 +280,9 @@ pub use engine::{
     SimSpec,
 };
 pub use policy::{
-    ActScope, BlackholeService, CommunityPropagationPolicy, CommunityServices, IrrDatabase,
-    OriginValidation, RouterConfig, RsEvalOrder, TaggingConfig, Vendor, BLACKHOLE_VALUE,
+    prepend_value, ActScope, BlackholeService, CommunityPropagationPolicy, CommunityServices,
+    IrrDatabase, OriginValidation, RouterConfig, RsEvalOrder, TaggingConfig, Vendor,
+    BLACKHOLE_VALUE, LOCATION_TAG_VALUES, ORIGIN_CLASS_VALUES,
 };
 pub use route::{Route, RouteArena, RouteAttrs, RouteId, RouteSource};
 pub use scratch::SimSnapshot;

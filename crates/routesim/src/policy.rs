@@ -37,11 +37,18 @@ impl Vendor {
 /// routes (§4.4: "some remove all communities, some do not tamper with them
 /// at all, while others act upon and remove communities directed at them
 /// and leave the rest in place").
+///
+/// The policy filters every community the AS holds on the route: those it
+/// received, and on its own originations those it announces them with.
+/// What the AS adds itself — its ingress tags (`Route::own_tags`) and its
+/// [`TaggingConfig::egress_tags`] — is attached after the filter, under
+/// every policy, so even `StripAll` and `StripOwn` send the AS's own tags.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CommunityPropagationPolicy {
     /// Forward every received community untouched.
     ForwardAll,
-    /// Strip every community on egress.
+    /// Strip every community it holds on egress (its own tags still ride
+    /// along).
     StripAll,
     /// Act on own-ASN communities, remove them, forward the rest.
     StripOwn,
@@ -94,10 +101,24 @@ pub enum ActScope {
     Any,
 }
 
-/// The low-16 community value that triggers an AS's blackhole service:
-/// `ASN:666`, the convention every offering in §6.2 and §7.3 follows. The
-/// well-known `65535:666` is always honoured too.
-pub const BLACKHOLE_VALUE: u16 = 666;
+pub use bgpworms_types::BLACKHOLE_VALUE;
+
+/// The ingress-location tag values a router adds under
+/// [`TaggingConfig::tag_ingress_location`], one per location bucket: a
+/// route learned from `sender` is tagged `ASN:`value of bucket
+/// `sender % 4` (Fig 1's four locations).
+pub const LOCATION_TAG_VALUES: [u16; 4] = [201, 202, 203, 204];
+
+/// The origin-class tag values a router adds under
+/// [`TaggingConfig::tag_origin_class`], by the role the sender plays:
+/// customer, peer, provider.
+pub const ORIGIN_CLASS_VALUES: [u16; 3] = [100, 110, 120];
+
+/// The community value that asks a steering service to prepend its own
+/// ASN `times` times (the generated workload offers 1 to 3: `421..=423`).
+pub const fn prepend_value(times: u8) -> u16 {
+    420 + times as u16
+}
 
 /// Maximum accepted IPv4 prefix length for ordinary routes (§7.3: providers
 /// limit announcement size to control table growth). Blackhole routes are

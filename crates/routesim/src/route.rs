@@ -332,8 +332,8 @@ impl RouteId {
 /// verbatim, so a clone resolves every existing [`RouteId`] to the same
 /// route *and* keeps interning deterministic: ids minted after the copy
 /// continue from the same arrival order on both sides. That is what makes a
-/// converged snapshot (`SimSnapshot`) restorable — a delta run on the
-/// restored arena interns exactly the ids the uninterrupted run would have.
+/// converged snapshot (`SimSnapshot`) replayable — a delta run on a clone
+/// of its arena interns exactly the ids the uninterrupted run would have.
 /// (Cloning copies one handle per stored route, no attribute.)
 ///
 /// Equality is equality of the stored routes in id order. The index is a

@@ -4,7 +4,7 @@
 
 use crate::policy::{
     ActScope, CommunityPropagationPolicy, IrrDatabase, OriginValidation, RouterConfig, RsEvalOrder,
-    BLACKHOLE_VALUE, MAX_PREFIX_LEN_V4,
+    BLACKHOLE_VALUE, LOCATION_TAG_VALUES, MAX_PREFIX_LEN_V4, ORIGIN_CLASS_VALUES,
 };
 use crate::route::{
     AdmitEffects, ImportDelta, Route, RouteArena, RouteAttrs, RouteId, RouteSource,
@@ -289,14 +289,14 @@ impl<'s> NodeState<'s> {
             [tag(true, 100 + bucket), None]
         } else {
             let class = match sender_role {
-                Role::Customer => 100,
-                Role::Peer => 110,
-                Role::Provider => 120,
+                Role::Customer => ORIGIN_CLASS_VALUES[0],
+                Role::Peer => ORIGIN_CLASS_VALUES[1],
+                Role::Provider => ORIGIN_CLASS_VALUES[2],
             };
-            let bucket = (sender.get() % 4) as u16;
+            let location = LOCATION_TAG_VALUES[sender.get() as usize % LOCATION_TAG_VALUES.len()];
             [
                 tag(cfg.tagging.tag_origin_class, class),
-                tag(cfg.tagging.tag_ingress_location, 201 + bucket),
+                tag(cfg.tagging.tag_ingress_location, location),
             ]
         };
         let limit = cfg.vendor.added_community_limit().unwrap_or(usize::MAX);

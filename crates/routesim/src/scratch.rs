@@ -33,6 +33,13 @@
 //! stamp granularity is per node (not per slot): one compare guards a whole
 //! slot range, keeping the per-event hot path free of stamp checks.
 //!
+//! # A snapshot is a converged scratch
+//!
+//! `CompiledSim::run_snapshot` does not recycle the scratch its flood
+//! converged on: it keeps it, whole, as a [`SimSnapshot`], and every delta
+//! continues a `clone()` of it — stamps, touched list, slot arrays and
+//! arena exactly as the flood left them. There is no second state format.
+//!
 //! Reuse is semantically invisible: `tests/determinism.rs` pins
 //! scratch-reuse ≡ fresh-state-per-prefix on random worlds, and
 //! `scratch_builds` is the alloc-counting double (compiled into the unit
@@ -52,7 +59,7 @@ use bgpworms_types::Prefix;
 /// two phases never interleave — so no ring buffer is needed. A cursor
 /// walks the vector front to back and [`EventQueue::pop_front`] resets the
 /// storage (capacity kept) the moment the cursor catches up.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct EventQueue {
     /// Read cursor into `events`.
     head: usize,
@@ -89,7 +96,7 @@ impl EventQueue {
 /// dense bitmap so inserts from repeated imports are O(1) and duplicate
 /// marks are free; clearing resets only the marked bits, so the structure
 /// recycles across prefixes at zero cost.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct DirtySet {
     member: Vec<bool>,
     nodes: Vec<u32>,
@@ -156,7 +163,7 @@ pub(crate) struct SessionPass {
 /// Fields are crate-visible so the engine can split-borrow them — the
 /// router views need the four state arrays while the arena, queue, and
 /// dirty set are borrowed independently.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct SimScratch {
     /// The current prefix's generation stamp; `node_epoch[i] == epoch`
     /// means node `i`'s state below is live for this prefix.
@@ -168,7 +175,7 @@ pub(crate) struct SimScratch {
     pub(crate) touched: Vec<u32>,
     /// The unread leaves whose deliveries the current prefix parked, in
     /// first-park order; resolved before the final-routes sweep. Only a
-    /// retained campaign flood parks, so a snapshot never holds any.
+    /// retained campaign flood parks, so a snapshot's is empty.
     pub(crate) parked: Vec<u32>,
     /// Adj-RIB-In entries over the global directed-edge slot space.
     pub(crate) rib_in: Vec<Option<RibEntry>>,
@@ -190,7 +197,7 @@ pub(crate) struct SimScratch {
     pub(crate) monitor_state: Vec<Option<RouteId>>,
     /// The export passes of the episode being converged, in pass order;
     /// drained by the collector sweep that ends the episode, so empty
-    /// between episodes — which is why a snapshot has no such field.
+    /// between episodes — and in a snapshot.
     pub(crate) passes: Vec<SessionPass>,
 }
 
@@ -238,22 +245,22 @@ impl SimScratch {
     }
 }
 
-/// A converged single-prefix baseline, captured from a worker's scratch by
-/// `CompiledSim::run_snapshot` and re-animated by `CompiledSim::run_delta`.
+/// A converged single-prefix baseline: the worker scratch that flooded it,
+/// moved out of `CompiledSim::run_snapshot` as it stood at convergence,
+/// and continued by `CompiledSim::run_delta` on a `clone()` of it.
 ///
-/// The snapshot is memcpy-class thanks to the flat scratch layout: the
-/// touched nodes' Adj-RIB-In and last-exported slot ranges are concatenated
-/// `Copy` slices, the per-node scalars are two small parallel vectors, and
-/// the [`RouteArena`] clone preserves both route storage and the hash index
-/// — so a restored arena interns future routes under exactly the ids the
-/// uninterrupted run would have minted. Untouched nodes are not stored at
-/// all: a baseline that floods part of the graph snapshots only its
-/// footprint.
+/// At convergence the queue, dirty set, parked list and pass record are
+/// empty, so the scratch is nothing but the converged state: the touched
+/// list in first-touch order, the slot arrays, the per-node scalars, the
+/// collector dedup state and the [`RouteArena`], whose clone keeps its hash
+/// index and derivation cache — so a delta interns future routes under
+/// exactly the ids the uninterrupted run would have minted.
 ///
-/// A snapshot is tied to the `CompiledSim` session that produced it (same
-/// topology slot space, same collector sessions). Restoring it elsewhere is
-/// a logic error and panics on the dimension checks in `restore`.
-#[derive(Debug, Clone, PartialEq)]
+/// A snapshot outlives the `CompiledSim` that produced it, and any session
+/// compiled over the same slot space and collector sessions may continue
+/// it. Continuing it elsewhere is a logic error, refused by the
+/// session-identity checks in `CompiledSim::run_delta_prefix`.
+#[derive(Debug, Clone)]
 pub struct SimSnapshot {
     /// The prefix this baseline converged.
     pub(crate) prefix: Prefix,
@@ -261,25 +268,12 @@ pub struct SimSnapshot {
     /// must not be scheduled before it (the baseline already folded
     /// everything up to this point into the RIBs).
     pub(crate) last_time: u32,
-    /// Nodes the baseline touched, in first-touch order (the engine's
-    /// final-sweep iteration order, preserved so a delta run's sweep is
-    /// bit-identical to the uninterrupted run's).
-    pub(crate) touched: Vec<u32>,
-    /// Concatenated Adj-RIB-In slot ranges of the touched nodes, in
-    /// `touched` order.
-    pub(crate) rib_in: Vec<Option<RibEntry>>,
-    /// Concatenated last-exported slot ranges, aligned with `rib_in`.
-    pub(crate) exported: Vec<Option<RouteId>>,
-    /// Per touched node: local origination, aligned with `touched`.
-    pub(crate) local: Vec<Option<RouteId>>,
-    /// Per touched node: last-emitted best, aligned with `touched`.
-    pub(crate) last_emit_best: Vec<Option<Option<RouteId>>>,
-    /// The baseline's route arena (ids in the slot arrays above point into
-    /// this).
-    pub(crate) arena: RouteArena,
-    /// Per collector session: what each monitored peer advertised at
-    /// convergence (observation dedup state).
-    pub(crate) monitor_state: Vec<Option<RouteId>>,
+    /// The producing session's CSR slot prefix-sum, which a continuing
+    /// session must share (its collector-session count is the length of
+    /// the scratch's dedup state).
+    pub(crate) offsets: Vec<u32>,
+    /// The scratch that converged the baseline.
+    pub(crate) scratch: SimScratch,
     /// Everything the baseline run produced for this prefix: observations,
     /// event count, convergence flag, retained routes. A delta run starts
     /// from a copy of the first three and appends; it rebuilds the routes.
@@ -297,94 +291,6 @@ impl SimSnapshot {
     /// its [`crate::SimResult`] for this prefix.
     pub fn baseline_outcome(&self) -> &PrefixOutcome {
         &self.outcome
-    }
-
-    /// Number of nodes the baseline flood touched — the snapshot's
-    /// footprint (and an upper bound on a delta run's restore cost).
-    pub fn touched_nodes(&self) -> usize {
-        self.touched.len()
-    }
-}
-
-impl SimScratch {
-    /// Captures the current prefix's converged state into a standalone
-    /// [`SimSnapshot`]. `offsets` is the session topology's CSR slot
-    /// prefix-sum; the queue and dirty set are empty at convergence, so
-    /// they are not captured.
-    pub(crate) fn capture(
-        &self,
-        offsets: &[u32],
-        prefix: Prefix,
-        last_time: u32,
-        outcome: PrefixOutcome,
-    ) -> SimSnapshot {
-        let slots: usize = self
-            .touched
-            .iter()
-            .map(|&i| (offsets[i as usize + 1] - offsets[i as usize]) as usize)
-            .sum();
-        let mut rib_in = Vec::with_capacity(slots);
-        let mut exported = Vec::with_capacity(slots);
-        let mut local = Vec::with_capacity(self.touched.len());
-        let mut last_emit_best = Vec::with_capacity(self.touched.len());
-        for &i in &self.touched {
-            let i = i as usize;
-            let (lo, hi) = (offsets[i] as usize, offsets[i + 1] as usize);
-            rib_in.extend_from_slice(&self.rib_in[lo..hi]);
-            exported.extend_from_slice(&self.exported[lo..hi]);
-            local.push(self.local[i]);
-            last_emit_best.push(self.last_emit_best[i]);
-        }
-        SimSnapshot {
-            prefix,
-            last_time,
-            touched: self.touched.clone(),
-            rib_in,
-            exported,
-            local,
-            last_emit_best,
-            arena: self.arena.clone(),
-            monitor_state: self.monitor_state.clone(),
-            outcome,
-        }
-    }
-
-    /// Restores `snap` into this scratch, leaving it exactly as if the
-    /// worker had just converged the snapshot's baseline: touched nodes
-    /// stamped live in first-touch order with their slot ranges and scalars
-    /// copied back, arena and collector dedup state cloned, queue and dirty
-    /// set empty. Starts with a [`SimScratch::begin_prefix`], so any state
-    /// a previous (possibly larger) flood left behind is invalidated first
-    /// — restoring into a dirtier scratch is clean by construction.
-    pub(crate) fn restore(&mut self, offsets: &[u32], snap: &SimSnapshot) {
-        const FOREIGN_TOPOLOGY: &str = "snapshot restored under a different session's topology";
-        assert_eq!(self.local.len(), offsets.len() - 1, "{FOREIGN_TOPOLOGY}");
-        assert_eq!(
-            self.monitor_state.len(),
-            snap.monitor_state.len(),
-            "snapshot restored under a different session's collector set"
-        );
-        self.begin_prefix();
-        self.arena.clone_from(&snap.arena);
-        self.monitor_state.copy_from_slice(&snap.monitor_state);
-        // Equal node counts do not make two slot spaces equal: the touched
-        // nodes' degrees here must consume the snapshot's concatenated slot
-        // arrays exactly, or the snapshot came from another adjacency.
-        let mut pos = 0;
-        for (k, &i) in snap.touched.iter().enumerate() {
-            let i = i as usize;
-            self.node_epoch[i] = self.epoch;
-            self.touched.push(i as u32);
-            let (lo, hi) = (offsets[i] as usize, offsets[i + 1] as usize);
-            let end = pos + (hi - lo);
-            assert!(end <= snap.rib_in.len(), "{FOREIGN_TOPOLOGY}");
-            self.rib_in[lo..hi].copy_from_slice(&snap.rib_in[pos..end]);
-            self.exported[lo..hi].copy_from_slice(&snap.exported[pos..end]);
-            self.local[i] = snap.local[k];
-            self.last_emit_best[i] = snap.last_emit_best[k];
-            pos = end;
-        }
-        assert_eq!(pos, snap.rib_in.len(), "{FOREIGN_TOPOLOGY}");
     }
 }
 

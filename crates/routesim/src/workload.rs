@@ -17,9 +17,10 @@
 use crate::collector::{CollectorSpec, FeedKind};
 use crate::engine::{Origination, SimSpec};
 use crate::policy::{
-    ActScope, BlackholeService, CommunityPropagationPolicy, CommunityServices, IrrDatabase,
-    OriginValidation, RouterConfig, TaggingConfig, Vendor,
+    prepend_value, ActScope, BlackholeService, CommunityPropagationPolicy, CommunityServices,
+    IrrDatabase, OriginValidation, RouterConfig, TaggingConfig, Vendor,
 };
+use crate::router::blackhole_community_of;
 use bgpworms_topology::{PrefixAllocation, Tier, Topology};
 use bgpworms_types::{Asn, Community, Prefix};
 use rand::rngs::StdRng;
@@ -268,7 +269,7 @@ fn assign_configs(
                 });
             }
             if rng.gen_bool(params.steering_service_prob) {
-                services.prepend = [(421u16, 1u8), (422, 2), (423, 3)].into_iter().collect();
+                services.prepend = (1..=3).map(|n| (prepend_value(n), n)).collect();
                 services.local_pref = [(70u16, 70u32), (80, 80), (90, 90)].into_iter().collect();
                 services.steering_scope = if rng.gen_bool(0.85) {
                     ActScope::CustomersOnly
@@ -578,8 +579,7 @@ fn build_originations(
         // some operators also add the RFC 7999 well-known value.
         let mut comms: Vec<Community> = providers
             .iter()
-            .filter_map(|p| p.as_u16())
-            .map(|hi| Community::new(hi, 666))
+            .filter_map(|&p| blackhole_community_of(p))
             .collect();
         if rng.gen_bool(0.4) {
             comms.push(Community::BLACKHOLE);

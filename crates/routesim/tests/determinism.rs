@@ -31,12 +31,13 @@
 //!   arbitrary worlds and on schedules engineered to interleave wide and
 //!   narrow flood footprints, so stale stamped state from a big flood can
 //!   never leak into a later prefix.
-//! * **Delta-re-convergence transparency** — restoring a converged
+//! * **Delta-re-convergence transparency** — continuing a converged
 //!   [`bgpworms_routesim::SimSnapshot`] of one prefix's schedule and
 //!   converging only appended perturbation episodes (`run_delta` /
 //!   `run_delta_prefix`) must be bit-identical to rerunning that prefix's
 //!   combined schedule from scratch — alone or inside the whole schedule,
-//!   at `threads = 1/N` — on arbitrary worlds, for withdrawals and
+//!   at `threads = 1/N`, on the snapshot's session or one compiled apart
+//!   — on arbitrary worlds, for withdrawals and
 //!   community-changing perturbations alike. Snapshots are a replay
 //!   shortcut, never a semantic one.
 //! * **Elision and parking transparency** — a campaign flood counts
@@ -44,7 +45,7 @@
 //!   a route server): it drops them when the prefix is unretained, and
 //!   parks them when it is retained, each parked leaf importing what each
 //!   of its slots received last, once, before the retention sweep.
-//!   `run_snapshot`'s capture flood simulates every delivery and is the
+//!   `run_snapshot`'s flood simulates every delivery and is the
 //!   oracle: on worlds built to contain every shape a leaf can hide behind,
 //!   the unretained session must report its observations, events and
 //!   convergence, and the retained campaign, memoized or not, its final
@@ -78,6 +79,11 @@
 //!   strictly between the origin and its peer hears none of the
 //!   communities or large communities the origin announced, unless an AS
 //!   nearer the collector adds the value itself.
+//! * **Communities held are a fold over the path** — read off the
+//!   propagation-policy, vendor and tagging doc comments: on worlds that
+//!   draw vendors, `send-community` and ingress and egress tags, every
+//!   retained route carries exactly the origination's list folded hop by
+//!   hop along its own AS path.
 //! * **Derivation-cache transparency** — the arena answers a repeated
 //!   import derivation (same advertisement, same policy outcome, any
 //!   receiver) from a cache instead of cloning and re-interning. A stream
@@ -93,7 +99,7 @@ use bgpworms_routesim::{
     ActScope, BlackholeService, Campaign, CampaignSink, CollectorObservation, CollectorSpec,
     CommunityPropagationPolicy, CompiledSim, FeedKind, FinalRoutes, IrrDatabase, OriginValidation,
     Origination, PrefixOutcome, RetainRoutes, Route, RouteId, RouteSource, RouterConfig, SimResult,
-    SimSpec, BLACKHOLE_VALUE, MONITOR_ASN,
+    SimSpec, Vendor, BLACKHOLE_VALUE, LOCATION_TAG_VALUES, MONITOR_ASN, ORIGIN_CLASS_VALUES,
 };
 use bgpworms_topology::{EdgeKind, NodeId, Role, Tier, Topology, TopologyParams};
 use bgpworms_types::{Asn, Community, LargeCommunity, Prefix};
@@ -155,6 +161,51 @@ fn arb_world() -> impl Strategy<Value = RawWorld> {
                 collector_peers,
             },
         )
+}
+
+/// What `arb_world()` does not draw and the community fold reads, per AS
+/// (indexed like the nodes): the §6.1 vendor and `send-community` knob,
+/// the `TaggingConfig` ingress and egress tags, and the three flags a
+/// `Selective` policy of the AS gets.
+#[derive(Debug, Clone)]
+struct RawTagging {
+    cisco: bool,
+    send_configured: bool,
+    location: bool,
+    origin_class: bool,
+    /// 0 or 1: no egress tag; 2: one; 3: 33, one past Cisco's cap.
+    egress: u8,
+    selective: (bool, bool, bool),
+}
+
+/// A seasoned `arb_world()` for the community fold (a copy, so the draws of
+/// every other property stay where they are): per AS a `RawTagging`, and
+/// per episode a community owned by a drawn AS plus, or not, a well-known
+/// value (`GRACEFUL_SHUTDOWN`, which no policy acts on, or `NO_PEER`).
+fn arb_tagged_world() -> impl Strategy<Value = (RawWorld, Vec<RawTagging>, Vec<(usize, u8)>)> {
+    let tagging = (
+        0u8..4,
+        any::<bool>(),
+        any::<bool>(),
+        any::<bool>(),
+        0u8..4,
+        (any::<bool>(), any::<bool>(), any::<bool>()),
+    )
+        .prop_map(
+            |(vendor, send_configured, location, origin_class, egress, selective)| RawTagging {
+                cisco: vendor == 0,
+                send_configured,
+                location,
+                origin_class,
+                egress,
+                selective,
+            },
+        );
+    (
+        arb_world(),
+        proptest::collection::vec(tagging, 16),
+        proptest::collection::vec((0usize..16, 0u8..3), 16),
+    )
 }
 
 /// Assembles the simulation input out of the raw draws.
@@ -1275,7 +1326,8 @@ proptest! {
     /// schedule from scratch — as the `run_delta` result against a fresh
     /// `run`, and as the `run_delta_prefix` outcome against what the prefix
     /// folds to inside the *whole* world's schedule, at `threads = 1/N` on
-    /// the fresh side. Capture and replay never depend on the thread count.
+    /// the fresh side. Snapshot and replay never depend on the thread count,
+    /// nor on which session compiled over the world replays the snapshot.
     #[test]
     fn delta_reconvergence_equals_fresh_run(
         raw in arb_world(),
@@ -1342,19 +1394,20 @@ proptest! {
             );
         }
 
-        // `threads` shards prefixes only: the capture and its replay at
-        // `threads = N` are the `threads = 1` ones.
+        // A snapshot outlives its session: a separately compiled
+        // `threads = N` session continues `snap` to the same outcome, and its
+        // own snapshot flood is the `threads = 1` one.
         let sim = spec.threads(threads).compile();
+        prop_assert_eq!(&sim.run_delta_prefix(&snap, &delta), &outcome);
         let (par_base, par_snap) = sim.run_snapshot(&baseline, target);
-        prop_assert_eq!(&par_base, &base, "capturing run diverged");
-        prop_assert_eq!(&par_snap, &snap, "capture diverged");
+        prop_assert_eq!(&par_base, &base, "snapshot run diverged");
         prop_assert_eq!(&sim.run_delta_prefix(&par_snap, &delta), &outcome);
     }
 
     /// Elided ≡ full. An unretained campaign flood counts deliveries to
     /// unread leaves (no customer, no collector session, not a route server)
     /// and drops them; a retained one parks them (see the next property);
-    /// `run_snapshot`'s capture flood simulates every delivery. On worlds
+    /// `run_snapshot`'s flood simulates every delivery. On worlds
     /// forced to hold the shapes that could tell them apart (see
     /// `with_unread_shapes`), the `RetainRoutes::None` session must report
     /// the observations, events and convergence of the same spec compiled
@@ -1489,7 +1542,7 @@ proptest! {
                 cfg.services.prepend.insert(422, 2);
             }
             if bits & 32 != 0 {
-                cfg.vendor = bgpworms_routesim::Vendor::Cisco;
+                cfg.vendor = Vendor::Cisco;
             }
             if bits & 64 != 0 {
                 cfg.local_pref.peer += 5;
@@ -1887,6 +1940,171 @@ proptest! {
                     obs.prefix,
                     path[k]
                 );
+            }
+        }
+    }
+
+    /// ROADMAP item 9(i) — *communities held, as a fold over the path* —
+    /// read off the doc comments of `CommunityPropagationPolicy`, `Vendor`,
+    /// `TaggingConfig` and `Route::own_tags`, not off `router.rs`, over what
+    /// a converged run retains, the configs and the topology. The world is
+    /// `arb_tagged_world()`: no route server (the fold walks the AS path,
+    /// which a route server is not on) and no RTBH service. Then every
+    /// retained route's `communities` are the list its origin announces
+    /// the prefix with (its last episode), folded hop by hop along the
+    /// route's own path; at each hop `from → to`:
+    /// * `from`'s policy keeps what `from` holds, its own originations
+    ///   included: all, none, all but its own, only its own and well-known
+    ///   ones, all or none by the role `to` plays for `from` (`Selective`),
+    ///   or only those `to` owns (`ScopedToReceiver`);
+    /// * `from` adds what it tagged at ingress and its egress tags, at most
+    ///   32 of them under Cisco, in `TaggingConfig`'s field order;
+    /// * a Cisco `from` without `send-community` sends nothing (§6.1);
+    /// * the list is a set (sorted, deduplicated) once exported.
+    ///
+    /// `to` records its own ingress tags apart (`Route::own_tags`): `own:100`
+    /// / `110` / `120` by the role `from` plays for it, and the location
+    /// bucket of `from`'s ASN.
+    #[test]
+    fn communities_held_are_the_origination_folded_along_the_path(
+        (raw, tagging, extra) in arb_tagged_world(),
+    ) {
+        let mut raw = raw;
+        let n = raw.n_nodes;
+        let last_tier = &mut raw.tiers[(n - 1) % 16];
+        if *last_tier == 3 {
+            *last_tier = 1; // `build_world` would make it a route server
+        }
+        let (topo, configs, collectors, mut originations) = build_world(&raw);
+        let asn_of = |i: usize| Asn::new((i % n) as u32 + 1);
+        let hi_of = |asn: Asn| asn.as_u16().expect("a 2-byte test ASN");
+        for (k, o) in originations.iter_mut().enumerate().filter(|(_, o)| !o.withdraw) {
+            let (owner, well_known) = extra[k % extra.len()];
+            o.communities.push(Community::new(hi_of(asn_of(owner)), 7));
+            match well_known {
+                1 => o.communities.push(Community::new(0xFFFF, 0)), // GRACEFUL_SHUTDOWN
+                2 => o.communities.push(Community::NO_PEER),
+                _ => {}
+            }
+        }
+        // The config each AS runs: a later entry for an AS replaces an
+        // earlier one, as `SimSpec::configure` does; then seasoned.
+        let mut resolved: BTreeMap<Asn, RouterConfig> =
+            configs.into_iter().map(|cfg| (cfg.asn, cfg)).collect();
+        for (i, t) in tagging.iter().enumerate().take(n) {
+            let asn = asn_of(i);
+            let cfg = resolved.entry(asn).or_insert_with(|| RouterConfig::defaults(asn));
+            if t.cisco {
+                cfg.vendor = Vendor::Cisco;
+            }
+            cfg.send_community_configured = t.send_configured;
+            cfg.tagging.tag_ingress_location = t.location;
+            cfg.tagging.tag_origin_class = t.origin_class;
+            let count = match t.egress {
+                2 => 1,
+                3 => 33,
+                _ => 0,
+            };
+            cfg.tagging.egress_tags = (0..count).map(|v| Community::new(hi_of(asn), 5000 + v)).collect();
+            if let CommunityPropagationPolicy::Selective { .. } = cfg.propagation {
+                let (to_customers, to_peers, to_providers) = t.selective;
+                cfg.propagation =
+                    CommunityPropagationPolicy::Selective { to_customers, to_peers, to_providers };
+            }
+        }
+        let res = spec_for(&topo, resolved.values().cloned().collect(), collectors)
+            .compile()
+            .run(&originations);
+        if !res.converged {
+            return Ok(()); // an oscillating world has no converged state to read
+        }
+
+        // What each origin announces each prefix with: its last episode in
+        // time order (ties in schedule order), unless that withdrew.
+        let mut by_time: Vec<&Origination> = originations.iter().collect();
+        by_time.sort_by_key(|o| o.time);
+        let announced: BTreeMap<(Prefix, Asn), Option<&Vec<Community>>> = by_time
+            .iter()
+            .map(|o| ((o.prefix, o.origin), (!o.withdraw).then_some(&o.communities)))
+            .collect();
+        // `TaggingConfig`: what `at` adds on import from `sender`.
+        let ingress_tags = |at: Asn, sender: Asn| -> Vec<Community> {
+            let tagging = &resolved[&at].tagging;
+            let mut tags = Vec::new();
+            if tagging.tag_origin_class {
+                let class = match topo.role_of(at, sender).expect("adjacent") {
+                    Role::Customer => ORIGIN_CLASS_VALUES[0],
+                    Role::Peer => ORIGIN_CLASS_VALUES[1],
+                    Role::Provider => ORIGIN_CLASS_VALUES[2],
+                };
+                tags.push(Community::new(hi_of(at), class));
+            }
+            if tagging.tag_ingress_location {
+                let bucket = sender.get() as usize % LOCATION_TAG_VALUES.len();
+                tags.push(Community::new(hi_of(at), LOCATION_TAG_VALUES[bucket]));
+            }
+            tags
+        };
+        // The policy, vendor and tagging docs: what `from` sends `to`.
+        let export = |from: Asn, held: &[Community], own: &[Community], to: Asn| {
+            let cfg = &resolved[&from];
+            let role = topo.role_of(from, to).expect("adjacent");
+            let mut out: Vec<Community> = held
+                .iter()
+                .copied()
+                .filter(|c| match cfg.propagation {
+                    CommunityPropagationPolicy::ForwardAll => true,
+                    CommunityPropagationPolicy::StripAll => false,
+                    CommunityPropagationPolicy::StripOwn => c.asn_part() != hi_of(from),
+                    CommunityPropagationPolicy::StripUnknown => {
+                        c.asn_part() == hi_of(from) || c.well_known().is_some()
+                    }
+                    CommunityPropagationPolicy::Selective { to_customers, to_peers, to_providers } => {
+                        match role {
+                            Role::Customer => to_customers,
+                            Role::Peer => to_peers,
+                            Role::Provider => to_providers,
+                        }
+                    }
+                    CommunityPropagationPolicy::ScopedToReceiver => c.asn_part() == hi_of(to),
+                })
+                .collect();
+            let mut added: Vec<Community> =
+                own.iter().chain(&cfg.tagging.egress_tags).copied().collect();
+            if cfg.vendor == Vendor::Cisco {
+                added.truncate(32);
+            }
+            out.extend(added);
+            if cfg.vendor == Vendor::Cisco && !cfg.send_community_configured {
+                out.clear();
+            }
+            out.sort_unstable();
+            out.dedup();
+            out
+        };
+
+        for (prefix, finals) in &res.final_routes {
+            for (&asn, route) in finals.iter() {
+                let path = route.path.to_vec(); // the sender first, the origin last
+                let origin = path.last().copied().unwrap_or(asn);
+                let Some(Some(list)) = announced.get(&(*prefix, origin)) else {
+                    panic!("{asn} holds {prefix} from {origin}, which does not announce it");
+                };
+                let mut held = (*list).clone();
+                let mut own = Vec::new();
+                let hops: Vec<Asn> = path.iter().rev().copied().chain([asn]).collect();
+                for hop in hops.windows(2) {
+                    held = export(hop[0], &held, &own, hop[1]);
+                    own = ingress_tags(hop[1], hop[0]);
+                }
+                prop_assert_eq!(
+                    &route.communities, &held,
+                    "{} holds {} over {:?}", asn, prefix, path
+                );
+                let mut recorded: Vec<Community> = route.own_tags.iter().flatten().copied().collect();
+                recorded.sort_unstable();
+                own.sort_unstable();
+                prop_assert_eq!(recorded, own, "{} tagged {} on import", asn, prefix);
             }
         }
     }

@@ -17,7 +17,7 @@ use bgpworms_routesim::{
 use bgpworms_topology::{
     addressing::AddressingParams, FullTableParams, PrefixAllocation, Topology, TopologyParams,
 };
-use bgpworms_types::Prefix;
+use bgpworms_types::{Community, Prefix};
 
 /// Counts converged routes without retaining them — the smoke runs stream
 /// through the campaign fold precisely so the Internet-scale case holds
@@ -165,6 +165,27 @@ fn internet_scale_smoke() {
         topo.len()
     );
     smoke(topo, 95);
+    delta_equals_fresh(topo);
+}
+
+/// One origin's plain announcement snapshotted, then re-announced with a
+/// community as a delta on a session compiled apart (as the §7 sweeps
+/// replay it): bit-identical to the fresh combined run. At Internet scale
+/// the delta continues a clone of a whole-network scratch.
+fn delta_equals_fresh(topo: &Topology) {
+    let alloc = PrefixAllocation::assign(topo, AddressingParams::default());
+    let (origin, prefix) = alloc.iter().next().expect("allocation non-empty");
+    let compile = || SimSpec::new(topo).retain(RetainRoutes::All).compile();
+    let plain = Origination::announce(origin, prefix, vec![]);
+    let tagged = Origination::announce(origin, prefix, vec![Community::new(1, 7)]).at(100);
+    let (_, snapshot) = compile().run_snapshot(std::slice::from_ref(&plain), prefix);
+    let fresh = compile().run(&[plain, tagged.clone()]);
+    assert!(fresh.converged);
+    assert_eq!(
+        compile().run_delta(&snapshot, &[tagged]),
+        fresh,
+        "delta diverged from the fresh combined run"
+    );
 }
 
 #[test]

@@ -14,8 +14,10 @@ use std::fmt;
 use std::str::FromStr;
 
 /// The conventional low-order value for blackholing, standardized by
-/// RFC 7999 as `65535:666` and used with provider ASNs as `ASN:666`.
-const BLACKHOLE_VALUE: u16 = 666;
+/// RFC 7999 as `65535:666` and used with provider ASNs as `ASN:666` — the
+/// value that triggers an AS's blackhole service, the convention every
+/// offering in §6.2 and §7.3 follows.
+pub const BLACKHOLE_VALUE: u16 = 666;
 
 /// An RFC 1997 community: an opaque 32-bit value, displayed `high:low`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]

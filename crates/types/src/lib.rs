@@ -51,7 +51,7 @@ pub mod update;
 pub use asn::Asn;
 pub use aspath::{AsPath, PathSegment};
 pub use attr::{Aggregator, Origin, PathAttributes};
-pub use community::{Community, WellKnown};
+pub use community::{Community, WellKnown, BLACKHOLE_VALUE};
 pub use error::TypeError;
 pub use ext_community::ExtendedCommunity;
 pub use large_community::LargeCommunity;

@@ -6,7 +6,7 @@ use bgpworms::analysis::{PropagationAnalysis, UsageAnalysis};
 use bgpworms::prelude::*;
 use bgpworms::routesim::workload::APRIL_2018;
 
-fn build(adoption: f64) -> (ObservationSet, BlackholeDetector) {
+fn build(adoption: f64) -> ObservationSet {
     let topo = TopologyParams::small().seed(2018).build();
     let alloc = PrefixAllocation::assign(
         &topo,
@@ -30,23 +30,17 @@ fn build(adoption: f64) -> (ObservationSet, BlackholeDetector) {
             mrt: a.updates_mrt,
         })
         .collect();
-    let set = ObservationSet::from_archives(&inputs).expect("parse");
-    let verified: Vec<Community> = workload
-        .configs
-        .iter()
-        .filter(|(_, c)| c.services.blackhole.is_some())
-        .filter_map(|(asn, _)| asn.as_u16().map(|hi| Community::new(hi, 666)))
-        .collect();
-    (set, BlackholeDetector::with_known(verified))
+    ObservationSet::from_archives(&inputs).expect("parse")
 }
 
 #[test]
 fn full_defense_adoption_stops_transit_relaying_but_not_measurement() {
-    let (baseline_set, baseline_det) = build(0.0);
-    let (defended_set, defended_det) = build(1.0);
+    let baseline_set = build(0.0);
+    let defended_set = build(1.0);
 
-    let baseline = PropagationAnalysis::compute(&baseline_set, &baseline_det);
-    let defended = PropagationAnalysis::compute(&defended_set, &defended_det);
+    let detector = BlackholeDetector::conventional();
+    let baseline = PropagationAnalysis::compute(&baseline_set, &detector);
+    let defended = PropagationAnalysis::compute(&defended_set, &detector);
 
     // Multi-hop relaying of foreign communities disappears.
     assert!(

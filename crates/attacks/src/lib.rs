@@ -22,8 +22,8 @@
 //!   and the future-work surveys of [`wild::extended_survey`] (the
 //!   "likely" corpus, non-RTBH path-change inference, §7.7 fake-location
 //!   injection) — each one "generate the [`wild::World`], attach a
-//!   platform, run", the two vantage-point sweeps on the one apparatus of
-//!   [`wild::vantage`];
+//!   platform, run", the two vantage-point sweeps on the one apparatus,
+//!   [`wild::survey::SurveyContext`];
 //! * [`feasibility`] — sweeps scenario variants over policy grids to
 //!   regenerate Table 3;
 //! * [`ablation`] — proofs that the modelled rules (RTBH preference raise,

@@ -17,10 +17,7 @@
 
 use crate::wild::survey::{SurveyContext, SurveyParams};
 use crate::wild::World;
-use bgpworms_routesim::{
-    Campaign, CampaignSink, Origination, PrefixOutcome, RetainRoutes, BLACKHOLE_VALUE,
-    LOCATION_TAG_VALUES,
-};
+use bgpworms_routesim::{Origination, RetainRoutes, BLACKHOLE_VALUE, LOCATION_TAG_VALUES};
 use bgpworms_types::{Asn, Community, Prefix};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -218,58 +215,20 @@ pub fn location_injection(params: &SurveyParams) -> Option<LocationInjectionRepo
     let p = Prefix::V4(injector.prefix);
     let sim = world.simulation().retain(RetainRoutes::None).compile();
 
-    // Streaming fold: per collector, did it see the prefix at all / with
-    // both contradictory tags? The observation lists themselves never
-    // outlive the fold.
-    struct ContradictionSink<'c> {
-        prefix: Prefix,
-        injected: &'c [Community],
-        // Indexed by collector position in the compiled spec.
-        saw_prefix: Vec<bool>,
-        saw_both: Vec<bool>,
+    // Per collector: did it see the prefix at all / with both
+    // contradictory tags?
+    let result = sim.run(&[Origination::announce(injector.asn, p, injected.clone())]);
+    let (mut collectors_observing, mut collectors_with_contradiction) = (0, 0);
+    for observations in result.observations.values() {
+        let routes = || observations.iter().filter_map(|obs| obs.route.as_ref());
+        let both = routes().any(|route| injected.iter().all(|&c| route.has_community(c)));
+        collectors_observing += usize::from(routes().next().is_some());
+        collectors_with_contradiction += usize::from(both);
     }
-
-    impl CampaignSink for ContradictionSink<'_> {
-        fn fold(&mut self, _prefix: Prefix, outcome: PrefixOutcome) {
-            for (ci, observations) in outcome.observations.iter().enumerate() {
-                for obs in observations {
-                    if obs.prefix != self.prefix {
-                        continue;
-                    }
-                    if let Some(route) = &obs.route {
-                        self.saw_prefix[ci] = true;
-                        if self.injected.iter().all(|c| route.has_community(*c)) {
-                            self.saw_both[ci] = true;
-                        }
-                    }
-                }
-            }
-        }
-
-        fn merge(&mut self, other: Self) {
-            for (a, b) in self.saw_prefix.iter_mut().zip(other.saw_prefix) {
-                *a |= b;
-            }
-            for (a, b) in self.saw_both.iter_mut().zip(other.saw_both) {
-                *a |= b;
-            }
-        }
-    }
-
-    let n_collectors = sim.collector_names().len();
-    let run = Campaign::new(&sim).run(
-        &[Origination::announce(injector.asn, p, injected.clone())],
-        || ContradictionSink {
-            prefix: p,
-            injected: &injected,
-            saw_prefix: vec![false; n_collectors],
-            saw_both: vec![false; n_collectors],
-        },
-    );
 
     Some(LocationInjectionReport {
-        collectors_observing: run.sink.saw_prefix.iter().filter(|&&b| b).count(),
-        collectors_with_contradiction: run.sink.saw_both.iter().filter(|&&b| b).count(),
+        collectors_observing,
+        collectors_with_contradiction,
         total_collectors: world.workload.collectors.len(),
         injected,
     })

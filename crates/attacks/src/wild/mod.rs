@@ -8,8 +8,9 @@
 //! once here. [`World`] is topology + allocation + workload, with the only
 //! `generate` and the only compile site; its `attach_*` methods are four
 //! short callers of one attach primitive (stub, sessions, default config,
-//! IRR + RPKI) over two platform identities; [`vantage`] is the apparatus
-//! of the two vantage-point sweeps (§7.3's targets, §7.6's communities).
+//! IRR + RPKI) over two platform identities; [`survey::SurveyContext`] is
+//! the apparatus of the two vantage-point sweeps (§7.3's targets, §7.6's
+//! communities).
 //! An experiment is: generate the `World`, attach, run. (§7.4's local-pref
 //! pair overrides a config per candidate, so it keeps its per-candidate
 //! `.configure(..)` session and its `run_snapshot` + `run_delta` pair;
@@ -28,7 +29,6 @@ pub mod routeserver_experiment;
 pub mod rtbh_experiment;
 pub mod steering_experiment;
 pub mod survey;
-pub mod vantage;
 
 use bgpworms_routesim::{
     CommunityPropagationPolicy, RouterConfig, SimSpec, Workload, WorkloadParams,

@@ -9,7 +9,7 @@
 
 use crate::conditions::BENIGN_VALUE;
 use crate::wild::{InjectionPlatform, World};
-use bgpworms_routesim::{Campaign, CampaignSink, Origination, PrefixOutcome, WorkloadParams};
+use bgpworms_routesim::{CompiledSim, Origination, WorkloadParams};
 use bgpworms_topology::TopologyParams;
 use bgpworms_types::{Asn, Community, Prefix};
 use std::collections::BTreeSet;
@@ -58,79 +58,39 @@ pub fn run(
     // Both platforms probe over identical configs: one compiled session,
     // one run per platform.
     let sim = world.simulation().compile();
-    let research_result = probe(&sim, research);
-    let peering_result = probe(&sim, peering);
-
     PropagationCheckReport {
-        research: research_result,
-        peering: peering_result,
+        research: probe(&sim, research),
+        peering: probe(&sim, peering),
     }
 }
 
-/// Streaming aggregate for one platform probe: collector observations are
-/// reduced to the forwarder/on-path AS sets the moment their prefix
-/// finishes — the observation lists themselves are dropped in the fold, so
-/// the probe retains O(distinct ASes), not O(observations).
-struct PropagationSink {
-    origin: Asn,
-    benign: Community,
-    forwarders: BTreeSet<Asn>,
-    ases_on_paths: BTreeSet<Asn>,
-}
-
-impl CampaignSink for PropagationSink {
-    fn fold(&mut self, _prefix: Prefix, outcome: PrefixOutcome) {
-        for observations in &outcome.observations {
-            for obs in observations {
-                let Some(route) = &obs.route else { continue };
-                let path = route.path.deprepended().to_vec();
-                for &asn in &path {
-                    if asn != self.origin {
-                        self.ases_on_paths.insert(asn);
-                    }
-                }
-                if route.has_community(self.benign) {
-                    // Everyone between the origin (exclusive) and the
-                    // monitor relayed the tag, including the collector
-                    // peer itself.
-                    for &asn in &path {
-                        if asn != self.origin {
-                            self.forwarders.insert(asn);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn merge(&mut self, other: Self) {
-        self.forwarders.extend(other.forwarders);
-        self.ases_on_paths.extend(other.ases_on_paths);
-    }
-}
-
-fn probe(
-    sim: &bgpworms_routesim::CompiledSim<'_>,
-    platform: InjectionPlatform,
-) -> PlatformPropagation {
+/// Announces `platform`'s prefix tagged with its benign community and
+/// reads the collectors: every AS on an observed path, and every one that
+/// relayed the tag.
+fn probe(sim: &CompiledSim<'_>, platform: InjectionPlatform) -> PlatformPropagation {
     let benign = Community::new(
         platform.asn.as_u16().expect("platform ASN fits"),
         BENIGN_VALUE,
     );
     let p = Prefix::V4(platform.prefix);
-    let run = Campaign::new(sim).run(
-        &[Origination::announce(platform.asn, p, vec![benign])],
-        || PropagationSink {
-            origin: platform.asn,
-            benign,
-            forwarders: BTreeSet::new(),
-            ases_on_paths: BTreeSet::new(),
-        },
-    );
+    let result = sim.run(&[Origination::announce(platform.asn, p, vec![benign])]);
+    let mut forwarders = BTreeSet::new();
+    let mut ases_on_paths = BTreeSet::new();
+    for obs in result.observations.values().flatten() {
+        let Some(route) = &obs.route else { continue };
+        let path = route.path.deprepended_asns();
+        let relays: Vec<Asn> = path.filter(|&asn| asn != platform.asn).collect();
+        ases_on_paths.extend(relays.iter().copied());
+        if route.has_community(benign) {
+            // Everyone between the origin (exclusive) and the monitor
+            // relayed the tag, including the collector peer itself.
+            forwarders.extend(relays);
+        }
+    }
     PlatformPropagation {
         platform,
-        forwarders: run.sink.forwarders,
-        ases_on_paths: run.sink.ases_on_paths,
+        forwarders,
+        ases_on_paths,
     }
 }
 

@@ -9,7 +9,8 @@
 //! candidate where the effect is observable — and validate before/after
 //! with Atlas pings plus the target's looking glass.
 
-use crate::wild::{vantage, InjectionPlatform, World};
+use crate::wild::survey::SurveyContext;
+use crate::wild::{InjectionPlatform, World};
 use bgpworms_routesim::router::blackhole_community_of;
 use bgpworms_routesim::{Workload, WorkloadParams};
 use bgpworms_topology::{Tier, Topology, TopologyParams};
@@ -127,26 +128,27 @@ pub fn run(
         injector.prefix
     };
 
-    // One session for the whole experiment: the vantage points' reverse
-    // paths, the plain announcement of the blackholed /24 (the baseline)
-    // and every candidate target below replay on it.
-    let (atlas, baseline, session) = vantage::build(&world, injector.asn, bh_prefix, n_vps);
+    // The vantage points' reverse paths and the plain announcement of the
+    // blackholed /24 (the baseline) converge once; every candidate target
+    // below replays on one session compiled after.
+    let ctx = SurveyContext::over(world, injector, bh_prefix, n_vps);
+    let session = ctx.session();
 
     // Try each candidate target until the effect is demonstrable (the
     // paper likewise *selected* a provider where validation was possible).
     // Each candidate is one delta replay on the shared baseline snapshot —
     // it costs the community's blast radius, not a fresh Internet.
     let mut last: Option<RtbhWildReport> = None;
-    for (target, target_distance) in candidate_targets(&world.topo, &world.workload, upstream) {
+    for (target, target_distance) in candidate_targets(&ctx.topo, &ctx.workload, upstream) {
         let target_bh = blackhole_community_of(target).expect("small");
-        let (outcome, attacked_fib) = baseline.candidate(&session, &[target_bh]);
+        let (outcome, attacked_fib) = ctx.candidate(&session, &[target_bh]);
         let target_blackholed = outcome
             .final_routes
             .as_ref()
             .and_then(|finals| finals.get(&target))
             .map(|route| route.blackholed)
             .unwrap_or(false);
-        let after = atlas.ping_campaign(&attacked_fib, baseline.target_addr);
+        let after = ctx.atlas.ping_campaign(&attacked_fib, ctx.target_addr);
 
         let report = RtbhWildReport {
             injector,
@@ -154,10 +156,10 @@ pub fn run(
             target_distance,
             hijack,
             target_blackholed,
-            responsive_before: baseline.responsive.responsive_count(),
+            responsive_before: ctx.responsive.responsive_count(),
             responsive_after: after.responsive_count(),
-            lost_vps: baseline.responsive.lost_vps(&after),
-            total_vps: atlas.vantage_points.len(),
+            lost_vps: ctx.responsive.lost_vps(&after),
+            total_vps: ctx.total_vps(),
         };
         if report.succeeded() {
             return Some(report);

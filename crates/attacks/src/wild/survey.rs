@@ -4,13 +4,15 @@
 //! responsiveness. A re-run checks repeatability, and baseline traceroutes
 //! bound how many AS hops each effective community travelled.
 
-use crate::wild::vantage::{self, Baseline};
 use crate::wild::{InjectionPlatform, World};
-use bgpworms_dataplane::{trace, AtlasPlatform, Fib};
+use bgpworms_dataplane::{trace, AtlasPlatform, CampaignResult, Fib};
 use bgpworms_routesim::router::blackhole_community_of;
-use bgpworms_routesim::{CompiledSim, Workload, WorkloadParams};
+use bgpworms_routesim::{
+    Campaign, CompiledSim, Origination, PrefixOutcome, RetainRoutes, SimSnapshot, Workload,
+    WorkloadParams,
+};
 use bgpworms_topology::TopologyParams;
-use bgpworms_types::{Asn, Community};
+use bgpworms_types::{Asn, Community, Ipv4Prefix, Prefix};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Survey parameters.
@@ -83,13 +85,15 @@ impl SurveyReport {
 }
 
 /// Builds the candidate corpus: the RFC 7999 well-known community plus
-/// `ASN:666` for every transit AS — the analogue of the verified list of
-/// Giotsas et al. (communities of ASes that actually run the service) mixed
-/// with plausible-but-inert candidates (ASes without the service).
+/// `ASN:666` for every AS that offers some community service (the workload
+/// gives services only to transits), in ASN order and cut at `cap` — the
+/// analogue of the verified list of Giotsas et al. (communities of ASes
+/// that actually run the RTBH service) mixed with plausible-but-inert
+/// candidates (ASes that offer only steering).
 fn corpus(workload: &Workload, cap: usize) -> Vec<Community> {
     let mut out = vec![Community::BLACKHOLE];
     for (asn, cfg) in &workload.configs {
-        if cfg.services.any() || cfg.services.blackhole.is_some() {
+        if cfg.services.any() {
             out.extend(blackhole_community_of(*asn));
         }
     }
@@ -97,11 +101,25 @@ fn corpus(workload: &Workload, cap: usize) -> Vec<Community> {
     out
 }
 
-/// Reusable survey apparatus: a generated Internet plus an attached
-/// PEERING-like injector, a fixed Atlas vantage-point set, baseline FIBs,
-/// and baseline responsiveness — everything §7.6-style campaigns share.
-/// The extended experiments ("likely" corpus, non-RTBH path-change
-/// detection) reuse this context.
+/// Seed of the Atlas sample: "randomly chosen, but constant across all
+/// measurements" (§7.6).
+const ATLAS_SEED: u64 = 7;
+
+/// Episode time of a candidate's tagged re-announcement (the plain one is
+/// at 0). Every episode drains to convergence before the next starts, so
+/// the converged routes do not depend on the gap.
+const REANNOUNCE_AT: u32 = 300;
+
+/// The vantage-point apparatus of the two probing sweeps — §7.3's
+/// candidate RTBH targets and §7.6's candidate communities, plus the
+/// extended experiments ("likely" corpus, non-RTBH path-change detection).
+/// Both sweeps announce one prefix plainly, ping it from a fixed Atlas set,
+/// then re-announce it once per candidate and ping again. Between two
+/// candidates exactly one column of the forwarding plane changes, so the
+/// vantage points' own prefixes (the reverse paths) and the plain
+/// announcement flood once, when the context is built, and every candidate
+/// shares those columns and continues that announcement's snapshot — its
+/// baseline converges once, on every session of the sweep.
 ///
 /// Derefs to the [`World`] it owns: `ctx.topo`, `ctx.alloc` and
 /// `ctx.workload` are the generated Internet with the injector attached.
@@ -111,10 +129,23 @@ pub struct SurveyContext {
     pub injector: InjectionPlatform,
     /// The fixed Atlas vantage-point set.
     pub atlas: AtlasPlatform,
-    /// The probe target inside the injector's prefix.
+    /// The probe target inside the experiment prefix.
     pub target_addr: u32,
-    /// The plain announcement of the injector's prefix, measured.
-    baseline: Baseline,
+    /// The vantage-point FIB plus the plain announcement's column.
+    fib: Fib,
+    /// Per-VP responsiveness under the plain announcement.
+    pub(crate) responsive: CampaignResult,
+    /// FIB covering the vantage points' own prefixes (reverse paths).
+    vp_fib: Fib,
+    /// What a session retains: the vantage points' prefixes and the
+    /// experiment prefix.
+    retain: RetainRoutes,
+    /// The injector's plain announcement of the experiment prefix,
+    /// converged once: every candidate replays as a *delta* against it
+    /// ([`CompiledSim::run_delta_prefix`]), on whichever session of this
+    /// sweep, so a candidate costs its blast radius, not a full Internet
+    /// re-convergence.
+    snapshot: SimSnapshot,
 }
 
 impl std::ops::Deref for SurveyContext {
@@ -126,37 +157,104 @@ impl std::ops::Deref for SurveyContext {
 }
 
 impl SurveyContext {
-    /// Builds the shared apparatus.
+    /// Builds the §7.6 apparatus: the PEERING-like platform announcing its
+    /// own /24.
     pub fn build(params: &SurveyParams) -> Self {
         let mut world = World::generate(&params.topo, &params.workload);
         let injector = world.attach_peering_platform();
-        // The session the baseline was measured on borrows the world this
-        // context is about to own; `session()` compiles the campaign's, and
-        // the baseline's snapshot, which borrows nothing, replays on it.
-        let (atlas, baseline, _) =
-            vantage::build(&world, injector.asn, injector.prefix, params.n_vps);
+        Self::over(world, injector, injector.prefix, params.n_vps)
+    }
+
+    /// Samples `n_vps` vantage points and measures the baseline of a sweep
+    /// in which `injector` announces `prefix` on `world`.
+    pub(crate) fn over(
+        world: World,
+        injector: InjectionPlatform,
+        prefix: Ipv4Prefix,
+        n_vps: usize,
+    ) -> Self {
+        let atlas = AtlasPlatform::sample(&world.topo, &world.alloc, n_vps, ATLAS_SEED);
+        let target_addr = AtlasPlatform::target_in(prefix);
+        let plain = Origination::announce(injector.asn, Prefix::V4(prefix), vec![]);
+
+        // The vantage points announce their own prefixes: the reverse paths.
+        let mut episodes = Vec::new();
+        let mut retained = BTreeSet::from([plain.prefix]);
+        for &(vp, _) in &atlas.vantage_points {
+            for p in world.alloc.prefixes_of(vp) {
+                if p.is_v4() {
+                    episodes.push(Origination::announce(vp, *p, vec![]));
+                    retained.insert(*p);
+                }
+            }
+        }
+        let retain = RetainRoutes::Prefixes(retained);
+
+        // The session the baseline is measured on borrows the world this
+        // context is about to own; `session()` compiles the sweep's, and
+        // the snapshot, which borrows nothing, replays on it.
+        let (vp_fib, snapshot) = {
+            let sim = world.simulation().retain(retain.clone()).compile();
+            // Streamed: the campaign folds each prefix's converged routes
+            // into the FIB as forwarding actions and drops them, so the run
+            // never holds a `Vec` of per-prefix route tables (at survey
+            // scale that collection would dwarf the FIB itself). The plain
+            // announcement converges after it: a snapshot taken first sits
+            // on top of the campaign's peak (`peak_rss_mb` + 5 % on
+            // `attacks-medium`).
+            let vp_fib = Campaign::new(&sim).run(&episodes, Fib::default).sink;
+            let (_, snapshot) = sim.run_snapshot(std::slice::from_ref(&plain), plain.prefix);
+            (vp_fib, snapshot)
+        };
+        let fib = overlay(&vp_fib, plain.prefix, snapshot.baseline_outcome());
+        let responsive = atlas.ping_campaign(&fib, target_addr);
         SurveyContext {
             world,
             injector,
             atlas,
-            target_addr: baseline.target_addr,
-            baseline,
+            target_addr,
+            fib,
+            responsive,
+            vp_fib,
+            retain,
+            snapshot,
         }
     }
 
-    /// Compiles the campaign session ([`Baseline::session`]): once per
-    /// campaign, every candidate community then replays as a delta on it.
-    /// The baseline does not converge again: its snapshot is the one
-    /// [`SurveyContext::build`] measured.
+    /// Compiles a session of this sweep. Compile it **once** per campaign —
+    /// the compile cost (config resolution, CSR, collector interning) is
+    /// paid once; the baseline converged once, when the context was built,
+    /// and every candidate replays as a delta on its snapshot.
     pub fn session(&self) -> CompiledSim<'_> {
-        self.baseline.session(&self.world)
+        self.world
+            .simulation()
+            .retain(self.retain.clone())
+            .compile()
+    }
+
+    /// One candidate: the experiment prefix announced plainly, then
+    /// re-announced with `communities` — the paper's step-1/step-3
+    /// sequence. The plain half is the baseline's snapshot; only the tagged
+    /// re-announcement replays, on `session`, as a delta re-convergence.
+    /// Returns the full-schedule outcome (the looking-glass side) and the
+    /// FIB it implies (the probing side).
+    pub(crate) fn candidate(
+        &self,
+        session: &CompiledSim<'_>,
+        communities: &[Community],
+    ) -> (PrefixOutcome, Fib) {
+        let (origin, prefix) = (self.injector.asn, self.snapshot.prefix());
+        let tagged = Origination::announce(origin, prefix, communities.to_vec()).at(REANNOUNCE_AT);
+        let outcome = session.run_delta_prefix(&self.snapshot, &[tagged]);
+        let fib = overlay(&self.vp_fib, prefix, &outcome);
+        (outcome, fib)
     }
 
     /// The FIB when the experiment prefix is announced with `communities`
-    /// ([`Baseline::candidate`]): the vantage-point columns shared as they
-    /// are, plus one delta-replayed column.
+    /// (the probing side of a candidate): the vantage-point columns shared
+    /// as they are, plus one delta-replayed column.
     pub fn fib_with(&self, session: &CompiledSim<'_>, communities: &[Community]) -> Fib {
-        self.baseline.candidate(session, communities).1
+        self.candidate(session, communities).1
     }
 
     /// One campaign round: per candidate community, the set of vantage
@@ -169,7 +267,7 @@ impl SurveyContext {
         for &c in candidates {
             let fib = self.fib_with(&session, &[c]);
             let after = self.atlas.ping_campaign(&fib, self.target_addr);
-            out.insert(c, self.baseline.responsive.lost_vps(&after));
+            out.insert(c, self.responsive.lost_vps(&after));
         }
         out
     }
@@ -184,7 +282,7 @@ impl SurveyContext {
         communities: &[Community],
     ) -> BTreeMap<Asn, Vec<Asn>> {
         let fib = if communities.is_empty() {
-            self.baseline.fib.clone()
+            self.fib.clone()
         } else {
             self.fib_with(session, communities)
         };
@@ -196,7 +294,7 @@ impl SurveyContext {
     /// Baseline AS-hop distance from `vp`'s forwarding path to `target_as`
     /// (0 = not on the path).
     fn baseline_hops_to(&self, vp: Asn, target_as: Asn) -> usize {
-        let t = trace(&self.baseline.fib, vp, self.target_addr);
+        let t = trace(&self.fib, vp, self.target_addr);
         t.path
             .iter()
             .position(|&a| a == target_as)
@@ -208,6 +306,16 @@ impl SurveyContext {
     pub fn total_vps(&self) -> usize {
         self.atlas.vantage_points.len()
     }
+}
+
+/// The vantage-point columns, shared as they are, under `outcome`'s column
+/// for the experiment prefix.
+fn overlay(vp_fib: &Fib, prefix: Prefix, outcome: &PrefixOutcome) -> Fib {
+    let mut fib = vp_fib.clone();
+    if let Some(finals) = &outcome.final_routes {
+        fib.insert_routes(prefix, finals);
+    }
+    fib
 }
 
 /// Runs the survey.
@@ -253,8 +361,6 @@ pub fn run(params: &SurveyParams) -> SurveyReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgpworms_routesim::Origination;
-    use bgpworms_types::Prefix;
 
     fn quick_params() -> SurveyParams {
         SurveyParams {
@@ -308,13 +414,13 @@ mod tests {
         for c in corpus(&ctx.workload, 12) {
             let fib = ctx.fib_with(&session, &[c]);
             let tagged = Origination::announce(ctx.injector.asn, p, vec![c]).at(300);
-            let mut reference = ctx.baseline.vp_fib.clone();
+            let mut reference = ctx.vp_fib.clone();
             reference.merge(&Fib::from_sim(&session.run(&[plain.clone(), tagged])));
             for node in ctx.topo.ases() {
                 for &addr in &addrs {
                     let got = fib.lookup(node.asn, addr);
                     assert_eq!(got, reference.lookup(node.asn, addr), "{c} at {}", node.asn);
-                    moved += usize::from(got != ctx.baseline.fib.lookup(node.asn, addr));
+                    moved += usize::from(got != ctx.fib.lookup(node.asn, addr));
                 }
             }
         }
@@ -335,12 +441,12 @@ mod tests {
         let fib = ctx.fib_with(&session, &[]);
         for node in ctx.topo.ases() {
             for addr in probed_addrs(&ctx) {
-                let built = ctx.baseline.fib.lookup(node.asn, addr);
+                let built = ctx.fib.lookup(node.asn, addr);
                 assert_eq!(fib.lookup(node.asn, addr), built, "at {}", node.asn);
             }
         }
         let probed = ctx.atlas.ping_campaign(&fib, ctx.target_addr);
-        assert_eq!(probed.responsive, ctx.baseline.responsive.responsive);
+        assert_eq!(probed.responsive, ctx.responsive.responsive);
         assert!(
             probed.responsive_count() > 0,
             "the baseline reaches someone"

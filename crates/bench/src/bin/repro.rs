@@ -249,23 +249,7 @@ fn fig3(opts: &Options) -> String {
             bgpworms_topology::addressing::AddressingParams { seed: opts.seed },
         );
         let workload = bgpworms_routesim::Workload::generate(&topo, &alloc, &params);
-        let result = workload
-            .simulation(&topo)
-            .threads(4)
-            .compile()
-            .run(&workload.originations);
-        let archives =
-            bgpworms_routesim::archive_all(&workload.collectors, &result.observations, 0)
-                .expect("in-memory archive");
-        let inputs: Vec<bgpworms_core::ArchiveInput> = archives
-            .into_iter()
-            .map(|a| bgpworms_core::ArchiveInput {
-                platform: a.platform,
-                collector: a.name,
-                mrt: a.updates_mrt,
-            })
-            .collect();
-        let set = bgpworms_core::ObservationSet::from_archives(&inputs).expect("parses");
+        let set = Snapshot::simulate(topo, alloc, workload).observations;
         series.push(SnapshotStats::compute(&year.to_string(), &set));
     }
     let mut out = render_series(&series);

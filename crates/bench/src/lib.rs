@@ -89,7 +89,13 @@ impl Snapshot {
             ..base_params.clone()
         };
         let workload = Workload::generate(&topo, &alloc, &params);
+        Self::simulate(topo, alloc, workload)
+    }
 
+    /// Floods `workload`'s schedule over `topo`, archives every collector's
+    /// feed as MRT and parses the update archives back: the passive
+    /// pipeline from a generated Internet to the analysis's input.
+    pub fn simulate(topo: Topology, alloc: PrefixAllocation, workload: Workload) -> Snapshot {
         let sim = workload.simulation(&topo).compile();
         let unread_ases = sim.unread_nodes();
         let result = sim.run(&workload.originations);
@@ -100,14 +106,7 @@ impl Snapshot {
             bgpworms_routesim::workload::APRIL_2018 + 30 * 86_400,
         )
         .expect("archiving cannot fail on in-memory sinks");
-        let inputs: Vec<ArchiveInput> = archives
-            .into_iter()
-            .map(|a| ArchiveInput {
-                platform: a.platform,
-                collector: a.name,
-                mrt: a.updates_mrt,
-            })
-            .collect();
+        let inputs: Vec<ArchiveInput> = archives.into_iter().map(ArchiveInput::from).collect();
         let observations =
             ObservationSet::from_archives(&inputs).expect("simulator-produced MRT parses");
 

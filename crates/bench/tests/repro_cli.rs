@@ -68,6 +68,39 @@ fn bad_invocations_exit_2_without_panicking() {
 }
 
 #[test]
+fn snapshot_artefacts_tiny_match_the_recorded_bytes() {
+    // The passive-measurement tables and figures over one snapshot, the
+    // §8 hygiene report, §4.4's filter-relationship study and the RTBH
+    // preference ablation, byte for byte: `snapshot_tiny_2018.txt` is the
+    // concatenated stdout of these twelve runs.
+    let dir = out_dir("snapshot");
+    let dir_arg = dir.to_str().expect("utf-8 temp dir");
+    let mut stdout = String::new();
+    for artefact in [
+        "table1",
+        "table2",
+        "fig4a",
+        "fig4b",
+        "fig5a",
+        "fig5b",
+        "fig5c",
+        "fig6",
+        "transit",
+        "hygiene",
+        "filter-relationships",
+        "ablation-rtbh-preference",
+    ] {
+        let out = repro(&[
+            artefact, "--scale", "tiny", "--seed", "2018", "--out", dir_arg,
+        ]);
+        assert!(out.status.success(), "{artefact}: {out:?}");
+        stdout += std::str::from_utf8(&out.stdout).expect("utf-8 stdout");
+    }
+    assert_eq!(stdout, include_str!("snapshot_tiny_2018.txt"));
+    std::fs::remove_dir_all(&dir).expect("clean up");
+}
+
+#[test]
 fn wild_artefacts_tiny_match_the_recorded_bytes() {
     // The §7 renderers end to end, byte for byte: `wild_tiny_2018.txt` is
     // the concatenated stdout of these eight runs, recorded at 77c08b5

@@ -7,6 +7,7 @@
 //! walking ids. Rows cannot change after construction, so the indexes
 //! cannot go stale.
 
+pub use bgpworms_mrt::ArchiveInput;
 use bgpworms_mrt::{Bgp4mpMessage, MrtError, UpdateStream};
 use bgpworms_types::{Asn, Community, LargeCommunity, Prefix};
 use std::collections::BTreeSet;
@@ -103,17 +104,6 @@ pub struct Row {
     peer_id: u32,
     prefix_id: u32,
     attrs: Attrs,
-}
-
-/// An MRT archive with its provenance labels.
-#[derive(Debug, Clone)]
-pub struct ArchiveInput {
-    /// Platform (RIS / RV / IS / PCH).
-    pub platform: String,
-    /// Collector name.
-    pub collector: String,
-    /// Raw BGP4MP update archive.
-    pub mrt: Vec<u8>,
 }
 
 /// `items[start[k]..start[k + 1]]` are the items of key `k`, in the order

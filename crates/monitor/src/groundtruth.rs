@@ -179,14 +179,7 @@ pub fn build(params: &LabeledRunParams) -> LabeledRun {
     drop(sim);
     let archives = archive_all(&workload.collectors, &result.observations, inject_time)
         .expect("in-memory archiving cannot fail");
-    let inputs: Vec<ArchiveInput> = archives
-        .into_iter()
-        .map(|a| ArchiveInput {
-            platform: a.platform,
-            collector: a.name,
-            mrt: a.updates_mrt,
-        })
-        .collect();
+    let inputs: Vec<ArchiveInput> = archives.into_iter().map(ArchiveInput::from).collect();
     let observations = ObservationSet::from_archives(&inputs).expect("simulator MRT parses");
 
     let truth_dict = CommunityDictionary::from_workload(workload.configs.values());

@@ -60,3 +60,15 @@ pub use record::{
     StateChange, BGP4MP, BGP4MP_ET, TABLE_DUMP_V2,
 };
 pub use write::{write_state_change, write_update, write_update_into, MrtWriter, TableDumpWriter};
+
+/// A BGP4MP update archive with its provenance labels: what the analysis
+/// reads one collector's feed from.
+#[derive(Debug, Clone)]
+pub struct ArchiveInput {
+    /// Platform (RIS / RV / IS / PCH).
+    pub platform: String,
+    /// Collector name.
+    pub collector: String,
+    /// Raw BGP4MP update archive.
+    pub mrt: Vec<u8>,
+}

@@ -8,7 +8,7 @@
 //! state with one sort instead of a map insert per observation.
 
 use crate::route::Route;
-use bgpworms_mrt::{MrtError, MrtWriter, PeerEntry, RibEntry, TableDumpWriter};
+use bgpworms_mrt::{ArchiveInput, MrtError, MrtWriter, PeerEntry, RibEntry, TableDumpWriter};
 use bgpworms_types::{Asn, PathAttributes, Prefix, RouteUpdate};
 use std::collections::BTreeMap;
 use std::net::{IpAddr, Ipv4Addr};
@@ -197,6 +197,18 @@ pub struct CollectorArchive {
     pub updates_mrt: Vec<u8>,
     /// TABLE_DUMP_V2 RIB archive bytes.
     pub rib_mrt: Vec<u8>,
+}
+
+/// The analysis reads a collector's update archive, labelled; the RIB
+/// dump stays behind.
+impl From<CollectorArchive> for ArchiveInput {
+    fn from(archive: CollectorArchive) -> Self {
+        ArchiveInput {
+            platform: archive.platform,
+            collector: archive.name,
+            mrt: archive.updates_mrt,
+        }
+    }
 }
 
 /// Archives every collector of a finished run.

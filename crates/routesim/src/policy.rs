@@ -126,7 +126,7 @@ pub const fn prepend_value(times: u8) -> u16 {
 pub(crate) const MAX_PREFIX_LEN_V4: u8 = 24;
 
 /// A remotely-triggered-blackholing service offering, triggered by
-/// `ASN:`[`BLACKHOLE_VALUE`].
+/// `ASN:`[`BLACKHOLE_VALUE`] or by RFC 7999's well-known `BLACKHOLE`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlackholeService {
     /// Minimum prefix length accepted *for blackhole routes* (typically 24
@@ -161,10 +161,14 @@ pub struct CommunityServices {
     /// RTBH offering.
     pub blackhole: Option<BlackholeService>,
     /// Prepend services: low-16 value → number of prepends
-    /// (NTT-style `2914:421` → 1, `2914:422` → 2, …).
+    /// (NTT-style `2914:421` → 1, `2914:422` → 2, …). A route carrying
+    /// several gets the most prepends any of them asks for, on top of the
+    /// one every export adds.
     pub prepend: BTreeMap<u16, u8>,
     /// Local-pref services: low-16 value → assigned local preference
-    /// (e.g. "customer fallback").
+    /// (e.g. "customer fallback"). It replaces the role's local-pref and an
+    /// RTBH raise alike; a route carrying several gets the one with the
+    /// highest value.
     pub local_pref: BTreeMap<u16, u32>,
     /// Scope for prepend / local-pref services.
     pub steering_scope: ActScope,

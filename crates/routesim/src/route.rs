@@ -132,7 +132,9 @@ impl Route {
         }
     }
 
-    /// A locally originated route.
+    /// A locally originated route, at local-pref 250: above every role's
+    /// default, so an AS keeps its own origination over any route it
+    /// learns, unless a service sets a local-pref above 250.
     pub fn originate(communities: Vec<Community>) -> Self {
         let attrs = RouteAttrs {
             path: AsPath::empty(),

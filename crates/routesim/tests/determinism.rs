@@ -84,6 +84,12 @@
 //!   draw vendors, `send-community` and ingress and egress tags, every
 //!   retained route carries exactly the origination's list folded hop by
 //!   hop along its own AS path.
+//! * **Action communities settle at the stable-paths fixed point** — read
+//!   off the `BlackholeService`, `CommunityServices`, `LocalPrefByRole` and
+//!   `Route::prefer` doc comments: on worlds where every AS forwards every
+//!   community and some offer RTBH or steering, a whole-table best response
+//!   iterated to a fixed point names, per AS, the AS path and local-pref
+//!   the engine converges to.
 //! * **Derivation-cache transparency** — the arena answers a repeated
 //!   import derivation (same advertisement, same policy outcome, any
 //!   receiver) from a cache instead of cloning and re-interning. A stream
@@ -96,16 +102,17 @@
 use bgpworms_routesim::route::RouteArena;
 use bgpworms_routesim::router::{NodeState, RibEntry, ValidationCtx};
 use bgpworms_routesim::{
-    ActScope, BlackholeService, Campaign, CampaignSink, CollectorObservation, CollectorSpec,
-    CommunityPropagationPolicy, CompiledSim, FeedKind, FinalRoutes, IrrDatabase, OriginValidation,
-    Origination, PrefixOutcome, RetainRoutes, Route, RouteId, RouteSource, RouterConfig, SimResult,
-    SimSpec, Vendor, BLACKHOLE_VALUE, LOCATION_TAG_VALUES, MONITOR_ASN, ORIGIN_CLASS_VALUES,
+    prepend_value, ActScope, BlackholeService, Campaign, CampaignSink, CollectorObservation,
+    CollectorSpec, CommunityPropagationPolicy, CompiledSim, FeedKind, FinalRoutes, IrrDatabase,
+    OriginValidation, Origination, PrefixOutcome, RetainRoutes, Route, RouteId, RouteSource,
+    RouterConfig, SimResult, SimSpec, Vendor, BLACKHOLE_VALUE, LOCATION_TAG_VALUES, MONITOR_ASN,
+    ORIGIN_CLASS_VALUES,
 };
 use bgpworms_topology::{EdgeKind, NodeId, Role, Tier, Topology, TopologyParams};
 use bgpworms_types::{Asn, Community, LargeCommunity, Prefix};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
-use std::collections::VecDeque;
+use proptest::test_runner::TestRng;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Raw material for a random topology + workload; the test body assembles
 /// it (indices are taken modulo the node count, so every draw is valid).
@@ -2203,4 +2210,337 @@ proptest! {
             }
         }
     }
+}
+
+/// What `arb_world()` does not draw and the action-community oracle reads,
+/// per AS (indexed like the nodes): an RTBH offer as (scope `Any`, floor
+/// 8/16/24, `set_no_export`, raise to 150/200/300), and the steering
+/// services as their scope (`Any` or not) — each present or not.
+#[derive(Debug, Clone)]
+struct RawServices {
+    blackhole: Option<(bool, u8, bool, u8)>,
+    steering: Option<bool>,
+}
+
+/// The action-community values a drawn episode may address to a drawn AS:
+/// RTBH, one to three prepends, and the three steering local-prefs.
+const ACTION_VALUES: [u16; 7] = [
+    BLACKHOLE_VALUE,
+    prepend_value(1),
+    prepend_value(2),
+    prepend_value(3),
+    70,
+    80,
+    90,
+];
+
+/// The communities drawn for one episode: (owner, index into
+/// [`ACTION_VALUES`]) each.
+type Addressed = Vec<(usize, u8)>;
+
+/// A seasoned `arb_world()` for the action-community oracle (a copy, so the
+/// draws of every other property stay where they are): per AS a
+/// `RawServices`, and per episode up to three communities addressed to
+/// drawn ASes, each one of [`ACTION_VALUES`].
+fn arb_serviced_world() -> impl Strategy<Value = (RawWorld, Vec<RawServices>, Vec<Addressed>)> {
+    let services = (
+        proptest::option::of((any::<bool>(), 0u8..3, any::<bool>(), 0u8..3)),
+        proptest::option::of(any::<bool>()),
+    )
+        .prop_map(|(blackhole, steering)| RawServices {
+            blackhole,
+            steering,
+        });
+    let addressed = proptest::collection::vec((0usize..16, 0u8..7), 0..4);
+    (
+        arb_world(),
+        proptest::collection::vec(services, 16),
+        proptest::collection::vec(addressed, 16),
+    )
+}
+
+/// One AS's route in the stable-paths oracle: the AS path as a route
+/// stores it (the sender first, the origin last), its local-pref, the
+/// communities it carries, the neighbour it was learned from (`None`: its
+/// own origination) and the prepends a steering community asked of it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Offer {
+    path: Vec<Asn>,
+    local_pref: u32,
+    communities: BTreeSet<Community>,
+    from: Option<Asn>,
+    prepends: u8,
+}
+
+/// The stable-paths problem of Griffin, Shepherd and Wilfong for one
+/// prefix, solved by iterating a whole-table best response: every round,
+/// every AS takes its best offer among its own origination and what each
+/// neighbour exports of the route it held the round before, until a round
+/// changes nothing (`None` if `rounds` pass first). Every rule is read off
+/// a doc comment or an RFC, with none of `router.rs`:
+///
+/// * export — never back to the neighbour the route came from; RFC 1997's
+///   `NO_EXPORT`/`NO_ADVERTISE` keep a route in the AS that holds it and
+///   RFC 3765's `NO_PEER` keeps it off peerings; Gao–Rexford: a route
+///   learned from a peer or a provider goes to customers only; the
+///   exporter prepends itself once plus the prepends a community asked of
+///   it. `ForwardAll` passes every community on, and a Juniper router sends
+///   them;
+/// * import — a path holding the importer is a loop; local-pref is
+///   `LocalPrefByRole`'s for the role the sender plays; `BlackholeService`:
+///   `ASN:666` (or RFC 7999's `BLACKHOLE`) raises it to the service's
+///   `local_pref` when the scope admits the sender and the prefix is at
+///   least `min_prefix_len` long, and adds `NO_EXPORT` under
+///   `set_no_export`; `CommunityServices`: within `steering_scope`, a
+///   local-pref community sets its value (the highest-valued one of
+///   several), after any raise, and the prepend communities ask for the
+///   most prepends any of them names;
+/// * an origination is held at `Route::originate`'s local-pref, 250;
+/// * best — `Route::prefer`'s order: local-pref (higher wins), AS-path
+///   length (shorter), origin code and MED (every route here is IGP with
+///   MED 0), neighbour ASN (lower; an origination has none, read as 0).
+fn stable_paths_oracle(
+    topo: &Topology,
+    configs: &BTreeMap<Asn, RouterConfig>,
+    prefix: Prefix,
+    originated: &BTreeMap<Asn, &Vec<Community>>,
+    rounds: usize,
+) -> Option<BTreeMap<Asn, Offer>> {
+    let hi = |asn: Asn| asn.as_u16().expect("a 2-byte test ASN");
+    let export = |from: Asn, held: &Offer, to: Asn| -> Option<(Vec<Asn>, BTreeSet<Community>)> {
+        let role = topo.role_of(from, to).expect("adjacent");
+        let scoped = [Community::NO_EXPORT, Community::NO_ADVERTISE];
+        if held.from == Some(to)
+            || scoped.iter().any(|c| held.communities.contains(c))
+            || (role == Role::Peer && held.communities.contains(&Community::NO_PEER))
+        {
+            return None;
+        }
+        let from_customer = held
+            .from
+            .is_none_or(|learned| topo.role_of(from, learned) == Some(Role::Customer));
+        if !from_customer && role != Role::Customer {
+            return None;
+        }
+        let prepended = std::iter::repeat_n(from, 1 + usize::from(held.prepends));
+        let path = prepended.chain(held.path.iter().copied()).collect();
+        Some((path, held.communities.clone()))
+    };
+    let import =
+        |at: Asn, sender: Asn, (path, mut communities): (Vec<Asn>, BTreeSet<Community>)| {
+            if path.contains(&at) {
+                return None;
+            }
+            let cfg = &configs[&at];
+            let role = topo.role_of(at, sender).expect("adjacent");
+            let admits = |scope: ActScope| scope == ActScope::Any || role == Role::Customer;
+            let mut local_pref = match role {
+                Role::Customer => cfg.local_pref.customer,
+                Role::Peer => cfg.local_pref.peer,
+                Role::Provider => cfg.local_pref.provider,
+            };
+            if let Some(bh) = &cfg.services.blackhole {
+                let trigger = [
+                    Community::new(hi(at), BLACKHOLE_VALUE),
+                    Community::BLACKHOLE,
+                ];
+                if trigger.iter().any(|c| communities.contains(c))
+                    && admits(bh.scope)
+                    && prefix.len() >= bh.min_prefix_len
+                {
+                    local_pref = bh.local_pref;
+                    if bh.set_no_export {
+                        communities.insert(Community::NO_EXPORT);
+                    }
+                }
+            }
+            let mut prepends = 0;
+            if admits(cfg.services.steering_scope) {
+                let asked = |value: u16| communities.contains(&Community::new(hi(at), value));
+                let services = &cfg.services;
+                if let Some((_, &lp)) = services.local_pref.iter().rev().find(|(&v, _)| asked(v)) {
+                    local_pref = lp;
+                }
+                let requested = services.prepend.iter().filter(|(&v, _)| asked(v));
+                prepends = requested.map(|(_, &n)| n).max().unwrap_or(0);
+            }
+            Some(Offer {
+                path,
+                local_pref,
+                communities,
+                from: Some(sender),
+                prepends,
+            })
+        };
+    let rank = |offer: &Offer| {
+        let neighbour = offer.from.map_or(0, Asn::get);
+        (
+            std::cmp::Reverse(offer.local_pref),
+            offer.path.len(),
+            neighbour,
+        )
+    };
+
+    let mut held: BTreeMap<Asn, Offer> = BTreeMap::new();
+    for _ in 0..rounds {
+        let mut next = BTreeMap::new();
+        for node in topo.ases() {
+            let at = node.asn;
+            let own = originated.get(&at).map(|communities| Offer {
+                path: Vec::new(),
+                local_pref: 250,
+                communities: communities.iter().copied().collect(),
+                from: None,
+                prepends: 0,
+            });
+            let learned = topo.neighbors(at).iter().filter_map(|n| {
+                let offered = export(n.asn, held.get(&n.asn)?, at)?;
+                import(at, n.asn, offered)
+            });
+            if let Some(best) = own.into_iter().chain(learned).min_by_key(rank) {
+                next.insert(at, best);
+            }
+        }
+        if next == held {
+            return Some(held);
+        }
+        held = next;
+    }
+    None
+}
+
+/// ROADMAP item 9(ii) — *action communities settle where the documents
+/// say*: RTBH raises, steering local-prefs and requested prepends, over
+/// worlds where every AS forwards every community and no route server or
+/// validation intervenes, so that only route choice is in question. Per
+/// prefix, [`stable_paths_oracle`] iterates a whole-table best response to
+/// a fixed point; wherever it and the engine both converge, every AS holds
+/// the same AS path at the same local-pref. Draws where either side does
+/// not converge are skipped, and the test says how many were compared.
+#[test]
+fn action_communities_settle_at_the_stable_paths_fixed_point() {
+    let cases = ProptestConfig::default().cases;
+    let strategy = arb_serviced_world();
+    let mut rng = TestRng::deterministic(concat!(
+        module_path!(),
+        "::action_communities_settle_at_the_stable_paths_fixed_point"
+    ));
+    let (mut compared, mut acted) = (0u32, 0u32);
+    for case in 0..cases {
+        let (mut raw, services, addressed) = strategy.generate(&mut rng);
+        let n = raw.n_nodes;
+        let last_tier = &mut raw.tiers[(n - 1) % 16];
+        if *last_tier == 3 {
+            *last_tier = 1; // `build_world` would make it a route server
+        }
+        let (topo, _, collectors, mut originations) = build_world(&raw);
+        let asn_of = |i: usize| Asn::new((i % n) as u32 + 1);
+        for (k, o) in originations
+            .iter_mut()
+            .enumerate()
+            .filter(|(_, o)| !o.withdraw)
+        {
+            for &(owner, value) in &addressed[k % addressed.len()] {
+                let owner = asn_of(owner).as_u16().expect("a 2-byte test ASN");
+                o.communities
+                    .push(Community::new(owner, ACTION_VALUES[usize::from(value)]));
+            }
+        }
+        let mut configs = BTreeMap::new();
+        for (i, offered) in services.iter().enumerate().take(n) {
+            let mut cfg = RouterConfig::defaults(asn_of(i)); // `ForwardAll`, no validation
+            let scope = |any: bool| {
+                if any {
+                    ActScope::Any
+                } else {
+                    ActScope::CustomersOnly
+                }
+            };
+            if let Some((any, floor, set_no_export, raise)) = offered.blackhole {
+                cfg.services.blackhole = Some(BlackholeService {
+                    min_prefix_len: [8, 16, 24][usize::from(floor)],
+                    set_no_export,
+                    scope: scope(any),
+                    local_pref: [150, 200, 300][usize::from(raise)],
+                });
+            }
+            if let Some(any) = offered.steering {
+                cfg.services.prepend = (1..=3).map(|n| (prepend_value(n), n)).collect();
+                cfg.services.local_pref = [(70, 70), (80, 80), (90, 90)].into_iter().collect();
+                cfg.services.steering_scope = scope(any);
+            }
+            configs.insert(cfg.asn, cfg);
+        }
+        let res = spec_for(&topo, configs.values().cloned().collect(), collectors)
+            .compile()
+            .run(&originations);
+        if !res.converged {
+            continue; // an oscillating world has no converged state to read
+        }
+
+        // What each origin announces each prefix with: its last episode in
+        // time order (ties in schedule order), unless that withdrew.
+        let mut by_time: Vec<&Origination> = originations.iter().collect();
+        by_time.sort_by_key(|o| o.time);
+        let mut announced: BTreeMap<Prefix, BTreeMap<Asn, Option<&Vec<Community>>>> =
+            BTreeMap::new();
+        for o in by_time {
+            let list = (!o.withdraw).then_some(&o.communities);
+            announced
+                .entry(o.prefix)
+                .or_default()
+                .insert(o.origin, list);
+        }
+        let mut settled = Vec::new();
+        for (&prefix, origins) in &announced {
+            let originated = origins
+                .iter()
+                .filter_map(|(&origin, list)| Some((origin, (*list)?)))
+                .collect();
+            match stable_paths_oracle(&topo, &configs, prefix, &originated, 4 * n + 8) {
+                Some(fixed_point) => settled.push((prefix, fixed_point)),
+                None => break,
+            }
+        }
+        if settled.len() < announced.len() {
+            continue; // the best response did not settle within its bound
+        }
+        let mut moved = false;
+        for (prefix, fixed_point) in settled {
+            let engine: BTreeMap<Asn, (Vec<Asn>, u32)> = res
+                .final_routes
+                .get(&prefix)
+                .into_iter()
+                .flat_map(|finals| finals.iter())
+                .map(|(&asn, route)| (asn, (route.path.to_vec(), route.local_pref)))
+                .collect();
+            let oracle: BTreeMap<Asn, (Vec<Asn>, u32)> = fixed_point
+                .into_iter()
+                .map(|(asn, offer)| (asn, (offer.path, offer.local_pref)))
+                .collect();
+            assert_eq!(
+                engine, oracle,
+                "case {case}: {prefix} (AS path, local-pref) per AS"
+            );
+            let prefs = RouterConfig::defaults(MONITOR_ASN).local_pref;
+            let plain = [prefs.customer, prefs.peer, prefs.provider, 250];
+            moved |= engine.values().any(|(path, local_pref)| {
+                !plain.contains(local_pref) || path.windows(2).any(|hop| hop[0] == hop[1])
+            });
+        }
+        compared += 1;
+        acted += u32::from(moved);
+    }
+    eprintln!(
+        "action communities: {compared} of {cases} draws compared with the oracle, \
+         {acted} of them holding a route an action community moved"
+    );
+    assert!(
+        compared * 2 >= cases,
+        "only {compared} of {cases} draws converged on both sides"
+    );
+    assert!(
+        acted * 4 >= compared,
+        "only {acted} draws exercised a service"
+    );
 }

@@ -96,14 +96,7 @@ fn main() {
     let sim = workload.simulation(&topo).threads(4).compile();
     let result = sim.run(&workload.originations);
     let archives = archive_all(&workload.collectors, &result.observations, 0).expect("archive");
-    let inputs: Vec<ArchiveInput> = archives
-        .into_iter()
-        .map(|a| ArchiveInput {
-            platform: a.platform,
-            collector: a.name,
-            mrt: a.updates_mrt,
-        })
-        .collect();
+    let inputs: Vec<ArchiveInput> = archives.into_iter().map(ArchiveInput::from).collect();
     let set = ObservationSet::from_archives(&inputs).expect("parse");
     let filters = FilteringAnalysis::compute(&set);
     let corr = RelationshipCorrelation::compute(&filters, |exporter, importer| {
@@ -139,14 +132,7 @@ fn main() {
     let sim4 = workload4.simulation(&topo4).threads(4).compile();
     let result4 = sim4.run(&workload4.originations);
     let archives4 = archive_all(&workload4.collectors, &result4.observations, 0).expect("archive");
-    let inputs4: Vec<ArchiveInput> = archives4
-        .into_iter()
-        .map(|a| ArchiveInput {
-            platform: a.platform,
-            collector: a.name,
-            mrt: a.updates_mrt,
-        })
-        .collect();
+    let inputs4: Vec<ArchiveInput> = archives4.into_iter().map(ArchiveInput::from).collect();
     let set4 = ObservationSet::from_archives(&inputs4).expect("parse");
     print!("{}", LargeCommunityAnalysis::compute(&set4).render());
     println!(

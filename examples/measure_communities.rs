@@ -41,14 +41,7 @@ fn main() {
         archives.len(),
         total_mrt
     );
-    let inputs: Vec<ArchiveInput> = archives
-        .into_iter()
-        .map(|a| ArchiveInput {
-            platform: a.platform,
-            collector: a.name,
-            mrt: a.updates_mrt,
-        })
-        .collect();
+    let inputs: Vec<ArchiveInput> = archives.into_iter().map(ArchiveInput::from).collect();
     let set = ObservationSet::from_archives(&inputs).expect("simulator MRT parses");
     println!("parsed {} observations\n", set.observations.len());
 

@@ -42,14 +42,7 @@ fn main() {
     //    pipeline never touches simulator internals.
     let archives = bgpworms::routesim::archive_all(&workload.collectors, &result.observations, 0)
         .expect("in-memory archive");
-    let inputs: Vec<ArchiveInput> = archives
-        .into_iter()
-        .map(|a| ArchiveInput {
-            platform: a.platform,
-            collector: a.name,
-            mrt: a.updates_mrt,
-        })
-        .collect();
+    let inputs: Vec<ArchiveInput> = archives.into_iter().map(ArchiveInput::from).collect();
     let set = ObservationSet::from_archives(&inputs).expect("simulator MRT parses");
 
     // 5. The paper's §4 numbers.

@@ -22,14 +22,7 @@ fn build(adoption: f64) -> ObservationSet {
     let archives =
         bgpworms::routesim::archive_all(&workload.collectors, &result.observations, APRIL_2018)
             .expect("archive");
-    let inputs: Vec<ArchiveInput> = archives
-        .into_iter()
-        .map(|a| ArchiveInput {
-            platform: a.platform,
-            collector: a.name,
-            mrt: a.updates_mrt,
-        })
-        .collect();
+    let inputs: Vec<ArchiveInput> = archives.into_iter().map(ArchiveInput::from).collect();
     ObservationSet::from_archives(&inputs).expect("parse")
 }
 

@@ -90,14 +90,7 @@ fn hygiene_report_on_a_benign_world() {
     let archives =
         bgpworms::routesim::archive_all(&workload.collectors, &result.observations, APRIL_2018)
             .expect("archive");
-    let inputs: Vec<ArchiveInput> = archives
-        .into_iter()
-        .map(|a| ArchiveInput {
-            platform: a.platform,
-            collector: a.name,
-            mrt: a.updates_mrt,
-        })
-        .collect();
+    let inputs: Vec<ArchiveInput> = archives.into_iter().map(ArchiveInput::from).collect();
     let set = ObservationSet::from_archives(&inputs).expect("parse");
 
     let dict = CommunityDictionary::from_workload(workload.configs.values());
@@ -167,14 +160,7 @@ fn fake_location_injection_is_caught_by_the_monitor() {
     let archives =
         bgpworms::routesim::archive_all(&workload.collectors, &result.observations, APRIL_2018)
             .expect("archive");
-    let inputs: Vec<ArchiveInput> = archives
-        .into_iter()
-        .map(|a| ArchiveInput {
-            platform: a.platform,
-            collector: a.name,
-            mrt: a.updates_mrt,
-        })
-        .collect();
+    let inputs: Vec<ArchiveInput> = archives.into_iter().map(ArchiveInput::from).collect();
     let set = ObservationSet::from_archives(&inputs).expect("parse");
 
     let dict = CommunityDictionary::from_workload(workload.configs.values());
@@ -206,14 +192,7 @@ fn monitor_is_quiet_on_a_benign_world_apart_from_rtbh_lookalikes() {
     let archives =
         bgpworms::routesim::archive_all(&workload.collectors, &result.observations, APRIL_2018)
             .expect("archive");
-    let inputs: Vec<ArchiveInput> = archives
-        .into_iter()
-        .map(|a| ArchiveInput {
-            platform: a.platform,
-            collector: a.name,
-            mrt: a.updates_mrt,
-        })
-        .collect();
+    let inputs: Vec<ArchiveInput> = archives.into_iter().map(ArchiveInput::from).collect();
     let set = ObservationSet::from_archives(&inputs).expect("parse");
     let dict = CommunityDictionary::from_workload(workload.configs.values());
     let filters = FilteringAnalysis::compute(&set);

@@ -104,14 +104,7 @@ fn build_world(params: TopologyParams, seed: u64) -> (Topology, ObservationSet) 
 
     let archives = bgpworms::routesim::archive_all(&workload.collectors, &result.observations, 0)
         .expect("archive");
-    let inputs: Vec<ArchiveInput> = archives
-        .into_iter()
-        .map(|a| ArchiveInput {
-            platform: a.platform,
-            collector: a.name,
-            mrt: a.updates_mrt,
-        })
-        .collect();
+    let inputs: Vec<ArchiveInput> = archives.into_iter().map(ArchiveInput::from).collect();
     let set = ObservationSet::from_archives(&inputs).expect("parse");
     (topo, set)
 }

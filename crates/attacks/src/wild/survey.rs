@@ -222,9 +222,10 @@ impl SurveyContext {
     }
 
     /// Compiles a session of this sweep. Compile it **once** per campaign —
-    /// the compile cost (config resolution, CSR, collector interning) is
-    /// paid once; the baseline converged once, when the context was built,
-    /// and every candidate replays as a delta on its snapshot.
+    /// the compile cost (config resolution, slot offsets, collector
+    /// interning) is paid once; the baseline converged once, when the
+    /// context was built, and every candidate replays as a delta on its
+    /// snapshot.
     pub fn session(&self) -> CompiledSim<'_> {
         self.world
             .simulation()

@@ -13,8 +13,8 @@
 //!   retention policy, and thread count.
 //! * [`SimSpec::compile`] resolves everything **once** into a
 //!   [`CompiledSim`]: per-AS configs as a dense [`NodeId`]-indexed `Vec`,
-//!   collector sessions interned to node ids, the CSR adjacency (and its
-//!   reverse-slot view) forced, and the per-prefix event budget hoisted.
+//!   collector sessions interned to node ids, the topology's slot offsets
+//!   computed, and the per-prefix event budget hoisted.
 //! * [`CompiledSim::run`] replays any episode schedule against that
 //!   compiled state. It takes `&self`, so one session runs many schedules —
 //!   baseline and attack, candidate after candidate — and is shareable
@@ -24,13 +24,13 @@
 //!
 //! Per-neighbor router state ([`crate::router::NodeState`]) is dense and
 //! **slot-indexed**: each node's Adj-RIB-In and last-exported cache are
-//! arrays addressed by the neighbor's position in the node's CSR slice.
-//! Events carry the receiver-side slot (precompiled reverse-slot array), so
-//! the per-event hot path is pure `Vec` indexing end to end — no
-//! `BTreeMap<Asn, …>` anywhere on it. Those arrays hold [`RouteId`]s into a
-//! per-prefix-worker [`RouteArena`] (hash-consed routes, u32 handles): the
-//! export-diffing predicate is an id compare, events allocate nothing, and
-//! each distinct route is stored once per prefix.
+//! arrays addressed by the neighbor's position in the node's adjacency list.
+//! Events carry the receiver-side slot (written beside each entry when the
+//! edge was added), so the per-event hot path is pure `Vec` indexing end to
+//! end — no `BTreeMap<Asn, …>` anywhere on it. Those arrays hold
+//! [`RouteId`]s into a per-prefix-worker [`RouteArena`] (hash-consed routes,
+//! u32 handles): the export-diffing predicate is an id compare, events
+//! allocate nothing, and each distinct route is stored once per prefix.
 //!
 //! # Dirty-set batched convergence
 //!
@@ -45,19 +45,19 @@
 //!
 //! # Per-worker scratch: marginal cost ∝ flood footprint
 //!
-//! All of that per-prefix state — the RIB/export slot arrays, the arena,
-//! the queue, the dirty set, the collector dedup state — lives in one
-//! reusable crate-internal `SimScratch` per worker, not in fresh
-//! allocations per prefix. The slot arrays are flat over the whole
-//! network's directed-edge slot space (`Topology::slot_offsets`, the CSR
-//! degree prefix-sum), and reset between prefixes is a **generation-stamp
+//! All of that per-prefix state — the RIB/export slot arrays, the arena, the
+//! queue, the dirty set, the collector dedup state — lives in one reusable
+//! crate-internal `SimScratch` per worker, not in fresh allocations per
+//! prefix. The slot arrays are flat over the whole network's directed-edge
+//! slot space (`Topology::slot_offsets`, the degree prefix-sum, computed
+//! once per session), and reset between prefixes is a **generation-stamp
 //! bump**: a node's state is live only while its stamp matches the current
 //! prefix's epoch, and the first touch per prefix clears just that node's
-//! slot range. A prefix therefore pays per-node setup only for the nodes
-//! its flood actually reaches, and the final-routes sweep iterates the
-//! touched list instead of every node. Within an export pass, the export
-//! value is additionally memoized per neighbor role for nodes whose egress
-//! policy is neighbor-independent (everything except route servers and the
+//! slot range. A prefix therefore pays per-node setup only for the nodes its
+//! flood actually reaches, and the final-routes sweep iterates the touched
+//! list instead of every node. Within an export pass, the export value is
+//! additionally memoized per neighbor role for nodes whose egress policy is
+//! neighbor-independent (everything except route servers and the
 //! `ScopedToReceiver` defense), so a high-degree transit interns each
 //! changed export once per role instead of once per neighbor.
 //!
@@ -332,14 +332,11 @@ impl<'a> SimSpec<'a> {
         self
     }
 
-    /// Compiles the session: CSR adjacency (and reverse slots) forced,
-    /// configs resolved once into a dense [`NodeId`]-indexed `Vec`,
-    /// collector peers interned, event budget hoisted. The returned
-    /// [`CompiledSim`] runs any number of episode schedules.
+    /// Compiles the session: slot offsets computed, configs resolved once
+    /// into a dense [`NodeId`]-indexed `Vec`, collector peers interned,
+    /// event budget hoisted. The returned [`CompiledSim`] runs any number
+    /// of episode schedules.
     pub fn compile(self) -> CompiledSim<'a> {
-        // Forces CSR compilation (adjacency + reverse slots) before worker
-        // threads share `topo`, and doubles as the edge sum for the
-        // per-prefix event budget.
         let adjacency_entries = self.topo.adjacency_len() as u64;
         let n = self.topo.len();
         let mut configs = Vec::with_capacity(n);
@@ -385,6 +382,7 @@ impl<'a> SimSpec<'a> {
         let classifier = PrefixClassifier::from_configs(configs.iter());
         CompiledSim {
             topo: self.topo,
+            offsets: self.topo.slot_offsets(),
             configs,
             asns,
             is_rs,
@@ -454,6 +452,9 @@ fn unread_leaves(topo: &Topology, is_rs: &[bool], session_offsets: &[u32]) -> Ve
 #[derive(Debug, Clone)]
 pub struct CompiledSim<'a> {
     topo: &'a Topology,
+    /// The topology's degree prefix-sum ([`Topology::slot_offsets`]): node
+    /// `i`'s global slots are `offsets[i]..offsets[i + 1]`.
+    offsets: Vec<u32>,
     /// Per-node config, indexed by [`NodeId::index`].
     configs: Vec<RouterConfig>,
     /// Per-node ASN, indexed by [`NodeId::index`].
@@ -468,7 +469,7 @@ pub struct CompiledSim<'a> {
     /// Collector sessions resolved to node ids: `(collector index, peer,
     /// feed)`.
     collector_peers: Vec<(usize, NodeId, FeedKind)>,
-    /// CSR index node → sessions: node `i` carries the sessions
+    /// Node → sessions: node `i` carries the sessions
     /// `node_sessions[session_offsets[i]..session_offsets[i + 1]]`
     /// (ascending indices into `collector_peers`).
     session_offsets: Vec<u32>,
@@ -478,7 +479,7 @@ pub struct CompiledSim<'a> {
     retain: RetainRoutes,
     threads: usize,
     /// Event budget per prefix (hoisted out of the prefix loop: the edge
-    /// sum is one CSR length read). Crate tests set it directly.
+    /// sum is one counter read). Crate tests set it directly.
     pub(crate) event_budget: u64,
     /// Compiled prefix-sensitivity summary for flood memoization — see
     /// `classify`.
@@ -552,7 +553,7 @@ impl<'a> CompiledSim<'a> {
         let snapshot = SimSnapshot {
             prefix,
             last_time: episodes.last().map_or(0, |ep| ep.time),
-            offsets: self.topo.slot_offsets().to_vec(),
+            offsets: self.offsets.clone(),
             scratch,
             outcome: outcome.clone(),
         };
@@ -579,7 +580,7 @@ impl<'a> CompiledSim<'a> {
     /// RIBs and cannot be replayed incrementally).
     pub fn run_delta_prefix(&self, snapshot: &SimSnapshot, delta: &[Origination]) -> PrefixOutcome {
         assert!(
-            snapshot.offsets == self.topo.slot_offsets(),
+            snapshot.offsets == self.offsets,
             "snapshot restored under a different session's topology"
         );
         assert_eq!(
@@ -693,9 +694,9 @@ fn sort_feed(obs: &mut [CollectorObservation]) {
 }
 
 /// In-flight update message. The sender's role (what `from` plays for `to`)
-/// and the sender's slot within the receiver's adjacency are resolved from
-/// the CSR views at emit time, so import needs no adjacency scan and no map
-/// lookup. The route rides along as an id into the prefix-worker's
+/// and the sender's slot within the receiver's adjacency are read off the
+/// sender's adjacency entry at emit time, so import needs no adjacency scan
+/// and no map lookup. The route rides along as an id into the prefix-worker's
 /// [`RouteArena`]: enqueuing an update allocates nothing.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Event {
@@ -755,7 +756,7 @@ struct Routers<'s> {
     prefix: Prefix,
     /// The current prefix's generation stamp.
     epoch: u32,
-    /// CSR degree prefix-sum: node `i`'s global slots are
+    /// Degree prefix-sum: node `i`'s global slots are
     /// `offsets[i]..offsets[i + 1]`.
     offsets: &'s [u32],
     asns: &'s [Asn],
@@ -943,7 +944,7 @@ impl CompiledSim<'_> {
         let mut routers = Routers {
             prefix,
             epoch: *epoch,
-            offsets: self.topo.slot_offsets(),
+            offsets: &self.offsets,
             asns: &self.asns,
             is_rs: &self.is_rs,
             node_epoch,
@@ -1142,12 +1143,12 @@ impl CompiledSim<'_> {
     }
 
     /// Recomputes `id`'s exports to every neighbor and enqueues the ones
-    /// that changed. Adjacency comes straight off the CSR slice; the
-    /// receiver-side slot comes off the precompiled reverse-slot array; the
-    /// mutable state is this node's router plus the shared arena. When the
-    /// node's best route is unchanged since its last pass the whole sweep
-    /// is skipped — exports are a pure function of the best route, so the
-    /// steady-state cost is one best-scan and zero clones.
+    /// that changed. Adjacency comes straight off the topology's list, each
+    /// entry carrying the receiver-side slot; the mutable state is this
+    /// node's router plus the shared arena. When the node's best route is
+    /// unchanged since its last pass the whole sweep is skipped — exports
+    /// are a pure function of the best route, so the steady-state cost is
+    /// one best-scan and zero clones.
     ///
     /// Within a pass the best entry is scanned once, and for ordinary nodes
     /// the export value is **memoized per neighbor role**: everything in
@@ -1182,7 +1183,7 @@ impl CompiledSim<'_> {
                 CommunityPropagationPolicy::ScopedToReceiver
             );
         let mut memo: [Option<Option<RouteId>>; 3] = [None; 3];
-        for (slot, (nb, role, _nb_is_rs), rev_slot) in self.topo.adjacency_with_reverse_ix(id) {
+        for (slot, &(nb, role, rev_slot)) in self.topo.neighbors_ix(id).iter().enumerate() {
             let nb_asn = self.asns[nb.index()];
             let new = match best {
                 None => None,

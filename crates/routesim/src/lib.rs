@@ -41,9 +41,8 @@
 //! ```
 //!
 //! [`SimSpec::compile`] resolves per-AS configs into a dense
-//! `NodeId`-indexed `Vec`, interns collector peers, and forces the
-//! topology's CSR adjacency (including its reverse-slot view) — all paid
-//! **once per session**. [`CompiledSim::run`] takes `&self`: a session runs
+//! `NodeId`-indexed `Vec`, interns collector peers, and computes the
+//! topology's slot offsets — all paid **once per session**. [`CompiledSim::run`] takes `&self`: a session runs
 //! any number of episode schedules (the paper's baseline/attack A/B pairs
 //! compile once and run twice) and is shareable read-only across threads.
 //! Config variants (e.g. an armed attacker) clone the spec, not the world:
@@ -155,21 +154,22 @@
 //!
 //! Propagation is computed per prefix to convergence over the topology's
 //! **`NodeId` arena**: every AS is interned to a dense `u32` index,
-//! adjacency is a compiled CSR view of `(NodeId, Role, is_route_server)`
-//! slices, and all per-run state lives in `NodeId`-indexed `Vec`s.
+//! each node keeps one adjacency list of `(NodeId, Role, reverse slot)`
+//! entries, and all per-run state lives in `NodeId`-indexed `Vec`s.
 //! Per-neighbor router state is **flat and adjacency-slot indexed**: each
 //! node's Adj-RIB-In and last-exported cache are dense arrays addressed by
-//! the neighbor's position in the node's CSR slice, and events carry the
-//! receiver-side slot (precompiled reverse-slot array).
+//! the neighbor's position in the node's list, and events carry the
+//! receiver-side slot (the entry's third field, written by
+//! `Topology::add_edge`).
 //!
 //! ## The hot path: per-worker scratch + RouteId arena + dirty-set convergence
 //!
 //! Every worker owns one reusable **`SimScratch`** holding all mutable
 //! per-prefix state: the Adj-RIB-In and last-exported caches as two flat
 //! arrays over the whole network's directed-edge slots (addressed through
-//! the topology's CSR degree prefix-sum, `Topology::slot_offsets`), the
-//! per-node scalars, the route arena, the event queue, the dirty set, and
-//! the collector-session dedup state. Nothing per-prefix is allocated in
+//! the topology's degree prefix-sum, `Topology::slot_offsets`, which the
+//! session computes once), the per-node scalars, the route arena, the
+//! event queue, the dirty set, and the collector-session dedup state. Nothing per-prefix is allocated in
 //! the loop: between prefixes the scratch is reset by a **generation-stamp
 //! bump** — a node's state is live only while its stamp equals the current
 //! prefix's epoch, and the first touch per prefix clears just that node's
@@ -247,7 +247,7 @@
 //! A marker covers its own line or the statement directly below it, and
 //! must include the justification text — `detlint` rejects bare markers.
 //!
-//! For the whole-workspace picture — how this crate's NodeId/CSR substrate,
+//! For the whole-workspace picture — how this crate's NodeId/slot substrate,
 //! session API, scratch, memoization, snapshot/delta and durable-resume
 //! layers stack up and which crates sit on top — see `ARCHITECTURE.md` at
 //! the repository root.

@@ -52,10 +52,9 @@ pub struct RibEntry {
 /// being flooded: routes do not carry it, and prefix-sensitive policy (length
 /// floors, origin validation, targeted egress tags) reads it from here.
 ///
-/// All per-neighbor state is **adjacency-slot indexed**: the engine compiles
-/// each node's CSR neighbor slice once, and both the Adj-RIB-In and the
-/// last-exported cache are dense slices addressed by a neighbor's position
-/// in that slice. Both hold [`RouteId`]s into the prefix-worker's
+/// All per-neighbor state is **adjacency-slot indexed**: both the
+/// Adj-RIB-In and the last-exported cache are dense slices addressed by a
+/// neighbor's position in the node's adjacency list. Both hold [`RouteId`]s into the prefix-worker's
 /// [`RouteArena`] rather than owned routes, so the per-event import/export
 /// path is pure slice indexing plus u32 compares — no `BTreeMap<Asn, …>`,
 /// no owned `Route` storage, and export diffing never clones.

@@ -11,7 +11,7 @@
 //!
 //! * **two flat arrays over the whole network's directed-edge slots**
 //!   (Adj-RIB-In entries and the last-exported cache), addressed through
-//!   the topology's CSR degree prefix-sum
+//!   the session's copy of the topology's degree prefix-sum
 //!   (`Topology::slot_offsets`): node `i`'s per-neighbor state is the
 //!   sub-slice at `offsets[i]..offsets[i + 1]`, so "allocate a RIB per
 //!   router" becomes two offset reads;
@@ -268,7 +268,7 @@ pub struct SimSnapshot {
     /// must not be scheduled before it (the baseline already folded
     /// everything up to this point into the RIBs).
     pub(crate) last_time: u32,
-    /// The producing session's CSR slot prefix-sum, which a continuing
+    /// The producing session's slot prefix-sum, which a continuing
     /// session must share (its collector-session count is the length of
     /// the scratch's dedup state).
     pub(crate) offsets: Vec<u32>,

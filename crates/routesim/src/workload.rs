@@ -451,7 +451,7 @@ fn build_collectors(topo: &Topology, rng: &mut StdRng) -> Vec<CollectorSpec> {
     let n_pch = (4.0 + scale / 2.0).round() as usize;
     let mut pch_pool: Vec<Asn> = Vec::new();
     for node in topo.ases() {
-        if !node.ixp_memberships.is_empty() {
+        if topo.ixp_memberships(node.asn).next().is_some() {
             pch_pool.push(node.asn);
         }
     }

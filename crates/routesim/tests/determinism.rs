@@ -431,17 +431,6 @@ impl<'t> RefRouters<'t> {
     }
 }
 
-/// The final best route per (prefix, AS) of the reference engine below, or
-/// `None` when the event budget blows (oscillating worlds are excluded from
-/// the comparison by both sides).
-fn reference_final_routes(
-    topo: &Topology,
-    configs: &[RouterConfig],
-    originations: &[Origination],
-) -> Option<ReferenceRoutes> {
-    reference_run(topo, configs, &[], originations).map(|(finals, _)| finals)
-}
-
 /// The reference engine's final best route per (prefix, AS).
 type ReferenceRoutes = BTreeMap<Prefix, BTreeMap<Asn, Route>>;
 
@@ -449,15 +438,19 @@ type ReferenceRoutes = BTreeMap<Prefix, BTreeMap<Asn, Route>>;
 /// the engine's merge order.
 type ReferenceFeeds = BTreeMap<String, Vec<CollectorObservation>>;
 
-/// A PR 2-shaped reference engine over the *same* `NodeState` policy
-/// code: FIFO event queue, and every import immediately recomputes the
-/// receiver's exports (no dirty set, no best-id skip). After every episode
-/// it asks every collector session what its peer exports to the monitor —
+/// A reference engine over the *same* `NodeState` policy code: FIFO event
+/// queue, and every import immediately recomputes the receiver's exports
+/// (no dirty set, no best-id skip). After every episode it asks every
+/// collector session what its peer exports to the monitor —
 /// `NodeState::export_for`, a RIB scan and a fresh derivation each time —
-/// and records an observation when that changed: the full sweep the engine
-/// used to run, kept as the oracle of the one it runs now. Returns the
-/// final best route per (prefix, AS) and the collectors' feeds, or `None`
-/// when the event budget blows.
+/// and records an observation when that changed. Returns the final best
+/// route per (prefix, AS) and the collectors' feeds, or `None` when the
+/// event budget blows.
+///
+/// It witnesses two claims, both in
+/// `collector_sweep_matches_the_full_sweep_reference`: the batched engine
+/// reaches the per-import loop's fixed point, and the engine's collector
+/// sweep equals the full sweep it replaced.
 fn reference_run(
     topo: &Topology,
     configs: &[RouterConfig],
@@ -546,7 +539,7 @@ fn reference_run(
                     dense_cfgs: &[RouterConfig]| {
             let cfg = &dense_cfgs[id.index()];
             let mut router = routers.node(id);
-            for (slot, (nb, role, _), rev) in topo.adjacency_with_reverse_ix(id) {
+            for (slot, &(nb, role, rev)) in topo.neighbors_ix(id).iter().enumerate() {
                 let new = router.export_for(cfg, topo.asn_of(nb), role, arena);
                 if let Some(update) = router.diff_export(slot, new) {
                     queue.push_back(Ev {
@@ -963,70 +956,18 @@ proptest! {
         prop_assert_eq!(&first, &par_first, "parallel session diverged from sequential");
     }
 
-    /// Batching transparency: the dirty-set batched, arena-interned engine
-    /// must reach the same fixed point as the PR 2-shaped per-import
-    /// re-export reference loop on arbitrary worlds — across `threads =
-    /// 1/N` and on a reused session (`compile→run→run`). Batched export
-    /// diffing reorders *when* exports are recomputed, never *what* the
-    /// converged routes are.
-    #[test]
-    fn batched_engine_matches_per_import_reference(raw in arb_world(), threads in 2usize..6) {
-        let (topo, configs, _collectors, originations) = build_world(&raw);
-        let Some(reference) = reference_final_routes(&topo, &configs, &originations) else {
-            // Oscillating world: the reference blew its budget; the batched
-            // engine flags the same worlds via `converged`, nothing to compare.
-            return Ok(());
-        };
-
-        let mut spec = SimSpec::new(&topo).retain(RetainRoutes::All);
-        for cfg in configs {
-            spec = spec.configure(cfg);
-        }
-        let run = spec.clone().compile().run(&originations);
-        prop_assert!(run.converged, "reference converged but batched engine did not");
-        let owned = |model: &BTreeMap<Asn, Route>| -> Vec<(Asn, Route)> {
-            model.iter().map(|(asn, route)| (*asn, route.clone())).collect()
-        };
-        let reference_tables: BTreeMap<Prefix, FinalRoutes> = reference
-            .iter()
-            .map(|(prefix, model)| (*prefix, owned(model).into_iter().collect()))
-            .collect();
-        prop_assert_eq!(&run.final_routes, &reference_tables, "batched fixed point diverged");
-
-        // `FinalRoutes` reads like the map it replaced, and its
-        // representation is canonical: the same pairs collected in the
-        // opposite order are the same value, field by field.
-        for (prefix, model) in &reference {
-            let finals = &run.final_routes[prefix];
-            prop_assert_eq!(finals.len(), model.len());
-            prop_assert_eq!(finals.is_empty(), model.is_empty());
-            prop_assert!(finals.iter().eq(model.iter()));
-            prop_assert!(finals.keys().eq(model.keys()));
-            prop_assert!(finals.values().eq(model.values()));
-            for node in topo.ases() {
-                prop_assert_eq!(finals.get(&node.asn), model.get(&node.asn));
-                prop_assert_eq!(finals.contains_key(&node.asn), model.contains_key(&node.asn));
-            }
-            let reversed: FinalRoutes = owned(model).into_iter().rev().collect();
-            prop_assert_eq!(&reversed, finals, "collection order leaked into the value");
-        }
-
-        // The equivalence survives sharding and session reuse.
-        let sim = spec.threads(threads).compile();
-        let par = sim.run(&originations);
-        prop_assert_eq!(&par.final_routes, &reference_tables);
-        prop_assert_eq!(&sim.run(&originations), &par, "rerun diverged");
-    }
-
-    /// Collector-sweep transparency: on worlds whose first prefix is walked
-    /// through a whole lifecycle (announce, duplicate, community-perturbed
-    /// re-announce, withdraw, re-announce after the withdrawal) on top of
-    /// the random schedule, heard over full and customer-only feeds by
-    /// random peers plus the peers whose exports no per-role memo can
-    /// answer (the route server, every `ScopedToReceiver` AS), the engine's
-    /// feeds equal the reference's full sweep — at `threads = 1/N`, and,
-    /// for that prefix's rows, when the lifecycle arrives as a delta on a
-    /// snapshot of the prefix's own earlier episodes.
+    /// Batching and collector-sweep transparency: on worlds whose first
+    /// prefix is walked through a whole lifecycle (announce, duplicate,
+    /// community-perturbed re-announce, withdraw, re-announce after the
+    /// withdrawal) on top of the random schedule, heard over full and
+    /// customer-only feeds by random peers plus the peers whose exports no
+    /// per-role memo can answer (the route server, every `ScopedToReceiver`
+    /// AS), the dirty-set batched engine reaches the per-import reference's
+    /// fixed point and its feeds equal the reference's full sweep — at
+    /// `threads = 1/N`, on a reused session, and, for that prefix's rows,
+    /// when the lifecycle arrives as a delta on a snapshot of the prefix's
+    /// own earlier episodes. Batching reorders *when* exports are
+    /// recomputed, never *what* the converged routes are.
     #[test]
     fn collector_sweep_matches_the_full_sweep_reference(raw in arb_world(), threads in 2usize..6) {
         let (topo, configs, mut collectors, baseline) = build_world(&raw);
@@ -1060,18 +1001,50 @@ proptest! {
                 .collect(),
         });
 
-        let Some((_, reference)) = reference_run(&topo, &configs, &collectors, &originations)
+        let Some((finals, reference)) = reference_run(&topo, &configs, &collectors, &originations)
         else {
-            return Ok(()); // oscillating world, nothing to compare
+            // Oscillating world: the reference blew its budget; the engine
+            // flags the same worlds via `converged`, nothing to compare.
+            return Ok(());
         };
         let spec = spec_for(&topo, configs, collectors);
         let sim = spec.clone().compile();
         let run = sim.run(&originations);
         prop_assert!(run.converged, "reference converged but the engine did not");
+        let owned = |model: &BTreeMap<Asn, Route>| -> Vec<(Asn, Route)> {
+            model.iter().map(|(asn, route)| (*asn, route.clone())).collect()
+        };
+        let reference_tables: BTreeMap<Prefix, FinalRoutes> = finals
+            .iter()
+            .map(|(prefix, model)| (*prefix, owned(model).into_iter().collect()))
+            .collect();
+        prop_assert_eq!(&run.final_routes, &reference_tables, "batched fixed point diverged");
         prop_assert_eq!(&run.observations, &reference, "the sweep missed or invented news");
 
+        // `FinalRoutes` reads like the map it replaced, and its
+        // representation is canonical: the same pairs collected in the
+        // opposite order are the same value, field by field.
+        for (prefix, model) in &finals {
+            let held = &run.final_routes[prefix];
+            prop_assert_eq!(held.len(), model.len());
+            prop_assert_eq!(held.is_empty(), model.is_empty());
+            prop_assert!(held.iter().eq(model.iter()));
+            prop_assert!(held.keys().eq(model.keys()));
+            prop_assert!(held.values().eq(model.values()));
+            for node in topo.ases() {
+                prop_assert_eq!(held.get(&node.asn), model.get(&node.asn));
+                prop_assert_eq!(held.contains_key(&node.asn), model.contains_key(&node.asn));
+            }
+            let reversed: FinalRoutes = owned(model).into_iter().rev().collect();
+            prop_assert_eq!(&reversed, held, "collection order leaked into the value");
+        }
+
+        // Both equivalences survive sharding and session reuse.
         let sim = spec.threads(threads).compile();
-        prop_assert_eq!(&sim.run(&originations).observations, &reference, "sharded sweep diverged");
+        let par = sim.run(&originations);
+        prop_assert_eq!(&par.observations, &reference, "sharded sweep diverged");
+        prop_assert_eq!(&par.final_routes, &reference_tables, "sharded fixed point diverged");
+        prop_assert_eq!(&sim.run(&originations), &par, "rerun diverged");
 
         let own = |eps: &[Origination]| -> Vec<Origination> {
             eps.iter().filter(|o| o.prefix == prefix).cloned().collect()
@@ -2393,9 +2366,9 @@ fn stable_paths_oracle(
                 from: None,
                 prepends: 0,
             });
-            let learned = topo.neighbors(at).iter().filter_map(|n| {
-                let offered = export(n.asn, held.get(&n.asn)?, at)?;
-                import(at, n.asn, offered)
+            let learned = topo.neighbors(at).filter_map(|(nb, _)| {
+                let offered = export(nb, held.get(&nb)?, at)?;
+                import(at, nb, offered)
             });
             if let Some(best) = own.into_iter().chain(learned).min_by_key(rank) {
                 next.insert(at, best);

@@ -1,8 +1,8 @@
 //! AS-level Internet topology model and generator.
 //!
 //! This crate is the workspace's **layer 0**: the dense `NodeId` arena,
-//! CSR adjacency, and edge slot space that every hot path above is
-//! indexed by — see `ARCHITECTURE.md` at the repository root for the
+//! its per-node adjacency lists, and the edge slot space that every hot
+//! path above is indexed by — see `ARCHITECTURE.md` at the repository root for the
 //! whole layer stack.
 //!
 //! The paper's measurements run over the real April-2018 Internet
@@ -47,6 +47,6 @@ pub mod relationship;
 
 pub use addressing::{FullTableParams, PrefixAllocation};
 pub use gen::TopologyParams;
-pub use graph::{AsNode, CsrEdge, Neighbor, NodeId, Tier, Topology, TopologyStats};
+pub use graph::{AsNode, Edge, NodeId, Tier, Topology, TopologyStats};
 pub use paths::{check_valley_free, PathValidity};
 pub use relationship::{EdgeKind, Role};

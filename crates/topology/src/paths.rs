@@ -177,6 +177,30 @@ mod tests {
     }
 
     #[test]
+    fn route_server_members_peer_through_the_server() {
+        let mut t = diamond();
+        t.add_simple(asn(50), Tier::RouteServer);
+        t.add_edge(asn(50), asn(3), EdgeKind::PeerToPeer);
+        t.add_edge(asn(50), asn(4), EdgeKind::PeerToPeer);
+        // origin 3 → 4 over the transparent server: the peering step.
+        let path = [asn(4), asn(3)];
+        assert_eq!(check_valley_free(&t, &path), PathValidity::ValleyFree);
+        // origin 1 → 3 (down), then 3 → 4 over the server: a valley.
+        let path = [asn(4), asn(3), asn(1)];
+        assert_eq!(check_valley_free(&t, &path), PathValidity::Valley { at: 1 });
+        // 1 and 4 sit on different servers: no hop between them.
+        t.add_simple(asn(51), Tier::RouteServer);
+        t.add_edge(asn(51), asn(1), EdgeKind::PeerToPeer);
+        assert_eq!(
+            check_valley_free(&t, &[asn(1), asn(4)]),
+            PathValidity::MissingEdge {
+                from: asn(4),
+                to: asn(1)
+            }
+        );
+    }
+
+    #[test]
     fn prepending_is_collapsed() {
         let t = diamond();
         let path = [asn(4), asn(4), asn(4), asn(2), asn(1), asn(3), asn(5)];

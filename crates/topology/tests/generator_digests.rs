@@ -4,13 +4,13 @@
 //!
 //! Each line names a preset and a seed, then gives the node count, the
 //! adjacency length and an FNV-1a digest over every node in id order — its
-//! ASN, its tier, its IXP memberships, and its CSR adjacency (neighbour,
-//! the role the neighbour plays, route-server flag). Both attachment paths
-//! are covered: the dynamic one that every classic preset uses, and the
-//! cut of `medium` with 640 stubs and 80 transits that the attacked
-//! monitoring feed is simulated on; and the frozen one that `internet()`
-//! uses, at `small` scale. A `tiny` world without transits covers stubs
-//! that have no provider to draw.
+//! ASN, its tier, its IXP memberships, and its adjacency (neighbour, the
+//! role the neighbour plays, whether the neighbour is a route server). Both
+//! attachment paths are covered: the dynamic one that every classic preset
+//! uses, and the cut of `medium` with 640 stubs and 80 transits that the
+//! attacked monitoring feed is simulated on; and the frozen one that
+//! `internet()` uses, at `small` scale. A `tiny` world without transits
+//! covers stubs that have no provider to draw.
 //!
 //! The fixture was recorded by the generator that rebuilt the stub
 //! attachment's weight table from the customer-degree map for every stub.
@@ -63,20 +63,20 @@ fn digest(topo: &Topology) -> u64 {
             Tier::Stub => 2,
             Tier::RouteServer => 3,
         });
-        h.word(node.ixp_memberships.len() as u32);
-        for rs in &node.ixp_memberships {
+        h.word(topo.ixp_memberships(node.asn).count() as u32);
+        for rs in topo.ixp_memberships(node.asn) {
             h.word(rs.get());
         }
         let adjacency = topo.neighbors_ix(id);
         h.word(adjacency.len() as u32);
-        for &(nb, role, nb_is_rs) in adjacency {
+        for &(nb, role, _) in adjacency {
             h.word(nb.index() as u32);
             h.word(match role {
                 Role::Customer => 0,
                 Role::Provider => 1,
                 Role::Peer => 2,
             });
-            h.word(u32::from(nb_is_rs));
+            h.word(u32::from(topo.node_by_id(nb).tier == Tier::RouteServer));
         }
     }
     h.0

@@ -14,7 +14,7 @@ use crate::wild::{InjectionPlatform, World};
 use bgpworms_routesim::router::blackhole_community_of;
 use bgpworms_routesim::{Workload, WorkloadParams};
 use bgpworms_topology::{Tier, Topology, TopologyParams};
-use bgpworms_types::{Asn, Prefix};
+use bgpworms_types::{Asn, Ipv4Prefix, Prefix};
 
 /// Outcome of one RTBH wild experiment.
 #[derive(Debug, Clone)]
@@ -103,30 +103,7 @@ pub fn run(
     hijack: bool,
     n_vps: usize,
 ) -> Option<RtbhWildReport> {
-    let mut world = World::generate(topo_params, workload_params);
-
-    // Single-homed injector behind a community-propagating transit (the
-    // paper's research network announced from one physical location; only
-    // the propagating upstream mattered).
-    let upstream = world
-        .tier(Tier::Transit)
-        .find(|a| forwards_foreign_upward(&world.workload, *a))?;
-    let injector = world.attach_single_homed(upstream);
-
-    // The blackholed /24: the injector's own (non-hijack) or a /24 cut from
-    // a victim stub's space (hijack).
-    let bh_prefix = if hijack {
-        let parent = world
-            .tier(Tier::Stub)
-            .filter(|&stub| stub != injector.asn)
-            .find_map(|stub| world.alloc.prefixes_of(stub).iter().find_map(|p| p.as_v4()))?;
-        let sub = parent.subnets(24).ok()?.first().copied()?;
-        // §7.3: the hijack "required updating the IRR".
-        world.workload.irr.register(Prefix::V4(sub), injector.asn);
-        sub
-    } else {
-        injector.prefix
-    };
+    let (world, injector, upstream, bh_prefix) = setup(topo_params, workload_params, hijack)?;
 
     // The vantage points' reverse paths and the plain announcement of the
     // blackholed /24 (the baseline) converge once; every candidate target
@@ -167,6 +144,43 @@ pub fn run(
         last = Some(report);
     }
     last
+}
+
+/// The world of one experiment: a single-homed injector behind a
+/// community-propagating transit (its upstream, also returned) and the /24
+/// to blackhole — the injector's own, or with `hijack` one cut from a
+/// victim stub's space, registered to the injector in the IRR.
+pub(crate) fn setup(
+    topo_params: &TopologyParams,
+    workload_params: &WorkloadParams,
+    hijack: bool,
+) -> Option<(World, InjectionPlatform, Asn, Ipv4Prefix)> {
+    let mut world = World::generate(topo_params, workload_params);
+
+    // Single-homed injector behind a community-propagating transit (the
+    // paper's research network announced from one physical location; only
+    // the propagating upstream mattered).
+    let upstream = world
+        .tier(Tier::Transit)
+        .find(|a| forwards_foreign_upward(&world.workload, *a))?;
+    let injector = world.attach_single_homed(upstream);
+
+    // The blackholed /24: the injector's own (non-hijack) or a /24 cut from
+    // a victim stub's space (hijack).
+    let bh_prefix = if hijack {
+        let parent = world
+            .tier(Tier::Stub)
+            .filter(|&stub| stub != injector.asn)
+            .find_map(|stub| world.alloc.prefixes_of(stub).iter().find_map(|p| p.as_v4()))?;
+        let sub = parent.subnets(24).ok()?.first().copied()?;
+        // §7.3: the hijack "required updating the IRR".
+        world.workload.irr.register(Prefix::V4(sub), injector.asn);
+        sub
+    } else {
+        injector.prefix
+    };
+
+    Some((world, injector, upstream, bh_prefix))
 }
 
 #[cfg(test)]

@@ -121,6 +121,13 @@ const REANNOUNCE_AT: u32 = 300;
 /// shares those columns and continues that announcement's snapshot — its
 /// baseline converges once, on every session of the sweep.
 ///
+/// The reverse-path columns keep only the routes a packet can meet
+/// ([`RetainRoutes::Forwarding`]): a reply starts where a probe was
+/// delivered — at the injector, or at a vantage point whose covering prefix
+/// caught it — and passes on only through ASes that export, so the
+/// unread leaves among the other ASes hold no entry. The experiment prefix
+/// is a snapshot and a delta per candidate, which keep it everywhere.
+///
 /// Derefs to the [`World`] it owns: `ctx.topo`, `ctx.alloc` and
 /// `ctx.workload` are the generated Internet with the injector attached.
 pub struct SurveyContext {
@@ -137,9 +144,6 @@ pub struct SurveyContext {
     pub(crate) responsive: CampaignResult,
     /// FIB covering the vantage points' own prefixes (reverse paths).
     vp_fib: Fib,
-    /// What a session retains: the vantage points' prefixes and the
-    /// experiment prefix.
-    retain: RetainRoutes,
     /// The injector's plain announcement of the experiment prefix,
     /// converged once: every candidate replays as a *delta* against it
     /// ([`CompiledSim::run_delta_prefix`]), on whichever session of this
@@ -178,23 +182,23 @@ impl SurveyContext {
         let plain = Origination::announce(injector.asn, Prefix::V4(prefix), vec![]);
 
         // The vantage points announce their own prefixes: the reverse paths.
-        let mut episodes = Vec::new();
-        let mut retained = BTreeSet::from([plain.prefix]);
-        for &(vp, _) in &atlas.vantage_points {
-            for p in world.alloc.prefixes_of(vp) {
-                if p.is_v4() {
-                    episodes.push(Origination::announce(vp, *p, vec![]));
-                    retained.insert(*p);
-                }
-            }
-        }
-        let retain = RetainRoutes::Prefixes(retained);
+        let episodes = reverse_path_episodes(&world, &atlas);
+        let mut prefixes = BTreeSet::from([plain.prefix]);
+        prefixes.extend(episodes.iter().map(|ep| ep.prefix));
+        // A reply starts where a probe is delivered: at the injector, or at
+        // a vantage point whose own prefix covers the target (the `rtbh`
+        // hijack's victim).
+        let vps = atlas.vantage_points.iter().map(|&(vp, _)| vp);
+        let retain = RetainRoutes::Forwarding {
+            prefixes,
+            endpoints: vps.chain([injector.asn]).collect(),
+        };
 
         // The session the baseline is measured on borrows the world this
         // context is about to own; `session()` compiles the sweep's, and
         // the snapshot, which borrows nothing, replays on it.
         let (vp_fib, snapshot) = {
-            let sim = world.simulation().retain(retain.clone()).compile();
+            let sim = world.simulation().retain(retain).compile();
             // Streamed: the campaign folds each prefix's converged routes
             // into the FIB as forwarding actions and drops them, so the run
             // never holds a `Vec` of per-prefix route tables (at survey
@@ -216,7 +220,6 @@ impl SurveyContext {
             fib,
             responsive,
             vp_fib,
-            retain,
             snapshot,
         }
     }
@@ -225,11 +228,13 @@ impl SurveyContext {
     /// the compile cost (config resolution, slot offsets, collector
     /// interning) is paid once; the baseline converged once, when the
     /// context was built, and every candidate replays as a delta on its
-    /// snapshot.
+    /// snapshot. It retains the experiment prefix, the one prefix a
+    /// candidate replays.
     pub fn session(&self) -> CompiledSim<'_> {
+        let retained = BTreeSet::from([self.snapshot.prefix()]);
         self.world
             .simulation()
-            .retain(self.retain.clone())
+            .retain(RetainRoutes::Prefixes(retained))
             .compile()
     }
 
@@ -309,6 +314,17 @@ impl SurveyContext {
     }
 }
 
+/// Every vantage point's announcement of its own IPv4 prefixes: the
+/// schedule of the reverse-path columns.
+fn reverse_path_episodes(world: &World, atlas: &AtlasPlatform) -> Vec<Origination> {
+    let mut episodes = Vec::new();
+    for &(vp, _) in &atlas.vantage_points {
+        let own = world.alloc.prefixes_of(vp).iter().filter(|p| p.is_v4());
+        episodes.extend(own.map(|p| Origination::announce(vp, *p, vec![])));
+    }
+    episodes
+}
+
 /// The vantage-point columns, shared as they are, under `outcome`'s column
 /// for the experiment prefix.
 fn overlay(vp_fib: &Fib, prefix: Prefix, outcome: &PrefixOutcome) -> Fib {
@@ -362,6 +378,8 @@ pub fn run(params: &SurveyParams) -> SurveyReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wild::rtbh_experiment;
+    use bgpworms_dataplane::TraceResult;
 
     fn quick_params() -> SurveyParams {
         SurveyParams {
@@ -452,6 +470,87 @@ mod tests {
             probed.responsive_count() > 0,
             "the baseline reaches someone"
         );
+    }
+
+    /// What probing reads off a FIB: every vantage point's ping of and
+    /// traceroute to the target, and the reverse trace from every AS a
+    /// probe can be delivered to — each vantage point and the injector —
+    /// to every vantage point's source address.
+    fn probed(
+        ctx: &SurveyContext,
+        fib: &Fib,
+    ) -> (
+        BTreeMap<Asn, bool>,
+        BTreeMap<Asn, TraceResult>,
+        Vec<TraceResult>,
+    ) {
+        let vps = &ctx.atlas.vantage_points;
+        let starts = vps.iter().map(|&(vp, _)| vp).chain([ctx.injector.asn]);
+        let reverse = starts
+            .flat_map(|from| vps.iter().map(move |&(_, src)| trace(fib, from, src)))
+            .collect();
+        (
+            ctx.atlas.ping_campaign(fib, ctx.target_addr).responsive,
+            ctx.atlas.traceroute_campaign(fib, ctx.target_addr),
+            reverse,
+        )
+    }
+
+    #[test]
+    fn forwarding_retained_reverse_paths_probe_like_fully_retained_ones() {
+        // The reverse-path columns keep routes only where a packet can
+        // stand. Against columns kept at every AS, on the §7.6 apparatus
+        // and on both §7.3 worlds (the hijack's victim is a vantage point
+        // whose covering prefix catches probes), at tiny and small scale,
+        // the baseline and every candidate must probe alike.
+        let workload = WorkloadParams {
+            blackhole_service_prob: 0.7,
+            steering_service_prob: 0.6,
+            ..WorkloadParams::default()
+        };
+        let mut compared = 0;
+        for topo in [
+            TopologyParams::tiny().seed(2018),
+            TopologyParams::small().seed(11),
+        ] {
+            let params = SurveyParams {
+                topo,
+                workload: workload.clone(),
+                n_vps: 40,
+                ..quick_params()
+            };
+            let mut contexts = vec![SurveyContext::build(&params)];
+            for hijack in [false, true] {
+                let (world, injector, _, prefix) =
+                    rtbh_experiment::setup(&params.topo, &params.workload, hijack)
+                        .expect("an injector behind a propagating transit");
+                contexts.push(SurveyContext::over(world, injector, prefix, params.n_vps));
+            }
+            for ctx in &contexts {
+                let episodes = reverse_path_episodes(&ctx.world, &ctx.atlas);
+                let everywhere = episodes.iter().map(|ep| ep.prefix).collect();
+                let sim = ctx
+                    .world
+                    .simulation()
+                    .retain(RetainRoutes::Prefixes(everywhere))
+                    .compile();
+                let full_vp_fib = Campaign::new(&sim).run(&episodes, Fib::default).sink;
+
+                let (prefix, session) = (ctx.snapshot.prefix(), ctx.session());
+                let baseline = ctx.snapshot.baseline_outcome().clone();
+                let mut outcomes = vec![(ctx.fib.clone(), baseline)];
+                for c in corpus(&ctx.workload, 12) {
+                    let (outcome, fib) = ctx.candidate(&session, &[c]);
+                    outcomes.push((fib, outcome));
+                }
+                for (fib, outcome) in &outcomes {
+                    let full = overlay(&full_vp_fib, prefix, outcome);
+                    assert_eq!(probed(ctx, fib), probed(ctx, &full), "{prefix}");
+                    compared += 1;
+                }
+            }
+        }
+        assert!(compared > 6, "candidates were compared");
     }
 
     #[test]

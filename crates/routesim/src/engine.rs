@@ -82,6 +82,12 @@
 //!   mark, so the leaf runs no export pass; before the retention sweep the
 //!   leaf imports each occupied slot once — what that slot received last,
 //!   which is all an import of every delivery would have left there;
+//! * **drop, under forwarding retention** (a campaign flood of a prefix
+//!   retained by [`RetainRoutes::Forwarding`]): as for an unretained
+//!   prefix, so the leaf holds no route at the end. A packet stands at a
+//!   leaf only where it starts or where it is delivered, so only the
+//!   originators and the listed endpoints — which `compile` does not mark
+//!   unread — need one;
 //! * **in full** ([`CompiledSim::run_snapshot`]'s flood, and a delta on
 //!   a snapshot's clone): the state outlives the flood.
 //!
@@ -205,8 +211,27 @@ pub enum RetainRoutes {
     /// Keep nothing (cheapest; collector output only).
     #[default]
     None,
-    /// Keep final best routes for the listed prefixes.
+    /// Keep final best routes for the listed prefixes, at every AS.
     Prefixes(BTreeSet<Prefix>),
+    /// Keep the routes a packet can meet: final best routes for the listed
+    /// prefixes at every AS except the unread leaves (see
+    /// [`CompiledSim::unread_nodes`]) that neither originate the prefix nor
+    /// are listed as `endpoints`. A campaign flood of such a prefix drops a
+    /// delivery to one of those leaves, as an unretained flood does, instead
+    /// of parking it; a snapshot's flood and a delta still run in full and
+    /// keep the prefix at every AS.
+    ///
+    /// Sound for forwarding, where a packet stands at a leaf only where it
+    /// starts or where it is delivered: a next hop is an AS that exported
+    /// the route, and a leaf exports only its own. So the `endpoints` are
+    /// every AS a packet may start at — for a ping's reverse path, every AS
+    /// that can deliver the probe.
+    Forwarding {
+        /// The prefixes retained.
+        prefixes: BTreeSet<Prefix>,
+        /// The leaves that keep their routes anyway.
+        endpoints: BTreeSet<Asn>,
+    },
     /// Keep everything (small topologies / attack scenarios only).
     All,
 }
@@ -374,7 +399,12 @@ impl<'a> SimSpec<'a> {
         for i in 0..n {
             session_offsets[i + 1] += session_offsets[i];
         }
-        let unread = unread_leaves(self.topo, &is_rs, &session_offsets);
+        let mut unread = unread_leaves(self.topo, &is_rs, &session_offsets);
+        if let RetainRoutes::Forwarding { endpoints, .. } = &self.retain {
+            for id in endpoints.iter().filter_map(|&asn| self.topo.node_id(asn)) {
+                unread[id.index()] = false;
+            }
+        }
         let collector_names = self.collectors.iter().map(|s| s.name.clone()).collect();
         // The prefix-sensitivity summary the campaign's flood memoization
         // keys classes by — compiled from the *resolved* configs, so
@@ -427,6 +457,16 @@ impl<'a> SimSpec<'a> {
 /// resolves each slot's last delivery once before the sweep
 /// (`NodeState::resolve_parked`). A snapshot's flood has a snapshot, and
 /// runs in full. Nothing the run returns depends on the difference.
+///
+/// [`RetainRoutes::Forwarding`] narrows what the sweep is asked for, not
+/// who can read: it keeps the routes a packet can meet. A packet stands at
+/// a leaf only where it starts or where it is delivered — a forwarding next
+/// hop is the AS a route was learned from, which exported it, and a leaf
+/// exports only its own `local` route — so a leaf that neither originates
+/// the prefix nor is a listed endpoint has nothing a trace can look up,
+/// and the flood drops its deliveries as if the prefix were unretained.
+/// `SimSpec::compile` clears this mark for every endpoint, which the flood
+/// then simulates in full.
 fn unread_leaves(topo: &Topology, is_rs: &[bool], session_offsets: &[u32]) -> Vec<bool> {
     topo.node_ids()
         .map(|id| {
@@ -504,9 +544,10 @@ impl<'a> CompiledSim<'a> {
     }
 
     /// How many nodes are unread leaves — no customer, no collector session,
-    /// not a route server. A campaign flood counts deliveries to them and
-    /// drops them, or parks them when the prefix is retained; a snapshot's
-    /// flood simulates them.
+    /// not a route server, not a [`RetainRoutes::Forwarding`] endpoint. A
+    /// campaign flood counts deliveries to them and drops them, or parks
+    /// them when the prefix is retained at every AS; a snapshot's flood
+    /// simulates them.
     pub fn unread_nodes(&self) -> usize {
         self.unread.iter().filter(|&&unread| unread).count()
     }
@@ -909,9 +950,10 @@ impl CompiledSim<'_> {
     ) {
         // Out of a campaign flood, only the retention sweep can read an
         // unread leaf that does not originate in this schedule: a delivery
-        // to one is dropped, or parked when the prefix is retained (see
-        // `unread_leaves`). A snapshot's flood runs every delivery.
+        // to one is dropped, or parked when the prefix is retained at every
+        // AS (see `unread_leaves`). A snapshot's flood runs every delivery.
         let retain = self.should_retain(&prefix);
+        let park = retain && !matches!(self.retain, RetainRoutes::Forwarding { .. });
         let lean = reader == ScratchReader::Nobody;
         let mut origins: Vec<usize> = episodes
             .iter()
@@ -991,7 +1033,7 @@ impl CompiledSim<'_> {
                     if lean && self.unread[to] && !origins.contains(&to) {
                         // Delivered and counted. Only the retention sweep
                         // reads it, and only the slot's last delivery.
-                        if retain {
+                        if park {
                             routers.park(to, &ev);
                         }
                         continue;
@@ -1118,7 +1160,9 @@ impl CompiledSim<'_> {
     fn should_retain(&self, prefix: &Prefix) -> bool {
         match &self.retain {
             RetainRoutes::None => false,
-            RetainRoutes::Prefixes(set) => set.contains(prefix),
+            RetainRoutes::Prefixes(set) | RetainRoutes::Forwarding { prefixes: set, .. } => {
+                set.contains(prefix)
+            }
             RetainRoutes::All => true,
         }
     }

@@ -50,6 +50,11 @@
 //!   the unretained session must report its observations, events and
 //!   convergence, and the retained campaign, memoized or not, its final
 //!   routes as well.
+//! * **Forwarding retention keeps what a packet can meet** — a campaign
+//!   under `RetainRoutes::Forwarding` drops, instead of parking, the
+//!   deliveries to unread leaves that neither originate nor are endpoints:
+//!   its outcome is the fully retained campaign's with the final routes
+//!   restricted to every other AS, key set and all.
 //! * **An oracle that shares no code with the engine** — every check above
 //!   is the engine agreeing with a variant of itself (the reference loop
 //!   drives the engine's own `NodeState` policy). On policy-free,
@@ -1465,6 +1470,81 @@ proptest! {
                     let folded = rebuild_sim_result(&sim, &one);
                     prop_assert_eq!(
                         &folded, &twins[&prefix],
+                        "prefix {}, threads = {}, memoized = {}", prefix, t, memoized
+                    );
+                }
+            }
+        }
+    }
+
+    /// Forwarding retention keeps the routes a packet can meet. A campaign
+    /// over a `RetainRoutes::Forwarding` session drops every delivery to an
+    /// unread leaf that neither originates the prefix nor is a listed
+    /// endpoint, where a fully retained campaign parks it. On worlds forced
+    /// to hold every shape a leaf can hide behind (`with_unread_shapes`),
+    /// with random endpoints, each prefix's outcome must be the
+    /// `RetainRoutes::All` campaign's with its final routes restricted to
+    /// the ASes that are not unread leaves, the endpoints and the prefix's
+    /// originators — that key set exactly, no leaf more — and identical
+    /// events, observations and convergence, memoized and not, at
+    /// `threads = 1/N`. Leaf-ness is read off the topology and the
+    /// collector sessions here, not asked of the engine.
+    #[test]
+    fn forwarding_retention_keeps_every_route_a_packet_can_meet(
+        raw in arb_world(),
+        threads in 2usize..6,
+        picks in proptest::collection::vec(0usize..32, 1..6),
+    ) {
+        let (topo, configs, collectors, originations) = with_unread_shapes(&raw);
+        let heard: BTreeSet<Asn> = collectors
+            .iter()
+            .flat_map(|c| c.peers.iter().map(|&(peer, _)| peer))
+            .collect();
+        let spec = spec_for(&topo, configs, collectors);
+        let asns: Vec<Asn> = topo.ases().map(|node| node.asn).collect();
+        let endpoints: BTreeSet<Asn> = picks.iter().map(|&k| asns[k % asns.len()]).collect();
+        let mut origins: BTreeMap<Prefix, BTreeSet<Asn>> = BTreeMap::new();
+        for o in &originations {
+            origins.entry(o.prefix).or_default().insert(o.origin);
+        }
+        let forwarding = RetainRoutes::Forwarding {
+            prefixes: origins.keys().copied().collect(),
+            endpoints: endpoints.clone(),
+        };
+        let leaf = |asn: &Asn| {
+            topo.node(*asn).is_some_and(|node| node.tier != Tier::RouteServer)
+                && !heard.contains(asn)
+                && topo.customers_of(*asn).next().is_none()
+        };
+
+        for t in [1, threads] {
+            let spec = spec.clone().threads(t);
+            let full = spec.clone().compile();
+            let want = Campaign::new(&full).run(&originations, KeyedSink::default);
+            let sim = spec.retain(forwarding.clone()).compile();
+            for (memoized, campaign) in [
+                (true, Campaign::new(&sim)),
+                (false, Campaign::unmemoized_reference(&sim)),
+            ] {
+                let got = campaign.run(&originations, KeyedSink::default);
+                prop_assert_eq!(got.events, want.events);
+                prop_assert_eq!(got.converged, want.converged);
+                prop_assert_eq!(got.sink.0.len(), want.sink.0.len());
+                for (prefix, reference) in &want.sink.0 {
+                    let finals = reference.final_routes.as_ref().expect("retained");
+                    let met = finals
+                        .iter()
+                        .filter(|(asn, _)| {
+                            !leaf(asn) || endpoints.contains(asn) || origins[prefix].contains(asn)
+                        })
+                        .map(|(asn, route)| (*asn, route.clone()))
+                        .collect();
+                    let expected = PrefixOutcome {
+                        final_routes: Some(met),
+                        ..reference.clone()
+                    };
+                    prop_assert_eq!(
+                        &got.sink.0[prefix], &expected,
                         "prefix {}, threads = {}, memoized = {}", prefix, t, memoized
                     );
                 }

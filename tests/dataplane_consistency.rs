@@ -1,9 +1,12 @@
 //! Cross-crate integration: control-plane / data-plane agreement — FIBs
 //! derived from converged RIBs deliver to the true origin, blackholes drop
-//! where the control plane says they do, and Atlas campaigns agree with
-//! individual pings.
+//! where the control plane says they do, Atlas campaigns agree with
+//! individual pings, and no packet is forwarded into a leaf that does not
+//! originate its prefix.
 
+use bgpworms::dataplane::FibAction;
 use bgpworms::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn converged_world(seed: u64) -> (Topology, PrefixAllocation, bgpworms::routesim::SimResult) {
     let topo = TopologyParams::tiny().seed(seed).build();
@@ -184,4 +187,63 @@ fn looking_glass_matches_retained_routes() {
         }
     }
     assert!(shown > 0);
+}
+
+#[test]
+fn no_fib_entry_forwards_into_a_leaf_that_does_not_originate() {
+    // A packet stands at a leaf only where it starts or where it is
+    // delivered: a next hop is the AS a route was learned from, which
+    // exported it, and an AS with no customer and no route-server role
+    // exports only what it originates (Gao–Rexford). Leaf-ness is read off
+    // the topology's roles alone; an AS carrying a collector session is not
+    // excused, so this covers every AS a flood may leave without routes.
+    // Over generated Internets with their whole workload (route servers,
+    // churn, RTBH, withdrawals), fully retained, every column is read entry
+    // by entry.
+    let mut forwards = 0;
+    for seed in 0..12 {
+        let topo = TopologyParams::tiny().seed(seed).build();
+        let alloc = PrefixAllocation::assign(
+            &topo,
+            bgpworms::topology::addressing::AddressingParams { seed },
+        );
+        let workload = Workload::generate(
+            &topo,
+            &alloc,
+            &WorkloadParams {
+                seed,
+                ..Default::default()
+            },
+        );
+        let sim = workload
+            .simulation(&topo)
+            .retain(RetainRoutes::All)
+            .compile();
+        let result = sim.run(&workload.originations);
+        let mut origins: BTreeMap<Prefix, BTreeSet<Asn>> = BTreeMap::new();
+        for o in &workload.originations {
+            origins.entry(o.prefix).or_default().insert(o.origin);
+        }
+        let leaf = |asn: Asn| {
+            topo.node(asn).expect("in the topology").tier != Tier::RouteServer
+                && topo.customers_of(asn).next().is_none()
+        };
+        for (prefix, finals) in &result.final_routes {
+            let Some(p4) = prefix.as_v4() else { continue };
+            // The prefix's column alone, so every lookup reads its entry.
+            let mut column = Fib::default();
+            column.insert_routes(*prefix, finals);
+            let host = PrefixAllocation::host_in(p4);
+            for &asn in finals.keys() {
+                if let Some((_, FibAction::Forward(next))) = column.lookup(asn, host) {
+                    assert!(
+                        !leaf(next) || origins[prefix].contains(&next),
+                        "seed {seed}: {asn} forwards {prefix} into leaf {next}"
+                    );
+                    forwards += 1;
+                }
+            }
+        }
+    }
+    assert!(forwards > 1_000, "only {forwards} forwarding entries read");
 }

@@ -105,9 +105,16 @@ pub fn run(
 ) -> Option<RtbhWildReport> {
     let (world, injector, upstream, bh_prefix) = setup(topo_params, workload_params, hijack)?;
 
+    // The paper's order: the propagating upstream first, then a target
+    // with the service. Without one there is nothing to measure.
+    let targets = candidate_targets(&world.topo, &world.workload, upstream);
+    if targets.is_empty() {
+        return None;
+    }
+
     // The vantage points' reverse paths and the plain announcement of the
-    // blackholed /24 (the baseline) converge once; every candidate target
-    // below replays on one session compiled after.
+    // blackholed /24 (the baseline) converge once, at the first candidate;
+    // every candidate target below replays on one session compiled here.
     let ctx = SurveyContext::over(world, injector, bh_prefix, n_vps);
     let session = ctx.session();
 
@@ -116,7 +123,7 @@ pub fn run(
     // Each candidate is one delta replay on the shared baseline snapshot —
     // it costs the community's blast radius, not a fresh Internet.
     let mut last: Option<RtbhWildReport> = None;
-    for (target, target_distance) in candidate_targets(&ctx.topo, &ctx.workload, upstream) {
+    for (target, target_distance) in targets {
         let target_bh = blackhole_community_of(target).expect("small");
         let (outcome, attacked_fib) = ctx.candidate(&session, &[target_bh]);
         let target_blackholed = outcome
@@ -133,9 +140,9 @@ pub fn run(
             target_distance,
             hijack,
             target_blackholed,
-            responsive_before: ctx.responsive.responsive_count(),
+            responsive_before: ctx.responsive().responsive_count(),
             responsive_after: after.responsive_count(),
-            lost_vps: ctx.responsive.lost_vps(&after),
+            lost_vps: ctx.responsive().lost_vps(&after),
             total_vps: ctx.total_vps(),
         };
         if report.succeeded() {
@@ -172,7 +179,7 @@ pub(crate) fn setup(
             .tier(Tier::Stub)
             .filter(|&stub| stub != injector.asn)
             .find_map(|stub| world.alloc.prefixes_of(stub).iter().find_map(|p| p.as_v4()))?;
-        let sub = parent.subnets(24).ok()?.first().copied()?;
+        let sub = parent.first_subnet(24).ok()?;
         // §7.3: the hijack "required updating the IRR".
         world.workload.irr.register(Prefix::V4(sub), injector.asn);
         sub

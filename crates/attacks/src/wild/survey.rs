@@ -8,11 +8,12 @@ use crate::wild::{InjectionPlatform, World};
 use bgpworms_dataplane::{trace, AtlasPlatform, CampaignResult, Fib};
 use bgpworms_routesim::router::blackhole_community_of;
 use bgpworms_routesim::{
-    Campaign, CompiledSim, Origination, PrefixOutcome, RetainRoutes, SimSnapshot, Workload,
-    WorkloadParams,
+    Campaign, CompiledSim, Origination, PrefixOutcome, RetainRoutes, SimSnapshot, SimSpec,
+    Workload, WorkloadParams,
 };
 use bgpworms_topology::TopologyParams;
 use bgpworms_types::{Asn, Community, Ipv4Prefix, Prefix};
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Survey parameters.
@@ -117,9 +118,24 @@ const REANNOUNCE_AT: u32 = 300;
 /// then re-announce it once per candidate and ping again. Between two
 /// candidates exactly one column of the forwarding plane changes, so the
 /// vantage points' own prefixes (the reverse paths) and the plain
-/// announcement flood once, when the context is built, and every candidate
-/// shares those columns and continues that announcement's snapshot — its
-/// baseline converges once, on every session of the sweep.
+/// announcement flood once per context, and every candidate shares those
+/// columns and continues that announcement's snapshot.
+///
+/// Each of those parts is built at its first use, at most once, and not at
+/// all by a sweep that never reads it:
+/// - the **reverse paths**, a campaign over the vantage points' own
+///   prefixes, when a ping or a candidate FIB first needs them
+///   ([`SurveyContext::fib_with`], [`SurveyContext::blackhole_round`]) —
+///   and by [`SurveyContext::trace_paths`] only when a vantage point's own
+///   prefix covers the target, the one case in which a traceroute toward
+///   it reads those columns;
+/// - the plain announcement's **snapshot**, when a candidate or the
+///   baseline first needs it;
+/// - the **baseline** FIB and per-VP responsiveness, at the first ping.
+///
+/// A call that needs both floods runs the campaign first: a snapshot,
+/// which keeps the scratch its flood converged on, would otherwise sit on
+/// top of the campaign's peak (`peak_rss_mb` + 4–6 % on `attacks-medium`).
 ///
 /// The reverse-path columns keep only the routes a packet can meet
 /// ([`RetainRoutes::Forwarding`]): a reply starts where a probe was
@@ -127,6 +143,11 @@ const REANNOUNCE_AT: u32 = 300;
 /// caught it — and passes on only through ASes that export, so the
 /// unread leaves among the other ASes hold no entry. The experiment prefix
 /// is a snapshot and a delta per candidate, which keep it everywhere.
+///
+/// Every session of a sweep compiles without collector sessions: nothing a
+/// sweep returns reads an observation, and a collector is a passive tap, so
+/// the routes and event counts are those of the same world with its
+/// collectors, and a stub that only a collector read is an unread leaf.
 ///
 /// Derefs to the [`World`] it owns: `ctx.topo`, `ctx.alloc` and
 /// `ctx.workload` are the generated Internet with the injector attached.
@@ -138,18 +159,22 @@ pub struct SurveyContext {
     pub atlas: AtlasPlatform,
     /// The probe target inside the experiment prefix.
     pub target_addr: u32,
-    /// The vantage-point FIB plus the plain announcement's column.
-    fib: Fib,
-    /// Per-VP responsiveness under the plain announcement.
-    pub(crate) responsive: CampaignResult,
+    /// The experiment prefix, the one prefix a candidate replays.
+    prefix: Prefix,
+    /// A vantage point's own prefix covers the target, so a traceroute
+    /// toward it can fall back to a reverse-path column.
+    target_in_vp_space: bool,
     /// FIB covering the vantage points' own prefixes (reverse paths).
-    vp_fib: Fib,
+    vp_fib: OnceCell<Fib>,
     /// The injector's plain announcement of the experiment prefix,
     /// converged once: every candidate replays as a *delta* against it
     /// ([`CompiledSim::run_delta_prefix`]), on whichever session of this
     /// sweep, so a candidate costs its blast radius, not a full Internet
     /// re-convergence.
-    snapshot: SimSnapshot,
+    snapshot: OnceCell<SimSnapshot>,
+    /// The vantage-point FIB plus the plain announcement's column, and
+    /// per-VP responsiveness under it.
+    baseline: OnceCell<(Fib, CampaignResult)>,
 }
 
 impl std::ops::Deref for SurveyContext {
@@ -169,8 +194,10 @@ impl SurveyContext {
         Self::over(world, injector, injector.prefix, params.n_vps)
     }
 
-    /// Samples `n_vps` vantage points and measures the baseline of a sweep
-    /// in which `injector` announces `prefix` on `world`.
+    /// Samples `n_vps` vantage points for a sweep in which `injector`
+    /// announces `prefix` on `world`. Floods nothing: the reverse paths,
+    /// the plain announcement's snapshot and the baseline are built when a
+    /// probe first reads them (see [`SurveyContext`]).
     pub(crate) fn over(
         world: World,
         injector: InjectionPlatform,
@@ -179,63 +206,95 @@ impl SurveyContext {
     ) -> Self {
         let atlas = AtlasPlatform::sample(&world.topo, &world.alloc, n_vps, ATLAS_SEED);
         let target_addr = AtlasPlatform::target_in(prefix);
-        let plain = Origination::announce(injector.asn, Prefix::V4(prefix), vec![]);
-
-        // The vantage points announce their own prefixes: the reverse paths.
-        let episodes = reverse_path_episodes(&world, &atlas);
-        let mut prefixes = BTreeSet::from([plain.prefix]);
-        prefixes.extend(episodes.iter().map(|ep| ep.prefix));
-        // A reply starts where a probe is delivered: at the injector, or at
-        // a vantage point whose own prefix covers the target (the `rtbh`
-        // hijack's victim).
-        let vps = atlas.vantage_points.iter().map(|&(vp, _)| vp);
-        let retain = RetainRoutes::Forwarding {
-            prefixes,
-            endpoints: vps.chain([injector.asn]).collect(),
-        };
-
-        // The session the baseline is measured on borrows the world this
-        // context is about to own; `session()` compiles the sweep's, and
-        // the snapshot, which borrows nothing, replays on it.
-        let (vp_fib, snapshot) = {
-            let sim = world.simulation().retain(retain).compile();
-            // Streamed: the campaign folds each prefix's converged routes
-            // into the FIB as forwarding actions and drops them, so the run
-            // never holds a `Vec` of per-prefix route tables (at survey
-            // scale that collection would dwarf the FIB itself). The plain
-            // announcement converges after it: a snapshot taken first sits
-            // on top of the campaign's peak (`peak_rss_mb` + 5 % on
-            // `attacks-medium`).
-            let vp_fib = Campaign::new(&sim).run(&episodes, Fib::default).sink;
-            let (_, snapshot) = sim.run_snapshot(std::slice::from_ref(&plain), plain.prefix);
-            (vp_fib, snapshot)
-        };
-        let fib = overlay(&vp_fib, plain.prefix, snapshot.baseline_outcome());
-        let responsive = atlas.ping_campaign(&fib, target_addr);
+        let target_in_vp_space = reverse_path_episodes(&world, &atlas).iter().any(|ep| {
+            ep.prefix
+                .as_v4()
+                .is_some_and(|own| own.contains(target_addr))
+        });
         SurveyContext {
             world,
             injector,
             atlas,
             target_addr,
-            fib,
-            responsive,
-            vp_fib,
-            snapshot,
+            prefix: Prefix::V4(prefix),
+            target_in_vp_space,
+            vp_fib: OnceCell::new(),
+            snapshot: OnceCell::new(),
+            baseline: OnceCell::new(),
         }
     }
 
+    /// The spec every session of this sweep starts from: the world's, with
+    /// no collector sessions.
+    fn probe_spec(&self) -> SimSpec<'_> {
+        self.world.simulation().collectors(&[])
+    }
+
     /// Compiles a session of this sweep. Compile it **once** per campaign —
-    /// the compile cost (config resolution, slot offsets, collector
-    /// interning) is paid once; the baseline converged once, when the
-    /// context was built, and every candidate replays as a delta on its
-    /// snapshot. It retains the experiment prefix, the one prefix a
-    /// candidate replays.
+    /// the compile cost (config resolution, slot offsets) is paid once, and
+    /// every candidate replays as a delta on the plain announcement's
+    /// snapshot, converged at most once per context. It retains the
+    /// experiment prefix, the one prefix a candidate replays, and carries
+    /// no collector sessions (no sweep reads an observation).
     pub fn session(&self) -> CompiledSim<'_> {
-        let retained = BTreeSet::from([self.snapshot.prefix()]);
-        self.world
-            .simulation()
+        let retained = BTreeSet::from([self.prefix]);
+        self.probe_spec()
             .retain(RetainRoutes::Prefixes(retained))
             .compile()
+    }
+
+    /// The reverse-path columns, flooded at the first call. Streamed: the
+    /// campaign folds each prefix's converged routes into the FIB as
+    /// forwarding actions and drops them, so the run never holds a `Vec` of
+    /// per-prefix route tables (at survey scale that collection would dwarf
+    /// the FIB itself).
+    fn vp_fib(&self) -> &Fib {
+        self.vp_fib.get_or_init(|| {
+            let episodes = reverse_path_episodes(&self.world, &self.atlas);
+            // A reply starts where a probe is delivered: at the injector, or
+            // at a vantage point whose own prefix covers the target (the
+            // `rtbh` hijack's victim).
+            let vps = self.atlas.vantage_points.iter().map(|&(vp, _)| vp);
+            let retain = RetainRoutes::Forwarding {
+                prefixes: episodes.iter().map(|ep| ep.prefix).collect(),
+                endpoints: vps.chain([self.injector.asn]).collect(),
+            };
+            let sim = self.probe_spec().retain(retain).compile();
+            Campaign::new(&sim).run(&episodes, Fib::default).sink
+        })
+    }
+
+    /// The plain announcement of the experiment prefix, converged at the
+    /// first call on a session of this sweep.
+    fn snapshot(&self) -> &SimSnapshot {
+        self.snapshot.get_or_init(|| {
+            let plain = Origination::announce(self.injector.asn, self.prefix, vec![]);
+            self.session().run_snapshot(&[plain], self.prefix).1
+        })
+    }
+
+    /// The baseline FIB and per-VP responsiveness under the plain
+    /// announcement, measured at the first call.
+    fn baseline(&self) -> &(Fib, CampaignResult) {
+        self.baseline.get_or_init(|| {
+            let vp_fib = self.vp_fib();
+            let fib = overlay(vp_fib, self.prefix, self.snapshot().baseline_outcome());
+            let responsive = self.atlas.ping_campaign(&fib, self.target_addr);
+            (fib, responsive)
+        })
+    }
+
+    /// Per-VP responsiveness under the plain announcement.
+    pub(crate) fn responsive(&self) -> &CampaignResult {
+        &self.baseline().1
+    }
+
+    /// The tagged re-announcement of a candidate, replayed on `session` as
+    /// a delta on the plain announcement's snapshot.
+    fn replay(&self, session: &CompiledSim<'_>, communities: &[Community]) -> PrefixOutcome {
+        let (origin, prefix) = (self.injector.asn, self.prefix);
+        let tagged = Origination::announce(origin, prefix, communities.to_vec()).at(REANNOUNCE_AT);
+        session.run_delta_prefix(self.snapshot(), &[tagged])
     }
 
     /// One candidate: the experiment prefix announced plainly, then
@@ -249,10 +308,10 @@ impl SurveyContext {
         session: &CompiledSim<'_>,
         communities: &[Community],
     ) -> (PrefixOutcome, Fib) {
-        let (origin, prefix) = (self.injector.asn, self.snapshot.prefix());
-        let tagged = Origination::announce(origin, prefix, communities.to_vec()).at(REANNOUNCE_AT);
-        let outcome = session.run_delta_prefix(&self.snapshot, &[tagged]);
-        let fib = overlay(&self.vp_fib, prefix, &outcome);
+        // The campaign before the snapshot (see [`SurveyContext`]).
+        let vp_fib = self.vp_fib();
+        let outcome = self.replay(session, communities);
+        let fib = overlay(vp_fib, self.prefix, &outcome);
         (outcome, fib)
     }
 
@@ -265,15 +324,15 @@ impl SurveyContext {
 
     /// One campaign round: per candidate community, the set of vantage
     /// points that were responsive at baseline but lost reachability. The
-    /// session compiles once (its baseline converged once, in
-    /// [`SurveyContext::build`]); every candidate is one more delta replay.
+    /// session compiles once (the baseline converges at most once per
+    /// context); every candidate is one more delta replay.
     pub fn blackhole_round(&self, candidates: &[Community]) -> BTreeMap<Community, Vec<Asn>> {
         let session = self.session();
         let mut out = BTreeMap::new();
         for &c in candidates {
             let fib = self.fib_with(&session, &[c]);
             let after = self.atlas.ping_campaign(&fib, self.target_addr);
-            out.insert(c, self.responsive.lost_vps(&after));
+            out.insert(c, self.responsive().lost_vps(&after));
         }
         out
     }
@@ -281,16 +340,24 @@ impl SurveyContext {
     /// Per-VP forwarding paths toward the experiment target when announced
     /// with `communities` (empty = baseline). Only delivered traces are
     /// returned — the non-RTBH detection signal is a *path change*, not a
-    /// reachability loss.
+    /// reachability loss. A traceroute reads only the columns of prefixes
+    /// that cover the target, so the reverse paths flood only when a
+    /// vantage point's own prefix does.
     pub fn trace_paths(
         &self,
         session: &CompiledSim<'_>,
         communities: &[Community],
     ) -> BTreeMap<Asn, Vec<Asn>> {
-        let fib = if communities.is_empty() {
-            self.fib.clone()
+        let no_vp_columns = Fib::default();
+        let vp_fib = if self.target_in_vp_space {
+            self.vp_fib()
         } else {
-            self.fib_with(session, communities)
+            &no_vp_columns
+        };
+        let fib = if communities.is_empty() {
+            overlay(vp_fib, self.prefix, self.snapshot().baseline_outcome())
+        } else {
+            overlay(vp_fib, self.prefix, &self.replay(session, communities))
         };
         let traces = self.atlas.traceroute_campaign(&fib, self.target_addr);
         let delivered = traces.into_iter().filter(|(_, t)| t.delivered());
@@ -300,7 +367,7 @@ impl SurveyContext {
     /// Baseline AS-hop distance from `vp`'s forwarding path to `target_as`
     /// (0 = not on the path).
     fn baseline_hops_to(&self, vp: Asn, target_as: Asn) -> usize {
-        let t = trace(&self.fib, vp, self.target_addr);
+        let t = trace(&self.baseline().0, vp, self.target_addr);
         t.path
             .iter()
             .position(|&a| a == target_as)
@@ -433,13 +500,13 @@ mod tests {
         for c in corpus(&ctx.workload, 12) {
             let fib = ctx.fib_with(&session, &[c]);
             let tagged = Origination::announce(ctx.injector.asn, p, vec![c]).at(300);
-            let mut reference = ctx.vp_fib.clone();
+            let mut reference = ctx.vp_fib().clone();
             reference.merge(&Fib::from_sim(&session.run(&[plain.clone(), tagged])));
             for node in ctx.topo.ases() {
                 for &addr in &addrs {
                     let got = fib.lookup(node.asn, addr);
                     assert_eq!(got, reference.lookup(node.asn, addr), "{c} at {}", node.asn);
-                    moved += usize::from(got != ctx.fib.lookup(node.asn, addr));
+                    moved += usize::from(got != ctx.baseline().0.lookup(node.asn, addr));
                 }
             }
         }
@@ -460,12 +527,12 @@ mod tests {
         let fib = ctx.fib_with(&session, &[]);
         for node in ctx.topo.ases() {
             for addr in probed_addrs(&ctx) {
-                let built = ctx.fib.lookup(node.asn, addr);
+                let built = ctx.baseline().0.lookup(node.asn, addr);
                 assert_eq!(fib.lookup(node.asn, addr), built, "at {}", node.asn);
             }
         }
         let probed = ctx.atlas.ping_campaign(&fib, ctx.target_addr);
-        assert_eq!(probed.responsive, ctx.responsive.responsive);
+        assert_eq!(probed.responsive, ctx.responsive().responsive);
         assert!(
             probed.responsive_count() > 0,
             "the baseline reaches someone"
@@ -536,9 +603,9 @@ mod tests {
                     .compile();
                 let full_vp_fib = Campaign::new(&sim).run(&episodes, Fib::default).sink;
 
-                let (prefix, session) = (ctx.snapshot.prefix(), ctx.session());
-                let baseline = ctx.snapshot.baseline_outcome().clone();
-                let mut outcomes = vec![(ctx.fib.clone(), baseline)];
+                let (prefix, session) = (ctx.snapshot().prefix(), ctx.session());
+                let baseline = ctx.snapshot().baseline_outcome().clone();
+                let mut outcomes = vec![(ctx.baseline().0.clone(), baseline)];
                 for c in corpus(&ctx.workload, 12) {
                     let (outcome, fib) = ctx.candidate(&session, &[c]);
                     outcomes.push((fib, outcome));
@@ -559,5 +626,104 @@ mod tests {
         let pairs: usize = report.effective.values().map(Vec::len).sum();
         let counted: usize = report.hop_distribution.values().sum();
         assert_eq!(pairs, counted);
+    }
+
+    /// The baseline and one re-announcement per candidate of the corpus:
+    /// what a trace-only sweep asks `trace_paths` for.
+    fn trace_schedules(ctx: &SurveyContext) -> Vec<Vec<Community>> {
+        let tagged = corpus(&ctx.workload, 12).into_iter().map(|c| vec![c]);
+        std::iter::once(Vec::new()).chain(tagged).collect()
+    }
+
+    /// Every delivered traceroute toward the target over the fully built
+    /// FIB: the vantage-point columns under the baseline's or the
+    /// candidate's column.
+    fn traces_over_the_full_fib(
+        ctx: &SurveyContext,
+        session: &CompiledSim<'_>,
+        communities: &[Community],
+    ) -> BTreeMap<Asn, Vec<Asn>> {
+        let fib = if communities.is_empty() {
+            ctx.baseline().0.clone()
+        } else {
+            ctx.fib_with(session, communities)
+        };
+        let traces = ctx.atlas.traceroute_campaign(&fib, ctx.target_addr);
+        let delivered = traces.into_iter().filter(|(_, t)| t.delivered());
+        delivered.map(|(vp, t)| (vp, t.path)).collect()
+    }
+
+    #[test]
+    fn a_trace_only_sweep_floods_no_reverse_paths() {
+        // The steering survey's usage: one session, the baseline and every
+        // candidate traced. No vantage point's own prefix covers the
+        // injector's /24, so nothing reads the reverse-path columns, and
+        // nothing pings, so there is no baseline responsiveness either.
+        let ctx = SurveyContext::build(&quick_params());
+        let session = ctx.session();
+        for communities in trace_schedules(&ctx) {
+            ctx.trace_paths(&session, &communities);
+        }
+        assert!(!ctx.target_in_vp_space);
+        assert!(ctx.vp_fib.get().is_none(), "the reverse paths flooded");
+        assert!(ctx.baseline.get().is_none(), "the baseline was pinged");
+        assert!(ctx.snapshot.get().is_some());
+    }
+
+    #[test]
+    fn a_trace_only_sweep_traces_like_a_context_with_its_reverse_paths() {
+        let params = quick_params();
+        let (lazy, forced) = (SurveyContext::build(&params), SurveyContext::build(&params));
+        forced.vp_fib();
+        let (lazy_session, forced_session) = (lazy.session(), forced.session());
+        let mut delivered = 0;
+        for communities in trace_schedules(&lazy) {
+            let got = lazy.trace_paths(&lazy_session, &communities);
+            let full = traces_over_the_full_fib(&forced, &forced_session, &communities);
+            assert_eq!(got, full, "{communities:?}");
+            assert_eq!(got, forced.trace_paths(&forced_session, &communities));
+            delivered += got.len();
+        }
+        assert!(lazy.vp_fib.get().is_none());
+        assert!(delivered > 0, "some traceroute is delivered");
+    }
+
+    #[test]
+    fn traces_toward_a_vantage_points_space_read_its_reverse_paths() {
+        // The §7.3 worlds at tiny and small scale: in the hijack, a vantage
+        // point's own prefix covers the blackholed /24, and an AS without a
+        // route to the /24 forwards toward the covering prefix. Traced
+        // before anything else is built, every schedule must trace as it
+        // does over the fully built FIB, flooding the reverse paths exactly
+        // when a vantage point's prefix covers the target.
+        let workload = WorkloadParams {
+            blackhole_service_prob: 0.7,
+            steering_service_prob: 0.6,
+            ..WorkloadParams::default()
+        };
+        let mut covered = 0;
+        for topo in [
+            TopologyParams::tiny().seed(2018),
+            TopologyParams::small().seed(11),
+        ] {
+            for hijack in [false, true] {
+                let (world, injector, _, prefix) = rtbh_experiment::setup(&topo, &workload, hijack)
+                    .expect("an injector behind a propagating transit");
+                let ctx = SurveyContext::over(world, injector, prefix, 40);
+                let session = ctx.session();
+                let schedules = trace_schedules(&ctx);
+                let lazy: Vec<_> = schedules
+                    .iter()
+                    .map(|communities| ctx.trace_paths(&session, communities))
+                    .collect();
+                assert_eq!(ctx.vp_fib.get().is_some(), ctx.target_in_vp_space);
+                for (communities, got) in schedules.iter().zip(&lazy) {
+                    let full = traces_over_the_full_fib(&ctx, &session, communities);
+                    assert_eq!(got, &full, "{prefix}, {communities:?}");
+                }
+                covered += usize::from(ctx.target_in_vp_space);
+            }
+        }
+        assert!(covered > 0, "no target lay in a vantage point's space");
     }
 }

@@ -236,11 +236,10 @@ fn plan_attack(
                 let Some(v4) = alloc.prefixes_of(*victim).iter().find_map(|p| p.as_v4()) else {
                     continue;
                 };
-                if v4.len() > 24 {
+                // A victim longer than /24 has no /24 to hijack.
+                let Ok(sub) = v4.first_subnet(24) else {
                     continue;
-                }
-                let Ok(subs) = v4.subnets(24) else { continue };
-                let Some(&sub) = subs.first() else { continue };
+                };
                 // A stub attacker that is not the victim and shares no
                 // provider with it (so the forged adjacency is truly novel).
                 let victim_providers: BTreeSet<Asn> = topo.providers_of(*victim).collect();

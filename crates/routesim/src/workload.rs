@@ -567,7 +567,7 @@ fn build_originations(
         // like ordinary routes, which is how blackhole communities become
         // visible at collectors at all.
         let bh_len: u8 = if rng.gen_bool(0.4) { 24 } else { 32 };
-        let Some(host) = v4.subnets(bh_len).ok().and_then(|s| s.first().copied()) else {
+        let Ok(host) = v4.first_subnet(bh_len) else {
             continue;
         };
         if provider.as_u16().is_none() {

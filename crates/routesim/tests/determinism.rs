@@ -55,6 +55,10 @@
 //!   deliveries to unread leaves that neither originate nor are endpoints:
 //!   its outcome is the fully retained campaign's with the final routes
 //!   restricted to every other AS, key set and all.
+//! * **Collector sessions are passive taps** — compiling a world without
+//!   its collectors changes what is observed and which stubs are unread,
+//!   never the routes, the event count or convergence, through `run` and
+//!   through a snapshot plus a delta.
 //! * **An oracle that shares no code with the engine** — every check above
 //!   is the engine agreeing with a variant of itself (the reference loop
 //!   drives the engine's own `NodeState` policy). On policy-free,
@@ -1550,6 +1554,59 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// Collector sessions are passive taps. A collector reads what its
+    /// peers export and exports nothing back, so compiling the same world
+    /// with `.collectors(&[])` drops the observations and turns a stub that
+    /// only a collector read into an unread leaf (`with_unread_shapes`
+    /// puts one there), and nothing else: both sessions `RetainRoutes::All`,
+    /// `run` must return the same final routes, events and convergence, and
+    /// so must `run_snapshot` of the first prefix's episodes followed by one
+    /// `run_delta_prefix`.
+    #[test]
+    fn collector_sessions_are_passive_taps(
+        raw in arb_world(),
+        (origin, community, withdraw) in (0usize..16, 0u16..1000, any::<bool>()),
+    ) {
+        let (topo, configs, collectors, originations) = with_unread_shapes(&raw);
+        let spec = spec_for(&topo, configs, collectors);
+        let tapped = spec.clone().compile();
+        let untapped = spec.collectors(&[]).compile();
+        prop_assert!(untapped.unread_nodes() > tapped.unread_nodes());
+
+        let (got, want) = (untapped.run(&originations), tapped.run(&originations));
+        prop_assert!(got.observations.is_empty());
+        prop_assert_eq!(&got.final_routes, &want.final_routes);
+        prop_assert_eq!(got.events, want.events);
+        prop_assert_eq!(got.converged, want.converged);
+
+        let target = originations[0].prefix;
+        let baseline: Vec<Origination> = originations
+            .iter()
+            .filter(|o| o.prefix == target)
+            .cloned()
+            .collect();
+        let after = baseline.iter().map(|o| o.time).max().unwrap_or(0) + 100;
+        let origin = Asn::new((origin % raw.n_nodes) as u32 + 1);
+        let delta = if withdraw {
+            Origination::withdrawal(origin, target, after)
+        } else {
+            let tags = vec![Community::new(community % 16, community)];
+            Origination::announce(origin, target, tags).at(after)
+        };
+        let outcomes = [&untapped, &tapped].map(|sim| {
+            let (base, snap) = sim.run_snapshot(&baseline, target);
+            let outcome = sim.run_delta_prefix(&snap, std::slice::from_ref(&delta));
+            (base, outcome)
+        });
+        let [(got_base, got), (want_base, want)] = outcomes;
+        prop_assert_eq!(&got_base.final_routes, &want_base.final_routes);
+        prop_assert_eq!(got_base.events, want_base.events);
+        prop_assert_eq!(got_base.converged, want_base.converged);
+        prop_assert_eq!(&got.final_routes, &want.final_routes);
+        prop_assert_eq!(got.events, want.events);
+        prop_assert_eq!(got.converged, want.converged);
     }
 
     /// Cache hit ≡ clone + apply + intern. Random receivers (ordinary and

@@ -124,9 +124,10 @@ impl Ipv4Prefix {
         }
     }
 
-    /// Enumerates the `2^(new_len - len)` subnets of this prefix at
-    /// `new_len`. Errors if `new_len` is shorter than `len` or > 32.
-    pub fn subnets(self, new_len: u8) -> Result<Vec<Ipv4Prefix>, TypeError> {
+    /// The first of this prefix's subnets at `new_len`: the one that
+    /// keeps its network address. Errors if `new_len` is shorter than
+    /// `len` or > 32.
+    pub fn first_subnet(self, new_len: u8) -> Result<Ipv4Prefix, TypeError> {
         if new_len > Self::MAX_LEN {
             return Err(TypeError::InvalidPrefixLength {
                 len: new_len,
@@ -140,18 +141,10 @@ impl Ipv4Prefix {
                 max: u64::from(self.len),
             });
         }
-        let count = 1u64 << (new_len - self.len);
-        let step = if new_len == 32 {
-            1u64
-        } else {
-            1u64 << (32 - new_len)
-        };
-        let mut out = Vec::with_capacity(count as usize);
-        for i in 0..count {
-            let addr = self.addr.wrapping_add((i * step) as u32);
-            out.push(Ipv4Prefix { addr, len: new_len });
-        }
-        Ok(out)
+        Ok(Ipv4Prefix {
+            addr: self.addr,
+            len: new_len,
+        })
     }
 
     /// Number of addresses covered (saturates at `u64::MAX` for /0 which
@@ -445,26 +438,18 @@ mod tests {
     }
 
     #[test]
-    fn subnets_enumeration() {
+    fn first_subnet_keeps_the_network_address() {
         let p = p4("192.0.2.0/24");
-        let subs = p.subnets(26).unwrap();
+        assert_eq!(p.first_subnet(26).unwrap(), p4("192.0.2.0/26"));
         assert_eq!(
-            subs,
-            vec![
-                p4("192.0.2.0/26"),
-                p4("192.0.2.64/26"),
-                p4("192.0.2.128/26"),
-                p4("192.0.2.192/26"),
-            ]
+            p4("192.0.2.0/31").first_subnet(32).unwrap(),
+            p4("192.0.2.0/32")
         );
-        // /32 subnets of a /31
-        let subs = p4("192.0.2.0/31").subnets(32).unwrap();
-        assert_eq!(subs.len(), 2);
         // identity
-        assert_eq!(p.subnets(24).unwrap(), vec![p]);
+        assert_eq!(p.first_subnet(24).unwrap(), p);
         // invalid directions
-        assert!(p.subnets(8).is_err());
-        assert!(p.subnets(33).is_err());
+        assert!(p.first_subnet(8).is_err());
+        assert!(p.first_subnet(33).is_err());
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Cross-crate integration: control-plane / data-plane agreement — FIBs
 //! derived from converged RIBs deliver to the true origin, blackholes drop
 //! where the control plane says they do, Atlas campaigns agree with
-//! individual pings, and no packet is forwarded into a leaf that does not
-//! originate its prefix.
+//! individual pings, no packet is forwarded into a leaf that does not
+//! originate its prefix, and a delivered packet follows the AS path of the
+//! route it was sent on.
 
 use bgpworms::dataplane::FibAction;
 use bgpworms::prelude::*;
@@ -246,4 +247,63 @@ fn no_fib_entry_forwards_into_a_leaf_that_does_not_originate() {
         }
     }
     assert!(forwards > 1_000, "only {forwards} forwarding entries read");
+}
+
+#[test]
+fn a_delivered_trace_follows_the_as_path_of_the_route_at_its_source() {
+    // A route's AS path names the ASes its announcement crossed, nearest
+    // first: each one prepended itself on export (once, or more for a
+    // prepend), and a route server, which is transparent, did not. A packet
+    // sent on the route is forwarded back along those ASes. So wherever an
+    // AS holds a route and a traceroute from it is delivered, the trace
+    // after its first hop must be the route's AS path with consecutive
+    // repeats collapsed, and the path may name no route server. Each
+    // prefix's column is read alone, so no other prefix's entry steers a
+    // lookup.
+    //
+    // The trace is compared with its route-server hops left out. A member
+    // imports a route-server route as `RouteSource::Ebgp(rs)`, so its FIB
+    // forwards into the route server, which forwards to the member that
+    // announced; `action_of`'s `RouteSource::RouteServer` arm, which would
+    // send the packet to that member directly, is never reached (ROADMAP
+    // item 13).
+    let mut compared = 0;
+    for seed in [3, 9, 21] {
+        let (topo, _, result) = converged_world(seed);
+        let route_server = |asn: &Asn| topo.node(*asn).map(|n| n.tier) == Some(Tier::RouteServer);
+        for (prefix, finals) in &result.final_routes {
+            let Some(p4) = prefix.as_v4() else { continue };
+            let mut column = Fib::default();
+            column.insert_routes(*prefix, finals);
+            let host = PrefixAllocation::host_in(p4);
+            for (&asn, route) in finals.iter() {
+                assert!(
+                    !route.path.asns().any(|hop| route_server(&hop)),
+                    "seed {seed}: {asn} holds {prefix} on {}, through a route server",
+                    route.path
+                );
+                if route_server(&asn) {
+                    continue;
+                }
+                let t = trace(&column, asn, host);
+                if !t.delivered() {
+                    continue;
+                }
+                let mut hops = route.path.to_vec();
+                hops.dedup();
+                let forwarded: Vec<Asn> = t.path[1..]
+                    .iter()
+                    .copied()
+                    .filter(|hop| !route_server(hop))
+                    .collect();
+                assert_eq!(
+                    forwarded, hops,
+                    "seed {seed}: {asn} toward {prefix} on {}, traced {:?}",
+                    route.path, t.path
+                );
+                compared += 1;
+            }
+        }
+    }
+    assert!(compared > 1_000, "only {compared} traces compared");
 }

@@ -137,12 +137,16 @@ const REANNOUNCE_AT: u32 = 300;
 /// which keeps the scratch its flood converged on, would otherwise sit on
 /// top of the campaign's peak (`peak_rss_mb` + 4–6 % on `attacks-medium`).
 ///
-/// The reverse-path columns keep only the routes a packet can meet
-/// ([`RetainRoutes::Forwarding`]): a reply starts where a probe was
-/// delivered — at the injector, or at a vantage point whose covering prefix
-/// caught it — and passes on only through ASes that export, so the
-/// unread leaves among the other ASes hold no entry. The experiment prefix
-/// is a snapshot and a delta per candidate, which keep it everywhere.
+/// Every column keeps only the routes a packet can meet
+/// ([`RetainRoutes::Forwarding`]), and a packet passes on only through ASes
+/// that export, so the unread leaves among the other ASes hold no entry. A
+/// probe toward the target starts at a vantage point, so the experiment
+/// prefix's snapshot and deltas keep the vantage points' routes (a delta
+/// drops what reaches any other such leaf). A reply starts where the probe
+/// was delivered — at the injector, the experiment prefix's originator, or
+/// at a vantage point whose covering prefix caught it — so the reverse
+/// paths keep the vantage points' routes only when a vantage point's own
+/// prefix covers the target.
 ///
 /// Every session of a sweep compiles without collector sessions: nothing a
 /// sweep returns reads an observation, and a collector is a passive tap, so
@@ -164,7 +168,8 @@ pub struct SurveyContext {
     /// A vantage point's own prefix covers the target, so a traceroute
     /// toward it can fall back to a reverse-path column.
     target_in_vp_space: bool,
-    /// FIB covering the vantage points' own prefixes (reverse paths).
+    /// FIB covering the vantage points' own prefixes (reverse paths), at
+    /// every AS a reply can start at or pass through.
     vp_fib: OnceCell<Fib>,
     /// The injector's plain announcement of the experiment prefix,
     /// converged once: every candidate replays as a *delta* against it
@@ -233,17 +238,25 @@ impl SurveyContext {
     /// Compiles a session of this sweep. Compile it **once** per campaign —
     /// the compile cost (config resolution, slot offsets) is paid once, and
     /// every candidate replays as a delta on the plain announcement's
-    /// snapshot, converged at most once per context. It retains the
-    /// experiment prefix, the one prefix a candidate replays, and carries
-    /// no collector sessions (no sweep reads an observation).
+    /// snapshot, converged at most once per context. It keeps the routes a
+    /// packet can meet ([`RetainRoutes::Forwarding`]) of the experiment
+    /// prefix, the one prefix a candidate replays: a probe toward the
+    /// target starts at a vantage point, and a reply toward a vantage point
+    /// at the AS that delivered the probe, which on this column is its
+    /// originator, the injector. The session carries no collector sessions
+    /// (no sweep reads an observation).
     pub fn session(&self) -> CompiledSim<'_> {
-        let retained = BTreeSet::from([self.prefix]);
-        self.probe_spec()
-            .retain(RetainRoutes::Prefixes(retained))
-            .compile()
+        let vps = self.atlas.vantage_points.iter().map(|&(vp, _)| vp);
+        let retain = RetainRoutes::Forwarding {
+            prefixes: BTreeSet::from([self.prefix]),
+            endpoints: vps.chain([self.injector.asn]).collect(),
+        };
+        self.probe_spec().retain(retain).compile()
     }
 
-    /// The reverse-path columns, flooded at the first call. Streamed: the
+    /// The reverse-path columns, flooded at the first call, with routes
+    /// where a reply can start (the injector, and the vantage points when
+    /// one's own prefix covers the target) or pass through. Streamed: the
     /// campaign folds each prefix's converged routes into the FIB as
     /// forwarding actions and drops them, so the run never holds a `Vec` of
     /// per-prefix route tables (at survey scale that collection would dwarf
@@ -253,11 +266,13 @@ impl SurveyContext {
             let episodes = reverse_path_episodes(&self.world, &self.atlas);
             // A reply starts where a probe is delivered: at the injector, or
             // at a vantage point whose own prefix covers the target (the
-            // `rtbh` hijack's victim).
+            // `rtbh` hijack's victim) — only when there is one does a
+            // vantage point need its reverse-path routes.
             let vps = self.atlas.vantage_points.iter().map(|&(vp, _)| vp);
+            let starts = vps.filter(|_| self.target_in_vp_space);
             let retain = RetainRoutes::Forwarding {
                 prefixes: episodes.iter().map(|ep| ep.prefix).collect(),
-                endpoints: vps.chain([self.injector.asn]).collect(),
+                endpoints: starts.chain([self.injector.asn]).collect(),
             };
             let sim = self.probe_spec().retain(retain).compile();
             Campaign::new(&sim).run(&episodes, Fib::default).sink
@@ -539,22 +554,31 @@ mod tests {
         );
     }
 
+    /// Every AS a reply can start at: where a forward probe toward the
+    /// target is delivered over `reference`, and the injector.
+    fn reply_starts(ctx: &SurveyContext, reference: &Fib) -> BTreeSet<Asn> {
+        let traces = ctx.atlas.traceroute_campaign(reference, ctx.target_addr);
+        let delivered = traces.into_values().filter(TraceResult::delivered);
+        let ends = delivered.map(|t| *t.path.last().expect("a trace starts somewhere"));
+        ends.chain([ctx.injector.asn]).collect()
+    }
+
     /// What probing reads off a FIB: every vantage point's ping of and
-    /// traceroute to the target, and the reverse trace from every AS a
-    /// probe can be delivered to — each vantage point and the injector —
-    /// to every vantage point's source address.
+    /// traceroute to the target, and the reverse trace from each of
+    /// `starts` to every vantage point's source address.
     fn probed(
         ctx: &SurveyContext,
         fib: &Fib,
+        starts: &BTreeSet<Asn>,
     ) -> (
         BTreeMap<Asn, bool>,
         BTreeMap<Asn, TraceResult>,
         Vec<TraceResult>,
     ) {
         let vps = &ctx.atlas.vantage_points;
-        let starts = vps.iter().map(|&(vp, _)| vp).chain([ctx.injector.asn]);
         let reverse = starts
-            .flat_map(|from| vps.iter().map(move |&(_, src)| trace(fib, from, src)))
+            .iter()
+            .flat_map(|&from| vps.iter().map(move |&(_, src)| trace(fib, from, src)))
             .collect();
         (
             ctx.atlas.ping_campaign(fib, ctx.target_addr).responsive,
@@ -569,7 +593,9 @@ mod tests {
         // stand. Against columns kept at every AS, on the §7.6 apparatus
         // and on both §7.3 worlds (the hijack's victim is a vantage point
         // whose covering prefix catches probes), at tiny and small scale,
-        // the baseline and every candidate must probe alike.
+        // the baseline and every candidate must probe alike — replies
+        // traced from every AS that delivers a probe over the columns kept
+        // at every AS, and from the injector.
         let workload = WorkloadParams {
             blackhole_service_prob: 0.7,
             steering_service_prob: 0.6,
@@ -612,7 +638,9 @@ mod tests {
                 }
                 for (fib, outcome) in &outcomes {
                     let full = overlay(&full_vp_fib, prefix, outcome);
-                    assert_eq!(probed(ctx, fib), probed(ctx, &full), "{prefix}");
+                    let starts = reply_starts(ctx, &full);
+                    let (got, want) = (probed(ctx, fib, &starts), probed(ctx, &full, &starts));
+                    assert_eq!(got, want, "{prefix}");
                     compared += 1;
                 }
             }

@@ -71,29 +71,38 @@
 //! or once it originates itself. `SimSpec::compile` marks those nodes once
 //! (`unread_leaves`, which carries the argument). The drain loop pops a
 //! delivery to such a node, counts it in `events` against the budget like
-//! any other, and — unless the node originates in this schedule — treats
-//! it by who reads the flood:
+//! any other, and — unless the node originates in this schedule, or in the
+//! baseline a delta continues — treats it by who reads the flood:
 //!
 //! * **drop** (a campaign flood of an unretained prefix): no stamp, no
 //!   admission, no derivation probe, no dirty mark, hence no best scan and
 //!   no adjacency walk;
-//! * **park and resolve** (a campaign flood of a retained prefix): the
-//!   raw route goes into the leaf's slot with no admission and no dirty
-//!   mark, so the leaf runs no export pass; before the retention sweep the
-//!   leaf imports each occupied slot once — what that slot received last,
-//!   which is all an import of every delivery would have left there;
+//! * **park and resolve** (a campaign flood of a prefix retained at every
+//!   AS): the raw route goes into the leaf's slot with no admission and no
+//!   dirty mark, so the leaf runs no export pass; before the retention
+//!   sweep the leaf imports each occupied slot once — what that slot
+//!   received last, which is all an import of every delivery would have
+//!   left there;
 //! * **drop, under forwarding retention** (a campaign flood of a prefix
 //!   retained by [`RetainRoutes::Forwarding`]): as for an unretained
 //!   prefix, so the leaf holds no route at the end. A packet stands at a
 //!   leaf only where it starts or where it is delivered, so only the
 //!   originators and the listed endpoints — which `compile` does not mark
-//!   unread — need one;
-//! * **in full** ([`CompiledSim::run_snapshot`]'s flood, and a delta on
-//!   a snapshot's clone): the state outlives the flood.
+//!   unread — need one, and the retention sweep skips the other leaves;
+//! * **drop, in a delta** (a delta on a snapshot's clone, of a prefix
+//!   unretained or retained for forwarding): the clone is thrown away after
+//!   the flood, so the delta drops what a campaign flood of the same
+//!   session would, and the leaf keeps what the baseline left it, which
+//!   nothing reads;
+//! * **in full** ([`CompiledSim::run_snapshot`]'s flood, whose state
+//!   outlives it, and a delta of a prefix retained at every AS, whose
+//!   slots hold imported routes that no parked delivery may sit beside).
 //!
 //! On the generated internets that is ≈ 87 % of the ASes and ≈ 85 % of the
 //! deliveries. `run_snapshot(..).0` is the un-parked, un-elided oracle
-//! `tests/determinism.rs` holds campaign floods to.
+//! `tests/determinism.rs` holds campaign floods to; a snapshot and a delta
+//! under forwarding retention finish the key set of the forwarding
+//! campaign of their schedule.
 //!
 //! # Collector sweep: only sessions whose peer's best route moved
 //!
@@ -218,8 +227,8 @@ pub enum RetainRoutes {
     /// [`CompiledSim::unread_nodes`]) that neither originate the prefix nor
     /// are listed as `endpoints`. A campaign flood of such a prefix drops a
     /// delivery to one of those leaves, as an unretained flood does, instead
-    /// of parking it; a snapshot's flood and a delta still run in full and
-    /// keep the prefix at every AS.
+    /// of parking it, and so does a delta; a snapshot's flood still runs in
+    /// full. All three keep that key set.
     ///
     /// Sound for forwarding, where a packet stands at a leaf only where it
     /// starts or where it is delivered: a next hop is an AS that exported
@@ -450,21 +459,27 @@ impl<'a> SimSpec<'a> {
 ///
 /// One rule follows, applied by one guard in `continue_prefix`, at the pop
 /// that counts the delivery, to a leaf that does not originate in the
-/// schedule. A campaign flood of an unretained prefix has none of the
-/// readers, and drops the delivery. A campaign flood of a retained prefix
-/// has only the retention sweep, which reads the leaf's RIB once, at the
-/// end; so the flood parks the delivery (`NodeState::park`) and the leaf
-/// resolves each slot's last delivery once before the sweep
+/// schedule — nor, in a delta, in the baseline it continues, whose
+/// originators the snapshot lists. A campaign flood of an unretained prefix
+/// has none of the readers, and drops the delivery. A campaign flood of a
+/// retained prefix has only the retention sweep, which reads the leaf's RIB
+/// once, at the end; so the flood parks the delivery (`NodeState::park`)
+/// and the leaf resolves each slot's last delivery once before the sweep
 /// (`NodeState::resolve_parked`). A snapshot's flood has a snapshot, and
-/// runs in full. Nothing the run returns depends on the difference.
+/// runs in full. A delta on a snapshot's clone is thrown away after its
+/// flood, and drops what a campaign flood of its session drops; but its
+/// slots hold the baseline's imported routes, not raw deliveries, so where
+/// a campaign flood would park it runs in full. Nothing the run returns
+/// depends on the difference.
 ///
 /// [`RetainRoutes::Forwarding`] narrows what the sweep is asked for, not
 /// who can read: it keeps the routes a packet can meet. A packet stands at
 /// a leaf only where it starts or where it is delivered — a forwarding next
 /// hop is the AS a route was learned from, which exported it, and a leaf
 /// exports only its own `local` route — so a leaf that neither originates
-/// the prefix nor is a listed endpoint has nothing a trace can look up,
-/// and the flood drops its deliveries as if the prefix were unretained.
+/// the prefix nor is a listed endpoint has nothing a trace can look up:
+/// the flood drops its deliveries as if the prefix were unretained, and
+/// the sweep skips it wherever a snapshot's flood did reach it.
 /// `SimSpec::compile` clears this mark for every endpoint, which the flood
 /// then simulates in full.
 fn unread_leaves(topo: &Topology, is_rs: &[bool], session_offsets: &[u32]) -> Vec<bool> {
@@ -546,8 +561,9 @@ impl<'a> CompiledSim<'a> {
     /// How many nodes are unread leaves — no customer, no collector session,
     /// not a route server, not a [`RetainRoutes::Forwarding`] endpoint. A
     /// campaign flood counts deliveries to them and drops them, or parks
-    /// them when the prefix is retained at every AS; a snapshot's flood
-    /// simulates them.
+    /// them when the prefix is retained at every AS; a delta drops them
+    /// where a campaign flood would, and otherwise simulates them, as a
+    /// snapshot's flood does.
     pub fn unread_nodes(&self) -> usize {
         self.unread.iter().filter(|&&unread| unread).count()
     }
@@ -659,7 +675,7 @@ impl<'a> CompiledSim<'a> {
             &episodes,
             &mut outcome,
             self.event_budget,
-            ScratchReader::Snapshot,
+            ScratchReader::Delta,
         );
         outcome
     }
@@ -872,16 +888,22 @@ fn role_ix(role: Role) -> usize {
 }
 
 /// Who reads the per-node state a flood leaves in its scratch, beyond the
-/// flood itself and the retention sweep that ends it.
+/// flood itself and the retention sweep that ends it — which decides what
+/// the flood does with a delivery to an unread leaf (see `unread_leaves`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ScratchReader {
-    /// Nobody: the next prefix recycles the scratch (a campaign's floods).
-    /// A retained one runs once per `begin_prefix`: its end resolves every
-    /// leaf it parked, and a second run would admit those slots again.
+    /// Nobody: the next prefix recycles the scratch (a campaign's floods),
+    /// which drops or parks. A retained one runs once per `begin_prefix`:
+    /// its end resolves every leaf it parked, and a second run would admit
+    /// those slots again.
     Nobody,
-    /// A [`SimSnapshot`]: the scratch is kept as one after the flood, or
-    /// is a clone of one before it.
+    /// A [`SimSnapshot`]: the scratch is kept as one after the flood, which
+    /// runs in full.
     Snapshot,
+    /// Nobody, but the scratch is a snapshot's clone (a delta): it drops
+    /// where a campaign flood would, and runs in full where that one would
+    /// park, since its slots hold imported routes, not raw deliveries.
+    Delta,
 }
 
 impl CompiledSim<'_> {
@@ -948,19 +970,28 @@ impl CompiledSim<'_> {
         budget: u64,
         reader: ScratchReader,
     ) {
-        // Out of a campaign flood, only the retention sweep can read an
-        // unread leaf that does not originate in this schedule: a delivery
-        // to one is dropped, or parked when the prefix is retained at every
-        // AS (see `unread_leaves`). A snapshot's flood runs every delivery.
+        // Out of a snapshot's flood, only the retention sweep can read an
+        // unread leaf that originates neither in this schedule nor in the
+        // baseline a delta continues (`originators`): a delivery to one is
+        // dropped, or parked when the prefix is retained at every AS —
+        // which a delta cannot do, so it runs in full (see
+        // `unread_leaves`). A snapshot's flood runs every delivery.
         let retain = self.should_retain(&prefix);
-        let park = retain && !matches!(self.retain, RetainRoutes::Forwarding { .. });
-        let lean = reader == ScratchReader::Nobody;
-        let mut origins: Vec<usize> = episodes
+        let forwarding = matches!(self.retain, RetainRoutes::Forwarding { .. });
+        let park = retain && !forwarding;
+        let elide = match reader {
+            ScratchReader::Nobody => true,
+            ScratchReader::Delta => !park,
+            ScratchReader::Snapshot => false,
+        };
+        let origins = episodes
             .iter()
-            .filter_map(|ep| self.topo.node_id(ep.origin))
-            .map(NodeId::index)
-            .collect();
-        origins.dedup(); // a churning prefix repeats one origin
+            .filter_map(|ep| self.topo.node_id(ep.origin));
+        for i in origins.map(|id| id.index() as u32) {
+            if !scratch.originators.contains(&i) {
+                scratch.originators.push(i);
+            }
+        }
         let vctx = ValidationCtx {
             irr: &self.irr,
             rpki: &self.rpki,
@@ -973,6 +1004,7 @@ impl CompiledSim<'_> {
             node_epoch,
             touched,
             parked,
+            originators,
             rib_in,
             exported,
             local,
@@ -1030,7 +1062,7 @@ impl CompiledSim<'_> {
                         break 'converge;
                     }
                     let to = ev.to.index();
-                    if lean && self.unread[to] && !origins.contains(&to) {
+                    if elide && self.unread[to] && !originators.contains(&(to as u32)) {
                         // Delivered and counted. Only the retention sweep
                         // reads it, and only the slot's last delivery.
                         if park {
@@ -1146,9 +1178,15 @@ impl CompiledSim<'_> {
             // Only nodes the flood touched can hold a route, so the sweep
             // iterates the touched list instead of all ~N nodes, and it
             // collects ids: `FinalRoutes` clones each distinct best once.
+            // Under forwarding retention it skips the leaves a campaign
+            // flood would have dropped every delivery to: a snapshot's flood
+            // reached them, and a delta left them as the baseline had.
             let mut bests = Vec::with_capacity(routers.touched.len());
             for k in 0..routers.touched.len() {
                 let i = routers.touched[k] as usize;
+                if forwarding && self.unread[i] && !originators.contains(&(i as u32)) {
+                    continue;
+                }
                 if let Some((id, _)) = routers.node(i).best_entry(arena) {
                     bests.push((self.asns[i], id));
                 }
@@ -2367,19 +2405,10 @@ mod tests {
         assert_eq!(SimSpec::new(&topo).compile().unread_nodes(), 5);
     }
 
-    #[test]
-    fn elided_flood_equals_the_full_one_at_every_budget() {
-        // 1 over transits 2 and 3 (which peer); stubs 4, 5 under 2 and 6, 7
-        // under 3. Collectors hear 1, 3 and stub 7; stubs 5 and 6 are unread
-        // (4 too, but it originates). The schedule announces at 4, changes
-        // the tag, adds a second origin at unread stub 6 (MOAS), withdraws
-        // the first. Stub 6 prefers what its provider says over its own
-        // origination, so its announcement stays home until the withdrawal
-        // reaches it — which only a flood that imported at 6 from the first
-        // event knows. Wherever the budget cuts it, the flood that drops
-        // deliveries to unread leaves returns what the full one returns;
-        // retained, the flood that parks them at stub 5 and resolves them
-        // at the end returns what its snapshot twin returns, routes and all.
+    /// 1 over transits 2 and 3, which peer; stubs 4, 5 under 2 and 6, 7
+    /// under 3. With it, the config of a stub 6 that prefers what its
+    /// provider says over its own origination.
+    fn two_transits() -> (Topology, RouterConfig) {
         let mut topo = Topology::new();
         topo.add_simple(Asn::new(1), Tier::Tier1);
         for (transit, stubs) in [(2, [4, 5]), (3, [6, 7])] {
@@ -2397,6 +2426,23 @@ mod tests {
         topo.add_edge(Asn::new(2), Asn::new(3), EdgeKind::PeerToPeer);
         let mut obedient = RouterConfig::defaults(Asn::new(6));
         obedient.local_pref.provider = 251;
+        (topo, obedient)
+    }
+
+    #[test]
+    fn elided_flood_equals_the_full_one_at_every_budget() {
+        // 1 over transits 2 and 3 (which peer); stubs 4, 5 under 2 and 6, 7
+        // under 3. Collectors hear 1, 3 and stub 7; stubs 5 and 6 are unread
+        // (4 too, but it originates). The schedule announces at 4, changes
+        // the tag, adds a second origin at unread stub 6 (MOAS), withdraws
+        // the first. Stub 6 prefers what its provider says over its own
+        // origination, so its announcement stays home until the withdrawal
+        // reaches it — which only a flood that imported at 6 from the first
+        // event knows. Wherever the budget cuts it, the flood that drops
+        // deliveries to unread leaves returns what the full one returns;
+        // retained, the flood that parks them at stub 5 and resolves them
+        // at the end returns what its snapshot twin returns, routes and all.
+        let (topo, obedient) = two_transits();
         let spec = SimSpec::new(&topo)
             .configure(obedient)
             .collector(CollectorSpec {
@@ -2456,5 +2502,76 @@ mod tests {
             let (parked, ..) = flood(&kept, budget, ScratchReader::Nobody);
             assert_eq!(parked, twin, "retained, budget {budget}");
         }
+    }
+
+    #[test]
+    fn a_forwarding_delta_drops_what_its_campaign_drops_and_nothing_else() {
+        // `two_transits`, where a collector hears 7. Under forwarding
+        // retention with endpoint 7, the baseline announces at 4, then at
+        // stub 6, which prefers what its provider says (so its own
+        // announcement stays home); the delta re-announces at 4 with a tag.
+        // A delta on the snapshot's clone drops what reaches stub 5 (unread,
+        // no origin, no endpoint): 5's slots stay as the baseline left them,
+        // neither imported nor parked over, and the sweep skips 5. Stub 6
+        // originates in the baseline only, and imports the tagged route all
+        // the same; the outcome is the forwarding campaign's of the whole
+        // schedule.
+        let (topo, obedient) = two_transits();
+        let prefix = p("10.0.0.0/16");
+        let sim = SimSpec::new(&topo)
+            .configure(obedient)
+            .collector(CollectorSpec {
+                name: "rrc00".into(),
+                platform: "RIS".into(),
+                collector_id: 1,
+                peers: vec![(Asn::new(7), FeedKind::Full)],
+            })
+            .retain(RetainRoutes::Forwarding {
+                prefixes: BTreeSet::from([prefix]),
+                endpoints: BTreeSet::from([Asn::new(7)]),
+            })
+            .compile();
+        let baseline = [
+            Origination::announce(Asn::new(4), prefix, vec![]),
+            Origination::announce(Asn::new(6), prefix, vec![]).at(100),
+        ];
+        let delta = Origination::announce(Asn::new(4), prefix, vec![Community::new(2, 7)]).at(300);
+        let (_, snap) = sim.run_snapshot(&baseline, prefix);
+
+        let slots = |scratch: &SimScratch, asn: u32| {
+            let i = topo
+                .node_id(Asn::new(asn))
+                .expect("in the topology")
+                .index();
+            scratch.rib_in[sim.offsets[i] as usize..sim.offsets[i + 1] as usize].to_vec()
+        };
+        let mut scratch = snap.scratch.clone();
+        let mut outcome = PrefixOutcome {
+            final_routes: None,
+            ..snap.baseline_outcome().clone()
+        };
+        sim.continue_prefix(
+            &mut scratch,
+            prefix,
+            &[&delta],
+            &mut outcome,
+            sim.event_budget,
+            ScratchReader::Delta,
+        );
+        assert_eq!(
+            slots(&scratch, 5),
+            slots(&snap.scratch, 5),
+            "5 took a delivery"
+        );
+        assert_ne!(slots(&scratch, 6), slots(&snap.scratch, 6), "6 took none");
+        let finals = outcome.final_routes.as_ref().expect("retained");
+        assert!(!finals.contains_key(&Asn::new(5)));
+        assert!(finals.contains_key(&Asn::new(6)) && finals.contains_key(&Asn::new(7)));
+
+        let mut schedule = baseline.to_vec();
+        schedule.push(delta.clone());
+        let fresh = sim.run(&schedule);
+        assert_eq!(sim.run_delta(&snap, std::slice::from_ref(&delta)), fresh);
+        assert_eq!(fresh.final_routes[&prefix], *finals);
     }
 }

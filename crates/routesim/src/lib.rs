@@ -89,8 +89,8 @@
 //! origination — real BGP converges incrementally from a standing RIB. The
 //! session API exposes exactly that: [`CompiledSim::run_snapshot`] runs one
 //! prefix's schedule and keeps the worker scratch it converged on as a
-//! [`SimSnapshot`] (flat slot arrays, per-node scalars, touched list and
-//! [`RouteArena`], as the flood left them), and [`CompiledSim::run_delta`]
+//! [`SimSnapshot`] (flat slot arrays, per-node scalars, touched and
+//! originator lists and [`RouteArena`], as the flood left them), and [`CompiledSim::run_delta`]
 //! continues a clone of it — on that session or any other compiled over
 //! the same world — and converges only the appended episodes: the perturbed
 //! origination's

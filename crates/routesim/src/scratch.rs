@@ -177,6 +177,11 @@ pub(crate) struct SimScratch {
     /// first-park order; resolved before the final-routes sweep. Only a
     /// retained campaign flood parks, so a snapshot's is empty.
     pub(crate) parked: Vec<u32>,
+    /// The nodes that originate in the schedule this scratch converged,
+    /// once each, in order of first episode: a snapshot's are the
+    /// baseline's, which a delta on its clone extends with its own. No
+    /// unread-leaf rule drops a delivery to one of them.
+    pub(crate) originators: Vec<u32>,
     /// Adj-RIB-In entries over the global directed-edge slot space.
     pub(crate) rib_in: Vec<Option<RibEntry>>,
     /// Last-exported cache over the global directed-edge slot space.
@@ -212,6 +217,7 @@ impl SimScratch {
             node_epoch: vec![0; n_nodes],
             touched: Vec::new(),
             parked: Vec::new(),
+            originators: Vec::new(),
             rib_in: vec![None; n_slots],
             exported: vec![None; n_slots],
             local: vec![None; n_nodes],
@@ -237,6 +243,7 @@ impl SimScratch {
         self.epoch += 1;
         self.touched.clear();
         self.parked.clear();
+        self.originators.clear();
         self.arena.reset();
         self.queue.clear();
         self.dirty.clear();
@@ -251,10 +258,11 @@ impl SimScratch {
 ///
 /// At convergence the queue, dirty set, parked list and pass record are
 /// empty, so the scratch is nothing but the converged state: the touched
-/// list in first-touch order, the slot arrays, the per-node scalars, the
-/// collector dedup state and the [`RouteArena`], whose clone keeps its hash
-/// index and derivation cache — so a delta interns future routes under
-/// exactly the ids the uninterrupted run would have minted.
+/// list in first-touch order, the baseline's originators, the slot arrays,
+/// the per-node scalars, the collector dedup state and the [`RouteArena`],
+/// whose clone keeps its hash index and derivation cache — so a delta
+/// interns future routes under exactly the ids the uninterrupted run would
+/// have minted, and drops no delivery to an AS the baseline originated at.
 ///
 /// A snapshot outlives the `CompiledSim` that produced it, and any session
 /// compiled over the same slot space and collector sessions may continue

@@ -55,6 +55,14 @@
 //!   deliveries to unread leaves that neither originate nor are endpoints:
 //!   its outcome is the fully retained campaign's with the final routes
 //!   restricted to every other AS, key set and all.
+//! * **A forwarding snapshot and delta keep what its campaign keeps** — a
+//!   delta on a snapshot's clone under `RetainRoutes::Forwarding` drops the
+//!   deliveries a campaign flood drops, exempting the baseline's
+//!   originators as well as its own, and the retention sweep of the
+//!   snapshot and of the delta skips the leaves the campaign never
+//!   reached: `run_snapshot` + `run_delta_prefix` is the forwarding
+//!   campaign of baseline ++ delta, and the fully retained one restricted
+//!   to the same key set.
 //! * **Collector sessions are passive taps** — compiling a world without
 //!   its collectors changes what is observed and which stubs are unread,
 //!   never the routes, the event count or convergence, through `run` and
@@ -1553,6 +1561,106 @@ proptest! {
                     );
                 }
             }
+        }
+    }
+
+    /// A snapshot and a delta keep what a forwarding campaign keeps. Under
+    /// `RetainRoutes::Forwarding` a delta on a snapshot's clone drops every
+    /// delivery to an unread leaf that originates neither in the delta nor
+    /// in the baseline and is not an endpoint, and the retention sweep of
+    /// the snapshot's flood and of the delta skips those leaves. On worlds
+    /// forced to hold every shape a leaf can hide behind
+    /// (`with_unread_shapes`), with random endpoints other than its two
+    /// originating leaves, the first prefix's baseline takes three deltas:
+    /// one re-originates at the MOAS leaf, which announced and withdrew in
+    /// the baseline; one withdraws a baseline origin; and one adds a second
+    /// origin beside that leaf left standing as the baseline's last
+    /// originator. `run_snapshot` and then `run_delta_prefix` must give the
+    /// forwarding campaign of the same schedule, and the `RetainRoutes::All`
+    /// campaign with its final routes restricted to the ASes that are not
+    /// unread leaves, the endpoints and the schedule's originators — key set
+    /// and all — with identical events, observations and convergence; and
+    /// a fully retained session must continue the same snapshot to the
+    /// fully retained campaign, unrestricted. Leaf-ness is read off the
+    /// topology and the collector sessions here, not asked of the engine.
+    #[test]
+    fn forwarding_snapshots_and_deltas_keep_what_a_forwarding_campaign_keeps(
+        raw in arb_world(),
+        picks in proptest::collection::vec(0usize..32, 1..6),
+        (second, gone, community) in (0usize..16, 0usize..16, 0u16..1000),
+    ) {
+        let (topo, configs, collectors, originations) = with_unread_shapes(&raw);
+        let heard: BTreeSet<Asn> = collectors
+            .iter()
+            .flat_map(|c| c.peers.iter().map(|&(peer, _)| peer))
+            .collect();
+        let spec = spec_for(&topo, configs, collectors);
+        let (moas, forger) = (Asn::new(103), Asn::new(104));
+        let asns: Vec<Asn> = topo.ases().map(|node| node.asn).collect();
+        let endpoints: BTreeSet<Asn> = picks
+            .iter()
+            .map(|&k| asns[k % asns.len()])
+            .filter(|asn| ![moas, forger].contains(asn))
+            .collect();
+        let target = originations[0].prefix;
+        let forwarding = RetainRoutes::Forwarding {
+            prefixes: BTreeSet::from([target]),
+            endpoints: endpoints.clone(),
+        };
+        let leaf = |asn: &Asn| {
+            topo.node(*asn).is_some_and(|node| node.tier != Tier::RouteServer)
+                && !heard.contains(asn)
+                && topo.customers_of(*asn).next().is_none()
+        };
+        prop_assert!(leaf(&moas) && leaf(&forger));
+        let full = spec.clone().compile();
+        let sim = spec.retain(forwarding).compile();
+
+        let withdrawn: Vec<Origination> = originations
+            .iter()
+            .filter(|o| o.prefix == target)
+            .cloned()
+            .collect();
+        let after = withdrawn.iter().map(|o| o.time).max().unwrap_or(0) + 100;
+        let tags = vec![Community::new(community % 16, community)];
+        let mut standing = withdrawn.clone();
+        standing.push(Origination::announce(moas, target, vec![]).at(after));
+        let gone = withdrawn[gone % withdrawn.len()].origin;
+        let second = Asn::new((second % raw.n_nodes) as u32 + 1);
+        let cases = [
+            (&withdrawn, Origination::announce(moas, target, tags.clone()).at(after)),
+            (&withdrawn, Origination::withdrawal(gone, target, after)),
+            (&standing, Origination::announce(second, target, tags).at(after + 100)),
+        ];
+        for (baseline, delta) in cases {
+            let mut combined = baseline.clone();
+            combined.push(delta.clone());
+            let (base, snap) = sim.run_snapshot(baseline, target);
+            prop_assert_eq!(&base, &sim.run(baseline), "snapshot ≢ forwarding campaign");
+            let got = sim.run_delta_prefix(&snap, std::slice::from_ref(&delta));
+            let campaign = Campaign::new(&sim).run(&combined, KeyedSink::default);
+            prop_assert_eq!(&got, &campaign.sink.0[&target], "delta {:?}", delta);
+
+            let originators: BTreeSet<Asn> = combined.iter().map(|o| o.origin).collect();
+            let reference = Campaign::new(&full).run(&combined, KeyedSink::default);
+            let reference = &reference.sink.0[&target];
+            let finals = reference.final_routes.as_ref().expect("retained");
+            let met = finals
+                .iter()
+                .filter(|(asn, _)| {
+                    !leaf(asn) || endpoints.contains(asn) || originators.contains(asn)
+                })
+                .map(|(asn, route)| (*asn, route.clone()))
+                .collect();
+            let expected = PrefixOutcome {
+                final_routes: Some(met),
+                ..reference.clone()
+            };
+            prop_assert_eq!(&got, &expected, "delta {:?}", delta);
+            // A fully retained session continues the same snapshot in full:
+            // its slots hold imported routes, which no delta may park over.
+            let whole = full.run_delta_prefix(&snap, std::slice::from_ref(&delta));
+            prop_assert_eq!(&whole, reference, "retained delta {:?}", delta);
         }
     }
 

@@ -15,9 +15,10 @@ use bgpworms_routesim::{
     WorkloadParams,
 };
 use bgpworms_topology::{
-    addressing::AddressingParams, FullTableParams, PrefixAllocation, Topology, TopologyParams,
+    addressing::AddressingParams, FullTableParams, PrefixAllocation, Tier, Topology, TopologyParams,
 };
-use bgpworms_types::{Community, Prefix};
+use bgpworms_types::{Asn, Community, Prefix};
+use std::collections::BTreeSet;
 
 /// Counts converged routes without retaining them — the smoke runs stream
 /// through the campaign fold precisely so the Internet-scale case holds
@@ -96,6 +97,7 @@ fn large_scale_smoke() {
     );
     smoke(&topo, 95);
     unread_leaves_are_most_of_the_graph_and_change_nothing(&topo);
+    delta_equals_fresh(&topo);
 }
 
 /// The generated workload's own schedule for a handful of origins spread
@@ -170,22 +172,35 @@ fn internet_scale_smoke() {
 
 /// One origin's plain announcement snapshotted, then re-announced with a
 /// community as a delta on a session compiled apart (as the §7 sweeps
-/// replay it): bit-identical to the fresh combined run. At Internet scale
-/// the delta continues a clone of a whole-network scratch.
+/// replay it): bit-identical to the fresh combined run, retained at every
+/// AS and retained for forwarding with a handful of stub endpoints (the §7
+/// probe session's shape, whose delta drops what its campaign drops). At
+/// Internet scale the delta continues a clone of a whole-network scratch.
 fn delta_equals_fresh(topo: &Topology) {
     let alloc = PrefixAllocation::assign(topo, AddressingParams::default());
     let (origin, prefix) = alloc.iter().next().expect("allocation non-empty");
-    let compile = || SimSpec::new(topo).retain(RetainRoutes::All).compile();
-    let plain = Origination::announce(origin, prefix, vec![]);
-    let tagged = Origination::announce(origin, prefix, vec![Community::new(1, 7)]).at(100);
-    let (_, snapshot) = compile().run_snapshot(std::slice::from_ref(&plain), prefix);
-    let fresh = compile().run(&[plain, tagged.clone()]);
-    assert!(fresh.converged);
-    assert_eq!(
-        compile().run_delta(&snapshot, &[tagged]),
-        fresh,
-        "delta diverged from the fresh combined run"
-    );
+    let stubs: Vec<Asn> = topo
+        .ases()
+        .filter(|node| node.tier == Tier::Stub)
+        .map(|node| node.asn)
+        .collect();
+    let forwarding = RetainRoutes::Forwarding {
+        prefixes: BTreeSet::from([prefix]),
+        endpoints: (0..5).map(|k| stubs[k * (stubs.len() - 1) / 4]).collect(),
+    };
+    for retain in [RetainRoutes::All, forwarding] {
+        let compile = || SimSpec::new(topo).retain(retain.clone()).compile();
+        let plain = Origination::announce(origin, prefix, vec![]);
+        let tagged = Origination::announce(origin, prefix, vec![Community::new(1, 7)]).at(100);
+        let (_, snapshot) = compile().run_snapshot(std::slice::from_ref(&plain), prefix);
+        let fresh = compile().run(&[plain, tagged.clone()]);
+        assert!(fresh.converged);
+        assert_eq!(
+            compile().run_delta(&snapshot, &[tagged]),
+            fresh,
+            "delta diverged from the fresh combined run under {retain:?}"
+        );
+    }
 }
 
 #[test]

@@ -7,6 +7,7 @@ use crate::wild::{InjectionPlatform, World};
 use bgpworms_routesim::{Origination, RetainRoutes, WorkloadParams};
 use bgpworms_topology::{Tier, TopologyParams};
 use bgpworms_types::{Asn, Community, Prefix};
+use std::collections::BTreeSet;
 
 /// Report of the route-server wild experiment.
 #[derive(Debug, Clone)]
@@ -54,10 +55,14 @@ pub fn run(
     let suppress_to = Community::new(0, attackee16);
     let p = Prefix::V4(injector.prefix);
 
-    // One compiled session, two episode schedules.
+    // One compiled session, two episode schedules; only the attackee's
+    // route is read.
     let sim = world
         .simulation()
-        .retain(RetainRoutes::Prefixes([p].into_iter().collect()))
+        .retain(RetainRoutes::Prefixes {
+            prefixes: BTreeSet::from([p]),
+            readers: BTreeSet::from([attackee]),
+        })
         .compile();
 
     // Step 1: announce-to only.
@@ -101,6 +106,27 @@ mod tests {
             "suppress-first evaluation removes it: {report:?}"
         );
         assert!(report.succeeded());
+    }
+
+    #[test]
+    fn an_unread_attackee_is_read_because_it_is_listed() {
+        // At small seed 112 the attackee is an unread leaf: no customer, no
+        // collector session, not a route server. The session keeps its
+        // route only because it lists the attackee among its readers;
+        // without that, the route would read absent before the conflict
+        // too.
+        let (tp, wp) = (TopologyParams::small().seed(112), WorkloadParams::default());
+        let report = run(&tp, &wp).expect("route server found");
+        let world = World::generate(&tp, &wp);
+        let attackee = report.attackee;
+        let mut heard = world.workload.collectors.iter().flat_map(|c| &c.peers);
+        assert!(
+            world.topo.node(attackee).expect("a member").tier != Tier::RouteServer
+                && world.topo.customers_of(attackee).next().is_none()
+                && !heard.any(|&(peer, _)| peer == attackee),
+            "the attackee is no longer an unread leaf: pick another seed"
+        );
+        assert!(report.succeeded(), "{report:?}");
     }
 
     #[test]

@@ -10,6 +10,7 @@ use bgpworms_routesim::{
 };
 use bgpworms_topology::{Topology, TopologyParams};
 use bgpworms_types::{Asn, Community, Prefix};
+use std::collections::BTreeSet;
 
 /// Report of the steering wild experiment.
 #[derive(Debug, Clone)]
@@ -103,10 +104,14 @@ pub fn run(
         let fallback = Community::new(target16, 70);
 
         // One compiled session per candidate config; all three runs
-        // (prepend, local-pref baseline, local-pref tagged) replay on it.
+        // (prepend, local-pref baseline, local-pref tagged) replay on it,
+        // and only the target's route is read.
         let sim = world
             .simulation()
-            .retain(RetainRoutes::Prefixes([p].into_iter().collect()))
+            .retain(RetainRoutes::Prefixes {
+                prefixes: BTreeSet::from([p]),
+                readers: BTreeSet::from([target]),
+            })
             .configure(target_cfg)
             .compile();
 

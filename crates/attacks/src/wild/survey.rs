@@ -138,7 +138,7 @@ const REANNOUNCE_AT: u32 = 300;
 /// top of the campaign's peak (`peak_rss_mb` + 4–6 % on `attacks-medium`).
 ///
 /// Every column keeps only the routes a packet can meet
-/// ([`RetainRoutes::Forwarding`]), and a packet passes on only through ASes
+/// ([`RetainRoutes::Prefixes`]), and a packet passes on only through ASes
 /// that export, so the unread leaves among the other ASes hold no entry. A
 /// probe toward the target starts at a vantage point, so the experiment
 /// prefix's snapshot and deltas keep the vantage points' routes (a delta
@@ -239,7 +239,7 @@ impl SurveyContext {
     /// the compile cost (config resolution, slot offsets) is paid once, and
     /// every candidate replays as a delta on the plain announcement's
     /// snapshot, converged at most once per context. It keeps the routes a
-    /// packet can meet ([`RetainRoutes::Forwarding`]) of the experiment
+    /// packet can meet ([`RetainRoutes::Prefixes`]) of the experiment
     /// prefix, the one prefix a candidate replays: a probe toward the
     /// target starts at a vantage point, and a reply toward a vantage point
     /// at the AS that delivered the probe, which on this column is its
@@ -247,9 +247,9 @@ impl SurveyContext {
     /// (no sweep reads an observation).
     pub fn session(&self) -> CompiledSim<'_> {
         let vps = self.atlas.vantage_points.iter().map(|&(vp, _)| vp);
-        let retain = RetainRoutes::Forwarding {
+        let retain = RetainRoutes::Prefixes {
             prefixes: BTreeSet::from([self.prefix]),
-            endpoints: vps.chain([self.injector.asn]).collect(),
+            readers: vps.chain([self.injector.asn]).collect(),
         };
         self.probe_spec().retain(retain).compile()
     }
@@ -270,9 +270,9 @@ impl SurveyContext {
             // vantage point need its reverse-path routes.
             let vps = self.atlas.vantage_points.iter().map(|&(vp, _)| vp);
             let starts = vps.filter(|_| self.target_in_vp_space);
-            let retain = RetainRoutes::Forwarding {
+            let retain = RetainRoutes::Prefixes {
                 prefixes: episodes.iter().map(|ep| ep.prefix).collect(),
-                endpoints: starts.chain([self.injector.asn]).collect(),
+                readers: starts.chain([self.injector.asn]).collect(),
             };
             let sim = self.probe_spec().retain(retain).compile();
             Campaign::new(&sim).run(&episodes, Fib::default).sink
@@ -621,12 +621,7 @@ mod tests {
             }
             for ctx in &contexts {
                 let episodes = reverse_path_episodes(&ctx.world, &ctx.atlas);
-                let everywhere = episodes.iter().map(|ep| ep.prefix).collect();
-                let sim = ctx
-                    .world
-                    .simulation()
-                    .retain(RetainRoutes::Prefixes(everywhere))
-                    .compile();
+                let sim = ctx.world.simulation().retain(RetainRoutes::All).compile();
                 let full_vp_fib = Campaign::new(&sim).run(&episodes, Fib::default).sink;
 
                 let (prefix, session) = (ctx.snapshot().prefix(), ctx.session());

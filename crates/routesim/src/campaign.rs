@@ -720,6 +720,7 @@ mod tests {
     use crate::Origination;
     use bgpworms_topology::{PrefixAllocation, TopologyParams};
     use bgpworms_types::{Asn, Community};
+    use std::collections::BTreeSet;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     /// Order-sensitive sink: records the exact fold/merge call sequence, so
@@ -1039,7 +1040,10 @@ mod tests {
         let (topo, eps) = world();
         let keep = eps[0].prefix;
         let sim = SimSpec::new(&topo)
-            .retain(RetainRoutes::Prefixes([keep].into_iter().collect()))
+            .retain(RetainRoutes::Prefixes {
+                prefixes: BTreeSet::from([keep]),
+                readers: BTreeSet::new(),
+            })
             .compile();
         let run = Campaign::new(&sim).run(&eps, Trace::default);
         let reference = sim.run(&eps);

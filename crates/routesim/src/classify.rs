@@ -29,9 +29,8 @@
 //!   origin (`forged_origin` if set, else the origin), computed only when
 //!   some config actually validates — `is_registered` is the only other
 //!   place the engine reads the prefix value;
-//! * the **retention bit** (membership in the `RetainRoutes::Prefixes` or
-//!   `RetainRoutes::Forwarding` set decides whether `final_routes` is
-//!   populated);
+//! * the **retention bit** (membership in the `RetainRoutes::Prefixes`
+//!   set decides whether `final_routes` is populated);
 //! * a **singleton escape**: any prefix named by a `targeted_egress` rule
 //!   is its own class, because that rule matches the exact prefix on
 //!   export.

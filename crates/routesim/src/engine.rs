@@ -72,37 +72,24 @@
 //! (`unread_leaves`, which carries the argument). The drain loop pops a
 //! delivery to such a node, counts it in `events` against the budget like
 //! any other, and — unless the node originates in this schedule, or in the
-//! baseline a delta continues — treats it by who reads the flood:
+//! baseline a delta continues — treats it in one of two ways:
 //!
-//! * **drop** (a campaign flood of an unretained prefix): no stamp, no
-//!   admission, no derivation probe, no dirty mark, hence no best scan and
-//!   no adjacency walk;
-//! * **park and resolve** (a campaign flood of a prefix retained at every
-//!   AS): the raw route goes into the leaf's slot with no admission and no
-//!   dirty mark, so the leaf runs no export pass; before the retention
-//!   sweep the leaf imports each occupied slot once — what that slot
-//!   received last, which is all an import of every delivery would have
-//!   left there;
-//! * **drop, under forwarding retention** (a campaign flood of a prefix
-//!   retained by [`RetainRoutes::Forwarding`]): as for an unretained
-//!   prefix, so the leaf holds no route at the end. A packet stands at a
-//!   leaf only where it starts or where it is delivered, so only the
-//!   originators and the listed endpoints — which `compile` does not mark
-//!   unread — need one, and the retention sweep skips the other leaves;
-//! * **drop, in a delta** (a delta on a snapshot's clone, of a prefix
-//!   unretained or retained for forwarding): the clone is thrown away after
-//!   the flood, so the delta drops what a campaign flood of the same
-//!   session would, and the leaf keeps what the baseline left it, which
-//!   nothing reads;
+//! * **drop** (a campaign flood or a delta, in a session that does not
+//!   retain [`RetainRoutes::All`]): no stamp, no admission, no derivation
+//!   probe, no dirty mark, hence no best scan and no adjacency walk. A
+//!   delta's clone is thrown away after the flood, so the leaf keeps what
+//!   the baseline left it, which nothing reads. A prefix retained by
+//!   [`RetainRoutes::Prefixes`] keeps no route at such a leaf: its listed
+//!   `readers` are not marked unread, and the retention sweep skips the
+//!   other leaves;
 //! * **in full** ([`CompiledSim::run_snapshot`]'s flood, whose state
-//!   outlives it, and a delta of a prefix retained at every AS, whose
-//!   slots hold imported routes that no parked delivery may sit beside).
+//!   outlives it, and every flood of a [`RetainRoutes::All`] session,
+//!   which keeps a route at every AS).
 //!
 //! On the generated internets that is ≈ 87 % of the ASes and ≈ 85 % of the
-//! deliveries. `run_snapshot(..).0` is the un-parked, un-elided oracle
+//! deliveries. `run_snapshot(..).0` is the un-elided oracle
 //! `tests/determinism.rs` holds campaign floods to; a snapshot and a delta
-//! under forwarding retention finish the key set of the forwarding
-//! campaign of their schedule.
+//! finish the key set of the campaign of their schedule.
 //!
 //! # Collector sweep: only sessions whose peer's best route moved
 //!
@@ -220,28 +207,26 @@ pub enum RetainRoutes {
     /// Keep nothing (cheapest; collector output only).
     #[default]
     None,
-    /// Keep final best routes for the listed prefixes, at every AS.
-    Prefixes(BTreeSet<Prefix>),
-    /// Keep the routes a packet can meet: final best routes for the listed
-    /// prefixes at every AS except the unread leaves (see
-    /// [`CompiledSim::unread_nodes`]) that neither originate the prefix nor
-    /// are listed as `endpoints`. A campaign flood of such a prefix drops a
-    /// delivery to one of those leaves, as an unretained flood does, instead
-    /// of parking it, and so does a delta; a snapshot's flood still runs in
-    /// full. All three keep that key set.
+    /// Keep final best routes for the listed prefixes at every AS except
+    /// the unread leaves (see [`CompiledSim::unread_nodes`]) that neither
+    /// originate the prefix nor are listed as `readers`. A campaign flood
+    /// or a delta drops a delivery to one of those leaves, as for an
+    /// unretained prefix; a snapshot's flood still runs in full. All three
+    /// keep that key set.
     ///
     /// Sound for forwarding, where a packet stands at a leaf only where it
     /// starts or where it is delivered: a next hop is an AS that exported
-    /// the route, and a leaf exports only its own. So the `endpoints` are
-    /// every AS a packet may start at — for a ping's reverse path, every AS
-    /// that can deliver the probe.
-    Forwarding {
+    /// the route, and a leaf exports only its own. So the `readers` are
+    /// every AS whose route is looked up — for a ping's reverse path, every
+    /// AS that can deliver the probe.
+    Prefixes {
         /// The prefixes retained.
         prefixes: BTreeSet<Prefix>,
         /// The leaves that keep their routes anyway.
-        endpoints: BTreeSet<Asn>,
+        readers: BTreeSet<Asn>,
     },
-    /// Keep everything (small topologies / attack scenarios only).
+    /// Keep every prefix's final best route at every AS, flooding in full
+    /// (small topologies / attack scenarios only).
     All,
 }
 
@@ -409,8 +394,8 @@ impl<'a> SimSpec<'a> {
             session_offsets[i + 1] += session_offsets[i];
         }
         let mut unread = unread_leaves(self.topo, &is_rs, &session_offsets);
-        if let RetainRoutes::Forwarding { endpoints, .. } = &self.retain {
-            for id in endpoints.iter().filter_map(|&asn| self.topo.node_id(asn)) {
+        if let RetainRoutes::Prefixes { readers, .. } = &self.retain {
+            for id in readers.iter().filter_map(|&asn| self.topo.node_id(asn)) {
                 unread[id.index()] = false;
             }
         }
@@ -460,28 +445,21 @@ impl<'a> SimSpec<'a> {
 /// One rule follows, applied by one guard in `continue_prefix`, at the pop
 /// that counts the delivery, to a leaf that does not originate in the
 /// schedule — nor, in a delta, in the baseline it continues, whose
-/// originators the snapshot lists. A campaign flood of an unretained prefix
-/// has none of the readers, and drops the delivery. A campaign flood of a
-/// retained prefix has only the retention sweep, which reads the leaf's RIB
-/// once, at the end; so the flood parks the delivery (`NodeState::park`)
-/// and the leaf resolves each slot's last delivery once before the sweep
-/// (`NodeState::resolve_parked`). A snapshot's flood has a snapshot, and
-/// runs in full. A delta on a snapshot's clone is thrown away after its
-/// flood, and drops what a campaign flood of its session drops; but its
-/// slots hold the baseline's imported routes, not raw deliveries, so where
-/// a campaign flood would park it runs in full. Nothing the run returns
-/// depends on the difference.
+/// originators the snapshot lists. Only a [`RetainRoutes::All`] session
+/// asks the retention sweep for every AS's route, and only a snapshot
+/// outlives its flood: those floods run in full. Every other flood — a
+/// campaign's, or a delta on a snapshot's clone, which is thrown away after
+/// it — drops the delivery. Nothing the run returns depends on the
+/// difference.
 ///
-/// [`RetainRoutes::Forwarding`] narrows what the sweep is asked for, not
-/// who can read: it keeps the routes a packet can meet. A packet stands at
-/// a leaf only where it starts or where it is delivered — a forwarding next
-/// hop is the AS a route was learned from, which exported it, and a leaf
-/// exports only its own `local` route — so a leaf that neither originates
-/// the prefix nor is a listed endpoint has nothing a trace can look up:
-/// the flood drops its deliveries as if the prefix were unretained, and
-/// the sweep skips it wherever a snapshot's flood did reach it.
-/// `SimSpec::compile` clears this mark for every endpoint, which the flood
-/// then simulates in full.
+/// [`RetainRoutes::Prefixes`] keeps the routes a packet can meet. A packet
+/// stands at a leaf only where it starts or where it is delivered — a
+/// forwarding next hop is the AS a route was learned from, which exported
+/// it, and a leaf exports only its own `local` route — so a leaf that
+/// neither originates the prefix nor is a listed reader has nothing a trace
+/// can look up: the sweep skips it wherever a snapshot's flood did reach
+/// it. `SimSpec::compile` clears this mark for every reader, which the
+/// flood then simulates in full.
 fn unread_leaves(topo: &Topology, is_rs: &[bool], session_offsets: &[u32]) -> Vec<bool> {
     topo.node_ids()
         .map(|id| {
@@ -559,11 +537,10 @@ impl<'a> CompiledSim<'a> {
     }
 
     /// How many nodes are unread leaves — no customer, no collector session,
-    /// not a route server, not a [`RetainRoutes::Forwarding`] endpoint. A
-    /// campaign flood counts deliveries to them and drops them, or parks
-    /// them when the prefix is retained at every AS; a delta drops them
-    /// where a campaign flood would, and otherwise simulates them, as a
-    /// snapshot's flood does.
+    /// not a route server, not a [`RetainRoutes::Prefixes`] reader. A
+    /// campaign flood or a delta counts deliveries to them and drops them,
+    /// unless the session retains [`RetainRoutes::All`]; a snapshot's flood
+    /// simulates them.
     pub fn unread_nodes(&self) -> usize {
         self.unread.iter().filter(|&&unread| unread).count()
     }
@@ -675,7 +652,7 @@ impl<'a> CompiledSim<'a> {
             &episodes,
             &mut outcome,
             self.event_budget,
-            ScratchReader::Delta,
+            ScratchReader::Nobody,
         );
         outcome
     }
@@ -820,7 +797,6 @@ struct Routers<'s> {
     is_rs: &'s [bool],
     node_epoch: &'s mut [u32],
     touched: &'s mut Vec<u32>,
-    parked: &'s mut Vec<u32>,
     rib_in: &'s mut [Option<RibEntry>],
     exported: &'s mut [Option<RouteId>],
     local: &'s mut [Option<RouteId>],
@@ -849,17 +825,6 @@ impl Routers<'_> {
     /// skip it without paying the touch's slot-range clear.
     fn is_live(&self, i: usize) -> bool {
         self.node_epoch[i] == self.epoch
-    }
-
-    /// Parks a delivery to unread leaf `i` (see [`NodeState::park`]),
-    /// listing the leaf for resolution the first time the prefix reaches
-    /// it.
-    fn park(&mut self, i: usize, ev: &Event) {
-        if !self.is_live(i) {
-            self.parked.push(i as u32);
-        }
-        self.node(i)
-            .park(ev.to_slot as usize, ev.sender_role, ev.route);
     }
 
     /// The router view for node `i` (touching it first).
@@ -893,17 +858,11 @@ fn role_ix(role: Role) -> usize {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ScratchReader {
     /// Nobody: the next prefix recycles the scratch (a campaign's floods),
-    /// which drops or parks. A retained one runs once per `begin_prefix`:
-    /// its end resolves every leaf it parked, and a second run would admit
-    /// those slots again.
+    /// or it is a snapshot's clone, thrown away after a delta.
     Nobody,
     /// A [`SimSnapshot`]: the scratch is kept as one after the flood, which
     /// runs in full.
     Snapshot,
-    /// Nobody, but the scratch is a snapshot's clone (a delta): it drops
-    /// where a campaign flood would, and runs in full where that one would
-    /// park, since its slots hold imported routes, not raw deliveries.
-    Delta,
 }
 
 impl CompiledSim<'_> {
@@ -970,20 +929,13 @@ impl CompiledSim<'_> {
         budget: u64,
         reader: ScratchReader,
     ) {
-        // Out of a snapshot's flood, only the retention sweep can read an
-        // unread leaf that originates neither in this schedule nor in the
-        // baseline a delta continues (`originators`): a delivery to one is
-        // dropped, or parked when the prefix is retained at every AS —
-        // which a delta cannot do, so it runs in full (see
-        // `unread_leaves`). A snapshot's flood runs every delivery.
+        // Out of a snapshot's flood, only an `All` session's retention
+        // sweep reads an unread leaf that originates neither in this
+        // schedule nor in the baseline a delta continues (`originators`):
+        // every other flood drops a delivery to one (see `unread_leaves`).
         let retain = self.should_retain(&prefix);
-        let forwarding = matches!(self.retain, RetainRoutes::Forwarding { .. });
-        let park = retain && !forwarding;
-        let elide = match reader {
-            ScratchReader::Nobody => true,
-            ScratchReader::Delta => !park,
-            ScratchReader::Snapshot => false,
-        };
+        let all = matches!(self.retain, RetainRoutes::All);
+        let elide = reader != ScratchReader::Snapshot && !all;
         let origins = episodes
             .iter()
             .filter_map(|ep| self.topo.node_id(ep.origin));
@@ -1003,7 +955,6 @@ impl CompiledSim<'_> {
             epoch,
             node_epoch,
             touched,
-            parked,
             originators,
             rib_in,
             exported,
@@ -1023,7 +974,6 @@ impl CompiledSim<'_> {
             is_rs: &self.is_rs,
             node_epoch,
             touched,
-            parked,
             rib_in,
             exported,
             local,
@@ -1063,12 +1013,7 @@ impl CompiledSim<'_> {
                     }
                     let to = ev.to.index();
                     if elide && self.unread[to] && !originators.contains(&(to as u32)) {
-                        // Delivered and counted. Only the retention sweep
-                        // reads it, and only the slot's last delivery.
-                        if park {
-                            routers.park(to, &ev);
-                        }
-                        continue;
+                        continue; // delivered and counted; nobody reads it
                     }
                     routers.node(to).import(
                         &self.configs[to],
@@ -1163,28 +1108,16 @@ impl CompiledSim<'_> {
         }
 
         if retain {
-            // A parked leaf imports what each of its slots received last,
-            // once, before anything reads its RIB.
-            for k in 0..routers.parked.len() {
-                let i = routers.parked[k] as usize;
-                let adjacency = self.topo.neighbors_ix(NodeId::from_index(i));
-                routers.node(i).resolve_parked(
-                    &self.configs[i],
-                    |slot| self.asns[adjacency[slot].0.index()],
-                    arena,
-                    vctx,
-                );
-            }
             // Only nodes the flood touched can hold a route, so the sweep
             // iterates the touched list instead of all ~N nodes, and it
             // collects ids: `FinalRoutes` clones each distinct best once.
-            // Under forwarding retention it skips the leaves a campaign
-            // flood would have dropped every delivery to: a snapshot's flood
+            // Out of an `All` session it skips the leaves a campaign flood
+            // would have dropped every delivery to: a snapshot's flood
             // reached them, and a delta left them as the baseline had.
             let mut bests = Vec::with_capacity(routers.touched.len());
             for k in 0..routers.touched.len() {
                 let i = routers.touched[k] as usize;
-                if forwarding && self.unread[i] && !originators.contains(&(i as u32)) {
+                if !all && self.unread[i] && !originators.contains(&(i as u32)) {
                     continue;
                 }
                 if let Some((id, _)) = routers.node(i).best_entry(arena) {
@@ -1198,9 +1131,7 @@ impl CompiledSim<'_> {
     fn should_retain(&self, prefix: &Prefix) -> bool {
         match &self.retain {
             RetainRoutes::None => false,
-            RetainRoutes::Prefixes(set) | RetainRoutes::Forwarding { prefixes: set, .. } => {
-                set.contains(prefix)
-            }
+            RetainRoutes::Prefixes { prefixes, .. } => prefixes.contains(prefix),
             RetainRoutes::All => true,
         }
     }
@@ -1357,7 +1288,7 @@ pub struct PrefixOutcome {
     pub final_routes: Option<FinalRoutes>,
     /// Update events delivered for this prefix: every message popped off
     /// the in-flight queue, counted at the pop whether the receiver imported
-    /// it, or is an unread leaf the flood dropped or parked (see
+    /// it, or is an unread leaf the flood dropped (see
     /// [`CompiledSim::unread_nodes`]) — so it is the count of the flood that
     /// simulates every delivery, and the budget cuts where that one would.
     pub events: u64,
@@ -2216,10 +2147,7 @@ mod tests {
         // A hub with 40 stub customers, one of which announces: the origin,
         // the hub and the 39 other stubs hold three distinct routes between
         // them, so keeping the routes costs three handle clones on top of
-        // the flood's own — not one per AS — and no attribute copy. The
-        // retained flood parks the 39 unread stubs and resolves each once,
-        // through the one derivation the full flood's imports share: a
-        // second admission of a resolved slot would cost a clone more.
+        // the flood's own — not one per AS — and no attribute copy.
         const STUBS: u32 = 40;
         let mut topo = Topology::new();
         topo.add_simple(Asn::new(1), Tier::Tier1);
@@ -2238,10 +2166,11 @@ mod tests {
                 })
                 .compile()
         };
-        // One flood on a fresh scratch, and what it cloned. The baseline is
-        // the unretained session flooded in full (`ScratchReader::Snapshot`):
-        // left to itself that session would not simulate the 39 stubs nobody
-        // reads, and "the flood's own clones" would come out short.
+        // One flood on a fresh scratch, and what it cloned. An `All` flood
+        // simulates the 39 stubs nobody else reads, so the flood it is
+        // measured against is the unretained session's flooded in full
+        // (`ScratchReader::Snapshot`), which clones the same except the
+        // retention sweep's.
         let prefix = p("10.0.0.0/16");
         let eps = [Origination::announce(Asn::new(2), prefix, vec![])];
         let flood = |sim: &CompiledSim<'_>, reader| {
@@ -2440,8 +2369,8 @@ mod tests {
         // reaches it — which only a flood that imported at 6 from the first
         // event knows. Wherever the budget cuts it, the flood that drops
         // deliveries to unread leaves returns what the full one returns;
-        // retained, the flood that parks them at stub 5 and resolves them
-        // at the end returns what its snapshot twin returns, routes and all.
+        // retained at every AS, the flood runs in full, reaches stub 5 and
+        // returns what its snapshot twin returns, routes and all.
         let (topo, obedient) = two_transits();
         let spec = SimSpec::new(&topo)
             .configure(obedient)
@@ -2476,9 +2405,9 @@ mod tests {
                 converged: true,
             };
             sim.continue_prefix(&mut scratch, prefix, &refs, &mut outcome, budget, reader);
-            (outcome, scratch.touched.len(), scratch.parked.len())
+            (outcome, scratch.touched.len())
         };
-        let (whole, touched, _) = flood(&sim, u64::MAX, ScratchReader::Snapshot);
+        let (whole, touched) = flood(&sim, u64::MAX, ScratchReader::Snapshot);
         assert!(whole.converged);
         assert_eq!(touched, topo.len(), "the full flood reaches every AS");
         assert_eq!(
@@ -2486,36 +2415,32 @@ mod tests {
             topo.len() - 1,
             "only stub 5 is unread and never originates"
         );
-        let (parked, touched, leaves) = flood(&kept, u64::MAX, ScratchReader::Nobody);
-        assert_eq!((touched, leaves), (topo.len(), 1), "stub 5 is parked");
-        let at5 = parked
-            .final_routes
-            .as_ref()
-            .and_then(|f| f.get(&Asn::new(5)));
-        assert!(at5.is_some(), "and resolves to what 2 exported last");
+        let (all, touched) = flood(&kept, u64::MAX, ScratchReader::Nobody);
+        assert_eq!(touched, topo.len(), "an `All` flood reaches every AS");
+        let at5 = all.final_routes.as_ref().and_then(|f| f.get(&Asn::new(5)));
+        assert!(at5.is_some(), "stub 5 keeps what 2 exported last");
         for budget in 0..=whole.events {
-            let (full, ..) = flood(&sim, budget, ScratchReader::Snapshot);
-            let (elided, ..) = flood(&sim, budget, ScratchReader::Nobody);
+            let (full, _) = flood(&sim, budget, ScratchReader::Snapshot);
+            let (elided, _) = flood(&sim, budget, ScratchReader::Nobody);
             assert_eq!(elided, full, "budget {budget}");
             assert_eq!(full.converged, budget == whole.events, "budget {budget}");
-            let (twin, ..) = flood(&kept, budget, ScratchReader::Snapshot);
-            let (parked, ..) = flood(&kept, budget, ScratchReader::Nobody);
-            assert_eq!(parked, twin, "retained, budget {budget}");
+            let twin = flood(&kept, budget, ScratchReader::Snapshot);
+            let all = flood(&kept, budget, ScratchReader::Nobody);
+            assert_eq!(all, twin, "retained, budget {budget}");
         }
     }
 
     #[test]
     fn a_forwarding_delta_drops_what_its_campaign_drops_and_nothing_else() {
-        // `two_transits`, where a collector hears 7. Under forwarding
-        // retention with endpoint 7, the baseline announces at 4, then at
+        // `two_transits`, where a collector hears 7. Under `Prefixes`
+        // retention with reader 7, the baseline announces at 4, then at
         // stub 6, which prefers what its provider says (so its own
         // announcement stays home); the delta re-announces at 4 with a tag.
         // A delta on the snapshot's clone drops what reaches stub 5 (unread,
-        // no origin, no endpoint): 5's slots stay as the baseline left them,
-        // neither imported nor parked over, and the sweep skips 5. Stub 6
+        // no origin, no reader): 5's slots stay as the baseline left them,
+        // and the sweep skips 5. Stub 6
         // originates in the baseline only, and imports the tagged route all
-        // the same; the outcome is the forwarding campaign's of the whole
-        // schedule.
+        // the same; the outcome is the campaign's of the whole schedule.
         let (topo, obedient) = two_transits();
         let prefix = p("10.0.0.0/16");
         let sim = SimSpec::new(&topo)
@@ -2526,9 +2451,9 @@ mod tests {
                 collector_id: 1,
                 peers: vec![(Asn::new(7), FeedKind::Full)],
             })
-            .retain(RetainRoutes::Forwarding {
+            .retain(RetainRoutes::Prefixes {
                 prefixes: BTreeSet::from([prefix]),
-                endpoints: BTreeSet::from([Asn::new(7)]),
+                readers: BTreeSet::from([Asn::new(7)]),
             })
             .compile();
         let baseline = [
@@ -2556,7 +2481,7 @@ mod tests {
             &[&delta],
             &mut outcome,
             sim.event_budget,
-            ScratchReader::Delta,
+            ScratchReader::Nobody,
         );
         assert_eq!(
             slots(&scratch, 5),

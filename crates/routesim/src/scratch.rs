@@ -173,10 +173,6 @@ pub(crate) struct SimScratch {
     /// Nodes stamped by the current prefix, in first-touch order — the
     /// engine's final-routes sweep iterates these instead of all nodes.
     pub(crate) touched: Vec<u32>,
-    /// The unread leaves whose deliveries the current prefix parked, in
-    /// first-park order; resolved before the final-routes sweep. Only a
-    /// retained campaign flood parks, so a snapshot's is empty.
-    pub(crate) parked: Vec<u32>,
     /// The nodes that originate in the schedule this scratch converged,
     /// once each, in order of first episode: a snapshot's are the
     /// baseline's, which a delta on its clone extends with its own. No
@@ -216,7 +212,6 @@ impl SimScratch {
             epoch: 0,
             node_epoch: vec![0; n_nodes],
             touched: Vec::new(),
-            parked: Vec::new(),
             originators: Vec::new(),
             rib_in: vec![None; n_slots],
             exported: vec![None; n_slots],
@@ -242,7 +237,6 @@ impl SimScratch {
         }
         self.epoch += 1;
         self.touched.clear();
-        self.parked.clear();
         self.originators.clear();
         self.arena.reset();
         self.queue.clear();
@@ -256,9 +250,9 @@ impl SimScratch {
 /// moved out of `CompiledSim::run_snapshot` as it stood at convergence,
 /// and continued by `CompiledSim::run_delta` on a `clone()` of it.
 ///
-/// At convergence the queue, dirty set, parked list and pass record are
-/// empty, so the scratch is nothing but the converged state: the touched
-/// list in first-touch order, the baseline's originators, the slot arrays,
+/// At convergence the queue, dirty set and pass record are empty, so the
+/// scratch is nothing but the converged state: the touched list in
+/// first-touch order, the baseline's originators, the slot arrays,
 /// the per-node scalars, the collector dedup state and the [`RouteArena`],
 /// whose clone keeps its hash index and derivation cache — so a delta
 /// interns future routes under exactly the ids the uninterrupted run would

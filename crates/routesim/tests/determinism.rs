@@ -40,29 +40,27 @@
 //!   — on arbitrary worlds, for withdrawals and
 //!   community-changing perturbations alike. Snapshots are a replay
 //!   shortcut, never a semantic one.
-//! * **Elision and parking transparency** — a campaign flood counts
-//!   deliveries to *unread leaves* (no customer, no collector session, not
-//!   a route server): it drops them when the prefix is unretained, and
-//!   parks them when it is retained, each parked leaf importing what each
-//!   of its slots received last, once, before the retention sweep.
-//!   `run_snapshot`'s flood simulates every delivery and is the
-//!   oracle: on worlds built to contain every shape a leaf can hide behind,
-//!   the unretained session must report its observations, events and
-//!   convergence, and the retained campaign, memoized or not, its final
-//!   routes as well.
-//! * **Forwarding retention keeps what a packet can meet** — a campaign
-//!   under `RetainRoutes::Forwarding` drops, instead of parking, the
-//!   deliveries to unread leaves that neither originate nor are endpoints:
-//!   its outcome is the fully retained campaign's with the final routes
-//!   restricted to every other AS, key set and all.
-//! * **A forwarding snapshot and delta keep what its campaign keeps** — a
-//!   delta on a snapshot's clone under `RetainRoutes::Forwarding` drops the
+//! * **Elision transparency** — a campaign flood counts deliveries to
+//!   *unread leaves* (no customer, no collector session, not a route
+//!   server): it drops them unless the session is `RetainRoutes::All`,
+//!   which floods in full. `run_snapshot`'s flood simulates every delivery
+//!   and is the oracle: on worlds built to contain every shape a leaf can
+//!   hide behind, the unretained session must report its observations,
+//!   events and convergence, and the `All` campaign, memoized or not, at
+//!   `threads = 1/N`, its final routes as well.
+//! * **`Prefixes` retention keeps what a packet can meet** — a campaign
+//!   under `RetainRoutes::Prefixes` drops the deliveries to unread leaves
+//!   that neither originate nor are readers: its outcome is the `All`
+//!   campaign's with the final routes restricted to every other AS, key
+//!   set and all.
+//! * **A snapshot and delta keep what their campaign keeps** — a delta on
+//!   a snapshot's clone under `RetainRoutes::Prefixes` drops the
 //!   deliveries a campaign flood drops, exempting the baseline's
 //!   originators as well as its own, and the retention sweep of the
 //!   snapshot and of the delta skips the leaves the campaign never
-//!   reached: `run_snapshot` + `run_delta_prefix` is the forwarding
-//!   campaign of baseline ++ delta, and the fully retained one restricted
-//!   to the same key set.
+//!   reached: `run_snapshot` + `run_delta_prefix` is the `Prefixes`
+//!   campaign of baseline ++ delta, and the `All` one restricted to the
+//!   same key set.
 //! * **Collector sessions are passive taps** — compiling a world without
 //!   its collectors changes what is observed and which stubs are unread,
 //!   never the routes, the event count or convergence, through `run` and
@@ -1403,7 +1401,7 @@ proptest! {
 
     /// Elided ≡ full. An unretained campaign flood counts deliveries to
     /// unread leaves (no customer, no collector session, not a route server)
-    /// and drops them; a retained one parks them (see the next property);
+    /// and drops them; an `All` one floods in full (see the next property);
     /// `run_snapshot`'s flood simulates every delivery. On worlds
     /// forced to hold the shapes that could tell them apart (see
     /// `with_unread_shapes`), the `RetainRoutes::None` session must report
@@ -1442,16 +1440,14 @@ proptest! {
         }
     }
 
-    /// Parked ≡ full. A retained campaign flood parks a delivery to an
-    /// unread leaf that does not originate: the raw route goes into the
-    /// leaf's slot, with no admission and no dirty mark, so the leaf runs no
-    /// export pass. Before the retention sweep each parked leaf imports what
-    /// each of its slots received last, once. `run_snapshot(..).0` floods
-    /// every delivery and is the un-parked oracle: on worlds forced to hold
-    /// every shape a leaf can hide behind (`with_unread_shapes`), a retained
-    /// campaign, memoized and not, at `threads = 1/N`, must fold for each
-    /// prefix the final routes, observations, events and convergence that
-    /// `run_snapshot` of the prefix's own episodes returns.
+    /// Campaign ≡ snapshot. A `RetainRoutes::All` campaign flood simulates
+    /// every delivery, as `run_snapshot(..).0` does, but on a recycled
+    /// scratch, through the class memo and on a worker pool: on worlds
+    /// forced to hold every shape a leaf can hide behind
+    /// (`with_unread_shapes`), an `All` campaign, memoized and not, at
+    /// `threads = 1/N`, must fold for each prefix the final routes,
+    /// observations, events and convergence that `run_snapshot` of the
+    /// prefix's own episodes returns.
     #[test]
     fn retained_campaign_floods_equal_their_snapshot_twins(
         raw in arb_world(),
@@ -1489,14 +1485,14 @@ proptest! {
         }
     }
 
-    /// Forwarding retention keeps the routes a packet can meet. A campaign
-    /// over a `RetainRoutes::Forwarding` session drops every delivery to an
+    /// `Prefixes` retention keeps the routes a packet can meet. A campaign
+    /// over a `RetainRoutes::Prefixes` session drops every delivery to an
     /// unread leaf that neither originates the prefix nor is a listed
-    /// endpoint, where a fully retained campaign parks it. On worlds forced
+    /// reader, where an `All` campaign floods it in full. On worlds forced
     /// to hold every shape a leaf can hide behind (`with_unread_shapes`),
-    /// with random endpoints, each prefix's outcome must be the
+    /// with random readers, each prefix's outcome must be the
     /// `RetainRoutes::All` campaign's with its final routes restricted to
-    /// the ASes that are not unread leaves, the endpoints and the prefix's
+    /// the ASes that are not unread leaves, the readers and the prefix's
     /// originators — that key set exactly, no leaf more — and identical
     /// events, observations and convergence, memoized and not, at
     /// `threads = 1/N`. Leaf-ness is read off the topology and the
@@ -1514,14 +1510,14 @@ proptest! {
             .collect();
         let spec = spec_for(&topo, configs, collectors);
         let asns: Vec<Asn> = topo.ases().map(|node| node.asn).collect();
-        let endpoints: BTreeSet<Asn> = picks.iter().map(|&k| asns[k % asns.len()]).collect();
+        let readers: BTreeSet<Asn> = picks.iter().map(|&k| asns[k % asns.len()]).collect();
         let mut origins: BTreeMap<Prefix, BTreeSet<Asn>> = BTreeMap::new();
         for o in &originations {
             origins.entry(o.prefix).or_default().insert(o.origin);
         }
-        let forwarding = RetainRoutes::Forwarding {
+        let forwarding = RetainRoutes::Prefixes {
             prefixes: origins.keys().copied().collect(),
-            endpoints: endpoints.clone(),
+            readers: readers.clone(),
         };
         let leaf = |asn: &Asn| {
             topo.node(*asn).is_some_and(|node| node.tier != Tier::RouteServer)
@@ -1547,7 +1543,7 @@ proptest! {
                     let met = finals
                         .iter()
                         .filter(|(asn, _)| {
-                            !leaf(asn) || endpoints.contains(asn) || origins[prefix].contains(asn)
+                            !leaf(asn) || readers.contains(asn) || origins[prefix].contains(asn)
                         })
                         .map(|(asn, route)| (*asn, route.clone()))
                         .collect();
@@ -1564,24 +1560,24 @@ proptest! {
         }
     }
 
-    /// A snapshot and a delta keep what a forwarding campaign keeps. Under
-    /// `RetainRoutes::Forwarding` a delta on a snapshot's clone drops every
+    /// A snapshot and a delta keep what their campaign keeps. Under
+    /// `RetainRoutes::Prefixes` a delta on a snapshot's clone drops every
     /// delivery to an unread leaf that originates neither in the delta nor
-    /// in the baseline and is not an endpoint, and the retention sweep of
+    /// in the baseline and is not a reader, and the retention sweep of
     /// the snapshot's flood and of the delta skips those leaves. On worlds
     /// forced to hold every shape a leaf can hide behind
-    /// (`with_unread_shapes`), with random endpoints other than its two
+    /// (`with_unread_shapes`), with random readers other than its two
     /// originating leaves, the first prefix's baseline takes three deltas:
     /// one re-originates at the MOAS leaf, which announced and withdrew in
     /// the baseline; one withdraws a baseline origin; and one adds a second
     /// origin beside that leaf left standing as the baseline's last
     /// originator. `run_snapshot` and then `run_delta_prefix` must give the
-    /// forwarding campaign of the same schedule, and the `RetainRoutes::All`
+    /// `Prefixes` campaign of the same schedule, and the `RetainRoutes::All`
     /// campaign with its final routes restricted to the ASes that are not
-    /// unread leaves, the endpoints and the schedule's originators — key set
+    /// unread leaves, the readers and the schedule's originators — key set
     /// and all — with identical events, observations and convergence; and
-    /// a fully retained session must continue the same snapshot to the
-    /// fully retained campaign, unrestricted. Leaf-ness is read off the
+    /// an `All` session must continue the same snapshot to the `All`
+    /// campaign, unrestricted. Leaf-ness is read off the
     /// topology and the collector sessions here, not asked of the engine.
     #[test]
     fn forwarding_snapshots_and_deltas_keep_what_a_forwarding_campaign_keeps(
@@ -1597,15 +1593,15 @@ proptest! {
         let spec = spec_for(&topo, configs, collectors);
         let (moas, forger) = (Asn::new(103), Asn::new(104));
         let asns: Vec<Asn> = topo.ases().map(|node| node.asn).collect();
-        let endpoints: BTreeSet<Asn> = picks
+        let readers: BTreeSet<Asn> = picks
             .iter()
             .map(|&k| asns[k % asns.len()])
             .filter(|asn| ![moas, forger].contains(asn))
             .collect();
         let target = originations[0].prefix;
-        let forwarding = RetainRoutes::Forwarding {
+        let forwarding = RetainRoutes::Prefixes {
             prefixes: BTreeSet::from([target]),
-            endpoints: endpoints.clone(),
+            readers: readers.clone(),
         };
         let leaf = |asn: &Asn| {
             topo.node(*asn).is_some_and(|node| node.tier != Tier::RouteServer)
@@ -1636,7 +1632,7 @@ proptest! {
             let mut combined = baseline.clone();
             combined.push(delta.clone());
             let (base, snap) = sim.run_snapshot(baseline, target);
-            prop_assert_eq!(&base, &sim.run(baseline), "snapshot ≢ forwarding campaign");
+            prop_assert_eq!(&base, &sim.run(baseline), "snapshot ≢ its campaign");
             let got = sim.run_delta_prefix(&snap, std::slice::from_ref(&delta));
             let campaign = Campaign::new(&sim).run(&combined, KeyedSink::default);
             prop_assert_eq!(&got, &campaign.sink.0[&target], "delta {:?}", delta);
@@ -1648,7 +1644,7 @@ proptest! {
             let met = finals
                 .iter()
                 .filter(|(asn, _)| {
-                    !leaf(asn) || endpoints.contains(asn) || originators.contains(asn)
+                    !leaf(asn) || readers.contains(asn) || originators.contains(asn)
                 })
                 .map(|(asn, route)| (*asn, route.clone()))
                 .collect();
@@ -1657,8 +1653,7 @@ proptest! {
                 ..reference.clone()
             };
             prop_assert_eq!(&got, &expected, "delta {:?}", delta);
-            // A fully retained session continues the same snapshot in full:
-            // its slots hold imported routes, which no delta may park over.
+            // An `All` session continues the same snapshot in full.
             let whole = full.run_delta_prefix(&snap, std::slice::from_ref(&delta));
             prop_assert_eq!(&whole, reference, "retained delta {:?}", delta);
         }
@@ -2017,8 +2012,8 @@ proptest! {
     /// route that an AS R learned from a defended, ordinary AS N is R's own,
     /// well-known, or one N adds itself (its ingress tags, as its own route
     /// records them, and its egress tags). Collector sessions are exempt
-    /// and not read. The retained run parks deliveries to unread leaves, so
-    /// this also checks what a parked leaf resolves to.
+    /// and not read. The run retains `RetainRoutes::All`, so it reads the
+    /// routes of the unread leaves too.
     #[test]
     fn a_scoped_to_receiver_as_forwards_each_receiver_only_its_own_communities(
         raw in arb_world(),
@@ -2433,11 +2428,13 @@ proptest! {
 /// What `arb_world()` does not draw and the action-community oracle reads,
 /// per AS (indexed like the nodes): an RTBH offer as (scope `Any`, floor
 /// 8/16/24, `set_no_export`, raise to 150/200/300), and the steering
-/// services as their scope (`Any` or not) — each present or not.
+/// services as their scope (`Any` or not) — each present or not — and
+/// whether the AS runs the `ScopedToReceiver` defense.
 #[derive(Debug, Clone)]
 struct RawServices {
     blackhole: Option<(bool, u8, bool, u8)>,
     steering: Option<bool>,
+    scoped: bool,
 }
 
 /// The action-community values a drawn episode may address to a drawn AS:
@@ -2464,10 +2461,12 @@ fn arb_serviced_world() -> impl Strategy<Value = (RawWorld, Vec<RawServices>, Ve
     let services = (
         proptest::option::of((any::<bool>(), 0u8..3, any::<bool>(), 0u8..3)),
         proptest::option::of(any::<bool>()),
+        any::<bool>(),
     )
-        .prop_map(|(blackhole, steering)| RawServices {
+        .prop_map(|(blackhole, steering, scoped)| RawServices {
             blackhole,
             steering,
+            scoped,
         });
     let addressed = proptest::collection::vec((0usize..16, 0u8..7), 0..4);
     (
@@ -2503,7 +2502,8 @@ struct Offer {
 ///   learned from a peer or a provider goes to customers only; the
 ///   exporter prepends itself once plus the prepends a community asked of
 ///   it. `ForwardAll` passes every community on, and a Juniper router sends
-///   them;
+///   them; `ScopedToReceiver` passes on only those whose high half is the
+///   receiver's ASN;
 /// * import — a path holding the importer is a loop; local-pref is
 ///   `LocalPrefByRole`'s for the role the sender plays; `BlackholeService`:
 ///   `ASN:666` (or RFC 7999's `BLACKHOLE`) raises it to the service's
@@ -2542,7 +2542,11 @@ fn stable_paths_oracle(
         }
         let prepended = std::iter::repeat_n(from, 1 + usize::from(held.prepends));
         let path = prepended.chain(held.path.iter().copied()).collect();
-        Some((path, held.communities.clone()))
+        let mut communities = held.communities.clone();
+        if configs[&from].propagation == CommunityPropagationPolicy::ScopedToReceiver {
+            communities.retain(|c| c.asn_part() == hi(to));
+        }
+        Some((path, communities))
     };
     let import =
         |at: Asn, sender: Asn, (path, mut communities): (Vec<Asn>, BTreeSet<Community>)| {
@@ -2629,12 +2633,15 @@ fn stable_paths_oracle(
 
 /// ROADMAP item 9(ii) — *action communities settle where the documents
 /// say*: RTBH raises, steering local-prefs and requested prepends, over
-/// worlds where every AS forwards every community and no route server or
-/// validation intervenes, so that only route choice is in question. Per
-/// prefix, [`stable_paths_oracle`] iterates a whole-table best response to
-/// a fixed point; wherever it and the engine both converge, every AS holds
-/// the same AS path at the same local-pref. Draws where either side does
-/// not converge are skipped, and the test says how many were compared.
+/// worlds where every AS forwards every community or runs the
+/// `ScopedToReceiver` defense, and no route server or validation
+/// intervenes, so that only route choice is in question. Per prefix,
+/// [`stable_paths_oracle`] iterates a whole-table best response to a fixed
+/// point; wherever it and the engine both converge, every AS holds the same
+/// AS path at the same local-pref. Draws where either side does not
+/// converge are skipped, and the test says how many were compared, and in
+/// how many the defense moved a route (against the oracle's fixed point
+/// with every AS forwarding every community).
 #[test]
 fn action_communities_settle_at_the_stable_paths_fixed_point() {
     let cases = ProptestConfig::default().cases;
@@ -2643,7 +2650,14 @@ fn action_communities_settle_at_the_stable_paths_fixed_point() {
         module_path!(),
         "::action_communities_settle_at_the_stable_paths_fixed_point"
     ));
-    let (mut compared, mut acted) = (0u32, 0u32);
+    let (mut compared, mut acted, mut scoped) = (0u32, 0u32, 0u32);
+    // What the engine is held to: (AS path, local-pref) per AS.
+    let chosen = |fixed_point: BTreeMap<Asn, Offer>| -> BTreeMap<Asn, (Vec<Asn>, u32)> {
+        fixed_point
+            .into_iter()
+            .map(|(asn, offer)| (asn, (offer.path, offer.local_pref)))
+            .collect()
+    };
     for case in 0..cases {
         let (mut raw, services, addressed) = strategy.generate(&mut rng);
         let n = raw.n_nodes;
@@ -2667,6 +2681,9 @@ fn action_communities_settle_at_the_stable_paths_fixed_point() {
         let mut configs = BTreeMap::new();
         for (i, offered) in services.iter().enumerate().take(n) {
             let mut cfg = RouterConfig::defaults(asn_of(i)); // `ForwardAll`, no validation
+            if offered.scoped {
+                cfg.propagation = CommunityPropagationPolicy::ScopedToReceiver;
+            }
             let scope = |any: bool| {
                 if any {
                     ActScope::Any
@@ -2709,14 +2726,27 @@ fn action_communities_settle_at_the_stable_paths_fixed_point() {
                 .or_default()
                 .insert(o.origin, list);
         }
+        // The same world with the defense switched off, to tell the draws
+        // in which it moved a route.
+        let mut forwarding_all = configs.clone();
+        for cfg in forwarding_all.values_mut() {
+            cfg.propagation = CommunityPropagationPolicy::ForwardAll;
+        }
         let mut settled = Vec::new();
+        let mut defended = false;
         for (&prefix, origins) in &announced {
             let originated = origins
                 .iter()
                 .filter_map(|(&origin, list)| Some((origin, (*list)?)))
                 .collect();
             match stable_paths_oracle(&topo, &configs, prefix, &originated, 4 * n + 8) {
-                Some(fixed_point) => settled.push((prefix, fixed_point)),
+                Some(fixed_point) => {
+                    let fixed_point = chosen(fixed_point);
+                    let unscoped =
+                        stable_paths_oracle(&topo, &forwarding_all, prefix, &originated, 4 * n + 8);
+                    defended |= unscoped.map(chosen).as_ref() != Some(&fixed_point);
+                    settled.push((prefix, fixed_point));
+                }
                 None => break,
             }
         }
@@ -2732,12 +2762,8 @@ fn action_communities_settle_at_the_stable_paths_fixed_point() {
                 .flat_map(|finals| finals.iter())
                 .map(|(&asn, route)| (asn, (route.path.to_vec(), route.local_pref)))
                 .collect();
-            let oracle: BTreeMap<Asn, (Vec<Asn>, u32)> = fixed_point
-                .into_iter()
-                .map(|(asn, offer)| (asn, (offer.path, offer.local_pref)))
-                .collect();
             assert_eq!(
-                engine, oracle,
+                engine, fixed_point,
                 "case {case}: {prefix} (AS path, local-pref) per AS"
             );
             let prefs = RouterConfig::defaults(MONITOR_ASN).local_pref;
@@ -2748,10 +2774,12 @@ fn action_communities_settle_at_the_stable_paths_fixed_point() {
         }
         compared += 1;
         acted += u32::from(moved);
+        scoped += u32::from(defended);
     }
     eprintln!(
         "action communities: {compared} of {cases} draws compared with the oracle, \
-         {acted} of them holding a route an action community moved"
+         {acted} of them holding a route an action community moved, \
+         {scoped} a route the ScopedToReceiver defense moved"
     );
     assert!(
         compared * 2 >= cases,
@@ -2760,5 +2788,9 @@ fn action_communities_settle_at_the_stable_paths_fixed_point() {
     assert!(
         acted * 4 >= compared,
         "only {acted} draws exercised a service"
+    );
+    assert!(
+        scoped * 10 >= compared,
+        "only {scoped} draws exercised the defense"
     );
 }

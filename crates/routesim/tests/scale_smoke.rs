@@ -42,9 +42,7 @@ fn smoke(topo: &Topology, min_route_fraction_pct: usize) {
     let alloc = PrefixAllocation::assign(topo, AddressingParams::default());
     let (origin, prefix) = alloc.iter().next().expect("allocation non-empty");
 
-    let sim = SimSpec::new(topo)
-        .retain(RetainRoutes::Prefixes([prefix].into_iter().collect()))
-        .compile();
+    let sim = SimSpec::new(topo).retain(RetainRoutes::All).compile();
     let episodes = vec![Origination::announce(origin, prefix, vec![])];
 
     let run = Campaign::new(&sim).run(&episodes, RouteCount::default);
@@ -103,8 +101,7 @@ fn large_scale_smoke() {
 /// The generated workload's own schedule for a handful of origins spread
 /// over the allocation, on an unretained and on a fully retained compile of
 /// the same world: the first counts deliveries to unread leaves and drops
-/// them, the second parks them and resolves each leaf once, and both must
-/// hear the same. Each prefix's retained table must equal the one
+/// them, the second floods them in full, and both must hear the same. Each prefix's retained table must equal the one
 /// `run_snapshot` (which floods every delivery) returns. The share of
 /// unread nodes is asserted too, so a generator change that takes the
 /// property away (a collector session on every stub, say) fails here
@@ -146,14 +143,14 @@ fn unread_leaves_are_most_of_the_graph_and_change_nothing(topo: &Topology) {
     assert_eq!(elided.observations, full.observations);
     assert_eq!(elided.events, full.events);
     assert!(elided.final_routes.is_empty() && !full.final_routes.is_empty());
-    for (prefix, parked) in &full.final_routes {
+    for (prefix, kept) in &full.final_routes {
         let own: Vec<Origination> = episodes
             .iter()
             .filter(|ep| ep.prefix == *prefix)
             .cloned()
             .collect();
         let (twin, _) = retained.run_snapshot(&own, *prefix);
-        assert_eq!(parked, &twin.final_routes[prefix], "prefix {prefix}");
+        assert_eq!(kept, &twin.final_routes[prefix], "prefix {prefix}");
     }
 }
 
@@ -173,8 +170,8 @@ fn internet_scale_smoke() {
 /// One origin's plain announcement snapshotted, then re-announced with a
 /// community as a delta on a session compiled apart (as the §7 sweeps
 /// replay it): bit-identical to the fresh combined run, retained at every
-/// AS and retained for forwarding with a handful of stub endpoints (the §7
-/// probe session's shape, whose delta drops what its campaign drops). At
+/// AS and retained for a handful of stub readers (the §7 probe session's
+/// shape, whose delta drops what its campaign drops). At
 /// Internet scale the delta continues a clone of a whole-network scratch.
 fn delta_equals_fresh(topo: &Topology) {
     let alloc = PrefixAllocation::assign(topo, AddressingParams::default());
@@ -184,11 +181,11 @@ fn delta_equals_fresh(topo: &Topology) {
         .filter(|node| node.tier == Tier::Stub)
         .map(|node| node.asn)
         .collect();
-    let forwarding = RetainRoutes::Forwarding {
+    let read = RetainRoutes::Prefixes {
         prefixes: BTreeSet::from([prefix]),
-        endpoints: (0..5).map(|k| stubs[k * (stubs.len() - 1) / 4]).collect(),
+        readers: (0..5).map(|k| stubs[k * (stubs.len() - 1) / 4]).collect(),
     };
-    for retain in [RetainRoutes::All, forwarding] {
+    for retain in [RetainRoutes::All, read] {
         let compile = || SimSpec::new(topo).retain(retain.clone()).compile();
         let plain = Origination::announce(origin, prefix, vec![]);
         let tagged = Origination::announce(origin, prefix, vec![Community::new(1, 7)]).at(100);

@@ -75,8 +75,8 @@
 //! baseline a delta continues — treats it in one of two ways:
 //!
 //! * **drop** (a campaign flood or a delta, in a session that does not
-//!   retain [`RetainRoutes::All`]): no stamp, no admission, no derivation
-//!   probe, no dirty mark, hence no best scan and no adjacency walk. A
+//!   retain [`RetainRoutes::All`]): no stamp, no admission, no intern,
+//!   no dirty mark, hence no best scan and no adjacency walk. A
 //!   delta's clone is thrown away after the flood, so the leaf keeps what
 //!   the baseline left it, which nothing reads. A prefix retained by
 //!   [`RetainRoutes::Prefixes`] keeps no route at such a leaf: its listed
@@ -1109,22 +1109,23 @@ impl CompiledSim<'_> {
 
         if retain {
             // Only nodes the flood touched can hold a route, so the sweep
-            // iterates the touched list instead of all ~N nodes, and it
-            // collects ids: `FinalRoutes` clones each distinct best once.
+            // iterates the touched list instead of all ~N nodes, and keeps
+            // a handle on each best: no attribute is copied.
             // Out of an `All` session it skips the leaves a campaign flood
             // would have dropped every delivery to: a snapshot's flood
             // reached them, and a delta left them as the baseline had.
-            let mut bests = Vec::with_capacity(routers.touched.len());
+            let mut routes = Vec::with_capacity(routers.touched.len());
             for k in 0..routers.touched.len() {
                 let i = routers.touched[k] as usize;
                 if !all && self.unread[i] && !originators.contains(&(i as u32)) {
                     continue;
                 }
                 if let Some((id, _)) = routers.node(i).best_entry(arena) {
-                    bests.push((self.asns[i], id));
+                    routes.push((self.asns[i], arena.get(id).clone()));
                 }
             }
-            outcome.final_routes = Some(FinalRoutes::from_ids(bests, arena));
+            routes.sort_unstable_by_key(|&(asn, _)| asn);
+            outcome.final_routes = Some(FinalRoutes { routes });
         }
     }
 
@@ -1315,51 +1316,24 @@ impl PrefixOutcome {
     }
 }
 
-/// One prefix's final best route per AS, each **distinct** route stored
-/// once: behind one provider every stub holds the same route (the arena
-/// already gave them one [`RouteId`]), so a table of N ASes owns far fewer
-/// than N routes. Read like a map from ASN to route, in ASN order.
+/// One prefix's final best route per AS, ascending by ASN, read like a
+/// map from ASN to route. The engine's tables hold handles on what the
+/// flood's arena stored, so ASes holding the same route share its
+/// attributes.
 ///
-/// The representation is canonical — `index` ascends by ASN and `routes`
-/// is numbered in order of first use along it — so tables of equal content
-/// are equal field by field, whichever way they were built, and the
-/// derived `PartialEq` is the `delta ≡ fresh` oracle. (See
-/// `ARCHITECTURE.md`, "The forwarding plane".)
+/// Entries ascend by ASN whichever way the table was built, so the derived
+/// `PartialEq` is the `delta ≡ fresh` oracle.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FinalRoutes {
-    /// The distinct routes, in order of first use by ascending ASN.
-    routes: Vec<Route>,
-    /// `(AS, position in routes)`, ascending by ASN.
-    index: Vec<(Asn, u32)>,
+    /// `(AS, its best route)`, ascending by ASN.
+    routes: Vec<(Asn, Route)>,
 }
 
 impl FinalRoutes {
-    /// Builds the table from each AS's best-route id, in any order. Ids
-    /// are hash-consed, so deduplicating by id (a slot per arena route)
-    /// deduplicates by content.
-    fn from_ids(mut bests: Vec<(Asn, RouteId)>, arena: &RouteArena) -> Self {
-        const UNUSED: u32 = u32::MAX;
-        bests.sort_unstable_by_key(|&(asn, _)| asn);
-        let mut slots = vec![UNUSED; arena.len()];
-        let mut routes = Vec::new();
-        let index = bests
-            .into_iter()
-            .map(|(asn, id)| {
-                let slot = &mut slots[id.index()];
-                if *slot == UNUSED {
-                    *slot = routes.len() as u32;
-                    routes.push(arena.get(id).clone());
-                }
-                (asn, *slot)
-            })
-            .collect();
-        FinalRoutes { routes, index }
-    }
-
     /// The route `asn` holds, if any.
     pub fn get(&self, asn: &Asn) -> Option<&Route> {
-        let at = self.index.binary_search_by_key(asn, |&(a, _)| a).ok()?;
-        Some(&self.routes[self.index[at].1 as usize])
+        let at = self.routes.binary_search_by_key(asn, |&(a, _)| a).ok()?;
+        Some(&self.routes[at].1)
     }
 
     /// True when `asn` holds a route.
@@ -1369,19 +1343,17 @@ impl FinalRoutes {
 
     /// Number of ASes holding a route.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.routes.len()
     }
 
     /// True when no AS holds a route.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.routes.is_empty()
     }
 
     /// Every `(AS, route)`, ascending by ASN.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = (&Asn, &Route)> {
-        self.index
-            .iter()
-            .map(|(asn, at)| (asn, &self.routes[*at as usize]))
+        self.routes.iter().map(|(asn, route)| (asn, route))
     }
 
     /// The ASes holding a route, ascending.
@@ -1395,16 +1367,13 @@ impl FinalRoutes {
     }
 }
 
-/// Collects like a map — a repeated AS keeps its last route — through a
-/// scratch arena, so hand-built tables get the engine's canonical form.
+/// Collects like a map: a repeated AS keeps its last route.
 impl FromIterator<(Asn, Route)> for FinalRoutes {
     fn from_iter<I: IntoIterator<Item = (Asn, Route)>>(pairs: I) -> Self {
-        let mut arena = RouteArena::default();
-        let by_asn: BTreeMap<Asn, RouteId> = pairs
-            .into_iter()
-            .map(|(asn, route)| (asn, arena.intern(route)))
-            .collect();
-        FinalRoutes::from_ids(by_asn.into_iter().collect(), &arena)
+        let by_asn: BTreeMap<Asn, Route> = pairs.into_iter().collect();
+        FinalRoutes {
+            routes: by_asn.into_iter().collect(),
+        }
     }
 }
 
@@ -2143,11 +2112,11 @@ mod tests {
     }
 
     #[test]
-    fn retention_clones_each_distinct_best_once_and_relabels_every_as() {
+    fn retention_clones_one_handle_per_as_and_relabels_every_as() {
         // A hub with 40 stub customers, one of which announces: the origin,
         // the hub and the 39 other stubs hold three distinct routes between
-        // them, so keeping the routes costs three handle clones on top of
-        // the flood's own — not one per AS — and no attribute copy.
+        // them, and keeping the routes costs one handle clone per AS on top
+        // of the flood's own, and no attribute copy.
         const STUBS: u32 = 40;
         let mut topo = Topology::new();
         topo.add_simple(Asn::new(1), Tier::Tier1);
@@ -2196,11 +2165,10 @@ mod tests {
             }
         }
         assert_eq!(distinct.len(), 3);
-        assert_eq!(finals.routes.len(), 3, "each distinct best is stored once");
         assert_eq!(
             copies.handles - flood_copies.handles,
-            3,
-            "one clone per distinct best"
+            u64::from(STUBS + 1),
+            "one handle per retained AS"
         );
         assert_eq!(copies.attrs, flood_copies.attrs, "each of a handle only");
 

@@ -7,12 +7,6 @@
 //! (u32). Adj-RIB-In slots, last-exported caches, and in-flight events all
 //! carry ids, so route equality (the export-diffing predicate) is a u32
 //! compare and identical routes are allocated exactly once per prefix.
-//!
-//! The arena also remembers every import derivation it has performed
-//! (`RouteArena::intern_derived`): a transit's one export fans out to
-//! hundreds of receivers that apply the same `ImportDelta` to it, and all
-//! but the first of them get the stored id back without cloning or hashing
-//! a route.
 
 use bgpworms_types::{AsPath, Asn, Community, LargeCommunity, Origin};
 use std::cmp::Ordering;
@@ -208,8 +202,8 @@ impl Clone for Route {
 /// The arena's hasher: one rotate, xor and multiply per word (the FxHash
 /// recurrence), with a closing rotate that moves the well-mixed high bits
 /// down to where the table takes its bucket index. No per-process state, so
-/// a run's hashes repeat; both arena maps are probed, never iterated, and
-/// resolve every probe by full key equality, so its quality moves speed
+/// a run's hashes repeat; the arena's index is probed, never iterated, and
+/// resolves every probe by full route equality, so its quality moves speed
 /// only. The keys are routes the simulator made itself — nothing crafted
 /// outside the program reaches them — so SipHash's flooding resistance
 /// bought nothing here.
@@ -252,7 +246,7 @@ impl Hasher for ArenaHasher {
 /// alone. Tagging is *not* here — it depends on the sender ASN directly
 /// (ingress buckets), so the finalize step adds it to complete the
 /// [`ImportDelta`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct AdmitEffects {
     /// Import local-pref after role base, RTBH override, and steering.
     pub(crate) local_pref: u32,
@@ -265,11 +259,10 @@ pub(crate) struct AdmitEffects {
 }
 
 /// Everything an accepted import changes on the route it received.
-/// Together with the incoming [`RouteId`] this determines the Adj-RIB-In
-/// route completely — the receiver appears only through what its policy
-/// decided — which is what lets [`RouteArena::intern_derived`] share one
-/// derivation among all receivers with the same policy outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Together with the incoming route this determines the Adj-RIB-In route
+/// completely — the receiver appears only through what its policy decided,
+/// so receivers with the same policy outcome intern one route.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct ImportDelta {
     /// The neighbor the route was learned from.
     pub(crate) sender: Asn,
@@ -285,7 +278,7 @@ impl ImportDelta {
     /// The Adj-RIB-In route this import makes of `incoming`: a second
     /// handle on its attributes (copied only to add `NO_EXPORT`) under this
     /// receiver's annotation.
-    fn apply(&self, incoming: &Route) -> Route {
+    pub(crate) fn apply(&self, incoming: &Route) -> Route {
         let mut route = incoming.clone();
         route.local_pref = self.effects.local_pref;
         route.blackholed = self.effects.blackholed;
@@ -330,28 +323,22 @@ impl RouteId {
 /// allocation on the ordinary intern path (and [`RouteArena::reset`] has
 /// essentially nothing to free besides the routes themselves).
 ///
-/// `Clone` copies the route vector, the hash index and the derivation cache
-/// verbatim, so a clone resolves every existing [`RouteId`] to the same
-/// route *and* keeps interning deterministic: ids minted after the copy
-/// continue from the same arrival order on both sides. That is what makes a
-/// converged snapshot (`SimSnapshot`) replayable — a delta run on a clone
-/// of its arena interns exactly the ids the uninterrupted run would have.
+/// `Clone` copies the route vector and the hash index verbatim, so a clone
+/// resolves every existing [`RouteId`] to the same route *and* keeps
+/// interning deterministic: ids minted after the copy continue from the
+/// same arrival order on both sides. That is what makes a converged
+/// snapshot (`SimSnapshot`) replayable — a delta run on a clone of its
+/// arena interns exactly the ids the uninterrupted run would have.
 /// (Cloning copies one handle per stored route, no attribute.)
 ///
-/// Equality is equality of the stored routes in id order. The index is a
-/// function of them, and the derivation cache is invisible by
-/// construction — a hit returns exactly the id the clone-and-intern it
-/// skipped would have — so two arenas that answer every lookup alike
-/// compare equal however warm their caches are.
+/// Equality is equality of the stored routes in id order; the index is a
+/// function of them.
 #[derive(Debug, Default, Clone)]
 pub struct RouteArena {
     routes: Vec<Route>,
     // lint: order-independent probed per intern by 64-bit route hash,
     // never iterated — ids come from arrival order in `routes`
     index: HashMap<u64, Bucket, ArenaBuildHasher>,
-    // lint: order-independent probed per import by (incoming id, delta),
-    // never iterated — a hit is the id `intern` would return anyway
-    derived: HashMap<(RouteId, ImportDelta), RouteId, ArenaBuildHasher>,
 }
 
 impl PartialEq for RouteArena {
@@ -392,7 +379,7 @@ impl RouteArena {
     }
 
     /// Empties the arena for reuse by the next prefix run, keeping the
-    /// route vector's capacity and both maps' bucket tables. Bucket
+    /// route vector's capacity and the index's bucket table. Bucket
     /// ids live inline (overflow `Vec`s exist only for genuine hash
     /// collisions), so after the first prefix a worker interning a similar
     /// route volume stops growing either allocation. Ids minted after a
@@ -401,7 +388,6 @@ impl RouteArena {
     pub fn reset(&mut self) {
         self.routes.clear();
         self.index.clear();
-        self.derived.clear();
     }
 
     /// Interns `route`, returning the id of the already-stored identical
@@ -447,29 +433,6 @@ impl RouteArena {
                 id
             }
         }
-    }
-
-    /// The id of the route that importing `incoming` under `delta` yields —
-    /// `intern(delta.apply(get(incoming)))`, remembered per `(incoming,
-    /// delta)`. The key names no receiver, so every receiver whose policy
-    /// reaches the same delta on the same advertisement shares the entry:
-    /// the first pays the handle clone, the route hash and the intern, the
-    /// rest one probe of a few words. Routes are never removed between
-    /// resets, so a remembered id stays the id `intern` would return.
-    pub(crate) fn intern_derived(&mut self, incoming: RouteId, delta: ImportDelta) -> RouteId {
-        if let Some(&id) = self.derived.get(&(incoming, delta)) {
-            return id;
-        }
-        let id = self.intern(delta.apply(self.get(incoming)));
-        self.derived.insert((incoming, delta), id);
-        id
-    }
-
-    /// Number of remembered derivations (tests observe the cache through
-    /// this; nothing else can tell it is there).
-    #[cfg(test)]
-    pub(crate) fn derivations(&self) -> usize {
-        self.derived.len()
     }
 }
 
@@ -724,7 +687,7 @@ mod tests {
     }
 
     #[test]
-    fn derived_interning_equals_apply_then_intern_and_is_remembered() {
+    fn applied_deltas_intern_as_distinct_routes() {
         let (t1, t2) = (Community::new(5, 100), Community::new(5, 201));
         let mut arena = RouteArena::new();
         let mut twin = RouteArena::new();
@@ -754,11 +717,8 @@ mod tests {
         ];
         let mut ids = Vec::new();
         for d in deltas {
-            let id = arena.intern_derived(base, d);
+            let id = arena.intern(d.apply(arena.get(base)));
             assert_eq!(twin.intern(d.apply(twin.get(base))), id, "{d:?}");
-            let (hit, copies) = copies_during(|| arena.intern_derived(base, d));
-            assert_eq!(hit, id, "a hit returns the stored id");
-            assert_eq!(copies, Copies::NONE, "a hit copies nothing");
             ids.push(id);
         }
         ids.sort_unstable();
@@ -768,22 +728,13 @@ mod tests {
             deltas.len(),
             "every distinct delta is a distinct route"
         );
-        assert_eq!(arena.derivations(), deltas.len());
-        assert_eq!(arena, twin, "the cache is invisible to arena equality");
-        assert_eq!(twin.derivations(), 0);
+        assert_eq!(arena, twin, "twin arenas stay equal");
 
-        let tagged = arena.intern_derived(base, deltas[3]);
+        let tagged = arena.intern(deltas[3].apply(arena.get(base)));
         let imported = arena.get(tagged);
         assert_eq!(imported.own_tags, [Some(t1), Some(t2)]);
         assert_eq!(imported.source, RouteSource::Ebgp(Asn::new(2)));
         assert_eq!(imported.path, route(0, &[2, 1], 9).path, "the path is kept");
-
-        // A reset forgets the derivations along with the routes they name.
-        arena.reset();
-        assert_eq!(arena.derivations(), 0);
-        let base = arena.intern(route(0, &[7, 1], 7));
-        let id = arena.intern_derived(base, deltas[0]);
-        assert_eq!(arena.get(id).path, route(0, &[7, 1], 7).path);
     }
 
     /// The owned layout `Route` had before its attributes moved behind a

@@ -183,10 +183,8 @@ impl<'s> NodeState<'s> {
     ///
     /// The route arrives as an id into the shared arena; every rejection
     /// check runs against the arena route by reference, so refused updates
-    /// cost zero clones. An accepted route costs one clone and one intern
-    /// the first time the arena sees its derivation, and a single cache
-    /// probe on every later delivery that derives the same route — at this
-    /// or any other receiver (see `RouteArena::intern_derived`).
+    /// cost zero clones. An accepted route costs one handle clone and one
+    /// intern, which finds the id an equal import already made.
     #[allow(clippy::too_many_arguments)] // hot path: flat args, no wrapper struct
     pub fn import(
         &mut self,
@@ -232,10 +230,9 @@ impl<'s> NodeState<'s> {
 
     /// Applies an accepted admission: computes the sender-dependent ingress
     /// tags (recorded apart from the received communities so the
-    /// propagation policy can tell them from those), hands the arena the
-    /// complete [`ImportDelta`], and installs the id it returns in the
-    /// sender's Adj-RIB-In slot. The incoming route itself is not touched
-    /// here, so a derivation the arena has seen before costs no clone.
+    /// propagation policy can tell them from those), applies the complete
+    /// [`ImportDelta`] to a handle on the incoming route, and installs the
+    /// id the arena interns it under in the sender's Adj-RIB-In slot.
     #[allow(clippy::too_many_arguments)] // hot path: flat args, no wrapper struct
     fn finalize_import(
         &mut self,
@@ -249,7 +246,7 @@ impl<'s> NodeState<'s> {
     ) {
         // The tags this router is configured to add, in order, then the
         // vendor's added-community cap, packed to the front of a fixed
-        // array: the cache key is complete before any route is touched.
+        // array.
         let hi = self.asn.as_u16();
         let tag = |on: bool, value: u16| hi.filter(|_| on).map(|hi| Community::new(hi, value));
         let configured = if self.is_route_server {
@@ -275,7 +272,7 @@ impl<'s> NodeState<'s> {
             own_tags: [kept.next(), kept.next()],
         };
         self.rib_in[sender_slot] = Some(RibEntry {
-            route: arena.intern_derived(incoming_id, delta),
+            route: arena.intern(delta.apply(arena.get(incoming_id))),
             role: sender_role,
         });
     }
@@ -326,19 +323,13 @@ impl<'s> NodeState<'s> {
 /// prefix, config, sender role, route content, validation registries) — so
 /// rejections cost no clone and no RIB borrow.
 ///
-/// Import is three steps: this admission, run on every delivery; a probe of
-/// the arena's derivation cache under (incoming id, sender, these effects,
-/// the receiver's ingress tags); and, only when that misses, the clone,
-/// apply and intern. The cache key deliberately leaves the receiver out: an
-/// export fans out to many receivers whose policies reach the same effects,
-/// and 90 % of accepted deliveries on the full-table campaign (28.7 M of
-/// 31.7 M) re-derive a route some other receiver already made. Keying on
-/// the receiver instead — a memo of this function over (receiver, sender
-/// role, incoming id) — was tried in PR 9 and measured a net loss, ~11 % on
-/// the 62 K-AS flood: export diffing already suppresses repeat deliveries
-/// to the *same* receiver, so it hit ~0 % and every event paid the probe
-/// and the insert. Do not re-add that one without a flap-heavy workload
-/// that makes it hit.
+/// Import is two steps: this admission, run on every delivery, and on
+/// acceptance the handle clone, apply and intern. A memo of this function
+/// over (receiver, sender role, incoming id) was tried in PR 9 and
+/// measured a net loss, ~11 % on the 62 K-AS flood: export diffing already
+/// suppresses repeat deliveries to the *same* receiver, so it hit ~0 % and
+/// every event paid the probe and the insert. Do not re-add it without a
+/// flap-heavy workload that makes it hit.
 fn admit_route(
     asn: Asn,
     is_route_server: bool,
@@ -605,6 +596,13 @@ pub(crate) fn export_from_best(
 
 /// Route-server redistribution: transparent path, control communities,
 /// configurable evaluation order.
+///
+/// Of the well-known communities it honours `NO_EXPORT` and `NO_ADVERTISE`,
+/// not `NO_PEER`: RFC 3765 addresses bilateral peering, so a route server
+/// does not apply it toward its members. A member exporting *to* the route
+/// server is still held to it by `export_from_best`, where the route server
+/// plays `Peer`; `well_known_communities_keep_routes_inside_their_scope`
+/// (`tests/determinism.rs`) exempts route servers for this reason.
 fn route_server_export(
     rs_asn: Asn,
     cfg: &RouterConfig,
@@ -1512,30 +1510,32 @@ mod tests {
     }
 
     #[test]
-    fn second_same_policy_delivery_clones_nothing() {
+    fn equal_import_effects_share_one_route_id() {
         // One export of AS2 reaches two customers-of-nobody with default
-        // policy: both derive the same RIB route, and the second gets it
-        // from the arena's derivation cache — no clone, no new route.
+        // policy: both derive the same RIB route, which the arena interns
+        // once. Each import clones a handle and copies no attribute.
         let mut arena = RouteArena::new();
         let advert = arena.intern(incoming(2, &[2, 1], &[Community::new(9, 42)]));
         let (cfg5, cfg6) = (
             RouterConfig::defaults(Asn::new(5)),
             RouterConfig::defaults(Asn::new(6)),
         );
-        let (first, copies) =
-            copies_during(|| deliver(&mut arena, (5, false), &cfg5, (2, Role::Provider), advert));
-        let miss = Copies {
+        let one_handle = Copies {
             handles: 1,
             attrs: 0,
         };
-        assert_eq!(copies, miss, "a miss shares the advertisement's attributes");
+        let (first, copies) =
+            copies_during(|| deliver(&mut arena, (5, false), &cfg5, (2, Role::Provider), advert));
+        assert_eq!(
+            copies, one_handle,
+            "an import shares the advertisement's attributes"
+        );
         let len = arena.len();
         let (second, copies) =
             copies_during(|| deliver(&mut arena, (6, false), &cfg6, (2, Role::Provider), advert));
         assert_eq!(second, first, "equal effects ⇒ one shared RIB route");
-        assert_eq!(copies, Copies::NONE, "a hit copies nothing");
-        assert_eq!(arena.len(), len);
-        assert_eq!(arena.derivations(), 1);
+        assert_eq!(copies, one_handle);
+        assert_eq!(arena.len(), len, "the second import minted nothing");
         // Vendors differ only in an added-community cap (32 or none) that
         // at most two ingress tags never reach, so a Cisco receiver shares
         // the route too.

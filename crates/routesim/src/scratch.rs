@@ -254,9 +254,9 @@ impl SimScratch {
 /// scratch is nothing but the converged state: the touched list in
 /// first-touch order, the baseline's originators, the slot arrays,
 /// the per-node scalars, the collector dedup state and the [`RouteArena`],
-/// whose clone keeps its hash index and derivation cache — so a delta
-/// interns future routes under exactly the ids the uninterrupted run would
-/// have minted, and drops no delivery to an AS the baseline originated at.
+/// whose clone keeps its hash index — so a delta interns future routes
+/// under exactly the ids the uninterrupted run would have minted, and drops
+/// no delivery to an AS the baseline originated at.
 ///
 /// A snapshot outlives the `CompiledSim` that produced it, and any session
 /// compiled over the same slot space and collector sessions may continue

@@ -100,19 +100,13 @@
 //!   retained route carries exactly the origination's list folded hop by
 //!   hop along its own AS path.
 //! * **Action communities settle at the stable-paths fixed point** — read
-//!   off the `BlackholeService`, `CommunityServices`, `LocalPrefByRole` and
-//!   `Route::prefer` doc comments: on worlds where every AS forwards every
-//!   community and some offer RTBH or steering, a whole-table best response
-//!   iterated to a fixed point names, per AS, the AS path and local-pref
-//!   the engine converges to.
-//! * **Derivation-cache transparency** — the arena answers a repeated
-//!   import derivation (same advertisement, same policy outcome, any
-//!   receiver) from a cache instead of cloning and re-interning. A stream
-//!   of random deliveries through one long-lived arena must install, id for
-//!   id, the routes that replaying every delivery on a cold arena (always a
-//!   miss: clone → apply effects and tags → intern) and interning the
-//!   results into a twin arena yields, and both arenas must end equally
-//!   long.
+//!   off the `BlackholeService`, `CommunityServices`, `LocalPrefByRole`,
+//!   `OriginValidation`, `IrrDatabase::is_registered` and `Route::prefer`
+//!   doc comments: on worlds where every AS forwards every community or
+//!   runs the §8 defense, some offer RTBH or steering and some validate
+//!   origins against partly registered IRR and RPKI, a whole-table best
+//!   response iterated to a fixed point names, per AS, the AS path and
+//!   local-pref the engine converges to.
 
 use bgpworms_routesim::route::RouteArena;
 use bgpworms_routesim::router::{NodeState, RibEntry, ValidationCtx};
@@ -1712,96 +1706,6 @@ proptest! {
         prop_assert_eq!(got.converged, want.converged);
     }
 
-    /// Cache hit ≡ clone + apply + intern. Random receivers (ordinary and
-    /// route-server, with ingress tagging, RTBH with and without
-    /// `set_no_export`, steering services, vendor caps and local-pref
-    /// overrides drawn per delivery) import a small pool of advertisements
-    /// from random senders through **one** arena, so repeats hit its
-    /// derivation cache. Each delivery is replayed on a cold arena — where
-    /// it cannot hit — and the replay's route is interned into a twin; the
-    /// two must agree on verdict, route content, route id and length.
-    #[test]
-    fn import_through_the_derivation_cache_equals_clone_apply_intern(
-        deliveries in proptest::collection::vec(
-            (1u32..5, 0u16..256, 1u32..4, 0u8..3, 0usize..4),
-            1..40,
-        ),
-    ) {
-        let irr = IrrDatabase::new();
-        let rpki = IrrDatabase::new();
-        let vctx = ValidationCtx { irr: &irr, rpki: &rpki };
-        // Every receiver's steering and blackhole communities ride on some
-        // advertisement, so the services below do fire.
-        let steer: Vec<Community> =
-            (1..5).flat_map(|r| [Community::new(r, 70), Community::new(r, 422)]).collect();
-        let pool = [
-            vec![],
-            vec![Community::BLACKHOLE],
-            steer,
-            vec![Community::new(2, 666), Community::NO_EXPORT],
-        ];
-        let advert = |ix: usize, sender: u32| {
-            let mut r = Route::originate(pool[ix].clone());
-            r.path = [sender + 100, 200].into_iter().map(Asn::new).collect();
-            r.local_pref = 0;
-            r
-        };
-        // One delivery on `arena`: the verdict and the installed route.
-        let deliver = |arena: &mut RouteArena, recv: u32, bits: u16, sender: u32, role: u8, ix: usize| {
-            let mut cfg = RouterConfig::defaults(Asn::new(recv));
-            cfg.tagging.tag_origin_class = bits & 1 != 0;
-            cfg.tagging.tag_ingress_location = bits & 2 != 0;
-            if bits & 4 != 0 {
-                cfg.services.blackhole = Some(BlackholeService {
-                    set_no_export: bits & 8 != 0,
-                    ..BlackholeService::default()
-                });
-            }
-            if bits & 16 != 0 {
-                cfg.services.local_pref.insert(70, 70);
-                cfg.services.prepend.insert(422, 2);
-            }
-            if bits & 32 != 0 {
-                cfg.vendor = Vendor::Cisco;
-            }
-            if bits & 64 != 0 {
-                cfg.local_pref.peer += 5;
-            }
-            let is_route_server = bits & 128 != 0;
-            let role = [Role::Customer, Role::Peer, Role::Provider][usize::from(role)];
-            let incoming = arena.intern(advert(ix, sender));
-            let (mut rib_in, mut local, mut exported, mut last) = ([None], None, [None], None);
-            let prefix = "10.0.0.0/24".parse().expect("valid prefix");
-            let mut node = NodeState::new(
-                Asn::new(recv), is_route_server, prefix,
-                &mut rib_in, &mut local, &mut exported, &mut last,
-            );
-            let verdict = node.import(&cfg, Asn::new(sender + 100), 0, role, Some(incoming), arena, vctx);
-            (verdict, node.best(arena).cloned())
-        };
-
-        let mut warm = RouteArena::new();
-        let mut twin = RouteArena::new();
-        for &(recv, bits, sender, role, ix) in &deliveries {
-            let (verdict, got) = deliver(&mut warm, recv, bits, sender, role, ix);
-            let mut cold = RouteArena::new();
-            let (cold_verdict, want) = deliver(&mut cold, recv, bits, sender, role, ix);
-            prop_assert_eq!(verdict, cold_verdict);
-            prop_assert_eq!(&got, &want, "a cached derivation changed the imported route");
-            twin.intern(advert(ix, sender));
-            if let (Some(got), Some(want)) = (got, want) {
-                // Hash-consing makes `intern` of stored content the lookup
-                // of its id: on `warm` it must find the RIB's route.
-                let len = warm.len();
-                let id = warm.intern(got);
-                prop_assert_eq!(warm.len(), len, "the installed route was not in the arena");
-                prop_assert_eq!(twin.intern(want), id, "ids drifted from arrival order");
-            }
-            prop_assert_eq!(warm.len(), twin.len());
-        }
-        prop_assert_eq!(&warm, &twin);
-    }
-
     /// Memoization under prefix-sensitive policy: worlds seasoned with
     /// origin validation (against *partially* registered IRR/RPKI, so the
     /// registration bits genuinely split classes), blackhole length floors
@@ -2428,13 +2332,31 @@ proptest! {
 /// What `arb_world()` does not draw and the action-community oracle reads,
 /// per AS (indexed like the nodes): an RTBH offer as (scope `Any`, floor
 /// 8/16/24, `set_no_export`, raise to 150/200/300), and the steering
-/// services as their scope (`Any` or not) — each present or not — and
-/// whether the AS runs the `ScopedToReceiver` defense.
+/// services as their scope (`Any` or not) — each present or not — whether
+/// the AS runs the `ScopedToReceiver` defense, and its origin validation
+/// (2: `Irr`; 3 or 4: `Irr` validating after the blackhole check; 5:
+/// `Strict`; anything else `None`).
 #[derive(Debug, Clone)]
 struct RawServices {
     blackhole: Option<(bool, u8, bool, u8)>,
     steering: Option<bool>,
     scoped: bool,
+    validation: u8,
+}
+
+impl RawServices {
+    fn validation(&self) -> OriginValidation {
+        match self.validation {
+            2 => OriginValidation::Irr {
+                validate_after_blackhole: false,
+            },
+            3 | 4 => OriginValidation::Irr {
+                validate_after_blackhole: true,
+            },
+            5 => OriginValidation::Strict,
+            _ => OriginValidation::None,
+        }
+    }
 }
 
 /// The action-community values a drawn episode may address to a drawn AS:
@@ -2453,27 +2375,57 @@ const ACTION_VALUES: [u16; 7] = [
 /// [`ACTION_VALUES`]) each.
 type Addressed = Vec<(usize, u8)>;
 
+/// What one episode draws for origin validation: the route objects of its
+/// (prefix, origin) pair (0 or 1: none; 2: an IRR object only, §7.3's
+/// pollution; 3: both an IRR and an RPKI object for the covering
+/// `10.0.0.0/8`; anything else both for the prefix), and whether its origin
+/// tags RFC 7999's `BLACKHOLE` as well (0: it does, the §6.3
+/// blackhole-tagged hijack).
+type Registered = (u8, u8);
+
 /// A seasoned `arb_world()` for the action-community oracle (a copy, so the
 /// draws of every other property stay where they are): per AS a
-/// `RawServices`, and per episode up to three communities addressed to
-/// drawn ASes, each one of [`ACTION_VALUES`].
-fn arb_serviced_world() -> impl Strategy<Value = (RawWorld, Vec<RawServices>, Vec<Addressed>)> {
+/// `RawServices`; per episode up to three communities addressed to drawn
+/// ASes, each one of [`ACTION_VALUES`]; and per episode a [`Registered`].
+fn arb_serviced_world(
+) -> impl Strategy<Value = (RawWorld, Vec<RawServices>, Vec<Addressed>, Vec<Registered>)> {
     let services = (
         proptest::option::of((any::<bool>(), 0u8..3, any::<bool>(), 0u8..3)),
         proptest::option::of(any::<bool>()),
         any::<bool>(),
-    )
-        .prop_map(|(blackhole, steering, scoped)| RawServices {
-            blackhole,
-            steering,
-            scoped,
-        });
+    );
     let addressed = proptest::collection::vec((0usize..16, 0u8..7), 0..4);
+    // Validation and route objects are drawn last, so every draw before
+    // them stays what it was before the oracle read validation.
     (
         arb_world(),
         proptest::collection::vec(services, 16),
         proptest::collection::vec(addressed, 16),
+        proptest::collection::vec(0u8..10, 16),
+        proptest::collection::vec((0u8..6, 0u8..4), 16),
     )
+        .prop_map(|(world, services, addressed, validations, objects)| {
+            let services = services
+                .into_iter()
+                .zip(validations)
+                .map(|((blackhole, steering, scoped), validation)| RawServices {
+                    blackhole,
+                    steering,
+                    scoped,
+                    validation,
+                })
+                .collect();
+            (world, services, addressed, objects)
+        })
+}
+
+/// The route objects the stable-paths oracle validates against, as
+/// (prefix, origin) pairs; the engine reads the same pairs registered in
+/// two `IrrDatabase`s.
+#[derive(Debug, Default)]
+struct Registries {
+    irr: Vec<(Prefix, Asn)>,
+    rpki: Vec<(Prefix, Asn)>,
 }
 
 /// One AS's route in the stable-paths oracle: the AS path as a route
@@ -2504,7 +2456,12 @@ struct Offer {
 ///   it. `ForwardAll` passes every community on, and a Juniper router sends
 ///   them; `ScopedToReceiver` passes on only those whose high half is the
 ///   receiver's ASN;
-/// * import — a path holding the importer is a loop; local-pref is
+/// * import — a path holding the importer is a loop; `OriginValidation`:
+///   an `Irr` validator rejects a route whose origin (the path's last AS)
+///   has no IRR object covering the prefix (`IrrDatabase::is_registered`:
+///   the prefix itself or a less specific one), unless it validates after
+///   the blackhole check and the `BlackholeService` below fires; a `Strict`
+///   one rejects an origin with no covering RPKI object; local-pref is
 ///   `LocalPrefByRole`'s for the role the sender plays; `BlackholeService`:
 ///   `ASN:666` (or RFC 7999's `BLACKHOLE`) raises it to the service's
 ///   `local_pref` when the scope admits the sender and the prefix is at
@@ -2520,6 +2477,7 @@ struct Offer {
 fn stable_paths_oracle(
     topo: &Topology,
     configs: &BTreeMap<Asn, RouterConfig>,
+    registries: &Registries,
     prefix: Prefix,
     originated: &BTreeMap<Asn, &Vec<Community>>,
     rounds: usize,
@@ -2556,24 +2514,43 @@ fn stable_paths_oracle(
             let cfg = &configs[&at];
             let role = topo.role_of(at, sender).expect("adjacent");
             let admits = |scope: ActScope| scope == ActScope::Any || role == Role::Customer;
+            let blackhole = cfg.services.blackhole.as_ref().filter(|bh| {
+                let trigger = [
+                    Community::new(hi(at), BLACKHOLE_VALUE),
+                    Community::BLACKHOLE,
+                ];
+                trigger.iter().any(|c| communities.contains(c))
+                    && admits(bh.scope)
+                    && prefix.len() >= bh.min_prefix_len
+            });
+            let origin = *path.last().expect("an exported path names its origin");
+            let registered = |objects: &[(Prefix, Asn)]| {
+                objects
+                    .iter()
+                    .any(|&(object, asn)| asn == origin && object.covers(&prefix))
+            };
+            let valid = match cfg.validation {
+                OriginValidation::None => true,
+                OriginValidation::Irr {
+                    validate_after_blackhole,
+                } => {
+                    let skipped = validate_after_blackhole && blackhole.is_some();
+                    skipped || registered(&registries.irr)
+                }
+                OriginValidation::Strict => registered(&registries.rpki),
+            };
+            if !valid {
+                return None;
+            }
             let mut local_pref = match role {
                 Role::Customer => cfg.local_pref.customer,
                 Role::Peer => cfg.local_pref.peer,
                 Role::Provider => cfg.local_pref.provider,
             };
-            if let Some(bh) = &cfg.services.blackhole {
-                let trigger = [
-                    Community::new(hi(at), BLACKHOLE_VALUE),
-                    Community::BLACKHOLE,
-                ];
-                if trigger.iter().any(|c| communities.contains(c))
-                    && admits(bh.scope)
-                    && prefix.len() >= bh.min_prefix_len
-                {
-                    local_pref = bh.local_pref;
-                    if bh.set_no_export {
-                        communities.insert(Community::NO_EXPORT);
-                    }
+            if let Some(bh) = blackhole {
+                local_pref = bh.local_pref;
+                if bh.set_no_export {
+                    communities.insert(Community::NO_EXPORT);
                 }
             }
             let mut prepends = 0;
@@ -2634,14 +2611,15 @@ fn stable_paths_oracle(
 /// ROADMAP item 9(ii) — *action communities settle where the documents
 /// say*: RTBH raises, steering local-prefs and requested prepends, over
 /// worlds where every AS forwards every community or runs the
-/// `ScopedToReceiver` defense, and no route server or validation
-/// intervenes, so that only route choice is in question. Per prefix,
+/// `ScopedToReceiver` defense, some validate origins against partly
+/// registered IRR and RPKI, and no route server intervenes. Per prefix,
 /// [`stable_paths_oracle`] iterates a whole-table best response to a fixed
 /// point; wherever it and the engine both converge, every AS holds the same
 /// AS path at the same local-pref. Draws where either side does not
-/// converge are skipped, and the test says how many were compared, and in
-/// how many the defense moved a route (against the oracle's fixed point
-/// with every AS forwarding every community).
+/// converge are skipped, and the test says how many were compared, in how
+/// many the defense moved a route (against the oracle's fixed point with
+/// every AS forwarding every community), and in how many validation did
+/// (against the one with no AS validating).
 #[test]
 fn action_communities_settle_at_the_stable_paths_fixed_point() {
     let cases = ProptestConfig::default().cases;
@@ -2650,7 +2628,7 @@ fn action_communities_settle_at_the_stable_paths_fixed_point() {
         module_path!(),
         "::action_communities_settle_at_the_stable_paths_fixed_point"
     ));
-    let (mut compared, mut acted, mut scoped) = (0u32, 0u32, 0u32);
+    let (mut compared, mut acted, mut scoped, mut validated) = (0u32, 0u32, 0u32, 0u32);
     // What the engine is held to: (AS path, local-pref) per AS.
     let chosen = |fixed_point: BTreeMap<Asn, Offer>| -> BTreeMap<Asn, (Vec<Asn>, u32)> {
         fixed_point
@@ -2659,7 +2637,7 @@ fn action_communities_settle_at_the_stable_paths_fixed_point() {
             .collect()
     };
     for case in 0..cases {
-        let (mut raw, services, addressed) = strategy.generate(&mut rng);
+        let (mut raw, services, addressed, objects) = strategy.generate(&mut rng);
         let n = raw.n_nodes;
         let last_tier = &mut raw.tiers[(n - 1) % 16];
         if *last_tier == 3 {
@@ -2677,10 +2655,39 @@ fn action_communities_settle_at_the_stable_paths_fixed_point() {
                 o.communities
                     .push(Community::new(owner, ACTION_VALUES[usize::from(value)]));
             }
+            if objects[k % objects.len()].1 == 0 {
+                o.communities.push(Community::BLACKHOLE);
+            }
+        }
+        // A (prefix, origin) pair's first episode draws its route objects.
+        let mut registries = Registries::default();
+        let mut drawn = BTreeSet::new();
+        for (o, &(kind, _)) in originations.iter().zip(&objects) {
+            if !drawn.insert((o.prefix, o.origin)) {
+                continue;
+            }
+            let covering = "10.0.0.0/8".parse().expect("valid prefix");
+            match kind {
+                0 | 1 => {}
+                2 => registries.irr.push((o.prefix, o.origin)),
+                _ => {
+                    let object = if kind == 3 { covering } else { o.prefix };
+                    registries.irr.push((object, o.origin));
+                    registries.rpki.push((object, o.origin));
+                }
+            }
+        }
+        let (mut irr, mut rpki) = (IrrDatabase::new(), IrrDatabase::new());
+        for &(prefix, origin) in &registries.irr {
+            irr.register(prefix, origin);
+        }
+        for &(prefix, origin) in &registries.rpki {
+            rpki.register(prefix, origin);
         }
         let mut configs = BTreeMap::new();
         for (i, offered) in services.iter().enumerate().take(n) {
-            let mut cfg = RouterConfig::defaults(asn_of(i)); // `ForwardAll`, no validation
+            let mut cfg = RouterConfig::defaults(asn_of(i)); // `ForwardAll`
+            cfg.validation = offered.validation();
             if offered.scoped {
                 cfg.propagation = CommunityPropagationPolicy::ScopedToReceiver;
             }
@@ -2698,6 +2705,17 @@ fn action_communities_settle_at_the_stable_paths_fixed_point() {
                     scope: scope(any),
                     local_pref: [150, 200, 300][usize::from(raise)],
                 });
+            } else if cfg.validation
+                == (OriginValidation::Irr {
+                    validate_after_blackhole: true,
+                })
+            {
+                // The §6.3 misconfiguration is a route-map in front of an
+                // RTBH service, so an AS that has it offers one.
+                cfg.services.blackhole = Some(BlackholeService {
+                    min_prefix_len: 16,
+                    ..BlackholeService::default()
+                });
             }
             if let Some(any) = offered.steering {
                 cfg.services.prepend = (1..=3).map(|n| (prepend_value(n), n)).collect();
@@ -2707,6 +2725,8 @@ fn action_communities_settle_at_the_stable_paths_fixed_point() {
             configs.insert(cfg.asn, cfg);
         }
         let res = spec_for(&topo, configs.values().cloned().collect(), collectors)
+            .irr(&irr)
+            .rpki(&rpki)
             .compile()
             .run(&originations);
         if !res.converged {
@@ -2726,25 +2746,31 @@ fn action_communities_settle_at_the_stable_paths_fixed_point() {
                 .or_default()
                 .insert(o.origin, list);
         }
-        // The same world with the defense switched off, to tell the draws
-        // in which it moved a route.
+        // The same world with the defense, and then validation, switched
+        // off, to tell the draws in which each moved a route.
         let mut forwarding_all = configs.clone();
         for cfg in forwarding_all.values_mut() {
             cfg.propagation = CommunityPropagationPolicy::ForwardAll;
         }
+        let mut unvalidated = configs.clone();
+        for cfg in unvalidated.values_mut() {
+            cfg.validation = OriginValidation::None;
+        }
         let mut settled = Vec::new();
-        let mut defended = false;
+        let (mut defended, mut checked) = (false, false);
         for (&prefix, origins) in &announced {
             let originated = origins
                 .iter()
                 .filter_map(|(&origin, list)| Some((origin, (*list)?)))
                 .collect();
-            match stable_paths_oracle(&topo, &configs, prefix, &originated, 4 * n + 8) {
+            let oracle = |configs| {
+                stable_paths_oracle(&topo, configs, &registries, prefix, &originated, 4 * n + 8)
+                    .map(chosen)
+            };
+            match oracle(&configs) {
                 Some(fixed_point) => {
-                    let fixed_point = chosen(fixed_point);
-                    let unscoped =
-                        stable_paths_oracle(&topo, &forwarding_all, prefix, &originated, 4 * n + 8);
-                    defended |= unscoped.map(chosen).as_ref() != Some(&fixed_point);
+                    defended |= oracle(&forwarding_all).as_ref() != Some(&fixed_point);
+                    checked |= oracle(&unvalidated).as_ref() != Some(&fixed_point);
                     settled.push((prefix, fixed_point));
                 }
                 None => break,
@@ -2775,11 +2801,13 @@ fn action_communities_settle_at_the_stable_paths_fixed_point() {
         compared += 1;
         acted += u32::from(moved);
         scoped += u32::from(defended);
+        validated += u32::from(checked);
     }
     eprintln!(
         "action communities: {compared} of {cases} draws compared with the oracle, \
          {acted} of them holding a route an action community moved, \
-         {scoped} a route the ScopedToReceiver defense moved"
+         {scoped} a route the ScopedToReceiver defense moved, \
+         {validated} a route origin validation moved"
     );
     assert!(
         compared * 2 >= cases,
@@ -2792,5 +2820,9 @@ fn action_communities_settle_at_the_stable_paths_fixed_point() {
     assert!(
         scoped * 10 >= compared,
         "only {scoped} draws exercised the defense"
+    );
+    assert!(
+        validated * 10 >= compared,
+        "only {validated} draws exercised origin validation"
     );
 }

@@ -2,8 +2,9 @@
 //! that peer with ASes and archive what they receive as MRT.
 //!
 //! Archiving allocates per archive, not per record: an observation's route
-//! is copied into scratch attributes with `clone_from` (path and community
-//! buffers are reused), `bgpworms_mrt` encodes them straight into its
+//! is copied into scratch attributes with `clone_from` (the community lists
+//! keep their buffers, and a path of Internet length is inline, so copying
+//! it allocates nothing), `bgpworms_mrt` encodes them straight into its
 //! writer's one body buffer, and the RIB dump finds each session's final
 //! state with one sort instead of a map insert per observation.
 

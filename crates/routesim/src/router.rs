@@ -569,18 +569,13 @@ pub(crate) fn export_from_best(
     });
     // Attach own ingress tags plus static egress tags, respecting the
     // vendor's added-community cap (§6.1: Cisco permits adding 32).
-    let mut added: Vec<Community> = own_tags.into_iter().flatten().collect();
-    added.extend(cfg.tagging.egress_tags.iter().copied());
-    added.extend(
-        cfg.tagging
-            .targeted_egress
-            .iter()
-            .filter(|(p, _)| *p == prefix)
-            .map(|(_, c)| *c),
-    );
-    if let Some(limit) = cfg.vendor.added_community_limit() {
-        added.truncate(limit);
-    }
+    let targeted = (cfg.tagging.targeted_egress.iter())
+        .filter(|(p, _)| *p == prefix)
+        .map(|(_, c)| *c);
+    let added = (own_tags.into_iter().flatten())
+        .chain(cfg.tagging.egress_tags.iter().copied())
+        .chain(targeted)
+        .take(cfg.vendor.added_community_limit().unwrap_or(usize::MAX));
     attrs.communities.extend(added);
 
     if !cfg.sends_communities() {

@@ -3,75 +3,124 @@
 //!
 //! Paths are stored collector-first: index 0 is the AS closest to the
 //! observation point, the last element is the origin AS.
+//!
+//! A path has one representation per value. One AS_SEQUENCE of at most
+//! [`INLINE`] ASes, the shape of every path the benchmark workloads build,
+//! lives inline and allocates nothing; every other shape (no segment at
+//! all, AS_SETs, several segments, a longer sequence) is a segment list on
+//! the heap. Every constructor and mutator lands in that form, which is
+//! what lets `==` tell the two forms apart without looking inside.
 
 use crate::asn::Asn;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
-/// One segment of an AS path (RFC 4271 §4.3 / 5.1.2).
-#[derive(Debug, PartialEq, Eq, Hash)]
-pub enum PathSegment {
+/// Most ASes a path holds inline: the longest path any of the four
+/// benchmark workloads builds at seeds 2018 and 1809, prepends included
+/// (at least 98 % of each workload's paths hold 2 to 6 ASes). At 9 an
+/// `AsPath` is 40 bytes; 10 or 11 would take 48 and 12 or 13 take 56, and
+/// past 40 `bgpworms_wire::BgpMessage`'s `Update` variant outgrows
+/// clippy's `large_enum_variant` bound. A longer path lives on the heap.
+pub const INLINE: usize = 9;
+
+/// One segment of an AS path (RFC 4271 §4.3 / 5.1.2), over its ASN list
+/// `A`: owned when a path is built from segments, a borrowed slice in
+/// [`AsPath::segments`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum PathSegment<A = Vec<Asn>> {
     /// An ordered AS_SEQUENCE.
-    Sequence(Vec<Asn>),
+    Sequence(A),
     /// An unordered AS_SET (the result of aggregation); counts as a single
     /// hop for path-length comparison.
-    Set(Vec<Asn>),
+    Set(A),
 }
 
-/// Hand-written for `clone_from`: the derived one is `*self = source.clone()`,
-/// which frees and reallocates the ASN list, so a scratch path refilled per
-/// record (the collector archiver's) would allocate per record.
-impl Clone for PathSegment {
-    fn clone(&self) -> Self {
+impl<A> PathSegment<A> {
+    /// The same kind of segment over `f` of its list.
+    fn map<B>(self, f: impl FnOnce(A) -> B) -> PathSegment<B> {
         match self {
-            PathSegment::Sequence(v) => PathSegment::Sequence(v.clone()),
-            PathSegment::Set(v) => PathSegment::Set(v.clone()),
+            PathSegment::Sequence(a) => PathSegment::Sequence(f(a)),
+            PathSegment::Set(a) => PathSegment::Set(f(a)),
         }
     }
 
-    fn clone_from(&mut self, source: &Self) {
-        match (self, source) {
-            (PathSegment::Sequence(v), PathSegment::Sequence(s))
-            | (PathSegment::Set(v), PathSegment::Set(s)) => v.clone_from(s),
-            (this, _) => *this = source.clone(),
+    /// The segment's list, whatever its kind.
+    fn into_list(self) -> A {
+        match self {
+            PathSegment::Sequence(a) | PathSegment::Set(a) => a,
         }
     }
 }
 
-impl PathSegment {
+impl<A: AsRef<[Asn]>> PathSegment<A> {
     /// Number of hops this segment contributes to path length: the number
     /// of ASes for a sequence, 1 for a non-empty set.
     pub fn hop_count(&self) -> usize {
         match self {
-            PathSegment::Sequence(v) => v.len(),
-            PathSegment::Set(v) => usize::from(!v.is_empty()),
+            PathSegment::Sequence(v) => v.as_ref().len(),
+            PathSegment::Set(v) => usize::from(!v.as_ref().is_empty()),
         }
     }
 
     /// All ASNs mentioned in the segment.
     pub fn asns(&self) -> &[Asn] {
         match self {
-            PathSegment::Sequence(v) | PathSegment::Set(v) => v,
+            PathSegment::Sequence(v) | PathSegment::Set(v) => v.as_ref(),
+        }
+    }
+
+    /// The segment over a borrowed list.
+    fn view(&self) -> PathSegment<&[Asn]> {
+        match self {
+            PathSegment::Sequence(v) => PathSegment::Sequence(v.as_ref()),
+            PathSegment::Set(v) => PathSegment::Set(v.as_ref()),
         }
     }
 }
 
 /// A full AS path.
-#[derive(Debug, PartialEq, Eq, Hash, Default)]
+#[derive(Clone, Default)]
 pub struct AsPath {
-    segments: Vec<PathSegment>,
+    repr: Repr,
 }
 
-/// Hand-written so `clone_from` reaches [`PathSegment::clone_from`] and a
-/// reused path keeps its allocations.
-impl Clone for AsPath {
-    fn clone(&self) -> Self {
-        AsPath {
-            segments: self.segments.clone(),
-        }
-    }
+/// The two forms of [`AsPath`]; a value has exactly one of them.
+#[derive(Clone)]
+enum Repr {
+    /// One AS_SEQUENCE of the ASes `asns[..len]`. The slots past `len` are
+    /// never read.
+    Inline { len: u8, asns: [Asn; INLINE] },
+    /// Every other shape: no segment at all (the empty path), a set,
+    /// several segments, or one sequence longer than [`INLINE`].
+    Heap(Vec<PathSegment>),
+}
 
-    fn clone_from(&mut self, source: &Self) {
-        self.segments.clone_from(&source.segments);
+impl Default for Repr {
+    fn default() -> Self {
+        Repr::Heap(Vec::new())
+    }
+}
+
+impl Repr {
+    /// One AS_SEQUENCE of `asns`, inline if it fits.
+    fn sequence(asns: impl IntoIterator<Item = Asn>) -> Repr {
+        let mut asns = asns.into_iter();
+        let mut inline = [Asn::default(); INLINE];
+        let mut len = 0;
+        for asn in asns.by_ref() {
+            if len == INLINE {
+                let mut all = inline.to_vec();
+                all.push(asn);
+                all.extend(asns);
+                return Repr::Heap(vec![PathSegment::Sequence(all)]);
+            }
+            inline[len] = asn;
+            len += 1;
+        }
+        Repr::Inline {
+            len: len as u8,
+            asns: inline,
+        }
     }
 }
 
@@ -85,28 +134,71 @@ impl AsPath {
     /// Builds a path with a single AS_SEQUENCE, collector-first order.
     pub fn from_asns<I: IntoIterator<Item = Asn>>(asns: I) -> Self {
         AsPath {
-            segments: vec![PathSegment::Sequence(asns.into_iter().collect())],
+            repr: Repr::sequence(asns),
         }
     }
 
     /// Builds a path from raw segments.
     pub fn from_segments(segments: Vec<PathSegment>) -> Self {
-        AsPath { segments }
+        let mut path = AsPath::empty();
+        for segment in segments {
+            path.push_segment(segment);
+        }
+        path
     }
 
-    /// The underlying segments.
-    pub fn segments(&self) -> &[PathSegment] {
-        &self.segments
+    /// Appends `segment` at the origin end: the one builder behind
+    /// [`from_segments`](Self::from_segments), the AS_PATH decoder and
+    /// [`deprepended`](Self::deprepended). A first segment that is a
+    /// sequence of at most [`INLINE`] ASes is stored inline; any other
+    /// moves the path to the heap.
+    pub fn push_segment<I: IntoIterator<Item = Asn>>(&mut self, segment: PathSegment<I>) {
+        match segment {
+            PathSegment::Sequence(asns) if self.is_bare() => self.repr = Repr::sequence(asns),
+            segment => {
+                let segment = segment.map(|asns| asns.into_iter().collect());
+                self.heap_mut().push(segment);
+            }
+        }
+    }
+
+    /// True if the path has no segment at all.
+    fn is_bare(&self) -> bool {
+        matches!(&self.repr, Repr::Heap(segments) if segments.is_empty())
+    }
+
+    /// The path's segment list, after moving an inline path to the heap.
+    fn heap_mut(&mut self) -> &mut Vec<PathSegment> {
+        if let Repr::Inline { len, asns } = &self.repr {
+            let sequence = asns[..usize::from(*len)].to_vec();
+            self.repr = Repr::Heap(vec![PathSegment::Sequence(sequence)]);
+        }
+        match &mut self.repr {
+            Repr::Heap(segments) => segments,
+            Repr::Inline { .. } => unreachable!("moved to the heap above"),
+        }
+    }
+
+    /// The segments, borrowed.
+    pub fn segments(&self) -> impl Iterator<Item = PathSegment<&[Asn]>> + '_ {
+        let (inline, heap) = match &self.repr {
+            Repr::Inline { len, asns } => {
+                let sequence = PathSegment::Sequence(&asns[..usize::from(*len)]);
+                (Some(sequence), &[][..])
+            }
+            Repr::Heap(segments) => (None, segments.as_slice()),
+        };
+        inline.into_iter().chain(heap.iter().map(PathSegment::view))
     }
 
     /// True if the path has no ASes at all.
     pub fn is_empty(&self) -> bool {
-        self.segments.iter().all(|s| s.asns().is_empty())
+        self.segments().all(|s| s.asns().is_empty())
     }
 
     /// Iterates over every AS in path order (sets flattened in place).
     pub fn asns(&self) -> impl Iterator<Item = Asn> + '_ {
-        self.segments.iter().flat_map(|s| s.asns().iter().copied())
+        self.segments().flat_map(|s| s.into_list().iter().copied())
     }
 
     /// The path flattened to a vector, collector-first.
@@ -118,7 +210,7 @@ impl AsPath {
     /// a sequence. Aggregated paths ending in an AS_SET have no unambiguous
     /// origin and yield `None`.
     pub fn origin(&self) -> Option<Asn> {
-        match self.segments.last()? {
+        match self.segments().last()? {
             PathSegment::Sequence(v) => v.last().copied(),
             PathSegment::Set(_) => None,
         }
@@ -126,94 +218,66 @@ impl AsPath {
 
     /// The AS nearest the observation point (first AS of the first segment).
     pub fn head(&self) -> Option<Asn> {
-        self.segments.first().and_then(|s| match s {
-            PathSegment::Sequence(v) => v.first().copied(),
-            PathSegment::Set(v) => v.first().copied(),
-        })
+        self.segments().next()?.asns().first().copied()
     }
 
     /// Path length for BGP best-path comparison: sequences count per-AS,
     /// each set counts 1. Prepending inflates this, which is the entire
     /// point of the prepend community service (Fig 2).
     pub fn hop_count(&self) -> usize {
-        self.segments.iter().map(PathSegment::hop_count).sum()
+        self.segments().map(|s| s.hop_count()).sum()
     }
 
     /// True if `asn` appears anywhere in the path.
     pub fn contains(&self, asn: Asn) -> bool {
-        self.asns().any(|a| a == asn)
+        self.segments().any(|s| s.asns().contains(&asn))
     }
 
     /// Prepends `asn` `n` times at the head (the action a router performs on
     /// egress, or `n` times at once for the `ASN:×n` community service).
+    /// Within [`INLINE`] the path shifts in place.
     pub fn prepend(&mut self, asn: Asn, n: usize) {
         if n == 0 {
             return;
         }
-        match self.segments.first_mut() {
+        if let Repr::Inline { len, asns } = &mut self.repr {
+            let old = usize::from(*len);
+            if old + n <= INLINE {
+                asns.copy_within(..old, n);
+                asns[..n].fill(asn);
+                *len = (old + n) as u8;
+                return;
+            }
+        }
+        if self.is_bare() {
+            return self.push_segment(PathSegment::Sequence(std::iter::repeat_n(asn, n)));
+        }
+        let segments = self.heap_mut();
+        match segments.first_mut() {
             // One splice reserves once and shifts the tail once, whatever
             // `n` is.
             Some(PathSegment::Sequence(v)) => {
                 v.splice(0..0, std::iter::repeat_n(asn, n));
             }
-            _ => {
-                self.segments.insert(0, PathSegment::Sequence(vec![asn; n]));
-            }
-        }
-    }
-
-    /// Rebuilds the path in place, one segment per call of `segment`: it
-    /// fills the emptied ASN list it is handed and answers with the
-    /// segment's constructor (`PathSegment::Sequence` or `PathSegment::Set`),
-    /// or `None` once the path is complete. Segment `i` is refilled in the
-    /// list the old segment `i` had, so a decoder refilling one scratch
-    /// path per record allocates only when a path outgrows the one before
-    /// (what [`Clone::clone_from`] does for a copy). On `Err` the path holds
-    /// the segments completed before it.
-    pub fn refill<E>(
-        &mut self,
-        mut segment: impl FnMut(&mut Vec<Asn>) -> Result<Option<fn(Vec<Asn>) -> PathSegment>, E>,
-    ) -> Result<(), E> {
-        let mut n = 0;
-        loop {
-            let mut asns = match self.segments.get_mut(n) {
-                Some(PathSegment::Sequence(v) | PathSegment::Set(v)) => std::mem::take(v),
-                None => Vec::new(),
-            };
-            asns.clear();
-            match segment(&mut asns) {
-                Ok(Some(kind)) if n < self.segments.len() => self.segments[n] = kind(asns),
-                Ok(Some(kind)) => self.segments.push(kind(asns)),
-                done => {
-                    self.segments.truncate(n);
-                    return done.map(|_| ());
-                }
-            }
-            n += 1;
+            _ => segments.insert(0, PathSegment::Sequence(vec![asn; n])),
         }
     }
 
     /// Returns a copy with consecutive duplicate ASes collapsed — the
     /// paper removes AS-path prepending "to not bias the AS path" (§4.1).
+    /// The copy is rebuilt segment by segment, and lands inline if it fits.
     pub fn deprepended(&self) -> AsPath {
-        let segments = self
-            .segments
-            .iter()
-            .map(|s| {
-                let asns = collapsed(s).collect();
-                match s {
-                    PathSegment::Sequence(_) => PathSegment::Sequence(asns),
-                    PathSegment::Set(_) => PathSegment::Set(asns),
-                }
-            })
-            .collect();
-        AsPath { segments }
+        let mut out = AsPath::empty();
+        for segment in self.segments() {
+            out.push_segment(collapsed(segment));
+        }
+        out
     }
 
     /// The ASes of [`deprepended`](Self::deprepended) in path order,
     /// without building the copy.
     pub fn deprepended_asns(&self) -> impl Iterator<Item = Asn> + '_ {
-        self.segments.iter().flat_map(collapsed)
+        self.segments().flat_map(|s| collapsed(s).into_list())
     }
 
     /// Position of the first occurrence of `asn` in the *de-prepended*
@@ -233,8 +297,7 @@ impl AsPath {
     /// paper's §9 future agenda) uses this to tell *which* AS was prepended,
     /// which the de-prepended path no longer shows.
     pub fn prepend_runs(&self) -> impl Iterator<Item = (Asn, usize)> + '_ {
-        self.segments
-            .iter()
+        self.segments()
             .filter_map(|seg| match seg {
                 PathSegment::Sequence(v) => Some(v.chunk_by(|a, b| a == b)),
                 PathSegment::Set(_) => None,
@@ -243,25 +306,68 @@ impl AsPath {
             .filter(|run| run.len() > 1)
             .map(|run| (run[0], run.len()))
     }
+
+    /// True if the path is stored inline.
+    #[cfg(test)]
+    fn is_inline(&self) -> bool {
+        matches!(self.repr, Repr::Inline { .. })
+    }
 }
 
 /// A segment's ASes with prepending collapsed: a sequence drops each AS
 /// that repeats the one before it; a set is kept whole.
-fn collapsed(segment: &PathSegment) -> impl Iterator<Item = Asn> + '_ {
+fn collapsed(segment: PathSegment<&[Asn]>) -> PathSegment<impl Iterator<Item = Asn> + '_> {
     let set = matches!(segment, PathSegment::Set(_));
     let mut last = None;
-    segment
-        .asns()
-        .iter()
-        .copied()
-        .filter(move |&a| set || last.replace(a) != Some(a))
+    segment.map(move |asns| {
+        asns.iter()
+            .copied()
+            .filter(move |&a| set || last.replace(a) != Some(a))
+    })
+}
+
+/// Equal exactly when the segment lists are. Each value has one form, so a
+/// path inline never equals one on the heap, and an inline path compares
+/// its live ASes only.
+impl PartialEq for AsPath {
+    fn eq(&self, other: &Self) -> bool {
+        match (&self.repr, &other.repr) {
+            (Repr::Inline { len: a, asns: x }, Repr::Inline { len: b, asns: y }) => {
+                x[..usize::from(*a)] == y[..usize::from(*b)]
+            }
+            (Repr::Heap(a), Repr::Heap(b)) => a == b,
+            _ => false,
+        }
+    }
+}
+
+impl Eq for AsPath {}
+
+/// Hashes what a `Vec<PathSegment>` of the same segments hashes: the
+/// segment count, then each segment.
+impl Hash for AsPath {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_usize(self.segments().count());
+        self.segments().for_each(|s| s.hash(state));
+    }
+}
+
+/// Prints the segment list, as a struct holding it would:
+/// `AsPath { segments: [Sequence([Asn(3), Asn(1)])] }`.
+impl fmt::Debug for AsPath {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let segments: Vec<_> = self.segments().collect();
+        f.debug_struct("AsPath")
+            .field("segments", &segments)
+            .finish()
+    }
 }
 
 impl fmt::Display for AsPath {
     /// Space-separated presentation, sets in braces: `"3 2 {7,9} 1"`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut first = true;
-        for seg in &self.segments {
+        for seg in self.segments() {
             match seg {
                 PathSegment::Sequence(v) => {
                     for a in v {
@@ -327,17 +433,12 @@ mod tests {
     }
 
     #[test]
-    fn clone_from_equals_clone_and_keeps_the_allocation() {
+    fn clone_from_equals_clone_in_either_form() {
         let mut scratch = path(&[9, 8, 7, 6, 5]);
-        let buffer = scratch.segments()[0].asns().as_ptr();
         let short = path(&[3, 2]);
         scratch.clone_from(&short);
         assert_eq!(scratch, short);
-        assert_eq!(
-            scratch.segments()[0].asns().as_ptr(),
-            buffer,
-            "a path that fits is copied into the buffer already there"
-        );
+        assert!(scratch.is_inline());
         // Another segment kind, more segments, none at all: still a clone.
         let mixed = AsPath::from_segments(vec![
             PathSegment::Set(asns(&[2, 1])),
@@ -345,54 +446,68 @@ mod tests {
         ]);
         scratch.clone_from(&mixed);
         assert_eq!(scratch, mixed);
+        assert!(!scratch.is_inline());
         scratch.clone_from(&AsPath::empty());
         assert_eq!(scratch, AsPath::empty());
     }
 
     #[test]
-    fn refill_builds_the_segments_it_is_fed_and_keeps_the_allocation() {
-        let mut scratch = path(&[9, 8, 7, 6, 5]);
-        let buffer = scratch.segments()[0].asns().as_ptr();
-        let mut feed = vec![
-            (
-                PathSegment::Set as fn(Vec<Asn>) -> PathSegment,
-                asns(&[2, 1]),
-            ),
-            (PathSegment::Sequence, asns(&[5])),
-        ]
-        .into_iter();
-        let refilled = scratch.refill(|out| {
-            Ok::<_, ()>(feed.next().map(|(kind, list)| {
-                out.extend(list);
-                kind
-            }))
-        });
-        assert_eq!(refilled, Ok(()));
+    fn push_segment_builds_the_segments_it_is_fed_in_the_canonical_form() {
+        let mut built = AsPath::empty();
+        built.push_segment(PathSegment::Set(asns(&[2, 1])));
+        built.push_segment(PathSegment::Sequence(asns(&[5])));
         let mixed = AsPath::from_segments(vec![
             PathSegment::Set(asns(&[2, 1])),
             PathSegment::Sequence(asns(&[5])),
         ]);
-        assert_eq!(scratch, mixed);
+        assert_eq!(built, mixed);
+        assert!(!built.is_inline(), "a set lives on the heap");
+        // What the AS_PATH decoder builds for one short sequence is inline,
+        // and one more segment moves it to the heap with the same ASes.
+        let mut decoded = AsPath::empty();
+        decoded.push_segment(PathSegment::Sequence(asns(&[3, 2, 1])));
+        assert!(decoded.is_inline());
+        assert_eq!(decoded, path(&[3, 2, 1]));
+        decoded.push_segment(PathSegment::Sequence(asns(&[7])));
+        assert!(!decoded.is_inline());
+        assert_eq!(decoded.to_vec(), asns(&[3, 2, 1, 7]));
+        assert_eq!(decoded.segments().count(), 2);
+        // A first sequence longer than `INLINE` is on the heap.
+        let long: Vec<u32> = (1..=INLINE as u32 + 1).collect();
+        let mut decoded = AsPath::empty();
+        decoded.push_segment(PathSegment::Sequence(asns(&long)));
+        assert!(!decoded.is_inline());
+        assert_eq!(decoded, path(&long));
+        assert_eq!(decoded.to_vec(), asns(&long));
+    }
+
+    #[test]
+    fn prepend_within_inline_capacity_stays_inline_and_crossing_it_moves_to_the_heap() {
+        let mut p = path(&[2, 1]);
+        p.prepend(Asn::new(9), INLINE - 3);
+        assert!(p.is_inline());
+        p.prepend(Asn::new(8), 1);
+        assert!(p.is_inline(), "exactly `INLINE` ASes fit");
+        assert_eq!(p.hop_count(), INLINE);
+        let before = p.to_vec();
+        p.prepend(Asn::new(7), 1);
+        assert!(!p.is_inline());
+        assert_eq!(p.to_vec()[1..], before[..]);
+        assert_eq!(p.head(), Some(Asn::new(7)));
         assert_eq!(
-            scratch.segments()[0].asns().as_ptr(),
-            buffer,
-            "segment 0 is refilled in the old segment 0's list"
+            p,
+            AsPath::from_asns(p.to_vec()),
+            "the heap form is canonical"
         );
-        // An error keeps the segments completed before it.
-        let mut calls = 0;
-        let failed = scratch.refill(|out| {
-            calls += 1;
-            out.push(Asn::new(calls));
-            if calls == 2 {
-                Err("bad segment")
-            } else {
-                Ok(Some(PathSegment::Sequence))
-            }
-        });
-        assert_eq!(failed, Err("bad segment"));
-        assert_eq!(scratch, path(&[1]));
-        assert_eq!(scratch.refill(|_| Ok::<_, ()>(None)), Ok(()));
-        assert_eq!(scratch, AsPath::empty());
+        // De-prepending brings a long path back inline.
+        let short = p.deprepended();
+        assert!(short.is_inline());
+        assert_eq!(short.to_vec(), asns(&[7, 8, 9, 2, 1]));
+    }
+
+    #[test]
+    fn an_inline_path_is_56_bytes_at_most() {
+        assert!(std::mem::size_of::<AsPath>() <= 56);
     }
 
     #[test]
@@ -455,12 +570,12 @@ mod tests {
             let mut p = path(&[2, 1]);
             p.prepend(Asn::new(9), n);
             assert_eq!(p.to_vec(), asns(want), "n = {n}");
-            assert_eq!(p.segments().len(), 1, "extends the leading sequence");
+            assert_eq!(p.segments().count(), 1, "extends the leading sequence");
             // the empty path gains one sequence of exactly `n` copies
             let mut e = AsPath::empty();
             e.prepend(Asn::new(9), n);
             assert_eq!(e.to_vec(), vec![Asn::new(9); n], "empty path, n = {n}");
-            assert_eq!(e.segments().len(), usize::from(n > 0));
+            assert_eq!(e.segments().count(), usize::from(n > 0));
         }
     }
 
@@ -477,11 +592,11 @@ mod tests {
         assert_eq!(p, aggregated(), "n = 0 leaves the path untouched");
         p.prepend(Asn::new(9), 3);
         assert_eq!(
-            p.segments(),
-            &[
-                PathSegment::Sequence(asns(&[9, 9, 9])),
-                PathSegment::Set(asns(&[4, 3])),
-                PathSegment::Sequence(asns(&[2, 1])),
+            p.segments().collect::<Vec<_>>(),
+            [
+                PathSegment::Sequence(&asns(&[9, 9, 9])[..]),
+                PathSegment::Set(&asns(&[4, 3])),
+                PathSegment::Sequence(&asns(&[2, 1])),
             ],
             "the set is never spliced into"
         );
@@ -489,7 +604,7 @@ mod tests {
         // a second prepend extends the sequence the first one opened
         p.prepend(Asn::new(8), 1);
         assert_eq!(p.to_vec(), asns(&[8, 9, 9, 9, 4, 3, 2, 1]));
-        assert_eq!(p.segments().len(), 3);
+        assert_eq!(p.segments().count(), 3);
     }
 
     #[test]

@@ -3,13 +3,18 @@
 
 use bgpworms_types::{
     asn::Asn,
-    aspath::{AsPath, PathSegment},
+    aspath::{AsPath, PathSegment, INLINE},
+    attr::PathAttributes,
     community::{normalize, Community},
     ext_community::ExtendedCommunity,
     large_community::LargeCommunity,
     prefix::{Ipv4Prefix, Ipv6Prefix},
 };
+use bgpworms_wire::{decode_attributes, encode_attributes, CodecConfig};
 use proptest::prelude::*;
+use std::collections::hash_map::DefaultHasher;
+use std::fmt;
+use std::hash::{Hash, Hasher};
 
 proptest! {
     #[test]
@@ -158,5 +163,228 @@ proptest! {
             PathSegment::Set(set.iter().copied().map(Asn::new).collect()),
         ]);
         prop_assert_eq!(p.hop_count(), seq.len() + 1);
+    }
+}
+
+/// The reference model of an AS path: a plain segment list, with every
+/// query written over it directly. `AsPath` must answer as it does, print
+/// the same `Debug` and hash the same stream.
+mod model {
+    use bgpworms_types::{asn::Asn, aspath::PathSegment};
+
+    #[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
+    pub struct AsPath {
+        pub segments: Vec<PathSegment>,
+    }
+
+    impl AsPath {
+        pub fn to_vec(&self) -> Vec<Asn> {
+            self.segments
+                .iter()
+                .flat_map(|s| s.asns().to_vec())
+                .collect()
+        }
+
+        pub fn hop_count(&self) -> usize {
+            self.segments.iter().map(PathSegment::hop_count).sum()
+        }
+
+        pub fn origin(&self) -> Option<Asn> {
+            match self.segments.last()? {
+                PathSegment::Sequence(v) => v.last().copied(),
+                PathSegment::Set(_) => None,
+            }
+        }
+
+        pub fn head(&self) -> Option<Asn> {
+            self.segments.first()?.asns().first().copied()
+        }
+
+        pub fn is_empty(&self) -> bool {
+            self.segments.iter().all(|s| s.asns().is_empty())
+        }
+
+        pub fn prepend(&mut self, asn: Asn, n: usize) {
+            match self.segments.first_mut() {
+                _ if n == 0 => {}
+                Some(PathSegment::Sequence(v)) => {
+                    v.splice(0..0, vec![asn; n]);
+                }
+                _ => self.segments.insert(0, PathSegment::Sequence(vec![asn; n])),
+            }
+        }
+
+        pub fn deprepended(&self) -> AsPath {
+            let collapse = |v: &Vec<Asn>| {
+                let mut v = v.clone();
+                v.dedup();
+                v
+            };
+            let segments = (self.segments.iter())
+                .map(|s| match s {
+                    PathSegment::Sequence(v) => PathSegment::Sequence(collapse(v)),
+                    PathSegment::Set(v) => PathSegment::Set(v.clone()),
+                })
+                .collect();
+            AsPath { segments }
+        }
+
+        pub fn prepend_runs(&self) -> Vec<(Asn, usize)> {
+            let mut runs = Vec::new();
+            for s in &self.segments {
+                if let PathSegment::Sequence(v) = s {
+                    let mut i = 0;
+                    while i < v.len() {
+                        let run = v[i..].iter().take_while(|&&a| a == v[i]).count();
+                        if run > 1 {
+                            runs.push((v[i], run));
+                        }
+                        i += run;
+                    }
+                }
+            }
+            runs
+        }
+
+        /// What the AS_PATH codec carries: a segment with no ASes encodes
+        /// to nothing.
+        pub fn encoded(&self) -> AsPath {
+            let mut segments = self.segments.clone();
+            segments.retain(|s| !s.asns().is_empty());
+            AsPath { segments }
+        }
+
+        pub fn display(&self) -> String {
+            let words: Vec<String> = (self.segments.iter())
+                .flat_map(|s| match s {
+                    PathSegment::Sequence(v) => v.iter().map(|a| a.get().to_string()).collect(),
+                    PathSegment::Set(v) => {
+                        let members: Vec<String> = v.iter().map(|a| a.get().to_string()).collect();
+                        vec![format!("{{{}}}", members.join(","))]
+                    }
+                })
+                .collect();
+            words.join(" ")
+        }
+    }
+}
+
+/// Up to three segments, sets and sequences, each of 0 to `2 * INLINE + 1`
+/// ASes out of six, so prepend runs, short and long sequences and equal
+/// paths all come up.
+fn arb_segments() -> impl Strategy<Value = Vec<PathSegment>> {
+    let segment = (
+        any::<bool>(),
+        proptest::collection::vec(1u32..7, 0..=2 * INLINE + 1),
+    )
+        .prop_map(|(set, asns)| {
+            let asns = asns.into_iter().map(Asn::new).collect();
+            if set {
+                PathSegment::Set(asns)
+            } else {
+                PathSegment::Sequence(asns)
+            }
+        });
+    proptest::collection::vec(segment, 0..=3)
+}
+
+fn hash_of(value: &impl Hash) -> u64 {
+    let mut h = DefaultHasher::new();
+    value.hash(&mut h);
+    h.finish()
+}
+
+/// Every query of `path` equals the model's.
+fn same_as_model(path: &AsPath, model: &model::AsPath, how: &dyn fmt::Display) {
+    assert_eq!(format!("{path:?}"), format!("{model:?}"), "{how}: Debug");
+    assert_eq!(hash_of(path), hash_of(model), "{how}: hash stream");
+    assert_eq!(path.to_vec(), model.to_vec(), "{how}: to_vec");
+    assert_eq!(path.hop_count(), model.hop_count(), "{how}: hop_count");
+    assert_eq!(path.origin(), model.origin(), "{how}: origin");
+    assert_eq!(path.head(), model.head(), "{how}: head");
+    assert_eq!(path.is_empty(), model.is_empty(), "{how}: is_empty");
+    assert_eq!(path.to_string(), model.display(), "{how}: Display");
+    assert_eq!(
+        path.prepend_runs().collect::<Vec<_>>(),
+        model.prepend_runs(),
+        "{how}: prepend_runs"
+    );
+    let deprepended = model.deprepended().to_vec();
+    assert_eq!(
+        path.deprepended_asns().collect::<Vec<_>>(),
+        deprepended,
+        "{how}: deprepended_asns"
+    );
+    for asn in (0..8).map(Asn::new) {
+        assert_eq!(
+            path.contains(asn),
+            model.to_vec().contains(&asn),
+            "{how}: contains {asn}"
+        );
+        let position = deprepended.iter().position(|&a| a == asn);
+        assert_eq!(path.position(asn), position, "{how}: position {asn}");
+    }
+}
+
+/// `path` through the AS_PATH codec and back.
+fn wire_round_trip(path: &AsPath) -> AsPath {
+    let attrs = PathAttributes {
+        as_path: path.clone(),
+        ..PathAttributes::default()
+    };
+    let cfg = CodecConfig::modern();
+    let bytes = encode_attributes(&attrs, &[], &[], cfg).expect("encodes");
+    decode_attributes(&bytes, cfg)
+        .expect("decodes")
+        .attrs
+        .as_path
+}
+
+proptest! {
+    /// An `AsPath` is its segment list: built by every constructor, prepended,
+    /// cloned, de-prepended and sent through the AS_PATH codec, it answers
+    /// every query as the model does, and two paths are equal (and hash
+    /// equal) exactly when their models are.
+    #[test]
+    fn aspath_answers_as_its_segment_list_in_either_form(
+        segments in arb_segments(),
+        prepends in proptest::collection::vec((1u32..7, 0usize..=4), 0..4),
+    ) {
+        let model = model::AsPath { segments: segments.clone() };
+        let mut built: Vec<(String, AsPath, model::AsPath)> = Vec::new();
+        let path = AsPath::from_segments(segments.clone());
+        built.push(("from_segments".into(), path.clone(), model.clone()));
+        if let [PathSegment::Sequence(asns)] = &segments[..] {
+            built.push(("from_asns".into(), AsPath::from_asns(asns.clone()), model.clone()));
+        }
+        built.push(("clone".into(), built[0].1.clone(), model.clone()));
+        built.push(("wire".into(), wire_round_trip(&path), model.encoded()));
+        let (mut p, mut m) = (path.clone(), model.clone());
+        for (k, &(asn, n)) in prepends.iter().enumerate() {
+            p.prepend(Asn::new(asn), n);
+            m.prepend(Asn::new(asn), n);
+            built.push((format!("prepend #{k} ({asn} x{n})"), p.clone(), m.clone()));
+        }
+        built.push(("prepended, de-prepended".into(), p.deprepended(), m.deprepended()));
+        built.push(("de-prepended".into(), path.deprepended(), model.deprepended()));
+        let fresh = AsPath::from_segments(model.deprepended().segments);
+        built.push(("de-prepended, rebuilt".into(), fresh, model.deprepended()));
+        built.push(("prepended, wire".into(), wire_round_trip(&p), m.encoded()));
+
+        for (how, path, model) in &built {
+            same_as_model(path, model, how);
+        }
+        for (how_a, a, model_a) in &built {
+            for (how_b, b, model_b) in &built {
+                prop_assert_eq!(
+                    a == b,
+                    model_a == model_b,
+                    "{} against {}: {:?} and {:?}", how_a, how_b, a, b
+                );
+                if model_a == model_b {
+                    prop_assert_eq!(hash_of(a), hash_of(b), "{} against {}", how_a, how_b);
+                }
+            }
+        }
     }
 }

@@ -93,7 +93,6 @@ const MAX_SEGMENT_ASNS: usize = 255;
 fn as_path_len(path: &AsPath, cfg: CodecConfig) -> usize {
     let width = if cfg.asn4 { 4 } else { 2 };
     path.segments()
-        .iter()
         .map(|seg| {
             let n = seg.asns().len();
             n.div_ceil(MAX_SEGMENT_ASNS) * 2 + n * width
@@ -122,30 +121,25 @@ fn encode_as_path(out: &mut Vec<u8>, path: &AsPath, cfg: CodecConfig) {
     }
 }
 
-/// Refills `path` from an AS_PATH attribute's body, keeping its buffers.
+/// Rebuilds `path` from an AS_PATH attribute's body, one
+/// [`AsPath::push_segment`] per segment.
 fn refill_as_path(path: &mut AsPath, data: &[u8], cfg: CodecConfig) -> Result<(), WireError> {
+    let width = if cfg.asn4 { 4 } else { 2 };
     let mut c = Cursor::new(data);
-    path.refill(|asns| {
-        if c.is_empty() {
-            return Ok(None);
-        }
+    *path = AsPath::empty();
+    while !c.is_empty() {
         let seg_type = c.u8("as_path segment type")?;
         let count = c.u8("as_path segment count")?;
-        asns.reserve(usize::from(count));
-        for _ in 0..count {
-            let asn = if cfg.asn4 {
-                c.u32("as_path asn")?
-            } else {
-                u32::from(c.u16("as_path asn")?)
-            };
-            asns.push(Asn::new(asn));
-        }
-        match seg_type {
-            1 => Ok(Some(PathSegment::Set)),
-            2 => Ok(Some(PathSegment::Sequence)),
-            t => Err(WireError::BadSegmentType(t)),
-        }
-    })
+        let asns = c.take("as_path asn", usize::from(count) * width)?;
+        let asns = (asns.chunks_exact(width))
+            .map(|b| Asn::new(b.iter().fold(0, |n, &byte| n << 8 | u32::from(byte))));
+        path.push_segment(match seg_type {
+            1 => PathSegment::Set(asns),
+            2 => PathSegment::Sequence(asns),
+            t => return Err(WireError::BadSegmentType(t)),
+        });
+    }
+    Ok(())
 }
 
 /// Encodes the attributes section (without the leading 2-byte total length).
@@ -345,7 +339,7 @@ pub fn decode_attributes(data: &[u8], cfg: CodecConfig) -> Result<DecodedAttribu
 }
 
 /// [`decode_attributes`] into `update`: its `attrs` are overwritten,
-/// keeping the buffers of the path and the lists, the prefixes of
+/// keeping the buffers of the lists, the prefixes of
 /// MP_REACH_NLRI and MP_UNREACH_NLRI are appended to its `announced` and
 /// `withdrawn`, and the MP_REACH_NLRI next hop is returned. On `Err`,
 /// `update` holds no particular value.

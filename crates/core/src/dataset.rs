@@ -173,37 +173,24 @@ impl DatasetOverview {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observation::UpdateObservation;
-    use bgpworms_types::{Community, Prefix};
+    use crate::observation::written::{announce, set, Written};
 
     fn obs(
-        platform: &str,
-        collector: &str,
+        platform: &'static str,
+        collector: &'static str,
         peer: u32,
         path: &[u32],
         comms: &[(u16, u16)],
         prefix: &str,
-    ) -> UpdateObservation {
-        UpdateObservation {
-            platform: platform.into(),
-            collector: collector.into(),
-            time: 0,
-            peer: Asn::new(peer),
-            prefix: prefix.parse().unwrap(),
-            path: path.iter().map(|&n| Asn::new(n)).collect(),
-            raw_hop_count: path.len(),
-            prepends: Vec::new(),
-            large_communities: Vec::new(),
-            communities: comms.iter().map(|&(a, v)| Community::new(a, v)).collect(),
-            is_withdrawal: false,
-        }
+    ) -> Written {
+        announce(peer, path, comms, prefix).at(platform, collector)
     }
 
     fn sample_set() -> ObservationSet {
         sample_set_and(vec![])
     }
 
-    fn sample_set_and(more: Vec<UpdateObservation>) -> ObservationSet {
+    fn sample_set_and(more: Vec<Written>) -> ObservationSet {
         let mut observations = vec![
             obs("RIS", "rrc00", 3, &[3, 2, 1], &[(2, 100)], "10.0.0.0/16"),
             obs(
@@ -225,14 +212,7 @@ mod tests {
             ),
         ];
         observations.extend(more);
-        ObservationSet::from_observations(
-            observations,
-            vec![
-                ("RIS".into(), "rrc00".into(), 2),
-                ("RIS".into(), "rrc01".into(), 1),
-                ("RV".into(), "route-views2".into(), 1),
-            ],
-        )
+        set(&observations)
     }
 
     #[test]
@@ -276,19 +256,11 @@ mod tests {
 
     #[test]
     fn withdrawals_count_prefixes_but_not_paths() {
-        let set = sample_set_and(vec![UpdateObservation {
-            platform: "RIS".into(),
-            collector: "rrc00".into(),
+        let withdrawal = Written {
             time: 1,
-            peer: Asn::new(3),
-            prefix: "30.0.0.0/16".parse::<Prefix>().unwrap(),
-            path: vec![],
-            raw_hop_count: 0,
-            prepends: Vec::new(),
-            large_communities: Vec::new(),
-            communities: vec![],
-            is_withdrawal: true,
-        }]);
+            ..obs("RIS", "rrc00", 3, &[], &[], "30.0.0.0/16").withdrawn()
+        };
+        let set = sample_set_and(vec![withdrawal]);
         let overview = DatasetOverview::compute(&set);
         let ris = &overview.rows[0];
         assert_eq!(ris.v4_prefixes, 3, "withdrawn prefix counted");

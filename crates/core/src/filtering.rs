@@ -345,35 +345,15 @@ impl RelationshipCorrelation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observation::UpdateObservation;
-    use bgpworms_types::Community;
-
-    fn obs(peer: u32, path: &[u32], comms: &[(u16, u16)], prefix: &str) -> UpdateObservation {
-        UpdateObservation {
-            platform: "RIS".into(),
-            collector: "rrc00".into(),
-            time: 0,
-            peer: Asn::new(peer),
-            prefix: prefix.parse().unwrap(),
-            path: path.iter().map(|&n| Asn::new(n)).collect(),
-            raw_hop_count: path.len(),
-            prepends: Vec::new(),
-            large_communities: Vec::new(),
-            communities: comms.iter().map(|&(a, v)| Community::new(a, v)).collect(),
-            is_withdrawal: false,
-        }
-    }
+    use crate::observation::written::{announce as obs, set};
 
     /// The paper's Fig 6(a) example: prefix p originated at AS1; A1 via
     /// AS4 carries AS2:x, A2 via AS5 carries nothing.
     fn paper_example() -> ObservationSet {
-        ObservationSet::from_observations(
-            vec![
-                obs(4, &[4, 3, 2, 1], &[(2, 9)], "10.0.0.0/16"),
-                obs(5, &[5, 3, 2, 1], &[], "10.0.0.0/16"),
-            ],
-            vec![],
-        )
+        set(&[
+            obs(4, &[4, 3, 2, 1], &[(2, 9)], "10.0.0.0/16"),
+            obs(5, &[5, 3, 2, 1], &[], "10.0.0.0/16"),
+        ])
     }
 
     #[test]
@@ -407,15 +387,12 @@ mod tests {
     #[test]
     fn mixed_edges_detected() {
         // Same edge forwards one community and filters another.
-        let set = ObservationSet::from_observations(
-            vec![
-                obs(4, &[4, 3, 2, 1], &[(2, 9)], "10.0.0.0/16"),
-                obs(4, &[4, 3, 2, 1], &[(2, 8)], "20.0.0.0/16"),
-                obs(5, &[5, 3, 2, 1], &[(2, 8)], "20.0.0.0/16"),
-                obs(5, &[5, 3, 2, 1], &[], "10.0.0.0/16"),
-            ],
-            vec![],
-        );
+        let set = set(&[
+            obs(4, &[4, 3, 2, 1], &[(2, 9)], "10.0.0.0/16"),
+            obs(4, &[4, 3, 2, 1], &[(2, 8)], "20.0.0.0/16"),
+            obs(5, &[5, 3, 2, 1], &[(2, 8)], "20.0.0.0/16"),
+            obs(5, &[5, 3, 2, 1], &[], "10.0.0.0/16"),
+        ]);
         let analysis = FilteringAnalysis::compute(&set);
         let e35 = analysis.edges[&(Asn::new(3), Asn::new(5))];
         assert!(e35.forwarded > 0 && e35.filtered > 0);

@@ -141,40 +141,21 @@ impl LargeCommunityAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observation::UpdateObservation;
-    use bgpworms_types::Community;
+    use crate::observation::written::{announce, set, Written};
 
-    fn obs(
-        prefix: &str,
-        path: &[u32],
-        comms: &[(u16, u16)],
-        large: &[(u32, u32)],
-    ) -> UpdateObservation {
-        UpdateObservation {
-            platform: "RIS".into(),
-            collector: "rrc00".into(),
-            time: 0,
-            peer: Asn::new(path[0]),
-            prefix: prefix.parse().unwrap(),
-            path: path.iter().map(|&n| Asn::new(n)).collect(),
-            raw_hop_count: path.len(),
-            prepends: vec![],
-            communities: comms.iter().map(|&(a, v)| Community::new(a, v)).collect(),
-            large_communities: large
-                .iter()
+    fn obs(prefix: &str, path: &[u32], comms: &[(u16, u16)], large: &[(u32, u32)]) -> Written {
+        let mut written = announce(path[0], path, comms, prefix);
+        if let Some(attrs) = &mut written.attrs {
+            attrs.large_communities = (large.iter())
                 .map(|&(g, v)| LargeCommunity::new(g, v, 0))
-                .collect(),
-            is_withdrawal: false,
+                .collect();
         }
-    }
-
-    fn set(observations: Vec<UpdateObservation>) -> ObservationSet {
-        ObservationSet::from_observations(observations, vec![("RIS".into(), "rrc00".into(), 1)])
+        written
     }
 
     #[test]
     fn counts_large_and_private_channels() {
-        let s = set(vec![
+        let s = set(&[
             // 4-byte origin with a large community
             obs("10.0.0.0/16", &[3, 2, 400_001], &[], &[(400_001, 100)]),
             // 16-bit origin bundling under a private ASN
@@ -196,12 +177,7 @@ mod tests {
     #[test]
     fn distance_uses_owner_position() {
         // Owner at the path origin: distance = 2 (two hops to the peer).
-        let s = set(vec![obs(
-            "10.0.0.0/16",
-            &[3, 2, 400_001],
-            &[],
-            &[(400_001, 100)],
-        )]);
+        let s = set(&[obs("10.0.0.0/16", &[3, 2, 400_001], &[], &[(400_001, 100)])]);
         let a = LargeCommunityAnalysis::compute(&s);
         let ecdf = a.distance_ecdf();
         assert_eq!(ecdf.len(), 1);
@@ -211,12 +187,7 @@ mod tests {
 
     #[test]
     fn render_mentions_key_numbers() {
-        let s = set(vec![obs(
-            "10.0.0.0/16",
-            &[3, 2, 400_001],
-            &[],
-            &[(400_001, 100)],
-        )]);
+        let s = set(&[obs("10.0.0.0/16", &[3, 2, 400_001], &[], &[(400_001, 100)])]);
         let text = LargeCommunityAnalysis::compute(&s).render();
         assert!(text.contains("with large communities: 1"));
         assert!(text.contains("4-byte: 1"));
@@ -224,7 +195,7 @@ mod tests {
 
     #[test]
     fn empty_set_is_all_zeroes() {
-        let a = LargeCommunityAnalysis::compute(&set(vec![]));
+        let a = LargeCommunityAnalysis::compute(&set(&[]));
         assert_eq!(a.large_fraction(), 0.0);
         assert_eq!(a.private_bundle_fraction(), 0.0);
         assert!(a.distance_ecdf().is_empty());

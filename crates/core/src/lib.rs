@@ -3,12 +3,13 @@
 //!
 //! (`ARCHITECTURE.md` at the repository root shows where this analysis
 //! layer sits in the workspace, and draws its Layer 0 in "The passive
-//! pipeline": archives → tables and columns → the two shared indexes →
-//! the analyses below.)
+//! pipeline": archives or in-memory rows → tables and columns → the two
+//! shared indexes → the analyses below.)
 //!
 //! Input is MRT — the same bytes RIPE RIS / RouteViews / Isolario / PCH
-//! publish and that `bgpworms-routesim` collectors emit. The pipeline never
-//! sees simulator internals; it parses archives **once** into an
+//! publish and that `bgpworms-routesim` collectors emit — or a feed of
+//! [`FeedRow`]s a caller already holds in memory. The pipeline never sees
+//! simulator internals; it reads its input **once** into an
 //! [`ObservationSet`] — interned ASNs, communities, edges, prefixes and
 //! sessions, flat columns, rows read in place as [`Observation`]s — and
 //! derives every statistic of the paper's measurement section from its
@@ -51,8 +52,8 @@ pub use filtering::{
 };
 pub use large::LargeCommunityAnalysis;
 pub use observation::{
-    ArchiveInput, BlackholeDetector, Frozen, Observation, ObservationSet, Row, Tag,
-    UpdateObservation,
+    ArchiveInput, BlackholeDetector, FeedAttrs, FeedRow, Frozen, Observation, ObservationSet, Row,
+    Tag, UpdateObservation,
 };
 pub use propagation::{PropagationAnalysis, Table2Row};
 pub use stats::{Ecdf, Histogram};

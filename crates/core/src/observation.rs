@@ -1,6 +1,9 @@
 //! The observation store — Layer 0 of the passive pipeline (see
-//! `ARCHITECTURE.md`, "The passive pipeline"): MRT archives parsed **once**
-//! into interned tables, flat columns and two shared indexes.
+//! `ARCHITECTURE.md`, "The passive pipeline"): a feed read **once** into
+//! interned tables, flat columns and two shared indexes. It has two ways
+//! in, one per input kind: MRT bytes ([`ObservationSet::from_archives`])
+//! or rows a caller already holds ([`ObservationSet::from_rows`]). Both
+//! feed one private builder, through the same de-prepending.
 //!
 //! Every table is sorted, so *id order is value order*: an analysis counts
 //! into a `Vec` indexed by id and renders its `BTreeMap`-ordered output by
@@ -9,7 +12,7 @@
 
 pub use bgpworms_mrt::ArchiveInput;
 use bgpworms_mrt::{Bgp4mpMessage, MrtError, UpdateStream};
-use bgpworms_types::{Asn, Community, LargeCommunity, Prefix};
+use bgpworms_types::{AsPath, Asn, Community, LargeCommunity, PathAttributes, Prefix};
 use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
 use std::ops::{Deref, Range};
@@ -17,9 +20,8 @@ use std::ops::{Deref, Range};
 /// "No such position": an off-path owner's; a row's ids until `finish`.
 const NONE: u32 = u32::MAX;
 
-/// One observation as an owned record: what a hand-built set is made of
-/// ([`ObservationSet::from_observations`]) and what
-/// [`Observation::to_record`] gives back. The set itself stores columns.
+/// One observation as an owned record: what [`Observation::to_record`]
+/// gives back. The set itself stores columns.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UpdateObservation {
     /// Platform the collector belongs to (RIS / RV / IS / PCH).
@@ -49,6 +51,44 @@ pub struct UpdateObservation {
     pub large_communities: Vec<LargeCommunity>,
     /// True for withdrawals.
     pub is_withdrawal: bool,
+}
+
+/// One row of a feed as [`ObservationSet::from_rows`] reads it: one
+/// message of a collector session about one prefix, its attributes
+/// borrowed from wherever the caller holds them.
+#[derive(Debug, Clone, Copy)]
+pub struct FeedRow<'a> {
+    /// Observation time (Unix seconds).
+    pub time: u32,
+    /// The collector's peer session.
+    pub peer: Asn,
+    /// The prefix.
+    pub prefix: Prefix,
+    /// What an announcement carries; `None` for a withdrawal.
+    pub announced: Option<FeedAttrs<'a>>,
+}
+
+/// The attributes of an announcement the store keeps, as received: the
+/// raw path (de-prepended on the way in), the communities and the large
+/// communities.
+#[derive(Debug, Clone, Copy)]
+pub struct FeedAttrs<'a> {
+    /// The AS path as announced, prepends included, collector-first.
+    pub path: &'a AsPath,
+    /// Attached communities.
+    pub communities: &'a [Community],
+    /// Attached RFC 8092 large communities.
+    pub large_communities: &'a [LargeCommunity],
+}
+
+impl<'a> From<&'a PathAttributes> for FeedAttrs<'a> {
+    fn from(attrs: &'a PathAttributes) -> Self {
+        FeedAttrs {
+            path: &attrs.as_path,
+            communities: &attrs.communities,
+            large_communities: &attrs.large_communities,
+        }
+    }
 }
 
 /// A list that can be read (`len()`, indexing, `iter()` through `Deref`)
@@ -291,28 +331,28 @@ impl Builder {
         }) as u32
     }
 
-    fn attrs(
-        &mut self,
-        path: impl Iterator<Item = Asn>,
-        raw_hop_count: usize,
-        prepends: impl Iterator<Item = (Asn, usize)>,
-        communities: &[Community],
-        large: &[LargeCommunity],
-    ) -> Attrs {
+    /// Puts an announcement's attributes in the columns: the path
+    /// de-prepended, with its raw hop count and prepend runs beside it.
+    fn attrs(&mut self, announced: FeedAttrs<'_>) -> Attrs {
+        let FeedAttrs {
+            path,
+            communities,
+            large_communities,
+        } = announced;
         let (path_before, prepends_before) = (self.path.len(), self.prepends.len());
-        self.path.extend(path);
+        self.path.extend(path.deprepended_asns());
         if self.path.len() > path_before {
             self.path_ends.push(self.path.len());
         }
         self.comms.extend_from_slice(communities);
-        self.prepends.extend(prepends);
-        self.large.extend_from_slice(large);
+        self.prepends.extend(path.prepend_runs());
+        self.large.extend_from_slice(large_communities);
         Attrs {
             path: span_of(&self.path, self.path.len() - path_before),
             communities: span_of(&self.comms, communities.len()),
             prepends: span_of(&self.prepends, self.prepends.len() - prepends_before),
-            large: span_of(&self.large, large.len()),
-            raw_hop_count,
+            large: span_of(&self.large, large_communities.len()),
+            raw_hop_count: path.hop_count(),
         }
     }
 
@@ -474,14 +514,7 @@ impl ObservationSet {
                 count += 1;
                 let (time, peer, update) = (msg.header.timestamp, msg.peer_as, &msg.update);
                 if !update.announced.is_empty() {
-                    let as_path = &update.attrs.as_path;
-                    let attrs = b.attrs(
-                        as_path.deprepended_asns(),
-                        as_path.hop_count(),
-                        as_path.prepend_runs(),
-                        &update.attrs.communities,
-                        &update.attrs.large_communities,
-                    );
+                    let attrs = b.attrs(FeedAttrs::from(&update.attrs));
                     for prefix in &update.announced {
                         b.row(session, time, peer, *prefix, Some(attrs));
                     }
@@ -495,27 +528,28 @@ impl ObservationSet {
         Ok(b.finish(messages))
     }
 
-    /// The constructor for hand-built sets: interns and indexes `records`
-    /// exactly as [`from_archives`](Self::from_archives) does parsed ones.
-    /// A withdrawal carries no attributes, so any a record flagged
-    /// `is_withdrawal` holds are dropped.
-    pub fn from_observations(
-        records: Vec<UpdateObservation>,
-        messages: Vec<(String, String, u64)>,
-    ) -> Self {
+    /// Reads a feed held in memory: `(platform, collector, rows)` per
+    /// session, each session's rows in feed order. Each row is one message,
+    /// so a session's message count is its row count, and a session
+    /// without rows is listed all the same. Where each message of an
+    /// archive names one prefix, as a collector's do, the set built from
+    /// its rows equals the one [`from_archives`](Self::from_archives)
+    /// builds from its bytes.
+    pub fn from_rows<'a, R>(sessions: impl IntoIterator<Item = (&'a str, &'a str, R)>) -> Self
+    where
+        R: IntoIterator<Item = FeedRow<'a>>,
+    {
         let mut b = Builder::default();
-        for r in &records {
-            let session = b.session(&r.platform, &r.collector);
-            let attrs = (!r.is_withdrawal).then(|| {
-                b.attrs(
-                    r.path.iter().copied(),
-                    r.raw_hop_count,
-                    r.prepends.iter().copied(),
-                    &r.communities,
-                    &r.large_communities,
-                )
-            });
-            b.row(session, r.time, r.peer, r.prefix, attrs);
+        let mut messages = Vec::new();
+        for (platform, collector, rows) in sessions {
+            let session = b.session(platform, collector);
+            let mut count = 0u64;
+            for row in rows {
+                count += 1;
+                let attrs = row.announced.map(|announced| b.attrs(announced));
+                b.row(session, row.time, row.peer, row.prefix, attrs);
+            }
+            messages.push((platform.to_owned(), collector.to_owned(), count));
         }
         b.finish(messages)
     }
@@ -800,11 +834,92 @@ impl BlackholeDetector {
     }
 }
 
+/// Hand-written feeds for the analyses' unit tests: rows that own what a
+/// [`FeedRow`] borrows.
+#[cfg(test)]
+pub(crate) mod written {
+    use super::*;
+
+    /// One row of a hand-written feed; `attrs` is `None` for a withdrawal.
+    #[derive(Debug, Clone)]
+    pub(crate) struct Written {
+        pub(crate) platform: &'static str,
+        pub(crate) collector: &'static str,
+        pub(crate) time: u32,
+        pub(crate) peer: Asn,
+        pub(crate) prefix: Prefix,
+        pub(crate) attrs: Option<PathAttributes>,
+    }
+
+    /// An announcement of `prefix` heard at RIS `rrc00` at time 0 from
+    /// `peer`, over `path` (collector-first), carrying `comms`.
+    pub(crate) fn announce(peer: u32, path: &[u32], comms: &[(u16, u16)], prefix: &str) -> Written {
+        Written {
+            platform: "RIS",
+            collector: "rrc00",
+            time: 0,
+            peer: Asn::new(peer),
+            prefix: prefix.parse().unwrap(),
+            attrs: Some(PathAttributes {
+                as_path: AsPath::from_asns(path.iter().map(|&n| Asn::new(n))),
+                communities: comms.iter().map(|&(a, v)| Community::new(a, v)).collect(),
+                ..PathAttributes::default()
+            }),
+        }
+    }
+
+    impl Written {
+        /// The same row heard at `collector` of `platform`.
+        pub(crate) fn at(self, platform: &'static str, collector: &'static str) -> Written {
+            Written {
+                platform,
+                collector,
+                ..self
+            }
+        }
+
+        /// The same row as a withdrawal.
+        pub(crate) fn withdrawn(self) -> Written {
+            Written {
+                attrs: None,
+                ..self
+            }
+        }
+
+        fn row(&self) -> FeedRow<'_> {
+            FeedRow {
+                time: self.time,
+                peer: self.peer,
+                prefix: self.prefix,
+                announced: self.attrs.as_ref().map(FeedAttrs::from),
+            }
+        }
+    }
+
+    /// The set of `rows`: sessions in the order they first appear, each
+    /// session's rows in the order given.
+    pub(crate) fn set(rows: &[Written]) -> ObservationSet {
+        let mut sessions: Vec<(&'static str, &'static str)> = Vec::new();
+        for r in rows {
+            if !sessions.contains(&(r.platform, r.collector)) {
+                sessions.push((r.platform, r.collector));
+            }
+        }
+        ObservationSet::from_rows(sessions.into_iter().map(|(platform, collector)| {
+            let of_session = rows
+                .iter()
+                .filter(move |r| (r.platform, r.collector) == (platform, collector));
+            (platform, collector, of_session.map(Written::row))
+        }))
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::written::{announce, set, Written};
     use super::*;
     use bgpworms_mrt::MrtWriter;
-    use bgpworms_types::{AsPath, PathAttributes, RouteUpdate};
+    use bgpworms_types::RouteUpdate;
 
     fn archive_with(updates: &[RouteUpdate]) -> ArchiveInput {
         let mut w = MrtWriter::new(Vec::new());
@@ -902,10 +1017,40 @@ mod tests {
         check_ids(&set);
         assert_eq!(set.row(0).edge_ids(), set.row(1).edge_ids());
         assert_eq!(set.edges().len(), 3);
-        // A hand-built set of those records is the same set.
-        let rebuilt = ObservationSet::from_observations(want.clone(), vec![]);
-        let again: Vec<UpdateObservation> = rebuilt.iter().map(Observation::to_record).collect();
-        assert_eq!(again, want);
+    }
+
+    /// A feed of one prefix per message, the shape a collector archives,
+    /// builds the same set from its rows as from its archive, messages and
+    /// a session without any included.
+    #[test]
+    fn rows_of_an_archive_build_the_archive_set() {
+        let mut tagged = update(&[3, 3, 2, 1], &[(2, 100), (7, 1)], &["10.0.0.0/16"]);
+        tagged.attrs.large_communities = vec![LargeCommunity::new(400_000, 1, 2)];
+        let mut withdrawal = update(&[], &[], &[]);
+        withdrawal.withdrawn.push("30.0.0.0/16".parse().unwrap());
+        let updates = [tagged, withdrawal, update(&[4, 1], &[], &["10.0.0.0/16"])];
+        let mut silent = archive_with(&[]);
+        silent.collector = "rrc01".into();
+        let from_bytes = ObservationSet::from_archives(&[archive_with(&updates), silent]).unwrap();
+
+        let rows: Vec<FeedRow<'_>> = (updates.iter().zip(100u32..))
+            .map(|(u, time)| FeedRow {
+                time,
+                peer: u.attrs.as_path.head().unwrap_or(Asn::new(65_000)),
+                prefix: *u.announced.iter().chain(&u.withdrawn).next().unwrap(),
+                announced: (!u.announced.is_empty()).then(|| FeedAttrs::from(&u.attrs)),
+            })
+            .collect();
+        let from_rows =
+            ObservationSet::from_rows([("RIS", "rrc00", rows), ("RIS", "rrc01", Vec::new())]);
+        assert_eq!(format!("{from_rows:?}"), format!("{from_bytes:?}"));
+        assert_eq!(
+            *from_rows.messages,
+            [
+                ("RIS".into(), "rrc00".into(), 3),
+                ("RIS".into(), "rrc01".into(), 0)
+            ]
+        );
     }
 
     #[test]
@@ -947,39 +1092,23 @@ mod tests {
         assert_eq!(set.sessions_of(None), vec![true, true]);
     }
 
-    fn obs(collector: &str, path: &[u32], comms: &[(u16, u16)], prefix: &str) -> UpdateObservation {
-        UpdateObservation {
-            platform: "RIS".into(),
-            collector: collector.into(),
-            time: 0,
-            peer: Asn::new(path.first().copied().unwrap_or(9)),
-            prefix: prefix.parse().unwrap(),
-            path: path.iter().map(|&n| Asn::new(n)).collect(),
-            raw_hop_count: path.len(),
-            prepends: vec![],
-            communities: comms.iter().map(|&(a, v)| Community::new(a, v)).collect(),
-            large_communities: vec![],
-            is_withdrawal: false,
-        }
+    fn obs(collector: &'static str, path: &[u32], comms: &[(u16, u16)], prefix: &str) -> Written {
+        let peer = path.first().copied().unwrap_or(9);
+        announce(peer, path, comms, prefix).at("RIS", collector)
     }
 
     /// A set with every shape the indexes treat specially: a repeated AS,
-    /// an off-path owner, an empty-path announcement, a withdrawal (whose
-    /// attributes must vanish), two sessions, a 4-byte ASN.
+    /// an off-path owner, an empty-path announcement, a withdrawal, two
+    /// sessions, a 4-byte ASN.
     fn shapes() -> ObservationSet {
-        let mut withdrawal = obs("rrc01", &[8, 1], &[(8, 8)], "40.0.0.0/16");
-        withdrawal.is_withdrawal = true;
-        ObservationSet::from_observations(
-            vec![
-                obs("rrc01", &[5, 3, 2, 1], &[(2, 9), (77, 1)], "20.0.0.0/16"),
-                obs("rrc00", &[4, 3, 4, 1], &[(4, 1), (3, 5)], "10.0.0.0/16"),
-                obs("rrc00", &[], &[(3, 5)], "10.0.0.0/16"),
-                withdrawal,
-                obs("rrc00", &[400_000, 1], &[(1, 7)], "10.0.0.0/16"),
-                obs("rrc00", &[], &[(6, 6)], "30.0.0.0/16"),
-            ],
-            vec![],
-        )
+        set(&[
+            obs("rrc01", &[5, 3, 2, 1], &[(2, 9), (77, 1)], "20.0.0.0/16"),
+            obs("rrc01", &[8, 1], &[(8, 8)], "40.0.0.0/16").withdrawn(),
+            obs("rrc00", &[4, 3, 4, 1], &[(4, 1), (3, 5)], "10.0.0.0/16"),
+            obs("rrc00", &[], &[(3, 5)], "10.0.0.0/16"),
+            obs("rrc00", &[400_000, 1], &[(1, 7)], "10.0.0.0/16"),
+            obs("rrc00", &[], &[(6, 6)], "30.0.0.0/16"),
+        ])
     }
 
     fn strictly_sorted<T: Ord>(table: &[T]) -> bool {
@@ -1032,8 +1161,8 @@ mod tests {
         check_ids(&set);
         assert_eq!(set.community_id(Community::new(8, 8)), None, "withdrawn");
         // AS4 sits at positions 0 and 2 of its path: the first counts.
-        assert_eq!(set.row(1).tags().next().unwrap().owner_pos, Some(0));
-        let wd = set.row(3);
+        assert_eq!(set.row(2).tags().next().unwrap().owner_pos, Some(0));
+        let wd = set.row(1);
         assert!(wd.is_withdrawal && wd.path().is_empty() && wd.communities().is_empty());
     }
 
@@ -1047,7 +1176,7 @@ mod tests {
         // withdrawal: neither is a group.
         assert_eq!(
             groups,
-            vec![(p("10.0.0.0/16"), vec![1, 4]), (p("20.0.0.0/16"), vec![0])]
+            vec![(p("10.0.0.0/16"), vec![2, 4]), (p("20.0.0.0/16"), vec![0])]
         );
         let mut indexed: Vec<u32> = groups.iter().flat_map(|(_, rows)| rows.clone()).collect();
         indexed.sort_unstable();

@@ -248,38 +248,13 @@ pub fn render_table2(rows: &[Table2Row]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observation::UpdateObservation;
-
-    fn obs(peer: u32, path: &[u32], comms: &[(u16, u16)], prefix: &str) -> UpdateObservation {
-        UpdateObservation {
-            platform: "RIS".into(),
-            collector: "rrc00".into(),
-            time: 0,
-            peer: Asn::new(peer),
-            prefix: prefix.parse().unwrap(),
-            path: path.iter().map(|&n| Asn::new(n)).collect(),
-            raw_hop_count: path.len(),
-            prepends: Vec::new(),
-            large_communities: Vec::new(),
-            communities: comms.iter().map(|&(a, v)| Community::new(a, v)).collect(),
-            is_withdrawal: false,
-        }
-    }
-
-    fn set(observations: Vec<UpdateObservation>) -> ObservationSet {
-        ObservationSet::from_observations(observations, vec![])
-    }
+    use crate::observation::written::{announce as obs, set};
 
     #[test]
     fn distance_is_index_plus_monitor_edge() {
         // Path AS5 AS4 AS3 AS2 AS1 (§4.3's example): community 3:Y is
         // attributed to AS3 at index 2 → distance 3.
-        let s = set(vec![obs(
-            5,
-            &[5, 4, 3, 2, 1],
-            &[(3, 9), (1, 8)],
-            "10.0.0.0/16",
-        )]);
+        let s = set(&[obs(5, &[5, 4, 3, 2, 1], &[(3, 9), (1, 8)], "10.0.0.0/16")]);
         let a = PropagationAnalysis::compute(&s, &BlackholeDetector::conventional());
         let d: BTreeMap<Community, usize> = a
             .samples
@@ -296,7 +271,7 @@ mod tests {
 
     #[test]
     fn off_path_communities_have_no_distance() {
-        let s = set(vec![obs(5, &[5, 1], &[(77, 1)], "10.0.0.0/16")]);
+        let s = set(&[obs(5, &[5, 1], &[(77, 1)], "10.0.0.0/16")]);
         let a = PropagationAnalysis::compute(&s, &BlackholeDetector::conventional());
         assert!(a.samples.is_empty());
         let total = a.table2.last().unwrap();
@@ -308,7 +283,7 @@ mod tests {
     #[test]
     fn dedup_by_community_prefix_peer() {
         let o = obs(5, &[5, 3, 1], &[(3, 9)], "10.0.0.0/16");
-        let s = set(vec![o.clone(), o]);
+        let s = set(&[o.clone(), o]);
         let a = PropagationAnalysis::compute(&s, &BlackholeDetector::conventional());
         assert_eq!(a.samples.len(), 1);
     }
@@ -317,7 +292,7 @@ mod tests {
     fn forwarders_are_between_tagger_and_peer() {
         // Community 1:X on path [5,4,3,2,1]: forwarders are 4,3,2 (between
         // origin tagger idx 4 and peer idx 0); peer 5 excluded.
-        let s = set(vec![obs(5, &[5, 4, 3, 2, 1], &[(1, 7)], "10.0.0.0/16")]);
+        let s = set(&[obs(5, &[5, 4, 3, 2, 1], &[(1, 7)], "10.0.0.0/16")]);
         let a = PropagationAnalysis::compute(&s, &BlackholeDetector::conventional());
         let expect: BTreeSet<Asn> = [4, 3, 2].map(Asn::new).into();
         assert_eq!(a.forwarders, expect);
@@ -328,7 +303,7 @@ mod tests {
 
     #[test]
     fn peer_owned_communities_do_not_create_forwarders() {
-        let s = set(vec![obs(5, &[5, 1], &[(5, 1)], "10.0.0.0/16")]);
+        let s = set(&[obs(5, &[5, 1], &[(5, 1)], "10.0.0.0/16")]);
         let a = PropagationAnalysis::compute(&s, &BlackholeDetector::conventional());
         assert!(a.forwarders.is_empty());
         assert_eq!(a.samples.len(), 1);
@@ -337,7 +312,7 @@ mod tests {
 
     #[test]
     fn fig5a_blackhole_subset() {
-        let s = set(vec![
+        let s = set(&[
             obs(5, &[5, 3, 1], &[(3, 666)], "10.0.0.0/32"),
             obs(5, &[5, 4, 3, 2, 1], &[(1, 7)], "20.0.0.0/16"),
         ]);
@@ -350,12 +325,7 @@ mod tests {
 
     #[test]
     fn fig5b_excludes_monitor_adjacent_and_normalizes() {
-        let s = set(vec![obs(
-            5,
-            &[5, 4, 3, 2, 1],
-            &[(5, 1), (3, 9)],
-            "10.0.0.0/16",
-        )]);
+        let s = set(&[obs(5, &[5, 4, 3, 2, 1], &[(5, 1), (3, 9)], "10.0.0.0/16")]);
         let a = PropagationAnalysis::compute(&s, &BlackholeDetector::conventional());
         let fig = a.fig5b();
         let e = &fig[&5];
@@ -366,7 +336,7 @@ mod tests {
 
     #[test]
     fn table2_excludes_private_from_last_column() {
-        let s = set(vec![obs(
+        let s = set(&[obs(
             5,
             &[5, 1],
             &[(64_512, 1), (77, 1), (5, 2)],

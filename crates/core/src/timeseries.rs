@@ -69,31 +69,15 @@ pub fn render_series(series: &[SnapshotStats]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observation::UpdateObservation;
-    use bgpworms_types::{Asn, Community};
+    use crate::observation::written::{announce, set, Written};
 
-    fn obs(comms: &[(u16, u16)]) -> UpdateObservation {
-        UpdateObservation {
-            platform: "RIS".into(),
-            collector: "rrc00".into(),
-            time: 0,
-            peer: Asn::new(3),
-            prefix: "10.0.0.0/16".parse().unwrap(),
-            path: vec![Asn::new(3), Asn::new(1)],
-            raw_hop_count: 2,
-            prepends: Vec::new(),
-            large_communities: Vec::new(),
-            communities: comms.iter().map(|&(a, v)| Community::new(a, v)).collect(),
-            is_withdrawal: false,
-        }
+    fn obs(comms: &[(u16, u16)]) -> Written {
+        announce(3, &[3, 1], comms, "10.0.0.0/16")
     }
 
     #[test]
     fn snapshot_counts() {
-        let set = ObservationSet::from_observations(
-            vec![obs(&[(1, 1), (1, 2)]), obs(&[(1, 1), (2, 1)]), obs(&[])],
-            vec![],
-        );
+        let set = set(&[obs(&[(1, 1), (1, 2)]), obs(&[(1, 1), (2, 1)]), obs(&[])]);
         let s = SnapshotStats::compute("2018", &set);
         assert_eq!(s.unique_communities, 3);
         assert_eq!(s.unique_asns_in_communities, 2);

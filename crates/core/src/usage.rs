@@ -91,41 +91,23 @@ impl UsageAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observation::UpdateObservation;
-    use bgpworms_types::{Asn, Community};
+    use crate::observation::written::{announce, set, Written};
 
-    fn obs(collector: &str, n_comms: u16, owners: &[u16]) -> UpdateObservation {
-        let mut communities = Vec::new();
-        for i in 0..n_comms {
-            let owner = owners[(i as usize) % owners.len().max(1)];
-            communities.push(Community::new(owner, i));
-        }
-        UpdateObservation {
-            platform: "RIS".into(),
-            collector: collector.into(),
-            time: 0,
-            peer: Asn::new(3),
-            prefix: "10.0.0.0/16".parse().unwrap(),
-            path: vec![Asn::new(3), Asn::new(1)],
-            raw_hop_count: 2,
-            prepends: Vec::new(),
-            large_communities: Vec::new(),
-            communities,
-            is_withdrawal: false,
-        }
+    fn obs(collector: &'static str, n_comms: u16, owners: &[u16]) -> Written {
+        let communities: Vec<(u16, u16)> = (0..n_comms)
+            .map(|i| (owners[(i as usize) % owners.len().max(1)], i))
+            .collect();
+        announce(3, &[3, 1], &communities, "10.0.0.0/16").at("RIS", collector)
     }
 
     #[test]
     fn fractions_and_ecdfs() {
-        let set = ObservationSet::from_observations(
-            vec![
-                obs("rrc00", 0, &[]),
-                obs("rrc00", 3, &[1, 2]),
-                obs("rrc01", 1, &[1]),
-                obs("rrc01", 5, &[1, 2, 3]),
-            ],
-            vec![],
-        );
+        let set = set(&[
+            obs("rrc00", 0, &[]),
+            obs("rrc00", 3, &[1, 2]),
+            obs("rrc01", 1, &[1]),
+            obs("rrc01", 5, &[1, 2, 3]),
+        ]);
         let usage = UsageAnalysis::compute(&set);
         assert_eq!(usage.overall_fraction, 0.75);
         assert_eq!(
@@ -146,17 +128,11 @@ mod tests {
 
     #[test]
     fn fig4a_series_sorted_per_platform() {
-        let set = ObservationSet::from_observations(
-            vec![
-                obs("rrc00", 1, &[1]),
-                obs("rrc01", 0, &[]),
-                UpdateObservation {
-                    platform: "PCH".into(),
-                    ..obs("pch001", 1, &[1])
-                },
-            ],
-            vec![],
-        );
+        let set = set(&[
+            obs("rrc00", 1, &[1]),
+            obs("rrc01", 0, &[]),
+            obs("pch001", 1, &[1]).at("PCH", "pch001"),
+        ]);
         let usage = UsageAnalysis::compute(&set);
         let series = usage.fig4a_series();
         assert_eq!(series["RIS"], vec![0.0, 1.0]);
@@ -165,9 +141,7 @@ mod tests {
 
     #[test]
     fn withdrawals_excluded() {
-        let mut o = obs("rrc00", 0, &[]);
-        o.is_withdrawal = true;
-        let set = ObservationSet::from_observations(vec![o, obs("rrc00", 1, &[1])], vec![]);
+        let set = set(&[obs("rrc00", 0, &[]).withdrawn(), obs("rrc00", 1, &[1])]);
         let usage = UsageAnalysis::compute(&set);
         assert_eq!(usage.overall_fraction, 1.0, "only the announcement counts");
     }

@@ -106,36 +106,16 @@ impl TopValues {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observation::UpdateObservation;
-    use bgpworms_types::Asn;
-
-    fn obs(peer: u32, path: &[u32], comms: &[(u16, u16)], prefix: &str) -> UpdateObservation {
-        UpdateObservation {
-            platform: "RIS".into(),
-            collector: "rrc00".into(),
-            time: 0,
-            peer: Asn::new(peer),
-            prefix: prefix.parse().unwrap(),
-            path: path.iter().map(|&n| Asn::new(n)).collect(),
-            raw_hop_count: path.len(),
-            prepends: Vec::new(),
-            large_communities: Vec::new(),
-            communities: comms.iter().map(|&(a, v)| Community::new(a, v)).collect(),
-            is_withdrawal: false,
-        }
-    }
+    use crate::observation::written::{announce as obs, set};
 
     #[test]
     fn splits_on_and_off_path() {
-        let set = ObservationSet::from_observations(
-            vec![
-                obs(5, &[5, 3, 1], &[(3, 100), (77, 666)], "10.0.0.0/16"),
-                obs(5, &[5, 3, 1], &[(3, 100)], "20.0.0.0/16"),
-                // private off-path owner excluded entirely:
-                obs(5, &[5, 1], &[(64_600, 666)], "30.0.0.0/16"),
-            ],
-            vec![],
-        );
+        let set = set(&[
+            obs(5, &[5, 3, 1], &[(3, 100), (77, 666)], "10.0.0.0/16"),
+            obs(5, &[5, 3, 1], &[(3, 100)], "20.0.0.0/16"),
+            // private off-path owner excluded entirely:
+            obs(5, &[5, 1], &[(64_600, 666)], "30.0.0.0/16"),
+        ]);
         let tv = TopValues::compute(&set);
         assert_eq!(tv.on_path.count(&100), 2);
         assert_eq!(tv.off_path.count(&666), 1);
@@ -146,17 +126,14 @@ mod tests {
     #[test]
     fn dedup_prevents_double_counting() {
         let o = obs(5, &[5, 3, 1], &[(3, 100)], "10.0.0.0/16");
-        let set = ObservationSet::from_observations(vec![o.clone(), o], vec![]);
+        let set = set(&[o.clone(), o]);
         let tv = TopValues::compute(&set);
         assert_eq!(tv.on_path.count(&100), 1);
     }
 
     #[test]
     fn render_shows_both_columns() {
-        let set = ObservationSet::from_observations(
-            vec![obs(5, &[5, 3, 1], &[(3, 100), (99, 500)], "10.0.0.0/16")],
-            vec![],
-        );
+        let set = set(&[obs(5, &[5, 3, 1], &[(3, 100), (99, 500)], "10.0.0.0/16")]);
         let tv = TopValues::compute(&set);
         let text = tv.render(5);
         assert!(text.contains("off-path value"));

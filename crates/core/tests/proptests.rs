@@ -4,8 +4,8 @@
 //! the sparse-map implementation it replaced.
 
 use bgpworms_core::{
-    ArchiveInput, Ecdf, EdgeIndications, FilteringAnalysis, LargeCommunityAnalysis, ObservationSet,
-    UpdateObservation,
+    ArchiveInput, Ecdf, EdgeIndications, FeedAttrs, FeedRow, FilteringAnalysis,
+    LargeCommunityAnalysis, ObservationSet, UpdateObservation,
 };
 use bgpworms_mrt::MrtWriter;
 use bgpworms_types::{AsPath, Asn, Community, LargeCommunity, PathAttributes, Prefix, RouteUpdate};
@@ -15,8 +15,9 @@ use std::collections::{BTreeMap, BTreeSet};
 type Edges = BTreeMap<(Asn, Asn), EdgeIndications>;
 
 /// The oracle: `FilteringAnalysis::compute` as it stood before the dense-id
-/// store (PR 16), body verbatim, reading the owned records the set is built
-/// from — so it shares neither the kernel nor the store with what it checks.
+/// store, body verbatim, reading owned records of the rows the set is built
+/// from ([`Written::record`]) — so it shares neither the kernel nor the
+/// store with what it checks.
 fn reference_filtering(records: &[UpdateObservation]) -> (Edges, BTreeSet<(Asn, Asn)>) {
     fn position_of(obs: &UpdateObservation, asn: Asn) -> Option<usize> {
         obs.path.iter().position(|&a| a == asn)
@@ -96,29 +97,72 @@ fn reference_filtering(records: &[UpdateObservation]) -> (Edges, BTreeSet<(Asn, 
     (edges, all_edges)
 }
 
-fn record(
-    prefix: u8,
-    path: &[u32],
-    comms: &[(u16, u16)],
+/// One row of a hand-written feed heard at RIS `rrc00` at time 0, owning
+/// what a [`FeedRow`] borrows.
+#[derive(Debug, Clone)]
+struct Written {
+    prefix: Prefix,
+    attrs: PathAttributes,
     is_withdrawal: bool,
-) -> UpdateObservation {
-    UpdateObservation {
-        platform: "RIS".into(),
-        collector: "rrc00".into(),
-        time: 0,
-        peer: Asn::new(path.first().copied().unwrap_or(99)),
+}
+
+impl Written {
+    fn row(&self) -> FeedRow<'_> {
+        FeedRow {
+            time: 0,
+            peer: self.attrs.as_path.head().unwrap_or(Asn::new(99)),
+            prefix: self.prefix,
+            announced: (!self.is_withdrawal).then(|| FeedAttrs::from(&self.attrs)),
+        }
+    }
+
+    /// The row as the reference reads it: the path de-prepended, as the
+    /// store keeps it.
+    fn record(&self) -> UpdateObservation {
+        UpdateObservation {
+            platform: "RIS".into(),
+            collector: "rrc00".into(),
+            time: 0,
+            peer: self.row().peer,
+            prefix: self.prefix,
+            path: self.attrs.as_path.deprepended_asns().collect(),
+            raw_hop_count: self.attrs.as_path.hop_count(),
+            prepends: self.attrs.as_path.prepend_runs().collect(),
+            communities: self.attrs.communities.clone(),
+            large_communities: self.attrs.large_communities.clone(),
+            is_withdrawal: self.is_withdrawal,
+        }
+    }
+}
+
+/// The set of a feed of `rows`, all at one session.
+fn set(rows: &[Written]) -> ObservationSet {
+    ObservationSet::from_rows([("RIS", "rrc00", rows.iter().map(Written::row))])
+}
+
+/// The reference's and the dense kernel's analyses of `rows`.
+fn both_filterings(rows: &[Written]) -> ((Edges, BTreeSet<(Asn, Asn)>), FilteringAnalysis) {
+    let records: Vec<UpdateObservation> = rows.iter().map(Written::record).collect();
+    (
+        reference_filtering(&records),
+        FilteringAnalysis::compute(&set(rows)),
+    )
+}
+
+fn record(prefix: u8, path: &[u32], comms: &[(u16, u16)], is_withdrawal: bool) -> Written {
+    Written {
         prefix: format!("10.{prefix}.0.0/16").parse().unwrap(),
-        path: path.iter().map(|&n| Asn::new(n)).collect(),
-        raw_hop_count: path.len(),
-        prepends: vec![],
-        communities: comms.iter().map(|&(a, v)| Community::new(a, v)).collect(),
-        large_communities: vec![],
+        attrs: PathAttributes {
+            as_path: AsPath::from_asns(path.iter().map(|&n| Asn::new(n))),
+            communities: comms.iter().map(|&(a, v)| Community::new(a, v)).collect(),
+            ..PathAttributes::default()
+        },
         is_withdrawal,
     }
 }
 
 /// One of each shape the dense kernel can get wrong, on prefix 0.
-fn shapes() -> Vec<UpdateObservation> {
+fn shapes() -> Vec<Written> {
     vec![
         // AS4 repeated non-consecutively: its first position is the tagger's
         // (AS3, a holder by the second path, sits below its later one).
@@ -137,8 +181,8 @@ fn shapes() -> Vec<UpdateObservation> {
         record(0, &[5, 2, 1], &[(2, 9)], false),
         // A duplicate observation.
         record(0, &[5, 2, 1], &[(2, 9)], false),
-        // A withdrawal in between; the attributes it should not have count
-        // for nothing.
+        // A withdrawal in between; the attributes it carries count for
+        // nothing.
         record(0, &[9, 2, 1], &[(2, 9)], true),
         // An announcement with an empty path.
         record(0, &[], &[(2, 8), (1, 7)], false),
@@ -149,9 +193,7 @@ fn shapes() -> Vec<UpdateObservation> {
 
 #[test]
 fn dense_filtering_equals_the_reference_on_every_special_shape() {
-    let records = shapes();
-    let (edges, all_edges) = reference_filtering(&records);
-    let dense = FilteringAnalysis::compute(&ObservationSet::from_observations(records, vec![]));
+    let ((edges, all_edges), dense) = both_filterings(&shapes());
     assert_eq!(dense.edges, edges);
     assert_eq!(dense.all_edges, all_edges);
     // The shapes bite: both kinds of indication, and edges with neither.
@@ -187,8 +229,7 @@ proptest! {
             }
             records.push(r);
         }
-        let (edges, all_edges) = reference_filtering(&records);
-        let dense = FilteringAnalysis::compute(&ObservationSet::from_observations(records, vec![]));
+        let ((edges, all_edges), dense) = both_filterings(&records);
         prop_assert_eq!(dense.edges, edges);
         prop_assert_eq!(dense.all_edges, all_edges);
     }
@@ -290,29 +331,15 @@ proptest! {
         n_plain in 0usize..20,
         n_large in 0usize..20,
     ) {
-        let mut observations = Vec::new();
+        let mut rows = Vec::new();
         for i in 0..(n_plain + n_large) {
-            let large = if i < n_large {
-                vec![LargeCommunity::new(400_000 + i as u32, 100, 0)]
-            } else {
-                vec![]
-            };
-            observations.push(UpdateObservation {
-                platform: "RIS".into(),
-                collector: "rrc00".into(),
-                time: 0,
-                peer: Asn::new(3),
-                prefix: format!("10.{}.0.0/16", i % 200).parse().unwrap(),
-                path: vec![Asn::new(3), Asn::new(2), Asn::new(1)],
-                raw_hop_count: 3,
-                prepends: vec![],
-                communities: vec![],
-                large_communities: large,
-                is_withdrawal: false,
-            });
+            let mut row = record((i % 200) as u8, &[3, 2, 1], &[], false);
+            if i < n_large {
+                row.attrs.large_communities = vec![LargeCommunity::new(400_000 + i as u32, 100, 0)];
+            }
+            rows.push(row);
         }
-        let set = ObservationSet::from_observations(observations, vec![]);
-        let a = LargeCommunityAnalysis::compute(&set);
+        let a = LargeCommunityAnalysis::compute(&set(&rows));
         prop_assert_eq!(a.announcements as usize, n_plain + n_large);
         prop_assert_eq!(a.with_large as usize, n_large);
         prop_assert!((0.0..=1.0).contains(&a.large_fraction()));

@@ -550,44 +550,19 @@ impl<'a> Monitor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgpworms_core::UpdateObservation;
-
-    fn obs(
-        prefix: &str,
-        path: &[u32],
-        comms: &[(u16, u16)],
-        prepends: &[(u32, usize)],
-    ) -> UpdateObservation {
-        UpdateObservation {
-            platform: "RIS".into(),
-            collector: "rrc00".into(),
-            time: 0,
-            peer: Asn::new(path[0]),
-            prefix: prefix.parse().unwrap(),
-            path: path.iter().map(|&n| Asn::new(n)).collect(),
-            raw_hop_count: path.len() + prepends.iter().map(|(_, n)| n - 1).sum::<usize>(),
-            prepends: prepends.iter().map(|&(a, n)| (Asn::new(a), n)).collect(),
-            large_communities: vec![],
-            communities: comms.iter().map(|&(a, v)| Community::new(a, v)).collect(),
-            is_withdrawal: false,
-        }
-    }
-
-    fn set(observations: Vec<UpdateObservation>) -> ObservationSet {
-        ObservationSet::from_observations(observations, vec![("RIS".into(), "rrc00".into(), 1)])
-    }
+    use crate::written::{announce as obs, set};
 
     #[test]
     fn legit_rtbh_not_flagged() {
         // Victim origin 1 blackholes its own /32 via provider 9 — every
         // tagged path ends at the origin, nothing else observed.
         let d = CommunityDictionary::new();
-        let s = set(vec![
-            obs("10.0.0.0/16", &[3, 2, 1], &[], &[]),
-            obs("10.0.0.0/16", &[4, 2, 1], &[], &[]),
-            obs("10.0.0.0/16", &[3, 9, 1], &[], &[]),
-            obs("10.0.0.1/32", &[3, 9, 1], &[(9, 666)], &[]),
-            obs("10.0.0.1/32", &[4, 9, 1], &[(9, 666)], &[]),
+        let s = set(&[
+            obs("10.0.0.0/16", &[3, 2, 1], &[]),
+            obs("10.0.0.0/16", &[4, 2, 1], &[]),
+            obs("10.0.0.0/16", &[3, 9, 1], &[]),
+            obs("10.0.0.1/32", &[3, 9, 1], &[(9, 666)]),
+            obs("10.0.0.1/32", &[4, 9, 1], &[(9, 666)]),
         ]);
         let m = Monitor::new(&s, &d);
         let alerts = m.rtbh_alerts();
@@ -599,9 +574,9 @@ mod tests {
         // Covering /16 originates at 1; the blackhole-tagged /24 claims
         // origin 7 — classic Fig 7(b).
         let d = CommunityDictionary::new();
-        let s = set(vec![
-            obs("10.0.0.0/16", &[3, 2, 1], &[], &[]),
-            obs("10.0.0.0/24", &[3, 9, 7], &[(9, 666)], &[]),
+        let s = set(&[
+            obs("10.0.0.0/16", &[3, 2, 1], &[]),
+            obs("10.0.0.0/24", &[3, 9, 7], &[(9, 666)]),
         ]);
         let m = Monitor::new(&s, &d);
         let alerts = m.rtbh_alerts();
@@ -617,10 +592,10 @@ mod tests {
         // blackholed /24; the real paths for everything else never show a
         // 1→7 adjacency.
         let d = CommunityDictionary::new();
-        let s = set(vec![
-            obs("10.0.0.0/16", &[3, 2, 1], &[], &[]),
-            obs("20.0.0.0/16", &[3, 2, 8], &[], &[]),
-            obs("10.0.0.0/24", &[3, 9, 7, 1], &[(9, 666)], &[]),
+        let s = set(&[
+            obs("10.0.0.0/16", &[3, 2, 1], &[]),
+            obs("20.0.0.0/16", &[3, 2, 8], &[]),
+            obs("10.0.0.0/24", &[3, 9, 7, 1], &[(9, 666)]),
         ]);
         let m = Monitor::new(&s, &d);
         let alerts = m.rtbh_alerts();
@@ -637,11 +612,11 @@ mod tests {
         // would otherwise exculpate nobody and indict the origin — but the
         // adjacent-owner signature marks it as a direct request.
         let d = CommunityDictionary::new();
-        let s = set(vec![
-            obs("10.0.0.1/32", &[3, 9, 1], &[(9, 666), (2, 666)], &[]),
-            obs("10.0.0.1/32", &[4, 2, 1], &[], &[]),
-            obs("10.0.0.1/32", &[5, 2, 1], &[], &[]),
-            obs("10.0.0.1/32", &[6, 2, 1], &[], &[]),
+        let s = set(&[
+            obs("10.0.0.1/32", &[3, 9, 1], &[(9, 666), (2, 666)]),
+            obs("10.0.0.1/32", &[4, 2, 1], &[]),
+            obs("10.0.0.1/32", &[5, 2, 1], &[]),
+            obs("10.0.0.1/32", &[6, 2, 1], &[]),
         ]);
         let m = Monitor::new(&s, &d);
         assert!(
@@ -656,10 +631,10 @@ mod tests {
         // On-path AS2 adds 9:666 to the victim's /24 announcement: paths
         // through 2 carry it, another path doesn't → tagger = 2 ≠ origin 1.
         let d = CommunityDictionary::new();
-        let s = set(vec![
-            obs("10.0.0.0/24", &[3, 2, 1], &[(9, 666)], &[]),
-            obs("10.0.0.0/24", &[4, 2, 1], &[(9, 666)], &[]),
-            obs("10.0.0.0/24", &[5, 6, 1], &[], &[]),
+        let s = set(&[
+            obs("10.0.0.0/24", &[3, 2, 1], &[(9, 666)]),
+            obs("10.0.0.0/24", &[4, 2, 1], &[(9, 666)]),
+            obs("10.0.0.0/24", &[5, 6, 1], &[]),
         ]);
         let m = Monitor::new(&s, &d);
         let alerts = m.rtbh_alerts();
@@ -674,10 +649,10 @@ mod tests {
         d.insert(Community::new(9, 421), CommunityKind::Prepend(2));
         // Target 9 prepended on tagged paths; tag added by 2 (path through
         // 6 lacks it).
-        let s = set(vec![
-            obs("10.0.0.0/16", &[9, 2, 1], &[(9, 421)], &[(9, 3)]),
-            obs("10.0.0.0/16", &[4, 2, 1], &[(9, 421)], &[]),
-            obs("10.0.0.0/16", &[5, 6, 1], &[], &[]),
+        let s = set(&[
+            obs("10.0.0.0/16", &[9, 9, 9, 2, 1], &[(9, 421)]),
+            obs("10.0.0.0/16", &[4, 2, 1], &[(9, 421)]),
+            obs("10.0.0.0/16", &[5, 6, 1], &[]),
         ]);
         let m = Monitor::new(&s, &d);
         let alerts = m.steering_alerts();
@@ -692,9 +667,9 @@ mod tests {
         d.insert(Community::new(9, 421), CommunityKind::Prepend(2));
         // Tag present but no prepending of 9 anywhere — inert (e.g. the
         // target ignored a non-customer request, §7.4).
-        let s = set(vec![
-            obs("10.0.0.0/16", &[9, 2, 1], &[(9, 421)], &[]),
-            obs("10.0.0.0/16", &[5, 6, 1], &[], &[]),
+        let s = set(&[
+            obs("10.0.0.0/16", &[9, 2, 1], &[(9, 421)]),
+            obs("10.0.0.0/16", &[5, 6, 1], &[]),
         ]);
         let m = Monitor::new(&s, &d);
         assert!(m.steering_alerts().is_empty());
@@ -705,9 +680,9 @@ mod tests {
         let mut d = CommunityDictionary::new();
         d.insert(Community::new(9, 421), CommunityKind::Prepend(2));
         // Origin 1 tags its own announcement; all paths carry it.
-        let s = set(vec![
-            obs("10.0.0.0/16", &[9, 2, 1], &[(9, 421)], &[(9, 3)]),
-            obs("10.0.0.0/16", &[5, 2, 1], &[(9, 421)], &[]),
+        let s = set(&[
+            obs("10.0.0.0/16", &[9, 9, 9, 2, 1], &[(9, 421)]),
+            obs("10.0.0.0/16", &[5, 2, 1], &[(9, 421)]),
         ]);
         let m = Monitor::new(&s, &d);
         assert!(
@@ -721,12 +696,7 @@ mod tests {
         let d = CommunityDictionary::new();
         // 0:40 (suppress member 40) + 125:40 (announce to member 40),
         // owner 125 off-path → conflict.
-        let s = set(vec![obs(
-            "10.0.0.0/16",
-            &[3, 2, 1],
-            &[(0, 40), (125, 40)],
-            &[],
-        )]);
+        let s = set(&[obs("10.0.0.0/16", &[3, 2, 1], &[(0, 40), (125, 40)])]);
         let m = Monitor::new(&s, &d);
         let alerts = m.conflict_alerts();
         assert_eq!(alerts.len(), 1);
@@ -736,11 +706,11 @@ mod tests {
     #[test]
     fn suppress_without_matching_announce_not_flagged() {
         let d = CommunityDictionary::new();
-        let s = set(vec![
-            obs("10.0.0.0/16", &[3, 2, 1], &[(0, 40)], &[]),
+        let s = set(&[
+            obs("10.0.0.0/16", &[3, 2, 1], &[(0, 40)]),
             // same value but owner on path → member-tag of an on-path AS,
             // not an RS control conflict
-            obs("20.0.0.0/16", &[3, 2, 1], &[(0, 41), (2, 41)], &[]),
+            obs("20.0.0.0/16", &[3, 2, 1], &[(0, 41), (2, 41)]),
         ]);
         let m = Monitor::new(&s, &d);
         assert!(m.conflict_alerts().is_empty());
@@ -751,12 +721,7 @@ mod tests {
         let mut d = CommunityDictionary::new();
         d.insert(Community::new(6, 201), CommunityKind::Location);
         d.insert(Community::new(6, 202), CommunityKind::Location);
-        let s = set(vec![obs(
-            "10.0.0.0/16",
-            &[6, 2, 1],
-            &[(6, 201), (6, 202)],
-            &[],
-        )]);
+        let s = set(&[obs("10.0.0.0/16", &[6, 2, 1], &[(6, 201), (6, 202)])]);
         let m = Monitor::new(&s, &d);
         let alerts = m.location_alerts();
         assert_eq!(alerts.len(), 1);
@@ -768,7 +733,7 @@ mod tests {
     fn single_location_tag_is_fine() {
         let mut d = CommunityDictionary::new();
         d.insert(Community::new(6, 201), CommunityKind::Location);
-        let s = set(vec![obs("10.0.0.0/16", &[6, 2, 1], &[(6, 201)], &[])]);
+        let s = set(&[obs("10.0.0.0/16", &[6, 2, 1], &[(6, 201)])]);
         let m = Monitor::new(&s, &d);
         assert!(m.location_alerts().is_empty());
     }
@@ -776,7 +741,7 @@ mod tests {
     #[test]
     fn no_export_at_collector_is_a_leak() {
         let d = CommunityDictionary::new();
-        let s = set(vec![obs("10.0.0.0/16", &[3, 2, 1], &[(65535, 65281)], &[])]);
+        let s = set(&[obs("10.0.0.0/16", &[3, 2, 1], &[(65535, 65281)])]);
         let m = Monitor::new(&s, &d);
         let alerts = m.well_known_alerts();
         assert_eq!(alerts.len(), 1);
@@ -788,12 +753,12 @@ mod tests {
         let mut d = CommunityDictionary::new();
         d.insert(Community::new(6, 201), CommunityKind::Location);
         d.insert(Community::new(6, 202), CommunityKind::Location);
-        let s = set(vec![
+        let s = set(&[
             // critical: hijacked blackhole
-            obs("10.0.0.0/16", &[3, 2, 1], &[], &[]),
-            obs("10.0.0.0/24", &[3, 9, 7], &[(9, 666)], &[]),
+            obs("10.0.0.0/16", &[3, 2, 1], &[]),
+            obs("10.0.0.0/24", &[3, 9, 7], &[(9, 666)]),
             // info: contradictory location
-            obs("20.0.0.0/16", &[6, 2, 1], &[(6, 201), (6, 202)], &[]),
+            obs("20.0.0.0/16", &[6, 2, 1], &[(6, 201), (6, 202)]),
         ]);
         let m = Monitor::new(&s, &d);
         let alerts = m.run();

@@ -450,47 +450,15 @@ impl DictionaryEval {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgpworms_core::UpdateObservation;
+    use crate::written::{announce as obs, set, Written};
 
-    fn obs(
-        prefix: &str,
-        path: &[u32],
-        comms: &[(u16, u16)],
-        prepends: &[(u32, usize)],
-    ) -> UpdateObservation {
-        UpdateObservation {
-            platform: "RIS".into(),
-            collector: "rrc00".into(),
-            time: 0,
-            peer: Asn::new(path.first().copied().unwrap_or(0)),
-            prefix: prefix.parse().unwrap(),
-            path: path.iter().map(|&n| Asn::new(n)).collect(),
-            raw_hop_count: path.len() + prepends.iter().map(|(_, n)| n - 1).sum::<usize>(),
-            prepends: prepends.iter().map(|&(a, n)| (Asn::new(a), n)).collect(),
-            large_communities: vec![],
-            communities: comms.iter().map(|&(a, v)| Community::new(a, v)).collect(),
-            is_withdrawal: false,
-        }
-    }
-
-    fn withdrawal(prefix: &str) -> UpdateObservation {
-        UpdateObservation {
-            platform: "RIS".into(),
-            collector: "rrc00".into(),
+    fn withdrawal(prefix: &str) -> Written {
+        Written {
             time: 1,
             peer: Asn::new(9),
-            prefix: prefix.parse().unwrap(),
-            path: vec![],
-            raw_hop_count: 0,
-            prepends: vec![],
-            large_communities: vec![],
-            communities: vec![],
-            is_withdrawal: true,
+            attrs: None,
+            ..obs(prefix, &[], &[])
         }
-    }
-
-    fn set(observations: Vec<UpdateObservation>) -> ObservationSet {
-        ObservationSet::from_observations(observations, vec![("RIS".into(), "rrc00".into(), 1)])
     }
 
     #[test]
@@ -536,17 +504,17 @@ mod tests {
         // even though the value is not 666.
         let c = (77u16, 999u16);
         let observations = vec![
-            obs("10.0.0.1/32", &[3, 2, 1], &[c], &[]),
-            obs("10.0.0.1/32", &[4, 2, 1], &[c], &[]),
-            obs("20.0.0.2/32", &[3, 2, 5], &[c], &[]),
+            obs("10.0.0.1/32", &[3, 2, 1], &[c]),
+            obs("10.0.0.1/32", &[4, 2, 1], &[c]),
+            obs("20.0.0.2/32", &[3, 2, 5], &[c]),
             withdrawal("10.0.0.1/32"),
             withdrawal("20.0.0.2/32"),
             // a persistent /16 with a different community
-            obs("30.0.0.0/16", &[3, 2, 6], &[(6, 100)], &[]),
-            obs("30.0.0.0/16", &[4, 2, 6], &[(6, 100)], &[]),
-            obs("30.0.0.0/16", &[5, 2, 6], &[(6, 100)], &[]),
+            obs("30.0.0.0/16", &[3, 2, 6], &[(6, 100)]),
+            obs("30.0.0.0/16", &[4, 2, 6], &[(6, 100)]),
+            obs("30.0.0.0/16", &[5, 2, 6], &[(6, 100)]),
         ];
-        let (dict, _) = DictionaryInference.infer(&set(observations));
+        let (dict, _) = DictionaryInference.infer(&set(&observations));
         assert_eq!(
             dict.kind(Community::new(77, 999)),
             Some(CommunityKind::Blackhole)
@@ -562,15 +530,15 @@ mod tests {
         // 42:421 present ⇔ AS42 prepended.
         let c = (42u16, 421u16);
         let observations = vec![
-            obs("10.0.0.0/16", &[42, 2, 1], &[c], &[(42, 2)]),
-            obs("10.0.0.0/16", &[5, 42, 1], &[c], &[(42, 2)]),
-            obs("20.0.0.0/16", &[42, 2, 7], &[c], &[(42, 2)]),
+            obs("10.0.0.0/16", &[42, 42, 2, 1], &[c]),
+            obs("10.0.0.0/16", &[5, 42, 42, 1], &[c]),
+            obs("20.0.0.0/16", &[42, 42, 2, 7], &[c]),
             // same owner's informational tag, never with prepending
-            obs("30.0.0.0/16", &[42, 2, 8], &[(42, 100)], &[]),
-            obs("30.0.0.0/16", &[5, 42, 8], &[(42, 100)], &[]),
-            obs("31.0.0.0/16", &[42, 2, 9], &[(42, 100)], &[]),
+            obs("30.0.0.0/16", &[42, 2, 8], &[(42, 100)]),
+            obs("30.0.0.0/16", &[5, 42, 8], &[(42, 100)]),
+            obs("31.0.0.0/16", &[42, 2, 9], &[(42, 100)]),
         ];
-        let (dict, _) = DictionaryInference.infer(&set(observations));
+        let (dict, _) = DictionaryInference.infer(&set(&observations));
         assert_eq!(
             dict.kind(Community::new(42, 421)),
             Some(CommunityKind::Prepend(0))
@@ -583,14 +551,14 @@ mod tests {
         // AS6 tags 6:201 for routes entering from AS10 and 6:202 for routes
         // entering from AS11 (Fig 1's LAX/FRA example).
         let observations = vec![
-            obs("10.0.0.0/16", &[6, 10, 1], &[(6, 201)], &[]),
-            obs("11.0.0.0/16", &[6, 10, 2], &[(6, 201)], &[]),
-            obs("12.0.0.0/16", &[6, 10, 3], &[(6, 201)], &[]),
-            obs("20.0.0.0/16", &[6, 11, 4], &[(6, 202)], &[]),
-            obs("21.0.0.0/16", &[6, 11, 5], &[(6, 202)], &[]),
-            obs("22.0.0.0/16", &[6, 11, 7], &[(6, 202)], &[]),
+            obs("10.0.0.0/16", &[6, 10, 1], &[(6, 201)]),
+            obs("11.0.0.0/16", &[6, 10, 2], &[(6, 201)]),
+            obs("12.0.0.0/16", &[6, 10, 3], &[(6, 201)]),
+            obs("20.0.0.0/16", &[6, 11, 4], &[(6, 202)]),
+            obs("21.0.0.0/16", &[6, 11, 5], &[(6, 202)]),
+            obs("22.0.0.0/16", &[6, 11, 7], &[(6, 202)]),
         ];
-        let (dict, _) = DictionaryInference.infer(&set(observations));
+        let (dict, _) = DictionaryInference.infer(&set(&observations));
         assert_eq!(
             dict.kind(Community::new(6, 201)),
             Some(CommunityKind::Location)
@@ -605,14 +573,14 @@ mod tests {
     fn location_rule_rejects_impure_ingress() {
         // Same ingress neighbor sees both values → not a location family.
         let observations = vec![
-            obs("10.0.0.0/16", &[6, 10, 1], &[(6, 201)], &[]),
-            obs("11.0.0.0/16", &[6, 10, 2], &[(6, 202)], &[]),
-            obs("12.0.0.0/16", &[6, 10, 3], &[(6, 201)], &[]),
-            obs("20.0.0.0/16", &[6, 11, 4], &[(6, 202)], &[]),
-            obs("21.0.0.0/16", &[6, 11, 5], &[(6, 201)], &[]),
-            obs("22.0.0.0/16", &[6, 11, 7], &[(6, 202)], &[]),
+            obs("10.0.0.0/16", &[6, 10, 1], &[(6, 201)]),
+            obs("11.0.0.0/16", &[6, 10, 2], &[(6, 202)]),
+            obs("12.0.0.0/16", &[6, 10, 3], &[(6, 201)]),
+            obs("20.0.0.0/16", &[6, 11, 4], &[(6, 202)]),
+            obs("21.0.0.0/16", &[6, 11, 5], &[(6, 201)]),
+            obs("22.0.0.0/16", &[6, 11, 7], &[(6, 202)]),
         ];
-        let (dict, _) = DictionaryInference.infer(&set(observations));
+        let (dict, _) = DictionaryInference.infer(&set(&observations));
         assert_eq!(dict.kind(Community::new(6, 201)), None);
     }
 
@@ -620,10 +588,10 @@ mod tests {
     fn min_observations_gate() {
         let c = (77u16, 999u16);
         let observations = vec![
-            obs("10.0.0.1/32", &[3, 2, 1], &[c], &[]),
+            obs("10.0.0.1/32", &[3, 2, 1], &[c]),
             withdrawal("10.0.0.1/32"),
         ];
-        let (dict, ev) = DictionaryInference.infer(&set(observations));
+        let (dict, ev) = DictionaryInference.infer(&set(&observations));
         assert!(dict.is_empty(), "one observation is not enough");
         assert_eq!(ev[&Community::new(77, 999)].observations, 1);
     }

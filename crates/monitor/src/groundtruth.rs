@@ -10,14 +10,19 @@
 //! [`InjectedAttack`]s covering every §5 scenario, the collector
 //! observations the attacks produced, and the ground-truth community
 //! dictionary. [`evaluate`] scores any alert list against the labels.
+//!
+//! The observations are read straight from the simulator's feed
+//! ([`feed_set`]), not archived to MRT and parsed back: the set is the one
+//! the archive would parse to, and `repro`'s §4 pipeline is where MRT is
+//! exercised as the interchange boundary.
 
 use crate::detectors::{Alert, AlertKind};
 use crate::dictionary::CommunityDictionary;
-use bgpworms_core::{ArchiveInput, ObservationSet};
+use bgpworms_core::{FeedAttrs, FeedRow, ObservationSet};
 use bgpworms_routesim::router::blackhole_community_of;
 use bgpworms_routesim::{
-    archive_all, prepend_value, CommunityPropagationPolicy, FeedKind, Origination, Vendor,
-    Workload, WorkloadParams,
+    prepend_value, CollectorObservation, CollectorSpec, CommunityPropagationPolicy, FeedKind,
+    Origination, Vendor, Workload, WorkloadParams,
 };
 use bgpworms_topology::{
     addressing::AddressingParams, PrefixAllocation, Tier, Topology, TopologyParams,
@@ -142,7 +147,7 @@ pub struct LabeledRun {
     pub topo: Topology,
     /// Prefix ground truth.
     pub alloc: PrefixAllocation,
-    /// Collector observations parsed back from MRT.
+    /// The collector observations, read from the simulator's feed.
     pub observations: ObservationSet,
     /// Ground-truth community semantics.
     pub truth_dict: CommunityDictionary,
@@ -152,7 +157,7 @@ pub struct LabeledRun {
     pub observed_communities: BTreeSet<Community>,
 }
 
-/// Builds a labeled run: generate, inject, simulate, archive, parse.
+/// Builds a labeled run: generate, inject, simulate, read the feed.
 pub fn build(params: &LabeledRunParams) -> LabeledRun {
     let topo = params.topo.clone().seed(params.seed).build();
     let alloc = PrefixAllocation::assign(&topo, AddressingParams { seed: params.seed });
@@ -177,10 +182,8 @@ pub fn build(params: &LabeledRunParams) -> LabeledRun {
     let sim = workload.simulation(&topo).compile();
     let result = sim.run(&workload.originations);
     drop(sim);
-    let archives = archive_all(&workload.collectors, &result.observations, inject_time)
-        .expect("in-memory archiving cannot fail");
-    let inputs: Vec<ArchiveInput> = archives.into_iter().map(ArchiveInput::from).collect();
-    let observations = ObservationSet::from_archives(&inputs).expect("simulator MRT parses");
+    let observations = feed_set(&workload.collectors, &result.observations);
+    drop(result);
 
     let truth_dict = CommunityDictionary::from_workload(workload.configs.values());
     let observed_communities: BTreeSet<Community> =
@@ -194,6 +197,32 @@ pub fn build(params: &LabeledRunParams) -> LabeledRun {
         injections,
         observed_communities,
     }
+}
+
+/// A finished run's collector feed as an [`ObservationSet`], read in
+/// memory: each collector of `collectors` in order, its observations in
+/// feed order, each announcement carrying what its session carried to the
+/// monitor ([`CollectorObservation::carried`], which the MRT archive is
+/// written from). It is the set `archive_all` → `from_archives` builds,
+/// without writing or parsing a byte.
+pub fn feed_set(
+    collectors: &[CollectorSpec],
+    observations: &BTreeMap<String, Vec<CollectorObservation>>,
+) -> ObservationSet {
+    ObservationSet::from_rows(collectors.iter().map(|spec| {
+        let heard = observations.get(&spec.name).map_or(&[][..], Vec::as_slice);
+        let rows = heard.iter().map(|obs| FeedRow {
+            time: obs.time,
+            peer: obs.peer,
+            prefix: obs.prefix,
+            announced: obs.carried().map(|carried| FeedAttrs {
+                path: carried.path,
+                communities: carried.communities,
+                large_communities: carried.large_communities,
+            }),
+        });
+        (spec.platform.as_str(), spec.name.as_str(), rows)
+    }))
 }
 
 /// Selects roles for one attack instance, avoiding reused victims so every

@@ -174,27 +174,7 @@ impl HygieneReport {
 mod tests {
     use super::*;
     use crate::dictionary::CommunityKind;
-    use bgpworms_core::UpdateObservation;
-
-    fn obs(prefix: &str, path: &[u32], comms: &[(u16, u16)]) -> UpdateObservation {
-        UpdateObservation {
-            platform: "RIS".into(),
-            collector: "rrc00".into(),
-            time: 0,
-            peer: Asn::new(path.first().copied().unwrap_or(0)),
-            prefix: prefix.parse().unwrap(),
-            path: path.iter().map(|&n| Asn::new(n)).collect(),
-            raw_hop_count: path.len(),
-            prepends: vec![],
-            large_communities: vec![],
-            communities: comms.iter().map(|&(a, v)| Community::new(a, v)).collect(),
-            is_withdrawal: false,
-        }
-    }
-
-    fn set(observations: Vec<UpdateObservation>) -> ObservationSet {
-        ObservationSet::from_observations(observations, vec![("RIS".into(), "rrc00".into(), 1)])
-    }
+    use crate::written::{announce as obs, set};
 
     #[test]
     fn clean_owner_grades_a() {
@@ -202,7 +182,7 @@ mod tests {
         d.insert(Community::new(9, 666), CommunityKind::Blackhole);
         // 9's blackhole community seen only with 9 at position 0 (it acted
         // and the collector peers with it directly).
-        let s = set(vec![obs("10.0.0.1/32", &[9, 1], &[(9, 666)])]);
+        let s = set(&[obs("10.0.0.1/32", &[9, 1], &[(9, 666)])]);
         let r = HygieneReport::compute(&s, &d, 3);
         assert_eq!(r.per_as[&Asn::new(9)].grade(), HygieneGrade::A);
         assert_eq!(r.far_blackholes, 0);
@@ -213,7 +193,7 @@ mod tests {
         let mut d = CommunityDictionary::new();
         d.insert(Community::new(9, 666), CommunityKind::Blackhole);
         // 9 is two hops from the collector peer: the blackhole tag escaped.
-        let s = set(vec![obs("10.0.0.1/32", &[3, 2, 9, 1], &[(9, 666)])]);
+        let s = set(&[obs("10.0.0.1/32", &[3, 2, 9, 1], &[(9, 666)])]);
         let r = HygieneReport::compute(&s, &d, 3);
         let h = &r.per_as[&Asn::new(9)];
         assert_eq!(h.action_leaks, 1);
@@ -221,7 +201,7 @@ mod tests {
         assert_eq!(h.grade(), HygieneGrade::B);
 
         // Four hops → grade C.
-        let s = set(vec![obs("10.0.0.1/32", &[5, 4, 3, 2, 9, 1], &[(9, 666)])]);
+        let s = set(&[obs("10.0.0.1/32", &[5, 4, 3, 2, 9, 1], &[(9, 666)])]);
         let r = HygieneReport::compute(&s, &d, 3);
         assert_eq!(r.per_as[&Asn::new(9)].grade(), HygieneGrade::C);
         assert_eq!(r.far_blackholes, 1, "travelled ≥ 3 hops");
@@ -231,7 +211,7 @@ mod tests {
     fn off_path_action_community_grades_d() {
         let mut d = CommunityDictionary::new();
         d.insert(Community::new(9, 666), CommunityKind::Blackhole);
-        let s = set(vec![obs("10.0.0.1/32", &[3, 2, 1], &[(9, 666)])]);
+        let s = set(&[obs("10.0.0.1/32", &[3, 2, 1], &[(9, 666)])]);
         let r = HygieneReport::compute(&s, &d, 3);
         assert_eq!(r.per_as[&Asn::new(9)].grade(), HygieneGrade::D);
         assert_eq!(r.per_as[&Asn::new(9)].action_off_path, 1);
@@ -241,7 +221,7 @@ mod tests {
     #[test]
     fn informational_communities_do_not_affect_grades() {
         let d = CommunityDictionary::new(); // 7:100 unknown → informational
-        let s = set(vec![obs("10.0.0.0/16", &[3, 2, 1], &[(7, 100)])]);
+        let s = set(&[obs("10.0.0.0/16", &[3, 2, 1], &[(7, 100)])]);
         let r = HygieneReport::compute(&s, &d, 3);
         assert_eq!(r.per_as[&Asn::new(7)].grade(), HygieneGrade::A);
         assert_eq!(r.per_as[&Asn::new(7)].observations, 1);
@@ -250,7 +230,7 @@ mod tests {
     #[test]
     fn well_known_leaks_counted() {
         let d = CommunityDictionary::new();
-        let s = set(vec![obs(
+        let s = set(&[obs(
             "10.0.0.0/16",
             &[3, 2, 1],
             &[(65535, 65281), (65535, 65282)],
@@ -264,7 +244,7 @@ mod tests {
         let mut d = CommunityDictionary::new();
         d.insert(Community::new(9, 666), CommunityKind::Blackhole);
         d.insert(Community::new(8, 666), CommunityKind::Blackhole);
-        let s = set(vec![
+        let s = set(&[
             obs("10.0.0.1/32", &[3, 2, 1], &[(9, 666)]), // 9 → D
             obs("20.0.0.1/32", &[8, 1], &[(8, 666)]),    // 8 → A
         ]);

@@ -21,9 +21,11 @@
 //!   community that it tags have to be considered."*
 //!
 //! The pipeline is strictly passive: everything consumes the
-//! [`bgpworms_core::ObservationSet`] parsed from collector MRT, exactly
-//! like the paper's §4 analyses, and shares its indexes — no stage keeps
-//! a per-prefix map of its own. It has four stages:
+//! [`bgpworms_core::ObservationSet`] of a collector feed, exactly like the
+//! paper's §4 analyses (a labelled run reads the simulator's feed in
+//! memory, as the set its MRT archive would parse to), and shares its
+//! indexes — no stage keeps a per-prefix map of its own. It has four
+//! stages:
 //!
 //! 1. [`dictionary`] — what does each community *mean*? Known semantics
 //!    (RFC 7999, the `ASN:666` convention) plus statistical inference of
@@ -58,3 +60,46 @@ pub use dictionary::{CommunityDictionary, CommunityKind, DictionaryEval, Diction
 pub use groundtruth::{DetectionEval, InjectedAttack, InjectedKind, LabeledRun, LabeledRunParams};
 pub use hygiene::{AsHygiene, HygieneGrade, HygieneReport};
 pub use tagger::{attribute, attribute_all, TaggerAttribution, TaggerCandidate};
+
+/// Hand-written feeds for the detectors' unit tests: rows heard at RIS
+/// `rrc00` that own what a [`bgpworms_core::FeedRow`] borrows.
+#[cfg(test)]
+pub(crate) mod written {
+    use bgpworms_core::{FeedAttrs, FeedRow, ObservationSet};
+    use bgpworms_types::{AsPath, Asn, Community, PathAttributes, Prefix};
+
+    /// One row of a hand-written feed; `attrs` is `None` for a withdrawal.
+    #[derive(Debug, Clone)]
+    pub(crate) struct Written {
+        pub(crate) time: u32,
+        pub(crate) peer: Asn,
+        pub(crate) prefix: Prefix,
+        pub(crate) attrs: Option<PathAttributes>,
+    }
+
+    /// An announcement of `prefix` at time 0 over `path` (collector-first,
+    /// prepends included), from its first AS, carrying `comms`.
+    pub(crate) fn announce(prefix: &str, path: &[u32], comms: &[(u16, u16)]) -> Written {
+        Written {
+            time: 0,
+            peer: Asn::new(path.first().copied().unwrap_or(0)),
+            prefix: prefix.parse().unwrap(),
+            attrs: Some(PathAttributes {
+                as_path: AsPath::from_asns(path.iter().map(|&n| Asn::new(n))),
+                communities: comms.iter().map(|&(a, v)| Community::new(a, v)).collect(),
+                ..PathAttributes::default()
+            }),
+        }
+    }
+
+    /// The set of a feed of `rows`, in the order given.
+    pub(crate) fn set(rows: &[Written]) -> ObservationSet {
+        let rows = rows.iter().map(|r| FeedRow {
+            time: r.time,
+            peer: r.peer,
+            prefix: r.prefix,
+            announced: r.attrs.as_ref().map(FeedAttrs::from),
+        });
+        ObservationSet::from_rows([("RIS", "rrc00", rows)])
+    }
+}

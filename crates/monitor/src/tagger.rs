@@ -212,27 +212,8 @@ pub fn attribute_among<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgpworms_core::{EdgeIndications, UpdateObservation};
-
-    fn obs(prefix: &str, path: &[u32], comms: &[(u16, u16)]) -> UpdateObservation {
-        UpdateObservation {
-            platform: "RIS".into(),
-            collector: "rrc00".into(),
-            time: 0,
-            peer: Asn::new(path[0]),
-            prefix: prefix.parse().unwrap(),
-            path: path.iter().map(|&n| Asn::new(n)).collect(),
-            raw_hop_count: path.len(),
-            prepends: vec![],
-            large_communities: vec![],
-            communities: comms.iter().map(|&(a, v)| Community::new(a, v)).collect(),
-            is_withdrawal: false,
-        }
-    }
-
-    fn set(observations: Vec<UpdateObservation>) -> ObservationSet {
-        ObservationSet::from_observations(observations, vec![("RIS".into(), "rrc00".into(), 1)])
-    }
+    use crate::written::{announce as obs, set};
+    use bgpworms_core::EdgeIndications;
 
     const P: &str = "10.0.0.0/16";
 
@@ -241,7 +222,7 @@ mod tests {
         // Tag on every path → intersection is the common suffix; the origin
         // has no absence penalties and ties break toward the origin.
         let c = (9u16, 42u16);
-        let s = set(vec![
+        let s = set(&[
             obs(P, &[3, 2, 1], &[c]),
             obs(P, &[4, 2, 1], &[c]),
             obs(P, &[5, 6, 1], &[c]),
@@ -263,7 +244,7 @@ mod tests {
         // does not. Candidates {2, 1}; 1 is on the untagged path → penalty;
         // 2 is not → best.
         let c = (9u16, 42u16);
-        let s = set(vec![
+        let s = set(&[
             obs(P, &[3, 2, 1], &[c]),
             obs(P, &[4, 2, 1], &[c]),
             obs(P, &[5, 6, 1], &[]),
@@ -283,7 +264,7 @@ mod tests {
         // Tag of AS2 present on all paths; both 2 and 1 are clean
         // candidates, but 2 owns the community.
         let c = (2u16, 666u16);
-        let s = set(vec![obs(P, &[3, 2, 1], &[c]), obs(P, &[4, 2, 1], &[c])]);
+        let s = set(&[obs(P, &[3, 2, 1], &[c]), obs(P, &[4, 2, 1], &[c])]);
         let att = attribute(&s, P.parse().unwrap(), Community::new(2, 666), None);
         assert_eq!(att.best(), Some(Asn::new(2)), "owner prior wins");
         assert!(att.candidates[0].score > att.candidates[1].score);
@@ -295,7 +276,7 @@ mod tests {
         // untagged path no longer penalizes AS1, so AS1 (origin side) ties
         // with AS2 and wins the closer-to-origin tie-break.
         let c = (9u16, 42u16);
-        let s = set(vec![
+        let s = set(&[
             obs(P, &[3, 2, 1], &[c]),
             obs(P, &[4, 2, 1], &[c]),
             obs(P, &[5, 6, 1], &[]),
@@ -328,7 +309,7 @@ mod tests {
 
     #[test]
     fn no_tagged_paths_gives_empty_attribution() {
-        let s = set(vec![obs(P, &[3, 2, 1], &[])]);
+        let s = set(&[obs(P, &[3, 2, 1], &[])]);
         let att = attribute(&s, P.parse().unwrap(), Community::new(9, 42), None);
         assert!(att.candidates.is_empty());
         assert_eq!(att.best(), None);
@@ -338,7 +319,7 @@ mod tests {
     #[test]
     fn attribute_all_covers_every_prefix() {
         let c = (9u16, 42u16);
-        let s = set(vec![
+        let s = set(&[
             obs("10.0.0.0/16", &[3, 2, 1], &[c]),
             obs("20.0.0.0/16", &[3, 2, 7], &[c]),
             obs("30.0.0.0/16", &[3, 2, 8], &[]),
@@ -353,7 +334,7 @@ mod tests {
     #[test]
     fn in_top_and_best_set() {
         let c = (9u16, 42u16);
-        let s = set(vec![obs(P, &[3, 2, 1], &[c]), obs(P, &[4, 2, 1], &[c])]);
+        let s = set(&[obs(P, &[3, 2, 1], &[c]), obs(P, &[4, 2, 1], &[c])]);
         let att = attribute(&s, P.parse().unwrap(), Community::new(9, 42), None);
         // candidates {2, 1}, equal scores (no absences, no owner on path)
         let best = att.best_set();
@@ -366,7 +347,7 @@ mod tests {
         // With no penalties anywhere, the origin-most candidate is first
         // (the paper's conservative assumption).
         let c = (9u16, 42u16);
-        let s = set(vec![obs(P, &[4, 3, 2, 1], &[c])]);
+        let s = set(&[obs(P, &[4, 3, 2, 1], &[c])]);
         let att = attribute(&s, P.parse().unwrap(), Community::new(9, 42), None);
         assert_eq!(att.best(), Some(Asn::new(1)));
         let dists: Vec<usize> = att

@@ -3,7 +3,7 @@
 //! monotonicity, and the shared per-prefix / per-community indexes against
 //! the full scans they replaced.
 
-use bgpworms_core::{FilteringAnalysis, ObservationSet, UpdateObservation};
+use bgpworms_core::{FeedAttrs, FeedRow, FilteringAnalysis, ObservationSet};
 use bgpworms_monitor::dictionary::{CommunityDictionary, CommunityKind, KindScore};
 use bgpworms_monitor::groundtruth::{build, LabeledRunParams};
 use bgpworms_monitor::hygiene::HygieneReport;
@@ -11,31 +11,53 @@ use bgpworms_monitor::tagger::{attribute, attribute_all, attribute_among};
 use bgpworms_monitor::Monitor;
 use bgpworms_routesim::WorkloadParams;
 use bgpworms_topology::TopologyParams;
-use bgpworms_types::{Asn, Community, Prefix};
+use bgpworms_types::{AsPath, Asn, Community, PathAttributes, Prefix};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
 const PREFIX: &str = "10.0.0.0/16";
 
-fn obs(path: &[u32], tagged: bool, community: Community) -> UpdateObservation {
-    UpdateObservation {
-        platform: "RIS".into(),
-        collector: "rrc00".into(),
-        time: 0,
-        peer: Asn::new(path[0]),
-        prefix: PREFIX.parse().unwrap(),
-        path: path.iter().map(|&n| Asn::new(n)).collect(),
-        raw_hop_count: path.len(),
-        prepends: vec![],
-        communities: if tagged { vec![community] } else { vec![] },
-        large_communities: vec![],
-        is_withdrawal: false,
+/// One row of a hand-written feed, owning what a [`FeedRow`] borrows;
+/// `attrs` is `None` for a withdrawal.
+struct Written {
+    peer: Asn,
+    prefix: Prefix,
+    attrs: Option<PathAttributes>,
+}
+
+/// An announcement of `prefix` over `path` from its first AS (or AS99, if
+/// it has none), carrying `communities`.
+fn announce(prefix: Prefix, path: &[u32], communities: Vec<Community>) -> Written {
+    Written {
+        peer: Asn::new(path.first().copied().unwrap_or(99)),
+        prefix,
+        attrs: Some(PathAttributes {
+            as_path: AsPath::from_asns(path.iter().map(|&n| Asn::new(n))),
+            communities,
+            ..PathAttributes::default()
+        }),
     }
+}
+
+fn obs(path: &[u32], tagged: bool, community: Community) -> Written {
+    let communities = if tagged { vec![community] } else { vec![] };
+    announce(PREFIX.parse().unwrap(), path, communities)
+}
+
+/// The set of a feed of `rows` heard at one session at time 0.
+fn set(rows: &[Written]) -> ObservationSet {
+    let rows = rows.iter().map(|r| FeedRow {
+        time: 0,
+        peer: r.peer,
+        prefix: r.prefix,
+        announced: r.attrs.as_ref().map(FeedAttrs::from),
+    });
+    ObservationSet::from_rows([("RIS", "rrc00", rows)])
 }
 
 /// The alert list `Monitor::run` returned on this labeled run (the one
 /// `groundtruth.rs`'s own tests build) while the monitor still kept a
-/// private `BTreeMap<Prefix, Vec<&UpdateObservation>>`: the shared index
+/// private `BTreeMap` of each prefix's announcements: the shared index
 /// must not move one character of it.
 #[test]
 fn monitor_alerts_on_the_labeled_run_are_unchanged() {
@@ -103,26 +125,27 @@ proptest! {
         with_filters in any::<bool>(),
     ) {
         let wanted = Community::new(3, 1);
-        let records: Vec<UpdateObservation> = rows
+        let records: Vec<Written> = rows
             .iter()
-            .map(|(prefix, path, tag, kind)| UpdateObservation {
-                prefix: format!("10.{prefix}.0.0/16").parse().unwrap(),
-                peer: Asn::new(path.first().copied().unwrap_or(99)),
-                path: path.iter().map(|&n| Asn::new(n)).collect(),
+            .map(|(prefix, path, tag, kind)| {
                 // 3:1 alone, with company, another community, or none.
-                communities: [vec![wanted], vec![Community::new(2, 7), wanted],
-                    vec![Community::new(2, 7)], vec![]][*tag as usize].clone(),
-                is_withdrawal: *kind == 0,
-                ..obs(&[1], false, wanted)
+                let communities = [vec![wanted], vec![Community::new(2, 7), wanted],
+                    vec![Community::new(2, 7)], vec![]][*tag as usize].clone();
+                let prefix = format!("10.{prefix}.0.0/16").parse().unwrap();
+                let announced = announce(prefix, path, communities);
+                Written {
+                    attrs: announced.attrs.filter(|_| *kind != 0),
+                    ..announced
+                }
             })
             .collect();
-        let set = ObservationSet::from_observations(records.clone(), vec![]);
+        let set = set(&records);
         let filters = FilteringAnalysis::compute(&set);
         let filters = with_filters.then_some(&filters);
 
         let carrying: BTreeSet<Prefix> = records
             .iter()
-            .filter(|r| !r.is_withdrawal && r.communities.contains(&wanted))
+            .filter(|r| r.attrs.as_ref().is_some_and(|a| a.communities.contains(&wanted)))
             .map(|r| r.prefix)
             .collect();
         let want: Vec<String> = carrying
@@ -146,11 +169,11 @@ proptest! {
         paths in proptest::collection::vec((arb_path(), any::<bool>()), 1..8),
     ) {
         let community = Community::new(99, 42);
-        let observations: Vec<UpdateObservation> = paths
+        let observations: Vec<Written> = paths
             .iter()
             .map(|(p, tagged)| obs(p, *tagged, community))
             .collect();
-        let set = ObservationSet::from_observations(observations, vec![]);
+        let set = set(&observations);
         let att = attribute(&set, PREFIX.parse().unwrap(), community, None);
 
         let tagged_paths: Vec<&Vec<u32>> = paths
@@ -218,7 +241,7 @@ proptest! {
             // sprinkle a reserved-owner community too
             observations.push(obs(p, true, Community::new(65_535, 666)));
         }
-        let set = ObservationSet::from_observations(observations, vec![]);
+        let set = set(&observations);
         let report = HygieneReport::compute(&set, &dict, 3);
         // graded set matches per-AS keys and excludes reserved owners
         let graded: usize = report.grade_counts().values().sum();
@@ -234,11 +257,11 @@ proptest! {
     ) {
         // The prior reweights, it must not add or remove candidates.
         let community = Community::new(7, 666);
-        let observations: Vec<UpdateObservation> = paths
+        let observations: Vec<Written> = paths
             .iter()
             .map(|(p, tagged)| obs(p, *tagged, community))
             .collect();
-        let set = ObservationSet::from_observations(observations, vec![]);
+        let set = set(&observations);
         let prefix: Prefix = PREFIX.parse().unwrap();
         let with_prior = attribute_among(
             set.announcements(), prefix, community, None, true,

@@ -1,16 +1,24 @@
 //! Route collectors: RIS/RouteViews/Isolario/PCH-like observation points
 //! that peer with ASes and archive what they receive as MRT.
 //!
-//! Archiving allocates per archive, not per record: an observation's route
-//! is copied into scratch attributes with `clone_from` (the community lists
-//! keep their buffers, and a path of Internet length is inline, so copying
-//! it allocates nothing), `bgpworms_mrt` encodes them straight into its
-//! writer's one body buffer, and the RIB dump finds each session's final
-//! state with one sort instead of a map insert per observation.
+//! What a session carries to the monitor is stated once, in
+//! [`Carried`]: the MRT encoder reads it, and so does a consumer that reads
+//! the observations in memory instead of as archived bytes, so the two
+//! cannot drift apart.
+//!
+//! Archiving allocates per archive, not per record: what an observation
+//! carried is copied into scratch attributes that keep their buffers (the
+//! community lists are refilled in place, and a path of Internet length is
+//! inline, so copying it allocates nothing), `bgpworms_mrt` encodes them
+//! straight into its writer's one body buffer, and the RIB dump finds each
+//! session's final state with one sort instead of a map insert per
+//! observation.
 
 use crate::route::Route;
 use bgpworms_mrt::{ArchiveInput, MrtError, MrtWriter, PeerEntry, RibEntry, TableDumpWriter};
-use bgpworms_types::{Asn, PathAttributes, Prefix, RouteUpdate};
+use bgpworms_types::{
+    AsPath, Asn, Community, LargeCommunity, Origin, PathAttributes, Prefix, RouteUpdate,
+};
 use std::collections::BTreeMap;
 use std::net::{IpAddr, Ipv4Addr};
 
@@ -63,16 +71,51 @@ pub fn peer_ip(peer: Asn) -> IpAddr {
     ))
 }
 
-/// Overwrites `attrs` with what `route` carries on the session to the
-/// monitor, keeping the buffers `attrs` already owns. Only the fields set
-/// here are ever set on a scratch value, so the rest stay at their
-/// defaults.
-fn fill_attrs(attrs: &mut PathAttributes, route: &Route) {
-    attrs.origin = route.origin;
-    attrs.as_path.clone_from(&route.path);
-    attrs.next_hop = Some(peer_ip(route.source.neighbor().unwrap_or(Asn::new(0))));
-    attrs.communities.clone_from(&route.communities);
-    attrs.large_communities.clone_from(&route.large_communities);
+/// The attributes a collector session carries to the monitor for an
+/// announced route, borrowed from it: every attribute the MRT archive
+/// records, and nothing else.
+#[derive(Debug, Clone, Copy)]
+pub struct Carried<'a> {
+    /// ORIGIN.
+    pub origin: Origin,
+    /// AS path, collector-first, prepends included.
+    pub path: &'a AsPath,
+    /// NEXT_HOP: the session address of the neighbour the route was
+    /// learned from.
+    pub next_hop: IpAddr,
+    /// Communities.
+    pub communities: &'a [Community],
+    /// RFC 8092 large communities.
+    pub large_communities: &'a [LargeCommunity],
+}
+
+impl CollectorObservation {
+    /// What the session carried; `None` for a withdrawal.
+    pub fn carried(&self) -> Option<Carried<'_>> {
+        let route = self.route.as_ref()?;
+        Some(Carried {
+            origin: route.origin,
+            path: &route.path,
+            next_hop: peer_ip(route.source.neighbor().unwrap_or(Asn::new(0))),
+            communities: &route.communities,
+            large_communities: &route.large_communities,
+        })
+    }
+}
+
+/// Overwrites `attrs` with what a session carried, keeping the buffers
+/// `attrs` already owns. Only the fields set here are ever set on a
+/// scratch value, so the rest stay at their defaults.
+fn fill_attrs(attrs: &mut PathAttributes, carried: Carried<'_>) {
+    attrs.origin = carried.origin;
+    attrs.as_path.clone_from(carried.path);
+    attrs.next_hop = Some(carried.next_hop);
+    attrs.communities.clear();
+    attrs.communities.extend_from_slice(carried.communities);
+    attrs.large_communities.clear();
+    attrs
+        .large_communities
+        .extend_from_slice(carried.large_communities);
 }
 
 /// Serializes a collector's observations into a BGP4MP MESSAGE_AS4 update
@@ -89,9 +132,9 @@ fn observations_to_mrt(
     let mut announce = RouteUpdate::default();
     let mut withdraw = RouteUpdate::default();
     for obs in observations {
-        let update = match &obs.route {
-            Some(route) => {
-                fill_attrs(&mut announce.attrs, route);
+        let update = match obs.carried() {
+            Some(carried) => {
+                fill_attrs(&mut announce.attrs, carried);
                 announce.announced.clear();
                 announce.announced.push(obs.prefix);
                 &announce
@@ -161,7 +204,7 @@ fn observations_to_rib_mrt(
                 continue; // `chunk_by` yields no empty runs
             };
             let obs = &observations[last];
-            let Some(route) = &obs.route else {
+            let Some(carried) = obs.carried() else {
                 continue;
             };
             if live == entries.len() {
@@ -177,7 +220,7 @@ fn observations_to_rib_mrt(
             entry.peer_index =
                 u16::try_from(index).map_err(|_| MrtError::FieldTooLong("peer index"))?;
             entry.originated_time = obs.time;
-            fill_attrs(&mut entry.attrs, route);
+            fill_attrs(&mut entry.attrs, carried);
             live += 1;
         }
         if live > 0 {

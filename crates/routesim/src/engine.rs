@@ -2303,8 +2303,9 @@ mod tests {
     }
 
     /// 1 over transits 2 and 3, which peer; stubs 4, 5 under 2 and 6, 7
-    /// under 3. With it, the config of a stub 6 that prefers what its
-    /// provider says over its own origination.
+    /// under 3. With it, the config of a transit 3 that prefers what its
+    /// peer 2 says over what its customers say, so it sends stub 6 the
+    /// routes of 2's customers even while 6 originates the prefix itself.
     fn two_transits() -> (Topology, RouterConfig) {
         let mut topo = Topology::new();
         topo.add_simple(Asn::new(1), Tier::Tier1);
@@ -2321,9 +2322,9 @@ mod tests {
             }
         }
         topo.add_edge(Asn::new(2), Asn::new(3), EdgeKind::PeerToPeer);
-        let mut obedient = RouterConfig::defaults(Asn::new(6));
-        obedient.local_pref.provider = 251;
-        (topo, obedient)
+        let mut peer_first = RouterConfig::defaults(Asn::new(3));
+        peer_first.local_pref.peer = peer_first.local_pref.customer + 1;
+        (topo, peer_first)
     }
 
     #[test]
@@ -2332,16 +2333,17 @@ mod tests {
         // under 3. Collectors hear 1, 3 and stub 7; stubs 5 and 6 are unread
         // (4 too, but it originates). The schedule announces at 4, changes
         // the tag, adds a second origin at unread stub 6 (MOAS), withdraws
-        // the first. Stub 6 prefers what its provider says over its own
-        // origination, so its announcement stays home until the withdrawal
-        // reaches it — which only a flood that imported at 6 from the first
-        // event knows. Wherever the budget cuts it, the flood that drops
-        // deliveries to unread leaves returns what the full one returns;
-        // retained at every AS, the flood runs in full, reaches stub 5 and
-        // returns what its snapshot twin returns, routes and all.
-        let (topo, obedient) = two_transits();
+        // the first. Transit 3 prefers what its peer says, so 6's
+        // announcement stays at 3 until the withdrawal reaches it, and 3
+        // keeps sending 4's route to 6, which imports it while it
+        // originates: the elided flood still delivers to an unread leaf
+        // that originates. Wherever the budget cuts it, the flood that
+        // drops deliveries to unread leaves returns what the full one
+        // returns; retained at every AS, the flood runs in full, reaches
+        // stub 5 and returns what its snapshot twin returns, routes and all.
+        let (topo, peer_first) = two_transits();
         let spec = SimSpec::new(&topo)
-            .configure(obedient)
+            .configure(peer_first)
             .collector(CollectorSpec {
                 name: "rrc00".into(),
                 platform: "RIS".into(),
@@ -2373,46 +2375,65 @@ mod tests {
                 converged: true,
             };
             sim.continue_prefix(&mut scratch, prefix, &refs, &mut outcome, budget, reader);
-            (outcome, scratch.touched.len())
+            (outcome, scratch)
         };
-        let (whole, touched) = flood(&sim, u64::MAX, ScratchReader::Snapshot);
+        let six = topo.node_id(Asn::new(6)).expect("in the topology").index();
+        let imported_at_6 = |scratch: &SimScratch| {
+            let slots = sim.offsets[six] as usize..sim.offsets[six + 1] as usize;
+            scratch.rib_in[slots].iter().any(Option::is_some)
+        };
+        let (whole, scratch) = flood(&sim, u64::MAX, ScratchReader::Snapshot);
         assert!(whole.converged);
-        assert_eq!(touched, topo.len(), "the full flood reaches every AS");
         assert_eq!(
-            flood(&sim, u64::MAX, ScratchReader::Nobody).1,
+            scratch.touched.len(),
+            topo.len(),
+            "the full flood reaches every AS"
+        );
+        assert_eq!(
+            flood(&sim, u64::MAX, ScratchReader::Nobody).1.touched.len(),
             topo.len() - 1,
             "only stub 5 is unread and never originates"
         );
-        let (all, touched) = flood(&kept, u64::MAX, ScratchReader::Nobody);
-        assert_eq!(touched, topo.len(), "an `All` flood reaches every AS");
+        let (all, scratch) = flood(&kept, u64::MAX, ScratchReader::Nobody);
+        assert_eq!(
+            scratch.touched.len(),
+            topo.len(),
+            "an `All` flood reaches every AS"
+        );
         let at5 = all.final_routes.as_ref().and_then(|f| f.get(&Asn::new(5)));
         assert!(at5.is_some(), "stub 5 keeps what 2 exported last");
+        let mut imports_while_originating = false;
         for budget in 0..=whole.events {
             let (full, _) = flood(&sim, budget, ScratchReader::Snapshot);
-            let (elided, _) = flood(&sim, budget, ScratchReader::Nobody);
+            let (elided, scratch) = flood(&sim, budget, ScratchReader::Nobody);
             assert_eq!(elided, full, "budget {budget}");
             assert_eq!(full.converged, budget == whole.events, "budget {budget}");
-            let twin = flood(&kept, budget, ScratchReader::Snapshot);
-            let all = flood(&kept, budget, ScratchReader::Nobody);
+            imports_while_originating |= scratch.local[six].is_some() && imported_at_6(&scratch);
+            let twin = flood(&kept, budget, ScratchReader::Snapshot).0;
+            let all = flood(&kept, budget, ScratchReader::Nobody).0;
             assert_eq!(all, twin, "retained, budget {budget}");
         }
+        assert!(
+            imports_while_originating,
+            "the elided flood delivers to unread originator 6"
+        );
     }
 
     #[test]
     fn a_forwarding_delta_drops_what_its_campaign_drops_and_nothing_else() {
         // `two_transits`, where a collector hears 7. Under `Prefixes`
         // retention with reader 7, the baseline announces at 4, then at
-        // stub 6, which prefers what its provider says (so its own
-        // announcement stays home); the delta re-announces at 4 with a tag.
-        // A delta on the snapshot's clone drops what reaches stub 5 (unread,
-        // no origin, no reader): 5's slots stay as the baseline left them,
-        // and the sweep skips 5. Stub 6
-        // originates in the baseline only, and imports the tagged route all
-        // the same; the outcome is the campaign's of the whole schedule.
-        let (topo, obedient) = two_transits();
+        // stub 6, whose provider 3 prefers 4's route, heard over its
+        // peering with 2, to 6's (so 6's own announcement stays at 3); the
+        // delta re-announces at 4 with a tag. A delta on the snapshot's clone drops what reaches
+        // stub 5 (unread, no origin, no reader): 5's slots stay as the
+        // baseline left them, and the sweep skips 5. Stub 6 originates in
+        // the baseline only, and imports the tagged route all the same; the
+        // outcome is the campaign's of the whole schedule.
+        let (topo, peer_first) = two_transits();
         let prefix = p("10.0.0.0/16");
         let sim = SimSpec::new(&topo)
-            .configure(obedient)
+            .configure(peer_first)
             .collector(CollectorSpec {
                 name: "rrc00".into(),
                 platform: "RIS".into(),

@@ -273,7 +273,9 @@ mod shard;
 pub mod workload;
 
 pub use campaign::{Campaign, CampaignCheckpoint, CampaignRun, CampaignSink, ClassStats};
-pub use collector::{archive_all, CollectorArchive, CollectorObservation, CollectorSpec, FeedKind};
+pub use collector::{
+    archive_all, Carried, CollectorArchive, CollectorObservation, CollectorSpec, FeedKind,
+};
 pub use durable::DurableSink;
 pub use engine::{
     panic_message, CompiledSim, FinalRoutes, Origination, PrefixOutcome, RetainRoutes, SimResult,

@@ -126,9 +126,10 @@ impl Route {
         }
     }
 
-    /// A locally originated route, at local-pref 250: above every role's
-    /// default, so an AS keeps its own origination over any route it
-    /// learns, unless a service sets a local-pref above 250.
+    /// A locally originated route, at local-pref 250, above every role's
+    /// default. An AS keeps its own origination over any route it learns
+    /// whatever the learned route's local-pref: the decision process takes
+    /// a local route before it ranks learned ones by [`Route::prefer`].
     pub fn originate(communities: Vec<Community>) -> Self {
         let attrs = RouteAttrs {
             path: AsPath::empty(),
@@ -136,7 +137,7 @@ impl Route {
             communities,
             large_communities: Vec::new(),
         };
-        Route::new(attrs, RouteSource::Local, 250) // own routes beat anything learned
+        Route::new(attrs, RouteSource::Local, 250)
     }
 
     /// Builder: attach RFC 8092 large communities at origination.

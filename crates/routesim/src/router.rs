@@ -121,31 +121,29 @@ impl<'s> NodeState<'s> {
     }
 
     /// Best candidate plus the role it was learned under (None for local
-    /// routes). Every comparison in [`Route::prefer`] bottoms out in a
-    /// strict tie-break, so the winner is independent of iteration order.
+    /// routes). A local origination beats every learned route, whatever
+    /// local-pref an import gave that one: a router keeps the route it
+    /// originates (Cisco weighs a locally originated route 32768, above
+    /// any learned one; Juniper prefers a static or aggregate route to
+    /// BGP's 170). Among learned routes, every comparison in
+    /// [`Route::prefer`] bottoms out in a strict tie-break, so the winner
+    /// is independent of iteration order.
     pub(crate) fn best_entry(&self, arena: &RouteArena) -> Option<(RouteId, Option<Role>)> {
-        let mut best: Option<(RouteId, Option<Role>)> = None;
+        if let Some(local) = *self.local {
+            return Some((local, None));
+        }
+        let mut best: Option<(RouteId, Role)> = None;
         for entry in self.rib_in.iter().flatten() {
             best = match best {
-                None => Some((entry.route, Some(entry.role))),
                 Some((b, _))
-                    if arena.get(entry.route).prefer(arena.get(b)) == Ordering::Greater =>
+                    if arena.get(entry.route).prefer(arena.get(b)) != Ordering::Greater =>
                 {
-                    Some((entry.route, Some(entry.role)))
+                    best
                 }
-                keep => keep,
+                _ => Some((entry.route, entry.role)),
             };
         }
-        if let Some(local) = *self.local {
-            best = match best {
-                None => Some((local, None)),
-                Some((b, _)) if arena.get(local).prefer(arena.get(b)) == Ordering::Greater => {
-                    Some((local, None))
-                }
-                keep => keep,
-            };
-        }
-        best
+        best.map(|(id, role)| (id, Some(role)))
     }
 
     /// The current best route.
@@ -927,6 +925,37 @@ mod tests {
         assert!(!r.best().unwrap().blackholed, "peer may not trigger RTBH");
         r.import(&cfg, Asn::new(3), 2, Role::Customer, Some(route), ctx);
         assert!(r.best().unwrap().blackholed);
+    }
+
+    #[test]
+    fn an_origin_keeps_its_own_route_over_an_rtbh_raise_above_250() {
+        // §7.3: a blackhole service that raises local-pref past an
+        // origination's 250 must not let an attacker make the origin
+        // blackhole its own prefix.
+        let mut cfg = RouterConfig::defaults(Asn::new(5));
+        cfg.services.blackhole = Some(BlackholeService {
+            local_pref: 300,
+            ..BlackholeService::default()
+        });
+        let mut r = TestRouter::new(Asn::new(5), false, 8).flooding("10.0.0.0/24");
+        let (irr, rpki) = ctx_empty();
+        let ctx = ValidationCtx {
+            irr: &irr,
+            rpki: &rpki,
+        };
+        let own = r.arena.intern(Route::originate(vec![]));
+        r.local = Some(own);
+        let attack = incoming(3, &[3, 9], &[Community::new(5, 666)]);
+        let v = r.import(&cfg, Asn::new(3), 2, Role::Customer, Some(attack), ctx);
+        assert_eq!(v, ImportVerdict::Accepted);
+        let (node, arena) = r.state();
+        let raised = node.rib_in.iter().flatten().next().expect("imported");
+        assert_eq!(arena.get(raised.route).local_pref, 300);
+        assert!(arena.get(raised.route).blackholed);
+        assert_eq!(node.best_entry(arena), Some((own, None)));
+        let best = r.best().unwrap();
+        assert_eq!(best.source, RouteSource::Local);
+        assert!(!best.blackholed);
     }
 
     #[test]

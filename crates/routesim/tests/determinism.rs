@@ -2484,10 +2484,14 @@ struct Offer {
 ///   local-pref community sets its value (the highest-valued one of
 ///   several), after any raise, and the prepend communities ask for the
 ///   most prepends any of them names;
-/// * an origination is held at `Route::originate`'s local-pref, 250;
-/// * best — `Route::prefer`'s order: local-pref (higher wins), AS-path
-///   length (shorter), origin code and MED (every route here is IGP with
-///   MED 0), neighbour ASN (lower; an origination has none, read as 0).
+/// * best — an AS that originates the prefix holds its own route,
+///   whatever local-pref a learned one has (Cisco weighs a locally
+///   originated route 32768, above any learned one; Juniper prefers a
+///   static or aggregate route to BGP's 170), at `Route::originate`'s
+///   local-pref, 250; any other ranks what it learned by `Route::prefer`'s
+///   order: local-pref (higher wins), AS-path length (shorter), origin
+///   code and MED (every route here is IGP with MED 0), neighbour ASN
+///   (lower).
 fn stable_paths_oracle(
     topo: &Topology,
     configs: &BTreeMap<Asn, RouterConfig>,
@@ -2614,7 +2618,7 @@ fn stable_paths_oracle(
                 let offered = export(nb, held.get(&nb)?, at)?;
                 import(at, nb, offered)
             });
-            if let Some(best) = own.into_iter().chain(learned).min_by_key(rank) {
+            if let Some(best) = own.or_else(|| learned.min_by_key(rank)) {
                 next.insert(at, best);
             }
         }
@@ -2902,11 +2906,12 @@ fn action_communities_settle_at_the_stable_paths_fixed_point() {
         silenced * 10 >= compared,
         "only {silenced} draws exercised a silent exporter"
     );
-    // One prefix of these draws (case 115, `10.0.0.0/16`) is a wedgie: the
-    // engine, replaying episodes in time order, leaves AS6 holding an RTBH
-    // route over its own origination, a stable state the best response
-    // from no routes does not reach. Any more than a few such prefixes
-    // means the engine settles elsewhere than the oracle in general.
+    // These draws settle where the oracle does, every prefix of them. The
+    // one that once did not (case 115, `10.0.0.0/16`) had AS6 hold an RTBH
+    // route raised to local-pref 300 over its own origination, which no
+    // router does. A wedgie (RFC 4264) may still leave a prefix in another
+    // stable state; more than a few such prefixes means the engine settles
+    // elsewhere than the oracle in general.
     assert!(
         wedged * 100 <= compared,
         "{wedged} prefixes settled in another stable state than the oracle's"

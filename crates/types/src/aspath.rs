@@ -9,7 +9,10 @@
 //! lives inline and allocates nothing; every other shape (no segment at
 //! all, AS_SETs, several segments, a longer sequence) is a segment list on
 //! the heap. Every constructor and mutator lands in that form, which is
-//! what lets `==` tell the two forms apart without looking inside.
+//! what lets `==` tell the two forms apart without looking inside. No
+//! path holds a segment without ASes: one that is pushed is dropped, so
+//! the AS_PATH codec, which writes nothing for such a segment, carries
+//! every value a path can hold.
 
 use crate::asn::Asn;
 use std::fmt;
@@ -87,8 +90,8 @@ pub struct AsPath {
 /// The two forms of [`AsPath`]; a value has exactly one of them.
 #[derive(Clone)]
 enum Repr {
-    /// One AS_SEQUENCE of the ASes `asns[..len]`. The slots past `len` are
-    /// never read.
+    /// One AS_SEQUENCE of the ASes `asns[..len]`, `len` at least 1. The
+    /// slots past `len` are never read.
     Inline { len: u8, asns: [Asn; INLINE] },
     /// Every other shape: no segment at all (the empty path), a set,
     /// several segments, or one sequence longer than [`INLINE`].
@@ -102,7 +105,8 @@ impl Default for Repr {
 }
 
 impl Repr {
-    /// One AS_SEQUENCE of `asns`, inline if it fits.
+    /// One AS_SEQUENCE of `asns`, inline if it fits; no segment at all if
+    /// `asns` is empty.
     fn sequence(asns: impl IntoIterator<Item = Asn>) -> Repr {
         let mut asns = asns.into_iter();
         let mut inline = [Asn::default(); INLINE];
@@ -116,6 +120,9 @@ impl Repr {
             }
             inline[len] = asn;
             len += 1;
+        }
+        if len == 0 {
+            return Repr::default();
         }
         Repr::Inline {
             len: len as u8,
@@ -149,15 +156,17 @@ impl AsPath {
 
     /// Appends `segment` at the origin end: the one builder behind
     /// [`from_segments`](Self::from_segments), the AS_PATH decoder and
-    /// [`deprepended`](Self::deprepended). A first segment that is a
-    /// sequence of at most [`INLINE`] ASes is stored inline; any other
-    /// moves the path to the heap.
+    /// [`deprepended`](Self::deprepended). A segment without ASes is
+    /// dropped. A first segment that is a sequence of at most [`INLINE`]
+    /// ASes is stored inline; any other moves the path to the heap.
     pub fn push_segment<I: IntoIterator<Item = Asn>>(&mut self, segment: PathSegment<I>) {
         match segment {
             PathSegment::Sequence(asns) if self.is_bare() => self.repr = Repr::sequence(asns),
             segment => {
-                let segment = segment.map(|asns| asns.into_iter().collect());
-                self.heap_mut().push(segment);
+                let segment: PathSegment = segment.map(|asns| asns.into_iter().collect());
+                if !segment.asns().is_empty() {
+                    self.heap_mut().push(segment);
+                }
             }
         }
     }
@@ -191,9 +200,10 @@ impl AsPath {
         inline.into_iter().chain(heap.iter().map(PathSegment::view))
     }
 
-    /// True if the path has no ASes at all.
+    /// True if the path has no ASes at all: no segment, since none is
+    /// empty.
     pub fn is_empty(&self) -> bool {
-        self.segments().all(|s| s.asns().is_empty())
+        self.is_bare()
     }
 
     /// Iterates over every AS in path order (sets flattened in place).
@@ -657,7 +667,17 @@ mod tests {
     #[test]
     fn is_empty_handles_hollow_segments() {
         assert!(AsPath::empty().is_empty());
-        assert!(AsPath::from_segments(vec![PathSegment::Sequence(vec![])]).is_empty());
+        let hollow = AsPath::from_segments(vec![
+            PathSegment::Sequence(vec![]),
+            PathSegment::Set(vec![]),
+        ]);
+        assert!(hollow.is_empty());
+        assert_eq!(hollow, AsPath::empty());
+        assert_eq!(AsPath::from_asns([]), AsPath::empty());
+        let mut tail = path(&[3, 2]);
+        tail.push_segment(PathSegment::Set(vec![]));
+        assert_eq!(tail, path(&[3, 2]));
+        assert!(tail.is_inline());
         assert!(!path(&[1]).is_empty());
     }
 }

@@ -125,7 +125,7 @@ struct Attrs {
     communities: Span,
     prepends: Span,
     large: Span,
-    raw_hop_count: usize,
+    raw_hop_count: u32,
 }
 
 /// One row of the store: the scalar fields plus where its attributes sit
@@ -145,6 +145,13 @@ pub struct Row {
     prefix_id: u32,
     attrs: Attrs,
 }
+
+// A feed keeps one row per prefix of every update it read: a field that
+// widens the row widens the whole set.
+const _: () = assert!(
+    size_of::<Row>() <= 80,
+    "Row outgrows 80 bytes: a feed holds one per prefix per update"
+);
 
 /// `items[start[k]..start[k + 1]]` are the items of key `k`, in the order
 /// they were fed.
@@ -352,7 +359,8 @@ impl Builder {
             communities: span_of(&self.comms, communities.len()),
             prepends: span_of(&self.prepends, self.prepends.len() - prepends_before),
             large: span_of(&self.large, large_communities.len()),
-            raw_hop_count: path.hop_count(),
+            // lint: infallible an AS_PATH fits a BGP message, far below 2^32 hops
+            raw_hop_count: u32::try_from(path.hop_count()).expect("hop count fits u32"),
         }
     }
 
@@ -735,7 +743,7 @@ impl<'a> Observation<'a> {
 
     /// Hop count of the path *before* de-prepending.
     fn raw_hop_count(self) -> usize {
-        self.row.attrs.raw_hop_count
+        self.row.attrs.raw_hop_count as usize
     }
 
     /// Prepend evidence from the raw path: ASes that appeared in

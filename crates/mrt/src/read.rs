@@ -127,7 +127,7 @@ impl<'a> MrtReader<'a> {
 fn parse_record(header: MrtHeader, c: &mut Cursor<'_>) -> Result<MrtRecord, MrtError> {
     match header.mrt_type {
         BGP4MP | BGP4MP_ET => {
-            let mut message = Bgp4mpMessage::default();
+            let mut message = Box::<Bgp4mpMessage>::default();
             Ok(match parse_bgp4mp(header, c, &mut message)? {
                 None => MrtRecord::Bgp4mp(message),
                 Some(change) => MrtRecord::StateChange(change),

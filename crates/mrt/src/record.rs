@@ -158,8 +158,11 @@ pub struct RibSnapshot {
 /// Any record we can read from an archive.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MrtRecord {
-    /// BGP4MP MESSAGE / MESSAGE_AS4 (optionally `_ET`).
-    Bgp4mp(Bgp4mpMessage),
+    /// BGP4MP MESSAGE / MESSAGE_AS4 (optionally `_ET`). Boxed: a message
+    /// holds a whole UPDATE, over 200 bytes more than any other record
+    /// (clippy's `large_enum_variant`). Readers that decode updates in
+    /// place use `UpdateStream`, which builds no `MrtRecord`.
+    Bgp4mp(Box<Bgp4mpMessage>),
     /// BGP4MP STATE_CHANGE / STATE_CHANGE_AS4.
     StateChange(StateChange),
     /// TABLE_DUMP_V2 PEER_INDEX_TABLE.

@@ -60,6 +60,13 @@ pub struct CollectorObservation {
     pub route: Option<Route>,
 }
 
+// A collector feed is one of these per update it saw: a field that widens
+// it widens every feed the simulator hands the monitor.
+const _: () = assert!(
+    size_of::<CollectorObservation>() <= 80,
+    "CollectorObservation outgrows 80 bytes: a feed holds one per update"
+);
+
 /// Deterministic fake address for a peer session (used in MRT records).
 pub fn peer_ip(peer: Asn) -> IpAddr {
     let n = peer.get();

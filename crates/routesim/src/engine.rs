@@ -155,6 +155,13 @@ pub struct Origination {
     pub forged_origin: Option<Asn>,
 }
 
+// A workload is one of these per announced prefix, a full table hundreds
+// of thousands: a field that widens it widens every workload.
+const _: () = assert!(
+    size_of::<Origination>() <= 88,
+    "Origination outgrows 88 bytes: a workload holds one per announced prefix"
+);
+
 impl Origination {
     /// A plain announcement at time 0.
     pub fn announce(origin: Asn, prefix: Prefix, communities: Vec<Community>) -> Self {

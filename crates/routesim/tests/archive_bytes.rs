@@ -192,7 +192,7 @@ fn tiny_world_archives_decode_to_the_recorded_records() {
         let mut message = Bgp4mpMessage::default();
         let mut reused = Vec::new();
         while stream.next_into(&mut message).expect("a clean archive") {
-            reused.push(MrtRecord::Bgp4mp(message.clone()));
+            reused.push(MrtRecord::Bgp4mp(Box::new(message.clone())));
         }
         let strict: Vec<MrtRecord> = MrtReader::new(&a.updates_mrt)
             .map(|r| r.expect("a clean archive"))

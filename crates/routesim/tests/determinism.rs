@@ -114,8 +114,8 @@ use bgpworms_routesim::{
     prepend_value, ActScope, BlackholeService, Campaign, CampaignSink, CollectorObservation,
     CollectorSpec, CommunityPropagationPolicy, CompiledSim, FeedKind, FinalRoutes, IrrDatabase,
     OriginValidation, Origination, PrefixOutcome, RetainRoutes, Route, RouteId, RouteSource,
-    RouterConfig, SimResult, SimSpec, Vendor, BLACKHOLE_VALUE, LOCATION_TAG_VALUES, MONITOR_ASN,
-    ORIGIN_CLASS_VALUES,
+    RouterConfig, RsEvalOrder, SimResult, SimSpec, Vendor, BLACKHOLE_VALUE, LOCATION_TAG_VALUES,
+    MONITOR_ASN, ORIGIN_CLASS_VALUES,
 };
 use bgpworms_topology::{EdgeKind, NodeId, Role, Tier, Topology, TopologyParams};
 use bgpworms_types::{Asn, Community, LargeCommunity, Prefix};
@@ -2491,7 +2491,18 @@ struct Offer {
 ///   local-pref, 250; any other ranks what it learned by `Route::prefer`'s
 ///   order: local-pref (higher wins), AS-path length (shorter), origin
 ///   code and MED (every route here is IGP with MED 0), neighbour ASN
-///   (lower).
+///   (lower);
+/// * route server — a transparent hop (RFC 7947): it re-exports a member's
+///   route to every other member, Gao–Rexford aside, without prepending
+///   itself or the prepends a community asked of it, honours `NO_EXPORT`
+///   and `NO_ADVERTISE` but not `NO_PEER`, and sends communities whatever
+///   its vendor and propagation policy. It applies the std row of
+///   arouteserver's control table for member `peer`: `0:peer` do not
+///   announce to it, `rs:peer` announce to it, `0:rs` announce to no
+///   member; a `0:peer` and `rs:peer` pair is settled by `RsEvalOrder`
+///   (suppress or announce rule first), a member neither names takes
+///   `0:rs`'s word, and the server strips every row it reads (`0:m`,
+///   `rs:m` for each member `m`, `0:rs`) before it re-exports.
 fn stable_paths_oracle(
     topo: &Topology,
     configs: &BTreeMap<Asn, RouterConfig>,
@@ -2502,9 +2513,41 @@ fn stable_paths_oracle(
     rounds: usize,
 ) -> Option<BTreeMap<Asn, Offer>> {
     let hi = |asn: Asn| asn.as_u16().expect("a 2-byte test ASN");
+    let servers: BTreeSet<Asn> = (topo.ases())
+        .filter(|node| node.tier == Tier::RouteServer)
+        .map(|node| node.asn)
+        .collect();
     let export = |from: Asn, held: &Offer, to: Asn| -> Option<(Vec<Asn>, BTreeSet<Community>)> {
         let role = topo.role_of(from, to).expect("adjacent");
         let scoped = [Community::NO_EXPORT, Community::NO_ADVERTISE];
+        if servers.contains(&from) {
+            if held.from == Some(to) || scoped.iter().any(|c| held.communities.contains(c)) {
+                return None;
+            }
+            let (rs, peer) = (hi(from), hi(to));
+            let names = |c: Community| held.communities.contains(&c);
+            let (suppress, announce) = (
+                names(Community::new(0, peer)),
+                names(Community::new(rs, peer)),
+            );
+            let per_peer = match configs[&from].rs_eval_order {
+                RsEvalOrder::SuppressFirst if suppress => Some(false),
+                RsEvalOrder::AnnounceFirst if announce => Some(true),
+                _ if suppress || announce => Some(announce),
+                _ => None,
+            };
+            if !per_peer.unwrap_or(!names(Community::new(0, rs))) {
+                return None;
+            }
+            let members: BTreeSet<u16> = topo.neighbors(from).map(|(m, _)| hi(m)).collect();
+            let mut communities = held.communities.clone();
+            communities.retain(|c| {
+                let row =
+                    (c.asn_part() == 0 || c.asn_part() == rs) && members.contains(&c.value_part());
+                !row && *c != Community::new(0, rs)
+            });
+            return Some((held.path.clone(), communities));
+        }
         if held.from == Some(to)
             || scoped.iter().any(|c| held.communities.contains(c))
             || (role == Role::Peer && held.communities.contains(&Community::NO_PEER))
@@ -2628,6 +2671,83 @@ fn stable_paths_oracle(
         held = next;
     }
     None
+}
+
+/// arouteserver's `AS2_only_to_AS1_s` (SNIPPETS.md) on the five-node
+/// world of `attacks::scenarios::route_manipulation`: member 22 sends route
+/// server 29 its customer 21's prefix tagged `0:29` (announce to no member)
+/// and `29:24` (announce to member 24), and of the server's other members
+/// only 24 receives it, under either evaluation order. The engine's routes
+/// (AS path, local-pref, sender) are the stable-paths oracle's fixed point.
+/// Communities are left out. The engine's server tags what it learns with
+/// `29:(100 + sender mod 5)`, which the oracle does not state, and strips
+/// `rs:v` only for `v` above 104, so `29:24` reaches member 24, where the
+/// oracle strips every row that names a member.
+#[test]
+fn a_route_server_announces_only_to_the_member_its_std_controls_name() {
+    let [origin, sender, named, other, server] = [21, 22, 24, 25, 29].map(Asn::new);
+    let mut topo = Topology::new();
+    topo.add_simple(origin, Tier::Stub);
+    for member in [sender, named, other] {
+        topo.add_simple(member, Tier::Transit);
+    }
+    topo.add_simple(server, Tier::RouteServer);
+    topo.add_edge(server, named, EdgeKind::PeerToPeer);
+    topo.add_edge(server, other, EdgeKind::PeerToPeer);
+    topo.add_edge(sender, origin, EdgeKind::ProviderToCustomer);
+    topo.add_edge(server, sender, EdgeKind::PeerToPeer);
+    let prefix: Prefix = "2.0.1.0/24".parse().expect("valid prefix");
+    let communities = vec![Community::new(0, 29), Community::new(29, 24)];
+    let originated = BTreeMap::from([(origin, &communities)]);
+    let chosen = |routes: BTreeMap<Asn, Offer>| -> BTreeMap<Asn, (Vec<Asn>, u32, Option<Asn>)> {
+        (routes.into_iter())
+            .map(|(asn, offer)| (asn, (offer.path, offer.local_pref, offer.from)))
+            .collect()
+    };
+    for order in [RsEvalOrder::SuppressFirst, RsEvalOrder::AnnounceFirst] {
+        let mut configs: BTreeMap<Asn, RouterConfig> = (topo.ases())
+            .map(|node| (node.asn, RouterConfig::defaults(node.asn)))
+            .collect();
+        configs.get_mut(&server).expect("configured").rs_eval_order = order;
+        let episode = Origination::announce(origin, prefix, communities.clone());
+        let res = spec_for(&topo, configs.values().cloned().collect(), Vec::new())
+            .compile()
+            .run(&[episode]);
+        assert!(res.converged, "{order:?}");
+        let engine = (res.final_routes.get(&prefix).into_iter())
+            .flat_map(|finals| finals.iter())
+            .map(|(&asn, route)| {
+                let offer = Offer {
+                    path: route.path.to_vec(),
+                    local_pref: route.local_pref,
+                    communities: BTreeSet::new(),
+                    from: route.source.neighbor(),
+                    prepends: route.pending_prepend,
+                };
+                (asn, offer)
+            })
+            .collect();
+        let oracle = stable_paths_oracle(
+            &topo,
+            &configs,
+            &Registries::default(),
+            prefix,
+            &originated,
+            BTreeMap::new(),
+            16,
+        )
+        .expect("a five-node world settles");
+        let (engine, oracle) = (chosen(engine), chosen(oracle));
+        let receivers = |routes: &BTreeMap<Asn, _>| {
+            let members = [named, other].into_iter();
+            members
+                .filter(|m| routes.contains_key(m))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(receivers(&oracle), [named], "{order:?}: the oracle");
+        assert_eq!(receivers(&engine), [named], "{order:?}: the engine");
+        assert_eq!(engine, oracle, "{order:?}");
+    }
 }
 
 /// ROADMAP item 9(ii) — *action communities settle where the documents

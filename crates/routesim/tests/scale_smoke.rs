@@ -165,6 +165,23 @@ fn internet_scale_smoke() {
     );
     smoke(topo, 95);
     delta_equals_fresh(topo);
+    report_peak_rss("internet");
+}
+
+/// Prints the test process's peak resident set (`VmHWM` in
+/// `/proc/self/status`; nothing where that file is absent): the memory
+/// one case takes at Internet scale. A report, not a gate; CI's
+/// `scale-smoke` job copies the line to its summary.
+fn report_peak_rss(case: &str) {
+    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
+        return;
+    };
+    if let Some(peak) = status.lines().find_map(|l| l.strip_prefix("VmHWM:")) {
+        println!(
+            "scale-smoke {case}: peak resident set (VmHWM) {}",
+            peak.trim()
+        );
+    }
 }
 
 /// One origin's plain announcement snapshotted, then re-announced with a
@@ -256,4 +273,5 @@ fn full_table_smoke() {
         "memoized fold diverged at Internet scale"
     );
     assert_eq!(memoized.events, plain.events);
+    report_peak_rss("full_table");
 }

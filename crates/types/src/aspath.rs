@@ -278,8 +278,16 @@ impl AsPath {
     /// The copy is rebuilt segment by segment, and lands inline if it fits.
     pub fn deprepended(&self) -> AsPath {
         let mut out = AsPath::empty();
+        let mut hops = self.hops();
         for segment in self.segments() {
-            out.push_segment(collapsed(segment));
+            // This segment's own hops, read off the whole path's stream so
+            // a run that crossed into it from the last one is collapsed.
+            let n = segment.asns().len();
+            out.push_segment(segment.map(|_| {
+                (hops.by_ref().take(n))
+                    .filter(|&(_, repeat)| !repeat)
+                    .map(|(asn, _)| asn)
+            }));
         }
         out
     }
@@ -287,7 +295,9 @@ impl AsPath {
     /// The ASes of [`deprepended`](Self::deprepended) in path order,
     /// without building the copy.
     pub fn deprepended_asns(&self) -> impl Iterator<Item = Asn> + '_ {
-        self.segments().flat_map(|s| collapsed(s).into_list())
+        self.hops()
+            .filter(|&(_, repeat)| !repeat)
+            .map(|(asn, _)| asn)
     }
 
     /// Position of the first occurrence of `asn` in the *de-prepended*
@@ -301,20 +311,41 @@ impl AsPath {
     }
 
     /// Prepend evidence: every AS that occurs in a consecutive run of
-    /// length > 1 inside a SEQUENCE segment, with the run length.
+    /// length > 1 inside an AS_SEQUENCE, with the run length.
     ///
     /// `[3 3 3 2 1]` yields `(3, 3)`. Passive steering inference (the
     /// paper's §9 future agenda) uses this to tell *which* AS was prepended,
     /// which the de-prepended path no longer shows.
     pub fn prepend_runs(&self) -> impl Iterator<Item = (Asn, usize)> + '_ {
+        let mut hops = self.hops().peekable();
+        std::iter::from_fn(move || loop {
+            let (asn, _) = hops.next()?;
+            let mut run = 1;
+            while hops.next_if(|&(_, repeat)| repeat).is_some() {
+                run += 1;
+            }
+            if run > 1 {
+                return Some((asn, run));
+            }
+        })
+    }
+
+    /// Every AS in path order, with whether it repeats the AS before it in
+    /// the same AS_SEQUENCE. Consecutive sequence segments are one
+    /// sequence: the AS_PATH encoder splits a sequence longer than 255 ASes
+    /// into several, and a prepend run can cross the split. A set's ASes
+    /// never repeat, and a set ends the sequence before it.
+    fn hops(&self) -> impl Iterator<Item = (Asn, bool)> + '_ {
         self.segments()
-            .filter_map(|seg| match seg {
-                PathSegment::Sequence(v) => Some(v.chunk_by(|a, b| a == b)),
-                PathSegment::Set(_) => None,
+            .flat_map(|segment| {
+                let set = matches!(segment, PathSegment::Set(_));
+                segment.into_list().iter().map(move |&asn| (asn, set))
             })
-            .flatten()
-            .filter(|run| run.len() > 1)
-            .map(|run| (run[0], run.len()))
+            .scan(None, |last, (asn, set)| {
+                let repeat = !set && *last == Some(asn);
+                *last = (!set).then_some(asn);
+                Some((asn, repeat))
+            })
     }
 
     /// True if the path is stored inline.
@@ -322,18 +353,6 @@ impl AsPath {
     fn is_inline(&self) -> bool {
         matches!(self.repr, Repr::Inline { .. })
     }
-}
-
-/// A segment's ASes with prepending collapsed: a sequence drops each AS
-/// that repeats the one before it; a set is kept whole.
-fn collapsed(segment: PathSegment<&[Asn]>) -> PathSegment<impl Iterator<Item = Asn> + '_> {
-    let set = matches!(segment, PathSegment::Set(_));
-    let mut last = None;
-    segment.map(move |asns| {
-        asns.iter()
-            .copied()
-            .filter(move |&a| set || last.replace(a) != Some(a))
-    })
 }
 
 /// Equal exactly when the segment lists are. Each value has one form, so a
@@ -440,6 +459,31 @@ mod tests {
 
     fn path(v: &[u32]) -> AsPath {
         AsPath::from_asns(asns(v))
+    }
+
+    #[test]
+    fn a_run_across_sequence_segments_is_one_run_and_a_set_ends_it() {
+        // The AS_PATH encoder splits a sequence longer than 255 ASes.
+        let split = AsPath::from_segments(vec![
+            PathSegment::Sequence(asns(&[9, 7, 7])),
+            PathSegment::Sequence(asns(&[7, 7, 1])),
+        ]);
+        assert_eq!(
+            split.deprepended_asns().collect::<Vec<_>>(),
+            asns(&[9, 7, 1])
+        );
+        assert_eq!(split.deprepended().to_vec(), asns(&[9, 7, 1]));
+        assert_eq!(split.prepend_runs().collect::<Vec<_>>(), [(Asn::new(7), 4)]);
+        let broken = AsPath::from_segments(vec![
+            PathSegment::Sequence(asns(&[7, 7])),
+            PathSegment::Set(asns(&[7])),
+            PathSegment::Sequence(asns(&[7, 1])),
+        ]);
+        assert_eq!(broken.deprepended().to_vec(), asns(&[7, 7, 7, 1]));
+        assert_eq!(
+            broken.prepend_runs().collect::<Vec<_>>(),
+            [(Asn::new(7), 2)]
+        );
     }
 
     #[test]

@@ -5,6 +5,7 @@
 use crate::error::TypeError;
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::net::{Ipv4Addr, Ipv6Addr};
 use std::str::FromStr;
 
@@ -17,9 +18,14 @@ pub struct Ipv4Prefix {
 }
 
 /// An IPv6 prefix in CIDR notation, address masked to the length.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+///
+/// The address is kept as 16 network-order octets, not a `u128`: octets
+/// align to 1, so a [`Prefix`] is 20 bytes instead of 48, and every row,
+/// route and map key that holds one shrinks with it. `Ord`, `Hash` and
+/// `Debug` are written out so they read as the `u128` the octets spell.
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct Ipv6Prefix {
-    addr: u128,
+    addr: [u8; 16],
     len: u8,
 }
 
@@ -31,6 +37,14 @@ pub enum Prefix {
     /// An IPv6 prefix.
     V6(Ipv6Prefix),
 }
+
+// Most prefixes are IPv4 and a prefix sits in every observation row,
+// route and prefix-keyed map: an address field aligned to 16 would pad
+// each of them back to 48 bytes.
+const _: () = assert!(
+    size_of::<Prefix>() <= 20,
+    "Prefix outgrows 20 bytes: every row, route and map key holding one grows with it"
+);
 
 #[inline]
 fn mask_v4(len: u8) -> u32 {
@@ -167,7 +181,7 @@ impl Ipv6Prefix {
             });
         }
         Ok(Ipv6Prefix {
-            addr: addr & mask_v6(len),
+            addr: (addr & mask_v6(len)).to_be_bytes(),
             len,
         })
     }
@@ -180,7 +194,7 @@ impl Ipv6Prefix {
     /// The network address (host order, masked).
     #[inline]
     pub const fn network(self) -> u128 {
-        self.addr
+        u128::from_be_bytes(self.addr)
     }
 
     /// The prefix length.
@@ -198,12 +212,12 @@ impl Ipv6Prefix {
     /// True if `ip` falls inside this prefix.
     #[inline]
     pub fn contains(self, ip: u128) -> bool {
-        ip & mask_v6(self.len) == self.addr
+        ip & mask_v6(self.len) == self.network()
     }
 
     /// True if `other` is equal to or more specific than `self`.
     pub fn covers(self, other: Ipv6Prefix) -> bool {
-        other.len >= self.len && other.addr & mask_v6(self.len) == self.addr
+        other.len >= self.len && self.contains(other.network())
     }
 }
 
@@ -283,6 +297,7 @@ impl PartialOrd for Ipv4Prefix {
 
 impl Ord for Ipv6Prefix {
     fn cmp(&self, other: &Self) -> Ordering {
+        // Network-order octets compare as the addresses they spell.
         self.addr
             .cmp(&other.addr)
             .then_with(|| self.len.cmp(&other.len))
@@ -292,6 +307,24 @@ impl Ord for Ipv6Prefix {
 impl PartialOrd for Ipv6Prefix {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
+    }
+}
+
+// The `u128` then the length, the stream a derive over `addr: u128` fed.
+impl Hash for Ipv6Prefix {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.network().hash(state);
+        self.len.hash(state);
+    }
+}
+
+// The derive's text over `addr: u128`, which recorded fixtures hold.
+impl fmt::Debug for Ipv6Prefix {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Ipv6Prefix")
+            .field("addr", &self.network())
+            .field("len", &self.len)
+            .finish()
     }
 }
 

@@ -8,13 +8,14 @@ use bgpworms_types::{
     community::{normalize, Community},
     ext_community::ExtendedCommunity,
     large_community::LargeCommunity,
-    prefix::{Ipv4Prefix, Ipv6Prefix},
+    prefix::{Ipv4Prefix, Ipv6Prefix, Prefix},
 };
-use bgpworms_wire::{decode_attributes, encode_attributes, CodecConfig};
+use bgpworms_wire::{cursor::Cursor, decode_attributes, encode_attributes, nlri, CodecConfig};
 use proptest::prelude::*;
 use std::collections::hash_map::DefaultHasher;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::net::Ipv6Addr;
 
 proptest! {
     #[test]
@@ -220,33 +221,47 @@ mod model {
             }
         }
 
+        /// Consecutive sequence segments are one sequence (the AS_PATH
+        /// encoder splits one longer than 255 ASes); a set ends it.
         pub fn deprepended(&self) -> AsPath {
-            let collapse = |v: &Vec<Asn>| {
-                let mut v = v.clone();
-                v.dedup();
-                v
-            };
+            let mut last = None;
             let segments = (self.segments.iter())
                 .map(|s| match s {
-                    PathSegment::Sequence(v) => PathSegment::Sequence(collapse(v)),
-                    PathSegment::Set(v) => PathSegment::Set(v.clone()),
+                    PathSegment::Sequence(v) => {
+                        let mut kept = Vec::new();
+                        for &a in v {
+                            if last.replace(a) != Some(a) {
+                                kept.push(a);
+                            }
+                        }
+                        PathSegment::Sequence(kept)
+                    }
+                    PathSegment::Set(v) => {
+                        last = None;
+                        PathSegment::Set(v.clone())
+                    }
                 })
                 .collect();
-            AsPath { segments }
+            AsPath::new(segments)
         }
 
         pub fn prepend_runs(&self) -> Vec<(Asn, usize)> {
-            let mut runs = Vec::new();
+            let mut sequences = vec![Vec::new()];
             for s in &self.segments {
-                if let PathSegment::Sequence(v) = s {
-                    let mut i = 0;
-                    while i < v.len() {
-                        let run = v[i..].iter().take_while(|&&a| a == v[i]).count();
-                        if run > 1 {
-                            runs.push((v[i], run));
-                        }
-                        i += run;
+                match s {
+                    PathSegment::Sequence(v) => sequences.last_mut().unwrap().extend(v),
+                    PathSegment::Set(_) => sequences.push(Vec::new()),
+                }
+            }
+            let mut runs = Vec::new();
+            for v in &sequences {
+                let mut i = 0;
+                while i < v.len() {
+                    let run = v[i..].iter().take_while(|&&a| a == v[i]).count();
+                    if run > 1 {
+                        runs.push((v[i], run));
                     }
+                    i += run;
                 }
             }
             runs
@@ -384,5 +399,75 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// The `(u128, len)` an IPv6 prefix stands for: the address masked to the
+/// length, as `Ipv6Prefix` held it before it stored octets.
+fn v6_model(addr: u128, len: u8) -> (u128, u8) {
+    let mask = u128::MAX.checked_shl(128 - u32::from(len)).unwrap_or(0);
+    (addr & mask, len)
+}
+
+/// Two addresses that agree above a random bit, so equal, nested and
+/// sibling prefixes all come up, and a third address near them.
+fn arb_v6_pair() -> impl Strategy<Value = (u128, u8, u128, u8, u128)> {
+    (
+        any::<u128>(),
+        0u8..=128,
+        any::<u128>(),
+        0u32..=128,
+        0u8..=128,
+        any::<u128>(),
+    )
+        .prop_map(|(a, a_len, flip, shift, b_len, ip)| {
+            let b = a ^ flip.checked_shr(shift).unwrap_or(0);
+            (a, a_len, b, b_len, a ^ ip.checked_shr(shift).unwrap_or(0))
+        })
+}
+
+proptest! {
+    /// An `Ipv6Prefix` (and a `Prefix` holding one) answers as the masked
+    /// `(u128, len)` pair it stands for: order, equality, hash stream,
+    /// `covers`, `contains`, `Display`/`FromStr`, `Debug` text and the NLRI
+    /// codec.
+    #[test]
+    fn ipv6_prefix_answers_as_its_u128_model((a, a_len, b, b_len, ip) in arb_v6_pair()) {
+        let (pa, pb) = (Ipv6Prefix::new(a, a_len).unwrap(), Ipv6Prefix::new(b, b_len).unwrap());
+        let (ma, mb) = (v6_model(a, a_len), v6_model(b, b_len));
+        let (wa, wb) = (Prefix::V6(pa), Prefix::V6(pb));
+
+        prop_assert_eq!((pa.network(), pa.len()), ma);
+        prop_assert_eq!(pa.cmp(&pb), ma.cmp(&mb));
+        prop_assert_eq!(wa.cmp(&wb), ma.cmp(&mb));
+        prop_assert_eq!(pa == pb, ma == mb);
+        prop_assert_eq!(wa == wb, ma == mb);
+        prop_assert_eq!(hash_of(&pa), hash_of(&ma));
+        let v4 = Prefix::V4(Ipv4Prefix::new(u32::MAX, 32).unwrap());
+        prop_assert!(v4 < wa, "every IPv4 prefix sorts before every IPv6 one");
+
+        let covers = mb.1 >= ma.1 && v6_model(mb.0, ma.1).0 == ma.0;
+        prop_assert_eq!(pa.covers(pb), covers);
+        prop_assert_eq!(wa.covers(&wb), covers);
+        prop_assert_eq!(pa.contains(ip), v6_model(ip, ma.1).0 == ma.0);
+        prop_assert!(pa.contains(b) == pa.covers(Ipv6Prefix::new(b, 128).unwrap()));
+
+        let text = pa.to_string();
+        prop_assert_eq!(&text, &format!("{}/{}", Ipv6Addr::from(ma.0), ma.1));
+        prop_assert_eq!(text.parse::<Ipv6Prefix>().unwrap(), pa);
+        prop_assert_eq!(text.parse::<Prefix>().unwrap(), wa);
+        let debug = format!("Ipv6Prefix {{ addr: {}, len: {} }}", ma.0, ma.1);
+        prop_assert_eq!(format!("{pa:?}"), debug.clone());
+        prop_assert_eq!(format!("{wa:?}"), format!("V6({debug})"));
+
+        let mut bytes = Vec::new();
+        nlri::encode_v6(pa, &mut bytes);
+        nlri::encode_v6(pb, &mut bytes);
+        let octets = usize::from(ma.1.div_ceil(8));
+        prop_assert_eq!(&bytes[..1 + octets], &[&[ma.1][..], &ma.0.to_be_bytes()[..octets]].concat()[..]);
+        prop_assert_eq!(bytes.len(), nlri::encoded_len_v6(pa) + nlri::encoded_len_v6(pb));
+        let mut decoded = Vec::new();
+        nlri::decode_v6_run(&mut Cursor::new(&bytes), &mut decoded).unwrap();
+        prop_assert_eq!(decoded, vec![wa, wb]);
     }
 }

@@ -3,9 +3,11 @@
 //! the RIB dumps parse, everything is byte-deterministic per seed, and a
 //! feed read in memory builds the set its archive parses to.
 
+use bgpworms::analysis::Observation;
 use bgpworms::monitor::groundtruth::feed_set;
 use bgpworms::prelude::*;
-use bgpworms::routesim::{archive_all, CollectorObservation};
+use bgpworms::routesim::{archive_all, CollectorObservation, Route, RouteAttrs, RouteSource};
+use bgpworms::types::Origin;
 use std::collections::BTreeMap;
 use std::io::Write as _;
 
@@ -170,7 +172,7 @@ fn heard(
 /// large communities), and with a collector that hears nothing.
 #[test]
 fn a_feed_read_in_memory_is_the_set_its_archive_parses_to() {
-    let (mut four_byte_paths, mut large, mut silent, mut longest) = (0, 0, 0, 0);
+    let (mut four_byte_paths, mut large, mut silent) = (0, 0, 0);
     for case in 0..16u64 {
         let seed = 0x5EED + 7_919 * case;
         let four_byte = [0.12, 0.0, 0.3][case as usize % 3];
@@ -190,18 +192,62 @@ fn a_feed_read_in_memory_is_the_set_its_archive_parses_to() {
         for c in carried {
             four_byte_paths += usize::from(c.path.asns().any(|a| a.as_u16().is_none()));
             large += usize::from(!c.large_communities.is_empty());
-            longest = longest.max(c.path.hop_count());
         }
         silent += (read.messages.iter()).filter(|(_, _, n)| *n == 0).count();
     }
     eprintln!(
         "{four_byte_paths} announcements over a 4-byte ASN, {large} with a large community, \
-         {silent} silent collectors, longest path {longest} ASes"
+         {silent} silent collectors"
     );
     assert!(four_byte_paths > 0, "some path holds a 4-byte ASN");
     assert!(large > 0, "some announcement carries a large community");
     assert!(silent > 0, "some collector hears nothing");
-    // A path of more than 255 ASes is archived as two AS_PATH segments,
-    // and de-prepended segment by segment; none of these worlds builds one.
-    assert!(longest <= 255, "a path of {longest} ASes");
+}
+
+/// A path longer than 255 ASes is archived as two AS_SEQUENCE segments
+/// (the AS_PATH encoder's split), and a prepend run across the split is
+/// still one run: `9 7×300 1` reads back as path `[9 7 1]` with runs
+/// `[(7, 300)]` through both ways in.
+#[test]
+fn a_prepend_run_across_the_segment_split_reads_as_one_run() {
+    let (peer, asns) = (Asn::new(9), [9].into_iter().chain([7; 300]).chain([1]));
+    let collectors = vec![CollectorSpec {
+        name: "rrc00".into(),
+        platform: "RIS".into(),
+        collector_id: 1,
+        peers: vec![(peer, FeedKind::Full)],
+    }];
+    let attrs = RouteAttrs {
+        path: AsPath::from_asns(asns.map(Asn::new)),
+        origin: Origin::Igp,
+        communities: vec![Community::new(9, 100)],
+        large_communities: vec![],
+    };
+    let observation = CollectorObservation {
+        time: 10,
+        peer,
+        prefix: "10.0.0.0/16".parse().unwrap(),
+        route: Some(Route::new(attrs, RouteSource::Ebgp(peer), 0)),
+    };
+    let observations = BTreeMap::from([("rrc00".to_string(), vec![observation])]);
+
+    let archives = archive_all(&collectors, &observations, 1_525_132_800).expect("archive");
+    let split = UpdateStream::new(archives[0].updates_mrt.as_slice())
+        .map(|m| m.expect("decodes").update.attrs.as_path)
+        .map(|path| path.segments().map(|s| s.hop_count()).collect::<Vec<_>>())
+        .collect::<Vec<_>>();
+    assert_eq!(split, [vec![255, 47]], "the archive splits the sequence");
+
+    let inputs: Vec<ArchiveInput> = archives.into_iter().map(ArchiveInput::from).collect();
+    let parsed = ObservationSet::from_archives(&inputs).expect("parse");
+    let read = feed_set(&collectors, &observations);
+    for (how, set) in [("from_archives", &parsed), ("from_rows", &read)] {
+        let records: Vec<_> = set.iter().map(Observation::to_record).collect();
+        assert_eq!(records.len(), 1, "{how}");
+        let path: Vec<u32> = records[0].path.iter().map(|a| a.get()).collect();
+        assert_eq!(path, [9, 7, 1], "{how}: path");
+        assert_eq!(records[0].prepends, [(Asn::new(7), 300)], "{how}: runs");
+        assert_eq!(records[0].raw_hop_count, 302, "{how}: raw hop count");
+    }
+    assert_eq!(format!("{read:?}"), format!("{parsed:?}"));
 }

@@ -5,7 +5,7 @@
 //! forwarding plane").
 
 use bgpworms_routesim::{CampaignSink, FinalRoutes, PrefixOutcome, Route, RouteSource, SimResult};
-use bgpworms_types::{Asn, Ipv4Prefix, Prefix};
+use bgpworms_types::{Asn, Ipv4Prefix, Prefix, PrefixLengths};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -30,8 +30,8 @@ type Column = Arc<[(Asn, FibAction)]>;
 #[derive(Debug, Clone, Default)]
 pub struct Fib {
     columns: BTreeMap<Ipv4Prefix, Column>,
-    /// Bit `len` is set when a stored prefix has that length.
-    lengths: u64,
+    /// The lengths of the stored prefixes.
+    lengths: PrefixLengths,
 }
 
 impl Fib {
@@ -64,8 +64,8 @@ impl Fib {
 
     /// Longest-prefix-match lookup at `asn`.
     pub fn lookup(&self, asn: Asn, ip: u32) -> Option<(Ipv4Prefix, FibAction)> {
-        let present = (0..=Ipv4Prefix::MAX_LEN).filter(|len| self.lengths >> len & 1 == 1);
-        present.rev().find_map(|len| {
+        let mut present = self.lengths.at_most(Ipv4Prefix::MAX_LEN);
+        present.find_map(|len| {
             // lint: infallible `present` stops at `MAX_LEN`
             let p = Ipv4Prefix::new(ip, len).expect("len <= 32");
             let column = self.columns.get(&p)?;
@@ -100,7 +100,7 @@ impl Fib {
         if over.is_empty() {
             return;
         }
-        self.lengths |= 1 << prefix.len();
+        self.lengths.insert(prefix.len());
         let Some(base) = self.columns.get(&prefix) else {
             self.columns.insert(prefix, over);
             return;

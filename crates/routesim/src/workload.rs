@@ -472,13 +472,11 @@ fn build_collectors(topo: &Topology, rng: &mut StdRng) -> Vec<CollectorSpec> {
     specs
 }
 
+/// The IRR and the RPKI as ground truth: one route object per allocation,
+/// loaded in bulk; the RPKI starts as a copy of the IRR.
 fn build_registries(alloc: &PrefixAllocation) -> (IrrDatabase, IrrDatabase) {
-    let mut irr = IrrDatabase::new();
-    let mut rpki = IrrDatabase::new();
-    for (asn, prefix) in alloc.iter() {
-        irr.register(prefix, asn);
-        rpki.register(prefix, asn);
-    }
+    let irr: IrrDatabase = alloc.iter().map(|(asn, prefix)| (prefix, asn)).collect();
+    let rpki = irr.clone();
     (irr, rpki)
 }
 

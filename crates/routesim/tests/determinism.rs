@@ -107,6 +107,11 @@
 //!   origins against partly registered IRR and RPKI, a whole-table best
 //!   response iterated to a fixed point names, per AS, the AS path and
 //!   local-pref the engine converges to.
+//! * **A registry answers what a scan of its objects answers** — read off
+//!   the `IrrDatabase::is_registered` doc comment: over route objects that
+//!   nest, repeat and sit side by side in both families, a bulk-loaded and
+//!   a one-by-one-registered database are one table, and either finds a
+//!   covering object exactly when a scan of every object does.
 
 use bgpworms_routesim::route::RouteArena;
 use bgpworms_routesim::router::{NodeState, RibEntry, ValidationCtx};
@@ -118,7 +123,7 @@ use bgpworms_routesim::{
     MONITOR_ASN, ORIGIN_CLASS_VALUES,
 };
 use bgpworms_topology::{EdgeKind, NodeId, Role, Tier, Topology, TopologyParams};
-use bgpworms_types::{Asn, Community, LargeCommunity, Prefix};
+use bgpworms_types::{Asn, Community, Ipv4Prefix, Ipv6Prefix, LargeCommunity, Prefix};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -2439,6 +2444,70 @@ struct Registries {
     rpki: Vec<(Prefix, Asn)>,
 }
 
+/// True if `origin` has an object among `objects` that covers `prefix`
+/// (`IrrDatabase::is_registered`: the prefix itself or a less specific
+/// one), by a scan of every object.
+fn registered(objects: &[(Prefix, Asn)], prefix: &Prefix, origin: Asn) -> bool {
+    (objects.iter()).any(|&(object, asn)| asn == origin && object.covers(prefix))
+}
+
+/// A route object drawn over an address pool: (IPv6, pool member, length
+/// before it is reduced to the family's range, origin).
+type RawObject = (bool, usize, u8, u32);
+
+fn arb_raw_object() -> impl Strategy<Value = RawObject> {
+    (any::<bool>(), 0usize..4, any::<u8>(), 1u32..4)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::default())]
+
+    /// An `IrrDatabase` loaded in bulk and one filled by `register` in
+    /// shuffled order are the same table, and it answers `is_registered`
+    /// as [`registered`]'s scan does. Objects and queries come from a pool
+    /// of four addresses per family that share a drawn number of high
+    /// bits, so equal, nested and sibling prefixes all come up, at every
+    /// length from /0 to /32 and /128, with repeats.
+    #[test]
+    fn a_registry_answers_what_a_scan_of_its_objects_answers(
+        base in any::<u128>(),
+        shared in any::<u8>(),
+        pool in proptest::collection::vec(any::<u128>(), 4),
+        raw in proptest::collection::vec(arb_raw_object(), 1..32),
+        repeats in proptest::collection::vec(any::<usize>(), 0..8),
+        order in proptest::collection::vec(any::<u64>(), 40),
+        queries in proptest::collection::vec(arb_raw_object(), 1..32),
+    ) {
+        let object = |(v6, member, len, asn): RawObject| -> (Prefix, Asn) {
+            let prefix = if v6 {
+                let high = u128::MAX.checked_shl(128 - u32::from(shared % 129)).unwrap_or(0);
+                let addr = base & high | pool[member] & !high;
+                Prefix::V6(Ipv6Prefix::new(addr, len % 129).expect("len <= 128"))
+            } else {
+                let high = u32::MAX.checked_shl(32 - u32::from(shared % 33)).unwrap_or(0);
+                let addr = base as u32 & high | pool[member] as u32 & !high;
+                Prefix::V4(Ipv4Prefix::new(addr, len % 33).expect("len <= 32"))
+            };
+            (prefix, Asn::new(asn))
+        };
+        let mut objects: Vec<(Prefix, Asn)> = raw.into_iter().map(object).collect();
+        let again: Vec<_> = repeats.iter().map(|k| objects[k % objects.len()]).collect();
+        objects.extend(again);
+        let bulk: IrrDatabase = objects.iter().copied().collect();
+        let mut shuffled: Vec<_> = order.iter().zip(&objects).collect();
+        shuffled.sort_unstable();
+        let mut one_by_one = IrrDatabase::new();
+        for (_, &(prefix, asn)) in shuffled {
+            one_by_one.register(prefix, asn);
+        }
+        prop_assert_eq!(format!("{bulk:?}"), format!("{one_by_one:?}"));
+        for (prefix, asn) in queries.into_iter().map(object).chain(objects.iter().copied()) {
+            let scan = registered(&objects, &prefix, asn);
+            prop_assert_eq!(bulk.is_registered(&prefix, asn), scan, "{} for {}", prefix, asn);
+        }
+    }
+}
+
 /// One AS's route in the stable-paths oracle: the AS path as a route
 /// stores it (the sender first, the origin last), its local-pref, the
 /// communities it carries, the neighbour it was learned from (`None`: its
@@ -2502,7 +2571,9 @@ struct Offer {
 ///   member; a `0:peer` and `rs:peer` pair is settled by `RsEvalOrder`
 ///   (suppress or announce rule first), a member neither names takes
 ///   `0:rs`'s word, and the server strips every row it reads (`0:m`,
-///   `rs:m` for each member `m`, `0:rs`) before it re-exports.
+///   `rs:m` for each member `m`, `0:rs`) before it re-exports. It tags
+///   every route it imports with `rs:(100 + sender mod 5)`
+///   (`RouterConfig::rs_eval_order`).
 fn stable_paths_oracle(
     topo: &Topology,
     configs: &BTreeMap<Asn, RouterConfig>,
@@ -2589,20 +2660,15 @@ fn stable_paths_oracle(
                     && prefix.len() >= bh.min_prefix_len
             });
             let origin = *path.last().expect("an exported path names its origin");
-            let registered = |objects: &[(Prefix, Asn)]| {
-                objects
-                    .iter()
-                    .any(|&(object, asn)| asn == origin && object.covers(&prefix))
-            };
             let valid = match cfg.validation {
                 OriginValidation::None => true,
                 OriginValidation::Irr {
                     validate_after_blackhole,
                 } => {
                     let skipped = validate_after_blackhole && blackhole.is_some();
-                    skipped || registered(&registries.irr)
+                    skipped || registered(&registries.irr, &prefix, origin)
                 }
-                OriginValidation::Strict => registered(&registries.rpki),
+                OriginValidation::Strict => registered(&registries.rpki, &prefix, origin),
             };
             if !valid {
                 return None;
@@ -2617,6 +2683,10 @@ fn stable_paths_oracle(
                 if bh.set_no_export {
                     communities.insert(Community::NO_EXPORT);
                 }
+            }
+            if servers.contains(&at) {
+                let bucket = (sender.get() % 5) as u16;
+                communities.insert(Community::new(hi(at), 100 + bucket));
             }
             let mut prepends = 0;
             if admits(cfg.services.steering_scope) {
@@ -2674,18 +2744,18 @@ fn stable_paths_oracle(
 }
 
 /// arouteserver's `AS2_only_to_AS1_s` (SNIPPETS.md) on the five-node
-/// world of `attacks::scenarios::route_manipulation`: member 22 sends route
-/// server 29 its customer 21's prefix tagged `0:29` (announce to no member)
-/// and `29:24` (announce to member 24), and of the server's other members
-/// only 24 receives it, under either evaluation order. The engine's routes
-/// (AS path, local-pref, sender) are the stable-paths oracle's fixed point.
-/// Communities are left out. The engine's server tags what it learns with
-/// `29:(100 + sender mod 5)`, which the oracle does not state, and strips
-/// `rs:v` only for `v` above 104, so `29:24` reaches member 24, where the
-/// oracle strips every row that names a member.
-#[test]
-fn a_route_server_announces_only_to_the_member_its_std_controls_name() {
-    let [origin, sender, named, other, server] = [21, 22, 24, 25, 29].map(Asn::new);
+/// world of `attacks::scenarios::route_manipulation`, its ASes
+/// `[origin, sender, named, other, server]`: member `sender` sends route
+/// server `server` its customer `origin`'s prefix tagged `0:server`
+/// (announce to no member) and `server:named` (announce to member
+/// `named`). Under `order`, the engine's routes and the stable-paths
+/// oracle's fixed point, per AS: AS path, local-pref, sender and the
+/// communities it holds (for the engine, those it received and its own
+/// ingress tags).
+fn only_to_named(
+    [origin, sender, named, other, server]: [Asn; 5],
+    order: RsEvalOrder,
+) -> [BTreeMap<Asn, Offer>; 2] {
     let mut topo = Topology::new();
     topo.add_simple(origin, Tier::Stub);
     for member in [sender, named, other] {
@@ -2697,47 +2767,66 @@ fn a_route_server_announces_only_to_the_member_its_std_controls_name() {
     topo.add_edge(sender, origin, EdgeKind::ProviderToCustomer);
     topo.add_edge(server, sender, EdgeKind::PeerToPeer);
     let prefix: Prefix = "2.0.1.0/24".parse().expect("valid prefix");
-    let communities = vec![Community::new(0, 29), Community::new(29, 24)];
+    let hi = |asn: Asn| asn.as_u16().expect("a 2-byte test ASN");
+    let communities = vec![
+        Community::new(0, hi(server)),
+        Community::new(hi(server), hi(named)),
+    ];
     let originated = BTreeMap::from([(origin, &communities)]);
+    let mut configs: BTreeMap<Asn, RouterConfig> = (topo.ases())
+        .map(|node| (node.asn, RouterConfig::defaults(node.asn)))
+        .collect();
+    configs.get_mut(&server).expect("configured").rs_eval_order = order;
+    let episode = Origination::announce(origin, prefix, communities.clone());
+    let res = spec_for(&topo, configs.values().cloned().collect(), Vec::new())
+        .compile()
+        .run(&[episode]);
+    assert!(res.converged, "{order:?}");
+    let engine = (res.final_routes.get(&prefix).into_iter())
+        .flat_map(|finals| finals.iter())
+        .map(|(&asn, route)| {
+            let own = route.own_tags.iter().flatten();
+            let offer = Offer {
+                path: route.path.to_vec(),
+                local_pref: route.local_pref,
+                communities: route.communities.iter().chain(own).copied().collect(),
+                from: route.source.neighbor(),
+                prepends: route.pending_prepend,
+            };
+            (asn, offer)
+        })
+        .collect();
+    let oracle = stable_paths_oracle(
+        &topo,
+        &configs,
+        &Registries::default(),
+        prefix,
+        &originated,
+        BTreeMap::new(),
+        16,
+    )
+    .expect("a five-node world settles");
+    [engine, oracle]
+}
+
+/// [`only_to_named`] on ASes 21, 22, 24, 25 and 29: of the server's other
+/// members only 24 receives the prefix, under either evaluation order, and
+/// the engine's routes (AS path, local-pref, sender) are the oracle's
+/// fixed point. Communities are left out: the engine strips `rs:v` only
+/// for `v` above 104 (ROADMAP item 1, PR 47's FOUND line), so `29:24`
+/// reaches member 24, where the oracle strips every row that names a
+/// member.
+#[test]
+fn a_route_server_announces_only_to_the_member_its_std_controls_name() {
+    let asns = [21, 22, 24, 25, 29].map(Asn::new);
+    let [_, _, named, other, _] = asns;
     let chosen = |routes: BTreeMap<Asn, Offer>| -> BTreeMap<Asn, (Vec<Asn>, u32, Option<Asn>)> {
         (routes.into_iter())
             .map(|(asn, offer)| (asn, (offer.path, offer.local_pref, offer.from)))
             .collect()
     };
     for order in [RsEvalOrder::SuppressFirst, RsEvalOrder::AnnounceFirst] {
-        let mut configs: BTreeMap<Asn, RouterConfig> = (topo.ases())
-            .map(|node| (node.asn, RouterConfig::defaults(node.asn)))
-            .collect();
-        configs.get_mut(&server).expect("configured").rs_eval_order = order;
-        let episode = Origination::announce(origin, prefix, communities.clone());
-        let res = spec_for(&topo, configs.values().cloned().collect(), Vec::new())
-            .compile()
-            .run(&[episode]);
-        assert!(res.converged, "{order:?}");
-        let engine = (res.final_routes.get(&prefix).into_iter())
-            .flat_map(|finals| finals.iter())
-            .map(|(&asn, route)| {
-                let offer = Offer {
-                    path: route.path.to_vec(),
-                    local_pref: route.local_pref,
-                    communities: BTreeSet::new(),
-                    from: route.source.neighbor(),
-                    prepends: route.pending_prepend,
-                };
-                (asn, offer)
-            })
-            .collect();
-        let oracle = stable_paths_oracle(
-            &topo,
-            &configs,
-            &Registries::default(),
-            prefix,
-            &originated,
-            BTreeMap::new(),
-            16,
-        )
-        .expect("a five-node world settles");
-        let (engine, oracle) = (chosen(engine), chosen(oracle));
+        let [engine, oracle] = only_to_named(asns, order).map(chosen);
         let receivers = |routes: &BTreeMap<Asn, _>| {
             let members = [named, other].into_iter();
             members
@@ -2746,6 +2835,28 @@ fn a_route_server_announces_only_to_the_member_its_std_controls_name() {
         };
         assert_eq!(receivers(&oracle), [named], "{order:?}: the oracle");
         assert_eq!(receivers(&engine), [named], "{order:?}: the engine");
+        assert_eq!(engine, oracle, "{order:?}");
+    }
+}
+
+/// [`only_to_named`] on ASes above 104 (origin 121, sender 127, named
+/// 124, other 125, server 129), where the engine's `rs:v` stripping and
+/// the std table's rows agree, so communities are compared too: the
+/// server strips `0:129` and `129:124` and tags what it learns from 127
+/// with `129:102`, which is all member 124 holds. The sender is 127, not
+/// 122, so its bucket mod 5 (2) is no remainder mod 4.
+#[test]
+fn a_route_server_tags_what_it_learns_and_strips_the_rows_it_reads() {
+    let asns = [121, 127, 124, 125, 129].map(Asn::new);
+    let [_, _, named, other, _] = asns;
+    for order in [RsEvalOrder::SuppressFirst, RsEvalOrder::AnnounceFirst] {
+        let [engine, oracle] = only_to_named(asns, order);
+        let held =
+            |routes: &BTreeMap<Asn, Offer>| routes.get(&named).map(|o| o.communities.clone());
+        let tag = BTreeSet::from([Community::new(129, 102)]);
+        assert_eq!(held(&oracle), Some(tag.clone()), "{order:?}: the oracle");
+        assert_eq!(held(&engine), Some(tag), "{order:?}: the engine");
+        assert!(!engine.contains_key(&other), "{order:?}");
         assert_eq!(engine, oracle, "{order:?}");
     }
 }

@@ -96,6 +96,7 @@ fn large_scale_smoke() {
     smoke(&topo, 95);
     unread_leaves_are_most_of_the_graph_and_change_nothing(&topo);
     delta_equals_fresh(&topo);
+    report_peak_rss("large");
 }
 
 /// The generated workload's own schedule for a handful of origins spread
@@ -170,8 +171,8 @@ fn internet_scale_smoke() {
 
 /// Prints the test process's peak resident set (`VmHWM` in
 /// `/proc/self/status`; nothing where that file is absent): the memory
-/// one case takes at Internet scale. A report, not a gate; CI's
-/// `scale-smoke` job copies the line to its summary.
+/// one case takes, at `large` and at Internet scale. A report, not a gate;
+/// CI's `scale-smoke` job copies the line to its summary.
 fn report_peak_rss(case: &str) {
     let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
         return;

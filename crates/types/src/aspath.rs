@@ -218,29 +218,43 @@ impl AsPath {
 
     /// The origin AS: the last AS of the final segment, when that segment is
     /// a sequence. Aggregated paths ending in an AS_SET have no unambiguous
-    /// origin and yield `None`.
+    /// origin and yield `None`. This and the three below answer an inline
+    /// path directly: `Route::prefer` asks `hop_count` twice per comparison
+    /// and admission asks `origin` per import.
     pub fn origin(&self) -> Option<Asn> {
-        match self.segments().last()? {
-            PathSegment::Sequence(v) => v.last().copied(),
-            PathSegment::Set(_) => None,
+        match &self.repr {
+            Repr::Inline { len, asns } => Some(asns[usize::from(*len) - 1]),
+            Repr::Heap(segments) => match segments.last()? {
+                PathSegment::Sequence(v) => v.last().copied(),
+                PathSegment::Set(_) => None,
+            },
         }
     }
 
     /// The AS nearest the observation point (first AS of the first segment).
     pub fn head(&self) -> Option<Asn> {
-        self.segments().next()?.asns().first().copied()
+        match &self.repr {
+            Repr::Inline { asns, .. } => Some(asns[0]),
+            Repr::Heap(segments) => segments.first()?.asns().first().copied(),
+        }
     }
 
     /// Path length for BGP best-path comparison: sequences count per-AS,
     /// each set counts 1. Prepending inflates this, which is the entire
     /// point of the prepend community service (Fig 2).
     pub fn hop_count(&self) -> usize {
-        self.segments().map(|s| s.hop_count()).sum()
+        match &self.repr {
+            Repr::Inline { len, .. } => usize::from(*len),
+            Repr::Heap(segments) => segments.iter().map(PathSegment::hop_count).sum(),
+        }
     }
 
     /// True if `asn` appears anywhere in the path.
     pub fn contains(&self, asn: Asn) -> bool {
-        self.segments().any(|s| s.asns().contains(&asn))
+        match &self.repr {
+            Repr::Inline { len, asns } => asns[..usize::from(*len)].contains(&asn),
+            Repr::Heap(segments) => segments.iter().any(|s| s.asns().contains(&asn)),
+        }
     }
 
     /// Prepends `asn` `n` times at the head (the action a router performs on

@@ -55,5 +55,5 @@ pub use community::{Community, WellKnown, BLACKHOLE_VALUE};
 pub use error::TypeError;
 pub use ext_community::ExtendedCommunity;
 pub use large_community::LargeCommunity;
-pub use prefix::{Ipv4Prefix, Ipv6Prefix, Prefix};
+pub use prefix::{Ipv4Prefix, Ipv6Prefix, Prefix, PrefixLengths};
 pub use update::{Announcement, RouteUpdate};

@@ -267,6 +267,43 @@ impl Prefix {
     }
 }
 
+/// A set of prefix lengths, `/0` to `/128`: which lengths a prefix table
+/// holds, so a longest-prefix or covering-object walk probes only those
+/// instead of every length up to the query's.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PrefixLengths([u64; 3]);
+
+impl PrefixLengths {
+    /// Adds `len` (at most [`Ipv6Prefix::MAX_LEN`]).
+    #[inline]
+    pub fn insert(&mut self, len: u8) {
+        debug_assert!(len <= Ipv6Prefix::MAX_LEN);
+        self.0[usize::from(len / 64)] |= 1 << (len % 64);
+    }
+
+    /// The held lengths at or below `max` (at most
+    /// [`Ipv6Prefix::MAX_LEN`]), longest first: each word's set bits from
+    /// the highest down, by `leading_zeros`.
+    #[inline]
+    pub fn at_most(self, max: u8) -> impl Iterator<Item = u8> {
+        debug_assert!(max <= Ipv6Prefix::MAX_LEN);
+        let mut word = max / 64;
+        let mut bits = self.0[usize::from(word)] & (u64::MAX >> (63 - max % 64));
+        std::iter::from_fn(move || loop {
+            if bits != 0 {
+                let top = 63 - bits.leading_zeros() as u8;
+                bits ^= 1 << top;
+                return Some(word * 64 + top);
+            }
+            if word == 0 {
+                return None;
+            }
+            word -= 1;
+            bits = self.0[usize::from(word)];
+        })
+    }
+}
+
 impl From<Ipv4Prefix> for Prefix {
     fn from(p: Ipv4Prefix) -> Self {
         Prefix::V4(p)
@@ -500,6 +537,21 @@ mod tests {
             v,
             vec![p4("9.0.0.0/8"), p4("10.0.0.0/8"), p4("10.0.0.0/16")]
         );
+    }
+
+    #[test]
+    fn prefix_lengths_walk_longest_first_at_or_below_the_bound() {
+        let mut held = PrefixLengths::default();
+        assert_eq!(held.at_most(128).next(), None);
+        for len in [0, 8, 24, 32, 63, 64, 65, 127, 128] {
+            held.insert(len);
+        }
+        let walk = |max| held.at_most(max).collect::<Vec<_>>();
+        assert_eq!(walk(128), [128, 127, 65, 64, 63, 32, 24, 8, 0]);
+        assert_eq!(walk(64), [64, 63, 32, 24, 8, 0]);
+        assert_eq!(walk(32), [32, 24, 8, 0]);
+        assert_eq!(walk(23), [8, 0]);
+        assert_eq!(walk(0), [0]);
     }
 
     #[test]

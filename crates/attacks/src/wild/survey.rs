@@ -309,7 +309,7 @@ impl SurveyContext {
     fn replay(&self, session: &CompiledSim<'_>, communities: &[Community]) -> PrefixOutcome {
         let (origin, prefix) = (self.injector.asn, self.prefix);
         let tagged = Origination::announce(origin, prefix, communities.to_vec()).at(REANNOUNCE_AT);
-        session.run_delta_prefix(self.snapshot(), &[tagged])
+        session.run_delta_prefix(self.snapshot(), &[tagged]).0
     }
 
     /// One candidate: the experiment prefix announced plainly, then

@@ -99,6 +99,7 @@ const ARTEFACTS: &[Artefact] = &[
     row("ablation-forward-prob", "headline stats vs the forwarding policy mix", true, |r| ablation_forward_prob(&r.opts)),
     row("ablation-vendor-mix", "community visibility vs the Cisco fraction", true, |r| ablation_vendor_mix(&r.opts)),
     row("defense-adoption", "the §8 scoped-propagation defense, evaluated", true, |r| defense_adoption(&r.opts)),
+    row("flood-stats", "what the snapshot's floods did, and the feed's update split", true, |r| flood_stats(r.snap())),
     row("full-table", "flood-memoized full-table campaign, --sample N prefixes", false, |r| full_table_campaign(&r.opts, &mut r.degraded)),
 ];
 
@@ -1014,6 +1015,127 @@ fn full_table_campaign(opts: &Options, degraded: &mut bool) -> String {
         *degraded = true;
         let _ = writeln!(out, "DEGRADED: {} prefix(es) diverged", run.diverged.len());
         out.push_str(&run.failure_summary());
+    }
+    out
+}
+
+/// What the snapshot's floods did, as the engine counts it: the snapshot's
+/// schedule through a campaign whose sink keeps nothing. Beside the engine's
+/// split of the collector updates it emitted, the same split classified from
+/// the parsed feed ([`bgpworms_core::UpdateSplit`]), which shares no code
+/// with the engine.
+fn flood_stats(snap: &Snapshot) -> String {
+    use bgpworms_core::UpdateSplit;
+    use bgpworms_routesim::{router::ImportVerdict, UpdateKind};
+    use bgpworms_routesim::{Campaign, CampaignSink, CloneSite, CopySite, PrefixOutcome};
+    use bgpworms_types::Prefix;
+
+    /// Keeps nothing: the counters are the point.
+    struct Discard;
+    impl CampaignSink for Discard {
+        fn fold(&mut self, _: Prefix, _: PrefixOutcome) {}
+        fn merge(&mut self, _: Self) {}
+    }
+
+    let sim = snap.workload.simulation(&snap.topo).compile();
+    let run = Campaign::new(&sim).run(&snap.workload.originations, || Discard);
+    let s = &run.stats;
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "floods: {} simulated, {} replayed (a replay counts the flood it stands for)",
+        run.class_sims, run.class_hits
+    );
+    let widths: Vec<String> = (s.dirty_width_log2.iter().enumerate())
+        .filter(|(_, &n)| n > 0)
+        .map(|(k, n)| format!("{}:{n}", 1u64 << k))
+        .collect();
+    let _ = writeln!(
+        out,
+        "rounds: {}  by dirty width (from): {}",
+        s.rounds,
+        widths.join(" ")
+    );
+    let _ = writeln!(
+        out,
+        "deliveries: {}  dropped at unread leaves: {}",
+        s.deliveries, s.dropped_unread
+    );
+    let verdicts = [
+        ("accepted", ImportVerdict::Accepted),
+        ("loop", ImportVerdict::LoopRejected),
+        ("validation", ImportVerdict::ValidationRejected),
+        ("too specific", ImportVerdict::TooSpecific),
+        ("withdrawn", ImportVerdict::Withdrawn),
+    ];
+    let admissions: Vec<String> = verdicts
+        .iter()
+        .map(|&(name, v)| format!("{name} {}", s.admissions[v as usize]))
+        .collect();
+    let _ = writeln!(out, "admissions: {}", admissions.join(", "));
+    let _ = writeln!(out, "interns: {}  mints: {}", s.interns, s.mints);
+    let sites = [
+        ("import", CloneSite::Import),
+        ("export", CloneSite::Export),
+        ("route-server export", CloneSite::RouteServerExport),
+        ("observation", CloneSite::Observation),
+        ("retained final", CloneSite::RetainedFinal),
+        ("snapshot clone", CloneSite::SnapshotClone),
+    ];
+    let clones: Vec<String> = sites
+        .iter()
+        .map(|&(name, site)| format!("{name} {}", s.handle_clones[site as usize]))
+        .collect();
+    let _ = writeln!(out, "handle clones: {}", clones.join(", "));
+    let _ = writeln!(
+        out,
+        "  by replays of stored outcomes: {}",
+        run.replay_clones
+    );
+    let sites = [
+        ("import", CopySite::Import),
+        ("export", CopySite::Export),
+        ("route-server export", CopySite::RouteServerExport),
+    ];
+    let copies: Vec<String> = sites
+        .iter()
+        .map(|&(name, site)| format!("{name} {}", s.attr_copies[site as usize]))
+        .collect();
+    let _ = writeln!(out, "attribute copies: {}", copies.join(", "));
+    let _ = writeln!(
+        out,
+        "export passes: {} run, {} skipped (best unchanged), {} slots scanned",
+        s.passes, s.passes_skipped, s.slots_scanned
+    );
+    let [customer, provider, peer] = s.memo_hits;
+    let _ = writeln!(
+        out,
+        "memo hits: customer {customer}, provider {provider}, peer {peer}  \
+         exports suppressed (unchanged): {}",
+        s.exports_suppressed
+    );
+    let _ = writeln!(
+        out,
+        "collector sessions evaluated: {}  nodes touched: {}",
+        s.sessions_evaluated, s.nodes_touched
+    );
+
+    let feed = UpdateSplit::compute(&snap.observations);
+    let _ = writeln!(out, "\ncollector updates   engine      feed");
+    let kinds = [
+        ("first", UpdateKind::First, feed.first),
+        ("path change", UpdateKind::PathChange, feed.path_change),
+        (
+            "community-only",
+            UpdateKind::CommunityOnly,
+            feed.community_only,
+        ),
+        ("duplicate", UpdateKind::Duplicate, feed.duplicate),
+        ("withdrawal", UpdateKind::Withdrawal, feed.withdrawal),
+    ];
+    for (name, kind, read) in kinds {
+        let counted = s.updates[kind as usize];
+        let _ = writeln!(out, "  {name:<16}{counted:>8}  {read:>8}");
     }
     out
 }

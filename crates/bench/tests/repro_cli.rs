@@ -174,3 +174,27 @@ fn full_table_and_fig3_tiny_match_the_recorded_bytes() {
     assert_eq!(stdout, include_str!("full_table_fig3_tiny.txt"));
     std::fs::remove_dir_all(&dir).expect("clean up");
 }
+
+#[test]
+fn flood_stats_tiny_match_the_recorded_bytes() {
+    // What the snapshot's floods did, as the engine counts it, beside the
+    // feed's own update split, byte for byte: `flood_stats_tiny_2018.txt`
+    // is the stdout of this run. The counters are the same in every build
+    // and at any thread count, so any change to what a flood does moves
+    // this fixture.
+    let dir = out_dir("flood-stats");
+    let dir_arg = dir.to_str().expect("utf-8 temp dir");
+    let out = repro(&[
+        "flood-stats",
+        "--scale",
+        "tiny",
+        "--seed",
+        "2018",
+        "--out",
+        dir_arg,
+    ]);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+    assert_eq!(stdout, include_str!("flood_stats_tiny_2018.txt"));
+    std::fs::remove_dir_all(&dir).expect("clean up");
+}

@@ -1,11 +1,68 @@
 //! Dataset overview statistics — Table 1 of the paper: per platform, the
 //! message volume, prefix counts, collector/peer counts, distinct
-//! communities, and the origin/transit/stub AS breakdown.
+//! communities, and the origin/transit/stub AS breakdown — and how a
+//! feed's updates split into first announcements, path changes,
+//! community-only changes, duplicates and withdrawals.
 
 use crate::observation::ObservationSet;
 use crate::table::{text_table, thousands};
 use bgpworms_types::Asn;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
+
+/// A feed's updates by how each relates to what its session last said
+/// about the prefix, after "Keep your Communities Clean" (Krenc et al.),
+/// which splits announcements into path changes, community-only changes
+/// and duplicates. Classified per (collector, peer, prefix) in feed order.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct UpdateSplit {
+    /// Announcements where the session held no route: the first, or the
+    /// first after a withdrawal.
+    pub first: u64,
+    /// Announcements whose AS path differs from the one they replace.
+    pub path_change: u64,
+    /// Announcements with the replaced path whose communities or large
+    /// communities differ.
+    pub community_only: u64,
+    /// Announcements whose path and communities equal the replaced ones.
+    pub duplicate: u64,
+    /// Withdrawals.
+    pub withdrawal: u64,
+}
+
+impl UpdateSplit {
+    /// Classifies every update of `set`. A path compares as the set keeps
+    /// it: de-prepended, with its prepend runs — together the path as
+    /// received, for a path that visits no AS twice. The set keeps no
+    /// origin or next hop, so neither is compared.
+    pub fn compute(set: &ObservationSet) -> UpdateSplit {
+        let mut split = UpdateSplit::default();
+        // (collector, peer, prefix) → the row of its standing announcement.
+        let mut standing: BTreeMap<(u32, u32, u32), usize> = BTreeMap::new();
+        for (row, obs) in set.iter().enumerate() {
+            let key = (obs.session(), obs.peer_id(), obs.prefix_id());
+            if obs.is_withdrawal {
+                split.withdrawal += 1;
+                standing.remove(&key);
+                continue;
+            }
+            let Some(was) = standing.insert(key, row) else {
+                split.first += 1;
+                continue;
+            };
+            let was = set.row(was);
+            if (was.path(), was.prepends()) != (obs.path(), obs.prepends()) {
+                split.path_change += 1;
+            } else if was.communities() != obs.communities()
+                || was.large_communities() != obs.large_communities()
+            {
+                split.community_only += 1;
+            } else {
+                split.duplicate += 1;
+            }
+        }
+        split
+    }
+}
 
 /// One platform row of Table 1.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -265,5 +322,34 @@ mod tests {
         let ris = &overview.rows[0];
         assert_eq!(ris.v4_prefixes, 3, "withdrawn prefix counted");
         assert_eq!(ris.ases, 5, "no path contribution from withdrawals");
+    }
+
+    #[test]
+    fn updates_split_per_session_peer_and_prefix() {
+        let a = "10.0.0.0/16";
+        let rows = [
+            announce(3, &[3, 1], &[(3, 1)], a),
+            // Another collector, peer and prefix: each starts afresh.
+            announce(3, &[3, 1], &[(3, 1)], a).at("RV", "route-views2"),
+            announce(4, &[4, 1], &[], a),
+            announce(3, &[3, 1], &[], "20.0.0.0/16"),
+            announce(3, &[3, 1], &[(3, 2)], a),
+            announce(3, &[3, 1], &[(3, 2)], a),
+            // A prepend is a path change, though the de-prepended path
+            // is the same.
+            announce(3, &[3, 3, 1], &[(3, 2)], a),
+            announce(3, &[3, 3, 1], &[(3, 2)], a).withdrawn(),
+            announce(3, &[3, 3, 1], &[(3, 2)], a),
+        ];
+        assert_eq!(
+            UpdateSplit::compute(&set(&rows)),
+            UpdateSplit {
+                first: 5,
+                path_change: 1,
+                community_only: 1,
+                duplicate: 1,
+                withdrawal: 1,
+            }
+        );
     }
 }

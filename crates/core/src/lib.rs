@@ -46,7 +46,7 @@ pub mod timeseries;
 pub mod usage;
 pub mod values;
 
-pub use dataset::{DatasetOverview, PlatformStats};
+pub use dataset::{DatasetOverview, PlatformStats, UpdateSplit};
 pub use filtering::{
     ClassIndications, EdgeIndications, FilteringAnalysis, RelClass, RelationshipCorrelation,
 };

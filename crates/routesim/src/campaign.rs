@@ -54,7 +54,12 @@
 //! `class_sims`/`class_hits` counters: *schedule statistics*, counted
 //! identically by the memoized driver and the unmemoized reference, where
 //! the first member of each class (in ascending prefix order) counts as
-//! the simulation and the rest as hits.
+//! the simulation and the rest as hits. So is [`CampaignRun::stats`], what
+//! the floods did (`stats`): a class's slot keeps its representative's
+//! counters beside its outcome, and every member folds them, so memoizing
+//! changes no counter — and a classifier that merged two prefixes whose
+//! floods differ would show there. The memo's own work, cloning the stored
+//! outcome, is counted apart in [`CampaignRun::replay_clones`].
 //!
 //! # Campaigns vs. delta re-convergence
 //!
@@ -139,6 +144,7 @@
 use crate::classify::ClassKey;
 use crate::engine::{CompiledSim, Origination, PrefixOutcome, ScratchReader};
 use crate::shard;
+use crate::stats::FloodStats;
 use bgpworms_types::Prefix;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Mutex;
@@ -234,6 +240,16 @@ pub struct CampaignRun<S> {
     /// engine has no prefix to quarantine. Kept for the repo benchmark,
     /// which reads its length (ROADMAP item 7 removes it).
     pub failures: Vec<std::convert::Infallible>,
+    /// What the floods behind the folded outcomes did, added in fold
+    /// order: a replayed class member adds its representative's counters,
+    /// so this is the same at any thread count, memoized or not. Not
+    /// persisted in a checkpoint: a resumed run counts the chunks its own
+    /// process ran.
+    pub stats: FloodStats,
+    /// Route handles replays cloned out of their representatives' stored
+    /// outcomes — the campaign's own work, which the unmemoized reference
+    /// does not do. Not persisted either.
+    pub replay_clones: u64,
 }
 
 impl<S> CampaignRun<S> {
@@ -248,6 +264,8 @@ impl<S> CampaignRun<S> {
             class_hits: 0,
             diverged: Vec::new(),
             failures: Vec::new(),
+            stats: FloodStats::default(),
+            replay_clones: 0,
         }
     }
 
@@ -282,6 +300,8 @@ impl<S: CampaignSink> CampaignRun<S> {
         self.class_sims += later.class_sims;
         self.class_hits += later.class_hits;
         self.diverged.extend(later.diverged);
+        self.stats += later.stats;
+        self.replay_clones += later.replay_clones;
     }
 }
 
@@ -333,12 +353,12 @@ impl ClassTable {
     }
 }
 
-/// One class's memoization slot: the stored outcome (filled by whichever
-/// member a worker simulates first) and how many members of this advance's
-/// prefix range still have to fold it — the last one moves the outcome out
-/// instead of cloning.
+/// One class's memoization slot: the stored outcome and its flood's
+/// counters (filled by whichever member a worker simulates first) and how
+/// many members of this advance's prefix range still have to fold it — the
+/// last one moves the outcome out instead of cloning.
 struct ClassSlot {
-    outcome: Option<PrefixOutcome>,
+    outcome: Option<(PrefixOutcome, FloodStats)>,
     remaining: usize,
 }
 
@@ -617,19 +637,23 @@ impl<'s, 't> Campaign<'s, 't> {
             } else {
                 out.class_hits += 1;
             }
-            let outcome = self.prefix_outcome(scratch, prefix, gi, by_prefix, classes, memo);
+            let (outcome, stats, replay_clones) =
+                self.prefix_outcome(scratch, prefix, gi, by_prefix, classes, memo);
             if !outcome.converged {
                 out.diverged.push(prefix);
             }
             out.events += outcome.events;
             out.converged &= outcome.converged;
+            out.stats += stats;
+            out.replay_clones += replay_clones;
             out.sink.fold(prefix, outcome);
         }
         out
     }
 
-    /// One prefix's outcome: simulated, through the class memo when it
-    /// applies.
+    /// One prefix's outcome and the counters of the flood behind it:
+    /// simulated, through the class memo when it applies — with the route
+    /// handles a replay cloned out of the stored outcome.
     fn prefix_outcome(
         &self,
         scratch: &mut crate::scratch::SimScratch,
@@ -638,12 +662,13 @@ impl<'s, 't> Campaign<'s, 't> {
         by_prefix: &BTreeMap<Prefix, Vec<&Origination>>,
         classes: &ClassTable,
         memo: Option<&ClassMemo>,
-    ) -> PrefixOutcome {
+    ) -> (PrefixOutcome, FloodStats, u64) {
         let episodes = &by_prefix[&prefix];
         let Some(memo) = memo else {
-            return self
-                .sim
-                .run_prefix(scratch, prefix, episodes, ScratchReader::Nobody);
+            let (outcome, stats) =
+                self.sim
+                    .run_prefix(scratch, prefix, episodes, ScratchReader::Nobody);
+            return (outcome, stats, 0);
         };
         // A poisoned slot is still consistent (a panicking simulation never
         // half-fills `outcome`); that panic aborts the campaign under its
@@ -658,16 +683,17 @@ impl<'s, 't> Campaign<'s, 't> {
             slot.outcome = Some(outcome);
         }
         slot.remaining -= 1;
-        let stored = if slot.remaining == 0 {
+        let ((stored, stats), cloned) = if slot.remaining == 0 {
             // lint: infallible filled under this same lock guard by the
             // is_none branch above
-            slot.outcome.take().expect("slot filled above")
+            (slot.outcome.take().expect("slot filled above"), 0)
         } else {
             // lint: infallible same guard, same fill
-            slot.outcome.as_ref().expect("slot filled above").clone()
+            let kept = slot.outcome.as_ref().expect("slot filled above");
+            (kept.clone(), kept.0.route_handles())
         };
         drop(slot);
-        stored.relabeled(prefix)
+        (stored.relabeled(prefix), stats, cloned)
     }
 }
 
@@ -818,6 +844,11 @@ mod tests {
         let par = Campaign::new(&spec.threads(4).compile()).run(&eps, Trace::default);
         assert_eq!(seq.sink, par.sink, "fold/merge sequence diverged");
         assert_eq!(seq.events, par.events);
+        assert_eq!(
+            seq.stats, par.stats,
+            "flood counters depend on the thread count"
+        );
+        assert_eq!(seq.replay_clones, par.replay_clones);
     }
 
     #[test]
@@ -964,42 +995,14 @@ mod tests {
             .iter()
             .map(|p| format!("diverged: {p} (event budget exhausted)\n"));
         assert_eq!(run.failure_summary(), lines.collect::<String>());
+        // Everything but the memo's own clones, which the reference skips.
         assert_eq!(
-            run,
+            CampaignRun {
+                replay_clones: 0,
+                ..run
+            },
             Campaign::unmemoized_reference(&sim).run(&eps, Trace::default)
         );
-    }
-
-    #[test]
-    fn campaign_allocates_scratch_once_per_worker() {
-        // The tentpole invariant: the second (and every later) prefix of a
-        // campaign performs zero RIB-array allocations — the worker's
-        // SimScratch is built exactly once and recycled. Counted by the
-        // scratch_builds alloc-counting double (the Route::clone-counter
-        // pattern); threads = 1, so all work happens on this thread.
-        let (topo, eps) = world();
-        let n_prefixes = eps
-            .iter()
-            .map(|o| o.prefix)
-            .collect::<std::collections::BTreeSet<_>>()
-            .len();
-        assert!(n_prefixes >= 2, "needs a multi-prefix world");
-        let sim = SimSpec::new(&topo).retain(RetainRoutes::All).compile();
-
-        let before = crate::scratch::scratch_builds();
-        let run = Campaign::new(&sim).run(&eps, Trace::default);
-        assert!(run.converged);
-        assert_eq!(
-            crate::scratch::scratch_builds() - before,
-            1,
-            "a single-threaded campaign over {n_prefixes} prefixes must build exactly one scratch"
-        );
-
-        // A second campaign on the same session builds its own scratch —
-        // reuse is per campaign invocation, not a hidden global.
-        let run = Campaign::new(&sim).run(&eps, Trace::default);
-        assert!(run.converged);
-        assert_eq!(crate::scratch::scratch_builds() - before, 2);
     }
 
     #[test]
@@ -1073,6 +1076,11 @@ mod tests {
             assert_eq!(memoized.sink, reference.sink, "threads = {threads}");
             assert_eq!(memoized.events, reference.events);
             assert_eq!(memoized.converged, reference.converged);
+            assert_eq!(
+                memoized.stats, reference.stats,
+                "a replay reports its flood"
+            );
+            assert_eq!(reference.replay_clones, 0, "the reference replays nothing");
         }
     }
 
@@ -1150,10 +1158,11 @@ mod tests {
         // the campaign floods the first and replays four. A replay is a
         // label and reference counts — the observation's route and the two
         // retained finals are handles on what the one flood made — so the
-        // five-member campaign copies exactly the attributes the one-member
-        // campaign does (AS2's export and AS1's to its collector).
+        // campaign copies exactly the attributes the one-member campaign
+        // does (AS2's export and AS1's to its collector): each member
+        // reports that one flood's counters, and what the memo did on top
+        // is clone handles. At any thread count.
         use crate::collector::{CollectorSpec, FeedKind};
-        use crate::route::copies_during;
         use bgpworms_topology::{EdgeKind, Tier, Topology};
         let mut topo = Topology::new();
         topo.add_simple(Asn::new(1), Tier::Tier1);
@@ -1165,27 +1174,42 @@ mod tests {
                 Origination::announce(Asn::new(2), prefix, vec![Community::new(2, 7)])
             })
             .collect();
-        let sim = SimSpec::new(&topo)
-            .retain(RetainRoutes::All)
-            .collector(CollectorSpec {
-                name: "rrc00".into(),
-                platform: "RIS".into(),
-                collector_id: 1,
-                peers: vec![(Asn::new(1), FeedKind::Full)],
-            })
-            .compile();
-        assert_eq!(sim.threads(), 1, "the counters are this thread's");
-        let campaign = Campaign::new(&sim);
-        let (one, flood) = copies_during(|| campaign.run(&eps[..1], Trace::default));
-        let (five, copies) = copies_during(|| campaign.run(&eps, Trace::default));
-        assert_eq!((one.class_hits, five.class_hits), (0, 4));
-        assert_eq!(
-            five.sink.routes,
-            5 * one.sink.routes,
-            "replays carry routes"
-        );
-        assert_eq!(flood.attrs, 2);
-        assert_eq!(copies.attrs, 2, "a replay copied attributes");
+        for threads in [1, 3] {
+            let sim = SimSpec::new(&topo)
+                .retain(RetainRoutes::All)
+                .collector(CollectorSpec {
+                    name: "rrc00".into(),
+                    platform: "RIS".into(),
+                    collector_id: 1,
+                    peers: vec![(Asn::new(1), FeedKind::Full)],
+                })
+                .threads(threads)
+                .compile();
+            let campaign = Campaign::new(&sim);
+            let one = campaign.run(&eps[..1], Trace::default);
+            let five = campaign.run(&eps, Trace::default);
+            assert_eq!((one.class_hits, five.class_hits), (0, 4));
+            assert_eq!(
+                five.sink.routes,
+                5 * one.sink.routes,
+                "replays carry routes"
+            );
+            assert_eq!(one.stats.attr_copies, [0, 2, 0], "threads = {threads}");
+            let mut floods = FloodStats::default();
+            for _ in 0..5 {
+                floods += one.stats;
+            }
+            assert_eq!(five.stats, floods, "a member reports the flood it replays");
+            // The memo's own work: four of the five members clone the stored
+            // outcome (one observation, two finals), the last moves it — and
+            // a clone copies no attribute, so the campaign copied the 2 its
+            // one flood did.
+            assert_eq!((one.replay_clones, five.replay_clones), (0, 4 * 3));
+            assert_eq!(
+                five.class_sims, 1,
+                "one flood: its 2 copies are all there are"
+            );
+        }
     }
 
     #[test]

@@ -96,17 +96,23 @@ pub struct Carried<'a> {
     pub large_communities: &'a [LargeCommunity],
 }
 
-impl CollectorObservation {
-    /// What the session carried; `None` for a withdrawal.
-    pub fn carried(&self) -> Option<Carried<'_>> {
-        let route = self.route.as_ref()?;
-        Some(Carried {
+impl<'a> Carried<'a> {
+    /// What a session carries for `route`, the export it announces.
+    pub(crate) fn of(route: &'a Route) -> Self {
+        Carried {
             origin: route.origin,
             path: &route.path,
             next_hop: peer_ip(route.source.neighbor().unwrap_or(Asn::new(0))),
             communities: &route.communities,
             large_communities: &route.large_communities,
-        })
+        }
+    }
+}
+
+impl CollectorObservation {
+    /// What the session carried; `None` for a withdrawal.
+    pub fn carried(&self) -> Option<Carried<'_>> {
+        self.route.as_ref().map(Carried::of)
     }
 }
 

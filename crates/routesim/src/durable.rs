@@ -167,15 +167,16 @@ impl<S: DurableSink> CampaignCheckpoint<S> {
         p.token("}")?;
         p.end()?;
         Ok(CampaignCheckpoint {
+            // Counters are not persisted: the resumed run counts what its
+            // own process runs.
             run: CampaignRun {
-                sink,
                 events,
                 converged,
                 chunks: chunks_done,
                 class_sims,
                 class_hits,
                 diverged,
-                failures: Vec::new(),
+                ..CampaignRun::empty(sink)
             },
             chunk_size,
             schedule_digest,

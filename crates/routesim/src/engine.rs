@@ -105,9 +105,10 @@
 //! session visited for an episode that changed nothing. The record is
 //! drained per episode, so a snapshot's is empty. A prefix that
 //! diverged (budget cut) dropped its dirty set before the
-//! passes ran, so it sweeps every live session through
-//! [`NodeState::export_for`] instead; `tests/determinism.rs` holds the
-//! recorded sweep to that full one on random worlds.
+//! passes ran, so it sweeps every live session instead, deriving each
+//! export from the peer's best entry as [`NodeState::export_for`] does;
+//! `tests/determinism.rs` holds the recorded sweep to that full one on
+//! random worlds.
 //!
 //! # Parallelism & determinism
 //!
@@ -125,11 +126,12 @@
 
 use crate::campaign::{Campaign, CampaignSink};
 use crate::classify::{ClassKey, PrefixClassifier};
-use crate::collector::{CollectorObservation, CollectorSpec, FeedKind};
+use crate::collector::{Carried, CollectorObservation, CollectorSpec, FeedKind};
 use crate::policy::{CommunityPropagationPolicy, IrrDatabase, RouterConfig};
 use crate::route::{Route, RouteArena, RouteId};
 use crate::router::{self, NodeState, RibEntry, ValidationCtx};
 use crate::scratch::{EventQueue, SessionPass, SimScratch, SimSnapshot};
+use crate::stats::{CloneSite, FloodStats, UpdateKind};
 use bgpworms_topology::{NodeId, Role, Tier, Topology};
 use bgpworms_types::{AsPath, Asn, Community, Origin, Prefix};
 use std::borrow::Cow;
@@ -590,13 +592,16 @@ impl<'a> CompiledSim<'a> {
         }
         let episodes = time_sorted(originations);
         let mut scratch = self.new_scratch();
-        let outcome = self.run_prefix(&mut scratch, prefix, &episodes, ScratchReader::Snapshot);
+        let (outcome, mut stats) =
+            self.run_prefix(&mut scratch, prefix, &episodes, ScratchReader::Snapshot);
+        stats.handle_clones[CloneSite::SnapshotClone as usize] += outcome.route_handles();
         let snapshot = SimSnapshot {
             prefix,
             last_time: episodes.last().map_or(0, |ep| ep.time),
             offsets: self.offsets.clone(),
             scratch,
             outcome: outcome.clone(),
+            stats,
         };
         (self.finish([(prefix, outcome)]), snapshot)
     }
@@ -608,6 +613,8 @@ impl<'a> CompiledSim<'a> {
     /// holds the converged baseline, so the delta origination's export diff
     /// seeds the queue with only the updates that actually change anything,
     /// and the dirty-set machinery propagates exactly that frontier.
+    /// Beside the outcome it returns what the delta did: its flood's
+    /// counters plus the handles the snapshot's copy cloned.
     ///
     /// Any session compiled over the snapshot's slot space and collector
     /// sessions may continue it, not only the one that produced it.
@@ -619,7 +626,11 @@ impl<'a> CompiledSim<'a> {
     /// targets a different prefix, or is scheduled before the baseline's
     /// last episode (those times are already folded into the snapshot's
     /// RIBs and cannot be replayed incrementally).
-    pub fn run_delta_prefix(&self, snapshot: &SimSnapshot, delta: &[Origination]) -> PrefixOutcome {
+    pub fn run_delta_prefix(
+        &self,
+        snapshot: &SimSnapshot,
+        delta: &[Origination],
+    ) -> (PrefixOutcome, FloodStats) {
         assert!(
             snapshot.offsets == self.offsets,
             "snapshot restored under a different session's topology"
@@ -653,15 +664,18 @@ impl<'a> CompiledSim<'a> {
             events: base.events,
             converged: base.converged,
         };
+        let mut stats = FloodStats::default();
+        stats.handle_clones[CloneSite::SnapshotClone as usize] +=
+            scratch.arena.len() as u64 + outcome.route_handles();
         self.continue_prefix(
             &mut scratch,
             snapshot.prefix(),
             &episodes,
             &mut outcome,
-            self.event_budget,
             ScratchReader::Nobody,
+            &mut stats,
         );
-        outcome
+        (outcome, stats)
     }
 
     /// Runs `delta` against a converged baseline snapshot and finishes the
@@ -669,7 +683,7 @@ impl<'a> CompiledSim<'a> {
     /// `run(baseline ++ delta)` (the equivalence `tests/determinism.rs`
     /// property-locks).
     pub fn run_delta(&self, snapshot: &SimSnapshot, delta: &[Origination]) -> SimResult {
-        self.finish([(snapshot.prefix(), self.run_delta_prefix(snapshot, delta))])
+        self.finish([(snapshot.prefix(), self.run_delta_prefix(snapshot, delta).0)])
     }
 
     /// The one way a [`SimResult`] is made, from outcomes in ascending
@@ -728,8 +742,8 @@ fn time_sorted(episodes: &[Origination]) -> Vec<&Origination> {
 
 /// Sorts one collector's merged feed by `(time, peer, prefix)`, stably (an
 /// episode pair sharing all three keeps its order). The key is cached and
-/// the ≈ 170-byte rows are permuted once at the end, instead of being
-/// moved by every merge step.
+/// the rows (at most 80 bytes, asserted beside `CollectorObservation`) are
+/// permuted once at the end, instead of being moved by every merge step.
 fn sort_feed(obs: &mut [CollectorObservation]) {
     obs.sort_by_cached_key(|o| (o.time, o.peer, o.prefix));
 }
@@ -885,14 +899,15 @@ impl CompiledSim<'_> {
     }
 
     /// Runs the episodes of a single prefix to convergence, on the calling
-    /// worker's reusable `scratch` (recycled via `begin_prefix`).
+    /// worker's reusable `scratch` (recycled via `begin_prefix`), and says
+    /// what the flood did.
     pub(crate) fn run_prefix(
         &self,
         scratch: &mut SimScratch,
         prefix: Prefix,
         episodes: &[&Origination],
         reader: ScratchReader,
-    ) -> PrefixOutcome {
+    ) -> (PrefixOutcome, FloodStats) {
         scratch.begin_prefix();
         let mut outcome = PrefixOutcome {
             observations: vec![Vec::new(); self.collector_names.len()],
@@ -900,15 +915,9 @@ impl CompiledSim<'_> {
             events: 0,
             converged: true,
         };
-        self.continue_prefix(
-            scratch,
-            prefix,
-            episodes,
-            &mut outcome,
-            self.event_budget,
-            reader,
-        );
-        outcome
+        let mut stats = FloodStats::default();
+        self.continue_prefix(scratch, prefix, episodes, &mut outcome, reader, &mut stats);
+        (outcome, stats)
     }
 
     /// Converges `episodes` of `prefix` on top of whatever state `scratch`
@@ -927,14 +936,16 @@ impl CompiledSim<'_> {
     /// updates in one round therefore diffs its adjacency once instead of
     /// once per update, and a node whose best route did not change skips
     /// the recompute entirely (`NodeState::begin_export_pass`).
+    ///
+    /// What the flood does is added to `stats` (see `stats` for the sites).
     fn continue_prefix(
         &self,
         scratch: &mut SimScratch,
         prefix: Prefix,
         episodes: &[&Origination],
         outcome: &mut PrefixOutcome,
-        budget: u64,
         reader: ScratchReader,
+        stats: &mut FloodStats,
     ) {
         // Out of a snapshot's flood, only an `All` session's retention
         // sweep reads an unread leaf that originates neither in this
@@ -986,6 +997,7 @@ impl CompiledSim<'_> {
             local,
             last_emit_best,
         };
+        let touched_before = routers.touched.len();
 
         for ep in episodes {
             let Some(origin) = self.topo.node_id(ep.origin) else {
@@ -1002,7 +1014,7 @@ impl CompiledSim<'_> {
                     route.path = AsPath::from_asns([victim]);
                     route.origin = Origin::Igp;
                 }
-                let id = arena.intern(route);
+                let id = arena.intern_counted(route, stats);
                 routers.node(origin.index()).set_local(Some(id));
             }
             dirty.insert(origin.index());
@@ -1012,17 +1024,19 @@ impl CompiledSim<'_> {
             'converge: loop {
                 while let Some(ev) = queue.pop_front() {
                     outcome.events += 1;
-                    if outcome.events > budget {
+                    if outcome.events > self.event_budget {
                         outcome.converged = false;
                         queue.clear();
                         dirty.clear();
                         break 'converge;
                     }
+                    stats.deliveries += 1;
                     let to = ev.to.index();
                     if elide && self.unread[to] && !originators.contains(&(to as u32)) {
+                        stats.dropped_unread += 1;
                         continue; // delivered and counted; nobody reads it
                     }
-                    routers.node(to).import(
+                    let verdict = routers.node(to).import_counted(
                         &self.configs[to],
                         self.asns[ev.from.index()],
                         ev.to_slot as usize,
@@ -1030,15 +1044,19 @@ impl CompiledSim<'_> {
                         ev.route,
                         arena,
                         vctx,
+                        stats,
                     );
+                    stats.admissions[verdict as usize] += 1;
                     dirty.insert(to);
                 }
                 if dirty.is_empty() {
                     break;
                 }
-                for &i in dirty.sorted() {
+                let nodes = dirty.sorted();
+                stats.round(nodes.len());
+                for &i in nodes {
                     let id = NodeId::from_index(i as usize);
-                    self.emit_exports(id, &mut routers, arena, queue, passes);
+                    self.emit_exports(id, &mut routers, arena, queue, passes, stats);
                 }
                 dirty.clear();
             }
@@ -1046,21 +1064,30 @@ impl CompiledSim<'_> {
             // Record collector observations for this episode. Interning
             // makes the changed-predicate an id compare; the owned route is
             // cloned out of the arena only for actual observations.
-            let converged = outcome.converged;
-            let mut observe = |si: usize, new: Option<RouteId>, arena: &RouteArena| {
-                if monitor_state[si] == new {
-                    return;
-                }
-                let (ci, peer, _) = self.collector_peers[si];
-                outcome.observations[ci].push(CollectorObservation {
-                    time: ep.time,
-                    peer: self.asns[peer.index()],
-                    prefix,
-                    route: new.map(|id| arena.get(id).clone()),
-                });
-                monitor_state[si] = new;
-            };
-            if converged {
+            let mut observe =
+                |si: usize, new: Option<RouteId>, arena: &RouteArena, stats: &mut FloodStats| {
+                    stats.sessions_evaluated += 1;
+                    let before = monitor_state[si];
+                    if before == new {
+                        return;
+                    }
+                    let carried = |id: RouteId| Carried::of(arena.get(id));
+                    stats.updates
+                        [UpdateKind::of(before.map(carried), new.map(carried)) as usize] += 1;
+                    let (ci, peer, _) = self.collector_peers[si];
+                    let route = new.map(|id| {
+                        stats.handle_clones[CloneSite::Observation as usize] += 1;
+                        arena.get(id).clone()
+                    });
+                    outcome.observations[ci].push(CollectorObservation {
+                        time: ep.time,
+                        peer: self.asns[peer.index()],
+                        prefix,
+                        route,
+                    });
+                    monitor_state[si] = new;
+                };
+            if outcome.converged {
                 // Every node whose best route moved ran an export pass, and
                 // each pass left its sessions a record: visit those, in
                 // session order (the order observations are pushed in), a
@@ -1071,23 +1098,10 @@ impl CompiledSim<'_> {
                     let [.., pass] = of_session else {
                         continue; // `chunk_by` yields no empty runs
                     };
-                    let (_, peer, feed) = self.collector_peers[pass.session as usize];
-                    let new = match (pass.best, pass.memoized) {
-                        (None, _) => None,
-                        (Some(_), Some(export)) => export,
-                        (Some((best_id, learned_role)), None) => router::export_from_best(
-                            self.asns[peer.index()],
-                            self.is_rs[peer.index()],
-                            prefix,
-                            best_id,
-                            learned_role,
-                            &self.configs[peer.index()],
-                            crate::MONITOR_ASN,
-                            monitor_role(feed),
-                            arena,
-                        ),
-                    };
-                    observe(pass.session as usize, new, arena);
+                    let si = pass.session as usize;
+                    let new =
+                        self.session_export(prefix, si, pass.best, pass.memoized, arena, stats);
+                    observe(si, new, arena, stats);
                 }
             } else {
                 // A flood cut by its budget dropped its dirty set: nodes
@@ -1096,19 +1110,14 @@ impl CompiledSim<'_> {
                 // session what its peer would export. A peer the flood
                 // never reached holds no state and exports nothing —
                 // skipped by stamp check, without the touch's slot clear.
-                for (si, &(_, peer, feed)) in self.collector_peers.iter().enumerate() {
-                    let new = if routers.is_live(peer.index()) {
-                        let cfg = &self.configs[peer.index()];
-                        routers.node(peer.index()).export_for(
-                            cfg,
-                            crate::MONITOR_ASN,
-                            monitor_role(feed),
-                            arena,
-                        )
+                for (si, &(_, peer, _)) in self.collector_peers.iter().enumerate() {
+                    let best = if routers.is_live(peer.index()) {
+                        routers.node(peer.index()).best_entry(arena)
                     } else {
                         None
                     };
-                    observe(si, new, arena);
+                    let new = self.session_export(prefix, si, best, None, arena, stats);
+                    observe(si, new, arena, stats);
                 }
             }
             passes.clear();
@@ -1128,11 +1137,46 @@ impl CompiledSim<'_> {
                     continue;
                 }
                 if let Some((id, _)) = routers.node(i).best_entry(arena) {
+                    stats.handle_clones[CloneSite::RetainedFinal as usize] += 1;
                     routes.push((self.asns[i], arena.get(id).clone()));
                 }
             }
             routes.sort_unstable_by_key(|&(asn, _)| asn);
             outcome.final_routes = Some(FinalRoutes { routes });
+        }
+        stats.nodes_touched += (routers.touched.len() - touched_before) as u64;
+    }
+
+    /// What collector session `si` is sent after an episode, given its
+    /// peer's best entry and, when the peer's last export pass memoized
+    /// one for the monitor's role, that export; without one it is derived
+    /// from the best entry (route servers, `ScopedToReceiver`, a role the
+    /// peer has no neighbour in, a budget-cut flood).
+    fn session_export(
+        &self,
+        prefix: Prefix,
+        si: usize,
+        best: Option<(RouteId, Option<Role>)>,
+        memoized: Option<Option<RouteId>>,
+        arena: &mut RouteArena,
+        stats: &mut FloodStats,
+    ) -> Option<RouteId> {
+        let (_, peer, feed) = self.collector_peers[si];
+        match (best, memoized) {
+            (None, _) => None,
+            (Some(_), Some(export)) => export,
+            (Some((best_id, learned_role)), None) => router::export_from_best(
+                self.asns[peer.index()],
+                self.is_rs[peer.index()],
+                prefix,
+                best_id,
+                learned_role,
+                &self.configs[peer.index()],
+                crate::MONITOR_ASN,
+                monitor_role(feed),
+                arena,
+                stats,
+            ),
         }
     }
 
@@ -1191,10 +1235,11 @@ impl CompiledSim<'_> {
         arena: &mut RouteArena,
         queue: &mut EventQueue,
         passes: &mut Vec<SessionPass>,
+        stats: &mut FloodStats,
     ) {
         let cfg = &self.configs[id.index()];
         let mut node = routers.node(id.index());
-        let Some(best) = node.begin_export_pass(arena) else {
+        let Some(best) = node.begin_export_pass(arena, stats) else {
             return;
         };
         let learned_from = best.and_then(|(best_id, _)| arena.get(best_id).source.neighbor());
@@ -1210,7 +1255,7 @@ impl CompiledSim<'_> {
                 None => None,
                 Some(_) if per_role_uniform && learned_from == Some(nb_asn) => None,
                 Some((best_id, learned_role)) => {
-                    let compute = |arena: &mut RouteArena| {
+                    let compute = |arena: &mut RouteArena, stats: &mut FloodStats| {
                         router::export_from_best(
                             node.asn,
                             node.is_route_server,
@@ -1221,30 +1266,35 @@ impl CompiledSim<'_> {
                             nb_asn,
                             role,
                             arena,
+                            stats,
                         )
                     };
                     if per_role_uniform {
                         match memo[role_ix(role)] {
-                            Some(cached) => cached,
+                            Some(cached) => {
+                                stats.memo_hits[role_ix(role)] += 1;
+                                cached
+                            }
                             None => {
-                                let value = compute(arena);
+                                let value = compute(arena, stats);
                                 memo[role_ix(role)] = Some(value);
                                 value
                             }
                         }
                     } else {
-                        compute(arena)
+                        compute(arena, stats)
                     }
                 }
             };
-            if let Some(update) = node.diff_export(slot, new) {
-                queue.push_back(Event {
+            match node.diff_export(slot, new) {
+                Some(update) => queue.push_back(Event {
                     from: id,
                     to: nb,
                     to_slot: rev_slot,
                     sender_role: inverse_role(role),
                     route: update,
-                });
+                }),
+                None => stats.exports_suppressed += 1,
             }
         }
         // Tell the collector sweep this node's best moved, and hand it what
@@ -1321,6 +1371,14 @@ impl PrefixOutcome {
         }
         self
     }
+
+    /// The route handles a clone of the outcome clones: one per announced
+    /// observation and one per retained route.
+    pub(crate) fn route_handles(&self) -> u64 {
+        let observed = self.observations.iter().flatten();
+        let announced = observed.filter(|obs| obs.route.is_some()).count();
+        (announced + self.final_routes.as_ref().map_or(0, FinalRoutes::len)) as u64
+    }
 }
 
 /// One prefix's final best route per AS, ascending by ASN, read like a
@@ -1388,7 +1446,6 @@ impl FromIterator<(Asn, Route)> for FinalRoutes {
 mod tests {
     use super::*;
     use crate::collector::CollectorSpec;
-    use crate::route::{copies_during, Copies};
     use bgpworms_topology::{EdgeKind, TopologyParams};
     use std::panic::AssertUnwindSafe;
 
@@ -1760,25 +1817,6 @@ mod tests {
     }
 
     #[test]
-    fn sequential_run_reuses_one_scratch_across_prefixes() {
-        // Multi-prefix `run` with one thread: every prefix recycles the
-        // same worker scratch (one build), and the result still matches
-        // per-prefix fresh runs (locked more broadly in determinism.rs).
-        let topo = line_topo();
-        let sim = SimSpec::new(&topo).retain(RetainRoutes::All).compile();
-        let eps = vec![
-            Origination::announce(Asn::new(4), p("10.0.0.0/16"), vec![]),
-            Origination::announce(Asn::new(1), p("20.0.0.0/16"), vec![]),
-            Origination::announce(Asn::new(3), p("30.0.0.0/16"), vec![]),
-        ];
-        let before = crate::scratch::scratch_builds();
-        let res = sim.run(&eps);
-        assert_eq!(crate::scratch::scratch_builds() - before, 1);
-        assert!(res.converged);
-        assert_eq!(res.final_routes.len(), 3);
-    }
-
-    #[test]
     fn changing_reannouncements_are_not_memo_collapsed() {
         // Hash-consing merges only *identical* originations: a
         // re-announcement with different attributes must re-originate, and
@@ -1865,24 +1903,43 @@ mod tests {
         let first = Origination::announce(Asn::new(4), prefix, vec![Community::new(4, 7)]);
         let again = first.clone().at(500);
         let mut scratch = sim.new_scratch();
-        let mut outcome = sim.run_prefix(&mut scratch, prefix, &[&first], ScratchReader::Nobody);
+        let (mut outcome, _) =
+            sim.run_prefix(&mut scratch, prefix, &[&first], ScratchReader::Nobody);
         assert_eq!(outcome.observations[0].len(), 1);
 
         let minted = scratch.arena.len();
-        let ((), copies) = copies_during(|| {
-            sim.continue_prefix(
-                &mut scratch,
-                prefix,
-                &[&again],
-                &mut outcome,
-                sim.event_budget,
-                ScratchReader::Nobody,
-            )
-        });
-        assert_eq!(copies, Copies::NONE, "a duplicate copied");
-        assert_eq!(scratch.arena.len(), minted, "a duplicate minted a route");
+        let mut stats = FloodStats::default();
+        sim.continue_prefix(
+            &mut scratch,
+            prefix,
+            &[&again],
+            &mut outcome,
+            ScratchReader::Nobody,
+            &mut stats,
+        );
+        assert_eq!(
+            (stats.handle_clones, stats.attr_copies),
+            ([0; 6], [0; 3]),
+            "a duplicate copied"
+        );
+        assert_eq!(stats.mints, 0, "a duplicate minted a route");
+        assert_eq!(scratch.arena.len(), minted);
         assert_eq!(outcome.observations[0].len(), 1, "and it is no news");
         assert!(outcome.converged);
+        // All it did: re-intern the origination and skip the origin's pass
+        // in one round of width one.
+        let mut width_one = [0; 32];
+        width_one[0] = 1;
+        assert_eq!(
+            stats,
+            FloodStats {
+                rounds: 1,
+                dirty_width_log2: width_one,
+                interns: 1,
+                passes_skipped: 1,
+                ..FloodStats::default()
+            }
+        );
     }
 
     #[test]
@@ -1895,28 +1952,33 @@ mod tests {
         let sim = observed_sim(&topo);
         let prefix = p("10.0.0.0/16");
         let first = Origination::announce(Asn::new(4), prefix, vec![Community::new(4, 7)]);
-        let (flood, copies) = copies_during(|| {
-            sim.run_prefix(
-                &mut sim.new_scratch(),
-                prefix,
-                &[&first],
-                ScratchReader::Nobody,
-            )
-        });
-        assert_eq!(copies.attrs, 4);
+        let (flood, stats) = sim.run_prefix(
+            &mut sim.new_scratch(),
+            prefix,
+            &[&first],
+            ScratchReader::Nobody,
+        );
+        assert_eq!(stats.attr_copies, [0, 4, 0], "four exports, nothing else");
         assert_eq!(flood.observations[0].len(), 1);
         assert_eq!(flood.final_routes.expect("retained").len(), 4);
 
         let baseline = std::slice::from_ref(&first);
-        let ((_, snap), copies) = copies_during(|| sim.run_snapshot(baseline, prefix));
-        assert_eq!(copies.attrs, 4, "the snapshot copied attributes");
-        let (_, copies) = copies_during(|| sim.run_delta_prefix(&snap, &[]));
-        assert_eq!(copies.attrs, 0, "cloning the snapshot copied attributes");
+        let (_, snap) = sim.run_snapshot(baseline, prefix);
+        assert_eq!(
+            snap.stats().attr_copies,
+            [0, 4, 0],
+            "the snapshot copied attributes"
+        );
+        let (_, stats) = sim.run_delta_prefix(&snap, &[]);
+        assert_eq!(
+            stats.attr_copies, [0; 3],
+            "cloning the snapshot copied attributes"
+        );
         // A changed re-announcement floods the chain again, and pays for
         // exactly its own four exports.
         let changed = [Origination::announce(Asn::new(4), prefix, vec![]).at(100)];
-        let (_, copies) = copies_during(|| sim.run_delta_prefix(&snap, &changed));
-        assert_eq!(copies.attrs, 4);
+        let (_, stats) = sim.run_delta_prefix(&snap, &changed);
+        assert_eq!(stats.attr_copies, [0, 4, 0]);
     }
 
     #[test]
@@ -2066,13 +2128,15 @@ mod tests {
             &[&ep],
             ScratchReader::Nobody,
         );
+        assert!(reference.1.nodes_touched > 0);
 
         // Age a used scratch to the brink: translate its stamps so the
         // next `begin_prefix` lands exactly on `u32::MAX` and the one
         // after takes the wrap branch. Stale stamps map to 0 (they only
         // need to stay != every future epoch).
         let mut worn = sim.new_scratch();
-        let warmup = sim.run_prefix(&mut worn, p("20.0.0.0/16"), &[&ep], ScratchReader::Nobody);
+        let (warmup, _) =
+            sim.run_prefix(&mut worn, p("20.0.0.0/16"), &[&ep], ScratchReader::Nobody);
         assert!(warmup.converged);
         let live = worn.epoch;
         worn.epoch = u32::MAX - 1;
@@ -2150,10 +2214,10 @@ mod tests {
         let prefix = p("10.0.0.0/16");
         let eps = [Origination::announce(Asn::new(2), prefix, vec![])];
         let flood = |sim: &CompiledSim<'_>, reader| {
-            copies_during(|| sim.run_prefix(&mut sim.new_scratch(), prefix, &[&eps[0]], reader))
+            sim.run_prefix(&mut sim.new_scratch(), prefix, &[&eps[0]], reader)
         };
         let unretained = spec(RetainRoutes::None);
-        let (full, flood_copies) = flood(&unretained, ScratchReader::Snapshot);
+        let (full, flood_stats) = flood(&unretained, ScratchReader::Snapshot);
         assert_eq!(full.observations[0].len(), 1);
         assert_eq!(unretained.unread_nodes() as u32, STUBS);
         let (elided, _) = flood(&unretained, ScratchReader::Nobody);
@@ -2162,7 +2226,7 @@ mod tests {
             "an unread stub changed what the flood returns"
         );
         let sim = spec(RetainRoutes::All);
-        let (kept, copies) = flood(&sim, ScratchReader::Nobody);
+        let (kept, stats) = flood(&sim, ScratchReader::Nobody);
         let finals = &kept.final_routes.expect("retained");
         assert_eq!(finals.len() as u32, STUBS + 1, "every AS holds a route");
         let mut distinct: Vec<&Route> = Vec::new();
@@ -2172,12 +2236,20 @@ mod tests {
             }
         }
         assert_eq!(distinct.len(), 3);
+        let handles = |stats: FloodStats| stats.handle_clones.iter().sum::<u64>();
         assert_eq!(
-            copies.handles - flood_copies.handles,
+            handles(stats) - handles(flood_stats),
             u64::from(STUBS + 1),
             "one handle per retained AS"
         );
-        assert_eq!(copies.attrs, flood_copies.attrs, "each of a handle only");
+        assert_eq!(
+            stats.attr_copies, flood_stats.attr_copies,
+            "each of a handle only"
+        );
+        // The retention sweep is all that differs.
+        let mut swept = stats;
+        swept.handle_clones[CloneSite::RetainedFinal as usize] = 0;
+        assert_eq!(swept, flood_stats);
 
         // Relabeling has no route to rewrite: the retained table is, as
         // stored, the one a flood of the other prefix produces — alone, or
@@ -2373,15 +2445,10 @@ mod tests {
         ];
         let refs: Vec<&Origination> = eps.iter().collect();
         let flood = |sim: &CompiledSim<'_>, budget: u64, reader| {
+            let mut sim = sim.clone();
+            sim.event_budget = budget;
             let mut scratch = sim.new_scratch();
-            scratch.begin_prefix();
-            let mut outcome = PrefixOutcome {
-                observations: vec![Vec::new()],
-                final_routes: None,
-                events: 0,
-                converged: true,
-            };
-            sim.continue_prefix(&mut scratch, prefix, &refs, &mut outcome, budget, reader);
+            let (outcome, _) = sim.run_prefix(&mut scratch, prefix, &refs, reader);
             (outcome, scratch)
         };
         let six = topo.node_id(Asn::new(6)).expect("in the topology").index();
@@ -2476,8 +2543,8 @@ mod tests {
             prefix,
             &[&delta],
             &mut outcome,
-            sim.event_budget,
             ScratchReader::Nobody,
+            &mut FloodStats::default(),
         );
         assert_eq!(
             slots(&scratch, 5),

@@ -176,9 +176,9 @@
 //! slot range — so reset is O(1) and a prefix that floods only part of the
 //! graph pays only for the nodes it reaches (the final-routes sweep also
 //! iterates only touched nodes). Reuse is pinned semantically equal to
-//! fresh-per-prefix state by the determinism suite, and a unit test's
-//! alloc-counting double (compiled only into the tests) locks in that a
-//! campaign's second prefix allocates no RIB arrays.
+//! fresh-per-prefix state by the determinism suite, and the worker pool
+//! builds one scratch per worker, never one per prefix (`shard.rs`'s own
+//! test counts them).
 //!
 //! Every route a prefix run produces is **hash-consed** into that
 //! worker-scratch's [`RouteArena`] (emptied, capacity kept, per prefix):
@@ -197,8 +197,10 @@
 //! absorbing many updates per round diffs its adjacency once instead of
 //! once per update — and because exports are a pure function of the best
 //! route, a dirty node whose best id is unchanged skips the sweep
-//! entirely, making the steady state *zero-clone* (asserted by unit tests
-//! against test-only counters of route handles and attribute copies).
+//! entirely, making the steady state *zero-clone*. What a flood did —
+//! rounds, deliveries, admissions, interns, clones and copies by site,
+//! export passes, collector updates — comes back as a [`FloodStats`], the
+//! same counters in every build (`stats` docs); unit tests assert on them.
 //! Within a pass, exports
 //! are memoized per neighbor role whenever the node's egress policy is
 //! neighbor-independent, so a changed export is cloned and interned at
@@ -270,6 +272,7 @@ pub mod route;
 pub mod router;
 mod scratch;
 mod shard;
+pub mod stats;
 pub mod workload;
 
 pub use campaign::{Campaign, CampaignCheckpoint, CampaignRun, CampaignSink, ClassStats};
@@ -288,4 +291,5 @@ pub use policy::{
 };
 pub use route::{Route, RouteArena, RouteAttrs, RouteId, RouteSource};
 pub use scratch::SimSnapshot;
+pub use stats::{CloneSite, CopySite, FloodStats, UpdateKind};
 pub use workload::{PolicyMix, Workload, WorkloadParams};

@@ -8,6 +8,7 @@
 //! carry ids, so route equality (the export-diffing predicate) is a u32
 //! compare and identical routes are allocated exactly once per prefix.
 
+use crate::stats::{CloneSite, CopySite, FloodStats};
 use bgpworms_types::{AsPath, Asn, Community, LargeCommunity, Origin};
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -38,9 +39,8 @@ impl RouteSource {
 }
 
 /// What a BGP UPDATE carries for a route: the transitive attributes an AS
-/// that does not act on them forwards as received. `Clone` is implemented
-/// by hand so unit tests can count every copy.
-#[derive(Debug, PartialEq, Eq, Hash)]
+/// that does not act on them forwards as received.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct RouteAttrs {
     /// AS path, collector-first (head = the AS that exported to us; the
     /// sender prepends itself on egress, so a route received from N has N
@@ -70,9 +70,10 @@ pub struct RouteAttrs {
 /// snapshot, a class replay — copies the handle and the annotation. `==`
 /// and `Hash` read the attributes' content, never the handle's address (a
 /// pointer-equal pair only short-circuits `==`), so [`RouteId`] assignment
-/// cannot tell shared attributes from equal ones built twice. `Clone` is
-/// implemented by hand so unit tests can count every clone.
-#[derive(Debug, PartialEq, Eq, Hash)]
+/// cannot tell shared attributes from equal ones built twice. The engine
+/// counts what it clones and copies at each site (`stats::CloneSite`,
+/// `stats::CopySite`).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Route {
     attrs: Arc<RouteAttrs>,
     /// Where the route came from.
@@ -146,6 +147,18 @@ impl Route {
         self
     }
 
+    /// The attributes for editing, copied first when another handle
+    /// shares them — the one copy-on-write edit [`DerefMut`] makes — with
+    /// the copy counted in `copies`.
+    pub(crate) fn attrs_mut(&mut self, copies: &mut u64) -> &mut RouteAttrs {
+        // No `Weak` handle is ever made, so a strong count above one is
+        // exactly when `make_mut` clones.
+        if Arc::strong_count(&self.attrs) > 1 {
+            *copies += 1;
+        }
+        Arc::make_mut(&mut self.attrs)
+    }
+
     /// True if the route carries large community `lc`.
     pub fn has_large_community(&self, lc: LargeCommunity) -> bool {
         self.large_communities.contains(&lc)
@@ -173,30 +186,6 @@ impl Route {
                 let b = other.source.neighbor().map(Asn::get).unwrap_or(0);
                 b.cmp(&a)
             })
-    }
-}
-
-impl Clone for RouteAttrs {
-    fn clone(&self) -> Self {
-        #[cfg(test)]
-        ATTR_COPIES.with(|c| c.set(c.get() + 1));
-        RouteAttrs {
-            path: self.path.clone(),
-            origin: self.origin,
-            communities: self.communities.clone(),
-            large_communities: self.large_communities.clone(),
-        }
-    }
-}
-
-impl Clone for Route {
-    fn clone(&self) -> Self {
-        #[cfg(test)]
-        ROUTE_CLONES.with(|c| c.set(c.get() + 1));
-        Route {
-            attrs: Arc::clone(&self.attrs),
-            ..*self
-        }
     }
 }
 
@@ -278,14 +267,19 @@ pub(crate) struct ImportDelta {
 impl ImportDelta {
     /// The Adj-RIB-In route this import makes of `incoming`: a second
     /// handle on its attributes (copied only to add `NO_EXPORT`) under this
-    /// receiver's annotation.
-    pub(crate) fn apply(&self, incoming: &Route) -> Route {
+    /// receiver's annotation, counted in `stats`.
+    pub(crate) fn apply(&self, incoming: &Route, stats: &mut FloodStats) -> Route {
         let mut route = incoming.clone();
+        stats.handle_clones[CloneSite::Import as usize] += 1;
         route.local_pref = self.effects.local_pref;
         route.blackholed = self.effects.blackholed;
         route.pending_prepend = self.effects.pending_prepend;
         if self.effects.add_no_export {
-            route.communities.push(Community::NO_EXPORT);
+            let copies = &mut stats.attr_copies[CopySite::Import as usize];
+            route
+                .attrs_mut(copies)
+                .communities
+                .push(Community::NO_EXPORT);
         }
         route.own_tags = self.own_tags;
         route.source = RouteSource::Ebgp(self.sender);
@@ -400,6 +394,16 @@ impl RouteArena {
         self.intern_hashed(hasher.finish(), route)
     }
 
+    /// [`RouteArena::intern`], counted in `stats`: one call, and one mint
+    /// when the route is new.
+    pub(crate) fn intern_counted(&mut self, route: Route, stats: &mut FloodStats) -> RouteId {
+        let stored = self.routes.len();
+        let id = self.intern(route);
+        stats.interns += 1;
+        stats.mints += (self.routes.len() - stored) as u64;
+        id
+    }
+
     /// [`RouteArena::intern`] with the route's hash supplied, so a test can
     /// force two unequal routes into one bucket.
     fn intern_hashed(&mut self, hash: u64, route: Route) -> RouteId {
@@ -435,64 +439,6 @@ impl RouteArena {
             }
         }
     }
-}
-
-#[cfg(test)]
-thread_local! {
-    /// Clone-counting test doubles: every `Route::clone` (a handle copy)
-    /// and every `RouteAttrs::clone` (a path and two community lists) on
-    /// this thread bumps its counter. Compiled into the unit tests only.
-    static ROUTE_CLONES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-    static ATTR_COPIES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// Total `Route::clone` calls performed on the current thread so far: each
-/// copies a handle and the annotation, no attribute.
-///
-/// Tests snapshot this before and after an operation; deltas are meaningful,
-/// absolute values are not.
-#[cfg(test)]
-pub(crate) fn route_clones() -> u64 {
-    ROUTE_CLONES.with(|c| c.get())
-}
-
-/// Total [`RouteAttrs`] copies performed on the current thread so far — the
-/// copy-on-write slow path, where a path and two community lists are
-/// duplicated. The engine's steady-state invariant — zero attribute copies
-/// while nothing changes — is asserted by unit tests against this counter.
-#[cfg(test)]
-pub(crate) fn attr_copies() -> u64 {
-    ATTR_COPIES.with(|c| c.get())
-}
-
-/// What an operation copied on this thread, as the tests state it.
-#[cfg(test)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Copies {
-    /// [`route_clones`] ticks: a handle and an annotation each.
-    pub(crate) handles: u64,
-    /// [`attr_copies`] ticks: a path and two community lists each.
-    pub(crate) attrs: u64,
-}
-
-#[cfg(test)]
-impl Copies {
-    pub(crate) const NONE: Copies = Copies {
-        handles: 0,
-        attrs: 0,
-    };
-}
-
-/// Runs `f` and reports what it copied.
-#[cfg(test)]
-pub(crate) fn copies_during<T>(f: impl FnOnce() -> T) -> (T, Copies) {
-    let (handles, attrs) = (route_clones(), attr_copies());
-    let out = f();
-    let copies = Copies {
-        handles: route_clones() - handles,
-        attrs: attr_copies() - attrs,
-    };
-    (out, copies)
 }
 
 #[cfg(test)]
@@ -718,8 +664,9 @@ mod tests {
         ];
         let mut ids = Vec::new();
         for d in deltas {
-            let id = arena.intern(d.apply(arena.get(base)));
-            assert_eq!(twin.intern(d.apply(twin.get(base))), id, "{d:?}");
+            let stats = &mut FloodStats::default();
+            let id = arena.intern(d.apply(arena.get(base), stats));
+            assert_eq!(twin.intern(d.apply(twin.get(base), stats)), id, "{d:?}");
             ids.push(id);
         }
         ids.sort_unstable();
@@ -731,7 +678,7 @@ mod tests {
         );
         assert_eq!(arena, twin, "twin arenas stay equal");
 
-        let tagged = arena.intern(deltas[3].apply(arena.get(base)));
+        let tagged = arena.intern(deltas[3].apply(arena.get(base), &mut FloodStats::default()));
         let imported = arena.get(tagged);
         assert_eq!(imported.own_tags, [Some(t1), Some(t2)]);
         assert_eq!(imported.source, RouteSource::Ebgp(Asn::new(2)));
@@ -870,7 +817,10 @@ mod tests {
                             },
                             ..delta(a, 100, &[Community::new(9, 100), Community::new(9, 201)][..usize::from(b) % 3])
                         };
-                        let pair = (delta.apply(route), mirror.import(&delta));
+                        let pair = (
+                            delta.apply(route, &mut FloodStats::default()),
+                            mirror.import(&delta),
+                        );
                         pool.push(pair);
                     }
                     _ => {
@@ -906,12 +856,21 @@ mod tests {
     #[test]
     fn re_interning_does_not_clone() {
         let mut arena = RouteArena::new();
-        arena.intern(route(100, &[2, 1], 2));
+        let mut stats = FloodStats::default();
+        let first = arena.intern_counted(route(100, &[2, 1], 2), &mut stats);
         let template = route(100, &[2, 1], 2);
-        // Moving an already-known route into the arena drops it; nothing on
-        // the intern path ever calls Route::clone, let alone copies
-        // attributes.
-        let (_, copies) = copies_during(|| arena.intern(template));
-        assert_eq!(copies, Copies::NONE);
+        // Moving an already-known route into the arena drops it; the intern
+        // path clones no handle, copies no attribute and mints nothing.
+        let mut again = FloodStats::default();
+        assert_eq!(arena.intern_counted(template, &mut again), first);
+        assert_eq!(
+            again,
+            FloodStats {
+                interns: 1,
+                ..FloodStats::default()
+            }
+        );
+        stats += again;
+        assert_eq!((stats.interns, stats.mints), (2, 1));
     }
 }

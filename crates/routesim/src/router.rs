@@ -9,6 +9,7 @@ use crate::policy::{
 use crate::route::{
     AdmitEffects, ImportDelta, Route, RouteArena, RouteAttrs, RouteId, RouteSource,
 };
+use crate::stats::{CloneSite, CopySite, FloodStats};
 use bgpworms_topology::Role;
 use bgpworms_types::{community, Asn, Community, Prefix};
 use std::cmp::Ordering;
@@ -159,17 +160,24 @@ impl<'s> NodeState<'s> {
     /// produce no updates, letting the engine skip it entirely: the
     /// steady-state path performs one best-route scan and zero clones.
     /// `Some` carries the best entry the scan found, so a pass that must
-    /// run pays exactly one O(degree) scan.
+    /// run pays exactly one O(degree) scan. `stats` counts the scan's slots
+    /// and whether the pass runs.
     pub(crate) fn begin_export_pass(
         &mut self,
         arena: &RouteArena,
+        stats: &mut FloodStats,
     ) -> Option<Option<(RouteId, Option<Role>)>> {
+        if self.local.is_none() {
+            stats.slots_scanned += self.rib_in.len() as u64;
+        }
         let entry = self.best_entry(arena);
         let best = entry.map(|(id, _)| id);
         if *self.last_emit_best == Some(best) {
+            stats.passes_skipped += 1;
             return None;
         }
         *self.last_emit_best = Some(best);
+        stats.passes += 1;
         Some(entry)
     }
 
@@ -183,6 +191,9 @@ impl<'s> NodeState<'s> {
     /// check runs against the arena route by reference, so refused updates
     /// cost zero clones. An accepted route costs one handle clone and one
     /// intern, which finds the id an equal import already made.
+    ///
+    /// Counts nothing: the engine's flood counts through
+    /// `NodeState::import_counted`.
     #[allow(clippy::too_many_arguments)] // hot path: flat args, no wrapper struct
     pub fn import(
         &mut self,
@@ -193,6 +204,34 @@ impl<'s> NodeState<'s> {
         route: Option<RouteId>,
         arena: &mut RouteArena,
         ctx: ValidationCtx<'_>,
+    ) -> ImportVerdict {
+        let stats = &mut FloodStats::default();
+        self.import_counted(
+            cfg,
+            sender,
+            sender_slot,
+            sender_role,
+            route,
+            arena,
+            ctx,
+            stats,
+        )
+    }
+
+    /// [`NodeState::import`], counting an accepted import's handle clone,
+    /// attribute copy and intern in `stats`. The verdict is the caller's to
+    /// count.
+    #[allow(clippy::too_many_arguments)] // hot path: flat args, no wrapper struct
+    pub(crate) fn import_counted(
+        &mut self,
+        cfg: &RouterConfig,
+        sender: Asn,
+        sender_slot: usize,
+        sender_role: Role,
+        route: Option<RouteId>,
+        arena: &mut RouteArena,
+        ctx: ValidationCtx<'_>,
+        stats: &mut FloodStats,
     ) -> ImportVerdict {
         let Some(incoming_id) = route else {
             self.rib_in[sender_slot] = None;
@@ -220,6 +259,7 @@ impl<'s> NodeState<'s> {
                     incoming_id,
                     effects,
                     arena,
+                    stats,
                 );
                 ImportVerdict::Accepted
             }
@@ -241,6 +281,7 @@ impl<'s> NodeState<'s> {
         incoming_id: RouteId,
         effects: AdmitEffects,
         arena: &mut RouteArena,
+        stats: &mut FloodStats,
     ) {
         // The tags this router is configured to add, in order, then the
         // vendor's added-community cap, packed to the front of a fixed
@@ -269,8 +310,9 @@ impl<'s> NodeState<'s> {
             effects,
             own_tags: [kept.next(), kept.next()],
         };
+        let route = delta.apply(arena.get(incoming_id), stats);
         self.rib_in[sender_slot] = Some(RibEntry {
-            route: arena.intern(delta.apply(arena.get(incoming_id))),
+            route: arena.intern_counted(route, stats),
             role: sender_role,
         });
     }
@@ -279,7 +321,7 @@ impl<'s> NodeState<'s> {
     /// `neighbor` (playing `neighbor_role` for us), interned into `arena`,
     /// or `None` when nothing may be exported. Scans for the best entry
     /// first; the engine's export sweep calls `export_from_best` directly so
-    /// one scan serves the whole adjacency.
+    /// one scan serves the whole adjacency. Counts nothing.
     pub fn export_for(
         &self,
         cfg: &RouterConfig,
@@ -298,6 +340,7 @@ impl<'s> NodeState<'s> {
             neighbor,
             neighbor_role,
             arena,
+            &mut FloodStats::default(),
         )
     }
 
@@ -444,7 +487,8 @@ fn admit_route(
 
 /// Computes the advertisement for `prefix` that a node whose best route is
 /// `best_id` (learned under `learned_role`) should send to `neighbor`,
-/// interned into `arena`, or `None` when nothing may be exported.
+/// interned into `arena`, or `None` when nothing may be exported. `stats`
+/// counts the export's handle clone, attribute copy and intern.
 ///
 /// Everything here depends on the neighbor only through its ASN (the
 /// never-send-back check, route-server control communities, the
@@ -462,6 +506,7 @@ pub(crate) fn export_from_best(
     neighbor: Asn,
     neighbor_role: Role,
     arena: &mut RouteArena,
+    stats: &mut FloodStats,
 ) -> Option<RouteId> {
     let best = arena.get(best_id);
 
@@ -471,7 +516,7 @@ pub(crate) fn export_from_best(
     }
 
     if is_route_server {
-        return route_server_export(asn, cfg, best_id, neighbor, arena);
+        return route_server_export(asn, cfg, best_id, neighbor, arena, stats);
     }
 
     // Well-known scope-limiting communities.
@@ -498,6 +543,7 @@ pub(crate) fn export_from_best(
     }
 
     let mut out = best.clone();
+    stats.handle_clones[CloneSite::Export as usize] += 1;
     let prepends = 1 + usize::from(best.pending_prepend);
     out.pending_prepend = 0;
     out.blackholed = false;
@@ -507,7 +553,7 @@ pub(crate) fn export_from_best(
     let own_tags = std::mem::take(&mut out.own_tags);
     // The export's one attribute copy: `best` keeps what it received, every
     // edit below is to `out`'s own.
-    let attrs: &mut RouteAttrs = &mut out;
+    let attrs: &mut RouteAttrs = out.attrs_mut(&mut stats.attr_copies[CopySite::Export as usize]);
     // Prepend self (once, plus any community-requested extra).
     attrs.path.prepend(asn, prepends);
 
@@ -584,7 +630,7 @@ pub(crate) fn export_from_best(
     attrs.large_communities.sort_unstable();
     attrs.large_communities.dedup();
 
-    Some(arena.intern(out))
+    Some(arena.intern_counted(out, stats))
 }
 
 /// Route-server redistribution: transparent path, control communities,
@@ -602,6 +648,7 @@ fn route_server_export(
     best_id: RouteId,
     member: Asn,
     arena: &mut RouteArena,
+    stats: &mut FloodStats,
 ) -> Option<RouteId> {
     let best = arena.get(best_id);
     if best.has_community(Community::NO_ADVERTISE) || best.has_community(Community::NO_EXPORT) {
@@ -637,6 +684,7 @@ fn route_server_export(
     }
 
     let mut out = best.clone();
+    stats.handle_clones[CloneSite::RouteServerExport as usize] += 1;
     // Transparent: the RS does not prepend its ASN.
     out.local_pref = 0;
     out.med = 0;
@@ -644,14 +692,16 @@ fn route_server_export(
     out.pending_prepend = 0;
     out.source = RouteSource::RouteServer(rs_asn);
     let own_tags = std::mem::take(&mut out.own_tags);
-    let communities = &mut out.communities; // the export's one attribute copy
+    // The export's one attribute copy.
+    let copies = &mut stats.attr_copies[CopySite::RouteServerExport as usize];
+    let communities = &mut out.attrs_mut(copies).communities;
     communities.retain(|c| {
         let hi = c.asn_part();
         !(hi == 0 || (hi == rs16 && is_member_value(c.value_part())))
     });
     communities.extend(own_tags.into_iter().flatten());
     community::normalize(communities);
-    Some(arena.intern(out))
+    Some(arena.intern_counted(out, stats))
 }
 
 /// Heuristic: control-community low values that address members. Our
@@ -686,7 +736,6 @@ pub fn blackhole_community_of(target: Asn) -> Option<Community> {
 mod tests {
     use super::*;
     use crate::policy::{BlackholeService, CommunityServices, TaggingConfig, Vendor};
-    use crate::route::{copies_during, Copies};
     use bgpworms_types::AsPath;
 
     fn ctx_empty() -> (IrrDatabase, IrrDatabase) {
@@ -1467,9 +1516,10 @@ mod tests {
             ctx,
         );
 
-        let pass_needed = |t: &mut TestRouter| {
+        let mut stats = FloodStats::default();
+        let mut pass_needed = |t: &mut TestRouter| {
             let (mut node, arena) = t.state();
-            node.begin_export_pass(arena).is_some()
+            node.begin_export_pass(arena, &mut stats).is_some()
         };
 
         // First pass: the best route is new, so the sweep runs and clones.
@@ -1479,14 +1529,30 @@ mod tests {
         assert!(node.diff_export(6, first).is_some());
 
         // Steady state: nothing changed since the pass above.
-        let (_, copies) = copies_during(|| {
-            assert!(!pass_needed(&mut t), "unchanged best ⇒ export pass skipped");
-            assert!(
-                t.state().0.diff_export(6, first).is_none(),
-                "same id ⇒ no update, no cache write"
-            );
-        });
-        assert_eq!(copies, Copies::NONE, "steady-state path copied a Route");
+        let mut steady = FloodStats::default();
+        let (mut node, arena) = t.state();
+        assert!(
+            node.begin_export_pass(arena, &mut steady).is_none(),
+            "unchanged best ⇒ export pass skipped"
+        );
+        assert!(
+            node.diff_export(6, first).is_none(),
+            "same id ⇒ no update, no cache write"
+        );
+        assert_eq!(
+            (steady.handle_clones, steady.attr_copies),
+            ([0; 6], [0; 3]),
+            "steady-state path copied a Route"
+        );
+        assert_eq!(
+            steady,
+            FloodStats {
+                passes_skipped: 1,
+                slots_scanned: 8,
+                ..FloodStats::default()
+            },
+            "one best scan over the eight slots, and nothing else"
+        );
 
         // A genuinely new best re-arms the pass.
         t.import(
@@ -1508,11 +1574,22 @@ mod tests {
     /// with `arena` shared among the receivers the way a prefix worker's is.
     fn deliver(
         arena: &mut RouteArena,
+        receiver: (u32, bool),
+        cfg: &RouterConfig,
+        sender: (u32, Role),
+        incoming: RouteId,
+    ) -> RouteId {
+        deliver_counted(arena, receiver, cfg, sender, incoming).0
+    }
+
+    /// [`deliver`], with what the import did.
+    fn deliver_counted(
+        arena: &mut RouteArena,
         (receiver, is_route_server): (u32, bool),
         cfg: &RouterConfig,
         (sender, role): (u32, Role),
         incoming: RouteId,
-    ) -> RouteId {
+    ) -> (RouteId, FloodStats) {
         let (irr, rpki) = ctx_empty();
         let ctx = ValidationCtx {
             irr: &irr,
@@ -1528,9 +1605,24 @@ mod tests {
             &mut exported,
             &mut last,
         );
-        let verdict = node.import(cfg, Asn::new(sender), 0, role, Some(incoming), arena, ctx);
+        let mut stats = FloodStats::default();
+        let sender = Asn::new(sender);
+        let verdict =
+            node.import_counted(cfg, sender, 0, role, Some(incoming), arena, ctx, &mut stats);
         assert_eq!(verdict, ImportVerdict::Accepted);
-        rib_in[0].expect("accepted import fills the slot").route
+        (
+            rib_in[0].expect("accepted import fills the slot").route,
+            stats,
+        )
+    }
+
+    /// The handle clones and attribute copies `stats` counted, summed over
+    /// their sites.
+    fn copies(stats: FloodStats) -> (u64, u64) {
+        (
+            stats.handle_clones.iter().sum(),
+            stats.attr_copies.iter().sum(),
+        )
     }
 
     #[test]
@@ -1544,21 +1636,21 @@ mod tests {
             RouterConfig::defaults(Asn::new(5)),
             RouterConfig::defaults(Asn::new(6)),
         );
-        let one_handle = Copies {
-            handles: 1,
-            attrs: 0,
-        };
-        let (first, copies) =
-            copies_during(|| deliver(&mut arena, (5, false), &cfg5, (2, Role::Provider), advert));
+        let one_handle = (1, 0);
+        let (first, stats) =
+            deliver_counted(&mut arena, (5, false), &cfg5, (2, Role::Provider), advert);
         assert_eq!(
-            copies, one_handle,
+            copies(stats),
+            one_handle,
             "an import shares the advertisement's attributes"
         );
+        assert_eq!(stats.handle_clones[CloneSite::Import as usize], 1);
         let len = arena.len();
-        let (second, copies) =
-            copies_during(|| deliver(&mut arena, (6, false), &cfg6, (2, Role::Provider), advert));
+        let (second, stats) =
+            deliver_counted(&mut arena, (6, false), &cfg6, (2, Role::Provider), advert);
         assert_eq!(second, first, "equal effects ⇒ one shared RIB route");
-        assert_eq!(copies, one_handle);
+        assert_eq!(copies(stats), one_handle);
+        assert_eq!((stats.interns, stats.mints), (1, 0));
         assert_eq!(arena.len(), len, "the second import minted nothing");
         // Vendors differ only in an added-community cap (32 or none) that
         // at most two ingress tags never reach, so a Cisco receiver shares
@@ -1641,14 +1733,7 @@ mod tests {
     fn attributes_are_copied_to_add_no_export_and_once_per_export_that_mints() {
         // The copy-on-write counts, one operation at a time (the engine and
         // campaign tests count whole floods).
-        let shared = Copies {
-            handles: 1,
-            attrs: 0,
-        };
-        let copied = Copies {
-            handles: 1,
-            attrs: 1,
-        };
+        let (shared, copied) = ((1, 0), (1, 1));
         let mut arena = RouteArena::new();
         let trigger = arena.intern(incoming(2, &[2, 1], &[Community::BLACKHOLE]));
         let mut cfg = RouterConfig::defaults(Asn::new(5));
@@ -1656,39 +1741,51 @@ mod tests {
             set_no_export: false,
             ..BlackholeService::default()
         });
-        let (plain, copies) =
-            copies_during(|| deliver(&mut arena, (5, false), &cfg, (2, Role::Customer), trigger));
-        assert_eq!(copies, shared, "an import that adds no community");
+        let (plain, stats) =
+            deliver_counted(&mut arena, (5, false), &cfg, (2, Role::Customer), trigger);
+        assert_eq!(copies(stats), shared, "an import that adds no community");
         cfg.services.blackhole = Some(BlackholeService::default());
-        let (rtbh, copies) =
-            copies_during(|| deliver(&mut arena, (5, false), &cfg, (2, Role::Customer), trigger));
-        assert_eq!(copies, copied, "NO_EXPORT goes onto the import's own copy");
+        let (rtbh, stats) =
+            deliver_counted(&mut arena, (5, false), &cfg, (2, Role::Customer), trigger);
+        assert_eq!(
+            copies(stats),
+            copied,
+            "NO_EXPORT goes onto the import's own copy"
+        );
+        assert_eq!(stats.attr_copies[CopySite::Import as usize], 1);
         assert!(arena.get(rtbh).has_community(Community::NO_EXPORT));
         for sibling in [trigger, plain] {
             assert_eq!(arena.get(sibling).communities, [Community::BLACKHOLE]);
         }
 
         let mut export = |best: RouteId| {
-            copies_during(|| {
-                export_from_best(
-                    Asn::new(5),
-                    false,
-                    "10.0.0.0/24".parse().unwrap(),
-                    best,
-                    Some(Role::Customer),
-                    &cfg,
-                    Asn::new(7),
-                    Role::Provider,
-                    &mut arena,
-                )
-            })
+            let mut stats = FloodStats::default();
+            let out = export_from_best(
+                Asn::new(5),
+                false,
+                "10.0.0.0/24".parse().unwrap(),
+                best,
+                Some(Role::Customer),
+                &cfg,
+                Asn::new(7),
+                Role::Provider,
+                &mut arena,
+                &mut stats,
+            );
+            (out, stats)
         };
-        let (out, copies) = export(plain);
+        let (out, stats) = export(plain);
         assert!(out.is_some());
-        assert_eq!(copies, copied, "an export edits the path of its own copy");
         assert_eq!(
-            export(rtbh),
-            (None, Copies::NONE),
+            copies(stats),
+            copied,
+            "an export edits the path of its own copy"
+        );
+        assert_eq!(stats.attr_copies[CopySite::Export as usize], 1);
+        let (out, stats) = export(rtbh);
+        assert_eq!(
+            (out, copies(stats)),
+            (None, (0, 0)),
             "refused before the copy"
         );
         assert_eq!(

@@ -41,14 +41,15 @@
 //! arena exactly as the flood left them. There is no second state format.
 //!
 //! Reuse is semantically invisible: `tests/determinism.rs` pins
-//! scratch-reuse ≡ fresh-state-per-prefix on random worlds, and
-//! `scratch_builds` is the alloc-counting double (compiled into the unit
-//! tests only, like the route clone counters) that locks in "the second
-//! prefix of a campaign allocates no RIB arrays".
+//! scratch-reuse ≡ fresh-state-per-prefix on random worlds. The worker pool
+//! builds one scratch per worker (`shard.rs` counts its worker states), and
+//! `begin_prefix` keeps every array's allocation (this module's tests), so
+//! a campaign's second prefix allocates no RIB arrays.
 
 use crate::engine::{Event, PrefixOutcome};
 use crate::route::{RouteArena, RouteId};
 use crate::router::RibEntry;
+use crate::stats::FloodStats;
 use bgpworms_topology::Role;
 use bgpworms_types::Prefix;
 
@@ -206,8 +207,6 @@ impl SimScratch {
     /// Allocates scratch for a network of `n_nodes` nodes, `n_slots` total
     /// directed-edge slots, and `n_monitor_sessions` collector sessions.
     pub(crate) fn new(n_nodes: usize, n_slots: usize, n_monitor_sessions: usize) -> Self {
-        #[cfg(test)]
-        SCRATCH_BUILDS.with(|c| c.set(c.get() + 1));
         SimScratch {
             epoch: 0,
             node_epoch: vec![0; n_nodes],
@@ -280,6 +279,8 @@ pub struct SimSnapshot {
     /// event count, convergence flag, retained routes. A delta run starts
     /// from a copy of the first three and appends; it rebuilds the routes.
     pub(crate) outcome: PrefixOutcome,
+    /// What the capture flood did, and what copying its outcome in cloned.
+    pub(crate) stats: FloodStats,
 }
 
 impl SimSnapshot {
@@ -294,25 +295,13 @@ impl SimSnapshot {
     pub fn baseline_outcome(&self) -> &PrefixOutcome {
         &self.outcome
     }
-}
 
-#[cfg(test)]
-thread_local! {
-    /// Alloc-counting test double: every full [`SimScratch`] array
-    /// allocation on this thread bumps the counter. The whole point of the
-    /// scratch is that this happens once per worker, not once per prefix.
-    static SCRATCH_BUILDS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// Total scratch-state allocations (one per `SimScratch` built) performed
-/// on the current thread so far.
-///
-/// Tests snapshot this around a multi-prefix campaign to assert that every
-/// prefix after the first reuses the worker's arrays instead of
-/// re-allocating them; deltas are meaningful, absolute values are not.
-#[cfg(test)]
-pub(crate) fn scratch_builds() -> u64 {
-    SCRATCH_BUILDS.with(|c| c.get())
+    /// What the flood that captured this snapshot did: its counters, plus
+    /// the handles the snapshot's copy of the outcome cloned
+    /// (`CloneSite::SnapshotClone`).
+    pub fn stats(&self) -> FloodStats {
+        self.stats
+    }
 }
 
 #[cfg(test)]
@@ -343,7 +332,27 @@ mod tests {
         let stale = s.arena.intern(crate::route::Route::originate(vec![]));
         s.monitor_state[1] = Some(stale);
         s.dirty.insert(2);
+        let arrays = (
+            s.node_epoch.as_ptr(),
+            s.rib_in.as_ptr(),
+            s.exported.as_ptr(),
+            s.local.as_ptr(),
+            s.last_emit_best.as_ptr(),
+            s.monitor_state.as_ptr(),
+        );
         s.begin_prefix();
+        assert_eq!(
+            arrays,
+            (
+                s.node_epoch.as_ptr(),
+                s.rib_in.as_ptr(),
+                s.exported.as_ptr(),
+                s.local.as_ptr(),
+                s.last_emit_best.as_ptr(),
+                s.monitor_state.as_ptr(),
+            ),
+            "the next prefix reuses every array the scratch was built with"
+        );
         assert_eq!(s.epoch, 2);
         assert!(s.touched.is_empty());
         assert!(s.dirty.is_empty());
@@ -367,13 +376,5 @@ mod tests {
             s.node_epoch.iter().all(|&e| e == 0),
             "wrap must not leave any node accidentally live"
         );
-    }
-
-    #[test]
-    fn builds_are_counted() {
-        let before = scratch_builds();
-        let _a = SimScratch::new(2, 2, 0);
-        let _b = SimScratch::new(2, 2, 0);
-        assert_eq!(scratch_builds() - before, 2);
     }
 }

@@ -877,6 +877,40 @@ impl CampaignSink for KeyedSink {
     }
 }
 
+/// The five-way split of a campaign's feeds — first, path change,
+/// community-only, duplicate, withdrawal, as `bgpworms_routesim::UpdateKind`
+/// orders them — classified here per (collector, peer, prefix) in feed
+/// order: an announcement where the peer held nothing is a first; else it
+/// changed the path, or only the communities, or nothing.
+fn feed_split(sink: &KeyedSink) -> [u64; 5] {
+    let mut split = [0; 5];
+    for outcome in sink.0.values() {
+        for feed in &outcome.observations {
+            let mut held: BTreeMap<Asn, &Route> = BTreeMap::new();
+            for obs in feed {
+                let kind = match (&obs.route, held.get(&obs.peer)) {
+                    (None, _) => 4,
+                    (Some(_), None) => 0,
+                    (Some(now), Some(was)) if now.path != was.path => 1,
+                    (Some(now), Some(was))
+                        if now.communities != was.communities
+                            || now.large_communities != was.large_communities =>
+                    {
+                        2
+                    }
+                    (Some(_), Some(_)) => 3,
+                };
+                split[kind] += 1;
+                match &obs.route {
+                    Some(route) => held.insert(obs.peer, route),
+                    None => held.remove(&obs.peer),
+                };
+            }
+        }
+    }
+    split
+}
+
 /// Rebuilds the [`SimResult`] a plain [`CompiledSim::run`] would have
 /// produced from a [`KeyedSink`] aggregate — what `run` does to finish its
 /// own sink, re-derived independently on top of the streaming API.
@@ -1288,11 +1322,21 @@ proptest! {
     /// Flood memoization: replaying one class representative's outcome for
     /// every class member must be bit-identical to simulating each member
     /// individually — on arbitrary worlds, across `threads = 1/N`, with
-    /// identical class-hit counters on both paths.
+    /// identical class-hit counters on both paths. So must the flood
+    /// counters (a replay reports its representative's, so they also check
+    /// the classifier), which hold their own books: unread drops and
+    /// admissions partition the deliveries, a converged campaign drains
+    /// exactly its events, nothing mints without an intern, and the
+    /// five-way split of emitted updates is the feed's.
     #[test]
     fn memoization_never_changes_campaign_output(raw in arb_world(), threads in 2usize..6) {
         let (topo, configs, collectors, originations) = build_world(&raw);
+        let one_session_per_peer = collectors.iter().all(|c| {
+            let peers: BTreeSet<Asn> = c.peers.iter().map(|&(asn, _)| asn).collect();
+            peers.len() == c.peers.len()
+        });
         let spec = spec_for(&topo, configs, collectors);
+        let mut sequential = None;
         for t in [1, threads] {
             let sim = spec.clone().threads(t).compile();
             let memoized = Campaign::new(&sim).run(&originations, KeyedSink::default);
@@ -1310,6 +1354,22 @@ proptest! {
                 memoized.sink.0.len() as u64,
                 "counters must partition the prefix set"
             );
+
+            let stats = memoized.stats;
+            prop_assert_eq!(stats, plain.stats, "a replay reported other counters, threads = {}", t);
+            prop_assert_eq!(*sequential.get_or_insert(stats), stats, "threads = {}", t);
+            let admitted: u64 = stats.admissions.iter().sum();
+            prop_assert_eq!(stats.dropped_unread + admitted, stats.deliveries);
+            if memoized.converged {
+                prop_assert_eq!(stats.deliveries, memoized.events);
+            }
+            prop_assert!(stats.mints <= stats.interns);
+            let feeds = memoized.sink.0.values().flat_map(|o| o.observations.iter());
+            let emitted: usize = feeds.map(Vec::len).sum();
+            prop_assert_eq!(stats.updates.iter().sum::<u64>(), emitted as u64);
+            if one_session_per_peer {
+                prop_assert_eq!(stats.updates, feed_split(&memoized.sink), "threads = {}", t);
+            }
         }
     }
 
@@ -1374,6 +1434,10 @@ proptest! {
         prop_assert_eq!(&base, &sim.run(&baseline), "run_snapshot changed the run");
         let replayed = sim.run_delta(&snap, &delta);
         let outcome = sim.run_delta_prefix(&snap, &delta);
+        if outcome.0.converged {
+            let added = outcome.0.events - snap.baseline_outcome().events;
+            prop_assert_eq!(outcome.1.deliveries, added, "a delta drains what it adds");
+        }
 
         for t in [1, threads] {
             let sim = spec.clone().threads(t).compile();
@@ -1383,18 +1447,19 @@ proptest! {
             );
             let streamed = Campaign::new(&sim).run(&whole, KeyedSink::default);
             prop_assert_eq!(
-                &streamed.sink.0[&target], &outcome,
+                &streamed.sink.0[&target], &outcome.0,
                 "delta diverged from the prefix's fold in the whole schedule, threads = {}", t
             );
         }
 
         // A snapshot outlives its session: a separately compiled
         // `threads = N` session continues `snap` to the same outcome, and its
-        // own snapshot flood is the `threads = 1` one.
+        // own snapshot flood is the `threads = 1` one — counters included.
         let sim = spec.threads(threads).compile();
         prop_assert_eq!(&sim.run_delta_prefix(&snap, &delta), &outcome);
         let (par_base, par_snap) = sim.run_snapshot(&baseline, target);
         prop_assert_eq!(&par_base, &base, "snapshot run diverged");
+        prop_assert_eq!(par_snap.stats(), snap.stats(), "snapshot counters diverged");
         prop_assert_eq!(&sim.run_delta_prefix(&par_snap, &delta), &outcome);
     }
 
@@ -1632,7 +1697,7 @@ proptest! {
             combined.push(delta.clone());
             let (base, snap) = sim.run_snapshot(baseline, target);
             prop_assert_eq!(&base, &sim.run(baseline), "snapshot ≢ its campaign");
-            let got = sim.run_delta_prefix(&snap, std::slice::from_ref(&delta));
+            let (got, _) = sim.run_delta_prefix(&snap, std::slice::from_ref(&delta));
             let campaign = Campaign::new(&sim).run(&combined, KeyedSink::default);
             prop_assert_eq!(&got, &campaign.sink.0[&target], "delta {:?}", delta);
 
@@ -1653,7 +1718,7 @@ proptest! {
             };
             prop_assert_eq!(&got, &expected, "delta {:?}", delta);
             // An `All` session continues the same snapshot in full.
-            let whole = full.run_delta_prefix(&snap, std::slice::from_ref(&delta));
+            let (whole, _) = full.run_delta_prefix(&snap, std::slice::from_ref(&delta));
             prop_assert_eq!(&whole, reference, "retained delta {:?}", delta);
         }
     }
@@ -1699,7 +1764,7 @@ proptest! {
         };
         let outcomes = [&untapped, &tapped].map(|sim| {
             let (base, snap) = sim.run_snapshot(&baseline, target);
-            let outcome = sim.run_delta_prefix(&snap, std::slice::from_ref(&delta));
+            let (outcome, _) = sim.run_delta_prefix(&snap, std::slice::from_ref(&delta));
             (base, outcome)
         });
         let [(got_base, got), (want_base, want)] = outcomes;

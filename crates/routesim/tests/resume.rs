@@ -7,11 +7,13 @@
 //! after chunk `k`, in a freshly compiled session, finishes exactly as the
 //! uninterrupted run does — the same `CampaignRun`, and the same final
 //! checkpoint text byte for byte — for every `k` from 0 to the last chunk,
-//! at any thread count, memoized or not.
+//! at any thread count, memoized or not. The one exception is what the run
+//! counted (`stats`, `replay_clones`): a checkpoint does not persist
+//! counters, so the resumed run counts the chunks its own process ran.
 
 use bgpworms_routesim::{
-    Campaign, CampaignCheckpoint, CampaignSink, CompiledSim, DurableSink, Origination,
-    PrefixOutcome, RetainRoutes, SimSpec,
+    Campaign, CampaignCheckpoint, CampaignRun, CampaignSink, CompiledSim, DurableSink, FloodStats,
+    Origination, PrefixOutcome, RetainRoutes, SimSpec,
 };
 use bgpworms_topology::{PrefixAllocation, Topology, TopologyParams};
 use bgpworms_types::Prefix;
@@ -89,6 +91,15 @@ fn session(topo: &Topology, threads: usize) -> CompiledSim<'_> {
         .compile()
 }
 
+/// The run without what it counted, which no checkpoint carries.
+fn uncounted<S>(run: CampaignRun<S>) -> CampaignRun<S> {
+    CampaignRun {
+        stats: FloodStats::default(),
+        replay_clones: 0,
+        ..run
+    }
+}
+
 fn driver<'s, 't>(sim: &'s CompiledSim<'t>, memoized: bool) -> Campaign<'s, 't> {
     if memoized {
         Campaign::new(sim)
@@ -146,9 +157,18 @@ fn resuming_from_the_text_persisted_after_any_chunk_is_byte_identical() {
                     want_json,
                     "{at}: final checkpoint text differs"
                 );
+                let resumed = campaign.resume(&eps, cp, Ledger::default);
+                // Counted from nothing: all of the run's floods when no
+                // chunk was persisted, none when every chunk was.
+                let counted = match k {
+                    0 => want.stats,
+                    _ if k == chunks => FloodStats::default(),
+                    _ => resumed.stats,
+                };
+                assert_eq!(resumed.stats, counted, "{at}: counters were persisted");
                 assert_eq!(
-                    campaign.resume(&eps, cp, Ledger::default),
-                    want,
+                    uncounted(resumed),
+                    uncounted(want.clone()),
                     "{at}: resumed run differs"
                 );
             }

@@ -23,7 +23,10 @@
 //!   "likely" corpus, non-RTBH path-change inference, §7.7 fake-location
 //!   injection) — each one "generate the [`wild::World`], attach a
 //!   platform, run", the two vantage-point sweeps on the one apparatus,
-//!   [`wild::survey::SurveyContext`];
+//!   [`wild::survey::SurveyContext`]. A world draws the Internet's
+//!   policies (`Workload::policies`) and no passive episode schedule, and
+//!   a full-table campaign ([`wild::full_table`]) needs no more: nothing
+//!   here floods §4's month;
 //! * [`feasibility`] — sweeps scenario variants over policy grids to
 //!   regenerate Table 3;
 //! * [`ablation`] — proofs that the modelled rules (RTBH preference raise,

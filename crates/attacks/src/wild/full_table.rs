@@ -18,7 +18,8 @@ use bgpworms_types::Prefix;
 
 /// One announcement per allocated prefix, at a single instant (time 0),
 /// carrying the origin's configured origination tags — the steady-state
-/// table, not the day-long trickle of the workload's episode schedule.
+/// table, not the day-long trickle of the workload's episode schedule,
+/// which is never read here (a [`Workload::policies`] is all it takes).
 /// Sorted by (origin, prefix) via the allocation's iteration order.
 pub fn full_table_schedule(workload: &Workload, alloc: &PrefixAllocation) -> Vec<Origination> {
     alloc
@@ -166,7 +167,7 @@ mod tests {
         let topo = TopologyParams::tiny().seed(2018).build();
         let alloc = PrefixAllocation::assign(&topo, AddressingParams::default())
             .deaggregate(&topo, FullTableParams::default());
-        let workload = Workload::generate(&topo, &alloc, &WorkloadParams::default());
+        let workload = Workload::policies(&topo, &alloc, &WorkloadParams::default());
         (topo, alloc, workload)
     }
 

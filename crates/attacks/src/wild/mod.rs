@@ -11,7 +11,10 @@
 //! IRR + RPKI) over two platform identities; [`survey::SurveyContext`] is
 //! the apparatus of the two vantage-point sweeps (§7.3's targets, §7.6's
 //! communities).
-//! An experiment is: generate the `World`, attach, run. (§7.4's local-pref
+//! An experiment is: generate the `World`, attach, run. The world's
+//! workload is [`Workload::policies`]: every experiment announces its own
+//! prefixes, so none draws §4's passive episode schedule.
+//! (§7.4's local-pref
 //! pair overrides a config per candidate, so it keeps its per-candidate
 //! `.configure(..)` session and its `run_snapshot` + `run_delta` pair;
 //! [`full_table`]'s caller owns a deaggregated Internet and passes it in.)
@@ -61,17 +64,18 @@ pub struct World {
     /// Prefix ground truth.
     pub alloc: PrefixAllocation,
     /// The policy workload (plus the attached platforms' configs and
-    /// registry objects).
+    /// registry objects). It carries no episode schedule: every §7
+    /// experiment announces its own prefixes, so `originations` is empty.
     pub workload: Workload,
 }
 
 impl World {
     /// Generates the topology, allocates its prefixes and draws the policy
-    /// workload.
+    /// workload ([`Workload::policies`]: no passive schedule).
     pub fn generate(topo: &TopologyParams, workload: &WorkloadParams) -> Self {
         let topo = topo.build();
         let alloc = PrefixAllocation::assign(&topo, AddressingParams::default());
-        let workload = Workload::generate(&topo, &alloc, workload);
+        let workload = Workload::policies(&topo, &alloc, workload);
         World {
             topo,
             alloc,
@@ -156,6 +160,20 @@ impl World {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_world_draws_the_policies_and_no_schedule() {
+        let (topo, params) = (TopologyParams::tiny().seed(8), WorkloadParams::default());
+        let world = World::generate(&topo, &params);
+        assert!(
+            world.workload.originations.is_empty(),
+            "no §7 path floods it"
+        );
+        let mut full = Workload::generate(&world.topo, &world.alloc, &params);
+        assert!(!full.originations.is_empty());
+        full.originations.clear();
+        assert_eq!(format!("{:?}", world.workload), format!("{full:?}"));
+    }
 
     #[test]
     fn platforms_attach_with_expected_sessions() {

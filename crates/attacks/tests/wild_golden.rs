@@ -236,7 +236,7 @@ fn golden_full_table_sampled() {
     let topo = TopologyParams::small().seed(2018).build();
     let alloc = PrefixAllocation::assign(&topo, AddressingParams::default())
         .deaggregate(&topo, FullTableParams::default());
-    let workload = Workload::generate(&topo, &alloc, &WorkloadParams::default());
+    let workload = Workload::policies(&topo, &alloc, &WorkloadParams::default());
     let report = full_table::run_full_table(&workload, &topo, &alloc, Some(alloc.len() / 2), 1);
     let run = &report.run;
     let summary = (

@@ -183,6 +183,9 @@ fn main() {
         println!("=== {} ===\n{text}", a.name);
         write_out(&run.opts.out, a.name, &text);
     }
+    if let Some(mb) = peak_rss_mb() {
+        eprintln!("[repro] peak resident set: {mb:.1} MB");
+    }
     if run.degraded {
         eprintln!("[repro] one or more artefacts were degraded (see DEGRADED lines above)");
         std::process::exit(1);
@@ -206,6 +209,15 @@ impl Run {
             snap
         })
     }
+}
+
+/// This process's peak resident set in MB (`VmHWM` in `/proc/self/status`),
+/// or `None` where that file or line is absent.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let hwm = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kb: f64 = hwm.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    Some(kb / 1024.0)
 }
 
 fn write_out(dir: &Path, name: &str, text: &str) {
@@ -960,7 +972,7 @@ fn full_table_campaign(opts: &Options, degraded: &mut bool) -> String {
     );
     let alloc = PrefixAllocation::assign(topo, AddressingParams { seed: opts.seed })
         .deaggregate(topo, FullTableParams { seed: opts.seed });
-    let workload = bgpworms_routesim::Workload::generate(
+    let workload = bgpworms_routesim::Workload::policies(
         topo,
         &alloc,
         &WorkloadParams {

@@ -19,7 +19,7 @@ use bgpworms_mrt::{ArchiveInput, MrtError, MrtWriter, PeerEntry, RibEntry, Table
 use bgpworms_types::{
     AsPath, Asn, Community, LargeCommunity, Origin, PathAttributes, Prefix, RouteUpdate,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::{IpAddr, Ipv4Addr};
 
 /// What a collector peer session carries (§4.1: "Some BGP peers send full
@@ -269,6 +269,12 @@ impl From<CollectorArchive> for ArchiveInput {
 }
 
 /// Archives every collector of a finished run.
+///
+/// A session is archived under its peer's ASN and [`peer_ip`], so two
+/// sessions of one collector with the same peer AS would interleave into
+/// one feed no reader can split: such a spec is refused, with an
+/// [`std::io::ErrorKind::InvalidInput`] error naming the collector and
+/// the peer.
 pub fn archive_all(
     specs: &[CollectorSpec],
     observations: &BTreeMap<String, Vec<CollectorObservation>>,
@@ -276,6 +282,11 @@ pub fn archive_all(
 ) -> Result<Vec<CollectorArchive>, MrtError> {
     let mut out = Vec::with_capacity(specs.len());
     for spec in specs {
+        let mut seen = BTreeSet::new();
+        if let Some((peer, _)) = spec.peers.iter().find(|(peer, _)| !seen.insert(*peer)) {
+            let msg = format!("collector {} lists peer {peer} twice", spec.name);
+            return Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, msg).into());
+        }
         let obs = observations
             .get(&spec.name)
             .map(Vec::as_slice)
@@ -429,5 +440,26 @@ mod tests {
         assert_eq!(archives.len(), 1);
         assert!(!archives[0].updates_mrt.is_empty());
         assert!(!archives[0].rib_mrt.is_empty());
+    }
+
+    #[test]
+    fn archive_all_refuses_a_collector_that_lists_a_peer_twice() {
+        // Both sessions would archive under AS2 and one peer address.
+        let specs = vec![CollectorSpec {
+            name: "rrc00".into(),
+            platform: "RIS".into(),
+            collector_id: 1,
+            peers: vec![
+                (Asn::new(2), FeedKind::Full),
+                (Asn::new(2), FeedKind::CustomerRoutesOnly),
+            ],
+        }];
+        let mut observations = BTreeMap::new();
+        observations.insert("rrc00".to_string(), vec![obs(1, 2, "10.0.0.0/16", true)]);
+        let err = archive_all(&specs, &observations, 50).expect_err("refused");
+        assert_eq!(
+            err.to_string(),
+            "I/O error: collector rrc00 lists peer AS2 twice"
+        );
     }
 }

@@ -521,7 +521,8 @@ pub struct CompiledSim<'a> {
     retain: RetainRoutes,
     threads: usize,
     /// Event budget per prefix (hoisted out of the prefix loop: the edge
-    /// sum is one counter read). Crate tests set it directly.
+    /// sum is one counter read). Crate tests set it directly, integration
+    /// tests through [`CompiledSim::with_event_budget`].
     pub(crate) event_budget: u64,
     /// Compiled prefix-sensitivity summary for flood memoization — see
     /// `classify`.
@@ -537,6 +538,15 @@ impl<'a> CompiledSim<'a> {
     /// Current worker-thread count.
     pub fn threads(&self) -> usize {
         self.threads
+    }
+
+    /// This session with every flood cut after `budget` deliveries instead
+    /// of the topology-sized default — how a test walks a flood's every
+    /// cut, so only tests want it.
+    #[doc(hidden)]
+    pub fn with_event_budget(mut self, budget: u64) -> Self {
+        self.event_budget = budget;
+        self
     }
 
     /// Collector names in spec order — the index space of

@@ -1,6 +1,8 @@
 //! Workload generation: assigns every AS a policy/service configuration
-//! drawn from a calibrated mix, builds the four collector platforms, and
-//! produces a month-like stream of origination/churn/RTBH episodes.
+//! drawn from a calibrated mix, builds the four collector platforms and the
+//! registries ([`Workload::policies`]), and, for the passive measurement
+//! only, draws a month-like stream of origination/churn/RTBH episodes on
+//! top ([`Workload::generate`]).
 //!
 //! The paper's headline statistics (75 % of updates carry communities, 14 %
 //! of transit ASes forward foreign communities, 50 % of communities travel
@@ -125,8 +127,10 @@ pub struct WorkloadParams {
     /// Probability a Cisco router has `send-community` configured.
     pub cisco_send_community_prob: f64,
     /// Number of churn rounds (re-announcements with changed attributes).
+    /// Shapes the episode schedule only: [`Workload::policies`] ignores it.
     pub churn_rounds: u32,
     /// Probability an origin AS runs one RTBH episode during the window.
+    /// Shapes the episode schedule only: [`Workload::policies`] ignores it.
     pub rtbh_episode_prob: f64,
     /// Probability a 4-byte-ASN origin has adopted RFC 8092 large
     /// communities for its informational tags; the rest bundle with
@@ -160,14 +164,23 @@ impl Default for WorkloadParams {
     }
 }
 
-/// A fully generated workload, ready to simulate.
+/// A generated workload: the Internet's routing policies (per-AS configs,
+/// collectors, IRR and RPKI), plus, out of [`Workload::generate`], the
+/// passive month's episode schedule.
+///
+/// The schedule is the last thing drawn, so the policies do not depend on
+/// it: [`Workload::policies`] is [`Workload::generate`] with
+/// `originations` empty, field for field. A caller that announces its own
+/// prefixes over the policies (the §7 experiments, a full-table campaign)
+/// takes `policies`; a caller that floods the month takes `generate`.
 #[derive(Debug, Clone)]
 pub struct Workload {
     /// Per-AS configurations.
     pub configs: BTreeMap<Asn, RouterConfig>,
     /// Collector platforms.
     pub collectors: Vec<CollectorSpec>,
-    /// All origination episodes, time-ordered.
+    /// All origination episodes, time-ordered. Empty out of
+    /// [`Workload::policies`].
     pub originations: Vec<Origination>,
     /// The IRR seeded with ground truth.
     pub irr: IrrDatabase,
@@ -176,20 +189,43 @@ pub struct Workload {
 }
 
 impl Workload {
-    /// Generates the full workload for `topo` + `alloc`.
+    /// Generates the full workload for `topo` + `alloc`: the
+    /// [`Workload::policies`], then the episode schedule, drawn from where
+    /// the policies left the RNG stream.
     pub fn generate(topo: &Topology, alloc: &PrefixAllocation, params: &WorkloadParams) -> Self {
+        let (mut workload, mut rng) = Self::draw_policies(topo, alloc, params);
+        workload.originations =
+            build_originations(topo, alloc, &workload.configs, params, &mut rng);
+        workload
+    }
+
+    /// The routing policies for `topo` + `alloc` without the episode
+    /// schedule: the configs, collectors and registries
+    /// [`Workload::generate`] draws, equal to its own, and no
+    /// `originations`.
+    pub fn policies(topo: &Topology, alloc: &PrefixAllocation, params: &WorkloadParams) -> Self {
+        Self::draw_policies(topo, alloc, params).0
+    }
+
+    /// The draws both constructors share, and the stream the schedule
+    /// continues.
+    fn draw_policies(
+        topo: &Topology,
+        alloc: &PrefixAllocation,
+        params: &WorkloadParams,
+    ) -> (Self, StdRng) {
         let mut rng = StdRng::seed_from_u64(params.seed ^ 0x0420_1800_0000_0000);
         let configs = assign_configs(topo, params, &mut rng);
         let collectors = build_collectors(topo, &mut rng);
         let (irr, rpki) = build_registries(alloc);
-        let originations = build_originations(topo, alloc, &configs, params, &mut rng);
-        Workload {
+        let workload = Workload {
             configs,
             collectors,
-            originations,
+            originations: Vec::new(),
             irr,
             rpki,
-        }
+        };
+        (workload, rng)
     }
 
     /// Wires the workload into a [`SimSpec`] over `topo` — **by
@@ -613,6 +649,44 @@ mod tests {
         for (asn, cfg) in &a.configs {
             assert_eq!(cfg, &b.configs[asn]);
         }
+    }
+
+    #[test]
+    fn policies_are_generate_without_the_schedule() {
+        use bgpworms_topology::FullTableParams;
+        let presets = [
+            TopologyParams::tiny(),
+            TopologyParams::small(),
+            TopologyParams::medium(),
+        ];
+        for preset in presets {
+            for seed in [4, 2018, 1809] {
+                let topo = preset.clone().seed(seed).build();
+                let alloc = PrefixAllocation::assign(&topo, AddressingParams { seed });
+                let params = WorkloadParams {
+                    seed,
+                    ..WorkloadParams::default()
+                };
+                let mut full = Workload::generate(&topo, &alloc, &params);
+                assert!(!full.originations.is_empty());
+                full.originations.clear();
+                let policies = Workload::policies(&topo, &alloc, &params);
+                assert!(policies.originations.is_empty());
+                let n = topo.len();
+                assert_eq!(
+                    format!("{policies:?}"),
+                    format!("{full:?}"),
+                    "{n} ASes, seed {seed}"
+                );
+            }
+        }
+        let topo = TopologyParams::small().seed(2018).build();
+        let alloc = PrefixAllocation::assign(&topo, AddressingParams::default())
+            .deaggregate(&topo, FullTableParams::default());
+        let mut full = Workload::generate(&topo, &alloc, &WorkloadParams::default());
+        full.originations.clear();
+        let policies = Workload::policies(&topo, &alloc, &WorkloadParams::default());
+        assert_eq!(format!("{policies:?}"), format!("{full:?}"), "deaggregated");
     }
 
     #[test]

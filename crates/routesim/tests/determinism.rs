@@ -23,6 +23,12 @@
 //!   session after **every** episode, the long way
 //!   (`NodeState::export_for`: rescan the RIB, re-derive the export), and
 //!   must report the same observations, row for row.
+//! * **Collector-sweep transparency under a budget cut** — a flood cut by
+//!   its event budget leaves nodes holding routes no export pass looked
+//!   at, so the engine asks every session instead of the ones a pass
+//!   named. Cut at every budget below its converged delivery count, it
+//!   must report what a reference with the engine's own batching, cut at
+//!   the same delivery, hears by asking every session the long way.
 //! * **Scratch-reuse transparency** — a multi-prefix schedule runs every
 //!   prefix on a worker's recycled `SimScratch` (generation-stamped flat
 //!   RIB arrays, reset arena/queue/dirty set), while a schedule of one
@@ -471,35 +477,91 @@ fn reference_run(
     collectors: &[CollectorSpec],
     originations: &[Origination],
 ) -> Option<(ReferenceRoutes, ReferenceFeeds)> {
-    let inverse = |role: Role| match role {
-        Role::Customer => Role::Provider,
-        Role::Provider => Role::Customer,
-        Role::Peer => Role::Peer,
-    };
-    // `SimSpec::configure` semantics: a later config for the same ASN
-    // replaces the earlier one (the raw worlds do produce duplicates).
-    let mut by_asn: BTreeMap<Asn, &RouterConfig> = BTreeMap::new();
-    for cfg in configs {
-        by_asn.insert(cfg.asn, cfg);
-    }
-    let dense_cfgs: Vec<RouterConfig> = topo
-        .node_ids()
-        .map(|id| {
-            let asn = topo.asn_of(id);
-            by_asn
-                .get(&asn)
-                .map(|c| (*c).clone())
-                .unwrap_or_else(|| RouterConfig::defaults(asn))
-        })
-        .collect();
-    let irr = IrrDatabase::new();
-    let rpki = IrrDatabase::new();
-    let vctx = ValidationCtx {
-        irr: &irr,
-        rpki: &rpki,
-    };
+    let world = RefWorld::new(topo, configs, collectors);
     let budget = (topo.adjacency_len() as u64 * 64).max(10_000);
+    let mut feeds = world.empty_feeds();
+    let mut out = BTreeMap::new();
+    for (prefix, episodes) in by_prefix(originations) {
+        let mut flood = RefFlood::new(&world, prefix);
+        for ep in episodes {
+            let Some(origin) = flood.originate(ep) else {
+                continue;
+            };
+            // Per-import immediate re-export, exactly the pre-batching shape.
+            flood.emit(origin);
+            while let Some(ev) = flood.queue.pop_front() {
+                flood.events += 1;
+                if flood.events > budget {
+                    return None;
+                }
+                let to = flood.import(ev);
+                flood.emit(to);
+            }
+            flood.sweep(ep.time, &mut feeds);
+        }
 
+        let mut finals = BTreeMap::new();
+        for id in topo.node_ids() {
+            if let Some(best) = flood.routers.node(id).best(&flood.arena) {
+                finals.insert(topo.asn_of(id), best.clone());
+            }
+        }
+        out.insert(prefix, finals);
+    }
+    sort_feeds(&mut feeds);
+    Some((out, feeds))
+}
+
+/// The engine's own batching, cut where its event budget cuts it: after
+/// an origination, a FIFO queue is drained between export rounds over
+/// the dirty nodes in ascending order, every delivery counts against
+/// `budget`, and the first one past it abandons the queue and the dirty
+/// set — nodes keep what they imported without an export pass, and no
+/// later episode delivers anything. After every episode it asks every
+/// session the long way, as `reference_run` does. It witnesses
+/// `a_cut_flood_reports_what_every_session_holds`: the engine's sweep of
+/// a flood cut by its budget equals the full sweep.
+fn cut_flood_reference(
+    topo: &Topology,
+    configs: &[RouterConfig],
+    collectors: &[CollectorSpec],
+    originations: &[Origination],
+    budget: u64,
+) -> ReferenceFeeds {
+    let world = RefWorld::new(topo, configs, collectors);
+    let mut feeds = world.empty_feeds();
+    for (prefix, episodes) in by_prefix(originations) {
+        let mut flood = RefFlood::new(&world, prefix);
+        let mut dirty: BTreeSet<NodeId> = BTreeSet::new();
+        for ep in episodes {
+            let Some(origin) = flood.originate(ep) else {
+                continue;
+            };
+            dirty.insert(origin);
+            'converge: while !dirty.is_empty() {
+                for id in std::mem::take(&mut dirty) {
+                    flood.emit(id);
+                }
+                while let Some(ev) = flood.queue.pop_front() {
+                    flood.events += 1;
+                    if flood.events > budget {
+                        flood.queue.clear();
+                        break 'converge;
+                    }
+                    dirty.insert(flood.import(ev));
+                }
+            }
+            dirty.clear();
+            flood.sweep(ep.time, &mut feeds);
+        }
+    }
+    sort_feeds(&mut feeds);
+    feeds
+}
+
+/// A schedule's episodes per prefix, each prefix's in time order (stable,
+/// as the engine orders them).
+fn by_prefix(originations: &[Origination]) -> BTreeMap<Prefix, Vec<&Origination>> {
     let mut by_prefix: BTreeMap<Prefix, Vec<&Origination>> = BTreeMap::new();
     for o in originations {
         by_prefix.entry(o.prefix).or_default().push(o);
@@ -507,128 +569,190 @@ fn reference_run(
     for eps in by_prefix.values_mut() {
         eps.sort_by_key(|o| o.time);
     }
+    by_prefix
+}
 
-    struct Ev {
-        from: NodeId,
-        to: NodeId,
-        to_slot: usize,
-        sender_role: Role,
-        route: Option<RouteId>,
-    }
-
-    // Sessions in spec order; peers outside the topology have none.
-    let sessions: Vec<(&str, NodeId, Role)> = collectors
-        .iter()
-        .flat_map(|spec| {
-            spec.peers
-                .iter()
-                .map(move |peer| (spec.name.as_str(), peer))
-        })
-        .filter_map(|(name, &(peer, feed))| {
-            let monitor_role = match feed {
-                FeedKind::Full => Role::Customer,
-                FeedKind::CustomerRoutesOnly => Role::Peer,
-            };
-            Some((name, topo.node_id(peer)?, monitor_role))
-        })
-        .collect();
-    let mut feeds: ReferenceFeeds = collectors
-        .iter()
-        .map(|spec| (spec.name.clone(), Vec::new()))
-        .collect();
-
-    let mut out = BTreeMap::new();
-    for (prefix, episodes) in by_prefix {
-        let mut arena = RouteArena::new();
-        let mut routers = RefRouters::new(topo, prefix);
-        let mut queue: VecDeque<Ev> = VecDeque::new();
-        let mut events = 0u64;
-        let mut advertised: Vec<Option<RouteId>> = vec![None; sessions.len()];
-
-        // Per-import immediate re-export, exactly the pre-batching shape.
-        let emit = |id: NodeId,
-                    routers: &mut RefRouters<'_>,
-                    arena: &mut RouteArena,
-                    queue: &mut VecDeque<Ev>,
-                    dense_cfgs: &[RouterConfig]| {
-            let cfg = &dense_cfgs[id.index()];
-            let mut router = routers.node(id);
-            for (slot, &(nb, role, rev)) in topo.neighbors_ix(id).iter().enumerate() {
-                let new = router.export_for(cfg, topo.asn_of(nb), role, arena);
-                if let Some(update) = router.diff_export(slot, new) {
-                    queue.push_back(Ev {
-                        from: id,
-                        to: nb,
-                        to_slot: rev as usize,
-                        sender_role: inverse(role),
-                        route: update,
-                    });
-                }
-            }
-        };
-
-        for ep in episodes {
-            let Some(origin) = topo.node_id(ep.origin) else {
-                continue;
-            };
-            assert!(ep.forged_origin.is_none(), "reference skips forged paths");
-            let local = (!ep.withdraw).then(|| {
-                arena.intern(
-                    Route::originate(ep.communities.clone())
-                        .with_large_communities(ep.large_communities.clone()),
-                )
-            });
-            routers.node(origin).set_local(local);
-            emit(origin, &mut routers, &mut arena, &mut queue, &dense_cfgs);
-            while let Some(ev) = queue.pop_front() {
-                events += 1;
-                if events > budget {
-                    return None;
-                }
-                let cfg = &dense_cfgs[ev.to.index()];
-                routers.node(ev.to).import(
-                    cfg,
-                    topo.asn_of(ev.from),
-                    ev.to_slot,
-                    ev.sender_role,
-                    ev.route,
-                    &mut arena,
-                    vctx,
-                );
-                emit(ev.to, &mut routers, &mut arena, &mut queue, &dense_cfgs);
-            }
-            for (&(name, peer, monitor_role), was) in sessions.iter().zip(&mut advertised) {
-                let cfg = &dense_cfgs[peer.index()];
-                let now = routers
-                    .node(peer)
-                    .export_for(cfg, MONITOR_ASN, monitor_role, &mut arena);
-                if now != *was {
-                    *was = now;
-                    feeds
-                        .get_mut(name)
-                        .expect("collector registered")
-                        .push(CollectorObservation {
-                            time: ep.time,
-                            peer: topo.asn_of(peer),
-                            prefix,
-                            route: now.map(|id| arena.get(id).clone()),
-                        });
-                }
-            }
-        }
-
-        let mut finals = BTreeMap::new();
-        for id in topo.node_ids() {
-            if let Some(best) = routers.node(id).best(&arena) {
-                finals.insert(topo.asn_of(id), best.clone());
-            }
-        }
-        out.insert(prefix, finals);
-    }
+/// A feed in `SimResult`'s order.
+fn sort_feeds(feeds: &mut ReferenceFeeds) {
     for feed in feeds.values_mut() {
         feed.sort_by_key(|o| (o.time, o.peer, o.prefix));
     }
-    Some((out, feeds))
+}
+
+/// What the reference engines read of a world: dense per-node configs and
+/// the collector sessions.
+struct RefWorld<'t> {
+    topo: &'t Topology,
+    configs: Vec<RouterConfig>,
+    collectors: Vec<String>,
+    /// Sessions in spec order: collector name, peer, the monitor's role.
+    /// Peers outside the topology have none.
+    sessions: Vec<(String, NodeId, Role)>,
+    /// The IRR and the RPKI: the raw worlds register nothing.
+    registry: IrrDatabase,
+}
+
+impl<'t> RefWorld<'t> {
+    fn new(topo: &'t Topology, configs: &[RouterConfig], collectors: &[CollectorSpec]) -> Self {
+        // `SimSpec::configure` semantics: a later config for the same ASN
+        // replaces the earlier one (the raw worlds do produce duplicates).
+        let mut by_asn: BTreeMap<Asn, &RouterConfig> = BTreeMap::new();
+        for cfg in configs {
+            by_asn.insert(cfg.asn, cfg);
+        }
+        let configs = topo
+            .node_ids()
+            .map(|id| {
+                let asn = topo.asn_of(id);
+                by_asn
+                    .get(&asn)
+                    .map(|c| (*c).clone())
+                    .unwrap_or_else(|| RouterConfig::defaults(asn))
+            })
+            .collect();
+        let sessions = collectors
+            .iter()
+            .flat_map(|spec| spec.peers.iter().map(move |peer| (&spec.name, peer)))
+            .filter_map(|(name, &(peer, feed))| {
+                let monitor_role = match feed {
+                    FeedKind::Full => Role::Customer,
+                    FeedKind::CustomerRoutesOnly => Role::Peer,
+                };
+                Some((name.clone(), topo.node_id(peer)?, monitor_role))
+            })
+            .collect();
+        RefWorld {
+            topo,
+            configs,
+            collectors: collectors.iter().map(|spec| spec.name.clone()).collect(),
+            sessions,
+            registry: IrrDatabase::new(),
+        }
+    }
+
+    fn empty_feeds(&self) -> ReferenceFeeds {
+        let names = self.collectors.iter().cloned();
+        names.map(|name| (name, Vec::new())).collect()
+    }
+}
+
+/// One update in flight in a reference flood.
+struct RefEvent {
+    from: NodeId,
+    to: NodeId,
+    to_slot: usize,
+    sender_role: Role,
+    route: Option<RouteId>,
+}
+
+/// One prefix's flood in a reference engine: the routers, the arena, the
+/// queue, the delivery count, and what each session last heard.
+struct RefFlood<'w, 't> {
+    world: &'w RefWorld<'t>,
+    prefix: Prefix,
+    routers: RefRouters<'t>,
+    arena: RouteArena,
+    queue: VecDeque<RefEvent>,
+    events: u64,
+    advertised: Vec<Option<RouteId>>,
+}
+
+impl<'w, 't> RefFlood<'w, 't> {
+    fn new(world: &'w RefWorld<'t>, prefix: Prefix) -> Self {
+        RefFlood {
+            world,
+            prefix,
+            routers: RefRouters::new(world.topo, prefix),
+            arena: RouteArena::new(),
+            queue: VecDeque::new(),
+            events: 0,
+            advertised: vec![None; world.sessions.len()],
+        }
+    }
+
+    /// Applies `ep` at its origin, which it returns (`None` outside the
+    /// topology).
+    fn originate(&mut self, ep: &Origination) -> Option<NodeId> {
+        let origin = self.world.topo.node_id(ep.origin)?;
+        assert!(ep.forged_origin.is_none(), "reference skips forged paths");
+        let local = (!ep.withdraw).then(|| {
+            self.arena.intern(
+                Route::originate(ep.communities.clone())
+                    .with_large_communities(ep.large_communities.clone()),
+            )
+        });
+        self.routers.node(origin).set_local(local);
+        Some(origin)
+    }
+
+    /// Recomputes every export of `id` and queues the changed ones, in
+    /// slot order.
+    fn emit(&mut self, id: NodeId) {
+        let topo = self.world.topo;
+        let cfg = &self.world.configs[id.index()];
+        let mut router = self.routers.node(id);
+        for (slot, &(nb, role, rev)) in topo.neighbors_ix(id).iter().enumerate() {
+            let new = router.export_for(cfg, topo.asn_of(nb), role, &mut self.arena);
+            if let Some(update) = router.diff_export(slot, new) {
+                let sender_role = match role {
+                    Role::Customer => Role::Provider,
+                    Role::Provider => Role::Customer,
+                    Role::Peer => Role::Peer,
+                };
+                self.queue.push_back(RefEvent {
+                    from: id,
+                    to: nb,
+                    to_slot: rev as usize,
+                    sender_role,
+                    route: update,
+                });
+            }
+        }
+    }
+
+    /// Delivers `ev` and returns its receiver.
+    fn import(&mut self, ev: RefEvent) -> NodeId {
+        let vctx = ValidationCtx {
+            irr: &self.world.registry,
+            rpki: &self.world.registry,
+        };
+        self.routers.node(ev.to).import(
+            &self.world.configs[ev.to.index()],
+            self.world.topo.asn_of(ev.from),
+            ev.to_slot,
+            ev.sender_role,
+            ev.route,
+            &mut self.arena,
+            vctx,
+        );
+        ev.to
+    }
+
+    /// Asks every session what its peer exports to the monitor —
+    /// `NodeState::export_for`, a RIB scan and a fresh derivation — and
+    /// records an observation at `time` where that changed.
+    fn sweep(&mut self, time: u32, feeds: &mut ReferenceFeeds) {
+        let world = self.world;
+        for ((name, peer, monitor_role), was) in world.sessions.iter().zip(&mut self.advertised) {
+            let cfg = &world.configs[peer.index()];
+            let now = self.routers.node(*peer).export_for(
+                cfg,
+                MONITOR_ASN,
+                *monitor_role,
+                &mut self.arena,
+            );
+            if now != *was {
+                *was = now;
+                let feed = feeds.get_mut(name).expect("collector registered");
+                feed.push(CollectorObservation {
+                    time,
+                    peer: world.topo.asn_of(*peer),
+                    prefix: self.prefix,
+                    route: now.map(|id| self.arena.get(id).clone()),
+                });
+            }
+        }
+    }
 }
 
 /// Where the valley-free oracle says an AS got its route from, best first —
@@ -1107,6 +1231,37 @@ proptest! {
             .collect();
         prop_assert_eq!(&replayed.observations, &reference_rows, "delta sweep diverged");
         prop_assert_eq!(&replayed, &sim.run(&own(&originations)));
+    }
+
+    /// Collector-sweep transparency where the flood is cut: each prefix of
+    /// a random world, heard by random full and customer-only sessions, is
+    /// flooded again at every event budget below what its converged flood
+    /// delivers. A cut flood abandons its dirty set, so a node can hold a
+    /// route no export pass looked at; the engine then asks every session,
+    /// and its feed must be the one `cut_flood_reference` records by
+    /// asking every session the long way after every episode — row for
+    /// row, whether the session drops deliveries to unread leaves or
+    /// retains every route.
+    #[test]
+    fn a_cut_flood_reports_what_every_session_holds(raw in arb_world()) {
+        let (topo, configs, collectors, originations) = build_world(&raw);
+        let spec = spec_for(&topo, configs.clone(), collectors.clone());
+        let sessions = [spec.clone().retain(RetainRoutes::None).compile(), spec.compile()];
+        for (prefix, episodes) in by_prefix(&originations) {
+            let own: Vec<Origination> = episodes.into_iter().cloned().collect();
+            let whole = sessions[0].run(&own);
+            if !whole.converged {
+                continue; // oscillating: its budget is the default one
+            }
+            for budget in 0..whole.events {
+                let reference = cut_flood_reference(&topo, &configs, &collectors, &own, budget);
+                for sim in &sessions {
+                    let cut = sim.clone().with_event_budget(budget).run(&own);
+                    prop_assert!(!cut.converged, "{} cut at {}", prefix, budget);
+                    prop_assert_eq!(&cut.observations, &reference, "{} cut at {}", prefix, budget);
+                }
+            }
+        }
     }
 
     /// Churn-heavy schedules — every episode immediately applied twice —

@@ -1034,8 +1034,8 @@ fn full_table_campaign(opts: &Options, degraded: &mut bool) -> String {
 /// What the snapshot's floods did, as the engine counts it: the snapshot's
 /// schedule through a campaign whose sink keeps nothing. Beside the engine's
 /// split of the collector updates it emitted, the same split classified from
-/// the parsed feed ([`bgpworms_core::UpdateSplit`]), which shares no code
-/// with the engine.
+/// the snapshot's feed ([`bgpworms_core::UpdateSplit`]), which shares no
+/// code with the engine.
 fn flood_stats(snap: &Snapshot) -> String {
     use bgpworms_core::UpdateSplit;
     use bgpworms_routesim::{router::ImportVerdict, UpdateKind};

@@ -1,12 +1,15 @@
 //! Shared harness code for the `repro` binary: builds "April 2018"-like
-//! snapshots (topology → workload → propagation → MRT archives → parsed
-//! observation set) at several scales.
+//! snapshots (topology → workload → propagation → the collectors' feed,
+//! read in memory as an observation set) at several scales. `repro`
+//! writes no MRT: the codec is exercised by its own tests and the
+//! benchmark.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use bgpworms_core::{ArchiveInput, ObservationSet};
-use bgpworms_routesim::{archive_all, Workload, WorkloadParams};
+use bgpworms_core::ObservationSet;
+use bgpworms_monitor::groundtruth::feed_set;
+use bgpworms_routesim::{Workload, WorkloadParams};
 use bgpworms_topology::{addressing::AddressingParams, PrefixAllocation, Topology, TopologyParams};
 
 /// Snapshot scale presets.
@@ -18,11 +21,13 @@ pub enum Scale {
     Small,
     /// ~1.7 K ASes — the default reproduction scale.
     Medium,
-    /// ~8.6 K ASes — the headline scale (slow; several minutes).
+    /// ~8.6 K ASes — the headline scale. `repro table1` takes 35 s and
+    /// peaks at 5.9 GB resident (seed 2018, on a 2-CPU host).
     Large,
     /// ~62 K ASes — the paper's full April-2018 Internet. Only `repro`'s
-    /// flood-memoized `full-table` campaign runs at this scale; a full
-    /// `Snapshot` (workload + MRT + analysis) would take hours.
+    /// flood-memoized `full-table` campaign has been run at this scale.
+    /// What binds a full `Snapshot` (workload + propagation + feed +
+    /// analysis) here is memory, not time, and one has not been measured.
     Internet,
 }
 
@@ -59,7 +64,7 @@ pub struct Snapshot {
     pub alloc: PrefixAllocation,
     /// The generated workload (configs, collectors, episodes).
     pub workload: Workload,
-    /// Parsed observations (the analysis pipeline's input).
+    /// The collectors' feed (the analysis pipeline's input).
     pub observations: ObservationSet,
     /// Update events delivered by the propagation engine.
     pub events: u64,
@@ -92,23 +97,15 @@ impl Snapshot {
         Self::simulate(topo, alloc, workload)
     }
 
-    /// Floods `workload`'s schedule over `topo`, archives every collector's
-    /// feed as MRT and parses the update archives back: the passive
-    /// pipeline from a generated Internet to the analysis's input.
+    /// Floods `workload`'s schedule over `topo` and reads every
+    /// collector's feed in memory ([`feed_set`]): the passive pipeline from
+    /// a generated Internet to the analysis's input. It is the set the
+    /// feed's MRT archive would parse to; no byte is written or parsed.
     pub fn simulate(topo: Topology, alloc: PrefixAllocation, workload: Workload) -> Snapshot {
         let sim = workload.simulation(&topo).compile();
         let unread_ases = sim.unread_nodes();
         let result = sim.run(&workload.originations);
-
-        let archives = archive_all(
-            &workload.collectors,
-            &result.observations,
-            bgpworms_routesim::workload::APRIL_2018 + 30 * 86_400,
-        )
-        .expect("archiving cannot fail on in-memory sinks");
-        let inputs: Vec<ArchiveInput> = archives.into_iter().map(ArchiveInput::from).collect();
-        let observations =
-            ObservationSet::from_archives(&inputs).expect("simulator-produced MRT parses");
+        let observations = feed_set(&workload.collectors, &result.observations);
 
         Snapshot {
             topo,

@@ -13,8 +13,8 @@
 //!
 //! The observations are read straight from the simulator's feed
 //! ([`feed_set`]), not archived to MRT and parsed back: the set is the one
-//! the archive would parse to, and `repro`'s §4 pipeline is where MRT is
-//! exercised as the interchange boundary.
+//! the archive would parse to, and the MRT codec's own tests and the
+//! benchmark are where MRT is exercised as the interchange boundary.
 
 use crate::detectors::{Alert, AlertKind};
 use crate::dictionary::CommunityDictionary;
@@ -203,13 +203,27 @@ pub fn build(params: &LabeledRunParams) -> LabeledRun {
 /// memory: each collector of `collectors` in order, its observations in
 /// feed order, each announcement carrying what its session carried to the
 /// monitor ([`CollectorObservation::carried`], which the MRT archive is
-/// written from). It is the set `archive_all` → `from_archives` builds,
-/// without writing or parsing a byte.
+/// written from).
+///
+/// This is the product path from a run to the analyses' input. It builds
+/// the set `archive_all` → `from_archives` builds (the façade's
+/// `mrt_interchange.rs` holds the two `Debug`-equal) without writing or
+/// parsing a byte; that round trip is kept for the benchmark and the tests
+/// whose subject is the bytes.
+///
+/// # Panics
+///
+/// If a collector lists one peer AS twice
+/// ([`CollectorSpec::repeated_peer`]): a row names its session by the peer
+/// AS alone, so the two sessions' rows could not be told apart.
 pub fn feed_set(
     collectors: &[CollectorSpec],
     observations: &BTreeMap<String, Vec<CollectorObservation>>,
 ) -> ObservationSet {
     ObservationSet::from_rows(collectors.iter().map(|spec| {
+        if let Some(peer) = spec.repeated_peer() {
+            panic!("collector {} lists peer {peer} twice", spec.name);
+        }
         let heard = observations.get(&spec.name).map_or(&[][..], Vec::as_slice);
         let rows = heard.iter().map(|obs| FeedRow {
             time: obs.time,
@@ -729,6 +743,29 @@ mod tests {
         assert_eq!(eval.false_alarms, 1);
         assert_eq!(eval.attack_alerts, 1);
         assert_eq!(eval.precision(), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "collector rrc00 lists peer AS2 twice")]
+    fn feed_set_refuses_a_collector_that_lists_a_peer_twice() {
+        // Both sessions' rows would read `peer: AS2`.
+        let specs = vec![CollectorSpec {
+            name: "rrc00".into(),
+            platform: "RIS".into(),
+            collector_id: 1,
+            peers: vec![
+                (Asn::new(2), FeedKind::Full),
+                (Asn::new(2), FeedKind::CustomerRoutesOnly),
+            ],
+        }];
+        let withdrawal = CollectorObservation {
+            time: 1,
+            peer: Asn::new(2),
+            prefix: "10.0.0.0/16".parse().unwrap(),
+            route: None,
+        };
+        let observations = BTreeMap::from([("rrc00".to_string(), vec![withdrawal])]);
+        feed_set(&specs, &observations);
     }
 }
 

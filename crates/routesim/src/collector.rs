@@ -46,6 +46,21 @@ pub struct CollectorSpec {
     pub peers: Vec<(Asn, FeedKind)>,
 }
 
+impl CollectorSpec {
+    /// The first peer AS this collector lists twice, if any. A feed names
+    /// a session by its peer AS alone (an MRT record by the peer's ASN and
+    /// [`peer_ip`], an in-memory row by its `peer`), so two sessions of one
+    /// peer would interleave into one feed no reader can split; every
+    /// reader of a run's feed refuses such a spec.
+    pub fn repeated_peer(&self) -> Option<Asn> {
+        let mut seen = BTreeSet::new();
+        self.peers
+            .iter()
+            .map(|&(peer, _)| peer)
+            .find(|&peer| !seen.insert(peer))
+    }
+}
+
 /// One observation at a collector: a route announced (Some) or withdrawn
 /// (None) by a peer session at a pseudo-time.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -270,9 +285,8 @@ impl From<CollectorArchive> for ArchiveInput {
 
 /// Archives every collector of a finished run.
 ///
-/// A session is archived under its peer's ASN and [`peer_ip`], so two
-/// sessions of one collector with the same peer AS would interleave into
-/// one feed no reader can split: such a spec is refused, with an
+/// A collector that lists one peer AS twice
+/// ([`CollectorSpec::repeated_peer`]) is refused, with an
 /// [`std::io::ErrorKind::InvalidInput`] error naming the collector and
 /// the peer.
 pub fn archive_all(
@@ -282,8 +296,7 @@ pub fn archive_all(
 ) -> Result<Vec<CollectorArchive>, MrtError> {
     let mut out = Vec::with_capacity(specs.len());
     for spec in specs {
-        let mut seen = BTreeSet::new();
-        if let Some((peer, _)) = spec.peers.iter().find(|(peer, _)| !seen.insert(*peer)) {
+        if let Some(peer) = spec.repeated_peer() {
             let msg = format!("collector {} lists peer {peer} twice", spec.name);
             return Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, msg).into());
         }

@@ -11,8 +11,8 @@ use bgpworms::analysis::{
     FilteringAnalysis, LargeCommunityAnalysis, RelClass, RelationshipCorrelation,
 };
 use bgpworms::attacks::wild::{extended_survey, survey::SurveyParams};
+use bgpworms::monitor::groundtruth::feed_set;
 use bgpworms::prelude::*;
-use bgpworms::routesim::archive_all;
 use bgpworms::topology::Role;
 
 fn survey_params() -> SurveyParams {
@@ -95,9 +95,7 @@ fn main() {
     let workload = Workload::generate(&topo, &alloc, &WorkloadParams::default());
     let sim = workload.simulation(&topo).threads(4).compile();
     let result = sim.run(&workload.originations);
-    let archives = archive_all(&workload.collectors, &result.observations, 0).expect("archive");
-    let inputs: Vec<ArchiveInput> = archives.into_iter().map(ArchiveInput::from).collect();
-    let set = ObservationSet::from_archives(&inputs).expect("parse");
+    let set = feed_set(&workload.collectors, &result.observations);
     let filters = FilteringAnalysis::compute(&set);
     let corr = RelationshipCorrelation::compute(&filters, |exporter, importer| {
         match topo.role_of(exporter, importer) {
@@ -131,9 +129,7 @@ fn main() {
     let workload4 = Workload::generate(&topo4, &alloc4, &params4);
     let sim4 = workload4.simulation(&topo4).threads(4).compile();
     let result4 = sim4.run(&workload4.originations);
-    let archives4 = archive_all(&workload4.collectors, &result4.observations, 0).expect("archive");
-    let inputs4: Vec<ArchiveInput> = archives4.into_iter().map(ArchiveInput::from).collect();
-    let set4 = ObservationSet::from_archives(&inputs4).expect("parse");
+    let set4 = feed_set(&workload4.collectors, &result4.observations);
     print!("{}", LargeCommunityAnalysis::compute(&set4).render());
     println!(
         "\nWith RFC 8092 adopted, 4-byte-ASN networks tag under their own name\n\

@@ -5,6 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use bgpworms::monitor::groundtruth::feed_set;
 use bgpworms::prelude::*;
 
 fn main() {
@@ -38,12 +39,9 @@ fn main() {
         result.events, result.converged
     );
 
-    // 4. Archive the collectors as MRT and parse them back — the analysis
-    //    pipeline never touches simulator internals.
-    let archives = bgpworms::routesim::archive_all(&workload.collectors, &result.observations, 0)
-        .expect("in-memory archive");
-    let inputs: Vec<ArchiveInput> = archives.into_iter().map(ArchiveInput::from).collect();
-    let set = ObservationSet::from_archives(&inputs).expect("simulator MRT parses");
+    // 4. Read what the collectors heard — the feed the analysis pipeline
+    //    takes, the same set their MRT archives would parse to.
+    let set = feed_set(&workload.collectors, &result.observations);
 
     // 5. The paper's §4 numbers.
     let usage = UsageAnalysis::compute(&set);

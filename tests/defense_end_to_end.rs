@@ -3,8 +3,8 @@
 //! collector carve-out keeps communities measurable.
 
 use bgpworms::analysis::{PropagationAnalysis, UsageAnalysis};
+use bgpworms::monitor::groundtruth::feed_set;
 use bgpworms::prelude::*;
-use bgpworms::routesim::workload::APRIL_2018;
 
 fn build(adoption: f64) -> ObservationSet {
     let topo = TopologyParams::small().seed(2018).build();
@@ -19,11 +19,7 @@ fn build(adoption: f64) -> ObservationSet {
     let workload = Workload::generate(&topo, &alloc, &params);
     let sim = workload.simulation(&topo).threads(4).compile();
     let result = sim.run(&workload.originations);
-    let archives =
-        bgpworms::routesim::archive_all(&workload.collectors, &result.observations, APRIL_2018)
-            .expect("archive");
-    let inputs: Vec<ArchiveInput> = archives.into_iter().map(ArchiveInput::from).collect();
-    ObservationSet::from_archives(&inputs).expect("parse")
+    feed_set(&workload.collectors, &result.observations)
 }
 
 #[test]

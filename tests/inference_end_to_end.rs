@@ -1,11 +1,11 @@
 //! Cross-crate integration: the §8/§9 passive-monitoring pipeline end to
 //! end — a labeled Internet with injected attacks of every class, the
-//! detectors over parsed MRT, and the evaluation against ground truth.
+//! detectors over the collectors' feed, and the evaluation against ground
+//! truth.
 
 use bgpworms::analysis::FilteringAnalysis;
 use bgpworms::monitor::{groundtruth, DictionaryEval, DictionaryInference, HygieneReport, Monitor};
 use bgpworms::prelude::*;
-use bgpworms::routesim::workload::APRIL_2018;
 
 fn labeled_run() -> groundtruth::LabeledRun {
     groundtruth::build(&groundtruth::LabeledRunParams {
@@ -87,11 +87,7 @@ fn hygiene_report_on_a_benign_world() {
     let workload = Workload::generate(&topo, &alloc, &WorkloadParams::default());
     let sim = workload.simulation(&topo).threads(4).compile();
     let result = sim.run(&workload.originations);
-    let archives =
-        bgpworms::routesim::archive_all(&workload.collectors, &result.observations, APRIL_2018)
-            .expect("archive");
-    let inputs: Vec<ArchiveInput> = archives.into_iter().map(ArchiveInput::from).collect();
-    let set = ObservationSet::from_archives(&inputs).expect("parse");
+    let set = groundtruth::feed_set(&workload.collectors, &result.observations);
 
     let dict = CommunityDictionary::from_workload(workload.configs.values());
     let report = HygieneReport::compute(&set, &dict, 3);
@@ -113,7 +109,7 @@ fn hygiene_report_on_a_benign_world() {
 #[test]
 fn fake_location_injection_is_caught_by_the_monitor() {
     // §7.7 meets §8: inject contradictory location communities from a
-    // stub, archive the collectors, and let the monitor flag the
+    // stub, read the collectors' feed, and let the monitor flag the
     // contradiction from passive data alone.
     let topo = TopologyParams::small().seed(2018).build();
     let alloc = PrefixAllocation::assign(
@@ -157,11 +153,7 @@ fn fake_location_injection_is_caught_by_the_monitor() {
         prefix,
         fake.clone(),
     )]);
-    let archives =
-        bgpworms::routesim::archive_all(&workload.collectors, &result.observations, APRIL_2018)
-            .expect("archive");
-    let inputs: Vec<ArchiveInput> = archives.into_iter().map(ArchiveInput::from).collect();
-    let set = ObservationSet::from_archives(&inputs).expect("parse");
+    let set = groundtruth::feed_set(&workload.collectors, &result.observations);
 
     let dict = CommunityDictionary::from_workload(workload.configs.values());
     let monitor = Monitor::new(&set, &dict);
@@ -189,11 +181,7 @@ fn monitor_is_quiet_on_a_benign_world_apart_from_rtbh_lookalikes() {
     let workload = Workload::generate(&topo, &alloc, &WorkloadParams::default());
     let sim = workload.simulation(&topo).threads(4).compile();
     let result = sim.run(&workload.originations);
-    let archives =
-        bgpworms::routesim::archive_all(&workload.collectors, &result.observations, APRIL_2018)
-            .expect("archive");
-    let inputs: Vec<ArchiveInput> = archives.into_iter().map(ArchiveInput::from).collect();
-    let set = ObservationSet::from_archives(&inputs).expect("parse");
+    let set = groundtruth::feed_set(&workload.collectors, &result.observations);
     let dict = CommunityDictionary::from_workload(workload.configs.values());
     let filters = FilteringAnalysis::compute(&set);
 

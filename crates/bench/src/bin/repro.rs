@@ -1031,8 +1031,9 @@ fn full_table_campaign(opts: &Options, degraded: &mut bool) -> String {
     out
 }
 
-/// What the snapshot's floods did, as the engine counts it: the snapshot's
-/// schedule through a campaign whose sink keeps nothing. Beside the engine's
+/// What the snapshot's floods did, as the engine counts it, and how many
+/// of them their event budget cut: the snapshot's schedule through a
+/// campaign whose sink keeps nothing. Beside the engine's
 /// split of the collector updates it emitted, the same split classified from
 /// the snapshot's feed ([`bgpworms_core::UpdateSplit`]), which shares no
 /// code with the engine.
@@ -1058,6 +1059,8 @@ fn flood_stats(snap: &Snapshot) -> String {
         "floods: {} simulated, {} replayed (a replay counts the flood it stands for)",
         run.class_sims, run.class_hits
     );
+    let cut = run.diverged.len();
+    let _ = writeln!(out, "floods cut by their event budget: {cut}");
     let widths: Vec<String> = (s.dirty_width_log2.iter().enumerate())
         .filter(|(_, &n)| n > 0)
         .map(|(k, n)| format!("{}:{n}", 1u64 << k))

@@ -983,8 +983,10 @@ mod tests {
         // is its outcome — and listed in `diverged`, the summary names it,
         // and memoization changes nothing.
         let (topo, eps) = world();
-        let mut sim = SimSpec::new(&topo).retain(RetainRoutes::All).compile();
-        sim.event_budget = 0;
+        let sim = SimSpec::new(&topo)
+            .retain(RetainRoutes::All)
+            .compile()
+            .with_event_budget(0);
         let run = Campaign::new(&sim).run(&eps, Trace::default);
         let prefixes: Vec<Prefix> = group_by_prefix(&eps).into_keys().collect();
         assert!(!run.converged && run.degraded());

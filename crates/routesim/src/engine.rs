@@ -94,21 +94,21 @@
 //! # Collector sweep: only sessions whose peer's best route moved
 //!
 //! What a peer advertises to a collector is a pure function of its best
-//! route, and a best route moves exactly when its node runs an export
-//! pass. Each pass of a node that carries collector sessions therefore
-//! leaves the episode a record (`SessionPass`: the best entry and the
-//! export it memoized for the role the monitor plays), and the sweep that
-//! ends a converged episode visits those sessions only, in session order,
-//! reading the memoized export where there is one and deriving it from the
-//! recorded best entry where there is not (route servers,
-//! `ScopedToReceiver`, a role with no neighbor) — no RIB rescan, and no
-//! session visited for an episode that changed nothing. The record is
-//! drained per episode, so a snapshot's is empty. A prefix that
-//! diverged (budget cut) dropped its dirty set before the
-//! passes ran, so it sweeps every live session instead, deriving each
-//! export from the peer's best entry as [`NodeState::export_for`] does;
-//! `tests/determinism.rs` holds the recorded sweep to that full one on
-//! random worlds.
+//! route, and a best route moves only through an import or an
+//! origination, both of which mark the node dirty. A dirty node either
+//! runs an export pass or is still dirty when a budget cut ends the flood,
+//! and each leaves the episode a record per collector session of the node
+//! (`SessionPass`: the best entry, and the export a pass memoized for the
+//! role the monitor plays), the cut's after the passes'. The sweep that
+//! ends every episode visits those sessions only, in session order, a
+//! session's last record standing, reading the memoized export where there
+//! is one and deriving it from the recorded best entry where there is not
+//! (route servers, `ScopedToReceiver`, a role with no neighbor, a cut) —
+//! no RIB rescan, and no session visited for an episode that changed
+//! nothing. The record is drained per episode, so a snapshot's is empty.
+//! `tests/determinism.rs` holds the sweep to one that asks every session
+//! after every episode, on random worlds, converged and cut at every
+//! budget.
 //!
 //! # Parallelism & determinism
 //!
@@ -449,7 +449,9 @@ impl<'a> SimSpec<'a> {
 /// route, and what it imports — its Adj-RIB-In, its best route, its
 /// all-`None` export pass — is visible only through three readers: retained
 /// `final_routes`, a [`SimSnapshot`] (a later delta may originate at the node
-/// or retain), and the node's own originations.
+/// or retain), and an originator's retained entry, which a retained table
+/// keeps at every originator and which after its withdrawal is a route it
+/// learned.
 ///
 /// One rule follows, applied by one guard in `continue_prefix`, at the pop
 /// that counts the delivery, to a leaf that does not originate in the
@@ -521,9 +523,9 @@ pub struct CompiledSim<'a> {
     retain: RetainRoutes,
     threads: usize,
     /// Event budget per prefix (hoisted out of the prefix loop: the edge
-    /// sum is one counter read). Crate tests set it directly, integration
-    /// tests through [`CompiledSim::with_event_budget`].
-    pub(crate) event_budget: u64,
+    /// sum is one counter read); tests cut a flood through
+    /// [`CompiledSim::with_event_budget`].
+    event_budget: u64,
     /// Compiled prefix-sensitivity summary for flood memoization — see
     /// `classify`.
     classifier: PrefixClassifier,
@@ -850,14 +852,6 @@ impl Routers<'_> {
         self.last_emit_best[i] = None;
     }
 
-    /// True when the current prefix has already touched node `i` — i.e.
-    /// the node holds live state this prefix. An unstamped node trivially
-    /// has no routes, letting read-only consumers (the collector sweep)
-    /// skip it without paying the touch's slot-range clear.
-    fn is_live(&self, i: usize) -> bool {
-        self.node_epoch[i] == self.epoch
-    }
-
     /// The router view for node `i` (touching it first).
     fn node(&mut self, i: usize) -> NodeState<'_> {
         self.touch(i);
@@ -1035,8 +1029,24 @@ impl CompiledSim<'_> {
                 while let Some(ev) = queue.pop_front() {
                     outcome.events += 1;
                     if outcome.events > self.event_budget {
+                        // What the dirty set knows goes to the sweep: a
+                        // node still dirty may hold a best route no pass
+                        // looked at, now or (the budget stays spent) in
+                        // any later episode. After the episode's passes,
+                        // so the last record of a session is its peer's
+                        // current best.
                         outcome.converged = false;
                         queue.clear();
+                        for &i in dirty.sorted() {
+                            let best = routers.node(i as usize).best_entry(arena);
+                            passes.extend(self.sessions_of(i as usize).iter().map(|&session| {
+                                SessionPass {
+                                    session,
+                                    best,
+                                    memoized: None,
+                                }
+                            }));
+                        }
                         dirty.clear();
                         break 'converge;
                     }
@@ -1046,7 +1056,7 @@ impl CompiledSim<'_> {
                         stats.dropped_unread += 1;
                         continue; // delivered and counted; nobody reads it
                     }
-                    let verdict = routers.node(to).import_counted(
+                    let verdict = routers.node(to).import(
                         &self.configs[to],
                         self.asns[ev.from.index()],
                         ev.to_slot as usize,
@@ -1071,64 +1081,41 @@ impl CompiledSim<'_> {
                 dirty.clear();
             }
 
-            // Record collector observations for this episode. Interning
-            // makes the changed-predicate an id compare; the owned route is
-            // cloned out of the arena only for actual observations.
-            let mut observe =
-                |si: usize, new: Option<RouteId>, arena: &RouteArena, stats: &mut FloodStats| {
-                    stats.sessions_evaluated += 1;
-                    let before = monitor_state[si];
-                    if before == new {
-                        return;
-                    }
-                    let carried = |id: RouteId| Carried::of(arena.get(id));
-                    stats.updates
-                        [UpdateKind::of(before.map(carried), new.map(carried)) as usize] += 1;
-                    let (ci, peer, _) = self.collector_peers[si];
-                    let route = new.map(|id| {
-                        stats.handle_clones[CloneSite::Observation as usize] += 1;
-                        arena.get(id).clone()
-                    });
-                    outcome.observations[ci].push(CollectorObservation {
-                        time: ep.time,
-                        peer: self.asns[peer.index()],
-                        prefix,
-                        route,
-                    });
-                    monitor_state[si] = new;
+            // Record collector observations for this episode. Every node
+            // whose best route moved ran an export pass or was still dirty
+            // at a budget cut, and either left its sessions a record: visit
+            // those, in session order (the order observations are pushed
+            // in), a node's last record standing for its earlier ones — the
+            // stable sort keeps a session's records in the order they were
+            // pushed. Interning makes the changed-predicate an id compare;
+            // the owned route is cloned out of the arena only for actual
+            // observations.
+            passes.sort_by_key(|pass| pass.session);
+            for of_session in passes.chunk_by(|a, b| a.session == b.session) {
+                let [.., pass] = of_session else {
+                    continue; // `chunk_by` yields no empty runs
                 };
-            if outcome.converged {
-                // Every node whose best route moved ran an export pass, and
-                // each pass left its sessions a record: visit those, in
-                // session order (the order observations are pushed in), a
-                // node's last pass standing for its earlier ones — the
-                // stable sort keeps a session's records in pass order.
-                passes.sort_by_key(|pass| pass.session);
-                for of_session in passes.chunk_by(|a, b| a.session == b.session) {
-                    let [.., pass] = of_session else {
-                        continue; // `chunk_by` yields no empty runs
-                    };
-                    let si = pass.session as usize;
-                    let new =
-                        self.session_export(prefix, si, pass.best, pass.memoized, arena, stats);
-                    observe(si, new, arena, stats);
+                let si = pass.session as usize;
+                let new = self.session_export(prefix, si, pass.best, pass.memoized, arena, stats);
+                stats.sessions_evaluated += 1;
+                let before = monitor_state[si];
+                if before == new {
+                    continue;
                 }
-            } else {
-                // A flood cut by its budget dropped its dirty set: nodes
-                // hold routes no export pass ever looked at, now or (the
-                // budget stays spent) in any later episode. Ask every
-                // session what its peer would export. A peer the flood
-                // never reached holds no state and exports nothing —
-                // skipped by stamp check, without the touch's slot clear.
-                for (si, &(_, peer, _)) in self.collector_peers.iter().enumerate() {
-                    let best = if routers.is_live(peer.index()) {
-                        routers.node(peer.index()).best_entry(arena)
-                    } else {
-                        None
-                    };
-                    let new = self.session_export(prefix, si, best, None, arena, stats);
-                    observe(si, new, arena, stats);
-                }
+                let carried = |id: RouteId| Carried::of(arena.get(id));
+                stats.updates[UpdateKind::of(before.map(carried), new.map(carried)) as usize] += 1;
+                let (ci, peer, _) = self.collector_peers[si];
+                let route = new.map(|id| {
+                    stats.handle_clones[CloneSite::Observation as usize] += 1;
+                    arena.get(id).clone()
+                });
+                outcome.observations[ci].push(CollectorObservation {
+                    time: ep.time,
+                    peer: self.asns[peer.index()],
+                    prefix,
+                    route,
+                });
+                monitor_state[si] = new;
             }
             passes.clear();
         }
@@ -1161,7 +1148,7 @@ impl CompiledSim<'_> {
     /// peer's best entry and, when the peer's last export pass memoized
     /// one for the monitor's role, that export; without one it is derived
     /// from the best entry (route servers, `ScopedToReceiver`, a role the
-    /// peer has no neighbour in, a budget-cut flood).
+    /// peer has no neighbour in, a node a budget cut left dirty).
     fn session_export(
         &self,
         prefix: Prefix,
@@ -1188,6 +1175,12 @@ impl CompiledSim<'_> {
                 stats,
             ),
         }
+    }
+
+    /// The collector sessions node `i` carries, ascending.
+    fn sessions_of(&self, i: usize) -> &[u32] {
+        let (lo, hi) = (self.session_offsets[i], self.session_offsets[i + 1]);
+        &self.node_sessions[lo as usize..hi as usize]
     }
 
     fn should_retain(&self, prefix: &Prefix) -> bool {
@@ -1310,11 +1303,7 @@ impl CompiledSim<'_> {
         // Tell the collector sweep this node's best moved, and hand it what
         // the pass worked out. Nodes without a session (all but a few
         // hundred) pay the two offset loads.
-        let (lo, hi) = (
-            self.session_offsets[id.index()] as usize,
-            self.session_offsets[id.index() + 1] as usize,
-        );
-        for &session in &self.node_sessions[lo..hi] {
+        for &session in self.sessions_of(id.index()) {
             let role = monitor_role(self.collector_peers[session as usize].2);
             passes.push(SessionPass {
                 session,
@@ -1992,7 +1981,7 @@ mod tests {
     }
 
     #[test]
-    fn diverged_prefix_sweeps_every_session_the_long_way() {
+    fn cut_flood_sessions_report_what_they_hold() {
         // 1 — 2 — 3 — 4, AS2 originates, a collector hears 1, 2 and 3. A
         // flood cut by its budget leaves nodes that imported a route and
         // never got their export pass: their sessions must still report
@@ -2027,9 +2016,7 @@ mod tests {
 
         // Budget 1: the origin's pass queues 2→1 and 2→3; AS1 imports,
         // then the second event trips the budget before AS1's pass.
-        let mut sim = spec.compile();
-        sim.event_budget = 1;
-        let cut = sim.run(&eps);
+        let cut = spec.clone().compile().with_event_budget(1).run(&eps);
         assert!(!cut.converged);
         assert_eq!(
             rows(&cut.observations["rrc00"]),
@@ -2044,8 +2031,7 @@ mod tests {
 
         // Budget 0: nothing is ever imported, only the origin's own
         // session has anything to say.
-        sim.event_budget = 0;
-        let starved = sim.run(&eps);
+        let starved = spec.compile().with_event_budget(0).run(&eps);
         assert!(!starved.converged);
         assert_eq!(
             rows(&starved.observations["rrc00"]),
@@ -2055,6 +2041,44 @@ mod tests {
                 (200, 2, None),
             ]
         );
+
+        // A ring 1 — 2 — 3 — 4 — 5 — 1 (AS1 above AS2 above AS3 above AS4,
+        // AS5 above AS4 and a peer of AS1) plus AS6, a peer of AS2; AS4
+        // originates, a collector hears 1 and 2. AS1 first hears AS5's
+        // route and passes it on, then imports its customer AS2's, and
+        // the budget cuts the flood on AS2's next delivery, before AS1's
+        // next pass: AS1's session reports the customer route it holds,
+        // not the peer route its pass recorded.
+        let mut ring = line_topo();
+        ring.add_simple(Asn::new(5), Tier::Transit);
+        ring.add_simple(Asn::new(6), Tier::Stub);
+        ring.add_edge(Asn::new(5), Asn::new(4), EdgeKind::ProviderToCustomer);
+        ring.add_edge(Asn::new(1), Asn::new(5), EdgeKind::PeerToPeer);
+        ring.add_edge(Asn::new(2), Asn::new(6), EdgeKind::PeerToPeer);
+        let spec = SimSpec::new(&ring).collector(CollectorSpec {
+            name: "rrc00".into(),
+            platform: "RIS".into(),
+            collector_id: 1,
+            peers: [1, 2].map(|n| (Asn::new(n), FeedKind::Full)).to_vec(),
+        });
+        // The cut leaves AS1's neighbours what its pass sent, so its next
+        // pass — one a withdrawal of nothing at AS1 forces — still sends
+        // the customer route: one more delivery, which the budget cuts.
+        let eps = [
+            Origination::announce(Asn::new(4), prefix, vec![]),
+            Origination::withdrawal(Asn::new(1), prefix, 100),
+        ];
+        let turned = spec.compile().with_event_budget(6).run(&eps);
+        assert!(!turned.converged);
+        assert_eq!(
+            rows(&turned.observations["rrc00"]),
+            [
+                (0, 1, Some((vec![1, 2, 3, 4], false))),
+                (0, 2, Some((vec![2, 3, 4], false))),
+            ],
+            "AS1 holds its customer's route"
+        );
+        assert_eq!(turned.events, 8, "AS1's next pass sent it");
     }
 
     #[test]
@@ -2455,8 +2479,7 @@ mod tests {
         ];
         let refs: Vec<&Origination> = eps.iter().collect();
         let flood = |sim: &CompiledSim<'_>, budget: u64, reader| {
-            let mut sim = sim.clone();
-            sim.event_budget = budget;
+            let sim = sim.clone().with_event_budget(budget);
             let mut scratch = sim.new_scratch();
             let (outcome, _) = sim.run_prefix(&mut scratch, prefix, &refs, reader);
             (outcome, scratch)

@@ -190,39 +190,11 @@ impl<'s> NodeState<'s> {
     /// The route arrives as an id into the shared arena; every rejection
     /// check runs against the arena route by reference, so refused updates
     /// cost zero clones. An accepted route costs one handle clone and one
-    /// intern, which finds the id an equal import already made.
-    ///
-    /// Counts nothing: the engine's flood counts through
-    /// `NodeState::import_counted`.
-    #[allow(clippy::too_many_arguments)] // hot path: flat args, no wrapper struct
-    pub fn import(
-        &mut self,
-        cfg: &RouterConfig,
-        sender: Asn,
-        sender_slot: usize,
-        sender_role: Role,
-        route: Option<RouteId>,
-        arena: &mut RouteArena,
-        ctx: ValidationCtx<'_>,
-    ) -> ImportVerdict {
-        let stats = &mut FloodStats::default();
-        self.import_counted(
-            cfg,
-            sender,
-            sender_slot,
-            sender_role,
-            route,
-            arena,
-            ctx,
-            stats,
-        )
-    }
-
-    /// [`NodeState::import`], counting an accepted import's handle clone,
-    /// attribute copy and intern in `stats`. The verdict is the caller's to
+    /// intern, which finds the id an equal import already made; `stats`
+    /// counts them and any attribute copy. The verdict is the caller's to
     /// count.
     #[allow(clippy::too_many_arguments)] // hot path: flat args, no wrapper struct
-    pub(crate) fn import_counted(
+    pub fn import(
         &mut self,
         cfg: &RouterConfig,
         sender: Asn,
@@ -816,7 +788,8 @@ mod tests {
         ) -> ImportVerdict {
             let (mut node, arena) = self.state();
             let id = route.map(|r| arena.intern(r));
-            node.import(cfg, sender, sender_slot, sender_role, id, arena, ctx)
+            let stats = &mut FloodStats::default();
+            node.import(cfg, sender, sender_slot, sender_role, id, arena, ctx, stats)
         }
 
         fn best(&mut self) -> Option<&Route> {
@@ -1569,21 +1542,11 @@ mod tests {
     }
 
     /// Imports `incoming` at a one-neighbor receiver over throwaway RIB
-    /// storage and returns the id installed in its Adj-RIB-In slot — the
-    /// shape of one delivery of a /24's fan-out (long enough to trigger RTBH),
-    /// with `arena` shared among the receivers the way a prefix worker's is.
+    /// storage and returns the id installed in its Adj-RIB-In slot, with
+    /// what the import did — the shape of one delivery of a /24's fan-out
+    /// (long enough to trigger RTBH), with `arena` shared among the
+    /// receivers the way a prefix worker's is.
     fn deliver(
-        arena: &mut RouteArena,
-        receiver: (u32, bool),
-        cfg: &RouterConfig,
-        sender: (u32, Role),
-        incoming: RouteId,
-    ) -> RouteId {
-        deliver_counted(arena, receiver, cfg, sender, incoming).0
-    }
-
-    /// [`deliver`], with what the import did.
-    fn deliver_counted(
         arena: &mut RouteArena,
         (receiver, is_route_server): (u32, bool),
         cfg: &RouterConfig,
@@ -1607,8 +1570,7 @@ mod tests {
         );
         let mut stats = FloodStats::default();
         let sender = Asn::new(sender);
-        let verdict =
-            node.import_counted(cfg, sender, 0, role, Some(incoming), arena, ctx, &mut stats);
+        let verdict = node.import(cfg, sender, 0, role, Some(incoming), arena, ctx, &mut stats);
         assert_eq!(verdict, ImportVerdict::Accepted);
         (
             rib_in[0].expect("accepted import fills the slot").route,
@@ -1637,8 +1599,7 @@ mod tests {
             RouterConfig::defaults(Asn::new(6)),
         );
         let one_handle = (1, 0);
-        let (first, stats) =
-            deliver_counted(&mut arena, (5, false), &cfg5, (2, Role::Provider), advert);
+        let (first, stats) = deliver(&mut arena, (5, false), &cfg5, (2, Role::Provider), advert);
         assert_eq!(
             copies(stats),
             one_handle,
@@ -1646,8 +1607,7 @@ mod tests {
         );
         assert_eq!(stats.handle_clones[CloneSite::Import as usize], 1);
         let len = arena.len();
-        let (second, stats) =
-            deliver_counted(&mut arena, (6, false), &cfg6, (2, Role::Provider), advert);
+        let (second, stats) = deliver(&mut arena, (6, false), &cfg6, (2, Role::Provider), advert);
         assert_eq!(second, first, "equal effects ⇒ one shared RIB route");
         assert_eq!(copies(stats), one_handle);
         assert_eq!((stats.interns, stats.mints), (1, 0));
@@ -1658,7 +1618,7 @@ mod tests {
         let mut cisco = RouterConfig::defaults(Asn::new(7));
         cisco.vendor = Vendor::Cisco;
         assert_eq!(
-            deliver(&mut arena, (7, false), &cisco, (2, Role::Provider), advert),
+            deliver(&mut arena, (7, false), &cisco, (2, Role::Provider), advert).0,
             first
         );
     }
@@ -1668,7 +1628,7 @@ mod tests {
         let mut arena = RouteArena::new();
         let plain = arena.intern(incoming(2, &[2, 1], &[]));
         let base = RouterConfig::defaults(Asn::new(5));
-        let reference = deliver(&mut arena, (5, false), &base, (2, Role::Customer), plain);
+        let reference = deliver(&mut arena, (5, false), &base, (2, Role::Customer), plain).0;
         let mut seen = vec![reference];
         let mut distinct = |what: &str, arena: &RouteArena, id: RouteId| {
             assert!(!seen.contains(&id), "{what} shared a route id");
@@ -1677,14 +1637,14 @@ mod tests {
         };
 
         // Role local-pref.
-        let id = deliver(&mut arena, (5, false), &base, (2, Role::Provider), plain);
+        let id = deliver(&mut arena, (5, false), &base, (2, Role::Provider), plain).0;
         let r = distinct("sender role", &arena, id);
         assert_eq!(r.local_pref, base.local_pref.provider);
 
         // Configured local-pref at an otherwise identical receiver.
         let mut cfg = base.clone();
         cfg.local_pref.customer += 7;
-        let id = deliver(&mut arena, (5, false), &cfg, (2, Role::Customer), plain);
+        let id = deliver(&mut arena, (5, false), &cfg, (2, Role::Customer), plain).0;
         distinct("role local-pref", &arena, id);
 
         // Ingress tagging — which also makes the receiver's ASN part of the
@@ -1692,22 +1652,22 @@ mod tests {
         let mut cfg = base.clone();
         cfg.tagging.tag_origin_class = true;
         cfg.tagging.tag_ingress_location = true;
-        let id = deliver(&mut arena, (5, false), &cfg, (2, Role::Customer), plain);
+        let id = deliver(&mut arena, (5, false), &cfg, (2, Role::Customer), plain).0;
         let r = distinct("ingress tagging", &arena, id);
         assert_eq!(
             r.own_tags,
             [Some(Community::new(5, 100)), Some(Community::new(5, 203))],
             "origin class, then location bucket 2 % 4"
         );
-        let id = deliver(&mut arena, (6, false), &cfg, (2, Role::Customer), plain);
+        let id = deliver(&mut arena, (6, false), &cfg, (2, Role::Customer), plain).0;
         distinct("the tagging receiver's ASN", &arena, id);
         cfg.tagging.tag_ingress_location = false;
-        let id = deliver(&mut arena, (5, false), &cfg, (2, Role::Customer), plain);
+        let id = deliver(&mut arena, (5, false), &cfg, (2, Role::Customer), plain).0;
         distinct("one tag fewer", &arena, id);
 
         // Route-server member tagging.
         let rs = RouterConfig::defaults(Asn::new(59_000));
-        let tagged = deliver(&mut arena, (59_000, true), &rs, (2, Role::Peer), plain);
+        let tagged = deliver(&mut arena, (59_000, true), &rs, (2, Role::Peer), plain).0;
         assert_eq!(
             arena.get(tagged).own_tags,
             [Some(Community::new(59_000, 102)), None]
@@ -1717,12 +1677,12 @@ mod tests {
         let trigger = arena.intern(incoming(2, &[2, 1], &[Community::BLACKHOLE]));
         let mut cfg = base.clone();
         cfg.services.blackhole = Some(BlackholeService::default());
-        let with = deliver(&mut arena, (5, false), &cfg, (2, Role::Customer), trigger);
+        let with = deliver(&mut arena, (5, false), &cfg, (2, Role::Customer), trigger).0;
         cfg.services.blackhole = Some(BlackholeService {
             set_no_export: false,
             ..BlackholeService::default()
         });
-        let without = deliver(&mut arena, (5, false), &cfg, (2, Role::Customer), trigger);
+        let without = deliver(&mut arena, (5, false), &cfg, (2, Role::Customer), trigger).0;
         assert_ne!(with, without, "set_no_export shared a route id");
         assert!(arena.get(with).has_community(Community::NO_EXPORT));
         assert!(!arena.get(without).has_community(Community::NO_EXPORT));
@@ -1741,12 +1701,10 @@ mod tests {
             set_no_export: false,
             ..BlackholeService::default()
         });
-        let (plain, stats) =
-            deliver_counted(&mut arena, (5, false), &cfg, (2, Role::Customer), trigger);
+        let (plain, stats) = deliver(&mut arena, (5, false), &cfg, (2, Role::Customer), trigger);
         assert_eq!(copies(stats), shared, "an import that adds no community");
         cfg.services.blackhole = Some(BlackholeService::default());
-        let (rtbh, stats) =
-            deliver_counted(&mut arena, (5, false), &cfg, (2, Role::Customer), trigger);
+        let (rtbh, stats) = deliver(&mut arena, (5, false), &cfg, (2, Role::Customer), trigger);
         assert_eq!(
             copies(stats),
             copied,

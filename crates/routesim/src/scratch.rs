@@ -140,10 +140,11 @@ impl DirtySet {
 }
 
 /// What one export pass leaves behind for the collector sweep, once per
-/// collector session of the node that ran it. A collector export is a pure
-/// function of the node's best route, so only sessions with such a record
-/// can have news after an episode — and the record already holds what the
-/// sweep would otherwise rescan the RIB and re-derive an export for.
+/// collector session of the node that ran it — or a budget cut, for a node
+/// it left dirty. A collector export is a pure function of the node's best
+/// route, so only sessions with such a record can have news after an
+/// episode — and the record already holds what the sweep would otherwise
+/// rescan the RIB and re-derive an export for.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SessionPass {
     /// The session, as an index into the compiled session list.
@@ -151,8 +152,8 @@ pub(crate) struct SessionPass {
     /// The best entry the pass exported from, with its learned role.
     pub(crate) best: Option<(RouteId, Option<Role>)>,
     /// The export the pass memoized for the role the monitor plays on this
-    /// session — `None` when it memoized none (a per-neighbor policy, or no
-    /// neighbor of that role to compute it for).
+    /// session — `None` when it memoized none (a per-neighbor policy, no
+    /// neighbor of that role to compute it for, or a budget cut's record).
     pub(crate) memoized: Option<Option<RouteId>>,
 }
 
@@ -197,9 +198,9 @@ pub(crate) struct SimScratch {
     /// monitor, so only changes produce observations. Indexed in step with
     /// the session's `collector_peers`.
     pub(crate) monitor_state: Vec<Option<RouteId>>,
-    /// The export passes of the episode being converged, in pass order;
-    /// drained by the collector sweep that ends the episode, so empty
-    /// between episodes — and in a snapshot.
+    /// The records of the episode being converged: its export passes', in
+    /// pass order, then a budget cut's; drained by the collector sweep that
+    /// ends the episode, so empty between episodes — and in a snapshot.
     pub(crate) passes: Vec<SessionPass>,
 }
 

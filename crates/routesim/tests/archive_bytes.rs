@@ -4,7 +4,11 @@
 //!
 //! * **egress** — the archives must stay the bytes recorded in
 //!   `fixtures/archive_bytes_tiny_2018.txt`: per collector, the length and
-//!   FNV-1a digest of the update stream and of the RIB dump;
+//!   FNV-1a digest of the update stream and of the RIB dump. A second
+//!   world pins the same for `tiny` with 4-byte stubs and every 4-byte
+//!   origin on large communities
+//!   (`fixtures/archive_bytes_tiny_large_2018.txt`), whose feed must carry
+//!   both: the default world's carries no large community;
 //! * **ingress** — reading them back must stay what
 //!   `fixtures/archive_decode_tiny_2018.txt` records: per collector, the
 //!   record count and FNV-1a digest of every record's `Debug` form, read
@@ -26,12 +30,16 @@
 //! the commit *before* the appending encoders, the scratch update and the
 //! sort-based RIB dump replaced the per-record `Vec`s and `BTreeMap`s; the
 //! ingress fixture at the commit before records were framed as sub-slices
-//! of the archive and decoded into one reused update. Each is the old
-//! code's output, not the new code's opinion of itself.
+//! of the archive and decoded into one reused update; the large-community
+//! world's at the commit before a budget-cut flood swept its sessions from
+//! pass records. Each is the old code's output, not the new code's opinion
+//! of itself.
 
 use bgpworms_mrt::{Bgp4mpMessage, LossyMrtReader, MrtReader, MrtRecord, UpdateStream};
 use bgpworms_routesim::workload::APRIL_2018;
-use bgpworms_routesim::{archive_all, CollectorArchive, Workload, WorkloadParams};
+use bgpworms_routesim::{
+    archive_all, CollectorArchive, CollectorSpec, SimResult, Workload, WorkloadParams,
+};
 use bgpworms_topology::{addressing::AddressingParams, PrefixAllocation, TopologyParams};
 use std::fmt::Write as _;
 
@@ -49,12 +57,14 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-fn archives() -> Vec<CollectorArchive> {
-    let topo = TopologyParams::tiny().seed(SEED).build();
+/// The world `topo` builds at [`SEED`] under the workload `params` draw
+/// there, flooded on one thread: its collectors and what they heard.
+fn simulate(topo: TopologyParams, params: WorkloadParams) -> (Vec<CollectorSpec>, SimResult) {
+    let topo = topo.seed(SEED).build();
     let alloc = PrefixAllocation::assign(&topo, AddressingParams { seed: SEED });
     let params = WorkloadParams {
         seed: SEED,
-        ..WorkloadParams::default()
+        ..params
     };
     let workload = Workload::generate(&topo, &alloc, &params);
     let result = workload
@@ -63,12 +73,16 @@ fn archives() -> Vec<CollectorArchive> {
         .compile()
         .run(&workload.originations);
     assert!(result.converged);
-    archive_all(
-        &workload.collectors,
-        &result.observations,
-        APRIL_2018 + 30 * 86_400,
-    )
-    .expect("archiving into memory cannot fail")
+    (workload.collectors, result)
+}
+
+fn archive((collectors, result): &(Vec<CollectorSpec>, SimResult)) -> Vec<CollectorArchive> {
+    archive_all(collectors, &result.observations, APRIL_2018 + 30 * 86_400)
+        .expect("archiving into memory cannot fail")
+}
+
+fn archives() -> Vec<CollectorArchive> {
+    archive(&simulate(TopologyParams::tiny(), WorkloadParams::default()))
 }
 
 /// One line per collector: name, then length and digest of each archive.
@@ -169,6 +183,32 @@ fn tiny_world_archives_match_the_recorded_bytes() {
     assert_eq!(
         got, recorded,
         "collector archive bytes drifted from the recorded fixture"
+    );
+}
+
+#[test]
+fn large_community_world_archives_match_the_recorded_bytes() {
+    let world = simulate(
+        TopologyParams::tiny().four_byte_stubs(0.3),
+        WorkloadParams {
+            large_community_adoption: 1.0,
+            ..WorkloadParams::default()
+        },
+    );
+    let routes = || world.1.observations.values().flatten();
+    let routes = || routes().filter_map(|obs| obs.route.as_ref());
+    assert!(
+        routes().any(|route| !route.large_communities.is_empty()),
+        "the feed must carry a large community"
+    );
+    assert!(
+        routes().any(|route| route.path.asns().any(|asn| asn.as_u16().is_none())),
+        "the feed must carry a 4-byte ASN"
+    );
+    assert_eq!(
+        render_bytes(&archive(&world)),
+        include_str!("fixtures/archive_bytes_tiny_large_2018.txt"),
+        "large-community archive bytes drifted from the recorded fixture"
     );
 }
 

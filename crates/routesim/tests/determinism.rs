@@ -25,10 +25,11 @@
 //!   must report the same observations, row for row.
 //! * **Collector-sweep transparency under a budget cut** — a flood cut by
 //!   its event budget leaves nodes holding routes no export pass looked
-//!   at, so the engine asks every session instead of the ones a pass
-//!   named. Cut at every budget below its converged delivery count, it
-//!   must report what a reference with the engine's own batching, cut at
-//!   the same delivery, hears by asking every session the long way.
+//!   at; the engine reads them off the nodes the cut left dirty, after the
+//!   records of the passes that ran. Cut at every budget below its
+//!   converged delivery count, it must report what a reference with the
+//!   engine's own batching, cut at the same delivery, hears by asking
+//!   every session the long way.
 //! * **Scratch-reuse transparency** — a multi-prefix schedule runs every
 //!   prefix on a worker's recycled `SimScratch` (generation-stamped flat
 //!   RIB arrays, reset arena/queue/dirty set), while a schedule of one
@@ -123,10 +124,10 @@ use bgpworms_routesim::route::RouteArena;
 use bgpworms_routesim::router::{NodeState, RibEntry, ValidationCtx};
 use bgpworms_routesim::{
     prepend_value, ActScope, BlackholeService, Campaign, CampaignSink, CollectorObservation,
-    CollectorSpec, CommunityPropagationPolicy, CompiledSim, FeedKind, FinalRoutes, IrrDatabase,
-    OriginValidation, Origination, PrefixOutcome, RetainRoutes, Route, RouteId, RouteSource,
-    RouterConfig, RsEvalOrder, SimResult, SimSpec, Vendor, BLACKHOLE_VALUE, LOCATION_TAG_VALUES,
-    MONITOR_ASN, ORIGIN_CLASS_VALUES,
+    CollectorSpec, CommunityPropagationPolicy, CompiledSim, FeedKind, FinalRoutes, FloodStats,
+    IrrDatabase, OriginValidation, Origination, PrefixOutcome, RetainRoutes, Route, RouteId,
+    RouteSource, RouterConfig, RsEvalOrder, SimResult, SimSpec, Vendor, BLACKHOLE_VALUE,
+    LOCATION_TAG_VALUES, MONITOR_ASN, ORIGIN_CLASS_VALUES,
 };
 use bgpworms_topology::{EdgeKind, NodeId, Role, Tier, Topology, TopologyParams};
 use bgpworms_types::{Asn, Community, Ipv4Prefix, Ipv6Prefix, LargeCommunity, Prefix};
@@ -336,10 +337,11 @@ fn build_world(
 /// dropping deliveries to unread leaves has something to get wrong: a
 /// collector session *on* a stub (101, which is therefore read), a stub
 /// reached only through an IXP route server (102 behind 100), a stub that
-/// originates the first prefix *after* another origin did (103, MOAS — and
-/// one that prefers its provider's route to its own, so whether its
-/// announcement leaves it depends on what it imported before), a
-/// forged-origin episode at a stub (104), and withdrawals of all of it.
+/// originates the first prefix *after* another origin did (103, MOAS: a
+/// retained table keeps a route at every originator, and after its
+/// withdrawal that route is one it learned from its providers, so it must
+/// keep hearing them), a forged-origin episode at a stub (104), and
+/// withdrawals of all of it.
 fn with_unread_shapes(
     raw: &RawWorld,
 ) -> (
@@ -724,6 +726,7 @@ impl<'w, 't> RefFlood<'w, 't> {
             ev.route,
             &mut self.arena,
             vctx,
+            &mut FloodStats::default(),
         );
         ev.to
     }
@@ -1236,12 +1239,12 @@ proptest! {
     /// Collector-sweep transparency where the flood is cut: each prefix of
     /// a random world, heard by random full and customer-only sessions, is
     /// flooded again at every event budget below what its converged flood
-    /// delivers. A cut flood abandons its dirty set, so a node can hold a
-    /// route no export pass looked at; the engine then asks every session,
-    /// and its feed must be the one `cut_flood_reference` records by
-    /// asking every session the long way after every episode — row for
-    /// row, whether the session drops deliveries to unread leaves or
-    /// retains every route.
+    /// delivers. A cut flood leaves its dirty nodes without their export
+    /// pass, so a node can hold a route no pass looked at; the engine
+    /// sweeps them from the cut's records, and its feed must be the one
+    /// `cut_flood_reference` records by asking every session the long way
+    /// after every episode — row for row, whether the session drops
+    /// deliveries to unread leaves or retains every route.
     #[test]
     fn a_cut_flood_reports_what_every_session_holds(raw in arb_world()) {
         let (topo, configs, collectors, originations) = build_world(&raw);

@@ -202,7 +202,7 @@ impl Run {
                 "[repro] snapshot ready: {} observations from {} engine events ({} of {} ASes \
                  are unread leaves; deliveries to them are counted, not simulated)",
                 snap.observations.observations.len(),
-                snap.events,
+                snap.flood.events,
                 snap.unread_ases,
                 snap.topo.len()
             );
@@ -458,18 +458,14 @@ fn table3() -> String {
 /// honoured up to medium and **capped** (with a stderr note, so output is
 /// never silently mislabeled) beyond it.
 fn capped_at_medium(scale: Scale) -> TopologyParams {
-    match scale {
-        Scale::Tiny => TopologyParams::tiny(),
-        Scale::Small => TopologyParams::small(),
-        Scale::Medium => TopologyParams::medium(),
-        Scale::Large | Scale::Internet => {
-            eprintln!(
-                "[repro] note: this artefact caps at medium scale (~1.7K ASes); \
-                 requested {scale:?} applies only to scale-independent artefacts"
-            );
-            TopologyParams::medium()
-        }
+    if matches!(scale, Scale::Large | Scale::Internet) {
+        eprintln!(
+            "[repro] note: this artefact caps at medium scale (~1.7K ASes); \
+             requested {scale:?} applies only to scale-independent artefacts"
+        );
+        return Scale::Medium.topology();
     }
+    scale.topology()
 }
 
 fn wild_params(opts: &Options) -> (TopologyParams, WorkloadParams) {
@@ -1031,27 +1027,17 @@ fn full_table_campaign(opts: &Options, degraded: &mut bool) -> String {
     out
 }
 
-/// What the snapshot's floods did, as the engine counts it, and how many
-/// of them their event budget cut: the snapshot's schedule through a
-/// campaign whose sink keeps nothing. Beside the engine's
-/// split of the collector updates it emitted, the same split classified from
-/// the snapshot's feed ([`bgpworms_core::UpdateSplit`]), which shares no
-/// code with the engine.
+/// What the flood that made the snapshot's feed did, as the engine counts
+/// it ([`Snapshot::flood`]), and how many of its prefixes their event budget
+/// cut. Beside the engine's split of the collector updates it emitted, the
+/// same split classified from the snapshot's feed
+/// ([`bgpworms_core::UpdateSplit`]), which shares no code with the engine.
 fn flood_stats(snap: &Snapshot) -> String {
     use bgpworms_core::UpdateSplit;
     use bgpworms_routesim::{router::ImportVerdict, UpdateKind};
-    use bgpworms_routesim::{Campaign, CampaignSink, CloneSite, CopySite, PrefixOutcome};
-    use bgpworms_types::Prefix;
+    use bgpworms_routesim::{CloneSite, CopySite};
 
-    /// Keeps nothing: the counters are the point.
-    struct Discard;
-    impl CampaignSink for Discard {
-        fn fold(&mut self, _: Prefix, _: PrefixOutcome) {}
-        fn merge(&mut self, _: Self) {}
-    }
-
-    let sim = snap.workload.simulation(&snap.topo).compile();
-    let run = Campaign::new(&sim).run(&snap.workload.originations, || Discard);
+    let run = &snap.flood;
     let s = &run.stats;
     let mut out = String::new();
     let _ = writeln!(

@@ -9,8 +9,9 @@
 
 use bgpworms_core::ObservationSet;
 use bgpworms_monitor::groundtruth::feed_set;
-use bgpworms_routesim::{Workload, WorkloadParams};
+use bgpworms_routesim::{Campaign, CampaignRun, PrefixOutcome, Workload, WorkloadParams};
 use bgpworms_topology::{addressing::AddressingParams, PrefixAllocation, Topology, TopologyParams};
+use bgpworms_types::Prefix;
 
 /// Snapshot scale presets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,8 +67,11 @@ pub struct Snapshot {
     pub workload: Workload,
     /// The collectors' feed (the analysis pipeline's input).
     pub observations: ObservationSet,
-    /// Update events delivered by the propagation engine.
-    pub events: u64,
+    /// What the flood that made the feed did, as its campaign counts it:
+    /// update events, [`FloodStats`](bgpworms_routesim::FloodStats), class
+    /// sims and hits, budget cuts. Its outcomes went into the feed, so its
+    /// sink is empty.
+    pub flood: CampaignRun<Vec<(Prefix, PrefixOutcome)>>,
     /// ASes whose routes nothing reads (no customer, no collector session,
     /// not a route server): the engine counts deliveries to them without
     /// simulating them.
@@ -97,14 +101,17 @@ impl Snapshot {
         Self::simulate(topo, alloc, workload)
     }
 
-    /// Floods `workload`'s schedule over `topo` and reads every
-    /// collector's feed in memory ([`feed_set`]): the passive pipeline from
-    /// a generated Internet to the analysis's input. It is the set the
-    /// feed's MRT archive would parse to; no byte is written or parsed.
+    /// Floods `workload`'s schedule over `topo` once, as
+    /// [`CompiledSim::run`](bgpworms_routesim::CompiledSim::run) does but
+    /// keeping the campaign's counters, and reads every collector's feed in
+    /// memory ([`feed_set`]): the passive pipeline from a generated
+    /// Internet to the analysis's input. It is the set the feed's MRT
+    /// archive would parse to; no byte is written or parsed.
     pub fn simulate(topo: Topology, alloc: PrefixAllocation, workload: Workload) -> Snapshot {
         let sim = workload.simulation(&topo).compile();
         let unread_ases = sim.unread_nodes();
-        let result = sim.run(&workload.originations);
+        let mut flood = Campaign::new(&sim).run(&workload.originations, Vec::new);
+        let result = sim.finish(std::mem::take(&mut flood.sink));
         let observations = feed_set(&workload.collectors, &result.observations);
 
         Snapshot {
@@ -112,7 +119,7 @@ impl Snapshot {
             alloc,
             workload,
             observations,
-            events: result.events,
+            flood,
             unread_ases,
         }
     }
@@ -125,9 +132,32 @@ mod tests {
     #[test]
     fn tiny_snapshot_builds_end_to_end() {
         let snap = Snapshot::build(Scale::Tiny, 7);
-        assert!(snap.events > 0);
+        assert!(snap.flood.events > 0);
         assert!(!snap.observations.observations.is_empty());
         assert!(snap.observations.platforms().len() >= 3);
+    }
+
+    #[test]
+    fn the_snapshot_keeps_the_counters_of_the_flood_that_made_its_feed() {
+        // The reference is a second flood: the same schedule through a
+        // campaign over a session compiled afresh from the same workload.
+        for (scale, seed) in [(Scale::Tiny, 2018), (Scale::Small, 1809)] {
+            let snap = Snapshot::build(scale, seed);
+            let sim = snap.workload.simulation(&snap.topo).compile();
+            let reference = Campaign::new(&sim).run(&snap.workload.originations, Vec::new);
+            let kept = &snap.flood;
+            assert_eq!(kept.stats, reference.stats, "{scale:?}");
+            assert_eq!(kept.class_sims, reference.class_sims, "{scale:?}");
+            assert_eq!(kept.class_hits, reference.class_hits, "{scale:?}");
+            assert_eq!(kept.diverged, reference.diverged, "{scale:?}");
+            assert_eq!(kept.replay_clones, reference.replay_clones, "{scale:?}");
+            assert_eq!(kept.events, reference.events, "{scale:?}");
+            assert_eq!(kept.converged, reference.converged, "{scale:?}");
+            assert!(
+                kept.sink.is_empty(),
+                "{scale:?}: the outcomes are in the feed"
+            );
+        }
     }
 
     #[test]

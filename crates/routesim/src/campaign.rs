@@ -166,6 +166,18 @@ pub trait CampaignSink: Sized {
     fn merge(&mut self, other: Self);
 }
 
+/// Keeps every outcome, which fold and merge order leave in ascending
+/// prefix order, as [`CompiledSim::finish`] takes them.
+impl CampaignSink for Vec<(Prefix, PrefixOutcome)> {
+    fn fold(&mut self, prefix: Prefix, outcome: PrefixOutcome) {
+        self.push((prefix, outcome));
+    }
+
+    fn merge(&mut self, mut other: Self) {
+        self.append(&mut other);
+    }
+}
+
 /// The campaign driver: a chunked, streaming view of one compiled session,
 /// and the one schedule loop under its API ([`CompiledSim::run`] included).
 /// `threads` comes from the session.
@@ -703,9 +715,10 @@ fn chunk_range(ci: usize, chunk_size: usize, n_prefixes: usize) -> std::ops::Ran
     lo..lo.saturating_add(chunk_size).min(n_prefixes)
 }
 
-/// Groups episodes by prefix, preserving time order within each prefix
-/// (stable sort, so same-time duplicates keep schedule order).
-fn group_by_prefix(originations: &[Origination]) -> BTreeMap<Prefix, Vec<&Origination>> {
+/// Groups episodes by prefix: each prefix's episodes in time order, stably
+/// (same-time duplicates keep schedule order). The one statement of a
+/// prefix's episode order, for a campaign and for a snapshot or delta.
+pub(crate) fn group_by_prefix(originations: &[Origination]) -> BTreeMap<Prefix, Vec<&Origination>> {
     let mut by_prefix: BTreeMap<Prefix, Vec<&Origination>> = BTreeMap::new();
     for o in originations {
         by_prefix.entry(o.prefix).or_default().push(o);

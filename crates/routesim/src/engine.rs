@@ -116,15 +116,16 @@
 //! so one driver shards a schedule by prefix: [`crate::Campaign`], on the
 //! worker pool of `shard.rs` (which describes claiming, publishing, ordered
 //! merge and panic handling, once). [`CompiledSim::run`] *is* a campaign,
-//! over a sink that keeps every outcome, finished into a [`SimResult`] with
-//! every collector named and each feed sorted by `(time, peer, prefix)`.
+//! over a `Vec` sink that keeps every outcome, and the public
+//! [`CompiledSim::finish`] (every collector named, each feed sorted by
+//! `(time, peer, prefix)`), which a caller wanting the counters runs itself.
 //! `threads = 1` and `threads = N` therefore produce identical
 //! [`SimResult`]s, and repeated [`CompiledSim::run`] calls are bit-identical
 //! (`run` never mutates the session). Scratch reuse is semantically
 //! invisible (`tests/determinism.rs` pins reuse ≡ fresh state per prefix).
 //! A worker's panic is re-raised naming the failing chunk and its prefixes.
 
-use crate::campaign::{Campaign, CampaignSink};
+use crate::campaign::{group_by_prefix, Campaign};
 use crate::classify::{ClassKey, PrefixClassifier};
 use crate::collector::{Carried, CollectorObservation, CollectorSpec, FeedKind};
 use crate::policy::{CommunityPropagationPolicy, IrrDatabase, RouterConfig};
@@ -567,10 +568,11 @@ impl<'a> CompiledSim<'a> {
     }
 
     /// Runs all origination episodes to convergence and collects results:
-    /// a [`Campaign`] over this session whose sink keeps everything.
-    /// Callable any number of times; the session is never mutated.
+    /// a [`Campaign`] over this session whose sink keeps every outcome, then
+    /// [`CompiledSim::finish`]. Callable any number of times; the session is
+    /// never mutated.
     pub fn run(&self, originations: &[Origination]) -> SimResult {
-        self.finish(Campaign::new(self).run(originations, Kept::default).sink.0)
+        self.finish(Campaign::new(self).run(originations, Vec::new).sink)
     }
 
     /// Converges `prefix`'s schedule like [`CompiledSim::run`] would and
@@ -602,7 +604,9 @@ impl<'a> CompiledSim<'a> {
                 ep.prefix
             );
         }
-        let episodes = time_sorted(originations);
+        let episodes = group_by_prefix(originations)
+            .remove(&prefix)
+            .unwrap_or_default();
         let mut scratch = self.new_scratch();
         let (outcome, mut stats) =
             self.run_prefix(&mut scratch, prefix, &episodes, ScratchReader::Snapshot);
@@ -665,7 +669,9 @@ impl<'a> CompiledSim<'a> {
                 snapshot.last_time
             );
         }
-        let episodes = time_sorted(delta);
+        let episodes = group_by_prefix(delta)
+            .remove(&snapshot.prefix())
+            .unwrap_or_default();
         let mut scratch = snapshot.scratch.clone();
         // The baseline's retained routes are not cloned: `continue_prefix`
         // rebuilds them from the re-converged RIBs.
@@ -699,10 +705,11 @@ impl<'a> CompiledSim<'a> {
     }
 
     /// The one way a [`SimResult`] is made, from outcomes in ascending
-    /// prefix order: sums and ANDs the totals, keys retained routes by
-    /// prefix, names every collector of the session (one that heard nothing
-    /// keeps its empty feed) and sorts each feed once.
-    fn finish(&self, outcomes: impl IntoIterator<Item = (Prefix, PrefixOutcome)>) -> SimResult {
+    /// prefix order (a campaign's `Vec` sink holds them so): sums and ANDs
+    /// the totals, keys retained routes by prefix, names every collector of
+    /// the session (one that heard nothing keeps its empty feed) and sorts
+    /// each feed once.
+    pub fn finish(&self, outcomes: impl IntoIterator<Item = (Prefix, PrefixOutcome)>) -> SimResult {
         let mut out = SimResult {
             converged: true,
             ..SimResult::default()
@@ -727,29 +734,6 @@ impl<'a> CompiledSim<'a> {
         }
         out
     }
-}
-
-/// The sink behind [`CompiledSim::run`]: keeps every outcome, which fold
-/// and merge order leave in ascending prefix order.
-#[derive(Default)]
-struct Kept(Vec<(Prefix, PrefixOutcome)>);
-
-impl CampaignSink for Kept {
-    fn fold(&mut self, prefix: Prefix, outcome: PrefixOutcome) {
-        self.0.push((prefix, outcome));
-    }
-
-    fn merge(&mut self, mut other: Self) {
-        self.0.append(&mut other.0);
-    }
-}
-
-/// One prefix's episodes in time order, stably — same-time duplicates keep
-/// schedule order, as in a campaign's per-prefix grouping.
-fn time_sorted(episodes: &[Origination]) -> Vec<&Origination> {
-    let mut sorted: Vec<&Origination> = episodes.iter().collect();
-    sorted.sort_by_key(|ep| ep.time);
-    sorted
 }
 
 /// Sorts one collector's merged feed by `(time, peer, prefix)`, stably (an
@@ -1444,6 +1428,7 @@ impl FromIterator<(Asn, Route)> for FinalRoutes {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::CampaignSink;
     use crate::collector::CollectorSpec;
     use bgpworms_topology::{EdgeKind, TopologyParams};
     use std::panic::AssertUnwindSafe;

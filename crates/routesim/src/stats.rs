@@ -12,7 +12,10 @@
 //!   the campaign's own counter, [`crate::CampaignRun::replay_clones`];
 //! * a snapshot keeps its capture flood's ([`crate::SimSnapshot::stats`]);
 //! * [`crate::CompiledSim::run_delta_prefix`] returns its delta's beside the
-//!   outcome.
+//!   outcome;
+//! * `bgpworms-bench`'s `Snapshot` keeps the [`crate::CampaignRun`] of the
+//!   flood that made its feed, whose outcomes [`crate::CompiledSim::finish`]
+//!   turned into that feed; `repro flood-stats` prints its counts.
 //!
 //! A checkpoint persists none of them: a resumed campaign counts the chunks
 //! its own process ran.

@@ -110,8 +110,9 @@
 //!   off the `BlackholeService`, `CommunityServices`, `LocalPrefByRole`,
 //!   `OriginValidation`, `IrrDatabase::is_registered` and `Route::prefer`
 //!   doc comments: on worlds where every AS forwards every community or
-//!   runs the §8 defense, some offer RTBH or steering and some validate
-//!   origins against partly registered IRR and RPKI, a whole-table best
+//!   runs the §8 defense, some offer RTBH or steering, some validate
+//!   origins against partly registered IRR and RPKI and a few hold 4-byte
+//!   ASNs (which own no RFC 1997 community), a whole-table best
 //!   response iterated to a fixed point names, per AS, the AS path and
 //!   local-pref the engine converges to.
 //! * **A registry answers what a scan of its objects answers** — read off
@@ -236,9 +237,23 @@ fn arb_tagged_world() -> impl Strategy<Value = (RawWorld, Vec<RawTagging>, Vec<(
     )
 }
 
-/// Assembles the simulation input out of the raw draws.
+/// Assembles the simulation input out of the raw draws, the `i`-th AS
+/// numbered `i + 1`.
 fn build_world(
     raw: &RawWorld,
+) -> (
+    Topology,
+    Vec<RouterConfig>,
+    Vec<CollectorSpec>,
+    Vec<Origination>,
+) {
+    build_numbered_world(raw, |i| Asn::new(i as u32 + 1))
+}
+
+/// [`build_world`] with the `i`-th AS numbered `asn_of(i)`.
+fn build_numbered_world(
+    raw: &RawWorld,
+    asn_of: impl Fn(usize) -> Asn,
 ) -> (
     Topology,
     Vec<RouterConfig>,
@@ -255,7 +270,7 @@ fn build_world(
             _ if i == n - 1 => Tier::RouteServer, // at most one route server
             _ => Tier::Transit,
         };
-        topo.add_simple(Asn::new(i as u32 + 1), tier);
+        topo.add_simple(asn_of(i), tier);
     }
     for &(a, b, p2c) in &raw.edges {
         let (a, b) = (a % n, b % n);
@@ -267,12 +282,12 @@ fn build_world(
         } else {
             EdgeKind::PeerToPeer
         };
-        topo.add_edge(Asn::new(a as u32 + 1), Asn::new(b as u32 + 1), kind);
+        topo.add_edge(asn_of(a), asn_of(b), kind);
     }
 
     let mut configs = Vec::new();
     for &(idx, policy) in &raw.policies {
-        let asn = Asn::new((idx % n) as u32 + 1);
+        let asn = asn_of(idx % n);
         let mut cfg = RouterConfig::defaults(asn);
         cfg.propagation = match policy {
             0 => CommunityPropagationPolicy::ForwardAll,
@@ -298,7 +313,7 @@ fn build_world(
             .iter()
             .map(|&(idx, full)| {
                 (
-                    Asn::new((idx % n) as u32 + 1),
+                    asn_of(idx % n),
                     if full {
                         FeedKind::Full
                     } else {
@@ -316,7 +331,7 @@ fn build_world(
             let prefix: Prefix = format!("10.{}.0.0/16", e.prefix_octet)
                 .parse()
                 .expect("valid prefix");
-            let origin = Asn::new((e.origin % n) as u32 + 1);
+            let origin = asn_of(e.origin % n);
             if e.withdraw {
                 Origination::withdrawal(origin, prefix, e.time)
             } else {
@@ -350,7 +365,7 @@ fn with_unread_shapes(
     Vec<CollectorSpec>,
     Vec<Origination>,
 ) {
-    let (mut topo, mut configs, mut collectors, mut originations) = build_world(raw);
+    let (mut topo, configs, mut collectors, mut originations) = build_world(raw);
     let asn = Asn::new;
     let (first, last) = (asn(1), asn(raw.n_nodes as u32));
     let [rs, heard, behind_rs, moas, forger] = [100, 101, 102, 103, 104].map(asn);
@@ -365,9 +380,6 @@ fn with_unread_shapes(
     topo.add_edge(first, moas, EdgeKind::ProviderToCustomer);
     topo.add_edge(last, moas, EdgeKind::ProviderToCustomer);
     topo.add_edge(asn(2), forger, EdgeKind::ProviderToCustomer);
-    let mut obedient = RouterConfig::defaults(moas);
-    obedient.local_pref.provider = 251;
-    configs.push(obedient);
     collectors.push(CollectorSpec {
         name: "stubs".into(),
         platform: "RV".into(),
@@ -2614,12 +2626,24 @@ type Addressed = Vec<(usize, u8)>;
 /// blackhole-tagged hijack).
 type Registered = (u8, u8);
 
+/// Up to two (AS, alias) index pairs: the AS takes the 4-byte number
+/// `65 536 + alias's ASN` (see [`four_byte_numbering`]).
+type FourByte = Vec<(usize, usize)>;
+
 /// A seasoned `arb_world()` for the action-community oracle (a copy, so the
 /// draws of every other property stay where they are): per AS a
 /// `RawServices`; per episode up to three communities addressed to drawn
-/// ASes, each one of [`ACTION_VALUES`]; and per episode a [`Registered`].
-fn arb_serviced_world(
-) -> impl Strategy<Value = (RawWorld, Vec<RawServices>, Vec<Addressed>, Vec<Registered>)> {
+/// ASes, each one of [`ACTION_VALUES`]; per episode a [`Registered`]; and
+/// the [`FourByte`] ASes.
+fn arb_serviced_world() -> impl Strategy<
+    Value = (
+        RawWorld,
+        Vec<RawServices>,
+        Vec<Addressed>,
+        Vec<Registered>,
+        FourByte,
+    ),
+> {
     let services = (
         proptest::option::of((any::<bool>(), 0u8..3, any::<bool>(), 0u8..3)),
         proptest::option::of(any::<bool>()),
@@ -2637,8 +2661,10 @@ fn arb_serviced_world(
         proptest::collection::vec((0u8..6, 0u8..4), 16),
     );
     let vendors = proptest::collection::vec((any::<bool>(), any::<bool>()), 16);
-    (drawn, vendors).prop_map(
-        |((world, services, addressed, validations, objects), vendors)| {
+    // 4-byte ASes come last of all, for the same reason.
+    let four_byte = proptest::collection::vec((0usize..16, 0usize..16), 0..3);
+    (drawn, vendors, four_byte).prop_map(
+        |((world, services, addressed, validations, objects), vendors, four_byte)| {
             let services = (services.into_iter().zip(validations).zip(vendors))
                 .map(
                     |(((blackhole, steering, scoped), validation), (cisco, send_configured))| {
@@ -2653,9 +2679,28 @@ fn arb_serviced_world(
                     },
                 )
                 .collect();
-            (world, services, addressed, objects)
+            (world, services, addressed, objects, four_byte)
         },
     )
+}
+
+/// The ASN of each of `n` AS indices under `drawn`: an AS a pair names
+/// first takes `65 536 + k`, where `k` is the 2-byte ASN of the pair's
+/// alias, and every other AS `i` keeps `i + 1`. A pair is skipped when its
+/// AS is its alias or either is already in an earlier pair, so every alias
+/// stays a 2-byte AS of the world and no two ASes share a number. A
+/// truncating `as u16` of a 4-byte AS's number is its alias's.
+fn four_byte_numbering(n: usize, drawn: &FourByte) -> Vec<Asn> {
+    let mut asns: Vec<Asn> = (1..=n as u32).map(Asn::new).collect();
+    let mut paired = BTreeSet::new();
+    for &(at, alias) in drawn {
+        let (at, alias) = (at % n, alias % n);
+        if at != alias && !paired.contains(&at) && !paired.contains(&alias) {
+            asns[at] = Asn::new(65_536 + alias as u32 + 1);
+            paired.extend([at, alias]);
+        }
+    }
+    asns
 }
 
 /// The route objects the stable-paths oracle validates against, as
@@ -2775,7 +2820,10 @@ struct Offer {
 ///   `set_no_export`; `CommunityServices`: within `steering_scope`, a
 ///   local-pref community sets its value (the highest-valued one of
 ///   several), after any raise, and the prepend communities ask for the
-///   most prepends any of them names;
+///   most prepends any of them names. A 4-byte AS owns no RFC 1997
+///   community: only RFC 7999's `BLACKHOLE` triggers its RTBH offer, no
+///   steering value addresses it, and a `ScopedToReceiver` exporter
+///   forwards it nothing;
 /// * best — an AS that originates the prefix holds its own route,
 ///   whatever local-pref a learned one has (Cisco weighs a locally
 ///   originated route 32768, above any learned one; Juniper prefers a
@@ -2806,7 +2854,11 @@ fn stable_paths_oracle(
     start: BTreeMap<Asn, Offer>,
     rounds: usize,
 ) -> Option<BTreeMap<Asn, Offer>> {
-    let hi = |asn: Asn| asn.as_u16().expect("a 2-byte test ASN");
+    // The high half of the RFC 1997 communities `asn` owns, if it owns any.
+    let hi = |asn: Asn| asn.as_u16();
+    // A route server's control rows name 2-byte ASes: no route-server
+    // world holds a 4-byte AS.
+    let rs_hi = |asn: Asn| hi(asn).expect("a 2-byte route server or member");
     let servers: BTreeSet<Asn> = (topo.ases())
         .filter(|node| node.tier == Tier::RouteServer)
         .map(|node| node.asn)
@@ -2818,7 +2870,7 @@ fn stable_paths_oracle(
             if held.from == Some(to) || scoped.iter().any(|c| held.communities.contains(c)) {
                 return None;
             }
-            let (rs, peer) = (hi(from), hi(to));
+            let (rs, peer) = (rs_hi(from), rs_hi(to));
             let names = |c: Community| held.communities.contains(&c);
             let (suppress, announce) = (
                 names(Community::new(0, peer)),
@@ -2833,7 +2885,7 @@ fn stable_paths_oracle(
             if !per_peer.unwrap_or(!names(Community::new(0, rs))) {
                 return None;
             }
-            let members: BTreeSet<u16> = topo.neighbors(from).map(|(m, _)| hi(m)).collect();
+            let members: BTreeSet<u16> = topo.neighbors(from).map(|(m, _)| rs_hi(m)).collect();
             let mut communities = held.communities.clone();
             communities.retain(|c| {
                 let row =
@@ -2858,7 +2910,7 @@ fn stable_paths_oracle(
         let path = prepended.chain(held.path.iter().copied()).collect();
         let mut communities = held.communities.clone();
         if configs[&from].propagation == CommunityPropagationPolicy::ScopedToReceiver {
-            communities.retain(|c| c.asn_part() == hi(to));
+            communities.retain(|c| Some(c.asn_part()) == hi(to));
         }
         if configs[&from].vendor == Vendor::Cisco && !configs[&from].send_community_configured {
             communities.clear();
@@ -2874,11 +2926,8 @@ fn stable_paths_oracle(
             let role = topo.role_of(at, sender).expect("adjacent");
             let admits = |scope: ActScope| scope == ActScope::Any || role == Role::Customer;
             let blackhole = cfg.services.blackhole.as_ref().filter(|bh| {
-                let trigger = [
-                    Community::new(hi(at), BLACKHOLE_VALUE),
-                    Community::BLACKHOLE,
-                ];
-                trigger.iter().any(|c| communities.contains(c))
+                let own = hi(at).map(|hi| Community::new(hi, BLACKHOLE_VALUE));
+                (own.into_iter().chain([Community::BLACKHOLE])).any(|c| communities.contains(&c))
                     && admits(bh.scope)
                     && prefix.len() >= bh.min_prefix_len
             });
@@ -2909,11 +2958,13 @@ fn stable_paths_oracle(
             }
             if servers.contains(&at) {
                 let bucket = (sender.get() % 5) as u16;
-                communities.insert(Community::new(hi(at), 100 + bucket));
+                communities.insert(Community::new(rs_hi(at), 100 + bucket));
             }
             let mut prepends = 0;
             if admits(cfg.services.steering_scope) {
-                let asked = |value: u16| communities.contains(&Community::new(hi(at), value));
+                let asked = |value: u16| {
+                    hi(at).is_some_and(|hi| communities.contains(&Community::new(hi, value)))
+                };
                 let services = &cfg.services;
                 if let Some((_, &lp)) = services.local_pref.iter().rev().find(|(&v, _)| asked(v)) {
                     local_pref = lp;
@@ -3005,7 +3056,24 @@ fn only_to_named(
         .compile()
         .run(&[episode]);
     assert!(res.converged, "{order:?}");
-    let engine = (res.final_routes.get(&prefix).into_iter())
+    let engine = held_offers(&res, prefix);
+    let oracle = stable_paths_oracle(
+        &topo,
+        &configs,
+        &Registries::default(),
+        prefix,
+        &originated,
+        BTreeMap::new(),
+        16,
+    )
+    .expect("a five-node world settles");
+    [engine, oracle]
+}
+
+/// The routes a run's ASes hold for `prefix`, as the oracle states them:
+/// the communities are those each route received plus its own ingress tags.
+fn held_offers(res: &SimResult, prefix: Prefix) -> BTreeMap<Asn, Offer> {
+    (res.final_routes.get(&prefix).into_iter())
         .flat_map(|finals| finals.iter())
         .map(|(&asn, route)| {
             let own = route.own_tags.iter().flatten();
@@ -3018,18 +3086,7 @@ fn only_to_named(
             };
             (asn, offer)
         })
-        .collect();
-    let oracle = stable_paths_oracle(
-        &topo,
-        &configs,
-        &Registries::default(),
-        prefix,
-        &originated,
-        BTreeMap::new(),
-        16,
-    )
-    .expect("a five-node world settles");
-    [engine, oracle]
+        .collect()
 }
 
 /// [`only_to_named`] on ASes 21, 22, 24, 25 and 29: of the server's other
@@ -3084,12 +3141,77 @@ fn a_route_server_tags_what_it_learns_and_strips_the_rows_it_reads() {
     }
 }
 
+/// A 4-byte AS owns no RFC 1997 community, on a world where a truncating
+/// `as u16` would give it one: AS 65 556 reads as AS 20 in 16 bits. Its
+/// customer 10 tags `20:666` and `20:70`, which would raise it to its RTBH
+/// local-pref (300) or steer it to 70; its customer 20 exports under
+/// `ScopedToReceiver` and tags `20:1`, which would reach it. The engine's
+/// routes (communities included) are the oracle's fixed point: 65 556
+/// holds 10's route at its customer local-pref, and 20's with no community.
+#[test]
+fn a_four_byte_as_owns_no_rfc1997_community() {
+    let [origin, alias, wide] = [10, 20, 65_556].map(Asn::new);
+    let mut topo = Topology::new();
+    topo.add_simple(wide, Tier::Transit);
+    for stub in [origin, alias] {
+        topo.add_simple(stub, Tier::Stub);
+        topo.add_edge(wide, stub, EdgeKind::ProviderToCustomer);
+    }
+    let mut configs: BTreeMap<Asn, RouterConfig> = (topo.ases())
+        .map(|node| (node.asn, RouterConfig::defaults(node.asn)))
+        .collect();
+    let services = &mut configs.get_mut(&wide).expect("configured").services;
+    services.blackhole = Some(BlackholeService {
+        min_prefix_len: 16,
+        local_pref: 300,
+        ..BlackholeService::default()
+    });
+    services.local_pref = BTreeMap::from([(70, 70)]);
+    services.steering_scope = ActScope::Any;
+    configs.get_mut(&alias).expect("configured").propagation =
+        CommunityPropagationPolicy::ScopedToReceiver;
+    let prefix = |s: &str| -> Prefix { s.parse().expect("valid prefix") };
+    let episodes = [
+        Origination::announce(
+            origin,
+            prefix("10.1.0.0/16"),
+            vec![Community::new(20, BLACKHOLE_VALUE), Community::new(20, 70)],
+        ),
+        Origination::announce(alias, prefix("10.2.0.0/16"), vec![Community::new(20, 1)]),
+    ];
+    let res = spec_for(&topo, configs.values().cloned().collect(), Vec::new())
+        .compile()
+        .run(&episodes);
+    assert!(res.converged);
+    for ep in &episodes {
+        let originated = BTreeMap::from([(ep.origin, &ep.communities)]);
+        let oracle = stable_paths_oracle(
+            &topo,
+            &configs,
+            &Registries::default(),
+            ep.prefix,
+            &originated,
+            BTreeMap::new(),
+            16,
+        )
+        .expect("a three-node world settles");
+        assert_eq!(held_offers(&res, ep.prefix), oracle, "{}", ep.prefix);
+        let at_wide = &oracle[&wide];
+        let customer = RouterConfig::defaults(wide).local_pref.customer;
+        assert_eq!(at_wide.local_pref, customer, "{}", ep.prefix);
+        if ep.origin == alias {
+            assert!(at_wide.communities.is_empty(), "{:?}", at_wide.communities);
+        }
+    }
+}
+
 /// ROADMAP item 9(ii) — *action communities settle where the documents
 /// say*: RTBH raises, steering local-prefs and requested prepends, over
 /// worlds where every AS forwards every community or runs the
 /// `ScopedToReceiver` defense, some validate origins against partly
 /// registered IRR and RPKI, some run Cisco routers that send no
-/// communities, and no route server intervenes. Per prefix,
+/// communities, up to two hold 4-byte ASNs whose low 16 bits are another
+/// AS's, and no route server intervenes. Per prefix,
 /// [`stable_paths_oracle`] iterates a whole-table best response to a fixed
 /// point; wherever it and the engine both converge, the engine's routes
 /// (AS path, local-pref, communities, sender, requested prepends) are a
@@ -3115,7 +3237,7 @@ fn action_communities_settle_at_the_stable_paths_fixed_point() {
         "::action_communities_settle_at_the_stable_paths_fixed_point"
     ));
     let (mut compared, mut acted, mut scoped, mut validated) = (0u32, 0u32, 0u32, 0u32);
-    let (mut silenced, mut wedged) = (0u32, 0u32);
+    let (mut silenced, mut wedged, mut wide) = (0u32, 0u32, 0u32);
     // What is compared with the oracle's fixed point from no routes:
     // (AS path, local-pref) per AS.
     let chosen = |fixed_point: BTreeMap<Asn, Offer>| -> BTreeMap<Asn, (Vec<Asn>, u32)> {
@@ -3125,21 +3247,28 @@ fn action_communities_settle_at_the_stable_paths_fixed_point() {
             .collect()
     };
     for case in 0..cases {
-        let (mut raw, services, addressed, objects) = strategy.generate(&mut rng);
+        let (mut raw, services, addressed, objects, four_byte) = strategy.generate(&mut rng);
         let n = raw.n_nodes;
         let last_tier = &mut raw.tiers[(n - 1) % 16];
         if *last_tier == 3 {
             *last_tier = 1; // `build_world` would make it a route server
         }
-        let (topo, _, collectors, mut originations) = build_world(&raw);
-        let asn_of = |i: usize| Asn::new((i % n) as u32 + 1);
+        let numbering = four_byte_numbering(n, &four_byte);
+        wide += numbering
+            .iter()
+            .filter(|asn| asn.as_u16().is_none())
+            .count() as u32;
+        let asn_of = |i: usize| numbering[i % n];
+        let (topo, _, collectors, mut originations) = build_numbered_world(&raw, asn_of);
         for (k, o) in originations
             .iter_mut()
             .enumerate()
             .filter(|(_, o)| !o.withdraw)
         {
             for &(owner, value) in &addressed[k % addressed.len()] {
-                let owner = asn_of(owner).as_u16().expect("a 2-byte test ASN");
+                let Some(owner) = asn_of(owner).as_u16() else {
+                    continue; // a 4-byte AS owns no RFC 1997 community
+                };
                 o.communities
                     .push(Community::new(owner, ACTION_VALUES[usize::from(value)]));
             }
@@ -3338,7 +3467,8 @@ fn action_communities_settle_at_the_stable_paths_fixed_point() {
          {scoped} a route the ScopedToReceiver defense moved, \
          {validated} a route origin validation moved, \
          {silenced} a route a silent exporter moved; \
-         {wedged} prefixes settled in another stable state than the oracle's"
+         {wedged} prefixes settled in another stable state than the oracle's; \
+         {wide} 4-byte ASes drawn"
     );
     assert!(
         compared * 2 >= cases,

@@ -13,28 +13,20 @@
 
 use bgpworms::analysis::UpdateSplit;
 use bgpworms::prelude::*;
-use bgpworms::routesim::{archive_all, Campaign, CampaignSink, PrefixOutcome, UpdateKind};
-
-/// Keeps nothing: the counters are what the test reads.
-struct Discard;
-
-impl CampaignSink for Discard {
-    fn fold(&mut self, _: Prefix, _: PrefixOutcome) {}
-    fn merge(&mut self, _: Self) {}
-}
+use bgpworms::routesim::{archive_all, Campaign, UpdateKind};
 
 /// The engine's split and the feed's, for the default workload and the
-/// default addressing on `topology` at seed 2018.
+/// default addressing on `topology` at seed 2018: one flood, whose
+/// campaign counts the split and whose kept outcomes finish into the feed.
 fn splits(topology: TopologyParams) -> ([u64; 5], UpdateSplit) {
     let topo = topology.seed(2018).build();
     let alloc = PrefixAllocation::assign(&topo, Default::default());
     let workload = Workload::generate(&topo, &alloc, &WorkloadParams::default());
     let sim = workload.simulation(&topo).compile();
-    let engine = Campaign::new(&sim)
-        .run(&workload.originations, || Discard)
-        .stats;
+    let run = Campaign::new(&sim).run(&workload.originations, Vec::new);
+    let engine = run.stats;
 
-    let result = sim.run(&workload.originations);
+    let result = sim.finish(run.sink);
     let archives = archive_all(&workload.collectors, &result.observations, 1_525_132_800)
         .expect("in-memory archives");
     let inputs: Vec<ArchiveInput> = archives.into_iter().map(ArchiveInput::from).collect();

@@ -393,13 +393,13 @@ pub struct DictionaryEval {
 
 impl DictionaryEval {
     /// Compares `inferred` against `truth`, restricted to communities that
-    /// actually appear in `observed` (unobservable service communities are
-    /// not knowable passively and are excluded, as in the paper's §7.6
-    /// survey design).
+    /// some announcement of `observed` carries (unobservable service
+    /// communities are not knowable passively and are excluded, as in the
+    /// paper's §7.6 survey design).
     pub fn compare(
         inferred: &CommunityDictionary,
         truth: &CommunityDictionary,
-        observed: &BTreeSet<Community>,
+        observed: &ObservationSet,
     ) -> DictionaryEval {
         fn coarse(k: CommunityKind) -> &'static str {
             match k {
@@ -431,7 +431,7 @@ impl DictionaryEval {
         }
         // Truth entries that were observed: FN when missed.
         for (c, k) in truth.iter() {
-            if !observed.contains(&c) {
+            if observed.community_id(c).is_none() {
                 continue;
             }
             let kind = coarse(k);
@@ -608,13 +608,7 @@ mod tests {
         inferred.insert(Community::new(9, 5), CommunityKind::Blackhole); // FP
                                                                          // prepend missed → FN; location missed but NOT observed → excluded
 
-        let observed: BTreeSet<Community> = [
-            Community::new(1, 666),
-            Community::new(2, 421),
-            Community::new(9, 5),
-        ]
-        .into_iter()
-        .collect();
+        let observed = set(&[obs("10.0.0.1/32", &[1], &[(1, 666), (2, 421), (9, 5)])]);
         let eval = DictionaryEval::compare(&inferred, &truth, &observed);
         let bh = eval.scores["blackhole"];
         assert_eq!(

@@ -153,8 +153,6 @@ pub struct LabeledRun {
     pub truth_dict: CommunityDictionary,
     /// The injected attacks.
     pub injections: Vec<InjectedAttack>,
-    /// Every community that reached a collector.
-    pub observed_communities: BTreeSet<Community>,
 }
 
 /// Builds a labeled run: generate, inject, simulate, read the feed.
@@ -186,8 +184,6 @@ pub fn build(params: &LabeledRunParams) -> LabeledRun {
     drop(result);
 
     let truth_dict = CommunityDictionary::from_workload(workload.configs.values());
-    let observed_communities: BTreeSet<Community> =
-        observations.communities().iter().copied().collect();
 
     LabeledRun {
         topo,
@@ -195,7 +191,6 @@ pub fn build(params: &LabeledRunParams) -> LabeledRun {
         observations,
         truth_dict,
         injections,
-        observed_communities,
     }
 }
 

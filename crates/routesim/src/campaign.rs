@@ -107,8 +107,8 @@
 //! the campaign, naming its chunk. What a run *can* meet is a policy set
 //! that never converges. The event budget cuts such a flood, the campaign
 //! folds what it reached, and the prefix is tallied in
-//! [`CampaignRun::diverged`], so a degraded completion is inspectable —
-//! see [`CampaignRun::degraded`] and [`CampaignRun::failure_summary`].
+//! [`CampaignRun::diverged`], in fold order: a run with an empty list
+//! converged everywhere.
 //!
 //! ```
 //! use bgpworms_routesim::{Campaign, CampaignSink, Origination, PrefixOutcome, SimSpec};
@@ -245,8 +245,8 @@ pub struct CampaignRun<S> {
     /// Prefixes folded as later members of an already-counted class.
     pub class_hits: u64,
     /// Prefixes that exhausted their event budget, in ascending fold order
-    /// — the structured form of `!converged` (graceful degradation, not an
-    /// abort).
+    /// — the structured form of `!converged`. A cut flood is folded, not
+    /// an abort.
     pub diverged: Vec<Prefix>,
     /// Always empty — the element type has no values: a deterministic
     /// engine has no prefix to quarantine. Kept for the repo benchmark,
@@ -279,26 +279,6 @@ impl<S> CampaignRun<S> {
             stats: FloodStats::default(),
             replay_clones: 0,
         }
-    }
-
-    /// True if the campaign completed but not cleanly: some prefix
-    /// diverged. Callers surfacing results (e.g. the `repro` CLI) should
-    /// report [`CampaignRun::failure_summary`] and exit non-zero.
-    pub fn degraded(&self) -> bool {
-        !self.diverged.is_empty()
-    }
-
-    /// A human-readable summary of the degradation: one line per diverged
-    /// prefix. Empty string when the run is clean.
-    pub fn failure_summary(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        for prefix in &self.diverged {
-            // lint: infallible `fmt::Write` for `String` never errors
-            writeln!(out, "diverged: {prefix} (event budget exhausted)")
-                .expect("String formatting is infallible");
-        }
-        out
     }
 }
 
@@ -993,8 +973,8 @@ mod tests {
         // The one failure a deterministic run can meet is a flood that does
         // not converge within its event budget. Budget 0 cuts every flood
         // at its first event: each prefix is still folded — what it reached
-        // is its outcome — and listed in `diverged`, the summary names it,
-        // and memoization changes nothing.
+        // is its outcome — and listed in `diverged`, and memoization
+        // changes nothing.
         let (topo, eps) = world();
         let sim = SimSpec::new(&topo)
             .retain(RetainRoutes::All)
@@ -1002,14 +982,10 @@ mod tests {
             .with_event_budget(0);
         let run = Campaign::new(&sim).run(&eps, Trace::default);
         let prefixes: Vec<Prefix> = group_by_prefix(&eps).into_keys().collect();
-        assert!(!run.converged && run.degraded());
+        assert!(!run.converged && !run.diverged.is_empty());
         assert_eq!(run.diverged, prefixes, "every prefix, in fold order");
         let folds = run.sink.calls.iter().filter(|c| c.starts_with("fold "));
         assert_eq!(folds.count(), prefixes.len(), "a cut flood is folded");
-        let lines = prefixes
-            .iter()
-            .map(|p| format!("diverged: {p} (event budget exhausted)\n"));
-        assert_eq!(run.failure_summary(), lines.collect::<String>());
         // Everything but the memo's own clones, which the reference skips.
         assert_eq!(
             CampaignRun {

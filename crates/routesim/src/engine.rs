@@ -131,7 +131,7 @@ use crate::collector::{Carried, CollectorObservation, CollectorSpec, FeedKind};
 use crate::policy::{CommunityPropagationPolicy, IrrDatabase, RouterConfig};
 use crate::route::{Route, RouteArena, RouteId};
 use crate::router::{self, NodeState, RibEntry, ValidationCtx};
-use crate::scratch::{EventQueue, SessionPass, SimScratch, SimSnapshot};
+use crate::scratch::{SessionPass, SimScratch, SimSnapshot};
 use crate::stats::{CloneSite, FloodStats, UpdateKind};
 use bgpworms_topology::{NodeId, Role, Tier, Topology};
 use bgpworms_types::{AsPath, Asn, Community, Origin, Prefix};
@@ -533,11 +533,6 @@ pub struct CompiledSim<'a> {
 }
 
 impl<'a> CompiledSim<'a> {
-    /// The topology this session was compiled over.
-    pub fn topology(&self) -> &'a Topology {
-        self.topo
-    }
-
     /// Current worker-thread count.
     pub fn threads(&self) -> usize {
         self.threads
@@ -769,13 +764,10 @@ pub(crate) fn inverse_role(role: Role) -> Role {
     }
 }
 
-/// Total rendering of a caught panic payload: every payload produces a
-/// stable, non-empty message.
-///
-/// String payloads (`panic!` and friends) render verbatim, and common
-/// primitive payloads render with their type name. Anything else is an
-/// opaque `dyn Any` whose type name is unrecoverable after the fact, so it
-/// renders a stable fallback.
+/// Total rendering of a caught panic payload: string payloads (`panic!`
+/// and friends) render verbatim; anything else is an opaque `dyn Any`
+/// whose type name is unrecoverable after the fact, so it renders a stable
+/// fallback.
 pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         return (*s).to_string();
@@ -783,18 +775,7 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<String>() {
         return s.clone();
     }
-    macro_rules! primitive {
-        ($($ty:ty),*) => {
-            $(if let Some(v) = payload.downcast_ref::<$ty>() {
-                return format!(
-                    "panic payload of type `{}`: {v:?}",
-                    std::any::type_name::<$ty>()
-                );
-            })*
-        };
-    }
-    primitive!(u8, u16, u32, u64, u128, usize, i8, i16, i32, i64, i128, isize, bool, char);
-    "panic payload of unknown type (not a string or a primitive)".to_string()
+    "panic payload of unknown type (not a string)".to_string()
 }
 
 /// The scratch-backed router table of one prefix run: hands out
@@ -1010,7 +991,10 @@ impl CompiledSim<'_> {
             // Drain to convergence: alternate import rounds (which only
             // mark receivers dirty) with batched export recomputes.
             'converge: loop {
-                while let Some(ev) = queue.pop_front() {
+                // Export passes and this drain never interleave: the
+                // `Drain` borrows the queue, and dropping it (a budget
+                // cut's `break`) clears the rest.
+                for ev in queue.drain(..) {
                     outcome.events += 1;
                     if outcome.events > self.event_budget {
                         // What the dirty set knows goes to the sweep: a
@@ -1020,7 +1004,6 @@ impl CompiledSim<'_> {
                         // so the last record of a session is its peer's
                         // current best.
                         outcome.converged = false;
-                        queue.clear();
                         for &i in dirty.sorted() {
                             let best = routers.node(i as usize).best_entry(arena);
                             passes.extend(self.sessions_of(i as usize).iter().map(|&session| {
@@ -1220,7 +1203,7 @@ impl CompiledSim<'_> {
         id: NodeId,
         routers: &mut Routers<'_>,
         arena: &mut RouteArena,
-        queue: &mut EventQueue,
+        queue: &mut Vec<Event>,
         passes: &mut Vec<SessionPass>,
         stats: &mut FloodStats,
     ) {
@@ -1274,7 +1257,7 @@ impl CompiledSim<'_> {
                 }
             };
             match node.diff_export(slot, new) {
-                Some(update) => queue.push_back(Event {
+                Some(update) => queue.push(Event {
                     from: id,
                     to: nb,
                     to_slot: rev_slot,
@@ -1757,14 +1740,12 @@ mod tests {
         assert_eq!(panic_message(&*payload), "boom");
         let payload: Box<dyn std::any::Any + Send> = Box::new("static");
         assert_eq!(panic_message(&*payload), "static");
-        // Primitive payloads name their type instead of a generic shrug.
+        // Any other payload, a primitive included, gets the fallback.
+        let fallback = "panic payload of unknown type (not a string)";
         let payload: Box<dyn std::any::Any + Send> = Box::new(42u32);
-        assert_eq!(panic_message(&*payload), "panic payload of type `u32`: 42");
+        assert_eq!(panic_message(&*payload), fallback);
         let payload: Box<dyn std::any::Any + Send> = Box::new(true);
-        assert_eq!(
-            panic_message(&*payload),
-            "panic payload of type `bool`: true"
-        );
+        assert_eq!(panic_message(&*payload), fallback);
     }
 
     #[test]

@@ -234,8 +234,9 @@
 //!   whose order matters uses `BTreeMap`/`Vec`/dense indices instead.
 //! * **Justified atomics.** Every atomic `Ordering::*` choice carries an
 //!   adjacent `// ordering: <why>` comment. All atomics in this crate live
-//!   in `shard.rs` (a claim ticket and an advisory abort latch), with
-//!   their arguments.
+//!   in `shard.rs`, with their arguments: a claim ticket, and an advisory
+//!   abort latch that stops a worker pool whose items all panic after
+//!   about one panic per worker.
 //! * **No wall clocks, no environment.** `Instant::now`/`SystemTime`
 //!   live only in the repo benchmark (`benchmark/`, a package outside the
 //!   workspace); `std::env`/`thread::current` never feed results — a run

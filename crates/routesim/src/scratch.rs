@@ -53,44 +53,6 @@ use crate::stats::FloodStats;
 use bgpworms_topology::Role;
 use bgpworms_types::Prefix;
 
-/// The in-flight update events of one convergence round.
-///
-/// The convergence loop is strictly **write-then-read**: export sweeps push
-/// while the queue is quiescent, then the drain loop pops until empty — the
-/// two phases never interleave — so no ring buffer is needed. A cursor
-/// walks the vector front to back and [`EventQueue::pop_front`] resets the
-/// storage (capacity kept) the moment the cursor catches up.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct EventQueue {
-    /// Read cursor into `events`.
-    head: usize,
-    events: Vec<Event>,
-}
-
-impl EventQueue {
-    pub(crate) fn push_back(&mut self, ev: Event) {
-        self.events.push(ev);
-    }
-
-    /// Pops the next event in FIFO order; on exhaustion resets the storage
-    /// for the next round's pushes and returns `None`.
-    pub(crate) fn pop_front(&mut self) -> Option<Event> {
-        let Some(&ev) = self.events.get(self.head) else {
-            self.clear();
-            return None;
-        };
-        self.head += 1;
-        Some(ev)
-    }
-
-    /// Drops all queued events (capacity kept) — the budget-cutoff path and
-    /// the per-prefix recycle.
-    pub(crate) fn clear(&mut self) {
-        self.head = 0;
-        self.events.clear();
-    }
-}
-
 /// The set of nodes whose Adj-RIB-In changed since their last export
 /// recompute, drained once per convergence round in ascending node order
 /// (the order is what keeps batched runs deterministic). Membership is a
@@ -190,8 +152,10 @@ pub(crate) struct SimScratch {
     pub(crate) last_emit_best: Vec<Option<Option<RouteId>>>,
     /// The prefix-run route arena; reset (capacity kept) per prefix.
     pub(crate) arena: RouteArena,
-    /// In-flight update events.
-    pub(crate) queue: EventQueue,
+    /// In-flight update events: export passes push, then the drain loop
+    /// empties it (the two phases never interleave, so it is a plain
+    /// `Vec` drained front to back).
+    pub(crate) queue: Vec<Event>,
     /// Nodes awaiting an export recompute.
     pub(crate) dirty: DirtySet,
     /// Per collector session: what the peer currently advertises to the
@@ -218,7 +182,7 @@ impl SimScratch {
             local: vec![None; n_nodes],
             last_emit_best: vec![None; n_nodes],
             arena: RouteArena::new(),
-            queue: EventQueue::default(),
+            queue: Vec::new(),
             dirty: DirtySet::new(n_nodes),
             monitor_state: vec![None; n_monitor_sessions],
             passes: Vec::new(),

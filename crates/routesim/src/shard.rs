@@ -21,9 +21,10 @@
 //!   thread for `i = 0, 1, 2, …` — the order the inline path produces — so
 //!   whatever the consumer folds is independent of which worker ran what.
 //! * **Panics.** A panicking item is caught and stored as its slot's `Err`
-//!   (rendered by [`crate::panic_message`]), and an abort latch stops
-//!   workers from claiming further items — a sink blowing up in chunk 0 of
-//!   a multi-hour campaign must not let the fleet grind through the rest.
+//!   (its text, by [`crate::panic_message`]), and an abort latch stops
+//!   workers from claiming further items: a sink that panics on every
+//!   chunk prints about one panic-hook message per worker, not one per
+//!   chunk, and no worker runs items nobody will consume.
 //!   The in-order walk stops at the **lowest** failed index and returns it
 //!   with its message, consuming nothing at or above it, so nothing a
 //!   poisoned worker state produced afterwards is ever observed. The

@@ -2630,11 +2630,15 @@ type Registered = (u8, u8);
 /// `65 536 + alias's ASN` (see [`four_byte_numbering`]).
 type FourByte = Vec<(usize, usize)>;
 
+/// Per 4-byte AS, in index order: which of the neighbours its RTBH scope
+/// admits tags its alias's `k:666` (an index, taken modulo their number).
+type AliasTaggers = Vec<usize>;
+
 /// A seasoned `arb_world()` for the action-community oracle (a copy, so the
 /// draws of every other property stay where they are): per AS a
 /// `RawServices`; per episode up to three communities addressed to drawn
-/// ASes, each one of [`ACTION_VALUES`]; per episode a [`Registered`]; and
-/// the [`FourByte`] ASes.
+/// ASes, each one of [`ACTION_VALUES`]; per episode a [`Registered`]; the
+/// [`FourByte`] ASes; and their [`AliasTaggers`].
 fn arb_serviced_world() -> impl Strategy<
     Value = (
         RawWorld,
@@ -2642,6 +2646,7 @@ fn arb_serviced_world() -> impl Strategy<
         Vec<Addressed>,
         Vec<Registered>,
         FourByte,
+        AliasTaggers,
     ),
 > {
     let services = (
@@ -2661,10 +2666,12 @@ fn arb_serviced_world() -> impl Strategy<
         proptest::collection::vec((0u8..6, 0u8..4), 16),
     );
     let vendors = proptest::collection::vec((any::<bool>(), any::<bool>()), 16);
-    // 4-byte ASes come last of all, for the same reason.
+    // 4-byte ASes come after those, and their alias taggers last of all,
+    // for the same reason.
     let four_byte = proptest::collection::vec((0usize..16, 0usize..16), 0..3);
-    (drawn, vendors, four_byte).prop_map(
-        |((world, services, addressed, validations, objects), vendors, four_byte)| {
+    let taggers = proptest::collection::vec(0usize..16, 2);
+    (drawn, vendors, four_byte, taggers).prop_map(
+        |((world, services, addressed, validations, objects), vendors, four_byte, taggers)| {
             let services = (services.into_iter().zip(validations).zip(vendors))
                 .map(
                     |(((blackhole, steering, scoped), validation), (cisco, send_configured))| {
@@ -2679,7 +2686,7 @@ fn arb_serviced_world() -> impl Strategy<
                     },
                 )
                 .collect();
-            (world, services, addressed, objects, four_byte)
+            (world, services, addressed, objects, four_byte, taggers)
         },
     )
 }
@@ -3211,7 +3218,8 @@ fn a_four_byte_as_owns_no_rfc1997_community() {
 /// `ScopedToReceiver` defense, some validate origins against partly
 /// registered IRR and RPKI, some run Cisco routers that send no
 /// communities, up to two hold 4-byte ASNs whose low 16 bits are another
-/// AS's, and no route server intervenes. Per prefix,
+/// AS's (one that offers RTBH hears its alias's `k:666` from a neighbour
+/// its scope admits), and no route server intervenes. Per prefix,
 /// [`stable_paths_oracle`] iterates a whole-table best response to a fixed
 /// point; wherever it and the engine both converge, the engine's routes
 /// (AS path, local-pref, communities, sender, requested prepends) are a
@@ -3237,7 +3245,7 @@ fn action_communities_settle_at_the_stable_paths_fixed_point() {
         "::action_communities_settle_at_the_stable_paths_fixed_point"
     ));
     let (mut compared, mut acted, mut scoped, mut validated) = (0u32, 0u32, 0u32, 0u32);
-    let (mut silenced, mut wedged, mut wide) = (0u32, 0u32, 0u32);
+    let (mut silenced, mut wedged, mut wide, mut tagged_wide) = (0u32, 0u32, 0u32, 0u32);
     // What is compared with the oracle's fixed point from no routes:
     // (AS path, local-pref) per AS.
     let chosen = |fixed_point: BTreeMap<Asn, Offer>| -> BTreeMap<Asn, (Vec<Asn>, u32)> {
@@ -3247,7 +3255,8 @@ fn action_communities_settle_at_the_stable_paths_fixed_point() {
             .collect()
     };
     for case in 0..cases {
-        let (mut raw, services, addressed, objects, four_byte) = strategy.generate(&mut rng);
+        let (mut raw, services, addressed, objects, four_byte, taggers) =
+            strategy.generate(&mut rng);
         let n = raw.n_nodes;
         let last_tier = &mut raw.tiers[(n - 1) % 16];
         if *last_tier == 3 {
@@ -3294,13 +3303,6 @@ fn action_communities_settle_at_the_stable_paths_fixed_point() {
                 }
             }
         }
-        let (mut irr, mut rpki) = (IrrDatabase::new(), IrrDatabase::new());
-        for &(prefix, origin) in &registries.irr {
-            irr.register(prefix, origin);
-        }
-        for &(prefix, origin) in &registries.rpki {
-            rpki.register(prefix, origin);
-        }
         let mut configs = BTreeMap::new();
         for (i, offered) in services.iter().enumerate().take(n) {
             let mut cfg = RouterConfig::defaults(asn_of(i)); // `ForwardAll`
@@ -3344,6 +3346,41 @@ fn action_communities_settle_at_the_stable_paths_fixed_point() {
                 cfg.services.steering_scope = scope(any);
             }
             configs.insert(cfg.asn, cfg);
+        }
+        // Each 4-byte AS that offers RTBH hears its alias's `k:666` from a
+        // neighbour its scope admits, on a /24 that neighbour originates and
+        // both registries cover, so origin validation passes it: a
+        // truncating `as u16` would trigger the offer there.
+        let wide_ases = numbering
+            .iter()
+            .enumerate()
+            .filter(|(_, asn)| asn.as_u16().is_none());
+        for ((i, &asn), &pick) in wide_ases.zip(&taggers) {
+            let Some(offer) = &configs[&asn].services.blackhole else {
+                continue;
+            };
+            let in_scope: Vec<Asn> = topo
+                .neighbors(asn)
+                .filter(|&(_, role)| offer.scope == ActScope::Any || role == Role::Customer)
+                .map(|(neighbour, _)| neighbour)
+                .collect();
+            let Some(&tagger) = in_scope.get(pick % in_scope.len().max(1)) else {
+                continue;
+            };
+            let prefix: Prefix = format!("10.255.{i}.0/24").parse().expect("valid prefix");
+            let alias = u16::try_from(asn.get() - 65_536).expect("an alias is a 2-byte AS");
+            let tagged = vec![Community::new(alias, BLACKHOLE_VALUE)];
+            originations.push(Origination::announce(tagger, prefix, tagged));
+            registries.irr.push((prefix, tagger));
+            registries.rpki.push((prefix, tagger));
+            tagged_wide += 1;
+        }
+        let (mut irr, mut rpki) = (IrrDatabase::new(), IrrDatabase::new());
+        for &(prefix, origin) in &registries.irr {
+            irr.register(prefix, origin);
+        }
+        for &(prefix, origin) in &registries.rpki {
+            rpki.register(prefix, origin);
         }
         let res = spec_for(&topo, configs.values().cloned().collect(), collectors)
             .irr(&irr)
@@ -3468,7 +3505,7 @@ fn action_communities_settle_at_the_stable_paths_fixed_point() {
          {validated} a route origin validation moved, \
          {silenced} a route a silent exporter moved; \
          {wedged} prefixes settled in another stable state than the oracle's; \
-         {wide} 4-byte ASes drawn"
+         {wide} 4-byte ASes drawn, {tagged_wide} of them heard their alias's k:666"
     );
     assert!(
         compared * 2 >= cases,

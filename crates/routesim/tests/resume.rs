@@ -124,7 +124,7 @@ fn resuming_from_the_text_persisted_after_any_chunk_is_byte_identical() {
         Ledger::default,
         usize::MAX,
     );
-    assert!(finished && !want.degraded());
+    assert!(finished && want.diverged.is_empty());
     let want_json = done.to_json();
     let chunks = want.chunks;
     assert!(chunks >= 2, "the world must span chunks");

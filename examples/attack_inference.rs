@@ -57,7 +57,7 @@ fn main() {
         "inferred semantics for {} communities from behaviour alone:",
         inferred.len()
     );
-    let eval = DictionaryEval::compare(&inferred, &run.truth_dict, &run.observed_communities);
+    let eval = DictionaryEval::compare(&inferred, &run.truth_dict, &run.observations);
     print!("{}", report::render_dictionary_eval(&eval));
 
     println!("\n== Step 2: detectors over passive data (with Fig 6 filter prior) ==\n");

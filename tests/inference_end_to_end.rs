@@ -63,7 +63,7 @@ fn dictionary_inference_recovers_blackhole_semantics() {
     let (inferred, evidence) = DictionaryInference.infer(&run.observations);
     assert!(!evidence.is_empty());
 
-    let eval = DictionaryEval::compare(&inferred, &run.truth_dict, &run.observed_communities);
+    let eval = DictionaryEval::compare(&inferred, &run.truth_dict, &run.observations);
     let bh = eval.scores["blackhole"];
     assert!(
         bh.recall() >= 0.5,

@@ -13,7 +13,7 @@
 
 use bgpworms_attacks::wild;
 use bgpworms_attacks::{feasibility, lab};
-use bgpworms_bench::{Scale, Snapshot};
+use bgpworms_bench::{peak_rss_mb, Scale, Snapshot};
 use bgpworms_core::propagation::render_table2;
 use bgpworms_core::timeseries::{render_series, SnapshotStats};
 use bgpworms_core::{
@@ -183,8 +183,13 @@ fn main() {
         println!("=== {} ===\n{text}", a.name);
         write_out(&run.opts.out, a.name, &text);
     }
+    // The peak after each stage of the snapshot's build, then the
+    // process's peak, reached by the end of the artefacts.
+    for (stage, mb) in run.snapshot.iter().flat_map(|s| &s.stage_peaks) {
+        eprintln!("[repro] peak resident set after {stage}: {mb:.1} MB");
+    }
     if let Some(mb) = peak_rss_mb() {
-        eprintln!("[repro] peak resident set: {mb:.1} MB");
+        eprintln!("[repro] peak resident set: {mb:.1} MB (after the artefacts)");
     }
     if run.degraded {
         eprintln!("[repro] one or more artefacts were degraded (see DEGRADED lines above)");
@@ -209,15 +214,6 @@ impl Run {
             snap
         })
     }
-}
-
-/// This process's peak resident set in MB (`VmHWM` in `/proc/self/status`),
-/// or `None` where that file or line is absent.
-fn peak_rss_mb() -> Option<f64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let hwm = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
-    let kb: f64 = hwm.trim().strip_suffix("kB")?.trim().parse().ok()?;
-    Some(kb / 1024.0)
 }
 
 fn write_out(dir: &Path, name: &str, text: &str) {

@@ -22,8 +22,8 @@ pub enum Scale {
     Small,
     /// ~1.7 K ASes — the default reproduction scale.
     Medium,
-    /// ~8.6 K ASes — the headline scale. `repro table1` takes 35 s and
-    /// peaks at 5.9 GB resident (seed 2018, on a 2-CPU host).
+    /// ~8.6 K ASes — the headline scale. `repro table1` takes 33 s and
+    /// peaks at 5.2 GB resident (seed 2018, on a 2-CPU host).
     Large,
     /// ~62 K ASes — the paper's full April-2018 Internet. Only `repro`'s
     /// flood-memoized `full-table` campaign has been run at this scale.
@@ -76,6 +76,24 @@ pub struct Snapshot {
     /// not a route server): the engine counts deliveries to them without
     /// simulating them.
     pub unread_ases: usize,
+    /// The process's peak resident set in MB ([`peak_rss_mb`]) after each
+    /// stage of the build that ran in it: topology, workload, flood, feed.
+    /// Empty where `/proc/self/status` is absent.
+    pub stage_peaks: Vec<(&'static str, f64)>,
+}
+
+/// This process's peak resident set in MB (`VmHWM` in `/proc/self/status`),
+/// or `None` where that file or line is absent.
+pub fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let hwm = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kb: f64 = hwm.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    Some(kb / 1024.0)
+}
+
+/// Notes the peak resident set reached by the end of `stage`.
+fn after(stage: &'static str, peaks: &mut Vec<(&'static str, f64)>) {
+    peaks.extend(peak_rss_mb().map(|mb| (stage, mb)));
 }
 
 impl Snapshot {
@@ -91,14 +109,20 @@ impl Snapshot {
         seed: u64,
         base_params: &WorkloadParams,
     ) -> Snapshot {
+        let mut stage_peaks = Vec::new();
         let topo = topo_params.seed(seed).build();
         let alloc = PrefixAllocation::assign(&topo, AddressingParams { seed });
+        after("topology", &mut stage_peaks);
         let params = WorkloadParams {
             seed,
             ..base_params.clone()
         };
         let workload = Workload::generate(&topo, &alloc, &params);
-        Self::simulate(topo, alloc, workload)
+        after("workload", &mut stage_peaks);
+        let mut snapshot = Self::simulate(topo, alloc, workload);
+        stage_peaks.append(&mut snapshot.stage_peaks);
+        snapshot.stage_peaks = stage_peaks;
+        snapshot
     }
 
     /// Floods `workload`'s schedule over `topo` once, as
@@ -108,11 +132,14 @@ impl Snapshot {
     /// Internet to the analysis's input. It is the set the feed's MRT
     /// archive would parse to; no byte is written or parsed.
     pub fn simulate(topo: Topology, alloc: PrefixAllocation, workload: Workload) -> Snapshot {
+        let mut stage_peaks = Vec::new();
         let sim = workload.simulation(&topo).compile();
         let unread_ases = sim.unread_nodes();
         let mut flood = Campaign::new(&sim).run(&workload.originations, Vec::new);
         let result = sim.finish(std::mem::take(&mut flood.sink));
+        after("flood", &mut stage_peaks);
         let observations = feed_set(&workload.collectors, &result.observations);
+        after("feed", &mut stage_peaks);
 
         Snapshot {
             topo,
@@ -121,6 +148,7 @@ impl Snapshot {
             observations,
             flood,
             unread_ases,
+            stage_peaks,
         }
     }
 }

@@ -9,12 +9,28 @@
 //! into a `Vec` indexed by id and renders its `BTreeMap`-ordered output by
 //! walking ids. Rows cannot change after construction, so the indexes
 //! cannot go stale.
+//!
+//! A feed repeats its attributes: the same path and communities reach a
+//! collector over many sessions and for many prefixes. The store keeps
+//! each distinct attribute set (de-prepended path, prepend runs, raw hop
+//! count, communities, large communities) once, in a table of spans over
+//! the columns, and a [`Row`] holds a 4-byte id into it. So a row is 48
+//! bytes, not the 80 it took with its spans inline, and the per-set work
+//! of `finish` (owners' path positions) runs once per set, not per row.
+//! Both ways in intern by the same rule: the builder appends a set's
+//! values, looks their hash up among the sets already kept, and takes the
+//! appended tail back when an equal set is there.
+//!
+//! The §4 counts that deduplicate by (prefix, peer, community) read that
+//! triple's first occurrence in feed order through one walk,
+//! [`ObservationSet::first_tags`], which holds one prefix's tags at a
+//! time instead of a feed-sized set of triples.
 
 pub use bgpworms_mrt::ArchiveInput;
 use bgpworms_mrt::{Bgp4mpMessage, MrtError, UpdateStream};
 use bgpworms_types::{AsPath, Asn, Community, LargeCommunity, PathAttributes, Prefix};
-use std::collections::BTreeSet;
-use std::hash::{Hash, Hasher};
+use std::collections::{BTreeSet, HashMap};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::ops::{Deref, Range};
 
 /// "No such position": an off-path owner's; a row's ids until `finish`.
@@ -117,8 +133,9 @@ impl Span {
     }
 }
 
-/// Where one update's attributes sit in the columns. The prefixes of a
-/// multi-NLRI update share one; a withdrawal's is empty.
+/// Where one distinct attribute set sits in the columns. Every row that
+/// carries the set points at it by id; id 0 is the empty set a withdrawal
+/// points at.
 #[derive(Debug, Clone, Copy, Default)]
 struct Attrs {
     path: Span,
@@ -143,14 +160,16 @@ pub struct Row {
     session: u32,
     peer_id: u32,
     prefix_id: u32,
-    attrs: Attrs,
+    /// Index into [`ObservationSet::attrs`].
+    attrs: u32,
 }
 
-// A feed keeps one row per prefix of every update it read: a field that
-// widens the row widens the whole set.
+// A feed keeps one row per prefix of every update it read, but far fewer
+// distinct attribute sets: the row holds the set's id, not its spans
+// (36 bytes), and a field that widens the row widens the whole set.
 const _: () = assert!(
-    size_of::<Row>() <= 80,
-    "Row outgrows 80 bytes: a feed holds one per prefix per update"
+    size_of::<Row>() <= 48,
+    "Row outgrows 48 bytes: a feed holds one per prefix per update"
 );
 
 /// `items[start[k]..start[k + 1]]` are the items of key `k`, in the order
@@ -185,7 +204,12 @@ impl Csr {
     }
 }
 
-/// Picks a slot of the lossy caches below: a multiply-rotate mix. A bad
+/// One step of a multiply-rotate mix: `state` with `word` folded in.
+fn mix(state: u64, word: u64) -> u64 {
+    (state.rotate_left(5) ^ word).wrapping_mul(0x517C_C1B7_2722_0A95)
+}
+
+/// Picks a slot of the lossy caches below: the multiply-rotate mix. A bad
 /// spread costs cache hits, never correctness.
 #[derive(Default)]
 struct SlotHasher(u64);
@@ -195,9 +219,28 @@ impl Hasher for SlotHasher {
         for chunk in bytes.chunks(8) {
             let mut word = [0u8; 8];
             word[..chunk.len()].copy_from_slice(chunk);
-            self.0 = (self.0.rotate_left(5) ^ u64::from_le_bytes(word))
-                .wrapping_mul(0x517C_C1B7_2722_0A95);
+            self.0 = mix(self.0, u64::from_le_bytes(word));
         }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Hashes a key that is a mixed hash already by keeping its bits.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 = self.0 << 8 | u64::from(byte);
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
     }
 
     fn finish(&self) -> u64 {
@@ -295,6 +338,9 @@ pub struct ObservationSet {
     owner_pos: Vec<u32>,
     prepends: Vec<(Asn, usize)>,
     large: Vec<LargeCommunity>,
+    /// The distinct attribute sets a row's `attrs` indexes, each spanning
+    /// the columns above once; 0 is the empty set.
+    attrs: Vec<Attrs>,
 
     /// Prefix id → rows announcing it **with a non-empty path**, in feed
     /// order. The one place the empty-path rule is stated: no edge, holder
@@ -304,20 +350,38 @@ pub struct ObservationSet {
     carrying: Csr,
 }
 
-/// Collects rows and raw columns; [`Builder::finish`] interns and indexes.
-#[derive(Default)]
+/// Collects rows, raw columns and distinct attribute sets;
+/// [`Builder::finish`] interns values and indexes.
 struct Builder {
     rows: Vec<Row>,
     /// Distinct (platform, collector) pairs in first-seen order; a row's
     /// `session` indexes this until `finish` sorts the table.
     sessions: Vec<(String, String)>,
     path: Vec<Asn>,
-    /// Where each non-empty path pushed ends in `path`.
+    /// Where each non-empty path kept ends in `path`.
     path_ends: Vec<usize>,
     comms: Vec<Community>,
     prepends: Vec<(Asn, usize)>,
     large: Vec<LargeCommunity>,
+    /// The attribute sets kept, the empty set first.
+    attrs: Vec<Attrs>,
+    /// Content hash of a kept set → its id. A set whose hash is taken by
+    /// a different content is kept all the same, unlisted. The mix is
+    /// unkeyed, so a feed crafted to collide slows the parse, never
+    /// changes what it reads.
+    // lint: order-independent lookups only, never iterated
+    kept: HashMap<u64, u32, BuildHasherDefault<PassThrough>>,
 }
+
+/// An attribute set's values: raw hop count, de-prepended path, prepend
+/// runs, communities, large communities.
+type Content<'c> = (
+    u32,
+    &'c [Asn],
+    &'c [(Asn, usize)],
+    &'c [Community],
+    &'c [LargeCommunity],
+);
 
 fn span_of<T>(column: &[T], added: usize) -> Span {
     Span {
@@ -327,6 +391,20 @@ fn span_of<T>(column: &[T], added: usize) -> Span {
 }
 
 impl Builder {
+    fn new() -> Self {
+        Builder {
+            rows: Vec::new(),
+            sessions: Vec::new(),
+            path: Vec::new(),
+            path_ends: Vec::new(),
+            comms: Vec::new(),
+            prepends: Vec::new(),
+            large: Vec::new(),
+            attrs: vec![Attrs::default()],
+            kept: Default::default(),
+        }
+    }
+
     fn session(&mut self, platform: &str, collector: &str) -> u32 {
         let known = self
             .sessions
@@ -338,9 +416,11 @@ impl Builder {
         }) as u32
     }
 
-    /// Puts an announcement's attributes in the columns: the path
-    /// de-prepended, with its raw hop count and prepend runs beside it.
-    fn attrs(&mut self, announced: FeedAttrs<'_>) -> Attrs {
+    /// Puts an announcement's attributes in the columns, the path
+    /// de-prepended with its raw hop count and prepend runs beside it, and
+    /// returns the id of the set. A set equal to one kept already is taken
+    /// back out of the columns, and the kept one's id returned.
+    fn attrs(&mut self, announced: FeedAttrs<'_>) -> u32 {
         let FeedAttrs {
             path,
             communities,
@@ -348,24 +428,76 @@ impl Builder {
         } = announced;
         let (path_before, prepends_before) = (self.path.len(), self.prepends.len());
         self.path.extend(path.deprepended_asns());
-        if self.path.len() > path_before {
+        let has_path = self.path.len() > path_before;
+        if has_path {
             self.path_ends.push(self.path.len());
         }
         self.comms.extend_from_slice(communities);
         self.prepends.extend(path.prepend_runs());
         self.large.extend_from_slice(large_communities);
-        Attrs {
+        let attrs = Attrs {
             path: span_of(&self.path, self.path.len() - path_before),
             communities: span_of(&self.comms, communities.len()),
             prepends: span_of(&self.prepends, self.prepends.len() - prepends_before),
             large: span_of(&self.large, large_communities.len()),
             // lint: infallible an AS_PATH fits a BGP message, far below 2^32 hops
             raw_hop_count: u32::try_from(path.hop_count()).expect("hop count fits u32"),
+        };
+        let fresh = self.attrs.len() as u32;
+        let id = *self.kept.entry(self.content_hash(attrs)).or_insert(fresh);
+        if id != fresh && self.content(self.attrs[id as usize]) == self.content(attrs) {
+            self.path.truncate(attrs.path.start as usize);
+            if has_path {
+                self.path_ends.pop();
+            }
+            self.comms.truncate(attrs.communities.start as usize);
+            self.prepends.truncate(attrs.prepends.start as usize);
+            self.large.truncate(attrs.large.start as usize);
+            return id;
         }
+        self.attrs.push(attrs);
+        fresh
+    }
+
+    /// What makes two attribute sets the same: the raw hop count and the
+    /// four lists. The hash and the hit test both read a set through this.
+    fn content(&self, a: Attrs) -> Content<'_> {
+        (
+            a.raw_hop_count,
+            &self.path[a.path.range()],
+            &self.prepends[a.prepends.range()],
+            &self.comms[a.communities.range()],
+            &self.large[a.large.range()],
+        )
+    }
+
+    /// The multiply-rotate mix of a set's content as `u32` words, two to a
+    /// step, the lists' lengths first. (A length or run past `u32` would
+    /// wrap here, which costs a hash collision, not correctness.)
+    fn content_hash(&self, attrs: Attrs) -> u64 {
+        let (hops, path, prepends, comms, large) = self.content(attrs);
+        let pair = |lo: u32, hi: u32| u64::from(lo) | u64::from(hi) << 32;
+        let mut h = mix(0, pair(hops, path.len() as u32));
+        h = mix(h, pair(prepends.len() as u32, comms.len() as u32));
+        h = mix(h, large.len() as u64);
+        for two in path.chunks(2) {
+            h = mix(h, pair(two[0].get(), two.get(1).map_or(0, |a| a.get())));
+        }
+        for &(asn, run) in prepends {
+            h = mix(h, pair(asn.get(), run as u32));
+        }
+        for two in comms.chunks(2) {
+            let second = two.get(1).map_or(0, |c| c.as_u32());
+            h = mix(h, pair(two[0].as_u32(), second));
+        }
+        for l in large {
+            h = mix(mix(h, pair(l.global, l.local1)), u64::from(l.local2));
+        }
+        h
     }
 
     /// `attrs` is `None` for a withdrawal.
-    fn row(&mut self, session: u32, time: u32, peer: Asn, prefix: Prefix, attrs: Option<Attrs>) {
+    fn row(&mut self, session: u32, time: u32, peer: Asn, prefix: Prefix, attrs: Option<u32>) {
         self.rows.push(Row {
             time,
             peer,
@@ -374,7 +506,7 @@ impl Builder {
             session,
             peer_id: NONE,
             prefix_id: NONE,
-            attrs: attrs.unwrap_or_default(),
+            attrs: attrs.unwrap_or(0),
         });
     }
 
@@ -387,6 +519,8 @@ impl Builder {
             comms,
             prepends,
             large,
+            attrs,
+            kept: _,
         } = self;
         // Row numbers, column offsets and ids are `u32`, `NONE` excluded.
         let longest = [
@@ -395,6 +529,7 @@ impl Builder {
             comms.len(),
             prepends.len(),
             large.len(),
+            attrs.len(),
         ];
         assert!(
             longest.iter().all(|&n| n < NONE as usize),
@@ -433,10 +568,9 @@ impl Builder {
         let comm_ids: Vec<u32> = comms.iter().map(|&c| community_ids.of(c)).collect();
 
         let mut owner_pos = vec![NONE; comms.len()];
-        for row in &rows {
-            // (Rows sharing an `Attrs` rewrite the same values.)
-            let hops = &path_ids[row.attrs.path.range()];
-            let span = row.attrs.communities.range();
+        for set in &attrs {
+            let hops = &path_ids[set.path.range()];
+            let span = set.communities.range();
             for (pos, &c) in owner_pos[span.clone()].iter_mut().zip(&comm_ids[span]) {
                 let owner = owner_ids[c as usize];
                 if let Some(at) = hops.iter().position(|&a| a == owner) {
@@ -469,7 +603,7 @@ impl Builder {
             .collect();
 
         let with_path = (rows.iter().zip(0u32..))
-            .filter(|(r, _)| r.attrs.path.len > 0)
+            .filter(|(r, _)| attrs[r.attrs as usize].path.len > 0)
             .map(|(r, i)| (r.prefix_id, i));
         let groups = Csr::build(prefixes.len(), with_path);
 
@@ -477,7 +611,8 @@ impl Builder {
         let pairs = sorted_distinct(
             bits,
             rows.iter().flat_map(|r| {
-                (comm_ids[r.attrs.communities.range()].iter()).map(|&c| (c, r.prefix_id))
+                let span = attrs[r.attrs as usize].communities.range();
+                comm_ids[span].iter().map(|&c| (c, r.prefix_id))
             }),
         );
         let carrying = Csr::build(communities.len(), pairs.iter().copied());
@@ -499,6 +634,7 @@ impl Builder {
             owner_pos,
             prepends,
             large,
+            attrs,
             groups,
             carrying,
         }
@@ -511,7 +647,7 @@ impl ObservationSet {
     /// update is decoded into one scratch message, and its path, prepend
     /// runs and communities go straight into the columns.
     pub fn from_archives(archives: &[ArchiveInput]) -> Result<Self, MrtError> {
-        let mut b = Builder::default();
+        let mut b = Builder::new();
         let mut messages = Vec::with_capacity(archives.len());
         let mut msg = Bgp4mpMessage::default();
         for archive in archives {
@@ -547,7 +683,7 @@ impl ObservationSet {
     where
         R: IntoIterator<Item = FeedRow<'a>>,
     {
-        let mut b = Builder::default();
+        let mut b = Builder::new();
         let mut messages = Vec::new();
         for (platform, collector, rows) in sessions {
             let session = b.session(platform, collector);
@@ -668,6 +804,77 @@ impl ObservationSet {
     pub fn prefixes_carrying(&self, community_id: u32) -> &[u32] {
         self.carrying.get(community_id)
     }
+
+    /// How many distinct attribute sets the announcements carry: each is
+    /// kept once, however many rows carry it.
+    pub fn attribute_sets(&self) -> usize {
+        self.attrs.len() - 1
+    }
+
+    /// The tag at position `k` of the community columns.
+    fn tag(&self, k: usize) -> Tag {
+        Tag {
+            community: self.comms[k],
+            id: self.comm_ids[k],
+            owner_pos: match self.owner_pos[k] {
+                NONE => None,
+                at => Some(at as usize),
+            },
+        }
+    }
+
+    /// Visits each (prefix, peer, community) the announcements carry once,
+    /// at its first occurrence in feed order among the tags `keep` admits,
+    /// with the announcement that carries it there. Announcements with an
+    /// empty path, whose tags are all off-path, count like any other.
+    ///
+    /// The walk goes one prefix at a time, ascending; within a prefix it
+    /// visits in (peer id, community id) order. It holds one prefix's tags
+    /// at a time, and a list of the empty-path announcements, which the
+    /// prefix groups leave out.
+    pub fn first_tags(
+        &self,
+        keep: impl Fn(Tag) -> bool,
+        mut visit: impl FnMut(Observation<'_>, Tag),
+    ) {
+        let mut pathless: Vec<(u32, u32)> = (self.observations.iter().zip(0u32..))
+            .filter(|(r, _)| {
+                let attrs = self.attrs[r.attrs as usize];
+                !r.is_withdrawal && attrs.path.len == 0 && attrs.communities.len > 0
+            })
+            .map(|(r, i)| (r.prefix_id, i))
+            .collect();
+        pathless.sort_unstable();
+        let mut pathless = pathless.as_slice();
+        // (peer id << 32 | community id, row, community column position):
+        // sorted, a triple's first entry is its first occurrence.
+        let mut tags: Vec<(u64, u32, u32)> = Vec::new();
+        for prefix in 0..self.prefixes.len() as u32 {
+            let empty = pathless.iter().take_while(|&&(p, _)| p == prefix).count();
+            let (here, rest) = pathless.split_at(empty);
+            pathless = rest;
+            tags.clear();
+            for &i in self
+                .groups
+                .get(prefix)
+                .iter()
+                .chain(here.iter().map(|(_, i)| i))
+            {
+                let row = &self.observations[i as usize];
+                let peer = u64::from(row.peer_id) << 32;
+                for k in self.attrs[row.attrs as usize].communities.range() {
+                    if keep(self.tag(k)) {
+                        tags.push((peer | u64::from(self.comm_ids[k]), i, k as u32));
+                    }
+                }
+            }
+            tags.sort_unstable();
+            tags.dedup_by_key(|t| t.0);
+            for &(_, i, k) in &tags {
+                visit(self.row(i as usize), self.tag(k as usize));
+            }
+        }
+    }
 }
 
 /// One community on an announcement.
@@ -698,6 +905,11 @@ impl Deref for Observation<'_> {
 }
 
 impl<'a> Observation<'a> {
+    /// Where the row's attribute set sits in the columns.
+    fn attrs(self) -> Attrs {
+        self.set.attrs[self.row.attrs as usize]
+    }
+
     /// Platform the collector belongs to (RIS / RV / IS / PCH).
     fn platform(self) -> &'a str {
         &self.set.sessions[self.row.session as usize].0
@@ -726,59 +938,51 @@ impl<'a> Observation<'a> {
     /// De-prepended AS path, collector-first (`path[0]` = peer,
     /// `path.last()` = origin). Empty for withdrawals.
     pub fn path(self) -> &'a [Asn] {
-        &self.set.path[self.row.attrs.path.range()]
+        &self.set.path[self.attrs().path.range()]
     }
 
     /// The path as ids in [`ObservationSet::asns`].
     pub fn path_ids(self) -> &'a [u32] {
-        &self.set.path_ids[self.row.attrs.path.range()]
+        &self.set.path_ids[self.attrs().path.range()]
     }
 
     /// Ids in [`ObservationSet::edges`] of the path's hops: entry `j` is the
     /// edge on which `path[j + 1]` exported to `path[j]`.
     pub fn edge_ids(self) -> &'a [u32] {
-        let hops = &self.set.edge_ids[self.row.attrs.path.range()];
+        let hops = &self.set.edge_ids[self.attrs().path.range()];
         &hops[..hops.len().saturating_sub(1)]
     }
 
     /// Hop count of the path *before* de-prepending.
     fn raw_hop_count(self) -> usize {
-        self.row.attrs.raw_hop_count as usize
+        self.attrs().raw_hop_count as usize
     }
 
     /// Prepend evidence from the raw path: ASes that appeared in
     /// consecutive runs of length > 1, with the run length.
     pub fn prepends(self) -> &'a [(Asn, usize)] {
-        &self.set.prepends[self.row.attrs.prepends.range()]
+        &self.set.prepends[self.attrs().prepends.range()]
     }
 
     /// Attached communities.
     pub fn communities(self) -> &'a [Community] {
-        &self.set.comms[self.row.attrs.communities.range()]
+        &self.set.comms[self.attrs().communities.range()]
     }
 
     /// The communities as ids in [`ObservationSet::communities`].
     pub fn community_ids(self) -> &'a [u32] {
-        &self.set.comm_ids[self.row.attrs.communities.range()]
+        &self.set.comm_ids[self.attrs().communities.range()]
     }
 
     /// The communities with their ids and their owners' path positions.
     pub fn tags(self) -> impl Iterator<Item = Tag> + 'a {
-        let span = self.row.attrs.communities.range();
         let set = self.set;
-        span.map(move |k| Tag {
-            community: set.comms[k],
-            id: set.comm_ids[k],
-            owner_pos: match set.owner_pos[k] {
-                NONE => None,
-                at => Some(at as usize),
-            },
-        })
+        self.attrs().communities.range().map(move |k| set.tag(k))
     }
 
     /// Attached RFC 8092 large communities.
     pub fn large_communities(self) -> &'a [LargeCommunity] {
-        &self.set.large[self.row.attrs.large.range()]
+        &self.set.large[self.attrs().large.range()]
     }
 
     /// Origin AS, if any.

@@ -18,7 +18,7 @@
 use crate::observation::{BlackholeDetector, ObservationSet};
 use crate::stats::Ecdf;
 use bgpworms_types::{Asn, Community};
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One distance sample: a (community, prefix, peer)-deduplicated instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,7 +53,9 @@ pub struct Table2Row {
 /// The full propagation analysis.
 #[derive(Debug, Clone)]
 pub struct PropagationAnalysis {
-    /// Deduplicated on-path distance samples.
+    /// Deduplicated on-path distance samples, prefix by prefix: each
+    /// (community, prefix, peer) once, at its first on-path occurrence in
+    /// feed order.
     pub samples: Vec<DistanceSample>,
     /// Table 2 rows (per platform + Total).
     pub table2: Vec<Table2Row>,
@@ -87,9 +89,6 @@ impl PropagationAnalysis {
         let collector_peers = collector_peers(set, &all_sessions);
         let is_blackhole = set.community_flags(|c| detector.is_blackhole(c));
 
-        // lint: order-independent membership tests only, never iterated
-        let mut seen: HashSet<(u32, u32, u32)> = HashSet::new();
-        let mut samples = Vec::new();
         let mut forwarders = vec![false; set.asns().len()];
         let mut transit_ases = vec![false; set.asns().len()];
 
@@ -100,24 +99,29 @@ impl PropagationAnalysis {
             }
             for tag in obs.tags() {
                 let Some(idx) = tag.owner_pos else {
-                    continue; // off-path: no distance defined
+                    continue; // off-path: no tagger on this path
                 };
                 // Transit forwarders: ASes strictly between the tagger and
                 // the collector peer relay a foreign community.
                 for &asn in path.get(1..idx).unwrap_or_default() {
                     forwarders[asn as usize] = true;
                 }
-                if !seen.insert((tag.id, obs.prefix_id(), obs.peer_id())) {
-                    continue;
-                }
-                samples.push(DistanceSample {
-                    community: tag.community,
-                    distance: idx + 1,
-                    path_len: path.len(),
-                    is_blackhole: is_blackhole[tag.id as usize],
-                });
             }
         }
+        let mut samples = Vec::new();
+        set.first_tags(
+            |tag| tag.owner_pos.is_some(),
+            |obs, tag| {
+                if let Some(idx) = tag.owner_pos {
+                    samples.push(DistanceSample {
+                        community: tag.community,
+                        distance: idx + 1,
+                        path_len: obs.path().len(),
+                        is_blackhole: is_blackhole[tag.id as usize],
+                    });
+                }
+            },
+        );
         for (forwards, &peers) in forwarders.iter_mut().zip(&collector_peers) {
             *forwards &= !peers;
         }
@@ -286,6 +290,29 @@ mod tests {
         let s = set(&[o.clone(), o]);
         let a = PropagationAnalysis::compute(&s, &BlackholeDetector::conventional());
         assert_eq!(a.samples.len(), 1);
+    }
+
+    /// One (prefix, peer, community) heard off-path, then on-path at two
+    /// distances: its first on-path occurrence gives the one sample. On a
+    /// second prefix AS3's other value comes at the two distances the
+    /// other way round, so a dedup that keeps any other occurrence (the
+    /// last, the nearest, the farthest) moves a sample.
+    #[test]
+    fn the_first_on_path_occurrence_decides_distance_and_length() {
+        let s = set(&[
+            obs(5, &[5, 1], &[(3, 9)], "10.0.0.0/16"),
+            obs(5, &[5, 4, 2, 3, 1], &[(3, 9)], "10.0.0.0/16"),
+            obs(5, &[5, 3, 1], &[(3, 10)], "20.0.0.0/16"),
+            obs(5, &[5, 3, 1], &[(3, 9)], "10.0.0.0/16"),
+            obs(5, &[5, 4, 2, 3, 1], &[(3, 10)], "20.0.0.0/16"),
+        ]);
+        let a = PropagationAnalysis::compute(&s, &BlackholeDetector::conventional());
+        let mut got: Vec<(Community, usize, usize)> = (a.samples.iter())
+            .map(|s| (s.community, s.distance, s.path_len))
+            .collect();
+        got.sort_unstable();
+        let want = [(Community::new(3, 9), 4, 5), (Community::new(3, 10), 2, 3)];
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -6,7 +6,6 @@ use crate::observation::ObservationSet;
 use crate::stats::Histogram;
 use crate::table::{pct, text_table};
 use bgpworms_types::Community;
-use std::collections::HashSet;
 
 /// A ranked value list: `(value, count, share)` rows.
 pub type TopList = Vec<(u16, u64, f64)>;
@@ -23,25 +22,22 @@ pub struct TopValues {
 
 impl TopValues {
     /// Computes value histograms over deduplicated
-    /// (community, prefix, peer) instances.
+    /// (community, prefix, peer) instances, each on- or off-path as its
+    /// first occurrence is.
     pub fn compute(set: &ObservationSet) -> Self {
         // Instances per community id; the histograms fold them by value.
         let mut on_path = vec![0u64; set.communities().len()];
         let mut off_path = vec![0u64; set.communities().len()];
-        // lint: order-independent membership tests only, never iterated
-        let mut seen: HashSet<(u32, u32, u32)> = HashSet::new();
-        for obs in set.announcements() {
-            for tag in obs.tags() {
-                if !seen.insert((tag.id, obs.prefix_id(), obs.peer_id())) {
-                    continue;
-                }
+        set.first_tags(
+            |_| true,
+            |_, tag| {
                 if tag.owner_pos.is_some() {
                     on_path[tag.id as usize] += 1;
                 } else {
                     off_path[tag.id as usize] += 1;
                 }
-            }
-        }
+            },
+        );
         let fold = |counts: &[u64], keep: fn(Community) -> bool| {
             let mut histogram = Histogram::new();
             for (&c, &n) in set.communities().iter().zip(counts) {
@@ -129,6 +125,27 @@ mod tests {
         let set = set(&[o.clone(), o]);
         let tv = TopValues::compute(&set);
         assert_eq!(tv.on_path.count(&100), 1);
+    }
+
+    /// A (prefix, peer, community) counts once, on- or off-path as it was
+    /// first heard: 3:100 off-path then on-path, 4:200 the other way
+    /// round, and 6:300 first on an empty path. A dedup that keeps any
+    /// other occurrence moves a count.
+    #[test]
+    fn the_first_occurrence_decides_on_or_off_path() {
+        let set = set(&[
+            obs(5, &[5, 1], &[(3, 100)], "10.0.0.0/16"),
+            obs(5, &[5, 4, 1], &[(4, 200)], "10.0.0.0/16"),
+            obs(5, &[], &[(6, 300)], "10.0.0.0/16"),
+            obs(5, &[5, 3, 1], &[(3, 100)], "10.0.0.0/16"),
+            obs(5, &[5, 1], &[(4, 200)], "10.0.0.0/16"),
+            obs(5, &[5, 6, 1], &[(6, 300)], "10.0.0.0/16"),
+        ]);
+        let tv = TopValues::compute(&set);
+        let counts = |v| (tv.off_path.count(&v), tv.on_path.count(&v));
+        assert_eq!(counts(100), (1, 0));
+        assert_eq!(counts(200), (0, 1));
+        assert_eq!(counts(300), (1, 0));
     }
 
     #[test]

@@ -1,14 +1,17 @@
 //! Property-based tests for the measurement pipeline: statistical
 //! invariants of the ECDF/histogram toolkit, the MRT→observation parse,
-//! the large-community accounting, and the dense filtering kernel against
-//! the sparse-map implementation it replaced.
+//! the large-community accounting, the dense filtering kernel against
+//! the sparse-map implementation it replaced, and the store's
+//! attribute-set table against a model that keeps every row's own copy.
 
 use bgpworms_core::{
     ArchiveInput, Ecdf, EdgeIndications, FeedAttrs, FeedRow, FilteringAnalysis,
     LargeCommunityAnalysis, ObservationSet, UpdateObservation,
 };
 use bgpworms_mrt::MrtWriter;
-use bgpworms_types::{AsPath, Asn, Community, LargeCommunity, PathAttributes, Prefix, RouteUpdate};
+use bgpworms_types::{
+    AsPath, Asn, Community, LargeCommunity, PathAttributes, PathSegment, Prefix, RouteUpdate,
+};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -206,6 +209,135 @@ fn dense_filtering_equals_the_reference_on_every_special_shape() {
 /// cannot. Owners 9 and 10 are on no path.
 const POOL: [u32; 9] = [1, 2, 3, 4, 5, 6, 7, 8, 400_000];
 
+/// An attribute set of the pool a feed reuses: the path as (AS, run
+/// length) hops, no two neighbours the same AS, and the communities.
+#[derive(Debug, Clone)]
+struct Pooled {
+    hops: Vec<(Asn, usize)>,
+    communities: Vec<Community>,
+    large: Vec<LargeCommunity>,
+}
+
+/// How a row's attributes derive from its pooled set: as they are, or a
+/// near miss that differs in one value the store must tell apart.
+#[derive(Debug, Clone, Copy)]
+enum Variant {
+    Same,
+    /// One community changed, or one added to none.
+    Community,
+    /// One large community changed, or one added to none.
+    Large,
+    /// One prepend moved to another hop: equal de-prepended path and hop
+    /// count, other prepend runs.
+    Prepend,
+    /// The last two hops as an AS_SET: equal de-prepended path and
+    /// prepend runs, one hop fewer.
+    HopCount,
+}
+
+impl Pooled {
+    fn attrs(&self, variant: Variant) -> PathAttributes {
+        let (mut hops, mut communities, mut large) = (
+            self.hops.clone(),
+            self.communities.clone(),
+            self.large.clone(),
+        );
+        let mut set_tail = false;
+        match variant {
+            Variant::Same => {}
+            Variant::Community => match communities.first_mut() {
+                Some(c) => *c = Community::from_u32(c.as_u32() ^ 1),
+                None => communities.push(Community::new(3, 1)),
+            },
+            Variant::Large => match large.first_mut() {
+                Some(l) => l.local2 ^= 1,
+                None => large.push(LargeCommunity::new(3, 0, 0)),
+            },
+            Variant::Prepend => {
+                if let Some(from) = hops.iter().position(|&(_, run)| run > 1) {
+                    hops[from].1 -= 1;
+                    let to = (from + 1) % hops.len();
+                    hops[to].1 += 1;
+                }
+            }
+            Variant::HopCount => {
+                let n = hops.len();
+                set_tail = n >= 2 && hops[n - 2].1 == 1 && hops[n - 1].1 == 1;
+            }
+        }
+        let keep = hops.len() - if set_tail { 2 } else { 0 };
+        let sequence = hops[..keep]
+            .iter()
+            .flat_map(|&(asn, run)| std::iter::repeat_n(asn, run));
+        let mut segments = vec![PathSegment::Sequence(sequence.collect())];
+        if set_tail {
+            segments.push(PathSegment::Set(hops[keep..].iter().map(|h| h.0).collect()));
+        }
+        PathAttributes {
+            as_path: AsPath::from_segments(segments),
+            communities,
+            large_communities: large,
+            ..PathAttributes::default()
+        }
+    }
+}
+
+fn arb_pooled() -> impl Strategy<Value = Pooled> {
+    (
+        proptest::collection::vec((0usize..POOL.len(), 1usize..4), 0..6),
+        proptest::collection::vec((1u16..11, 1u16..4), 0..4),
+        proptest::collection::vec((0u32..3, 0u32..3), 0..3),
+    )
+        .prop_map(|(hops, communities, large)| {
+            let mut hops: Vec<(Asn, usize)> = hops
+                .into_iter()
+                .map(|(i, run)| (Asn::new(POOL[i]), run))
+                .collect();
+            hops.dedup_by_key(|h| h.0);
+            Pooled {
+                hops,
+                communities: communities
+                    .into_iter()
+                    .map(|(a, v)| Community::new(a, v))
+                    .collect(),
+                large: large
+                    .into_iter()
+                    .map(|(g, l)| LargeCommunity::new(g, l, 0))
+                    .collect(),
+            }
+        })
+}
+
+/// A row of a drawn feed: peer, prefix, and for an announcement a pooled
+/// set (modulo the pool's size) and how the row's attributes derive from
+/// it: as they are at 0–3, else near miss `4 + k` of [`Variant::NEAR`].
+type DrawnRow = (u32, u8, Option<(usize, u8)>);
+
+impl Variant {
+    const NEAR: [Variant; 4] = [
+        Variant::Community,
+        Variant::Large,
+        Variant::Prepend,
+        Variant::HopCount,
+    ];
+
+    fn of(draw: u8) -> Variant {
+        draw.checked_sub(4)
+            .map_or(Variant::Same, |k| Variant::NEAR[usize::from(k)])
+    }
+}
+
+/// A feed over a pool of one to four attribute sets: one to four
+/// sessions, each reusing the pool across peers and prefixes, withdrawals
+/// interleaved.
+fn arb_pooled_feed() -> impl Strategy<Value = (Vec<Pooled>, Vec<Vec<DrawnRow>>)> {
+    let row = (1u32..4, 0u8..4, proptest::option::of((0usize..4, 0u8..8)));
+    (
+        proptest::collection::vec(arb_pooled(), 1..5),
+        proptest::collection::vec(proptest::collection::vec(row, 0..12), 1..5),
+    )
+}
+
 proptest! {
     #[test]
     fn dense_filtering_equals_the_reference(
@@ -232,6 +364,81 @@ proptest! {
         let ((edges, all_edges), dense) = both_filterings(&records);
         prop_assert_eq!(dense.edges, edges);
         prop_assert_eq!(dense.all_edges, all_edges);
+    }
+
+    /// The store keeps each distinct attribute set once and reads every
+    /// row back as the model, which keeps each row's own copy: its record,
+    /// its edges and its owners' positions, and the distinct set count.
+    #[test]
+    fn the_attribute_set_table_reads_back_every_row(
+        (pool, sessions) in arb_pooled_feed(),
+    ) {
+        const COLLECTORS: [&str; 4] = ["rrc00", "rrc01", "rrc02", "rrc03"];
+        let mut rows = Vec::new();
+        for (s, session) in sessions.iter().enumerate() {
+            for (time, &(peer, prefix, announced)) in (0u32..).zip(session) {
+                let prefix: Prefix = format!("10.{prefix}.0.0/16").parse().unwrap();
+                let attrs = announced.map(|(k, draw)| pool[k % pool.len()].attrs(Variant::of(draw)));
+                rows.push((COLLECTORS[s], time, Asn::new(peer), prefix, attrs));
+            }
+        }
+        let set = ObservationSet::from_rows(COLLECTORS[..sessions.len()].iter().map(|&c| {
+            let of_session = rows.iter().filter(move |r| r.0 == c);
+            let feed = of_session.map(|(_, time, peer, prefix, attrs)| FeedRow {
+                time: *time,
+                peer: *peer,
+                prefix: *prefix,
+                announced: attrs.as_ref().map(FeedAttrs::from),
+            });
+            ("RIS", c, feed)
+        }));
+
+        let model: Vec<UpdateObservation> = rows
+            .iter()
+            .map(|(collector, time, peer, prefix, attrs)| {
+                let path = attrs.as_ref().map(|a| &a.as_path);
+                UpdateObservation {
+                    platform: "RIS".into(),
+                    collector: (*collector).into(),
+                    time: *time,
+                    peer: *peer,
+                    prefix: *prefix,
+                    path: path.map_or(Vec::new(), |p| p.deprepended_asns().collect()),
+                    raw_hop_count: path.map_or(0, AsPath::hop_count),
+                    prepends: path.map_or(Vec::new(), |p| p.prepend_runs().collect()),
+                    communities: attrs.as_ref().map_or(Vec::new(), |a| a.communities.clone()),
+                    large_communities: (attrs.as_ref())
+                        .map_or(Vec::new(), |a| a.large_communities.clone()),
+                    is_withdrawal: attrs.is_none(),
+                }
+            })
+            .collect();
+        let announced = || model.iter().filter(|r| !r.is_withdrawal);
+
+        prop_assert_eq!(set.observations.len(), model.len());
+        for (obs, want) in set.iter().zip(&model) {
+            prop_assert_eq!(&obs.to_record(), want);
+            let hops: Vec<(Asn, Asn)> =
+                obs.edge_ids().iter().map(|&e| set.edges()[e as usize]).collect();
+            let want_hops: Vec<(Asn, Asn)> = want.path.windows(2).map(|w| (w[1], w[0])).collect();
+            prop_assert_eq!(hops, want_hops);
+            let owners: Vec<Option<usize>> = obs.tags().map(|t| t.owner_pos).collect();
+            let want_owners: Vec<Option<usize>> = (want.communities.iter())
+                .map(|c| want.path.iter().position(|&a| a == c.owner()))
+                .collect();
+            prop_assert_eq!(owners, want_owners);
+        }
+        let edges: BTreeSet<(Asn, Asn)> = announced()
+            .flat_map(|r| r.path.windows(2).map(|w| (w[1], w[0])))
+            .collect();
+        prop_assert_eq!(set.edges(), &edges.into_iter().collect::<Vec<_>>()[..]);
+        let communities: BTreeSet<Community> =
+            announced().flat_map(|r| r.communities.iter().copied()).collect();
+        prop_assert_eq!(set.communities(), &communities.into_iter().collect::<Vec<_>>()[..]);
+        let distinct: BTreeSet<_> = announced()
+            .map(|r| (&r.path, &r.prepends, r.raw_hop_count, &r.communities, &r.large_communities))
+            .collect();
+        prop_assert_eq!(set.attribute_sets(), distinct.len());
     }
 
     #[test]

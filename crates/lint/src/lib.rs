@@ -36,6 +36,9 @@
 //! [`rules`] engine, so the pass builds offline and runs in well under a
 //! second on the whole workspace.
 //!
+//! Beside the pass, [`mutants`] holds the committed table of mutation
+//! checks: which deliberate break of which arm which tests must catch.
+//!
 //! Run it locally with `cargo run -p bgpworms-lint --release`; the
 //! workspace self-check also runs inside `cargo test` (see
 //! `tests/self_check.rs`), so a violation fails the ordinary test suite
@@ -45,6 +48,7 @@
 #![warn(missing_docs)]
 
 pub mod lexer;
+pub mod mutants;
 pub mod policy;
 pub mod rules;
 mod walker;
